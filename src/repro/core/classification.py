@@ -191,16 +191,6 @@ class SequenceClassifier:
 
     config: ClassifierConfig = field(default_factory=ClassifierConfig)
 
-    def classify_table(self, table, order_by="t", value_column="v"):
-        """Classify an engine table holding one signal's K_red."""
-        ordered = table.sort([order_by])
-        t_i = ordered.schema.index_of(order_by)
-        v_i = ordered.schema.index_of(value_column)
-        rows = ordered.collect()
-        times = [r[t_i] for r in rows]
-        values = [r[v_i] for r in rows]
-        return classify(times, values, self.config)
-
     def affiliation_mask(self, values):
         """Per-element affiliation: True where functional (F), False (V)."""
         validity = self.config.validity_values

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Column layout of an extension (W) table.
-W_COLUMNS = ("t", "v", "w_id", "s_id", "b_id")
+from repro.core.model import K_S_COLUMNS, W_COLUMNS
+from repro.core.sequence import derive_extensions, order_sequence
 
 
 class ExtensionError(ValueError):
@@ -203,23 +203,25 @@ class ExtensionSet:
         return [r for r in self.rules if r.signal_id == signal_id]
 
 
+@dataclass(frozen=True)
+class _DeriveExtensionsTask:
+    """Partition function: one whole sequence, ordered then extended."""
+
+    rules: tuple
+
+    def __call__(self, rows):
+        return derive_extensions(order_sequence(rows), self.rules)
+
+
 def apply_extensions(k_red, rules):
     """Line 12: ``W = F_E(K_red)`` for one reduced sequence.
 
     Returns an engine table with ``W_COLUMNS`` (empty when no rule
-    applies). The sequence is collected in time order per signal type --
-    the per-type sequences are small after reduction; rule evaluation
-    itself is sequential per type but independent (and thus parallel)
-    across types.
+    applies). The sequence is gathered into one partition and handed to
+    the same :func:`~repro.core.sequence.derive_extensions` every
+    pipeline entry point uses: rule evaluation is sequential per
+    sequence but independent (and thus parallel) across sequences.
     """
-    context = k_red.context
-    if not rules:
-        return context.empty_table(list(W_COLUMNS))
-    ordered = k_red.sort(["t"])
-    rows = ordered.collect()
-    schema = ordered.schema
-    out = []
-    for rule in rules:
-        out.extend(rule.derive(rows, schema))
-    out.sort(key=lambda r: (r[0], r[2]))
-    return context.table_from_rows(list(W_COLUMNS), out)
+    return k_red.select(*K_S_COLUMNS).repartition(1).map_partitions(
+        _DeriveExtensionsTask(tuple(rules)), list(W_COLUMNS)
+    )

@@ -4,26 +4,33 @@ The fleets of Fig. 1 deliver traces continuously ("500 cars produce
 1.5 TB per day"); a daily batch cannot hold a vehicle's full history in
 memory. :class:`IncrementalRunner` applies the front of Algorithm 1
 (preselection, interpretation, per-signal reduction -- lines 3-11) to
-consecutive time windows of a trace, carrying the last raw element per
-(signal, channel) across window boundaries so reduction decisions are
-*identical* to a whole-trace run. The type-dependent processing (lines
-13-28) runs once at ``finalize`` over the accumulated reduced sequences,
-because classification criteria (Eq. 2) are sequence-level statistics.
+consecutive time windows of a trace. The type-dependent processing
+(lines 13-28) runs once at ``finalize`` over the accumulated reduced
+sequences, because classification criteria (Eq. 2) are sequence-level
+statistics.
+
+The runner is a driver, not an implementation: ordering, Eq. 1,
+extensions, classification, branches and the merge are the functions of
+:mod:`repro.core.sequence` that :meth:`PreprocessingPipeline.run
+<repro.core.pipeline.PreprocessingPipeline.run>` calls too. What this
+module adds is the state between windows -- the reduced rows so far and
+each marker function's explicit carry -- and its checkpoint payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.branches import R_COLUMNS, process_branch
-from repro.core.classification import classify
-from repro.core.extension import apply_extensions
-from repro.core.interpretation import interpret
-from repro.core.model import K_S_COLUMNS
+from repro.core.interpretation import interpret_under_policy
 from repro.core.preselection import preselect
-from repro.core.reduction import value_order_key
-from repro.core.representation import merge_results
-from repro.core.rules import TRUNCATED
+from repro.core.sequence import (
+    derive_extensions,
+    marker_functions,
+    merge_sequences,
+    order_sequence,
+    process_sequence,
+    reduce_sequence,
+)
 
 
 class IncrementalError(ValueError):
@@ -36,14 +43,8 @@ STATE_FORMAT = "repro.incremental-state/1"
 
 @dataclass
 class _SignalState:
-    """Accumulated per-(signal, channel) reduction state.
-
-    The only cross-window reduction state is :attr:`carries` -- the
-    per-marker-function carry protocol (PR 4) replaced the earlier
-    whole-element ``last_raw`` field, which by then was written every
-    window but never read; it is gone so checkpoint/restore cannot
-    resurrect stale raw elements.
-    """
+    """Accumulated per-(signal, channel) reduction state; the only
+    cross-window reduction state is :attr:`carries`."""
 
     reduced_rows: list = field(default_factory=list)
     #: Per-marker-function carry, keyed by position in the signal's
@@ -57,10 +58,11 @@ class IncrementalRunner:
     """Windowed execution of a pipeline parameterization.
 
     Feed windows in time order with :meth:`process_window`; call
-    :meth:`finalize` once at the end. Gateway-channel deduplication is
-    not applied (copies may drift across window boundaries); restrict
-    the catalog to representative channels instead, as the evaluation
-    does ("one channel per signal type is analyzed").
+    :meth:`finalize` once at the end. Gateway-channel deduplication
+    (``dedup_channels``) is not applied: the equality check ``e``
+    compares whole raw per-channel sequences, which no window holds.
+    Restrict the catalog to representative channels instead, as the
+    evaluation does ("one channel per signal type is analyzed").
     """
 
     config: object  # PipelineConfig
@@ -80,59 +82,30 @@ class IncrementalRunner:
         Windows must arrive in time order (their minimum timestamp must
         not precede the previous window's maximum). Timestamps *inside*
         a window may be unordered (clock-skewed recorders step
-        backwards); rows are sorted here before reduction, so window
-        runs match the whole-trace pipeline, which sorts per signal.
+        backwards): every (signal, channel) chunk is put into the
+        canonical sequence order before reduction, by the function the
+        whole-trace pipeline orders its sequences with.
         """
         if self._finalized:
             raise IncrementalError("runner already finalized")
-        mode = getattr(self.config, "short_payload", "raise")
-        if mode not in ("raise", "skip", "keep"):
-            raise IncrementalError(
-                "short_payload must be 'raise', 'skip' or 'keep', "
-                "got {!r}".format(mode)
-            )
-        # Interpret tolerantly for both lossy modes so truncated rows
-        # can be counted; "skip" then drops the markers, "keep" lets
-        # them flow into reduction exactly as the whole-trace pipeline
-        # does (they classify as nominal TRUNCATED evidence downstream).
-        on_short = "raise" if mode == "raise" else "keep"
-        k_pre = preselect(k_b_window, self.config.catalog)
-        k_s = interpret(k_pre, self.config.catalog, on_short=on_short)
-        collected = k_s.collect()
-        if mode == "skip":
-            kept = [r for r in collected if r[1] is not TRUNCATED]
-            self.short_payload_skipped += len(collected) - len(kept)
-            collected = kept
-        elif mode == "keep":
-            self.short_payload_kept += sum(
-                1 for r in collected if r[1] is TRUNCATED
-            )
-        if getattr(self.config, "drop_exact_duplicates", True):
+        config = self.config
+        k_s, policy_counts = interpret_under_policy(
+            preselect(k_b_window, config.catalog), config
+        )
+        self.short_payload_skipped += policy_counts.get(
+            "short_payload_skipped", 0
+        )
+        self.short_payload_kept += policy_counts.get("short_payload_kept", 0)
+        rows = k_s.collect()
+        if config.drop_exact_duplicates:
             # Exact duplicates share their timestamp, so window
             # assignment puts every copy of a row into the same window:
             # per-window dedup equals the whole-trace distinct().
-            seen = set()
-            unique = []
-            for row in collected:
-                if row in seen:
-                    continue
-                seen.add(row)
-                unique.append(row)
-            self.exact_duplicates_dropped += len(collected) - len(unique)
-            collected = unique
-        # Sort on (t, s_id, b_id, value-order): comparing whole rows
-        # would reach the value column, whose type varies across
-        # signals; value_order_key breaks same-timestamp ties exactly
-        # as the whole-trace reduction's canonical order does.
-        rows = sorted(
-            collected,
-            key=lambda r: (
-                r[0], str(r[2]), str(r[3]), value_order_key(r[1])
-            ),
-        )
+            unique = list(dict.fromkeys(rows))
+            self.exact_duplicates_dropped += len(rows) - len(unique)
+            rows = unique
         if rows:
-            window_start = rows[0][0]
-            window_end = rows[-1][0]
+            window_start = min(row[0] for row in rows)
             if (
                 self._last_window_end is not None
                 and window_start < self._last_window_end
@@ -142,65 +115,46 @@ class IncrementalRunner:
                         window_start, self._last_window_end
                     )
                 )
-            self._last_window_end = window_end
-        processed = 0
+            self._last_window_end = max(row[0] for row in rows)
         by_key = {}
-        for t, v, s_id, b_id in rows:
-            by_key.setdefault((s_id, b_id), []).append((t, v, s_id, b_id))
-        for key, sequence in sorted(by_key.items()):
+        for row in rows:
+            by_key.setdefault((row[2], row[3]), []).append(row)
+        for key, chunk in sorted(by_key.items()):
             state = self._states.setdefault(key, _SignalState())
-            kept = self._reduce_chunk(key[0], sequence, state)
-            state.reduced_rows.extend(kept)
-            processed += len(sequence)
-        return processed
-
-    def _reduce_chunk(self, signal_id, sequence, state):
-        constraints = self.config.constraints.for_signal(signal_id)
-        functions = tuple(f for c in constraints for f in c.functions)
-        if not functions:
-            return list(sequence)
-        times = [row[0] for row in sequence]
-        values = [row[1] for row in sequence]
-        redundant = [False] * len(sequence)
-        for index, func in enumerate(functions):
-            prev = state.carries.get(index)
-            for i, flag in enumerate(func.flags(times, values, prev)):
-                if flag:
-                    redundant[i] = True
-            state.carries[index] = func.carry_after(times, values, prev)
-        return [row for row, e in zip(sequence, redundant) if not e]
+            functions = marker_functions(
+                config.constraints.for_signal(key[0])
+            )
+            state.reduced_rows.extend(
+                reduce_sequence(
+                    order_sequence(chunk), functions, state.carries
+                )
+            )
+        return len(rows)
 
     def finalize(self, context):
-        """Run classification, branches, extensions and the merge."""
+        """Run extensions, classification, branches and the merge."""
         if self._finalized:
             raise IncrementalError("runner already finalized")
         self._finalized = True
-        schema_names = list(K_S_COLUMNS)
-        branch_tables = []
-        extension_tables = []
-        outcomes = {}
+        config = self.config
+        result_rows = []
+        w_rows = []
+        classifications = {}
         for (s_id, b_id), state in sorted(self._states.items()):
-            rows = state.reduced_rows
-            if not rows:
+            k_red = state.reduced_rows
+            if not k_red:
                 continue
-            table = context.table_from_rows(schema_names, rows)
-            times = [r[0] for r in rows]
-            values = [r[1] for r in rows]
-            classification = classify(
-                times, values, self.config.branch_config.classifier
+            w_rows.extend(
+                derive_extensions(k_red, config.extensions.for_signal(s_id))
             )
-            result_rows = process_branch(
-                rows, table.schema, classification, self.config.branch_config
+            classifications[(s_id, b_id)], branch_rows = process_sequence(
+                k_red, config.branch_config
             )
-            branch_tables.append(
-                context.table_from_rows(list(R_COLUMNS), result_rows)
-            )
-            ext_rules = self.config.extensions.for_signal(s_id)
-            if ext_rules:
-                extension_tables.append(apply_extensions(table, ext_rules))
-            outcomes[(s_id, b_id)] = classification
-        r_out = merge_results(context, branch_tables, extension_tables)
-        return IncrementalResult(r_out=r_out.cache(), classifications=outcomes)
+            result_rows.extend(branch_rows)
+        r_out = merge_sequences(context, result_rows, w_rows)
+        return IncrementalResult(
+            r_out=r_out.cache(), classifications=classifications
+        )
 
     def reduced_rows(self, signal_id, channel_id):
         """Accumulated reduced rows of one (signal, channel)."""
@@ -237,7 +191,12 @@ class IncrementalRunner:
 
     @classmethod
     def from_state(cls, config, payload):
-        """Rebuild a runner from an :meth:`export_state` payload."""
+        """Rebuild a runner from an :meth:`export_state` payload.
+
+        The payload comes from disk (stream and fleet checkpoints), so
+        every field is checked: a missing or ill-typed one raises
+        :class:`IncrementalError` naming it.
+        """
         if not isinstance(payload, dict) or payload.get("format") != \
                 STATE_FORMAT:
             raise IncrementalError(
@@ -247,17 +206,49 @@ class IncrementalRunner:
                 )
             )
         runner = cls(config)
-        runner._last_window_end = payload["last_window_end"]
-        runner._finalized = payload["finalized"]
-        runner.short_payload_skipped = payload["short_payload_skipped"]
-        runner.short_payload_kept = payload.get("short_payload_kept", 0)
-        runner.exact_duplicates_dropped = payload["exact_duplicates_dropped"]
-        for key, entry in payload["states"].items():
+        runner._last_window_end = _state_field(
+            payload, "last_window_end", (int, float, type(None))
+        )
+        runner._finalized = _state_field(payload, "finalized", bool)
+        runner.short_payload_skipped = _state_field(
+            payload, "short_payload_skipped", int
+        )
+        # Absent from payloads written before the "keep" policy existed.
+        if "short_payload_kept" in payload:
+            runner.short_payload_kept = _state_field(
+                payload, "short_payload_kept", int
+            )
+        runner.exact_duplicates_dropped = _state_field(
+            payload, "exact_duplicates_dropped", int
+        )
+        states = _state_field(payload, "states", dict)
+        for key in states:
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise IncrementalError(
+                    "incremental-state key {!r} of 'states' is not an "
+                    "(s_id, b_id) pair".format(key)
+                )
+            entry = _state_field(states, key, dict)
             runner._states[key] = _SignalState(
-                reduced_rows=list(entry["reduced_rows"]),
-                carries=dict(entry["carries"]),
+                reduced_rows=list(_state_field(entry, "reduced_rows", list)),
+                carries=dict(_state_field(entry, "carries", dict)),
             )
         return runner
+
+
+def _state_field(payload, name, types):
+    """``payload[name]`` once it is known to be there and of *types*."""
+    if name not in payload:
+        raise IncrementalError(
+            "incremental-state payload lacks field {!r}".format(name)
+        )
+    if not isinstance(payload[name], types):
+        raise IncrementalError(
+            "incremental-state field {!r} has type {}".format(
+                name, type(payload[name]).__name__
+            )
+        )
+    return payload[name]
 
 
 @dataclass

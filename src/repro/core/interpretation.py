@@ -172,16 +172,6 @@ class _IsTruncated:
         return [v is TRUNCATED for v in values]
 
 
-def drop_truncated(k_s):
-    """``K_s`` without the TRUNCATED marker rows of keep-mode runs."""
-    return k_s.filter(apply(_NotTruncated(), "v"))
-
-
-def count_truncated(k_s):
-    """Number of TRUNCATED marker rows in a keep-mode ``K_s``."""
-    return k_s.filter(apply(_IsTruncated(), "v")).count()
-
-
 def evaluate_signals(k_join2, on_short="raise"):
     """Line 6: ``K_s = F_u2(K_join2)`` -- signal instances per row."""
     with_value = k_join2.with_column(
@@ -273,6 +263,37 @@ def interpret(k_pre, catalog, context=None, strategy="join",
     k_join = join_rules(k_pre, catalog_table)
     k_join2 = extract_relevant_bytes(k_join, on_short=on_short)
     return evaluate_signals(k_join2, on_short=on_short)
+
+
+def interpret_under_policy(k_pre, config):
+    """Lines 4-6 under *config*'s ``short_payload`` policy.
+
+    The one place the policy is spelled out, for whole-trace and
+    windowed runs alike. Returns ``(k_s, counts)``: the cached ``K_s``
+    and the policy's counter increments by counter name --
+    ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
+    under ``"keep"``, none under ``"raise"`` (where a truncated payload
+    aborts with :class:`ShortPayloadError`).
+    """
+    mode = config.short_payload
+    _check_on_short(mode)
+    # Both lossy modes interpret tolerantly so truncated rows can be
+    # counted; "skip" then drops the markers, "keep" lets them flow
+    # into reduction (they classify as nominal TRUNCATED evidence).
+    k_s = interpret(
+        k_pre,
+        config.catalog,
+        strategy=config.interpretation_strategy,
+        on_short="raise" if mode == "raise" else "keep",
+    ).cache()
+    if mode == "raise":
+        return k_s, {}
+    truncated = k_s.filter(apply(_IsTruncated(), "v")).count()
+    if mode == "keep":
+        return k_s, {"short_payload_kept": truncated}
+    if truncated:
+        k_s = k_s.filter(apply(_NotTruncated(), "v")).cache()
+    return k_s, {"short_payload_skipped": truncated}
 
 
 _ = U_REL_COLUMNS  # re-exported context for readers of this module

@@ -28,6 +28,8 @@ VALIDITY = "validity"
 K_B_COLUMNS = ("t", "l", "b_id", "m_id", "m_info")
 #: Column layout of a K_s table.
 K_S_COLUMNS = ("t", "v", "s_id", "b_id")
+#: Column layout of an extension (W) table.
+W_COLUMNS = ("t", "v", "w_id", "s_id", "b_id")
 
 
 @dataclass(frozen=True)

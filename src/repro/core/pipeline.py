@@ -28,15 +28,27 @@ from dataclasses import dataclass, field
 
 from repro.obs import RunReport
 
-from repro.core.branches import BranchConfig, R_COLUMNS, process_branch
-from repro.core.classification import SequenceClassifier
-from repro.core.extension import ExtensionSet, apply_extensions
-from repro.core.interpretation import count_truncated, drop_truncated, interpret
+from repro.core.branches import BranchConfig
+from repro.core.extension import ExtensionSet
+from repro.core.interpretation import interpret, interpret_under_policy
+from repro.core.model import W_COLUMNS
 from repro.core.preselection import preselect
-from repro.core.reduction import ConstraintSet, reduce_signal
-from repro.core.representation import build_state_representation, merge_results
+from repro.core.reduction import ConstraintSet
+from repro.core.representation import build_state_representation
 from repro.core.rules import RuleCatalog
-from repro.core.splitting import equality_split, split_signal_types
+from repro.core.sequence import (
+    derive_extensions,
+    marker_functions,
+    merge_sequences,
+    order_sequence,
+    process_sequence,
+    reduce_sequence,
+)
+from repro.core.splitting import (
+    SplitResult,
+    equality_split,
+    split_signal_types,
+)
 
 
 class PipelineError(ValueError):
@@ -150,24 +162,21 @@ class PreprocessingPipeline:
         if not isinstance(config, PipelineConfig):
             raise PipelineError("config must be a PipelineConfig")
         self.config = config
-        self.classifier = SequenceClassifier(config.branch_config.classifier)
 
     # -- stages exposed individually (used by benchmarks) ------------------
     def preselect(self, k_b):
         """Lines 2-3."""
         return preselect(k_b, self.config.catalog)
 
-    def interpret(self, k_pre, on_short=None):
+    def interpret(self, k_pre):
         """Lines 4-6."""
-        if on_short is None:
-            # short_payload values coincide with interpret's on_short
-            # modes: raise aborts, skip drops, keep retains TRUNCATED.
-            on_short = self.config.short_payload
+        # short_payload values coincide with interpret's on_short
+        # modes: raise aborts, skip drops, keep retains TRUNCATED.
         return interpret(
             k_pre,
             self.config.catalog,
             strategy=self.config.interpretation_strategy,
-            on_short=on_short,
+            on_short=self.config.short_payload,
         )
 
     def extract_signals(self, k_b, cache=True):
@@ -186,6 +195,12 @@ class PreprocessingPipeline:
     def run(self, k_b, report=None):
         """Execute Algorithm 1 on a raw trace table ``K_b``.
 
+        Lines 2-9 run on the engine; each representative group's rows
+        are then pulled once and handed, with an empty carry, to the
+        sequence stages of :mod:`repro.core.sequence` -- the same
+        functions a windowed run feeds chunk by chunk. Every engine
+        action happens inside the span of the stage that causes it.
+
         *report*, when given, is the :class:`~repro.obs.RunReport` to
         record into (callers batching many traces aggregate this way);
         by default each run gets a fresh one, returned as
@@ -195,73 +210,55 @@ class PreprocessingPipeline:
             report = RunReport("pipeline.run")
         recorder = report.spans
         registry = report.metrics
+        config = self.config
         counts = {}
         context = k_b.context
         report.set_meta(
-            signals=len(set(self.config.catalog.signal_ids())),
-            interpretation_strategy=self.config.interpretation_strategy,
-            dedup_channels=self.config.dedup_channels,
+            signals=len(set(config.catalog.signal_ids())),
+            interpretation_strategy=config.interpretation_strategy,
+            dedup_channels=config.dedup_channels,
         )
 
-        k_b_rows = k_b.count()
         with recorder.span("preselect") as span:
+            k_b_rows = k_b.count()
             k_pre = self.preselect(k_b).cache()
-        counts["k_pre"] = k_pre.count()
-        span.set(rows_in=k_b_rows, rows_out=counts["k_pre"])
+            counts["k_pre"] = k_pre.count()
+            span.set(rows_in=k_b_rows, rows_out=counts["k_pre"])
         if k_b_rows:
             registry.set_gauge(
                 "pipeline.preselect.selectivity", counts["k_pre"] / k_b_rows
             )
 
         with recorder.span("interpret") as span:
-            if self.config.short_payload == "skip":
-                # Interpret in keep mode so truncated rows can be counted
-                # before they are dropped from K_s.
-                k_s_raw = self.interpret(k_pre, on_short="keep").cache()
-                truncated = count_truncated(k_s_raw)
-                k_s = (
-                    drop_truncated(k_s_raw).cache() if truncated else k_s_raw
-                )
+            k_s, policy_counts = interpret_under_policy(k_pre, config)
+            for name, value in policy_counts.items():
+                registry.counter("pipeline.interpret." + name).inc(value)
+            counts["k_s"] = k_s.count()
+            if config.drop_exact_duplicates:
+                # distinct() repartitions (changing row order), so only swap
+                # in the deduped table when duplicates actually exist.
+                distinct_k_s = k_s.distinct().cache()
+                distinct_rows = distinct_k_s.count()
+                duplicates = counts["k_s"] - distinct_rows
+                if duplicates:
+                    k_s = distinct_k_s
+                    counts["k_s"] = distinct_rows
                 registry.counter(
-                    "pipeline.interpret.short_payload_skipped"
-                ).inc(truncated)
-            elif self.config.short_payload == "keep":
-                k_s = self.interpret(k_pre).cache()
-                registry.counter(
-                    "pipeline.interpret.short_payload_kept"
-                ).inc(count_truncated(k_s))
-            else:
-                k_s = self.interpret(k_pre).cache()
-        counts["k_s"] = k_s.count()
-        if self.config.drop_exact_duplicates:
-            # distinct() repartitions (changing row order), so only swap
-            # in the deduped table when duplicates actually exist.
-            distinct_k_s = k_s.distinct().cache()
-            distinct_rows = distinct_k_s.count()
-            duplicates = counts["k_s"] - distinct_rows
-            if duplicates:
-                k_s = distinct_k_s
-                counts["k_s"] = distinct_rows
-            registry.counter(
-                "pipeline.interpret.exact_duplicates_dropped"
-            ).inc(duplicates)
-        span.set(rows_in=counts["k_pre"], rows_out=counts["k_s"])
+                    "pipeline.interpret.exact_duplicates_dropped"
+                ).inc(duplicates)
+            span.set(rows_in=counts["k_pre"], rows_out=counts["k_s"])
 
         with recorder.span("split") as split_span:
             splits_before = context.executor.metrics.splits
             per_signal = split_signal_types(
-                k_s, sorted(set(self.config.catalog.signal_ids()))
+                k_s, sorted(set(config.catalog.signal_ids()))
             )
-            splits = {}
-            for s_id, table in per_signal.items():
-                if self.config.dedup_channels:
-                    splits[s_id] = equality_split(table, s_id)
-                else:
-                    from repro.core.splitting import SplitResult
-
-                    splits[s_id] = SplitResult(
-                        s_id, table.sort(["t"]), groups=[]
-                    )
+            splits = {
+                s_id: equality_split(table, s_id)
+                if config.dedup_channels
+                else SplitResult(s_id, table, groups=[])
+                for s_id, table in per_signal.items()
+            }
             # Per-signal splitting is a single routed pass: this gauge
             # counts shuffle stages spent splitting (1 for the s_id
             # split + 1 per deduped signal's b_id split), not one per
@@ -272,123 +269,87 @@ class PreprocessingPipeline:
             )
 
         outcomes = {}
-        branch_tables = []
-        extension_tables = []
+        result_rows = []
+        w_rows = []
         total_before = 0
         total_after = 0
-        total_extension_rows = 0
-        total_branch_rows = 0
         for s_id in sorted(splits):
             split = splits[s_id]
-            constraints = self.config.constraints.for_signal(s_id)
-            ext_rules = self.config.extensions.for_signal(s_id)
-            result_rows = []
+            functions = marker_functions(config.constraints.for_signal(s_id))
+            ext_rules = config.extensions.for_signal(s_id)
+            classifications = []
+            signal_rows = []
+            signal_w = []
             before = 0
             after = 0
-            w_tables = []
-            for group, table in split.tables():
-                with recorder.span("reduce"):
-                    before += table.count()
-                    k_red = reduce_signal(table, constraints).cache()
-                    after += k_red.count()
-
-                with recorder.span("extend"):
-                    w_table = apply_extensions(k_red, ext_rules)
-                    w_tables.append(w_table)
-
-                with recorder.span("branch"):
-                    ordered_rows = k_red.sort(["t"]).collect()
-                    classification = self._classify_rows(
-                        k_red.schema, ordered_rows
+            for _group, table in split.tables():
+                with recorder.span("reduce") as reduce_span:
+                    rows = order_sequence(table.collect())
+                    k_red = reduce_sequence(rows, functions, {})
+                before += len(rows)
+                after += len(k_red)
+                with recorder.span("extend") as extend_span:
+                    signal_w.extend(derive_extensions(k_red, ext_rules))
+                with recorder.span("branch") as branch_span:
+                    classification, branch_rows = process_sequence(
+                        k_red, config.branch_config
                     )
-                    result_rows.extend(
-                        process_branch(
-                            ordered_rows,
-                            k_red.schema,
-                            classification,
-                            self.config.branch_config,
-                        )
-                    )
-            merged_w = w_tables[0]
-            for extra in w_tables[1:]:
-                merged_w = merged_w.union(extra)
-            extension_tables.append(merged_w)
-            total_extension_rows += merged_w.count()
-            total_branch_rows += len(result_rows)
+                classifications.append(classification)
+                signal_rows.extend(branch_rows)
             total_before += before
             total_after += after
+            result_rows.extend(signal_rows)
+            w_rows.extend(signal_w)
             outcomes[s_id] = SignalOutcome(
                 signal_id=s_id,
-                classification=classification,
+                # split.tables() leads with the head representative.
+                classification=classifications[0],
                 groups=split.groups,
                 rows_before_reduction=before,
                 rows_after_reduction=after,
-                result_rows=result_rows,
-                extension_table=merged_w,
-            )
-            branch_tables.append(
-                context.table_from_rows(list(R_COLUMNS), result_rows)
+                result_rows=signal_rows,
+                extension_table=context.table_from_rows(
+                    list(W_COLUMNS), signal_w
+                ),
             )
         split_span.set(rows_in=counts["k_s"], rows_out=total_before)
         if counts["k_s"]:
             registry.set_gauge(
                 "pipeline.split.dedup_ratio", total_before / counts["k_s"]
             )
-        reduce_span = recorder.find("reduce")
-        if reduce_span is not None:
-            reduce_span.set(rows_in=total_before, rows_out=total_after)
+        # A catalog is never empty and every signal type has at least its
+        # head table, so the loop above ran and bound the three spans.
+        reduce_span.set(rows_in=total_before, rows_out=total_after)
         if total_before:
             registry.set_gauge(
                 "pipeline.reduce.reduction_ratio", total_after / total_before
             )
-        extend_span = recorder.find("extend")
-        if extend_span is not None:
-            extend_span.set(rows_in=total_after, rows_out=total_extension_rows)
-        branch_span = recorder.find("branch")
-        if branch_span is not None:
-            branch_span.set(rows_in=total_after, rows_out=total_branch_rows)
+        extend_span.set(rows_in=total_after, rows_out=len(w_rows))
+        branch_span.set(rows_in=total_after, rows_out=len(result_rows))
 
         with recorder.span("merge") as span:
-            r_out = merge_results(
-                context, branch_tables, extension_tables
-            ).cache()
-        counts["r_out"] = r_out.count()
-        span.set(
-            rows_in=total_branch_rows + total_extension_rows,
-            rows_out=counts["r_out"],
-        )
+            r_out = merge_sequences(context, result_rows, w_rows).cache()
+            counts["r_out"] = r_out.count()
+            span.set(
+                rows_in=len(result_rows) + len(w_rows),
+                rows_out=counts["r_out"],
+            )
+            for name in self.STAGES:
+                attrs = recorder.find(name).attrs
+                for key in ("rows_in", "rows_out"):
+                    registry.counter(
+                        "pipeline.{}.{}".format(name, key)
+                    ).inc(attrs[key])
+            # Executor metrics are executor-lifetime (a context reused
+            # across runs keeps accumulating); with one context per run
+            # they read as per-run values.
+            report.merge_registry(context.executor.obs)
 
-        for name in self.STAGES:
-            stage_span = recorder.find(name)
-            attrs = stage_span.attrs if stage_span is not None else {}
-            registry.counter(
-                "pipeline.{}.rows_in".format(name)
-            ).inc(attrs.get("rows_in", 0))
-            registry.counter(
-                "pipeline.{}.rows_out".format(name)
-            ).inc(attrs.get("rows_out", 0))
-        # Executor metrics are executor-lifetime (a context reused across
-        # runs keeps accumulating); with one context per run they read as
-        # per-run values.
-        report.merge_registry(context.executor.obs)
-
-        timings = {
-            name: recorder.seconds(name) for name in self.STAGES
-        }
         return PipelineResult(
             k_s=k_s,
             outcomes=outcomes,
             r_out=r_out,
-            timings=timings,
+            timings={name: recorder.seconds(name) for name in self.STAGES},
             counts=counts,
             report=report,
         )
-
-    def _classify_rows(self, schema, ordered_rows):
-        t_i = schema.index_of("t")
-        v_i = schema.index_of("v")
-        from repro.core.classification import classify
-
-        times = [r[t_i] for r in ordered_rows]
-        values = [r[v_i] for r in ordered_rows]
-        return classify(times, values, self.config.branch_config.classifier)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.classification import ClassifierConfig, classify
+from repro.core.sequence import classify_sequence, order_sequence
 from repro.core.splitting import split_signal_types
 from repro.obs import median, percentile
 
@@ -55,10 +55,10 @@ class SignalProfile:
 
 
 def profile_signal(rows, signal_id, config=None):
-    """Profile one signal's time-ordered (t, v, s_id, b_id) rows."""
+    """Profile one signal's (t, v, s_id, b_id) rows."""
     if not rows:
         raise ValueError("cannot profile an empty sequence")
-    rows = sorted(rows, key=lambda r: r[0])
+    rows = order_sequence(rows)
     times = [r[0] for r in rows]
     values = [r[1] for r in rows]
     channels = tuple(sorted({str(r[3]) for r in rows}))
@@ -68,7 +68,7 @@ def profile_signal(rows, signal_id, config=None):
         for v in values
     )
     changes = sum(1 for a, b in zip(values, values[1:]) if a != b)
-    classification = classify(times, values, config or ClassifierConfig())
+    classification = classify_sequence(rows, config)
     return SignalProfile(
         signal_id=signal_id,
         count=len(rows),

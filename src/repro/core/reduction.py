@@ -11,8 +11,11 @@ Marker functions receive the time-ordered (t, v) sequence (plus the
 previous element as carry) so they can express the paper's examples:
 repeated data points, temporal-gap conditions, sending-condition checks.
 Aggregation-based markers (inherently distributable operations in Big
-Data systems) are supported through a pre-pass computing sequence
-statistics.
+Data systems) compute their statistics over the rows they are handed.
+
+Eq. 1 itself is evaluated in one place,
+:func:`repro.core.sequence.reduce_sequence`; :func:`reduce_signal` is
+its engine wrapper.
 """
 
 from __future__ import annotations
@@ -21,52 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.expressions import apply
+from repro.core.model import K_S_COLUMNS
+from repro.core.sequence import (
+    marker_functions,
+    order_sequence,
+    reduce_sequence,
+)
 
 
 class ReductionError(ValueError):
     """Raised for invalid constraints."""
-
-
-def value_order_key(value):
-    """Canonical tiebreak for rows sharing a timestamp.
-
-    ``repr`` yields a deterministic, comparable string across the
-    mixed value types a sequence can hold (floats, labels, the
-    TRUNCATED sentinel), so every execution path -- whole-trace,
-    windowed, streamed -- orders same-timestamp rows identically.
-    """
-    return repr(value)
-
-
-@dataclass(frozen=True)
-class _ValueOrderKey:
-    """Picklable column body computing :func:`value_order_key`."""
-
-    def __call__(self, v):
-        return value_order_key(v)
-
-    def batch_call(self, values):
-        return [value_order_key(v) for v in values]
-
-
-_TIEBREAK_COLUMN = "__v_order"
-
-
-def order_signal_rows(k_sep, order_by="t", value_column="v"):
-    """Sort one signal's rows into the canonical sequence order.
-
-    Sorting on the timestamp alone is not a total order once transport
-    corruption is in play: a gateway duplicate whose copy lost payload
-    bytes yields two rows of one (s_id, b_id) at the same ``t`` with
-    *different* values, and windowed vs whole-trace runs could then
-    disagree about which one a repeat-removal marker sees first. The
-    value's :func:`value_order_key` breaks such ties deterministically.
-    """
-    keyed = k_sep.with_column(
-        _TIEBREAK_COLUMN, apply(_ValueOrderKey(), value_column)
-    )
-    return keyed.sort([order_by, _TIEBREAK_COLUMN]).drop(_TIEBREAK_COLUMN)
 
 
 class MarkerFunction:
@@ -78,18 +45,7 @@ class MarkerFunction:
     be picklable.
     """
 
-    #: Set by aggregation markers; the reducer then provides statistics.
-    needs_statistics = False
-
-    #: True when flags depend only on ``prev`` and the chunk itself, so a
-    #: one-row carry makes partitioned evaluation exact. Markers whose
-    #: decisions propagate from the start of the sequence (``MinimumGap``:
-    #: which element was last *kept* depends on every earlier decision)
-    #: set this False; ``reduce_signal`` then replays the full preceding
-    #: prefix per partition so the result matches a serial pass.
-    parallel_safe = True
-
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         raise NotImplementedError
 
     def carry_after(self, times, values, prev):
@@ -117,7 +73,7 @@ class UnchangedValue(MarkerFunction):
     identical subsequent signal instances are removed".
     """
 
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         out = []
         prev_value = prev[1] if prev is not None else _SENTINEL
         for v in values:
@@ -143,7 +99,7 @@ class UnchangedWithinCycle(MarkerFunction):
         if self.cycle_time <= 0 or self.tolerance <= 0:
             raise ReductionError("cycle_time and tolerance must be positive")
 
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         out = []
         prev_t, prev_v = prev if prev is not None else (None, _SENTINEL)
         limit = self.cycle_time * self.tolerance
@@ -161,13 +117,11 @@ class MinimumGap(MarkerFunction):
 
     min_gap: float
 
-    parallel_safe = False
-
     def __post_init__(self):
         if self.min_gap <= 0:
             raise ReductionError("min_gap must be positive")
 
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         out = []
         last_kept = prev[0] if prev is not None else None
         for t in times:
@@ -197,7 +151,7 @@ class ValueInSet(MarkerFunction):
 
     values: frozenset
 
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         member = self.values
         return [v in member for v in values]
 
@@ -208,7 +162,7 @@ class Predicate(MarkerFunction):
 
     func: object
 
-    def flags(self, times, values, prev, statistics=None):
+    def flags(self, times, values, prev):
         f = self.func
         return [bool(f(t, v)) for t, v in zip(times, values)]
 
@@ -219,28 +173,25 @@ class OutsideQuantileRange(MarkerFunction):
 
     Demonstrates ``f`` as an aggregation operation: the band is computed
     over the whole sequence first (a distributable aggregation), then
-    applied row-wise.
+    applied row-wise. "The whole sequence" is the rows one ``flags`` call
+    receives: all of them in a whole-trace run, one window's chunk in a
+    windowed run -- the one bundled marker whose decisions no carry can
+    make independent of window boundaries.
     """
 
     lower: float = 0.0
     upper: float = 1.0
 
-    needs_statistics = True
-
     def __post_init__(self):
         if not 0.0 <= self.lower < self.upper <= 1.0:
             raise ReductionError("need 0 <= lower < upper <= 1")
 
-    def flags(self, times, values, prev, statistics=None):
-        stats = statistics or {}
-        lo = stats.get("q_lower")
-        hi = stats.get("q_upper")
-        if lo is None or hi is None:
-            numeric = [v for v in values if isinstance(v, (int, float))]
-            if not numeric:
-                return [False] * len(values)
-            lo = float(np.quantile(numeric, self.lower))
-            hi = float(np.quantile(numeric, self.upper))
+    def flags(self, times, values, prev):
+        numeric = [v for v in values if isinstance(v, (int, float))]
+        if not numeric:
+            return [False] * len(values)
+        lo = float(np.quantile(numeric, self.lower))
+        hi = float(np.quantile(numeric, self.upper))
         out = []
         for v in values:
             if isinstance(v, (int, float)):
@@ -251,10 +202,6 @@ class OutsideQuantileRange(MarkerFunction):
 
 
 _SENTINEL = object()
-
-#: Carry depth that in practice hands a partition its entire preceding
-#: prefix (partitions hold far fewer rows than this).
-_FULL_CARRY = 2**31
 
 
 @dataclass(frozen=True)
@@ -295,68 +242,30 @@ class ConstraintSet:
 
 
 @dataclass(frozen=True)
-class _ReducePartition:
-    """Partition function computing Eq. 1 and filtering e == false.
-
-    Applied via ``sorted_map_partitions`` after a sort on t, so it is a
-    scalable ordered-tabular operation; ``t_index``/``v_index`` locate
-    the time and value columns.
-    """
+class _ReduceSequenceTask:
+    """Partition function: one whole sequence, ordered then reduced."""
 
     functions: tuple
-    t_index: int
-    v_index: int
-    #: Replay mode for serial-state markers: the carry then holds the
-    #: *entire* preceding prefix, flags are recomputed from the sequence
-    #: start and only the partition's suffix is emitted.
-    full_carry: bool = False
 
-    def __call__(self, partition, carry):
-        if not partition:
-            return []
-        prefix = len(carry) if self.full_carry else 0
-        rows = list(carry) + list(partition) if prefix else partition
-        times = [row[self.t_index] for row in rows]
-        values = [row[self.v_index] for row in rows]
-        prev = None
-        if carry and not prefix:
-            prev = (carry[-1][self.t_index], carry[-1][self.v_index])
-        redundant = [False] * len(rows)
-        for func in self.functions:
-            for i, flag in enumerate(func.flags(times, values, prev)):
-                if flag:
-                    redundant[i] = True
-        return [
-            row
-            for row, e in zip(partition, redundant[prefix:])
-            if not e
-        ]
+    def __call__(self, rows):
+        return reduce_sequence(order_sequence(rows), self.functions, {})
 
 
-def reduce_signal(k_sep, constraints, order_by="t", value_column="v"):
-    """Lines 10-11 for one signal sequence.
+def reduce_signal(k_sep, constraints):
+    """Lines 10-11 for one signal sequence held in an engine table.
 
     Joins the applicable *constraints* (a list of :class:`Constraint`)
     with the sequence, evaluates Eq. 1 and keeps elements whose flag
     ``e`` is false. With no constraints the sequence passes through
-    (sorted), matching the σ over an empty condition set.
+    (ordered), matching the σ over an empty condition set.
+
+    The sequence is gathered into one partition and reduced by the same
+    :func:`~repro.core.sequence.reduce_sequence` every pipeline entry
+    point uses, so the result cannot depend on how *k_sep* was
+    partitioned; parallelism is across sequences, not inside one.
     """
-    ordered = order_signal_rows(k_sep, order_by, value_column)
-    functions = tuple(
-        f for c in constraints for f in c.functions
-    )
-    if not functions:
-        return ordered
-    schema = ordered.schema
-    serial = any(not f.parallel_safe for f in functions)
-    func = _ReducePartition(
-        functions,
-        schema.index_of(order_by),
-        schema.index_of(value_column),
-        full_carry=serial,
-    )
-    return ordered.sorted_map_partitions(
-        func, carry_rows=_FULL_CARRY if serial else 1
+    return k_sep.select(*K_S_COLUMNS).repartition(1).map_partitions(
+        _ReduceSequenceTask(marker_functions(constraints))
     )
 
 

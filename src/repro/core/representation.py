@@ -35,7 +35,7 @@ def merge_results(context, branch_tables, extension_tables=()):
     ``R_COLUMNS`` with ``kind='extension'`` and the ``w_id`` as the
     signal type.
     """
-    tables = []
+    merged = context.empty_table(list(R_COLUMNS))
     for table in branch_tables:
         if tuple(table.schema.names) != R_COLUMNS:
             raise RepresentationError(
@@ -43,23 +43,12 @@ def merge_results(context, branch_tables, extension_tables=()):
                     list(table.schema.names), list(R_COLUMNS)
                 )
             )
-        tables.append(table)
+        merged = merged.union(table)
     for w_table in extension_tables:
-        tables.append(
+        merged = merged.union(
             w_table.flat_map(_reshape_extension_row, list(R_COLUMNS))
         )
-    if not tables:
-        return context.empty_table(list(R_COLUMNS)).sort(["t", "s_id"])
-    # Balanced union tree: hundreds of per-signal tables would otherwise
-    # form a linear chain deep enough to exhaust recursive plan walks.
-    while len(tables) > 1:
-        paired = []
-        for i in range(0, len(tables) - 1, 2):
-            paired.append(tables[i].union(tables[i + 1]))
-        if len(tables) % 2:
-            paired.append(tables[-1])
-        tables = paired
-    return tables[0].sort(["t", "s_id"])
+    return merged.sort(["t", "s_id"])
 
 
 def _reshape_extension_row(row):

@@ -74,13 +74,12 @@ class VehicleSession:
 
     def _process_sealed(self, sealed):
         for _index, frames in sealed:
-            # Window membership is a pure function of the timestamp, so
-            # a sealed window's frames may be sorted freely here; the
-            # runner re-sorts rows exactly as the whole-trace pipeline
-            # does, keeping intra-window disorder invisible.
-            rows = sorted(frames, key=lambda r: (r[0],))
+            # Frames go in in arrival order: the runner puts every
+            # sequence into the canonical order itself, with the function
+            # the whole-trace pipeline uses, so intra-window disorder is
+            # invisible.
             table = self.context.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), rows
+                list(BYTE_RECORD_COLUMNS), frames
             )
             self.runner.process_window(table)
             self.windows_sealed += 1

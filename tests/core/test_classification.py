@@ -160,12 +160,6 @@ class TestConfig:
 
 
 class TestSequenceClassifier:
-    def test_classify_table(self, ctx):
-        rows = [(0.01 * i, float(i), "s", "FC") for i in range(200)]
-        table = ctx.table_from_rows(["t", "v", "s_id", "b_id"], rows)
-        c = SequenceClassifier().classify_table(table)
-        assert c.branch == ALPHA
-
     def test_affiliation_mask(self):
         clf = SequenceClassifier()
         mask = clf.affiliation_mask(["low", "invalid", "high"])

@@ -180,3 +180,54 @@ class TestRunnerProtocol:
             runner.process_window(
                 ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), records[:5])
             )
+
+
+class TestStatePayload:
+    """from_state reads bytes from disk: it validates, never tracebacks."""
+
+    @pytest.fixture
+    def payload(self, ctx, setup):
+        config, records = setup
+        runner = IncrementalRunner(config)
+        for window in split_into_windows(records, 10.0)[:2]:
+            runner.process_window(
+                ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), window)
+            )
+        return runner.export_state()
+
+    @pytest.mark.parametrize("field", [
+        "last_window_end", "finalized", "short_payload_skipped",
+        "exact_duplicates_dropped", "states",
+    ])
+    def test_missing_field_is_named(self, setup, payload, field):
+        del payload[field]
+        with pytest.raises(IncrementalError, match=repr(field)):
+            IncrementalRunner.from_state(setup[0], payload)
+
+    def test_payload_from_before_the_keep_policy_restores(
+        self, setup, payload
+    ):
+        del payload["short_payload_kept"]
+        runner = IncrementalRunner.from_state(setup[0], payload)
+        assert runner.short_payload_kept == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("states", []),
+        ("finalized", "no"),
+        ("last_window_end", "12.0"),
+        ("exact_duplicates_dropped", None),
+    ])
+    def test_ill_typed_field_is_named(self, setup, payload, field, value):
+        payload[field] = value
+        with pytest.raises(IncrementalError, match=repr(field)):
+            IncrementalRunner.from_state(setup[0], payload)
+
+    @pytest.mark.parametrize("part", ["reduced_rows", "carries"])
+    def test_state_entries_are_checked(self, setup, payload, part):
+        key = sorted(payload["states"])[0]
+        del payload["states"][key][part]
+        with pytest.raises(IncrementalError, match=part):
+            IncrementalRunner.from_state(setup[0], payload)
+        payload["states"] = {"wvel": payload["states"][key]}
+        with pytest.raises(IncrementalError, match="pair"):
+            IncrementalRunner.from_state(setup[0], payload)

@@ -155,6 +155,74 @@ class TestRunReport:
         assert second == 2 * first
 
 
+class TestSpanCoverage:
+    def test_stage_spans_cover_the_run(self, tmp_path):
+        """Every engine action of run() happens inside the span of the
+        stage that causes it: on a SYN ``.ctrc`` trace (where counting
+        the lazily decoded K_b is a real action) the seven stage spans
+        account for >= 90% of the wall time (measured: 99%; 85-87% when
+        the counts, the distinct() shuffle and the report merge ran
+        between spans)."""
+        from repro.datasets import build_syn
+        from repro.engine import EngineContext
+        from repro.obs import stopwatch
+        from repro.tracefile import codec_for
+
+        bundle = build_syn()
+        config = PipelineConfig(
+            catalog=bundle.catalog(),
+            constraints=bundle.default_constraints(),
+        )
+        path = str(tmp_path / "syn.ctrc")
+        codec = codec_for(path)
+        codec.dump_records(bundle.byte_records(10.0), path)
+        k_b = codec.load_table(EngineContext.serial(), path)
+        with stopwatch() as wall:
+            result = PreprocessingPipeline(config).run(k_b)
+        assert set(result.timings) == set(PreprocessingPipeline.STAGES)
+        assert sum(result.timings.values()) >= 0.9 * wall.seconds
+
+
+class TestDivergingChannels:
+    """One signal whose channels carry different sequences: ``e`` makes
+    each its own representative group."""
+
+    @pytest.fixture
+    def result(self, ctx):
+        from repro.core import InterpretationRule, TranslationTuple
+        from repro.core.model import K_B_COLUMNS
+        from repro.protocols import SignalEncoding
+
+        rule = InterpretationRule(SignalEncoding(0, 16))
+        catalog = RuleCatalog((
+            TranslationTuple("x", "A", 3, rule),
+            TranslationTuple("x", "B", 3, rule),
+        ))
+        # Channel A: 200 fast, ever-changing values (numeric -> alpha).
+        rows = [
+            (round(0.01 * i, 6), (3 * i).to_bytes(2, "little"), "A", 3, ())
+            for i in range(200)
+        ]
+        # Channel B: 8 slow 0/1 toggles (binary -> gamma); the shorter
+        # sequence, so the *last* group processed.
+        rows += [
+            (round(0.5 * i, 6), (i % 2).to_bytes(2, "little"), "B", 3, ())
+            for i in range(8)
+        ]
+        k_b = ctx.table_from_rows(list(K_B_COLUMNS), rows)
+        return PreprocessingPipeline(PipelineConfig(catalog=catalog)).run(k_b)
+
+    def test_classification_is_the_head_representatives(self, result):
+        outcome = result.outcomes["x"]
+        assert [g.representative for g in outcome.groups] == ["A", "B"]
+        assert result.classification_summary()["x"] == ("numeric", "alpha")
+
+    def test_every_group_is_still_processed(self, result):
+        kinds = {(r[2], r[3]) for r in result.outcomes["x"].result_rows}
+        assert ("B", "binary") in kinds
+        assert {k for b, k in kinds if b == "A"} <= {"symbol", "outlier"}
+
+
 class TestStateRepresentationIntegration:
     def test_pivot_columns(self, result):
         rep = result.state_representation(["wpos", "heat", "belt"])

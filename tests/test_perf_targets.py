@@ -1,0 +1,68 @@
+"""Tier-1 guards for names that code outside ``src/`` binds to.
+
+``perf/`` is not in tier-1 ``testpaths``, yet its tracer wraps ``repro``
+callables *by name*: renaming one passes tier-1 and then breaks every
+traced benchmark run. The first test resolves every traced name. The
+second keeps Algorithm 1's back half single-copy: the calls that *are*
+lines 10-28 may appear in one module of ``repro.core`` only (in the
+spirit of the ``perf_counter`` containment guard in ``tests/obs``).
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CORE = ROOT / "src" / "repro" / "core"
+
+
+def _perf_targets():
+    # Loaded by path and only read: perf/ is the benchmark's tree.
+    spec = importlib.util.spec_from_file_location(
+        "_perf_trace_for_guard", ROOT / "perf" / "trace.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize(
+    "module_name, path", sorted({(t[0], t[1]) for t in _perf_targets()})
+)
+def test_every_traced_callable_resolves(module_name, path):
+    target = importlib.import_module(module_name)
+    for part in path.split("."):
+        assert hasattr(target, part), "{}.{} is gone".format(
+            module_name, path
+        )
+        target = getattr(target, part)
+    assert callable(target)
+
+
+def _modules_calling(name):
+    """Modules of repro.core with a call ``name(...)`` or ``x.name(...)``."""
+    callers = set()
+    for path in sorted(CORE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if called == name:
+                callers.add(path.name)
+    return callers
+
+
+@pytest.mark.parametrize(
+    "name", ["process_branch", "classify", "flags", "carry_after"]
+)
+def test_algorithm_1_back_half_has_one_call_site(name):
+    assert _modules_calling(name) == {"sequence.py"}
