@@ -65,15 +65,6 @@ def _dig(payload, dotted):
     return value
 
 
-def _check_kernel_throughput(path, payload):
-    gate = payload.get("speedup_gate")
-    return [
-        _floor(path, "pipelines.{}.speedup".format(name),
-               _dig(pipe, "speedup"), gate)
-        for name, pipe in sorted(payload.get("pipelines", {}).items())
-    ]
-
-
 def _check_columnar_throughput(path, payload):
     return [
         _floor(path, "pipelines.extract_signals.columnar_speedup",
@@ -123,7 +114,6 @@ def _check_discovery_accuracy(path, payload):
 
 #: benchmark name (the artifact's ``benchmark`` field) -> rule.
 RULES = {
-    "kernel_throughput": _check_kernel_throughput,
     "columnar_throughput": _check_columnar_throughput,
     "columnar_wide_stages": _check_columnar_wide,
     "degradation": _check_degradation,

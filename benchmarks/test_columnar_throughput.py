@@ -1,20 +1,20 @@
 """Columnar batch-kernel throughput: column buffers vs row tuples.
 
-BENCH_5 showed the row-at-a-time ceiling: compiled row kernels reach
-only ~2x interpreted on the real ``extract_signals`` path because every
-partition is still a list of Python tuples and the interpretation
-callables re-derive signal geometry per row. The columnar layer changes
-both: fused Filter/Project chains run over column buffers and the
+The engine's two execution paths, measured against each other. On the
+reference path every partition is a list of Python tuples, each step
+re-materializes it and the interpretation callables re-derive signal
+geometry per row. The production path changes both: Filter/Project
+runs execute as generated kernels over column buffers and the
 ``u_1``/``u_2`` applies take the whole-column ``batch_call`` path with
 per-rule compiled extractors/evaluators (see ``repro.core.rules`` and
 ``repro.engine.codegen``).
 
 Measured on the SYN vehicle:
 
-* ``extract_signals`` -- the K_b -> K_s prefix of Algorithm 1 under
-  three executors: interpreted rows, compiled row kernels, columnar
-  batch kernels. This is the headline gate: columnar must sustain at
-  least 3x the interpreted rows/s.
+* ``extract_signals`` -- the K_b -> K_s prefix of Algorithm 1 on both
+  paths: interpreted rows (``columnar=False``) and columnar batch
+  kernels. This is the headline gate: columnar must sustain at least
+  3x the interpreted rows/s.
 * ``preselection_scan`` -- preselection from disk: the mmap-able
   columnar tracefile (`.ctrc`, scanning only the (t, b_id, m_id)
   columns and decoding no payloads) vs decoding the record-major
@@ -23,10 +23,10 @@ Measured on the SYN vehicle:
 Results are printed and written to ``BENCH_6.json`` (repo root).
 
 The wide-stage case below extends the measurement across stage
-boundaries: with the columnar exchange on, the interpretation join and
-the per-signal split run over columnar partitions end to end
+boundaries: on the production path the interpretation join and the
+per-signal split run over columnar partitions end to end
 (preselect -> broadcast join -> u_1/u_2 -> split_by_key), gated at 2x
-the row-compiled path and written to ``BENCH_10.json``.
+the reference path and written to ``BENCH_10.json``.
 """
 
 import json
@@ -52,7 +52,7 @@ pytestmark = pytest.mark.slow
 SPEEDUP_GATE = 3.0
 
 #: The wide-stage gate: columnar exchange end-to-end rows/s over the
-#: row-compiled path on preselect -> interpretation join -> split.
+#: reference path on preselect -> interpretation join -> split.
 WIDE_SPEEDUP_GATE = 2.0
 
 _BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_6.json")
@@ -79,13 +79,11 @@ def _row_multiset(rows):
                    for row in rows)
 
 
-def _measure_extract(syn_bundle, records, compile_kernels, columnar):
+def _measure_extract(syn_bundle, records, columnar):
     catalog = syn_bundle.catalog()
     pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
     with SerialExecutor(
-        default_parallelism=4,
-        compile_kernels=compile_kernels,
-        columnar_kernels=columnar,
+        default_parallelism=4, columnar=columnar
     ) as executor:
         ctx = EngineContext(executor)
         k_b = ctx.table_from_rows(
@@ -94,11 +92,7 @@ def _measure_extract(syn_bundle, records, compile_kernels, columnar):
         seconds, rows = _best_seconds(
             lambda: pipeline.extract_signals(k_b, cache=False).collect()
         )
-        if columnar:
-            assert executor.metrics.columnar_tasks > 0
-        elif compile_kernels:
-            assert executor.metrics.columnar_tasks == 0
-            assert executor.metrics.kernels_compiled > 0
+        assert (executor.metrics.columnar_tasks > 0) == columnar
         return {
             "seconds": seconds,
             "rows_per_s": len(records) / seconds,
@@ -112,14 +106,10 @@ def test_columnar_extract_signals_triples_interpreted(
 ):
     records = syn_bundle.byte_records(DURATIONS["SYN"])
 
-    interpreted = _measure_extract(syn_bundle, records, False, False)
-    row_compiled = _measure_extract(syn_bundle, records, True, False)
-    columnar = _measure_extract(syn_bundle, records, True, True)
-    assert _row_multiset(row_compiled["rows"]) == \
-        _row_multiset(interpreted["rows"])
+    interpreted = _measure_extract(syn_bundle, records, False)
+    columnar = _measure_extract(syn_bundle, records, True)
     assert _row_multiset(columnar["rows"]) == \
         _row_multiset(interpreted["rows"])
-    row_speedup = row_compiled["rows_per_s"] / interpreted["rows_per_s"]
     columnar_speedup = columnar["rows_per_s"] / interpreted["rows_per_s"]
 
     # Preselection from disk: columnar (t, b_id, m_id)-only mmap scan
@@ -154,9 +144,6 @@ def test_columnar_extract_signals_triples_interpreted(
         [
             ["extract_signals interpreted", len(records),
              "%.0f" % interpreted["rows_per_s"], "1.00x"],
-            ["extract_signals row-compiled", len(records),
-             "%.0f" % row_compiled["rows_per_s"],
-             "%.2fx" % row_speedup],
             ["extract_signals columnar", len(records),
              "%.0f" % columnar["rows_per_s"],
              "%.2fx" % columnar_speedup],
@@ -177,14 +164,9 @@ def test_columnar_extract_signals_triples_interpreted(
                 "input_rows": len(records),
                 "output_rows": columnar["output_rows"],
                 "interpreted_rows_per_s": round(interpreted["rows_per_s"]),
-                "row_compiled_rows_per_s": round(
-                    row_compiled["rows_per_s"]
-                ),
                 "columnar_rows_per_s": round(columnar["rows_per_s"]),
                 "interpreted_seconds": round(interpreted["seconds"], 4),
-                "row_compiled_seconds": round(row_compiled["seconds"], 4),
                 "columnar_seconds": round(columnar["seconds"], 4),
-                "row_compiled_speedup": round(row_speedup, 2),
                 "columnar_speedup": round(columnar_speedup, 2),
             },
             "preselection_scan": {
@@ -221,9 +203,7 @@ def _run_wide_pipeline(syn_bundle, records, columnar):
     """
     catalog = syn_bundle.catalog()
     with SerialExecutor(
-        default_parallelism=4,
-        compile_kernels=True,
-        columnar_kernels=columnar,
+        default_parallelism=4, columnar=columnar
     ) as executor:
         ctx = EngineContext(executor)
         k_b = ctx.table_from_rows(
@@ -265,27 +245,28 @@ def _measure_wide(syn_bundle, records, columnar, attempts=3):
     }
 
 
-def test_columnar_wide_stages_double_row_compiled(syn_bundle):
+def test_columnar_wide_stages_double_interpreted(syn_bundle):
     records = syn_bundle.byte_records(DURATIONS["SYN"])
 
-    row_compiled = _measure_wide(syn_bundle, records, columnar=False)
+    interpreted = _measure_wide(syn_bundle, records, columnar=False)
     wide = _measure_wide(syn_bundle, records, columnar=True)
 
     # Group-for-group identity, not just totals: the columnar exchange
     # must route every signal instance to the same per-signal table.
-    assert sorted(wide["rows"]) == sorted(row_compiled["rows"])
+    assert sorted(wide["rows"]) == sorted(interpreted["rows"])
     for s_id in wide["rows"]:
         assert _row_multiset(wide["rows"][s_id]) == _row_multiset(
-            row_compiled["rows"][s_id]
+            interpreted["rows"][s_id]
         )
-    speedup = wide["rows_per_s"] / row_compiled["rows_per_s"]
+    speedup = wide["rows_per_s"] / interpreted["rows_per_s"]
 
     print_table(
         "Columnar wide stages: interpret join + per-signal split (SYN)",
-        ["pipeline", "input rows", "groups", "rows/s", "vs row-compiled"],
+        ["pipeline", "input rows", "groups", "rows/s", "vs interpreted"],
         [
-            ["row-compiled exchange", len(records), row_compiled["groups"],
-             "%.0f" % row_compiled["rows_per_s"], "1.00x"],
+            ["interpreted, row exchange", len(records),
+             interpreted["groups"],
+             "%.0f" % interpreted["rows_per_s"], "1.00x"],
             ["columnar exchange", len(records), wide["groups"],
              "%.0f" % wide["rows_per_s"], "%.2fx" % speedup],
         ],
@@ -300,11 +281,11 @@ def test_columnar_wide_stages_double_row_compiled(syn_bundle):
                 "input_rows": len(records),
                 "output_rows": wide["output_rows"],
                 "groups": wide["groups"],
-                "row_compiled_rows_per_s": round(
-                    row_compiled["rows_per_s"]
+                "interpreted_rows_per_s": round(
+                    interpreted["rows_per_s"]
                 ),
                 "columnar_wide_rows_per_s": round(wide["rows_per_s"]),
-                "row_compiled_seconds": round(row_compiled["seconds"], 4),
+                "interpreted_seconds": round(interpreted["seconds"], 4),
                 "columnar_wide_seconds": round(wide["seconds"], 4),
                 "speedup": round(speedup, 2),
             },
@@ -315,6 +296,6 @@ def test_columnar_wide_stages_double_row_compiled(syn_bundle):
         handle.write("\n")
 
     assert speedup >= WIDE_SPEEDUP_GATE, (
-        "columnar wide stages are only %.2fx row-compiled "
+        "columnar wide stages are only %.2fx interpreted "
         "(gate %.1fx)" % (speedup, WIDE_SPEEDUP_GATE)
     )

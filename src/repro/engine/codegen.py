@@ -1,4 +1,4 @@
-"""Compiled partition kernels: codegen for fused narrow-step chains.
+"""Columnar partition kernels: codegen for fused narrow-step chains.
 
 The interpreted execution path runs every narrow stage as a tree of
 bound closures dispatched per row per step: ``FilterStep`` and
@@ -7,69 +7,48 @@ bound closures dispatched per row per step: ``FilterStep`` and
 loops -- preselection filters, the u1/u2 interpretation maps, reduction
 projections -- that dispatch overhead dominates the actual work.
 
-This module lowers a fused chain of narrow steps (Filter -> Project ->
-FlatMap, in any order) to a single generated per-partition Python loop:
+This module lowers a narrow chain to a :class:`ColumnarPartitionTask`
+that runs it as *segments*: every maximal Filter/Project run becomes
+one generated kernel over the column buffers of a
+:class:`~repro.engine.columnar.ColumnarPartition`, and every
+``FlatMapStep`` / ``MapPartitionStep`` between two kernels is a barrier
+run through its own ``step.run`` on row tuples. Inside a kernel
 
-* bound expressions become inline Python expressions over the row tuple
-  (``r[1] == _c0 and r[2] in _c1``) with literals, frozensets and
-  user callables hoisted into the kernel's globals as ``_c<n>``
+* bound expressions become inline Python expressions over per-element
+  variables (``_v1 == _c0 and _v2 in _c1``) with literals, frozensets
+  and user callables hoisted into the kernel's globals as ``_c<n>``
   constants;
-* a whole step chain becomes one ``for`` loop with ``continue`` guards
-  for filters, tuple displays for projections and nested loops for
-  flat-maps, so a partition is traversed once with zero intermediate
-  lists;
-* ``MapPartitionStep`` (an opaque partition-level callable) splits the
-  chain into separately-fused segments.
+* filters become selection masks applied to every column with
+  ``itertools.compress``, pass-through projection columns are zero-copy
+  buffer references, and computed columns are single list
+  comprehensions zipping exactly the columns the expression reads.
+
+Row tuples exist only around barriers and at the task's output
+boundary; the lowering is total over step types, so the only chains
+that run interpreted are those with nothing to compile (no Filter or
+Project) and those whose expressions cannot be inlined
+(:class:`CodegenError`, counted as ``executor.kernel_fallbacks``).
 
 Generated source is *structural*: constant values never appear in it,
 so two plans that differ only in literals share one compiled code
 object. The process-local code cache is keyed by the source string --
 equivalently by (structural hash, schema), since column indices are
-part of the source. Workers receive the picklable
-:class:`CompiledPartitionTask` spec (the original steps) and compile
-lazily on first use; code objects are never pickled.
+part of the source. Workers receive the picklable task spec (the
+original steps) and compile lazily on first use; code objects are
+never pickled.
 
-Semantics match the interpreted path exactly (the differential fuzz
-oracle compares the two on every case), with one documented relaxation:
-a compiled flat-map streams each produced row through the downstream
-steps immediately instead of materializing the whole step output first,
-which can reorder *exceptions* (never rows) relative to the
-interpreter.
-
-Columnar batch kernels
-----------------------
-
-On top of the row kernels, a pure Filter/Project chain can lower to a
-*columnar* kernel that runs over the column buffers of a
-:class:`~repro.engine.columnar.ColumnarPartition` instead of row
-tuples: filters become selection masks applied to every column with
-``itertools.compress``, pass-through projection columns are zero-copy
-buffer references, and computed columns are single list comprehensions
-zipping exactly the columns the expression reads. Row tuples are never
-materialized between steps; the task transposes back to rows only at
-its output boundary (wide stages, fault poisoning and the differential
-oracle all keep seeing row lists).
-
-Semantics again match the interpreted path row-for-row -- masks and
-comprehensions evaluate the same expression on the same surviving rows
-with the same short-circuiting -- with the analogous documented
-relaxation: a columnar project evaluates expression-major (whole column
-at a time) instead of row-major, which can reorder *exceptions* (never
-rows) between two output expressions of one projection.
-
-Fallback: set ``REPRO_KERNELS=interpret`` in the environment (or pass
-``compile_kernels=False`` to any executor) to restore the interpreted
-path; lowering failures fall back per task and are counted as
-``executor.kernel_fallbacks``. ``REPRO_COLUMNAR=off`` (or
-``columnar_kernels=False``) disables only the columnar layer; chains it
-cannot lower (flat-maps, partition maps) fall back to the row kernels
-per task, counted as ``executor.columnar_fallbacks``.
+Semantics match the interpreted path row-for-row (the differential fuzz
+oracle compares the two on every case) -- steps run step-major in both,
+masks and comprehensions evaluate the same expression on the same
+surviving rows with the same short-circuiting -- with one documented
+relaxation: a kernel evaluates a projection expression-major (whole
+column at a time) instead of row-major, which can reorder *exceptions*
+(never rows) between two output expressions of one projection.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from itertools import compress
 
@@ -86,31 +65,9 @@ from repro.engine.expressions import (
     BoundRowApply,
     BoundUnary,
 )
-from repro.engine.operations import (
-    FilterStep,
-    FlatMapStep,
-    MapPartitionStep,
-    ProjectStep,
-)
+from repro.engine.operations import FilterStep, ProjectStep
 from repro.engine.optimizer import ComposedApply, ComposedRowApply
 from repro.obs import stopwatch
-
-#: Environment variable selecting the default execution path.
-#: ``compiled`` (default) generates kernels; ``interpret`` restores the
-#: closure interpreter everywhere.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Environment variable selecting the columnar batch-kernel layer.
-#: ``columnar`` (default) lowers pure Filter/Project chains to column
-#: kernels; ``off`` restores row kernels everywhere.
-COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-#: Environment variable selecting the columnar wide-stage exchange:
-#: whether partitions cross broadcast-join and shuffle boundaries as
-#: :class:`~repro.engine.columnar.ColumnarPartition` buffers. ``off``
-#: restores the row exchange; unset defers to the executor's default
-#: (columnar kernels enabled implies columnar exchange).
-EXCHANGE_ENV = "REPRO_COLUMNAR_EXCHANGE"
 
 #: Python operator symbols for :data:`repro.engine.expressions._BINARY_OPS`.
 _BINARY_SYMBOLS = {
@@ -133,48 +90,15 @@ _MAX_EXPR_DEPTH = 60
 
 
 class CodegenError(Exception):
-    """A step chain (or expression) that cannot be lowered to source."""
+    """An expression that cannot be lowered to source.
 
-
-def kernels_enabled(value=None):
-    """Resolve the compiled-kernels default from the environment.
-
-    *value* overrides the environment when given (the executors pass
-    their constructor argument through here).
+    *reason* is a short slug (``expr_depth``, ``unknown_op``) the
+    executor appends to ``executor.kernel_fallbacks.<reason>``.
     """
-    if value is None:
-        value = os.environ.get(KERNELS_ENV, "compiled")
-    off = ("interpret", "interpreted", "off", "0", "false", "no")
-    return str(value).strip().lower() not in off
 
-
-def columnar_enabled(value=None):
-    """Resolve the columnar-kernels default from the environment.
-
-    *value* overrides the environment when given (the executors pass
-    their constructor argument through here).
-    """
-    if value is None:
-        value = os.environ.get(COLUMNAR_ENV, "columnar")
-    off = ("row", "rows", "off", "0", "false", "no")
-    return str(value).strip().lower() not in off
-
-
-def exchange_enabled(value=None, default=True):
-    """Resolve the columnar wide-stage exchange flag.
-
-    *value* overrides everything when given; otherwise the
-    ``REPRO_COLUMNAR_EXCHANGE`` environment variable decides, and an
-    unset environment resolves to *default* (executors pass their
-    kernel-layer default through here, so a row-kernel executor keeps a
-    row exchange unless explicitly asked otherwise).
-    """
-    if value is None:
-        value = os.environ.get(EXCHANGE_ENV)
-        if value is None:
-            return bool(default)
-    off = ("row", "rows", "off", "0", "false", "no")
-    return str(value).strip().lower() not in off
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +119,13 @@ class _Lowering:
 
 
 class _ElementScope:
-    """Column-element naming for the columnar lowering.
+    """Column-element naming for one kernel expression.
 
-    In element mode a column reference renders as a per-element loop
-    variable ``_v<i>`` instead of a row subscript; the scope records
-    which columns an expression actually reads so its comprehension
-    zips exactly those buffers. Expressions that need the whole row
-    (``BoundRowApply``, opaque callables) read every column.
+    A column reference renders as a per-element loop variable
+    ``_v<i>``; the scope records which columns an expression actually
+    reads so its comprehension zips exactly those buffers. Expressions
+    that need the whole row (``BoundRowApply``, opaque callables) read
+    every column.
     """
 
     def __init__(self, width):
@@ -221,87 +145,81 @@ class _ElementScope:
         )
 
 
-def lower_expression(expr, row, ctx, depth=0, scope=None):
+def lower_expression(expr, ctx, scope, depth=0):
     """Lower one bound expression to a Python source expression.
 
-    *row* is the source name of the row tuple; constant values are
-    hoisted into *ctx*. Unknown bound-expression types are lowered as an
-    opaque call of the object itself (``_c3(_r0)``), which is exactly
-    the interpreter's semantics -- lowering is therefore total over
-    every callable bound expression, present or future.
-
-    With a *scope* (columnar element mode) column references render as
-    per-element variables (``_v2``) and whole-row consumers as a tuple
-    display over every column; *row* is unused then.
+    Column references render as *scope*'s per-element variables
+    (``_v2``), whole-row consumers as a tuple display over every
+    column; constant values are hoisted into *ctx*. Unknown
+    bound-expression types are lowered as an opaque call of the object
+    itself (``_c3((_v0, _v1,))``), which is exactly the interpreter's
+    semantics -- lowering is therefore total over every callable bound
+    expression, present or future.
     """
     if depth > _MAX_EXPR_DEPTH:
-        raise CodegenError("expression nests too deeply to inline")
+        raise CodegenError(
+            "expression nests too deeply to inline", "expr_depth"
+        )
     d = depth + 1
 
-    def col_ref(index):
-        if scope is None:
-            return "{}[{}]".format(row, index)
-        return scope.col_ref(index)
-
-    def row_ref():
-        if scope is None:
-            return row
-        return scope.row_ref()
-
     if isinstance(expr, BoundColumn):
-        return col_ref(expr.index)
+        return scope.col_ref(expr.index)
     if isinstance(expr, BoundLiteral):
         return ctx.const(expr.value)
     if isinstance(expr, BoundAnd):
         return "(bool({}) and bool({}))".format(
-            lower_expression(expr.left, row, ctx, d, scope),
-            lower_expression(expr.right, row, ctx, d, scope),
+            lower_expression(expr.left, ctx, scope, d),
+            lower_expression(expr.right, ctx, scope, d),
         )
     if isinstance(expr, BoundOr):
         return "(bool({}) or bool({}))".format(
-            lower_expression(expr.left, row, ctx, d, scope),
-            lower_expression(expr.right, row, ctx, d, scope),
+            lower_expression(expr.left, ctx, scope, d),
+            lower_expression(expr.right, ctx, scope, d),
         )
     if isinstance(expr, BoundBinary):
         symbol = _BINARY_SYMBOLS.get(expr.op)
         if symbol is None:
-            raise CodegenError("unknown binary op {!r}".format(expr.op))
+            raise CodegenError(
+                "unknown binary op {!r}".format(expr.op), "unknown_op"
+            )
         return "({} {} {})".format(
-            lower_expression(expr.left, row, ctx, d, scope),
+            lower_expression(expr.left, ctx, scope, d),
             symbol,
-            lower_expression(expr.right, row, ctx, d, scope),
+            lower_expression(expr.right, ctx, scope, d),
         )
     if isinstance(expr, BoundUnary):
-        inner = lower_expression(expr.operand, row, ctx, d, scope)
+        inner = lower_expression(expr.operand, ctx, scope, d)
         if expr.op == "not":
             return "(not {})".format(inner)
         if expr.op == "is_null":
             return "({} is None)".format(inner)
         if expr.op == "is_not_null":
             return "({} is not None)".format(inner)
-        raise CodegenError("unknown unary op {!r}".format(expr.op))
+        raise CodegenError(
+            "unknown unary op {!r}".format(expr.op), "unknown_op"
+        )
     if isinstance(expr, BoundInSet):
         return "({} in {})".format(
-            lower_expression(expr.operand, row, ctx, d, scope),
+            lower_expression(expr.operand, ctx, scope, d),
             ctx.const(expr.values),
         )
     if isinstance(expr, BoundApply):
-        args = ", ".join(col_ref(i) for i in expr.indices)
+        args = ", ".join(scope.col_ref(i) for i in expr.indices)
         return "{}({})".format(ctx.const(expr.func), args)
     if isinstance(expr, ComposedApply):
         args = ", ".join(
-            lower_expression(p, row, ctx, d, scope) for p in expr.producers
+            lower_expression(p, ctx, scope, d) for p in expr.producers
         )
         return "{}({})".format(ctx.const(expr.func), args)
     if isinstance(expr, BoundRowApply):
         return "{}(dict(zip({}, {})))".format(
-            ctx.const(expr.func), ctx.const(expr.names), row_ref()
+            ctx.const(expr.func), ctx.const(expr.names), scope.row_ref()
         )
     if isinstance(expr, ComposedRowApply):
         if expr.producers:
             values = "({},)".format(
                 ", ".join(
-                    lower_expression(p, row, ctx, d, scope)
+                    lower_expression(p, ctx, scope, d)
                     for p in expr.producers
                 )
             )
@@ -312,62 +230,12 @@ def lower_expression(expr, row, ctx, depth=0, scope=None):
         )
     # Unknown bound expression: call the object itself, which is the
     # interpreter's contract for any bound expression.
-    return "{}({})".format(ctx.const(expr), row_ref())
+    return "{}({})".format(ctx.const(expr), scope.row_ref())
 
 
 # ---------------------------------------------------------------------------
 # Step-chain lowering
 # ---------------------------------------------------------------------------
-
-
-def lower_segment(steps):
-    """Lower one fuseable run of steps to ``(source, constants)``.
-
-    The generated function is named ``_kernel`` and maps a list of row
-    tuples to a list of row tuples in one pass.
-    """
-    ctx = _Lowering()
-    lines = [
-        "def _kernel(_rows):",
-        "    _out = []",
-        "    _append = _out.append",
-        "    for _r0 in _rows:",
-    ]
-    var = "_r0"
-    seq = 0
-    indent = 2
-    for step in steps:
-        pad = "    " * indent
-        if isinstance(step, FilterStep):
-            predicate = lower_expression(step.predicate, var, ctx)
-            lines.append(pad + "if not ({}):".format(predicate))
-            lines.append(pad + "    continue")
-        elif isinstance(step, ProjectStep):
-            seq += 1
-            new = "_r{}".format(seq)
-            if step.exprs:
-                items = ", ".join(
-                    lower_expression(e, var, ctx) for e in step.exprs
-                )
-                lines.append(pad + "{} = ({},)".format(new, items))
-            else:
-                lines.append(pad + "{} = ()".format(new))
-            var = new
-        elif isinstance(step, FlatMapStep):
-            seq += 1
-            new = "_r{}".format(seq)
-            lines.append(
-                pad + "for {} in {}({}):".format(new, ctx.const(step.func), var)
-            )
-            indent += 1
-            var = new
-        else:
-            raise CodegenError(
-                "step {!r} is not fuseable".format(type(step).__name__)
-            )
-    lines.append("    " * indent + "_append({})".format(var))
-    lines.append("    return _out")
-    return "\n".join(lines) + "\n", ctx.constants
 
 
 def _column_source(expr, ctx, width):
@@ -397,7 +265,7 @@ def _column_source(expr, ctx, width):
             )
             return "{}({})".format(ctx.const(batch), args)
     scope = _ElementScope(width)
-    source = lower_expression(expr, None, ctx, scope=scope)
+    source = lower_expression(expr, ctx, scope)
     return _element_comprehension(source, sorted(scope.used))
 
 
@@ -420,7 +288,7 @@ def _element_comprehension(source, used):
 
 
 def lower_columnar_segment(steps, width):
-    """Lower a pure Filter/Project chain to a columnar batch kernel.
+    """Lower a pure Filter/Project run to ``(source, constants)``.
 
     The generated ``_ckernel(_cols, _n)`` maps (column buffers, row
     count) to (column buffers, row count) without ever materializing a
@@ -429,10 +297,6 @@ def lower_columnar_segment(steps, width):
     reuse input buffers for pass-through columns, replicate literals
     and compute everything else as one comprehension over exactly the
     columns it reads. *width* is the input column count.
-
-    Raises :class:`CodegenError` for chains containing anything but
-    Filter/Project steps (flat-maps expand rows, partition maps are
-    opaque barriers -- both stay on the row path).
     """
     ctx = _Lowering()
     lines = ["def _ckernel(_cols, _n):"]
@@ -440,9 +304,7 @@ def lower_columnar_segment(steps, width):
     for step in steps:
         if isinstance(step, FilterStep):
             scope = _ElementScope(current_width)
-            predicate = lower_expression(
-                step.predicate, None, ctx, scope=scope
-            )
+            predicate = lower_expression(step.predicate, ctx, scope)
             mask = _element_comprehension(predicate, sorted(scope.used))
             lines.append("    if _n:")
             lines.append("        _mask = {}".format(mask))
@@ -457,7 +319,7 @@ def lower_columnar_segment(steps, width):
                 lines.append("            _n = len(_cols[0])")
             else:
                 lines.append("            _n = sum(1 for _m in _mask if _m)")
-        elif isinstance(step, ProjectStep):
+        else:
             items = [
                 _column_source(expr, ctx, current_width)
                 for expr in step.exprs
@@ -469,35 +331,38 @@ def lower_columnar_segment(steps, width):
                 lines.append("        {},".format(item))
             lines.append("    ]")
             current_width = len(step.exprs)
-        else:
-            raise CodegenError(
-                "step {!r} is not columnar-fuseable".format(
-                    type(step).__name__
-                )
-            )
     lines.append("    return _cols, _n")
     return "\n".join(lines) + "\n", ctx.constants
 
 
-def _segment_chain(steps):
-    """Split *steps* into fuseable runs and partition-level barriers.
+def _segment_chain(steps, width):
+    """Split *steps* into Filter/Project runs and row barriers.
 
-    Returns a list of ``("fused", (steps...))`` / ``("step", step)``
-    entries; ``MapPartitionStep`` (and any unknown step type) is a
-    barrier run as-is between generated kernels.
+    Returns ``(run, step, width)`` entries in chain order: a kernel
+    segment has ``run`` (a tuple of Filter/Project steps) and no
+    ``step``; a barrier -- ``FlatMapStep`` or ``MapPartitionStep``, run
+    as-is between generated kernels -- the reverse. *width* is the
+    entry's input column count, threaded through projections and the
+    barriers' declared ``out_width``.
     """
     chain = []
     run = []
+    run_width = width
     for step in steps:
-        if isinstance(step, (FilterStep, ProjectStep, FlatMapStep)):
+        if isinstance(step, (FilterStep, ProjectStep)):
+            if not run:
+                run_width = width
             run.append(step)
+            if isinstance(step, ProjectStep):
+                width = len(step.exprs)
             continue
         if run:
-            chain.append(("fused", tuple(run)))
+            chain.append((tuple(run), None, run_width))
             run = []
-        chain.append(("step", step))
+        chain.append((None, step, width))
+        width = step.out_width
     if run:
-        chain.append(("fused", tuple(run)))
+        chain.append((tuple(run), None, run_width))
     return chain
 
 
@@ -541,120 +406,51 @@ def _compile_source(source, registry=None):
     return code
 
 
-def _bind_kernel(code, constants, name="_kernel"):
+def _bind_kernel(code, constants):
     """Materialize the kernel function with its hoisted constants."""
     namespace = {"_c{}".format(i): v for i, v in enumerate(constants)}
     namespace["_compress"] = compress
     exec(code, namespace)  # noqa: S102 -- source is generated, not user input
-    return namespace[name]
+    return namespace["_ckernel"]
 
 
-def _build_phases(steps, registry=None):
-    """Compile the per-partition callables for a step chain.
+def _build_phases(steps, width, registry=None):
+    """Compile the per-partition phases of a step chain.
 
-    Returns ``(phases, kernel_id)`` where *phases* is a list of
-    ``rows -> rows`` callables and *kernel_id* digests the generated
-    sources (empty when nothing was generated).
+    Returns ``(phases, kernel_id)``: *phases* mirrors
+    :func:`_segment_chain` with every Filter/Project run replaced by
+    its bound ``_ckernel``; *kernel_id* digests the generated sources.
     """
     phases = []
     digest = hashlib.sha1()
-    for kind, payload in _segment_chain(steps):
-        if kind == "step":
-            phases.append(payload.run)
-            continue
-        source, constants = lower_segment(payload)
-        digest.update(source.encode("utf-8"))
-        code = _compile_source(source, registry=registry)
-        phases.append(_bind_kernel(code, constants))
-    return phases, "k" + digest.hexdigest()[:10]
-
-
-@dataclass(frozen=True)
-class CompiledPartitionTask:
-    """Drop-in for :class:`~repro.engine.operations.PartitionTask`.
-
-    Only the picklable spec (*steps*, the original narrow steps) and
-    the *kernel_id* travel to worker processes; the bound kernel chain
-    is rebuilt lazily per process from the structural code cache and
-    memoized on the instance.
-    """
-
-    steps: tuple
-    kernel_id: str = ""
-
-    def __call__(self, rows):
-        if isinstance(rows, ColumnarPartition):
-            rows = rows.to_rows()
-        phases = getattr(self, "_phases", None)
-        if phases is None:
-            phases, _kernel_id = _build_phases(self.steps)
-            object.__setattr__(self, "_phases", phases)
-        for phase in phases:
-            rows = phase(rows)
-        return rows
-
-    def __getstate__(self):
-        return (self.steps, self.kernel_id)
-
-    def __setstate__(self, state):
-        steps, kernel_id = state
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "kernel_id", kernel_id)
-
-
-def compile_partition_task(steps, registry=None):
-    """Compile a narrow-step chain into a :class:`CompiledPartitionTask`.
-
-    Returns None when there is nothing to gain (no Filter or Project in
-    the chain -- a bare flat-map or partition map runs just as fast
-    interpreted). Raises :class:`CodegenError` when the chain contains
-    an expression that cannot be lowered; callers fall back to the
-    interpreted :class:`~repro.engine.operations.PartitionTask`.
-    """
-    steps = tuple(steps)
-    if not any(isinstance(s, (FilterStep, ProjectStep)) for s in steps):
-        return None
-    phases, kernel_id = _build_phases(steps, registry=registry)
-    task = CompiledPartitionTask(steps, kernel_id)
-    object.__setattr__(task, "_phases", phases)
-    return task
-
-
-# ---------------------------------------------------------------------------
-# Columnar batch kernels
-# ---------------------------------------------------------------------------
-
-
-def _build_columnar_kernel(steps, width, registry=None):
-    """Compile the columnar kernel for a Filter/Project chain.
-
-    Returns ``(kernel, kernel_id)``. Shares the structural code cache
-    (and its compile counters) with the row kernels.
-    """
-    source, constants = lower_columnar_segment(steps, width)
-    code = _compile_source(source, registry=registry)
-    digest = hashlib.sha1(source.encode("utf-8"))
-    return (
-        _bind_kernel(code, constants, name="_ckernel"),
-        "c" + digest.hexdigest()[:10],
-    )
+    for run, step, in_width in _segment_chain(steps, width):
+        kernel = None
+        if run is not None:
+            source, constants = lower_columnar_segment(run, in_width)
+            digest.update(source.encode("utf-8"))
+            code = _compile_source(source, registry=registry)
+            kernel = _bind_kernel(code, constants)
+        phases.append((kernel, step, in_width))
+    return phases, "c" + digest.hexdigest()[:10]
 
 
 @dataclass(frozen=True)
 class ColumnarPartitionTask:
-    """A fused Filter/Project chain running column-wise.
+    """A narrow chain running column-wise between its row barriers.
 
     Accepts either a :class:`~repro.engine.columnar.ColumnarPartition`
     (columnar sources pass their buffers straight through) or a row
-    list (transposed on entry). ``emit`` selects the output boundary:
-    ``"rows"`` transposes back to a row list (collect/storage edges,
-    where wide stages and result collection expect row tuples);
-    ``"partition"`` wraps the kernel's output columns in a
-    ``ColumnarPartition`` so a downstream wide stage -- the columnar
-    broadcast join or shuffle -- consumes the buffers without a
-    transpose round-trip. Pickles as (steps, width, kernel_id, emit)
-    like :class:`CompiledPartitionTask`; workers recompile lazily
-    through the structural cache.
+    list (transposed on entry to the first kernel). ``emit`` selects
+    the output boundary of a chain that ends in a kernel: ``"rows"``
+    transposes back to a row list (collect/storage edges, where result
+    collection expects row tuples); ``"partition"`` wraps the kernel's
+    output columns in a ``ColumnarPartition`` so a downstream wide
+    stage -- the columnar broadcast join or shuffle -- consumes the
+    buffers without a transpose round-trip. A chain that ends in a
+    barrier emits that barrier's row list either way. Only the
+    picklable spec (steps, width, kernel_id, emit) travels to worker
+    processes; the bound phases are rebuilt lazily per process from
+    the structural code cache and memoized on the instance.
     """
 
     steps: tuple
@@ -663,27 +459,38 @@ class ColumnarPartitionTask:
     emit: str = "rows"
 
     def __call__(self, partition):
-        kernel = getattr(self, "_ckernel", None)
-        if kernel is None:
-            kernel, _kernel_id = _build_columnar_kernel(
-                self.steps, self.width
-            )
-            object.__setattr__(self, "_ckernel", kernel)
+        phases = getattr(self, "_phases", None)
+        if phases is None:
+            phases, _kernel_id = _build_phases(self.steps, self.width)
+            object.__setattr__(self, "_phases", phases)
+        # The partition is in one layout at a time: *rows*, or (when
+        # rows is None) *columns* and *length*.
+        rows, columns, length = partition, None, 0
         if isinstance(partition, ColumnarPartition):
+            rows = None
             columns, length = list(partition.columns), len(partition)
-        else:
-            # Transient row lists skip the typed-buffer build entirely:
-            # a bare zip(*) transpose is one C pass and tuple columns
-            # work everywhere the kernel touches them (compress, zip,
-            # element comprehensions). Empty inputs still need *width*
-            # placeholder columns so pass-through refs stay indexable.
-            rows = partition if isinstance(partition, list) else list(partition)
-            length = len(rows)
-            if length:
-                columns = list(zip(*rows))
-            else:
-                columns = [()] * self.width
-        columns, length = kernel(columns, length)
+        for kernel, step, width in phases:
+            if kernel is None:
+                if rows is None:
+                    rows = columns_to_rows(columns, length)
+                rows = step.run(rows)
+                continue
+            if rows is not None:
+                # Transient row lists skip the typed-buffer build: a
+                # bare zip(*) transpose is one C pass and tuple columns
+                # work everywhere the kernel touches them (compress,
+                # zip, element comprehensions). Empty inputs -- an
+                # empty partition, or a barrier that produced nothing
+                # -- still need *width* placeholder columns so
+                # pass-through refs stay indexable.
+                if not isinstance(rows, list):
+                    rows = list(rows)
+                length = len(rows)
+                columns = list(zip(*rows)) if length else [()] * width
+                rows = None
+            columns, length = kernel(columns, length)
+        if rows is not None:
+            return rows
         if self.emit == "partition":
             return ColumnarPartition(columns, length)
         return columns_to_rows(columns, length)
@@ -702,21 +509,18 @@ class ColumnarPartitionTask:
 def compile_columnar_task(steps, width, registry=None, emit="rows"):
     """Compile a narrow-step chain into a :class:`ColumnarPartitionTask`.
 
-    Returns None when the chain has no Filter or Project (mirroring
-    :func:`compile_partition_task` -- nothing to gain). Raises
-    :class:`CodegenError` when the chain contains steps or expressions
-    the columnar layout cannot run (flat-maps, partition maps, exotic
-    expressions); callers fall back to the row kernels and count
-    ``executor.columnar_fallbacks``.
+    *width* is the chain's input column count. Returns None when there
+    is nothing to gain (no Filter or Project in the chain -- a bare
+    flat-map or partition map runs just as fast interpreted). Raises
+    :class:`CodegenError` when the chain contains an expression that
+    cannot be lowered; callers fall back to the interpreted
+    :class:`~repro.engine.operations.PartitionTask` and count
+    ``executor.kernel_fallbacks``.
     """
     steps = tuple(steps)
-    if width is None:
-        raise CodegenError("columnar lowering needs the input width")
     if not any(isinstance(s, (FilterStep, ProjectStep)) for s in steps):
         return None
-    kernel, kernel_id = _build_columnar_kernel(
-        steps, width, registry=registry
-    )
+    phases, kernel_id = _build_phases(steps, width, registry=registry)
     task = ColumnarPartitionTask(steps, width, kernel_id, emit)
-    object.__setattr__(task, "_ckernel", kernel)
+    object.__setattr__(task, "_phases", phases)
     return task

@@ -110,80 +110,11 @@ class ExecutorMetrics:
         for name in _EXECUTOR_COUNTERS:
             self.registry.counter("executor." + name)
 
-    def _value(self, name):
-        return self.registry.counter("executor." + name).value
-
-    @property
-    def tasks_run(self):
-        return self._value("tasks_run")
-
-    @property
-    def shuffles(self):
-        return self._value("shuffles")
-
-    @property
-    def broadcast_joins(self):
-        return self._value("broadcast_joins")
-
-    @property
-    def rows_shuffled(self):
-        return self._value("rows_shuffled")
-
-    @property
-    def retries(self):
-        return self._value("retries")
-
-    @property
-    def faults_injected(self):
-        return self._value("faults_injected")
-
-    @property
-    def splits(self):
-        return self._value("splits")
-
-    @property
-    def split_groups(self):
-        return self._value("split_groups")
-
-    @property
-    def split_rows(self):
-        return self._value("split_rows")
-
-    @property
-    def split_cache_hits(self):
-        return self._value("split_cache_hits")
-
-    @property
-    def kernels_compiled(self):
-        return self._value("kernels_compiled")
-
-    @property
-    def kernel_cache_hits(self):
-        return self._value("kernel_cache_hits")
-
-    @property
-    def kernel_fallbacks(self):
-        return self._value("kernel_fallbacks")
-
-    @property
-    def columnar_tasks(self):
-        return self._value("columnar_tasks")
-
-    @property
-    def columnar_fallbacks(self):
-        return self._value("columnar_fallbacks")
-
-    @property
-    def columnar_join_tasks(self):
-        return self._value("columnar_join_tasks")
-
-    @property
-    def columnar_shuffle_tasks(self):
-        return self._value("columnar_shuffle_tasks")
-
-    @property
-    def columnar_exchange_bytes(self):
-        return self._value("columnar_exchange_bytes")
+    def __getattr__(self, name):
+        # Only reached for names normal lookup misses: the counters.
+        if name in _EXECUTOR_COUNTERS:
+            return self.registry.counter("executor." + name).value
+        raise AttributeError(name)
 
     def reset(self):
         for name in _EXECUTOR_COUNTERS:
@@ -277,6 +208,22 @@ class _FaultingTask:
         )
 
 
+@dataclass(frozen=True)
+class _TimedTask:
+    """Picklable wrapper timing one task attempt where it runs.
+
+    Returns ``(result, seconds)`` so the driver can observe pooled
+    tasks' durations, which it cannot measure itself.
+    """
+
+    task: object
+
+    def __call__(self, x):
+        with stopwatch() as watch:
+            result = self.task(x)
+        return result, watch.seconds
+
+
 class Executor:
     """Base executor: physical planning plus a task-running strategy.
 
@@ -296,35 +243,24 @@ class Executor:
         stage fails with a structured :class:`TaskError`.
     retry_backoff:
         Base sleep (seconds) between retries; doubles per attempt.
-    compile_kernels:
-        When True (the default, overridable through the
-        ``REPRO_KERNELS`` environment variable -- see
-        :mod:`repro.engine.codegen`), fused narrow chains run as
-        generated per-partition kernels; False restores the
-        interpreted :class:`~repro.engine.operations.PartitionTask`
-        path. None resolves from the environment.
-    columnar_kernels:
-        When True (the default, overridable through ``REPRO_COLUMNAR``),
-        pure Filter/Project chains compile to columnar batch kernels
-        that loop over column buffers; chains that do not lower fall
-        back to the row path (counted as ``executor.columnar_fallbacks``).
-        Requires ``compile_kernels``; None resolves from the environment.
-    columnar_exchange:
-        Whether partitions cross wide-stage boundaries (broadcast join,
-        shuffle routing, repartition -- including the process-pool
-        pickle boundary) as :class:`~repro.engine.columnar.ColumnarPartition`
-        buffers instead of row lists. None resolves from
-        ``REPRO_COLUMNAR_EXCHANGE``, defaulting to on exactly when both
-        kernel layers are on (so interpreted/row-kernel executors keep
-        a pure row exchange). Stages whose inputs are mixed-layout or
-        whose key columns are not scalar-typed fall back to the row
-        path per stage, counted as ``executor.columnar_fallbacks``.
+    columnar:
+        Selects the execution path. True (production, the default):
+        narrow chains run as generated columnar kernels
+        (:mod:`repro.engine.codegen`) and partitions cross wide-stage
+        boundaries -- broadcast join, split routing, repartition,
+        including the process-pool pickle boundary -- as
+        :class:`~repro.engine.columnar.ColumnarPartition` buffers.
+        False (the differential oracle's reference): the interpreted
+        :class:`~repro.engine.operations.PartitionTask` and a pure row
+        exchange. On the production path a wide stage whose inputs are
+        mixed-layout or whose key columns are not scalar-typed falls
+        back to the row task per stage, counted as
+        ``executor.columnar_fallbacks``.
     """
 
     def __init__(self, default_parallelism=4, optimize_plans=True,
                  fault_policy=None, max_task_retries=2, retry_backoff=0.01,
-                 compile_kernels=None, columnar_kernels=None,
-                 columnar_exchange=None):
+                 columnar=True):
         if default_parallelism < 1:
             raise ValueError("default_parallelism must be >= 1")
         if max_task_retries < 0:
@@ -334,12 +270,7 @@ class Executor:
         self.fault_policy = fault_policy
         self.max_task_retries = max_task_retries
         self.retry_backoff = retry_backoff
-        self.compile_kernels = codegen.kernels_enabled(compile_kernels)
-        self.columnar_kernels = codegen.columnar_enabled(columnar_kernels)
-        self.columnar_exchange = codegen.exchange_enabled(
-            columnar_exchange,
-            default=self.compile_kernels and self.columnar_kernels,
-        )
+        self.columnar = bool(columnar)
         self.obs = MetricsRegistry()
         self.metrics = ExecutorMetrics(self.obs)
         self._stage_seq = 0
@@ -468,52 +399,37 @@ class Executor:
         if columnar_bytes:
             self.obs.set_gauge("executor.partition_bytes", columnar_bytes)
         if steps:
-            emit = "rows" if to_rows or not self.columnar_exchange \
-                else "partition"
-            task = self._narrow_task(
-                steps, input_width=len(base.schema), emit=emit
-            )
+            emit = "rows" if to_rows else "partition"
+            task = self._narrow_task(steps, len(base.schema), emit=emit)
             partitions = self._run(task, partitions, "narrow")
         return partitions
 
-    def _narrow_task(self, steps, input_width=None, emit="rows"):
+    def _narrow_task(self, steps, input_width, emit="rows"):
         """Build the fused per-partition task for a narrow chain.
 
-        Columnar batch kernels are tried first (pure Filter/Project
-        chains; ``columnar_kernels``), then row kernels; the interpreted
-        :class:`PartitionTask` serves as the explicit fallback
-        (``compile_kernels=False`` / ``REPRO_KERNELS=interpret``), for
-        chains with nothing to compile, and -- counted as
-        ``executor.kernel_fallbacks`` -- when lowering fails. *emit*
+        The production path compiles the chain to a
+        :class:`~repro.engine.codegen.ColumnarPartitionTask`; the
+        interpreted :class:`PartitionTask` serves the reference path
+        (``columnar=False``), chains with nothing to compile, and --
+        counted as ``executor.kernel_fallbacks`` plus
+        ``executor.kernel_fallbacks.<reason>`` -- chains whose lowering
+        raised :class:`~repro.engine.codegen.CodegenError`. *emit*
         selects the columnar task's output boundary (row lists or a
-        columnar partition for a downstream wide stage); the row paths
-        always emit rows.
+        columnar partition for a downstream wide stage); the
+        interpreted task always emits rows.
         """
         steps = tuple(steps)
-        if (
-            self.compile_kernels
-            and self.columnar_kernels
-            and input_width is not None
-        ):
+        if self.columnar:
             try:
                 task = codegen.compile_columnar_task(
                     steps, input_width, registry=self.obs, emit=emit
                 )
-            except codegen.CodegenError:
-                self.obs.inc("executor.columnar_fallbacks")
+            except codegen.CodegenError as exc:
+                self.obs.inc("executor.kernel_fallbacks")
+                self.obs.inc("executor.kernel_fallbacks." + exc.reason)
                 task = None
             if task is not None:
                 self.obs.inc("executor.columnar_tasks")
-                return task
-        if self.compile_kernels:
-            try:
-                task = codegen.compile_partition_task(
-                    steps, registry=self.obs
-                )
-            except codegen.CodegenError:
-                self.obs.inc("executor.kernel_fallbacks")
-                task = None
-            if task is not None:
                 return task
         return PartitionTask(steps)
 
@@ -588,34 +504,26 @@ class Executor:
     def _columnar_stage_ok(self, parts, key_indices, reject_nan=False):
         """True when a wide stage can run columnar over *parts*.
 
-        Requires the columnar exchange to be on, every input partition
-        columnar (mixed-layout stages fall back whole) and every key
-        column scalar-typed, so key tuples built from buffers hash and
-        compare exactly like the row path's. ``reject_nan``
-        additionally routes float key columns containing NaN to the row
-        path: dict-based join matching on NaN keys is object-identity
-        dependent, and gathering a buffer materializes fresh float
-        objects.
+        Never on the reference path. On the production path a stage
+        that must run on rows -- see :func:`_row_stage_reason` -- is
+        counted as a fallback under that reason if it had columnar
+        inputs; one whose inputs are all row lists is a plain row
+        stage.
         """
-        if not self.columnar_exchange or not parts:
+        if not self.columnar or not parts:
             return False
-        if not all(isinstance(p, ColumnarPartition) for p in parts):
-            return False
-        for part in parts:
-            for i in key_indices:
-                column = part.column(i)
-                if not _scalar_key_column(column):
-                    return False
-                if reject_nan and _column_has_nan(column):
-                    return False
-        return True
+        reason = _row_stage_reason(parts, key_indices, reject_nan)
+        if reason is not None:
+            self._count_columnar_fallback(parts, reason)
+        return reason is None
 
-    def _note_columnar_fallback(self, parts):
+    def _count_columnar_fallback(self, parts, reason):
         """Count a wide stage that had columnar inputs but ran rows."""
-        if self.columnar_exchange and any(
+        if self.columnar and any(
             isinstance(p, ColumnarPartition) for p in parts
         ):
             self.obs.inc("executor.columnar_fallbacks")
+            self.obs.inc("executor.columnar_fallbacks." + reason)
 
     def _count_columnar_exchange(self, parts, counter, tasks):
         """Account a columnar wide stage: task count plus buffer bytes.
@@ -655,7 +563,6 @@ class Executor:
                     left_keys, index, node.how, right_width
                 )
                 return self._run(task, left_parts, "broadcast-join")
-            self._note_columnar_fallback(left_parts)
             left_parts = [as_row_partition(p) for p in left_parts]
             task = BroadcastJoinTask(left_keys, index, node.how, right_width)
             return self._run(task, left_parts, "broadcast-join")
@@ -663,7 +570,7 @@ class Executor:
         # (row path: bucket pairs interleave both sides' rows, which has
         # no columnar layout to preserve).
         self.obs.inc("executor.shuffles")
-        self._note_columnar_fallback(left_parts + right_parts)
+        self._count_columnar_fallback(left_parts + right_parts, "shuffle_join")
         buckets = max(self.default_parallelism, 1)
         left_rows = [r for p in left_parts for r in as_row_partition(p)]
         right_rows = [r for p in right_parts for r in as_row_partition(p)]
@@ -744,7 +651,6 @@ class Executor:
             return split_columnar_evenly(
                 concat_partitions(child_parts, width), node.num_partitions
             )
-        self._note_columnar_fallback(child_parts)
         rows = [r for p in child_parts for r in as_row_partition(p)]
         if node.keys:
             return hash_partition(rows, key_indices, node.num_partitions)
@@ -839,7 +745,6 @@ class Executor:
                         ]
                     parts[part_index] = sub
         else:
-            self._note_columnar_fallback(child_parts)
             child_parts = [as_row_partition(p) for p in child_parts]
             routed = self._run(
                 SplitRouteTask(key_index), child_parts, "split"
@@ -901,6 +806,29 @@ _SCALAR_CELL_TYPES = frozenset(
 )
 
 
+def _row_stage_reason(parts, key_indices, reject_nan):
+    """Why a wide stage over *parts* cannot run columnar (None: it can).
+
+    Every input partition must be columnar (mixed-layout stages fall
+    back whole) and every key column scalar-typed, so key tuples built
+    from buffers hash and compare exactly like the row path's.
+    ``reject_nan`` additionally routes float key columns containing NaN
+    to the row path: dict-based join matching on NaN keys is
+    object-identity dependent, and gathering a buffer materializes
+    fresh float objects.
+    """
+    if not all(isinstance(p, ColumnarPartition) for p in parts):
+        return "mixed_layout"
+    for part in parts:
+        for i in key_indices:
+            column = part.column(i)
+            if not _scalar_key_column(column):
+                return "non_scalar_key"
+            if reject_nan and _column_has_nan(column):
+                return "nan_key"
+    return None
+
+
 def _scalar_key_column(column):
     """True when every cell of a key column is a hashable scalar.
 
@@ -959,9 +887,9 @@ def _narrow_step(node):
     if isinstance(node, logical.Project):
         return ProjectStep(node.exprs)
     if isinstance(node, logical.FlatMap):
-        return FlatMapStep(node.func)
+        return FlatMapStep(node.func, len(node.schema))
     if isinstance(node, logical.MapPartitions):
-        return MapPartitionStep(node.func)
+        return MapPartitionStep(node.func, len(node.schema))
     raise PlanError(
         "node {!r} is marked narrow but has no physical step".format(
             type(node).__name__
@@ -1098,11 +1026,13 @@ class MultiprocessingExecutor(Executor):
                     call = _FaultingTask(
                         task, self.fault_policy, stage, i, attempt
                     )
-                handles.append((i, pool.apply_async(call, (inputs[i],))))
+                handles.append(
+                    (i, pool.apply_async(_TimedTask(call), (inputs[i],)))
+                )
             failed = []
             for i, handle in handles:
                 try:
-                    results[i] = handle.get()
+                    results[i], seconds = handle.get()
                 except pickle.PicklingError as exc:
                     raise ExecutionError(
                         "task for stage {!r} is not picklable: {} "
@@ -1118,6 +1048,8 @@ class MultiprocessingExecutor(Executor):
                     last_errors[i] = exc
                     if isinstance(exc, InjectedFaultError):
                         self.obs.inc("executor.faults_injected")
+                else:
+                    self._observe_task(stage, seconds, task=task)
             if not failed:
                 return results
             pending = failed

@@ -41,6 +41,10 @@ class ProjectStep:
 @dataclass(frozen=True)
 class FlatMapStep:
     func: object
+    #: Column count of the rows *func* yields (the plan node's schema
+    #: width): what a columnar kernel downstream of this barrier is
+    #: compiled for, and lays an empty output out as.
+    out_width: int
 
     def run(self, rows):
         func = self.func
@@ -53,6 +57,7 @@ class FlatMapStep:
 @dataclass(frozen=True)
 class MapPartitionStep:
     func: object
+    out_width: int  # as :attr:`FlatMapStep.out_width`
 
     def run(self, rows):
         return self.func(rows)

@@ -35,7 +35,7 @@ class ShortPayloadError(CodecError):
     extraction (interpreted and compiled), rule-level relevant-byte
     slicing and SOME/IP section lookup all raise this same type, so
     truncated frames surface identically no matter which execution
-    path (row-interpreted, row-compiled, columnar batch) touched them.
+    path (row-interpreted or columnar batch) touched them.
     """
 
 

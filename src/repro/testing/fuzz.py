@@ -1,11 +1,9 @@
 """Fuzz-harness CLI for the differential oracle.
 
-The reference combo runs interpreted while the default matrix runs
-compiled kernels, so every fuzz case doubles as a
-compiled-vs-interpreted equivalence check; dedicated serial combos add
-the partition-layout axis, pinning row-interpreted == row-compiled ==
-columnar-batch on every case (see :mod:`repro.testing.oracle` and
-:mod:`repro.engine.codegen`).
+The reference combo runs the engine's interpreted row path while the
+default matrix runs the columnar production path, so every fuzz case
+doubles as a reference-vs-production equivalence check (see
+:mod:`repro.testing.oracle` and :mod:`repro.engine.codegen`).
 
 Fast, deterministic budget (tier-1 CI runs a fixed one through
 ``tests/engine/test_differential.py``)::

@@ -1,26 +1,19 @@
 """The differential oracle: one plan, many executors, equal rows.
 
 Every generated (dataset, spec) pair is executed under a matrix of
-executor/optimizer/kernel combinations and compared -- as row
+executor/optimizer/path combinations and compared -- as row
 *multisets*, because only partition boundaries and intra-partition
 order are execution details -- against an unoptimized serial reference.
 Any mismatch, or any combo erroring where the reference succeeds, is a
 :class:`Divergence`.
 
-The reference runs *interpreted* (``compile_kernels=False``) while the
-default combos run with compiled kernels, so compiled-vs-interpreted
-equivalence is an axis of every fuzz case; dedicated serial combos
-additionally isolate the pure columnar-batch axis (unoptimized +
-columnar kernels, which since the wide-stage lowering also runs
-broadcast joins, split routings and repartitions over columnar
-buffers), the narrow-only columnar axis (columnar kernels with the
-wide-stage exchange forced back to rows, separating wide-stage bugs
-from kernel bugs), the pure row-codegen axis (unoptimized + row
-kernels only) and the pure optimizer axis (optimized + interpreted).
-Together they pin the layout-differential identity
-``row-interpreted == row-compiled == columnar-narrow ==
-columnar-wide`` on every case, including its join/split/shuffle
-bucket assignments.
+The reference runs the engine's *reference path* (``columnar=False``:
+interpreted narrow chains, row exchange) while the default combos run
+the production path (columnar kernels, columnar wide stages), so
+reference-vs-production equivalence -- including join/split/shuffle
+bucket assignments -- is an axis of every fuzz case. Two serial combos
+isolate one axis each: the pure path axis (unoptimized + columnar) and
+the pure optimizer axis (optimized + reference path).
 
 Executors are cached per combo so one process pool serves the whole
 fuzz run; call :meth:`DifferentialOracle.close` (or use it as a context
@@ -34,11 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.engine import EngineContext
 from repro.engine.errors import EngineError
-from repro.engine.executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
+from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
 from repro.testing.generator import apply_spec, generate_case
 
 
@@ -48,88 +37,50 @@ class ComboSpec:
 
     ``factory``, when given, overrides ``kind`` and must be a callable
     ``factory(parallelism) -> Executor``; tests use it to inject mutant
-    or fault-injecting executors. ``compile`` selects the kernel axis:
-    generated per-partition kernels (True) or the closure interpreter
-    (False). ``columnar`` selects the partition-layout axis: columnar
-    batch kernels for pure Filter/Project chains (True), row kernels
-    only (False), or the executor's environment default (None).
-    ``exchange`` selects the wide-stage axis: columnar partitions
-    crossing joins/shuffles (True), row exchange (False), or the
-    executor's default -- on exactly when both kernel layers are on
-    (None).
+    or fault-injecting executors. ``columnar`` selects the execution
+    path: production (True) or the interpreted row reference (False).
     """
 
     name: str
-    kind: str = "serial"  # "serial" | "multiprocessing" | "simulated"
+    kind: str = "serial"  # "serial" | "multiprocessing"
     optimize: bool = True
-    compile: bool = True
-    columnar: object = None
-    exchange: object = None
+    columnar: bool = True
     factory: object = None
 
     def build(self, parallelism):
         if self.factory is not None:
             return self.factory(parallelism)
+        kwargs = dict(
+            default_parallelism=parallelism,
+            optimize_plans=self.optimize,
+            columnar=self.columnar,
+        )
         if self.kind == "serial":
-            return SerialExecutor(
-                default_parallelism=parallelism,
-                optimize_plans=self.optimize,
-                compile_kernels=self.compile,
-                columnar_kernels=self.columnar,
-                columnar_exchange=self.exchange,
-            )
-        if self.kind == "simulated":
-            return SimulatedClusterExecutor(
-                num_workers=parallelism,
-                default_parallelism=parallelism,
-                optimize_plans=self.optimize,
-                compile_kernels=self.compile,
-                columnar_kernels=self.columnar,
-                columnar_exchange=self.exchange,
-            )
+            return SerialExecutor(**kwargs)
         if self.kind == "multiprocessing":
             return MultiprocessingExecutor(
-                num_workers=2,
-                default_parallelism=parallelism,
-                optimize_plans=self.optimize,
-                compile_kernels=self.compile,
-                columnar_kernels=self.columnar,
-                columnar_exchange=self.exchange,
-                retry_backoff=0.0,
+                num_workers=2, retry_backoff=0.0, **kwargs
             )
         raise ValueError("unknown executor kind {!r}".format(self.kind))
 
 
 #: The reference is the purest path: serial, unoptimized, interpreted.
-#: Every compiled combo therefore checks compiled-vs-interpreted
+#: Every production-path combo therefore checks columnar-vs-interpreted
 #: equivalence on every case.
 REFERENCE_COMBO = ComboSpec(
-    "serial-unoptimized-interpreted", "serial", optimize=False, compile=False
+    "serial-unoptimized-interpreted", "serial", optimize=False,
+    columnar=False,
 )
 
 DEFAULT_COMBOS = (
     ComboSpec("serial-optimized", "serial", optimize=True),
-    # Pure columnar-batch axis: identical to the reference except that
-    # fuseable chains run as columnar kernels over column buffers --
-    # and, with the exchange default, joins/splits/shuffles run over
-    # columnar partitions too (the columnar-wide end of the layout
-    # axis).
-    ComboSpec("serial-unoptimized-columnar", "serial", optimize=False,
-              columnar=True),
-    # Narrow-only columnar axis: same kernels, wide stages forced back
-    # to the row exchange -- a wide-stage divergence shows up in the
-    # combo above but not in this one, a kernel divergence in both.
-    ComboSpec("serial-unoptimized-columnar-narrow", "serial",
-              optimize=False, columnar=True, exchange=False),
-    # Pure row-codegen axis: identical to the reference except for row
-    # kernels (columnar lowering disabled).
-    ComboSpec("serial-unoptimized-row-compiled", "serial", optimize=False,
-              columnar=False),
+    # Pure path axis: identical to the reference except that narrow
+    # chains run as columnar kernels and joins/splits/shuffles run over
+    # columnar partitions.
+    ComboSpec("serial-unoptimized-columnar", "serial", optimize=False),
     # Pure optimizer axis: identical to the reference except for rules.
     ComboSpec("serial-optimized-interpreted", "serial", optimize=True,
-              compile=False),
-    ComboSpec("simulated-optimized", "simulated", optimize=True),
-    ComboSpec("simulated-unoptimized", "simulated", optimize=False),
+              columnar=False),
     ComboSpec("multiprocessing-optimized", "multiprocessing", optimize=True),
     ComboSpec("multiprocessing-unoptimized", "multiprocessing",
               optimize=False),

@@ -284,19 +284,18 @@ class TestBatchInterpretation:
         from repro.engine import EngineContext
         from repro.engine.executor import SerialExecutor
 
-        expected = sorted(
+        actual = sorted(
             interpret(preselect(fig2_trace, wiper_catalog), wiper_catalog)
             .collect()
         )
-        with SerialExecutor(
-            compile_kernels=True, columnar_kernels=True
-        ) as executor:
-            columnar_ctx = EngineContext(executor)
-            trace = columnar_ctx.table_from_rows(
+        assert ctx.executor.metrics.columnar_tasks > 0
+        with SerialExecutor(columnar=False) as executor:
+            reference_ctx = EngineContext(executor)
+            trace = reference_ctx.table_from_rows(
                 ["t", "l", "b_id", "m_id", "m_info"],
                 fig2_trace.collect(),
             )
-            actual = sorted(
+            expected = sorted(
                 interpret(preselect(trace, wiper_catalog), wiper_catalog)
                 .collect()
             )

@@ -202,7 +202,7 @@ class TestEngineEquivalence:
             pipeline(row_table).collect()
         assert ctx.executor.metrics.columnar_tasks > 0
 
-    def test_flat_map_falls_back_to_rows(self, rows):
+    def test_flat_map_chain_runs_columnar_around_the_barrier(self, rows):
         ctx, row_table, columnar_table = self._tables(rows)
 
         def pipeline(table):
@@ -212,7 +212,8 @@ class TestEngineEquivalence:
 
         assert pipeline(columnar_table).collect() == \
             pipeline(row_table).collect()
-        assert ctx.executor.metrics.columnar_fallbacks > 0
+        assert ctx.executor.metrics.columnar_tasks == 2
+        assert ctx.executor.metrics.columnar_fallbacks == 0
 
     def test_multiprocessing_ships_columnar_partitions(self, rows):
         columns = ["a", "b", "c", "d", "e"]
@@ -273,9 +274,7 @@ class TestBatchApplyLowering:
         rows = [(i,) for i in range(25)]
 
         def run(columnar):
-            with SerialExecutor(
-                compile_kernels=True, columnar_kernels=columnar
-            ) as executor:
+            with SerialExecutor(columnar=columnar) as executor:
                 ctx = EngineContext(executor)
                 table = ctx.table_from_rows(["a"], rows)
                 return (

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineContext, col
+from repro.engine import executor as executor_module
 from repro.engine.columnar import ColumnarPartition, concat_partitions
 from repro.engine.executor import SerialExecutor
 from repro.engine.operations import (
@@ -25,10 +26,19 @@ from repro.engine.operations import (
 
 
 def _wide_ctx(**overrides):
-    kwargs = dict(default_parallelism=4, compile_kernels=True,
-                  columnar_kernels=True)
+    kwargs = dict(default_parallelism=4)
     kwargs.update(overrides)
     return EngineContext(SerialExecutor(**kwargs))
+
+
+def _fallbacks(ctx):
+    """``executor.columnar_fallbacks`` total ("") and per-reason counts."""
+    prefix = "executor.columnar_fallbacks"
+    return {
+        name[len(prefix):]: value
+        for name, value in ctx.executor.obs.counters().items()
+        if name.startswith(prefix)
+    }
 
 
 def _canon(rows):
@@ -123,13 +133,11 @@ def _wide_pipeline(ctx):
 
 
 class TestWidePipelineParity:
-    def test_columnar_wide_matches_row_and_interpreted(self):
+    def test_columnar_wide_matches_reference(self):
         outputs = {}
         for name, ctx in (
             ("wide", _wide_ctx()),
-            ("narrow", _wide_ctx(columnar_exchange=False)),
-            ("interpreted", _wide_ctx(compile_kernels=False,
-                                      columnar_kernels=False)),
+            ("reference", _wide_ctx(columnar=False)),
         ):
             with ctx:
                 joined, groups = _wide_pipeline(ctx)
@@ -137,13 +145,13 @@ class TestWidePipelineParity:
                     sorted(_canon(joined.collect())),
                     {g: _canon(t.collect()) for g, t in groups.items()},
                 )
-        assert outputs["wide"] == outputs["narrow"] == outputs["interpreted"]
+        assert outputs["wide"] == outputs["reference"]
 
     def test_broadcast_join_order_is_identical_to_row_path(self):
         # Not just multiset equality: the columnar join scans left rows
         # in order and appends matches exactly like the row task, so
         # even unsorted collects agree row-for-row.
-        with _wide_ctx() as wide, _wide_ctx(columnar_exchange=False) as row:
+        with _wide_ctx() as wide, _wide_ctx(columnar=False) as row:
             wide_rows = _wide_pipeline(wide)[0].collect()
             row_rows = _wide_pipeline(row)[0].collect()
         assert _canon(wide_rows) == _canon(row_rows)
@@ -152,7 +160,7 @@ class TestWidePipelineParity:
         results = {}
         for name, ctx in (
             ("wide", _wide_ctx()),
-            ("narrow", _wide_ctx(columnar_exchange=False)),
+            ("reference", _wide_ctx(columnar=False)),
         ):
             with ctx:
                 left = ctx.table_from_rows(
@@ -167,7 +175,7 @@ class TestWidePipelineParity:
                     .join(right, on=["k"], how="left")
                     .collect()
                 )
-        assert results["wide"] == results["narrow"]
+        assert results["wide"] == results["reference"]
 
 
 # -- counters and fallbacks ---------------------------------------------------
@@ -194,8 +202,8 @@ class TestExchangeCounters:
                 metrics.columnar_exchange_bytes
             )
 
-    def test_exchange_off_counts_nothing(self):
-        with _wide_ctx(columnar_exchange=False) as ctx:
+    def test_reference_path_counts_nothing(self):
+        with _wide_ctx(columnar=False) as ctx:
             joined, _groups = _wide_pipeline(ctx)
             joined.collect()
             metrics = ctx.executor.metrics
@@ -231,11 +239,8 @@ class TestRowFallbacks:
                 .collect()
             )
             assert len(out) == 20
-            metrics = ctx.executor.metrics
-            assert metrics.columnar_join_tasks == 0
-            assert ctx.executor.obs.counters().get(
-                "executor.columnar_fallbacks", 0
-            ) > 0
+            assert ctx.executor.metrics.columnar_join_tasks == 0
+            assert _fallbacks(ctx) == {"": 1, ".non_scalar_key": 1}
 
     def test_nan_join_keys_fall_back_and_match_reference(self):
         # NaN probe keys are object-identity dependent in the row dict
@@ -245,8 +250,7 @@ class TestRowFallbacks:
         results = {}
         for name, ctx in (
             ("wide", _wide_ctx()),
-            ("interpreted", _wide_ctx(compile_kernels=False,
-                                      columnar_kernels=False)),
+            ("interpreted", _wide_ctx(columnar=False)),
         ):
             with ctx:
                 left = ctx.table_from_rows(
@@ -264,6 +268,7 @@ class TestRowFallbacks:
                 )
                 if name == "wide":
                     assert ctx.executor.metrics.columnar_join_tasks == 0
+                    assert _fallbacks(ctx) == {"": 1, ".nan_key": 1}
         assert results["wide"] == results["interpreted"]
 
     def test_mixed_layout_repartition_falls_back(self):
@@ -282,9 +287,34 @@ class TestRowFallbacks:
             out = a.union(b).repartition(3, keys=["k"]).collect()
             assert len(out) == 20
             assert ctx.executor.metrics.columnar_shuffle_tasks == 0
-            assert ctx.executor.obs.counters().get(
-                "executor.columnar_fallbacks", 0
-            ) > 0
+            assert _fallbacks(ctx) == {"": 1, ".mixed_layout": 1}
+
+    def test_shuffle_join_falls_back(self, monkeypatch):
+        # A right side over the broadcast threshold hash-shuffles both
+        # sides into interleaved bucket pairs, which have no columnar
+        # layout: columnar inputs are counted as a fallback.
+        monkeypatch.setattr(executor_module, "BROADCAST_THRESHOLD", 2)
+        results = {}
+        for name, ctx in (
+            ("wide", _wide_ctx()),
+            ("reference", _wide_ctx(columnar=False)),
+        ):
+            with ctx:
+                trace = ctx.table_from_rows(
+                    ["k", "g", "v"], _TRACE, num_partitions=4
+                )
+                rules = ctx.table_from_rows(
+                    ["k", "r"], _RULES, num_partitions=2
+                )
+                results[name] = sorted(_canon(
+                    trace.filter(col("v") >= 3.0)
+                    .join(rules, on=["k"], how="inner")
+                    .collect()
+                ))
+                expected = {"": 1, ".shuffle_join": 1} if name == "wide" \
+                    else {"": 0}
+                assert _fallbacks(ctx) == expected
+        assert results["wide"] == results["reference"]
 
 
 # -- layout survives exchange -------------------------------------------------
@@ -332,7 +362,6 @@ class TestColumnarFlow:
             joined, _groups = _wide_pipeline(ctx)
             rows = joined.collect()
             assert ctx.executor.metrics.columnar_join_tasks > 0
-        with _wide_ctx(compile_kernels=False,
-                       columnar_kernels=False) as ref_ctx:
+        with _wide_ctx(columnar=False) as ref_ctx:
             expected = _wide_pipeline(ref_ctx)[0].collect()
         assert sorted(_canon(rows)) == sorted(_canon(expected))

@@ -1,14 +1,14 @@
 """Tier-1 differential fuzz harness run.
 
 Executes a fixed, deterministic seed budget of generated plans across
-the full executor/optimizer/layout matrix (>= 200 combinations) and
+the full executor/optimizer/path matrix (>= 400 combinations) and
 asserts zero divergences; separately proves the oracle is not vacuous
 by injecting a divergent mutant executor and shrinking the failure to a
-tiny reproducer. The matrix includes the layout-differential axis:
-dedicated serial combos pin row-interpreted == row-compiled ==
-columnar-narrow == columnar-wide on every case, so the generated
-joins/splits/repartitions exercise the columnar wide-stage exchange
-against the row reference on every seed.
+tiny reproducer. The matrix includes the path axis: the reference runs
+interpreted over rows, every other combo but one the columnar
+production path, so the generated chains/joins/splits/repartitions
+exercise columnar kernels and the columnar wide-stage exchange against
+the row reference on every seed.
 """
 
 import pytest
@@ -27,36 +27,33 @@ from repro.testing import (
 )
 from repro.testing.fuzz import main as fuzz_main
 from repro.testing.fuzz import run_fuzz
-from repro.testing.oracle import DEFAULT_COMBOS
+from repro.testing.oracle import DEFAULT_COMBOS, REFERENCE_COMBO
 
-#: Fixed tier-1 budget: 40 seeds x 10 combos (reference + 9) = 400.
-TIER1_SEEDS = 40
+#: Fixed tier-1 budget: 70 seeds x 6 combos (reference + 5) = 420.
+TIER1_SEEDS = 70
 
 
 class TestFuzzHarness:
     def test_fixed_seed_budget_has_zero_divergences(self):
         reports, combos_run = run_seeds(range(TIER1_SEEDS))
-        assert combos_run >= 200
+        assert combos_run >= 400
         assert all(not r.invalid for r in reports)
         diverged = [r for r in reports if not r.ok]
         assert diverged == []
 
-    def test_matrix_carries_the_layout_axis(self):
-        names = {combo.name for combo in DEFAULT_COMBOS}
-        assert "serial-unoptimized-columnar" in names
-        assert "serial-unoptimized-row-compiled" in names
+    def test_matrix_isolates_the_path_and_optimizer_axes(self):
+        assert len(DEFAULT_COMBOS) <= 5
+        assert (REFERENCE_COMBO.optimize, REFERENCE_COMBO.columnar) == (
+            False, False
+        )
         by_name = {combo.name: combo for combo in DEFAULT_COMBOS}
-        assert by_name["serial-unoptimized-columnar"].columnar is True
-        assert by_name["serial-unoptimized-row-compiled"].columnar is False
-        # Both differ from the reference only in the kernel layout.
-        for name in (
-            "serial-unoptimized-columnar",
-            "serial-unoptimized-row-compiled",
-        ):
-            assert by_name[name].optimize is False
-            assert by_name[name].compile is True
+        # Each differs from the reference in exactly one axis.
+        path_only = by_name["serial-unoptimized-columnar"]
+        assert (path_only.optimize, path_only.columnar) == (False, True)
+        rules_only = by_name["serial-optimized-interpreted"]
+        assert (rules_only.optimize, rules_only.columnar) == (True, False)
 
-    def test_columnar_combo_actually_runs_columnar_kernels(self):
+    def test_columnar_combo_actually_runs_kernels(self):
         combo = {c.name: c for c in DEFAULT_COMBOS}[
             "serial-unoptimized-columnar"
         ]
@@ -67,9 +64,10 @@ class TestFuzzHarness:
                 case, spec = generate_case(seed)
                 apply_spec(ctx, case, spec).collect()
             # Layout counters prove the axis is not vacuously equal: the
-            # combo ran columnar kernels (or explicitly fell back) on at
-            # least some of the generated plans.
+            # combo ran columnar kernels on the generated plans and never
+            # had to drop a chain to the interpreter.
             assert executor.metrics.columnar_tasks > 0
+            assert executor.metrics.kernel_fallbacks == 0
 
     def test_generated_cases_are_deterministic(self):
         for seed in range(10):
@@ -92,8 +90,8 @@ class TestLossyFuzzing:
     """Corrupted-frame cases: every combo must also agree on lossy input."""
 
     def test_lossy_budget_has_zero_divergences(self):
-        reports, combos_run = run_seeds(range(15), lossy=True)
-        assert combos_run >= 100
+        reports, combos_run = run_seeds(range(25), lossy=True)
+        assert combos_run >= 150
         assert all(not r.invalid for r in reports)
         assert [r for r in reports if not r.ok] == []
 

@@ -2,8 +2,9 @@
 
 ``perf/`` is not in tier-1 ``testpaths``, yet its tracer wraps ``repro``
 callables *by name*: renaming one passes tier-1 and then breaks every
-traced benchmark run. The first test resolves every traced name. The
-second keeps Algorithm 1's back half single-copy: the calls that *are*
+traced benchmark run. The first test resolves every traced name, the
+second every executor counter ``perf/workloads.py`` (and
+``core/pipeline.py``) reads off ``executor.metrics``. The third keeps Algorithm 1's back half single-copy: the calls that *are*
 lines 10-28 may appear in one module of ``repro.core`` only (in the
 spirit of the ``perf_counter`` containment guard in ``tests/obs``).
 """
@@ -40,6 +41,26 @@ def test_every_traced_callable_resolves(module_name, path):
         )
         target = getattr(target, part)
     assert callable(target)
+
+
+def _perf_engine_counters():
+    # Parsed, not imported: perf/ is the benchmark's tree.
+    tree = ast.parse(
+        (ROOT / "perf" / "workloads.py").read_text(encoding="utf-8")
+    )
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "_ENGINE_COUNTERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perf/workloads.py lost _ENGINE_COUNTERS")
+
+
+@pytest.mark.parametrize("name", _perf_engine_counters() + ("splits",))
+def test_every_executor_counter_read_outside_the_engine_resolves(name):
+    from repro.engine import EngineContext
+
+    assert getattr(EngineContext.serial().executor.metrics, name) == 0
 
 
 def _modules_calling(name):
