@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -28,14 +29,15 @@ class SaxError(ValueError):
     """Raised for invalid SAX parameters."""
 
 
+@lru_cache(maxsize=None)  # at most one tuple per valid alphabet size
 def gaussian_breakpoints(alphabet_size):
     """Breakpoints splitting N(0,1) into *alphabet_size* equiprobable bins."""
     if not MIN_ALPHABET <= alphabet_size <= MAX_ALPHABET:
         raise SaxError(
             "alphabet size must be in {}..{}".format(MIN_ALPHABET, MAX_ALPHABET)
         )
-    quantiles = np.arange(1, alphabet_size) / alphabet_size
-    return tuple(float(norm.ppf(q)) for q in quantiles)
+    inv_cdf = NormalDist().inv_cdf
+    return tuple(inv_cdf(k / alphabet_size) for k in range(1, alphabet_size))
 
 
 def znormalize(values, epsilon=1e-8):

@@ -9,11 +9,35 @@ branch uses for trend estimation.
 
 Segments are least-squares linear fits; the error measure is the sum of
 squared residuals, as in the original paper.
+
+Every fit is closed-form. One :class:`_SpanFitter` per buffer keeps three
+prefix sums over the buffer's samples ``y_i`` (centred on the buffer
+mean, ``i`` local to the buffer)::
+
+    S0[k] = Σ_{i<k} y_i      S1[k] = Σ_{i<k} i·y_i      S2[k] = Σ_{i<k} y_i²
+
+so that for any span ``[a, b]`` of ``n`` samples, with ``x = i - a``::
+
+    Σy  = S0[b+1] - S0[a]          Σx  = n(n-1)/2   (closed forms of n)
+    Σxy = S1[b+1] - S1[a] - a·Σy   Sxx = Σx² - (Σx)²/n = n(n²-1)/12
+    Σy² = S2[b+1] - S2[a]
+
+    Sxy = Σxy - Σx·Σy/n            slope     = Sxy / Sxx
+    Syy = Σy² - (Σy)²/n            intercept = (Σy - slope·Σx)/n + mean
+                                   SSE       = Syy - Sxy²/Sxx   (clamped at 0)
+
+Centring per buffer keeps ``Σy²`` of the order of the buffer's own
+variance, so a series such as ``1e6 + walk`` loses no digits to its
+offset. The merge order is Keogh's greedy one: always the cheapest
+adjacent pair, the leftmost one on equal cost, until the cheapest
+exceeds ``max_error``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count
+from operator import mul
 
 import numpy as np
 
@@ -42,20 +66,55 @@ class Segment:
         return self.intercept + self.slope * (index - self.start)
 
 
+class _SpanFitter:
+    """Least-squares line over any span of one buffer in O(1).
+
+    See the module docstring for the sums. Non-finite samples make every
+    sum, and so every fit of the buffer, ``nan``.
+    """
+
+    __slots__ = ("size", "_mean", "_s0", "_s1", "_s2")
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float).tolist()
+        self.size = len(values)
+        if not values:
+            raise ValueError("empty segment")
+        self._mean = mean = sum(values) / len(values)
+        centred = [v - mean for v in values]
+        self._s0 = list(accumulate(centred, initial=0.0))
+        self._s1 = list(accumulate(map(mul, count(), centred), initial=0.0))
+        self._s2 = list(accumulate(map(mul, centred, centred), initial=0.0))
+
+    def fit(self, start, end):
+        """``(slope, intercept, sse)`` of samples [start, end] (inclusive)."""
+        stop = end + 1
+        n = stop - start
+        sum_y = self._s0[stop] - self._s0[start]
+        if n == 1:
+            return 0.0, sum_y + self._mean, 0.0
+        sum_x = 0.5 * n * (n - 1)
+        sum_xy = self._s1[stop] - self._s1[start] - start * sum_y
+        s_xy = sum_xy - sum_x * sum_y / n
+        s_xx = n * (n * n - 1) / 12.0
+        slope = s_xy / s_xx
+        s_yy = self._s2[stop] - self._s2[start] - sum_y * sum_y / n
+        sse = s_yy - slope * s_xy
+        return (
+            slope,
+            (sum_y - slope * sum_x) / n + self._mean,
+            0.0 if sse < 0.0 else sse,
+        )
+
+    def segment(self, start, end, offset=0):
+        """The fit of [start, end] as a :class:`Segment` shifted by *offset*."""
+        return Segment(start + offset, end + offset, *self.fit(start, end))
+
+
 def fit_segment(values, start, end):
     """Least-squares line over values[start:end+1]."""
-    y = np.asarray(values[start : end + 1], dtype=float)
-    n = len(y)
-    if n == 0:
-        raise ValueError("empty segment")
-    if n == 1:
-        return Segment(start, end, 0.0, float(y[0]), 0.0)
-    x = np.arange(n, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (intercept + slope * x)
-    return Segment(
-        start, end, float(slope), float(intercept), float(residuals @ residuals)
-    )
+    fitter = _SpanFitter(values[start : end + 1])
+    return fitter.segment(0, fitter.size - 1, start)
 
 
 def sliding_window(values, max_error):
@@ -63,17 +122,18 @@ def sliding_window(values, max_error):
     if max_error < 0:
         raise ValueError("max_error must be non-negative")
     n = len(values)
+    if n == 0:
+        return []
+    fitter = _SpanFitter(values)
     segments = []
     anchor = 0
     while anchor < n:
-        end = anchor + 1
-        best = fit_segment(values, anchor, min(end - 1, n - 1))
-        while end < n:
-            candidate = fit_segment(values, anchor, end)
+        best = fitter.segment(anchor, anchor)
+        for end in range(anchor + 1, n):
+            candidate = fitter.segment(anchor, end)
             if candidate.error > max_error:
                 break
             best = candidate
-            end += 1
         segments.append(best)
         anchor = best.end + 1
     return segments
@@ -81,36 +141,38 @@ def sliding_window(values, max_error):
 
 def bottom_up(values, max_error):
     """Merge the finest segmentation greedily while error permits."""
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         return []
     if max_error < 0:
         raise ValueError("max_error must be non-negative")
-    # Start from segments of length 2 (last may be length 1 or 3).
-    boundaries = list(range(0, n, 2))
-    segments = []
-    for i, start in enumerate(boundaries):
-        end = boundaries[i + 1] - 1 if i + 1 < len(boundaries) else n - 1
-        segments.append(fit_segment(values, start, end))
-    if len(segments) == 1:
-        return segments
+    return _bottom_up(values, max_error, 0)
 
-    def merge_cost(i):
-        return fit_segment(values, segments[i].start, segments[i + 1].end)
 
-    merged = [merge_cost(i) for i in range(len(segments) - 1)]
-    while merged:
-        best_index = min(range(len(merged)), key=lambda i: merged[i].error)
-        if merged[best_index].error > max_error:
+def _bottom_up(values, max_error, offset):
+    """:func:`bottom_up` of a non-empty buffer that begins at *offset*."""
+    fitter = _SpanFitter(values)
+    n = fitter.size
+    # Start from segments of length 2 (the last may be length 1).
+    starts = list(range(0, n, 2))
+    ends = [start - 1 for start in starts[1:]] + [n - 1]
+    # costs[i] is the error of merging segment i with segment i + 1.
+    costs = [
+        fitter.fit(starts[i], ends[i + 1])[2] for i in range(len(starts) - 1)
+    ]
+    while costs:
+        cheapest = min(costs)
+        if cheapest > max_error:
             break
-        segments[best_index] = merged[best_index]
-        del segments[best_index + 1]
-        del merged[best_index]
-        if best_index < len(merged):
-            merged[best_index] = merge_cost(best_index)
-        if best_index > 0:
-            merged[best_index - 1] = merge_cost(best_index - 1)
-    return segments
+        i = costs.index(cheapest)  # leftmost on equal cost
+        ends[i] = ends[i + 1]
+        del starts[i + 1], ends[i + 1], costs[i]
+        if i < len(costs):
+            costs[i] = fitter.fit(starts[i], ends[i + 1])[2]
+        if i > 0:
+            costs[i - 1] = fitter.fit(starts[i - 1], ends[i])[2]
+    return [
+        fitter.segment(start, end, offset) for start, end in zip(starts, ends)
+    ]
 
 
 def swab(values, max_error, buffer_size=None):
@@ -119,48 +181,24 @@ def swab(values, max_error, buffer_size=None):
     ``buffer_size`` defaults to enough samples for roughly five to six
     segments, as recommended in the original paper.
     """
-    values = list(values)
+    values = np.asarray(values, dtype=float)
     n = len(values)
-    if n == 0:
-        return []
     if buffer_size is None:
         buffer_size = max(min(n, 40), 8)
-    buffer_start = 0
-    buffer_end = min(buffer_size, n)  # exclusive
+    if buffer_size < 2:
+        raise ValueError("buffer_size must be at least 2")
+    if n and max_error < 0:
+        raise ValueError("max_error must be non-negative")
     out = []
-    while True:
-        window = values[buffer_start:buffer_end]
-        segments = bottom_up(window, max_error)
-        if not segments:
-            break
-        leftmost = segments[0]
-        absolute = Segment(
-            leftmost.start + buffer_start,
-            leftmost.end + buffer_start,
-            leftmost.slope,
-            leftmost.intercept,
-            leftmost.error,
-        )
-        if buffer_end >= n:
-            # No more data: flush every remaining segment.
-            for seg in segments:
-                out.append(
-                    Segment(
-                        seg.start + buffer_start,
-                        seg.end + buffer_start,
-                        seg.slope,
-                        seg.intercept,
-                        seg.error,
-                    )
-                )
-            break
-        out.append(absolute)
-        consumed = leftmost.end + 1
-        buffer_start += consumed
-        # Take in enough new points to keep the buffer full.
-        buffer_end = min(buffer_start + buffer_size, n)
-        if buffer_start >= n:
-            break
+    start = 0
+    while start < n:
+        stop = min(start + buffer_size, n)
+        segments = _bottom_up(values[start:stop], max_error, start)
+        if stop < n:
+            # More data to come: only the leftmost segment is final.
+            del segments[1:]
+        out.extend(segments)
+        start = out[-1].end + 1
     return out
 
 

@@ -32,12 +32,10 @@ class MovingAverage:
             return x.copy()
         half = self.window // 2
         csum = np.concatenate(([0.0], np.cumsum(x)))
-        out = np.empty(n)
-        for i in range(n):
-            lo = max(0, i - half)
-            hi = min(n, i + half + 1)
-            out[i] = (csum[hi] - csum[lo]) / (hi - lo)
-        return out
+        index = np.arange(n)
+        lo = np.maximum(index - half, 0)
+        hi = np.minimum(index + half + 1, n)
+        return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def process_alpha(rows, schema, config=None):
         for r in nominal_rows
     ]
     if not numeric_rows:
-        return sorted(out)
+        return sorted(out, key=_row_key)
     values = np.array([float(r[v_i]) for r in numeric_rows])
     mask = config.outlier_detector.mask(values)
     outlier_rows = [r for r, m in zip(numeric_rows, mask) if m]

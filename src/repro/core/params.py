@@ -35,10 +35,11 @@ Schema::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.analysis.outliers import ZScoreDetector
-from repro.analysis.sax import SaxEncoder
+from repro.analysis.sax import MIN_ALPHABET, SaxEncoder
 from repro.analysis.smoothing import MovingAverage
 from repro.core.branches import BranchConfig
 from repro.core.classification import ClassifierConfig
@@ -61,6 +62,13 @@ from repro.core.reduction import (
 
 class ParameterizationError(ValueError):
     """Raised for unknown rule types or malformed parameter documents."""
+
+
+#: Source of the defaults for the branch knobs that ``config_to_dict``
+#: emits only when they differ.
+_DEFAULT_BRANCH = BranchConfig()
+_DEFAULT_OUTLIER_THRESHOLD = _DEFAULT_BRANCH.outlier_detector.threshold
+_DEFAULT_SMOOTHING_WINDOW = _DEFAULT_BRANCH.smoother.window
 
 
 def _build_constraint(spec):
@@ -156,19 +164,61 @@ def _extension_to_dict(rule):
     )
 
 
+def _branch_int(spec, key, default, minimum):
+    value = spec.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+    ):
+        raise ParameterizationError(
+            "branch {!r} must be an integer >= {}, got {!r}".format(
+                key, minimum, value
+            )
+        )
+    return value
+
+
+def _branch_number(spec, key, default, positive=False):
+    value = spec.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (value <= 0 if positive else value < 0)
+    ):
+        raise ParameterizationError(
+            "branch {!r} must be a finite {} number, got {!r}".format(
+                key, "positive" if positive else "non-negative", value
+            )
+        )
+    return value
+
+
 def _build_branch_config(spec):
+    if not isinstance(spec, dict):
+        raise ParameterizationError("'branch' must be an object")
     classifier = ClassifierConfig(
-        rate_threshold=spec.get("rate_threshold", 1.0),
+        rate_threshold=_branch_number(spec, "rate_threshold", 1.0),
     )
     return BranchConfig(
         outlier_detector=ZScoreDetector(
-            threshold=spec.get("outlier_threshold", 3.5)
+            threshold=_branch_number(
+                spec, "outlier_threshold", _DEFAULT_OUTLIER_THRESHOLD,
+                positive=True,
+            )
         ),
-        smoother=MovingAverage(window=spec.get("smoothing_window", 5)),
-        sax=SaxEncoder(alphabet_size=spec.get("sax_alphabet", 3)),
-        swab_error_fraction=spec.get("swab_error_fraction", 0.05),
-        swab_buffer=spec.get("swab_buffer", 40),
-        trend_fraction=spec.get("trend_fraction", 0.02),
+        smoother=MovingAverage(
+            window=_branch_int(
+                spec, "smoothing_window", _DEFAULT_SMOOTHING_WINDOW, 1
+            )
+        ),
+        sax=SaxEncoder(
+            alphabet_size=_branch_int(spec, "sax_alphabet", 3, MIN_ALPHABET)
+        ),
+        swab_error_fraction=_branch_number(spec, "swab_error_fraction", 0.05),
+        swab_buffer=_branch_int(spec, "swab_buffer", 40, 2),
+        trend_fraction=_branch_number(spec, "trend_fraction", 0.02),
         classifier=classifier,
     )
 
@@ -225,9 +275,20 @@ def config_to_dict(config):
         },
         "dedup_channels": config.dedup_channels,
     }
-    # Lossy-trace knobs are emitted only when non-default, keeping older
-    # documents byte-stable (like interpretation_strategy, which has no
-    # declarative form at all).
+    # Knobs added after the first documents are emitted only when
+    # non-default, keeping older documents byte-stable (like
+    # interpretation_strategy, which has no declarative form at all).
+    detector, smoother = branch.outlier_detector, branch.smoother
+    if (
+        isinstance(detector, ZScoreDetector)
+        and detector.threshold != _DEFAULT_OUTLIER_THRESHOLD
+    ):
+        out["branch"]["outlier_threshold"] = detector.threshold
+    if (
+        isinstance(smoother, MovingAverage)
+        and smoother.window != _DEFAULT_SMOOTHING_WINDOW
+    ):
+        out["branch"]["smoothing_window"] = smoother.window
     if config.short_payload != "raise":
         out["short_payload"] = config.short_payload
     if not config.drop_exact_duplicates:

@@ -106,6 +106,31 @@ class TestMovingAverage:
         with pytest.raises(SmoothingError):
             MovingAverage(0)
 
+    @staticmethod
+    def per_sample_loop(values, window):
+        """The loop ``smooth`` vectorises: same expression per sample."""
+        x = np.asarray(values, dtype=float)
+        n = x.size
+        half = window // 2
+        csum = np.concatenate(([0.0], np.cumsum(x)))
+        out = np.empty(n)
+        for i in range(n):
+            lo = max(0, i - half)
+            hi = min(n, i + half + 1)
+            out[i] = (csum[hi] - csum[lo]) / (hi - lo)
+        return out
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_to_per_sample_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        x = rng.normal(0, 10.0 ** rng.integers(-3, 7), n) + rng.normal(0, 1e3)
+        for window in (2, 3, 6, 9, n, n + 1, 2 * n + 5):
+            assert np.array_equal(
+                MovingAverage(window).smooth(x),
+                self.per_sample_loop(x, window),
+            )
+
 
 class TestExponentialSmoothing:
     def test_first_value_kept(self):

@@ -1,5 +1,7 @@
 """SAX: normalization, PAA, breakpoints, words and MINDIST."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,68 @@ from hypothesis import strategies as st
 from repro.analysis import SaxEncoder, gaussian_breakpoints, paa, znormalize
 from repro.analysis.sax import SaxError, symbolize_value
 
+#: Gaussian quantiles ``ppf(k / a)`` below the median, 14 decimals, for every
+#: reduced ``k / a`` with ``a <= 20``; the upper half follows by symmetry.
+LOWER_QUANTILES = {
+    (1, 20): -1.64485362695147, (1, 19): -1.61985625863827,
+    (1, 18): -1.59321881802305, (1, 17): -1.56472647136180,
+    (1, 16): -1.53412054435255, (1, 15): -1.50108594604402,
+    (1, 14): -1.46523379268552, (1, 13): -1.42607687227285,
+    (1, 12): -1.38299412710064, (1, 11): -1.33517773611894,
+    (1, 10): -1.28155156554460, (2, 19): -1.25211952026522,
+    (1, 9): -1.22064034884735, (2, 17): -1.18683143275582,
+    (1, 8): -1.15034938037601, (2, 15): -1.11077161663679,
+    (1, 7): -1.06757052387814, (3, 20): -1.03643338949379,
+    (2, 13): -1.02007623278620, (3, 19): -1.00314796766253,
+    (1, 6): -0.96742156610170, (3, 17): -0.92889949164727,
+    (2, 11): -0.90845786853739, (3, 16): -0.88714655901888,
+    (1, 5): -0.84162123357291, (4, 19): -0.80459638036030,
+    (3, 14): -0.79163860774337, (2, 9): -0.76470967378639,
+    (3, 13): -0.73631591737613, (4, 17): -0.72152228398234,
+    (1, 4): -0.67448975019608, (5, 19): -0.63364000077970,
+    (4, 15): -0.62292572321009, (3, 11): -0.60458534658324,
+    (5, 18): -0.58945579784978, (2, 7): -0.56594882193286,
+    (5, 17): -0.54139508512909, (3, 10): -0.52440051270804,
+    (4, 13): -0.50240222337336, (5, 16): -0.48877641111467,
+    (6, 19): -0.47950565333095, (1, 3): -0.43072729929546,
+    (7, 20): -0.38532046640757, (6, 17): -0.37739194382855,
+    (5, 14): -0.36610635680057, (4, 11): -0.34875569551704,
+    (7, 19): -0.33603814037182, (3, 8): -0.31863936396438,
+    (5, 13): -0.29338123212119, (7, 18): -0.28221614706251,
+    (2, 5): -0.25334710313580, (7, 17): -0.22300783094037,
+    (5, 12): -0.21042839424792, (8, 19): -0.19920132478927,
+    (3, 7): -0.18001236979271, (7, 16): -0.15731068461017,
+    (4, 9): -0.13971029888186, (9, 20): -0.12566134685507,
+    (5, 11): -0.11418529432143, (6, 13): -0.09655861528964,
+    (7, 15): -0.08365173390713, (8, 17): -0.07379127380827,
+    (9, 19): -0.06601181237584,
+}
+
+
+def tabulated_quantile(k, alphabet_size):
+    q = Fraction(k, alphabet_size)
+    if q == Fraction(1, 2):
+        return 0.0
+    if q > Fraction(1, 2):
+        return -tabulated_quantile(alphabet_size - k, alphabet_size)
+    return LOWER_QUANTILES[q.numerator, q.denominator]
+
 
 class TestBreakpoints:
+    @pytest.mark.parametrize("alphabet_size", range(2, 21))
+    def test_matches_tabulated_quantiles(self, alphabet_size):
+        expected = [
+            tabulated_quantile(k, alphabet_size)
+            for k in range(1, alphabet_size)
+        ]
+        assert gaussian_breakpoints(alphabet_size) == pytest.approx(
+            expected, rel=0, abs=1e-12
+        )
+
+    def test_memoised(self):
+        assert gaussian_breakpoints(3) is gaussian_breakpoints(3)
+        assert SaxEncoder(3).breakpoints is gaussian_breakpoints(3)
+
     def test_known_alphabet_3(self):
         lo, hi = gaussian_breakpoints(3)
         assert lo == pytest.approx(-0.4307, abs=1e-3)

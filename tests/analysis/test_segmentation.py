@@ -1,8 +1,14 @@
-"""SWAB / bottom-up / sliding-window segmentation."""
+"""SWAB / bottom-up / sliding-window segmentation.
+
+The closed-form fitter of ``repro.analysis.segmentation`` is pinned
+against the ``numpy.polyfit`` implementation it replaced, kept here as
+the reference (``reference_*``): same greedy order, one full ``lstsq``
+per candidate.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -143,3 +149,242 @@ def test_property_swab_always_covers(values, max_error):
 def test_property_bottom_up_always_covers(values, max_error):
     segments = bottom_up(values, max_error)
     assert segments_cover(segments, len(values))
+
+
+# -- the polyfit reference ------------------------------------------------
+#
+# ``margins`` collects, for every greedy decision the reference takes, how
+# far it was from going the other way: the distance of the deciding cost
+# to ``max_error`` and to the runner-up cost. A series is tie-free for a
+# tolerance when every margin exceeds it; only then is the segmentation
+# independent of the fitter's rounding.
+
+
+def reference_fit(values, start, end):
+    y = np.asarray(values[start : end + 1], dtype=float)
+    n = len(y)
+    if n == 1:
+        return Segment(start, end, 0.0, float(y[0]), 0.0)
+    x = np.arange(n, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    residuals = y - (intercept + slope * x)
+    error = float(residuals @ residuals)
+    return Segment(start, end, float(slope), float(intercept), error)
+
+
+def reference_sliding_window(values, max_error, margins):
+    n = len(values)
+    segments = []
+    anchor = 0
+    while anchor < n:
+        best = reference_fit(values, anchor, anchor)
+        for end in range(anchor + 1, n):
+            candidate = reference_fit(values, anchor, end)
+            margins.append(abs(candidate.error - max_error))
+            if candidate.error > max_error:
+                break
+            best = candidate
+        segments.append(best)
+        anchor = best.end + 1
+    return segments
+
+
+def reference_bottom_up(values, max_error, margins):
+    n = len(values)
+    segments = [
+        reference_fit(values, start, min(start + 1, n - 1))
+        for start in range(0, n, 2)
+    ]
+
+    def merge_cost(i):
+        return reference_fit(values, segments[i].start, segments[i + 1].end)
+
+    merged = [merge_cost(i) for i in range(len(segments) - 1)]
+    while merged:
+        ranked = sorted(m.error for m in merged)
+        margins.append(abs(ranked[0] - max_error))
+        if ranked[0] > max_error:
+            break
+        if len(ranked) > 1:
+            margins.append(ranked[1] - ranked[0])
+        best_index = min(range(len(merged)), key=lambda i: merged[i].error)
+        segments[best_index] = merged[best_index]
+        del segments[best_index + 1]
+        del merged[best_index]
+        if best_index < len(merged):
+            merged[best_index] = merge_cost(best_index)
+        if best_index > 0:
+            merged[best_index - 1] = merge_cost(best_index - 1)
+    return segments
+
+
+def reference_swab(values, max_error, buffer_size, margins):
+    values = list(values)
+    n = len(values)
+    out = []
+    start = 0
+    while start < n:
+        stop = min(start + buffer_size, n)
+        segments = reference_bottom_up(values[start:stop], max_error, margins)
+        if stop < n:
+            segments = segments[:1]
+        out.extend(
+            Segment(
+                s.start + start, s.end + start, s.slope, s.intercept, s.error
+            )
+            for s in segments
+        )
+        start = out[-1].end + 1
+    return out
+
+
+def spans(segments):
+    return [(s.start, s.end) for s in segments]
+
+
+def centred_energy(values):
+    y = np.asarray(values, dtype=float)
+    return float(((y - y.mean()) ** 2).sum())
+
+
+def assert_matches_reference(actual, expected, values):
+    assert spans(actual) == spans(expected)
+    scale = 1.0 + float(np.abs(values).max())
+    error_tolerance = 1e-9 * (1.0 + centred_energy(values))
+    for got, want in zip(actual, expected):
+        for name in ("slope", "intercept"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-6, abs=1e-9 * scale
+            )
+        assert 0.0 <= got.error
+        assert abs(got.error - want.error) <= error_tolerance
+
+
+@st.composite
+def series(draw):
+    """Noise or a random walk, n <= 300, magnitudes up to 1e6."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    values = draw(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if draw(st.booleans()):
+        values = (np.cumsum(values) / n).tolist()
+    return values
+
+
+error_fraction = st.floats(min_value=0.0, max_value=1.0)
+
+
+def tie_free(values, margins):
+    """No reference decision within the fitters' rounding of a tie."""
+    return min(margins, default=1.0) > 1e-7 * (1.0 + centred_energy(values))
+
+
+@given(values=series(), fraction=error_fraction)
+@settings(max_examples=60, deadline=None)
+def test_property_bottom_up_matches_polyfit_reference(values, fraction):
+    max_error = fraction * centred_energy(values)
+    margins = []
+    expected = reference_bottom_up(values, max_error, margins)
+    assume(tie_free(values, margins))
+    assert_matches_reference(bottom_up(values, max_error), expected, values)
+
+
+@given(
+    values=series(),
+    fraction=error_fraction,
+    buffer_size=st.sampled_from([8, 40, 50]),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_swab_matches_polyfit_reference(
+    values, fraction, buffer_size
+):
+    max_error = fraction * centred_energy(values) * buffer_size / len(values)
+    margins = []
+    expected = reference_swab(values, max_error, buffer_size, margins)
+    assume(tie_free(values, margins))
+    assert_matches_reference(
+        swab(values, max_error, buffer_size=buffer_size), expected, values
+    )
+
+
+@given(values=series(), fraction=error_fraction)
+@settings(max_examples=40, deadline=None)
+def test_property_sliding_window_matches_polyfit_reference(values, fraction):
+    max_error = fraction * centred_energy(values)
+    margins = []
+    expected = reference_sliding_window(values, max_error, margins)
+    assume(tie_free(values, margins))
+    assert_matches_reference(
+        sliding_window(values, max_error), expected, values
+    )
+
+
+class TestTies:
+    """On exactly equal merge costs the leftmost pair merges first."""
+
+    STEP = [0.0, 0.0, 1.0, 1.0]  # merging the two pairs costs 0.2
+
+    def test_leftmost_of_two_equal_merges(self):
+        # (0,1)+(2,3) and (2,3)+(4,5) both cost exactly 0.2 -- the buffer
+        # mean 2.25 keeps every sum dyadic -- and no further merge fits.
+        values = self.STEP + [0.0, 0.0, 8.0, 8.0]
+        segments = bottom_up(values, max_error=0.25)
+        assert spans(segments) == [(0, 3), (4, 5), (6, 7)]
+
+    def test_constant_series_merges_whole_buffers(self):
+        values = [3.0] * 100
+        assert spans(bottom_up(values, max_error=0.0)) == [(0, 99)]
+        segments = swab(values, max_error=0.0, buffer_size=8)
+        assert spans(segments) == [
+            (i, min(i + 7, 99)) for i in range(0, 100, 8)
+        ]
+        assert all(s.error == 0.0 and s.slope == 0.0 for s in segments)
+
+    def test_integer_steps_through_swab(self):
+        values = self.STEP * 10
+        segments = swab(values, max_error=0.25, buffer_size=8)
+        assert spans(segments) == [(i, i + 3) for i in range(0, 40, 4)]
+        assert segments_cover(segments, len(values))
+        for seg in segments:
+            assert reference_fit(values, seg.start, seg.end).error <= 0.25
+
+
+class TestNumerics:
+    def test_large_offset_keeps_sse_non_negative_and_close(self):
+        rng = np.random.default_rng(7)
+        values = 1e9 + np.cumsum(rng.normal(size=200))
+        max_error = 0.05 * float(values.var()) * 40
+        segments = swab(values, max_error, buffer_size=40)
+        assert spans(segments) == spans(
+            reference_swab(values, max_error, 40, [])
+        )
+        for seg in segments:
+            want = reference_fit(values, seg.start, seg.end)
+            assert seg.error >= 0.0
+            assert seg.error == pytest.approx(want.error, rel=1e-4, abs=1e-4)
+            assert seg.slope == pytest.approx(want.slope, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf")]
+    )
+    @pytest.mark.parametrize("at", [0, 17, 59])
+    def test_non_finite_input_terminates_and_covers(self, bad, at):
+        values = list(np.linspace(0.0, 5.0, 60))
+        values[at] = bad
+        for segments in (
+            swab(values, 0.5, buffer_size=8),
+            bottom_up(values, 0.5),
+            sliding_window(values, 0.5),
+        ):
+            assert segments_cover(segments, len(values))
+
+
+def test_swab_rejects_buffers_that_cannot_hold_a_segment():
+    for buffer_size in (1, 0, -3):
+        with pytest.raises(ValueError):
+            swab([1.0, 2.0, 3.0], 0.5, buffer_size=buffer_size)

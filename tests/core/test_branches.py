@@ -83,6 +83,16 @@ class TestAlpha:
     def test_empty(self):
         assert process_alpha([], SCHEMA) == []
 
+    def test_only_strings_ordered_like_every_other_exit(self):
+        # Equal t: _row_key orders by kind, plain tuple order by b_id.
+        rows = [(1.0, "invalid", "s", "AA"), (1.0, "parked", "s", "ZZ")]
+        out = process_alpha(rows, SCHEMA)
+        assert [(r[2], r[3]) for r in out] == [
+            ("ZZ", KIND_NOMINAL), ("AA", KIND_VALIDITY),
+        ]
+        with_numbers = process_alpha(rows + [(2.0, 5.0, "s", "AA")], SCHEMA)
+        assert with_numbers[:2] == out
+
     def test_all_outliers_edge_case(self):
         # Two extreme populations; nothing crashes and rows survive.
         rows = rows_from_values([0.0] * 50 + [1000.0])

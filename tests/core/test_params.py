@@ -116,6 +116,40 @@ class TestFromDict:
         with pytest.raises(ParameterizationError):
             config_from_dict(document, wiper_database)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("swab_buffer", 0),
+            ("swab_buffer", 1),
+            ("swab_buffer", "40"),
+            ("swab_buffer", 40.0),
+            ("swab_buffer", True),
+            ("swab_error_fraction", -1),
+            ("swab_error_fraction", float("nan")),
+            ("swab_error_fraction", "0.05"),
+            ("trend_fraction", -0.02),
+            ("trend_fraction", float("inf")),
+            ("rate_threshold", -1.0),
+            ("rate_threshold", None),
+            ("outlier_threshold", 0),
+            ("outlier_threshold", -3.5),
+            ("smoothing_window", "5"),
+            ("sax_alphabet", "3"),
+        ],
+    )
+    def test_bad_branch_value_rejected_naming_the_key(
+        self, key, value, wiper_database
+    ):
+        document = {"signals": ["wpos"], "branch": {key: value}}
+        with pytest.raises(ParameterizationError, match=key):
+            config_from_dict(document, wiper_database)
+
+    def test_branch_must_be_an_object(self, wiper_database):
+        with pytest.raises(ParameterizationError, match="branch"):
+            config_from_dict(
+                {"signals": ["wpos"], "branch": [40]}, wiper_database
+            )
+
 
 class TestRoundTrip:
     def test_dict_round_trip(self, document, wiper_database):
@@ -124,6 +158,27 @@ class TestRoundTrip:
             config_to_dict(config), wiper_database
         )
         assert config_to_dict(rebuilt) == config_to_dict(config)
+
+    def test_outlier_and_smoothing_knobs_round_trip(
+        self, document, wiper_database
+    ):
+        document["branch"].update(outlier_threshold=2.0, smoothing_window=9)
+        config = config_from_dict(document, wiper_database)
+        emitted = config_to_dict(config)["branch"]
+        assert emitted["outlier_threshold"] == 2.0
+        assert emitted["smoothing_window"] == 9
+        rebuilt = config_from_dict(
+            config_to_dict(config), wiper_database
+        ).branch_config
+        assert rebuilt.outlier_detector.threshold == 2.0
+        assert rebuilt.smoother.window == 9
+
+    def test_default_knobs_keep_older_documents_byte_stable(
+        self, document, wiper_database
+    ):
+        emitted = config_to_dict(config_from_dict(document, wiper_database))
+        assert "outlier_threshold" not in emitted["branch"]
+        assert "smoothing_window" not in emitted["branch"]
 
     def test_file_round_trip(self, document, wiper_database, tmp_path):
         config = config_from_dict(document, wiper_database)

@@ -140,6 +140,27 @@ class TestPipeline:
         assert "syn_num_000" in out
         assert "syn_num_001" not in out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("swab_buffer", 0), ("swab_buffer", "40"),
+         ("swab_error_fraction", -1)],
+    )
+    def test_bad_branch_params_are_one_error_line(
+        self, trace_file, tmp_path, capsys, key, value
+    ):
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps(
+            {"signals": ["syn_num_000"], "branch": {key: value}}
+        ))
+        code, _out = run_cli(
+            "pipeline", "--dataset", "SYN", "--trace", str(trace_file),
+            "--params", str(params_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: params:") and key in err
+
 
 class TestProfile:
     def test_profiles_all_signals(self, trace_file):
