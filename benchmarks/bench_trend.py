@@ -2,7 +2,7 @@
 
 Each slow-marked benchmark writes a ``BENCH_<n>.json`` artifact at the
 repo root recording what it measured *and* the gate it asserted
-(speedup floors, byte-identity flags, accuracy floors). Those artifacts
+(byte-identity flags, accuracy floors). Those artifacts
 are committed, so a perf or correctness regression that slips past a
 stale artifact -- a rerun that silently produced worse numbers, a
 hand-edited gate, a benchmark dropped from CI -- would otherwise go
@@ -65,22 +65,6 @@ def _dig(payload, dotted):
     return value
 
 
-def _check_columnar_throughput(path, payload):
-    return [
-        _floor(path, "pipelines.extract_signals.columnar_speedup",
-               _dig(payload, "pipelines.extract_signals.columnar_speedup"),
-               payload.get("speedup_gate")),
-    ]
-
-
-def _check_columnar_wide(path, payload):
-    return [
-        _floor(path, "pipelines.interpret_split.speedup",
-               _dig(payload, "pipelines.interpret_split.speedup"),
-               payload.get("speedup_gate")),
-    ]
-
-
 def _check_degradation(path, payload):
     # Severity 0.0 is the lossless control: the degraded pipeline must
     # reproduce the clean run byte for byte.
@@ -114,8 +98,6 @@ def _check_discovery_accuracy(path, payload):
 
 #: benchmark name (the artifact's ``benchmark`` field) -> rule.
 RULES = {
-    "columnar_throughput": _check_columnar_throughput,
-    "columnar_wide_stages": _check_columnar_wide,
     "degradation": _check_degradation,
     "stream_throughput": _check_stream_throughput,
     "discovery_accuracy": _check_discovery_accuracy,

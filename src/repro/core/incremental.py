@@ -9,8 +9,9 @@ consecutive time windows of a trace. The type-dependent processing
 sequences, because classification criteria (Eq. 2) are sequence-level
 statistics.
 
-The runner is a driver, not an implementation: ordering, Eq. 1,
-extensions, classification, branches and the merge are the functions of
+The runner is a driver, not an implementation: lines 7-29 -- the split
+into ordered, duplicate-free sequences, Eq. 1, extensions,
+classification, branches and the merge -- are the functions of
 :mod:`repro.core.sequence` that :meth:`PreprocessingPipeline.run
 <repro.core.pipeline.PreprocessingPipeline.run>` calls too. What this
 module adds is the state between windows -- the reduced rows so far and
@@ -27,9 +28,9 @@ from repro.core.sequence import (
     derive_extensions,
     marker_functions,
     merge_sequences,
-    order_sequence,
     process_sequence,
     reduce_sequence,
+    split_sequences,
 )
 
 
@@ -83,8 +84,8 @@ class IncrementalRunner:
         not precede the previous window's maximum). Timestamps *inside*
         a window may be unordered (clock-skewed recorders step
         backwards): every (signal, channel) chunk is put into the
-        canonical sequence order before reduction, by the function the
-        whole-trace pipeline orders its sequences with.
+        canonical sequence order before reduction, by the stage the
+        whole-trace pipeline splits its sequences with.
         """
         if self._finalized:
             raise IncrementalError("runner already finalized")
@@ -97,13 +98,6 @@ class IncrementalRunner:
         )
         self.short_payload_kept += policy_counts.get("short_payload_kept", 0)
         rows = k_s.collect()
-        if config.drop_exact_duplicates:
-            # Exact duplicates share their timestamp, so window
-            # assignment puts every copy of a row into the same window:
-            # per-window dedup equals the whole-trace distinct().
-            unique = list(dict.fromkeys(rows))
-            self.exact_duplicates_dropped += len(rows) - len(unique)
-            rows = unique
         if rows:
             window_start = min(row[0] for row in rows)
             if (
@@ -116,20 +110,24 @@ class IncrementalRunner:
                     )
                 )
             self._last_window_end = max(row[0] for row in rows)
-        by_key = {}
-        for row in rows:
-            by_key.setdefault((row[2], row[3]), []).append(row)
-        for key, chunk in sorted(by_key.items()):
+        # Exact duplicates share their timestamp, so window assignment
+        # puts every copy of a row into the same window: dropping them
+        # per window equals dropping them over the whole trace.
+        sequences, dropped = split_sequences(
+            rows,
+            by_channel=True,
+            drop_exact_duplicates=config.drop_exact_duplicates,
+        )
+        self.exact_duplicates_dropped += dropped
+        for key, chunk in sequences.items():
             state = self._states.setdefault(key, _SignalState())
             functions = marker_functions(
                 config.constraints.for_signal(key[0])
             )
             state.reduced_rows.extend(
-                reduce_sequence(
-                    order_sequence(chunk), functions, state.carries
-                )
+                reduce_sequence(chunk, functions, state.carries)
             )
-        return len(rows)
+        return len(rows) - dropped
 
     def finalize(self, context):
         """Run extensions, classification, branches and the merge."""

@@ -31,23 +31,19 @@ from repro.obs import RunReport
 from repro.core.branches import BranchConfig
 from repro.core.extension import ExtensionSet
 from repro.core.interpretation import interpret, interpret_under_policy
-from repro.core.model import W_COLUMNS
+from repro.core.model import K_S_COLUMNS, W_COLUMNS
 from repro.core.preselection import preselect
 from repro.core.reduction import ConstraintSet
 from repro.core.representation import build_state_representation
 from repro.core.rules import RuleCatalog
 from repro.core.sequence import (
     derive_extensions,
+    equality_groups,
     marker_functions,
     merge_sequences,
-    order_sequence,
     process_sequence,
     reduce_sequence,
-)
-from repro.core.splitting import (
-    SplitResult,
-    equality_split,
-    split_signal_types,
+    split_sequences,
 )
 
 
@@ -195,11 +191,11 @@ class PreprocessingPipeline:
     def run(self, k_b, report=None):
         """Execute Algorithm 1 on a raw trace table ``K_b``.
 
-        Lines 2-9 run on the engine; each representative group's rows
-        are then pulled once and handed, with an empty carry, to the
-        sequence stages of :mod:`repro.core.sequence` -- the same
-        functions a windowed run feeds chunk by chunk. Every engine
-        action happens inside the span of the stage that causes it.
+        Lines 2-6 run on the engine; ``K_s`` is then collected once and
+        lines 7-29 are the sequence stages of :mod:`repro.core.sequence`
+        -- the same functions a windowed run feeds chunk by chunk, here
+        with an empty carry. Every engine action happens inside the
+        span of the stage that causes it.
 
         *report*, when given, is the :class:`~repro.obs.RunReport` to
         record into (callers batching many traces aggregate this way);
@@ -229,52 +225,51 @@ class PreprocessingPipeline:
                 "pipeline.preselect.selectivity", counts["k_pre"] / k_b_rows
             )
 
-        with recorder.span("interpret") as span:
+        with recorder.span("interpret") as interpret_span:
             k_s, policy_counts = interpret_under_policy(k_pre, config)
             for name, value in policy_counts.items():
                 registry.counter("pipeline.interpret." + name).inc(value)
-            counts["k_s"] = k_s.count()
-            if config.drop_exact_duplicates:
-                # distinct() repartitions (changing row order), so only swap
-                # in the deduped table when duplicates actually exist.
-                distinct_k_s = k_s.distinct().cache()
-                distinct_rows = distinct_k_s.count()
-                duplicates = counts["k_s"] - distinct_rows
-                if duplicates:
-                    k_s = distinct_k_s
-                    counts["k_s"] = distinct_rows
-                registry.counter(
-                    "pipeline.interpret.exact_duplicates_dropped"
-                ).inc(duplicates)
-            span.set(rows_in=counts["k_pre"], rows_out=counts["k_s"])
 
         with recorder.span("split") as split_span:
-            splits_before = context.executor.metrics.splits
-            per_signal = split_signal_types(
-                k_s, sorted(set(config.catalog.signal_ids()))
+            rows = k_s.collect()
+            sequences, duplicates = split_sequences(
+                rows,
+                by_channel=config.dedup_channels,
+                drop_exact_duplicates=config.drop_exact_duplicates,
             )
-            splits = {
-                s_id: equality_split(table, s_id)
-                if config.dedup_channels
-                else SplitResult(s_id, table, groups=[])
-                for s_id, table in per_signal.items()
-            }
-            # Per-signal splitting is a single routed pass: this gauge
-            # counts shuffle stages spent splitting (1 for the s_id
-            # split + 1 per deduped signal's b_id split), not one per
-            # signal type as the old filter fan-out cost.
-            registry.set_gauge(
-                "pipeline.split.shuffle_stages",
-                context.executor.metrics.splits - splits_before,
-            )
+            counts["k_s"] = len(rows) - duplicates
+            if duplicates:
+                k_s = context.table_from_rows(
+                    list(K_S_COLUMNS),
+                    [row for seq in sequences.values() for row in seq],
+                )
+            by_signal = {}
+            for (s_id, b_id), seq in sequences.items():
+                by_signal.setdefault(s_id, {})[b_id] = seq
+            work = {}  # s_id -> (ChannelGroups, sequences to process)
+            for s_id in sorted(set(config.catalog.signal_ids())):
+                channels = by_signal.get(s_id, {})
+                if config.dedup_channels:
+                    groups = equality_groups(s_id, channels)
+                    todo = [channels[g.representative] for g in groups]
+                else:
+                    groups = []
+                    todo = list(channels.values())
+                # A signal type without instances still gets its
+                # (empty) sequence classified.
+                work[s_id] = (groups, todo or [[]])
+        if config.drop_exact_duplicates:
+            registry.counter(
+                "pipeline.interpret.exact_duplicates_dropped"
+            ).inc(duplicates)
+        interpret_span.set(rows_in=counts["k_pre"], rows_out=counts["k_s"])
 
         outcomes = {}
         result_rows = []
         w_rows = []
         total_before = 0
         total_after = 0
-        for s_id in sorted(splits):
-            split = splits[s_id]
+        for s_id, (groups, todo) in work.items():
             functions = marker_functions(config.constraints.for_signal(s_id))
             ext_rules = config.extensions.for_signal(s_id)
             classifications = []
@@ -282,11 +277,10 @@ class PreprocessingPipeline:
             signal_w = []
             before = 0
             after = 0
-            for _group, table in split.tables():
+            for sequence in todo:
                 with recorder.span("reduce") as reduce_span:
-                    rows = order_sequence(table.collect())
-                    k_red = reduce_sequence(rows, functions, {})
-                before += len(rows)
+                    k_red = reduce_sequence(sequence, functions, {})
+                before += len(sequence)
                 after += len(k_red)
                 with recorder.span("extend") as extend_span:
                     signal_w.extend(derive_extensions(k_red, ext_rules))
@@ -302,9 +296,9 @@ class PreprocessingPipeline:
             w_rows.extend(signal_w)
             outcomes[s_id] = SignalOutcome(
                 signal_id=s_id,
-                # split.tables() leads with the head representative.
+                # The head representative's sequence leads.
                 classification=classifications[0],
-                groups=split.groups,
+                groups=groups,
                 rows_before_reduction=before,
                 rows_after_reduction=after,
                 result_rows=signal_rows,
@@ -318,7 +312,7 @@ class PreprocessingPipeline:
                 "pipeline.split.dedup_ratio", total_before / counts["k_s"]
             )
         # A catalog is never empty and every signal type has at least its
-        # head table, so the loop above ran and bound the three spans.
+        # head sequence, so the loop above ran and bound the three spans.
         reduce_span.set(rows_in=total_before, rows_out=total_after)
         if total_before:
             registry.set_gauge(

@@ -1,32 +1,40 @@
-"""Algorithm 1 lines 10-29 for one signal sequence -- the only copy.
+"""Algorithm 1 lines 7-29 on driver-side sequences -- the only copy.
 
-Every entry point that runs the back half of Algorithm 1 composes the
-functions of this module: :meth:`PreprocessingPipeline.run
-<repro.core.pipeline.PreprocessingPipeline.run>` feeds each split
-group's rows with an empty carry, :class:`IncrementalRunner
-<repro.core.incremental.IncrementalRunner>` feeds each window's chunk
-with the carry of the chunks before it, and the public engine wrappers
+Every entry point that runs Algorithm 1 past interpretation composes
+the functions of this module: :meth:`PreprocessingPipeline.run
+<repro.core.pipeline.PreprocessingPipeline.run>` splits the collected
+``K_s`` and feeds each representative sequence with an empty carry,
+:class:`IncrementalRunner <repro.core.incremental.IncrementalRunner>`
+splits each window's ``K_s`` and feeds each chunk with the carry of the
+chunks before it, and the public engine wrappers
+:func:`~repro.core.splitting.equality_split`,
 :func:`~repro.core.reduction.reduce_signal` and
-:func:`~repro.core.extension.apply_extensions` run them as one task per
-sequence. Whole-trace and windowed results are therefore equal because
-they are computed by the same statements, not because a property test
-holds two copies together.
+:func:`~repro.core.extension.apply_extensions` run them on one signal
+type's table. Whole-trace and windowed results are therefore equal
+because they are computed by the same statements, not because a
+property test holds two copies together.
 
 A *sequence* is a list of ``K_s``-layout rows ``(t, v, s_id, b_id)`` of
 one signal type (normally of one channel). The stages, in order:
 
-1. :func:`order_sequence` -- the canonical order ``(t, value_order_key(v))``;
-2. :func:`reduce_sequence` -- Eq. 1 with an explicit per-marker carry
+1. :func:`split_sequences` -- ``K_s`` rows to per-signal (per-channel)
+   sequences in the canonical order of :func:`order_sequence`,
+   ``(t, value_order_key(v))``, without exact duplicates (lines 7-8);
+2. :func:`equality_groups` -- the gateway equality check ``e`` over one
+   signal type's channels (line 9);
+3. :func:`reduce_sequence` -- Eq. 1 with an explicit per-marker carry
    (lines 10-11);
-3. :func:`derive_extensions` -- the W rows of the reduced sequence
+4. :func:`derive_extensions` -- the W rows of the reduced sequence
    (line 12);
-4. :func:`process_sequence` -- ``classify`` then ``process_branch``
+5. :func:`process_sequence` -- ``classify`` then ``process_branch``
    (lines 13-28);
-5. :func:`merge_sequences` -- ``merge_results`` over all sequences'
+6. :func:`merge_sequences` -- ``merge_results`` over all sequences'
    output rows (line 29).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.core.branches import R_COLUMNS, process_branch
 from repro.core.classification import classify
@@ -59,6 +67,85 @@ def order_sequence(rows):
     ties deterministically.
     """
     return sorted(rows, key=lambda r: (r[0], value_order_key(r[1])))
+
+
+def split_sequences(rows, by_channel, drop_exact_duplicates):
+    """Lines 7-8: ``K_s`` rows to canonically ordered sequences.
+
+    Returns ``(sequences, dropped)``. *sequences* maps ``(s_id, b_id)``
+    to that channel's rows -- or, when *by_channel* is false, ``(s_id,
+    None)`` to the rows of every channel carrying the signal type -- in
+    :func:`order_sequence` order, keys sorted. With
+    *drop_exact_duplicates*, rows equal to an earlier row (a gateway
+    replaying a frame without jitter) are dropped and counted in
+    *dropped*. Equal rows share their signal type and channel, so each
+    group is searched on its own; they also share their timestamp, so
+    a windowed run that cuts ``K_s`` by time drops the same rows.
+    """
+    groups = {}
+    for row in rows:
+        key = (row[2], row[3] if by_channel else None)
+        groups.setdefault(key, []).append(row)
+    dropped = 0
+    sequences = {}
+    for key in sorted(groups):
+        group = groups[key]
+        if drop_exact_duplicates:
+            # A dict keeps the first of equal keys, in insertion order.
+            unique = list({row: None for row in group})
+            dropped += len(group) - len(unique)
+            group = unique
+        sequences[key] = order_sequence(group)
+    return sequences, dropped
+
+
+@dataclass(frozen=True)
+class ChannelGroup:
+    """One equivalence group found by ``e`` for a signal type."""
+
+    signal_id: str
+    representative: str  # b_id processed
+    corresponding: tuple  # b_ids whose results are shared
+
+    def all_channels(self):
+        return (self.representative,) + self.corresponding
+
+
+def equality_groups(signal_id, sequences):
+    """Line 9: the equality check ``e`` over one signal type's channels.
+
+    *sequences* maps each ``b_id`` to its sequence as
+    :func:`split_sequences` returns it. Channels whose value sequences
+    are equal form one :class:`ChannelGroup`; its representative is the
+    channel with the most instances (ties by name), so the groups come
+    out longest representative first. Because the sequences are in
+    canonical order, two channels recording the same values are found
+    corresponding however each recorder ordered a tied timestamp.
+    """
+    values = {
+        b_id: [row[1] for row in rows] for b_id, rows in sequences.items()
+    }
+    channels = sorted(values, key=lambda b: (-len(values[b]), str(b)))
+    groups = []
+    assigned = set()
+    for channel in channels:
+        if channel in assigned:
+            continue
+        corresponding = [
+            other
+            for other in channels
+            if other != channel
+            and other not in assigned
+            and values[other] == values[channel]
+        ]
+        assigned.add(channel)
+        assigned.update(corresponding)
+        groups.append(
+            ChannelGroup(
+                signal_id, channel, tuple(sorted(map(str, corresponding)))
+            )
+        )
+    return groups
 
 
 def marker_functions(constraints):

@@ -11,23 +11,21 @@ channel with the most instances becomes the representative ``K_sep``;
 channels with an identical value sequence are recorded as corresponding
 ``K_scor`` (processed for free); channels whose sequence differs (frame
 loss, different sampling) become their own representatives.
+
+The split and ``e`` that Algorithm 1 runs are stages of
+:mod:`repro.core.sequence`, which holds lines 7-29 once for whole-trace
+and windowed runs. This module is their engine-table surface:
+:func:`split_signal_types` hands out per-signal tables (storage,
+profiling) and :func:`equality_split` applies the shared predicate to
+one signal type's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class ChannelGroup:
-    """One equivalence group found by ``e`` for a signal type."""
-
-    signal_id: str
-    representative: str  # b_id processed
-    corresponding: tuple  # b_ids whose results are shared
-
-    def all_channels(self):
-        return (self.representative,) + self.corresponding
+from repro.core.model import K_S_COLUMNS
+from repro.core.sequence import equality_groups, split_sequences
 
 
 @dataclass
@@ -70,49 +68,35 @@ def split_signal_types(k_s, signal_ids=None):
 def equality_split(k_s_sid, signal_id):
     """Line 9: the equality check ``e`` for one signal type's table.
 
-    Compares per-channel value sequences (time-ordered). Returns a
-    :class:`SplitResult` whose ``k_sep`` covers the representative
-    channel only.
+    An engine wrapper over :func:`~repro.core.sequence.split_sequences`
+    and :func:`~repro.core.sequence.equality_groups`, the stages every
+    pipeline run uses: the table is collected, split per channel and
+    compared. Returns a :class:`SplitResult` whose ``k_sep`` covers the
+    representative channel only, in canonical sequence order. The table
+    is taken as given -- exact duplicates are the caller's to drop.
     """
-    ordered = k_s_sid.sort(["b_id", "t"]).cache()
-    # One routed pass yields every channel's table; each inherits the
-    # (b_id, t) sort, so its value column is already time-ordered.
-    per_channel = ordered.split_by_key("b_id")
-    # Only the value column matters for ``e``: projecting to it keeps
-    # the comparison a narrow single-column read of each split group
-    # (which arrives as a columnar partition under the columnar
-    # exchange) instead of materializing every full row.
-    sequences = {
-        b_id: table.column_values("v")
-        for b_id, table in per_channel.items()
-    }
-    if not sequences:
-        return SplitResult(signal_id, k_s_sid, groups=[])
-    # Deterministic representative choice: longest sequence, ties by name.
-    channels = sorted(sequences, key=lambda b: (-len(sequences[b]), str(b)))
-    groups = []
-    assigned = set()
-    for channel in channels:
-        if channel in assigned:
-            continue
-        corresponding = [
-            other
-            for other in channels
-            if other != channel
-            and other not in assigned
-            and sequences[other] == sequences[channel]
-        ]
-        assigned.add(channel)
-        assigned.update(corresponding)
-        groups.append(
-            ChannelGroup(signal_id, channel, tuple(sorted(map(str, corresponding))))
+    sequences, _dropped = split_sequences(
+        k_s_sid.select(*K_S_COLUMNS).collect(),
+        by_channel=True,
+        drop_exact_duplicates=False,
+    )
+    channels = {b_id: rows for (_s_id, b_id), rows in sequences.items()}
+    groups = equality_groups(signal_id, channels)
+    if not groups:
+        return SplitResult(signal_id, k_s_sid)
+    context = k_s_sid.context
+    tables = [
+        (
+            group,
+            context.table_from_rows(
+                list(K_S_COLUMNS), channels[group.representative]
+            ),
         )
-    head = groups[0]
-    k_sep = per_channel[head.representative]
-    extra = [
-        (group, per_channel[group.representative]) for group in groups[1:]
+        for group in groups
     ]
-    return SplitResult(signal_id, k_sep, groups=groups, extra=extra)
+    return SplitResult(
+        signal_id, tables[0][1], groups=groups, extra=tables[1:]
+    )
 
 
 def dedup_savings(result):

@@ -18,20 +18,19 @@ is an identity: ``True`` never comes back as ``1``, ``1`` never as
 ``1.0``, big ints that overflow 64 bits stay objects. The property
 tests in ``tests/engine/test_columnar.py`` pin this.
 
-Columnar partitions are the engine's inter-stage currency: they appear
-inside :class:`~repro.engine.plan.Source` nodes (built by
-:meth:`EngineContext.table_from_columnar` or the columnar tracefile
-reader), inside the generated columnar batch kernels of
-:mod:`repro.engine.codegen`, and -- since the wide-stage lowering --
-crossing shuffle and broadcast-join boundaries between stages, where
-:meth:`ColumnarPartition.gather` reassembles buckets and join outputs
+Columnar partitions appear inside :class:`~repro.engine.plan.Source`
+nodes (built by :meth:`EngineContext.table_from_columnar` or the
+columnar tracefile reader), inside the generated columnar batch kernels
+of :mod:`repro.engine.codegen`, and crossing the broadcast-join
+boundary, where :meth:`ColumnarPartition.gather` assembles join outputs
 by index without materializing intermediate row tuples. Rows are
-materialized only at storage/collect edges (and per task wherever a
-chain or stage cannot run columnar), via :func:`as_row_partition`.
+materialized at storage/collect edges, in front of every other wide
+stage (split, repartition, group-by, sort) and per task wherever a
+chain cannot run columnar, via :func:`as_row_partition`.
 
 Instances are treated as read-only once built; kernels always allocate
 fresh column lists instead of mutating buffers, so a partition can be
-shared between a plan node, the split cache and several tasks.
+shared between a plan node and several tasks.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "ColumnarPartition",
     "as_row_partition",
     "columns_to_rows",
-    "concat_partitions",
     "gather_column",
 ]
 
@@ -156,67 +154,6 @@ def gather_column(column, indices):
         # bytes() flattens memoryview chunks from mmap-backed blobs.
         return BytesColumn(out_offsets, bytes(b"".join(chunks)))
     return [column[i] for i in indices]
-
-
-def _concat_column(columns):
-    """Concatenate per-partition buffers of one column, preserving kind.
-
-    All-``array`` runs of one typecode stay a single array (memoryviews
-    count as arrays of their format); all-:class:`BytesColumn` runs
-    splice blobs and rebase offsets. Mixed kinds fall back to one object
-    list, which keeps exact cell types because iterating any column kind
-    yields the original cell values.
-    """
-    kinds = set()
-    for column in columns:
-        if isinstance(column, array):
-            kinds.add(("array", column.typecode))
-        elif isinstance(column, memoryview):
-            kinds.add(("array", column.format))
-        elif isinstance(column, BytesColumn):
-            kinds.add(("bytes", ""))
-        else:
-            kinds.add(("object", ""))
-    if len(kinds) == 1:
-        kind, code = next(iter(kinds))
-        if kind == "array":
-            out = array(code)
-            for column in columns:
-                out.extend(column)
-            return out
-        if kind == "bytes":
-            offsets = array("Q", [0])
-            chunks = []
-            total = 0
-            for column in columns:
-                base = column.offsets[0]
-                for end in column.offsets[1:]:
-                    offsets.append(total + end - base)
-                chunks.append(column.blob[base : column.offsets[-1]])
-                total += column.offsets[-1] - base
-            return BytesColumn(offsets, bytes(b"".join(chunks)))
-    out = []
-    for column in columns:
-        out.extend(column)
-    return out
-
-
-def concat_partitions(partitions, width):
-    """Concatenate columnar partitions into one, column by column.
-
-    *width* disambiguates the zero-partition case. Row order is
-    partition order then intra-partition order -- the same order a
-    row-level ``[r for p in partitions for r in p]`` flatten yields.
-    """
-    partitions = list(partitions)
-    if not partitions:
-        return ColumnarPartition([[] for _unused in range(width)], 0)
-    length = sum(len(p) for p in partitions)
-    columns = [
-        _concat_column([p.column(i) for p in partitions])
-        for i in range(width)
-    ]
-    return ColumnarPartition(columns, length)
 
 
 def columns_to_rows(columns, length):

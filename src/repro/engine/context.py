@@ -105,22 +105,10 @@ class EngineContext:
         )
 
     def table_from_partitions(self, columns, partitions, dtypes=None):
-        """Create a table preserving an existing partitioning.
-
-        Row partitions are snapshotted into tuples;
-        :class:`ColumnarPartition` entries are held as-is (read-only by
-        contract), so layouts produced by the columnar wide stages --
-        split groups, shuffle buckets -- flow back into a Source
-        without a row detour.
-        """
+        """Create a table preserving an existing partitioning."""
         schema = Schema.of(*columns, dtypes=dtypes)
         node = logical.Source(
-            schema,
-            tuple(
-                p if isinstance(p, ColumnarPartition)
-                else tuple(tuple(r) for r in p)
-                for p in partitions
-            ),
+            schema, tuple(tuple(tuple(r) for r in p) for p in partitions)
         )
         return Table(self, node)
 

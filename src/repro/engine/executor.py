@@ -30,7 +30,6 @@ from repro.engine.columnar import (
     BytesColumn,
     ColumnarPartition,
     as_row_partition,
-    concat_partitions,
 )
 from repro.engine.errors import (
     ExecutionError,
@@ -44,7 +43,6 @@ from repro.engine.operations import (
     BucketJoinTask,
     CarryMapTask,
     ColumnarBroadcastJoinTask,
-    ColumnarSplitRouteTask,
     _key_tuples,
     FilterStep,
     FlatMapStep,
@@ -54,8 +52,6 @@ from repro.engine.operations import (
     SortPartitionTask,
     SplitRouteTask,
     hash_partition,
-    hash_partition_columnar,
-    split_columnar_evenly,
     split_evenly,
 )
 from repro.obs import MetricsRegistry, RuleFireCounter, stopwatch
@@ -86,7 +82,6 @@ _EXECUTOR_COUNTERS = (
     "columnar_tasks",
     "columnar_fallbacks",
     "columnar_join_tasks",
-    "columnar_shuffle_tasks",
     "columnar_exchange_bytes",
 )
 
@@ -184,7 +179,7 @@ class FaultPolicy:
             # Silent row loss must corrupt either layout: list outputs
             # drop their last element, columnar outputs their last row
             # -- so the differential oracle's poison-mutant detection
-            # holds on the columnar wide path too.
+            # holds on the columnar join and kernel outputs too.
             if isinstance(out, list) and out:
                 out = out[:-1]
             elif isinstance(out, ColumnarPartition) and len(out):
@@ -246,15 +241,16 @@ class Executor:
     columnar:
         Selects the execution path. True (production, the default):
         narrow chains run as generated columnar kernels
-        (:mod:`repro.engine.codegen`) and partitions cross wide-stage
-        boundaries -- broadcast join, split routing, repartition,
-        including the process-pool pickle boundary -- as
-        :class:`~repro.engine.columnar.ColumnarPartition` buffers.
-        False (the differential oracle's reference): the interpreted
+        (:mod:`repro.engine.codegen`) and partitions cross the
+        broadcast-join boundary -- including the process-pool pickle
+        boundary -- as :class:`~repro.engine.columnar.ColumnarPartition`
+        buffers; every other wide stage (split, repartition, group-by,
+        sort, shuffle join) runs on rows. False (the differential
+        oracle's reference): the interpreted
         :class:`~repro.engine.operations.PartitionTask` and a pure row
-        exchange. On the production path a wide stage whose inputs are
-        mixed-layout or whose key columns are not scalar-typed falls
-        back to the row task per stage, counted as
+        exchange. On the production path a broadcast join whose inputs
+        are mixed-layout or whose key columns are not scalar-typed (or
+        hold NaN) falls back to the row task, counted as
         ``executor.columnar_fallbacks``.
     """
 
@@ -375,6 +371,15 @@ class Executor:
         partitions = self._execute_partitions(node, to_rows=True)
         return [as_row_partition(p) for p in partitions]
 
+    def count(self, node):
+        """Number of rows *node* yields, without landing them as rows.
+
+        Partition lengths of the layout-preserving execution: a
+        columnar partition is never transposed, so lazily decoded
+        columns (``m_info`` of a ``.ctrc``) stay undecoded.
+        """
+        return sum(len(p) for p in self._execute_partitions(node))
+
     def _execute_partitions(self, node, to_rows=False):
         """Execute *node*, preserving partition layout.
 
@@ -491,20 +496,15 @@ class Executor:
             parts = groups.get(node.group)
             if parts is None:
                 return [[] for _unused in range(num_partitions)]
-            # Columnar group partitions are read-only by contract and
-            # safe to share with the split cache; row lists are copied
-            # so tasks can never alias cached state.
-            return [
-                p if isinstance(p, ColumnarPartition) else list(p)
-                for p in parts
-            ]
+            # Copied so tasks can never alias the split cache's lists.
+            return [list(p) for p in parts]
         raise PlanError("unknown plan node {!r}".format(type(node).__name__))
 
-    # -- columnar wide-stage gating --------------------------------------
-    def _columnar_stage_ok(self, parts, key_indices, reject_nan=False):
-        """True when a wide stage can run columnar over *parts*.
+    # -- columnar join gating --------------------------------------------
+    def _columnar_join_ok(self, parts, key_indices):
+        """True when a broadcast join can run columnar over *parts*.
 
-        Never on the reference path. On the production path a stage
+        Never on the reference path. On the production path a join
         that must run on rows -- see :func:`_row_stage_reason` -- is
         counted as a fallback under that reason if it had columnar
         inputs; one whose inputs are all row lists is a plain row
@@ -512,35 +512,34 @@ class Executor:
         """
         if not self.columnar or not parts:
             return False
-        reason = _row_stage_reason(parts, key_indices, reject_nan)
+        reason = _row_stage_reason(parts, key_indices)
         if reason is not None:
             self._count_columnar_fallback(parts, reason)
         return reason is None
 
     def _count_columnar_fallback(self, parts, reason):
-        """Count a wide stage that had columnar inputs but ran rows."""
+        """Count a join that had columnar inputs but ran on rows."""
         if self.columnar and any(
             isinstance(p, ColumnarPartition) for p in parts
         ):
             self.obs.inc("executor.columnar_fallbacks")
             self.obs.inc("executor.columnar_fallbacks." + reason)
 
-    def _count_columnar_exchange(self, parts, counter, tasks):
-        """Account a columnar wide stage: task count plus buffer bytes.
+    def _count_columnar_join(self, parts):
+        """Account a columnar broadcast join: tasks plus buffer bytes.
 
         ``executor.columnar_exchange_bytes`` accumulates the
         :meth:`~repro.engine.columnar.ColumnarPartition.nbytes` of
-        every partition entering a wide stage in columnar form -- the
+        every partition entering the join in columnar form -- the
         bytes that crossed a stage boundary (and, under the
         multiprocessing executor, the process-pool pickle boundary)
         without a row detour.
         """
-        self.obs.inc("executor." + counter, tasks)
-        nbytes = sum(
-            p.nbytes() for p in parts if isinstance(p, ColumnarPartition)
+        self.obs.inc("executor.columnar_join_tasks", len(parts))
+        self.obs.inc(
+            "executor.columnar_exchange_bytes",
+            sum(p.nbytes() for p in parts),
         )
-        if nbytes:
-            self.obs.inc("executor.columnar_exchange_bytes", nbytes)
 
     def _execute_join(self, node):
         left_parts = self._execute_partitions(node.left)
@@ -554,11 +553,8 @@ class Executor:
         if right_count <= BROADCAST_THRESHOLD:
             self.obs.inc("executor.broadcast_joins")
             index = _broadcast_index(right_parts, right_keys)
-            if self._columnar_stage_ok(left_parts, left_keys,
-                                       reject_nan=True):
-                self._count_columnar_exchange(
-                    left_parts, "columnar_join_tasks", len(left_parts)
-                )
+            if self._columnar_join_ok(left_parts, left_keys):
+                self._count_columnar_join(left_parts)
                 task = ColumnarBroadcastJoinTask(
                     left_keys, index, node.how, right_width
                 )
@@ -620,39 +616,12 @@ class Executor:
         return split_evenly(ordered, self.default_parallelism)
 
     def _execute_repartition(self, node):
-        child_parts = self._execute_partitions(node.child)
-        key_indices = ()
+        rows = [r for p in self.execute(node.child) for r in p]
+        self.obs.inc("executor.shuffles")
+        self.obs.inc("executor.rows_shuffled", len(rows))
         if node.keys:
             schema = node.child.schema
             key_indices = tuple(schema.index_of(k) for k in node.keys)
-        self.obs.inc("executor.shuffles")
-        total = sum(len(p) for p in child_parts)
-        self.obs.inc("executor.rows_shuffled", total)
-        if self._columnar_stage_ok(child_parts, key_indices):
-            width = len(node.child.schema)
-            self._count_columnar_exchange(
-                child_parts, "columnar_shuffle_tasks", len(child_parts)
-            )
-            if node.keys:
-                # Per-partition bucketing then per-bucket concatenation
-                # in partition order reproduces the row path's
-                # flatten-then-bucket order exactly.
-                routed = [
-                    hash_partition_columnar(p, key_indices,
-                                            node.num_partitions)
-                    for p in child_parts
-                ]
-                return [
-                    concat_partitions(
-                        [buckets[i] for buckets in routed], width
-                    )
-                    for i in range(node.num_partitions)
-                ]
-            return split_columnar_evenly(
-                concat_partitions(child_parts, width), node.num_partitions
-            )
-        rows = [r for p in child_parts for r in as_row_partition(p)]
-        if node.keys:
             return hash_partition(rows, key_indices, node.num_partitions)
         return split_evenly(rows, node.num_partitions)
 
@@ -717,47 +686,21 @@ class Executor:
             if cached is not None:
                 self.obs.inc("executor.split_cache_hits")
                 return cached
-        child_parts = self._execute_partitions(child)
+        child_parts = self.execute(child)
         key_index = child.schema.index_of(key)
         num_partitions = len(child_parts)
         groups = {}
         total_rows = 0
-        if self._columnar_stage_ok(child_parts, (key_index,)):
-            self._count_columnar_exchange(
-                child_parts, "columnar_shuffle_tasks", len(child_parts)
-            )
-            routed = self._run(
-                ColumnarSplitRouteTask(key_index), child_parts, "split"
-            )
-            # Group partitions stay columnar; slots for partitions that
-            # hold no rows of a group share one empty partition (all
-            # read-only by contract).
-            empty = ColumnarPartition(
-                [[] for _unused in range(len(child.schema))], 0
-            )
-            for part_index, pairs in enumerate(routed):
-                for group, sub in pairs:
-                    total_rows += len(sub)
-                    parts = groups.get(group)
-                    if parts is None:
-                        parts = groups[group] = [
-                            empty for _unused in range(num_partitions)
-                        ]
-                    parts[part_index] = sub
-        else:
-            child_parts = [as_row_partition(p) for p in child_parts]
-            routed = self._run(
-                SplitRouteTask(key_index), child_parts, "split"
-            )
-            for part_index, pairs in enumerate(routed):
-                total_rows += len(pairs)
-                for group, row in pairs:
-                    parts = groups.get(group)
-                    if parts is None:
-                        parts = groups[group] = [
-                            [] for _unused in range(num_partitions)
-                        ]
-                    parts[part_index].append(row)
+        routed = self._run(SplitRouteTask(key_index), child_parts, "split")
+        for part_index, pairs in enumerate(routed):
+            total_rows += len(pairs)
+            for group, row in pairs:
+                parts = groups.get(group)
+                if parts is None:
+                    parts = groups[group] = [
+                        [] for _unused in range(num_partitions)
+                    ]
+                parts[part_index].append(row)
         self.obs.inc("executor.shuffles")
         self.obs.inc("executor.rows_shuffled", total_rows)
         self.obs.inc("executor.splits")
@@ -806,16 +749,15 @@ _SCALAR_CELL_TYPES = frozenset(
 )
 
 
-def _row_stage_reason(parts, key_indices, reject_nan):
-    """Why a wide stage over *parts* cannot run columnar (None: it can).
+def _row_stage_reason(parts, key_indices):
+    """Why a join over left *parts* cannot run columnar (None: it can).
 
     Every input partition must be columnar (mixed-layout stages fall
     back whole) and every key column scalar-typed, so key tuples built
-    from buffers hash and compare exactly like the row path's.
-    ``reject_nan`` additionally routes float key columns containing NaN
-    to the row path: dict-based join matching on NaN keys is
-    object-identity dependent, and gathering a buffer materializes
-    fresh float objects.
+    from buffers hash and compare exactly like the row path's. Float
+    key columns containing NaN go to the row path too: dict-based join
+    matching on NaN keys is object-identity dependent, and gathering a
+    buffer materializes fresh float objects.
     """
     if not all(isinstance(p, ColumnarPartition) for p in parts):
         return "mixed_layout"
@@ -824,7 +766,7 @@ def _row_stage_reason(parts, key_indices, reject_nan):
             column = part.column(i)
             if not _scalar_key_column(column):
                 return "non_scalar_key"
-            if reject_nan and _column_has_nan(column):
+            if _column_has_nan(column):
                 return "nan_key"
     return None
 

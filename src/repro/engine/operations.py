@@ -289,37 +289,6 @@ class SplitRouteTask:
 
 
 @dataclass(frozen=True)
-class ColumnarSplitRouteTask:
-    """Route one columnar partition's rows into named split groups.
-
-    The columnar sibling of :class:`SplitRouteTask`: one pass over the
-    key column buckets row indices by key value (first-appearance
-    order), then each group is materialized as a gathered
-    :class:`~repro.engine.columnar.ColumnarPartition`. Emits a list of
-    ``(group, partition)`` pairs -- a flat list, like the row task's
-    pair stream, so fault-injection poisoning (dropping the last
-    element) silently loses a whole group and stays visible to the
-    differential oracle. Row inputs delegate to the row task.
-    """
-
-    key_index: int
-
-    def __call__(self, partition):
-        if not isinstance(partition, ColumnarPartition):
-            return SplitRouteTask(self.key_index)(partition)
-        groups = {}
-        for i, value in enumerate(partition.column(self.key_index)):
-            indices = groups.get(value)
-            if indices is None:
-                groups[value] = indices = []
-            indices.append(i)
-        return [
-            (value, partition.gather(indices))
-            for value, indices in groups.items()
-        ]
-
-
-@dataclass(frozen=True)
 class CarryMapTask:
     """Run a windowed partition function with carry rows from predecessor."""
 
@@ -390,40 +359,6 @@ def hash_partition(rows, key_indices, num_buckets):
         key = tuple(row[i] for i in key_indices)
         buckets[stable_hash(key) % num_buckets].append(row)
     return buckets
-
-
-def hash_partition_columnar(partition, key_indices, num_buckets):
-    """Columnar :func:`hash_partition`: bucket by index-gather.
-
-    One pass over the key columns assigns every row index a
-    :func:`stable_hash` bucket; each bucket is then gathered into a
-    fresh :class:`~repro.engine.columnar.ColumnarPartition`. Because
-    the scan order and the hash are exactly the row path's, bucket
-    contents and intra-bucket row order are identical to
-    ``hash_partition(partition.to_rows(), ...)`` -- the Hypothesis
-    property in ``tests/engine/test_columnar_wide.py`` pins this,
-    including the ``1 == 1.0 == True`` and NaN canonicalization cases
-    that :func:`stable_hash` folds into one bucket.
-    """
-    index_buckets = [[] for _unused in range(num_buckets)]
-    for i, key in enumerate(_key_tuples(partition, key_indices)):
-        index_buckets[stable_hash(key) % num_buckets].append(i)
-    return [partition.gather(indices) for indices in index_buckets]
-
-
-def split_columnar_evenly(partition, num_partitions):
-    """Columnar :func:`split_evenly`: contiguous gather slices."""
-    n = len(partition)
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    base, extra = divmod(n, num_partitions)
-    out = []
-    start = 0
-    for i in range(num_partitions):
-        size = base + (1 if i < extra else 0)
-        out.append(partition.gather(range(start, start + size)))
-        start += size
-    return out
 
 
 def split_evenly(rows, num_partitions):

@@ -330,7 +330,7 @@ class Table:
 
     def count(self):
         """Number of rows in the table."""
-        return sum(len(p) for p in self.collect_partitions())
+        return self._context.executor.count(self._plan)
 
     def first(self):
         """The first row, or None if the table is empty."""

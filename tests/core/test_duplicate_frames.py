@@ -3,10 +3,10 @@
 Gateways replay frames byte-for-byte (same timestamp, same payload,
 same channel). Pre-fix, those replays leaked through interpretation
 into the reduction layer, where unchanged-value constraints and the
-merged incremental state double-counted them. The fix deduplicates the
-interpreted signal table -- ``distinct()`` in the whole-trace pipeline,
-a per-window seen-set in the incremental runner -- and both paths must
-agree with the duplicate-free run exactly.
+merged incremental state double-counted them. The fix drops them where
+``K_s`` is split into sequences -- ``sequence.split_sequences``, once
+for the whole-trace pipeline and once per window for the incremental
+runner -- and both paths must agree with the duplicate-free run exactly.
 """
 
 from __future__ import annotations

@@ -102,6 +102,41 @@ def test_lossy_window_size_is_irrelevant(seed):
     assert small == large
 
 
+def _with_replays_and_ties(records, rng, count=8):
+    """*records* plus *count* frames a lossy gateway adds: exact replays
+    (same timestamp, same bytes) and copies that share the original's
+    timestamp but not its payload, each inserted at a random position."""
+    records = list(records)
+    for i in range(count):
+        t, payload, b_id, m_id, info = rng.choice(records)
+        if i % 2:
+            payload = bytes(b ^ 0xFF for b in payload)
+        records.insert(
+            rng.randrange(len(records) + 1), (t, payload, b_id, m_id, info)
+        )
+    return records
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    window=st.sampled_from((0.3, 0.7, 1.1, 2.5)),
+)
+@settings(max_examples=20, deadline=None)
+def test_replayed_and_tied_frames_windowed_matches_whole(seed, window):
+    """Replayed frames and tie timestamps go through one
+    ``split_sequences`` either way: the window cut cannot separate rows
+    that share a timestamp, so the same rows are dropped and every tie
+    is broken the same way."""
+    case = generate_journey_case(random.Random(seed))
+    records = _with_replays_and_ties(case.records, random.Random(seed + 1))
+    ctx = EngineContext.serial(default_parallelism=3)
+    config = config_from_dict(case.params, case.database)
+    whole = _whole_trace_rows(ctx, config, records)
+    assert _windowed_rows(ctx, config, records, window) == whole
+    # Arrival order of the added frames is irrelevant too.
+    assert _whole_trace_rows(ctx, config, sorted(records, key=repr)) == whole
+
+
 def _short_payload_outcome(fn):
     """Run a pipeline path; a ShortPayloadError anywhere in the cause
     chain becomes a comparable sentinel, everything else propagates."""

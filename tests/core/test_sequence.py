@@ -1,4 +1,4 @@
-"""The shared sequence stages (Algorithm 1 lines 10-29, one copy).
+"""The shared sequence stages (Algorithm 1 lines 7-29, one copy).
 
 Whole-trace and windowed runs are drivers over these functions, so what
 used to be parity between two implementations is a property of one:
@@ -25,9 +25,12 @@ from repro.core import (
 )
 from repro.core.classification import ALPHA
 from repro.core.sequence import (
+    ChannelGroup,
     classify_sequence,
+    equality_groups,
     order_sequence,
     reduce_sequence,
+    split_sequences,
 )
 from repro.engine import EngineContext
 
@@ -117,6 +120,121 @@ class TestOrderSequence:
         assert [repr(r[1]) for r in ordered[1:]] == sorted(
             repr(r[1]) for r in ordered[1:]
         )
+
+
+def _reference_split(rows, by_channel, drop_exact_duplicates):
+    """The obvious lines 7-8: drop duplicates, group, order each group."""
+    kept = list(dict.fromkeys(rows)) if drop_exact_duplicates else rows
+    groups = {}
+    for row in kept:
+        key = (row[2], row[3] if by_channel else None)
+        groups.setdefault(key, []).append(row)
+    return (
+        {key: order_sequence(groups[key]) for key in sorted(groups)},
+        len(rows) - len(kept),
+    )
+
+
+def _typed(sequences):
+    """Rows with their value types: ``1 == 1.0 == True`` must not hide
+    which of several equal rows was kept, nor where it was put."""
+    return [
+        (key, [(repr(t), repr(v), s, b) for t, v, s, b in rows])
+        for key, rows in sequences.items()
+    ]
+
+
+#: Few timestamps and values, so draws are full of tie timestamps,
+#: replayed rows and rows that are equal across types and signs.
+k_s_rows = st.lists(
+    st.tuples(
+        st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, 2.5)),
+        st.sampled_from((0, 0.0, -0.0, 1, 1.0, True, 1.5, "on", TRUNCATED)),
+        st.sampled_from(("s1", "s2")),
+        st.sampled_from(("FC", "BC", "DC")),
+    ),
+    max_size=40,
+)
+
+
+class TestSplitSequences:
+    @given(
+        rows=k_s_rows, by_channel=st.booleans(), drop=st.booleans(),
+        replays=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_obvious_reference(
+        self, rows, by_channel, drop, replays
+    ):
+        for index in replays.draw(
+            st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=5)
+        ):
+            if rows:  # a gateway replaying frame `index` later on
+                rows = rows + [rows[index]]
+        sequences, dropped = split_sequences(rows, by_channel, drop)
+        expected, expected_dropped = _reference_split(rows, by_channel, drop)
+        assert _typed(sequences) == _typed(expected)
+        assert list(sequences) == sorted(sequences)
+        assert dropped == expected_dropped
+        assert sum(map(len, sequences.values())) == len(rows) - dropped
+
+    def test_replayed_frame_is_dropped_and_counted(self):
+        rows = _sequence([0.1, 0.1, 0.1], [1, 2, 3])
+        sequences, dropped = split_sequences(
+            rows + [rows[1]], by_channel=True, drop_exact_duplicates=True
+        )
+        assert sequences == {("s", "FC"): rows}
+        assert dropped == 1
+
+    def test_duplicates_stay_when_the_knob_is_off(self):
+        rows = _sequence([0.1, 0.1], [1, 2])
+        sequences, dropped = split_sequences(
+            rows + [rows[0]], by_channel=True, drop_exact_duplicates=False
+        )
+        assert sequences[("s", "FC")] == [rows[0], rows[0], rows[1]]
+        assert dropped == 0
+
+    def test_without_channels_one_sequence_holds_every_channel(self):
+        rows = [(0.2, 1, "s", "FC"), (0.1, 1, "s", "BC"), (0.3, 2, "z", "FC")]
+        sequences, _dropped = split_sequences(
+            rows, by_channel=False, drop_exact_duplicates=True
+        )
+        assert sequences == {
+            ("s", None): [rows[1], rows[0]], ("z", None): [rows[2]],
+        }
+
+
+def _channel_sequences(per_channel):
+    rows = [
+        (t, v, "s", b_id)
+        for b_id, pairs in per_channel.items() for t, v in pairs
+    ]
+    sequences, _dropped = split_sequences(
+        rows, by_channel=True, drop_exact_duplicates=True
+    )
+    return {b_id: seq for (_s_id, b_id), seq in sequences.items()}
+
+
+class TestEqualityGroups:
+    def test_identical_channels_form_one_group(self):
+        values = [(0.1 * i, i % 3) for i in range(9)]
+        shifted = [(t + 0.002, v) for t, v in values]
+        groups = equality_groups(
+            "s", _channel_sequences({"FC": values, "BC": shifted})
+        )
+        assert groups == [ChannelGroup("s", "BC", ("FC",))]
+
+    def test_longest_channel_represents_and_leads(self):
+        groups = equality_groups("s", _channel_sequences({
+            "AA": [(0.1, 1)],
+            "ZZ": [(0.1, 1), (0.2, 2), (0.3, 3)],
+            "MM": [(0.1, 5), (0.2, 6)],
+        }))
+        assert [g.representative for g in groups] == ["ZZ", "MM", "AA"]
+        assert all(g.corresponding == () for g in groups)
+
+    def test_no_channels_no_groups(self):
+        assert equality_groups("s", {}) == []
 
 
 class TestClassifySequence:

@@ -90,6 +90,22 @@ class TestEqualitySplit:
         b = equality_split(per_signal["wpos"], "wpos")
         assert a.groups == b.groups
 
+    def test_tied_timestamps_in_opposite_order_still_correspond(self, ctx):
+        """Regression: ``e`` compared values in (t, arrival) order while
+        the sequence it stands for is processed in canonical order, so a
+        same-timestamp pair two recorders wrote down in opposite order
+        made two channels carrying the same values look different."""
+        front = [(0.1, 1.0), (0.2, 7.0), (0.2, 3.0), (0.3, 2.0)]
+        back = [(0.1, 1.0), (0.2, 3.0), (0.2, 7.0), (0.3, 2.0)]
+        rows = [(t, v, "s", "FC") for t, v in front]
+        rows += [(t, v, "s", "BC") for t, v in back]
+        table = ctx.table_from_rows(["t", "v", "s_id", "b_id"], rows)
+        result = equality_split(table, "s")
+        assert len(result.groups) == 1
+        assert set(result.groups[0].all_channels()) == {"FC", "BC"}
+        # The representative's table is in the order it is processed in.
+        assert [r[1] for r in result.k_sep.collect()] == [1.0, 3.0, 7.0, 2.0]
+
     def test_representative_prefers_longest_sequence(self, ctx):
         rows = [(0.1 * i, float(i), "s", "SHORT") for i in range(3)]
         rows += [(0.1 * i, float(i), "s", "LONG") for i in range(8)]

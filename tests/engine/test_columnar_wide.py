@@ -1,28 +1,17 @@
-"""Columnar wide stages: broadcast join, split routing and shuffle.
+"""The columnar wide stage: the broadcast join.
 
-Pins the tentpole invariant of the columnar exchange: wide stages fed
-columnar partitions produce exactly the row path's output -- same
-bucket assignment (including the ``1 == 1.0 == True`` and NaN
-canonicalization that :func:`stable_hash` folds into one bucket), same
-intra-partition row order -- and fall back to the row path, counted,
-whenever a key column carries non-scalar objects or (for joins) NaN
-floats.
+Pins the invariant of the columnar exchange: a broadcast join fed
+columnar partitions produces exactly the row path's output, row order
+included, and falls back to the row path, counted, whenever its inputs
+are mixed-layout or a key column carries non-scalar objects or NaN
+floats. Split and repartition downstream of it are row stages.
 """
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import EngineContext, col
 from repro.engine import executor as executor_module
-from repro.engine.columnar import ColumnarPartition, concat_partitions
 from repro.engine.executor import SerialExecutor
-from repro.engine.operations import (
-    hash_partition,
-    hash_partition_columnar,
-)
 
 
 def _wide_ctx(**overrides):
@@ -44,73 +33,6 @@ def _fallbacks(ctx):
 def _canon(rows):
     """Type- and NaN-stable row representation for equality checks."""
     return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
-
-
-# -- bucket-identity property -------------------------------------------------
-
-_cell = st.one_of(
-    st.integers(min_value=-(2 ** 60), max_value=2 ** 60),
-    st.floats(allow_nan=True, allow_infinity=True, width=64),
-    st.booleans(),
-    st.text(max_size=4),
-    st.binary(max_size=4),
-    st.none(),
-)
-
-
-@given(
-    rows=st.lists(st.tuples(_cell, _cell, _cell), max_size=40),
-    num_buckets=st.integers(min_value=1, max_value=5),
-    keys=st.sampled_from([(0,), (1,), (0, 1), (2, 0), ()]),
-)
-@settings(max_examples=120, deadline=None)
-def test_columnar_hash_partition_matches_row_path(rows, num_buckets, keys):
-    part = ColumnarPartition.from_rows(rows, 3)
-    row_buckets = hash_partition(rows, keys, num_buckets)
-    col_buckets = hash_partition_columnar(part, keys, num_buckets)
-    assert len(col_buckets) == num_buckets
-    for row_bucket, col_bucket in zip(row_buckets, col_buckets):
-        # Bucket-for-bucket and row-for-row, order included.
-        assert _canon(col_bucket.to_rows()) == _canon(row_bucket)
-
-
-class TestBucketCanonicalization:
-    def test_equal_numbers_share_a_bucket(self):
-        # 1 == 1.0 == True under stable_hash, so the row and columnar
-        # paths must agree on their shared bucket even though the
-        # columnar layout stores them in differently-typed columns.
-        rows = [(1, "a"), (1.0, "b"), (True, "c")]
-        part = ColumnarPartition.from_rows(rows, 2)
-        for buckets in (
-            hash_partition(rows, (0,), 7),
-            hash_partition_columnar(part, (0,), 7),
-        ):
-            occupied = [i for i, b in enumerate(buckets) if len(b)]
-            assert len(occupied) == 1
-        row_occupied = [
-            i for i, b in enumerate(hash_partition(rows, (0,), 7)) if b
-        ]
-        col_occupied = [
-            i
-            for i, b in enumerate(hash_partition_columnar(part, (0,), 7))
-            if len(b)
-        ]
-        assert row_occupied == col_occupied
-
-    def test_nan_keys_share_the_canonical_bucket(self):
-        # Distinct NaN objects hash identically under stable_hash; the
-        # columnar gather materializes fresh floats, which must not
-        # change the bucket.
-        rows = [(float("nan"), 1), (math.nan, 2), (float("nan") * -1, 3)]
-        part = ColumnarPartition.from_rows(rows, 2)
-        row_buckets = hash_partition(rows, (0,), 5)
-        col_buckets = hash_partition_columnar(part, (0,), 5)
-        for buckets in (row_buckets, col_buckets):
-            sizes = [len(b) for b in buckets]
-            assert sorted(sizes) == [0, 0, 0, 0, 3]
-        assert [len(b) for b in row_buckets] == [
-            len(b) for b in col_buckets
-        ]
 
 
 # -- end-to-end wide pipeline -------------------------------------------------
@@ -181,7 +103,7 @@ class TestWidePipelineParity:
 # -- counters and fallbacks ---------------------------------------------------
 
 class TestExchangeCounters:
-    def test_wide_run_counts_join_shuffle_and_bytes(self):
+    def test_wide_run_counts_join_tasks_and_bytes(self):
         with _wide_ctx() as ctx:
             joined, groups = _wide_pipeline(ctx)
             joined.collect()
@@ -189,14 +111,13 @@ class TestExchangeCounters:
                 table.collect()
             metrics = ctx.executor.metrics
             assert metrics.columnar_join_tasks > 0
-            assert metrics.columnar_shuffle_tasks > 0
             assert metrics.columnar_exchange_bytes > 0
+            # Repartition and split run on rows by design, which is not
+            # a fallback.
+            assert _fallbacks(ctx) == {"": 0}
             counters = ctx.executor.obs.counters()
             assert counters["executor.columnar_join_tasks"] == (
                 metrics.columnar_join_tasks
-            )
-            assert counters["executor.columnar_shuffle_tasks"] == (
-                metrics.columnar_shuffle_tasks
             )
             assert counters["executor.columnar_exchange_bytes"] == (
                 metrics.columnar_exchange_bytes
@@ -208,14 +129,12 @@ class TestExchangeCounters:
             joined.collect()
             metrics = ctx.executor.metrics
             assert metrics.columnar_join_tasks == 0
-            assert metrics.columnar_shuffle_tasks == 0
             assert metrics.columnar_exchange_bytes == 0
 
     def test_fresh_executor_reports_zeroed_counters(self):
         with _wide_ctx() as ctx:
             metrics = ctx.executor.metrics
             assert metrics.columnar_join_tasks == 0
-            assert metrics.columnar_shuffle_tasks == 0
             assert metrics.columnar_exchange_bytes == 0
 
 
@@ -271,11 +190,11 @@ class TestRowFallbacks:
                     assert _fallbacks(ctx) == {"": 1, ".nan_key": 1}
         assert results["wide"] == results["interpreted"]
 
-    def test_mixed_layout_repartition_falls_back(self):
+    def test_mixed_layout_join_falls_back(self):
         with _wide_ctx() as ctx:
             # A union of a columnar narrow chain and a bare row source
-            # produces mixed-layout partitions; the shuffle must fall
-            # back whole rather than bucket half columnar.
+            # produces mixed-layout partitions; the join must fall
+            # back whole rather than probe half columnar.
             a = ctx.table_from_rows(
                 ["k", "v"], [(i % 4, i) for i in range(12)],
                 num_partitions=2,
@@ -284,9 +203,12 @@ class TestRowFallbacks:
                 ["k", "v"], [(i % 4, -i) for i in range(1, 9)],
                 num_partitions=2,
             )
-            out = a.union(b).repartition(3, keys=["k"]).collect()
+            rules = ctx.table_from_rows(
+                ["k", "r"], _RULES, num_partitions=1
+            )
+            out = a.union(b).join(rules, on=["k"], how="inner").collect()
             assert len(out) == 20
-            assert ctx.executor.metrics.columnar_shuffle_tasks == 0
+            assert ctx.executor.metrics.columnar_join_tasks == 0
             assert _fallbacks(ctx) == {"": 1, ".mixed_layout": 1}
 
     def test_shuffle_join_falls_back(self, monkeypatch):
@@ -317,39 +239,9 @@ class TestRowFallbacks:
         assert results["wide"] == results["reference"]
 
 
-# -- layout survives exchange -------------------------------------------------
+# -- the process-pool boundary ------------------------------------------------
 
 class TestColumnarFlow:
-    def test_split_groups_arrive_columnar(self):
-        with _wide_ctx() as ctx:
-            trace = ctx.table_from_rows(
-                ["g", "v"], [(i % 3, float(i)) for i in range(24)],
-                num_partitions=4,
-            )
-            groups = trace.filter(col("v") >= 0.0).split_by_key("g")
-            for table in groups.values():
-                parts = ctx.executor._execute_partitions(table._plan)
-                assert parts, "split group lost its partitions"
-                assert all(
-                    isinstance(p, ColumnarPartition) for p in parts
-                )
-
-    def test_concat_preserves_typed_columns(self):
-        parts = [
-            ColumnarPartition.from_rows(
-                [(i, float(i), b"x" * i) for i in range(j, j + 3)], 3
-            )
-            for j in range(0, 9, 3)
-        ]
-        merged = concat_partitions(parts, 3)
-        assert len(merged) == 9
-        assert merged.to_rows() == [
-            (i, float(i), b"x" * i) for i in range(9)
-        ]
-        # Typed buffers stay typed through the concat.
-        assert getattr(merged.column(0), "typecode", None) == "q"
-        assert getattr(merged.column(1), "typecode", None) == "d"
-
     def test_multiprocessing_executor_runs_wide_columnar(self):
         pytest.importorskip("multiprocessing")
         from repro.engine.executor import MultiprocessingExecutor

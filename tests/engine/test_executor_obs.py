@@ -182,7 +182,6 @@ class TestColumnarCounters:
         # A columnar source straight into a wide stage stays on rows too.
         table.repartition(3, keys=["x"]).collect()
         assert executor.metrics.columnar_tasks == 0
-        assert executor.metrics.columnar_shuffle_tasks == 0
         assert executor.metrics.columnar_fallbacks == 0
         assert executor.metrics.kernels_compiled == 0
 
@@ -192,18 +191,27 @@ class TestColumnarCounters:
         assert counters["executor.columnar_tasks"] == 0
         assert counters["executor.columnar_fallbacks"] == 0
         assert counters["executor.columnar_join_tasks"] == 0
-        assert counters["executor.columnar_shuffle_tasks"] == 0
         assert counters["executor.columnar_exchange_bytes"] == 0
 
     def test_wide_exchange_counters_increment(self):
         ctx = EngineContext.serial(default_parallelism=2)
         table = self._columnar_table(ctx)
-        table.filter(col("x") >= 0).repartition(3, keys=["x"]).collect()
+        lookup = ctx.table_from_rows(["x", "z"], [(i, -i) for i in range(9)])
+        table.filter(col("x") >= 0).join(lookup, on=["x"]).collect()
         counters = ctx.executor.obs.counters()
-        assert counters["executor.columnar_shuffle_tasks"] >= 1
+        assert counters["executor.columnar_join_tasks"] >= 1
         assert counters["executor.columnar_exchange_bytes"] > 0
-        assert ctx.executor.metrics.columnar_shuffle_tasks >= 1
+        assert ctx.executor.metrics.columnar_join_tasks >= 1
         assert ctx.executor.metrics.columnar_exchange_bytes > 0
+
+    def test_repartition_of_columnar_input_is_a_plain_row_stage(self):
+        ctx = EngineContext.serial(default_parallelism=2)
+        table = self._columnar_table(ctx)
+        out = table.filter(col("x") >= 0).repartition(3, keys=["x"])
+        assert sorted(out.collect()) == [(i, i * 0.5) for i in range(80)]
+        counters = ctx.executor.obs.counters()
+        assert counters["executor.columnar_fallbacks"] == 0
+        assert counters["executor.columnar_exchange_bytes"] == 0
 
 
 def _echo_row(row):

@@ -3,10 +3,12 @@
 ``perf/`` is not in tier-1 ``testpaths``, yet its tracer wraps ``repro``
 callables *by name*: renaming one passes tier-1 and then breaks every
 traced benchmark run. The first test resolves every traced name, the
-second every executor counter ``perf/workloads.py`` (and
-``core/pipeline.py``) reads off ``executor.metrics``. The third keeps Algorithm 1's back half single-copy: the calls that *are*
-lines 10-28 may appear in one module of ``repro.core`` only (in the
-spirit of the ``perf_counter`` containment guard in ``tests/obs``).
+second every executor counter ``perf/workloads.py`` reads off
+``executor.metrics``. The rest keep Algorithm 1 past interpretation
+single-copy: the calls that *are* lines 7-28 may appear in one module
+of ``repro.core`` only (in the spirit of the ``perf_counter``
+containment guard in ``tests/obs``), and no module of it goes back to
+the engine to split or deduplicate.
 """
 
 import ast
@@ -56,34 +58,48 @@ def _perf_engine_counters():
     raise AssertionError("perf/workloads.py lost _ENGINE_COUNTERS")
 
 
-@pytest.mark.parametrize("name", _perf_engine_counters() + ("splits",))
+@pytest.mark.parametrize("name", _perf_engine_counters())
 def test_every_executor_counter_read_outside_the_engine_resolves(name):
     from repro.engine import EngineContext
 
     assert getattr(EngineContext.serial().executor.metrics, name) == 0
 
 
-def _modules_calling(name):
-    """Modules of repro.core with a call ``name(...)`` or ``x.name(...)``."""
+def _callers(name):
+    """``(module, enclosing top-level definition)`` of every call
+    ``name(...)`` or ``x.name(...)`` in repro.core."""
     callers = set()
     for path in sorted(CORE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            called = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else None
-            )
-            if called == name:
-                callers.add(path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = (
+                    func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None
+                )
+                if called == name:
+                    callers.add((path.name, getattr(top, "name", None)))
     return callers
 
 
 @pytest.mark.parametrize(
-    "name", ["process_branch", "classify", "flags", "carry_after"]
+    "name",
+    ["ChannelGroup", "process_branch", "classify", "flags", "carry_after"],
 )
-def test_algorithm_1_back_half_has_one_call_site(name):
-    assert _modules_calling(name) == {"sequence.py"}
+def test_algorithm_1_past_interpretation_has_one_call_site(name):
+    assert {module for module, _scope in _callers(name)} == {"sequence.py"}
+
+
+@pytest.mark.parametrize("name", ["distinct", "fromkeys"])
+def test_core_deduplicates_in_the_shared_stage_only(name):
+    assert _callers(name) == set()
+
+
+def test_core_splits_on_the_engine_in_split_signal_types_only():
+    assert _callers("split_by_key") == {
+        ("splitting.py", "split_signal_types")
+    }

@@ -213,6 +213,56 @@ class TestReaderColumns:
         assert clone.to_rows() == parts[0].to_rows()
 
 
+class TestCountDecodesNothing:
+    """``Table.count()`` sums partition lengths of the layout-preserving
+    execution: a ``.ctrc`` table is counted without one ``m_info`` cell
+    being TLV-decoded (it used to transpose every column to rows)."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_count_of_loaded_table(
+        self, records, tmp_path, monkeypatch, columnar
+    ):
+        from repro.engine import EngineContext, SerialExecutor
+
+        path = tmp_path / "t.ctrc"
+        colbin.dump_records(records, path)
+        context = EngineContext(
+            SerialExecutor(default_parallelism=3, columnar=columnar)
+        )
+        table = colbin.load_table(context, path)
+        calls = []
+        unpack = colbin._unpack_info
+        monkeypatch.setattr(
+            colbin, "_unpack_info",
+            lambda data: calls.append(1) or unpack(data),
+        )
+        assert table.count() == len(records)
+        assert calls == []
+        assert table.count() == len(table.collect())
+        assert len(calls) == len(records)  # the collect does decode
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_count_agrees_with_collect_after_narrow_and_wide_ops(
+        self, records, tmp_path, columnar
+    ):
+        from repro.engine import EngineContext, SerialExecutor
+
+        path = tmp_path / "t.ctrc"
+        colbin.dump_records(records, path)
+        context = EngineContext(
+            SerialExecutor(default_parallelism=3, columnar=columnar)
+        )
+        table = colbin.load_table(context, path)
+        some_id = records[0][3]
+        for derived in (
+            table.filter(col("m_id") == some_id),
+            table.select("t", "m_id").repartition(2, keys=["m_id"]),
+            table.limit(7),
+            table.filter(col("t") < 0.0),
+        ):
+            assert derived.count() == len(derived.collect())
+
+
 class TestPreselectionScan:
     def test_preselect_file_matches_table_path(
         self, ctx, wiper_simulation, tmp_path
