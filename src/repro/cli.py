@@ -47,7 +47,13 @@ from repro.datasets import SPECS, build_dataset
 from repro.engine import EngineContext, TableStore
 from repro.network.dbcio import dump_database
 from repro.obs import stopwatch
-from repro.tracefile import asciilog, binlog
+from repro.engine.errors import EngineError
+from repro.tracefile import (
+    BinaryTraceError,
+    ColumnarTraceError,
+    TraceFormatError,
+    codec_for,
+)
 
 
 class CliError(Exception):
@@ -63,23 +69,16 @@ class CliError(Exception):
         self.kind = kind
 
 
-def _trace_module(path):
-    """Pick the trace codec from the file suffix (.trc text, .btrc bin)."""
-    return binlog if str(path).endswith(".btrc") else asciilog
-
-
 def _load_trace(ctx, path):
-    from repro.tracefile import BinaryTraceError, TraceFormatError
-
     try:
-        return _trace_module(path).load_table(ctx, path)
+        return codec_for(path).load_table(ctx, path)
     except FileNotFoundError:
         raise CliError("trace", "trace file {!r} does not exist".format(
             str(path)))
     except IsADirectoryError:
         raise CliError("trace", "{!r} is a directory, not a trace "
                        "file".format(str(path)))
-    except (TraceFormatError, BinaryTraceError) as exc:
+    except (TraceFormatError, BinaryTraceError, ColumnarTraceError) as exc:
         raise CliError("trace", "trace file {!r} is corrupt: {}".format(
             str(path), exc))
 
@@ -104,7 +103,7 @@ def _context(args):
 def cmd_simulate(args, out=sys.stdout):
     bundle = _bundle(args)
     records = bundle.byte_records(args.duration)
-    count = _trace_module(args.out).dump_records(records, args.out)
+    count = codec_for(args.out).dump_records(records, args.out)
     print(
         "wrote {} records ({} s of {} journey {}) to {}".format(
             count, args.duration, args.dataset, args.journey, args.out
@@ -115,7 +114,7 @@ def cmd_simulate(args, out=sys.stdout):
 
 
 def cmd_stats(args, out=sys.stdout):
-    records = _trace_module(args.trace).load_records(args.trace)
+    records = codec_for(args.trace).load_records(args.trace)
     if not records:
         print("empty trace", file=out)
         return 0
@@ -283,17 +282,15 @@ def cmd_report(args, out=sys.stdout):
 
 
 def _load_records(path):
-    from repro.tracefile import BinaryTraceError, TraceFormatError
-
     try:
-        return _trace_module(path).load_records(path)
+        return codec_for(path).load_records(path)
     except FileNotFoundError:
         raise CliError("trace", "trace file {!r} does not exist".format(
             str(path)))
     except IsADirectoryError:
         raise CliError("trace", "{!r} is a directory, not a trace "
                        "file".format(str(path)))
-    except (TraceFormatError, BinaryTraceError) as exc:
+    except (TraceFormatError, BinaryTraceError, ColumnarTraceError) as exc:
         raise CliError("trace", "trace file {!r} is corrupt: {}".format(
             str(path), exc))
 
@@ -1051,6 +1048,14 @@ def main(argv=None, out=sys.stdout):
         return args.func(args, out=out)
     except CliError as exc:
         print("error: {}: {}".format(exc.kind, exc), file=sys.stderr)
+        return 2
+    except EngineError as exc:
+        # What sits inside an m_info cell of a .ctrc is checked when a
+        # rule reads the cell, mid-run; a task's failure arrives wrapped.
+        cause = getattr(exc, "cause", None) or exc
+        if not isinstance(cause, ColumnarTraceError):
+            raise
+        print("error: trace: {}".format(cause), file=sys.stderr)
         return 2
 
 

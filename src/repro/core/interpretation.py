@@ -96,7 +96,10 @@ class _U2:
     ``m_info`` is accepted for protocol-specific evaluation; the bundled
     rules are self-contained, but data-dependent rules (e.g. scaling
     switched by a header field) can inspect it. ``batch_call`` mirrors
-    :meth:`_U1.batch_call` with per-rule compiled evaluators.
+    :meth:`_U1.batch_call` with per-rule compiled evaluators, and
+    indexes the ``m_info`` column only for rows whose rule has
+    ``required_info`` (no other evaluator looks at the argument): a
+    packed ``.ctrc`` info plane is decoded for exactly those rows.
     """
 
     def __call__(self, l_rel, m_info, rule):
@@ -108,15 +111,17 @@ class _U2:
         compiled = {}
         out = []
         append = out.append
-        for l_rel, m_info, rule in zip(l_rels, m_infos, rules):
+        for i, (l_rel, rule) in enumerate(zip(l_rels, rules)):
             if l_rel is TRUNCATED:
                 append(TRUNCATED)
                 continue
-            evaluate = compiled.get(id(rule))
-            if evaluate is None:
-                evaluate = rule.compile_evaluator()
-                compiled[id(rule)] = evaluate
-            append(evaluate(l_rel, m_info))
+            entry = compiled.get(id(rule))
+            if entry is None:
+                entry = compiled[id(rule)] = (
+                    rule.compile_evaluator(), bool(rule.required_info)
+                )
+            evaluate, reads_info = entry
+            append(evaluate(l_rel, m_infos[i] if reads_info else None))
         return out
 
 

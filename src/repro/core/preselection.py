@@ -47,45 +47,6 @@ def preselect(k_b, catalog):
     return k_b.filter(apply(_KeyMember(keys), "m_id", "b_id"))
 
 
-def preselect_file(context, path, catalog, num_partitions=None):
-    """Preselect straight from a columnar trace file, payload-blind.
-
-    The record-major path (:func:`preselect` over a loaded table) must
-    decode every payload before the filter can drop a row. This path
-    scans only the mmap'ed ``(m_id, b_id)`` column views of a
-    :mod:`~repro.tracefile.colbin` trace, then materializes (payload
-    and ``m_info`` decode included) just the surviving records.
-
-    Returns ``K_pre`` as an engine table with the K_b layout.
-    """
-    from repro.protocols.frames import BYTE_RECORD_COLUMNS
-    from repro.tracefile.colbin import ColumnarTraceReader
-
-    if not isinstance(catalog, RuleCatalog):
-        raise TypeError("catalog must be a RuleCatalog")
-    keys = catalog.preselection_keys()
-    reader = ColumnarTraceReader(path)
-    # Per-channel admissible m_id sets turn the scan's membership test
-    # into two array reads and one set probe per record.
-    allowed = [
-        frozenset(m_id for m_id, b_id in keys if b_id == channel)
-        for channel in reader.channels
-    ]
-    m_ids = reader.message_ids()
-    surviving = [
-        index
-        for index, (m_id, channel) in enumerate(
-            zip(m_ids, reader.channel_indices())
-        )
-        if m_id in allowed[channel]
-    ]
-    return context.table_from_rows(
-        list(BYTE_RECORD_COLUMNS),
-        reader.select(surviving),
-        num_partitions=num_partitions,
-    )
-
-
 def preselection_ratio(k_b, k_pre):
     """Fraction of trace rows surviving preselection (diagnostics)."""
     total = k_b.count()

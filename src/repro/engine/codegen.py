@@ -19,7 +19,8 @@ run through its own ``step.run`` on row tuples. Inside a kernel
   and user callables hoisted into the kernel's globals as ``_c<n>``
   constants;
 * filters become selection masks applied to every column with
-  ``itertools.compress``, pass-through projection columns are zero-copy
+  :func:`~repro.engine.columnar.compress_column` (packed planes stay
+  packed), pass-through projection columns are zero-copy
   buffer references, and computed columns are single list
   comprehensions zipping exactly the columns the expression reads.
 
@@ -50,9 +51,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import compress
 
-from repro.engine.columnar import ColumnarPartition, columns_to_rows
+from repro.engine.columnar import (
+    ColumnarPartition,
+    columns_to_rows,
+    compress_column,
+)
 
 from repro.engine.expressions import (
     BoundAnd,
@@ -311,11 +315,11 @@ def lower_columnar_segment(steps, width):
             lines.append("        if not all(_mask):")
             lines.append(
                 "            _cols = "
-                "[list(_compress(_c, _mask)) for _c in _cols]"
+                "[_compress(_c, _mask) for _c in _cols]"
             )
             if current_width:
-                # Compressed columns are lists; their C-level length is
-                # the surviving row count.
+                # A compressed column's length is the surviving row
+                # count.
                 lines.append("            _n = len(_cols[0])")
             else:
                 lines.append("            _n = sum(1 for _m in _mask if _m)")
@@ -409,7 +413,7 @@ def _compile_source(source, registry=None):
 def _bind_kernel(code, constants):
     """Materialize the kernel function with its hoisted constants."""
     namespace = {"_c{}".format(i): v for i, v in enumerate(constants)}
-    namespace["_compress"] = compress
+    namespace["_compress"] = compress_column
     exec(code, namespace)  # noqa: S102 -- source is generated, not user input
     return namespace["_ckernel"]
 

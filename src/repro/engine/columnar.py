@@ -10,7 +10,8 @@ Python object per cell and a tuple per row. A
 * an ``array.array('d')`` buffer for all-``float`` columns (bit-exact,
   including NaN and signed zeros);
 * a :class:`BytesColumn` plane -- one contiguous blob plus an offsets
-  array -- for all-``bytes`` columns (frame payloads);
+  array -- for all-``bytes`` columns (frame payloads) and, with a
+  per-cell ``decode`` hook, for packed structured cells (``m_info``);
 * a plain object list for everything else (str, bool, None, mixed).
 
 Layout selection is *exact-type* driven, so ``rows -> columns -> rows``
@@ -28,6 +29,13 @@ materialized at storage/collect edges, in front of every other wide
 stage (split, repartition, group-by, sort) and per task wherever a
 chain cannot run columnar, via :func:`as_row_partition`.
 
+*Moving* a cell and *reading* it are different operations on a packed
+plane: :meth:`BytesColumn.gather` -- which :func:`gather_column` (joins,
+limits) and :func:`compress_column` (kernel filters) route to -- copies
+byte ranges and never calls ``decode``; a cell is decoded only where
+something indexes or iterates the plane (a rule that reads it,
+:func:`columns_to_rows` at a row-landing edge).
+
 Instances are treated as read-only once built; kernels always allocate
 fresh column lists instead of mutating buffers, so a partition can be
 shared between a plan node and several tasks.
@@ -36,42 +44,46 @@ shared between a plan node and several tasks.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, compress
 
 __all__ = [
     "BytesColumn",
     "ColumnarPartition",
     "as_row_partition",
     "columns_to_rows",
+    "compress_column",
     "gather_column",
 ]
 
 
 class BytesColumn:
-    """An all-``bytes`` column: one contiguous blob plus offsets.
+    """A packed column: one contiguous blob plus offsets.
 
     ``offsets`` has ``len(column) + 1`` entries; cell *i* is
-    ``blob[offsets[i]:offsets[i + 1]]``. This is the payload plane of
-    the columnar trace format: payload cells stay densely packed and a
-    cell is materialized (as ``bytes``) only when accessed.
+    ``decode(blob[offsets[i]:offsets[i + 1]])``. With the default
+    ``decode=bytes`` this is the payload plane of the columnar trace
+    format; a codec passes its own (module-level, hence picklable)
+    decoder to keep structured cells packed the same way. Either way a
+    cell is materialized only when indexed or iterated --
+    :meth:`gather` moves cells without decoding them.
     """
 
-    __slots__ = ("offsets", "blob")
+    __slots__ = ("offsets", "blob", "decode")
 
-    def __init__(self, offsets, blob):
+    def __init__(self, offsets, blob, decode=bytes):
         if len(offsets) == 0:
             raise ValueError("offsets must have at least one entry")
         self.offsets = offsets
         self.blob = blob
+        # bytes() is an identity on bytes slices and materializes
+        # memoryview slices (mmap-backed blobs), so payload cells always
+        # come back with the exact type the rows went in with.
+        self.decode = decode
 
     @classmethod
     def from_values(cls, values):
-        offsets = array("Q", [0])
-        chunks = []
-        total = 0
-        for value in values:
-            total += len(value)
-            offsets.append(total)
-            chunks.append(value)
+        chunks = list(values)
+        offsets = array("Q", accumulate(map(len, chunks), initial=0))
         return cls(offsets, b"".join(chunks))
 
     def __len__(self):
@@ -83,27 +95,43 @@ class BytesColumn:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("BytesColumn index out of range")
-        # bytes() is an identity on bytes slices and materializes
-        # memoryview slices (mmap-backed blobs), so cells always come
-        # back with the exact type the rows went in with.
-        return bytes(self.blob[offsets[index] : offsets[index + 1]])
+        return self.decode(self.blob[offsets[index] : offsets[index + 1]])
 
     def __iter__(self):
         blob = self.blob
+        decode = self.decode
         offsets = self.offsets
         start = offsets[0]
         for end in offsets[1:]:
-            yield bytes(blob[start:end])
+            yield decode(blob[start:end])
             start = end
 
-    def __reduce__(self):
+    def gather(self, indices):
+        """The plane holding cells *indices*, in that order, still packed.
+
+        Byte ranges are copied into a fresh blob; ``decode`` is never
+        called, so a malformed cell is moved like any other.
+        """
         offsets = self.offsets
-        if isinstance(offsets, memoryview):
-            offsets = array(offsets.format, offsets)
-        return (BytesColumn, (offsets, bytes(self.blob)))
+        blob = self.blob
+        chunks = [blob[offsets[i] : offsets[i + 1]] for i in indices]
+        out_offsets = array("Q", accumulate(map(len, chunks), initial=0))
+        # join() flattens memoryview chunks of mmap-backed blobs.
+        return BytesColumn(out_offsets, b"".join(chunks), self.decode)
+
+    def __reduce__(self):
+        # Only the byte range the cells cover travels, rebased to zero:
+        # a slice of an mmap'ed plane does not drag the file's blob.
+        base, end = self.offsets[0], self.offsets[-1]
+        offsets = array("Q", [offset - base for offset in self.offsets])
+        return (
+            BytesColumn, (offsets, bytes(self.blob[base:end]), self.decode)
+        )
 
     def nbytes(self):
-        return len(self.blob) + len(self.offsets) * self.offsets.itemsize
+        """Bytes of the cells this plane covers plus its offsets."""
+        offsets = self.offsets
+        return offsets[-1] - offsets[0] + len(offsets) * offsets.itemsize
 
 
 def _build_column(values):
@@ -129,9 +157,9 @@ def gather_column(column, indices):
 
     Typed buffers stay typed (``array('q')`` gathers into ``array('q')``,
     mmap'ed ``memoryview`` columns into an equivalent ``array``,
-    :class:`BytesColumn` into a fresh blob+offsets plane); everything
-    else -- object lists, tuple columns from row transposes, lazy
-    decoded columns -- gathers into a plain object list. Cell values are
+    :class:`BytesColumn` into a fresh blob+offsets plane, undecoded);
+    everything else -- object lists, tuple columns from row transposes
+    -- gathers into a plain object list. Cell values are
     exactly what indexing the source column yields, so a gather composes
     with :func:`columns_to_rows` into the same row tuples a row-level
     selection would build.
@@ -141,19 +169,19 @@ def gather_column(column, indices):
     if isinstance(column, memoryview):
         return array(column.format, map(column.__getitem__, indices))
     if isinstance(column, BytesColumn):
-        offsets = column.offsets
-        blob = column.blob
-        out_offsets = array("Q", [0])
-        chunks = []
-        total = 0
-        for i in indices:
-            chunk = blob[offsets[i] : offsets[i + 1]]
-            total += len(chunk)
-            out_offsets.append(total)
-            chunks.append(chunk)
-        # bytes() flattens memoryview chunks from mmap-backed blobs.
-        return BytesColumn(out_offsets, bytes(b"".join(chunks)))
+        return column.gather(indices)
     return [column[i] for i in indices]
+
+
+def compress_column(column, mask):
+    """The cells of *column* whose *mask* entry is true (kernel filters).
+
+    A packed plane stays packed (:meth:`BytesColumn.gather` of the
+    selected positions); every other column compresses to a list.
+    """
+    if isinstance(column, BytesColumn):
+        return column.gather(compress(range(len(column)), mask))
+    return list(compress(column, mask))
 
 
 def columns_to_rows(columns, length):

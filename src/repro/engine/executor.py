@@ -360,15 +360,19 @@ class Executor:
         return False
 
     # -- physical planning -----------------------------------------------
-    def execute(self, node):
-        """Materialize a plan node into a list of row-tuple partitions.
+    def execute(self, node, as_rows=True):
+        """Materialize a plan node into a list of partitions.
 
         This is the collect/storage edge: whatever layout the stages
-        used internally, callers receive row lists. Wide stages recurse
-        through :meth:`_execute_partitions` instead, which preserves
-        the columnar layout across stage boundaries.
+        used internally, callers receive row lists. ``as_rows=False``
+        (:meth:`Table.cache`) keeps each partition in the layout its
+        last stage produced, so packed columns stay packed. Wide stages
+        recurse through :meth:`_execute_partitions` instead, which
+        preserves the columnar layout across stage boundaries.
         """
-        partitions = self._execute_partitions(node, to_rows=True)
+        partitions = self._execute_partitions(node, to_rows=as_rows)
+        if not as_rows:
+            return partitions
         return [as_row_partition(p) for p in partitions]
 
     def count(self, node):
@@ -774,13 +778,15 @@ def _row_stage_reason(parts, key_indices):
 def _scalar_key_column(column):
     """True when every cell of a key column is a hashable scalar.
 
-    Typed buffers (``array``, ``memoryview``, ``BytesColumn``)
-    guarantee it by construction; object columns get one C-speed type
-    scan. Object-typed keys -- tuples, dicts, lazily decoded structures
-    -- fail the scan and route their stage down the row path, where the
-    row task's semantics are the single source of truth.
+    Typed buffers (``array``, ``memoryview``, a ``bytes``-celled
+    ``BytesColumn``) guarantee it by construction; object columns get
+    one C-speed type scan. Object-typed keys -- tuples, dicts, packed
+    planes that decode to structures -- route their stage down the row
+    path, where the row task's semantics are the single source of truth.
     """
-    if isinstance(column, (array, memoryview, BytesColumn)):
+    if isinstance(column, BytesColumn):
+        return column.decode is bytes
+    if isinstance(column, (array, memoryview)):
         return True
     return set(map(type, column)) <= _SCALAR_CELL_TYPES
 

@@ -10,6 +10,10 @@ always-on optimizations of production dataflow engines:
   projection (no recomputation of derived columns);
 * **identity-project elimination** -- projections that neither reorder,
   rename nor compute anything are dropped;
+* **project pruning** -- in ``Project(Filter(Project))`` (a filter on a
+  computed column blocks pushdown and fusion) the inner projection
+  keeps only the columns the filter or the outer projection read, so
+  nothing computes or compresses a column nobody reads;
 * **filter-to-split** -- an equality filter on a materialized source
   (``Filter(Source, key == literal)``) becomes a
   :class:`~repro.engine.plan.SplitByKey` group, so the filter-fan-out
@@ -45,7 +49,8 @@ def optimize(node, trace=None):
 
     When *trace* is a list, the name of every rule that fires is
     appended to it (``"filter_fusion"``, ``"filter_pushdown"``,
-    ``"project_fusion"``, ``"identity_project_elimination"``) -- the
+    ``"project_fusion"``, ``"identity_project_elimination"``,
+    ``"project_pruning"``) -- the
     per-rule equivalence tests use this to assert a plan actually
     exercised the rewrite under test.
 
@@ -115,6 +120,13 @@ def _apply_rules(node, trace=None):
         if _is_identity_project(node):
             _record(trace, "identity_project_elimination")
             return node.child
+        if isinstance(child, logical.Filter) and isinstance(
+            child.child, logical.Project
+        ):
+            pruned = _prune_inner_project(node, child, child.child)
+            if pruned is not None:
+                _record(trace, "project_pruning")
+                return pruned
     return node
 
 
@@ -139,6 +151,38 @@ def _push_filter_below_project(filter_node, project_node):
         logical.Filter(project_node.child, new_predicate),
         project_node.out_schema,
         project_node.exprs,
+    )
+
+
+def _prune_inner_project(outer, filter_node, inner):
+    """Project(Filter(Project(x))): drop inner columns nobody above reads.
+
+    The filter references a computed column (otherwise pushdown and
+    fusion would already have collapsed the three nodes), so the inner
+    projection is evaluated in full before any row is dropped. Keeping
+    only the expressions the predicate or *outer* reference saves their
+    evaluation and their trip through the filter; surviving columns
+    keep their relative order and the references above are re-indexed.
+    Returns None when every inner column is read.
+    """
+    live = references(filter_node.predicate)
+    for expr in outer.exprs:
+        live |= references(expr)
+    if len(live) == len(inner.exprs):
+        return None
+    keep = sorted(live)
+    remap = [None] * len(inner.exprs)
+    for new, old in enumerate(keep):
+        remap[old] = BoundColumn(new)
+    pruned = logical.Project(
+        inner.child,
+        inner.out_schema.select(inner.out_schema.names[i] for i in keep),
+        tuple(inner.exprs[i] for i in keep),
+    )
+    return logical.Project(
+        logical.Filter(pruned, substitute(filter_node.predicate, remap)),
+        outer.out_schema,
+        tuple(substitute(e, remap) for e in outer.exprs),
     )
 
 

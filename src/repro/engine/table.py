@@ -19,6 +19,7 @@ Examples
 from __future__ import annotations
 
 from repro.engine import plan as logical
+from repro.engine.columnar import ColumnarPartition
 from repro.engine.errors import PlanError, SchemaError
 from repro.engine.expressions import Expression, col
 from repro.engine.schema import ANY, Schema
@@ -338,9 +339,20 @@ class Table:
         return rows[0] if rows else None
 
     def cache(self):
-        """Materialize the plan into a new in-memory source table."""
-        partitions = self._context.executor.execute(self._plan)
-        node = logical.Source(self.schema, tuple(tuple(p) for p in partitions))
+        """Materialize the plan into a new in-memory source table.
+
+        Partitions keep the layout the plan produced them in: a
+        columnar partition is held as-is (its packed columns undecoded),
+        a row list is frozen to a tuple.
+        """
+        partitions = self._context.executor.execute(self._plan, as_rows=False)
+        node = logical.Source(
+            self.schema,
+            tuple(
+                p if isinstance(p, ColumnarPartition) else tuple(p)
+                for p in partitions
+            ),
+        )
         return self._derive(node)
 
     def column_values(self, name):

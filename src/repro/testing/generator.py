@@ -155,7 +155,7 @@ def generate_spec(rng, case, max_ops=8):
         if unions < 2:  # each union doubles the executed subtree
             choices.append("union_self")
         if any(i.numeric and not i.nullable for i in info.values()):
-            choices.append("with_column_scale")
+            choices += ["with_column_scale", "scale_filter_select"]
         if "m_id" in info and not joined:
             choices.append("join")
         if any(n in info for n in ("m_id", "bus", "flag")):
@@ -223,6 +223,17 @@ def _draw_op(rng, kind, info, joined):
             return None
         return ("with_column_scale", "d{}".format(rng.randint(0, 99)),
                 rng.choice(numeric), rng.randint(2, 9))
+    if kind == "scale_filter_select":
+        # The shape of Algorithm 1 lines 5-6: compute a column, filter
+        # on it, keep fewer columns than were computed (project pruning).
+        if not numeric:
+            return None
+        name = "d{}".format(rng.randint(0, 99))
+        pool = [n for n in names if n != name] + [name]
+        keep = rng.sample(pool, rng.randint(1, len(pool) - 1))
+        return ("scale_filter_select", name, rng.choice(numeric),
+                rng.randint(2, 9), rng.choice(_COMPARISONS),
+                rng.randint(0, 200), tuple(keep))
     if kind == "join":
         return ("join", rng.choice(("inner", "left")))
     if kind == "union_self":
@@ -307,6 +318,9 @@ def _advance_schema(op, info, joined):
         info = {n: info[n] for n in op[1]}
     elif kind == "with_column_scale":
         info[op[1]] = _ColumnInfo(True, True, False)
+    elif kind == "scale_filter_select":
+        info[op[1]] = _ColumnInfo(True, True, False)
+        info = {n: info[n] for n in op[6]}
     elif kind == "join":
         nullable = op[1] == "left"
         info["scale"] = _ColumnInfo(not nullable, True, nullable)
@@ -429,6 +443,12 @@ def _apply_op(ctx, case, table, op):
     if kind == "with_column_scale":
         _unused, name, src, factor = op
         return table.with_column(name, col(src) * factor)
+    if kind == "scale_filter_select":
+        _unused, name, src, factor, cmp_op, value, keep = op
+        scaled = table.with_column(name, col(src) * factor)
+        return _apply_op(
+            ctx, case, scaled, ("filter_cmp", name, cmp_op, value)
+        ).select(*keep)
     if kind == "join":
         return table.join(_catalog_table(ctx, case), on="m_id", how=op[1])
     if kind == "union_self":

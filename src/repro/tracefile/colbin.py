@@ -32,7 +32,15 @@ round-trip identical record tuples -- float timestamps bit-exactly.
 Malformed files (truncated sections, corrupt magic, offsets out of
 order or out of bounds, bad channel indices) raise
 :class:`ColumnarTraceError`, a :class:`~repro.engine.errors.PlanError`
-subclass -- never a bare ``struct.error``.
+subclass -- never a bare ``struct.error`` -- when the file is opened,
+before any cell is touched. What sits *inside* a cell is checked when
+the cell is decoded and not before: the engine moves ``m_info`` cells
+packed (filters, joins, ``cache()``) and decodes one only for a rule
+with ``required_info`` or at a row-landing edge (``records()``,
+``select()``, ``collect()`` of a table that still carries the column).
+A malformed TLV inside a cell therefore raises
+:class:`ColumnarTraceError` exactly where that cell is read, and a run
+that never reads it yields the ``R_out`` of the uncorrupted file.
 """
 
 from __future__ import annotations
@@ -89,99 +97,54 @@ def _pack_info(m_info):
     return b"".join(parts)
 
 
-class _InfoDecoder:
-    """Bounds-checked cursor over one packed info cell."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise ColumnarTraceError("truncated m_info entry")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-    def take_bytes(self, n):
-        if self.pos + n > len(self.data):
-            raise ColumnarTraceError("truncated m_info entry")
-        out = bytes(self.data[self.pos : self.pos + n])
-        self.pos += n
-        return out
+_INT = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
+_STR_LENGTH = struct.Struct("<H")
 
 
 def _unpack_info(data):
-    decoder = _InfoDecoder(data)
-    (count,) = decoder.take("<B")
+    """Decode one packed info cell, bounds-checking every field."""
+    data = bytes(data)
+    size = len(data)
+    if not size:
+        raise ColumnarTraceError("truncated m_info entry")
+    pos = 1
     info = []
-    for _unused in range(count):
-        (key_length,) = decoder.take("<B")
-        key = decoder.take_bytes(key_length).decode("utf-8")
-        (tag,) = decoder.take("<B")
-        if tag == _TAG_BOOL:
-            (v,) = decoder.take("<B")
-            value = bool(v)
-        elif tag == _TAG_INT:
-            (v,) = decoder.take("<q")
-            value = v
-        elif tag == _TAG_FLOAT:
-            (v,) = decoder.take("<d")
-            value = v
-        elif tag == _TAG_STR:
-            (length,) = decoder.take("<H")
-            value = decoder.take_bytes(length).decode("utf-8")
+    for _unused in range(data[0]):
+        # key length, key bytes and the value tag that follows them
+        if pos + 1 > size:
+            raise ColumnarTraceError("truncated m_info entry")
+        end = pos + 1 + data[pos]
+        if end > size:
+            raise ColumnarTraceError("truncated m_info entry")
+        key = data[pos + 1 : end].decode("utf-8")
+        if end + 1 > size:
+            raise ColumnarTraceError("truncated m_info entry")
+        tag = data[end]
+        pos = end + 1
+        if tag == _TAG_STR:
+            if pos + 2 > size:
+                raise ColumnarTraceError("truncated m_info entry")
+            end = pos + 2 + _STR_LENGTH.unpack_from(data, pos)[0]
+            if end > size:
+                raise ColumnarTraceError("truncated m_info entry")
+            value = data[pos + 2 : end].decode("utf-8")
+        elif tag == _TAG_INT or tag == _TAG_FLOAT:
+            end = pos + 8
+            if end > size:
+                raise ColumnarTraceError("truncated m_info entry")
+            codec = _INT if tag == _TAG_INT else _FLOAT
+            value = codec.unpack_from(data, pos)[0]
+        elif tag == _TAG_BOOL:
+            end = pos + 1
+            if end > size:
+                raise ColumnarTraceError("truncated m_info entry")
+            value = bool(data[pos])
         else:
             raise ColumnarTraceError("unknown value tag {}".format(tag))
+        pos = end
         info.append((key, value))
     return tuple(info)
-
-
-class PackedInfoColumn:
-    """An all-``m_info`` column decoded per cell from a packed blob.
-
-    Shares the offsets-plus-blob shape of :class:`BytesColumn`; cells
-    decode to the same info tuples :mod:`binlog` produces, but only the
-    cells actually touched are decoded.
-    """
-
-    __slots__ = ("offsets", "blob")
-
-    def __init__(self, offsets, blob):
-        if len(offsets) == 0:
-            raise ColumnarTraceError("info offsets must not be empty")
-        self.offsets = offsets
-        self.blob = blob
-
-    def __len__(self):
-        return len(self.offsets) - 1
-
-    def __getitem__(self, index):
-        offsets = self.offsets
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("PackedInfoColumn index out of range")
-        return _unpack_info(self.blob[offsets[index] : offsets[index + 1]])
-
-    def __iter__(self):
-        blob = self.blob
-        offsets = self.offsets
-        start = offsets[0]
-        for end in offsets[1:]:
-            yield _unpack_info(blob[start:end])
-            start = end
-
-    def __reduce__(self):
-        from array import array
-
-        offsets = self.offsets
-        if isinstance(offsets, memoryview):
-            offsets = array(offsets.format, offsets)
-        return (PackedInfoColumn, (offsets, bytes(self.blob)))
 
 
 # -- writer --------------------------------------------------------------
@@ -406,8 +369,10 @@ class ColumnarTraceReader:
         return BytesColumn(self._payload_offsets, self._payload_blob)
 
     def info_column(self):
-        """The ``m_info`` column, decoded per cell on access."""
-        return PackedInfoColumn(self._info_offsets, self._info_blob)
+        """The ``m_info`` column: packed, decoded per cell on access."""
+        return BytesColumn(
+            self._info_offsets, self._info_blob, _unpack_info
+        )
 
     # -- records ----------------------------------------------------------
     def record(self, index):
@@ -472,8 +437,10 @@ class ColumnarTraceReader:
                 ),
                 [channels[j] for j in self._channel_indices[start:end]],
                 self._m_ids[start:end],
-                PackedInfoColumn(
-                    self._info_offsets[start : end + 1], self._info_blob
+                BytesColumn(
+                    self._info_offsets[start : end + 1],
+                    self._info_blob,
+                    _unpack_info,
                 ),
             ]
             parts.append(ColumnarPartition(columns, size))
@@ -515,7 +482,7 @@ def load_table(context, path, num_partitions=None):
 
     The Source node holds :class:`ColumnarPartition` objects whose
     ``(t, m_id)`` columns are raw file views; nothing is decoded until
-    a task touches the payload or info columns.
+    a task reads (not merely moves) a payload or info cell.
     """
     from repro.protocols.frames import BYTE_RECORD_COLUMNS
 

@@ -18,6 +18,24 @@ def ctx():
 
 
 @pytest.fixture
+def info_decodes(monkeypatch):
+    """Every ``colbin._unpack_info`` call of planes built *after* this
+    fixture (a packed plane binds its decode hook when the reader hands
+    it out) -- the TLV decodes a ``.ctrc`` run pays."""
+    from repro.tracefile import colbin
+
+    calls = []
+    unpack = colbin._unpack_info
+
+    def counting(data):
+        calls.append(1)
+        return unpack(data)
+
+    monkeypatch.setattr(colbin, "_unpack_info", counting)
+    return calls
+
+
+@pytest.fixture
 def wiper_database():
     """The paper's running example: wiper position/velocity on FA-CAN
     (Fig. 2) plus heater (LIN ordinal) and belt (binary)."""

@@ -1,0 +1,164 @@
+"""Moving a cell is not reading it: Algorithm 1 over a ``.ctrc``.
+
+``m_info`` reaches ``u_2`` only for rules with ``required_info``; the
+front half therefore moves the packed info plane (preselection filter,
+line-4 join, ``cache()``) without one TLV decode, and evaluates ``u_1``
+once per ``K_join`` row. Both are counted here, against the row
+reference executor's ``R_out``.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core import PipelineConfig, PreprocessingPipeline
+from repro.core.rules import InterpretationRule, RuleCatalog
+from repro.datasets import SPECS, build_dataset
+from repro.datasets.showcase import build_showcase
+from repro.engine import EngineContext, SerialExecutor
+from repro.tracefile import colbin
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """``u_1`` evaluations, through the row form or a compiled one."""
+    calls = []
+    compile_extractor = InterpretationRule.compile_extractor
+    extract_relevant = InterpretationRule.extract_relevant
+
+    def counting_compile(self):
+        extract = compile_extractor(self)
+
+        def counted(payload):
+            calls.append(1)
+            return extract(payload)
+
+        return counted
+
+    def counting_extract(self, payload):
+        calls.append(1)
+        return extract_relevant(self, payload)
+
+    monkeypatch.setattr(
+        InterpretationRule, "compile_extractor", counting_compile
+    )
+    monkeypatch.setattr(
+        InterpretationRule, "extract_relevant", counting_extract
+    )
+    return calls
+
+
+def _dump(records, tmp_path):
+    path = tmp_path / "trace.ctrc"
+    colbin.dump_records(records, path)
+    return path
+
+
+def _k_join_rows(records, catalog, gated_only=False):
+    """Rows of ``K_pre ⋈ U_comb`` (optionally: whose rule reads m_info)."""
+    per_key = {}
+    for u in catalog:
+        if u.rule.required_info or not gated_only:
+            per_key[u.key()] = per_key.get(u.key(), 0) + 1
+    return sum(per_key.get((r[3], r[2]), 0) for r in records)
+
+
+def test_syn_ctrc_decodes_no_info_cell_and_extracts_once_per_joined_row(
+    tmp_path, info_decodes, extractions
+):
+    bundle = build_dataset(SPECS["SYN"])
+    records = bundle.byte_records(4.0)
+    catalog = bundle.catalog()
+    assert not any(u.rule.required_info for u in catalog)
+    k_join = _k_join_rows(records, catalog)
+    path = _dump(records, tmp_path)
+    pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
+
+    context = EngineContext.serial()
+    result = pipeline.run(colbin.load_table(context, path))
+    assert result.counts["k_s"] == k_join
+    assert info_decodes == []
+    assert len(extractions) == k_join
+
+    del extractions[:]
+    k_s = pipeline.extract_signals(colbin.load_table(context, path))
+    assert k_s.count() == k_join
+    assert info_decodes == []
+    assert len(extractions) == k_join
+
+
+def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
+    tmp_path, info_decodes
+):
+    showcase = build_showcase()
+    records = showcase.simulation.byte_records(4.0)
+    gated = showcase.notification_catalog()
+    others = tuple(
+        u for u in showcase.catalog()
+        if u.signal_id != showcase.notification_signal
+    )
+    catalog = RuleCatalog(others + gated.tuples)
+    asking = _k_join_rows(records, catalog, gated_only=True)
+    assert 0 < asking < _k_join_rows(records, catalog)
+    path = _dump(records, tmp_path)
+    pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
+
+    result = pipeline.run(colbin.load_table(EngineContext.serial(), path))
+    assert len(info_decodes) == asking
+    r_out = sorted(result.r_out.collect(), key=repr)
+    assert showcase.notification_signal in {row[1] for row in r_out}
+
+    reference = EngineContext(SerialExecutor(columnar=False))
+    expected = pipeline.run(colbin.load_table(reference, path))
+    assert r_out == sorted(expected.r_out.collect(), key=repr)
+
+
+def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
+    tmp_path,
+):
+    bundle = build_dataset(SPECS["SYN"])
+    path = _dump(bundle.byte_records(4.0), tmp_path)
+    pipeline = PreprocessingPipeline(PipelineConfig(
+        catalog=bundle.catalog(), constraints=bundle.default_constraints(),
+    ))
+    serial = pipeline.run(
+        colbin.load_table(EngineContext.serial(), path)
+    ).r_out.collect()
+    with EngineContext.parallel(num_workers=2) as context:
+        k_b = colbin.load_table(context, path).cache()
+        # The cache kept the packed planes; workers receive them pickled.
+        info = k_b.plan.partitions[0].column(4)
+        assert info.decode is colbin._unpack_info
+        parallel = pipeline.run(k_b).r_out.collect()
+    assert serial
+    assert sorted(parallel, key=repr) == sorted(serial, key=repr)
+
+
+def test_gated_rule_reads_info_through_every_u2_form(wiper_database):
+    """The row form, the compiled evaluator and ``batch_call`` agree on
+    a rule with ``required_info`` -- and ``batch_call`` indexes the info
+    column for that rule's rows only."""
+    from repro.core.interpretation import _U2
+
+    plain = next(iter(wiper_database.translation_catalog())).rule
+    gated = dataclasses.replace(
+        plain, required_info=(("protocol", "CAN"),)
+    )
+    first, last = plain.encoding.byte_span()
+    l_rel = bytes(range(1, last - first + 2))
+    can, lin = (("protocol", "CAN"),), (("protocol", "LIN"),)
+
+    class Infos:
+        def __init__(self, cells):
+            self.cells, self.read = cells, []
+
+        def __getitem__(self, index):
+            self.read.append(index)
+            return self.cells[index]
+
+    infos = Infos([can, lin, can, lin])
+    rules = [gated, gated, plain, plain]
+    out = _U2().batch_call([l_rel] * 4, infos, rules)
+    assert infos.read == [0, 1]
+    assert out == [_U2()(l_rel, m, r) for m, r in zip(infos.cells, rules)]
+    assert out[1] is None and out[0] == out[2] == out[3] is not None

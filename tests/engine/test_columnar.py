@@ -8,7 +8,9 @@ cell types; the engine tests pin that a columnar Source collects the
 same rows as a row Source through kernels, fallbacks and pickling.
 """
 
+import ast
 import math
+import mmap
 import pickle
 from array import array
 
@@ -23,7 +25,11 @@ from repro.engine import (
     as_row_partition,
     col,
 )
-from repro.engine.columnar import columns_to_rows
+from repro.engine.columnar import (
+    columns_to_rows,
+    compress_column,
+    gather_column,
+)
 from repro.engine.errors import PlanError
 
 
@@ -161,6 +167,87 @@ class TestLayoutSelection:
         rows = [(1,), (2,)]
         assert as_row_partition(rows) is rows
         assert as_row_partition(ColumnarPartition.from_rows(rows, 1)) == rows
+
+
+_DECODES = []
+
+
+def _decode_cell(data):
+    """Decode hook of the packed test planes (module-level: it pickles)."""
+    _DECODES.append(1)
+    return ast.literal_eval(bytes(data).decode("utf-8"))
+
+
+def _mmap_plane(cells):
+    """*cells* as a packed plane whose offsets and blob are views of one
+    anonymous mmap, padded on both sides like a section of a file."""
+    chunks = [repr(cell).encode("utf-8") for cell in cells]
+    base = 5  # the plane's first offset is not zero
+    offsets = array("Q", [base])
+    for chunk in chunks:
+        offsets.append(offsets[-1] + len(chunk))
+    blob = b"#" * base + b"".join(chunks) + b"#" * 3
+    head = len(offsets) * 8
+    mapped = mmap.mmap(-1, head + len(blob))
+    mapped[:head] = offsets.tobytes()
+    mapped[head:] = blob
+    view = memoryview(mapped)
+    return BytesColumn(view[:head].cast("Q"), view[head:], _decode_cell)
+
+
+_INFO_CELLS = st.lists(
+    st.tuples(
+        st.text(max_size=6),
+        st.one_of(st.booleans(), st.integers(), st.text(max_size=6),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+class TestPackedPlaneMovesWithoutDecoding:
+    """gather / kernel compress, then decode == decode, then select."""
+
+    @given(cells=st.lists(_INFO_CELLS, max_size=10), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_moving_commutes_with_decoding(self, cells, data):
+        n = len(cells)
+        indices = data.draw(st.lists(  # repeated, out of order, or none
+            st.integers(min_value=0, max_value=max(n - 1, 0)),
+            max_size=0 if n == 0 else 12,
+        ))
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        plane = _mmap_plane(cells)
+        del _DECODES[:]
+
+        moved = [
+            plane.gather(indices),
+            gather_column(plane, indices),
+            compress_column(plane, mask),
+            pickle.loads(pickle.dumps(plane)),
+        ]
+        context = EngineContext.serial(default_parallelism=2)
+        table = context.table_from_columnar(
+            ["keep", "info"],
+            [ColumnarPartition([list(mask), plane], n),
+             ColumnarPartition([[], plane.gather([])], 0)],
+        )
+        cached = table.filter(col("keep")).cache()
+        moved += [p.column(1) for p in cached.plan.partitions]
+        assert _DECODES == []  # nothing above read a cell
+        assert all(isinstance(m, BytesColumn) for m in moved)
+
+        kept = [cell for cell, keep in zip(cells, mask) if keep]
+        assert list(moved[0]) == list(moved[1]) == [cells[i] for i in indices]
+        assert list(moved[2]) == kept
+        assert list(moved[3]) == cells
+        assert [moved[0][i] for i in range(-len(indices), 0)] == \
+            [cells[i] for i in indices]
+        assert cached.collect() == [(True, cell) for cell in kept]
+        # A pickled plane carries the bytes its cells cover, no more.
+        covered = sum(len(repr(cell).encode("utf-8")) for cell in cells)
+        assert len(moved[3].blob) == covered
+        assert plane.nbytes() == covered + (n + 1) * 8
 
 
 class TestEngineEquivalence:

@@ -35,11 +35,24 @@ TIER1_SEEDS = 70
 
 class TestFuzzHarness:
     def test_fixed_seed_budget_has_zero_divergences(self):
-        reports, combos_run = run_seeds(range(TIER1_SEEDS))
+        with DifferentialOracle() as oracle:
+            reports, combos_run = run_seeds(range(TIER1_SEEDS), oracle)
+            fired = {
+                name: executor.obs.counter(
+                    "optimizer.rule.project_pruning"
+                ).value
+                for name, executor in oracle.executors().items()
+            }
         assert combos_run >= 400
         assert all(not r.invalid for r in reports)
         diverged = [r for r in reports if not r.ok]
         assert diverged == []
+        # The generated plans prune projections on every optimizing
+        # combo, serial and pooled, interpreted and columnar.
+        assert all(
+            (fired[combo.name] > 0) == combo.optimize
+            for combo in DEFAULT_COMBOS + (REFERENCE_COMBO,)
+        )
 
     def test_matrix_isolates_the_path_and_optimizer_axes(self):
         assert len(DEFAULT_COMBOS) <= 5

@@ -8,7 +8,7 @@ the rule: NULLs, duplicates, empty partitions, computed columns.
 
 import pytest
 
-from repro.engine import EngineContext, apply, col
+from repro.engine import EngineContext, apply, col, row_apply
 from repro.engine.executor import SerialExecutor
 from repro.engine.optimizer import optimize
 
@@ -24,6 +24,18 @@ def table(ctx):
 
 def _double(x):
     return 2 * x
+
+
+def _add(x, y):
+    return None if y is None else x + y
+
+
+def _row_width(row):
+    return len(row)
+
+
+def _wide_row_with_big_d(row):
+    return len(row) == 5 and row["d"] > 20
 
 
 def _run_both_ways(table_obj):
@@ -118,6 +130,70 @@ class TestIdentityProjectElimination:
         assert "identity_project_elimination" not in _fired_rules(out)
         opt_rows, raw_rows = _run_both_ways(out)
         assert sorted(opt_rows, key=repr) == sorted(raw_rows, key=repr)
+
+
+class TestProjectPruning:
+    """``Project(Filter(Project))``: the shape of Algorithm 1 lines 5-6
+    (two computed columns, a filter on the second, a narrow select)."""
+
+    def _interpret_chain(self, table):
+        return (
+            table.with_column("d", apply(_double, "a"))
+            .with_column("e", apply(_add, "d", "n"))
+            .filter(col("e").is_not_null())
+            .select("a", "e", "c")
+        )
+
+    def test_rule_fires_on_the_interpret_chain(self, table):
+        out = self._interpret_chain(table)
+        assert "project_pruning" in _fired_rules(out)
+        inner = optimize(out.plan).child.child
+        # b, n and the intermediate d are gone; e computes d inline.
+        assert inner.schema.names == ("a", "c", "e")
+        opt_rows, raw_rows = _run_both_ways(out)
+        assert opt_rows == raw_rows
+        assert 0 < len(opt_rows) < 40  # the filter drops the NULL rows
+
+    def test_computed_columns_evaluate_once_per_row(self, table):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return 2 * x
+
+        out = (
+            table.with_column("d", apply(counted, "a"))
+            .with_column("e", apply(_add, "d", "n"))
+            .filter(col("e").is_not_null())
+            .select("a", "e")
+        )
+        assert len(out.collect()) == 32
+        assert len(calls) == 40  # not 80: the dead d column is not built
+
+    def test_does_not_fire_when_every_inner_column_is_read(self, table):
+        out = (
+            table.select("a", "n").with_column("d", apply(_double, "a"))
+            .filter(col("d") > 20)
+            .select("n", "d", "a")
+        )
+        assert "project_pruning" not in _fired_rules(out)
+        opt_rows, raw_rows = _run_both_ways(out)
+        assert opt_rows == raw_rows
+
+    @pytest.mark.parametrize("where", ["predicate", "outer"])
+    def test_whole_row_consumers_keep_every_column(self, table, where):
+        computed = table.with_column("d", apply(_double, "a"))
+        if where == "predicate":
+            out = computed.filter(row_apply(_wide_row_with_big_d)).select("a")
+        else:
+            out = (
+                computed.filter(col("d") > 20)
+                .with_column("w", row_apply(_row_width))
+                .select("w")
+            )
+        assert "project_pruning" not in _fired_rules(out)
+        opt_rows, raw_rows = _run_both_ways(out)
+        assert opt_rows == raw_rows and len(opt_rows) == 29
 
 
 class TestRulesComposeAcrossWideNodes:

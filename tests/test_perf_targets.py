@@ -8,10 +8,15 @@ second every executor counter ``perf/workloads.py`` reads off
 single-copy: the calls that *are* lines 7-28 may appear in one module
 of ``repro.core`` only (in the spirit of the ``perf_counter``
 containment guard in ``tests/obs``), and no module of it goes back to
-the engine to split or deduplicate.
+the engine to split or deduplicate. The last group keeps a packed plane
+packed: cells are decoded by the plane class, whole columns are
+compressed and transposed in one named function each, ``m_info`` is
+indexed by ``_U2.batch_call`` alone and ``Table.cache`` goes through
+``Executor.execute``, the name the tracer wraps.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -20,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE = ROOT / "src" / "repro" / "core"
+ENGINE = ROOT / "src" / "repro" / "engine"
 
 
 def _perf_targets():
@@ -103,3 +109,114 @@ def test_core_splits_on_the_engine_in_split_signal_types_only():
     assert _callers("split_by_key") == {
         ("splitting.py", "split_signal_types")
     }
+
+
+def _scopes(directories, matches):
+    """``(module, Class.function)`` of every AST node *matches* accepts
+    under *directories* (the innermost enclosing definitions)."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if matches(node):
+            found.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for directory in directories:
+        for path in sorted(directory.glob("*.py")):
+            visit(_parsed(path), path.name, ())
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_a_packed_cell_is_decoded_by_the_plane_class_only():
+    def reads_decode_hook(node):
+        return isinstance(node, ast.Attribute) and node.attr == "decode"
+
+    readers = _scopes([ENGINE], reads_decode_hook)
+    # ``_scalar_key_column`` compares the hook to ``bytes``, never calls.
+    assert {scope.split(".")[0] for _module, scope in readers} == {
+        "BytesColumn", "_scalar_key_column"
+    }
+
+
+def test_whole_columns_are_compressed_and_transposed_in_one_place_each():
+    def compresses(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "compress"
+
+    def transposes(node):  # zip(*columns) / zip(*x.columns)
+        return (
+            isinstance(node, ast.Call) and _name(node.func) == "zip"
+            and any(
+                isinstance(a, ast.Starred) and _name(a.value) == "columns"
+                for a in node.args
+            )
+        )
+
+    assert _scopes([ENGINE, CORE], compresses) == {
+        ("columnar.py", "compress_column")
+    }
+    assert _scopes([ENGINE, CORE], transposes) == {
+        ("columnar.py", "columns_to_rows")
+    }
+    # ... and the generated kernels compress through that function.
+    from repro.engine import codegen
+    from repro.engine.columnar import compress_column
+    from repro.engine.expressions import BoundColumn
+    from repro.engine.operations import FilterStep
+
+    source, _constants = codegen.lower_columnar_segment(
+        [FilterStep(BoundColumn(0))], 2
+    )
+    assert "[_compress(_c, _mask) for _c in _cols]" in source
+    kernel = codegen._bind_kernel(compile(source, "<guard>", "exec"), [])
+    assert kernel.__globals__["_compress"] is compress_column
+
+
+def test_m_info_cells_are_indexed_by_u2_batch_call_only():
+    def indexes(node):
+        return isinstance(node, ast.Subscript) and \
+            _name(node.value) == "m_infos"
+
+    def iterates(node):  # for/comprehension over it, or zip(...)/list(...)
+        if isinstance(node, (ast.For, ast.comprehension)):
+            return _name(node.iter) == "m_infos"
+        return isinstance(node, ast.Call) and any(
+            _name(arg) == "m_infos" for arg in node.args
+        )
+
+    assert _scopes([ENGINE, CORE], indexes) == {
+        ("interpretation.py", "_U2.batch_call")
+    }
+    assert _scopes([ENGINE, CORE], iterates) == set()
+
+
+def test_table_cache_reaches_the_executor_through_execute_only():
+    def inner_execution(node):
+        return _name(node) == "_execute_partitions"
+
+    assert {m for m, _scope in _scopes([ENGINE, CORE], inner_execution)} == {
+        "executor.py"
+    }
+    tree = ast.parse((ENGINE / "table.py").read_text(encoding="utf-8"))
+    [cache] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cache"
+    ]
+    on_executor = [
+        node.func.attr for node in ast.walk(cache)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and _name(node.func.value) == "executor"
+    ]
+    assert on_executor == ["execute"]

@@ -7,6 +7,7 @@ round-trip byte records, float timestamps bit-exactly, against the
 record-major binlog reader.
 """
 
+import io
 import pickle
 import struct
 
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.preselection import preselect, preselect_file
-from repro.engine import ColumnarPartition, col
+from repro.core.preselection import preselect
+from repro.engine import BytesColumn, ColumnarPartition, col
 from repro.engine.errors import PlanError
 from repro.tracefile import binlog, codec_for, colbin
 from repro.tracefile.colbin import ColumnarTraceError, ColumnarTraceReader
@@ -94,6 +95,89 @@ def test_property_columnar_round_trip(
     ]
     colbin.dump_records(records, path)
     assert colbin.load_records(path) == records
+
+
+def _unpack_info_per_field(data):
+    """The decoder ``_unpack_info`` replaced, kept as its oracle: one
+    ``calcsize`` + ``unpack_from`` per field behind a bounds check."""
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            raise ColumnarTraceError("truncated m_info entry")
+        out = struct.unpack_from(fmt, data, pos)
+        pos += size
+        return out[0]
+
+    def take_bytes(n):
+        nonlocal pos
+        if pos + n > len(data):
+            raise ColumnarTraceError("truncated m_info entry")
+        out = bytes(data[pos : pos + n])
+        pos += n
+        return out
+
+    info = []
+    for _unused in range(take("<B")):
+        key = take_bytes(take("<B")).decode("utf-8")
+        tag = take("<B")
+        if tag == 0:
+            value = bool(take("<B"))
+        elif tag == 1:
+            value = take("<q")
+        elif tag == 2:
+            value = take("<d")
+        elif tag == 3:
+            value = take_bytes(take("<H")).decode("utf-8")
+        else:
+            raise ColumnarTraceError("unknown value tag {}".format(tag))
+        info.append((key, value))
+    return tuple(info)
+
+
+_info_tuples = st.lists(
+    st.tuples(
+        st.text(max_size=12),  # keys: any unicode, non-ASCII included
+        st.one_of(
+            st.booleans(),
+            st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+            st.floats(allow_nan=False),
+            st.text(max_size=20),
+        ),
+    ),
+    max_size=6,
+).map(tuple)
+
+
+class TestInfoCodec:
+    @given(info=_info_tuples)
+    @settings(max_examples=100, deadline=None)
+    def test_decoder_equals_the_per_field_decoder(self, info):
+        packed = colbin._pack_info(info)
+        decoded = colbin._unpack_info(packed)
+        assert decoded == info == _unpack_info_per_field(packed)
+        assert [type(v) for _k, v in decoded] == [type(v) for _k, v in info]
+        assert colbin._unpack_info(memoryview(packed)) == info
+
+    def test_every_truncation_of_a_cell_is_the_structured_error(self):
+        info = (("protocol", "CAN"), ("dlc", 8), ("ext\u00e9", False),
+                ("load", 0.5), ("n\u00f8te", "\u00fcber"))
+        packed = colbin._pack_info(info)
+        for cut in range(len(packed)):
+            for decode in (colbin._unpack_info, _unpack_info_per_field):
+                with pytest.raises(ColumnarTraceError) as caught:
+                    decode(packed[:cut])
+                assert str(caught.value) == "truncated m_info entry"
+
+    def test_unknown_tag_message(self):
+        packed = bytearray(colbin._pack_info((("k", 1),)))
+        packed[3] = 9
+        for decode in (colbin._unpack_info, _unpack_info_per_field):
+            with pytest.raises(ColumnarTraceError) as caught:
+                decode(bytes(packed))
+            assert str(caught.value) == "unknown value tag 9"
 
 
 class TestMalformedFiles:
@@ -179,6 +263,86 @@ class TestMalformedFiles:
         assert reader is None
 
 
+class TestCorruptCellIsFoundWhereItIsRead:
+    """Open-time validation covers the layout; a malformed TLV *inside*
+    an ``m_info`` cell raises when that cell is decoded, and a run that
+    only moves the cell yields the uncorrupted file's ``R_out``."""
+
+    @pytest.fixture
+    def syn(self):
+        from repro.datasets import SPECS, build_dataset
+
+        return build_dataset(SPECS["SYN"])
+
+    @pytest.fixture
+    def paths(self, syn, tmp_path):
+        good = tmp_path / "good.ctrc"
+        colbin.dump_records(syn.byte_records(3.0), good)
+        data = bytearray(good.read_bytes())
+        blob = struct.unpack_from("<9Q", data, 26)[7]
+        # Cell 0: count, key length, key, then the value tag.
+        data[blob + 2 + data[blob + 1]] = 0xEE
+        bad = tmp_path / "bad.ctrc"
+        bad.write_bytes(bytes(data))
+        return good, bad
+
+    def _r_out(self, config, path):
+        from repro.core import PreprocessingPipeline
+        from repro.engine import EngineContext
+
+        k_b = colbin.load_table(EngineContext.serial(), path)
+        return PreprocessingPipeline(config).run(k_b).r_out.collect()
+
+    def test_a_run_that_never_reads_the_cell_succeeds(self, syn, paths):
+        from repro.core import PipelineConfig
+
+        good, bad = paths
+        config = PipelineConfig(catalog=syn.catalog())
+        r_out = self._r_out(config, bad)
+        assert r_out and r_out == self._r_out(config, good)
+
+    def test_landing_the_cell_as_a_row_raises(self, ctx, paths):
+        _good, bad = paths
+        reader = ColumnarTraceReader(bad)  # opens: the layout is intact
+        assert reader.select(range(1, len(reader)))
+        with pytest.raises(ColumnarTraceError, match="unknown value tag"):
+            reader.records()
+        with pytest.raises(ColumnarTraceError, match="unknown value tag"):
+            colbin.load_table(ctx, bad).collect()
+
+    def test_a_rule_that_reads_the_cell_fails_the_cli_with_one_line(
+        self, paths, monkeypatch, capsys
+    ):
+        import dataclasses
+
+        from repro import cli
+        from repro.core.rules import RuleCatalog
+
+        def gated_config(document, database):
+            config = config_from_dict(document, database)
+            gated = RuleCatalog(tuple(
+                dataclasses.replace(u, rule=dataclasses.replace(
+                    u.rule, required_info=(("protocol", "CAN"),)
+                ))
+                for u in config.catalog
+            ))
+            return dataclasses.replace(config, catalog=gated)
+
+        config_from_dict = cli.config_from_dict
+        monkeypatch.setattr(cli, "config_from_dict", gated_config)
+        good, bad = paths
+        argv = ["pipeline", "--dataset", "SYN", "--trace"]
+        out = io.StringIO()
+        assert cli.main(argv + [str(good)], out=out) == 0
+        assert "classification:" in out.getvalue()
+        out = io.StringIO()
+        assert cli.main(argv + [str(bad)], out=out) == 2
+        assert capsys.readouterr().err == (
+            "error: trace: unknown value tag 238\n"
+        )
+        assert out.getvalue() == ""
+
+
 class TestReaderColumns:
     @pytest.fixture
     def reader(self, records, tmp_path):
@@ -211,6 +375,15 @@ class TestReaderColumns:
         assert rows == records
         clone = pickle.loads(pickle.dumps(parts[0]))
         assert clone.to_rows() == parts[0].to_rows()
+        # Both packed planes are sized by the bytes their cells cover
+        # (plus offsets), next to 8 bytes per t / b_id / m_id cell.
+        n = len(records)
+        packed = sum(
+            len(r[1]) + len(colbin._pack_info(r[4])) for r in records
+        )
+        assert sum(p.nbytes() for p in parts) == (
+            24 * n + packed + 2 * 8 * (n + len(parts))
+        )
 
 
 class TestCountDecodesNothing:
@@ -220,7 +393,7 @@ class TestCountDecodesNothing:
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_count_of_loaded_table(
-        self, records, tmp_path, monkeypatch, columnar
+        self, records, tmp_path, info_decodes, columnar
     ):
         from repro.engine import EngineContext, SerialExecutor
 
@@ -230,16 +403,10 @@ class TestCountDecodesNothing:
             SerialExecutor(default_parallelism=3, columnar=columnar)
         )
         table = colbin.load_table(context, path)
-        calls = []
-        unpack = colbin._unpack_info
-        monkeypatch.setattr(
-            colbin, "_unpack_info",
-            lambda data: calls.append(1) or unpack(data),
-        )
         assert table.count() == len(records)
-        assert calls == []
+        assert info_decodes == []
         assert table.count() == len(table.collect())
-        assert len(calls) == len(records)  # the collect does decode
+        assert len(info_decodes) == len(records)  # the collect does decode
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_count_agrees_with_collect_after_narrow_and_wide_ops(
@@ -264,20 +431,38 @@ class TestCountDecodesNothing:
 
 
 class TestPreselectionScan:
-    def test_preselect_file_matches_table_path(
-        self, ctx, wiper_simulation, tmp_path
+    """Line 3 over a ``.ctrc``: ``load_table -> preselect`` reads the
+    ``(m_id, b_id)`` views only; payload and ``m_info`` cells of the
+    survivors are moved packed, nobody else's are touched."""
+
+    def test_preselect_is_payload_and_info_blind(
+        self, ctx, wiper_simulation, tmp_path, info_decodes
     ):
         records = wiper_simulation.byte_records(5.0)
-        catalog = wiper_simulation.database.translation_catalog()
+        catalog = wiper_simulation.database.translation_catalog(["belt"])
+        keys = catalog.preselection_keys()
+        survivors = [r for r in records if (r[3], r[2]) in keys]
+        assert 0 < len(survivors) < len(records)
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
+        k_pre = preselect(colbin.load_table(ctx, path), catalog).cache()
+        assert k_pre.count() == len(survivors)
+        assert info_decodes == []
+        parts = k_pre.plan.partitions
+        assert all(isinstance(p, ColumnarPartition) for p in parts)
+        # Payload bytes exist for survivors only, still as one plane.
+        payloads = [p.column(1) for p in parts]
+        assert all(isinstance(c, BytesColumn) for c in payloads)
+        assert sum(len(c.blob) for c in payloads) == sum(
+            len(r[1]) for r in survivors
+        )
         k_b = ctx.table_from_rows(
             ["t", "l", "b_id", "m_id", "m_info"], records
         )
-        expected = sorted(preselect(k_b, catalog).collect())
-        actual = sorted(preselect_file(ctx, path, catalog).collect())
-        assert actual == expected
-        assert actual  # the wiper catalog matches some of its own trace
+        assert sorted(k_pre.collect()) == sorted(
+            preselect(k_b, catalog).collect()
+        )
+        assert len(info_decodes) == len(survivors)  # the collect's
 
     def test_preselected_table_flows_into_engine_ops(
         self, ctx, wiper_simulation, tmp_path
@@ -286,5 +471,5 @@ class TestPreselectionScan:
         catalog = wiper_simulation.database.translation_catalog()
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
-        table = preselect_file(ctx, path, catalog)
+        table = preselect(colbin.load_table(ctx, path), catalog).cache()
         assert table.filter(col("t") >= 0.0).count() == table.count()
