@@ -20,7 +20,9 @@ each marker function's explicit carry -- and its checkpoint payload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.core.interpretation import interpret_under_policy
 from repro.core.preselection import preselect
@@ -238,11 +240,11 @@ def _state_field(payload, name, types):
     """``payload[name]`` once it is known to be there and of *types*."""
     if name not in payload:
         raise IncrementalError(
-            "incremental-state payload lacks field {!r}".format(name)
+            "state payload lacks field {!r}".format(name)
         )
     if not isinstance(payload[name], types):
         raise IncrementalError(
-            "incremental-state field {!r} has type {}".format(
+            "state field {!r} has type {}".format(
                 name, type(payload[name]).__name__
             )
         )
@@ -262,30 +264,32 @@ class IncrementalResult:
         return build_state_representation(self.r_out, signal_order)
 
 
+def window_index(t, origin, window_seconds):
+    """The window timestamp *t* belongs to: window ``k`` covers
+    ``[origin + k*W, origin + (k+1)*W)``. The one membership rule of
+    :func:`split_into_windows` and the stream ``WindowAssembler``."""
+    return math.floor((t - origin) / window_seconds)
+
+
 def split_into_windows(records, window_seconds):
     """Partition byte records into time-ordered window-sized chunks.
 
     Records need not arrive time-ordered (lossy recorders step
     backwards): they are stable-sorted by timestamp first, so window
-    membership is a pure function of each record's timestamp and
+    membership is a pure function of each record's timestamp --
+    :func:`window_index` relative to the earliest one -- and
     :meth:`IncrementalRunner.process_window`'s in-order-windows check
-    holds for the produced sequence.
+    holds for the produced sequence. Empty windows are not produced.
     """
     if window_seconds <= 0:
         raise IncrementalError("window_seconds must be positive")
-    windows = []
-    current = []
-    boundary = None
-    for record in sorted(records, key=lambda r: (r[0],)):
-        t = record[0]
-        if boundary is None:
-            boundary = t + window_seconds
-        if t >= boundary:
-            windows.append(current)
-            current = []
-            while t >= boundary:
-                boundary += window_seconds
-        current.append(record)
-    if current:
-        windows.append(current)
-    return windows
+    ordered = sorted(records, key=lambda r: (r[0],))
+    if not ordered:
+        return []
+    origin = ordered[0][0]
+    return [
+        list(window)
+        for _index, window in groupby(
+            ordered, lambda r: window_index(r[0], origin, window_seconds)
+        )
+    ]

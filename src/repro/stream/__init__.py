@@ -4,7 +4,7 @@ The paper's operating point is continuous capture ("500 cars produce
 1.5 TB per day"), yet until this package every entry point was a batch
 caller. Here the windowed-equals-whole guarantee of
 :mod:`repro.core.incremental` is put behind a long-running asyncio
-service in the channel-daemon receive-loop shape:
+service:
 
 * :mod:`repro.stream.assembler` -- the online form of
   :func:`~repro.core.incremental.split_into_windows`: frames are
@@ -16,16 +16,16 @@ service in the channel-daemon receive-loop shape:
   vehicle wrapping an :class:`~repro.core.incremental.IncrementalRunner`
   behind a :class:`WindowAssembler`, with per-channel delivery cursors
   and a picklable state snapshot;
-* :mod:`repro.stream.receivers` -- per-channel receive loops pulling
-  frames from a :class:`FrameSource` and awaiting the owning session's
-  bounded queue (backpressure stalls only the channels of the slow
-  vehicle, never other receivers);
+* :mod:`repro.stream.receivers` -- :class:`FrameSource` and
+  :func:`deliver`, the per-vehicle delivery loop: the event-time merge
+  of a vehicle's channels, awaiting the owning session's bounded queue
+  per frame (backpressure stalls only the slow vehicle, never another);
 * :mod:`repro.stream.checkpoint` -- the session-state codec over
   :class:`repro.fleet.CheckpointStore`, so a killed service resumes
   mid-stream and replay of undelivered frames yields byte-identical
   ``finalize()`` output to an uninterrupted run;
 * :mod:`repro.stream.service` -- :class:`StreamIngestService` wiring
-  receivers, sessions, periodic checkpoints and the ``stream.*``
+  delivery loops, sessions, periodic checkpoints and the ``stream.*``
   metrics together, plus the drain/finalize path the CLI and tests
   drive.
 """
@@ -39,20 +39,17 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.errors import StreamError
 from repro.stream.receivers import (
-    ChannelReceiver,
     FrameBudget,
     FrameSource,
-    ReplayPacer,
     ReplaySource,
+    deliver,
 )
 from repro.stream.service import ServeResult, StreamConfig, StreamIngestService
 from repro.stream.session import VehicleSession
 
 __all__ = [
-    "ChannelReceiver",
     "FrameBudget",
     "FrameSource",
-    "ReplayPacer",
     "ReplaySource",
     "STREAM_MANIFEST_FILE",
     "STREAM_STATE_FORMAT",
@@ -63,5 +60,6 @@ __all__ = [
     "StreamIngestService",
     "VehicleSession",
     "WindowAssembler",
+    "deliver",
     "session_job_id",
 ]

@@ -15,8 +15,7 @@ counted and dropped, never silently reordered into the past.
 
 from __future__ import annotations
 
-import math
-
+from repro.core.incremental import _state_field, window_index
 from repro.stream.errors import StreamError
 
 #: Schema tag of :meth:`WindowAssembler.export_state` payloads.
@@ -52,7 +51,7 @@ class WindowAssembler:
         """The window a timestamp belongs to (pure, origin-anchored)."""
         if self._origin is None:
             raise StreamError("no origin yet: add a frame first")
-        return math.floor((t - self._origin) / self.window_seconds)
+        return window_index(t, self._origin, self.window_seconds)
 
     def add(self, frame):
         """Buffer one frame; returns the windows this arrival sealed.
@@ -127,16 +126,27 @@ class WindowAssembler:
 
     @classmethod
     def from_state(cls, payload):
+        """Rebuild an assembler from an :meth:`export_state` payload.
+
+        The payload comes from disk: a missing or ill-typed field
+        raises :class:`~repro.core.incremental.IncrementalError` naming
+        it, as ``IncrementalRunner.from_state`` does.
+        """
         if not isinstance(payload, dict) or payload.get("format") != \
                 ASSEMBLER_STATE_FORMAT:
             raise StreamError("not a window-assembler state payload")
-        assembler = cls(payload["window_seconds"], payload["grace_seconds"])
-        assembler._origin = payload["origin"]
-        assembler._watermark = payload["watermark"]
-        assembler._floor = payload["floor"]
-        assembler.late_dropped = payload["late_dropped"]
+        number, instant = (int, float), (int, float, type(None))
+        assembler = cls(
+            _state_field(payload, "window_seconds", number),
+            _state_field(payload, "grace_seconds", number),
+        )
+        assembler._origin = _state_field(payload, "origin", instant)
+        assembler._watermark = _state_field(payload, "watermark", instant)
+        assembler._floor = _state_field(payload, "floor", (int, type(None)))
+        assembler.late_dropped = _state_field(payload, "late_dropped", int)
+        pending = _state_field(payload, "pending", dict)
         assembler._pending = {
-            index: list(rows)
-            for index, rows in payload["pending"].items()
+            index: list(_state_field(pending, index, list))
+            for index in pending
         }
         return assembler

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.incremental import IncrementalError
 from repro.fleet.catalog import atomic_write_text
 from repro.fleet.checkpoint import CheckpointStore
 from repro.obs import stopwatch
 from repro.stream.errors import StreamError
-from repro.stream.session import SESSION_STATE_FORMAT, VehicleSession
+from repro.stream.session import VehicleSession
 
 #: Schema tag of the run-directory manifest written by ``stream serve``.
 STREAM_STATE_FORMAT = "repro.stream/1"
@@ -84,22 +85,42 @@ class StreamCheckpointer:
             metrics.observe("stream.checkpoint.seconds", watch.seconds)
         return path
 
-    def load_session(self, vehicle_id, config, context, metrics=None):
-        """Rebuild one session from its last committed snapshot."""
+    def session_payload(self, vehicle_id):
+        """The committed snapshot dict of one session, or None (what
+        ``stream status`` prints from and :meth:`load_session` checks)."""
         job_id = session_job_id(vehicle_id)
         if not self.store.has(job_id):
             return None
-        payload = self.store.load(job_id)
-        if not isinstance(payload, dict) or payload.get("format") != \
-                SESSION_STATE_FORMAT:
+        try:
+            payload = self.store.load(job_id)
+        except Exception as exc:  # corrupt pickle bytes raise anything
+            raise StreamError(
+                "checkpoint {!r} cannot be read: {}: {}".format(
+                    job_id, type(exc).__name__, exc
+                )
+            )
+        if not isinstance(payload, dict):
             raise StreamError(
                 "checkpoint {!r} is not a session-state payload".format(
                     job_id
                 )
             )
-        return VehicleSession.from_state(
-            payload, config, context, metrics=metrics
-        )
+        return payload
+
+    def load_session(self, vehicle_id, config, context, metrics=None):
+        """Rebuild one session from its last committed snapshot."""
+        payload = self.session_payload(vehicle_id)
+        if payload is None:
+            return None
+        try:
+            return VehicleSession.from_state(
+                payload, config, context, metrics=metrics
+            )
+        except (StreamError, IncrementalError) as exc:
+            raise StreamError(
+                "checkpoint {!r} is not a usable session snapshot: "
+                "{}".format(session_job_id(vehicle_id), exc)
+            )
 
     def session_ids(self):
         """Vehicle ids with a committed snapshot, sorted."""
@@ -108,13 +129,6 @@ class StreamCheckpointer:
             for job_id in self.store.completed_ids()
             if job_id.startswith(_JOB_PREFIX)
         )
-
-    def session_payload(self, vehicle_id):
-        """The raw snapshot dict of one session (for ``stream status``)."""
-        job_id = session_job_id(vehicle_id)
-        if not self.store.has(job_id):
-            return None
-        return self.store.load(job_id)
 
     def checkpoint_mtime(self, vehicle_id):
         """Commit time of one session's snapshot, or None."""

@@ -1,13 +1,11 @@
-"""Frame sources and per-channel receive loops.
+"""Frame sources and the per-vehicle delivery loop.
 
-The shape follows the channel-daemon pattern of CAN tooling (one
-receive loop per channel, pulling from the transport and handing frames
-to the application queue): a :class:`ChannelReceiver` is an asyncio
-task bound to one ``(vehicle, channel)`` stream that awaits the owning
-session's bounded queue for every frame. Backpressure is therefore
-scoped exactly as the service requires -- a slow vehicle session fills
-its own queue and stalls only the receivers delivering *to it*;
-receivers of other vehicles' channels never wait on it.
+A :class:`FrameSource` serves each channel's frames in a deterministic
+order from a cursor; :func:`deliver` merges one vehicle's channels into
+a single event-time-ordered stream and awaits the owning session's
+bounded queue for every frame. Backpressure is therefore scoped exactly
+as the service requires -- a slow vehicle session fills its own queue
+and stalls only its own delivery loop; other vehicles never wait on it.
 
 :class:`ReplaySource` is the bundled transport: pre-recorded (or
 simulated) byte records served per channel in timestamp order, with
@@ -17,7 +15,8 @@ frames no checkpoint had covered.
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+from itertools import repeat
 
 from repro.stream.errors import StreamError
 
@@ -36,9 +35,6 @@ class FrameSource:
         raise NotImplementedError
 
     def frames(self, channel, start=0):
-        raise NotImplementedError
-
-    def frame_count(self, channel):
         raise NotImplementedError
 
 
@@ -60,112 +56,49 @@ class ReplaySource(FrameSource):
             raise StreamError("cursor must not be negative")
         return iter(self._by_channel[channel][start:])
 
-    def frame_count(self, channel):
-        return len(self._by_channel.get(channel, ()))
 
-    def total_frames(self):
-        return sum(len(rows) for rows in self._by_channel.values())
-
-
-#: A registered replay channel that has not yet announced a frame time.
-_UNANNOUNCED = object()
+def _delivery_key(item):
+    channel, frame = item
+    return frame[0], str(channel)
 
 
-class ReplayPacer:
-    """Event-time merge of one vehicle's replayed channels.
+async def deliver(source, cursor, budget, queue):
+    """One vehicle's delivery loop: merge the channels, feed the queue.
 
-    A recorded journey is replayed as fast as the event loop allows, so
-    without coordination the per-channel receive loops drift apart in
-    *event time* by arbitrary amounts -- a low-rate channel finishes
-    its whole recording while a high-rate one is still near the start,
-    racing the session watermark forward and turning scheduler noise
-    into late drops. The pacer restores what a live transport
-    guarantees for free (cross-channel skew bounded by wall-clock
-    arrival): every receiver announces the timestamp of its next frame
-    and delivers only while it holds the global minimum ``(t,
-    channel)`` key. Delivery order thus becomes a pure function of the
-    recorded data, which is also what makes kill-and-resume replay
-    byte-identical for multi-channel sources.
+    The channels are merged, each from ``cursor(channel)`` (the frames
+    of it already ingested), into one stream ordered by ``(t,
+    str(channel))`` -- stable within a channel; channels whose names tie
+    keep ``source.channels()`` order. Delivery order is thus a pure
+    function of the recorded data and the cursors: kill-and-resume
+    replays a multi-channel source exactly, and no channel can run
+    ahead of another in event time and turn scheduling into late drops.
 
-    One pacer spans one vehicle's channels only; vehicles never pace
-    each other.
+    Every frame takes one unit of the shared *budget* and awaits
+    ``queue.put((channel, frame))`` -- the bounded queue is the
+    backpressure boundary and stalls this vehicle only. The loop ends
+    by putting ``None``; it returns True when the source was exhausted,
+    False when the budget ran out first.
     """
-
-    def __init__(self):
-        self._keys = {}  # channel -> (t, str(channel)) or _UNANNOUNCED
-        self._cond = asyncio.Condition()
-
-    def register(self, channel):
-        """Declare a participating channel before any receiver starts."""
-        self._keys[channel] = _UNANNOUNCED
-
-    def _my_turn(self, channel):
-        mine = self._keys[channel]
-        for other, key in self._keys.items():
-            if other == channel:
-                continue
-            if key is _UNANNOUNCED or key < mine:
-                return False
-        return True
-
-    async def turn(self, channel, t):
-        """Announce the next frame's time; wait until it is the minimum."""
-        async with self._cond:
-            self._keys[channel] = (t, str(channel))
-            self._cond.notify_all()
-            await self._cond.wait_for(lambda: self._my_turn(channel))
-
-    async def finish(self, channel):
-        """Withdraw a channel (stream exhausted or receiver stopped)."""
-        async with self._cond:
-            self._keys.pop(channel, None)
-            self._cond.notify_all()
-
-
-class ChannelReceiver:
-    """Receive loop of one (vehicle, channel) stream.
-
-    ``run`` pulls frames from the source starting at the session's
-    checkpointed cursor and awaits ``queue.put`` per frame -- the
-    bounded queue is the backpressure boundary. The receiver stops when
-    its stream is exhausted or the shared *budget* (a kill switch used
-    to stop a service mid-stream) runs out. With a *pacer* the receiver
-    additionally waits for its event-time turn before each delivery.
-    """
-
-    def __init__(self, vehicle_id, channel, source, queue, start=0,
-                 budget=None, pacer=None):
-        self.vehicle_id = vehicle_id
-        self.channel = channel
-        self.source = source
-        self.queue = queue
-        self.start = start
-        self.budget = budget
-        self.pacer = pacer
-        self.delivered = 0
-        self.exhausted = False
-
-    async def run(self):
-        try:
-            for frame in self.source.frames(self.channel, self.start):
-                if self.pacer is not None:
-                    await self.pacer.turn(self.channel, frame[0])
-                if self.budget is not None and not self.budget.take():
-                    return
-                await self.queue.put((self.channel, frame))
-                self.delivered += 1
-            self.exhausted = True
-        finally:
-            if self.pacer is not None:
-                await self.pacer.finish(self.channel)
+    streams = [
+        zip(repeat(channel), source.frames(channel, cursor(channel)))
+        for channel in source.channels()
+    ]
+    exhausted = True
+    for item in heapq.merge(*streams, key=_delivery_key):
+        if not budget.take():
+            exhausted = False
+            break
+        await queue.put(item)
+    await queue.put(None)
+    return exhausted
 
 
 class FrameBudget:
     """A shared, decrementing frame allowance (the mid-stream kill).
 
     ``take`` grants one frame until the budget is spent; afterwards
-    every receiver stops before delivering another frame, emulating a
-    service killed part-way through the day's traffic.
+    every delivery loop stops before delivering another frame, emulating
+    a service killed part-way through the day's traffic.
     """
 
     def __init__(self, limit):

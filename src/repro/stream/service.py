@@ -1,10 +1,11 @@
 """The always-on asyncio ingest service.
 
 :class:`StreamIngestService` wires the pieces of this package into the
-long-running shape the paper's fleet capture implies: one bounded
-asyncio queue and worker per vehicle session, one receive loop per
-(vehicle, channel) stream, periodic state checkpoints through
-:class:`repro.fleet.CheckpointStore`, and ``stream.*`` metrics for all
+long-running shape the paper's fleet capture implies: per vehicle one
+delivery loop (the event-time merge of its channels), one bounded
+asyncio queue and one ingest loop draining it into the session;
+periodic state checkpoints through
+:class:`repro.fleet.CheckpointStore`; and ``stream.*`` metrics for all
 of it.
 
 Durability contract
@@ -16,15 +17,15 @@ arbitrary committed checkpoint, restarting, and replaying each
 channel's undelivered frames therefore yields ``finalize()`` output
 byte-identical to a run that was never interrupted. Frames ingested
 after the last commit are simply re-delivered on resume -- the source's
-per-channel ordering makes the replay exact, and
+per-channel ordering and the merge make the replay exact, and
 ``stream.resume.frames_skipped`` / ``stream.frames_received`` make the
 re-delivery count observable.
 
 Backpressure
 ------------
-Receivers ``await queue.put`` on the owning session's bounded queue. A
-slow session stalls exactly the receivers feeding it; every other
-vehicle's receive loops keep draining their channels.
+A delivery loop awaits ``queue.put`` on its own session's bounded
+queue. A slow session stalls exactly the loop feeding it; every other
+vehicle keeps draining its source.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.obs import MetricsRegistry
 from repro.stream.checkpoint import StreamCheckpointer
 from repro.stream.errors import StreamError
-from repro.stream.receivers import ChannelReceiver, FrameBudget, ReplayPacer
+from repro.stream.receivers import FrameBudget, deliver
 from repro.stream.session import VehicleSession
 
 
@@ -75,7 +76,7 @@ class ServeResult:
 
 
 class StreamIngestService:
-    """Per-channel receivers feeding checkpointed per-vehicle sessions."""
+    """Per-vehicle delivery loops feeding checkpointed sessions."""
 
     def __init__(self, run_dir, stream_config=None, metrics=None):
         self.config = stream_config or StreamConfig()
@@ -90,7 +91,7 @@ class StreamIngestService:
         """Register one vehicle's source + pipeline parameterization.
 
         When the run directory holds a committed snapshot for this
-        vehicle the session resumes from it: receivers will start at
+        vehicle the session resumes from it: delivery will start at
         the checkpointed per-channel cursors and the skipped-frame
         count is recorded in ``stream.resume.frames_skipped``.
         """
@@ -120,12 +121,12 @@ class StreamIngestService:
         self.metrics.set_gauge("stream.sessions.active", len(self.sessions))
         return session
 
-    # -- the receive/ingest loops ----------------------------------------
+    # -- the delivery/ingest loops ---------------------------------------
     async def serve(self, max_frames=None):
         """Run until every source drains (or *max_frames* kills it).
 
         *max_frames*, when given, is a shared delivery budget across
-        all receivers: once spent, every receive loop stops before
+        all vehicles: once spent, every delivery loop stops before
         delivering another frame -- the controlled stand-in for a
         service process killed mid-stream. No drain or final checkpoint
         happens for killed sessions; their last *committed* periodic
@@ -134,59 +135,30 @@ class StreamIngestService:
         if not self.sessions:
             raise StreamError("no vehicles registered")
         budget = FrameBudget(max_frames)
-        workers = []
-        all_receivers = []
-        for vehicle_id, session in sorted(
-            self.sessions.items(), key=lambda kv: str(kv[0])
-        ):
-            source = self._sources[vehicle_id]
-            queue = asyncio.Queue(maxsize=self.config.queue_capacity)
-            # One pacer per vehicle: its channels replay in event-time
-            # merge order (deterministic), while different vehicles
-            # stay completely unsynchronized.
-            pacer = ReplayPacer()
-            for channel in source.channels():
-                pacer.register(channel)
-            receivers = [
-                ChannelReceiver(
-                    vehicle_id,
-                    channel,
-                    source,
-                    queue,
-                    start=session.cursor(channel),
-                    budget=budget,
-                    pacer=pacer,
-                )
-                for channel in source.channels()
-            ]
-            all_receivers.extend(receivers)
-            workers.append(
-                self._run_vehicle(vehicle_id, session, queue, receivers)
-            )
-        await asyncio.gather(*workers)
-        killed = budget.exhausted and not all(
-            r.exhausted for r in all_receivers
+        vehicles = sorted(self.sessions.items(), key=lambda kv: str(kv[0]))
+        # Vehicles share the budget and nothing else: each has its own
+        # delivery loop and queue and never paces another.
+        exhausted = await asyncio.gather(
+            *(self._run_vehicle(*vehicle, budget) for vehicle in vehicles)
         )
-        result = ServeResult(
-            killed=killed,
+        return ServeResult(
+            killed=not all(exhausted),
             frames_delivered=budget.spent,
             sessions={
                 vehicle_id: self._session_summary(session)
-                for vehicle_id, session in sorted(
-                    self.sessions.items(), key=lambda kv: str(kv[0])
-                )
+                for vehicle_id, session in vehicles
             },
         )
-        return result
 
-    async def _run_vehicle(self, vehicle_id, session, queue, receivers):
-        """One vehicle: receiver tasks + the queue-draining ingest loop."""
+    async def _run_vehicle(self, vehicle_id, session, budget):
+        """One vehicle: the delivery loop + the queue-draining ingest loop.
 
-        async def _deliver_all():
-            await asyncio.gather(*(r.run() for r in receivers))
-            await queue.put(None)  # all channels done (or killed)
-
-        delivery = asyncio.ensure_future(_deliver_all())
+        Returns whether the vehicle's source was exhausted (not killed).
+        """
+        queue = asyncio.Queue(maxsize=self.config.queue_capacity)
+        delivery = asyncio.ensure_future(deliver(
+            self._sources[vehicle_id], session.cursor, budget, queue
+        ))
         depth_gauge = "stream.queue.depth.{}".format(vehicle_id)
         high_water = "stream.queue.high_water.{}".format(vehicle_id)
         cadence = self.config.checkpoint_every
@@ -200,13 +172,14 @@ class StreamIngestService:
             self.metrics.set_gauge(depth_gauge, queue.qsize())
             if cadence and session.frames_ingested % cadence == 0:
                 self.checkpointer.save_session(session, self.metrics)
-        await delivery
-        if all(r.exhausted for r in receivers):
+        exhausted = await delivery
+        if exhausted:
             # Clean end of stream: seal whatever the grace period was
             # still holding back, then commit the drained snapshot.
             session.drain()
             self.checkpointer.save_session(session, self.metrics)
         self.metrics.set_gauge(depth_gauge, queue.qsize())
+        return exhausted
 
     # -- terminal --------------------------------------------------------
     def finalize_all(self):

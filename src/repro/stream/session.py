@@ -20,7 +20,7 @@ guarantee.
 
 from __future__ import annotations
 
-from repro.core.incremental import IncrementalRunner
+from repro.core.incremental import IncrementalRunner, _state_field
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream.assembler import WindowAssembler
 from repro.stream.errors import StreamError
@@ -57,7 +57,7 @@ class VehicleSession:
         sealed = self.assembler.add(frame)
         # Count the frame as delivered even when it was a late drop: the
         # cursor tracks transport delivery, not window acceptance, so a
-        # resumed receiver never re-delivers a frame the assembler has
+        # resumed delivery never repeats a frame the assembler has
         # already adjudicated.
         self.channel_cursors[channel] = self.channel_cursors.get(
             channel, 0
@@ -130,21 +130,36 @@ class VehicleSession:
 
     @classmethod
     def from_state(cls, payload, config, context, metrics=None):
-        """Rebuild a session from an :meth:`export_state` payload."""
+        """Rebuild a session from an :meth:`export_state` payload.
+
+        The payload comes from disk: a missing or ill-typed field, here
+        or in the nested runner and assembler payloads, raises
+        :class:`~repro.core.incremental.IncrementalError` naming it.
+        """
         if not isinstance(payload, dict) or payload.get("format") != \
                 SESSION_STATE_FORMAT:
             raise StreamError("not a vehicle-session state payload")
         session = cls.__new__(cls)
-        session.vehicle_id = payload["vehicle_id"]
+        session.vehicle_id = _state_field(payload, "vehicle_id", object)
         session.config = config
         session.context = context
         session.metrics = metrics
         session.runner = IncrementalRunner.from_state(
-            config, payload["runner"]
+            config, _state_field(payload, "runner", dict)
         )
-        session.assembler = WindowAssembler.from_state(payload["assembler"])
-        session.channel_cursors = dict(payload["channel_cursors"])
-        session.windows_sealed = payload["windows_sealed"]
-        session.frames_ingested = payload["frames_ingested"]
-        session._drained = payload["drained"]
+        session.assembler = WindowAssembler.from_state(
+            _state_field(payload, "assembler", dict)
+        )
+        cursors = _state_field(payload, "channel_cursors", dict)
+        for channel in cursors:
+            if _state_field(cursors, channel, int) < 0:
+                raise StreamError(
+                    "cursor of channel {!r} is negative".format(channel)
+                )
+        session.channel_cursors = dict(cursors)
+        session.windows_sealed = _state_field(payload, "windows_sealed", int)
+        session.frames_ingested = _state_field(
+            payload, "frames_ingested", int
+        )
+        session._drained = _state_field(payload, "drained", bool)
         return session

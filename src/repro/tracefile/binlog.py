@@ -34,53 +34,91 @@ class BinaryTraceError(ValueError):
     """Raised for malformed binary trace files."""
 
 
-def _pack_value(value):
-    if isinstance(value, bool):
-        return struct.pack("<BB", _TAG_BOOL, int(value))
-    if isinstance(value, int):
-        return struct.pack("<Bq", _TAG_INT, value)
-    if isinstance(value, float):
-        return struct.pack("<Bd", _TAG_FLOAT, value)
-    data = str(value).encode("utf-8")
-    return struct.pack("<BH", _TAG_STR, len(data)) + data
+_HEADER = struct.Struct("<8sHQ")
+_RECORD_HEAD = struct.Struct("<dB")  # t | len(b_id)
+_RECORD_BODY = struct.Struct("<QH")  # m_id | len(payload)
+_INT = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
+_STR_LENGTH = struct.Struct("<H")
+
+#: What a field that runs past the end of the data raises.
+TRUNCATED = "truncated file"
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise BinaryTraceError("truncated file")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-    def take_bytes(self, n):
-        if self.pos + n > len(self.data):
-            raise BinaryTraceError("truncated file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+def pack_info(m_info):
+    """Encode one info tuple: B entry count, then the entries."""
+    parts = [struct.pack("<B", len(m_info))]
+    for key, value in m_info:
+        key_data = str(key).encode("utf-8")
+        parts.append(struct.pack("<B", len(key_data)))
+        parts.append(key_data)
+        if isinstance(value, bool):
+            parts.append(struct.pack("<BB", _TAG_BOOL, int(value)))
+        elif isinstance(value, int):
+            parts.append(struct.pack("<Bq", _TAG_INT, value))
+        elif isinstance(value, float):
+            parts.append(struct.pack("<Bd", _TAG_FLOAT, value))
+        else:
+            data = str(value).encode("utf-8")
+            parts.append(struct.pack("<BH", _TAG_STR, len(data)) + data)
+    return b"".join(parts)
 
 
-def _read_value(reader):
-    (tag,) = reader.take("<B")
-    if tag == _TAG_BOOL:
-        (v,) = reader.take("<B")
-        return bool(v)
-    if tag == _TAG_INT:
-        (v,) = reader.take("<q")
-        return v
-    if tag == _TAG_FLOAT:
-        (v,) = reader.take("<d")
-        return v
-    if tag == _TAG_STR:
-        (length,) = reader.take("<H")
-        return reader.take_bytes(length).decode("utf-8")
-    raise BinaryTraceError("unknown value tag {}".format(tag))
+def _text(data, start, end):
+    try:
+        return data[start:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BinaryTraceError(
+            "text field is not UTF-8 ({})".format(exc.reason)
+        )
+
+
+def unpack_info(data, pos):
+    """Decode the info tuple that starts at ``data[pos]``.
+
+    *data* is ``bytes``; returns ``(info, end)`` with *end* one past the
+    tuple's last byte. Every field is bounds-checked against
+    ``len(data)`` before it is read.
+    """
+    size = len(data)
+    if pos + 1 > size:
+        raise BinaryTraceError(TRUNCATED)
+    count = data[pos]
+    pos += 1
+    info = []
+    for _unused in range(count):
+        # key length, key bytes and the value tag that follows them
+        if pos + 1 > size:
+            raise BinaryTraceError(TRUNCATED)
+        end = pos + 1 + data[pos]
+        if end + 1 > size:
+            raise BinaryTraceError(TRUNCATED)
+        key = _text(data, pos + 1, end)
+        tag = data[end]
+        pos = end + 1
+        if tag == _TAG_STR:
+            if pos + 2 > size:
+                raise BinaryTraceError(TRUNCATED)
+            end = pos + 2 + _STR_LENGTH.unpack_from(data, pos)[0]
+            if end > size:
+                raise BinaryTraceError(TRUNCATED)
+            value = _text(data, pos + 2, end)
+        elif tag == _TAG_INT or tag == _TAG_FLOAT:
+            end = pos + 8
+            if end > size:
+                raise BinaryTraceError(TRUNCATED)
+            codec = _INT if tag == _TAG_INT else _FLOAT
+            value = codec.unpack_from(data, pos)[0]
+        elif tag == _TAG_BOOL:
+            end = pos + 1
+            if end > size:
+                raise BinaryTraceError(TRUNCATED)
+            value = bool(data[pos])
+        else:
+            raise BinaryTraceError("unknown value tag {}".format(tag))
+        pos = end
+        info.append((key, value))
+    return tuple(info), pos
 
 
 def dump_records(records, path):
@@ -88,44 +126,48 @@ def dump_records(records, path):
     path = Path(path)
     records = list(records)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sHQ", MAGIC, VERSION, len(records)))
+        fh.write(_HEADER.pack(MAGIC, VERSION, len(records)))
         for t, payload, b_id, m_id, m_info in records:
             channel = str(b_id).encode("utf-8")
-            fh.write(struct.pack("<dB", float(t), len(channel)))
+            fh.write(_RECORD_HEAD.pack(float(t), len(channel)))
             fh.write(channel)
-            fh.write(struct.pack("<QH", int(m_id), len(payload)))
+            fh.write(_RECORD_BODY.pack(int(m_id), len(payload)))
             fh.write(bytes(payload))
-            fh.write(struct.pack("<B", len(m_info)))
-            for key, value in m_info:
-                key_data = str(key).encode("utf-8")
-                fh.write(struct.pack("<B", len(key_data)))
-                fh.write(key_data)
-                fh.write(_pack_value(value))
+            fh.write(pack_info(m_info))
     return len(records)
 
 
 def load_records(path):
     """Read byte-record tuples back from *path*."""
     with open(Path(path), "rb") as fh:
-        reader = _Reader(fh.read())
-    magic, version, count = reader.take("<8sHQ")
+        data = fh.read()
+    size = len(data)
+    if size < _HEADER.size:
+        raise BinaryTraceError(TRUNCATED)
+    magic, version, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise BinaryTraceError("bad magic {!r}".format(magic))
     if version != VERSION:
         raise BinaryTraceError("unsupported version {}".format(version))
+    pos = _HEADER.size
     records = []
     for _unused in range(count):
-        t, channel_length = reader.take("<dB")
-        b_id = reader.take_bytes(channel_length).decode("utf-8")
-        m_id, payload_length = reader.take("<QH")
-        payload = bytes(reader.take_bytes(payload_length))
-        (num_info,) = reader.take("<B")
-        info = []
-        for _unused2 in range(num_info):
-            (key_length,) = reader.take("<B")
-            key = reader.take_bytes(key_length).decode("utf-8")
-            info.append((key, _read_value(reader)))
-        records.append((t, payload, b_id, m_id, tuple(info)))
+        channel_start = pos + _RECORD_HEAD.size
+        if channel_start > size:
+            raise BinaryTraceError(TRUNCATED)
+        t, channel_length = _RECORD_HEAD.unpack_from(data, pos)
+        pos = channel_start + channel_length
+        payload_start = pos + _RECORD_BODY.size
+        if payload_start > size:
+            raise BinaryTraceError(TRUNCATED)
+        b_id = _text(data, channel_start, pos)
+        m_id, payload_length = _RECORD_BODY.unpack_from(data, pos)
+        pos = payload_start + payload_length
+        if pos > size:
+            raise BinaryTraceError(TRUNCATED)
+        info, end = unpack_info(data, pos)
+        records.append((t, data[payload_start:pos], b_id, m_id, info))
+        pos = end
     return records
 
 

@@ -25,8 +25,9 @@ Layout (all little-endian, sections 8-byte aligned)::
     against its successor before a single struct unpack happens.
 
 Channels are dictionary-encoded (automotive traces carry a handful of
-bus names across millions of frames); ``m_info`` entries reuse the
-binlog v1 key/tag/value codec byte for byte, so the two formats
+bus names across millions of frames); ``m_info`` cells are packed and
+decoded by the binlog v1 key/tag/value codec itself
+(:func:`repro.tracefile.binlog.unpack_info`), so the two formats
 round-trip identical record tuples -- float timestamps bit-exactly.
 
 Malformed files (truncated sections, corrupt magic, offsets out of
@@ -51,6 +52,12 @@ from pathlib import Path
 
 from repro.engine.columnar import BytesColumn, ColumnarPartition
 from repro.engine.errors import PlanError
+from repro.tracefile.binlog import (
+    TRUNCATED,
+    BinaryTraceError,
+    pack_info as _pack_info,
+    unpack_info,
+)
 
 MAGIC = b"IVNCOLTR"
 VERSION = 1
@@ -60,11 +67,6 @@ VERSION = 1
 _NUM_OFFSETS = 9
 
 _HEADER = struct.Struct("<8sHQQ" + "Q" * _NUM_OFFSETS)
-
-_TAG_BOOL = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_STR = 3
 
 _MAX_CHANNELS = 0xFFFF
 
@@ -77,74 +79,15 @@ def _align(offset):
     return (offset + 7) & ~7
 
 
-# -- m_info codec (byte-identical to binlog v1 info entries) -------------
-
-def _pack_info(m_info):
-    parts = [struct.pack("<B", len(m_info))]
-    for key, value in m_info:
-        key_data = str(key).encode("utf-8")
-        parts.append(struct.pack("<B", len(key_data)))
-        parts.append(key_data)
-        if isinstance(value, bool):
-            parts.append(struct.pack("<BB", _TAG_BOOL, int(value)))
-        elif isinstance(value, int):
-            parts.append(struct.pack("<Bq", _TAG_INT, value))
-        elif isinstance(value, float):
-            parts.append(struct.pack("<Bd", _TAG_FLOAT, value))
-        else:
-            data = str(value).encode("utf-8")
-            parts.append(struct.pack("<BH", _TAG_STR, len(data)) + data)
-    return b"".join(parts)
-
-
-_INT = struct.Struct("<q")
-_FLOAT = struct.Struct("<d")
-_STR_LENGTH = struct.Struct("<H")
-
-
 def _unpack_info(data):
-    """Decode one packed info cell, bounds-checking every field."""
-    data = bytes(data)
-    size = len(data)
-    if not size:
-        raise ColumnarTraceError("truncated m_info entry")
-    pos = 1
-    info = []
-    for _unused in range(data[0]):
-        # key length, key bytes and the value tag that follows them
-        if pos + 1 > size:
-            raise ColumnarTraceError("truncated m_info entry")
-        end = pos + 1 + data[pos]
-        if end > size:
-            raise ColumnarTraceError("truncated m_info entry")
-        key = data[pos + 1 : end].decode("utf-8")
-        if end + 1 > size:
-            raise ColumnarTraceError("truncated m_info entry")
-        tag = data[end]
-        pos = end + 1
-        if tag == _TAG_STR:
-            if pos + 2 > size:
-                raise ColumnarTraceError("truncated m_info entry")
-            end = pos + 2 + _STR_LENGTH.unpack_from(data, pos)[0]
-            if end > size:
-                raise ColumnarTraceError("truncated m_info entry")
-            value = data[pos + 2 : end].decode("utf-8")
-        elif tag == _TAG_INT or tag == _TAG_FLOAT:
-            end = pos + 8
-            if end > size:
-                raise ColumnarTraceError("truncated m_info entry")
-            codec = _INT if tag == _TAG_INT else _FLOAT
-            value = codec.unpack_from(data, pos)[0]
-        elif tag == _TAG_BOOL:
-            end = pos + 1
-            if end > size:
-                raise ColumnarTraceError("truncated m_info entry")
-            value = bool(data[pos])
-        else:
-            raise ColumnarTraceError("unknown value tag {}".format(tag))
-        pos = end
-        info.append((key, value))
-    return tuple(info)
+    """Decode one packed info cell: binlog's codec, this format's error."""
+    try:
+        return unpack_info(bytes(data), 0)[0]
+    except BinaryTraceError as exc:
+        reason = str(exc)
+        raise ColumnarTraceError(
+            "truncated m_info entry" if reason == TRUNCATED else reason
+        )
 
 
 # -- writer --------------------------------------------------------------
@@ -323,8 +266,12 @@ class ColumnarTraceReader:
             position += 2
             if position + length > len(raw):
                 raise ColumnarTraceError("truncated channel dictionary")
-            channels.append(bytes(raw[position : position + length])
-                            .decode("utf-8"))
+            try:
+                channels.append(
+                    str(raw[position : position + length], "utf-8")
+                )
+            except UnicodeDecodeError:
+                raise ColumnarTraceError("channel name is not UTF-8")
             position += length
         return tuple(channels)
 

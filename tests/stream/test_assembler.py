@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.incremental import split_into_windows
 from repro.stream import StreamError, WindowAssembler
 from repro.stream.assembler import ASSEMBLER_STATE_FORMAT
 
@@ -37,6 +40,49 @@ class TestWindowIndex:
             WindowAssembler(0.0)
         with pytest.raises(StreamError):
             WindowAssembler(1.0, grace_seconds=-0.1)
+
+
+def assembled_windows(frames, window_seconds):
+    """The windows an assembler that never seals early ends up with."""
+    asm = WindowAssembler(window_seconds, grace_seconds=float("inf"))
+    for f in frames:
+        assert asm.add(f) == []
+    return [window for _index, window in asm.flush()]
+
+
+class TestBatchWindowsAreAssemblerWindows:
+    def test_tenths_of_a_second(self):
+        """An accumulated ``boundary += W`` and ``floor((t - origin) /
+        W)`` round differently: the batch helper used to cut ten windows
+        here, the assembler eight (0.3 / 0.1 is 2.9999999999999996)."""
+        frames = [frame(k / 10) for k in range(10)]
+        windows = split_into_windows(frames, 0.1)
+        assert windows == assembled_windows(frames, 0.1)
+        assert [[f[0] for f in w] for w in windows] == [
+            [0.0], [0.1], [0.2, 0.3], [0.4], [0.5, 0.6], [0.7], [0.8], [0.9],
+        ]
+
+    @given(
+        times=st.lists(
+            st.one_of(
+                st.integers(0, 60).map(lambda k: k / 10),
+                st.floats(min_value=0.0, max_value=50.0),
+            ),
+            max_size=40,
+        ),
+        window_seconds=st.sampled_from([0.1, 0.25, 0.3, 1.0, 7.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_membership_for_any_time_ordered_arrival(
+        self, times, window_seconds
+    ):
+        # Distinct m_ids so equal timestamps stay told apart.
+        frames = [
+            (t, b"\x00", "FC", m_id, ())
+            for m_id, t in enumerate(sorted(times))
+        ]
+        assert split_into_windows(frames, window_seconds) == \
+            assembled_windows(frames, window_seconds)
 
 
 class TestSealing:

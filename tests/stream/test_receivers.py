@@ -1,22 +1,32 @@
-"""Receive loops: sources, budget kills, pacing and backpressure scope."""
+"""Sources, budget kills, and the per-vehicle delivery loop: what it
+delivers, in which order, where it resumes and whom it stalls."""
 
 from __future__ import annotations
 
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.stream import (
-    ChannelReceiver,
-    FrameBudget,
-    ReplayPacer,
-    ReplaySource,
-    StreamError,
-)
+from repro.stream import FrameBudget, ReplaySource, StreamError, deliver
 
 
 def rec(t, channel="FC"):
     return (t, b"\x00", channel, 1, ())
+
+
+def run_delivery(src, cursors=None, limit=None):
+    """Run one delivery loop to its end; (exhausted, budget, items put)."""
+    cursors = cursors or {}
+    budget = FrameBudget(limit)
+    queue = asyncio.Queue()
+    exhausted = asyncio.run(
+        deliver(src, lambda channel: cursors.get(channel, 0), budget, queue)
+    )
+    items = [queue.get_nowait() for _ in range(queue.qsize())]
+    assert items.pop() is None  # the end-of-delivery marker, always last
+    return exhausted, budget, items
 
 
 class TestReplaySource:
@@ -31,8 +41,6 @@ class TestReplaySource:
     def test_cursor_slices_the_stream(self):
         src = ReplaySource([rec(0.0), rec(0.1), rec(0.2)])
         assert [f[0] for f in src.frames("FC", start=2)] == [0.2]
-        assert src.frame_count("FC") == 3
-        assert src.total_frames() == 3
 
     def test_unknown_channel_and_bad_cursor(self):
         src = ReplaySource([rec(0.0)])
@@ -60,110 +68,133 @@ class TestFrameBudget:
             FrameBudget(-1)
 
 
-class TestChannelReceiver:
-    def test_delivers_all_frames_and_marks_exhausted(self):
+class TestDeliver:
+    def test_delivers_all_frames_and_reports_exhaustion(self):
         src = ReplaySource([rec(0.0), rec(0.1)])
-        queue = asyncio.Queue()
-        receiver = ChannelReceiver("v", "FC", src, queue)
-        asyncio.run(receiver.run())
-        assert receiver.exhausted
-        assert receiver.delivered == 2
-        assert queue.qsize() == 2
+        exhausted, budget, items = run_delivery(src)
+        assert exhausted
+        assert budget.spent == 2
+        assert items == [("FC", rec(0.0)), ("FC", rec(0.1))]
 
     def test_budget_stops_delivery_mid_stream(self):
         src = ReplaySource([rec(t / 10.0) for t in range(5)])
-        queue = asyncio.Queue()
-        receiver = ChannelReceiver("v", "FC", src, queue,
-                                   budget=FrameBudget(3))
-        asyncio.run(receiver.run())
-        assert not receiver.exhausted
-        assert receiver.delivered == 3
+        exhausted, budget, items = run_delivery(src, limit=3)
+        assert not exhausted
+        assert budget.spent == len(items) == 3
 
-    def test_start_cursor_resumes_mid_channel(self):
+    def test_budget_equal_to_the_stream_is_not_a_kill(self):
+        src = ReplaySource([rec(t / 10.0) for t in range(5)])
+        exhausted, budget, items = run_delivery(src, limit=5)
+        assert exhausted and budget.exhausted
+        assert len(items) == 5
+
+    def test_cursor_resumes_mid_channel(self):
         src = ReplaySource([rec(t / 10.0) for t in range(4)])
-        queue = asyncio.Queue()
-        receiver = ChannelReceiver("v", "FC", src, queue, start=3)
-        asyncio.run(receiver.run())
-        assert receiver.delivered == 1
-        channel, frame = queue.get_nowait()
-        assert (channel, frame[0]) == ("FC", 0.3)
+        exhausted, _budget, items = run_delivery(src, cursors={"FC": 3})
+        assert exhausted
+        assert [(channel, frame[0]) for channel, frame in items] == \
+            [("FC", 0.3)]
 
-
-class TestReplayPacer:
     def test_delivery_is_global_event_time_order(self):
-        """Unequal channel rates must not let one receiver race ahead:
-        the pacer merges per-channel replays into one deterministic
-        time-ordered delivery, whatever the task scheduling does."""
+        """Unequal channel rates must not let one channel race ahead:
+        the per-channel replays reach the queue as one deterministic
+        time-ordered stream."""
         fast = [rec(t / 100.0, "fast") for t in range(50)]
         slow = [rec(t / 10.0, "slow") for t in range(5)]
-        src = ReplaySource(fast + slow)
-        queue = asyncio.Queue()
-        pacer = ReplayPacer()
-        for channel in src.channels():
-            pacer.register(channel)
-        receivers = [
-            ChannelReceiver("v", channel, src, queue, pacer=pacer)
-            for channel in src.channels()
-        ]
-
-        async def drive():
-            await asyncio.gather(*(r.run() for r in receivers))
-
-        asyncio.run(drive())
-        delivered = []
-        while not queue.empty():
-            channel, frame = queue.get_nowait()
-            delivered.append((frame[0], str(channel)))
+        _exhausted, _budget, items = run_delivery(ReplaySource(fast + slow))
+        delivered = [(frame[0], str(channel)) for channel, frame in items]
         assert delivered == sorted(delivered)
         assert len(delivered) == 55
 
-    def test_budget_kill_does_not_deadlock_peers(self):
+    def test_budget_kill_ends_a_multi_channel_vehicle_without_hanging(self):
         src = ReplaySource(
             [rec(t / 10.0, "a") for t in range(10)]
             + [rec(t / 10.0 + 0.01, "b") for t in range(10)]
         )
-        queue = asyncio.Queue()
-        pacer = ReplayPacer()
-        for channel in src.channels():
-            pacer.register(channel)
         budget = FrameBudget(7)
-        receivers = [
-            ChannelReceiver("v", channel, src, queue, budget=budget,
-                            pacer=pacer)
-            for channel in src.channels()
-        ]
 
         async def drive():
-            await asyncio.wait_for(
-                asyncio.gather(*(r.run() for r in receivers)), timeout=5
+            queue = asyncio.Queue()
+            exhausted = await asyncio.wait_for(
+                deliver(src, lambda channel: 0, budget, queue), timeout=5
             )
+            return exhausted, queue.qsize()
 
-        asyncio.run(drive())
-        assert sum(r.delivered for r in receivers) == 7
+        exhausted, put = asyncio.run(drive())
+        assert not exhausted
+        assert (budget.spent, put) == (7, 8)  # 7 frames + the marker
+
+    @given(
+        frames=st.lists(
+            st.tuples(
+                # few distinct instants: equal timestamps across (and
+                # within) channels are the case that needs the tie rule
+                st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4]),
+                # 7 and "7" tie on str(): source.channels() order decides
+                st.sampled_from(["A", "B", 7, "7"]),
+            ),
+            max_size=40,
+        ),
+        starts=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_delivery_is_the_stable_sort_of_the_remaining_frames(
+        self, frames, starts
+    ):
+        """Random recordings, non-zero cursors (some past the end of
+        their channel, i.e. empty channels): what is delivered is the
+        remaining frames stable-sorted by ``(t, str(channel))``."""
+        records = [
+            (t, bytes([i]), channel, i, ())
+            for i, (t, channel) in enumerate(frames)
+        ]
+        src = ReplaySource(records)
+        cursors = dict(zip(["A", "B", 7, "7"], starts))
+        remaining = [
+            (channel, frame)
+            for channel in src.channels()
+            for frame in src.frames(channel, cursors[channel])
+        ]
+        exhausted, budget, items = run_delivery(src, cursors=cursors)
+        assert exhausted
+        assert items == sorted(
+            remaining, key=lambda item: (item[1][0], str(item[0]))
+        )
+        assert budget.spent == len(remaining)
 
 
 class TestBackpressureScope:
-    def test_slow_vehicle_does_not_stall_other_receivers(self):
+    def test_slow_vehicle_does_not_stall_other_vehicles(self):
         """The load-bearing isolation property: vehicle A's full queue
-        blocks only A's receiver; vehicle B's receiver finishes its
+        blocks only A's delivery loop; vehicle B's loop finishes its
         whole stream meanwhile."""
         frames = [rec(t / 10.0) for t in range(20)]
         src_a, src_b = ReplaySource(frames), ReplaySource(frames)
-        queue_a = asyncio.Queue(maxsize=2)  # nobody consumes this one
-        queue_b = asyncio.Queue(maxsize=2)
-        receiver_a = ChannelReceiver("a", "FC", src_a, queue_a)
-        receiver_b = ChannelReceiver("b", "FC", src_b, queue_b)
+        budget = FrameBudget(None)
 
-        async def consume_b():
-            for _ in range(20):
-                await queue_b.get()
+        def start(channel):
+            return 0
 
         async def drive():
-            task_a = asyncio.ensure_future(receiver_a.run())
-            await asyncio.wait_for(
-                asyncio.gather(receiver_b.run(), consume_b()), timeout=5
+            queue_a = asyncio.Queue(maxsize=2)  # nobody consumes this one
+            queue_b = asyncio.Queue(maxsize=2)
+
+            async def consume_b():
+                while await queue_b.get() is not None:
+                    pass
+
+            task_a = asyncio.ensure_future(
+                deliver(src_a, start, budget, queue_a)
             )
+            exhausted_b, _ = await asyncio.wait_for(
+                asyncio.gather(
+                    deliver(src_b, start, budget, queue_b), consume_b()
+                ),
+                timeout=5,
+            )
+            assert exhausted_b
             assert not task_a.done()  # still blocked on its own queue
+            assert queue_a.qsize() == 2  # queue capacity; then stalled
             task_a.cancel()
             try:
                 await task_a
@@ -171,6 +202,4 @@ class TestBackpressureScope:
                 pass
 
         asyncio.run(drive())
-        assert receiver_b.exhausted
-        assert not receiver_a.exhausted
-        assert receiver_a.delivered == 2  # queue capacity; then stalled
+        assert budget.spent == 20 + 3  # B's stream; A's 2 queued + 1 held

@@ -144,26 +144,47 @@ class TestKillAndResume:
         assert redelivered == kill_at - skipped >= 0
         assert result_2.sessions["v"]["resumed_from"] == skipped
 
-    def test_every_checkpoint_is_a_valid_kill_point(self, tmp_path):
-        """Sweep several kill points (including before the first
-        periodic checkpoint) -- all must resume byte-identically."""
-        case, ctx, config = journey(seed=3, lossy=True)
-        baseline = batch_rows(ctx, config, case.records, 1.0)
-        total = len(case.records)
-        for kill_at in sorted({1, 5, total // 3, 2 * total // 3}):
+    def test_every_frame_count_is_a_valid_kill_point(self, tmp_path):
+        """Two vehicles (one of them two-channel) killed after every
+        ``max_frames`` in ``0..N``, wherever the shared budget happens
+        to fall between them and whatever the last commit covered: the
+        resumed ``finalize_all()`` equals the uninterrupted run's."""
+        case_a, ctx, config_a = journey(seed=3, lossy=True)
+        case_b, _, config_b = journey(seed=21, lossy=True)
+        records_b = [
+            (t, payload, "FB" if i % 3 == 0 else b_id, m_id, info)
+            for i, (t, payload, b_id, m_id, info) in enumerate(case_b.records)
+        ]
+        stream = StreamConfig(window_seconds=1.0, grace_seconds=5.0,
+                              checkpoint_every=5)
+
+        def serve(run_dir, max_frames=None):
+            service = StreamIngestService(run_dir, stream)
+            service.add_vehicle(
+                "a", ReplaySource(case_a.records), config_a, ctx
+            )
+            service.add_vehicle("b", ReplaySource(records_b), config_b, ctx)
+            result = asyncio.run(service.serve(max_frames=max_frames))
+            return service, result
+
+        def final_rows(service):
+            return {
+                vehicle_id: final.r_out.collect()
+                for vehicle_id, final in service.finalize_all().items()
+            }
+
+        baseline = final_rows(serve(tmp_path / "whole")[0])
+        assert all(baseline.values())
+        total = len(case_a.records) + len(records_b)
+        for kill_at in range(total + 1):
             run_dir = tmp_path / "run-{}".format(kill_at)
-            service_1 = StreamIngestService(run_dir, STREAM)
-            service_1.add_vehicle(
-                "v", ReplaySource(case.records), config, ctx
-            )
-            assert asyncio.run(service_1.serve(max_frames=kill_at)).killed
-            service_2 = StreamIngestService(run_dir, STREAM)
-            service_2.add_vehicle(
-                "v", ReplaySource(case.records), config, ctx
-            )
-            assert not asyncio.run(service_2.serve()).killed
-            assert sorted_rows(service_2.finalize_all()["v"].r_out) == \
-                baseline, "diverged at kill point {}".format(kill_at)
+            _service, result = serve(run_dir, max_frames=kill_at)
+            assert result.killed == (kill_at < total)
+            assert result.frames_delivered == kill_at
+            resumed, result = serve(run_dir)
+            assert not result.killed
+            assert final_rows(resumed) == baseline, \
+                "diverged at kill point {}".format(kill_at)
 
     def test_finalize_of_killed_service_is_refused(self, tmp_path):
         case, ctx, config = journey()

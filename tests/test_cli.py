@@ -358,6 +358,28 @@ class TestDbcDiff:
         assert "error: dbc:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".btrc", ".ctrc"])
+def test_non_utf8_m_info_key_is_one_trace_error_line(
+    suffix, tmp_path, capsys
+):
+    from repro.tracefile import codec_for
+
+    path = tmp_path / ("bad" + suffix)
+    codec_for(path).dump_records(
+        [(0.0, b"\x00", "FC", 1, (("protocol", "CAN"),))], path
+    )
+    path.write_bytes(path.read_bytes().replace(b"protocol", b"\xffrotocol"))
+    code, out = run_cli(
+        "stream", "serve", "--dataset", "SYN",
+        "--run-dir", str(tmp_path / "run"), "--traces", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: trace: trace file {!r} is corrupt: text field is not UTF-8 "
+        "(invalid start byte)\n".format(str(path))
+    )
+
+
 class TestStream:
     @pytest.fixture(scope="class")
     def short_trace(self, tmp_path_factory):
@@ -431,3 +453,77 @@ class TestStream:
         )
         assert code == 2
         assert "error: stream:" in capsys.readouterr().err
+
+    @pytest.fixture
+    def killed_run(self, short_trace, tmp_path):
+        """A run directory holding one committed session checkpoint."""
+        run_dir = tmp_path / "run"
+        code, _out = run_cli(
+            "stream", "serve", "--dataset", "SYN",
+            "--run-dir", str(run_dir), "--traces", str(short_trace),
+            "--max-frames", "120", "--checkpoint-every", "50",
+        )
+        assert code == 1
+        [checkpoint] = (run_dir / "checkpoints").glob("*.pkl")
+        return run_dir, checkpoint
+
+    def _rewrite(self, checkpoint, edit):
+        import pickle
+
+        payload = pickle.loads(checkpoint.read_bytes())
+        edit(payload)
+        checkpoint.write_bytes(pickle.dumps(payload))
+
+    def _serve_error(self, run_dir, short_trace, capsys):
+        code, out = run_cli(
+            "stream", "serve", "--dataset", "SYN",
+            "--run-dir", str(run_dir), "--traces", str(short_trace),
+        )
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: stream: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("path", [
+        ("vehicle_id",), ("channel_cursors",), ("drained",),
+        ("assembler", "origin"), ("assembler", "pending"),
+        ("runner", "states"),
+    ])
+    def test_serve_on_checkpoint_lacking_a_field_is_one_error_line(
+        self, killed_run, short_trace, capsys, path
+    ):
+        run_dir, checkpoint = killed_run
+
+        def drop(payload):
+            for name in path[:-1]:
+                payload = payload[name]
+            del payload[path[-1]]
+
+        self._rewrite(checkpoint, drop)
+        err = self._serve_error(run_dir, short_trace, capsys)
+        assert "'stream-session-v0'" in err and repr(path[-1]) in err
+
+    def test_serve_on_checkpoint_with_negative_cursor_is_one_error_line(
+        self, killed_run, short_trace, capsys
+    ):
+        run_dir, checkpoint = killed_run
+
+        def rewind(payload):
+            for channel in payload["channel_cursors"]:
+                payload["channel_cursors"][channel] = -1
+
+        self._rewrite(checkpoint, rewind)
+        err = self._serve_error(run_dir, short_trace, capsys)
+        assert "'stream-session-v0'" in err and "negative" in err
+
+    def test_truncated_checkpoint_is_one_error_line(
+        self, killed_run, short_trace, capsys
+    ):
+        run_dir, checkpoint = killed_run
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[: len(data) // 2])
+        err = self._serve_error(run_dir, short_trace, capsys)
+        assert "'stream-session-v0' cannot be read" in err
+        code, _out = run_cli("stream", "status", "--run-dir", str(run_dir))
+        assert code == 2
+        assert "cannot be read" in capsys.readouterr().err

@@ -12,7 +12,9 @@ the engine to split or deduplicate. The last group keeps a packed plane
 packed: cells are decoded by the plane class, whole columns are
 compressed and transposed in one named function each, ``m_info`` is
 indexed by ``_U2.batch_call`` alone and ``Table.cache`` goes through
-``Executor.execute``, the name the tracer wraps.
+``Executor.execute``, the name the tracer wraps. The last two keep
+replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
+order through) and the ``m_info`` TLV codec single-copy in ``binlog``.
 """
 
 import ast
@@ -26,6 +28,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CORE = ROOT / "src" / "repro" / "core"
 ENGINE = ROOT / "src" / "repro" / "engine"
+STREAM = ROOT / "src" / "repro" / "stream"
+TRACEFILE = ROOT / "src" / "repro" / "tracefile"
 
 
 def _perf_targets():
@@ -117,7 +121,9 @@ def _scopes(directories, matches):
     found = set()
 
     def visit(node, module, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
             scope = scope + (node.name,)
         if matches(node):
             found.add((module, ".".join(scope)))
@@ -220,3 +226,35 @@ def test_table_cache_reaches_the_executor_through_execute_only():
         and _name(node.func.value) == "executor"
     ]
     assert on_executor == ["execute"]
+
+
+def test_stream_delivery_order_is_one_merge_and_no_negotiation():
+    def negotiates(node):  # asyncio.Condition(...), x.wait_for(...)
+        return _name(node) in ("Condition", "wait_for")
+
+    def merges(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "merge"
+
+    assert _scopes([STREAM], negotiates) == set()
+    assert _scopes([STREAM], merges) == {("receivers.py", "deliver")}
+
+
+def test_the_m_info_codec_is_defined_in_binlog_only():
+    def sizes_a_format(node):
+        return _name(node) == "calcsize"
+
+    def defines_a_tag(node):
+        return isinstance(node, ast.Assign) and any(
+            (_name(target) or "").startswith("_TAG_")
+            for target in node.targets
+        )
+
+    # colbin sizes each fixed-stride section once, when a file is opened.
+    assert _scopes([TRACEFILE], sizes_a_format) == {
+        ("colbin.py", "ColumnarTraceReader._fixed_section")
+    }
+    assert _scopes([TRACEFILE], defines_a_tag) == {("binlog.py", "")}
+    from repro.tracefile import binlog, colbin
+
+    assert colbin._pack_info is binlog.pack_info
+    assert colbin.unpack_info is binlog.unpack_info

@@ -180,6 +180,20 @@ class TestInfoCodec:
             assert str(caught.value) == "unknown value tag 9"
 
 
+    @pytest.mark.parametrize("text", [b"key", b"val"])
+    def test_non_utf8_text_is_the_structured_error(self, text):
+        packed = colbin._pack_info((("key", "val"),))
+        with pytest.raises(ColumnarTraceError, match="not UTF-8"):
+            colbin._unpack_info(packed.replace(text, b"\xff" + text[1:]))
+
+    def test_non_utf8_channel_name_fails_the_open(self, tmp_path):
+        path = tmp_path / "t.ctrc"
+        colbin.dump_records([(1.0, b"", "CHANNEL", 3, ())], path)
+        path.write_bytes(path.read_bytes().replace(b"CHANNEL", b"\xffHANNEL"))
+        with pytest.raises(ColumnarTraceError, match="not UTF-8"):
+            ColumnarTraceReader(path)
+
+
 class TestMalformedFiles:
     @pytest.fixture
     def valid_bytes(self, records, tmp_path):

@@ -116,6 +116,41 @@ class TestBinaryFormat:
         with pytest.raises(BinaryTraceError):
             binlog.load_records(path)
 
+    def test_every_truncation_is_the_structured_error(self, tmp_path):
+        info = (("protocol", "CAN"), ("dlc", 8), ("ext\u00e9", False),
+                ("load", 0.5), ("n\u00f8te", "\u00fcber"))
+        path = tmp_path / "t.bin"
+        binlog.dump_records(
+            [(1.0, b"\x01\x02", "FC", 3, info), (2.0, b"", "K-LIN", 7, ())],
+            path,
+        )
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(BinaryTraceError) as caught:
+                binlog.load_records(path)
+            assert str(caught.value) == "truncated file"
+
+    def test_unknown_tag_message(self, tmp_path):
+        path = tmp_path / "t.bin"
+        binlog.dump_records([(1.0, b"", "FC", 3, (("k", 1),))], path)
+        data = bytearray(path.read_bytes())
+        data[-9] = 9  # the tag byte in front of the 8-byte int
+        path.write_bytes(bytes(data))
+        with pytest.raises(BinaryTraceError) as caught:
+            binlog.load_records(path)
+        assert str(caught.value) == "unknown value tag 9"
+
+    @pytest.mark.parametrize("text", [b"FC", b"key", b"val"],
+                             ids=["b_id", "info-key", "info-value"])
+    def test_non_utf8_text_is_the_structured_error(self, tmp_path, text):
+        path = tmp_path / "t.bin"
+        binlog.dump_records([(1.0, b"", "FC", 3, (("key", "val"),))], path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(text, b"\xff" + text[1:]))
+        with pytest.raises(BinaryTraceError, match="not UTF-8"):
+            binlog.load_records(path)
+
     def test_float_timestamps_bit_exact(self, tmp_path):
         t = 0.1 + 0.2  # classic non-representable sum
         path = tmp_path / "t.bin"
