@@ -114,7 +114,7 @@ def cmd_simulate(args, out=sys.stdout):
 
 
 def cmd_stats(args, out=sys.stdout):
-    records = codec_for(args.trace).load_records(args.trace)
+    records = _load_records(args.trace)
     if not records:
         print("empty trace", file=out)
         return 0

@@ -12,6 +12,16 @@ per row. The result is the signal-instance sequence ``K_s`` with columns
 ``(t, v, s_id, b_id)``. Rows whose signal is absent in the instance
 (presence-conditional SOME/IP sections) are dropped.
 
+That is the *definition*, and :func:`join_rules`,
+:func:`extract_relevant_bytes` and :func:`evaluate_signals` run it as
+written: for a catalog that is already an engine table, and on the
+reference executor the differential tests compare against. On the
+production (columnar) executor ``strategy="join"`` is one task per
+partition, :class:`_RuleKernels`, that produces the same ``K_s`` rows in
+the same order per *rule* instead of per row: ``K_pre`` is grouped by
+``(b_id, m_id)``, and each rule of a key decodes all of the key's
+payloads at once, straight out of the packed payload plane.
+
 Truncated payloads (shorter than a rule's relevant bytes) surface as
 :class:`~repro.protocols.signalcodec.ShortPayloadError` by default.
 ``on_short`` selects the lossy-trace alternative: ``"skip"`` drops the
@@ -24,12 +34,18 @@ execution paths.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from repro.core.model import K_S_COLUMNS  # noqa: F401 (used by both paths)
 from repro.core.rules import ABSENT, TRUNCATED, U_REL_COLUMNS
+from repro.engine.columnar import BytesColumn, ColumnarPartition
 from repro.engine.expressions import apply, col
-from repro.protocols.signalcodec import ShortPayloadError
+from repro.protocols.signalcodec import ShortPayloadError, payload_words
 
 _ON_SHORT_MODES = ("raise", "skip", "keep")
 
@@ -45,14 +61,7 @@ def _check_on_short(on_short):
 
 @dataclass(frozen=True)
 class _U1:
-    """``u_1``: extract the relevant payload bytes per row.
-
-    ``batch_call`` is the columnar batch form the engine's columnar
-    kernels invoke once per partition: element-for-element identical to
-    calling the row form, but the per-rule setup (byte spans, mux
-    geometry) is compiled once per distinct rule instead of re-derived
-    per row. Rules repeat massively (one per catalog entry across
-    thousands of trace rows), so the cache is tiny and hot.
+    """``u_1``: extract the relevant payload bytes of one row.
 
     With ``on_short`` other than ``"raise"``, truncated payloads map to
     the :data:`TRUNCATED` sentinel instead of raising; downstream
@@ -69,25 +78,6 @@ class _U1:
         except ShortPayloadError:
             return TRUNCATED
 
-    def batch_call(self, payloads, rules):
-        tolerant = self.on_short != "raise"
-        compiled = {}
-        out = []
-        append = out.append
-        for payload, rule in zip(payloads, rules):
-            extract = compiled.get(id(rule))
-            if extract is None:
-                extract = rule.compile_extractor()
-                compiled[id(rule)] = extract
-            if tolerant:
-                try:
-                    append(extract(payload))
-                except ShortPayloadError:
-                    append(TRUNCATED)
-            else:
-                append(extract(payload))
-        return out
-
 
 @dataclass(frozen=True)
 class _U2:
@@ -95,34 +85,13 @@ class _U2:
 
     ``m_info`` is accepted for protocol-specific evaluation; the bundled
     rules are self-contained, but data-dependent rules (e.g. scaling
-    switched by a header field) can inspect it. ``batch_call`` mirrors
-    :meth:`_U1.batch_call` with per-rule compiled evaluators, and
-    indexes the ``m_info`` column only for rows whose rule has
-    ``required_info`` (no other evaluator looks at the argument): a
-    packed ``.ctrc`` info plane is decoded for exactly those rows.
+    switched by a header field) can inspect it.
     """
 
     def __call__(self, l_rel, m_info, rule):
         if l_rel is TRUNCATED:
             return TRUNCATED
         return rule.evaluate(l_rel, m_info)
-
-    def batch_call(self, l_rels, m_infos, rules):
-        compiled = {}
-        out = []
-        append = out.append
-        for i, (l_rel, rule) in enumerate(zip(l_rels, rules)):
-            if l_rel is TRUNCATED:
-                append(TRUNCATED)
-                continue
-            entry = compiled.get(id(rule))
-            if entry is None:
-                entry = compiled[id(rule)] = (
-                    rule.compile_evaluator(), bool(rule.required_info)
-                )
-            evaluate, reads_info = entry
-            append(evaluate(l_rel, m_infos[i] if reads_info else None))
-        return out
 
 
 def join_rules(k_pre, catalog_table):
@@ -241,6 +210,224 @@ def interpret_fused(k_pre, catalog, on_short="raise"):
     )
 
 
+def _payload_plane(column):
+    """``(bytes, starts, lengths)`` of a payload column.
+
+    The bytes are the column's payloads back to back plus the eight pad
+    bytes :func:`payload_words` needs. A packed plane contributes the
+    byte range its offsets cover as it lies -- no cell is sliced out.
+    """
+    if isinstance(column, BytesColumn) and column.decode is bytes:
+        offsets = np.asarray(column.offsets).astype(np.intp)
+        data = column.blob[offsets[0] : offsets[-1]]
+        starts, lengths = offsets[:-1] - offsets[0], np.diff(offsets)
+    else:
+        cells = list(column)
+        data = b"".join(cells)
+        lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+        starts = np.cumsum(lengths) - lengths
+    return b"".join((data, bytes(8))), starts, lengths
+
+
+def _cells(column):
+    """*column* as an array whose ``take`` + ``tolist`` returns its cells."""
+    if isinstance(column, (array, memoryview)):
+        return np.asarray(column)
+    cells = np.empty(len(column), dtype=object)
+    cells[:] = column
+    return cells
+
+
+class _RuleKernels:
+    """Lines 4-6 as one task per partition, evaluated per rule.
+
+    The partition's ``K_pre`` rows are grouped by ``(b_id, m_id)``; each
+    rule of a key then decodes all of the key's payloads in one
+    :meth:`~repro.core.rules.InterpretationRule.compile_vector_decoder`
+    call over words read directly from the payload plane. A payload too
+    short for a rule is found by a length mask and handled per
+    ``on_short`` exactly as :class:`_U1` does; a rule without a vector
+    kernel (:attr:`scalar_rules` says which, and why) runs its compiled
+    scalar closures over the rows of its key only, and is the one place
+    an ``m_info`` cell is read. Every value lands in the slot its
+    ``K_join`` row has in :func:`join_rules` order, so the output equals
+    :func:`evaluate_signals`' row for row.
+
+    ``batch_call`` is the columnar form the engine's kernels call;
+    calling the object runs it over a row list.
+    """
+
+    def __init__(self, catalog, on_short="raise"):
+        self.catalog = catalog
+        self.on_short = on_short
+        by_key = {}
+        for u in catalog:
+            by_key.setdefault((u.channel_id, u.message_id), []).append(u)
+        self._codes = {key: code for code, key in enumerate(by_key)}
+        #: reason -> the (b_id, m_id) of each rule that runs scalar.
+        self.scalar_rules = {}
+        # Per key, per rule in catalog order: (rule, last relevant byte,
+        # vector kernel), or (rule, None, scalar closures).
+        self._plans = []
+        widest = max(map(len, by_key.values()), default=0)
+        self._signal_ids = np.empty((len(by_key), widest), dtype=object)
+        for code, (key, tuples) in enumerate(by_key.items()):
+            plan = []
+            for ordinal, u in enumerate(tuples):
+                self._signal_ids[code, ordinal] = u.signal_id
+                rule = u.rule
+                kernel, reason = rule.compile_vector_decoder()
+                if kernel is not None:
+                    plan.append((rule, rule.encoding.byte_span()[1], kernel))
+                    continue
+                self.scalar_rules.setdefault(reason, []).append(key)
+                plan.append((rule, None, (
+                    rule.compile_extractor(), rule.compile_evaluator()
+                )))
+            self._plans.append(plan)
+        # Rules per key; a row of no key (code -1) reads the trailing 0.
+        self._rule_counts = np.array(
+            [len(plan) for plan in self._plans] + [0], dtype=np.intp
+        )
+
+    def __reduce__(self):
+        return (_RuleKernels, (self.catalog, self.on_short))
+
+    def __call__(self, rows):
+        partition = ColumnarPartition.from_rows(rows, 5)
+        return self.batch_call(partition).to_rows()
+
+    def batch_call(self, partition):
+        t, payloads, b_ids, m_ids, _m_info = partition.columns
+        n = len(partition)
+        codes = np.fromiter(
+            map(self._codes.get, zip(b_ids, m_ids), repeat(-1)), np.intp, n
+        )
+        # K_join order: row-major, a row's rules in catalog order. Slot
+        # first_slot[row] + ordinal is where that K_join row's value goes.
+        per_row = self._rule_counts[codes]
+        first_slot = np.cumsum(per_row) - per_row
+        total = int(per_row.sum())
+        values = np.empty(total, dtype=object)
+        keep = np.ones(total, dtype=bool)
+        data, starts, lengths = _payload_plane(payloads)
+        blob = np.frombuffer(data, dtype=np.uint8)
+
+        def payload(row):
+            return data[starts[row] : starts[row] + lengths[row]]
+
+        on_short = self.on_short
+        failure = None  # (row, ordinal, rule) of the first short K_join row
+        order = np.argsort(codes, kind="stable")
+        bounds = np.searchsorted(
+            codes[order], np.arange(len(self._plans) + 1)
+        )
+        for code in np.flatnonzero(np.diff(bounds)).tolist():
+            rows = order[bounds[code] : bounds[code + 1]]
+            key_starts, key_lengths = starts[rows], lengths[rows]
+            shortest = int(key_lengths.min())
+            slots = first_slot[rows]
+            words = {}  # (byte order, base) -> this key's payload words
+            for ordinal, (rule, last, kernel) in enumerate(self._plans[code]):
+                at = slots + ordinal
+                short = None
+                if last is None:
+                    out, short = self._scalar_rule(
+                        rule, kernel, rows, payload, partition
+                    )
+                    values[at[: len(out)]] = out
+                    keep[at[[
+                        k for k, v in enumerate(out)
+                        if v is ABSENT
+                        or (v is TRUNCATED and on_short == "skip")
+                    ]]] = False
+                elif shortest > last:
+                    word_dtype, base, decode = kernel
+                    if (word_dtype, base) not in words:
+                        words[word_dtype, base] = payload_words(
+                            blob, key_starts, base, word_dtype
+                        )
+                    values[at] = decode(words[word_dtype, base])
+                elif on_short == "raise":
+                    short = int(rows[key_lengths <= last][0])
+                else:
+                    word_dtype, base, decode = kernel
+                    fits = key_lengths > last
+                    values[at[fits]] = decode(payload_words(
+                        blob, key_starts[fits], base, word_dtype
+                    ))
+                    if on_short == "keep":
+                        values[at[~fits]] = TRUNCATED
+                    else:
+                        keep[at[~fits]] = False
+                if short is not None and (
+                    failure is None or (short, ordinal) < failure[:2]
+                ):
+                    failure = (short, ordinal, rule)
+        if failure is not None:
+            row, _ordinal, rule = failure
+            # Raises: the row form words the error for every rule kind.
+            rule.extract_relevant(payload(row))
+        row_of = np.repeat(np.arange(n), per_row)
+        ordinal_of = np.arange(total) - first_slot[row_of]
+        columns = [
+            _cells(t)[row_of],
+            values,
+            self._signal_ids[codes[row_of], ordinal_of],
+            _cells(b_ids)[row_of],
+        ]
+        if not keep.all():
+            columns = [column[keep] for column in columns]
+        return ColumnarPartition(
+            [column.tolist() for column in columns], len(columns[0])
+        )
+
+    def _scalar_rule(self, rule, closures, rows, payload, partition):
+        """One scalar rule over its key's rows: ``(values, short row)``.
+
+        Under ``on_short="raise"`` evaluation stops at the first
+        truncated payload and reports its row. The ``m_info`` column is
+        indexed -- a packed cell decoded -- for a rule with
+        ``required_info`` only, at the rows of its key.
+        """
+        extract, evaluate = closures
+        reads_info = bool(rule.required_info)
+        m_infos = partition.columns[4]
+        out = []
+        for i in rows.tolist():
+            try:
+                l_rel = extract(payload(i))
+            except ShortPayloadError:
+                if self.on_short == "raise":
+                    return out, i
+                out.append(TRUNCATED)
+                continue
+            out.append(evaluate(l_rel, m_infos[i] if reads_info else None))
+        return out, None
+
+
+def _interpret(k_pre, catalog, context, strategy, on_short):
+    """:func:`interpret`, also returning the task it built (or None)."""
+    _check_on_short(on_short)
+    if strategy == "fused":
+        if not hasattr(catalog, "preselection_keys"):
+            raise ValueError("fused interpretation needs a RuleCatalog")
+        return interpret_fused(k_pre, catalog, on_short=on_short), None
+    if strategy != "join":
+        raise ValueError("unknown interpretation strategy {!r}".format(strategy))
+    if not hasattr(catalog, "to_table"):
+        catalog_table = catalog
+    elif k_pre.context.executor.columnar:
+        kernels = _RuleKernels(catalog, on_short)
+        return k_pre.map_partitions(kernels, list(K_S_COLUMNS)), kernels
+    else:
+        context = context if context is not None else k_pre.context
+        catalog_table = catalog.to_table(context)
+    k_join = join_rules(k_pre, catalog_table)
+    k_join2 = extract_relevant_bytes(k_join, on_short=on_short)
+    return evaluate_signals(k_join2, on_short=on_short), None
+
+
 def interpret(k_pre, catalog, context=None, strategy="join",
               on_short="raise"):
     """Lines 4-6 composed: preselected trace + catalog -> ``K_s``.
@@ -248,26 +435,14 @@ def interpret(k_pre, catalog, context=None, strategy="join",
     *catalog* may be a :class:`~repro.core.rules.RuleCatalog` (loaded into
     the trace's context) or an already-loaded engine table. *strategy*
     selects the physical formulation: ``"join"`` (the paper's relational
-    join of line 4) or ``"fused"`` (broadcast flat-map; same output,
-    fewer stages; requires a RuleCatalog). *on_short* selects truncated-
-    payload handling: ``"raise"`` (default), ``"skip"`` (drop affected
-    rows) or ``"keep"`` (retain them with ``v = TRUNCATED``).
+    join of line 4; for a RuleCatalog on the production executor, the
+    per-rule :class:`_RuleKernels` task that computes the same rows) or
+    ``"fused"`` (broadcast flat-map; same output, fewer stages; requires
+    a RuleCatalog). *on_short* selects truncated-payload handling:
+    ``"raise"`` (default), ``"skip"`` (drop affected rows) or ``"keep"``
+    (retain them with ``v = TRUNCATED``).
     """
-    _check_on_short(on_short)
-    if strategy == "fused":
-        if not hasattr(catalog, "preselection_keys"):
-            raise ValueError("fused interpretation needs a RuleCatalog")
-        return interpret_fused(k_pre, catalog, on_short=on_short)
-    if strategy != "join":
-        raise ValueError("unknown interpretation strategy {!r}".format(strategy))
-    if hasattr(catalog, "to_table"):
-        context = context if context is not None else k_pre.context
-        catalog_table = catalog.to_table(context)
-    else:
-        catalog_table = catalog
-    k_join = join_rules(k_pre, catalog_table)
-    k_join2 = extract_relevant_bytes(k_join, on_short=on_short)
-    return evaluate_signals(k_join2, on_short=on_short)
+    return _interpret(k_pre, catalog, context, strategy, on_short)[0]
 
 
 def interpret_under_policy(k_pre, config):
@@ -275,30 +450,44 @@ def interpret_under_policy(k_pre, config):
 
     The one place the policy is spelled out, for whole-trace and
     windowed runs alike. Returns ``(k_s, counts)``: the cached ``K_s``
-    and the policy's counter increments by counter name --
+    and the stage's counter increments by counter name --
     ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
-    under ``"keep"``, none under ``"raise"`` (where a truncated payload
-    aborts with :class:`ShortPayloadError`).
+    under ``"keep"``, neither under ``"raise"`` (where a truncated
+    payload aborts with :class:`ShortPayloadError`), and per reason the
+    ``scalar_rules.<reason>`` / ``scalar_rows.<reason>`` (``K_join``
+    rows) that :class:`_RuleKernels` ran without a vector kernel.
     """
     mode = config.short_payload
     _check_on_short(mode)
     # Both lossy modes interpret tolerantly so truncated rows can be
     # counted; "skip" then drops the markers, "keep" lets them flow
     # into reduction (they classify as nominal TRUNCATED evidence).
-    k_s = interpret(
+    k_s, kernels = _interpret(
         k_pre,
         config.catalog,
-        strategy=config.interpretation_strategy,
-        on_short="raise" if mode == "raise" else "keep",
-    ).cache()
+        None,
+        config.interpretation_strategy,
+        "raise" if mode == "raise" else "keep",
+    )
+    k_s = k_s.cache()
+    counts = {}
+    if kernels is not None and kernels.scalar_rules:
+        rows_of = Counter(k_pre.select("b_id", "m_id").collect())
+        for reason, keys in kernels.scalar_rules.items():
+            counts["scalar_rules." + reason] = len(keys)
+            counts["scalar_rows." + reason] = sum(
+                rows_of[key] for key in keys
+            )
     if mode == "raise":
-        return k_s, {}
+        return k_s, counts
     truncated = k_s.filter(apply(_IsTruncated(), "v")).count()
     if mode == "keep":
-        return k_s, {"short_payload_kept": truncated}
+        counts["short_payload_kept"] = truncated
+        return k_s, counts
     if truncated:
         k_s = k_s.filter(apply(_NotTruncated(), "v")).cache()
-    return k_s, {"short_payload_skipped": truncated}
+    counts["short_payload_skipped"] = truncated
+    return k_s, counts
 
 
 _ = U_REL_COLUMNS  # re-exported context for readers of this module

@@ -230,6 +230,25 @@ class InterpretationRule:
 
         return evaluate
 
+    def compile_vector_decoder(self):
+        """``(kernel, None)`` or ``(None, reason)``: ``u_2 ∘ u_1`` per column.
+
+        *kernel* is the encoding's
+        :meth:`~SignalEncoding.compile_vector_decoder` over whole
+        payloads. A rule whose presence depends on the instance
+        (``required_info``, ``mux``, ``section``) or whose arithmetic
+        the kernel cannot reproduce exactly (``width``) has none, and
+        *reason* names why: its rows run the scalar closures.
+        """
+        if self.required_info:
+            return None, "required_info"
+        if self.mux_selector is not None:
+            return None, "mux"
+        if self.section_bit is not None:
+            return None, "section"
+        kernel = self.encoding.compile_vector_decoder()
+        return kernel, (None if kernel is not None else "width")
+
     def describe(self):
         """Human-readable summary in the style of Table 1."""
         enc = self.encoding

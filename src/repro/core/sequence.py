@@ -34,7 +34,10 @@ one signal type (normally of one channel). The stages, in order:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import itemgetter, lt
 
 from repro.core.branches import R_COLUMNS, process_branch
 from repro.core.classification import classify
@@ -56,6 +59,35 @@ def value_order_key(value):
     return repr(value)
 
 
+_timestamp = itemgetter(0)
+
+
+def _order(rows, drop_exact_duplicates):
+    """*rows* by ``(t, value_order_key(v))``; also how many were dropped.
+
+    A sequence normally arrives with strictly increasing timestamps and
+    is returned as it is. Otherwise it is ordered by ``t`` (stable), and
+    only rows that share a timestamp are deduplicated -- equal rows
+    share theirs, the first to arrive stays -- and have their values'
+    keys computed and compared.
+    """
+    times = list(map(_timestamp, rows))
+    if all(map(lt, times, islice(times, 1, None))):
+        return rows, 0
+    ordered = []
+    dropped = 0
+    for _t, tied in groupby(sorted(rows, key=_timestamp), key=_timestamp):
+        tied = list(tied)
+        if len(tied) > 1:
+            if drop_exact_duplicates:
+                unique = list(dict.fromkeys(tied))
+                dropped += len(tied) - len(unique)
+                tied = unique
+            tied.sort(key=lambda row: value_order_key(row[1]))
+        ordered.extend(tied)
+    return ordered, dropped
+
+
 def order_sequence(rows):
     """Sort one sequence's rows into the canonical order.
 
@@ -66,7 +98,7 @@ def order_sequence(rows):
     on arrival order. The value's :func:`value_order_key` breaks such
     ties deterministically.
     """
-    return sorted(rows, key=lambda r: (r[0], value_order_key(r[1])))
+    return list(_order(rows, False)[0])
 
 
 def split_sequences(rows, by_channel, drop_exact_duplicates):
@@ -78,24 +110,22 @@ def split_sequences(rows, by_channel, drop_exact_duplicates):
     :func:`order_sequence` order, keys sorted. With
     *drop_exact_duplicates*, rows equal to an earlier row (a gateway
     replaying a frame without jitter) are dropped and counted in
-    *dropped*. Equal rows share their signal type and channel, so each
-    group is searched on its own; they also share their timestamp, so
-    a windowed run that cuts ``K_s`` by time drops the same rows.
+    *dropped*. Equal rows share their signal type, channel and
+    timestamp, so each is found among the rows tied with it, and a
+    windowed run that cuts ``K_s`` by time drops the same rows.
     """
-    groups = {}
-    for row in rows:
-        key = (row[2], row[3] if by_channel else None)
-        groups.setdefault(key, []).append(row)
+    groups = defaultdict(list)
+    if by_channel:
+        for row in rows:
+            groups[row[2], row[3]].append(row)
+    else:
+        for row in rows:
+            groups[row[2], None].append(row)
     dropped = 0
     sequences = {}
     for key in sorted(groups):
-        group = groups[key]
-        if drop_exact_duplicates:
-            # A dict keeps the first of equal keys, in insertion order.
-            unique = list({row: None for row in group})
-            dropped += len(group) - len(unique)
-            group = unique
-        sequences[key] = order_sequence(group)
+        sequences[key], duplicates = _order(groups[key], drop_exact_duplicates)
+        dropped += duplicates
     return sequences, dropped
 
 

@@ -12,7 +12,11 @@ that runs it as *segments*: every maximal Filter/Project run becomes
 one generated kernel over the column buffers of a
 :class:`~repro.engine.columnar.ColumnarPartition`, and every
 ``FlatMapStep`` / ``MapPartitionStep`` between two kernels is a barrier
-run through its own ``step.run`` on row tuples. Inside a kernel
+run through its own ``step.run`` on row tuples -- unless the partition
+function publishes a ``batch_call(partition)`` method (the whole-
+partition twin of an ``apply`` callable's ``batch_call(*columns)``),
+which receives and returns a ``ColumnarPartition`` and so is no
+barrier at all. Inside a kernel
 
 * bound expressions become inline Python expressions over per-element
   variables (``_v1 == _c0 and _v2 in _c1``) with literals, frozensets
@@ -69,7 +73,7 @@ from repro.engine.expressions import (
     BoundRowApply,
     BoundUnary,
 )
-from repro.engine.operations import FilterStep, ProjectStep
+from repro.engine.operations import FilterStep, MapPartitionStep, ProjectStep
 from repro.engine.optimizer import ComposedApply, ComposedRowApply
 from repro.obs import stopwatch
 
@@ -418,22 +422,53 @@ def _bind_kernel(code, constants):
     return namespace["_ckernel"]
 
 
+def _partition_batch(step):
+    """The ``batch_call`` a partition function publishes, else None.
+
+    The columnar hook for :meth:`Table.map_partitions
+    <repro.engine.table.Table.map_partitions>`: ``func(rows)`` stays the
+    row form every path can run, ``func.batch_call(partition)`` maps a
+    :class:`ColumnarPartition` to the ``ColumnarPartition`` of the same
+    rows and is what a columnar task calls instead.
+    """
+    if isinstance(step, MapPartitionStep):
+        batch = getattr(step.func, "batch_call", None)
+        if callable(batch):
+            return batch
+    return None
+
+
+def _bind_partition_kernel(batch):
+    """Give a partition function's ``batch_call`` the kernel signature."""
+
+    def kernel(columns, length):
+        out = batch(ColumnarPartition(columns, length))
+        return list(out.columns), len(out)
+
+    return kernel
+
+
 def _build_phases(steps, width, registry=None):
     """Compile the per-partition phases of a step chain.
 
     Returns ``(phases, kernel_id)``: *phases* mirrors
     :func:`_segment_chain` with every Filter/Project run replaced by
-    its bound ``_ckernel``; *kernel_id* digests the generated sources.
+    its bound ``_ckernel`` and every columnar partition function by its
+    ``batch_call``; *kernel_id* digests the generated sources.
     """
     phases = []
     digest = hashlib.sha1()
     for run, step, in_width in _segment_chain(steps, width):
         kernel = None
+        batch = _partition_batch(step)
         if run is not None:
             source, constants = lower_columnar_segment(run, in_width)
             digest.update(source.encode("utf-8"))
             code = _compile_source(source, registry=registry)
             kernel = _bind_kernel(code, constants)
+        elif batch is not None:
+            digest.update(type(step.func).__qualname__.encode("utf-8"))
+            kernel = _bind_partition_kernel(batch)
         phases.append((kernel, step, in_width))
     return phases, "c" + digest.hexdigest()[:10]
 
@@ -514,15 +549,20 @@ def compile_columnar_task(steps, width, registry=None, emit="rows"):
     """Compile a narrow-step chain into a :class:`ColumnarPartitionTask`.
 
     *width* is the chain's input column count. Returns None when there
-    is nothing to gain (no Filter or Project in the chain -- a bare
-    flat-map or partition map runs just as fast interpreted). Raises
+    is nothing to gain (no Filter, Project or columnar partition
+    function in the chain -- a bare flat-map or row partition map runs
+    just as fast interpreted). Raises
     :class:`CodegenError` when the chain contains an expression that
     cannot be lowered; callers fall back to the interpreted
     :class:`~repro.engine.operations.PartitionTask` and count
     ``executor.kernel_fallbacks``.
     """
     steps = tuple(steps)
-    if not any(isinstance(s, (FilterStep, ProjectStep)) for s in steps):
+    if not any(
+        isinstance(s, (FilterStep, ProjectStep))
+        or _partition_batch(s) is not None
+        for s in steps
+    ):
         return None
     phases, kernel_id = _build_phases(steps, width, registry=registry)
     task = ColumnarPartitionTask(steps, width, kernel_id, emit)

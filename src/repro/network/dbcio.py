@@ -38,6 +38,7 @@ harness and the ``repro dbc diff`` CLI build on it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,8 +289,8 @@ def loads_database(text):
                     "bit_length": int(sg.group(4)),
                     "byte_order": INTEL if sg.group(5) == "1" else MOTOROLA,
                     "signed": sg.group(6) == "-",
-                    "scale": float(sg.group(7)),
-                    "offset": float(sg.group(8)),
+                    "scale": _finite(sg.group(7), "scale", line_number),
+                    "offset": _finite(sg.group(8), "offset", line_number),
                     "unit": sg.group(11),
                     "mux_value": (
                         int(mux[1:]) if mux and mux.startswith("m") else None
@@ -343,6 +344,21 @@ def loads_database(text):
     return NetworkDatabase(
         tuple(_build_message(m) for m in messages.values())
     )
+
+
+def _finite(text, what, line_number):
+    """A ``SG_`` scale or offset: ``float`` accepts nan/inf, DBC has none."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DbcError(
+            "SG_ {} {!r} on line {} is not a finite number".format(
+                what, text.strip(), line_number
+            )
+        )
+    return value
 
 
 def _parse_layout(value, line_number):

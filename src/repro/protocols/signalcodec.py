@@ -18,7 +18,10 @@ positions, wrapping to the next byte's bit 7 (the "sawtooth").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 INTEL = "intel"
 MOTOROLA = "motorola"
@@ -64,6 +67,25 @@ def _motorola_bit_positions(start_bit, length):
     return positions_msb_first[::-1]
 
 
+class _Labels(dict):
+    """A value table that names unmapped raws the way ``decode`` does."""
+
+    def __missing__(self, raw):
+        return "raw_{}".format(raw)
+
+
+def payload_words(blob, starts, base, word_dtype):
+    """One ``uint64`` per row: payload bytes ``base .. base + 7``.
+
+    *blob* is the ``uint8`` array all payloads lie in, *starts* each
+    row's payload offset in it. The blob must extend eight bytes past
+    the last payload: a word may read beyond its payload's end, and
+    :meth:`SignalEncoding.compile_vector_decoder` masks those bits off.
+    """
+    window = (starts + base)[:, None] + np.arange(8)
+    return blob[window].view(word_dtype)[:, 0]
+
+
 @dataclass(frozen=True)
 class SignalEncoding:
     """How one signal is laid out in a payload and scaled to physical units.
@@ -103,6 +125,13 @@ class SignalEncoding:
             raise CodecError("start_bit must be non-negative")
         if self.scale == 0:
             raise CodecError("scale must be non-zero")
+        for name in ("scale", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise CodecError(
+                    "{} must be finite, got {!r}".format(
+                        name, getattr(self, name)
+                    )
+                )
 
     @classmethod
     def from_bit_positions(cls, positions, byte_order=INTEL, **kwargs):
@@ -142,8 +171,14 @@ class SignalEncoding:
 
     def byte_span(self):
         """(first_byte, last_byte) touched by this signal, inclusive."""
-        positions = self.bit_positions()
-        return min(positions) // 8, max(positions) // 8
+        first = self.start_bit // 8
+        if self.byte_order == INTEL:
+            return first, (self.start_bit + self.bit_length - 1) // 8
+        # Motorola: the start bit is the MSB; the walk leaves the first
+        # byte after ``start_bit % 8 + 1`` bits and then fills whole
+        # bytes from bit 7 down.
+        beyond = self.bit_length - self.start_bit % 8 - 1
+        return first, first + max(0, -(-beyond // 8))
 
     def required_payload_length(self):
         """Minimum payload length in bytes to hold this signal."""
@@ -273,6 +308,77 @@ class SignalEncoding:
             return extract(payload) * scale + offset
 
         return decode
+
+    def compile_vector_decoder(self):
+        """Build the whole-column twin of :meth:`compile_decoder`.
+
+        Returns ``(word_dtype, base, decode)`` -- ``decode`` maps the
+        ``uint64`` words :func:`payload_words` reads at payload byte
+        *base* in *word_dtype*'s byte order to the list of Python values
+        :meth:`decode` yields for the same payloads, equal in value and
+        type -- or None where that cannot be promised: a signal spanning
+        nine bytes, or a linear mapping whose result Python computes
+        with arbitrary-precision ints beyond what ``float64`` /
+        ``int64`` hold exactly.
+        """
+        first, last = self.byte_span()
+        base = 0 if last < 8 else first
+        if last - base >= 8:
+            return None
+        length = self.bit_length
+        if self.byte_order == INTEL:
+            word_dtype, shift = "<u8", self.start_bit - 8 * base
+        else:
+            # Descending big-endian significance, as the scalar form.
+            word_dtype = ">u8"
+            shift = 8 * (7 - first + base) + self.start_bit % 8 - length + 1
+        shift, mask = np.uint64(shift), np.uint64((1 << length) - 1)
+        sign_bit = np.int64(1 << (length - 1)) if length < 64 else None
+        signed = self.signed
+
+        def raw_of(words):
+            raw = (words >> shift) & mask
+            if not signed:
+                return raw
+            raw = raw.view(np.int64)
+            return raw if sign_bit is None else (raw ^ sign_bit) - sign_bit
+
+        if self.value_table:
+            label = _Labels(self.value_table).__getitem__
+
+            def decode(words):
+                return list(map(label, raw_of(words).tolist()))
+
+            return word_dtype, base, decode
+        scale, offset = self.scale, self.offset
+        lo, hi = self._raw_bounds()
+        if not (type(scale) is float and type(offset) is float):
+            # Python multiplies and adds ints exactly; float64 agrees
+            # only while every intermediate stays below 2**53.
+            if not all(isinstance(x, (int, float)) for x in (scale, offset)):
+                return None
+            if any(
+                abs(r * scale) > 2 ** 53 or abs(r * scale + offset) > 2 ** 53
+                for r in (lo, hi)
+            ):
+                return None
+            scale, offset = float(scale), float(offset)
+        integral = scale == int(scale) and offset == int(offset)
+        # The mapping is monotone, so the raw bounds bound every value:
+        # all must be finite, and int64 where decode returns ints.
+        limit = 2 ** 63 if integral else math.inf
+        if any(not abs(float(r) * scale + offset) < limit for r in (lo, hi)):
+            return None
+
+        def decode(words):
+            physical = raw_of(words).astype(np.float64)
+            physical *= scale
+            physical += offset
+            if integral:
+                return physical.astype(np.int64).tolist()
+            return physical.tolist()
+
+        return word_dtype, base, decode
 
     # -- physical <-> raw ------------------------------------------------------
     def decode(self, payload):

@@ -187,6 +187,10 @@ class ColumnarTraceReader:
                     # buffer fails header validation below with the
                     # same structured error as any truncated file.
                     buffer = fh.read()
+        except (FileNotFoundError, IsADirectoryError):
+            # Not a defect of the format: every codec reports a missing
+            # path as the plain OSError callers already handle.
+            raise
         except OSError as exc:
             raise ColumnarTraceError(
                 "cannot open columnar trace {!r}: {}".format(

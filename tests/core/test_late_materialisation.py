@@ -2,8 +2,9 @@
 
 ``m_info`` reaches ``u_2`` only for rules with ``required_info``; the
 front half therefore moves the packed info plane (preselection filter,
-line-4 join, ``cache()``) without one TLV decode, and evaluates ``u_1``
-once per ``K_join`` row. Both are counted here, against the row
+``cache()``) without one TLV decode, and -- every SYN rule having a
+vector kernel -- decodes each rule's payloads column-wise, never
+calling the scalar ``u_1``. Both are counted here, against the row
 reference executor's ``R_out``.
 """
 
@@ -63,7 +64,7 @@ def _k_join_rows(records, catalog, gated_only=False):
     return sum(per_key.get((r[3], r[2]), 0) for r in records)
 
 
-def test_syn_ctrc_decodes_no_info_cell_and_extracts_once_per_joined_row(
+def test_syn_ctrc_decodes_no_info_cell_and_calls_no_scalar_extractor(
     tmp_path, info_decodes, extractions
 ):
     bundle = build_dataset(SPECS["SYN"])
@@ -78,17 +79,26 @@ def test_syn_ctrc_decodes_no_info_cell_and_extracts_once_per_joined_row(
     result = pipeline.run(colbin.load_table(context, path))
     assert result.counts["k_s"] == k_join
     assert info_decodes == []
-    assert len(extractions) == k_join
+    assert extractions == []
+    assert not any(
+        name.startswith("pipeline.interpret.scalar_")
+        for name in result.report.metrics.snapshot()["counters"]
+    )
 
-    del extractions[:]
     k_s = pipeline.extract_signals(colbin.load_table(context, path))
     assert k_s.count() == k_join
     assert info_decodes == []
+    assert extractions == []
+
+    # The row-wise definition still extracts once per K_join row.
+    reference = EngineContext(SerialExecutor(columnar=False))
+    expected = pipeline.extract_signals(colbin.load_table(reference, path))
+    assert k_s.collect() == expected.collect()
     assert len(extractions) == k_join
 
 
 def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
-    tmp_path, info_decodes
+    tmp_path, info_decodes, extractions
 ):
     showcase = build_showcase()
     records = showcase.simulation.byte_records(4.0)
@@ -103,8 +113,19 @@ def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
     path = _dump(records, tmp_path)
     pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
 
+    del extractions[:]  # building the showcase decodes its own frames
     result = pipeline.run(colbin.load_table(EngineContext.serial(), path))
     assert len(info_decodes) == asking
+    # The scalar extractor ran for the rows of the scalar rules only,
+    # which the run report counts per reason.
+    counters = result.report.metrics.snapshot()["counters"]
+    scalar_rows = {
+        name.rsplit(".", 1)[1]: value for name, value in counters.items()
+        if name.startswith("pipeline.interpret.scalar_rows.")
+    }
+    assert scalar_rows["required_info"] == asking
+    assert len(extractions) == sum(scalar_rows.values())
+    assert len(extractions) < _k_join_rows(records, catalog)
     r_out = sorted(result.r_out.collect(), key=repr)
     assert showcase.notification_signal in {row[1] for row in r_out}
 
@@ -135,30 +156,55 @@ def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
 
 
 def test_gated_rule_reads_info_through_every_u2_form(wiper_database):
-    """The row form, the compiled evaluator and ``batch_call`` agree on
-    a rule with ``required_info`` -- and ``batch_call`` indexes the info
+    """The row form, the compiled evaluator and the per-rule task agree
+    on a rule with ``required_info`` -- and the task indexes the info
     column for that rule's rows only."""
-    from repro.core.interpretation import _U2
+    from repro.core.interpretation import _RuleKernels, _U1, _U2
+    from repro.engine.columnar import ColumnarPartition
 
-    plain = next(iter(wiper_database.translation_catalog())).rule
+    plain = next(iter(wiper_database.translation_catalog()))
     gated = dataclasses.replace(
-        plain, required_info=(("protocol", "CAN"),)
+        plain, signal_id="gated", message_id=plain.message_id + 1,
+        rule=dataclasses.replace(
+            plain.rule, required_info=(("protocol", "CAN"),)
+        ),
     )
-    first, last = plain.encoding.byte_span()
-    l_rel = bytes(range(1, last - first + 2))
+    payload = bytes(range(1, plain.rule.encoding.byte_span()[1] + 2))
     can, lin = (("protocol", "CAN"),), (("protocol", "LIN"),)
 
     class Infos:
         def __init__(self, cells):
             self.cells, self.read = cells, []
 
+        def __len__(self):
+            return len(self.cells)
+
         def __getitem__(self, index):
             self.read.append(index)
             return self.cells[index]
 
     infos = Infos([can, lin, can, lin])
-    rules = [gated, gated, plain, plain]
-    out = _U2().batch_call([l_rel] * 4, infos, rules)
+    tuples = [gated, gated, plain, plain]
+    partition = ColumnarPartition(
+        [
+            [0.0, 1.0, 2.0, 3.0],
+            [payload] * 4,
+            [u.channel_id for u in tuples],
+            [u.message_id for u in tuples],
+            infos,
+        ],
+        4,
+    )
+    task = _RuleKernels(RuleCatalog((plain, gated)))
+    assert task.scalar_rules == {"required_info": [gated.key()[::-1]]}
+    out = task.batch_call(partition).column(1)
     assert infos.read == [0, 1]
-    assert out == [_U2()(l_rel, m, r) for m, r in zip(infos.cells, rules)]
-    assert out[1] is None and out[0] == out[2] == out[3] is not None
+    expected = [
+        _U2()(_U1()(payload, u.rule), m, u.rule)
+        for m, u in zip(infos.cells, tuples)
+    ]
+    assert expected[1] is None and expected[0] == expected[2] == expected[3]
+    assert out == [v for v in expected if v is not None]
+    evaluate = gated.rule.compile_evaluator()
+    assert [evaluate(_U1()(payload, gated.rule), m) for m in infos.cells[:2]] \
+        == expected[:2]

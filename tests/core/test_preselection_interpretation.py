@@ -251,32 +251,25 @@ class TestFusedInterpretation:
 
 
 class TestBatchInterpretation:
-    """The columnar batch forms of u_1/u_2 equal their row forms."""
+    """The per-rule task of lines 4-6 equals the row forms of u_1/u_2."""
 
-    def test_u1_batch_matches_rowwise(self, wiper_catalog):
-        from repro.core.interpretation import _U1
+    def test_task_matches_rowwise_u1_u2(self, wiper_catalog):
+        from repro.core.interpretation import _RuleKernels, _U1, _U2
 
-        rules = [u.rule for u in wiper_catalog] * 3
-        payloads = [
-            (90).to_bytes(2, "little") + (i).to_bytes(2, "little")
-            for i in range(len(rules))
+        rows = [
+            (0.25 * i, (90 + i).to_bytes(2, "little")
+             + i.to_bytes(2, "little"), "FC", 3, ())
+            for i in range(6)
         ]
-        u1 = _U1()
-        assert u1.batch_call(payloads, rules) == [
-            u1(payload, rule) for payload, rule in zip(payloads, rules)
+        u1, u2 = _U1(), _U2()
+        expected = [
+            (t, u2(u1(l, u.rule), m_info, u.rule), u.signal_id, b_id)
+            for t, l, b_id, _m_id, m_info in rows
+            for u in wiper_catalog
         ]
-
-    def test_u2_batch_matches_rowwise(self, wiper_catalog):
-        from repro.core.interpretation import _U2
-
-        rules = [u.rule for u in wiper_catalog] * 3
-        l_rels = [(2 * i).to_bytes(2, "little") for i in range(len(rules))]
-        m_infos = [()] * len(rules)
-        u2 = _U2()
-        assert u2.batch_call(l_rels, m_infos, rules) == [
-            u2(l_rel, m_info, rule)
-            for l_rel, m_info, rule in zip(l_rels, m_infos, rules)
-        ]
+        task = _RuleKernels(wiper_catalog)
+        assert task.scalar_rules == {}
+        assert task(rows) == expected
 
     def test_columnar_pipeline_matches_interpreted(
         self, fig2_trace, wiper_catalog, ctx

@@ -123,14 +123,19 @@ class TestOrderSequence:
 
 
 def _reference_split(rows, by_channel, drop_exact_duplicates):
-    """The obvious lines 7-8: drop duplicates, group, order each group."""
+    """The obvious lines 7-8, independent of ``repro.core.sequence``:
+    drop duplicates, group, sort each group on ``(t, repr(v))`` -- a key
+    computed for *every* row, which the shipped stage avoids."""
     kept = list(dict.fromkeys(rows)) if drop_exact_duplicates else rows
     groups = {}
     for row in kept:
         key = (row[2], row[3] if by_channel else None)
         groups.setdefault(key, []).append(row)
     return (
-        {key: order_sequence(groups[key]) for key in sorted(groups)},
+        {
+            key: sorted(groups[key], key=lambda r: (r[0], repr(r[1])))
+            for key in sorted(groups)
+        },
         len(rows) - len(kept),
     )
 
@@ -177,6 +182,50 @@ class TestSplitSequences:
         assert list(sequences) == sorted(sequences)
         assert dropped == expected_dropped
         assert sum(map(len, sequences.values())) == len(rows) - dropped
+
+    @given(rows=k_s_rows, cuts=st.lists(
+        st.sampled_from((0.25, 0.5, 0.75, 1.0, 2.0)), max_size=3
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_windows_cut_by_time_split_to_the_whole_trace_sequences(
+        self, rows, cuts
+    ):
+        """Tied and equal rows share their timestamp, hence their
+        window: per channel, the windows' sequences concatenate to the
+        whole trace's, and drop the same duplicates."""
+        rows = rows + rows[::3]  # replayed frames
+        bounds = [float("-inf")] + sorted(set(cuts)) + [float("inf")]
+        stitched, dropped = {}, 0
+        for lower, upper in zip(bounds, bounds[1:]):
+            window = [row for row in rows if lower <= row[0] < upper]
+            sequences, duplicates = split_sequences(window, True, True)
+            dropped += duplicates
+            for key, sequence in sequences.items():
+                stitched.setdefault(key, []).extend(sequence)
+        expected, expected_dropped = _reference_split(rows, True, True)
+        assert _typed(dict(sorted(stitched.items()))) == _typed(expected)
+        assert dropped == expected_dropped
+        for key, sequence in expected.items():
+            # The issue's oracle: a set of the channel's rows, sorted.
+            assert sequence == sorted(
+                set(sequence), key=lambda r: (r[0], repr(r[1]))
+            )
+
+    def test_strictly_increasing_sequences_are_not_copied_or_keyed(
+        self, monkeypatch
+    ):
+        from repro.core import sequence as stage
+
+        monkeypatch.setattr(
+            stage, "value_order_key",
+            lambda value: pytest.fail("no timestamp is tied"),
+        )
+        rows = _sequence([0.1] * 5, [3, 1, "x", TRUNCATED, 2.5])
+        sequences, dropped = split_sequences(rows, True, True)
+        assert sequences == {("s", "FC"): rows} and dropped == 0
+        # Out of order but untied: sorted by t, still no key computed.
+        shuffled = [rows[3], rows[0], rows[4], rows[2], rows[1]]
+        assert split_sequences(shuffled, True, True)[0] == {("s", "FC"): rows}
 
     def test_replayed_frame_is_dropped_and_counted(self):
         rows = _sequence([0.1, 0.1, 0.1], [1, 2, 3])

@@ -340,6 +340,93 @@ class _BatchDouble:
         return [value * 2 for value in values]
 
 
+class _BatchPrefixSum:
+    """Partition function publishing the columnar partition protocol."""
+
+    def __init__(self):
+        self.row_calls = 0
+        self.batches = []
+
+    def __call__(self, rows):
+        self.row_calls += 1
+        total, out = 0, []
+        for value, tag in rows:
+            total += value
+            out.append((tag, total))
+        return out
+
+    def batch_call(self, partition):
+        self.batches.append(partition)
+        values, tags = partition.columns
+        sums, total = [], 0
+        for value in values:
+            total += value
+            sums.append(total)
+        return ColumnarPartition([tags, sums], len(partition))
+
+
+class TestBatchPartitionFunctions:
+    """``map_partitions(func)`` with ``func.batch_call(partition)``."""
+
+    ROWS = [(i, "t{}".format(i % 3)) for i in range(30)]
+
+    def _run(self, executor, func, filtered):
+        ctx = EngineContext(executor)
+        table = ctx.table_from_rows(["a", "b"], self.ROWS, num_partitions=3)
+        if filtered:
+            table = table.filter(col("a") >= 4)
+        return table.map_partitions(func, ["b", "sum"])
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_columnar_task_hands_over_and_takes_back_partitions(
+        self, filtered
+    ):
+        from repro.engine.executor import SerialExecutor
+
+        func = _BatchPrefixSum()
+        with SerialExecutor() as executor:
+            # cache(): the layout the last stage produced is kept.
+            cached = self._run(executor, func, filtered).cache()
+            assert executor.metrics.columnar_tasks == 1
+            assert executor.metrics.kernel_fallbacks == 0
+        assert func.row_calls == 0 and len(func.batches) == 3
+        assert all(isinstance(p, ColumnarPartition) for p in func.batches)
+        assert all(
+            isinstance(p, ColumnarPartition) for p in cached.plan.partitions
+        )
+        reference = _BatchPrefixSum()
+        with SerialExecutor(columnar=False) as executor:
+            expected = self._run(executor, reference, filtered).collect()
+        assert reference.row_calls == 3 and reference.batches == []
+        assert cached.collect() == expected
+
+    def test_a_kernel_runs_on_what_the_partition_function_returned(self):
+        from repro.engine.executor import SerialExecutor
+
+        func = _BatchPrefixSum()
+        with SerialExecutor() as executor:
+            got = (
+                self._run(executor, func, True)
+                .filter(col("sum") > 20).select("sum").collect()
+            )
+        assert func.row_calls == 0
+        with SerialExecutor(columnar=False) as executor:
+            expected = (
+                self._run(executor, _BatchPrefixSum(), True)
+                .filter(col("sum") > 20).select("sum").collect()
+            )
+        assert got == expected and got
+
+    def test_plain_partition_functions_stay_a_row_barrier(self):
+        func = _BatchPrefixSum()
+        ctx = EngineContext.serial()
+        table = ctx.table_from_rows(["a", "b"], self.ROWS, num_partitions=3)
+        out = table.map_partitions(func.__call__, ["b", "sum"]).collect()
+        assert func.row_calls == 3 and func.batches == []
+        assert len(out) == len(self.ROWS)
+        assert ctx.executor.metrics.columnar_tasks == 0
+
+
 class TestBatchApplyLowering:
     def test_batch_call_runs_once_per_partition(self):
         from repro.engine.expressions import apply

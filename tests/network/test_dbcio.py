@@ -171,6 +171,18 @@ class TestParsing:
                 ' SG_ s : 0|8@1+ (1,0) [0|255] "" Vector__XXX'
             )
 
+    @pytest.mark.parametrize(
+        "mapping, what",
+        [("(nan,0)", "scale"), ("(inf,0)", "scale"), ("(1,-inf)", "offset"),
+         ("(1,NaN)", "offset"), ("(fast,0)", "scale")],
+    )
+    def test_non_finite_scaling_rejected_with_its_line(self, mapping, what):
+        text = self.MINIMAL.replace("(0.1,0)", mapping)
+        with pytest.raises(
+            DbcError, match="SG_ {} .* on line 4".format(what)
+        ):
+            loads_database(text)
+
     def test_val_for_unknown_message_rejected(self):
         with pytest.raises(DbcError):
             loads_database('VAL_ 9 s 0 "a" ;')

@@ -358,6 +358,40 @@ class TestDbcDiff:
         assert "error: dbc:" in capsys.readouterr().err
 
 
+    def test_non_finite_scaling_is_one_dbc_error_line(
+        self, truth_dir, tmp_path, capsys
+    ):
+        bad = tmp_path / "nan.dbc"
+        bad.write_text(
+            'BO_ 5 SPEED: 2 ECU\n'
+            ' SG_ s : 0|8@1+ (nan,0) [0|255] "" Vector__XXX\n'
+        )
+        code, out = run_cli(
+            "dbc", "diff",
+            "--actual", str(truth_dir / "syn_FC.dbc"),
+            "--recovered", str(bad),
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: dbc: database file {!r} is invalid: SG_ scale 'nan' on "
+            "line 2 is not a finite number\n".format(str(bad))
+        )
+
+
+@pytest.mark.parametrize("suffix", [".trc", ".btrc", ".ctrc"])
+@pytest.mark.parametrize("command", ["pipeline", "stats"])
+def test_missing_trace_is_reported_as_missing_by_every_codec(
+    command, suffix, tmp_path, capsys
+):
+    path = tmp_path / ("nope" + suffix)
+    code, out = run_cli(command, "--dataset", "SYN", "--trace", str(path)) \
+        if command == "pipeline" else run_cli(command, "--trace", str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: trace: trace file {!r} does not exist\n".format(str(path))
+    )
+
+
 @pytest.mark.parametrize("suffix", [".btrc", ".ctrc"])
 def test_non_utf8_m_info_key_is_one_trace_error_line(
     suffix, tmp_path, capsys

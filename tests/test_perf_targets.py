@@ -11,7 +11,9 @@ containment guard in ``tests/obs``), and no module of it goes back to
 the engine to split or deduplicate. The last group keeps a packed plane
 packed: cells are decoded by the plane class, whole columns are
 compressed and transposed in one named function each, ``m_info`` is
-indexed by ``_U2.batch_call`` alone and ``Table.cache`` goes through
+indexed by ``_RuleKernels._scalar_rule`` alone (the per-rule kernels
+never see the column), ``value_order_key`` is called for tied
+timestamps only, and ``Table.cache`` goes through
 ``Executor.execute``, the name the tracer wraps. The last two keep
 replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
 order through) and the ``m_info`` TLV codec single-copy in ``binlog``.
@@ -104,9 +106,31 @@ def test_algorithm_1_past_interpretation_has_one_call_site(name):
     assert {module for module, _scope in _callers(name)} == {"sequence.py"}
 
 
-@pytest.mark.parametrize("name", ["distinct", "fromkeys"])
-def test_core_deduplicates_in_the_shared_stage_only(name):
-    assert _callers(name) == set()
+def test_core_deduplicates_in_the_shared_stage_only():
+    assert _callers("distinct") == set()
+    assert _callers("fromkeys") == {("sequence.py", "_order")}
+
+
+def test_value_order_key_is_called_for_tied_timestamps_only():
+    assert _callers("value_order_key") == {("sequence.py", "_order")}
+    tree = ast.parse((CORE / "sequence.py").read_text(encoding="utf-8"))
+    [order] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_order"
+    ]
+    calls = [
+        node for node in ast.walk(order)
+        if isinstance(node, ast.Call) and _name(node.func) == "value_order_key"
+    ]
+    assert len(calls) == 1
+    # ... and that one call sits under ``if len(tied) > 1``.
+    ties = [
+        node for node in ast.walk(order)
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "len(tied) > 1"
+    ]
+    assert len(ties) == 1
+    assert calls[0] in list(ast.walk(ties[0]))
 
 
 def test_core_splits_on_the_engine_in_split_signal_types_only():
@@ -189,7 +213,7 @@ def test_whole_columns_are_compressed_and_transposed_in_one_place_each():
     assert kernel.__globals__["_compress"] is compress_column
 
 
-def test_m_info_cells_are_indexed_by_u2_batch_call_only():
+def test_m_info_cells_are_indexed_by_the_scalar_fallback_only():
     def indexes(node):
         return isinstance(node, ast.Subscript) and \
             _name(node.value) == "m_infos"
@@ -202,7 +226,7 @@ def test_m_info_cells_are_indexed_by_u2_batch_call_only():
         )
 
     assert _scopes([ENGINE, CORE], indexes) == {
-        ("interpretation.py", "_U2.batch_call")
+        ("interpretation.py", "_RuleKernels._scalar_rule")
     }
     assert _scopes([ENGINE, CORE], iterates) == set()
 
