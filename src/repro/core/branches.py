@@ -93,8 +93,14 @@ def process_alpha(rows, schema, config=None):
         return []
     # typeSplit: peel off non-numeric elements (e.g. embedded validity
     # strings) as nominal side output.
-    numeric_rows = [r for r in rows if _is_number(r[v_i])]
-    nominal_rows = [r for r in rows if not _is_number(r[v_i])]
+    numeric_rows, numbers, nominal_rows = [], [], []
+    for r in rows:
+        v = r[v_i]
+        if type(v) is float or _is_number(v):
+            numeric_rows.append(r)
+            numbers.append(float(v))
+        else:
+            nominal_rows.append(r)
     out = [
         (r[t_i], r[s_i], r[b_i], KIND_VALIDITY
          if str(r[v_i]) in config.classifier.validity_values
@@ -103,17 +109,17 @@ def process_alpha(rows, schema, config=None):
     ]
     if not numeric_rows:
         return sorted(out, key=_row_key)
-    values = np.array([float(r[v_i]) for r in numeric_rows])
-    mask = config.outlier_detector.mask(values)
-    outlier_rows = [r for r, m in zip(numeric_rows, mask) if m]
-    clean_rows = [r for r, m in zip(numeric_rows, mask) if not m]
+    values = np.array(numbers)
+    mask = np.asarray(config.outlier_detector.mask(values), dtype=bool)
+    outlier = mask.tolist()
     out.extend(
-        (r[t_i], r[s_i], r[b_i], KIND_OUTLIER, float(r[v_i]), None)
-        for r in outlier_rows
+        (r[t_i], r[s_i], r[b_i], KIND_OUTLIER, number, None)
+        for r, number, m in zip(numeric_rows, numbers, outlier) if m
     )
+    clean_rows = [r for r, m in zip(numeric_rows, outlier) if not m]
     if not clean_rows:
         return sorted(out, key=_row_key)
-    clean_values = np.array([float(r[v_i]) for r in clean_rows])
+    clean_values = values[~mask]
     smoothed = config.smoother.smooth(clean_values)
     mean, std = float(smoothed.mean()), float(smoothed.std())
     variance = float(smoothed.var())

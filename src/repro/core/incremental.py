@@ -24,7 +24,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from repro.core.interpretation import interpret_under_policy
+from repro.core.interpretation import (
+    compile_under_policy,
+    interpret_under_policy,
+)
 from repro.core.preselection import preselect
 from repro.core.sequence import (
     derive_extensions,
@@ -78,6 +81,9 @@ class IncrementalRunner:
     short_payload_kept: int = 0
     #: Exact K_s duplicates dropped so far (drop_exact_duplicates).
     exact_duplicates_dropped: int = 0
+    #: Lines 4-6 compiled for this config at the first window; every
+    #: window runs the same task. Never part of the state payload.
+    _kernels: object = field(default=None, repr=False, compare=False)
 
     def process_window(self, k_b_window):
         """Run lines 3-11 on one window's K_b table; returns row count.
@@ -92,16 +98,28 @@ class IncrementalRunner:
         if self._finalized:
             raise IncrementalError("runner already finalized")
         config = self.config
+        if self._kernels is None:
+            self._kernels = compile_under_policy(config)
         k_s, policy_counts = interpret_under_policy(
-            preselect(k_b_window, config.catalog), config
+            preselect(k_b_window, config.catalog), config, self._kernels
         )
         self.short_payload_skipped += policy_counts.get(
             "short_payload_skipped", 0
         )
         self.short_payload_kept += policy_counts.get("short_payload_kept", 0)
         rows = k_s.collect()
-        if rows:
-            window_start = min(row[0] for row in rows)
+        # Exact duplicates share their timestamp, so window assignment
+        # puts every copy of a row into the same window: dropping them
+        # per window equals dropping them over the whole trace.
+        sequences, dropped = split_sequences(
+            rows,
+            by_channel=True,
+            drop_exact_duplicates=config.drop_exact_duplicates,
+        )
+        if sequences:
+            # Every sequence is in time order: the window's first and
+            # last instants are among their ends.
+            window_start = min(seq[0][0] for seq in sequences.values())
             if (
                 self._last_window_end is not None
                 and window_start < self._last_window_end
@@ -111,15 +129,9 @@ class IncrementalRunner:
                         window_start, self._last_window_end
                     )
                 )
-            self._last_window_end = max(row[0] for row in rows)
-        # Exact duplicates share their timestamp, so window assignment
-        # puts every copy of a row into the same window: dropping them
-        # per window equals dropping them over the whole trace.
-        sequences, dropped = split_sequences(
-            rows,
-            by_channel=True,
-            drop_exact_duplicates=config.drop_exact_duplicates,
-        )
+            self._last_window_end = max(
+                seq[-1][0] for seq in sequences.values()
+            )
         self.exact_duplicates_dropped += dropped
         for key, chunk in sequences.items():
             state = self._states.setdefault(key, _SignalState())

@@ -406,8 +406,9 @@ class _RuleKernels:
         return out, None
 
 
-def _interpret(k_pre, catalog, context, strategy, on_short):
-    """:func:`interpret`, also returning the task it built (or None)."""
+def _interpret(k_pre, catalog, context, strategy, on_short, kernels=None):
+    """:func:`interpret`, also returning the task it ran (or None):
+    *kernels* when given, else the one it built."""
     _check_on_short(on_short)
     if strategy == "fused":
         if not hasattr(catalog, "preselection_keys"):
@@ -418,7 +419,8 @@ def _interpret(k_pre, catalog, context, strategy, on_short):
     if not hasattr(catalog, "to_table"):
         catalog_table = catalog
     elif k_pre.context.executor.columnar:
-        kernels = _RuleKernels(catalog, on_short)
+        if kernels is None:
+            kernels = _RuleKernels(catalog, on_short)
         return k_pre.map_partitions(kernels, list(K_S_COLUMNS)), kernels
     else:
         context = context if context is not None else k_pre.context
@@ -445,11 +447,33 @@ def interpret(k_pre, catalog, context=None, strategy="join",
     return _interpret(k_pre, catalog, context, strategy, on_short)[0]
 
 
-def interpret_under_policy(k_pre, config):
+def _tolerance(config):
+    """``on_short`` of lines 4-6 under *config*'s policy: both lossy
+    modes interpret tolerantly so truncated rows can be counted; "skip"
+    then drops the markers, "keep" lets them flow into reduction (they
+    classify as nominal TRUNCATED evidence)."""
+    _check_on_short(config.short_payload)
+    return "raise" if config.short_payload == "raise" else "keep"
+
+
+def compile_under_policy(config):
+    """The lines 4-6 task :func:`interpret_under_policy` runs for
+    *config* on the production executor, built once for many calls (a
+    stream session's windows); None where it runs without one."""
+    if config.interpretation_strategy != "join" or not hasattr(
+        config.catalog, "to_table"
+    ):
+        return None
+    return _RuleKernels(config.catalog, _tolerance(config))
+
+
+def interpret_under_policy(k_pre, config, kernels=None):
     """Lines 4-6 under *config*'s ``short_payload`` policy.
 
     The one place the policy is spelled out, for whole-trace and
-    windowed runs alike. Returns ``(k_s, counts)``: the cached ``K_s``
+    windowed runs alike; *kernels* is :func:`compile_under_policy`'s
+    task for the same config, when the caller keeps one. Returns
+    ``(k_s, counts)``: the cached ``K_s``
     and the stage's counter increments by counter name --
     ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
     under ``"keep"``, neither under ``"raise"`` (where a truncated
@@ -457,18 +481,15 @@ def interpret_under_policy(k_pre, config):
     ``scalar_rules.<reason>`` / ``scalar_rows.<reason>`` (``K_join``
     rows) that :class:`_RuleKernels` ran without a vector kernel.
     """
-    mode = config.short_payload
-    _check_on_short(mode)
-    # Both lossy modes interpret tolerantly so truncated rows can be
-    # counted; "skip" then drops the markers, "keep" lets them flow
-    # into reduction (they classify as nominal TRUNCATED evidence).
     k_s, kernels = _interpret(
         k_pre,
         config.catalog,
         None,
         config.interpretation_strategy,
-        "raise" if mode == "raise" else "keep",
+        _tolerance(config),
+        kernels,
     )
+    mode = config.short_payload
     k_s = k_s.cache()
     counts = {}
     if kernels is not None and kernels.scalar_rules:

@@ -18,8 +18,9 @@ service:
   and a picklable state snapshot;
 * :mod:`repro.stream.receivers` -- :class:`FrameSource` and
   :func:`deliver`, the per-vehicle delivery loop: the event-time merge
-  of a vehicle's channels, awaiting the owning session's bounded queue
-  per frame (backpressure stalls only the slow vehicle, never another);
+  of a vehicle's channels, handed to the owning session's bounded
+  queue in chunks (backpressure stalls only the slow vehicle, never
+  another);
 * :mod:`repro.stream.checkpoint` -- the session-state codec over
   :class:`repro.fleet.CheckpointStore`, so a killed service resumes
   mid-stream and replay of undelivered frames yields byte-identical

@@ -15,11 +15,23 @@ counted and dropped, never silently reordered into the past.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.incremental import _state_field, window_index
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream.errors import StreamError
 
 #: Schema tag of :meth:`WindowAssembler.export_state` payloads.
 ASSEMBLER_STATE_FORMAT = "repro.stream-assembler/1"
+
+
+class FrameRejected(StreamError):
+    """A frame no window can hold; :attr:`position` is its index in the
+    chunk handed to :meth:`WindowAssembler.add_chunk`."""
+
+    def __init__(self, position, message):
+        super().__init__(message)
+        self.position = position
 
 
 class WindowAssembler:
@@ -44,6 +56,8 @@ class WindowAssembler:
         self._watermark = None
         self._pending = {}  # window index -> [frames in arrival order]
         self._floor = None  # lowest assignable index; None = nothing sealed
+        #: Seal time of the lowest pending window (derived, never saved).
+        self._seal_at = math.inf
         self.late_dropped = 0
 
     # -- ingestion -------------------------------------------------------
@@ -54,35 +68,69 @@ class WindowAssembler:
         return window_index(t, self._origin, self.window_seconds)
 
     def add(self, frame):
-        """Buffer one frame; returns the windows this arrival sealed.
+        """Buffer one frame; :meth:`add_chunk` of a chunk of one."""
+        return self.add_chunk((frame,))
+
+    def add_chunk(self, frames):
+        """Buffer *frames* in arrival order; returns the windows sealed.
+
+        Every frame is adjudicated exactly as if it had arrived alone --
+        a window sealed by an earlier frame of the chunk is closed to a
+        later one -- but sealable windows are looked for only once the
+        watermark has reached the lowest pending window's seal time.
 
         The return value is a list of ``(window_index, frames)`` pairs
         in strictly increasing index order, each holding the window's
         frames in arrival order (the consumer sorts by timestamp; see
-        ``IncrementalRunner.process_window``).
+        ``IncrementalRunner.process_window``). A timestamp no window can
+        hold (``nan``, ``inf``) raises :class:`FrameRejected` carrying
+        the frame's position in *frames*; the frames before it stay
+        buffered.
         """
-        t = frame[0]
-        if self._origin is None:
-            self._origin = t
-        index = self.window_index(t)
-        if self._floor is not None and index < self._floor:
-            self.late_dropped += 1
-            return []
-        self._pending.setdefault(index, []).append(frame)
-        if self._watermark is None or t > self._watermark:
-            self._watermark = t
-        return self._seal_ready()
+        sealed = []
+        pending = self._pending
+        for position, frame in enumerate(frames):
+            t = frame[0]
+            origin = t if self._origin is None else self._origin
+            try:
+                index = window_index(t, origin, self.window_seconds)
+            except (ValueError, OverflowError):
+                raise FrameRejected(position, (
+                    "timestamp {!r} is not a finite offset from the "
+                    "stream origin".format(t)
+                )) from None
+            self._origin = origin
+            if self._floor is not None and index < self._floor:
+                self.late_dropped += 1
+                continue
+            if index not in pending:
+                pending[index] = []
+                self._seal_at = min(self._seal_at, self._seal_time(index))
+            pending[index].append(frame)
+            if self._watermark is None or t > self._watermark:
+                self._watermark = t
+            if self._watermark >= self._seal_at:
+                sealed.extend(self._seal_ready())
+        return sealed
 
-    def _window_end(self, index):
-        return self._origin + (index + 1) * self.window_seconds
+    def _seal_time(self, index):
+        """The watermark at which window *index* seals: its end + grace."""
+        return (
+            self._origin + (index + 1) * self.window_seconds
+            + self.grace_seconds
+        )
 
     def _seal_ready(self):
         sealed = []
         for index in sorted(self._pending):
-            if self._watermark < self._window_end(index) + self.grace_seconds:
+            seal_at = self._seal_time(index)
+            if self._watermark < seal_at:
+                self._seal_at = seal_at
                 break
             sealed.append((index, self._pending.pop(index)))
             self._floor = index + 1
+        else:
+            self._seal_at = math.inf
         return sealed
 
     def flush(self):
@@ -93,6 +141,7 @@ class WindowAssembler:
         ]
         if sealed:
             self._floor = sealed[-1][0] + 1
+            self._seal_at = math.inf
         return sealed
 
     # -- introspection ---------------------------------------------------
@@ -145,8 +194,36 @@ class WindowAssembler:
         assembler._floor = _state_field(payload, "floor", (int, type(None)))
         assembler.late_dropped = _state_field(payload, "late_dropped", int)
         pending = _state_field(payload, "pending", dict)
-        assembler._pending = {
-            index: list(_state_field(pending, index, list))
-            for index in pending
-        }
+        for index in pending:
+            if type(index) is not int:
+                raise StreamError(
+                    "pending window index {!r} is not an integer".format(
+                        index
+                    )
+                )
+            for frame in _state_field(pending, index, list):
+                if not _is_byte_record(frame):
+                    raise StreamError(
+                        "pending window {} holds {!r}, which is not a byte "
+                        "record with a finite timestamp and a bytes "
+                        "payload".format(index, frame)
+                    )
+            assembler._pending[index] = list(pending[index])
+        if pending:
+            if assembler._origin is None or assembler._watermark is None:
+                raise StreamError(
+                    "pending windows without an origin and a watermark"
+                )
+            assembler._seal_at = assembler._seal_time(min(pending))
         return assembler
+
+
+def _is_byte_record(frame):
+    """``(t, l, b_id, m_id, m_info)``, ``t`` a finite number, ``l`` bytes."""
+    return (
+        isinstance(frame, tuple)
+        and len(frame) == len(BYTE_RECORD_COLUMNS)
+        and type(frame[0]) in (int, float)
+        and math.isfinite(frame[0])
+        and isinstance(frame[1], bytes)
+    )

@@ -3,9 +3,10 @@
 A :class:`FrameSource` serves each channel's frames in a deterministic
 order from a cursor; :func:`deliver` merges one vehicle's channels into
 a single event-time-ordered stream and awaits the owning session's
-bounded queue for every frame. Backpressure is therefore scoped exactly
-as the service requires -- a slow vehicle session fills its own queue
-and stalls only its own delivery loop; other vehicles never wait on it.
+bounded queue once per chunk of it. Backpressure is therefore scoped
+exactly as the service requires -- a slow vehicle session fills its own
+queue and stalls only its own delivery loop; other vehicles never wait
+on it.
 
 :class:`ReplaySource` is the bundled transport: pre-recorded (or
 simulated) byte records served per channel in timestamp order, with
@@ -16,7 +17,8 @@ frames no checkpoint had covered.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 
 from repro.stream.errors import StreamError
 
@@ -43,7 +45,7 @@ class ReplaySource(FrameSource):
 
     def __init__(self, records):
         self._by_channel = {}
-        for record in sorted(records, key=lambda r: (r[0],)):
+        for record in sorted(records, key=itemgetter(0)):
             self._by_channel.setdefault(record[2], []).append(record)
 
     def channels(self):
@@ -62,7 +64,7 @@ def _delivery_key(item):
     return frame[0], str(channel)
 
 
-async def deliver(source, cursor, budget, queue):
+async def deliver(source, cursor, budget, queue, chunk_frames=1):
     """One vehicle's delivery loop: merge the channels, feed the queue.
 
     The channels are merged, each from ``cursor(channel)`` (the frames
@@ -73,22 +75,27 @@ async def deliver(source, cursor, budget, queue):
     replays a multi-channel source exactly, and no channel can run
     ahead of another in event time and turn scheduling into late drops.
 
-    Every frame takes one unit of the shared *budget* and awaits
-    ``queue.put((channel, frame))`` -- the bounded queue is the
-    backpressure boundary and stalls this vehicle only. The loop ends
-    by putting ``None``; it returns True when the source was exhausted,
-    False when the budget ran out first.
+    The merged stream is handed over in chunks: lists of up to
+    *chunk_frames* ``(channel, frame)`` pairs, one ``await queue.put``
+    each -- the bounded queue is the backpressure boundary and stalls
+    this vehicle only. A chunk takes its length from the shared
+    *budget* and is cut where the budget ends, so a kill still lands on
+    the exact frame. The loop ends by putting ``None``; it returns True
+    when the source was exhausted, False when the budget ran out first.
     """
     streams = [
         zip(repeat(channel), source.frames(channel, cursor(channel)))
         for channel in source.channels()
     ]
+    merged = heapq.merge(*streams, key=_delivery_key)
     exhausted = True
-    for item in heapq.merge(*streams, key=_delivery_key):
-        if not budget.take():
+    while chunk := list(islice(merged, chunk_frames)):
+        granted = budget.take(len(chunk))
+        if granted:
+            await queue.put(chunk[:granted])
+        if granted < len(chunk):
             exhausted = False
             break
-        await queue.put(item)
     await queue.put(None)
     return exhausted
 
@@ -96,9 +103,10 @@ async def deliver(source, cursor, budget, queue):
 class FrameBudget:
     """A shared, decrementing frame allowance (the mid-stream kill).
 
-    ``take`` grants one frame until the budget is spent; afterwards
-    every delivery loop stops before delivering another frame, emulating
-    a service killed part-way through the day's traffic.
+    ``take(n)`` grants up to *n* frames -- all of them until the budget
+    is spent, then what is left, then none; every delivery loop stops
+    before delivering a frame it was not granted, emulating a service
+    killed part-way through the day's traffic.
     """
 
     def __init__(self, limit):
@@ -107,14 +115,12 @@ class FrameBudget:
         self.limit = limit
         self.spent = 0
 
-    def take(self):
-        if self.limit is None:
-            self.spent += 1
-            return True
-        if self.spent >= self.limit:
-            return False
-        self.spent += 1
-        return True
+    def take(self, frames=1):
+        """Spend up to *frames*; returns how many were granted."""
+        if self.limit is not None:
+            frames = min(frames, self.limit - self.spent)
+        self.spent += frames
+        return frames
 
     @property
     def exhausted(self):

@@ -24,8 +24,9 @@ re-delivery count observable.
 Backpressure
 ------------
 A delivery loop awaits ``queue.put`` on its own session's bounded
-queue. A slow session stalls exactly the loop feeding it; every other
-vehicle keeps draining its source.
+queue, once per chunk of up to ``queue_capacity`` frames. A slow
+session stalls exactly the loop feeding it; every other vehicle keeps
+draining its source.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class StreamConfig:
 
     ``checkpoint_every`` is the per-session checkpoint cadence in
     ingested frames (0 disables periodic snapshots; the drain snapshot
-    is always taken). ``queue_capacity`` bounds each session queue --
-    the backpressure boundary.
+    is always taken). ``queue_capacity`` bounds the frames queued per
+    session -- the backpressure boundary -- and is the most frames a
+    delivery loop hands over at once; 1 is a frame-by-frame service.
     """
 
     window_seconds: float = 1.0
@@ -128,7 +130,9 @@ class StreamIngestService:
         *max_frames*, when given, is a shared delivery budget across
         all vehicles: once spent, every delivery loop stops before
         delivering another frame -- the controlled stand-in for a
-        service process killed mid-stream. No drain or final checkpoint
+        service process killed mid-stream. Exactly *max_frames* frames
+        are delivered in total; how they split between vehicles is
+        scheduling, not contract. No drain or final checkpoint
         happens for killed sessions; their last *committed* periodic
         snapshot is the resume point, exactly as after a real crash.
         """
@@ -155,30 +159,47 @@ class StreamIngestService:
 
         Returns whether the vehicle's source was exhausted (not killed).
         """
-        queue = asyncio.Queue(maxsize=self.config.queue_capacity)
+        # One chunk of up to queue_capacity frames may wait in the queue:
+        # that many frames queued per vehicle, never more.
+        queue = asyncio.Queue(maxsize=1)
         delivery = asyncio.ensure_future(deliver(
-            self._sources[vehicle_id], session.cursor, budget, queue
+            self._sources[vehicle_id], session.cursor, budget, queue,
+            self.config.queue_capacity,
         ))
         depth_gauge = "stream.queue.depth.{}".format(vehicle_id)
-        high_water = "stream.queue.high_water.{}".format(vehicle_id)
+        high_water = self.metrics.gauge(
+            "stream.queue.high_water.{}".format(vehicle_id)
+        )
         cadence = self.config.checkpoint_every
-        while True:
-            item = await queue.get()
-            if item is None:
-                break
-            channel, frame = item
-            self.metrics.gauge(high_water).set_max(queue.qsize() + 1)
-            session.ingest(channel, frame)
-            self.metrics.set_gauge(depth_gauge, queue.qsize())
-            if cadence and session.frames_ingested % cadence == 0:
-                self.checkpointer.save_session(session, self.metrics)
-        exhausted = await delivery
+        self.metrics.set_gauge(depth_gauge, 0)
+        try:
+            while (chunk := await queue.get()) is not None:
+                high_water.set_max(len(chunk))
+                self.metrics.observe(
+                    "stream.ingest.chunk_frames", len(chunk)
+                )
+                while chunk:
+                    # Cut at the next multiple of the cadence, so
+                    # snapshots are taken at the frame counts a
+                    # frame-by-frame service takes them at.
+                    room = len(chunk)
+                    if cadence:
+                        room = cadence - session.frames_ingested % cadence
+                    session.ingest(chunk[:room])
+                    chunk = chunk[room:]
+                    self.metrics.set_gauge(depth_gauge, len(chunk))
+                    if cadence and session.frames_ingested % cadence == 0:
+                        self.checkpointer.save_session(session, self.metrics)
+            exhausted = await delivery
+        finally:
+            # A session that refused a frame leaves its loop blocked on
+            # the queue; a finished one ignores the cancel.
+            delivery.cancel()
         if exhausted:
             # Clean end of stream: seal whatever the grace period was
             # still holding back, then commit the drained snapshot.
             session.drain()
             self.checkpointer.save_session(session, self.metrics)
-        self.metrics.set_gauge(depth_gauge, queue.qsize())
         return exhausted
 
     # -- terminal --------------------------------------------------------

@@ -2,8 +2,9 @@
 assembler.
 
 A :class:`VehicleSession` is the synchronous state machine at the heart
-of the streaming service: frames go in (tagged with the channel that
-received them), sealed windows come out and are fed to the session's
+of the streaming service: chunks of frames go in (each frame tagged
+with the channel that received it), sealed windows come out and are
+fed, one partition each, to the session's
 :class:`~repro.core.incremental.IncrementalRunner` exactly as a batch
 caller would feed :func:`~repro.core.incremental.split_into_windows`
 output. Keeping the state machine free of the event loop makes
@@ -20,9 +21,11 @@ guarantee.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core.incremental import IncrementalRunner, _state_field
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
-from repro.stream.assembler import WindowAssembler
+from repro.stream.assembler import FrameRejected, WindowAssembler
 from repro.stream.errors import StreamError
 
 #: Schema tag of :meth:`VehicleSession.export_state` payloads.
@@ -47,25 +50,46 @@ class VehicleSession:
         self._drained = False
 
     # -- ingestion -------------------------------------------------------
-    def ingest(self, channel, frame):
-        """Ingest one frame received on *channel*; process sealed windows."""
+    def ingest(self, chunk):
+        """Ingest a chunk of ``(channel, frame)`` pairs in arrival order;
+        process the windows it sealed. Returns how many those were.
+
+        A frame whose timestamp no window can hold is a
+        :class:`StreamError` naming the vehicle, the channel and the
+        frame's ordinal in that channel; the session is not usable
+        afterwards."""
         if self._drained:
             raise StreamError(
                 "session {!r} already drained".format(self.vehicle_id)
             )
         before = self.assembler.late_dropped
-        sealed = self.assembler.add(frame)
-        # Count the frame as delivered even when it was a late drop: the
+        channels = [channel for channel, _frame in chunk]
+        try:
+            sealed = self.assembler.add_chunk(
+                [frame for _channel, frame in chunk]
+            )
+        except FrameRejected as exc:
+            channel = channels[exc.position]
+            ordinal = self.cursor(channel) + \
+                channels[:exc.position].count(channel)
+            raise StreamError(
+                "vehicle {!r}, channel {!r}, frame {}: {}".format(
+                    self.vehicle_id, channel, ordinal, exc
+                )
+            ) from None
+        # Count a frame as delivered even when it was a late drop: the
         # cursor tracks transport delivery, not window acceptance, so a
         # resumed delivery never repeats a frame the assembler has
         # already adjudicated.
-        self.channel_cursors[channel] = self.channel_cursors.get(
-            channel, 0
-        ) + 1
-        self.frames_ingested += 1
+        for channel, count in Counter(channels).items():
+            self.channel_cursors[channel] = self.cursor(channel) + count
+            if self.metrics is not None:
+                self.metrics.inc(
+                    "stream.frames_received.{}".format(channel), count
+                )
+        self.frames_ingested += len(chunk)
         if self.metrics is not None:
-            self.metrics.inc("stream.frames_received")
-            self.metrics.inc("stream.frames_received.{}".format(channel))
+            self.metrics.inc("stream.frames_received", len(chunk))
             late = self.assembler.late_dropped - before
             if late:
                 self.metrics.inc("stream.late_dropped", late)
@@ -77,9 +101,9 @@ class VehicleSession:
             # Frames go in in arrival order: the runner puts every
             # sequence into the canonical order itself, with the function
             # the whole-trace pipeline uses, so intra-window disorder is
-            # invisible.
+            # invisible. A window is one partition: one lines 2-6 task.
             table = self.context.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), frames
+                list(BYTE_RECORD_COLUMNS), frames, num_partitions=1
             )
             self.runner.process_window(table)
             self.windows_sealed += 1

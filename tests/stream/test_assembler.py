@@ -157,6 +157,68 @@ class TestFlush:
         assert asm.flush() == []
 
 
+class TestChunks:
+    @given(
+        times=st.lists(
+            st.sampled_from([k / 4 for k in range(-8, 40)]), max_size=60
+        ),
+        cuts=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        grace=st.sampled_from([0.0, 0.25, 0.6, 2.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_chunk_is_adjudicated_as_its_frames_one_by_one(
+        self, times, cuts, grace
+    ):
+        """Ties, steps backwards past sealed windows (late drops), and
+        frames older than the origin: however the arrivals are cut into
+        chunks, every frame meets the floor the frames before it left."""
+        frames = [(t, bytes([i]), "FC", i, ()) for i, t in enumerate(times)]
+        single, chunked = WindowAssembler(1.0, grace), \
+            WindowAssembler(1.0, grace)
+        expected = [w for f in frames for w in single.add(f)]
+        sealed, start = [], 0
+        while start < len(frames):
+            size = cuts[len(sealed) % len(cuts)]
+            sealed.append(chunked.add_chunk(frames[start:start + size]))
+            start += size
+        assert [w for windows in sealed for w in windows] == expected
+        assert chunked.export_state() == single.export_state()
+        assert chunked.flush() == single.flush()
+
+    def test_a_window_sealed_mid_chunk_is_closed_to_the_rest_of_it(self):
+        asm = WindowAssembler(1.0)
+        sealed = asm.add_chunk([frame(0.0), frame(1.0), frame(0.5)])
+        assert sealed == [(0, [frame(0.0)])]
+        assert asm.late_dropped == 1
+
+    def test_an_older_window_that_is_already_due_seals_on_arrival(self):
+        asm = WindowAssembler(1.0)
+        assert asm.add_chunk([frame(10.0), frame(10.5)]) == []
+        # Nothing sealed yet, so window -3 is assignable -- and overdue.
+        assert asm.add_chunk([frame(7.5)]) == [(-3, [frame(7.5)])]
+
+
+class TestNonFiniteTimestamps:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"),
+                                   float("-inf")])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_is_a_stream_error_not_a_traceback_from_floor(self, t, first):
+        asm = WindowAssembler(1.0)
+        chunk = [frame(t)] if first else [frame(0.0), frame(0.5), frame(t)]
+        with pytest.raises(StreamError, match="not a finite offset") as info:
+            asm.add_chunk(chunk)
+        assert info.value.position == len(chunk) - 1
+        assert repr(t) in str(info.value)
+        assert asm.pending_frames == len(chunk) - 1
+
+    def test_a_rejected_first_frame_leaves_no_origin(self):
+        asm = WindowAssembler(1.0)
+        with pytest.raises(StreamError):
+            asm.add(frame(float("nan")))
+        assert asm.add(frame(3.0)) == []
+        assert asm.window_index(3.5) == 0
+
+
 class TestState:
     def test_roundtrip_preserves_behaviour(self):
         asm = WindowAssembler(1.0, grace_seconds=0.5)
@@ -178,3 +240,39 @@ class TestState:
             WindowAssembler.from_state({"format": "something-else"})
         with pytest.raises(StreamError):
             WindowAssembler.from_state("not a dict")
+
+    def test_roundtrip_mid_window_keeps_the_next_seal_time(self):
+        """``_seal_at`` is derived, not saved: a restored assembler
+        seals the window it resumed inside at the same frame."""
+        asm = WindowAssembler(1.0, grace_seconds=0.5)
+        asm.add_chunk([frame(0.0), frame(1.2)])
+        restored = WindowAssembler.from_state(asm.export_state())
+        assert restored.add(frame(1.4)) == []
+        assert [i for i, _ in restored.add(frame(1.5))] == [0]
+
+    @pytest.mark.parametrize("pending, complaint", [
+        ({"k": [frame(0.0)]}, "index 'k' is not an integer"),
+        ({True: [frame(0.0)]}, "index True is not an integer"),
+        ({0: (frame(0.0),)}, "field 0 has type tuple"),
+        ({0: [("x",)]}, "not a byte record"),
+        ({0: [list(frame(0.0))]}, "not a byte record"),
+        ({0: [("0.0", b"", "FC", 1, ())]}, "not a byte record"),
+        ({0: [(float("nan"), b"", "FC", 1, ())]}, "finite timestamp"),
+        ({0: [(0.0, "payload", "FC", 1, ())]}, "bytes payload"),
+    ])
+    def test_pending_is_shape_checked_on_load(self, pending, complaint):
+        """A snapshot comes from disk: what ``add`` would later choke on
+        (``TypeError: '<' not supported`` at the next seal) is refused
+        when it is read."""
+        asm = WindowAssembler(1.0)
+        asm.add(frame(0.0))
+        payload = asm.export_state()
+        payload["pending"] = pending
+        with pytest.raises((StreamError, ValueError), match=complaint):
+            WindowAssembler.from_state(payload)
+
+    def test_pending_needs_an_origin(self):
+        payload = WindowAssembler(1.0).export_state()
+        payload["pending"] = {0: [frame(0.0)]}
+        with pytest.raises(StreamError, match="origin"):
+            WindowAssembler.from_state(payload)

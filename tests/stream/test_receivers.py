@@ -16,17 +16,20 @@ def rec(t, channel="FC"):
     return (t, b"\x00", channel, 1, ())
 
 
-def run_delivery(src, cursors=None, limit=None):
-    """Run one delivery loop to its end; (exhausted, budget, items put)."""
+def run_delivery(src, cursors=None, limit=None, chunk_frames=1):
+    """Run one delivery loop to its end; (exhausted, budget, the
+    ``(channel, frame)`` items put, chunk by chunk, flattened)."""
     cursors = cursors or {}
     budget = FrameBudget(limit)
     queue = asyncio.Queue()
-    exhausted = asyncio.run(
-        deliver(src, lambda channel: cursors.get(channel, 0), budget, queue)
-    )
-    items = [queue.get_nowait() for _ in range(queue.qsize())]
-    assert items.pop() is None  # the end-of-delivery marker, always last
-    return exhausted, budget, items
+    exhausted = asyncio.run(deliver(
+        src, lambda channel: cursors.get(channel, 0), budget, queue,
+        chunk_frames,
+    ))
+    chunks = [queue.get_nowait() for _ in range(queue.qsize())]
+    assert chunks.pop() is None  # the end-of-delivery marker, always last
+    assert all(0 < len(chunk) <= chunk_frames for chunk in chunks)
+    return exhausted, budget, [item for chunk in chunks for item in chunk]
 
 
 class TestReplaySource:
@@ -66,6 +69,20 @@ class TestFrameBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(StreamError):
             FrameBudget(-1)
+
+    def test_take_n_grants_what_is_left_then_nothing(self):
+        budget = FrameBudget(10)
+        assert budget.take(4) == 4
+        assert budget.take(64) == 6  # fewer than asked for are left
+        assert budget.exhausted and budget.spent == 10
+        assert budget.take(3) == 0  # nothing left: spends nothing
+        assert budget.spent == 10
+
+    def test_take_n_of_an_empty_and_an_unlimited_budget(self):
+        assert FrameBudget(0).take(5) == 0
+        unlimited = FrameBudget(None)
+        assert unlimited.take(64) == 64 and unlimited.take(1) == 1
+        assert unlimited.spent == 65 and not unlimited.exhausted
 
 
 class TestDeliver:
@@ -124,6 +141,30 @@ class TestDeliver:
         assert not exhausted
         assert (budget.spent, put) == (7, 8)  # 7 frames + the marker
 
+    @pytest.mark.parametrize("chunk_frames", [1, 2, 3, 5, 64])
+    def test_chunks_are_slices_of_the_one_merged_stream(self, chunk_frames):
+        src = ReplaySource(
+            [rec(t / 10.0, "a") for t in range(10)]
+            + [rec(t / 10.0 + 0.01, "b") for t in range(7)]
+        )
+        _exhausted, _budget, frame_by_frame = run_delivery(src)
+        exhausted, budget, items = run_delivery(
+            src, chunk_frames=chunk_frames
+        )
+        assert exhausted and budget.spent == 17
+        assert items == frame_by_frame
+
+    @pytest.mark.parametrize("limit", range(0, 9))
+    def test_a_kill_lands_on_the_exact_frame_inside_a_chunk(self, limit):
+        src = ReplaySource([rec(t / 10.0) for t in range(8)])
+        exhausted, budget, items = run_delivery(
+            src, limit=limit, chunk_frames=3
+        )
+        assert exhausted == (limit >= 8)
+        assert budget.spent == len(items) == min(limit, 8)
+        assert [frame[0] for _channel, frame in items] == \
+            [t / 10.0 for t in range(min(limit, 8))]
+
     @given(
         frames=st.lists(
             st.tuples(
@@ -165,9 +206,12 @@ class TestDeliver:
 
 class TestBackpressureScope:
     def test_slow_vehicle_does_not_stall_other_vehicles(self):
-        """The load-bearing isolation property: vehicle A's full queue
-        blocks only A's delivery loop; vehicle B's loop finishes its
-        whole stream meanwhile."""
+        """The load-bearing isolation property, in frames: vehicle A's
+        session never takes a chunk, so A's loop stalls holding at most
+        ``queue_capacity`` queued frames -- wired as the service wires
+        it, one chunk of that many frames in the queue -- while vehicle
+        B's loop finishes its whole stream meanwhile."""
+        capacity = 6
         frames = [rec(t / 10.0) for t in range(20)]
         src_a, src_b = ReplaySource(frames), ReplaySource(frames)
         budget = FrameBudget(None)
@@ -176,25 +220,28 @@ class TestBackpressureScope:
             return 0
 
         async def drive():
-            queue_a = asyncio.Queue(maxsize=2)  # nobody consumes this one
-            queue_b = asyncio.Queue(maxsize=2)
+            queue_a = asyncio.Queue(maxsize=1)  # nobody consumes this one
+            queue_b = asyncio.Queue(maxsize=1)
+            received_b = []
 
             async def consume_b():
-                while await queue_b.get() is not None:
-                    pass
+                while (chunk := await queue_b.get()) is not None:
+                    received_b.extend(chunk)
 
             task_a = asyncio.ensure_future(
-                deliver(src_a, start, budget, queue_a)
+                deliver(src_a, start, budget, queue_a, capacity)
             )
             exhausted_b, _ = await asyncio.wait_for(
                 asyncio.gather(
-                    deliver(src_b, start, budget, queue_b), consume_b()
+                    deliver(src_b, start, budget, queue_b, capacity),
+                    consume_b(),
                 ),
                 timeout=5,
             )
-            assert exhausted_b
+            assert exhausted_b and len(received_b) == 20
             assert not task_a.done()  # still blocked on its own queue
-            assert queue_a.qsize() == 2  # queue capacity; then stalled
+            queued = [queue_a.get_nowait() for _ in range(queue_a.qsize())]
+            assert sum(map(len, queued)) == capacity  # then stalled
             task_a.cancel()
             try:
                 await task_a
@@ -202,4 +249,5 @@ class TestBackpressureScope:
                 pass
 
         asyncio.run(drive())
-        assert budget.spent == 20 + 3  # B's stream; A's 2 queued + 1 held
+        # B's stream; A's queued chunk + the one its loop holds.
+        assert budget.spent == 20 + 2 * capacity

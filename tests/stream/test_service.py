@@ -4,9 +4,13 @@ checkpoint plumbing and the stream.* counter contract."""
 from __future__ import annotations
 
 import asyncio
+import pickle
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalRunner, split_into_windows
 from repro.core.params import config_from_dict
@@ -14,11 +18,13 @@ from repro.engine import EngineContext
 from repro.obs import MetricsRegistry
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream import (
+    FrameSource,
     ReplaySource,
     StreamCheckpointer,
     StreamConfig,
     StreamError,
     StreamIngestService,
+    VehicleSession,
 )
 from repro.testing.generator import generate_journey_case
 
@@ -94,6 +100,134 @@ class TestServe:
             StreamConfig(queue_capacity=0)
         with pytest.raises(StreamError):
             StreamConfig(checkpoint_every=-1)
+
+
+class ArrivalOrderSource(FrameSource):
+    """Serves each channel's frames as recorded, not time-sorted: the
+    way out-of-order and late frames reach a session."""
+
+    def __init__(self, records):
+        self._by_channel = {}
+        for record in records:
+            self._by_channel.setdefault(record[2], []).append(record)
+
+    def channels(self):
+        return sorted(self._by_channel)
+
+    def frames(self, channel, start=0):
+        return iter(self._by_channel[channel][start:])
+
+
+class TestChunkedServiceEqualsFrameByFrame:
+    CASE, CTX, CONFIG = journey(seed=5)
+
+    def observe(self, run_dir, recordings, stream_config):
+        """One clean service run; everything a chunk size could move."""
+        sealed = {vehicle_id: [] for vehicle_id in recordings}
+        commits = {vehicle_id: [] for vehicle_id in recordings}
+        service = StreamIngestService(run_dir, stream_config)
+        save_session = service.checkpointer.save_session
+
+        def recording_save(session, metrics=None):
+            commits[session.vehicle_id].append(
+                pickle.dumps(session.export_state())
+            )
+            return save_session(session, metrics)
+
+        service.checkpointer.save_session = recording_save
+
+        def recording(session):
+            process_sealed = session._process_sealed
+
+            def process(windows):
+                sealed[session.vehicle_id].extend(
+                    (index, list(frames)) for index, frames in windows
+                )
+                return process_sealed(windows)
+
+            return process
+
+        for vehicle_id, records in recordings.items():
+            session = service.add_vehicle(
+                vehicle_id, ArrivalOrderSource(records), self.CONFIG,
+                self.CTX,
+            )
+            session._process_sealed = recording(session)
+        assert not asyncio.run(service.serve()).killed
+        for vehicle_id in recordings:
+            assert service.metrics.gauge(
+                "stream.queue.high_water.{}".format(vehicle_id)
+            ).value <= stream_config.queue_capacity
+        sessions = service.sessions.items()
+        return {
+            # Per vehicle: how vehicles interleave is the loop's business.
+            "sealed": sealed,
+            "commits": commits,
+            "late": {v: s.late_dropped for v, s in sessions},
+            "cursors": {v: dict(s.channel_cursors) for v, s in sessions},
+            "final": {
+                v: final.r_out.collect()
+                for v, final in service.finalize_all().items()
+            },
+        }
+
+    @given(
+        arrivals=st.lists(
+            st.tuples(
+                st.integers(0, len(CASE.records) - 1),  # whose payload
+                # quarter seconds: ties, steps backwards, late frames
+                st.sampled_from([k / 4 for k in range(0, 24)]),
+                st.sampled_from(["FC", "FC", "FC", "FB"]),
+            ),
+            min_size=1, max_size=50,
+        ),
+        queue_capacity=st.integers(1, 70),
+        checkpoint_every=st.sampled_from([0, 1, 3, 7, 10, 64]),
+        grace=st.sampled_from([0.0, 0.5, 1.5]),
+    )
+    @example(  # a window sealed mid-chunk, then a late frame for it
+        arrivals=[(0, 0.0, "FC"), (1, 0.25, "FB"), (2, 3.0, "FC"),
+                  (3, 0.5, "FC"), (4, 3.0, "FB"), (5, 5.0, "FC")],
+        queue_capacity=4, checkpoint_every=3, grace=0.0,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_queue_capacity_is_the_queue_capacity_1_run(
+        self, arrivals, queue_capacity, checkpoint_every, grace
+    ):
+        """Multi-channel recordings with tied timestamps, steps
+        backwards and late frames, any chunk size and any cadence: the
+        sealed windows (index, frames, order), late drops, cursors, the
+        snapshot at every commit and the finalized rows are those of
+        the frame-by-frame service."""
+        records = [
+            (t, self.CASE.records[i][1], channel) + self.CASE.records[i][3:]
+            for i, t, channel in arrivals
+        ]
+        recordings = {"a": records, "b": records[::-1]}
+        runs = []
+        for capacity in (1, queue_capacity):
+            with tempfile.TemporaryDirectory() as run_dir:
+                runs.append(self.observe(run_dir, recordings, StreamConfig(
+                    window_seconds=1.0, grace_seconds=grace,
+                    queue_capacity=capacity,
+                    checkpoint_every=checkpoint_every,
+                )))
+        oracle, chunked = runs
+        assert chunked == oracle
+
+
+class TestNonFiniteTimestamp:
+    def test_serve_raises_a_stream_error_naming_the_frame(self, tmp_path):
+        case, ctx, config = journey()
+        records = list(case.records[:10])
+        records[6] = (float("nan"),) + records[6][1:]
+        service = StreamIngestService(tmp_path, STREAM)
+        service.add_vehicle("v", ArrivalOrderSource(records), config, ctx)
+        with pytest.raises(StreamError) as info:
+            asyncio.run(service.serve())
+        assert str(info.value).startswith(
+            "vehicle 'v', channel 'FC', frame 6: timestamp nan"
+        )
 
 
 class TestKillAndResume:

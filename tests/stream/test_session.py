@@ -38,7 +38,7 @@ def batch_rows(ctx, config, records, window_seconds):
 
 def ingest_all(session, records):
     for record in records:
-        session.ingest(record[2], record)
+        session.ingest([(record[2], record)])
 
 
 class TestStreamingEqualsBatch:
@@ -80,26 +80,82 @@ class TestCursors:
         a resumed receiver must never re-deliver an adjudicated frame."""
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest("FC", (0.0, b"\x00", "FC", 999, ()))
-        session.ingest("FC", (2.5, b"\x00", "FC", 999, ()))  # seals w0
-        session.ingest("FC", (0.1, b"\x00", "FC", 999, ()))  # late drop
+        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
+        session.ingest([("FC", (2.5, b"\x00", "FC", 999, ()))])  # seals w0
+        session.ingest([("FC", (0.1, b"\x00", "FC", 999, ()))])  # late drop
         assert session.late_dropped == 1
         assert session.cursor("FC") == 3
+
+
+class TestChunks:
+    def test_a_chunk_advances_cursors_and_counters_per_channel(self):
+        _case, ctx, config = journey()
+        metrics = MetricsRegistry()
+        session = VehicleSession("v", config, ctx, 1.0, metrics=metrics)
+        sealed = session.ingest([
+            ("FC", (0.0, b"\x00", "FC", 999, ())),
+            ("FB", (0.2, b"\x00", "FB", 999, ())),
+            ("FC", (2.5, b"\x00", "FC", 999, ())),  # seals w0
+            ("FC", (0.1, b"\x00", "FC", 999, ())),  # late drop
+        ])
+        assert sealed == 1
+        assert session.channel_cursors == {"FC": 3, "FB": 1}
+        assert (session.frames_ingested, session.late_dropped) == (4, 1)
+        counters = metrics.counters()
+        assert counters["stream.frames_received"] == 4
+        assert counters["stream.frames_received.FC"] == 3
+        assert counters["stream.frames_received.FB"] == 1
+        assert counters["stream.late_dropped"] == 1
+
+    @pytest.mark.parametrize("size", [2, 7, 64])
+    def test_chunked_ingest_equals_frame_by_frame(self, size):
+        case, ctx, config = journey(seed=11, lossy=True)
+        single = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
+        ingest_all(single, case.records)
+        chunked = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
+        for start in range(0, len(case.records), size):
+            chunked.ingest([
+                (record[2], record)
+                for record in case.records[start:start + size]
+            ])
+        assert chunked.export_state() == single.export_state()
+        assert sorted_rows(chunked.finalize().r_out) == \
+            sorted_rows(single.finalize().r_out)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_names_vehicle_channel_and_ordinal(
+        self, t
+    ):
+        _case, ctx, config = journey()
+        session = VehicleSession("veh7", config, ctx, 1.0)
+        session.ingest([("FB", (0.0, b"\x00", "FB", 999, ()))])
+        with pytest.raises(StreamError) as info:
+            session.ingest([
+                ("FB", (0.1, b"\x00", "FB", 999, ())),
+                ("FC", (0.2, b"\x00", "FC", 999, ())),
+                ("FB", (t, b"\x00", "FB", 999, ())),
+            ])
+        # The third frame of channel FB: ordinal 2, counted from 0 as
+        # the cursors count.
+        assert str(info.value) == (
+            "vehicle 'veh7', channel 'FB', frame 2: timestamp {!r} is not "
+            "a finite offset from the stream origin".format(t)
+        )
 
 
 class TestDrain:
     def test_ingest_after_drain_is_an_error(self):
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest("FC", (0.0, b"\x00", "FC", 999, ()))
+        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
         session.drain()
         with pytest.raises(StreamError):
-            session.ingest("FC", (5.0, b"\x00", "FC", 999, ()))
+            session.ingest([("FC", (5.0, b"\x00", "FC", 999, ()))])
 
     def test_drain_is_idempotent(self):
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest("FC", (0.0, b"\x00", "FC", 999, ()))
+        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
         assert session.drain() == 1
         assert session.drain() == 0
 

@@ -550,6 +550,38 @@ class TestStream:
         err = self._serve_error(run_dir, short_trace, capsys)
         assert "'stream-session-v0'" in err and "negative" in err
 
+    @pytest.mark.parametrize("pending, complaint", [
+        ({"k": [1]}, "pending window index 'k' is not an integer"),
+        ({0: [("x",)]}, "not a byte record"),
+    ])
+    def test_serve_on_checkpoint_with_misshapen_pending_is_one_error_line(
+        self, killed_run, short_trace, capsys, pending, complaint
+    ):
+        run_dir, checkpoint = killed_run
+
+        def misshape(payload):
+            payload["assembler"]["pending"] = pending
+
+        self._rewrite(checkpoint, misshape)
+        err = self._serve_error(run_dir, short_trace, capsys)
+        assert "checkpoint 'stream-session-v0' is not a usable session " \
+            "snapshot: " in err and complaint in err
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_is_one_stream_error_line(
+        self, tmp_path, capsys, t
+    ):
+        from repro.tracefile import binlog
+
+        path = tmp_path / "v0.btrc"
+        binlog.dump_records(
+            [(0.0, b"\x00", "FC", 1, ()), (t, b"\x00", "FC", 1, ()),
+             (0.5, b"\x00", "FC", 1, ())], path
+        )
+        err = self._serve_error(tmp_path / "run", path, capsys)
+        assert "vehicle 'v0', channel 'FC', frame " in err
+        assert "timestamp {!r}".format(t) in err
+
     def test_truncated_checkpoint_is_one_error_line(
         self, killed_run, short_trace, capsys
     ):

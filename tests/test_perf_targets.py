@@ -16,7 +16,10 @@ never see the column), ``value_order_key`` is called for tied
 timestamps only, and ``Table.cache`` goes through
 ``Executor.execute``, the name the tracer wraps. The last two keep
 replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
-order through) and the ``m_info`` TLV codec single-copy in ``binlog``.
+order through) and the ``m_info`` TLV codec single-copy in ``binlog``;
+the ones after them keep the stream path at one ``queue.put`` per chunk,
+one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
+and no scan of the pending windows per frame.
 """
 
 import ast
@@ -282,3 +285,96 @@ def test_the_m_info_codec_is_defined_in_binlog_only():
 
     assert colbin._pack_info is binlog.pack_info
     assert colbin.unpack_info is binlog.unpack_info
+
+
+def test_stream_delivery_puts_chunks_through_one_queue_put():
+    def puts(node):
+        return isinstance(node, ast.Call) and _name(node.func) in (
+            "put", "put_nowait"
+        )
+
+    assert _scopes([STREAM], puts) == {("receivers.py", "deliver")}
+    [deliver] = [
+        node for node in _parsed(STREAM / "receivers.py").body
+        if isinstance(node, ast.AsyncFunctionDef) and node.name == "deliver"
+    ]
+    # Two calls: the chunk (a list, inside the loop) and the end marker.
+    assert sorted(
+        ast.unparse(node.args[0]) for node in ast.walk(deliver) if puts(node)
+    ) == ["None", "chunk[:granted]"]
+
+
+def _stream_shaped_run(tmp_path, monkeypatch):
+    """Two journeys through the service; (context, service, how many
+    ``_RuleKernels`` were built, how often the pending windows were
+    scanned for sealable ones)."""
+    import asyncio
+    import random
+
+    from repro.core import interpretation
+    from repro.core.params import config_from_dict
+    from repro.engine import EngineContext
+    from repro.stream import (
+        ReplaySource, StreamConfig, StreamIngestService, WindowAssembler,
+    )
+    from repro.testing.generator import generate_journey_case
+
+    calls = {"kernels": 0, "scans": 0}
+
+    def counted(function, name):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        interpretation._RuleKernels, "__init__",
+        counted(interpretation._RuleKernels.__init__, "kernels"),
+    )
+    monkeypatch.setattr(
+        WindowAssembler, "_seal_ready",
+        counted(WindowAssembler._seal_ready, "scans"),
+    )
+    context = EngineContext.serial()
+    service = StreamIngestService(tmp_path, StreamConfig(
+        window_seconds=0.5, grace_seconds=0.25, checkpoint_every=20
+    ))
+    for seed in (5, 6):
+        case = generate_journey_case(random.Random(seed))
+        service.add_vehicle(
+            "v{}".format(seed), ReplaySource(case.records),
+            config_from_dict(case.params, case.database), context,
+        )
+    assert not asyncio.run(service.serve()).killed
+    return context, service, calls
+
+
+def test_a_session_compiles_lines_4_to_6_once_and_runs_one_task_per_window(
+    tmp_path, monkeypatch
+):
+    context, service, calls = _stream_shaped_run(tmp_path, monkeypatch)
+    sealed = sum(s.windows_sealed for s in service.sessions.values())
+    assert sealed > 2 * len(service.sessions)  # a multi-window session
+    assert calls["kernels"] == len(service.sessions)
+    assert context.executor.metrics.tasks_run <= sealed
+    for session in service.sessions.values():
+        assert "_kernels" not in repr(session.export_state())
+
+
+def test_pending_windows_are_scanned_when_one_seals_not_per_frame(
+    tmp_path, monkeypatch
+):
+    _context, service, calls = _stream_shaped_run(tmp_path, monkeypatch)
+    sealed = sum(s.windows_sealed for s in service.sessions.values())
+    frames = sum(s.frames_ingested for s in service.sessions.values())
+    assert calls["scans"] <= sealed < frames / 4
+
+    def sorts_pending(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "sorted" \
+            and ast.unparse(node.args[0]) == "self._pending"
+
+    assert _scopes([STREAM], sorts_pending) == {
+        ("assembler.py", "WindowAssembler._seal_ready"),
+        ("assembler.py", "WindowAssembler.flush"),
+    }
