@@ -147,44 +147,55 @@ class TestAblationGatewayDedup:
 
 
 class TestAblationInterpretationStrategy:
-    def test_join_vs_fused_interpretation(self, benchmark, syn_bundle, syn_trace_records):
-        """Two physical formulations of lines 4-6: the paper's relational
-        join vs a broadcast flat-map. Same output; the bench reports both
-        costs (the join pays for row replication, the flat-map for the
-        per-row dict lookup)."""
+    def test_join_plan_vs_rule_kernels(
+        self, benchmark, syn_bundle, syn_trace_records
+    ):
+        """The two spellings of lines 4-6: the paper's relational join
+        (``join_rules`` -> ``u_1`` -> ``u_2`` per row, what the reference
+        executor runs) vs ``_RuleKernels`` (one task per partition,
+        decoding per rule over the payload plane, production). Same
+        output, row for row; the bench reports both costs."""
         from repro.core.interpretation import interpret
         from repro.core.preselection import preselect
+        from repro.engine.executor import SimulatedClusterExecutor
 
         catalog = syn_bundle.catalog()
 
-        def measure(strategy):
-            ctx, k_b = cluster_ctx(syn_trace_records)
+        def measure(columnar):
+            ctx = EngineContext(SimulatedClusterExecutor(
+                num_workers=CLUSTER_WORKERS, stage_latency=0.0,
+                columnar=columnar,
+            ))
+            k_b = ctx.table_from_rows(
+                list(BYTE_RECORD_COLUMNS), syn_trace_records
+            ).cache()
             k_pre = preselect(k_b, catalog).cache()
             best = None
             rows = None
             for _attempt in range(3):
                 ctx.executor.reset_clock()
-                rows = interpret(k_pre, catalog, strategy=strategy).count()
+                rows = interpret(k_pre, catalog).collect()
                 elapsed = ctx.executor.simulated_seconds
                 best = elapsed if best is None else min(best, elapsed)
             return best, rows
 
-        (join_s, join_rows), (fused_s, fused_rows) = benchmark.pedantic(
-            lambda: (measure("join"), measure("fused")),
+        (join_s, join_rows), (kernel_s, kernel_rows) = benchmark.pedantic(
+            lambda: (measure(False), measure(True)),
             rounds=1,
             iterations=1,
         )
         print_table(
-            "Ablation: interpretation strategy (SYN, all signals)",
-            ["strategy", "cluster seconds", "rows out"],
+            "Ablation: lines 4-6 spelling (SYN, all signals)",
+            ["spelling", "cluster seconds", "rows out"],
             [
-                ("relational join (paper)", round(join_s, 4), join_rows),
-                ("broadcast flat-map", round(fused_s, 4), fused_rows),
+                ("relational join plan (paper)", round(join_s, 4),
+                 len(join_rows)),
+                ("per-rule kernels (production)", round(kernel_s, 4),
+                 len(kernel_rows)),
             ],
         )
-        assert join_rows == fused_rows
-        # Both formulations stay within a small factor of each other.
-        assert 0.2 < fused_s / join_s < 5.0
+        assert kernel_rows == join_rows
+        assert kernel_s < join_s
 
 
 class TestAblationRateThreshold:

@@ -22,7 +22,8 @@ from benchmarks.conftest import CLUSTER_WORKERS, DURATIONS, print_table
 from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.core.reduction import reduce_signal
 from repro.core.splitting import equality_split, split_signal_types
-from repro.engine import EngineContext, SimulatedClusterExecutor, col
+from repro.engine import EngineContext, col
+from repro.engine.executor import SimulatedClusterExecutor
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)

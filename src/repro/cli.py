@@ -174,32 +174,38 @@ def cmd_extract(args, out=sys.stdout):
     return 0
 
 
-def cmd_pipeline(args, out=sys.stdout):
-    bundle = _bundle(args)
-    ctx = _context(args)
-    k_b = _load_trace(ctx, args.trace)
+def _pipeline_config(args, bundle):
+    """The pipeline parameterization: a params file when given (a bad
+    one is one ``error: params:`` line), else per-signal
+    unchanged-within-cycle constraints."""
     if args.params:
         try:
-            config = load_config(args.params, bundle.database)
+            return load_config(args.params, bundle.database)
         except FileNotFoundError:
             raise CliError("params", "parameter file {!r} does not "
                            "exist".format(str(args.params)))
         except ValueError as exc:
             raise CliError("params", "parameter file {!r} is invalid: "
                            "{}".format(str(args.params), exc))
-    else:
-        document = {
-            "signals": list(bundle.signal_ids),
-            "constraints": [
-                {
-                    "signal": s,
-                    "type": "unchanged_within_cycle",
-                    "cycle_time": bundle.cycle_times[s],
-                }
-                for s in bundle.signal_ids
-            ],
-        }
-        config = config_from_dict(document, bundle.database)
+    document = {
+        "signals": list(bundle.signal_ids),
+        "constraints": [
+            {
+                "signal": s,
+                "type": "unchanged_within_cycle",
+                "cycle_time": bundle.cycle_times[s],
+            }
+            for s in bundle.signal_ids
+        ],
+    }
+    return config_from_dict(document, bundle.database)
+
+
+def cmd_pipeline(args, out=sys.stdout):
+    bundle = _bundle(args)
+    ctx = _context(args)
+    k_b = _load_trace(ctx, args.trace)
+    config = _pipeline_config(args, bundle)
     result = PreprocessingPipeline(config).run(k_b)
     print("counts : {}".format(result.counts), file=out)
     print(
@@ -251,21 +257,7 @@ def cmd_report(args, out=sys.stdout):
     bundle = _bundle(args)
     ctx = _context(args)
     k_b = _load_trace(ctx, args.trace)
-    if args.params:
-        config = load_config(args.params, bundle.database)
-    else:
-        document = {
-            "signals": list(bundle.signal_ids),
-            "constraints": [
-                {
-                    "signal": s,
-                    "type": "unchanged_within_cycle",
-                    "cycle_time": bundle.cycle_times[s],
-                }
-                for s in bundle.signal_ids
-            ],
-        }
-        config = config_from_dict(document, bundle.database)
+    config = _pipeline_config(args, bundle)
     result = PreprocessingPipeline(config).run(k_b)
     report = generate_report(
         result,
@@ -305,28 +297,7 @@ def cmd_degrade(args, out=sys.stdout):
 
     bundle = _bundle(args)
     records = _load_records(args.trace)
-    if args.params:
-        try:
-            config = load_config(args.params, bundle.database)
-        except FileNotFoundError:
-            raise CliError("params", "parameter file {!r} does not "
-                           "exist".format(str(args.params)))
-        except ValueError as exc:
-            raise CliError("params", "parameter file {!r} is invalid: "
-                           "{}".format(str(args.params), exc))
-    else:
-        document = {
-            "signals": list(bundle.signal_ids),
-            "constraints": [
-                {
-                    "signal": s,
-                    "type": "unchanged_within_cycle",
-                    "cycle_time": bundle.cycle_times[s],
-                }
-                for s in bundle.signal_ids
-            ],
-        }
-        config = config_from_dict(document, bundle.database)
+    config = _pipeline_config(args, bundle)
     try:
         severities = tuple(
             float(s) for s in args.severities.split(",") if s
@@ -518,33 +489,6 @@ def cmd_fleet_status(args, out=sys.stdout):
 # ---------------------------------------------------------------------------
 
 
-def _stream_pipeline_config(args, bundle):
-    """The per-vehicle pipeline parameterization (same rules as
-    ``pipeline``: a params file when given, else per-signal
-    unchanged-within-cycle constraints)."""
-    if args.params:
-        try:
-            return load_config(args.params, bundle.database)
-        except FileNotFoundError:
-            raise CliError("params", "parameter file {!r} does not "
-                           "exist".format(str(args.params)))
-        except ValueError as exc:
-            raise CliError("params", "parameter file {!r} is invalid: "
-                           "{}".format(str(args.params), exc))
-    document = {
-        "signals": list(bundle.signal_ids),
-        "constraints": [
-            {
-                "signal": s,
-                "type": "unchanged_within_cycle",
-                "cycle_time": bundle.cycle_times[s],
-            }
-            for s in bundle.signal_ids
-        ],
-    }
-    return config_from_dict(document, bundle.database)
-
-
 def cmd_stream_serve(args, out=sys.stdout):
     import asyncio
 
@@ -558,7 +502,7 @@ def cmd_stream_serve(args, out=sys.stdout):
 
     bundle = _bundle(args)
     ctx = _context(args)
-    config = _stream_pipeline_config(args, bundle)
+    config = _pipeline_config(args, bundle)
     try:
         stream_config = StreamConfig(
             window_seconds=args.window,

@@ -16,20 +16,20 @@ That is the *definition*, and :func:`join_rules`,
 :func:`extract_relevant_bytes` and :func:`evaluate_signals` run it as
 written: for a catalog that is already an engine table, and on the
 reference executor the differential tests compare against. On the
-production (columnar) executor ``strategy="join"`` is one task per
-partition, :class:`_RuleKernels`, that produces the same ``K_s`` rows in
-the same order per *rule* instead of per row: ``K_pre`` is grouped by
+production (columnar) executor lines 4-6 are one task per partition,
+:class:`_RuleKernels`, that produces the same ``K_s`` rows in the same
+order per *rule* instead of per row: ``K_pre`` is grouped by
 ``(b_id, m_id)``, and each rule of a key decodes all of the key's
-payloads at once, straight out of the packed payload plane.
+payloads at once, straight out of the packed payload plane. These two
+are the only spellings of lines 4-6.
 
 Truncated payloads (shorter than a rule's relevant bytes) surface as
 :class:`~repro.protocols.signalcodec.ShortPayloadError` by default.
 ``on_short`` selects the lossy-trace alternative: ``"skip"`` drops the
 affected rows, ``"keep"`` retains them with ``v`` set to the
 :data:`~repro.core.rules.TRUNCATED` sentinel so callers can count them
-before dropping. All three modes behave identically across the join and
-fused strategies and across the interpreted, compiled and columnar
-execution paths.
+before dropping. All three modes behave identically in both spellings
+and across the interpreted, compiled and columnar execution paths.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.core.model import K_S_COLUMNS  # noqa: F401 (used by both paths)
-from repro.core.rules import ABSENT, TRUNCATED, U_REL_COLUMNS
+from repro.core.model import K_S_COLUMNS
+from repro.core.rules import ABSENT, TRUNCATED
 from repro.engine.columnar import BytesColumn, ColumnarPartition
 from repro.engine.expressions import apply, col
 from repro.protocols.signalcodec import ShortPayloadError, payload_words
@@ -101,13 +101,8 @@ def join_rules(k_pre, catalog_table):
     :meth:`RuleCatalog.to_table`). Every trace row is replicated once per
     signal to extract from it.
 
-    Physically this is a broadcast join (the catalog always fits in
-    memory), and under the columnar exchange it runs as a columnar
-    broadcast join: the (b_id, m_id) keys hash straight off the trace's
-    key columns and matching rows are index-gathered, never transposed
-    to row tuples. The executor falls back to the row join per task
-    when a key column holds non-scalar objects or NaN floats (NaN keys
-    would depend on object identity in the row path's dict probe).
+    Physically this is the engine's broadcast join: the catalog always
+    fits in memory, so it becomes one hash index probed per trace row.
     """
     missing = [c for c in ("b_id", "m_id") if c not in catalog_table.schema]
     if missing:
@@ -156,58 +151,6 @@ def evaluate_signals(k_join2, on_short="raise"):
     if on_short == "skip":
         present = present.filter(apply(_NotTruncated(), "v"))
     return present.select(*K_S_COLUMNS)
-
-
-@dataclass(frozen=True)
-class _FusedInterpreter:
-    """Broadcast-style interpretation: one flat-map over trace rows.
-
-    ``rules_by_key`` maps (m_id, b_id) -> ((s_id, rule), ...). Each trace
-    row expands directly into its signal-instance rows, fusing lines 4-6
-    into a single narrow stage (the mapPartitions formulation a Spark
-    implementation would use when the rule catalog fits in a broadcast
-    variable).
-    """
-
-    rules_by_key: dict
-    on_short: str = "raise"
-
-    def __call__(self, row):
-        t, payload, b_id, m_id, m_info = row
-        tolerant = self.on_short != "raise"
-        out = []
-        for s_id, rule in self.rules_by_key.get((m_id, b_id), ()):
-            if tolerant:
-                try:
-                    l_rel = rule.extract_relevant(payload)
-                except ShortPayloadError:
-                    if self.on_short == "keep":
-                        out.append((t, TRUNCATED, s_id, b_id))
-                    continue
-                value = rule.evaluate(l_rel, m_info)
-            else:
-                value = rule.evaluate(rule.extract_relevant(payload), m_info)
-            if value is not ABSENT:
-                out.append((t, value, s_id, b_id))
-        return out
-
-
-def interpret_fused(k_pre, catalog, on_short="raise"):
-    """Lines 4-6 as one fused flat-map stage (broadcast rules).
-
-    Produces exactly the rows of :func:`interpret`; preferable when the
-    catalog is small (it always is) and the engine benefits from fewer
-    stages.
-    """
-    rules_by_key = {}
-    for u in catalog:
-        rules_by_key.setdefault((u.message_id, u.channel_id), []).append(
-            (u.signal_id, u.rule)
-        )
-    frozen = {k: tuple(v) for k, v in rules_by_key.items()}
-    return k_pre.flat_map(
-        _FusedInterpreter(frozen, on_short=on_short), list(K_S_COLUMNS)
-    )
 
 
 def _payload_plane(column):
@@ -406,16 +349,10 @@ class _RuleKernels:
         return out, None
 
 
-def _interpret(k_pre, catalog, context, strategy, on_short, kernels=None):
+def _interpret(k_pre, catalog, context, on_short, kernels=None):
     """:func:`interpret`, also returning the task it ran (or None):
     *kernels* when given, else the one it built."""
     _check_on_short(on_short)
-    if strategy == "fused":
-        if not hasattr(catalog, "preselection_keys"):
-            raise ValueError("fused interpretation needs a RuleCatalog")
-        return interpret_fused(k_pre, catalog, on_short=on_short), None
-    if strategy != "join":
-        raise ValueError("unknown interpretation strategy {!r}".format(strategy))
     if not hasattr(catalog, "to_table"):
         catalog_table = catalog
     elif k_pre.context.executor.columnar:
@@ -430,21 +367,18 @@ def _interpret(k_pre, catalog, context, strategy, on_short, kernels=None):
     return evaluate_signals(k_join2, on_short=on_short), None
 
 
-def interpret(k_pre, catalog, context=None, strategy="join",
-              on_short="raise"):
+def interpret(k_pre, catalog, context=None, on_short="raise"):
     """Lines 4-6 composed: preselected trace + catalog -> ``K_s``.
 
     *catalog* may be a :class:`~repro.core.rules.RuleCatalog` (loaded into
-    the trace's context) or an already-loaded engine table. *strategy*
-    selects the physical formulation: ``"join"`` (the paper's relational
-    join of line 4; for a RuleCatalog on the production executor, the
-    per-rule :class:`_RuleKernels` task that computes the same rows) or
-    ``"fused"`` (broadcast flat-map; same output, fewer stages; requires
-    a RuleCatalog). *on_short* selects truncated-payload handling:
-    ``"raise"`` (default), ``"skip"`` (drop affected rows) or ``"keep"``
-    (retain them with ``v = TRUNCATED``).
+    the trace's context) or an already-loaded engine table. A
+    RuleCatalog on the production executor runs as :class:`_RuleKernels`;
+    a table, or any catalog on the reference executor, runs the join
+    plan. *on_short* selects truncated-payload handling: ``"raise"``
+    (default), ``"skip"`` (drop affected rows) or ``"keep"`` (retain them
+    with ``v = TRUNCATED``).
     """
-    return _interpret(k_pre, catalog, context, strategy, on_short)[0]
+    return _interpret(k_pre, catalog, context, on_short)[0]
 
 
 def _tolerance(config):
@@ -459,11 +393,7 @@ def _tolerance(config):
 def compile_under_policy(config):
     """The lines 4-6 task :func:`interpret_under_policy` runs for
     *config* on the production executor, built once for many calls (a
-    stream session's windows); None where it runs without one."""
-    if config.interpretation_strategy != "join" or not hasattr(
-        config.catalog, "to_table"
-    ):
-        return None
+    stream session's windows)."""
     return _RuleKernels(config.catalog, _tolerance(config))
 
 
@@ -482,12 +412,7 @@ def interpret_under_policy(k_pre, config, kernels=None):
     rows) that :class:`_RuleKernels` ran without a vector kernel.
     """
     k_s, kernels = _interpret(
-        k_pre,
-        config.catalog,
-        None,
-        config.interpretation_strategy,
-        _tolerance(config),
-        kernels,
+        k_pre, config.catalog, None, _tolerance(config), kernels
     )
     mode = config.short_payload
     k_s = k_s.cache()
@@ -509,6 +434,3 @@ def interpret_under_policy(k_pre, config, kernels=None):
         k_s = k_s.filter(apply(_NotTruncated(), "v")).cache()
     counts["short_payload_skipped"] = truncated
     return k_s, counts
-
-
-_ = U_REL_COLUMNS  # re-exported context for readers of this module

@@ -72,26 +72,36 @@ _DEFAULT_SMOOTHING_WINDOW = _DEFAULT_BRANCH.smoother.window
 
 
 def _build_constraint(spec):
-    kind = spec.get("type")
-    signal = spec.get("signal")
-    if not signal:
-        raise ParameterizationError("constraint needs a 'signal'")
+    kind = _rule_kind(spec, "constraint")
     if kind == "unchanged":
         function = UnchangedValue()
     elif kind == "unchanged_within_cycle":
         function = UnchangedWithinCycle(
-            cycle_time=spec["cycle_time"],
-            tolerance=spec.get("tolerance", 1.5),
+            cycle_time=_number(spec, "constraint", "cycle_time"),
+            tolerance=_number(spec, "constraint", "tolerance", 1.5),
         )
     elif kind == "minimum_gap":
-        function = MinimumGap(min_gap=spec["min_gap"])
+        function = MinimumGap(
+            min_gap=_number(spec, "constraint", "min_gap")
+        )
     elif kind == "value_in_set":
-        function = ValueInSet(frozenset(spec["values"]))
+        values = spec.get("values")
+        if not isinstance(values, list) or not all(
+            isinstance(v, _SCALARS) for v in values
+        ):
+            raise ParameterizationError(
+                "constraint 'values' must be a list of numbers, strings, "
+                "booleans or nulls, got {!r}".format(values)
+            )
+        function = ValueInSet(frozenset(values))
     else:
         raise ParameterizationError(
             "unknown constraint type {!r}".format(kind)
         )
-    return Constraint(signal, spec.get("enabled", True), (function,))
+    return Constraint(
+        spec["signal"], _flag(spec, "constraint", "enabled", True),
+        (function,),
+    )
 
 
 def _constraint_to_dict(constraint):
@@ -121,22 +131,26 @@ def _constraint_to_dict(constraint):
 
 
 def _build_extension(spec):
-    kind = spec.get("type")
-    signal = spec.get("signal")
-    if not signal:
-        raise ParameterizationError("extension needs a 'signal'")
+    kind = _rule_kind(spec, "extension")
+    signal = spec["signal"]
     if kind == "gap":
-        return GapExtension(signal, suffix=spec.get("suffix", "Gap"))
+        suffix = spec.get("suffix", "Gap")
+        if not isinstance(suffix, str) or not suffix:
+            raise ParameterizationError(
+                "extension 'suffix' must be a non-empty string, got "
+                "{!r}".format(suffix)
+            )
+        return GapExtension(signal, suffix=suffix)
     if kind == "cycle_violation":
         return CycleViolationExtension(
             signal,
-            expected_cycle=spec["expected_cycle"],
-            tolerance=spec.get("tolerance", 1.5),
+            expected_cycle=_number(spec, "extension", "expected_cycle"),
+            tolerance=_number(spec, "extension", "tolerance", 1.5),
         )
     if kind == "rolling":
         return RollingAggregateExtension(
             signal,
-            window=spec["window"],
+            window=_number(spec, "extension", "window"),
             statistic=spec.get("statistic", "mean"),
         )
     raise ParameterizationError("unknown extension type {!r}".format(kind))
@@ -164,7 +178,54 @@ def _extension_to_dict(rule):
     )
 
 
-def _branch_int(spec, key, default, minimum):
+#: Cell types a ``value_in_set`` constraint may list (hashable JSON).
+_SCALARS = (str, int, float, bool, type(None))
+
+#: Default of a key that must be given.
+_REQUIRED = object()
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ParameterizationError(
+            "{} must be an object, got {!r}".format(what, value)
+        )
+    return value
+
+
+def _list(document, key):
+    value = document.get(key, [])
+    if not isinstance(value, list):
+        raise ParameterizationError(
+            "{!r} must be a list, got {!r}".format(key, value)
+        )
+    return value
+
+
+def _rule_kind(spec, what):
+    """The ``type`` of a constraint or extension entry, once the entry
+    is an object naming its signal."""
+    _object(spec, "each {}".format(what))
+    signal = spec.get("signal")
+    if not isinstance(signal, str) or not signal:
+        raise ParameterizationError(
+            "{} needs a 'signal' name, got {!r}".format(what, signal)
+        )
+    return spec.get("type")
+
+
+def _flag(spec, where, key, default):
+    value = spec.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterizationError(
+            "{} {!r} must be true or false, got {!r}".format(
+                where, key, value
+            )
+        )
+    return value
+
+
+def _integer(spec, where, key, default, minimum):
     value = spec.get(key, default)
     if (
         isinstance(value, bool)
@@ -172,54 +233,67 @@ def _branch_int(spec, key, default, minimum):
         or value < minimum
     ):
         raise ParameterizationError(
-            "branch {!r} must be an integer >= {}, got {!r}".format(
-                key, minimum, value
+            "{} {!r} must be an integer >= {}, got {!r}".format(
+                where, key, minimum, value
             )
         )
     return value
 
 
-def _branch_number(spec, key, default, positive=False):
+def _number(spec, where, key, default=_REQUIRED):
+    """A finite number; the rule dataclasses check their own ranges."""
+    if default is _REQUIRED and key not in spec:
+        raise ParameterizationError(
+            "{} {!r} is required".format(where, key)
+        )
     value = spec.get(key, default)
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not math.isfinite(value)
-        or (value <= 0 if positive else value < 0)
     ):
         raise ParameterizationError(
-            "branch {!r} must be a finite {} number, got {!r}".format(
-                key, "positive" if positive else "non-negative", value
+            "{} {!r} must be a finite number, got {!r}".format(
+                where, key, value
             )
         )
     return value
 
 
 def _build_branch_config(spec):
-    if not isinstance(spec, dict):
-        raise ParameterizationError("'branch' must be an object")
-    classifier = ClassifierConfig(
-        rate_threshold=_branch_number(spec, "rate_threshold", 1.0),
-    )
+    _object(spec, "'branch'")
+
+    def number(key, default, positive=False):
+        value = _number(spec, "branch", key, default)
+        if value <= 0 if positive else value < 0:
+            raise ParameterizationError(
+                "branch {!r} must be a finite {} number, got {!r}".format(
+                    key, "positive" if positive else "non-negative", value
+                )
+            )
+        return value
+
+    def integer(key, default, minimum):
+        return _integer(spec, "branch", key, default, minimum)
+
     return BranchConfig(
         outlier_detector=ZScoreDetector(
-            threshold=_branch_number(
-                spec, "outlier_threshold", _DEFAULT_OUTLIER_THRESHOLD,
-                positive=True,
+            threshold=number(
+                "outlier_threshold", _DEFAULT_OUTLIER_THRESHOLD, True
             )
         ),
         smoother=MovingAverage(
-            window=_branch_int(
-                spec, "smoothing_window", _DEFAULT_SMOOTHING_WINDOW, 1
-            )
+            window=integer("smoothing_window", _DEFAULT_SMOOTHING_WINDOW, 1)
         ),
         sax=SaxEncoder(
-            alphabet_size=_branch_int(spec, "sax_alphabet", 3, MIN_ALPHABET)
+            alphabet_size=integer("sax_alphabet", 3, MIN_ALPHABET)
         ),
-        swab_error_fraction=_branch_number(spec, "swab_error_fraction", 0.05),
-        swab_buffer=_branch_int(spec, "swab_buffer", 40, 2),
-        trend_fraction=_branch_number(spec, "trend_fraction", 0.02),
-        classifier=classifier,
+        swab_error_fraction=number("swab_error_fraction", 0.05),
+        swab_buffer=integer("swab_buffer", 40, 2),
+        trend_fraction=number("trend_fraction", 0.02),
+        classifier=ClassifierConfig(
+            rate_threshold=number("rate_threshold", 1.0)
+        ),
     )
 
 
@@ -229,24 +303,32 @@ def config_from_dict(document, database):
     *database* supplies the translation catalog (``U_rel``); the
     document's ``signals`` select ``U_comb`` from it.
     """
+    _object(document, "the parameter document")
     signals = document.get("signals")
-    if not signals:
-        raise ParameterizationError("document must list 'signals'")
+    if (
+        not isinstance(signals, list) or not signals
+        or not all(isinstance(s, str) for s in signals)
+    ):
+        raise ParameterizationError(
+            "document must list 'signals' by name, got {!r}".format(signals)
+        )
     catalog = database.translation_catalog(signals)
     constraints = ConstraintSet(
-        tuple(_build_constraint(c) for c in document.get("constraints", ()))
+        tuple(_build_constraint(c) for c in _list(document, "constraints"))
     )
     extensions = ExtensionSet(
-        tuple(_build_extension(e) for e in document.get("extensions", ()))
+        tuple(_build_extension(e) for e in _list(document, "extensions"))
     )
     return PipelineConfig(
         catalog=catalog,
         constraints=constraints,
         extensions=extensions,
         branch_config=_build_branch_config(document.get("branch", {})),
-        dedup_channels=document.get("dedup_channels", True),
+        dedup_channels=_flag(document, "document", "dedup_channels", True),
         short_payload=document.get("short_payload", "raise"),
-        drop_exact_duplicates=document.get("drop_exact_duplicates", True),
+        drop_exact_duplicates=_flag(
+            document, "document", "drop_exact_duplicates", True
+        ),
     )
 
 
@@ -276,8 +358,7 @@ def config_to_dict(config):
         "dedup_channels": config.dedup_channels,
     }
     # Knobs added after the first documents are emitted only when
-    # non-default, keeping older documents byte-stable (like
-    # interpretation_strategy, which has no declarative form at all).
+    # non-default, keeping older documents byte-stable.
     detector, smoother = branch.outlier_detector, branch.smoother
     if (
         isinstance(detector, ZScoreDetector)

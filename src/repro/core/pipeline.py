@@ -69,9 +69,6 @@ class PipelineConfig:
     dedup_channels:
         Apply the gateway equality check ``e`` and process one channel
         per signal type only (the evaluation's setting).
-    interpretation_strategy:
-        ``"join"`` (the paper's relational formulation of line 4) or
-        ``"fused"`` (broadcast flat-map; same output, fewer stages).
     short_payload:
         ``"raise"`` (default: a truncated payload aborts the run with
         :class:`~repro.protocols.signalcodec.ShortPayloadError`),
@@ -95,17 +92,12 @@ class PipelineConfig:
     extensions: ExtensionSet = field(default_factory=ExtensionSet)
     branch_config: BranchConfig = field(default_factory=BranchConfig)
     dedup_channels: bool = True
-    interpretation_strategy: str = "join"
     short_payload: str = "raise"
     drop_exact_duplicates: bool = True
 
     def __post_init__(self):
         if len(self.catalog) == 0:
             raise PipelineError("catalog must contain at least one signal")
-        if self.interpretation_strategy not in ("join", "fused"):
-            raise PipelineError(
-                "interpretation_strategy must be 'join' or 'fused'"
-            )
         if self.short_payload not in ("raise", "skip", "keep"):
             raise PipelineError(
                 "short_payload must be 'raise', 'skip' or 'keep'"
@@ -169,10 +161,7 @@ class PreprocessingPipeline:
         # short_payload values coincide with interpret's on_short
         # modes: raise aborts, skip drops, keep retains TRUNCATED.
         return interpret(
-            k_pre,
-            self.config.catalog,
-            strategy=self.config.interpretation_strategy,
-            on_short=self.config.short_payload,
+            k_pre, self.config.catalog, on_short=self.config.short_payload
         )
 
     def extract_signals(self, k_b, cache=True):
@@ -211,7 +200,6 @@ class PreprocessingPipeline:
         context = k_b.context
         report.set_meta(
             signals=len(set(config.catalog.signal_ids())),
-            interpretation_strategy=config.interpretation_strategy,
             dedup_channels=config.dedup_channels,
         )
 

@@ -1,75 +1,41 @@
 """A small distributed-style tabular dataflow engine.
 
 This package is the repository's stand-in for Apache Spark (see
-DESIGN.md): lazy logical plans over partitioned row tables, narrow-stage
-fusion, hash/broadcast joins, shuffled group-bys, global sorts and
-windowed partition maps, executed either serially or on a process pool.
+DESIGN.md), cut to what Algorithm 1 issues: lazy logical plans over
+partitioned row or columnar tables, filters and row maps fused into
+generated per-partition kernels, a broadcast join, a single-pass split
+by key, global sorts, unions and sorted partition maps, executed
+serially, on a process pool or under a simulated-cluster cost model.
+
+The names below are the ones the rest of ``repro`` imports from here;
+executors, fault injection and the plan, expression and schema
+internals are imported from their submodules.
 """
 
-from repro.engine import aggregates
-from repro.engine.columnar import (
-    BytesColumn,
-    ColumnarPartition,
-    as_row_partition,
-)
+from repro.engine.columnar import BytesColumn, ColumnarPartition
 from repro.engine.context import EngineContext
 from repro.engine.errors import (
     EngineError,
     ExecutionError,
     InjectedFaultError,
     PlanError,
-    SchemaError,
     TaskError,
 )
-from repro.engine.executor import (
-    FaultPolicy,
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
-from repro.engine.expressions import apply, col, lit, row_apply
-from repro.engine.schema import ANY, BOOL, BYTES, FLOAT, INT, STRING, Field, Schema
+from repro.engine.expressions import apply, col
+from repro.engine.schema import Schema
 from repro.engine.storage import TableStore
-from repro.engine.table import Table
-from repro.engine.window import (
-    drop_consecutive_duplicates,
-    forward_fill,
-    with_gap,
-    with_lag,
-)
 
 __all__ = [
     "EngineContext",
     "EngineError",
     "ExecutionError",
-    "FaultPolicy",
     "InjectedFaultError",
     "PlanError",
-    "SchemaError",
     "TaskError",
-    "MultiprocessingExecutor",
-    "SerialExecutor",
-    "SimulatedClusterExecutor",
-    "Table",
     "TableStore",
     "BytesColumn",
     "ColumnarPartition",
-    "as_row_partition",
     "Schema",
-    "Field",
-    "aggregates",
     "apply",
     "col",
-    "lit",
-    "row_apply",
-    "with_lag",
-    "with_gap",
-    "drop_consecutive_duplicates",
-    "forward_fill",
-    "ANY",
-    "BOOL",
-    "BYTES",
-    "FLOAT",
-    "INT",
-    "STRING",
 ]

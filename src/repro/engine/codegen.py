@@ -70,11 +70,10 @@ from repro.engine.expressions import (
     BoundInSet,
     BoundLiteral,
     BoundOr,
-    BoundRowApply,
     BoundUnary,
 )
 from repro.engine.operations import FilterStep, MapPartitionStep, ProjectStep
-from repro.engine.optimizer import ComposedApply, ComposedRowApply
+from repro.engine.optimizer import ComposedApply
 from repro.obs import stopwatch
 
 #: Python operator symbols for :data:`repro.engine.expressions._BINARY_OPS`.
@@ -131,9 +130,8 @@ class _ElementScope:
 
     A column reference renders as a per-element loop variable
     ``_v<i>``; the scope records which columns an expression actually
-    reads so its comprehension zips exactly those buffers. Expressions
-    that need the whole row (``BoundRowApply``, opaque callables) read
-    every column.
+    reads so its comprehension zips exactly those buffers. An opaque
+    callable needs the whole row and reads every column.
     """
 
     def __init__(self, width):
@@ -219,23 +217,6 @@ def lower_expression(expr, ctx, scope, depth=0):
             lower_expression(p, ctx, scope, d) for p in expr.producers
         )
         return "{}({})".format(ctx.const(expr.func), args)
-    if isinstance(expr, BoundRowApply):
-        return "{}(dict(zip({}, {})))".format(
-            ctx.const(expr.func), ctx.const(expr.names), scope.row_ref()
-        )
-    if isinstance(expr, ComposedRowApply):
-        if expr.producers:
-            values = "({},)".format(
-                ", ".join(
-                    lower_expression(p, ctx, scope, d)
-                    for p in expr.producers
-                )
-            )
-        else:
-            values = "()"
-        return "{}(dict(zip({}, {})))".format(
-            ctx.const(expr.func), ctx.const(expr.names), values
-        )
     # Unknown bound expression: call the object itself, which is the
     # interpreter's contract for any bound expression.
     return "{}({})".format(ctx.const(expr), scope.row_ref())
@@ -484,8 +465,8 @@ class ColumnarPartitionTask:
     transposes back to a row list (collect/storage edges, where result
     collection expects row tuples); ``"partition"`` wraps the kernel's
     output columns in a ``ColumnarPartition`` so a downstream wide
-    stage -- the columnar broadcast join or shuffle -- consumes the
-    buffers without a transpose round-trip. A chain that ends in a
+    stage or :meth:`~repro.engine.table.Table.cache` keeps the buffers
+    without a transpose round-trip. A chain that ends in a
     barrier emits that barrier's row list either way. Only the
     picklable spec (steps, width, kernel_id, emit) travels to worker
     processes; the bound phases are rebuilt lazily per process from

@@ -9,11 +9,7 @@ from __future__ import annotations
 from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition
 from repro.engine.errors import PlanError
-from repro.engine.executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 from repro.engine.operations import split_evenly
 from repro.engine.schema import Schema
 from repro.engine.table import Table
@@ -37,16 +33,6 @@ class EngineContext:
     def serial(cls, default_parallelism=4):
         """Context running everything in-process (reference executor)."""
         return cls(SerialExecutor(default_parallelism=default_parallelism))
-
-    @classmethod
-    def parallel(cls, num_workers=None, default_parallelism=None):
-        """Context running partition tasks on worker processes."""
-        return cls(
-            MultiprocessingExecutor(
-                num_workers=num_workers,
-                default_parallelism=default_parallelism,
-            )
-        )
 
     @classmethod
     def simulated_cluster(cls, num_workers=10, stage_latency=0.001):
@@ -96,13 +82,6 @@ class EngineContext:
         partitions = split_evenly(rows, max(num_partitions, 1))
         node = logical.Source(schema, tuple(tuple(p) for p in partitions))
         return Table(self, node)
-
-    def table_from_dicts(self, records, columns, dtypes=None, num_partitions=None):
-        """Create a table from dict records using *columns* ordering."""
-        rows = [tuple(rec[c] for c in columns) for rec in records]
-        return self.table_from_rows(
-            columns, rows, dtypes=dtypes, num_partitions=num_partitions
-        )
 
     def table_from_partitions(self, columns, partitions, dtypes=None):
         """Create a table preserving an existing partitioning."""

@@ -20,17 +20,11 @@ import os
 import pickle
 import time
 import zlib
-from dataclasses import dataclass, field
-
-from array import array
+from dataclasses import dataclass
 
 from repro.engine import codegen
 from repro.engine import plan as logical
-from repro.engine.columnar import (
-    BytesColumn,
-    ColumnarPartition,
-    as_row_partition,
-)
+from repro.engine.columnar import ColumnarPartition, as_row_partition
 from repro.engine.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -39,11 +33,7 @@ from repro.engine.errors import (
 )
 from repro.engine.operations import (
     BroadcastJoinTask,
-    BucketAggregateTask,
-    BucketJoinTask,
     CarryMapTask,
-    ColumnarBroadcastJoinTask,
-    _key_tuples,
     FilterStep,
     FlatMapStep,
     MapPartitionStep,
@@ -56,15 +46,11 @@ from repro.engine.operations import (
 )
 from repro.obs import MetricsRegistry, RuleFireCounter, stopwatch
 
-#: Right-side row-count limit under which joins are broadcast instead of
-#: shuffled. Parameter catalogs (U_rel) are tiny, so in practice the
-#: interpretation join of Algorithm 1 is always a broadcast join, exactly
-#: the plan Spark would choose.
-BROADCAST_THRESHOLD = 20_000
-
-
 #: Counter names every executor pre-creates (so run reports always show
 #: them, zero-valued, even for runs that never retried or shuffled).
+#: ``columnar_fallbacks`` and ``columnar_exchange_bytes`` always read 0,
+#: since every wide stage runs on rows; they stay because the benchmark
+#: reads them off ``executor.metrics``.
 _EXECUTOR_COUNTERS = (
     "tasks_run",
     "shuffles",
@@ -81,7 +67,6 @@ _EXECUTOR_COUNTERS = (
     "kernel_fallbacks",
     "columnar_tasks",
     "columnar_fallbacks",
-    "columnar_join_tasks",
     "columnar_exchange_bytes",
 )
 
@@ -179,7 +164,7 @@ class FaultPolicy:
             # Silent row loss must corrupt either layout: list outputs
             # drop their last element, columnar outputs their last row
             # -- so the differential oracle's poison-mutant detection
-            # holds on the columnar join and kernel outputs too.
+            # holds on the columnar kernel outputs too.
             if isinstance(out, list) and out:
                 out = out[:-1]
             elif isinstance(out, ColumnarPartition) and len(out):
@@ -241,17 +226,12 @@ class Executor:
     columnar:
         Selects the execution path. True (production, the default):
         narrow chains run as generated columnar kernels
-        (:mod:`repro.engine.codegen`) and partitions cross the
-        broadcast-join boundary -- including the process-pool pickle
-        boundary -- as :class:`~repro.engine.columnar.ColumnarPartition`
-        buffers; every other wide stage (split, repartition, group-by,
-        sort, shuffle join) runs on rows. False (the differential
-        oracle's reference): the interpreted
-        :class:`~repro.engine.operations.PartitionTask` and a pure row
-        exchange. On the production path a broadcast join whose inputs
-        are mixed-layout or whose key columns are not scalar-typed (or
-        hold NaN) falls back to the row task, counted as
-        ``executor.columnar_fallbacks``.
+        (:mod:`repro.engine.codegen`) and may hand a
+        :class:`~repro.engine.columnar.ColumnarPartition` to the next
+        stage; every wide stage (join, split, repartition, sort) runs on
+        rows. False (the differential oracle's reference): the
+        interpreted :class:`~repro.engine.operations.PartitionTask` and
+        rows throughout.
     """
 
     def __init__(self, default_parallelism=4, optimize_plans=True,
@@ -366,14 +346,20 @@ class Executor:
         This is the collect/storage edge: whatever layout the stages
         used internally, callers receive row lists. ``as_rows=False``
         (:meth:`Table.cache`) keeps each partition in the layout its
-        last stage produced, so packed columns stay packed. Wide stages
-        recurse through :meth:`_execute_partitions` instead, which
-        preserves the columnar layout across stage boundaries.
+        last stage produced, so packed columns stay packed. Joins and
+        unions recurse through :meth:`_execute_partitions` instead, so
+        a traced run counts one ``execute`` per collect, not per side.
         """
-        partitions = self._execute_partitions(node, to_rows=as_rows)
         if not as_rows:
-            return partitions
-        return [as_row_partition(p) for p in partitions]
+            return self._execute_partitions(node)
+        return self._execute_row_partitions(node)
+
+    def _execute_row_partitions(self, node):
+        """Execute *node* into row lists, untraced (see :meth:`execute`)."""
+        return [
+            as_row_partition(p)
+            for p in self._execute_partitions(node, to_rows=True)
+        ]
 
     def count(self, node):
         """Number of rows *node* yields, without landing them as rows.
@@ -485,16 +471,12 @@ class Executor:
                 self._execute_partitions(node.left)
                 + self._execute_partitions(node.right)
             )
-        if isinstance(node, logical.GroupBy):
-            return self._execute_group_by(node)
         if isinstance(node, logical.Sort):
             return self._execute_sort(node)
         if isinstance(node, logical.Repartition):
             return self._execute_repartition(node)
         if isinstance(node, logical.SortedMapPartitions):
             return self._execute_sorted_map(node)
-        if isinstance(node, logical.Limit):
-            return self._execute_limit(node)
         if isinstance(node, logical.SplitByKey):
             groups, num_partitions = self._split_groups(node.child, node.key)
             parts = groups.get(node.group)
@@ -504,106 +486,24 @@ class Executor:
             return [list(p) for p in parts]
         raise PlanError("unknown plan node {!r}".format(type(node).__name__))
 
-    # -- columnar join gating --------------------------------------------
-    def _columnar_join_ok(self, parts, key_indices):
-        """True when a broadcast join can run columnar over *parts*.
-
-        Never on the reference path. On the production path a join
-        that must run on rows -- see :func:`_row_stage_reason` -- is
-        counted as a fallback under that reason if it had columnar
-        inputs; one whose inputs are all row lists is a plain row
-        stage.
-        """
-        if not self.columnar or not parts:
-            return False
-        reason = _row_stage_reason(parts, key_indices)
-        if reason is not None:
-            self._count_columnar_fallback(parts, reason)
-        return reason is None
-
-    def _count_columnar_fallback(self, parts, reason):
-        """Count a join that had columnar inputs but ran on rows."""
-        if self.columnar and any(
-            isinstance(p, ColumnarPartition) for p in parts
-        ):
-            self.obs.inc("executor.columnar_fallbacks")
-            self.obs.inc("executor.columnar_fallbacks." + reason)
-
-    def _count_columnar_join(self, parts):
-        """Account a columnar broadcast join: tasks plus buffer bytes.
-
-        ``executor.columnar_exchange_bytes`` accumulates the
-        :meth:`~repro.engine.columnar.ColumnarPartition.nbytes` of
-        every partition entering the join in columnar form -- the
-        bytes that crossed a stage boundary (and, under the
-        multiprocessing executor, the process-pool pickle boundary)
-        without a row detour.
-        """
-        self.obs.inc("executor.columnar_join_tasks", len(parts))
-        self.obs.inc(
-            "executor.columnar_exchange_bytes",
-            sum(p.nbytes() for p in parts),
-        )
-
     def _execute_join(self, node):
-        left_parts = self._execute_partitions(node.left)
-        right_parts = self._execute_partitions(node.right)
-        left_schema = node.left.schema
+        """A broadcast hash join: the right side (the rule catalog, in
+        Algorithm 1) becomes one in-memory index probed by one row task
+        per left partition -- the plan Spark picks for a small side."""
+        left_parts = self._execute_row_partitions(node.left)
+        left_keys = tuple(node.left.schema.index_of(k) for k in node.left_keys)
         right_schema = node.right.schema
-        left_keys = tuple(left_schema.index_of(k) for k in node.left_keys)
         right_keys = tuple(right_schema.index_of(k) for k in node.right_keys)
-        right_width = len(right_schema) - len(right_keys)
-        right_count = sum(len(p) for p in right_parts)
-        if right_count <= BROADCAST_THRESHOLD:
-            self.obs.inc("executor.broadcast_joins")
-            index = _broadcast_index(right_parts, right_keys)
-            if self._columnar_join_ok(left_parts, left_keys):
-                self._count_columnar_join(left_parts)
-                task = ColumnarBroadcastJoinTask(
-                    left_keys, index, node.how, right_width
-                )
-                return self._run(task, left_parts, "broadcast-join")
-            left_parts = [as_row_partition(p) for p in left_parts]
-            task = BroadcastJoinTask(left_keys, index, node.how, right_width)
-            return self._run(task, left_parts, "broadcast-join")
-        # Large right side: hash-shuffle both sides into aligned buckets
-        # (row path: bucket pairs interleave both sides' rows, which has
-        # no columnar layout to preserve).
-        self.obs.inc("executor.shuffles")
-        self._count_columnar_fallback(left_parts + right_parts, "shuffle_join")
-        buckets = max(self.default_parallelism, 1)
-        left_rows = [r for p in left_parts for r in as_row_partition(p)]
-        right_rows = [r for p in right_parts for r in as_row_partition(p)]
-        self.obs.inc("executor.rows_shuffled", len(left_rows) + len(right_rows))
-        left_buckets = hash_partition(left_rows, left_keys, buckets)
-        right_buckets = hash_partition(right_rows, right_keys, buckets)
-        task = BucketJoinTask(
-            left_keys, right_keys, right_keys, node.how, right_width
+        self.obs.inc("executor.broadcast_joins")
+        task = BroadcastJoinTask(
+            left_keys,
+            _broadcast_index(
+                self._execute_row_partitions(node.right), right_keys
+            ),
+            node.how,
+            len(right_schema) - len(right_keys),
         )
-        return self._run(
-            task, list(zip(left_buckets, right_buckets)), "bucket-join"
-        )
-
-    def _execute_group_by(self, node):
-        child_parts = self.execute(node.child)
-        schema = node.child.schema
-        key_indices = tuple(schema.index_of(k) for k in node.keys)
-        bound_aggs = tuple(
-            (agg, schema.index_of(column) if column is not None else None)
-            for _name, agg, column in node.aggregates
-        )
-        rows = [r for p in child_parts for r in p]
-        if not key_indices:
-            # Global aggregation: one group, one output row.
-            task = BucketAggregateTask((), bound_aggs)
-            return [task(rows)]
-        self.obs.inc("executor.shuffles")
-        self.obs.inc("executor.rows_shuffled", len(rows))
-        buckets = hash_partition(
-            rows, key_indices, max(self.default_parallelism, 1)
-        )
-        task = BucketAggregateTask(key_indices, bound_aggs)
-        return self._run(task, buckets, "group-by")
+        return self._run(task, left_parts, "broadcast-join")
 
     def _execute_sort(self, node):
         child_parts = self.execute(node.child)
@@ -628,27 +528,6 @@ class Executor:
             key_indices = tuple(schema.index_of(k) for k in node.keys)
             return hash_partition(rows, key_indices, node.num_partitions)
         return split_evenly(rows, node.num_partitions)
-
-    def _execute_limit(self, node):
-        child_parts = self._execute_partitions(node.child)
-        remaining = node.n
-        out = []
-        for part in child_parts:
-            if remaining <= 0:
-                out.append([])
-            elif len(part) <= remaining:
-                out.append(
-                    part if isinstance(part, ColumnarPartition)
-                    else list(part)
-                )
-                remaining -= len(part)
-            elif isinstance(part, ColumnarPartition):
-                out.append(part.gather(range(remaining)))
-                remaining = 0
-            else:
-                out.append(list(part[:remaining]))
-                remaining = 0
-        return out
 
     # -- single-pass split (SplitByKey) ----------------------------------
     def execute_split(self, node, key, keys=None):
@@ -746,82 +625,11 @@ class Executor:
         return self._run(task, list(zip(child_parts, carries)), "sorted-map")
 
 
-#: Cell types a key column may hold for the columnar key-tuple build to
-#: hash and compare exactly like the row path (hashable scalars only).
-_SCALAR_CELL_TYPES = frozenset(
-    (int, float, bool, str, bytes, type(None))
-)
-
-
-def _row_stage_reason(parts, key_indices):
-    """Why a join over left *parts* cannot run columnar (None: it can).
-
-    Every input partition must be columnar (mixed-layout stages fall
-    back whole) and every key column scalar-typed, so key tuples built
-    from buffers hash and compare exactly like the row path's. Float
-    key columns containing NaN go to the row path too: dict-based join
-    matching on NaN keys is object-identity dependent, and gathering a
-    buffer materializes fresh float objects.
-    """
-    if not all(isinstance(p, ColumnarPartition) for p in parts):
-        return "mixed_layout"
-    for part in parts:
-        for i in key_indices:
-            column = part.column(i)
-            if not _scalar_key_column(column):
-                return "non_scalar_key"
-            if _column_has_nan(column):
-                return "nan_key"
-    return None
-
-
-def _scalar_key_column(column):
-    """True when every cell of a key column is a hashable scalar.
-
-    Typed buffers (``array``, ``memoryview``, a ``bytes``-celled
-    ``BytesColumn``) guarantee it by construction; object columns get
-    one C-speed type scan. Object-typed keys -- tuples, dicts, packed
-    planes that decode to structures -- route their stage down the row
-    path, where the row task's semantics are the single source of truth.
-    """
-    if isinstance(column, BytesColumn):
-        return column.decode is bytes
-    if isinstance(column, (array, memoryview)):
-        return True
-    return set(map(type, column)) <= _SCALAR_CELL_TYPES
-
-
-def _column_has_nan(column):
-    """True when a key column holds a NaN cell (floats only)."""
-    if isinstance(column, BytesColumn):
-        return False
-    if isinstance(column, array) and column.typecode not in ("f", "d"):
-        return False
-    if isinstance(column, memoryview) and column.format not in ("f", "d"):
-        return False
-    return any(v != v for v in column)
-
-
 def _broadcast_index(right_parts, right_keys):
-    """Build the broadcast hash map: key tuple -> right row remainders.
-
-    Columnar right partitions are consumed straight from their key and
-    remainder columns (no row materialization); row partitions use the
-    classic per-row build. Cell values, and therefore dict hashing and
-    equality, are identical either way.
-    """
+    """Build the broadcast hash map: key tuple -> right row remainders."""
     index = {}
     drop = set(right_keys)
     for part in right_parts:
-        if isinstance(part, ColumnarPartition):
-            keep = [i for i in range(part.width) if i not in drop]
-            if keep:
-                rems = zip(*(part.column(i) for i in keep))
-            else:
-                rems = iter([()] * len(part))
-            for key, rem in zip(_key_tuples(part, right_keys), rems):
-                index.setdefault(key, []).append(rem)
-            continue
         for row in part:
             key = tuple(row[i] for i in right_keys)
             rem = tuple(v for i, v in enumerate(row) if i not in drop)

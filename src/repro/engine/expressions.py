@@ -187,16 +187,6 @@ class Apply(Expression):
         return BoundApply(self.func, indices)
 
 
-@dataclass(frozen=True, eq=False)
-class RowApply(Expression):
-    """Apply a picklable callable to the whole row as a dict."""
-
-    func: object
-
-    def bind(self, schema):
-        return BoundRowApply(self.func, schema.names)
-
-
 # ---------------------------------------------------------------------------
 # Bound (index-resolved) expressions. These are the objects actually shipped
 # to workers; each is callable on a row tuple.
@@ -281,15 +271,6 @@ class BoundApply:
         return self.func(*(row[i] for i in self.indices))
 
 
-@dataclass(frozen=True)
-class BoundRowApply:
-    func: object
-    names: tuple
-
-    def __call__(self, row):
-        return self.func(dict(zip(self.names, row)))
-
-
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
@@ -308,8 +289,3 @@ def lit(value):
 def apply(func, *columns):
     """Build an expression applying *func* to the listed columns' values."""
     return Apply(func, tuple(columns))
-
-
-def row_apply(func):
-    """Build an expression applying *func* to the row as a dict."""
-    return RowApply(func)

@@ -3,8 +3,8 @@
 Executors fuse chains of narrow plan nodes into a single
 :class:`PartitionTask` per input partition; the task is a picklable object
 so the multiprocessing executor can ship it to a worker process. Wide
-operations (joins, group-bys, sorts) are decomposed into hash/range
-shuffles on the driver plus per-bucket tasks defined here.
+operations (the broadcast join, sort, split, sorted partition map) are
+driver-side exchanges plus the per-partition tasks defined here.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ import zlib
 from dataclasses import dataclass
 from operator import itemgetter
 
-from repro.engine.columnar import (
-    ColumnarPartition,
-    as_row_partition,
-    gather_column,
-)
+from repro.engine.columnar import as_row_partition
 
 
 @dataclass(frozen=True)
@@ -112,140 +108,6 @@ class BroadcastJoinTask:
         return out
 
 
-def _key_tuples(partition, key_indices):
-    """Iterate the key tuple of every row of a columnar partition.
-
-    Matches ``tuple(row[i] for i in key_indices)`` on :meth:`to_rows`
-    output cell for cell, without building the rows.
-    """
-    if not key_indices:
-        n = len(partition)
-        return iter([()] * n)
-    return zip(*(partition.column(i) for i in key_indices))
-
-
-@dataclass(frozen=True)
-class ColumnarBroadcastJoinTask:
-    """Broadcast join over a columnar left partition, column-wise.
-
-    Same ``right_index`` (key -> right row remainders) as
-    :class:`BroadcastJoinTask`, but the left partition is consumed as
-    column buffers: one pass over the key columns computes, per output
-    row, the left row index to gather and the right remainder to
-    append. Left output columns are then built by
-    :func:`~repro.engine.columnar.gather_column` and right output
-    columns by transposing the matched remainders -- no intermediate
-    row tuples. Output rows are ``left row + remainder`` in left scan
-    order, identical row for row to the row task.
-
-    Emits a :class:`~repro.engine.columnar.ColumnarPartition`; row
-    inputs (mixed-layout stages, re-routed fallbacks) delegate to the
-    row task unchanged.
-    """
-
-    left_key_indices: tuple
-    right_index: dict
-    how: str
-    right_width: int
-
-    def __call__(self, partition):
-        if not isinstance(partition, ColumnarPartition):
-            return BroadcastJoinTask(
-                self.left_key_indices, self.right_index, self.how,
-                self.right_width,
-            )(partition)
-        idx = self.right_index
-        empty = (None,) * self.right_width
-        left_outer = self.how == "left"
-        gather_indices = []
-        append_index = gather_indices.append
-        remainders = []
-        append_rem = remainders.append
-        for i, key in enumerate(
-            _key_tuples(partition, self.left_key_indices)
-        ):
-            matches = idx.get(key)
-            if matches:
-                for rem in matches:
-                    append_index(i)
-                    append_rem(rem)
-            elif left_outer:
-                append_index(i)
-                append_rem(empty)
-        columns = [
-            gather_column(c, gather_indices) for c in partition.columns
-        ]
-        if remainders:
-            columns.extend(list(c) for c in zip(*remainders))
-        else:
-            columns.extend([] for _unused in range(self.right_width))
-        return ColumnarPartition(columns, len(gather_indices))
-
-
-@dataclass(frozen=True)
-class BucketJoinTask:
-    """Join one hash bucket of left rows against the matching right bucket."""
-
-    left_key_indices: tuple
-    right_key_indices: tuple
-    right_drop_indices: tuple
-    how: str
-    right_width: int
-
-    def __call__(self, bucket_pair):
-        left_rows, right_rows = bucket_pair
-        index = {}
-        rkeys = self.right_key_indices
-        drop = set(self.right_drop_indices)
-        for row in right_rows:
-            key = tuple(row[i] for i in rkeys)
-            rem = tuple(v for i, v in enumerate(row) if i not in drop)
-            index.setdefault(key, []).append(rem)
-        task = BroadcastJoinTask(
-            self.left_key_indices, index, self.how, self.right_width
-        )
-        return task(left_rows)
-
-
-@dataclass(frozen=True)
-class BucketAggregateTask:
-    """Aggregate one hash bucket of rows for a group-by.
-
-    ``aggregates`` is a tuple of (Aggregate, value column index or None).
-    Emits one row per group: key columns followed by finished aggregates.
-    """
-
-    key_indices: tuple
-    aggregates: tuple
-
-    def __call__(self, rows):
-        groups = {}
-        key_idx = self.key_indices
-        aggs = self.aggregates
-        for row in rows:
-            key = tuple(row[i] for i in key_idx)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [agg.initial() for agg, _unused in aggs]
-                groups[key] = accs
-            for j, (agg, value_index) in enumerate(aggs):
-                value = row[value_index] if value_index is not None else None
-                accs[j] = agg.update(accs[j], value)
-        out = []
-        for key in sorted(groups, key=_group_sort_key):
-            accs = groups[key]
-            finished = tuple(
-                agg.finish(accs[j]) for j, (agg, _unused) in enumerate(aggs)
-            )
-            out.append(key + finished)
-        return out
-
-
-def _group_sort_key(key):
-    """Deterministic ordering for heterogeneous group keys."""
-    return tuple((type(v).__name__, v) for v in key)
-
-
 @dataclass(frozen=True)
 class SortPartitionTask:
     """Sort a single partition by key columns with per-key direction."""
@@ -307,8 +169,9 @@ def stable_hash(value):
     partition layouts differ across fresh runs -- breaking the engine's
     determinism contract and the fleet layer's byte-identical-resume
     claim. This CRC32-based hash is stable everywhere while preserving
-    the invariant the bucket join relies on: values that compare equal
-    hash equally, including across numeric types (``1 == 1.0 == True``).
+    the invariant a keyed repartition relies on: values that compare
+    equal hash equally, including across numeric types
+    (``1 == 1.0 == True``).
     """
     return zlib.crc32(_stable_bytes(value))
 

@@ -39,7 +39,6 @@ from repro.engine.expressions import (
     BoundInSet,
     BoundLiteral,
     BoundOr,
-    BoundRowApply,
     BoundUnary,
 )
 
@@ -268,20 +267,6 @@ class ComposedApply:
         return self.func(*(p(row) for p in self.producers))
 
 
-@dataclasses.dataclass(frozen=True)
-class ComposedRowApply:
-    """A BoundRowApply over a virtual row built from sub-expressions."""
-
-    func: object
-    names: tuple
-    producers: tuple
-
-    def __call__(self, row):
-        return self.func(
-            dict(zip(self.names, (p(row) for p in self.producers)))
-        )
-
-
 def references(expr):
     """Set of column indices a bound expression reads."""
     if isinstance(expr, BoundColumn):
@@ -296,14 +281,11 @@ def references(expr):
         return references(expr.operand)
     if isinstance(expr, BoundApply):
         return set(expr.indices)
-    if isinstance(expr, (ComposedApply, ComposedRowApply)):
+    if isinstance(expr, ComposedApply):
         out = set()
         for producer in expr.producers:
             out |= references(producer)
         return out
-    if isinstance(expr, BoundRowApply):
-        # Reads the whole row; every column counts as referenced.
-        return set(range(len(expr.names)))
     raise TypeError("unknown bound expression {!r}".format(type(expr).__name__))
 
 
@@ -337,17 +319,5 @@ def substitute(expr, exprs):
     if isinstance(expr, ComposedApply):
         return ComposedApply(
             expr.func, tuple(substitute(p, exprs) for p in expr.producers)
-        )
-    if isinstance(expr, ComposedRowApply):
-        return ComposedRowApply(
-            expr.func,
-            expr.names,
-            tuple(substitute(p, exprs) for p in expr.producers),
-        )
-    if isinstance(expr, BoundRowApply):
-        return ComposedRowApply(
-            expr.func,
-            expr.names,
-            tuple(exprs[i] for i in range(len(expr.names))),
         )
     raise TypeError("unknown bound expression {!r}".format(type(expr).__name__))

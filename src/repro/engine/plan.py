@@ -4,9 +4,9 @@ A :class:`~repro.engine.table.Table` is a thin handle on a tree of plan
 nodes. Nothing is computed until an action (``collect``, ``count``,
 ``write``) is called, at which point an executor walks the tree, fuses
 chains of *narrow* transformations (filter/project/map/flat-map) into
-single per-partition tasks and runs *wide* transformations (join, group
-by, sort, repartition) with an explicit shuffle -- the same split Spark
-makes between narrow and wide dependencies.
+single per-partition tasks and runs *wide* transformations (join, sort,
+repartition, split) as their own stages -- the same split Spark makes
+between narrow and wide dependencies.
 """
 
 from __future__ import annotations
@@ -28,24 +28,6 @@ class PlanNode:
 
     def children(self):
         return ()
-
-
-def iter_nodes(node):
-    """Yield *node* and every descendant, depth-first, parents first."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(reversed(current.children()))
-
-
-def plan_size(node):
-    """Number of nodes in the plan tree rooted at *node*.
-
-    The differential shrinker reports reproducer size in plan nodes; the
-    count excludes nothing (sources included).
-    """
-    return sum(1 for _unused in iter_nodes(node))
 
 
 @dataclass(frozen=True)
@@ -184,27 +166,6 @@ class Union(PlanNode):
 
 
 @dataclass(frozen=True)
-class GroupBy(PlanNode):
-    """Group by key columns and compute aggregates.
-
-    ``aggregates`` is a tuple of (output name, Aggregate instance,
-    input column index or None).
-    """
-
-    child: PlanNode
-    keys: tuple  # column names
-    aggregates: tuple
-    out_schema: Schema
-
-    @property
-    def schema(self):
-        return self.out_schema
-
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True)
 class Sort(PlanNode):
     """Globally sort by the given key columns (ascending flags parallel)."""
 
@@ -231,28 +192,6 @@ class Repartition(PlanNode):
     child: PlanNode
     num_partitions: int
     keys: tuple = field(default_factory=tuple)
-
-    @property
-    def schema(self):
-        return self.child.schema
-
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True)
-class Limit(PlanNode):
-    """Keep the first ``n`` rows, in current partition order.
-
-    Evaluated lazily by the executors (not at plan-build time): the
-    child's partitions are truncated left to right once the running row
-    count reaches ``n``, preserving the partition structure -- trailing
-    partitions survive as empty partitions instead of collapsing the
-    result into a single one.
-    """
-
-    child: PlanNode
-    n: int
 
     @property
     def schema(self):
@@ -300,7 +239,8 @@ class SortedMapPartitions(PlanNode):
     ``func(partition, carry)`` receives the sorted partition and a list of
     up to ``carry_rows`` rows from the tail of the previous partition and
     returns a list of output rows. This implements windowed operators
-    (lag, gap-to-previous, forward-fill) without giving up partitioning.
+    (the state representation's forward-fill) without giving up
+    partitioning.
     """
 
     child: PlanNode  # must already be globally sorted + range partitioned

@@ -133,21 +133,7 @@ class Schema:
             raise SchemaError("column {!r} already exists".format(name))
         return Schema(self.fields + (Field(name, dtype),))
 
-    def rename(self, mapping):
-        """Return a new schema with columns renamed per *mapping*."""
-        unknown = set(mapping) - set(self.names)
-        if unknown:
-            raise SchemaError(
-                "cannot rename unknown columns: {}".format(sorted(unknown))
-            )
-        return Schema(
-            tuple(Field(mapping.get(f.name, f.name), f.dtype) for f in self.fields)
-        )
-
     def concat(self, other):
         """Return the concatenation of two schemas (used by joins)."""
         return Schema(self.fields + other.fields)
 
-    def row_as_dict(self, row):
-        """Convert a row tuple into a name -> value dict."""
-        return dict(zip(self.names, row))

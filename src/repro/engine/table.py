@@ -3,15 +3,13 @@
 A Table is an immutable, lazily-evaluated handle on a logical plan,
 analogous to a Spark DataFrame. Transformations (``filter``, ``select``,
 ``join`` ...) build new plans; actions (``collect``, ``count``,
-``to_dicts``) hand the plan to the context's executor.
+``cache``) hand the plan to the context's executor.
 
 Examples
 --------
 >>> from repro.engine import EngineContext, col
 >>> ctx = EngineContext.serial()
->>> t = ctx.table_from_dicts(
-...     [{"t": 1.0, "m_id": 3}, {"t": 2.0, "m_id": 7}], columns=["t", "m_id"]
-... )
+>>> t = ctx.table_from_rows(["t", "m_id"], [(1.0, 3), (2.0, 7)])
 >>> t.filter(col("m_id") == 3).count()
 1
 """
@@ -58,23 +56,10 @@ class Table:
         bound = predicate.bind(self.schema)
         return self._derive(logical.Filter(self._plan, bound))
 
-    where = filter
-
     def select(self, *names):
         """Project to the named columns, in the given order."""
         out_schema = self.schema.select(names)
         exprs = tuple(col(n).bind(self.schema) for n in names)
-        return self._derive(logical.Project(self._plan, out_schema, exprs))
-
-    def drop(self, *names):
-        """Remove the named columns."""
-        out_schema = self.schema.drop(names)
-        return self.select(*out_schema.names)
-
-    def rename(self, mapping):
-        """Rename columns per a {old: new} mapping."""
-        out_schema = self.schema.rename(mapping)
-        exprs = tuple(col(n).bind(self.schema) for n in self.schema.names)
         return self._derive(logical.Project(self._plan, out_schema, exprs))
 
     def with_column(self, name, expression, dtype=ANY):
@@ -168,12 +153,6 @@ class Table:
             )
         return self._derive(logical.Union(self._plan, other._plan))
 
-    def group_by(self, *keys):
-        """Start a grouped aggregation; returns a :class:`GroupedTable`."""
-        for key in keys:
-            self.schema.index_of(key)  # validate eagerly
-        return GroupedTable(self, tuple(keys))
-
     def sort(self, keys, ascending=True):
         """Globally sort by *keys* (a name or list of names)."""
         names = [keys] if isinstance(keys, str) else list(keys)
@@ -218,30 +197,6 @@ class Table:
             )
         )
 
-    def distinct(self):
-        """Remove duplicate rows (exact tuple equality).
-
-        Implemented as a hash repartition on all columns followed by a
-        per-partition dedup, so equal rows meet in one partition.
-        """
-        repartitioned = self.repartition(
-            self._context.default_parallelism, keys=list(self.schema.names)
-        )
-        return repartitioned.map_partitions(_distinct_partition)
-
-    def limit(self, n):
-        """Keep at most *n* rows (in current partition order).
-
-        Lazy: builds a ``Limit`` plan node evaluated by the executors.
-        Partitions are truncated left to right once *n* rows are
-        reached; the partition structure is preserved (trailing
-        partitions come back empty rather than the whole result being
-        collapsed into a single partition).
-        """
-        if n < 0:
-            raise PlanError("limit must be non-negative")
-        return self._derive(logical.Limit(self._plan, int(n)))
-
     def split_by_key(self, key, keys=None):
         """Split into one table per distinct value of column *key*.
 
@@ -280,34 +235,6 @@ class Table:
             for value in ordered
         }
 
-    def describe(self, *names):
-        """Summary statistics per column: count, nulls, distinct, and for
-        purely numeric columns min/max/mean. Returns {column: stats}.
-        """
-        columns = list(names) if names else list(self.schema.names)
-        out = {}
-        for name in columns:
-            values = self.column_values(name)
-            non_null = [v for v in values if v is not None]
-            numeric = [
-                v
-                for v in non_null
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            ]
-            stats = {
-                "count": len(values),
-                "nulls": len(values) - len(non_null),
-                "distinct": len(set(map(repr, non_null))),
-            }
-            if numeric and len(numeric) == len(non_null):
-                stats.update(
-                    min=min(numeric),
-                    max=max(numeric),
-                    mean=sum(numeric) / len(numeric),
-                )
-            out[name] = stats
-        return out
-
     def explain(self):
         """Human-readable rendering of the logical plan."""
         lines = []
@@ -324,19 +251,9 @@ class Table:
         """Execute the plan and return the raw list of partitions."""
         return self._context.executor.execute(self._plan)
 
-    def to_dicts(self):
-        """Execute and return rows as a list of name -> value dicts."""
-        names = self.schema.names
-        return [dict(zip(names, row)) for row in self.collect()]
-
     def count(self):
         """Number of rows in the table."""
         return self._context.executor.count(self._plan)
-
-    def first(self):
-        """The first row, or None if the table is empty."""
-        rows = self.collect()
-        return rows[0] if rows else None
 
     def cache(self):
         """Materialize the plan into a new in-memory source table.
@@ -369,16 +286,6 @@ def _split_group_order(value):
     return (type(value).__name__, value)
 
 
-def _distinct_partition(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
 def _explain_node(node, depth, lines):
     indent = "  " * depth
     name = type(node).__name__
@@ -391,48 +298,12 @@ def _explain_node(node, depth, lines):
         details = " on={} how={}".format(list(node.left_keys), node.how)
     elif isinstance(node, logical.Sort):
         details = " keys={}".format(list(node.keys))
-    elif isinstance(node, logical.GroupBy):
-        details = " keys={} aggs={}".format(
-            list(node.keys), [a[0] for a in node.aggregates]
-        )
     elif isinstance(node, logical.Repartition):
         details = " n={} keys={}".format(node.num_partitions, list(node.keys))
     elif isinstance(node, logical.Project):
         details = " columns={}".format(list(node.out_schema.names))
-    elif isinstance(node, logical.Limit):
-        details = " n={}".format(node.n)
     elif isinstance(node, logical.SplitByKey):
         details = " key={!r} group={!r}".format(node.key, node.group)
     lines.append("{}{}{}".format(indent, name, details))
     for child in node.children():
         _explain_node(child, depth + 1, lines)
-
-
-class GroupedTable:
-    """Builder returned by :meth:`Table.group_by`."""
-
-    def __init__(self, table, keys):
-        self._table = table
-        self._keys = keys
-
-    def agg(self, *specs):
-        """Compute aggregates.
-
-        Each spec is a tuple ``(output_name, aggregate, input_column)``
-        where *aggregate* is an instance from
-        :mod:`repro.engine.aggregates` and *input_column* may be None for
-        aggregates that ignore values (e.g. Count).
-        """
-        if not specs:
-            raise PlanError("agg requires at least one aggregate spec")
-        schema = self._table.schema
-        names = list(self._keys)
-        for name, _agg, column in specs:
-            if column is not None:
-                schema.index_of(column)  # validate
-            names.append(name)
-        out_schema = Schema.of(*names)
-        node = logical.GroupBy(
-            self._table.plan, self._keys, tuple(specs), out_schema
-        )
-        return Table(self._table.context, node)

@@ -1,103 +1,13 @@
-"""Windowed (ordered) operators built on ``sorted_map_partitions``.
+"""Windowed (ordered) partition functions for ``sorted_map_partitions``.
 
-These cover the ordered-sequence needs of the paper's pipeline:
-
-* ``with_lag`` -- value of a column in the previous row (per optional
-  group), used for temporal-gap extensions (Table 2 of the paper);
-* ``with_gap`` -- numeric difference to the previous row's value;
-* ``drop_consecutive_duplicates`` -- the unchanged-value reduction the
-  evaluation section applies ("identical subsequent signal instances are
-  removed as reduction");
-* ``forward_fill`` -- carry the last seen value forward, used to build the
-  state representation (Table 4).
-
-All partition functions are picklable dataclasses so they run on the
-multiprocessing executor.
+``ForwardFill`` carries the last seen value forward; the state
+representation (Table 4) is built with it. Partition functions are
+picklable dataclasses so they run on the multiprocessing executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class LagFunction:
-    """Append the previous row's value of ``value_index`` to each row.
-
-    When ``group_indices`` is non-empty the lag restarts whenever the
-    group key changes, which assumes the table is sorted by the group
-    columns first and the ordering column second.
-    """
-
-    value_index: int
-    group_indices: tuple
-    default: object = None
-
-    def __call__(self, partition, carry):
-        out = []
-        prev_row = carry[-1] if carry else None
-        for row in partition:
-            if prev_row is not None and self._same_group(prev_row, row):
-                lagged = prev_row[self.value_index]
-            else:
-                lagged = self.default
-            out.append(row + (lagged,))
-            prev_row = row
-        return out
-
-    def _same_group(self, a, b):
-        return all(a[i] == b[i] for i in self.group_indices)
-
-
-@dataclass(frozen=True)
-class GapFunction:
-    """Append the numeric difference to the previous row's value."""
-
-    value_index: int
-    group_indices: tuple
-    default: object = None
-
-    def __call__(self, partition, carry):
-        out = []
-        prev_row = carry[-1] if carry else None
-        for row in partition:
-            if prev_row is not None and all(
-                prev_row[i] == row[i] for i in self.group_indices
-            ):
-                gap = row[self.value_index] - prev_row[self.value_index]
-            else:
-                gap = self.default
-            out.append(row + (gap,))
-            prev_row = row
-        return out
-
-
-@dataclass(frozen=True)
-class DropConsecutiveDuplicates:
-    """Drop rows whose compared columns equal the previous row's.
-
-    ``compare_indices`` lists the columns that must all be equal for the
-    row to count as a repeat; ``group_indices`` scopes the comparison to
-    runs of the same group (a value change in another signal type must not
-    mask a repeat).
-    """
-
-    compare_indices: tuple
-    group_indices: tuple
-
-    def __call__(self, partition, carry):
-        out = []
-        prev_row = carry[-1] if carry else None
-        for row in partition:
-            is_repeat = (
-                prev_row is not None
-                and all(prev_row[i] == row[i] for i in self.group_indices)
-                and all(prev_row[i] == row[i] for i in self.compare_indices)
-            )
-            if not is_repeat:
-                out.append(row)
-            prev_row = row
-        return out
 
 
 @dataclass(frozen=True)
@@ -126,63 +36,3 @@ class ForwardFill:
                     last[i] = values[i]
             out.append(tuple(values))
         return out
-
-
-def with_lag(table, order_by, value_column, output_column, group_by=(), default=None):
-    """Sort *table* and append the previous row's *value_column*.
-
-    Returns a new table with *output_column* appended. Grouping columns,
-    if given, reset the lag at group boundaries.
-    """
-    groups = [group_by] if isinstance(group_by, str) else list(group_by)
-    ordered = table.sort(groups + [order_by])
-    schema = ordered.schema
-    func = LagFunction(
-        schema.index_of(value_column),
-        tuple(schema.index_of(g) for g in groups),
-        default,
-    )
-    return ordered.sorted_map_partitions(
-        func, output_columns=list(schema.names) + [output_column], carry_rows=1
-    )
-
-
-def with_gap(table, order_by, value_column, output_column, group_by=(), default=None):
-    """Sort *table* and append the difference to the previous row's value."""
-    groups = [group_by] if isinstance(group_by, str) else list(group_by)
-    ordered = table.sort(groups + [order_by])
-    schema = ordered.schema
-    func = GapFunction(
-        schema.index_of(value_column),
-        tuple(schema.index_of(g) for g in groups),
-        default,
-    )
-    return ordered.sorted_map_partitions(
-        func, output_columns=list(schema.names) + [output_column], carry_rows=1
-    )
-
-
-def drop_consecutive_duplicates(table, order_by, compare, group_by=()):
-    """Sort *table* and drop rows repeating the previous row's values."""
-    groups = [group_by] if isinstance(group_by, str) else list(group_by)
-    compares = [compare] if isinstance(compare, str) else list(compare)
-    ordered = table.sort(groups + [order_by])
-    schema = ordered.schema
-    func = DropConsecutiveDuplicates(
-        tuple(schema.index_of(c) for c in compares),
-        tuple(schema.index_of(g) for g in groups),
-    )
-    return ordered.sorted_map_partitions(func, carry_rows=1)
-
-
-def forward_fill(table, order_by, columns):
-    """Sort *table* by *order_by* and forward-fill None in *columns*."""
-    ordered = table.sort([order_by])
-    schema = ordered.schema
-    func = ForwardFill(tuple(schema.index_of(c) for c in columns))
-    # A single carry row is not enough: the previous non-None value for a
-    # sparsely occurring column may be many rows back, so fills restart per
-    # partition unless the executor passes a deep carry. We use a large
-    # carry window; exactness for arbitrarily sparse columns is ensured by
-    # callers that coalesce first (see representation module).
-    return ordered.sorted_map_partitions(func, carry_rows=100_000)

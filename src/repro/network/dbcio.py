@@ -249,6 +249,7 @@ def load_database(path):
 def loads_database(text):
     """Parse DBC text into a :class:`NetworkDatabase`."""
     messages = {}  # id -> dict
+    defined_on = {}  # id -> line of its BO_
     current = None
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -258,6 +259,15 @@ def loads_database(text):
         bo = _BO_RE.match(line)
         if bo:
             message_id = int(bo.group(1))
+            if message_id in messages:
+                raise DbcError(
+                    "BO_ {} on line {} repeats the message id of line {}; "
+                    "DBC identifies a message by its id, one bus per "
+                    "file".format(
+                        message_id, line_number, defined_on[message_id]
+                    )
+                )
+            defined_on[message_id] = line_number
             current = {
                 "name": bo.group(2),
                 "message_id": message_id,
@@ -323,6 +333,13 @@ def loads_database(text):
                     )
                 )
             if name == "GenMsgCycleTime":
+                if not value.strip().isdigit():
+                    raise DbcError(
+                        "GenMsgCycleTime {!r} on line {} is not a "
+                        "non-negative whole number of milliseconds".format(
+                            value.strip(), line_number
+                        )
+                    )
                 messages[message_id]["cycle_ms"] = int(value)
             elif name == "BusChannel":
                 messages[message_id]["channel"] = value.strip('"')

@@ -5,11 +5,14 @@ produces the same dataset and the same plan spec, on any host (no use of
 ``hash`` on strings, no wall-clock input).
 
 A *plan spec* is a tuple of pure-data op tuples -- ``("filter_cmp", "v",
-"gt", 40)``, ``("groupby", ("m_id",), (("n", "count", None),))`` -- that
-:func:`apply_spec` replays against a :class:`~repro.engine.table.Table`.
-Keeping specs as plain data (JSON-serializable) is what makes shrinking
-and on-disk reproducers possible; callables needed by flat-map and
-window ops are reconstructed from their encoded parameters.
+"gt", 40)``, ``("join", "left")`` -- that :func:`apply_spec` replays
+against a :class:`~repro.engine.table.Table`. The grammar is the
+engine's operator set: filters, projections, the broadcast join, union,
+repartition, flat-map, partition map, sort, split by key and the sorted
+forward-fill map. Keeping specs as plain data (JSON-serializable) is
+what makes shrinking and on-disk reproducers possible; callables needed
+by flat-map and window ops are reconstructed from their encoded
+parameters.
 """
 
 from __future__ import annotations
@@ -17,13 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.engine import aggregates, col
-from repro.engine.window import (
-    drop_consecutive_duplicates,
-    forward_fill,
-    with_gap,
-    with_lag,
-)
+from repro.engine import col
+from repro.engine.window import ForwardFill
 
 #: Value domains for the trace-shaped table. Mirrors a decoded CAN/LIN
 #: signal table: timestamp, skewed message id, bus name, numeric signal
@@ -134,7 +132,6 @@ def corrupt_dataset(case, rng):
 # ---------------------------------------------------------------------------
 
 _COMPARISONS = ("lt", "le", "gt", "ge")
-_AGG_KINDS = ("count", "sum", "mean", "min", "max", "count_distinct")
 
 
 def generate_spec(rng, case, max_ops=8):
@@ -150,8 +147,7 @@ def generate_spec(rng, case, max_ops=8):
     ops = []
     for _unused in range(rng.randint(1, max_ops)):
         choices = ["filter_cmp", "filter_null", "filter_in", "select",
-                   "distinct", "repartition",
-                   "flat_map_repeat", "keep_every", "sort", "groupby"]
+                   "repartition", "flat_map_repeat", "keep_every", "sort"]
         if unions < 2:  # each union doubles the executed subtree
             choices.append("union_self")
         if any(i.numeric and not i.nullable for i in info.values()):
@@ -160,9 +156,8 @@ def generate_spec(rng, case, max_ops=8):
             choices.append("join")
         if any(n in info for n in ("m_id", "bus", "flag")):
             choices.append("split_pick")
-        orderable = [n for n, i in info.items() if i.orderable]
-        if orderable:
-            choices += ["lag", "gap", "dropdup", "ffill"]
+        if any(i.orderable for i in info.values()):
+            choices.append("ffill")
         op = _draw_op(rng, rng.choice(choices), info, joined)
         if op is None:
             continue
@@ -238,8 +233,6 @@ def _draw_op(rng, kind, info, joined):
         return ("join", rng.choice(("inner", "left")))
     if kind == "union_self":
         return ("union_self",)
-    if kind == "distinct":
-        return ("distinct",)
     if kind == "repartition":
         keys = ()
         if orderable and rng.random() < 0.5:
@@ -253,53 +246,6 @@ def _draw_op(rng, kind, info, joined):
         keys = rng.sample(orderable, min(len(orderable), rng.randint(1, 2)))
         ascending = tuple(rng.random() < 0.8 for _unused in keys)
         return ("sort", tuple(keys), ascending)
-    if kind == "groupby":
-        keys = tuple(rng.sample(names, rng.randint(1, min(2, len(names)))))
-        aggs = []
-        used = set(keys)
-        for _unused in range(rng.randint(1, 3)):
-            agg_kind = rng.choice(_AGG_KINDS)
-            if agg_kind in ("sum", "mean", "min", "max"):
-                if not numeric:
-                    continue
-                column = rng.choice(numeric)
-            elif agg_kind == "count":
-                column = None
-            else:  # count_distinct works on any column
-                column = rng.choice(names)
-            out = "a{}".format(len(aggs))
-            if out in used:
-                continue
-            used.add(out)
-            aggs.append((out, agg_kind, column))
-        if not aggs:
-            return None
-        return ("groupby", keys, tuple(aggs))
-    if kind in ("lag", "gap"):
-        order = rng.choice(orderable)
-        if kind == "gap":
-            candidates = numeric
-        else:
-            candidates = names
-        if not candidates:
-            return None
-        value = rng.choice(candidates)
-        groups = ()
-        group_candidates = [n for n in orderable if n != order]
-        if group_candidates and rng.random() < 0.5:
-            groups = (rng.choice(group_candidates),)
-        out = "w{}".format(rng.randint(0, 99))
-        if out in info:  # appended window columns must not collide
-            return None
-        return (kind, value, order, out, groups)
-    if kind == "dropdup":
-        order = rng.choice(orderable)
-        compare = tuple(rng.sample(names, rng.randint(1, min(2, len(names)))))
-        groups = ()
-        group_candidates = [n for n in orderable if n != order]
-        if group_candidates and rng.random() < 0.5:
-            groups = (rng.choice(group_candidates),)
-        return ("dropdup", compare, order, groups)
     if kind == "ffill":
         nullable = [n for n, i in info.items() if i.nullable]
         if not nullable:
@@ -326,30 +272,8 @@ def _advance_schema(op, info, joined):
         info["scale"] = _ColumnInfo(not nullable, True, nullable)
         info["label"] = _ColumnInfo(not nullable, False, nullable)
         joined = True
-    elif kind == "groupby":
-        keys, aggs = op[1], op[2]
-        new = {k: info[k] for k in keys}
-        for out, agg_kind, column in aggs:
-            if agg_kind in ("count", "count_distinct"):
-                new[out] = _ColumnInfo(True, True, False)
-            elif agg_kind == "mean":
-                new[out] = _ColumnInfo(True, True, False)
-            else:  # sum/min/max inherit the input column's domain
-                src = info[column]
-                new[out] = _ColumnInfo(
-                    src.orderable or (src.numeric and not src.nullable),
-                    src.numeric,
-                    src.nullable,
-                )
-        info = new
-    elif kind == "lag":
-        src = info[op[1]]
-        info[op[3]] = _ColumnInfo(False, src.numeric, True)
-    elif kind == "gap":
-        info[op[3]] = _ColumnInfo(False, True, True)
-    elif kind == "ffill":
-        # Values may still be None before the first non-null; keep nullable.
-        pass
+    # ffill keeps every column nullable: values before the first non-null
+    # stay None.
     return info, joined
 
 
@@ -376,18 +300,6 @@ class KeepEvery:
 
     def __call__(self, rows):
         return rows[:: self.k]
-
-
-_AGG_FACTORIES = {
-    "count": aggregates.Count,
-    "sum": aggregates.Sum,
-    "mean": aggregates.Mean,
-    "min": aggregates.Min,
-    "max": aggregates.Max,
-    "count_distinct": aggregates.CountDistinct,
-    "first": aggregates.First,
-    "last": aggregates.Last,
-}
 
 
 def build_table(ctx, case):
@@ -453,8 +365,6 @@ def _apply_op(ctx, case, table, op):
         return table.join(_catalog_table(ctx, case), on="m_id", how=op[1])
     if kind == "union_self":
         return table.union(table)
-    if kind == "distinct":
-        return table.distinct()
     if kind == "repartition":
         return table.repartition(op[1], keys=list(op[2]))
     if kind == "flat_map_repeat":
@@ -463,26 +373,12 @@ def _apply_op(ctx, case, table, op):
         return table.map_partitions(KeepEvery(op[1]))
     if kind == "sort":
         return table.sort(list(op[1]), ascending=list(op[2]))
-    if kind == "groupby":
-        _unused, keys, aggs = op
-        specs = tuple(
-            (out, _AGG_FACTORIES[agg_kind](), column)
-            for out, agg_kind, column in aggs
-        )
-        return table.group_by(*keys).agg(*specs)
-    if kind == "lag":
-        _unused, value, order, out, groups = op
-        return with_lag(table, order, value, out, group_by=list(groups))
-    if kind == "gap":
-        _unused, value, order, out, groups = op
-        return with_gap(table, order, value, out, group_by=list(groups))
-    if kind == "dropdup":
-        _unused, compare, order, groups = op
-        return drop_consecutive_duplicates(
-            table, order, list(compare), group_by=list(groups)
-        )
     if kind == "ffill":
-        return forward_fill(table, op[1], list(op[2]))
+        # Sort, then fill with a deep carry: a sparse column's last
+        # value may lie many partitions back.
+        ordered = table.sort([op[1]])
+        fill = ForwardFill(tuple(ordered.schema.index_of(c) for c in op[2]))
+        return ordered.sorted_map_partitions(fill, carry_rows=100_000)
     raise ValueError("unknown op kind {!r}".format(kind))
 
 

@@ -8,10 +8,10 @@ Any mismatch, or any combo erroring where the reference succeeds, is a
 :class:`Divergence`.
 
 The reference runs the engine's *reference path* (``columnar=False``:
-interpreted narrow chains, row exchange) while the default combos run
-the production path (columnar kernels, columnar wide stages), so
-reference-vs-production equivalence -- including join/split/shuffle
-bucket assignments -- is an axis of every fuzz case. Two serial combos
+interpreted narrow chains, rows throughout) while the default combos
+run the production path (columnar kernels that hand columnar partitions
+to the next stage), so reference-vs-production equivalence -- including
+join/split/shuffle bucket assignments -- is an axis of every fuzz case. Two serial combos
 isolate one axis each: the pure path axis (unoptimized + columnar) and
 the pure optimizer axis (optimized + reference path).
 
@@ -75,8 +75,7 @@ REFERENCE_COMBO = ComboSpec(
 DEFAULT_COMBOS = (
     ComboSpec("serial-optimized", "serial", optimize=True),
     # Pure path axis: identical to the reference except that narrow
-    # chains run as columnar kernels and joins/splits/shuffles run over
-    # columnar partitions.
+    # chains run as columnar kernels.
     ComboSpec("serial-unoptimized-columnar", "serial", optimize=False),
     # Pure optimizer axis: identical to the reference except for rules.
     ComboSpec("serial-optimized-interpreted", "serial", optimize=True,

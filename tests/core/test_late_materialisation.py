@@ -16,7 +16,8 @@ from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.core.rules import InterpretationRule, RuleCatalog
 from repro.datasets import SPECS, build_dataset
 from repro.datasets.showcase import build_showcase
-from repro.engine import EngineContext, SerialExecutor
+from repro.engine import EngineContext
+from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
 from repro.tracefile import colbin
 
 
@@ -145,7 +146,7 @@ def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
     serial = pipeline.run(
         colbin.load_table(EngineContext.serial(), path)
     ).r_out.collect()
-    with EngineContext.parallel(num_workers=2) as context:
+    with EngineContext(MultiprocessingExecutor(num_workers=2)) as context:
         k_b = colbin.load_table(context, path).cache()
         # The cache kept the packed planes; workers receive them pickled.
         info = k_b.plan.partitions[0].column(4)

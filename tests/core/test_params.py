@@ -22,6 +22,72 @@ from repro.core.params import (
 )
 
 
+def malformed_documents(signal):
+    """``(id, document, what the error must name)`` per malformed shape
+    or type, for a database that has *signal*."""
+
+    def constraint(**fields):
+        return {
+            "signals": [signal],
+            "constraints": [dict(signal=signal, **fields)],
+        }
+
+    def extension(**fields):
+        return {
+            "signals": [signal],
+            "extensions": [dict(signal=signal, **fields)],
+        }
+
+    return [
+        ("top-level-list", [signal], "object"),
+        ("signals-number", {"signals": 5}, "signals"),
+        ("signals-string", {"signals": signal}, "signals"),
+        ("signals-empty", {"signals": []}, "signals"),
+        ("signals-mixed", {"signals": [signal, 3]}, "signals"),
+        ("constraint-string", {"signals": [signal], "constraints": ["x"]},
+         "constraint"),
+        ("constraints-object", {"signals": [signal], "constraints": {}},
+         "constraints"),
+        ("constraint-signal-number",
+         {"signals": [signal],
+          "constraints": [{"signal": 5, "type": "unchanged"}]},
+         "signal"),
+        ("constraint-type-missing", constraint(), "type"),
+        ("cycle-time-missing", constraint(type="unchanged_within_cycle"),
+         "cycle_time"),
+        ("cycle-time-nan",
+         constraint(type="unchanged_within_cycle", cycle_time=float("nan")),
+         "cycle_time"),
+        ("min-gap-string", constraint(type="minimum_gap", min_gap="abc"),
+         "min_gap"),
+        ("min-gap-bool", constraint(type="minimum_gap", min_gap=True),
+         "min_gap"),
+        ("values-number", constraint(type="value_in_set", values=3),
+         "values"),
+        ("values-nested", constraint(type="value_in_set", values=[[1]]),
+         "values"),
+        ("enabled-string", constraint(type="unchanged", enabled="yes"),
+         "enabled"),
+        ("dedup-channels-string",
+         {"signals": [signal], "dedup_channels": "no"}, "dedup_channels"),
+        ("drop-exact-duplicates-number",
+         {"signals": [signal], "drop_exact_duplicates": 0},
+         "drop_exact_duplicates"),
+        ("extensions-string", {"signals": [signal], "extensions": "gap"},
+         "extensions"),
+        ("extension-number", {"signals": [signal], "extensions": [3]},
+         "extension"),
+        ("extension-signal-empty",
+         {"signals": [signal],
+          "extensions": [{"signal": "", "type": "gap"}]},
+         "signal"),
+        ("expected-cycle-string",
+         extension(type="cycle_violation", expected_cycle="0.1"),
+         "expected_cycle"),
+        ("gap-suffix-number", extension(type="gap", suffix=3), "suffix"),
+    ]
+
+
 @pytest.fixture
 def document():
     return {
@@ -142,6 +208,16 @@ class TestFromDict:
     ):
         document = {"signals": ["wpos"], "branch": {key: value}}
         with pytest.raises(ParameterizationError, match=key):
+            config_from_dict(document, wiper_database)
+
+    @pytest.mark.parametrize("document, named", [
+        pytest.param(document, named, id=case)
+        for case, document, named in malformed_documents("wpos")
+    ])
+    def test_malformed_document_rejected_naming_the_key(
+        self, document, named, wiper_database
+    ):
+        with pytest.raises(ParameterizationError, match=named):
             config_from_dict(document, wiper_database)
 
     def test_branch_must_be_an_object(self, wiper_database):

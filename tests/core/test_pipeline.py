@@ -246,13 +246,15 @@ class TestDeterminism:
 
     def test_serial_and_parallel_agree(self, config, wiper_simulation):
         from repro.engine import EngineContext
+        from repro.engine.executor import MultiprocessingExecutor
 
         serial_ctx = EngineContext.serial()
         k_b = wiper_simulation.record_table(serial_ctx, 10.0)
         expected = sorted(
             PreprocessingPipeline(config).run(k_b).r_out.collect()
         )
-        with EngineContext.parallel(num_workers=2) as par_ctx:
+        pool = MultiprocessingExecutor(num_workers=2)
+        with EngineContext(pool) as par_ctx:
             k_b_par = wiper_simulation.record_table(par_ctx, 10.0)
             actual = sorted(
                 PreprocessingPipeline(config).run(k_b_par).r_out.collect()
@@ -280,27 +282,25 @@ class TestExtractSignals:
         assert outcome.rows_before_reduction > 500
 
 
-class TestInterpretationStrategyOption:
-    def test_fused_pipeline_matches_join_pipeline(self, wiper_simulation, wiper_trace):
-        db = wiper_simulation.database
-        base = dict(catalog=db.translation_catalog(["wpos", "heat"]))
-        join_result = PreprocessingPipeline(
-            PipelineConfig(interpretation_strategy="join", **base)
-        ).run(wiper_trace)
-        fused_result = PreprocessingPipeline(
-            PipelineConfig(interpretation_strategy="fused", **base)
-        ).run(wiper_trace)
-        assert sorted(join_result.r_out.collect()) == sorted(
-            fused_result.r_out.collect()
-        )
+class TestInterpretationSpellings:
+    def test_kernel_pipeline_matches_join_plan_pipeline(
+        self, wiper_simulation, wiper_trace
+    ):
+        """Production (``_RuleKernels``) and the reference executor (the
+        join plan of lines 4-6) give the same ``R_out``."""
+        from repro.engine import EngineContext
+        from repro.engine.executor import SerialExecutor
 
-    def test_unknown_strategy_rejected(self, wiper_simulation):
         db = wiper_simulation.database
-        with pytest.raises(PipelineError):
-            PipelineConfig(
-                catalog=db.translation_catalog(["wpos"]),
-                interpretation_strategy="magic",
+        config = PipelineConfig(catalog=db.translation_catalog(["wpos", "heat"]))
+        kernels = PreprocessingPipeline(config).run(wiper_trace)
+        reference = EngineContext(SerialExecutor(columnar=False))
+        join_plan = PreprocessingPipeline(config).run(
+            reference.table_from_rows(
+                wiper_trace.columns, wiper_trace.collect()
             )
+        )
+        assert kernels.r_out.collect() == join_plan.r_out.collect()
 
 
 class TestValidation:

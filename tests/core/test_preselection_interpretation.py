@@ -190,17 +190,21 @@ class TestInterpretation:
         assert k_s.count() == 4
 
 
-class TestFusedInterpretation:
-    def test_fused_matches_join_strategy(self, ctx, wiper_simulation):
+class TestTwoSpellings:
+    """Lines 4-6 as ``_RuleKernels`` (a RuleCatalog on the production
+    executor) and as the join plan (a catalog table) give one ``K_s``."""
+
+    def test_kernels_match_join_plan(self, ctx, wiper_simulation):
         db = wiper_simulation.database
         catalog = db.translation_catalog(["wpos", "wvel", "heat", "belt"])
         k_b = wiper_simulation.record_table(ctx, 10.0)
         k_pre = preselect(k_b, catalog).cache()
-        joined = sorted(interpret(k_pre, catalog, strategy="join").collect())
-        fused = sorted(interpret(k_pre, catalog, strategy="fused").collect())
-        assert fused == joined
+        joined = interpret(k_pre, catalog.to_table(ctx)).collect()
+        kernels = interpret(k_pre, catalog).collect()
+        assert kernels == joined
 
-    def test_fused_handles_absent_signals(self, ctx):
+    @pytest.mark.parametrize("spelling", ["kernels", "join"])
+    def test_absent_signals_dropped_by_both(self, ctx, spelling):
         from repro.protocols.someip import ConditionalLayout, OptionalSection
 
         layout = ConditionalLayout((OptionalSection(0, 2),))
@@ -221,33 +225,28 @@ class TestFusedInterpretation:
                 (2.0, layout.build_payload({}), "ETH", 7, ()),
             ],
         )
-        k_s = interpret(trace, catalog, strategy="fused")
+        if spelling == "join":
+            catalog = catalog.to_table(ctx)
+        k_s = interpret(trace, catalog)
         assert k_s.collect() == [(1.0, 9, "opt", "ETH")]
 
-    def test_fused_requires_rule_catalog(self, fig2_trace, wiper_catalog, ctx):
-        table = wiper_catalog.to_table(ctx)
-        with pytest.raises(ValueError):
-            interpret(fig2_trace, table, strategy="fused")
-
-    def test_unknown_strategy_rejected(self, fig2_trace, wiper_catalog):
-        with pytest.raises(ValueError):
-            interpret(fig2_trace, wiper_catalog, strategy="quantum")
-
-    def test_fused_single_narrow_stage(self, ctx, wiper_simulation):
-        """The fused plan contains no join (one narrow stage only)."""
+    def test_kernel_plan_has_no_join(self, ctx, wiper_simulation):
+        """A RuleCatalog on the production executor is one narrow stage;
+        the same catalog as a table is the join plan."""
         from repro.engine import plan as logical
 
         db = wiper_simulation.database
         catalog = db.translation_catalog(["wpos"])
         k_b = wiper_simulation.record_table(ctx, 2.0)
-        k_s = interpret(preselect(k_b, catalog), catalog, strategy="fused")
+        k_pre = preselect(k_b, catalog)
 
         def contains_join(node):
             if isinstance(node, logical.Join):
                 return True
             return any(contains_join(c) for c in node.children())
 
-        assert not contains_join(k_s.plan)
+        assert not contains_join(interpret(k_pre, catalog).plan)
+        assert contains_join(interpret(k_pre, catalog.to_table(ctx)).plan)
 
 
 class TestBatchInterpretation:

@@ -1,9 +1,9 @@
 """Lines 4-6 per rule equal lines 4-6 per row.
 
-On the production executor ``interpret(strategy="join")`` is the
-``_RuleKernels`` task; on the reference executor it is the join plan of
-``join_rules`` / ``extract_relevant_bytes`` / ``evaluate_signals``. The
-two must agree row for row -- order, values and value *types* -- on
+On the production executor ``interpret`` of a RuleCatalog is the
+``_RuleKernels`` task; on the reference executor, and for a catalog
+passed as a table, it is the join plan of ``join_rules`` /
+``extract_relevant_bytes`` / ``evaluate_signals``. The two must agree row for row -- order, values and value *types* -- on
 healthy traces, on payload groups of mixed lengths under all three
 ``on_short`` modes (the reference of ``test_short_payload_parity``, here
 with the order pinned and the inputs generated), and on rules the
@@ -28,7 +28,9 @@ from repro.core import (
 )
 from repro.core.interpretation import _RuleKernels
 from repro.datasets.showcase import build_showcase
-from repro.engine import EngineContext, SerialExecutor
+from repro.engine import EngineContext
+from repro.engine import plan as logical
+from repro.engine.executor import SerialExecutor
 from repro.engine.errors import EngineError
 from repro.protocols import ShortPayloadError, SignalEncoding
 from repro.protocols.signalcodec import MOTOROLA
@@ -243,15 +245,20 @@ def test_showcase_rules_through_the_scalar_fallback(tmp_path):
     )
 
 
-@pytest.mark.parametrize("strategy", ["join", "fused"])
-def test_interpretation_strategy_keeps_its_two_values(strategy):
+@pytest.mark.parametrize("spelling", ["kernels", "join"])
+def test_lines_4_to_6_keep_two_spellings(spelling):
     rows = [(0.0, bytes([1, 2, 3, 4]), "FC", 3, ())]
     context = EngineContext.serial()
     k_pre = context.table_from_rows(K_PRE_COLUMNS, rows)
-    got = interpret(k_pre, CATALOG, strategy=strategy).collect()
-    assert sorted(got, key=repr) == sorted(
-        _interpret(SerialExecutor(columnar=False), rows, 1, "raise"),
-        key=repr,
+    catalog = CATALOG if spelling == "kernels" else CATALOG.to_table(context)
+    k_s = interpret(k_pre, catalog)
+    node = k_s.plan
+    while not isinstance(node, (logical.MapPartitions, logical.Join)):
+        (node,) = node.children()
+    if spelling == "kernels":
+        assert isinstance(node.func, _RuleKernels)
+    else:
+        assert isinstance(node, logical.Join)
+    assert _typed(k_s.collect()) == _typed(
+        _interpret(SerialExecutor(columnar=False), rows, 1, "raise")
     )
-    with pytest.raises(ValueError):
-        interpret(k_pre, CATALOG, strategy="vector")

@@ -3,7 +3,8 @@
 Every executor/optimizer/layout combo of the differential oracle must
 surface a truncated frame as the same :class:`ShortPayloadError` (raise
 mode) and produce the same interpreted rows (skip/keep modes), for both
-interpretation strategies. Pre-fix, the interpreted row path raised
+spellings of lines 4-6: a RuleCatalog (``_RuleKernels`` on the
+production path) and a catalog table (the join plan). Pre-fix, the interpreted row path raised
 ``CodecError``, the compiled path ``ValueError`` and the SOME/IP path
 ``SomeIpError`` -- three spellings of one transport defect.
 """
@@ -25,6 +26,7 @@ from repro.protocols import ShortPayloadError, SignalEncoding
 from repro.testing.oracle import DEFAULT_COMBOS, REFERENCE_COMBO
 
 ALL_COMBOS = (REFERENCE_COMBO,) + DEFAULT_COMBOS
+SPELLINGS = ("kernels", "join")
 K_PRE_COLUMNS = ["t", "l", "b_id", "m_id", "m_info"]
 
 #: Two healthy 4-byte wiper frames around one truncated 1-byte frame.
@@ -50,6 +52,13 @@ def _catalog():
     ))
 
 
+def _catalog_for(spelling, ctx):
+    """A RuleCatalog runs as ``_RuleKernels`` on the production path; a
+    catalog already loaded as a table always runs the join plan."""
+    catalog = _catalog()
+    return catalog if spelling == "kernels" else catalog.to_table(ctx)
+
+
 def _short_payload_cause(exc):
     """Walk an engine error's cause chain to the ShortPayloadError."""
     seen = set()
@@ -67,25 +76,22 @@ def _run_all_modes(combo):
     executor = combo.build(3)
     try:
         ctx = EngineContext(executor)
-        catalog = _catalog()
-        for strategy in ("join", "fused"):
+        for spelling in SPELLINGS:
+            catalog = _catalog_for(spelling, ctx)
             k_pre = ctx.table_from_rows(K_PRE_COLUMNS, list(ROWS))
             with pytest.raises((ShortPayloadError, EngineError)) as info:
-                interpret(
-                    k_pre, catalog, context=ctx, strategy=strategy,
-                ).collect()
+                interpret(k_pre, catalog, context=ctx).collect()
             cause = (
                 info.value
                 if isinstance(info.value, ShortPayloadError)
                 else _short_payload_cause(info.value)
             )
-            out["raise", strategy] = cause
+            out["raise", spelling] = cause
             for mode in ("skip", "keep"):
                 rows = interpret(
-                    k_pre, catalog, context=ctx, strategy=strategy,
-                    on_short=mode,
+                    k_pre, catalog, context=ctx, on_short=mode
                 ).collect()
-                out[mode, strategy] = sorted(rows, key=repr)
+                out[mode, spelling] = sorted(rows, key=repr)
     finally:
         executor.close()
     return out
@@ -101,32 +107,34 @@ def reference():
 )
 def test_combo_matches_reference(combo, reference):
     observed = _run_all_modes(combo)
-    for strategy in ("join", "fused"):
-        ref_error = reference["raise", strategy]
-        got_error = observed["raise", strategy]
+    for spelling in SPELLINGS:
+        ref_error = reference["raise", spelling]
+        got_error = observed["raise", spelling]
         assert isinstance(ref_error, ShortPayloadError)
         assert isinstance(got_error, ShortPayloadError), (
-            "{}: {} strategy surfaced no ShortPayloadError".format(
-                combo.name, strategy
+            "{}: the {} spelling surfaced no ShortPayloadError".format(
+                combo.name, spelling
             )
         )
         assert str(got_error) == str(ref_error)
         for mode in ("skip", "keep"):
-            assert observed[mode, strategy] == reference[mode, strategy]
+            assert observed[mode, spelling] == reference[mode, spelling]
 
 
 def test_reference_modes_are_substantive(reference):
-    for strategy in ("join", "fused"):
+    for spelling in SPELLINGS:
         # skip keeps the 2 healthy frames x 2 rules.
-        skipped = reference["skip", strategy]
+        skipped = reference["skip", spelling]
         assert len(skipped) == 4
         assert all(row[1] is not TRUNCATED for row in skipped)
         # keep adds one TRUNCATED sentinel row per (frame, rule) pair.
-        kept = reference["keep", strategy]
+        kept = reference["keep", spelling]
         assert len(kept) == 6
         assert sum(1 for row in kept if row[1] is TRUNCATED) == 2
 
 
 def test_strategies_agree_with_each_other(reference):
-    assert reference["skip", "join"] == reference["skip", "fused"]
-    assert str(reference["raise", "join"]) == str(reference["raise", "fused"])
+    assert reference["skip", "kernels"] == reference["skip", "join"]
+    assert str(reference["raise", "kernels"]) == str(
+        reference["raise", "join"]
+    )

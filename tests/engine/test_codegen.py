@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine import EngineContext, ExecutionError, apply, col, lit
+from repro.engine import EngineContext, ExecutionError, apply, col
+from repro.engine.expressions import lit
 from repro.engine.codegen import (
     CodegenError,
     clear_kernel_cache,

@@ -18,19 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    BytesColumn,
-    ColumnarPartition,
-    EngineContext,
-    as_row_partition,
-    col,
-)
+from repro.engine import BytesColumn, ColumnarPartition, EngineContext, col
+from repro.engine.columnar import as_row_partition
 from repro.engine.columnar import (
     columns_to_rows,
     compress_column,
     gather_column,
 )
 from repro.engine.errors import PlanError
+from repro.engine.executor import MultiprocessingExecutor
 
 
 def _eq_cell(left, right):
@@ -304,7 +300,7 @@ class TestEngineEquivalence:
 
     def test_multiprocessing_ships_columnar_partitions(self, rows):
         columns = ["a", "b", "c", "d", "e"]
-        with EngineContext.parallel(num_workers=2) as ctx:
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             parts = [
                 ColumnarPartition.from_rows(rows[:50], 5),
                 ColumnarPartition.from_rows(rows[50:120], 5),

@@ -1,16 +1,13 @@
-"""The columnar wide stage: the broadcast join.
+"""Wide stages fed by columnar kernels: join, repartition, split.
 
-Pins the invariant of the columnar exchange: a broadcast join fed
-columnar partitions produces exactly the row path's output, row order
-included, and falls back to the row path, counted, whenever its inputs
-are mixed-layout or a key column carries non-scalar objects or NaN
-floats. Split and repartition downstream of it are row stages.
+On the production path a narrow chain hands the next stage a columnar
+partition; every wide stage takes it as rows. Pins that the result is
+exactly the reference path's, row order included.
 """
 
 import pytest
 
 from repro.engine import EngineContext, col
-from repro.engine import executor as executor_module
 from repro.engine.executor import SerialExecutor
 
 
@@ -20,14 +17,13 @@ def _wide_ctx(**overrides):
     return EngineContext(SerialExecutor(**kwargs))
 
 
-def _fallbacks(ctx):
-    """``executor.columnar_fallbacks`` total ("") and per-reason counts."""
-    prefix = "executor.columnar_fallbacks"
-    return {
-        name[len(prefix):]: value
-        for name, value in ctx.executor.obs.counters().items()
-        if name.startswith(prefix)
-    }
+def _on_both_paths(build):
+    """``build(ctx)`` on the production and the reference executor."""
+    results = []
+    for ctx in (_wide_ctx(), _wide_ctx(columnar=False)):
+        with ctx:
+            results.append(build(ctx))
+    return results
 
 
 def _canon(rows):
@@ -70,80 +66,53 @@ class TestWidePipelineParity:
         assert outputs["wide"] == outputs["reference"]
 
     def test_broadcast_join_order_is_identical_to_row_path(self):
-        # Not just multiset equality: the columnar join scans left rows
-        # in order and appends matches exactly like the row task, so
-        # even unsorted collects agree row-for-row.
+        # Not just multiset equality: the join scans left rows in order
+        # and appends matches, so even unsorted collects agree
+        # row-for-row.
         with _wide_ctx() as wide, _wide_ctx(columnar=False) as row:
             wide_rows = _wide_pipeline(wide)[0].collect()
             row_rows = _wide_pipeline(row)[0].collect()
         assert _canon(wide_rows) == _canon(row_rows)
 
     def test_left_join_parity_with_unmatched_rows(self):
-        results = {}
-        for name, ctx in (
-            ("wide", _wide_ctx()),
-            ("reference", _wide_ctx(columnar=False)),
-        ):
-            with ctx:
-                left = ctx.table_from_rows(
-                    ["k", "v"], [(i % 9, i) for i in range(30)],
-                    num_partitions=3,
-                )
-                right = ctx.table_from_rows(
-                    ["k", "r"], _RULES, num_partitions=1
-                )
-                results[name] = _canon(
-                    left.filter(col("v") >= 0)
-                    .join(right, on=["k"], how="left")
-                    .collect()
-                )
-        assert results["wide"] == results["reference"]
-
-
-# -- counters and fallbacks ---------------------------------------------------
-
-class TestExchangeCounters:
-    def test_wide_run_counts_join_tasks_and_bytes(self):
-        with _wide_ctx() as ctx:
-            joined, groups = _wide_pipeline(ctx)
-            joined.collect()
-            for table in groups.values():
-                table.collect()
-            metrics = ctx.executor.metrics
-            assert metrics.columnar_join_tasks > 0
-            assert metrics.columnar_exchange_bytes > 0
-            # Repartition and split run on rows by design, which is not
-            # a fallback.
-            assert _fallbacks(ctx) == {"": 0}
-            counters = ctx.executor.obs.counters()
-            assert counters["executor.columnar_join_tasks"] == (
-                metrics.columnar_join_tasks
+        def left_join(ctx):
+            left = ctx.table_from_rows(
+                ["k", "v"], [(i % 9, i) for i in range(30)], num_partitions=3
             )
-            assert counters["executor.columnar_exchange_bytes"] == (
-                metrics.columnar_exchange_bytes
+            right = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
+            return _canon(
+                left.filter(col("v") >= 0)
+                .join(right, on=["k"], how="left")
+                .collect()
             )
 
-    def test_reference_path_counts_nothing(self):
-        with _wide_ctx(columnar=False) as ctx:
-            joined, _groups = _wide_pipeline(ctx)
-            joined.collect()
-            metrics = ctx.executor.metrics
-            assert metrics.columnar_join_tasks == 0
-            assert metrics.columnar_exchange_bytes == 0
+        wide, reference = _on_both_paths(left_join)
+        assert wide == reference
 
-    def test_fresh_executor_reports_zeroed_counters(self):
-        with _wide_ctx() as ctx:
-            metrics = ctx.executor.metrics
-            assert metrics.columnar_join_tasks == 0
-            assert metrics.columnar_exchange_bytes == 0
+    def test_nan_join_keys_match_reference(self):
+        # NaN probe keys are object-identity dependent in the dict join;
+        # the kernel in front of it must hand over the same cells.
+        def nan_join(ctx):
+            left = ctx.table_from_rows(
+                ["k", "v"], [(float("nan"), 1), (2.0, 2), (3.0, 3)],
+                num_partitions=1,
+            )
+            right = ctx.table_from_rows(
+                ["k", "r"], [(2.0, "a"), (3.0, "b")], num_partitions=1
+            )
+            return sorted(_canon(
+                left.filter(col("v") >= 0)
+                .join(right, on=["k"], how="inner")
+                .collect()
+            ))
 
+        wide, reference = _on_both_paths(nan_join)
+        assert wide == reference
 
-class TestRowFallbacks:
-    def test_object_typed_key_column_falls_back(self):
-        # Tuple-valued keys are outside the scalar cell set: the join
-        # must take the row path (results still correct) and count the
-        # fallback.
-        with _wide_ctx() as ctx:
+    def test_tuple_join_keys_match_reference(self):
+        # Object-typed (tuple) keys leave the kernel as cells and are
+        # hashed by the row join as they are.
+        def tuple_join(ctx):
             left = ctx.table_from_rows(
                 ["k", "v"], [((i % 3, "x"), i) for i in range(20)],
                 num_partitions=2,
@@ -152,49 +121,20 @@ class TestRowFallbacks:
                 ["k", "r"], [((i, "x"), "r{}".format(i)) for i in range(3)],
                 num_partitions=1,
             )
-            out = (
+            return _canon(
                 left.filter(col("v") >= 0)
                 .join(right, on=["k"], how="inner")
                 .collect()
             )
-            assert len(out) == 20
-            assert ctx.executor.metrics.columnar_join_tasks == 0
-            assert _fallbacks(ctx) == {"": 1, ".non_scalar_key": 1}
 
-    def test_nan_join_keys_fall_back_and_match_reference(self):
-        # NaN probe keys are object-identity dependent in the row dict
-        # join; the columnar path must refuse them rather than silently
-        # matching fresh floats differently.
-        rows = [(float("nan"), 1), (2.0, 2), (3.0, 3)]
-        results = {}
-        for name, ctx in (
-            ("wide", _wide_ctx()),
-            ("interpreted", _wide_ctx(columnar=False)),
-        ):
-            with ctx:
-                left = ctx.table_from_rows(
-                    ["k", "v"], rows, num_partitions=1
-                )
-                right = ctx.table_from_rows(
-                    ["k", "r"], [(2.0, "a"), (3.0, "b")], num_partitions=1
-                )
-                results[name] = sorted(
-                    _canon(
-                        left.filter(col("v") >= 0)
-                        .join(right, on=["k"], how="inner")
-                        .collect()
-                    )
-                )
-                if name == "wide":
-                    assert ctx.executor.metrics.columnar_join_tasks == 0
-                    assert _fallbacks(ctx) == {"": 1, ".nan_key": 1}
-        assert results["wide"] == results["interpreted"]
+        wide, reference = _on_both_paths(tuple_join)
+        assert len(wide) == 20
+        assert wide == reference
 
-    def test_mixed_layout_join_falls_back(self):
-        with _wide_ctx() as ctx:
-            # A union of a columnar narrow chain and a bare row source
-            # produces mixed-layout partitions; the join must fall
-            # back whole rather than probe half columnar.
+    def test_mixed_layout_join_matches_reference(self):
+        # A union of a columnar kernel output and a bare row source hands
+        # the join mixed-layout partitions; both sides become rows.
+        def mixed_join(ctx):
             a = ctx.table_from_rows(
                 ["k", "v"], [(i % 4, i) for i in range(12)],
                 num_partitions=2,
@@ -203,46 +143,20 @@ class TestRowFallbacks:
                 ["k", "v"], [(i % 4, -i) for i in range(1, 9)],
                 num_partitions=2,
             )
-            rules = ctx.table_from_rows(
-                ["k", "r"], _RULES, num_partitions=1
+            rules = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
+            return _canon(
+                a.union(b).join(rules, on=["k"], how="inner").collect()
             )
-            out = a.union(b).join(rules, on=["k"], how="inner").collect()
-            assert len(out) == 20
-            assert ctx.executor.metrics.columnar_join_tasks == 0
-            assert _fallbacks(ctx) == {"": 1, ".mixed_layout": 1}
 
-    def test_shuffle_join_falls_back(self, monkeypatch):
-        # A right side over the broadcast threshold hash-shuffles both
-        # sides into interleaved bucket pairs, which have no columnar
-        # layout: columnar inputs are counted as a fallback.
-        monkeypatch.setattr(executor_module, "BROADCAST_THRESHOLD", 2)
-        results = {}
-        for name, ctx in (
-            ("wide", _wide_ctx()),
-            ("reference", _wide_ctx(columnar=False)),
-        ):
-            with ctx:
-                trace = ctx.table_from_rows(
-                    ["k", "g", "v"], _TRACE, num_partitions=4
-                )
-                rules = ctx.table_from_rows(
-                    ["k", "r"], _RULES, num_partitions=2
-                )
-                results[name] = sorted(_canon(
-                    trace.filter(col("v") >= 3.0)
-                    .join(rules, on=["k"], how="inner")
-                    .collect()
-                ))
-                expected = {"": 1, ".shuffle_join": 1} if name == "wide" \
-                    else {"": 0}
-                assert _fallbacks(ctx) == expected
-        assert results["wide"] == results["reference"]
+        wide, reference = _on_both_paths(mixed_join)
+        assert len(wide) == 20
+        assert wide == reference
 
 
 # -- the process-pool boundary ------------------------------------------------
 
 class TestColumnarFlow:
-    def test_multiprocessing_executor_runs_wide_columnar(self):
+    def test_multiprocessing_executor_matches_reference(self):
         pytest.importorskip("multiprocessing")
         from repro.engine.executor import MultiprocessingExecutor
 
@@ -253,7 +167,6 @@ class TestColumnarFlow:
         ) as ctx:
             joined, _groups = _wide_pipeline(ctx)
             rows = joined.collect()
-            assert ctx.executor.metrics.columnar_join_tasks > 0
         with _wide_ctx(columnar=False) as ref_ctx:
             expected = _wide_pipeline(ref_ctx)[0].collect()
         assert sorted(_canon(rows)) == sorted(_canon(expected))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import EngineContext, aggregates, col
+from repro.engine import EngineContext, col
 from repro.engine.executor import (
     MultiprocessingExecutor,
     SerialExecutor,
@@ -23,12 +23,8 @@ def _build_workload(ctx):
         trace.filter(col("v") > 2)
         .join(rules, on="m_id")
         .with_column("scaled", col("v") * col("scale"))
-        .group_by("m_id")
-        .agg(
-            ("n", aggregates.Count(), None),
-            ("total", aggregates.Sum(), "scaled"),
-        )
-        .sort("m_id")
+        .select("m_id", "t", "scaled")
+        .sort(["m_id", "t"])
     )
 
 
@@ -36,7 +32,8 @@ class TestSerialParallelEquivalence:
     def test_same_results(self):
         serial_ctx = EngineContext.serial(default_parallelism=4)
         expected = _build_workload(serial_ctx).collect()
-        with EngineContext.parallel(num_workers=2) as parallel_ctx:
+        pool = MultiprocessingExecutor(num_workers=2)
+        with EngineContext(pool) as parallel_ctx:
             actual = _build_workload(parallel_ctx).collect()
         assert actual == expected
 
@@ -47,7 +44,7 @@ class TestSerialParallelEquivalence:
 
 class TestMultiprocessingExecutor:
     def test_runs_filter_on_workers(self):
-        with EngineContext.parallel(num_workers=2) as ctx:
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             t = ctx.table_from_rows(
                 ["x"], [(i,) for i in range(1000)], num_partitions=8
             )

@@ -8,7 +8,7 @@ PicklingError from the pool internals.
 
 import pytest
 
-from repro.engine import EngineContext, aggregates, col
+from repro.engine import EngineContext, col
 from repro.engine.errors import EngineError, ExecutionError
 from repro.engine.executor import (
     MultiprocessingExecutor,
@@ -24,9 +24,8 @@ def _workload(ctx, rows=200, partitions=4):
     )
     return (
         t.filter(col("v") > 2)
-        .group_by("m")
-        .agg(("n", aggregates.Count(), None), ("mx", aggregates.Max(), "v"))
-        .sort("m")
+        .select("m", "v", "t")
+        .sort(["m", "t"])
     )
 
 
@@ -50,19 +49,19 @@ class TestWorkerAndPartitionShapes:
             assert _workload(ctx, partitions=16).collect() == expected
 
     def test_zero_row_input(self):
-        with EngineContext.parallel(num_workers=2) as ctx:
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             t = ctx.empty_table(["t", "m", "v"])
             assert t.filter(col("v") > 0).collect() == []
             assert t.count() == 0
 
-    def test_zero_row_groupby_and_sort(self):
-        with EngineContext.parallel(num_workers=2) as ctx:
+    def test_zero_row_filter_and_sort(self):
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             out = _workload(ctx, rows=0)
             assert out.collect() == []
 
     def test_empty_partitions_among_full_ones(self):
         layout = [[], [(1.0, 0, 5)], [], [(2.0, 1, 6), (3.0, 2, 7)], []]
-        with EngineContext.parallel(num_workers=2) as ctx:
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             t = ctx.table_from_partitions(["t", "m", "v"], layout)
             assert t.filter(col("v") > 5).count() == 2
 
@@ -116,7 +115,7 @@ class TestPicklingFailurePath:
             captured.append(rows)
             return rows
 
-        with EngineContext.parallel(num_workers=2) as ctx:
+        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
             t = ctx.table_from_rows(
                 ["x"], [(i,) for i in range(40)], num_partitions=4
             )

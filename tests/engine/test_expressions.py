@@ -4,8 +4,10 @@ import pickle
 
 import pytest
 
-from repro.engine import Schema, SchemaError, col, lit
-from repro.engine.expressions import apply, row_apply
+from repro.engine import Schema, col
+from repro.engine.errors import SchemaError
+from repro.engine.expressions import lit
+from repro.engine.expressions import apply
 
 SCHEMA = Schema.of("t", "m_id", "b_id")
 ROW = (2.5, 3, "FC")
@@ -85,10 +87,6 @@ def _double(x):
     return 2 * x
 
 
-def _sum_row(d):
-    return d["t"] + d["m_id"]
-
-
 class TestApply:
     def test_apply_positional_columns(self):
         assert evaluate(apply(_double, "m_id")) == 6
@@ -98,9 +96,6 @@ class TestApply:
             return a - b
 
         assert evaluate(apply(diff, "t", "m_id")) == -0.5
-
-    def test_row_apply_gets_dict(self):
-        assert evaluate(row_apply(_sum_row)) == 5.5
 
 
 class TestPicklability:

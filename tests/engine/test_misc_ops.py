@@ -1,108 +1,6 @@
-"""distinct / limit / explain."""
+"""explain: the logical plan rendered for a human."""
 
-import pytest
-
-from repro.engine import PlanError, col
-
-
-class TestDistinct:
-    def test_removes_exact_duplicates(self, ctx):
-        t = ctx.table_from_rows(["a", "b"], [(1, 2), (1, 2), (3, 4)])
-        assert sorted(t.distinct().collect()) == [(1, 2), (3, 4)]
-
-    def test_distinct_across_partitions(self, ctx):
-        t = ctx.table_from_rows(
-            ["x"], [(i % 5,) for i in range(100)], num_partitions=8
-        )
-        assert t.distinct().count() == 5
-
-    def test_no_duplicates_untouched(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,), (2,), (3,)])
-        assert sorted(t.distinct().collect()) == [(1,), (2,), (3,)]
-
-    def test_distinct_composes_with_filter(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,), (1,), (2,), (2,)])
-        assert t.distinct().filter(col("x") > 1).collect() == [(2,)]
-
-
-class TestLimit:
-    def test_limit_caps_rows(self, ctx):
-        t = ctx.table_from_rows(["x"], [(i,) for i in range(50)])
-        assert t.limit(10).count() == 10
-
-    def test_limit_larger_than_table(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,), (2,)])
-        assert t.limit(99).count() == 2
-
-    def test_limit_zero(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,)])
-        assert t.limit(0).count() == 0
-
-    def test_limit_preserves_order_after_sort(self, ctx):
-        t = ctx.table_from_rows(["x"], [(3,), (1,), (2,)])
-        assert t.sort("x").limit(2).collect() == [(1,), (2,)]
-
-    def test_negative_limit_rejected(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,)])
-        with pytest.raises(PlanError):
-            t.limit(-1)
-
-    def test_limit_is_lazy(self, ctx):
-        # Regression: limit used to collect() eagerly at plan-build
-        # time. Now it only adds a Limit plan node; nothing runs until
-        # an action is called.
-        from repro.engine import plan as logical
-
-        t = ctx.table_from_rows(["x"], [(i,) for i in range(9)])
-        limited = t.limit(3)
-        assert isinstance(limited._plan, logical.Limit)
-        assert ctx.executor.metrics.tasks_run == 0
-
-    def test_limit_preserves_partition_structure(self, ctx):
-        # Regression: the eager limit collapsed everything into a single
-        # partition; the lazy node truncates partitions left to right
-        # and keeps the partition count.
-        t = ctx.table_from_rows(["x"], [(i,) for i in range(9)])
-        assert t.limit(4).collect_partitions() == [
-            [(0,), (1,), (2,)], [(3,)], [],
-        ]
-
-    def test_limit_composes_lazily_with_filter(self, ctx):
-        t = ctx.table_from_rows(["x"], [(i,) for i in range(20)])
-        assert t.limit(10).filter(col("x") >= 5).collect() == [
-            (5,), (6,), (7,), (8,), (9,),
-        ]
-
-
-class TestDescribe:
-    def test_numeric_column_stats(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,), (2,), (3,), (2,)])
-        stats = t.describe("x")["x"]
-        assert stats["count"] == 4
-        assert stats["distinct"] == 3
-        assert stats["min"] == 1
-        assert stats["max"] == 3
-        assert stats["mean"] == 2.0
-
-    def test_null_counting(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1,), (None,), (3,)])
-        stats = t.describe("x")["x"]
-        assert stats["nulls"] == 1
-        assert stats["count"] == 3
-
-    def test_string_column_has_no_numeric_stats(self, ctx):
-        t = ctx.table_from_rows(["s"], [("a",), ("b",)])
-        stats = t.describe()["s"]
-        assert "mean" not in stats
-        assert stats["distinct"] == 2
-
-    def test_mixed_column_has_no_numeric_stats(self, ctx):
-        t = ctx.table_from_rows(["v"], [(1,), ("x",)])
-        assert "mean" not in t.describe("v")["v"]
-
-    def test_all_columns_by_default(self, ctx):
-        t = ctx.table_from_rows(["a", "b"], [(1, "x")])
-        assert set(t.describe()) == {"a", "b"}
+from repro.engine import col
 
 
 class TestExplain:

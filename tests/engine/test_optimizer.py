@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineContext, col
 from repro.engine import plan as logical
-from repro.engine.expressions import BoundAnd, BoundColumn, apply, row_apply
+from repro.engine.expressions import BoundAnd, BoundColumn, apply
 from repro.engine.optimizer import (
     ComposedApply,
     optimize,
@@ -58,15 +58,6 @@ class TestProjectFusion:
         assert isinstance(optimized, logical.Project)
         assert isinstance(optimized.child, logical.Source)
         assert sorted(out.collect()) == [(2 * i,) for i in range(20)]
-
-    def test_row_apply_composes(self, table):
-        out = table.select("a", "b").with_column(
-            "s", row_apply(_sum_ab)
-        )
-        assert [r[2] for r in out.sort("a").collect()] == [
-            3 * i for i in range(20)
-        ]
-
 
 class TestFilterPushdown:
     def test_filter_moves_below_pure_projection(self, table):
@@ -179,7 +170,3 @@ def _eval_node(node):
             tuple(e(r) for e in node.exprs) for r in _eval_node(node.child)
         ]
     raise AssertionError("unexpected node in property test")
-
-
-def _sum_ab(row):
-    return row["a"] + row["b"]

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import EngineContext, aggregates, col
+from repro.engine import EngineContext, col
 from repro.engine.operations import split_evenly
 
 rows_strategy = st.lists(
@@ -46,20 +46,6 @@ def test_sort_is_total_and_stable_multiset(rows, parts):
     _ctx, t = make_table(rows, parts)
     out = t.sort(["k", "v"]).collect()
     assert out == sorted(rows)
-
-
-@given(rows=rows_strategy, parts=partitions_strategy)
-@settings(max_examples=60, deadline=None)
-def test_group_by_sum_matches_reference(rows, parts):
-    _ctx, t = make_table(rows, parts)
-    got = dict(
-        (k, s)
-        for k, s in t.group_by("k").agg(("s", aggregates.Sum(), "v")).collect()
-    )
-    expected = {}
-    for k, v in rows:
-        expected[k] = expected.get(k, 0) + v
-    assert got == expected
 
 
 @given(

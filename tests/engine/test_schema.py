@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Schema, SchemaError
+from repro.engine import Schema
+from repro.engine.errors import SchemaError
 from repro.engine.schema import ANY, FLOAT, Field
 
 
@@ -75,14 +76,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema.of("a").append("a")
 
-    def test_rename(self):
-        schema = Schema.of("a", "b").rename({"a": "x"})
-        assert schema.names == ("x", "b")
-
-    def test_rename_unknown_raises(self):
-        with pytest.raises(SchemaError):
-            Schema.of("a").rename({"z": "y"})
-
     def test_concat(self):
         schema = Schema.of("a").concat(Schema.of("b"))
         assert schema.names == ("a", "b")
@@ -91,6 +84,3 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema.of("a").concat(Schema.of("a"))
 
-    def test_row_as_dict(self):
-        schema = Schema.of("a", "b")
-        assert schema.row_as_dict((1, 2)) == {"a": 1, "b": 2}

@@ -4,8 +4,8 @@
 interpreter run and worker process: the builtin :func:`hash` is salted
 per run for strings (``PYTHONHASHSEED``), which silently broke that
 contract for string shuffle keys. The regression test here runs the
-same group-by under two different hash seeds in subprocesses and
-demands byte-identical output.
+same keyed repartition under two different hash seeds in subprocesses
+and demands byte-identical partitions.
 """
 
 import math
@@ -26,7 +26,8 @@ NAN = float("nan")
 
 class TestStableHash:
     def test_equal_values_hash_equal_across_numeric_types(self):
-        # Bucket joins rely on hash(k1) == hash(k2) whenever k1 == k2.
+        # Keyed repartitions rely on hash(k1) == hash(k2) whenever
+        # k1 == k2.
         assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
         assert stable_hash(0) == stable_hash(0.0) == stable_hash(False)
         assert stable_hash((1, "a")) == stable_hash((1.0, "a"))
@@ -58,30 +59,29 @@ class TestStableHash:
             assert len(keys) == 1
 
 
-_GROUPBY_SCRIPT = """
+_REPARTITION_SCRIPT = """
 import sys
-from repro.engine import EngineContext, aggregates, col
+from repro.engine import EngineContext
 from repro.engine.executor import SerialExecutor
 
 rows = [("id%d" % (i % 17), i % 5, float(i)) for i in range(500)]
 with SerialExecutor(default_parallelism=7) as executor:
     ctx = EngineContext(executor)
     t = ctx.table_from_rows(["name", "m", "v"], rows)
-    out = t.group_by("name", "m").agg(
-        ("total", aggregates.Sum(), "v")
-    ).collect()
-for row in out:
-    sys.stdout.write(repr(row) + "\\n")
+    out = t.repartition(7, keys=["name", "m"])
+    partitions = out.collect_partitions()
+for partition in partitions:
+    sys.stdout.write(repr(partition) + "\\n")
 """
 
 
 class TestHashSeedRegression:
     @pytest.mark.parametrize("seeds", [("0", "1"), ("0", "12345")])
-    def test_group_by_identical_across_hash_seeds(self, seeds):
+    def test_keyed_repartition_identical_across_hash_seeds(self, seeds):
         outputs = []
         for seed in seeds:
             proc = subprocess.run(
-                [sys.executable, "-c", _GROUPBY_SCRIPT],
+                [sys.executable, "-c", _REPARTITION_SCRIPT],
                 capture_output=True, text=True,
                 env={"PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
                 cwd="/root/repo",
@@ -89,7 +89,7 @@ class TestHashSeedRegression:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert outputs[0].count("\n") == 17 * 5
+        assert outputs[0].count("\n") == 7
 
     def test_hash_partition_layout_identical_across_hash_seeds(self):
         script = (

@@ -4,13 +4,9 @@ from collections import Counter
 
 import pytest
 
-from repro.engine import (
-    EngineContext,
-    FaultPolicy,
-    SchemaError,
-    SerialExecutor,
-    col,
-)
+from repro.engine import EngineContext, col
+from repro.engine.executor import FaultPolicy, SerialExecutor
+from repro.engine.errors import SchemaError
 from repro.engine import plan as logical
 from repro.engine.optimizer import optimize
 from repro.testing.generator import build_table, generate_case

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import EngineContext, PlanError, SchemaError, col
+from repro.engine import PlanError, col
+from repro.engine.errors import SchemaError
 from repro.engine.expressions import apply
 
 
@@ -17,12 +18,6 @@ def table(ctx):
 class TestConstruction:
     def test_from_rows_counts(self, table):
         assert table.count() == 30
-
-    def test_from_dicts(self, ctx):
-        t = ctx.table_from_dicts(
-            [{"a": 1, "b": 2}, {"a": 3, "b": 4}], columns=["b", "a"]
-        )
-        assert t.collect() == [(2, 1), (4, 3)]
 
     def test_from_rows_respects_partition_count(self, ctx):
         t = ctx.table_from_rows(["x"], [(i,) for i in range(10)], num_partitions=4)
@@ -57,30 +52,19 @@ class TestNarrowOps:
         out = table.filter(col("m_id") == 0).filter(col("b_id") == "BC")
         assert out.count() == 5
 
-    def test_where_alias(self, table):
-        assert table.where(col("t") < 5).count() == 5
-
     def test_select_projects_and_reorders(self, table):
         out = table.select("b_id", "t")
         assert out.columns == ["b_id", "t"]
-        assert out.first() == ("BC", 0.0)
-
-    def test_drop(self, table):
-        assert table.drop("m_id").columns == ["t", "b_id"]
-
-    def test_rename(self, table):
-        out = table.rename({"m_id": "message"})
-        assert out.columns == ["t", "message", "b_id"]
-        assert out.filter(col("message") == 1).count() == 10
+        assert out.collect()[0] == ("BC", 0.0)
 
     def test_with_column_appends(self, table):
         out = table.with_column("t2", col("t") * 2)
         assert out.columns[-1] == "t2"
-        assert out.first()[-1] == 0.0
+        assert out.collect()[0][-1] == 0.0
 
     def test_with_column_replaces_existing(self, table):
         out = table.with_column("t", col("t") + 100)
-        assert out.first()[0] == 100.0
+        assert out.collect()[0][0] == 100.0
         assert out.columns == table.columns
 
     def test_with_column_requires_expression(self, table):
@@ -97,19 +81,25 @@ class TestNarrowOps:
         assert out.columns == table.columns
         assert out.count() <= 2 * len(table.collect_partitions())
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda t: t.filter(col("nope") == 1), id="filter"),
+        pytest.param(lambda t: t.select("t", "nope"), id="select"),
+        pytest.param(lambda t: t.with_column("x", col("nope")),
+                     id="with_column"),
+        pytest.param(lambda t: t.sort(["t", "nope"]), id="sort"),
+        pytest.param(lambda t: t.repartition(2, keys="nope"),
+                     id="repartition"),
+    ])
+    def test_unknown_column_raises_at_plan_time(self, table, build):
+        with pytest.raises(SchemaError, match="nope"):
+            build(table)
+
 
 class TestActions:
     def test_collect_returns_tuples(self, table):
         rows = table.collect()
         assert isinstance(rows[0], tuple)
         assert len(rows) == 30
-
-    def test_to_dicts(self, table):
-        d = table.to_dicts()[0]
-        assert set(d) == {"t", "m_id", "b_id"}
-
-    def test_first_on_empty_is_none(self, ctx):
-        assert ctx.empty_table(["a"]).first() is None
 
     def test_cache_materializes(self, table):
         cached = table.filter(col("m_id") == 1).cache()
@@ -123,6 +113,24 @@ class TestActions:
         values = table.column_values("m_id")
         assert sorted(set(values)) == [0, 1, 2]
 
+    def test_column_values_of_empty_table(self, ctx):
+        assert ctx.empty_table(["a"]).column_values("a") == []
+
+    def test_cache_keeps_partitioning(self, table):
+        derived = table.filter(col("m_id") != 2)
+        assert (
+            derived.cache().collect_partitions()
+            == derived.collect_partitions()
+        )
+
+    def test_count_agrees_with_collect_after_flat_map(self, ctx):
+        t = ctx.table_from_rows(["x"], [(i,) for i in range(9)])
+        out = t.flat_map(_keep_even_twice, ["x", "copy"])
+        assert out.count() == len(out.collect()) == 10
+
+    def test_repr_lists_columns(self, table):
+        assert repr(table) == "Table(t, m_id, b_id)"
+
 
 class TestUnion:
     def test_union_concatenates(self, ctx):
@@ -133,6 +141,28 @@ class TestUnion:
     def test_union_schema_mismatch_raises(self, ctx):
         a = ctx.table_from_rows(["x"], [(1,)])
         b = ctx.table_from_rows(["y"], [(2,)])
+        with pytest.raises(SchemaError):
+            a.union(b)
+
+    def test_union_is_left_then_right_partitions(self, ctx):
+        a = ctx.table_from_rows(["x"], [(i,) for i in range(5)])
+        b = ctx.table_from_rows(
+            ["x"], [(i,) for i in range(10, 14)], num_partitions=2
+        )
+        out = a.union(b)
+        assert out.collect_partitions() == (
+            a.collect_partitions() + b.collect_partitions()
+        )
+
+    def test_union_with_empty_table(self, ctx):
+        a = ctx.table_from_rows(["x", "y"], [(1, "a"), (2, "b")])
+        empty = ctx.empty_table(["x", "y"])
+        assert empty.union(a).collect() == a.collect()
+        assert a.union(empty).collect() == a.collect()
+
+    def test_union_column_order_must_match(self, ctx):
+        a = ctx.table_from_rows(["x", "y"], [(1, 2)])
+        b = ctx.table_from_rows(["y", "x"], [(2, 1)])
         with pytest.raises(SchemaError):
             a.union(b)
 
@@ -157,6 +187,14 @@ class TestSort:
         with pytest.raises(PlanError):
             table.sort(["t"], ascending=[True, False])
 
+    def test_sort_keeps_input_order_within_ties(self, ctx):
+        t = ctx.table_from_rows(["k", "i"], [(i % 2, i) for i in range(20)])
+        out = t.sort("k").collect()
+        assert out == sorted(t.collect(), key=lambda row: row[0])
+
+    def test_sort_of_empty_table(self, ctx):
+        assert ctx.empty_table(["t"]).sort("t").collect() == []
+
 
 class TestRepartition:
     def test_repartition_changes_partition_count(self, table):
@@ -175,9 +213,18 @@ class TestRepartition:
                 local = sum(1 for r in part if r[1] == key)
                 assert total == local
 
+    def test_repartition_to_one_keeps_every_row(self, table):
+        parts = table.repartition(1).collect_partitions()
+        assert len(parts) == 1
+        assert sorted(parts[0]) == sorted(table.collect())
+
 
 def _duplicate_row(row):
     return [(row[0], 0), (row[0], 1)]
+
+
+def _keep_even_twice(row):
+    return [(row[0], 0), (row[0], 1)] if row[0] % 2 == 0 else []
 
 
 def _take_first_two(rows):

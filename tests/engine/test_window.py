@@ -1,114 +1,12 @@
-"""Windowed operators: lag, gap, dedup, forward-fill."""
+"""Forward fill: the windowed operator the state representation issues."""
 
-import pytest
-
-from repro.engine import (
-    drop_consecutive_duplicates,
-    forward_fill,
-    with_gap,
-    with_lag,
-)
+from repro.engine.window import ForwardFill
 
 
-@pytest.fixture
-def series(ctx):
-    return ctx.table_from_rows(
-        ["t", "s_id", "v"],
-        [
-            (1.0, "a", 10),
-            (2.0, "a", 10),
-            (3.0, "a", 12),
-            (1.5, "b", 5),
-            (2.5, "b", 5),
-        ],
-        num_partitions=3,
-    )
-
-
-class TestLag:
-    def test_lag_adds_column(self, series):
-        out = with_lag(series, "t", "v", "v_prev", group_by="s_id")
-        assert out.columns == ["t", "s_id", "v", "v_prev"]
-
-    def test_lag_values_per_group(self, series):
-        out = with_lag(series, "t", "v", "v_prev", group_by="s_id")
-        rows = {(r[1], r[0]): r[3] for r in out.collect()}
-        assert rows[("a", 1.0)] is None  # group start
-        assert rows[("a", 2.0)] == 10
-        assert rows[("a", 3.0)] == 10
-        assert rows[("b", 1.5)] is None
-        assert rows[("b", 2.5)] == 5
-
-    def test_lag_without_groups_spans_everything(self, ctx):
-        t = ctx.table_from_rows(["t", "v"], [(1.0, "x"), (2.0, "y")])
-        out = with_lag(t, "t", "v", "prev")
-        assert out.sort("t").collect() == [
-            (1.0, "x", None),
-            (2.0, "y", "x"),
-        ]
-
-    def test_lag_default_value(self, ctx):
-        t = ctx.table_from_rows(["t", "v"], [(1.0, 5)])
-        out = with_lag(t, "t", "v", "prev", default=-1)
-        assert out.collect() == [(1.0, 5, -1)]
-
-    def test_lag_crosses_partition_boundaries(self, ctx):
-        t = ctx.table_from_rows(
-            ["t", "v"], [(float(i), i) for i in range(20)], num_partitions=5
-        )
-        out = with_lag(t, "t", "v", "prev").sort("t").collect()
-        assert all(r[2] == r[1] - 1 for r in out[1:])
-
-
-class TestGap:
-    def test_gap_is_time_difference(self, series):
-        out = with_gap(series, "t", "t", "dt", group_by="s_id")
-        rows = {(r[1], r[0]): r[3] for r in out.collect()}
-        assert rows[("a", 2.0)] == 1.0
-        assert rows[("b", 2.5)] == 1.0
-        assert rows[("a", 1.0)] is None
-
-    def test_gap_matches_paper_table2_shape(self, ctx):
-        """Table 2: wposGap values between consecutive wpos instances."""
-        t = ctx.table_from_rows(
-            ["t", "s_id"], [(2.0, "wpos"), (2.5, "wpos"), (2.9, "wpos")]
-        )
-        out = with_gap(t, "t", "t", "wposGap").sort("t").collect()
-        gaps = [r[2] for r in out]
-        assert gaps[0] is None
-        assert gaps[1] == 0.5
-        assert gaps[2] == pytest.approx(0.4)
-
-
-class TestDropConsecutiveDuplicates:
-    def test_removes_repeats_only(self, ctx):
-        t = ctx.table_from_rows(
-            ["t", "v"], [(1, 5), (2, 5), (3, 6), (4, 6), (5, 5)]
-        )
-        out = drop_consecutive_duplicates(t, "t", "v").collect()
-        assert out == [(1, 5), (3, 6), (5, 5)]
-
-    def test_grouped_dedup_does_not_cross_groups(self, ctx):
-        t = ctx.table_from_rows(
-            ["t", "s_id", "v"],
-            [(1, "a", 5), (2, "b", 5), (3, "a", 5), (4, "b", 5)],
-        )
-        out = drop_consecutive_duplicates(t, "t", "v", group_by="s_id")
-        # Within each group the second 5 is a repeat; across groups not.
-        assert sorted(out.collect()) == [(1, "a", 5), (2, "b", 5)]
-
-    def test_dedup_across_partitions(self, ctx):
-        t = ctx.table_from_rows(
-            ["t", "v"], [(float(i), 7) for i in range(50)], num_partitions=7
-        )
-        assert drop_consecutive_duplicates(t, "t", "v").count() == 1
-
-    def test_multi_column_compare(self, ctx):
-        t = ctx.table_from_rows(
-            ["t", "v", "w"], [(1, 5, 1), (2, 5, 2), (3, 5, 2)]
-        )
-        out = drop_consecutive_duplicates(t, "t", ["v", "w"]).collect()
-        assert out == [(1, 5, 1), (2, 5, 2)]
+def _forward_fill(table, order_by, columns):
+    ordered = table.sort([order_by])
+    fill = ForwardFill(tuple(ordered.schema.index_of(c) for c in columns))
+    return ordered.sorted_map_partitions(fill, carry_rows=100_000)
 
 
 class TestForwardFill:
@@ -117,17 +15,55 @@ class TestForwardFill:
             ["t", "a", "b"],
             [(1, "x", None), (2, None, "y"), (3, None, None)],
         )
-        out = forward_fill(t, "t", ["a", "b"]).collect()
+        out = _forward_fill(t, "t", ["a", "b"]).collect()
         assert out == [(1, "x", None), (2, "x", "y"), (3, "x", "y")]
 
     def test_leading_none_stays_none(self, ctx):
         t = ctx.table_from_rows(["t", "a"], [(1, None), (2, "v")])
-        out = forward_fill(t, "t", ["a"]).collect()
+        out = _forward_fill(t, "t", ["a"]).collect()
         assert out[0][1] is None
 
     def test_fill_respects_sort_order(self, ctx):
         t = ctx.table_from_rows(
             ["t", "a"], [(3, None), (1, "first"), (2, None)]
         )
-        out = forward_fill(t, "t", ["a"]).collect()
+        out = _forward_fill(t, "t", ["a"]).collect()
         assert [r[1] for r in out] == ["first", "first", "first"]
+
+    def test_later_value_replaces_earlier(self, ctx):
+        t = ctx.table_from_rows(
+            ["t", "a"], [(1, "x"), (2, None), (3, "y"), (4, None)],
+            num_partitions=2,
+        )
+        out = _forward_fill(t, "t", ["a"]).collect()
+        assert [r[1] for r in out] == ["x", "x", "y", "y"]
+
+
+class TestForwardFillFunction:
+    """The partition function on its own: what the carry contributes."""
+
+    def test_carry_seeds_the_partition(self):
+        fill = ForwardFill((1,))
+        assert fill([(3, None)], [(1, "a"), (2, "b")]) == [(3, "b")]
+
+    def test_none_in_carry_keeps_the_earlier_value(self):
+        fill = ForwardFill((1,))
+        assert fill([(3, None)], [(1, "a"), (2, None)]) == [(3, "a")]
+
+    def test_columns_fill_independently(self):
+        fill = ForwardFill((1, 2))
+        out = fill([(2, None, "q"), (3, None, None)], [(1, "p", None)])
+        assert out == [(2, "p", "q"), (3, "p", "q")]
+
+    def test_unlisted_columns_stay_none(self):
+        fill = ForwardFill((1,))
+        out = fill([(1, "a", "u"), (2, None, None)], [])
+        assert out == [(1, "a", "u"), (2, "a", None)]
+
+    def test_falsy_values_are_not_missing(self):
+        fill = ForwardFill((1,))
+        out = fill([(1, 5), (2, 0), (3, None), (4, False), (5, None)], [])
+        assert out == [(1, 5), (2, 0), (3, 0), (4, False), (5, False)]
+
+    def test_empty_partition_yields_no_rows(self):
+        assert ForwardFill((1,))([], [(1, "a")]) == []

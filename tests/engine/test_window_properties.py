@@ -1,83 +1,12 @@
-"""Property-based tests for the windowed operators."""
+"""Property-based test for the forward-fill window."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    EngineContext,
-    drop_consecutive_duplicates,
-    forward_fill,
-    with_gap,
-    with_lag,
-)
-
-series_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),  # group
-        st.integers(min_value=0, max_value=4),  # value
-    ),
-    max_size=50,
-)
+from repro.engine import EngineContext
+from repro.engine.window import ForwardFill
 
 partitions_strategy = st.integers(min_value=1, max_value=5)
-
-
-def make_table(rows, parts):
-    ctx = EngineContext.serial(default_parallelism=3)
-    stamped = [(float(i), g, v) for i, (g, v) in enumerate(rows)]
-    return ctx, ctx.table_from_rows(
-        ["t", "g", "v"], stamped, num_partitions=parts
-    ), stamped
-
-
-@given(rows=series_strategy, parts=partitions_strategy)
-@settings(max_examples=60, deadline=None)
-def test_lag_matches_reference(rows, parts):
-    _ctx, table, stamped = make_table(rows, parts)
-    out = with_lag(table, "t", "v", "prev", group_by="g")
-    got = {r[0]: r[3] for r in out.collect()}
-    last_by_group = {}
-    for t, g, v in sorted(stamped):
-        assert got[t] == last_by_group.get(g)
-        last_by_group[g] = v
-
-
-@given(rows=series_strategy, parts=partitions_strategy)
-@settings(max_examples=60, deadline=None)
-def test_gap_is_nonnegative_and_sums_to_span(rows, parts):
-    _ctx, table, stamped = make_table(rows, parts)
-    out = with_gap(table, "t", "t", "dt").sort("t").collect()
-    gaps = [r[3] for r in out]
-    if not out:
-        return
-    assert gaps[0] is None
-    assert all(g >= 0 for g in gaps[1:])
-    assert sum(gaps[1:]) == out[-1][0] - out[0][0]
-
-
-@given(rows=series_strategy, parts=partitions_strategy)
-@settings(max_examples=60, deadline=None)
-def test_dedup_never_has_adjacent_equal_values(rows, parts):
-    _ctx, table, _stamped = make_table(rows, parts)
-    out = drop_consecutive_duplicates(table, "t", "v", group_by="g")
-    per_group = {}
-    for t, g, v in sorted(out.collect()):
-        per_group.setdefault(g, []).append(v)
-    for values in per_group.values():
-        assert all(a != b for a, b in zip(values, values[1:]))
-
-
-@given(rows=series_strategy, parts=partitions_strategy)
-@settings(max_examples=60, deadline=None)
-def test_dedup_preserves_change_points(rows, parts):
-    _ctx, table, stamped = make_table(rows, parts)
-    out = drop_consecutive_duplicates(table, "t", "v", group_by="g")
-    kept = {r[0] for r in out.collect()}
-    last_by_group = {}
-    for t, g, v in sorted(stamped):
-        if last_by_group.get(g) != v:
-            assert t in kept
-        last_by_group[g] = v
 
 
 @given(
@@ -92,7 +21,12 @@ def test_forward_fill_matches_reference(rows, parts):
     ctx = EngineContext.serial()
     stamped = [(float(i), v) for i, v in enumerate(rows)]
     table = ctx.table_from_rows(["t", "v"], stamped, num_partitions=parts)
-    out = forward_fill(table, "t", ["v"]).sort("t").collect()
+    out = (
+        table.sort(["t"])
+        .sorted_map_partitions(ForwardFill((1,)), carry_rows=100_000)
+        .sort("t")
+        .collect()
+    )
     last = None
     for (t, v), (_t_in, v_in) in zip(out, sorted(stamped)):
         if v_in is not None:

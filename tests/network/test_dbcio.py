@@ -202,3 +202,22 @@ class TestParsing:
         signal = db.message("CAN1", 5).signal("speed")
         assert signal.kind == "validity"
         assert signal.comment == "qa"
+
+    def test_repeated_message_id_rejected_naming_both_lines(self):
+        text = self.MINIMAL + "\nBO_ 5 SPEED_COPY: 1 ECU"
+        with pytest.raises(DbcError, match="BO_ 5 on line 5 .* of line 3"):
+            loads_database(text)
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", "1e3"])
+    def test_bad_cycle_time_rejected_with_its_line(self, value):
+        text = self.MINIMAL + '\nBA_ "GenMsgCycleTime" BO_ 5 {};'.format(
+            value
+        )
+        with pytest.raises(
+            DbcError, match="GenMsgCycleTime '{}' on line 5".format(value)
+        ):
+            loads_database(text)
+
+    def test_zero_cycle_time_means_none(self):
+        text = self.MINIMAL + '\nBA_ "GenMsgCycleTime" BO_ 5 0;'
+        assert loads_database(text).message("CAN1", 5).cycle_time is None

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.core.test_params import malformed_documents
 
 
 def run_cli(*argv):
@@ -160,6 +161,24 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: params:") and key in err
+
+    @pytest.mark.parametrize("document, named", [
+        pytest.param(document, named, id=case)
+        for case, document, named in malformed_documents("syn_num_000")
+    ])
+    def test_malformed_params_are_one_error_line(
+        self, trace_file, tmp_path, capsys, document, named
+    ):
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps(document))
+        code, out = run_cli(
+            "pipeline", "--dataset", "SYN", "--trace", str(trace_file),
+            "--params", str(params_path),
+        )
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: params:") and named in err
 
 
 class TestProfile:
@@ -376,6 +395,26 @@ class TestDbcDiff:
             "error: dbc: database file {!r} is invalid: SG_ scale 'nan' on "
             "line 2 is not a finite number\n".format(str(bad))
         )
+
+    def test_repeated_message_id_is_one_dbc_error_line(
+        self, truth_dir, tmp_path, capsys
+    ):
+        bad = tmp_path / "twice.dbc"
+        bad.write_text(
+            'BO_ 5 SPEED: 2 ECU\n'
+            ' SG_ s : 0|8@1+ (1,0) [0|255] "" Vector__XXX\n'
+            'BO_ 5 SPEED_COPY: 1 ECU\n'
+        )
+        code, out = run_cli(
+            "dbc", "diff",
+            "--actual", str(truth_dir / "syn_FC.dbc"),
+            "--recovered", str(bad),
+        )
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: dbc: database file") and \
+            "BO_ 5 on line 3 repeats the message id of line 1" in err
 
 
 @pytest.mark.parametrize("suffix", [".trc", ".btrc", ".ctrc"])

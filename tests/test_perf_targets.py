@@ -19,20 +19,25 @@ replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
 order through) and the ``m_info`` TLV codec single-copy in ``binlog``;
 the ones after them keep the stream path at one ``queue.put`` per chunk,
 one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
-and no scan of the pending windows per frame.
+and no scan of the pending windows per frame. The final guard keeps the
+engine at what the program issues: every public ``Table`` method,
+``EngineContext`` constructor and ``repro.engine`` export has a caller
+outside the engine.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-CORE = ROOT / "src" / "repro" / "core"
-ENGINE = ROOT / "src" / "repro" / "engine"
+SRC = ROOT / "src" / "repro"
+CORE = SRC / "core"
+ENGINE = SRC / "engine"
 STREAM = ROOT / "src" / "repro" / "stream"
 TRACEFILE = ROOT / "src" / "repro" / "tracefile"
 
@@ -177,9 +182,8 @@ def test_a_packed_cell_is_decoded_by_the_plane_class_only():
         return isinstance(node, ast.Attribute) and node.attr == "decode"
 
     readers = _scopes([ENGINE], reads_decode_hook)
-    # ``_scalar_key_column`` compares the hook to ``bytes``, never calls.
     assert {scope.split(".")[0] for _module, scope in readers} == {
-        "BytesColumn", "_scalar_key_column"
+        "BytesColumn"
     }
 
 
@@ -378,3 +382,110 @@ def test_pending_windows_are_scanned_when_one_seals_not_per_frame(
         ("assembler.py", "WindowAssembler._seal_ready"),
         ("assembler.py", "WindowAssembler.flush"),
     }
+
+
+#: Public engine surface nobody outside the engine calls yet, and why it
+#: stays. An entry that gains a caller must leave the list.
+_UNCALLED_ENGINE_SURFACE = {"Table.explain": "ROADMAP 5(e)"}
+
+#: Public methods the guard cannot check: they share their name with a
+#: builtin type's method or with a method of a class in the caller files,
+#: so ``x.name(...)`` there does not tell a ``Table``/``EngineContext``
+#: receiver from the namesake's.
+_UNCHECKABLE_ENGINE_SURFACE = {
+    "Table.select": "RuleCatalog.select, ColumnarTraceReader.select",
+    "Table.join": "str.join",
+    "Table.union": "set.union",
+    "Table.sort": "list.sort",
+    "Table.count": "list.count, Histogram.count",
+    "EngineContext.close": "file and job runner close",
+}
+
+
+def _engine_surface():
+    """``repro.engine.__all__`` plus every public method of ``Table``
+    and ``EngineContext`` (properties are attributes, not operators)."""
+    import repro.engine
+    from repro.engine.context import EngineContext
+    from repro.engine.table import Table
+
+    surface = list(repro.engine.__all__)
+    for cls in (Table, EngineContext):
+        surface.extend(
+            "{}.{}".format(cls.__name__, name)
+            for name, member in vars(cls).items()
+            if not name.startswith("_") and not isinstance(member, property)
+        )
+    return surface
+
+
+def _caller_files():
+    """Where a caller keeps engine surface alive: ``src/repro`` outside
+    ``engine/`` and ``testing/``; ``engine/storage.py``, whose exported
+    ``TableStore`` calls the ``Table`` API on behalf of its own callers;
+    ``benchmarks/``; and ``perf/workloads.py``."""
+    return [
+        path for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] not in ("engine", "testing")
+    ] + [
+        ENGINE / "storage.py",
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+        ROOT / "perf" / "workloads.py",
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _used_outside_the_engine():
+    """``(methods called, names referenced, methods defined)`` in the
+    caller files: the attribute names of every ``x.name(...)`` call;
+    every name, attribute and imported name; and the method names of
+    every class defined there."""
+    called, referenced, defined = set(), set(), set()
+    for path in _caller_files():
+        for node in ast.walk(_parsed(path)):
+            if isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                referenced.add(_name(node))
+            elif isinstance(node, ast.ClassDef):
+                defined.update(
+                    item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                )
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return called, referenced, defined
+
+
+def test_the_unchecked_engine_surface_is_exactly_the_name_collisions():
+    _called, _referenced, defined = _used_outside_the_engine()
+    builtin = set().union(*map(dir, (
+        str, bytes, list, tuple, dict, set, frozenset, io.IOBase,
+    )))
+    colliding = {
+        qualified for qualified in _engine_surface()
+        if "." in qualified
+        and qualified.rpartition(".")[2] in builtin | defined
+    }
+    assert colliding == set(_UNCHECKABLE_ENGINE_SURFACE)
+
+
+@pytest.mark.parametrize("qualified", [
+    qualified for qualified in _engine_surface()
+    if qualified not in _UNCHECKABLE_ENGINE_SURFACE
+])
+def test_the_engine_surface_has_callers_outside_the_engine(qualified):
+    owner, _, name = qualified.rpartition(".")
+    called, referenced, _defined = _used_outside_the_engine()
+    # A method counts as used when something calls it by name (a bare
+    # name would match any variable); an export when anything names it.
+    used = name in (called if owner else referenced)
+    if qualified in _UNCALLED_ENGINE_SURFACE:
+        assert not used, "{} has a caller now: drop it from the " \
+            "allowlist".format(qualified)
+    else:
+        assert used, "nothing outside repro.engine uses {}".format(
+            qualified
+        )

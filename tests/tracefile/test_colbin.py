@@ -409,7 +409,8 @@ class TestCountDecodesNothing:
     def test_count_of_loaded_table(
         self, records, tmp_path, info_decodes, columnar
     ):
-        from repro.engine import EngineContext, SerialExecutor
+        from repro.engine import EngineContext
+        from repro.engine.executor import SerialExecutor
 
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
@@ -426,7 +427,8 @@ class TestCountDecodesNothing:
     def test_count_agrees_with_collect_after_narrow_and_wide_ops(
         self, records, tmp_path, columnar
     ):
-        from repro.engine import EngineContext, SerialExecutor
+        from repro.engine import EngineContext
+        from repro.engine.executor import SerialExecutor
 
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
@@ -438,7 +440,7 @@ class TestCountDecodesNothing:
         for derived in (
             table.filter(col("m_id") == some_id),
             table.select("t", "m_id").repartition(2, keys=["m_id"]),
-            table.limit(7),
+            table.union(table),
             table.filter(col("t") < 0.0),
         ):
             assert derived.count() == len(derived.collect())
