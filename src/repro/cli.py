@@ -41,7 +41,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.params import config_from_dict, load_config
+from repro.core.params import (
+    ParameterizationError,
+    config_from_dict,
+    load_config,
+)
 from repro.core.pipeline import PipelineConfig, PreprocessingPipeline
 from repro.datasets import SPECS, build_dataset
 from repro.engine import EngineContext, TableStore
@@ -381,13 +385,12 @@ def _fleet_guard(fn, *fn_args, **fn_kwargs):
 def _print_fleet_result(result, out):
     counts = {
         status: sum(1 for s in result.statuses.values() if s == status)
-        for status in ("done", "cached", "failed", "skipped")
+        for status in ("done", "cached", "failed")
     }
     print(
-        "jobs   : {} total, {} executed, {} cached, {} failed, "
-        "{} skipped".format(
+        "jobs   : {} total, {} executed, {} cached, {} failed".format(
             len(result.catalog), counts["done"], counts["cached"],
-            counts["failed"], counts["skipped"],
+            counts["failed"],
         ),
         file=out,
     )
@@ -421,10 +424,14 @@ def cmd_fleet_prepare(args, out=sys.stdout):
         except ValueError as exc:
             raise CliError("params", "parameter file {!r} is invalid: "
                            "{}".format(str(args.params), exc))
-    catalog = _fleet_guard(
-        fleet.prepare_run, args.run_dir, args.dataset, args.traces,
-        duration=args.duration, params=params, trace_format=args.format,
-    )
+    try:
+        catalog = _fleet_guard(
+            fleet.prepare_run, args.run_dir, args.dataset, args.traces,
+            duration=args.duration, params=params, trace_format=args.format,
+        )
+    except ParameterizationError as exc:
+        raise CliError("params", "parameter file {!r} is invalid: "
+                       "{}".format(str(args.params), exc))
     print(
         "catalogued {} jobs ({} traces of {:.1f} s) under {}".format(
             len(catalog), args.traces, args.duration, args.run_dir
@@ -439,7 +446,7 @@ def cmd_fleet_run(args, out=sys.stdout):
 
     result = _fleet_guard(
         fleet.run, args.run_dir, workers=args.workers,
-        max_inflight=args.max_inflight, max_retries=args.retries,
+        max_retries=args.retries,
     )
     _print_fleet_result(result, out)
     print("report : {}".format(Path(args.run_dir) / fleet.REPORT_FILE),
@@ -452,7 +459,7 @@ def cmd_fleet_resume(args, out=sys.stdout):
 
     result = _fleet_guard(
         fleet.resume, args.run_dir, workers=args.workers,
-        max_inflight=args.max_inflight, max_retries=args.retries,
+        max_retries=args.retries,
     )
     print("resumed: {} re-executed, {} reused from checkpoints".format(
         len(result.executed), len(result.cached)), file=out)
@@ -883,7 +890,6 @@ def build_parser():
         fp.add_argument("--run-dir", required=True,
                         help="sweep directory (catalog + checkpoints)")
         fp.add_argument("--workers", type=int, default=1)
-        fp.add_argument("--max-inflight", type=int, default=4)
         fp.add_argument("--retries", type=int, default=2)
 
     fp = fleet_sub.add_parser(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.extension import CycleViolationExtension, ExtensionSet, GapExtension
 from repro.core.reduction import Constraint, ConstraintSet, UnchangedWithinCycle
 from repro.network.database import (
     BINARY,
@@ -168,20 +167,6 @@ class DatasetBundle:
             for s_id in ids
         )
         return ConstraintSet(constraints)
-
-    def example_extensions(self):
-        """Gap + cycle-violation extensions on the first α signal."""
-        if not self.alpha_ids:
-            return ExtensionSet()
-        s_id = self.alpha_ids[0]
-        return ExtensionSet(
-            (
-                GapExtension(s_id),
-                CycleViolationExtension(
-                    s_id, self.cycle_times[s_id], tolerance=1.8
-                ),
-            )
-        )
 
     def byte_records(self, duration):
         return self.simulation.byte_records(duration)

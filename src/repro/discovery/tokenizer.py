@@ -113,12 +113,6 @@ def _byte_chunks(rates, active, byte_index, config):
     return chunks
 
 
-def _rate_rises(previous_rate, next_rate, config):
-    return next_rate > (
-        previous_rate * (1.0 + config.flip_tolerance) + config.flip_epsilon
-    )
-
-
 def _is_boundary(previous_rate, next_rate, config):
     """Both boundary signatures: a rate rise *from a decayed tail*.
 

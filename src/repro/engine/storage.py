@@ -10,7 +10,6 @@ intact.
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import shutil
@@ -18,7 +17,6 @@ from pathlib import Path
 
 from repro.engine.columnar import as_row_partition
 from repro.engine.errors import ExecutionError
-from repro.engine.schema import Schema
 
 _MANIFEST = "manifest.json"
 
@@ -155,67 +153,3 @@ class TableStore:
             directory.rmdir()
         except OSError:
             pass
-
-
-def schema_from_manifest(manifest):
-    """Rebuild a :class:`Schema` from a stored manifest."""
-    return Schema.of(*manifest["columns"], dtypes=manifest["dtypes"])
-
-
-def write_csv(table, path):
-    """Export a table to CSV for spreadsheet-level inspection.
-
-    Cells are rendered with ``str``; None becomes the empty string.
-    Suited to result tables (``K_s``, ``R_out``, state representations),
-    not to raw ``K_b`` tables whose payload bytes need the pickle or
-    binary-trace formats.
-    """
-    import csv
-
-    rows = table.collect()
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else v for v in row]
-            )
-    return len(rows)
-
-
-def read_csv(context, path, num_partitions=None):
-    """Load a CSV written by :func:`write_csv` back into a table.
-
-    Values parse back as bool (``"True"``/``"False"``), then int, then
-    float, else string; empty cells become None. Cells parsing to
-    non-finite floats (``"nan"``, ``"inf"``) stay strings -- those
-    cells come from string values, and a non-finite float cannot be
-    distinguished from one after ``str`` rendering. (CSV is untyped;
-    use :class:`TableStore` when exact types must round-trip.)
-    """
-    import csv
-
-    def parse(cell):
-        if cell == "":
-            return None
-        # Bool before int/float: int("True") fails, but without this
-        # branch booleans written as "True"/"False" reload as strings.
-        if cell == "True":
-            return True
-        if cell == "False":
-            return False
-        for cast in (int, float):
-            try:
-                value = cast(cell)
-            except ValueError:
-                continue
-            if isinstance(value, float) and not math.isfinite(value):
-                return cell
-            return value
-        return cell
-
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [tuple(parse(cell) for cell in row) for row in reader]
-    return context.table_from_rows(header, rows, num_partitions=num_partitions)

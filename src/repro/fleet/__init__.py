@@ -1,11 +1,14 @@
 """repro.fleet -- checkpointed, resumable fleet-run orchestration.
 
 The paper's outer loop at operational scale: a durable catalog of
-traces, one isolated pipeline job per trace, atomic per-job
-checkpoints, a fan-in aggregation job, and a ``repro.fleet/1`` report.
-Kill the driver at any instant; :func:`resume` re-runs exactly the jobs
-whose checkpoints had not landed and produces byte-identical final
-output.
+traces, then a sweep that is a map over journeys followed by one
+aggregate. :func:`run` loops over the uncheckpointed jobs
+(:func:`run_jobs`: in the driver for ``workers=1``, else on a forked
+pool with at most ``workers`` jobs in flight), commits each outcome
+atomically as it lands, then merges the checkpoints into the final
+output and a ``repro.fleet/1`` report. Kill the driver at any instant;
+:func:`resume` re-runs exactly the jobs whose checkpoints had not
+landed and produces byte-identical final output.
 """
 
 from repro.fleet.catalog import (
@@ -21,7 +24,6 @@ from repro.fleet.catalog import (
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.errors import CatalogError, FleetRunError, JobError
 from repro.fleet.orchestrator import (
-    AGGREGATE_JOB_ID,
     COMMIT_STAGE,
     OUTPUT_TABLE,
     REPORT_FILE,
@@ -39,32 +41,14 @@ from repro.fleet.report import (
     FleetReport,
     validate_fleet_report,
 )
-from repro.fleet.scheduler import (
-    DONE,
-    FAILED,
-    SKIPPED,
-    DagScheduler,
-    JobNode,
-    JobOutcome,
-)
-from repro.fleet.workers import (
-    JOB_STAGE,
-    ProcessPoolJobRunner,
-    SerialJobRunner,
-    execute_trace_job,
-    make_runner,
-)
+from repro.fleet.workers import JOB_STAGE, execute_trace_job, run_jobs
 
 __all__ = [
-    "AGGREGATE_JOB_ID",
     "CATALOG_FILE",
     "CATALOG_FORMAT",
     "COMMIT_STAGE",
     "CatalogError",
     "CheckpointStore",
-    "DONE",
-    "DagScheduler",
-    "FAILED",
     "FLEET_REPORT_FORMAT",
     "FleetReport",
     "FleetRunError",
@@ -72,15 +56,10 @@ __all__ = [
     "JOB_STAGE",
     "JobCatalog",
     "JobError",
-    "JobNode",
-    "JobOutcome",
     "JobSpec",
     "OUTPUT_TABLE",
-    "ProcessPoolJobRunner",
     "REPORT_FILE",
-    "SKIPPED",
     "SUMMARY_FILE",
-    "SerialJobRunner",
     "atomic_write_text",
     "build_catalog",
     "default_params",
@@ -88,10 +67,10 @@ __all__ = [
     "file_digest",
     "job_id_for",
     "make_catalog",
-    "make_runner",
     "prepare_run",
     "resume",
     "run",
+    "run_jobs",
     "status",
     "validate_fleet_report",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from repro.fleet.errors import CatalogError
@@ -80,24 +80,12 @@ class JobSpec:
     trace_bytes: int
 
     def to_dict(self):
-        return {
-            "job_id": self.job_id,
-            "index": self.index,
-            "trace": self.trace,
-            "trace_sha256": self.trace_sha256,
-            "trace_bytes": self.trace_bytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload):
         try:
-            return cls(
-                job_id=payload["job_id"],
-                index=payload["index"],
-                trace=payload["trace"],
-                trace_sha256=payload["trace_sha256"],
-                trace_bytes=payload["trace_bytes"],
-            )
+            return cls(**{f.name: payload[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as exc:
             raise CatalogError(
                 "malformed job entry in catalog: {}".format(exc)

@@ -1,7 +1,7 @@
 """Stage-level checkpointing of per-trace job results.
 
-Every completed per-trace pipeline job is committed here before the
-scheduler dispatches further work: one pickle file per job id, staged in
+Every completed per-trace pipeline job is committed here the moment its
+outcome lands in the driver: one pickle file per job id, staged in
 a hidden sibling and renamed into place so a kill at any instant leaves
 each checkpoint either fully present or fully absent -- the property
 ``resume()`` relies on to re-run exactly the jobs whose commits did not

@@ -31,7 +31,7 @@ FLEET_REPORT_FORMAT = "repro.fleet/1"
 
 #: Terminal statuses a job row may carry. ``cached`` means the job's
 #: checkpoint predates this sweep (it was skipped by resume).
-JOB_STATUSES = ("done", "cached", "failed", "skipped", "pending")
+JOB_STATUSES = ("done", "cached", "failed", "pending")
 
 
 class FleetReport:

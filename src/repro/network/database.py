@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.model import FUNCTIONAL, VALIDITY, Alphabet, MessageType, SignalType
+from repro.core.model import FUNCTIONAL, VALIDITY, Alphabet, SignalType
 from repro.core.rules import InterpretationRule, RuleCatalog, TranslationTuple
 from repro.protocols import can, flexray, lin, someip
 from repro.protocols.signalcodec import SignalEncoding, overlaps
@@ -161,9 +161,6 @@ class MessageDefinition:
 
     def signal_names(self):
         return tuple(s.name for s in self.signals)
-
-    def to_message_type(self):
-        return MessageType(self.signal_names(), self.message_id, self.channel)
 
     # -- payload encode/decode ------------------------------------------------
     def encode(self, values):

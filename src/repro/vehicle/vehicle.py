@@ -28,10 +28,6 @@ class VehicleSimulation:
     buses: dict = field(default_factory=dict)  # channel -> bus
     recorder: TraceRecorder = field(default_factory=TraceRecorder)
 
-    def add_ecu(self, ecu):
-        self.ecus.append(ecu)
-        return self
-
     def add_gateway(self, gateway):
         """Register a gateway and extend the database with routed copies."""
         self.gateways.append(gateway)

@@ -168,105 +168,6 @@ class TestGc:
         assert (store.root / "notes.txt").exists()
 
 
-class TestCsv:
-    def test_round_trip_typed_values(self, ctx, tmp_path):
-        from repro.engine.storage import read_csv, write_csv
-
-        t = ctx.table_from_rows(
-            ["t", "v", "s_id"],
-            [(1.5, 10, "wpos"), (2.0, None, "wvel")],
-        )
-        path = tmp_path / "out.csv"
-        assert write_csv(t, path) == 2
-        loaded = read_csv(ctx, path)
-        assert loaded.columns == ["t", "v", "s_id"]
-        assert sorted(loaded.collect()) == [
-            (1.5, 10, "wpos"), (2.0, None, "wvel"),
-        ]
-
-    def test_header_line_present(self, ctx, tmp_path):
-        from repro.engine.storage import write_csv
-
-        t = ctx.table_from_rows(["a", "b"], [(1, 2)])
-        path = tmp_path / "x.csv"
-        write_csv(t, path)
-        assert path.read_text().splitlines()[0] == "a,b"
-
-    def test_numeric_strings_parse_back_as_numbers(self, ctx, tmp_path):
-        from repro.engine.storage import read_csv, write_csv
-
-        t = ctx.table_from_rows(["x"], [(3,), (3.5,)])
-        path = tmp_path / "n.csv"
-        write_csv(t, path)
-        values = [r[0] for r in read_csv(ctx, path).collect()]
-        assert values == [3, 3.5]
-        assert isinstance(values[0], int)
-
-    def test_empty_table(self, ctx, tmp_path):
-        from repro.engine.storage import read_csv, write_csv
-
-        t = ctx.empty_table(["a"])
-        path = tmp_path / "e.csv"
-        write_csv(t, path)
-        assert read_csv(ctx, path).count() == 0
-
-    def test_bools_round_trip_as_bools(self, ctx, tmp_path):
-        # Regression: "True"/"False" cells reloaded as strings because
-        # the parser tried int/float only.
-        from repro.engine.storage import read_csv, write_csv
-
-        t = ctx.table_from_rows(["ok", "n"], [(True, 1), (False, 2)])
-        path = tmp_path / "b.csv"
-        write_csv(t, path)
-        rows = sorted(read_csv(ctx, path).collect(), key=lambda r: r[1])
-        assert rows == [(True, 1), (False, 2)]
-        assert isinstance(rows[0][0], bool)
-
-    def test_nan_and_inf_strings_stay_strings(self, ctx, tmp_path):
-        # Regression: string cells "nan"/"inf" reparsed as non-finite
-        # floats, silently changing the column's type and values.
-        from repro.engine.storage import read_csv, write_csv
-
-        t = ctx.table_from_rows(
-            ["s"], [("nan",), ("inf",), ("-inf",), ("Infinity",)]
-        )
-        path = tmp_path / "nf.csv"
-        write_csv(t, path)
-        values = [r[0] for r in read_csv(ctx, path).collect()]
-        assert values == ["nan", "inf", "-inf", "Infinity"]
-
-    def test_round_trip_property(self, ctx, tmp_path):
-        # Property: any table of CSV-stable values (ints, finite
-        # floats, bools, None, non-numeric-looking strings) round-trips
-        # exactly through write_csv/read_csv.
-        import random
-
-        from repro.engine.storage import read_csv, write_csv
-
-        rng = random.Random(7)
-        pools = (
-            lambda: rng.randint(-1000, 1000),
-            lambda: round(rng.uniform(-50.0, 50.0), 6),
-            lambda: rng.choice((True, False)),
-            lambda: None,
-            lambda: rng.choice(("nan", "inf", "-inf", "x", "msg-3", "")),
-        )
-        for trial in range(10):
-            rows = [
-                tuple(rng.choice(pools)() for _col in range(3))
-                for _row in range(rng.randint(0, 25))
-            ]
-            # Empty strings render identically to None; normalize.
-            rows = [
-                tuple(None if v == "" else v for v in row) for row in rows
-            ]
-            t = ctx.table_from_rows(["a", "b", "c"], rows)
-            path = tmp_path / "prop-{}.csv".format(trial)
-            write_csv(t, path)
-            loaded = read_csv(ctx, path).collect()
-            assert loaded == rows, "trial {} diverged".format(trial)
-
-
 class TestStoreManagement:
     def test_exists(self, store, table):
         assert not store.exists("x")

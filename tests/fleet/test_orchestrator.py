@@ -106,7 +106,7 @@ class TestRun:
         shutil.copytree(fleet_template, serial)
         shutil.copytree(fleet_template, pooled)
         fleet.run(serial, workers=1)
-        fleet.run(pooled, workers=2, max_inflight=2)
+        fleet.run(pooled, workers=2)
         assert _final_artifacts_digest(serial) == \
             _final_artifacts_digest(pooled)
 
@@ -146,14 +146,6 @@ class TestFailureIsolation:
         assert len(result.cached) == NUM_TRACES - 1
         assert not result.failed
         assert fleet.status(run_dir)["failed"] == 0
-
-    def test_rerun_failed_false_leaves_failure_alone(self, run_dir):
-        victim = self._poison_one_trace(run_dir)
-        fleet.run(run_dir, workers=1)
-        result = fleet.run(run_dir, workers=1, rerun_failed=False)
-        assert not result.executed
-        assert result.statuses[victim.job_id] == "failed"
-        assert set(result.failed) == {victim.job_id}
 
     def test_injected_job_faults_retried_transparently(self, run_dir):
         policy = FaultPolicy(crash_rate=1.0, seed=3, crashes_per_task=1)
@@ -225,6 +217,15 @@ class TestPrepare:
     def test_trace_count_validated(self, tmp_path):
         with pytest.raises(fleet.CatalogError, match="num_traces"):
             fleet.prepare_run(tmp_path, "SYN", 0)
+
+    def test_bad_params_rejected_before_any_journey(self, tmp_path):
+        from repro.core.params import ParameterizationError
+
+        target = tmp_path / "sweep"
+        with pytest.raises(ParameterizationError):
+            fleet.prepare_run(target, "SYN", 2, duration=2,
+                              params={"signals": "not-a-list"})
+        assert not target.exists()
 
     def test_make_catalog_over_existing_traces(self, fleet_template,
                                                tmp_path):
