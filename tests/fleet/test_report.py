@@ -42,6 +42,11 @@ class TestFleetReport:
         with pytest.raises(ValueError, match="unknown job status"):
             report.add_job_row("b" * 16, 1, "traces/j1.trc", "exploded")
 
+    def test_skipped_is_not_a_job_status(self):
+        report = FleetReport()
+        with pytest.raises(ValueError, match="unknown job status"):
+            report.add_job_row("a" * 16, 0, "traces/j0.trc", "skipped")
+
     def test_to_dict_carries_format_and_tables(self):
         report = FleetReport()
         report.add_job_row("a" * 16, 0, "traces/j0.trc", "failed")
