@@ -19,7 +19,6 @@ from repro.engine.errors import (
     ExecutionError,
     InjectedFaultError,
     PlanError,
-    TaskError,
 )
 from repro.engine.expressions import apply, col
 from repro.engine.schema import Schema
@@ -31,7 +30,6 @@ __all__ = [
     "ExecutionError",
     "InjectedFaultError",
     "PlanError",
-    "TaskError",
     "TableStore",
     "BytesColumn",
     "ColumnarPartition",
