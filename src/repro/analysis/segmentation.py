@@ -31,10 +31,27 @@ variance, so a series such as ``1e6 + walk`` loses no digits to its
 offset. The merge order is Keogh's greedy one: always the cheapest
 adjacent pair, the leftmost one on equal cost, until the cheapest
 exceeds ``max_error``.
+
+Bottom-up first fits the whole buffer. The least-squares SSE of a span
+never exceeds that of a span containing it: the containing span's line,
+restricted to the sub-span, is one candidate line there. Every merge the
+greedy loop could consider is a sub-span of the buffer, so if the whole
+buffer's SSE is within ``max_error``, every merge is too, and the loop
+would end with the whole buffer as its one survivor -- the very
+``segment(0, n-1)`` just computed. Such a buffer costs one fit. The test
+leaves room for the fitter's rounding: it requires
+``SSE ≤ max_error - guard`` with ``guard = 1e-14·n³·S2[n]`` (6.4e-10 of
+the buffer's centred energy at SWAB's 40 samples), far above the rounding
+of any span's computed SSE, which is at most of order ``n^2.5·ε·S2[n]``;
+the guard adds the smallest normal double, below which rounding is
+absolute rather than relative. A buffer that fails the test -- or whose
+fit is ``nan`` -- runs the greedy loop unchanged, so the merge order and
+its ties are Keogh's either way.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import mul
@@ -69,14 +86,14 @@ class Segment:
 class _SpanFitter:
     """Least-squares line over any span of one buffer in O(1).
 
-    See the module docstring for the sums. Non-finite samples make every
-    sum, and so every fit of the buffer, ``nan``.
+    *values* is a non-empty list of floats; see the module docstring for
+    the sums. Non-finite samples make every sum, and so every fit of the
+    buffer, ``nan``.
     """
 
     __slots__ = ("size", "_mean", "_s0", "_s1", "_s2")
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float).tolist()
         self.size = len(values)
         if not values:
             raise ValueError("empty segment")
@@ -110,10 +127,19 @@ class _SpanFitter:
         """The fit of [start, end] as a :class:`Segment` shifted by *offset*."""
         return Segment(start + offset, end + offset, *self.fit(start, end))
 
+    def guard(self):
+        """Room for rounding below ``max_error``: a whole-buffer SSE at
+        most ``max_error - guard()`` proves every span's fit within it."""
+        return 1e-14 * self.size**3 * self._s2[-1] + sys.float_info.min
+
+
+def _floats(values):
+    return np.asarray(values, dtype=float).tolist()
+
 
 def fit_segment(values, start, end):
     """Least-squares line over values[start:end+1]."""
-    fitter = _SpanFitter(values[start : end + 1])
+    fitter = _SpanFitter(_floats(values[start : end + 1]))
     return fitter.segment(0, fitter.size - 1, start)
 
 
@@ -124,7 +150,7 @@ def sliding_window(values, max_error):
     n = len(values)
     if n == 0:
         return []
-    fitter = _SpanFitter(values)
+    fitter = _SpanFitter(_floats(values))
     segments = []
     anchor = 0
     while anchor < n:
@@ -145,13 +171,18 @@ def bottom_up(values, max_error):
         return []
     if max_error < 0:
         raise ValueError("max_error must be non-negative")
-    return _bottom_up(values, max_error, 0)
+    return _bottom_up(_floats(values), max_error, 0)
 
 
 def _bottom_up(values, max_error, offset):
-    """:func:`bottom_up` of a non-empty buffer that begins at *offset*."""
+    """:func:`bottom_up` of a non-empty list of floats that begins at
+    *offset*."""
     fitter = _SpanFitter(values)
     n = fitter.size
+    # Within budget as a whole, so is every merge (module docstring).
+    whole = fitter.segment(0, n - 1, offset)
+    if whole.error <= max_error - fitter.guard():
+        return [whole]
     # Start from segments of length 2 (the last may be length 1).
     starts = list(range(0, n, 2))
     ends = [start - 1 for start in starts[1:]] + [n - 1]
@@ -181,7 +212,7 @@ def swab(values, max_error, buffer_size=None):
     ``buffer_size`` defaults to enough samples for roughly five to six
     segments, as recommended in the original paper.
     """
-    values = np.asarray(values, dtype=float)
+    values = _floats(values)
     n = len(values)
     if buffer_size is None:
         buffer_size = max(min(n, 40), 8)

@@ -20,6 +20,7 @@ increasing/decreasing/steady or None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import not_
 
 import numpy as np
 
@@ -34,7 +35,10 @@ from repro.core.classification import (
     BINARY,
     GAMMA,
     ClassifierConfig,
+    all_numeric,
+    numeric_mask,
 )
+from repro.engine.columnar import compress_column
 
 #: Homogeneous output layout of every branch.
 R_COLUMNS = ("t", "s_id", "b_id", "kind", "value", "trend")
@@ -93,30 +97,27 @@ def process_alpha(rows, schema, config=None):
         return []
     # typeSplit: peel off non-numeric elements (e.g. embedded validity
     # strings) as nominal side output.
-    numeric_rows, numbers, nominal_rows = [], [], []
-    for r in rows:
-        v = r[v_i]
-        if type(v) is float or _is_number(v):
-            numeric_rows.append(r)
-            numbers.append(float(v))
-        else:
-            nominal_rows.append(r)
+    column = [r[v_i] for r in rows]
+    numeric = numeric_mask(column)
+    numeric_rows = compress_column(rows, numeric)
     out = [
         (r[t_i], r[s_i], r[b_i], KIND_VALIDITY
          if str(r[v_i]) in config.classifier.validity_values
          else KIND_NOMINAL, str(r[v_i]), None)
-        for r in nominal_rows
+        for r in compress_column(rows, map(not_, numeric))
     ]
     if not numeric_rows:
         return sorted(out, key=_row_key)
-    values = np.array(numbers)
+    values = np.array(compress_column(column, numeric), dtype=float)
     mask = np.asarray(config.outlier_detector.mask(values), dtype=bool)
-    outlier = mask.tolist()
     out.extend(
         (r[t_i], r[s_i], r[b_i], KIND_OUTLIER, number, None)
-        for r, number, m in zip(numeric_rows, numbers, outlier) if m
+        for r, number in zip(
+            compress_column(numeric_rows, mask.tolist()),
+            values[mask].tolist(),
+        )
     )
-    clean_rows = [r for r, m in zip(numeric_rows, outlier) if not m]
+    clean_rows = compress_column(numeric_rows, (~mask).tolist())
     if not clean_rows:
         return sorted(out, key=_row_key)
     clean_values = values[~mask]
@@ -222,7 +223,7 @@ def _numeric_translation(values, config):
     low < medium < high) or, failing that, by sorted order; numeric
     values rank as themselves.
     """
-    if all(_is_number(v) for v in values):
+    if all_numeric(values):
         return [float(v) for v in values], [str(v) for v in values]
     labels = [str(v) for v in values]
     distinct = set(labels)
@@ -234,10 +235,6 @@ def _numeric_translation(values, config):
     if order is None:
         order = {label: i for i, label in enumerate(sorted(distinct))}
     return [float(order[label]) for label in labels], labels
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _indices(schema):

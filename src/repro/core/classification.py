@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs import median as _median
+import numpy as np
+
+from repro.obs.metrics import nearest_rank_index
 
 #: z_type values.
 STRING_TYPE = "S"
@@ -92,16 +94,35 @@ class ClassifierConfig:
     )
 
 
+def is_numeric_type(cls):
+    """Table 3's numeric test for the values of type *cls*.
+
+    The one spelling of "is this value a number": ``int`` or ``float``
+    but not ``bool``, decided like ``isinstance`` on a value of the type,
+    so ``numpy.float64`` (a ``float``) is numeric and ``numpy.int64`` is
+    not. Callers ask once per distinct type (:func:`all_numeric`,
+    :func:`numeric_mask`), not once per value.
+    """
+    return issubclass(cls, (int, float)) and not issubclass(cls, bool)
+
+
+def all_numeric(values):
+    """True if every one of *values* is numeric (true when empty)."""
+    return all(map(is_numeric_type, set(map(type, values))))
+
+
+def numeric_mask(values):
+    """``[is_numeric_type(type(v)) for v in values]``, one test per type."""
+    numeric = {cls: is_numeric_type(cls) for cls in set(map(type, values))}
+    return list(map(numeric.__getitem__, map(type, values)))
+
+
 def compute_criteria(times, values, config=None):
     """Compute ``Z`` for a time-ordered sequence of (t, v)."""
     config = config or ClassifierConfig()
     functional = [v for v in values if v not in config.validity_values]
     basis = functional if functional else list(values)
-    z_type = (
-        NUMERIC_TYPE
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in basis)
-        else STRING_TYPE
-    )
+    z_type = NUMERIC_TYPE if all_numeric(basis) else STRING_TYPE
     z_num = len(set(basis))
     z_rate = _change_rate(times, config)
     if z_type == NUMERIC_TYPE:
@@ -111,21 +132,35 @@ def compute_criteria(times, values, config=None):
     return Criteria(z_type, z_rate, z_num, z_val)
 
 
+def time_gaps(times):
+    """``(gaps, positive)``: the float64 gaps between consecutive *times*
+    and their positive ones, sorted.
+
+    Classification's median gap and profiling's gap statistics are both
+    taken over ``positive``: a signal seen on two channels at the same
+    instants has zero gaps, which are no cycle.
+    """
+    stamps = np.asarray(times, dtype=float)
+    gaps = stamps[1:] - stamps[:-1]
+    positive = gaps[gaps > 0]
+    positive.sort()
+    return gaps, positive
+
+
 def _change_rate(times, config):
     """Eq. 2: H if n/Δt over active segments exceeds the threshold T."""
     if len(times) < 2:
         return LOW_RATE
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    positive = [g for g in gaps if g > 0]
-    if not positive:
+    gaps, positive = time_gaps(times)
+    if not len(positive):
         return HIGH_RATE  # all simultaneous: infinitely fast
-    # Shared nearest-rank median so classification and profiling agree
-    # on median_gap for identical input (the old // 2 indexing took the
-    # upper middle element for even-length sequences).
-    median_gap = _median(positive)
-    limit = config.activity_gap_factor * median_gap
-    active_duration = sum(g for g in gaps if g <= limit)
-    n = sum(1 for g in gaps if g <= limit) + 1
+    # Nearest-rank median, as repro.obs.median, so classification and
+    # profiling agree on median_gap for identical input.
+    median_gap = float(positive[nearest_rank_index(len(positive), 50)])
+    active = gaps[gaps <= config.activity_gap_factor * median_gap]
+    n = len(active) + 1
+    # Summed left to right: np.sum adds pairwise and rounds differently.
+    active_duration = np.add.accumulate(active)[-1] if n > 1 else 0.0
     if active_duration <= 0:
         return HIGH_RATE
     return HIGH_RATE if n / active_duration > config.rate_threshold else LOW_RATE

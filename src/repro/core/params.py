@@ -42,7 +42,7 @@ from repro.analysis.outliers import ZScoreDetector
 from repro.analysis.sax import MIN_ALPHABET, SaxEncoder
 from repro.analysis.smoothing import MovingAverage
 from repro.core.branches import BranchConfig
-from repro.core.classification import ClassifierConfig
+from repro.core.classification import ClassifierConfig, is_numeric_type
 from repro.core.extension import (
     CycleViolationExtension,
     ExtensionSet,
@@ -247,11 +247,7 @@ def _number(spec, where, key, default=_REQUIRED):
             "{} {!r} is required".format(where, key)
         )
     value = spec.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
+    if not is_numeric_type(type(value)) or not math.isfinite(value):
         raise ParameterizationError(
             "{} {!r} must be a finite number, got {!r}".format(
                 where, key, value

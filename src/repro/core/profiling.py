@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.classification import all_numeric, time_gaps
 from repro.core.sequence import classify_sequence, order_sequence
 from repro.core.splitting import split_signal_types
 from repro.obs import median, percentile
@@ -62,11 +63,8 @@ def profile_signal(rows, signal_id, config=None):
     times = [r[0] for r in rows]
     values = [r[1] for r in rows]
     channels = tuple(sorted({str(r[3]) for r in rows}))
-    gaps = sorted(b - a for a, b in zip(times, times[1:]))
-    numeric = all(
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        for v in values
-    )
+    gaps = time_gaps(times)[1].tolist()  # positive only: 0.0 is no cycle
+    numeric = all_numeric(values)
     changes = sum(1 for a, b in zip(values, values[1:]) if a != b)
     classification = classify_sequence(rows, config)
     return SignalProfile(

@@ -3,14 +3,19 @@
 The closed-form fitter of ``repro.analysis.segmentation`` is pinned
 against the ``numpy.polyfit`` implementation it replaced, kept here as
 the reference (``reference_*``): same greedy order, one full ``lstsq``
-per candidate.
+per candidate. The one-fit acceptance of a whole buffer is pinned, bit
+for bit, against the greedy loop it short-cuts (``greedy_*``).
 """
+
+from itertools import accumulate, count
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import segmentation
 from repro.analysis import (
     Segment,
     bottom_up,
@@ -388,3 +393,214 @@ def test_swab_rejects_buffers_that_cannot_hold_a_segment():
     for buffer_size in (1, 0, -3):
         with pytest.raises(ValueError):
             swab([1.0, 2.0, 3.0], 0.5, buffer_size=buffer_size)
+
+
+# -- the greedy reference ---------------------------------------------------
+#
+# The fitter and bottom-up loop as they were before the whole-buffer test,
+# copied verbatim: every buffer runs Keogh's greedy loop. ``bottom_up`` and
+# ``swab`` must return the very same segments, bit for bit, on either side
+# of the budget boundary.
+
+
+class _SpanFitter:
+    """Least-squares line over any span of one buffer in O(1).
+
+    See the module docstring for the sums. Non-finite samples make every
+    sum, and so every fit of the buffer, ``nan``.
+    """
+
+    __slots__ = ("size", "_mean", "_s0", "_s1", "_s2")
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float).tolist()
+        self.size = len(values)
+        if not values:
+            raise ValueError("empty segment")
+        self._mean = mean = sum(values) / len(values)
+        centred = [v - mean for v in values]
+        self._s0 = list(accumulate(centred, initial=0.0))
+        self._s1 = list(accumulate(map(mul, count(), centred), initial=0.0))
+        self._s2 = list(accumulate(map(mul, centred, centred), initial=0.0))
+
+    def fit(self, start, end):
+        """``(slope, intercept, sse)`` of samples [start, end] (inclusive)."""
+        stop = end + 1
+        n = stop - start
+        sum_y = self._s0[stop] - self._s0[start]
+        if n == 1:
+            return 0.0, sum_y + self._mean, 0.0
+        sum_x = 0.5 * n * (n - 1)
+        sum_xy = self._s1[stop] - self._s1[start] - start * sum_y
+        s_xy = sum_xy - sum_x * sum_y / n
+        s_xx = n * (n * n - 1) / 12.0
+        slope = s_xy / s_xx
+        s_yy = self._s2[stop] - self._s2[start] - sum_y * sum_y / n
+        sse = s_yy - slope * s_xy
+        return (
+            slope,
+            (sum_y - slope * sum_x) / n + self._mean,
+            0.0 if sse < 0.0 else sse,
+        )
+
+    def segment(self, start, end, offset=0):
+        """The fit of [start, end] as a :class:`Segment` shifted by *offset*."""
+        return Segment(start + offset, end + offset, *self.fit(start, end))
+
+
+def _bottom_up(values, max_error, offset):
+    """:func:`bottom_up` of a non-empty buffer that begins at *offset*."""
+    fitter = _SpanFitter(values)
+    n = fitter.size
+    # Start from segments of length 2 (the last may be length 1).
+    starts = list(range(0, n, 2))
+    ends = [start - 1 for start in starts[1:]] + [n - 1]
+    # costs[i] is the error of merging segment i with segment i + 1.
+    costs = [
+        fitter.fit(starts[i], ends[i + 1])[2] for i in range(len(starts) - 1)
+    ]
+    while costs:
+        cheapest = min(costs)
+        if cheapest > max_error:
+            break
+        i = costs.index(cheapest)  # leftmost on equal cost
+        ends[i] = ends[i + 1]
+        del starts[i + 1], ends[i + 1], costs[i]
+        if i < len(costs):
+            costs[i] = fitter.fit(starts[i], ends[i + 1])[2]
+        if i > 0:
+            costs[i - 1] = fitter.fit(starts[i - 1], ends[i])[2]
+    return [
+        fitter.segment(start, end, offset) for start, end in zip(starts, ends)
+    ]
+
+
+def greedy_swab(values, max_error, buffer_size):
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    out = []
+    start = 0
+    while start < n:
+        stop = min(start + buffer_size, n)
+        segments = _bottom_up(values[start:stop], max_error, start)
+        if stop < n:
+            del segments[1:]
+        out.extend(segments)
+        start = out[-1].end + 1
+    return out
+
+
+def exact(segments):
+    """Segments as tuples whose floats compare bit for bit."""
+    return [
+        (s.start, s.end, s.slope.hex(), s.intercept.hex(), s.error.hex())
+        for s in segments
+    ]
+
+
+@st.composite
+def buffers(draw):
+    """:func:`series`, a random walk on a 1e9 offset, a constant, or a
+    rounded line (whose whole SSE may compute below its spans')."""
+    kind = draw(
+        st.sampled_from(["series", "offset walk", "constant", "line"])
+    )
+    if kind == "series":
+        return draw(series())
+    n = draw(st.integers(min_value=1, max_value=300))
+    level = draw(st.floats(min_value=-1e6, max_value=1e6))
+    if kind == "constant":
+        return [level] * n
+    if kind == "line":
+        step = draw(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1e-3]))
+        return [level + step * i for i in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (1e9 + np.cumsum(rng.normal(size=n))).tolist()
+
+
+#: max_error is the whole buffer's SSE times (1 + δ): δ at the boundary,
+#: or anywhere in [-1, 1].
+deltas = st.one_of(
+    st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+def budget_for(buffer, delta):
+    fitter = _SpanFitter(buffer)
+    return fitter.fit(0, fitter.size - 1)[2] * (1.0 + delta)
+
+
+@given(values=buffers(), delta=deltas)
+@settings(max_examples=150, deadline=None)
+def test_property_bottom_up_is_exactly_the_greedy_loop(values, delta):
+    max_error = budget_for(values, delta)
+    assert exact(bottom_up(values, max_error)) == exact(
+        _bottom_up(values, max_error, 0)
+    )
+
+
+@given(
+    values=buffers(),
+    delta=deltas,
+    buffer_size=st.sampled_from([8, 40, 50]),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_swab_is_exactly_the_greedy_loop(values, delta, buffer_size):
+    max_error = budget_for(values[:buffer_size], delta)
+    assert exact(swab(values, max_error, buffer_size=buffer_size)) == exact(
+        greedy_swab(values, max_error, buffer_size)
+    )
+
+
+def test_a_rounded_line_whose_whole_sse_is_zero_keeps_the_greedy_loop():
+    # The whole buffer's SSE computes to 0.0 while shorter spans compute
+    # to a few ulps, so at max_error 0.0 the greedy loop stops short of
+    # one segment. The rounding guard sends the buffer down that loop.
+    values = [0.1 * i for i in range(1, 12)]
+    assert budget_for(values, 0.0) == 0.0
+    segments = bottom_up(values, 0.0)
+    assert len(segments) > 1
+    assert exact(segments) == exact(_bottom_up(values, 0.0, 0))
+
+
+class TestFitCounts:
+    """A buffer whose whole fit is within budget costs one fit."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        fit = segmentation._SpanFitter.fit
+
+        def counted(self, start, end):
+            calls.append((start, end))
+            return fit(self, start, end)
+
+        monkeypatch.setattr(segmentation._SpanFitter, "fit", counted)
+        return calls
+
+    def test_an_accepted_buffer_costs_one_fit(self, fits):
+        assert spans(bottom_up(piecewise_signal(), max_error=1e9)) == [
+            (0, 109)
+        ]
+        assert fits == [(0, 109)]
+
+    def test_a_rejected_buffer_runs_the_greedy_loop(self, fits):
+        values = TestTies.STEP + [0.0, 0.0, 8.0, 8.0]
+        segments = bottom_up(values, max_error=0.25)
+        assert spans(segments) == [(0, 3), (4, 5), (6, 7)]
+        assert fits == [
+            (0, 7),  # the whole buffer: over budget
+            (0, 3), (2, 5), (4, 7),  # the initial pair costs
+            (0, 5),  # after the leftmost of the two equal merges
+            (0, 3), (4, 5), (6, 7),  # the segments
+        ]
+
+    def test_swab_costs_one_fit_per_accepted_buffer(self, fits):
+        values = np.linspace(0.0, 10.0, 100)
+        segments = swab(values, max_error=1.0, buffer_size=8)
+        assert spans(segments) == [
+            (i, min(i + 7, 99)) for i in range(0, 100, 8)
+        ]
+        # Buffer-local spans: one whole-buffer fit per segment.
+        assert fits == [(0, s.length - 1) for s in segments]

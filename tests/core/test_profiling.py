@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import interpret, preselect
 from repro.core.profiling import profile_report, profile_signal, profile_trace
+from repro.core.reduction import UnchangedWithinCycle
 from repro.obs import median, percentile
 
 
@@ -125,8 +126,8 @@ class TestPercentileRegressions:
         assert p.median_gap == median(self.GAPS)
 
     def test_profiling_and_classification_medians_agree(self):
-        # Both modules route median_gap through repro.obs.median, so an
-        # even-length gap sequence yields one answer everywhere.
+        # Both modules take the nearest-rank median of the same gaps, so
+        # an even-length gap sequence yields one answer everywhere.
         from repro.core.classification import _change_rate, ClassifierConfig
 
         gaps = [0.1, 0.1, 5.0, 5.0]  # even length; lower middle = 0.1
@@ -138,6 +139,24 @@ class TestPercentileRegressions:
         # rate. The old upper-middle median (5.0 -> limit 50 s) kept
         # every gap active: 5 points over 10.2 s -> low rate.
         assert _change_rate(times, ClassifierConfig()) == "H"
+
+        # One signal on two channels at the same instants: every other
+        # gap is zero. Both modules take the median over positive gaps,
+        # so the suggested cycle is a cycle the parameter parser accepts.
+        instants = [0.1 * i for i in range(10)]
+        rows = rows_for(instants, range(10), b_id="CAN1") + rows_for(
+            instants, range(10), b_id="CAN2"
+        )
+        p = profile_signal(rows, "s")
+        ordered = sorted(instants * 2)
+        assert p.median_gap == median(
+            [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
+        )
+        assert p.suggested_cycle_time() == pytest.approx(0.1)
+        UnchangedWithinCycle(cycle_time=p.suggested_cycle_time(), tolerance=1.8)
+        # Every instance at one instant: no positive gap, no cycle.
+        p = profile_signal(rows_for([1.0] * 3, [1, 2, 3]), "s")
+        assert p.median_gap == p.p95_gap == p.suggested_cycle_time() == 0.0
 
 
 class TestProfileTrace:

@@ -19,10 +19,12 @@ replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
 order through) and the ``m_info`` TLV codec single-copy in ``binlog``;
 the ones after them keep the stream path at one ``queue.put`` per chunk,
 one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
-and no scan of the pending windows per frame. The final guard keeps the
-engine at what the program issues: every public ``Table`` method,
-``EngineContext`` constructor and ``repro.engine`` export has a caller
-outside the engine.
+and no scan of the pending windows per frame. The engine-surface guards
+keep the engine at what the program issues: every public ``Table``
+method, ``EngineContext`` constructor and ``repro.engine`` export has a
+caller outside the engine. The last guard keeps Table 3's "is this value
+a number" (``int``/``float``, not ``bool``) in one function of
+``repro.core``, which its callers ask once per value type.
 """
 
 import ast
@@ -506,3 +508,20 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
         assert used, "nothing outside repro.engine uses {}".format(
             qualified
         )
+
+
+def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
+    def tests_int_or_float(node):  # isinstance(v, (int, float)), issubclass
+        return isinstance(node, ast.Call) \
+            and _name(node.func) in ("isinstance", "issubclass") \
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple) \
+            and sorted(map(_name, node.args[1].elts)) == ["float", "int"]
+
+    def tests_bool(node):  # the bool exclusion
+        return isinstance(node, ast.Call) \
+            and _name(node.func) in ("isinstance", "issubclass") \
+            and len(node.args) == 2 and _name(node.args[1]) == "bool"
+
+    assert _scopes([CORE], tests_int_or_float) & _scopes(
+        [CORE], tests_bool
+    ) == {("classification.py", "is_numeric_type")}
