@@ -999,11 +999,12 @@ def main(argv=None, out=sys.stdout):
     except CliError as exc:
         print("error: {}: {}".format(exc.kind, exc), file=sys.stderr)
         return 2
-    except EngineError as exc:
-        # What sits inside an m_info cell of a .ctrc is checked when a
-        # rule reads the cell, mid-run; a task's failure arrives wrapped.
+    except (EngineError, BinaryTraceError) as exc:
+        # What sits inside an m_info cell of a .ctrc or .btrc table is
+        # checked when a rule reads the cell, mid-run; a task's failure
+        # may arrive wrapped.
         cause = getattr(exc, "cause", None) or exc
-        if not isinstance(cause, ColumnarTraceError):
+        if not isinstance(cause, (ColumnarTraceError, BinaryTraceError)):
             raise
         print("error: trace: {}".format(cause), file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ binary logging formats automotive loggers produce (e.g. Vector BLF):
 a magic header, a record count and densely packed records. Unlike the
 ASCII format it preserves float timestamps bit-exactly by construction.
 
-Layout (all little-endian)::
+Layout (all little-endian); the last record ends where the file does::
 
     header:  8s magic | H version | Q record count
     record:  d t | B len(b_id) | b_id utf-8 | Q m_id
@@ -14,12 +14,44 @@ Layout (all little-endian)::
     info:    B len(key) | key utf-8 | B tag | value
     value:   tag 0 bool -> B; tag 1 int -> q; tag 2 float -> d;
              tag 3 str  -> H length + utf-8
+
+A record's *layout* is its channel, ``m_id``, payload length and
+``m_info`` shape (entry count, key bytes, tags, string lengths); IVN
+traces repeat a few. :func:`_scan` keys layouts by the header bytes
+``data[pos + 8 : pos + 19 + len(b_id)]`` and compiles a repeating one
+into a ``struct.Struct`` over the record plus a mask of the ``m_info``
+cell's structural bytes (all but the values). A record that fits in the
+file and whose masked cell equals the layout's is a *hit*, decoded by
+one ``unpack_from``; any other is walked (:func:`_walk`). A hit is
+exact: the reference decoder's path through a record -- which bounds it
+checks, which codec reads which bytes -- depends only on the header
+key, the structural bytes and the file length, all three as in the
+record the layout was compiled from. Channel and keys are decoded once
+per layout; string values per record, with the reference's message.
+
+Compiles follow the input: a key compiles when two of its walked
+records in a row have the same length, once more at most after its
+layout changed, and the scan at most twice plus once per 64 records and
+once per four hits (a compile costs two to three walks, four hits save
+as much).
+After 64 walked records in a row, one in 64 is looked up until one hits.
+
+:func:`load_records` decodes every cell, so any malformed byte raises
+at load. :func:`load_table` checks the framing at open -- lengths,
+bounds, tags, channel UTF-8, no bytes past the last record -- as an
+unknown tag leaves a record's end unknown; the UTF-8 of keys and string
+values is checked where a cell is read, as for ``.ctrc``.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
+from itertools import accumulate
 from pathlib import Path
+
+from repro.engine.columnar import BytesColumn, ColumnarPartition
+from repro.engine.operations import split_evenly
 
 MAGIC = b"IVNTRACE"
 VERSION = 1
@@ -37,40 +69,71 @@ class BinaryTraceError(ValueError):
 _HEADER = struct.Struct("<8sHQ")
 _RECORD_HEAD = struct.Struct("<dB")  # t | len(b_id)
 _RECORD_BODY = struct.Struct("<QH")  # m_id | len(payload)
-_INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
 _STR_LENGTH = struct.Struct("<H")
+
+#: Fixed-size value codecs; ``?`` reads any nonzero byte as ``True``.
+_VALUES = {_TAG_BOOL: struct.Struct("<?"), _TAG_INT: struct.Struct("<q"),
+           _TAG_FLOAT: _FLOAT}
 
 #: What a field that runs past the end of the data raises.
 TRUNCATED = "truncated file"
 
 
+def _check(fits, what, *args):
+    if not fits:
+        raise BinaryTraceError(what.format(*args))
+
+
+def encode_text(field, text, limit):
+    """UTF-8 of *text*; :class:`BinaryTraceError` if over *limit* bytes."""
+    data = str(text).encode("utf-8")
+    _check(len(data) <= limit, "{} is {} bytes, more than {}", field,
+           len(data), limit)
+    return data
+
+
+def check_m_id(m_id):
+    """*m_id* as an ``int``; :class:`BinaryTraceError` outside uint64."""
+    value = int(m_id)
+    _check(0 <= value < 2 ** 64, "m_id {} is outside [0, 2**64)", value)
+    return value
+
+
 def pack_info(m_info):
-    """Encode one info tuple: B entry count, then the entries."""
+    """Encode one info tuple: B entry count, then the entries.
+
+    A field its codec cannot hold raises :class:`BinaryTraceError`.
+    """
+    _check(len(m_info) <= 0xFF, "m_info has {} entries, more than 255",
+           len(m_info))
     parts = [struct.pack("<B", len(m_info))]
     for key, value in m_info:
-        key_data = str(key).encode("utf-8")
-        parts.append(struct.pack("<B", len(key_data)))
-        parts.append(key_data)
+        key_data = encode_text("m_info key", key, 0xFF)
+        parts += (struct.pack("<B", len(key_data)), key_data)
         if isinstance(value, bool):
             parts.append(struct.pack("<BB", _TAG_BOOL, int(value)))
         elif isinstance(value, int):
+            _check(-(2 ** 63) <= value < 2 ** 63,
+                   "m_info {!r} = {} is outside int64", key, value)
             parts.append(struct.pack("<Bq", _TAG_INT, value))
         elif isinstance(value, float):
             parts.append(struct.pack("<Bd", _TAG_FLOAT, value))
         else:
-            data = str(value).encode("utf-8")
+            data = encode_text("m_info {!r}".format(key), value, 0xFFFF)
             parts.append(struct.pack("<BH", _TAG_STR, len(data)) + data)
     return b"".join(parts)
 
 
-def _text(data, start, end):
+def _not_utf8(exc):
+    return BinaryTraceError("text field is not UTF-8 ({})".format(exc.reason))
+
+
+def _text(raw):
     try:
-        return data[start:end].decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise BinaryTraceError(
-            "text field is not UTF-8 ({})".format(exc.reason)
-        )
+        raise _not_utf8(exc)
 
 
 def unpack_info(data, pos):
@@ -86,61 +149,164 @@ def unpack_info(data, pos):
     count = data[pos]
     pos += 1
     info = []
-    for _unused in range(count):
-        # key length, key bytes and the value tag that follows them
-        if pos + 1 > size:
-            raise BinaryTraceError(TRUNCATED)
-        end = pos + 1 + data[pos]
-        if end + 1 > size:
-            raise BinaryTraceError(TRUNCATED)
-        key = _text(data, pos + 1, end)
-        tag = data[end]
-        pos = end + 1
-        if tag == _TAG_STR:
-            if pos + 2 > size:
+    try:
+        for _unused in range(count):
+            # key length, key bytes and the value tag that follows them
+            if pos + 1 > size:
                 raise BinaryTraceError(TRUNCATED)
-            end = pos + 2 + _STR_LENGTH.unpack_from(data, pos)[0]
-            if end > size:
+            end = pos + 1 + data[pos]
+            if end + 1 > size:
                 raise BinaryTraceError(TRUNCATED)
-            value = _text(data, pos + 2, end)
-        elif tag == _TAG_INT or tag == _TAG_FLOAT:
-            end = pos + 8
-            if end > size:
-                raise BinaryTraceError(TRUNCATED)
-            codec = _INT if tag == _TAG_INT else _FLOAT
-            value = codec.unpack_from(data, pos)[0]
-        elif tag == _TAG_BOOL:
-            end = pos + 1
-            if end > size:
-                raise BinaryTraceError(TRUNCATED)
-            value = bool(data[pos])
-        else:
-            raise BinaryTraceError("unknown value tag {}".format(tag))
-        pos = end
-        info.append((key, value))
+            key = data[pos + 1 : end].decode("utf-8")
+            tag = data[end]
+            pos = end + 1
+            if tag == _TAG_STR:
+                if pos + 2 > size:
+                    raise BinaryTraceError(TRUNCATED)
+                end = pos + 2 + _STR_LENGTH.unpack_from(data, pos)[0]
+                if end > size:
+                    raise BinaryTraceError(TRUNCATED)
+                value = data[pos + 2 : end].decode("utf-8")
+            elif tag == _TAG_INT or tag == _TAG_FLOAT:
+                end = pos + 8
+                if end > size:
+                    raise BinaryTraceError(TRUNCATED)
+                value = _VALUES[tag].unpack_from(data, pos)[0]
+            elif tag == _TAG_BOOL:
+                end = pos + 1
+                if end > size:
+                    raise BinaryTraceError(TRUNCATED)
+                value = bool(data[pos])
+            else:
+                raise BinaryTraceError("unknown value tag {}".format(tag))
+            pos = end
+            info.append((key, value))
+    except UnicodeDecodeError as exc:
+        # The first text that fails, in field order, as the format's error.
+        raise _not_utf8(exc)
     return tuple(info), pos
 
 
+def _unpack_cell(data):
+    """Decode one packed ``m_info`` cell of a :func:`load_table` plane."""
+    return unpack_info(bytes(data), 0)[0]
+
+
 def dump_records(records, path):
-    """Write byte-record tuples to *path*; returns the record count."""
-    path = Path(path)
+    """Write byte-record tuples to *path*; returns the record count.
+
+    A field the format cannot hold raises :class:`BinaryTraceError`
+    naming the record and the field, before *path* is opened.
+    """
     records = list(records)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, len(records)))
-        for t, payload, b_id, m_id, m_info in records:
-            channel = str(b_id).encode("utf-8")
-            fh.write(_RECORD_HEAD.pack(float(t), len(channel)))
-            fh.write(channel)
-            fh.write(_RECORD_BODY.pack(int(m_id), len(payload)))
-            fh.write(bytes(payload))
-            fh.write(pack_info(m_info))
+    body = [_HEADER.pack(MAGIC, VERSION, len(records))]
+    for index, (t, payload, b_id, m_id, m_info) in enumerate(records):
+        try:
+            channel = encode_text("channel", b_id, 0xFF)
+            payload = bytes(payload)
+            _check(len(payload) <= 0xFFFF,
+                   "payload is {} bytes, more than 65535", len(payload))
+            body += (_RECORD_HEAD.pack(float(t), len(channel)), channel,
+                     _RECORD_BODY.pack(check_m_id(m_id), len(payload)),
+                     payload, pack_info(m_info))
+        except BinaryTraceError as exc:
+            raise BinaryTraceError("record {}: {}".format(index, exc))
+    Path(path).write_bytes(b"".join(body))
     return len(records)
 
 
-def load_records(path):
-    """Read byte-record tuples back from *path*."""
-    with open(Path(path), "rb") as fh:
-        data = fh.read()
+class _Layout:
+    """A record's layout as :func:`_walk` found it (offsets relative to
+    the record); :meth:`compile` makes its codes, mask and keys usable."""
+
+    __slots__ = ("size", "payload_at", "info_at", "b_id", "m_id", "codes",
+                 "mask", "keys", "texts", "unpack_from", "want")
+
+    def compile(self, data, pos):
+        self.unpack_from = struct.Struct("".join(self.codes)).unpack_from
+        self.mask = int.from_bytes(b"".join(self.mask), "little")
+        self.want = self.mask & int.from_bytes(
+            data[pos + self.info_at : pos + self.size], "little"
+        )
+        try:
+            self.keys = tuple(map(_text, self.keys))
+        except BinaryTraceError:
+            self.keys = None  # only a table scan, which decodes no cell
+        return self
+
+    def record(self, data, pos):
+        """The record tuple of a hit at ``data[pos]``."""
+        t, payload, *values = self.unpack_from(data, pos)
+        try:
+            for index in self.texts:
+                values[index] = values[index].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc)
+        return (t, payload, self.b_id, self.m_id, tuple(zip(self.keys, values)))
+
+
+def _walk(data, pos, size, decode):
+    """The general walk of the record at ``data[pos]``: with *decode*
+    the reference decoder, returning ``(record, end)``; else the same
+    framing checks, the channel decoded, and ``(layout, end)``."""
+    t, channel_length = _RECORD_HEAD.unpack_from(data, pos)
+    body = pos + 9 + channel_length
+    if body + 10 > size:
+        raise BinaryTraceError(TRUNCATED)
+    try:
+        b_id = data[pos + 9 : body].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc)
+    m_id, length = _RECORD_BODY.unpack_from(data, body)
+    info = body + 10 + length
+    if decode:
+        if info > size:
+            raise BinaryTraceError(TRUNCATED)
+        m_info, end = unpack_info(data, info)
+        return (t, data[body + 10 : info], b_id, m_id, m_info), end
+    if info + 1 > size:
+        raise BinaryTraceError(TRUNCATED)
+    layout = _Layout()
+    layout.b_id, layout.m_id = b_id, m_id
+    layout.payload_at, layout.info_at = body + 10 - pos, info - pos
+    layout.codes = [f"<d{body + 2 - pos}x{length}s"]
+    layout.mask, layout.keys, layout.texts = [], [], []
+    structure = info  # where the structural bytes before a value start
+    cursor = info + 1
+    for index in range(data[info]):
+        if cursor + 1 > size:
+            raise BinaryTraceError(TRUNCATED)
+        start = cursor + 2 + data[cursor]  # past the key and its tag
+        if start > size:
+            raise BinaryTraceError(TRUNCATED)
+        layout.keys.append(data[cursor + 1 : start - 1])
+        tag = data[start - 1]
+        if tag == _TAG_STR:
+            if start + 2 > size:
+                raise BinaryTraceError(TRUNCATED)
+            start += 2
+            end = start + _STR_LENGTH.unpack_from(data, start - 2)[0]
+            code = f"{end - start}s"
+            layout.texts.append(index)
+        elif tag in _VALUES:
+            end = start + _VALUES[tag].size
+            code = _VALUES[tag].format[1:]
+        else:
+            raise BinaryTraceError("unknown value tag {}".format(tag))
+        if end > size:
+            raise BinaryTraceError(TRUNCATED)
+        layout.codes.append(f"{start - structure}x{code}")
+        layout.mask += (b"\xff" * (start - structure), bytes(end - start))
+        structure = cursor = end
+    layout.codes.append(f"{cursor - structure}x")  # an empty info's count
+    layout.mask.append(b"\xff" * (cursor - structure))
+    layout.size = cursor - pos
+    return layout, cursor
+
+
+def _scan(data, decode):
+    """Check the header, then yield every record of *data* in file
+    order: its tuple if *decode*, else ``(pos, layout)``."""
     size = len(data)
     if size < _HEADER.size:
         raise BinaryTraceError(TRUNCATED)
@@ -149,26 +315,56 @@ def load_records(path):
         raise BinaryTraceError("bad magic {!r}".format(magic))
     if version != VERSION:
         raise BinaryTraceError("unsupported version {}".format(version))
+    layouts = {}  # key -> its compiled layout
+    lengths = {}  # key -> length of its last walked record
+    settled = set()  # keys compiled twice: they compile no more
+    compiles = hits = streak = 0  # streak: walked records since a hit
     pos = _HEADER.size
-    records = []
-    for _unused in range(count):
-        channel_start = pos + _RECORD_HEAD.size
-        if channel_start > size:
+    for index in range(count):
+        if pos + 9 > size:
             raise BinaryTraceError(TRUNCATED)
-        t, channel_length = _RECORD_HEAD.unpack_from(data, pos)
-        pos = channel_start + channel_length
-        payload_start = pos + _RECORD_BODY.size
-        if payload_start > size:
-            raise BinaryTraceError(TRUNCATED)
-        b_id = _text(data, channel_start, pos)
-        m_id, payload_length = _RECORD_BODY.unpack_from(data, pos)
-        pos = payload_start + payload_length
-        if pos > size:
-            raise BinaryTraceError(TRUNCATED)
-        info, end = unpack_info(data, pos)
-        records.append((t, data[payload_start:pos], b_id, m_id, info))
+        if streak >= 64 and index % 64:
+            key = None  # lookups have not paid lately
+        else:
+            key = data[pos + 8 : pos + 19 + data[pos + 8]]
+            layout = layouts.get(key)
+            if layout is not None:
+                end = pos + layout.size
+                if end <= size and layout.want == layout.mask & \
+                        int.from_bytes(data[pos + layout.info_at : end],
+                                       "little"):
+                    hits += 1
+                    streak = 0
+                    yield layout.record(data, pos) if decode else (pos, layout)
+                    pos = end
+                    continue
+                if key in settled:
+                    del layouts[key]
+        item, end = _walk(data, pos, size, decode)
+        yield item if decode else (pos, item)
+        streak += 1
+        if key is not None:
+            if lengths.get(key) != end - pos:
+                lengths[key] = end - pos
+            elif key not in settled and \
+                    compiles <= 1 + index // 64 + hits // 4:
+                if key in layouts:
+                    settled.add(key)
+                if decode:  # the framing walk has the codes and mask
+                    item = _walk(data, pos, size, False)[0]
+                layouts[key] = item.compile(data, pos)
+                compiles += 1
         pos = end
-    return records
+    if pos != size:
+        raise BinaryTraceError(
+            "the header's {} records end at byte {}, but the file has {} "
+            "bytes".format(count, pos, size)
+        )
+
+
+def load_records(path):
+    """Read byte-record tuples back from *path*."""
+    return list(_scan(Path(path).read_bytes(), True))
 
 
 def dump_table(table, path):
@@ -176,12 +372,52 @@ def dump_table(table, path):
     return dump_records(table.sort(["t"]).collect(), path)
 
 
+def packed_partitions(num_partitions, times, payloads, channels, m_ids,
+                      infos):
+    """Whole-trace columns, the packed planes *payloads* and *infos*
+    included, as contiguous :class:`ColumnarPartition` blocks split as
+    :func:`~repro.engine.operations.split_evenly` splits rows."""
+    return [
+        ColumnarPartition([
+            times[rows.start : rows.stop],
+            BytesColumn(payloads.offsets[rows.start : rows.stop + 1],
+                        payloads.blob),
+            channels[rows.start : rows.stop],
+            m_ids[rows.start : rows.stop],
+            BytesColumn(infos.offsets[rows.start : rows.stop + 1],
+                        infos.blob, infos.decode),
+        ], len(rows))
+        for rows in split_evenly(range(len(times)), max(num_partitions, 1))
+    ]
+
+
+def _plane(cells, decode):
+    offsets = array("Q", accumulate(map(len, cells), initial=0))
+    return BytesColumn(offsets, b"".join(cells), decode)
+
+
 def load_table(context, path, num_partitions=None):
-    """Load a binary trace into a K_b engine table."""
+    """Load a binary trace as a K_b table over partitions laid out as
+    ``.ctrc``'s: ``t`` as ``array('d')``, a payload plane, shared channel
+    strings, ``m_id`` as ``array('Q')`` and a packed ``m_info`` plane."""
     from repro.protocols.frames import BYTE_RECORD_COLUMNS
 
-    return context.table_from_rows(
+    data = Path(path).read_bytes()
+    times, m_ids = array("d"), array("Q")
+    channels, payloads, infos = [], [], []
+    for pos, layout in _scan(data, False):
+        info = pos + layout.info_at
+        times.append(_FLOAT.unpack_from(data, pos)[0])
+        channels.append(layout.b_id)
+        m_ids.append(layout.m_id)
+        payloads.append(data[pos + layout.payload_at : info])
+        infos.append(data[info : pos + layout.size])
+    if num_partitions is None:
+        num_partitions = context.default_parallelism
+    return context.table_from_columnar(
         list(BYTE_RECORD_COLUMNS),
-        load_records(path),
-        num_partitions=num_partitions,
+        packed_partitions(
+            num_partitions, times, _plane(payloads, bytes), channels, m_ids,
+            _plane(infos, _unpack_cell),
+        ),
     )

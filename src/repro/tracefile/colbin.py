@@ -30,32 +30,33 @@ decoded by the binlog v1 key/tag/value codec itself
 (:func:`repro.tracefile.binlog.unpack_info`), so the two formats
 round-trip identical record tuples -- float timestamps bit-exactly.
 
-Malformed files (truncated sections, corrupt magic, offsets out of
-order or out of bounds, bad channel indices) raise
-:class:`ColumnarTraceError`, a :class:`~repro.engine.errors.PlanError`
-subclass -- never a bare ``struct.error`` -- when the file is opened,
-before any cell is touched. What sits *inside* a cell is checked when
-the cell is decoded and not before: the engine moves ``m_info`` cells
-packed (filters, joins, ``cache()``) and decodes one only for a rule
-with ``required_info`` or at a row-landing edge (``records()``,
-``select()``, ``collect()`` of a table that still carries the column).
-A malformed TLV inside a cell therefore raises
-:class:`ColumnarTraceError` exactly where that cell is read, and a run
-that never reads it yields the ``R_out`` of the uncorrupted file.
+Malformed files (truncated or oversized sections, corrupt magic,
+offsets out of order or out of bounds, bad channel indices) raise
+:class:`ColumnarTraceError`, a :class:`~repro.engine.errors.PlanError`,
+when the file is opened. What sits *inside* a cell is checked when the
+cell is decoded: the engine moves ``m_info`` cells packed and decodes
+one only for a rule with ``required_info`` or where rows land
+(``records()``, ``collect()``), so a malformed TLV raises exactly where
+its cell is read, and a run that never reads it yields the ``R_out`` of
+the uncorrupted file.
 """
 
 from __future__ import annotations
 
 import mmap
 import struct
+from itertools import accumulate
 from pathlib import Path
 
-from repro.engine.columnar import BytesColumn, ColumnarPartition
+from repro.engine.columnar import BytesColumn
 from repro.engine.errors import PlanError
 from repro.tracefile.binlog import (
     TRUNCATED,
     BinaryTraceError,
+    check_m_id,
+    encode_text,
     pack_info as _pack_info,
+    packed_partitions,
     unpack_info,
 )
 
@@ -79,6 +80,11 @@ def _align(offset):
     return (offset + 7) & ~7
 
 
+def _packed(code, values):
+    values = list(values)
+    return struct.pack("<{}{}".format(len(values), code), *values)
+
+
 def _unpack_info(data):
     """Decode one packed info cell: binlog's codec, this format's error."""
     try:
@@ -93,68 +99,48 @@ def _unpack_info(data):
 # -- writer --------------------------------------------------------------
 
 def dump_records(records, path):
-    """Write byte-record tuples to *path* column-major; returns count."""
-    path = Path(path)
+    """Write byte-record tuples to *path* column-major; returns count.
+
+    A field the format cannot hold raises :class:`ColumnarTraceError`
+    naming the record and the field, before *path* is opened.
+    """
     records = list(records)
     count = len(records)
-
-    times = bytearray()
-    m_ids = bytearray()
-    channel_index = {}
-    channel_indices = bytearray()
-    payload_offsets = bytearray(struct.pack("<Q", 0))
-    payload_blob = bytearray()
-    info_offsets = bytearray(struct.pack("<Q", 0))
-    info_blob = bytearray()
-    for t, payload, b_id, m_id, m_info in records:
-        times += struct.pack("<d", float(t))
-        m_ids += struct.pack("<Q", int(m_id))
-        channel = str(b_id)
-        index = channel_index.get(channel)
-        if index is None:
-            index = channel_index[channel] = len(channel_index)
-            if index > _MAX_CHANNELS:
-                raise ColumnarTraceError(
-                    "too many distinct channels (> {})".format(
-                        _MAX_CHANNELS + 1
-                    )
-                )
-        channel_indices += struct.pack("<H", index)
-        payload_blob += bytes(payload)
-        payload_offsets += struct.pack("<Q", len(payload_blob))
-        info_blob += _pack_info(m_info)
-        info_offsets += struct.pack("<Q", len(info_blob))
-
-    dictionary = bytearray()
-    for channel in channel_index:
-        data = channel.encode("utf-8")
-        dictionary += struct.pack("<H", len(data))
-        dictionary += data
-
+    channels, m_ids, infos = {}, [], []  # channel -> its UTF-8 name
+    for number, (_t, _payload, b_id, m_id, m_info) in enumerate(records):
+        try:
+            m_ids.append(check_m_id(m_id))
+            infos.append(_pack_info(m_info))
+            if str(b_id) not in channels:
+                channels[str(b_id)] = encode_text("channel", b_id, 0xFFFF)
+        except BinaryTraceError as exc:
+            raise ColumnarTraceError("record {}: {}".format(number, exc))
+    if len(channels) > _MAX_CHANNELS + 1:
+        raise ColumnarTraceError(
+            "too many distinct channels (> {})".format(_MAX_CHANNELS + 1)
+        )
+    index = {channel: number for number, channel in enumerate(channels)}
+    payloads = [bytes(record[1]) for record in records]
     sections = [
-        bytes(times),
-        bytes(m_ids),
-        bytes(channel_indices),
-        bytes(dictionary),
-        bytes(payload_offsets),
-        bytes(payload_blob),
-        bytes(info_offsets),
-        bytes(info_blob),
+        _packed("d", [float(record[0]) for record in records]),
+        _packed("Q", m_ids),
+        _packed("H", [index[str(record[2])] for record in records]),
+        b"".join(struct.pack("<H", len(name)) + name
+                 for name in channels.values()),
+        _packed("Q", accumulate(map(len, payloads), initial=0)),
+        b"".join(payloads),
+        _packed("Q", accumulate(map(len, infos), initial=0)),
+        b"".join(infos),
     ]
-    offsets = []
-    cursor = _align(_HEADER.size)
-    for section in sections:
-        offsets.append(cursor)
-        cursor += len(section)
-        cursor = _align(cursor)
+    offsets = [_align(_HEADER.size)]
+    for section in sections[:-1]:
+        offsets.append(_align(offsets[-1] + len(section)))
     # The end offset is the true end of the last section, not its
     # aligned successor -- padding never counts as data.
     offsets.append(offsets[-1] + len(sections[-1]))
 
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(MAGIC, VERSION, count, len(channel_index), *offsets)
-        )
+        fh.write(_HEADER.pack(MAGIC, VERSION, count, len(channels), *offsets))
         position = _HEADER.size
         for start, section in zip(offsets, sections):
             fh.write(b"\x00" * (start - position))
@@ -169,9 +155,8 @@ class ColumnarTraceReader:
     """Zero-copy column access over an mmap'ed columnar trace file.
 
     All header and section bounds are validated once, up front; after
-    construction every accessor is a view slice, not a parse. Keep the
-    reader (or the views it handed out) alive while columns are in use
-    -- the mmap stays open as long as any view references it.
+    construction every accessor is a view slice, not a parse. The mmap
+    stays open as long as the reader or any view it handed out does.
     """
 
     def __init__(self, path):
@@ -197,7 +182,6 @@ class ColumnarTraceReader:
                     str(self.path), exc
                 )
             )
-        self._buffer = buffer
         view = memoryview(buffer)
         if len(view) < _HEADER.size:
             raise ColumnarTraceError(
@@ -227,7 +211,8 @@ class ColumnarTraceReader:
         self._offsets = offsets
         self._view = view
         self.channels = self._parse_channels(num_channels)
-        self._times = self._fixed_section(0, "d", count)
+        # t is 8-aligned, so its section has no padding to allow for.
+        self._times = self._fixed_section(0, "d", count, exact=True)
         self._m_ids = self._fixed_section(1, "Q", count)
         self._channel_indices = self._fixed_section(2, "H", count)
         self._payload_offsets = self._fixed_section(4, "Q", count + 1)
@@ -248,14 +233,13 @@ class ColumnarTraceReader:
     def _section(self, number):
         return self._view[self._offsets[number] : self._offsets[number + 1]]
 
-    def _fixed_section(self, number, fmt, expected):
+    def _fixed_section(self, number, fmt, expected, exact=False):
         raw = self._section(number)
-        itemsize = struct.calcsize("<" + fmt)
-        need = expected * itemsize
-        if len(raw) < need:
+        need = expected * struct.calcsize("<" + fmt)
+        if len(raw) < need or exact and len(raw) != need:
             raise ColumnarTraceError(
-                "truncated section {}: expected {} bytes for {} "
-                "entries, found {}".format(number, need, expected, len(raw))
+                "section {} holds {} bytes, but the header's {} entries "
+                "need {}".format(number, len(raw), expected, need)
             )
         return raw[:need].cast(fmt)
 
@@ -326,95 +310,25 @@ class ColumnarTraceReader:
         )
 
     # -- records ----------------------------------------------------------
-    def record(self, index):
-        """Materialize byte record *index* as a ``(t, l, b_id, m_id, m_info)``
-        tuple (decoding exactly one payload and one info cell)."""
-        if index < 0:
-            index += self._count
-        if not 0 <= index < self._count:
-            raise IndexError("record index out of range")
-        payload = bytes(
-            self._payload_blob[
-                self._payload_offsets[index] : self._payload_offsets[index + 1]
-            ]
-        )
-        info = _unpack_info(
-            self._info_blob[
-                self._info_offsets[index] : self._info_offsets[index + 1]
-            ]
-        )
-        return (
-            self._times[index],
-            payload,
-            self.channels[self._channel_indices[index]],
-            self._m_ids[index],
-            info,
-        )
-
     def select(self, indices):
-        """Materialize the records at *indices*, in the given order.
-
-        This is the preselection contract: a scan decides survival from
-        the ``(m_id, b_id)`` views alone, then pays payload/info decode
-        for the survivors only.
-        """
-        return [self.record(i) for i in indices]
+        """The records at *indices* (in ``range(len(self))``), in order:
+        a scan decides survival from the ``(m_id, b_id)`` views alone,
+        then pays payload/info decode for the survivors only."""
+        return self.partitions(1)[0].gather(indices).to_rows()
 
     def records(self):
-        return self.select(range(self._count))
+        return self.partitions(1)[0].to_rows()
 
     # -- engine integration ------------------------------------------------
     def partitions(self, num_partitions):
-        """Slice the trace into contiguous :class:`ColumnarPartition` blocks.
-
-        Fixed-stride columns and both offset planes are sliced as
-        sub-views -- no copies; each partition stays backed by the mmap.
-        """
+        """Contiguous :class:`ColumnarPartition` blocks of sub-views: no
+        copies, each partition stays backed by the mmap."""
         if num_partitions < 1:
             raise ColumnarTraceError("num_partitions must be positive")
-        count = self._count
-        base, extra = divmod(count, num_partitions)
-        parts = []
-        start = 0
-        for i in range(num_partitions):
-            size = base + (1 if i < extra else 0)
-            end = start + size
-            channels = self.channels
-            columns = [
-                self._times[start:end],
-                BytesColumn(
-                    self._payload_offsets[start : end + 1],
-                    self._payload_blob,
-                ),
-                [channels[j] for j in self._channel_indices[start:end]],
-                self._m_ids[start:end],
-                BytesColumn(
-                    self._info_offsets[start : end + 1],
-                    self._info_blob,
-                    _unpack_info,
-                ),
-            ]
-            parts.append(ColumnarPartition(columns, size))
-            start = end
-        return parts
-
-    def close(self):
-        """Release the mapping once no exported column views remain."""
-        self._view.release()
-        if isinstance(self._buffer, mmap.mmap):
-            try:
-                self._buffer.close()
-            except BufferError:
-                # Column views are still alive; the map closes when
-                # they are garbage-collected.
-                pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
+        return packed_partitions(
+            num_partitions, self._times, self.payload_column(),
+            self.channel_column(), self._m_ids, self.info_column(),
+        )
 
 
 def load_records(path):

@@ -19,19 +19,19 @@ def ctx():
 
 @pytest.fixture
 def info_decodes(monkeypatch):
-    """Every ``colbin._unpack_info`` call of planes built *after* this
-    fixture (a packed plane binds its decode hook when the reader hands
-    it out) -- the TLV decodes a ``.ctrc`` run pays."""
-    from repro.tracefile import colbin
+    """Every ``colbin._unpack_info`` and ``binlog._unpack_cell`` call of
+    planes built *after* this fixture (a packed plane binds its decode
+    hook when the reader hands it out) -- the TLV decodes a ``.ctrc`` or
+    ``.btrc`` table pays."""
+    from repro.tracefile import binlog, colbin
 
     calls = []
-    unpack = colbin._unpack_info
+    for module, name in ((colbin, "_unpack_info"), (binlog, "_unpack_cell")):
+        def counting(data, unpack=getattr(module, name)):
+            calls.append(1)
+            return unpack(data)
 
-    def counting(data):
-        calls.append(1)
-        return unpack(data)
-
-    monkeypatch.setattr(colbin, "_unpack_info", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 

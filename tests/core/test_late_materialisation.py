@@ -1,4 +1,5 @@
-"""Moving a cell is not reading it: Algorithm 1 over a ``.ctrc``.
+"""Moving a cell is not reading it: Algorithm 1 over a ``.ctrc`` or
+``.btrc`` table.
 
 ``m_info`` reaches ``u_2`` only for rules with ``required_info``; the
 front half therefore moves the packed info plane (preselection filter,
@@ -18,7 +19,8 @@ from repro.datasets import SPECS, build_dataset
 from repro.datasets.showcase import build_showcase
 from repro.engine import EngineContext
 from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
-from repro.tracefile import colbin
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
+from repro.tracefile import binlog, colbin
 
 
 @pytest.fixture
@@ -50,9 +52,9 @@ def extractions(monkeypatch):
     return calls
 
 
-def _dump(records, tmp_path):
-    path = tmp_path / "trace.ctrc"
-    colbin.dump_records(records, path)
+def _dump(records, tmp_path, codec=colbin):
+    path = tmp_path / ("trace.ctrc" if codec is colbin else "trace.btrc")
+    codec.dump_records(records, path)
     return path
 
 
@@ -98,8 +100,27 @@ def test_syn_ctrc_decodes_no_info_cell_and_calls_no_scalar_extractor(
     assert len(extractions) == k_join
 
 
+def test_lig_btrc_run_decodes_no_info_cell(tmp_path, info_decodes):
+    bundle = build_dataset(SPECS["LIG"])
+    records = bundle.byte_records(4.0)
+    path = _dump(records, tmp_path, binlog)
+    pipeline = PreprocessingPipeline(PipelineConfig(
+        catalog=bundle.catalog(), constraints=bundle.default_constraints(),
+    ))
+    context = EngineContext.serial()
+    r_out = pipeline.run(binlog.load_table(context, path)).r_out.collect()
+    assert r_out
+    assert info_decodes == []
+    # The rows the loader used to build give the same R_out.
+    k_b = context.table_from_rows(list(BYTE_RECORD_COLUMNS), records)
+    assert sorted(r_out, key=repr) == sorted(
+        pipeline.run(k_b).r_out.collect(), key=repr
+    )
+
+
+@pytest.mark.parametrize("codec", [colbin, binlog], ids=["ctrc", "btrc"])
 def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
-    tmp_path, info_decodes, extractions
+    tmp_path, info_decodes, extractions, codec
 ):
     showcase = build_showcase()
     records = showcase.simulation.byte_records(4.0)
@@ -111,11 +132,11 @@ def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
     catalog = RuleCatalog(others + gated.tuples)
     asking = _k_join_rows(records, catalog, gated_only=True)
     assert 0 < asking < _k_join_rows(records, catalog)
-    path = _dump(records, tmp_path)
+    path = _dump(records, tmp_path, codec)
     pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
 
     del extractions[:]  # building the showcase decodes its own frames
-    result = pipeline.run(colbin.load_table(EngineContext.serial(), path))
+    result = pipeline.run(codec.load_table(EngineContext.serial(), path))
     assert len(info_decodes) == asking
     # The scalar extractor ran for the rows of the scalar rules only,
     # which the run report counts per reason.
@@ -131,7 +152,7 @@ def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
     assert showcase.notification_signal in {row[1] for row in r_out}
 
     reference = EngineContext(SerialExecutor(columnar=False))
-    expected = pipeline.run(colbin.load_table(reference, path))
+    expected = pipeline.run(codec.load_table(reference, path))
     assert r_out == sorted(expected.r_out.collect(), key=repr)
 
 

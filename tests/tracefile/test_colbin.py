@@ -242,6 +242,25 @@ class TestMalformedFiles:
             with pytest.raises(ColumnarTraceError):
                 colbin.load_records(path)
 
+    def test_a_header_count_one_short_is_the_structured_error(
+        self, tmp_path
+    ):
+        from repro.datasets import SPECS, build_dataset
+
+        path = tmp_path / "t.ctrc"
+        colbin.dump_records(build_dataset(SPECS["SYN"]).byte_records(2.0),
+                            path)
+        data = bytearray(path.read_bytes())
+        count = struct.unpack_from("<Q", data, 10)[0]
+        struct.pack_into("<Q", data, 10, count - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ColumnarTraceError) as caught:
+            ColumnarTraceReader(path)
+        assert str(caught.value) == (
+            "section 0 holds {} bytes, but the header's {} entries need "
+            "{}".format(8 * count, count - 1, 8 * (count - 1))
+        )
+
     def test_unsupported_version(self, valid_bytes, tmp_path):
         mutated = bytearray(valid_bytes)
         mutated[8:10] = struct.pack("<H", 99)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tracefile import asciilog, binlog
+from repro.tracefile import asciilog, binlog, colbin
 from repro.tracefile.asciilog import TraceFormatError
 from repro.tracefile.binlog import BinaryTraceError
+from repro.tracefile.colbin import ColumnarTraceError
 
 
 @pytest.fixture
@@ -131,6 +132,33 @@ class TestBinaryFormat:
                 binlog.load_records(path)
             assert str(caught.value) == "truncated file"
 
+    def test_a_header_count_one_short_is_the_structured_error(
+        self, ctx, tmp_path
+    ):
+        from repro.datasets import SPECS, build_dataset
+
+        path = tmp_path / "t.btrc"
+        binlog.dump_records(build_dataset(SPECS["SYN"]).byte_records(2.0),
+                            path)
+        data = bytearray(path.read_bytes())
+        count = int.from_bytes(data[10:18], "little")
+        data[10:18] = (count - 1).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        for load in (binlog.load_records,
+                     lambda p: binlog.load_table(ctx, p)):
+            with pytest.raises(BinaryTraceError) as caught:
+                load(path)
+            message = str(caught.value)
+            assert "{} records".format(count - 1) in message
+            assert "{} bytes".format(len(data)) in message
+
+    def test_trailing_bytes_are_the_structured_error(self, tmp_path):
+        path = tmp_path / "t.btrc"
+        binlog.dump_records([(1.0, b"\x01", "FC", 3, (("dlc", 1),))], path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(BinaryTraceError, match="file has"):
+            binlog.load_records(path)
+
     def test_unknown_tag_message(self, tmp_path):
         path = tmp_path / "t.bin"
         binlog.dump_records([(1.0, b"", "FC", 3, (("k", 1),))], path)
@@ -157,6 +185,44 @@ class TestBinaryFormat:
         binlog.dump_records([(t, b"", "FC", 1, ())], path)
         [(loaded_t, *_rest)] = binlog.load_records(path)
         assert loaded_t == t
+
+
+_GOOD = (1.0, b"\x01", "FC", 3, (("protocol", "CAN"),))
+
+
+_SHARED_LIMITS = {
+    "key": ((1.0, b"", "FC", 3, (("k" * 256, 1),)), "m_info key"),
+    "entries": ((1.0, b"", "FC", 3, (("k", 1),) * 256), "entries"),
+    "string": ((1.0, b"", "FC", 3, (("note", "x" * 65536),)), "'note'"),
+    "int": ((1.0, b"", "FC", 3, (("crc", 2 ** 63),)), "'crc'"),
+    "m_id": ((1.0, b"", "FC", 2 ** 64, ()), "m_id"),
+    "negative-m_id": ((1.0, b"", "FC", -1, ()), "m_id"),
+}
+
+
+@pytest.mark.parametrize("module, bad, field", [
+    pytest.param(binlog, (1.0, b"", "C" * 256, 3, ()), "channel",
+                 id="btrc-channel"),
+    pytest.param(binlog, (1.0, bytes(65536), "FC", 3, ()), "payload",
+                 id="btrc-payload"),
+    # A .ctrc channel has a 2-byte length; its payloads have no limit.
+    pytest.param(colbin, (1.0, b"", "C" * 65536, 3, ()), "channel",
+                 id="ctrc-channel"),
+] + [
+    pytest.param(module, bad, field, id="{}-{}".format(suffix, name))
+    for module, suffix in ((binlog, "btrc"), (colbin, "ctrc"))
+    for name, (bad, field) in _SHARED_LIMITS.items()
+])
+def test_a_field_the_format_cannot_hold_fails_before_any_byte_is_written(
+    tmp_path, module, bad, field
+):
+    error = BinaryTraceError if module is binlog else ColumnarTraceError
+    path = tmp_path / "t.trace"
+    with pytest.raises(error) as caught:
+        module.dump_records([_GOOD, bad], path)
+    assert str(caught.value).startswith("record 1: ")
+    assert field in str(caught.value)
+    assert not path.exists()
 
 
 @given(
