@@ -128,11 +128,8 @@ def measure_split_strategies(bundle, duration):
     columns, partitions = _interpreted_k_s(bundle, duration)
     signal_ids = sorted(bundle.signal_ids)
 
-    # Old pattern: one full filter scan per signal type. Optimization is
-    # off so the filter-to-split rewrite cannot rescue it.
-    fanout_exec = SimulatedClusterExecutor(
-        num_workers=CLUSTER_WORKERS, optimize_plans=False
-    )
+    # Old pattern: one full filter scan per signal type.
+    fanout_exec = SimulatedClusterExecutor(num_workers=CLUSTER_WORKERS)
     k_s = EngineContext(fanout_exec).table_from_partitions(columns, partitions)
     start = time.perf_counter()
     for s_id in signal_ids:
@@ -171,7 +168,7 @@ def test_split_by_key_single_pass_vs_filter_fan_out(benchmark, syn_bundle):
 
     speedup = stats["fanout_seconds"] / max(stats["split_seconds"], 1e-9)
     print_table(
-        "Per-signal split of SYN K_s -- filter fan-out vs SplitByKey "
+        "Per-signal split of SYN K_s -- filter fan-out vs split_by_key "
         "({} signals, {} rows)".format(stats["signals"], stats["rows"]),
         ["strategy", "scan stages", "tasks", "seconds"],
         [

@@ -74,8 +74,18 @@ class CliError(Exception):
 
 
 def _load_trace(ctx, path):
+    return _read_trace(path, lambda codec: codec.load_table(ctx, path))
+
+
+def _load_records(path):
+    return _read_trace(path, lambda codec: codec.load_records(path))
+
+
+def _read_trace(path, load):
+    """Run ``load(codec)`` on the codec for *path*'s suffix, turning
+    every trace-file error into one ``error: trace:`` line."""
     try:
-        return codec_for(path).load_table(ctx, path)
+        return load(codec_for(path))
     except FileNotFoundError:
         raise CliError("trace", "trace file {!r} does not exist".format(
             str(path)))
@@ -275,20 +285,6 @@ def cmd_report(args, out=sys.stdout):
     else:
         print(text, file=out)
     return 0
-
-
-def _load_records(path):
-    try:
-        return codec_for(path).load_records(path)
-    except FileNotFoundError:
-        raise CliError("trace", "trace file {!r} does not exist".format(
-            str(path)))
-    except IsADirectoryError:
-        raise CliError("trace", "{!r} is a directory, not a trace "
-                       "file".format(str(path)))
-    except (TraceFormatError, BinaryTraceError, ColumnarTraceError) as exc:
-        raise CliError("trace", "trace file {!r} is corrupt: {}".format(
-            str(path), exc))
 
 
 def cmd_degrade(args, out=sys.stdout):

@@ -109,7 +109,7 @@ def join_rules(k_pre, catalog_table):
         raise ValueError(
             "catalog table lacks join columns {}".format(missing)
         )
-    return k_pre.join(catalog_table, on=["b_id", "m_id"], how="inner")
+    return k_pre.join(catalog_table, on=["b_id", "m_id"])
 
 
 def extract_relevant_bytes(k_join, on_short="raise"):

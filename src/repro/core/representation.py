@@ -5,9 +5,10 @@ merged into one sequence ``K_rep`` of unified shape (``R_COLUMNS``). From
 it, the *state representation* of Table 4 is formed: one column per
 signal type, one row per timestamp at which any signal changed, missing
 cells forward-filled with the signal's last value -- "each row resembles
-the state of all signal instances at a time". It is built from
+the state of all signal instances at a time". The paper builds it from
 concatenation, sort and lag (forward-fill) operations, all scalable
-database operations.
+database operations; here the merge is an engine union and sort, and
+the pivot with its forward fill is one pass over the collected rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.core.branches import (
     KIND_SYMBOL,
     R_COLUMNS,
 )
-from repro.engine.window import ForwardFill
 
 
 class RepresentationError(ValueError):
@@ -128,9 +128,10 @@ class StateRepresentation:
 def build_state_representation(r_out, signal_order=None, round_time=9):
     """Pivot ``R_out`` into a :class:`StateRepresentation`.
 
-    The pivot runs on the engine: rows are expanded to sparse wide rows,
-    sorted by time, coalesced per timestamp and forward-filled with a
-    windowed partition map (a lag operation).
+    ``R_out`` is collected once; its rows are coalesced into one sparse
+    wide row per (rounded) timestamp, and the rows, in time order, are
+    forward-filled: an empty cell takes its column's last value (a lag
+    operation).
     """
     rows = r_out.collect()
     schema = r_out.schema
@@ -162,16 +163,11 @@ def build_state_representation(r_out, signal_order=None, round_time=9):
         cell = format_cell(r[k_i], r[v_i], r[tr_i])
         wide = sparse.setdefault(t, [None] * len(signal_order))
         wide[col_index[s_id]] = cell
-    context = r_out.context
-    wide_rows = [
-        (t,) + tuple(cells) for t, cells in sorted(sparse.items())
-    ]
-    if not wide_rows:
-        return StateRepresentation(signal_order, [])
-    table = context.table_from_rows(
-        ["t"] + ["c{}".format(i) for i in range(len(signal_order))],
-        wide_rows,
-    ).repartition(1)
-    fill = ForwardFill(tuple(range(1, len(signal_order) + 1)))
-    filled = table.sorted_map_partitions(fill, carry_rows=0)
-    return StateRepresentation(signal_order, filled.sort(["t"]).collect())
+    state = [None] * len(signal_order)
+    filled = []
+    for t, cells in sorted(sparse.items()):
+        state = [
+            last if cell is None else cell for cell, last in zip(cells, state)
+        ]
+        filled.append((t,) + tuple(state))
+    return StateRepresentation(signal_order, filled)

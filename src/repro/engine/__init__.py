@@ -3,9 +3,10 @@
 This package is the repository's stand-in for Apache Spark (see
 DESIGN.md), cut to what Algorithm 1 issues: lazy logical plans over
 partitioned row or columnar tables, filters and row maps fused into
-generated per-partition kernels, a broadcast join, a single-pass split
-by key, global sorts, unions and sorted partition maps, executed
-serially, on a process pool or under a simulated-cluster cost model.
+generated per-partition kernels, an inner broadcast join, a
+single-pass split by key, ascending global sorts, unions and
+repartitions, executed serially, on a process pool or under a
+simulated-cluster cost model.
 
 The names below are the ones the rest of ``repro`` imports from here;
 executors, fault injection and the plan, expression and schema

@@ -63,9 +63,9 @@ class EngineContext:
         return False
 
     # -- table constructors -------------------------------------------------
-    def table_from_rows(self, columns, rows, dtypes=None, num_partitions=None):
+    def table_from_rows(self, columns, rows, num_partitions=None):
         """Create a table from row tuples, splitting into partitions."""
-        schema = Schema.of(*columns, dtypes=dtypes)
+        schema = Schema.of(*columns)
         width = len(schema)
         rows = [tuple(r) for r in rows]
         # Every row is validated, not just the first: a ragged row deep
@@ -83,15 +83,15 @@ class EngineContext:
         node = logical.Source(schema, tuple(tuple(p) for p in partitions))
         return Table(self, node)
 
-    def table_from_partitions(self, columns, partitions, dtypes=None):
+    def table_from_partitions(self, columns, partitions):
         """Create a table preserving an existing partitioning."""
-        schema = Schema.of(*columns, dtypes=dtypes)
+        schema = Schema.of(*columns)
         node = logical.Source(
             schema, tuple(tuple(tuple(r) for r in p) for p in partitions)
         )
         return Table(self, node)
 
-    def table_from_columnar(self, columns, partitions, dtypes=None):
+    def table_from_columnar(self, columns, partitions):
         """Create a table from pre-built columnar partitions.
 
         *partitions* is a sequence of :class:`ColumnarPartition` objects
@@ -101,7 +101,7 @@ class EngineContext:
         columnar tracefile reader exposes mmap'ed column sections to the
         engine without decoding payloads up front.
         """
-        schema = Schema.of(*columns, dtypes=dtypes)
+        schema = Schema.of(*columns)
         width = len(schema)
         built = []
         for index, part in enumerate(partitions):
@@ -118,6 +118,6 @@ class EngineContext:
         node = logical.Source(schema, tuple(built))
         return Table(self, node)
 
-    def empty_table(self, columns, dtypes=None):
-        """Create an empty table with the given schema."""
-        return self.table_from_rows(columns, [], dtypes=dtypes, num_partitions=1)
+    def empty_table(self, columns):
+        """Create an empty table with the given columns."""
+        return self.table_from_rows(columns, [], num_partitions=1)

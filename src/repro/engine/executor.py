@@ -35,7 +35,6 @@ from repro.engine.errors import (
 )
 from repro.engine.operations import (
     BroadcastJoinTask,
-    CarryMapTask,
     FilterStep,
     FlatMapStep,
     MapPartitionStep,
@@ -43,7 +42,6 @@ from repro.engine.operations import (
     ProjectStep,
     SortPartitionTask,
     SplitRouteTask,
-    hash_partition,
     split_evenly,
 )
 from repro.obs import MetricsRegistry, RuleFireCounter, stopwatch
@@ -63,7 +61,6 @@ _EXECUTOR_COUNTERS = (
     "splits",
     "split_groups",
     "split_rows",
-    "split_cache_hits",
     "kernels_compiled",
     "kernel_cache_hits",
     "kernel_fallbacks",
@@ -71,11 +68,6 @@ _EXECUTOR_COUNTERS = (
     "columnar_fallbacks",
     "columnar_exchange_bytes",
 )
-
-#: Entries kept in the per-executor split cache (materialized routings
-#: of SplitByKey children). Small: each entry holds one full copy of a
-#: (usually already cached) source table, grouped.
-_SPLIT_CACHE_MAX = 8
 
 
 class ExecutorMetrics:
@@ -267,7 +259,6 @@ class Executor:
         self.obs = MetricsRegistry()
         self.metrics = ExecutorMetrics(self.obs)
         self._stage_seq = 0
-        self._split_cache = {}
 
     # -- task running (strategy implemented by subclasses) ---------------
     def run_tasks(self, task, inputs, stage="task"):
@@ -481,15 +472,6 @@ class Executor:
             return self._execute_sort(node)
         if isinstance(node, logical.Repartition):
             return self._execute_repartition(node)
-        if isinstance(node, logical.SortedMapPartitions):
-            return self._execute_sorted_map(node)
-        if isinstance(node, logical.SplitByKey):
-            groups, num_partitions = self._split_groups(node.child, node.key)
-            parts = groups.get(node.group)
-            if parts is None:
-                return [[] for _unused in range(num_partitions)]
-            # Copied so tasks can never alias the split cache's lists.
-            return [list(p) for p in parts]
         raise PlanError("unknown plan node {!r}".format(type(node).__name__))
 
     def _execute_join(self, node):
@@ -497,17 +479,14 @@ class Executor:
         Algorithm 1) becomes one in-memory index probed by one row task
         per left partition -- the plan Spark picks for a small side."""
         left_parts = self._execute_row_partitions(node.left)
-        left_keys = tuple(node.left.schema.index_of(k) for k in node.left_keys)
-        right_schema = node.right.schema
-        right_keys = tuple(right_schema.index_of(k) for k in node.right_keys)
+        left_keys = tuple(node.left.schema.index_of(k) for k in node.keys)
+        right_keys = tuple(node.right.schema.index_of(k) for k in node.keys)
         self.obs.inc("executor.broadcast_joins")
         task = BroadcastJoinTask(
             left_keys,
             _broadcast_index(
                 self._execute_row_partitions(node.right), right_keys
             ),
-            node.how,
-            len(right_schema) - len(right_keys),
         )
         return self._run(task, left_parts, "broadcast-join")
 
@@ -518,7 +497,7 @@ class Executor:
         rows = [r for p in child_parts for r in p]
         self.obs.inc("executor.shuffles")
         self.obs.inc("executor.rows_shuffled", len(rows))
-        task = SortPartitionTask(key_indices, node.ascending)
+        task = SortPartitionTask(key_indices)
         # Routed through the task runner so cost models charge the sort
         # as one (serial) task; executors with a single input run it in
         # the driver anyway.
@@ -529,13 +508,9 @@ class Executor:
         rows = [r for p in self.execute(node.child) for r in p]
         self.obs.inc("executor.shuffles")
         self.obs.inc("executor.rows_shuffled", len(rows))
-        if node.keys:
-            schema = node.child.schema
-            key_indices = tuple(schema.index_of(k) for k in node.keys)
-            return hash_partition(rows, key_indices, node.num_partitions)
         return split_evenly(rows, node.num_partitions)
 
-    # -- single-pass split (SplitByKey) ----------------------------------
+    # -- single-pass split (Table.split_by_key) --------------------------
     def execute_split(self, node, key, keys=None):
         """Split *node*'s rows by the *key* column in one routed pass.
 
@@ -545,38 +520,15 @@ class Executor:
         ``i`` with that key value, in order). When *keys* is given the
         result holds exactly those keys in that order, with absent keys
         mapped to empty partition lists; otherwise keys are discovered
-        from the data. Partition lists may be shared with the split
-        cache -- treat them as read-only.
-        """
-        groups, num_partitions = self._split_groups(node, key)
-        if keys is None:
-            return dict(groups), num_partitions
-        out = {}
-        for value in keys:
-            parts = groups.get(value)
-            if parts is None:
-                parts = [[] for _unused in range(num_partitions)]
-            out[value] = parts
-        return out, num_partitions
+        from the data, in first-seen order.
 
-    def _split_groups(self, child, key):
-        """Route *child*'s rows by *key* into per-value groups, cached.
-
-        The routing is one task per child partition (stage kind
+        The routing is one task per input partition (stage kind
         ``split``, subject to fault injection and the normal retry
-        budget) followed by a driver-side regroup. Results are cached
-        per ``(child plan, key)`` so sibling ``SplitByKey`` nodes -- and
-        repeated filter fan-outs rewritten by the optimizer -- reuse one
-        shuffle stage instead of rescanning the child per group.
+        budget) followed by a driver-side regroup: one shuffle stage for
+        every group.
         """
-        cache_key = self._split_cache_key(child, key)
-        if cache_key is not None:
-            cached = self._split_cache.get(cache_key)
-            if cached is not None:
-                self.obs.inc("executor.split_cache_hits")
-                return cached
-        child_parts = self.execute(child)
-        key_index = child.schema.index_of(key)
+        child_parts = self.execute(node)
+        key_index = node.schema.index_of(key)
         num_partitions = len(child_parts)
         groups = {}
         total_rows = 0
@@ -595,40 +547,13 @@ class Executor:
         self.obs.inc("executor.splits")
         self.obs.inc("executor.split_groups", len(groups))
         self.obs.inc("executor.split_rows", total_rows)
-        result = (groups, num_partitions)
-        if cache_key is not None:
-            if len(self._split_cache) >= _SPLIT_CACHE_MAX:
-                self._split_cache.pop(next(iter(self._split_cache)))
-            self._split_cache[cache_key] = result
-        return result
-
-    @staticmethod
-    def _split_cache_key(child, key):
-        """Cache key for a split routing, or None when uncacheable.
-
-        Plan nodes are frozen dataclasses over immutable data, so
-        structural equality identifies reusable routings; a child
-        holding an unhashable payload simply bypasses the cache.
-        """
-        try:
-            hash(child)
-        except TypeError:
-            return None
-        return (child, key)
-
-    def _execute_sorted_map(self, node):
-        child_parts = self.execute(node.child)
-        tail = max(node.carry_rows, 0)
-        carries = []
-        previous = []
-        for part in child_parts:
-            carries.append(previous)
-            if tail:
-                # Keep the global tail so short or empty partitions still
-                # pass the right carry rows downstream.
-                previous = (previous + list(part))[-tail:]
-        task = CarryMapTask(node.func)
-        return self._run(task, list(zip(child_parts, carries)), "sorted-map")
+        if keys is None:
+            return groups, num_partitions
+        return {
+            value: groups[value] if value in groups
+            else [[] for _unused in range(num_partitions)]
+            for value in keys
+        }, num_partitions
 
 
 def _broadcast_index(right_parts, right_keys):

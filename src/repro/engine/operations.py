@@ -3,13 +3,12 @@
 Executors fuse chains of narrow plan nodes into a single
 :class:`PartitionTask` per input partition; the task is a picklable object
 so the multiprocessing executor can ship it to a worker process. Wide
-operations (the broadcast join, sort, split, sorted partition map) are
-driver-side exchanges plus the per-partition tasks defined here.
+operations (the broadcast join, sort, split) are driver-side exchanges
+plus the per-partition tasks defined here.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -79,7 +78,8 @@ class PartitionTask:
 
 @dataclass(frozen=True)
 class BroadcastJoinTask:
-    """Join one left partition against a broadcast hash map of right rows.
+    """Inner-join one left partition against a broadcast hash map of
+    right rows.
 
     ``right_index`` maps join key -> list of right row remainders (right
     rows with the key columns removed). ``left_key_indices`` locate the
@@ -88,46 +88,27 @@ class BroadcastJoinTask:
 
     left_key_indices: tuple
     right_index: dict
-    how: str
-    right_width: int
 
     def __call__(self, rows):
         out = []
         idx = self.right_index
         keys = self.left_key_indices
-        empty = (None,) * self.right_width
-        left_outer = self.how == "left"
         for row in rows:
-            key = tuple(row[i] for i in keys)
-            matches = idx.get(key)
-            if matches:
-                for rem in matches:
-                    out.append(row + rem)
-            elif left_outer:
-                out.append(row + empty)
+            for rem in idx.get(tuple(row[i] for i in keys), ()):
+                out.append(row + rem)
         return out
 
 
 @dataclass(frozen=True)
 class SortPartitionTask:
-    """Sort a single partition by key columns with per-key direction."""
+    """Stable ascending sort of a single partition by key columns."""
 
     key_indices: tuple
-    ascending: tuple
 
     def __call__(self, rows):
         ordered = list(rows)
-        if self.key_indices and all(self.ascending):
-            # All-ascending (the common time-ordering case): one sort
-            # with a composite key. Lexicographic tuple comparison
-            # equals the stable least-significant-key-first multi-pass,
-            # at one pass instead of k.
+        if self.key_indices:
             ordered.sort(key=itemgetter(*self.key_indices))
-            return ordered
-        # Stable sorts applied from the least-significant key up give a
-        # correct multi-key ordering with mixed directions.
-        for idx, asc in reversed(list(zip(self.key_indices, self.ascending))):
-            ordered.sort(key=lambda r, i=idx: r[i], reverse=not asc)
         return ordered
 
 
@@ -148,80 +129,6 @@ class SplitRouteTask:
     def __call__(self, rows):
         i = self.key_index
         return [(row[i], row) for row in rows]
-
-
-@dataclass(frozen=True)
-class CarryMapTask:
-    """Run a windowed partition function with carry rows from predecessor."""
-
-    func: object
-
-    def __call__(self, partition_and_carry):
-        partition, carry = partition_and_carry
-        return self.func(partition, carry)
-
-
-def stable_hash(value):
-    """Process- and run-stable hash of a shuffle key.
-
-    The builtin :func:`hash` is salted per interpreter run for strings
-    (``PYTHONHASHSEED``), so using it to route shuffle buckets makes
-    partition layouts differ across fresh runs -- breaking the engine's
-    determinism contract and the fleet layer's byte-identical-resume
-    claim. This CRC32-based hash is stable everywhere while preserving
-    the invariant a keyed repartition relies on: values that compare
-    equal hash equally, including across numeric types
-    (``1 == 1.0 == True``).
-    """
-    return zlib.crc32(_stable_bytes(value))
-
-
-def _stable_bytes(value):
-    """Tagged canonical byte encoding of a key value (or key tuple)."""
-    if value is None:
-        return b"n"
-    if isinstance(value, (bool, int, float)):
-        if value != value:  # NaN: one canonical bucket for all of them
-            return b"f:nan"
-        try:
-            as_int = int(value)
-        except (OverflowError, ValueError):  # infinities
-            return b"f:" + repr(float(value)).encode("ascii")
-        if value == as_int:
-            return b"i:" + repr(as_int).encode("ascii")
-        return b"f:" + repr(float(value)).encode("ascii")
-    if isinstance(value, str):
-        return b"s:" + value.encode("utf-8", "surrogatepass")
-    if isinstance(value, bytes):
-        return b"b:" + value
-    if isinstance(value, tuple):
-        parts = [b"t:"]
-        for item in value:
-            piece = _stable_bytes(item)
-            parts.append(str(len(piece)).encode("ascii"))
-            parts.append(b":")
-            parts.append(piece)
-        return b"".join(parts)
-    if isinstance(value, frozenset):
-        parts = sorted(_stable_bytes(item) for item in value)
-        return b"fs:" + b"|".join(parts)
-    # Exotic key types fall back to repr; deterministic for values whose
-    # repr is (which covers everything the trace domain produces).
-    return b"r:" + repr(value).encode("utf-8", "surrogatepass")
-
-
-def hash_partition(rows, key_indices, num_buckets):
-    """Split *rows* into ``num_buckets`` lists by a stable key hash.
-
-    Uses :func:`stable_hash`, not the builtin ``hash``, so the bucket a
-    row lands in is identical across interpreter runs, hash seeds and
-    worker processes.
-    """
-    buckets = [[] for _unused in range(num_buckets)]
-    for row in rows:
-        key = tuple(row[i] for i in key_indices)
-        buckets[stable_hash(key) % num_buckets].append(row)
-    return buckets
 
 
 def split_evenly(rows, num_partitions):

@@ -13,13 +13,7 @@ always-on optimizations of production dataflow engines:
 * **project pruning** -- in ``Project(Filter(Project))`` (a filter on a
   computed column blocks pushdown and fusion) the inner projection
   keeps only the columns the filter or the outer projection read, so
-  nothing computes or compresses a column nobody reads;
-* **filter-to-split** -- an equality filter on a materialized source
-  (``Filter(Source, key == literal)``) becomes a
-  :class:`~repro.engine.plan.SplitByKey` group, so the filter-fan-out
-  pattern (one full scan per key value over a shared cached table)
-  collapses into a single routed pass served from the executor's split
-  cache.
+  nothing computes or compresses a column nobody reads.
 
 All rewrites operate on *bound* expressions (index-resolved), using
 structural substitution; results are provably identical because bound
@@ -103,11 +97,6 @@ def _apply_rules(node, trace=None):
             if pushed is not None:
                 _record(trace, "filter_pushdown")
                 return pushed
-        if isinstance(child, logical.Source):
-            split = _filter_to_split(node, child)
-            if split is not None:
-                _record(trace, "filter_to_split")
-                return split
     if isinstance(node, logical.Project):
         child = node.child
         if isinstance(child, logical.Project):
@@ -183,58 +172,6 @@ def _prune_inner_project(outer, filter_node, inner):
         outer.out_schema,
         tuple(substitute(e, remap) for e in outer.exprs),
     )
-
-
-def _filter_to_split(filter_node, source):
-    """Filter(Source, key == literal) -> SplitByKey(Source, key, literal).
-
-    Recognizes the filter-fan-out pattern: pipelines filter one
-    materialized table once per key value, costing one full scan per
-    value. As a SplitByKey group the executor routes *all* values in one
-    pass and serves sibling groups from its split cache, so N fan-out
-    filters cost one shuffle stage. The routing preserves partition
-    structure and row order, making the rewrite exactly equivalent (not
-    just multiset-equivalent) to the filter.
-
-    Gated to materialized sources -- the shape fan-out call sites
-    produce -- so one-off equality filters deep inside narrow chains
-    keep their cheap fused execution.
-    """
-    found = _equality_literal(filter_node.predicate)
-    if found is None:
-        return None
-    index, value = found
-    return logical.SplitByKey(source, source.schema.names[index], value)
-
-
-def _equality_literal(predicate):
-    """The ``(column index, literal)`` of a pure equality predicate.
-
-    Returns None for anything but ``column == literal`` (either operand
-    order), for unhashable literals (they cannot be routing keys) and
-    for non-self-equal literals such as NaN (``NaN == NaN`` is false, so
-    the filter keeps nothing, while a NaN routing key could match a row
-    by object identity).
-    """
-    if not (isinstance(predicate, BoundBinary) and predicate.op == "eq"):
-        return None
-    left, right = predicate.left, predicate.right
-    if isinstance(left, BoundColumn) and isinstance(right, BoundLiteral):
-        index, value = left.index, right.value
-    elif isinstance(right, BoundColumn) and isinstance(left, BoundLiteral):
-        index, value = right.index, left.value
-    else:
-        return None
-    try:
-        if not value == value:
-            return None
-    except Exception:
-        return None
-    try:
-        hash(value)
-    except TypeError:
-        return None
-    return index, value
 
 
 def _is_identity_project(node):

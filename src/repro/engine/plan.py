@@ -4,14 +4,16 @@ A :class:`~repro.engine.table.Table` is a thin handle on a tree of plan
 nodes. Nothing is computed until an action (``collect``, ``count``,
 ``write``) is called, at which point an executor walks the tree, fuses
 chains of *narrow* transformations (filter/project/map/flat-map) into
-single per-partition tasks and runs *wide* transformations (join, sort,
-repartition, split) as their own stages -- the same split Spark makes
-between narrow and wide dependencies.
+single per-partition tasks and runs *wide* transformations (join,
+union, sort, repartition) as their own stages -- the same split Spark
+makes between narrow and wide dependencies. The single-pass split by
+key is not a plan node: :meth:`~repro.engine.table.Table.split_by_key`
+runs it at once and returns materialized group tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.schema import Schema
 
@@ -128,18 +130,15 @@ class MapPartitions(PlanNode):
 
 @dataclass(frozen=True)
 class Join(PlanNode):
-    """Equi-join on named key columns.
+    """Inner equi-join on key columns both sides share by name.
 
-    ``how`` is ``"inner"`` or ``"left"``. The output schema is the left
-    schema concatenated with the right schema minus the right key columns
-    (they would duplicate the left ones).
+    The output schema is the left schema concatenated with the right
+    schema minus the key columns (they would duplicate the left ones).
     """
 
     left: PlanNode
     right: PlanNode
-    left_keys: tuple
-    right_keys: tuple
-    how: str
+    keys: tuple  # column names
     out_schema: Schema
 
     @property
@@ -167,11 +166,10 @@ class Union(PlanNode):
 
 @dataclass(frozen=True)
 class Sort(PlanNode):
-    """Globally sort by the given key columns (ascending flags parallel)."""
+    """Globally sort ascending by the given key columns (stable)."""
 
     child: PlanNode
     keys: tuple  # column names
-    ascending: tuple  # bools parallel to keys
 
     @property
     def schema(self):
@@ -183,74 +181,15 @@ class Sort(PlanNode):
 
 @dataclass(frozen=True)
 class Repartition(PlanNode):
-    """Redistribute rows into ``num_partitions`` partitions.
-
-    If ``keys`` is non-empty rows are hash-partitioned on those columns,
-    otherwise they are split evenly (round-robin by block).
-    """
+    """Redistribute rows into ``num_partitions`` contiguous, balanced
+    blocks, keeping their order."""
 
     child: PlanNode
     num_partitions: int
-    keys: tuple = field(default_factory=tuple)
 
     @property
     def schema(self):
         return self.child.schema
-
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True)
-class SplitByKey(PlanNode):
-    """One named output group of a single-pass split of ``child``.
-
-    The executor routes every child row by its value in the ``key``
-    column into per-value groups in *one* pass -- one shuffle stage for
-    all groups -- and serves this node's ``group`` from that routing.
-    Sibling ``SplitByKey`` nodes over the same child and key share the
-    pass through the executor's split cache, which is what turns the
-    filter-fan-out pattern (one full scan per key value) into a single
-    shuffle.
-
-    Routing preserves partition structure: a group's partition ``i`` is
-    the subsequence of child partition ``i`` with that key value, so
-    every group is co-partitioned with its siblings and the node is
-    exactly (order- and partition-) equivalent to
-    ``Filter(child, key == group)``.
-    """
-
-    child: PlanNode
-    key: str
-    group: object
-
-    @property
-    def schema(self):
-        return self.child.schema
-
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True)
-class SortedMapPartitions(PlanNode):
-    """Partition-wise map that runs *after* a global sort with carry rows.
-
-    ``func(partition, carry)`` receives the sorted partition and a list of
-    up to ``carry_rows`` rows from the tail of the previous partition and
-    returns a list of output rows. This implements windowed operators
-    (the state representation's forward-fill) without giving up
-    partitioning.
-    """
-
-    child: PlanNode  # must already be globally sorted + range partitioned
-    out_schema: Schema
-    func: object
-    carry_rows: int
-
-    @property
-    def schema(self):
-        return self.out_schema
 
     def children(self):
         return (self.child,)

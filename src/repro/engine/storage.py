@@ -72,7 +72,6 @@ class TableStore:
                 pickle.dump(rows, fh, protocol=pickle.HIGHEST_PROTOCOL)
         manifest = {
             "columns": list(table.schema.names),
-            "dtypes": [f.dtype for f in table.schema],
             "num_partitions": len(partitions),
             "num_rows": sum(len(p) for p in partitions),
         }
@@ -111,9 +110,8 @@ class TableStore:
                     ),
                     exc,
                 )
-        return context.table_from_partitions(
-            manifest["columns"], partitions, dtypes=manifest["dtypes"]
-        )
+        # Older manifests also carry a "dtypes" list, which is ignored.
+        return context.table_from_partitions(manifest["columns"], partitions)
 
     def manifest(self, name):
         """Return the manifest dict of a stored table."""

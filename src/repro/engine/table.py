@@ -20,7 +20,7 @@ from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition
 from repro.engine.errors import PlanError, SchemaError
 from repro.engine.expressions import Expression, col
-from repro.engine.schema import ANY, Schema
+from repro.engine.schema import Schema
 
 
 class Table:
@@ -62,7 +62,7 @@ class Table:
         exprs = tuple(col(n).bind(self.schema) for n in names)
         return self._derive(logical.Project(self._plan, out_schema, exprs))
 
-    def with_column(self, name, expression, dtype=ANY):
+    def with_column(self, name, expression):
         """Append (or replace) a column computed from *expression*."""
         if not isinstance(expression, Expression):
             raise PlanError(
@@ -81,41 +81,39 @@ class Table:
             return self._derive(
                 logical.Project(self._plan, self.schema, tuple(exprs))
             )
-        out_schema = self.schema.append(name, dtype)
+        out_schema = self.schema.append(name)
         exprs = tuple(
             col(n).bind(self.schema) for n in self.schema.names
         ) + (bound,)
         return self._derive(logical.Project(self._plan, out_schema, exprs))
 
-    def flat_map(self, func, output_columns, dtypes=None):
+    def flat_map(self, func, output_columns):
         """Expand each row tuple into zero or more output row tuples.
 
         *func* must be picklable and accept the input row as a tuple.
         """
-        out_schema = Schema.of(*output_columns, dtypes=dtypes)
+        out_schema = Schema.of(*output_columns)
         return self._derive(logical.FlatMap(self._plan, out_schema, func))
 
-    def map_partitions(self, func, output_columns=None, dtypes=None):
+    def map_partitions(self, func, output_columns=None):
         """Apply *func* to every partition (a list of row tuples)."""
         if output_columns is None:
             out_schema = self.schema
         else:
-            out_schema = Schema.of(*output_columns, dtypes=dtypes)
+            out_schema = Schema.of(*output_columns)
         return self._derive(logical.MapPartitions(self._plan, out_schema, func))
 
     # -- wide transformations ----------------------------------------------
-    def join(self, other, on, how="inner"):
-        """Equi-join with *other* on shared key column names.
+    def join(self, other, on):
+        """Inner equi-join with *other* on shared key column names.
 
         *on* is a column name or list of names present in both tables. The
         result carries the left columns followed by the right non-key
-        columns. ``how`` is ``"inner"`` or ``"left"``.
+        columns.
         """
         if self._context is not other._context:
             raise PlanError("cannot join tables from different contexts")
         keys = [on] if isinstance(on, str) else list(on)
-        if how not in ("inner", "left"):
-            raise PlanError("unsupported join type {!r}".format(how))
         for key in keys:
             if key not in self.schema or key not in other.schema:
                 raise SchemaError(
@@ -133,15 +131,9 @@ class Table:
             )
         right_rest = other.schema.drop(keys)
         out_schema = self.schema.concat(right_rest)
-        node = logical.Join(
-            self._plan,
-            other._plan,
-            tuple(keys),
-            tuple(keys),
-            how,
-            out_schema,
+        return self._derive(
+            logical.Join(self._plan, other._plan, tuple(keys), out_schema)
         )
-        return self._derive(node)
 
     def union(self, other):
         """Concatenate rows of two tables with identical column names."""
@@ -153,49 +145,18 @@ class Table:
             )
         return self._derive(logical.Union(self._plan, other._plan))
 
-    def sort(self, keys, ascending=True):
-        """Globally sort by *keys* (a name or list of names)."""
-        names = [keys] if isinstance(keys, str) else list(keys)
-        if isinstance(ascending, bool):
-            directions = [ascending] * len(names)
-        else:
-            directions = list(ascending)
-        if len(directions) != len(names):
-            raise PlanError("ascending flags must be parallel to sort keys")
-        for name in names:
-            self.schema.index_of(name)
-        return self._derive(
-            logical.Sort(self._plan, tuple(names), tuple(directions))
-        )
-
-    def repartition(self, num_partitions, keys=()):
-        """Redistribute rows across *num_partitions* partitions."""
+    def sort(self, keys):
+        """Globally and stably sort ascending by *keys* (a name or list
+        of names)."""
         names = [keys] if isinstance(keys, str) else list(keys)
         for name in names:
             self.schema.index_of(name)
-        return self._derive(
-            logical.Repartition(self._plan, num_partitions, tuple(names))
-        )
+        return self._derive(logical.Sort(self._plan, tuple(names)))
 
-    def sorted_map_partitions(
-        self, func, output_columns=None, dtypes=None, carry_rows=1
-    ):
-        """Windowed partition map with carry rows from the predecessor.
-
-        The table must already be sorted (use :meth:`sort` first). *func*
-        receives ``(partition, carry)`` where carry holds up to
-        ``carry_rows`` trailing rows of the preceding data and returns the
-        output rows for the partition.
-        """
-        if output_columns is None:
-            out_schema = self.schema
-        else:
-            out_schema = Schema.of(*output_columns, dtypes=dtypes)
-        return self._derive(
-            logical.SortedMapPartitions(
-                self._plan, out_schema, func, carry_rows
-            )
-        )
+    def repartition(self, num_partitions):
+        """Redistribute rows, in order, across *num_partitions*
+        contiguous partitions."""
+        return self._derive(logical.Repartition(self._plan, num_partitions))
 
     def split_by_key(self, key, keys=None):
         """Split into one table per distinct value of column *key*.
@@ -226,11 +187,9 @@ class Table:
             ordered = sorted(groups, key=_split_group_order)
         else:
             ordered = list(groups)
-        names = list(self.schema.names)
-        dtypes = [f.dtype for f in self.schema]
         return {
             value: self._context.table_from_partitions(
-                names, groups[value], dtypes=dtypes
+                self.schema.names, groups[value]
             )
             for value in ordered
         }
@@ -294,16 +253,12 @@ def _explain_node(node, depth, lines):
         details = " partitions={} rows={}".format(
             len(node.partitions), sum(len(p) for p in node.partitions)
         )
-    elif isinstance(node, logical.Join):
-        details = " on={} how={}".format(list(node.left_keys), node.how)
-    elif isinstance(node, logical.Sort):
+    elif isinstance(node, (logical.Join, logical.Sort)):
         details = " keys={}".format(list(node.keys))
     elif isinstance(node, logical.Repartition):
-        details = " n={} keys={}".format(node.num_partitions, list(node.keys))
+        details = " n={}".format(node.num_partitions)
     elif isinstance(node, logical.Project):
         details = " columns={}".format(list(node.out_schema.names))
-    elif isinstance(node, logical.SplitByKey):
-        details = " key={!r} group={!r}".format(node.key, node.group)
     lines.append("{}{}{}".format(indent, name, details))
     for child in node.children():
         _explain_node(child, depth + 1, lines)

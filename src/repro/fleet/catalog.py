@@ -84,12 +84,27 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload):
+        """The job of a catalog entry, its field types checked."""
         try:
-            return cls(**{f.name: payload[f.name] for f in fields(cls)})
+            job = cls(**{f.name: payload[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as exc:
             raise CatalogError(
                 "malformed job entry in catalog: {}".format(exc)
             )
+        for name, kind in (("job_id", str), ("index", int), ("trace", str),
+                           ("trace_sha256", str), ("trace_bytes", int)):
+            value = getattr(job, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise CatalogError(
+                    "field {!r} must be {}, got {!r}".format(
+                        name, "an integer" if kind is int else "a string",
+                        value,
+                    )
+                )
+        if job.trace_bytes < 0:
+            raise CatalogError("field 'trace_bytes' must be >= 0, got "
+                               "{}".format(job.trace_bytes))
+        return job
 
 
 class JobCatalog:
@@ -170,11 +185,40 @@ class JobCatalog:
             raise CatalogError(
                 "catalog {!r} is missing its job list".format(str(path))
             )
-        return cls(
-            dataset=payload.get("dataset"),
-            params=payload.get("params"),
-            jobs=[JobSpec.from_dict(entry) for entry in jobs],
-        )
+        from repro.datasets import SPECS
+
+        dataset, params = payload.get("dataset"), payload.get("params")
+        if not isinstance(dataset, str) or dataset not in SPECS:
+            raise CatalogError("catalog {!r} names unknown dataset {!r}; "
+                               "expected one of {}".format(
+                                   str(path), dataset, sorted(SPECS)))
+        if params is not None and not isinstance(params, dict):
+            raise CatalogError("catalog {!r} params must be an object or "
+                               "null, got {!r}".format(str(path), params))
+        specs = []
+        for position, entry in enumerate(jobs):
+            try:
+                specs.append(_placed_job(entry, position, run_dir))
+            except CatalogError as exc:
+                raise CatalogError("catalog {!r} job {}: {}".format(
+                    str(path), position, exc))
+        return cls(dataset=dataset, params=params, jobs=specs)
+
+
+def _placed_job(entry, position, run_dir):
+    """The job of catalog entry *entry*, checked to sit at *position*
+    and to name a trace under *run_dir* (:func:`build_catalog` records
+    nothing else)."""
+    job = JobSpec.from_dict(entry)
+    if job.index != position:
+        raise CatalogError("index is {}, expected {}".format(
+            job.index, position))
+    root = Path(run_dir).resolve()
+    trace = Path(job.trace)
+    if trace.is_absolute() or root not in (root / trace).resolve().parents:
+        raise CatalogError("trace {!r} is not a relative path under the run "
+                           "directory".format(job.trace))
+    return job
 
 
 def build_catalog(run_dir, trace_paths, dataset, params):

@@ -66,6 +66,11 @@ class StreamCheckpointer:
                     str(self.root), exc
                 )
             )
+        if not isinstance(payload, dict):
+            raise StreamError(
+                "stream manifest in {!r} holds a {}, not a JSON "
+                "object".format(str(self.root), type(payload).__name__)
+            )
         if payload.get("format") != STREAM_STATE_FORMAT:
             raise StreamError(
                 "stream manifest format {!r} is not {}".format(

@@ -5,14 +5,13 @@ produces the same dataset and the same plan spec, on any host (no use of
 ``hash`` on strings, no wall-clock input).
 
 A *plan spec* is a tuple of pure-data op tuples -- ``("filter_cmp", "v",
-"gt", 40)``, ``("join", "left")`` -- that :func:`apply_spec` replays
-against a :class:`~repro.engine.table.Table`. The grammar is the
-engine's operator set: filters, projections, the broadcast join, union,
-repartition, flat-map, partition map, sort, split by key and the sorted
-forward-fill map. Keeping specs as plain data (JSON-serializable) is
-what makes shrinking and on-disk reproducers possible; callables needed
-by flat-map and window ops are reconstructed from their encoded
-parameters.
+"gt", 40)``, ``("join",)`` -- that :func:`apply_spec` replays against a
+:class:`~repro.engine.table.Table`. The grammar is the engine's operator
+set: filters, projections, the inner broadcast join, union,
+repartition, flat-map, partition map, ascending sort and split by key.
+Keeping specs as plain data (JSON-serializable) is what makes shrinking
+and on-disk reproducers possible; callables needed by flat-map and
+partition-map ops are reconstructed from their encoded parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from repro.engine import col
-from repro.engine.window import ForwardFill
 
 #: Value domains for the trace-shaped table. Mirrors a decoded CAN/LIN
 #: signal table: timestamp, skewed message id, bus name, numeric signal
@@ -53,7 +51,7 @@ class DatasetCase:
 class _ColumnInfo:
     """What the generator may safely do with a column."""
 
-    orderable: bool  # usable as a sort / window-order key
+    orderable: bool  # usable as a sort key
     numeric: bool  # usable in arithmetic
     nullable: bool
 
@@ -86,7 +84,7 @@ def generate_dataset(rng):
     catalog = tuple(
         (m, rng.randint(1, 5), "msg-{}".format(m))
         for m in _MESSAGE_IDS
-        if rng.random() < 0.8  # leave some ids unmatched for left joins
+        if rng.random() < 0.8  # leave some ids unmatched by the join
     )
     return DatasetCase(
         tuple(tuple(p) for p in partitions), catalog
@@ -156,8 +154,6 @@ def generate_spec(rng, case, max_ops=8):
             choices.append("join")
         if any(n in info for n in ("m_id", "bus", "flag")):
             choices.append("split_pick")
-        if any(i.orderable for i in info.values()):
-            choices.append("ffill")
         op = _draw_op(rng, rng.choice(choices), info, joined)
         if op is None:
             continue
@@ -230,29 +226,18 @@ def _draw_op(rng, kind, info, joined):
                 rng.randint(2, 9), rng.choice(_COMPARISONS),
                 rng.randint(0, 200), tuple(keep))
     if kind == "join":
-        return ("join", rng.choice(("inner", "left")))
+        return ("join",)
     if kind == "union_self":
         return ("union_self",)
     if kind == "repartition":
-        keys = ()
-        if orderable and rng.random() < 0.5:
-            keys = (rng.choice(orderable),)
-        return ("repartition", rng.randint(1, 6), keys)
+        return ("repartition", rng.randint(1, 6))
     if kind == "flat_map_repeat":
         return ("flat_map_repeat", rng.randint(1, 3))
     if kind == "keep_every":
         return ("keep_every", rng.randint(1, 4))
     if kind == "sort":
         keys = rng.sample(orderable, min(len(orderable), rng.randint(1, 2)))
-        ascending = tuple(rng.random() < 0.8 for _unused in keys)
-        return ("sort", tuple(keys), ascending)
-    if kind == "ffill":
-        nullable = [n for n, i in info.items() if i.nullable]
-        if not nullable:
-            return None
-        order = rng.choice(orderable)
-        fill = tuple(rng.sample(nullable, rng.randint(1, len(nullable))))
-        return ("ffill", order, fill)
+        return ("sort", tuple(keys))
     raise ValueError("unknown op kind {!r}".format(kind))
 
 
@@ -268,12 +253,9 @@ def _advance_schema(op, info, joined):
         info[op[1]] = _ColumnInfo(True, True, False)
         info = {n: info[n] for n in op[6]}
     elif kind == "join":
-        nullable = op[1] == "left"
-        info["scale"] = _ColumnInfo(not nullable, True, nullable)
-        info["label"] = _ColumnInfo(not nullable, False, nullable)
+        info["scale"] = _ColumnInfo(True, True, False)
+        info["label"] = _ColumnInfo(True, False, False)
         joined = True
-    # ffill keeps every column nullable: values before the first non-null
-    # stay None.
     return info, joined
 
 
@@ -362,23 +344,17 @@ def _apply_op(ctx, case, table, op):
             ctx, case, scaled, ("filter_cmp", name, cmp_op, value)
         ).select(*keep)
     if kind == "join":
-        return table.join(_catalog_table(ctx, case), on="m_id", how=op[1])
+        return table.join(_catalog_table(ctx, case), on="m_id")
     if kind == "union_self":
         return table.union(table)
     if kind == "repartition":
-        return table.repartition(op[1], keys=list(op[2]))
+        return table.repartition(op[1])
     if kind == "flat_map_repeat":
         return table.flat_map(RepeatRow(op[1]), list(table.columns))
     if kind == "keep_every":
         return table.map_partitions(KeepEvery(op[1]))
     if kind == "sort":
-        return table.sort(list(op[1]), ascending=list(op[2]))
-    if kind == "ffill":
-        # Sort, then fill with a deep carry: a sparse column's last
-        # value may lie many partitions back.
-        ordered = table.sort([op[1]])
-        fill = ForwardFill(tuple(ordered.schema.index_of(c) for c in op[2]))
-        return ordered.sorted_map_partitions(fill, carry_rows=100_000)
+        return table.sort(list(op[1]))
     raise ValueError("unknown op kind {!r}".format(kind))
 
 

@@ -11,9 +11,10 @@ The reference runs the engine's *reference path* (``columnar=False``:
 interpreted narrow chains, rows throughout) while the default combos
 run the production path (columnar kernels that hand columnar partitions
 to the next stage), so reference-vs-production equivalence -- including
-join/split/shuffle bucket assignments -- is an axis of every fuzz case. Two serial combos
-isolate one axis each: the pure path axis (unoptimized + columnar) and
-the pure optimizer axis (optimized + reference path).
+what joins, splits and repartitions receive -- is an axis of every fuzz
+case. Two serial combos isolate one axis each: the pure path axis
+(unoptimized + columnar) and the pure optimizer axis (optimized +
+reference path).
 
 Executors are cached per combo so one process pool serves the whole
 fuzz run; call :meth:`DifferentialOracle.close` (or use it as a context

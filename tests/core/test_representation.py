@@ -1,6 +1,8 @@
 """Merging (line 29) and the state representation (Sec. 4.3, Table 4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     KIND_BINARY,
@@ -13,6 +15,7 @@ from repro.core import (
     merge_results,
 )
 from repro.core.representation import RepresentationError
+from repro.engine import EngineContext
 
 
 @pytest.fixture
@@ -160,3 +163,94 @@ class TestStateRepresentation:
         merged = merge_results(ctx, [])
         rep = build_state_representation(merged)
         assert len(rep) == 0
+
+
+def _r_out(ctx, cells, num_partitions=None):
+    """An ``R_out`` table of nominal ``(t, s_id, value)`` cells."""
+    return ctx.table_from_rows(
+        list(R_COLUMNS),
+        [(t, s_id, "FC", KIND_NOMINAL, value, None) for t, s_id, value in cells],
+        num_partitions=num_partitions,
+    )
+
+
+class TestForwardFill:
+    """An empty cell of the state table takes its column's last value."""
+
+    def test_fills_empty_cells_from_previous(self, ctx):
+        r_out = _r_out(ctx, [(1.0, "a", "x"), (2.0, "b", "y"), (3.0, "c", "z")])
+        rep = build_state_representation(r_out, ["a", "b", "c"])
+        assert rep.rows == [
+            (1.0, "x", None, None),
+            (2.0, "x", "y", None),
+            (3.0, "x", "y", "z"),
+        ]
+
+    def test_leading_cells_stay_none(self, ctx):
+        r_out = _r_out(ctx, [(1.0, "b", "v"), (2.0, "a", "w")])
+        rep = build_state_representation(r_out, ["a", "b"])
+        assert rep.rows[0] == (1.0, None, "v")
+
+    def test_fill_follows_time_not_collect_order(self, ctx):
+        r_out = _r_out(
+            ctx, [(3.0, "b", "q"), (1.0, "a", "first"), (2.0, "b", "p")]
+        )
+        rep = build_state_representation(r_out, ["a", "b"])
+        assert [row[1] for row in rep.rows] == ["first"] * 3
+
+    def test_later_value_replaces_earlier(self, ctx):
+        r_out = _r_out(
+            ctx,
+            [(1.0, "a", "x"), (2.0, "b", "-"), (3.0, "a", "y"),
+             (4.0, "b", "-")],
+            num_partitions=2,
+        )
+        rep = build_state_representation(r_out, ["a", "b"])
+        assert [row[1] for row in rep.rows] == ["x", "x", "y", "y"]
+
+    def test_columns_fill_independently(self, ctx):
+        r_out = _r_out(
+            ctx, [(1.0, "a", "p"), (2.0, "b", "q"), (3.0, "b", "r")]
+        )
+        rep = build_state_representation(r_out, ["a", "b"])
+        assert rep.rows[-1] == (3.0, "p", "r")
+
+    def test_falsy_values_are_not_missing(self, ctx):
+        r_out = _r_out(
+            ctx, [(1.0, "a", 0), (2.0, "b", "-"), (3.0, "a", False),
+                  (4.0, "b", "-")]
+        )
+        rep = build_state_representation(r_out, ["a", "b"])
+        assert [row[1] for row in rep.rows] == ["0", "0", "False", "False"]
+
+    def test_no_rows_give_no_states(self, ctx):
+        rep = build_state_representation(_r_out(ctx, []), ["a"])
+        assert (rep.columns, rep.rows) == (("a",), [])
+
+
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(0, 20), st.sampled_from("abc")),
+        st.integers(0, 5),
+        max_size=40,
+    ),
+    parts=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_forward_fill_matches_reference(cells, parts):
+    ctx = EngineContext.serial()
+    r_out = _r_out(
+        ctx,
+        [(float(t), s_id, v) for (t, s_id), v in cells.items()],
+        num_partitions=parts,
+    )
+    rep = build_state_representation(r_out, ["a", "b", "c"])
+    times = sorted({t for t, _s_id in cells})
+    assert [row[0] for row in rep.rows] == [float(t) for t in times]
+    for row in rep.rows:
+        for s_id, cell in zip("abc", row[1:]):
+            seen = [
+                (t, v) for (t, s), v in cells.items()
+                if s == s_id and t <= row[0]
+            ]
+            assert cell == (str(max(seen)[1]) if seen else None)

@@ -38,13 +38,13 @@ _RULES = [(k, "rule-{}".format(k)) for k in range(5)]
 
 
 def _wide_pipeline(ctx):
-    """filter -> broadcast join -> keyed repartition -> split_by_key."""
+    """filter -> broadcast join -> repartition -> split_by_key."""
     trace = ctx.table_from_rows(["k", "g", "v"], _TRACE, num_partitions=4)
     rules = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=2)
     joined = (
         trace.filter(col("v") >= 3.0)
-        .join(rules, on=["k"], how="inner")
-        .repartition(3, keys=["g"])
+        .join(rules, on=["k"])
+        .repartition(3)
     )
     groups = joined.split_by_key("g")
     return joined, groups
@@ -74,19 +74,18 @@ class TestWidePipelineParity:
             row_rows = _wide_pipeline(row)[0].collect()
         assert _canon(wide_rows) == _canon(row_rows)
 
-    def test_left_join_parity_with_unmatched_rows(self):
-        def left_join(ctx):
+    def test_join_parity_with_unmatched_rows(self):
+        def inner_join(ctx):
             left = ctx.table_from_rows(
                 ["k", "v"], [(i % 9, i) for i in range(30)], num_partitions=3
             )
             right = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
             return _canon(
-                left.filter(col("v") >= 0)
-                .join(right, on=["k"], how="left")
-                .collect()
+                left.filter(col("v") >= 0).join(right, on=["k"]).collect()
             )
 
-        wide, reference = _on_both_paths(left_join)
+        wide, reference = _on_both_paths(inner_join)
+        assert len(wide) == 18
         assert wide == reference
 
     def test_nan_join_keys_match_reference(self):
@@ -102,7 +101,7 @@ class TestWidePipelineParity:
             )
             return sorted(_canon(
                 left.filter(col("v") >= 0)
-                .join(right, on=["k"], how="inner")
+                .join(right, on=["k"])
                 .collect()
             ))
 
@@ -123,7 +122,7 @@ class TestWidePipelineParity:
             )
             return _canon(
                 left.filter(col("v") >= 0)
-                .join(right, on=["k"], how="inner")
+                .join(right, on=["k"])
                 .collect()
             )
 
@@ -145,7 +144,7 @@ class TestWidePipelineParity:
             )
             rules = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
             return _canon(
-                a.union(b).join(rules, on=["k"], how="inner").collect()
+                a.union(b).join(rules, on=["k"]).collect()
             )
 
         wide, reference = _on_both_paths(mixed_join)

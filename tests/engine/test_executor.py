@@ -135,26 +135,5 @@ class TestSimulatedClusterExecutor:
             SimulatedClusterExecutor(num_workers=0)
 
 
-class TestSortedMapCarry:
-    def test_carry_skips_empty_partitions(self, ctx):
-        # Partition layout with an empty middle partition: the carry must
-        # come from the last non-empty one.
-        t = ctx.table_from_partitions(
-            ["t", "v"], [[(1.0, "a")], [], [(2.0, "b")]]
-        )
-        out = t.sorted_map_partitions(_pair_with_carry, carry_rows=1)
-        rows = out.collect()
-        assert rows == [(1.0, "a", None), (2.0, "b", "a")]
-
-
 def _add_one_to_all(rows):
     return [r + 1 for r in rows]
-
-
-def _pair_with_carry(partition, carry):
-    prev = carry[-1][1] if carry else None
-    out = []
-    for row in partition:
-        out.append(row + (prev,))
-        prev = row[1]
-    return out

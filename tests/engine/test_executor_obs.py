@@ -181,7 +181,7 @@ class TestColumnarCounters:
         table = self._columnar_table(ctx)
         table.filter(col("x") > 3).select("y").collect()
         # A columnar source straight into a wide stage stays on rows too.
-        table.repartition(3, keys=["x"]).collect()
+        table.repartition(3).collect()
         assert executor.metrics.columnar_tasks == 0
         assert executor.metrics.columnar_fallbacks == 0
         assert executor.metrics.kernels_compiled == 0
@@ -207,7 +207,7 @@ class TestColumnarCounters:
     def test_repartition_of_columnar_input_is_a_plain_row_stage(self):
         ctx = EngineContext.serial(default_parallelism=2)
         table = self._columnar_table(ctx)
-        out = table.filter(col("x") >= 0).repartition(3, keys=["x"])
+        out = table.filter(col("x") >= 0).repartition(3)
         assert sorted(out.collect()) == [(i, i * 0.5) for i in range(80)]
         counters = ctx.executor.obs.counters()
         assert counters["executor.columnar_fallbacks"] == 0

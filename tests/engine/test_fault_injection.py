@@ -131,7 +131,7 @@ class TestRetryExhaustion:
         assert error.partition is not None
         assert error.attempts == 2
         assert error.stage.split("[")[0] in (
-            "narrow", "broadcast-join", "sort", "sorted-map",
+            "narrow", "broadcast-join", "sort",
         )
         assert str(error.partition) in str(error)
 

@@ -106,33 +106,6 @@ class TestInnerJoin:
         assert left.cache().join(rules.cache(), on="m_id").collect() == direct
 
 
-class TestLeftJoin:
-    def test_unmatched_rows_get_none(self, left, rules):
-        out = left.join(rules, on="m_id", how="left")
-        assert out.count() == 12
-        unmatched = [r for r in out.collect() if r[1] == 2]
-        assert all(r[3] is None for r in unmatched)
-
-    def test_empty_right_side_pads_every_row(self, left, ctx):
-        empty = ctx.empty_table(["m_id", "rule", "note"])
-        out = left.join(empty, on="m_id", how="left").collect()
-        assert out == [row + (None, None) for row in left.collect()]
-
-    def test_multi_key_partial_match_is_unmatched(self, ctx):
-        a = ctx.table_from_rows(
-            ["m_id", "b_id", "x"], [(1, "FC", 10), (1, "BC", 20)]
-        )
-        b = ctx.table_from_rows(["m_id", "b_id", "y"], [(1, "FC", 99)])
-        out = a.join(b, on=["m_id", "b_id"], how="left").collect()
-        assert out == [(1, "FC", 10, 99), (1, "BC", 20, None)]
-
-    def test_matched_rows_replicate_like_inner(self, ctx):
-        a = ctx.table_from_rows(["k", "x"], [(1, "a"), (2, "b")])
-        b = ctx.table_from_rows(["k", "y"], [(1, "p"), (1, "q")])
-        out = a.join(b, on="k", how="left").collect()
-        assert out == [(1, "a", "p"), (1, "a", "q"), (2, "b", None)]
-
-
 class TestJoinValidation:
     def test_unknown_key_raises(self, left, rules):
         with pytest.raises(SchemaError):
@@ -143,10 +116,6 @@ class TestJoinValidation:
         b = ctx.table_from_rows(["k", "v"], [(1, 3)])
         with pytest.raises(SchemaError):
             a.join(b, on="k")
-
-    def test_unsupported_how_raises(self, left, rules):
-        with pytest.raises(PlanError):
-            left.join(rules, on="m_id", how="outer")
 
     def test_cross_context_join_raises(self, left):
         other = EngineContext.serial().table_from_rows(["m_id"], [(1,)])

@@ -14,7 +14,7 @@ class TestExplain:
             .explain()
         )
         assert "Sort" in plan
-        assert "Join" in plan and "how=inner" in plan
+        assert "Join keys=['m_id']" in plan
         assert "Filter" in plan
         assert "Source" in plan and "rows=1" in plan
 

@@ -4,20 +4,6 @@ import pytest
 
 from repro.engine import Schema
 from repro.engine.errors import SchemaError
-from repro.engine.schema import ANY, FLOAT, Field
-
-
-class TestField:
-    def test_default_dtype_is_any(self):
-        assert Field("t").dtype == ANY
-
-    def test_rejects_empty_name(self):
-        with pytest.raises(SchemaError):
-            Field("")
-
-    def test_rejects_unknown_dtype(self):
-        with pytest.raises(SchemaError):
-            Field("t", "decimal")
 
 
 class TestSchema:
@@ -25,13 +11,9 @@ class TestSchema:
         schema = Schema.of("t", "l", "b_id")
         assert schema.names == ("t", "l", "b_id")
 
-    def test_of_with_dtypes(self):
-        schema = Schema.of("t", "n", dtypes=[FLOAT, "int"])
-        assert schema.field_for("t").dtype == FLOAT
-
-    def test_of_rejects_mismatched_dtypes(self):
+    def test_rejects_empty_name(self):
         with pytest.raises(SchemaError):
-            Schema.of("a", "b", dtypes=[FLOAT])
+            Schema.of("t", "")
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(SchemaError):
@@ -50,10 +32,8 @@ class TestSchema:
         assert "a" in schema
         assert "z" not in schema
 
-    def test_len_and_iter(self):
-        schema = Schema.of("a", "b", "c")
-        assert len(schema) == 3
-        assert [f.name for f in schema] == ["a", "b", "c"]
+    def test_len(self):
+        assert len(Schema.of("a", "b", "c")) == 3
 
     def test_select_reorders(self):
         schema = Schema.of("a", "b", "c").select(["c", "a"])
@@ -68,9 +48,8 @@ class TestSchema:
             Schema.of("a").drop(["b"])
 
     def test_append(self):
-        schema = Schema.of("a").append("b", FLOAT)
+        schema = Schema.of("a").append("b")
         assert schema.names == ("a", "b")
-        assert schema.field_for("b").dtype == FLOAT
 
     def test_append_duplicate_raises(self):
         with pytest.raises(SchemaError):

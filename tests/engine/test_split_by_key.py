@@ -1,4 +1,4 @@
-"""SplitByKey: single-pass shuffle splitting and the filter-to-split rule."""
+"""split_by_key: one routed shuffle stage splits a table by a key column."""
 
 from collections import Counter
 
@@ -7,8 +7,6 @@ import pytest
 from repro.engine import EngineContext, col
 from repro.engine.executor import FaultPolicy, SerialExecutor
 from repro.engine.errors import SchemaError
-from repro.engine import plan as logical
-from repro.engine.optimizer import optimize
 from repro.testing.generator import build_table, generate_case
 from repro.testing.oracle import DEFAULT_COMBOS, REFERENCE_COMBO
 
@@ -92,6 +90,22 @@ class TestSplitByKeyBasics:
         groups = derived.split_by_key("s_id")
         assert sorted(groups["wpos"].collect()) == [("wpos", 3), ("wpos", 5)]
 
+    def test_bool_int_collapse_matches_filter(self, ctx):
+        # Python's 1 == True means an int-keyed filter also keeps bool
+        # rows; the split routes by dict key, which collapses the same
+        # way, so the group still equals the filter.
+        t = ctx.table_from_rows(["k"], [(1,), (True,), (0,), (False,)])
+        assert Counter(t.filter(col("k") == 1).collect()) == Counter(
+            [(1,), (True,)]
+        )
+        groups = t.split_by_key("k")
+        assert Counter(groups[1].collect()) == Counter([(1,), (True,)])
+
+    def test_nan_filter_keeps_nothing(self, ctx):
+        # NaN == NaN is false: an equality filter on NaN matches no row.
+        t = ctx.table_from_rows(["x"], [(1.0,), (float("nan"),)])
+        assert t.filter(col("x") == float("nan")).count() == 0
+
 
 class TestSplitCounters:
     def test_one_shuffle_per_split(self, trace):
@@ -109,24 +123,15 @@ class TestSplitCounters:
         trace.split_by_key("s_id")
         assert metrics.rows_shuffled == before + 6
 
-    def test_repeated_split_hits_cache(self, trace):
+    def test_every_split_is_its_own_routed_pass(self, trace):
         cached = trace.cache()
         metrics = trace.context.executor.metrics
-        cached.split_by_key("s_id")
-        cached.split_by_key("s_id")
-        assert metrics.splits == 1
-        assert metrics.split_cache_hits == 1
-
-    def test_filter_fan_out_costs_one_shuffle(self, trace):
-        # The optimizer rewrites each eq-filter over the cached source to
-        # a SplitByKey group; the executor's split cache then serves all
-        # of them from one routed pass.
-        cached = trace.cache()
-        metrics = trace.context.executor.metrics
-        for value in ("wpos", "wvel", "heat"):
-            cached.filter(col("s_id") == value).collect()
-        assert metrics.splits == 1
-        assert metrics.split_cache_hits == 2
+        before = metrics.shuffles
+        assert list(cached.split_by_key("s_id")) == \
+            list(cached.split_by_key("s_id"))
+        assert metrics.splits == 2
+        assert metrics.shuffles == before + 2
+        assert metrics.split_rows == 12
 
     def test_different_keys_are_separate_splits(self, trace):
         cached = trace.cache()
@@ -134,83 +139,14 @@ class TestSplitCounters:
         cached.split_by_key("s_id")
         cached.split_by_key("b_id")
         assert metrics.splits == 2
-        assert metrics.split_cache_hits == 0
+        assert metrics.split_groups == 6
 
-
-class TestFilterToSplitRewrite:
-    def _source(self, ctx):
-        return ctx.table_from_rows(
-            ["k", "v"], [("a", 1), ("b", 2), ("a", 3)], num_partitions=2
-        )
-
-    def test_eq_filter_on_source_rewritten(self, ctx):
-        t = self._source(ctx)
-        plan = t.filter(col("k") == "a")._plan
-        trace = []
-        rewritten = optimize(plan, trace=trace)
-        assert isinstance(rewritten, logical.SplitByKey)
-        assert rewritten.key == "k"
-        assert rewritten.group == "a"
-        assert "filter_to_split" in trace
-
-    def test_literal_on_left_also_rewritten(self, ctx):
-        t = self._source(ctx)
-        plan = t.filter(col("k") == "a")._plan
-        assert isinstance(optimize(plan), logical.SplitByKey)
-
-    def test_non_eq_filter_untouched(self, ctx):
-        t = self._source(ctx)
-        plan = t.filter(col("v") > 1)._plan
-        assert isinstance(optimize(plan), logical.Filter)
-
-    def test_nan_literal_not_rewritten(self, ctx):
-        t = ctx.table_from_rows(["x"], [(1.0,), (float("nan"),)])
-        plan = t.filter(col("x") == float("nan"))._plan
-        rewritten = optimize(plan)
-        assert isinstance(rewritten, logical.Filter)
-        # And the filter semantics hold: NaN != NaN keeps nothing.
-        assert t.filter(col("x") == float("nan")).count() == 0
-
-    def test_rewrite_gated_to_source_children(self, ctx):
-        t = self._source(ctx)
-        plan = t.filter(col("v") > 0).filter(col("k") == "a")._plan
-        # The two filters fuse; the fused conjunction is not a pure
-        # equality, so no split rewrite fires.
-        rewritten = optimize(plan)
-        assert isinstance(rewritten, logical.Filter)
-
-    def test_rewrite_preserves_results_exactly(self, ctx):
-        t = self._source(ctx)
-        filtered = t.filter(col("k") == "a")
-        unopt = EngineContext(
-            SerialExecutor(default_parallelism=2, optimize_plans=False)
-        )
-        reference = unopt.table_from_rows(
-            ["k", "v"], [("a", 1), ("b", 2), ("a", 3)], num_partitions=2
-        ).filter(col("k") == "a")
-        assert filtered.collect_partitions() == reference.collect_partitions()
-
-    def test_equality_literal_rejects_unhashable(self):
-        from repro.engine.expressions import (
-            BoundBinary,
-            BoundColumn,
-            BoundLiteral,
-        )
-        from repro.engine.optimizer import _equality_literal
-
-        predicate = BoundBinary("eq", BoundColumn(0), BoundLiteral([1, 2]))
-        assert _equality_literal(predicate) is None
-
-    def test_bool_int_collapse_matches_filter(self, ctx):
-        # Python's 1 == True means an int-keyed filter also keeps bool
-        # rows; the split routes by dict key, which collapses the same
-        # way, so the rewrite stays equivalent.
-        t = ctx.table_from_rows(["k"], [(1,), (True,), (0,), (False,)])
-        assert Counter(t.filter(col("k") == 1).collect()) == Counter(
-            [(1,), (True,)]
-        )
-        groups = t.split_by_key("k")
-        assert Counter(groups[1].collect()) == Counter([(1,), (True,)])
+    def test_filters_never_route(self, trace):
+        cached = trace.cache()
+        metrics = trace.context.executor.metrics
+        for value in ("wpos", "wvel", "heat"):
+            cached.filter(col("s_id") == value).collect()
+        assert metrics.splits == 0
 
 
 class TestSplitFaultInjection:

@@ -130,6 +130,12 @@ class TestPersistence:
         with pytest.raises(CatalogError, match="missing its job list"):
             JobCatalog.load(tmp_path)
 
+    def test_null_params_load(self, tmp_path):
+        catalog = self._catalog(tmp_path)
+        catalog.params = None
+        catalog.save(tmp_path)
+        assert JobCatalog.load(tmp_path).params is None
+
     def test_malformed_job_entry(self, tmp_path):
         with pytest.raises(CatalogError, match="malformed job entry"):
             JobSpec.from_dict({"job_id": "abc"})

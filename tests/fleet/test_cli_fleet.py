@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import shutil
 
 import pytest
@@ -142,3 +143,65 @@ class TestStructuredErrors:
         ])
         assert code == 2
         assert "error: params:" in capsys.readouterr().err
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestTamperedCatalog:
+    """A catalog field edited by hand is one ``error: catalog:`` line
+    and exit 2: nothing runs, nothing is written."""
+
+    @pytest.mark.parametrize("command", ["status", "run"])
+    @pytest.mark.parametrize("where, field, value", [
+        ("job", "trace", 5),
+        ("job", "trace", "../../../etc/hostname"),
+        ("job", "trace", "/etc/hostname"),
+        ("job", "index", "x"),
+        ("job", "index", 1),
+        ("job", "index", False),
+        ("job", "job_id", 5),
+        ("job", "trace_sha256", None),
+        ("job", "trace_bytes", -1),
+        ("job", "trace_bytes", "4"),
+        ("catalog", "dataset", 5),
+        ("catalog", "dataset", "NOPE"),
+        ("catalog", "params", [1]),
+        ("catalog", "params", "x"),
+    ])
+    def test_is_one_error_line_and_runs_nothing(
+        self, run_dir, capsys, command, where, field, value
+    ):
+        path = run_dir / fleet.CATALOG_FILE
+        catalog = json.loads(path.read_text())
+        (catalog["jobs"][0] if where == "job" else catalog)[field] = value
+        path.write_text(json.dumps(catalog))
+        before = _tree(run_dir)
+        code, out = _run(["fleet", command, "--run-dir", str(run_dir)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: catalog: ") and err.count("\n") == 1
+        assert _tree(run_dir) == before
+
+    def test_every_truncation_of_a_catalog_is_one_error_line(
+        self, fleet_template, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        trace = run_dir / "traces" / "j0.trc"
+        trace.parent.mkdir(parents=True)
+        shutil.copyfile(
+            sorted((fleet_template / "traces").iterdir())[0], trace
+        )
+        fleet.make_catalog(
+            run_dir, [trace], "SYN", params={"signals": ["syn_num_000"]}
+        )
+        path = run_dir / fleet.CATALOG_FILE
+        data = path.read_bytes()
+        for size in range(len(data.rstrip())):
+            path.write_bytes(data[:size])
+            code, out = _run(["fleet", "status", "--run-dir", str(run_dir)])
+            err = capsys.readouterr().err
+            assert (code, out) == (2, ""), size
+            assert err.startswith("error: catalog: "), size
+            assert err.count("\n") == 1, size

@@ -632,3 +632,32 @@ class TestStream:
         code, _out = run_cli("stream", "status", "--run-dir", str(run_dir))
         assert code == 2
         assert "cannot be read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[1, 2]", '"x"', "5", "null", "true"])
+    def test_status_on_non_object_manifest_is_one_error_line(
+        self, tmp_path, capsys, document
+    ):
+        from repro.stream import STREAM_MANIFEST_FILE
+
+        (tmp_path / STREAM_MANIFEST_FILE).write_text(document)
+        code, out = run_cli("stream", "status", "--run-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: stream: ") and err.count("\n") == 1
+        assert "not a JSON object" in err
+
+    def test_every_truncation_of_the_manifest_is_one_error_line(
+        self, killed_run, capsys
+    ):
+        from repro.stream import STREAM_MANIFEST_FILE
+
+        run_dir, _checkpoint = killed_run
+        path = run_dir / STREAM_MANIFEST_FILE
+        data = path.read_bytes()
+        for size in range(len(data.rstrip())):
+            path.write_bytes(data[:size])
+            code, out = run_cli("stream", "status", "--run-dir", str(run_dir))
+            err = capsys.readouterr().err
+            assert (code, out) == (2, ""), size
+            assert err.startswith("error: stream: "), size
+            assert err.count("\n") == 1, size

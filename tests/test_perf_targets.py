@@ -22,7 +22,8 @@ one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
 and no scan of the pending windows per frame. The engine-surface guards
 keep the engine at what the program issues: every public ``Table``
 method, ``EngineContext`` constructor and ``repro.engine`` export has a
-caller outside the engine. The last guard keeps Table 3's "is this value
+caller outside the engine, and every defaulted parameter of those
+methods is set to something other than its default by one. The last guard keeps Table 3's "is this value
 a number" (``int``/``float``, not ``bool``) in one function of
 ``repro.core``, which its callers ask once per value type.
 """
@@ -508,6 +509,105 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
         assert used, "nothing outside repro.engine uses {}".format(
             qualified
         )
+
+
+#: Defaulted parameters of the public engine surface that no caller sets
+#: to anything but their default, and why they stay. An entry that gains
+#: a caller must leave the list.
+_UNSET_ENGINE_KNOBS = {}
+
+
+def _engine_knob_parameters():
+    """``{method name: (qualified method, parameter names in call
+    order)}`` for every public ``Table`` method and ``EngineContext``
+    constructor that has a defaulted parameter."""
+    import inspect
+
+    from repro.engine.context import EngineContext
+    from repro.engine.table import Table
+
+    owners = {"Table": Table, "EngineContext": EngineContext}
+    methods = {}
+    for qualified in _engine_surface():
+        owner, _, name = qualified.rpartition(".")
+        if owner not in owners:
+            continue
+        params = [
+            p for p in inspect.signature(
+                getattr(owners[owner], name)
+            ).parameters.values()
+            if p.name != "self"
+        ]
+        if any(p.default is not p.empty for p in params):
+            methods[name] = (qualified, params)
+    return methods
+
+
+def _engine_knobs():
+    return [
+        "{}.{}".format(qualified, p.name)
+        for qualified, params in _engine_knob_parameters().values()
+        for p in params if p.default is not p.empty
+    ]
+
+
+def _sets(value, default):
+    """Whether argument *value* (an AST node) may differ from *default*:
+    any expression but a literal equal to it."""
+    try:
+        return ast.literal_eval(value) != default
+    except (ValueError, TypeError, SyntaxError):
+        return True
+
+
+@functools.lru_cache(maxsize=None)
+def _knobs_set_outside_the_engine():
+    """Every ``Owner.method.parameter`` some call ``x.method(...)`` in
+    the caller files passes a value other than the default, by keyword
+    or by position (a ``*args``/``**kwargs`` spread counts as setting
+    what it could reach). A method named like a namesake's
+    (:data:`_UNCHECKABLE_ENGINE_SURFACE`) counts keywords only:
+    ``os.path.join(a, b, c)`` is not a join that sets its third
+    parameter."""
+    methods = _engine_knob_parameters()
+    found = set()
+    for path in _caller_files():
+        for node in ast.walk(_parsed(path)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods):
+                continue
+            qualified, params = methods[node.func.attr]
+            args = node.args
+            if qualified in _UNCHECKABLE_ENGINE_SURFACE:
+                args = []
+            for index, param in enumerate(params):
+                if param.default is param.empty:
+                    continue
+                spread = any(
+                    isinstance(a, ast.Starred) for a in args[:index + 1]
+                ) or any(kw.arg is None for kw in node.keywords)
+                given = [
+                    kw.value for kw in node.keywords if kw.arg == param.name
+                ]
+                if index < len(args) and not isinstance(
+                    args[index], ast.Starred
+                ):
+                    given.append(args[index])
+                if spread or any(_sets(v, param.default) for v in given):
+                    found.add("{}.{}".format(qualified, param.name))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("knob", _engine_knobs())
+def test_every_engine_knob_is_set_by_a_caller_outside_the_engine(knob):
+    set_outside = knob in _knobs_set_outside_the_engine()
+    if knob in _UNSET_ENGINE_KNOBS:
+        assert not set_outside, "{} is set by a caller now: drop it from " \
+            "the allowlist".format(knob)
+    else:
+        assert set_outside, "nothing outside repro.engine sets {} to " \
+            "anything but its default".format(knob)
 
 
 def test_the_numeric_value_test_is_spelled_in_one_function_of_core():

@@ -458,7 +458,7 @@ class TestCountDecodesNothing:
         some_id = records[0][3]
         for derived in (
             table.filter(col("m_id") == some_id),
-            table.select("t", "m_id").repartition(2, keys=["m_id"]),
+            table.select("t", "m_id").repartition(2),
             table.union(table),
             table.filter(col("t") < 0.0),
         ):
