@@ -12,9 +12,8 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.core import classify
 from repro.core.branches import process_branch
-from repro.engine import Schema
+from repro.core.sequence import order_rows
 
-SCHEMA = Schema.of("t", "v", "s_id", "b_id")
 N = 5_000
 
 
@@ -58,10 +57,11 @@ EXPECTED = {
 def test_table3_branch(benchmark, row):
     times, values = make_sequence(row)
     rows = [(t, v, "s", "FC") for t, v in zip(times, values)]
+    sequence = order_rows(rows)
 
     def classify_and_process():
-        classification = classify(times, values)
-        out = process_branch(rows, SCHEMA, classification)
+        classification = classify(sequence.t, sequence.v)
+        out = process_branch(sequence, classification)
         return classification, out
 
     classification, out = benchmark.pedantic(

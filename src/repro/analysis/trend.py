@@ -16,6 +16,9 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 STEADY = "steady"
 
+#: Trend labels by code: 0 steady, 1 increasing, 2 decreasing.
+_LABELS = np.array([STEADY, INCREASING, DECREASING], dtype=object)
+
 
 @dataclass(frozen=True)
 class TrendClassifier:
@@ -40,14 +43,17 @@ class TrendClassifier:
 
         The first element has no predecessor and is labelled from the
         forward difference, matching ``numpy.gradient`` edge handling.
+        Labels are :meth:`classify_slope`'s, taken for the whole gradient
+        at once: a NaN gradient is steady.
         """
         x = np.asarray(values, dtype=float)
-        if x.size == 0:
-            return []
-        if x.size == 1:
-            return [STEADY]
+        if x.size < 2:
+            return [STEADY] * x.size
         grad = np.gradient(x)
-        return [self.classify_slope(g) for g in grad]
+        threshold = self.steady_threshold
+        return _LABELS[
+            np.where(grad > threshold, 1, np.where(grad < -threshold, 2, 0))
+        ].tolist()
 
 
 def gradient(values):

@@ -1,7 +1,9 @@
 """Type-dependent processing branches α, β, γ (Sec. 4.2, lines 13-28).
 
-All three branches homogenize a reduced signal sequence into the common
-output layout ``R_COLUMNS = (t, s_id, b_id, kind, value, trend)``:
+All three branches homogenize a reduced signal sequence -- a
+:class:`~repro.core.sequence.Sequence`, whose columns they split with
+masks -- into the common output layout ``R_COLUMNS = (t, s_id, b_id,
+kind, value, trend)``, and build those rows once, as their result:
 
 * α (fast numerics): outlier removal -> smoothing -> SWAB segmentation
   -> trend per segment + SAX symbol per segment, outliers merged back as
@@ -20,7 +22,7 @@ increasing/decreasing/steady or None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import not_
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from repro.analysis.outliers import ZScoreDetector
 from repro.analysis.sax import SaxEncoder
 from repro.analysis.segmentation import swab
 from repro.analysis.smoothing import MovingAverage
-from repro.analysis.trend import STEADY, TrendClassifier
+from repro.analysis.trend import TrendClassifier
 from repro.core.classification import (
     ALPHA,
     BETA,
@@ -37,8 +39,8 @@ from repro.core.classification import (
     ClassifierConfig,
     all_numeric,
     numeric_mask,
+    validity_mask,
 )
-from repro.engine.columnar import compress_column
 
 #: Homogeneous output layout of every branch.
 R_COLUMNS = ("t", "s_id", "b_id", "kind", "value", "trend")
@@ -89,39 +91,39 @@ class BranchConfig:
         return labels[symbol_index]
 
 
-def process_alpha(rows, schema, config=None):
+def _rows(sequence, kind, value, trend=None):
+    """R rows of *sequence*'s elements, as Python scalars. *kind*,
+    *value* and *trend* are one per element (a list) or one for all."""
+    n = len(sequence)
+    return list(zip(
+        sequence.t.tolist(), repeat(sequence.s_id, n), sequence.b.tolist(),
+        *(c if isinstance(c, list) else repeat(c, n)
+          for c in (kind, value, trend))
+    ))
+
+
+def process_alpha(sequence, config=None):
     """Branch α: lines 14-19 of Algorithm 1."""
     config = config or BranchConfig()
-    t_i, v_i, s_i, b_i = _indices(schema)
-    if not rows:
-        return []
     # typeSplit: peel off non-numeric elements (e.g. embedded validity
     # strings) as nominal side output.
-    column = [r[v_i] for r in rows]
-    numeric = numeric_mask(column)
-    numeric_rows = compress_column(rows, numeric)
-    out = [
-        (r[t_i], r[s_i], r[b_i], KIND_VALIDITY
-         if str(r[v_i]) in config.classifier.validity_values
-         else KIND_NOMINAL, str(r[v_i]), None)
-        for r in compress_column(rows, map(not_, numeric))
-    ]
-    if not numeric_rows:
+    numeric = numeric_mask(sequence.v)
+    labels = [str(v) for v in sequence.v[~numeric]]
+    validity = config.classifier.validity_values
+    out = _rows(sequence.take(~numeric), [
+        KIND_VALIDITY if label in validity else KIND_NOMINAL
+        for label in labels
+    ], labels)
+    numbers = sequence.take(numeric)
+    if not len(numbers):
         return sorted(out, key=_row_key)
-    values = np.array(compress_column(column, numeric), dtype=float)
+    values = numbers.v.astype(float)
     mask = np.asarray(config.outlier_detector.mask(values), dtype=bool)
-    out.extend(
-        (r[t_i], r[s_i], r[b_i], KIND_OUTLIER, number, None)
-        for r, number in zip(
-            compress_column(numeric_rows, mask.tolist()),
-            values[mask].tolist(),
-        )
-    )
-    clean_rows = compress_column(numeric_rows, (~mask).tolist())
-    if not clean_rows:
+    out += _rows(numbers.take(mask), KIND_OUTLIER, values[mask].tolist())
+    clean = numbers.take(~mask)
+    if not len(clean):
         return sorted(out, key=_row_key)
-    clean_values = values[~mask]
-    smoothed = config.smoother.smooth(clean_values)
+    smoothed = config.smoother.smooth(values[~mask])
     mean, std = float(smoothed.mean()), float(smoothed.std())
     variance = float(smoothed.var())
     max_error = config.swab_error_fraction * max(variance, 1e-12) * config.swab_buffer
@@ -130,102 +132,85 @@ def process_alpha(rows, schema, config=None):
         steady_threshold=config.trend_fraction * max(std, 1e-12)
     )
     for seg in segments:
-        first = clean_rows[seg.start]
-        level = float(smoothed[seg.start : seg.end + 1].mean())
+        # The mean's own sum and division, without its Python wrapper.
+        level = float(np.add.reduce(smoothed[seg.start : seg.end + 1]))
+        level /= seg.end + 1 - seg.start
         symbol = config.sax.symbol_for_level(level, mean, std)
         label = config.level_label("abcdefghijklmnopqrstuvwxyz".index(symbol))
-        out.append(
-            (
-                first[t_i],
-                first[s_i],
-                first[b_i],
-                KIND_SYMBOL,
-                label,
-                trend.classify_slope(seg.slope),
-            )
+        out.append((
+            clean.t.item(seg.start),
+            clean.s_id,
+            clean.b[seg.start],
+            KIND_SYMBOL,
+            label,
+            trend.classify_slope(seg.slope),
+        ))
+    out.sort(key=_row_key)
+    return out
+
+
+def process_beta(sequence, config=None):
+    """Branch β: lines 20-25 of Algorithm 1."""
+    config = config or BranchConfig()
+    # functionSplit on z_aff.
+    invalid = validity_mask(sequence.v, config.classifier)
+    out = _rows(
+        sequence.take(invalid), KIND_VALIDITY,
+        [str(v) for v in sequence.v[invalid]],
+    )
+    functional = sequence.take(~invalid)
+    if not len(functional):
+        return sorted(out, key=_row_key)
+    ranks, labels = _numeric_translation(functional.v, config)
+    mask = np.asarray(config.outlier_detector.mask(ranks), dtype=bool)
+    out += _rows(
+        functional.take(mask), KIND_OUTLIER, functional.v[mask].tolist()
+    )
+    clean = ~mask
+    if clean.any():
+        trend = TrendClassifier(steady_threshold=config.trend_fraction)
+        out += _rows(
+            functional.take(clean), KIND_SYMBOL, labels[clean].tolist(),
+            trend.classify_gradient(ranks[clean]),
         )
     out.sort(key=_row_key)
     return out
 
 
-def process_beta(rows, schema, config=None):
-    """Branch β: lines 20-25 of Algorithm 1."""
-    config = config or BranchConfig()
-    t_i, v_i, s_i, b_i = _indices(schema)
-    if not rows:
-        return []
-    validity = config.classifier.validity_values
-    # functionSplit on z_aff.
-    functional = [r for r in rows if r[v_i] not in validity]
-    validity_rows = [r for r in rows if r[v_i] in validity]
-    out = [
-        (r[t_i], r[s_i], r[b_i], KIND_VALIDITY, str(r[v_i]), None)
-        for r in validity_rows
-    ]
-    if not functional:
-        return sorted(out, key=_row_key)
-    ranks, labels = _numeric_translation(
-        [r[v_i] for r in functional], config
-    )
-    values = np.asarray(ranks, dtype=float)
-    mask = config.outlier_detector.mask(values)
-    outlier_rows = [r for r, m in zip(functional, mask) if m]
-    clean = [(r, rank, label) for (r, rank, label), m in zip(
-        zip(functional, ranks, labels), mask
-    ) if not m]
-    out.extend(
-        (r[t_i], r[s_i], r[b_i], KIND_OUTLIER, r[v_i], None)
-        for r in outlier_rows
-    )
-    if clean:
-        clean_ranks = [rank for _r, rank, _label in clean]
-        trend = TrendClassifier(steady_threshold=config.trend_fraction)
-        trends = trend.classify_gradient(clean_ranks)
-        for (row, _rank, label), trend_label in zip(clean, trends):
-            out.append(
-                (row[t_i], row[s_i], row[b_i], KIND_SYMBOL, label, trend_label)
-            )
-    out.sort(key=_row_key)
-    return out
-
-
-def process_gamma(rows, schema, data_type, config=None):
+def process_gamma(sequence, data_type, config=None):
     """Branch γ: lines 26-28 -- no transformation, F/V split only."""
     config = config or BranchConfig()
-    t_i, v_i, s_i, b_i = _indices(schema)
-    validity = config.classifier.validity_values
     kind = KIND_BINARY if data_type == BINARY else KIND_NOMINAL
-    out = []
-    for r in rows:
-        if r[v_i] in validity:
-            out.append((r[t_i], r[s_i], r[b_i], KIND_VALIDITY, str(r[v_i]), None))
-        else:
-            out.append((r[t_i], r[s_i], r[b_i], kind, str(r[v_i]), None))
+    out = _rows(sequence, [
+        KIND_VALIDITY if invalid else kind
+        for invalid in validity_mask(sequence.v, config.classifier).tolist()
+    ], [str(v) for v in sequence.v])
     out.sort(key=_row_key)
     return out
 
 
-def process_branch(rows, schema, classification, config=None):
+def process_branch(sequence, classification, config=None):
     """Dispatch one classified sequence to its branch (line 13)."""
     if classification.branch == ALPHA:
-        return process_alpha(rows, schema, config)
+        return process_alpha(sequence, config)
     if classification.branch == BETA:
-        return process_beta(rows, schema, config)
+        return process_beta(sequence, config)
     if classification.branch == GAMMA:
-        return process_gamma(rows, schema, classification.data_type, config)
+        return process_gamma(sequence, classification.data_type, config)
     raise BranchError("unknown branch {!r}".format(classification.branch))
 
 
 def _numeric_translation(values, config):
-    """Translate ordinal values to ranks; return (ranks, display labels).
+    """Translate ordinal values to ranks; return (ranks, display labels)
+    as a float64 and an object array.
 
     String labels are ranked by a matching configured vocabulary (so
     low < medium < high) or, failing that, by sorted order; numeric
     values rank as themselves.
     """
+    labels = np.fromiter(map(str, values), object, len(values))
     if all_numeric(values):
-        return [float(v) for v in values], [str(v) for v in values]
-    labels = [str(v) for v in values]
+        return values.astype(float), labels
     distinct = set(labels)
     order = None
     for vocabulary in config.classifier.ordinal_vocabularies:
@@ -234,20 +219,9 @@ def _numeric_translation(values, config):
             break
     if order is None:
         order = {label: i for i, label in enumerate(sorted(distinct))}
-    return [float(order[label]) for label in labels], labels
-
-
-def _indices(schema):
-    return (
-        schema.index_of("t"),
-        schema.index_of("v"),
-        schema.index_of("s_id"),
-        schema.index_of("b_id"),
-    )
+    return np.fromiter(map(order.__getitem__, labels), float, len(labels)), labels
 
 
 def _row_key(row):
     return (row[0], str(row[1]), str(row[3]))
 
-
-_ = (GAMMA, STEADY)  # names used in docs/tests

@@ -112,17 +112,34 @@ def all_numeric(values):
 
 
 def numeric_mask(values):
-    """``[is_numeric_type(type(v)) for v in values]``, one test per type."""
-    numeric = {cls: is_numeric_type(cls) for cls in set(map(type, values))}
-    return list(map(numeric.__getitem__, map(type, values)))
+    """``is_numeric_type(type(v))`` for each of *values* as a bool array,
+    one test per type."""
+    types = list(map(type, values))
+    numeric = {cls: is_numeric_type(cls) for cls in set(types)}
+    return np.fromiter(map(numeric.__getitem__, types), bool, len(types))
+
+
+def validity_mask(values, config):
+    """Per element, whether its value is in the affiliation-V vocabulary
+    (``z_aff`` = V); the rest are functional values."""
+    return np.fromiter(
+        map(config.validity_values.__contains__, values), bool, len(values)
+    )
 
 
 def compute_criteria(times, values, config=None):
     """Compute ``Z`` for a time-ordered sequence of (t, v)."""
     config = config or ClassifierConfig()
-    functional = [v for v in values if v not in config.validity_values]
-    basis = functional if functional else list(values)
-    z_type = NUMERIC_TYPE if all_numeric(basis) else STRING_TYPE
+    numeric = all_numeric(values)
+    basis = values
+    # A number equals no label: numbers skip a vocabulary of labels.
+    labels = all(isinstance(v, str) for v in config.validity_values)
+    if not (numeric and labels):
+        invalid = validity_mask(values, config)
+        if invalid.any() and not invalid.all():
+            basis = [v for v, bad in zip(values, invalid.tolist()) if not bad]
+            numeric = all_numeric(basis)
+    z_type = NUMERIC_TYPE if numeric else STRING_TYPE
     z_num = len(set(basis))
     z_rate = _change_rate(times, config)
     if z_type == NUMERIC_TYPE:
@@ -228,5 +245,4 @@ class SequenceClassifier:
 
     def affiliation_mask(self, values):
         """Per-element affiliation: True where functional (F), False (V)."""
-        validity = self.config.validity_values
-        return [v not in validity for v in values]
+        return (~validity_mask(values, self.config)).tolist()

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.model import K_S_COLUMNS, W_COLUMNS
-from repro.core.sequence import derive_extensions, order_sequence
+from repro.core.classification import numeric_mask
+from repro.core.sequence import derive_extensions, order_rows
 
 
 class ExtensionError(ValueError):
@@ -172,7 +173,11 @@ class RollingAggregateExtension(ExtensionRule):
             t, v = row[t_i], row[v_i]
             window.append((t, v))
             window = [(wt, wv) for wt, wv in window if t - wt <= self.window]
-            numeric = [wv for _wt, wv in window if isinstance(wv, (int, float))]
+            values = [wv for _wt, wv in window]
+            numeric = [
+                wv for wv, number in zip(values, numeric_mask(values))
+                if number
+            ]
             if self.statistic == "count":
                 value = len(window)
             elif not numeric:
@@ -210,7 +215,7 @@ class _DeriveExtensionsTask:
     rules: tuple
 
     def __call__(self, rows):
-        return derive_extensions(order_sequence(rows), self.rules)
+        return derive_extensions(order_rows(rows), self.rules)
 
 
 def apply_extensions(k_red, rules):

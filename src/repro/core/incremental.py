@@ -33,9 +33,11 @@ from repro.core.sequence import (
     derive_extensions,
     marker_functions,
     merge_sequences,
+    order_rows,
     process_sequence,
     reduce_sequence,
     split_sequences,
+    table_columns,
 )
 
 
@@ -50,7 +52,8 @@ STATE_FORMAT = "repro.incremental-state/1"
 @dataclass
 class _SignalState:
     """Accumulated per-(signal, channel) reduction state; the only
-    cross-window reduction state is :attr:`carries`."""
+    cross-window reduction state is :attr:`carries`. The reduced
+    elements are kept as ``K_s``-layout rows, the payload's layout."""
 
     reduced_rows: list = field(default_factory=list)
     #: Per-marker-function carry, keyed by position in the signal's
@@ -107,19 +110,18 @@ class IncrementalRunner:
             "short_payload_skipped", 0
         )
         self.short_payload_kept += policy_counts.get("short_payload_kept", 0)
-        rows = k_s.collect()
         # Exact duplicates share their timestamp, so window assignment
         # puts every copy of a row into the same window: dropping them
         # per window equals dropping them over the whole trace.
         sequences, dropped = split_sequences(
-            rows,
+            table_columns(k_s),
             by_channel=True,
             drop_exact_duplicates=config.drop_exact_duplicates,
         )
         if sequences:
             # Every sequence is in time order: the window's first and
             # last instants are among their ends.
-            window_start = min(seq[0][0] for seq in sequences.values())
+            window_start = min(seq.t.item(0) for seq in sequences.values())
             if (
                 self._last_window_end is not None
                 and window_start < self._last_window_end
@@ -130,7 +132,7 @@ class IncrementalRunner:
                     )
                 )
             self._last_window_end = max(
-                seq[-1][0] for seq in sequences.values()
+                seq.t.item(-1) for seq in sequences.values()
             )
         self.exact_duplicates_dropped += dropped
         for key, chunk in sequences.items():
@@ -139,9 +141,9 @@ class IncrementalRunner:
                 config.constraints.for_signal(key[0])
             )
             state.reduced_rows.extend(
-                reduce_sequence(chunk, functions, state.carries)
+                reduce_sequence(chunk, functions, state.carries).rows()
             )
-        return len(rows) - dropped
+        return sum(map(len, sequences.values()))
 
     def finalize(self, context):
         """Run extensions, classification, branches and the merge."""
@@ -153,9 +155,9 @@ class IncrementalRunner:
         w_rows = []
         classifications = {}
         for (s_id, b_id), state in sorted(self._states.items()):
-            k_red = state.reduced_rows
-            if not k_red:
+            if not state.reduced_rows:
                 continue
+            k_red = order_rows(state.reduced_rows)
             w_rows.extend(
                 derive_extensions(k_red, config.extensions.for_signal(s_id))
             )

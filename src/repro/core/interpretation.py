@@ -35,6 +35,7 @@ and across the interpreted, compiled and columnar execution paths.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -193,7 +194,8 @@ class _RuleKernels:
     kernel (:attr:`scalar_rules` says which, and why) runs its compiled
     scalar closures over the rows of its key only, and is the one place
     an ``m_info`` cell is read. Every value lands in the slot its
-    ``K_join`` row has in :func:`join_rules` order, so the output equals
+    ``K_join`` row has in :func:`join_rules` order, so the ``K_s``
+    columns of the output (:attr:`COLUMNS`) equal
     :func:`evaluate_signals`' row for row.
 
     ``batch_call`` is the columnar form the engine's kernels call;
@@ -214,10 +216,15 @@ class _RuleKernels:
         self._plans = []
         widest = max(map(len, by_key.values()), default=0)
         self._signal_ids = np.empty((len(by_key), widest), dtype=object)
+        pairs = sorted({(u.signal_id, u.channel_id) for u in catalog})
+        self._sequences = np.zeros((len(by_key), widest), dtype=np.intp)
         for code, (key, tuples) in enumerate(by_key.items()):
             plan = []
             for ordinal, u in enumerate(tuples):
                 self._signal_ids[code, ordinal] = u.signal_id
+                self._sequences[code, ordinal] = bisect_left(
+                    pairs, (u.signal_id, u.channel_id)
+                )
                 rule = u.rule
                 kernel, reason = rule.compile_vector_decoder()
                 if kernel is not None:
@@ -239,6 +246,11 @@ class _RuleKernels:
     def __call__(self, rows):
         partition = ColumnarPartition.from_rows(rows, 5)
         return self.batch_call(partition).to_rows()
+
+    #: Output layout: ``K_s`` and each row's sequence code -- the
+    #: position of its ``(s_id, b_id)`` among the catalog's, sorted --
+    #: which lines 7-8 group by.
+    COLUMNS = K_S_COLUMNS + ("seq",)
 
     def batch_call(self, partition):
         t, payloads, b_ids, m_ids, _m_info = partition.columns
@@ -318,11 +330,13 @@ class _RuleKernels:
             values,
             self._signal_ids[codes[row_of], ordinal_of],
             _cells(b_ids)[row_of],
+            self._sequences[codes[row_of], ordinal_of],
         ]
         if not keep.all():
             columns = [column[keep] for column in columns]
         return ColumnarPartition(
-            [column.tolist() for column in columns], len(columns[0])
+            [column.tolist() for column in columns[:4]] + columns[4:],
+            len(columns[0]),
         )
 
     def _scalar_rule(self, rule, closures, rows, payload, partition):
@@ -358,7 +372,7 @@ def _interpret(k_pre, catalog, context, on_short, kernels=None):
     elif k_pre.context.executor.columnar:
         if kernels is None:
             kernels = _RuleKernels(catalog, on_short)
-        return k_pre.map_partitions(kernels, list(K_S_COLUMNS)), kernels
+        return k_pre.map_partitions(kernels, list(kernels.COLUMNS)), kernels
     else:
         context = context if context is not None else k_pre.context
         catalog_table = catalog.to_table(context)
@@ -378,7 +392,9 @@ def interpret(k_pre, catalog, context=None, on_short="raise"):
     (default), ``"skip"`` (drop affected rows) or ``"keep"`` (retain them
     with ``v = TRUNCATED``).
     """
-    return _interpret(k_pre, catalog, context, on_short)[0]
+    return _interpret(k_pre, catalog, context, on_short)[0].select(
+        *K_S_COLUMNS
+    )
 
 
 def _tolerance(config):
@@ -403,8 +419,9 @@ def interpret_under_policy(k_pre, config, kernels=None):
     The one place the policy is spelled out, for whole-trace and
     windowed runs alike; *kernels* is :func:`compile_under_policy`'s
     task for the same config, when the caller keeps one. Returns
-    ``(k_s, counts)``: the cached ``K_s``
-    and the stage's counter increments by counter name --
+    ``(k_s, counts)``: the cached ``K_s`` -- with
+    :attr:`_RuleKernels.COLUMNS` on the production executor -- and the
+    stage's counter increments by counter name --
     ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
     under ``"keep"``, neither under ``"raise"`` (where a truncated
     payload aborts with :class:`ShortPayloadError`), and per reason the

@@ -38,12 +38,15 @@ from repro.core.representation import build_state_representation
 from repro.core.rules import RuleCatalog
 from repro.core.sequence import (
     derive_extensions,
+    empty_sequence,
     equality_groups,
     marker_functions,
     merge_sequences,
     process_sequence,
     reduce_sequence,
+    sequences_table,
     split_sequences,
+    table_columns,
 )
 
 
@@ -121,7 +124,7 @@ class SignalOutcome:
 class PipelineResult:
     """Output of one pipeline run."""
 
-    k_s: object  # interpreted signal table (cached)
+    k_s: object  # interpreted signal table (cached; rows land on collect)
     outcomes: dict  # s_id -> SignalOutcome
     r_out: object  # merged homogeneous table (R_COLUMNS)
     timings: dict  # stage name -> seconds (derived from report spans)
@@ -180,11 +183,11 @@ class PreprocessingPipeline:
     def run(self, k_b, report=None):
         """Execute Algorithm 1 on a raw trace table ``K_b``.
 
-        Lines 2-6 run on the engine; ``K_s`` is then collected once and
-        lines 7-29 are the sequence stages of :mod:`repro.core.sequence`
-        -- the same functions a windowed run feeds chunk by chunk, here
-        with an empty carry. Every engine action happens inside the
-        span of the stage that causes it.
+        Lines 2-6 run on the engine; the cached ``K_s`` is then read as
+        columns, never as rows, and lines 7-29 are the sequence stages
+        of :mod:`repro.core.sequence` -- the same functions a windowed
+        run feeds chunk by chunk, here with an empty carry. Every engine
+        action happens inside the span of the stage that causes it.
 
         *report*, when given, is the :class:`~repro.obs.RunReport` to
         record into (callers batching many traces aggregate this way);
@@ -219,18 +222,14 @@ class PreprocessingPipeline:
                 registry.counter("pipeline.interpret." + name).inc(value)
 
         with recorder.span("split") as split_span:
-            rows = k_s.collect()
             sequences, duplicates = split_sequences(
-                rows,
+                table_columns(k_s),
                 by_channel=config.dedup_channels,
                 drop_exact_duplicates=config.drop_exact_duplicates,
             )
-            counts["k_s"] = len(rows) - duplicates
+            counts["k_s"] = sum(map(len, sequences.values()))
             if duplicates:
-                k_s = context.table_from_rows(
-                    list(K_S_COLUMNS),
-                    [row for seq in sequences.values() for row in seq],
-                )
+                k_s = sequences_table(context, sequences.values())
             by_signal = {}
             for (s_id, b_id), seq in sequences.items():
                 by_signal.setdefault(s_id, {})[b_id] = seq
@@ -245,7 +244,7 @@ class PreprocessingPipeline:
                     todo = list(channels.values())
                 # A signal type without instances still gets its
                 # (empty) sequence classified.
-                work[s_id] = (groups, todo or [[]])
+                work[s_id] = (groups, todo or [empty_sequence(s_id)])
         if config.drop_exact_duplicates:
             registry.counter(
                 "pipeline.interpret.exact_duplicates_dropped"
@@ -328,7 +327,7 @@ class PreprocessingPipeline:
             report.merge_registry(context.executor.obs)
 
         return PipelineResult(
-            k_s=k_s,
+            k_s=k_s.select(*K_S_COLUMNS),
             outcomes=outcomes,
             r_out=r_out,
             timings={name: recorder.seconds(name) for name in self.STAGES},

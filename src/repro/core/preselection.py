@@ -24,6 +24,11 @@ class _KeyMember:
     def __call__(self, m_id, b_id):
         return (m_id, b_id) in self.keys
 
+    def batch_call(self, m_ids, b_ids):
+        """The whole-column form: one membership pass over the zipped
+        columns, with no Python call per row."""
+        return list(map(self.keys.__contains__, zip(m_ids, b_ids)))
+
 
 def preselect(k_b, catalog):
     """Filter the raw trace to messages carrying ``U_comb`` signals.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.classification import all_numeric, time_gaps
-from repro.core.sequence import classify_sequence, order_sequence
+from repro.core.sequence import classify_sequence, order_rows
 from repro.core.splitting import split_signal_types
 from repro.obs import median, percentile
 
@@ -59,14 +59,14 @@ def profile_signal(rows, signal_id, config=None):
     """Profile one signal's (t, v, s_id, b_id) rows."""
     if not rows:
         raise ValueError("cannot profile an empty sequence")
-    rows = order_sequence(rows)
-    times = [r[0] for r in rows]
-    values = [r[1] for r in rows]
-    channels = tuple(sorted({str(r[3]) for r in rows}))
+    sequence = order_rows(rows)
+    times = sequence.t.tolist()
+    values = sequence.v.tolist()
+    channels = tuple(sorted(set(map(str, sequence.b.tolist()))))
     gaps = time_gaps(times)[1].tolist()  # positive only: 0.0 is no cycle
     numeric = all_numeric(values)
     changes = sum(1 for a, b in zip(values, values[1:]) if a != b)
-    classification = classify_sequence(rows, config)
+    classification = classify_sequence(sequence, config)
     return SignalProfile(
         signal_id=signal_id,
         count=len(rows),

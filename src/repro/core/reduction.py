@@ -7,8 +7,9 @@ each signal sequence on the signal type (line 10). If the enable flag
 elements where the flag is false -- markers flag *redundant* elements,
 "leaving task-relevant elements only".
 
-Marker functions receive the time-ordered (t, v) sequence (plus the
-previous element as carry) so they can express the paper's examples:
+Marker functions receive the time-ordered sequence as a timestamp array
+and a value array (plus the previous element as carry, element -1) so
+they can express the paper's examples:
 repeated data points, temporal-gap conditions, sending-condition checks.
 Aggregation-based markers (inherently distributable operations in Big
 Data systems) compute their statistics over the rows they are handed.
@@ -24,12 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.classification import numeric_mask
 from repro.core.model import K_S_COLUMNS
-from repro.core.sequence import (
-    marker_functions,
-    order_sequence,
-    reduce_sequence,
-)
+from repro.core.sequence import marker_functions, order_rows, reduce_sequence
 
 
 class ReductionError(ValueError):
@@ -39,10 +37,12 @@ class ReductionError(ValueError):
 class MarkerFunction:
     """Base class of the ``f ∈ F`` marker functions.
 
-    ``flags(times, values, prev)`` returns one boolean per element; True
-    marks the element redundant (to be removed). ``prev`` is the (t, v)
-    of the element preceding the sequence, or None. Implementations must
-    be picklable.
+    ``flags(times, values, prev)`` receives a sequence's timestamps as a
+    float64 array and its values as an object array, and returns one
+    boolean per element (an array or a list); True marks the element
+    redundant (to be removed). ``prev`` is the (t, v) of the element
+    preceding the sequence -- element -1 -- or None. Implementations
+    must be picklable.
     """
 
     def flags(self, times, values, prev):
@@ -59,9 +59,19 @@ class MarkerFunction:
         threads each function's own carry so chunked reduction stays
         element-for-element identical to a whole-trace run.
         """
-        if not times:
+        if not len(times):
             return prev
-        return (times[-1], values[-1])
+        return (float(times[-1]), values[-1])
+
+
+def _previous(values, prev):
+    """Each element's predecessor value: ``prev``'s for element 0, or a
+    sentinel nothing equals."""
+    before = np.empty(len(values), dtype=object)
+    if len(values):
+        before[0] = prev[1] if prev is not None else _SENTINEL
+        before[1:] = values[:-1]
+    return before
 
 
 @dataclass(frozen=True)
@@ -74,12 +84,7 @@ class UnchangedValue(MarkerFunction):
     """
 
     def flags(self, times, values, prev):
-        out = []
-        prev_value = prev[1] if prev is not None else _SENTINEL
-        for v in values:
-            out.append(v == prev_value)
-            prev_value = v
-        return out
+        return values == _previous(values, prev)
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,12 @@ class UnchangedWithinCycle(MarkerFunction):
             raise ReductionError("cycle_time and tolerance must be positive")
 
     def flags(self, times, values, prev):
-        out = []
-        prev_t, prev_v = prev if prev is not None else (None, _SENTINEL)
-        limit = self.cycle_time * self.tolerance
-        for t, v in zip(times, values):
-            gap_ok = prev_t is not None and (t - prev_t) <= limit
-            out.append(v == prev_v and gap_ok)
-            prev_t, prev_v = t, v
-        return out
+        # Without a prev the first gap is NaN, which is within no limit.
+        before = np.concatenate(
+            ([prev[0] if prev is not None else np.nan], times[:-1])
+        )
+        within = times - before <= self.cycle_time * self.tolerance
+        return within & (values == _previous(values, prev))
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ class MinimumGap(MarkerFunction):
     def flags(self, times, values, prev):
         out = []
         last_kept = prev[0] if prev is not None else None
-        for t in times:
+        for t in times.tolist():
             if last_kept is not None and (t - last_kept) < self.min_gap:
                 out.append(True)
             else:
@@ -137,7 +140,7 @@ class MinimumGap(MarkerFunction):
         one -- seeding the next chunk with a later (discarded) element
         would shrink gaps and over-reduce at window boundaries."""
         last_kept = prev[0] if prev is not None else None
-        for t in times:
+        for t in times.tolist():
             if last_kept is None or (t - last_kept) >= self.min_gap:
                 last_kept = t
         if last_kept is None:
@@ -152,8 +155,9 @@ class ValueInSet(MarkerFunction):
     values: frozenset
 
     def flags(self, times, values, prev):
-        member = self.values
-        return [v in member for v in values]
+        return np.fromiter(
+            map(self.values.__contains__, values), bool, len(values)
+        )
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class Predicate(MarkerFunction):
 
     def flags(self, times, values, prev):
         f = self.func
-        return [bool(f(t, v)) for t, v in zip(times, values)]
+        return [bool(f(t, v)) for t, v in zip(times.tolist(), values.tolist())]
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,12 @@ class OutsideQuantileRange(MarkerFunction):
 
     Demonstrates ``f`` as an aggregation operation: the band is computed
     over the whole sequence first (a distributable aggregation), then
-    applied row-wise. "The whole sequence" is the rows one ``flags`` call
-    receives: all of them in a whole-trace run, one window's chunk in a
-    windowed run -- the one bundled marker whose decisions no carry can
-    make independent of window boundaries.
+    applied element-wise. Numeric is Table 3's test
+    (:func:`~repro.core.classification.numeric_mask`): booleans and
+    labels are never flagged. "The whole sequence" is the elements one
+    ``flags`` call receives: all of them in a whole-trace run, one
+    window's chunk in a windowed run -- the one bundled marker whose
+    decisions no carry can make independent of window boundaries.
     """
 
     lower: float = 0.0
@@ -187,17 +193,14 @@ class OutsideQuantileRange(MarkerFunction):
             raise ReductionError("need 0 <= lower < upper <= 1")
 
     def flags(self, times, values, prev):
-        numeric = [v for v in values if isinstance(v, (int, float))]
-        if not numeric:
-            return [False] * len(values)
-        lo = float(np.quantile(numeric, self.lower))
-        hi = float(np.quantile(numeric, self.upper))
-        out = []
-        for v in values:
-            if isinstance(v, (int, float)):
-                out.append(v < lo or v > hi)
-            else:
-                out.append(False)
+        numeric = numeric_mask(values)
+        out = np.zeros(len(values), dtype=bool)
+        if numeric.any():
+            numbers = values[numeric]
+            lo = float(np.quantile(numbers.tolist(), self.lower))
+            hi = float(np.quantile(numbers.tolist(), self.upper))
+            with np.errstate(invalid="ignore"):  # NaN compares false
+                out[numeric] = (numbers < lo) | (numbers > hi)
         return out
 
 
@@ -248,7 +251,7 @@ class _ReduceSequenceTask:
     functions: tuple
 
     def __call__(self, rows):
-        return reduce_sequence(order_sequence(rows), self.functions, {})
+        return reduce_sequence(order_rows(rows), self.functions, {}).rows()
 
 
 def reduce_signal(k_sep, constraints):

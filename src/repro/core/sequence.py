@@ -1,8 +1,8 @@
-"""Algorithm 1 lines 7-29 on driver-side sequences -- the only copy.
+"""Algorithm 1 lines 7-29 on typed sequences -- the only copy.
 
 Every entry point that runs Algorithm 1 past interpretation composes
 the functions of this module: :meth:`PreprocessingPipeline.run
-<repro.core.pipeline.PreprocessingPipeline.run>` splits the collected
+<repro.core.pipeline.PreprocessingPipeline.run>` splits the cached
 ``K_s`` and feeds each representative sequence with an empty carry,
 :class:`IncrementalRunner <repro.core.incremental.IncrementalRunner>`
 splits each window's ``K_s`` and feeds each chunk with the carry of the
@@ -14,12 +14,16 @@ type's table. Whole-trace and windowed results are therefore equal
 because they are computed by the same statements, not because a
 property test holds two copies together.
 
-A *sequence* is a list of ``K_s``-layout rows ``(t, v, s_id, b_id)`` of
-one signal type (normally of one channel). The stages, in order:
+A *sequence* is one signal type's instances (normally of one channel)
+held as columns, a :class:`Sequence`: the timestamps as a float64
+array, the values as the decoder produced them and each element's
+channel as object arrays. ``K_s`` reaches the stages as columns, and
+rows exist only as what the stages return: the R rows of a branch and
+the W rows of an extension rule. The stages, in order:
 
-1. :func:`split_sequences` -- ``K_s`` rows to per-signal (per-channel)
-   sequences in the canonical order of :func:`order_sequence`,
-   ``(t, value_order_key(v))``, without exact duplicates (lines 7-8);
+1. :func:`split_sequences` -- ``K_s`` columns to per-signal
+   (per-channel) sequences in the canonical order ``(t,
+   value_order_key(v))``, without exact duplicates (lines 7-8);
 2. :func:`equality_groups` -- the gateway equality check ``e`` over one
    signal type's channels (line 9);
 3. :func:`reduce_sequence` -- Eq. 1 with an explicit per-marker carry
@@ -34,23 +38,24 @@ one signal type (normally of one channel). The stages, in order:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import itemgetter, lt
+from itertools import chain, repeat
+
+import numpy as np
 
 from repro.core.branches import R_COLUMNS, process_branch
 from repro.core.classification import classify
 from repro.core.model import K_S_COLUMNS, W_COLUMNS
 from repro.core.representation import merge_results
+from repro.engine.columnar import ColumnarPartition
 from repro.engine.schema import Schema
 
-#: Layout of the rows every stage below takes.
+#: Layout of the rows extension rules take.
 K_S_SCHEMA = Schema.of(*K_S_COLUMNS)
 
 
 def value_order_key(value):
-    """Canonical tiebreak for rows sharing a timestamp.
+    """Canonical tiebreak for elements sharing a timestamp.
 
     ``repr`` yields a deterministic, comparable string across the
     mixed value types a sequence can hold (floats, labels, the
@@ -59,74 +64,186 @@ def value_order_key(value):
     return repr(value)
 
 
-_timestamp = itemgetter(0)
+def objects(values):
+    """*values* as an object array holding the very objects given."""
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
-def _order(rows, drop_exact_duplicates):
-    """*rows* by ``(t, value_order_key(v))``; also how many were dropped.
+@dataclass(frozen=True, eq=False)
+class Sequence:
+    """One sequence as columns: timestamps ``t`` (float64), values ``v``
+    and channels ``b`` (object arrays); every element is an instance of
+    signal type ``s_id``."""
 
-    A sequence normally arrives with strictly increasing timestamps and
-    is returned as it is. Otherwise it is ordered by ``t`` (stable), and
-    only rows that share a timestamp are deduplicated -- equal rows
-    share theirs, the first to arrive stays -- and have their values'
-    keys computed and compared.
+    s_id: object
+    t: np.ndarray
+    v: np.ndarray
+    b: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def take(self, index):
+        """The elements a boolean mask or a position array selects."""
+        return Sequence(self.s_id, self.t[index], self.v[index], self.b[index])
+
+    def rows(self):
+        """The elements as ``K_s``-layout rows of Python scalars."""
+        return list(zip(
+            self.t.tolist(), self.v.tolist(), repeat(self.s_id),
+            self.b.tolist(),
+        ))
+
+
+def table_columns(table):
+    """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table, no row landed.
+
+    ``seq`` codes each element's ``(s_id, b_id)``, ranked. The rule
+    kernels emit it as a fifth column; for a table without one (the
+    reference executor's, an engine wrapper's) it is computed here.
     """
-    times = list(map(_timestamp, rows))
-    if all(map(lt, times, islice(times, 1, None))):
-        return rows, 0
-    ordered = []
+    width = len(table.schema)
+    parts = [
+        (p if isinstance(p, ColumnarPartition)
+         else ColumnarPartition.from_rows(p, width)).columns
+        for p in table.context.executor.execute(table.plan, as_rows=False)
+    ]
+    n = sum(len(p[0]) for p in parts)
+    t = np.fromiter(chain.from_iterable(p[0] for p in parts), float, n)
+    v, s_ids, b_ids = (
+        np.fromiter(chain.from_iterable(p[i] for p in parts), object, n)
+        for i in (1, 2, 3)
+    )
+    if width == len(K_S_COLUMNS):
+        return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
+    seq = np.concatenate(
+        [np.empty(0, np.intp)] + [np.asarray(p[4], np.intp) for p in parts]
+    )
+    return t, v, s_ids, b_ids, seq
+
+
+def _codes(values):
+    """Each of *values* as its position among the sorted distinct ones."""
+    code = {key: i for i, key in enumerate(sorted(set(values)))}
+    return np.fromiter(map(code.__getitem__, values), np.intp, len(values))
+
+
+def pair_codes(s_ids, b_ids):
+    """Sequence codes of elements: ``(s_id, b_id)`` ranked."""
+    return _codes(s_ids) * len(set(b_ids)) + _codes(b_ids)
+
+
+def row_columns(rows):
+    """``K_s``-layout *rows* as :func:`split_sequences`' columns."""
+    t, v, s_ids, b_ids = map(objects, zip(*rows))
+    return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
+
+
+def _order(t, v, b, tied, drop_exact_duplicates):
+    """Positions of (code, t)-sorted elements in canonical order; also
+    how many were dropped.
+
+    *tied* marks each element whose successor has the same sequence and
+    timestamp. Only such runs are deduplicated -- equal elements share
+    their timestamp, the first to arrive stays -- and have their
+    values' keys computed and compared.
+    """
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
+    positions = []
     dropped = 0
-    for _t, tied in groupby(sorted(rows, key=_timestamp), key=_timestamp):
-        tied = list(tied)
-        if len(tied) > 1:
-            if drop_exact_duplicates:
-                unique = list(dict.fromkeys(tied))
-                dropped += len(tied) - len(unique)
-                tied = unique
-            tied.sort(key=lambda row: value_order_key(row[1]))
-        ordered.extend(tied)
-    return ordered, dropped
+    end = 0
+    for start, stop in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+        positions.append(range(end, start))
+        run = range(start, stop)
+        if drop_exact_duplicates:
+            first = {}
+            for i, element in zip(run, zip(
+                t[start:stop].tolist(), v[start:stop].tolist(),
+                b[start:stop].tolist(),
+            )):
+                first.setdefault(element, i)
+            dropped += len(run) - len(first)
+            run = first.values()
+        positions.append(sorted(run, key=lambda i: value_order_key(v[i])))
+        end = stop
+    positions.append(range(end, len(t)))
+    return np.fromiter(chain.from_iterable(positions), np.intp), dropped
 
 
-def order_sequence(rows):
-    """Sort one sequence's rows into the canonical order.
+def split_sequences(columns, by_channel, drop_exact_duplicates):
+    """Lines 7-8: ``K_s`` columns to canonically ordered sequences.
 
-    Sorting on the timestamp alone is not a total order once transport
-    corruption is in play: a gateway duplicate whose copy lost payload
-    bytes yields two rows of one (s_id, b_id) at the same ``t`` with
-    *different* values, and the repeat-removal markers would then depend
-    on arrival order. The value's :func:`value_order_key` breaks such
-    ties deterministically.
+    *columns* are ``(t, v, s_id, b_id, seq)`` as :func:`table_columns`
+    returns them. Returns ``(sequences, dropped)``. *sequences* maps
+    ``(s_id, b_id)`` to that channel's :class:`Sequence` -- or, when
+    *by_channel* is false, ``(s_id, None)`` to the elements of every
+    channel carrying the signal type -- ordered by ``(t,
+    value_order_key(v))``, keys sorted. One stable ``lexsort`` groups
+    the elements by code and orders each group by ``t``, so elements
+    that share neither keep their arrival order. With
+    *drop_exact_duplicates*, an element equal to an earlier one (a
+    gateway replaying a frame without jitter) is dropped and counted in
+    *dropped*. Equal elements share their signal type, channel and
+    timestamp, so each is found among the elements tied with it, and a
+    windowed run that cuts ``K_s`` by time drops the same ones.
     """
-    return list(_order(rows, False)[0])
-
-
-def split_sequences(rows, by_channel, drop_exact_duplicates):
-    """Lines 7-8: ``K_s`` rows to canonically ordered sequences.
-
-    Returns ``(sequences, dropped)``. *sequences* maps ``(s_id, b_id)``
-    to that channel's rows -- or, when *by_channel* is false, ``(s_id,
-    None)`` to the rows of every channel carrying the signal type -- in
-    :func:`order_sequence` order, keys sorted. With
-    *drop_exact_duplicates*, rows equal to an earlier row (a gateway
-    replaying a frame without jitter) are dropped and counted in
-    *dropped*. Equal rows share their signal type, channel and
-    timestamp, so each is found among the rows tied with it, and a
-    windowed run that cuts ``K_s`` by time drops the same rows.
-    """
-    groups = defaultdict(list)
-    if by_channel:
-        for row in rows:
-            groups[row[2], row[3]].append(row)
-    else:
-        for row in rows:
-            groups[row[2], None].append(row)
+    t, v, s_ids, b_ids, codes = columns
+    if not len(t):
+        return {}, 0
+    t = np.asarray(t, dtype=float)
+    if not by_channel:
+        # One code per signal type: the rank of each code's signal.
+        _distinct, first, codes = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        codes = _codes(s_ids[first])[codes]
+    order = np.lexsort((t, codes))
+    codes, t = codes[order], t[order]
+    tied = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])
     dropped = 0
+    if tied.any():
+        index, dropped = _order(
+            t, v[order], b_ids[order], tied.view(np.int8),
+            drop_exact_duplicates,
+        )
+        order, codes, t = order[index], codes[index], t[index]
+    v, s_ids, b_ids = v[order], s_ids[order], b_ids[order]
+    bounds = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
     sequences = {}
-    for key in sorted(groups):
-        sequences[key], duplicates = _order(groups[key], drop_exact_duplicates)
-        dropped += duplicates
+    for start, stop in zip([0] + bounds, bounds + [len(t)]):
+        key = (s_ids[start], b_ids[start] if by_channel else None)
+        sequences[key] = Sequence(
+            key[0], t[start:stop], v[start:stop], b_ids[start:stop]
+        )
     return sequences, dropped
+
+
+def empty_sequence(s_id):
+    """The sequence of a signal type without instances."""
+    return Sequence(s_id, np.empty(0), objects(()), objects(()))
+
+
+def sequences_table(context, sequences):
+    """*sequences*, one after another, as a ``K_s`` table whose rows land
+    only when it is collected."""
+    return context.table_from_columnar(list(K_S_COLUMNS), [
+        ColumnarPartition([
+            seq.t.tolist(), seq.v.tolist(), [seq.s_id] * len(seq),
+            seq.b.tolist(),
+        ], len(seq))
+        for seq in sequences
+    ])
+
+
+def order_rows(rows):
+    """``K_s``-layout *rows* of one signal type as one :class:`Sequence`
+    in canonical order, duplicates kept: the engine wrappers' entry."""
+    if not rows:
+        return empty_sequence(None)
+    [sequence] = split_sequences(
+        row_columns(rows), by_channel=False, drop_exact_duplicates=False,
+    )[0].values()
+    return sequence
 
 
 @dataclass(frozen=True)
@@ -146,15 +263,14 @@ def equality_groups(signal_id, sequences):
 
     *sequences* maps each ``b_id`` to its sequence as
     :func:`split_sequences` returns it. Channels whose value sequences
-    are equal form one :class:`ChannelGroup`; its representative is the
-    channel with the most instances (ties by name), so the groups come
-    out longest representative first. Because the sequences are in
-    canonical order, two channels recording the same values are found
+    are equal (as lists are: ``1 == 1.0 == True``) form one
+    :class:`ChannelGroup`; its representative is the channel with the
+    most instances (ties by name), so the groups come out longest
+    representative first. Because the sequences are in canonical
+    order, two channels recording the same values are found
     corresponding however each recorder ordered a tied timestamp.
     """
-    values = {
-        b_id: [row[1] for row in rows] for b_id, rows in sequences.items()
-    }
+    values = {b_id: seq.v.tolist() for b_id, seq in sequences.items()}
     channels = sorted(values, key=lambda b: (-len(values[b]), str(b)))
     groups = []
     assigned = set()
@@ -183,10 +299,11 @@ def marker_functions(constraints):
     return tuple(f for c in constraints for f in c.functions)
 
 
-def reduce_sequence(rows, functions, carries):
-    """Lines 10-11: evaluate Eq. 1 and keep the rows whose flag is false.
+def reduce_sequence(sequence, functions, carries):
+    """Lines 10-11: evaluate Eq. 1 and keep the elements whose flag is
+    false.
 
-    *rows* are canonically ordered; *functions* come from
+    *sequence* is canonically ordered; *functions* come from
     :func:`marker_functions`. *carries* maps a marker's position in
     *functions* to the ``prev`` it continues from (see
     :meth:`MarkerFunction.carry_after
@@ -196,21 +313,25 @@ def reduce_sequence(rows, functions, carries):
     by chunk is element-for-element identical to reducing it at once.
     """
     if not functions:
-        return list(rows)
-    times = [row[0] for row in rows]
-    values = [row[1] for row in rows]
-    redundant = [False] * len(rows)
+        return sequence
+    times, values = sequence.t, sequence.v
+    redundant = np.zeros(len(times), dtype=bool)
     for index, func in enumerate(functions):
         prev = carries.get(index)
-        for i, flag in enumerate(func.flags(times, values, prev)):
-            if flag:
-                redundant[i] = True
+        redundant |= np.asarray(func.flags(times, values, prev), dtype=bool)
         carries[index] = func.carry_after(times, values, prev)
-    return [row for row, e in zip(rows, redundant) if not e]
+    return sequence.take(~redundant)
 
 
-def derive_extensions(rows, rules):
-    """Line 12: the W rows of one reduced, ordered sequence."""
+def derive_extensions(sequence, rules):
+    """Line 12: the W rows of one reduced, ordered sequence.
+
+    Extension rules take ``K_s``-layout rows, so a sequence with rules
+    is landed once for them.
+    """
+    if not rules:
+        return []
+    rows = sequence.rows()
     out = []
     for rule in rules:
         out.extend(rule.derive(rows, K_S_SCHEMA))
@@ -218,21 +339,19 @@ def derive_extensions(rows, rules):
     return out
 
 
-def classify_sequence(rows, classifier_config=None):
+def classify_sequence(sequence, classifier_config=None):
     """Table 3 for one ordered sequence."""
-    return classify(
-        [row[0] for row in rows], [row[1] for row in rows], classifier_config
-    )
+    return classify(sequence.t, sequence.v, classifier_config)
 
 
-def process_sequence(rows, branch_config):
+def process_sequence(sequence, branch_config):
     """Lines 13-28: classify a reduced sequence and run its branch.
 
     Returns ``(classification, R rows)``.
     """
-    classification = classify_sequence(rows, branch_config.classifier)
+    classification = classify_sequence(sequence, branch_config.classifier)
     return classification, process_branch(
-        rows, K_S_SCHEMA, classification, branch_config
+        sequence, classification, branch_config
     )
 
 

@@ -25,7 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.model import K_S_COLUMNS
-from repro.core.sequence import equality_groups, split_sequences
+from repro.core.sequence import (
+    equality_groups,
+    split_sequences,
+    table_columns,
+)
 
 
 @dataclass
@@ -70,17 +74,17 @@ def equality_split(k_s_sid, signal_id):
 
     An engine wrapper over :func:`~repro.core.sequence.split_sequences`
     and :func:`~repro.core.sequence.equality_groups`, the stages every
-    pipeline run uses: the table is collected, split per channel and
+    pipeline run uses: the table's columns are split per channel and
     compared. Returns a :class:`SplitResult` whose ``k_sep`` covers the
     representative channel only, in canonical sequence order. The table
     is taken as given -- exact duplicates are the caller's to drop.
     """
     sequences, _dropped = split_sequences(
-        k_s_sid.select(*K_S_COLUMNS).collect(),
+        table_columns(k_s_sid.select(*K_S_COLUMNS)),
         by_channel=True,
         drop_exact_duplicates=False,
     )
-    channels = {b_id: rows for (_s_id, b_id), rows in sequences.items()}
+    channels = {b_id: seq for (_s_id, b_id), seq in sequences.items()}
     groups = equality_groups(signal_id, channels)
     if not groups:
         return SplitResult(signal_id, k_s_sid)
@@ -89,7 +93,7 @@ def equality_split(k_s_sid, signal_id):
         (
             group,
             context.table_from_rows(
-                list(K_S_COLUMNS), channels[group.representative]
+                list(K_S_COLUMNS), channels[group.representative].rows()
             ),
         )
         for group in groups

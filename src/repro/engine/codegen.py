@@ -285,16 +285,16 @@ def lower_columnar_segment(steps, width):
     column (skipped entirely when the mask is all-true); projections
     reuse input buffers for pass-through columns, replicate literals
     and compute everything else as one comprehension over exactly the
-    columns it reads. *width* is the input column count.
+    columns it reads. A mask or column whose expression is an apply
+    publishing ``batch_call`` is one whole-column call (see
+    :func:`_column_source`). *width* is the input column count.
     """
     ctx = _Lowering()
     lines = ["def _ckernel(_cols, _n):"]
     current_width = width
     for step in steps:
         if isinstance(step, FilterStep):
-            scope = _ElementScope(current_width)
-            predicate = lower_expression(step.predicate, ctx, scope)
-            mask = _element_comprehension(predicate, sorted(scope.used))
+            mask = _column_source(step.predicate, ctx, current_width)
             lines.append("    if _n:")
             lines.append("        _mask = {}".format(mask))
             lines.append("        if not all(_mask):")

@@ -102,6 +102,17 @@ class TestRollingAggregateExtension:
         assert [r[1] for r in w_min.collect()] == [10.0] * 4
         assert [r[1] for r in w_max.collect()] == [10.0, 20.0, 30.0, 40.0]
 
+    def test_booleans_are_not_averaged(self, ctx):
+        """Table 3's numeric test: a boolean is no number to aggregate."""
+        rows = [(float(i), v, "s", "FC") for i, v in enumerate(
+            [True, False, True, 2.0]
+        )]
+        table = ctx.table_from_rows(["t", "v", "s_id", "b_id"], rows)
+        rule = RollingAggregateExtension("s", window=10.0, statistic="mean")
+        assert [r[1] for r in apply_extensions(table, [rule]).collect()] == [
+            2.0
+        ]
+
     def test_validation(self):
         with pytest.raises(ExtensionError):
             RollingAggregateExtension("s", window=0)

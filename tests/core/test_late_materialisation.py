@@ -230,3 +230,53 @@ def test_gated_rule_reads_info_through_every_u2_form(wiper_database):
     evaluate = gated.rule.compile_evaluator()
     assert [evaluate(_U1()(payload, gated.rule), m) for m in infos.cells[:2]] \
         == expected[:2]
+
+
+@pytest.mark.parametrize(
+    "dataset, codec", [("SYN", colbin), ("LIG", binlog)], ids=["ctrc", "btrc"]
+)
+def test_k_s_reaches_r_out_without_landing_a_row(
+    tmp_path, monkeypatch, dataset, codec
+):
+    """Lines 7-28 read the cached ``K_s`` as columns: no column the rule
+    kernels produced is landed as row tuples between interpretation
+    and the merge. ``result.k_s`` still lands the rows the stage used
+    to hand on when it is collected."""
+    from repro.core import interpretation
+    from repro.engine import codegen, columnar
+    from tests.core import row_reference
+
+    bundle = build_dataset(SPECS[dataset])
+    path = _dump(bundle.byte_records(3.0), tmp_path, codec)
+    config = PipelineConfig(
+        catalog=bundle.catalog(), constraints=bundle.default_constraints(),
+    )
+    produced, landed = [], []
+    batch_call = interpretation._RuleKernels.batch_call
+
+    def producing(self, partition):
+        out = batch_call(self, partition)
+        produced.extend(out.columns)
+        return out
+
+    monkeypatch.setattr(interpretation._RuleKernels, "batch_call", producing)
+    for module in (columnar, codegen):
+        def landing(columns, length, land=module.columns_to_rows):
+            landed.extend(columns)
+            return land(columns, length)
+
+        monkeypatch.setattr(module, "columns_to_rows", landing)
+    pipeline = PreprocessingPipeline(config)
+    result = pipeline.run(codec.load_table(EngineContext.serial(), path))
+    assert produced and result.r_out.count()
+    assert not {id(c) for c in produced} & {id(c) for c in landed}
+
+    rows = pipeline.extract_signals(
+        codec.load_table(EngineContext.serial(), path)
+    ).collect()
+    sequences, dropped = row_reference.split_sequences(rows, True, True)
+    if dropped:
+        rows = [row for seq in sequences.values() for row in seq]
+    assert [tuple(map(repr, r)) for r in result.k_s.collect()] == [
+        tuple(map(repr, r)) for r in rows
+    ]

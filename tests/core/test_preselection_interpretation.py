@@ -268,7 +268,13 @@ class TestBatchInterpretation:
         ]
         task = _RuleKernels(wiper_catalog)
         assert task.scalar_rules == {}
-        assert task(rows) == expected
+        out = task(rows)
+        assert [row[:4] for row in out] == expected
+        # ... plus each row's sequence code: its (s_id, b_id) ranked.
+        keys = sorted({(u.signal_id, u.channel_id) for u in wiper_catalog})
+        assert [row[4] for row in out] == [
+            keys.index((s_id, b_id)) for _t, _v, s_id, b_id in expected
+        ]
 
     def test_columnar_pipeline_matches_interpreted(
         self, fig2_trace, wiper_catalog, ctx

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.core.branches import process_beta, process_branch, process_gamma
 from repro.engine import EngineContext, Schema
+from tests.core.row_reference import sequence_of
 
 SCHEMA = Schema.of("t", "v", "s_id", "b_id")
 
@@ -61,7 +62,7 @@ def test_branch_output_is_homogeneous(times, data):
     )
     rows = make_rows(times, values)
     classification = classify(times, values)
-    out = process_branch(rows, SCHEMA, classification)
+    out = process_branch(sequence_of(rows), classification)
     assert all(len(r) == len(R_COLUMNS) for r in out)
     out_times = [r[0] for r in out]
     assert out_times == sorted(out_times)
@@ -79,7 +80,7 @@ def test_gamma_preserves_every_element(times, data):
             max_size=len(times),
         )
     )
-    out = process_gamma(make_rows(times, values), SCHEMA, "nominal")
+    out = process_gamma(sequence_of(make_rows(times, values)), "nominal")
     assert len(out) == len(times)
     validity = [r for r in out if r[3] == KIND_VALIDITY]
     assert len(validity) == values.count("invalid")
@@ -95,7 +96,7 @@ def test_beta_partitions_elements(times, data):
             max_size=len(times),
         )
     )
-    out = process_beta(make_rows(times, values), SCHEMA)
+    out = process_beta(sequence_of(make_rows(times, values)))
     kinds = [r[3] for r in out]
     # Every input element lands in exactly one of the three outcomes.
     assert len(out) == len(times)

@@ -1,5 +1,6 @@
 """Constraint reduction (lines 10-11, Eq. 1)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -15,6 +16,14 @@ from repro.core import (
     reduction_ratio,
 )
 from repro.core.reduction import ReductionError
+from repro.core.sequence import objects
+
+
+def _flags(marker, times, values, prev):
+    """*marker*'s flags over a sequence given as lists, as a list."""
+    return np.asarray(marker.flags(
+        np.array(times, dtype=float), objects(values), prev
+    )).tolist()
 
 
 @pytest.fixture
@@ -34,20 +43,18 @@ def cyclic_table(ctx):
 
 class TestMarkers:
     def test_unchanged_value_flags_repeats(self):
-        flags = UnchangedValue().flags(
-            [1, 2, 3, 4], [5, 5, 6, 6], prev=None
-        )
+        flags = _flags(UnchangedValue(), [1, 2, 3, 4], [5, 5, 6, 6], None)
         assert flags == [False, True, False, True]
 
     def test_unchanged_value_uses_carry(self):
-        flags = UnchangedValue().flags([2], [5], prev=(1, 5))
+        flags = _flags(UnchangedValue(), [2], [5], (1, 5))
         assert flags == [True]
 
     def test_unchanged_within_cycle_preserves_violations(self):
         marker = UnchangedWithinCycle(cycle_time=0.1, tolerance=1.5)
         times = [0.0, 0.1, 0.2, 1.0]
         values = [5, 5, 5, 5]
-        flags = marker.flags(times, values, prev=None)
+        flags = _flags(marker, times, values, None)
         # Repeats within cycle tolerance dropped; the late one kept.
         assert flags == [False, True, True, False]
 
@@ -57,24 +64,32 @@ class TestMarkers:
 
     def test_minimum_gap_decimates(self):
         marker = MinimumGap(min_gap=0.25)
-        flags = marker.flags([0.0, 0.1, 0.2, 0.3, 0.6], [1] * 5, prev=None)
+        flags = _flags(marker, [0.0, 0.1, 0.2, 0.3, 0.6], [1] * 5, None)
         assert flags == [False, True, True, False, False]
 
     def test_value_in_set(self):
         marker = ValueInSet(frozenset({"idle"}))
-        flags = marker.flags([1, 2], ["idle", "go"], prev=None)
+        flags = _flags(marker, [1, 2], ["idle", "go"], None)
         assert flags == [True, False]
 
     def test_predicate(self):
         marker = Predicate(_is_negative)
-        assert marker.flags([1, 2], [-5, 5], prev=None) == [True, False]
+        assert _flags(marker, [1, 2], [-5, 5], None) == [True, False]
 
     def test_quantile_marker(self):
         marker = OutsideQuantileRange(0.05, 0.95)
         values = list(range(100)) + [10_000]
-        flags = marker.flags(list(range(101)), values, prev=None)
+        flags = _flags(marker, list(range(101)), values, None)
         assert flags[-1] is True or flags[-1] == True  # noqa: E712
         assert sum(flags) < 15
+
+    def test_quantile_marker_counts_numbers_only(self):
+        """A boolean is no number (Table 3's test): it is neither in the
+        band's statistics nor dropped for lying outside it."""
+        marker = OutsideQuantileRange(0.1, 0.9)
+        values = [True, 10.0, 11.0, 12.0, 13.0, "init", np.int64(50)]
+        flags = _flags(marker, range(len(values)), values, None)
+        assert flags == [False, True, False, False, True, False, False]
 
     def test_quantile_marker_validation(self):
         with pytest.raises(ReductionError):

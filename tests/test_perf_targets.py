@@ -23,9 +23,10 @@ and no scan of the pending windows per frame. The engine-surface guards
 keep the engine at what the program issues: every public ``Table``
 method, ``EngineContext`` constructor and ``repro.engine`` export has a
 caller outside the engine, and every defaulted parameter of those
-methods is set to something other than its default by one. The last guard keeps Table 3's "is this value
-a number" (``int``/``float``, not ``bool``) in one function of
-``repro.core``, which its callers ask once per value type.
+methods is set to something other than its default by one. The last
+guard keeps Table 3's "is this value a number" (``int``/``float``, not
+``bool``) in one function of ``repro.core``, which its callers ask once
+per value type: no other scope of it tests against ``(int, float)``.
 """
 
 import ast
@@ -119,29 +120,32 @@ def test_algorithm_1_past_interpretation_has_one_call_site(name):
 
 def test_core_deduplicates_in_the_shared_stage_only():
     assert _callers("distinct") == set()
-    assert _callers("fromkeys") == {("sequence.py", "_order")}
+    assert _callers("fromkeys") == set()
+    assert {
+        scope for module, scope in _callers("setdefault")
+        if module == "sequence.py"
+    } == {"_order"}
 
 
 def test_value_order_key_is_called_for_tied_timestamps_only():
+    """``_order`` is where values are keyed, and it runs on the runs of
+    tied elements, only when a sequence has one."""
     assert _callers("value_order_key") == {("sequence.py", "_order")}
+    assert _callers("_order") == {("sequence.py", "split_sequences")}
     tree = ast.parse((CORE / "sequence.py").read_text(encoding="utf-8"))
-    [order] = [
+    [split] = [
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_order"
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "split_sequences"
     ]
-    calls = [
-        node for node in ast.walk(order)
-        if isinstance(node, ast.Call) and _name(node.func) == "value_order_key"
+    [ties] = [
+        node for node in ast.walk(split)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "tied.any()"
     ]
-    assert len(calls) == 1
-    # ... and that one call sits under ``if len(tied) > 1``.
-    ties = [
-        node for node in ast.walk(order)
-        if isinstance(node, ast.If)
-        and ast.unparse(node.test) == "len(tied) > 1"
-    ]
-    assert len(ties) == 1
-    assert calls[0] in list(ast.walk(ties[0]))
+    assert any(
+        isinstance(node, ast.Call) and _name(node.func) == "_order"
+        for node in ast.walk(ties)
+    )
 
 
 def test_core_splits_on_the_engine_in_split_signal_types_only():
@@ -611,17 +615,16 @@ def test_every_engine_knob_is_set_by_a_caller_outside_the_engine(knob):
 
 
 def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
-    def tests_int_or_float(node):  # isinstance(v, (int, float)), issubclass
-        return isinstance(node, ast.Call) \
-            and _name(node.func) in ("isinstance", "issubclass") \
-            and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple) \
-            and sorted(map(_name, node.args[1].elts)) == ["float", "int"]
+    def tests_int_and_float(node):  # isinstance(v, (int, float)), ...
+        if not (
+            isinstance(node, ast.Call)
+            and _name(node.func) in ("isinstance", "issubclass")
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+        ):
+            return False
+        return {"int", "float"} <= {_name(e) for e in node.args[1].elts}
 
-    def tests_bool(node):  # the bool exclusion
-        return isinstance(node, ast.Call) \
-            and _name(node.func) in ("isinstance", "issubclass") \
-            and len(node.args) == 2 and _name(node.args[1]) == "bool"
-
-    assert _scopes([CORE], tests_int_or_float) & _scopes(
-        [CORE], tests_bool
-    ) == {("classification.py", "is_numeric_type")}
+    assert _scopes([CORE], tests_int_and_float) == {
+        ("classification.py", "is_numeric_type")
+    }
