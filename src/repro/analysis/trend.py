@@ -16,9 +16,6 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 STEADY = "steady"
 
-#: Trend labels by code: 0 steady, 1 increasing, 2 decreasing.
-_LABELS = np.array([STEADY, INCREASING, DECREASING], dtype=object)
-
 
 @dataclass(frozen=True)
 class TrendClassifier:
@@ -50,10 +47,10 @@ class TrendClassifier:
         if x.size < 2:
             return [STEADY] * x.size
         grad = np.gradient(x)
-        threshold = self.steady_threshold
-        return _LABELS[
-            np.where(grad > threshold, 1, np.where(grad < -threshold, 2, 0))
-        ].tolist()
+        labels = np.full(grad.size, STEADY, dtype=object)
+        labels[grad < -self.steady_threshold] = DECREASING
+        labels[grad > self.steady_threshold] = INCREASING
+        return labels.tolist()
 
 
 def gradient(values):

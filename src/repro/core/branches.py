@@ -132,13 +132,11 @@ def process_alpha(sequence, config=None):
         steady_threshold=config.trend_fraction * max(std, 1e-12)
     )
     for seg in segments:
-        # The mean's own sum and division, without its Python wrapper.
-        level = float(np.add.reduce(smoothed[seg.start : seg.end + 1]))
-        level /= seg.end + 1 - seg.start
+        level = float(smoothed[seg.start : seg.end + 1].mean())
         symbol = config.sax.symbol_for_level(level, mean, std)
         label = config.level_label("abcdefghijklmnopqrstuvwxyz".index(symbol))
         out.append((
-            clean.t.item(seg.start),
+            clean.t[seg.start],
             clean.s_id,
             clean.b[seg.start],
             KIND_SYMBOL,

@@ -130,16 +130,9 @@ def validity_mask(values, config):
 def compute_criteria(times, values, config=None):
     """Compute ``Z`` for a time-ordered sequence of (t, v)."""
     config = config or ClassifierConfig()
-    numeric = all_numeric(values)
-    basis = values
-    # A number equals no label: numbers skip a vocabulary of labels.
-    labels = all(isinstance(v, str) for v in config.validity_values)
-    if not (numeric and labels):
-        invalid = validity_mask(values, config)
-        if invalid.any() and not invalid.all():
-            basis = [v for v, bad in zip(values, invalid.tolist()) if not bad]
-            numeric = all_numeric(basis)
-    z_type = NUMERIC_TYPE if numeric else STRING_TYPE
+    functional = [v for v in values if v not in config.validity_values]
+    basis = functional if functional else list(values)
+    z_type = NUMERIC_TYPE if all_numeric(basis) else STRING_TYPE
     z_num = len(set(basis))
     z_rate = _change_rate(times, config)
     if z_type == NUMERIC_TYPE:
@@ -245,4 +238,5 @@ class SequenceClassifier:
 
     def affiliation_mask(self, values):
         """Per-element affiliation: True where functional (F), False (V)."""
-        return (~validity_mask(values, self.config)).tolist()
+        validity = self.config.validity_values
+        return [v not in validity for v in values]

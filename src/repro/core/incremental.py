@@ -33,9 +33,9 @@ from repro.core.sequence import (
     derive_extensions,
     marker_functions,
     merge_sequences,
-    order_rows,
     process_sequence,
     reduce_sequence,
+    row_sequence,
     split_sequences,
     table_columns,
 )
@@ -52,8 +52,7 @@ STATE_FORMAT = "repro.incremental-state/1"
 @dataclass
 class _SignalState:
     """Accumulated per-(signal, channel) reduction state; the only
-    cross-window reduction state is :attr:`carries`. The reduced
-    elements are kept as ``K_s``-layout rows, the payload's layout."""
+    cross-window reduction state is :attr:`carries`."""
 
     reduced_rows: list = field(default_factory=list)
     #: Per-marker-function carry, keyed by position in the signal's
@@ -121,7 +120,7 @@ class IncrementalRunner:
         if sequences:
             # Every sequence is in time order: the window's first and
             # last instants are among their ends.
-            window_start = min(seq.t.item(0) for seq in sequences.values())
+            window_start = min(seq.t[0] for seq in sequences.values())
             if (
                 self._last_window_end is not None
                 and window_start < self._last_window_end
@@ -132,7 +131,7 @@ class IncrementalRunner:
                     )
                 )
             self._last_window_end = max(
-                seq.t.item(-1) for seq in sequences.values()
+                seq.t[-1] for seq in sequences.values()
             )
         self.exact_duplicates_dropped += dropped
         for key, chunk in sequences.items():
@@ -157,7 +156,9 @@ class IncrementalRunner:
         for (s_id, b_id), state in sorted(self._states.items()):
             if not state.reduced_rows:
                 continue
-            k_red = order_rows(state.reduced_rows)
+            # Each chunk was reduced in canonical order and windows come
+            # in time order, so the rows already are the whole sequence.
+            k_red = row_sequence(state.reduced_rows)
             w_rows.extend(
                 derive_extensions(k_red, config.extensions.for_signal(s_id))
             )

@@ -35,7 +35,6 @@ and across the interpreted, compiled and columnar execution paths.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -216,15 +215,17 @@ class _RuleKernels:
         self._plans = []
         widest = max(map(len, by_key.values()), default=0)
         self._signal_ids = np.empty((len(by_key), widest), dtype=object)
-        pairs = sorted({(u.signal_id, u.channel_id) for u in catalog})
+        rank = {pair: i for i, pair in enumerate(sorted(
+            {(u.signal_id, u.channel_id) for u in catalog}
+        ))}
         self._sequences = np.zeros((len(by_key), widest), dtype=np.intp)
         for code, (key, tuples) in enumerate(by_key.items()):
             plan = []
             for ordinal, u in enumerate(tuples):
                 self._signal_ids[code, ordinal] = u.signal_id
-                self._sequences[code, ordinal] = bisect_left(
-                    pairs, (u.signal_id, u.channel_id)
-                )
+                self._sequences[code, ordinal] = rank[
+                    u.signal_id, u.channel_id
+                ]
                 rule = u.rule
                 kernel, reason = rule.compile_vector_decoder()
                 if kernel is not None:

@@ -37,8 +37,8 @@ class ReductionError(ValueError):
 class MarkerFunction:
     """Base class of the ``f ∈ F`` marker functions.
 
-    ``flags(times, values, prev)`` receives a sequence's timestamps as a
-    float64 array and its values as an object array, and returns one
+    ``flags(times, values, prev)`` receives a sequence's timestamps and
+    values as object arrays of the decoder's objects, and returns one
     boolean per element (an array or a list); True marks the element
     redundant (to be removed). ``prev`` is the (t, v) of the element
     preceding the sequence -- element -1 -- or None. Implementations
@@ -61,7 +61,7 @@ class MarkerFunction:
         """
         if not len(times):
             return prev
-        return (float(times[-1]), values[-1])
+        return (times[-1], values[-1])
 
 
 def _previous(values, prev):
@@ -106,6 +106,7 @@ class UnchangedWithinCycle(MarkerFunction):
 
     def flags(self, times, values, prev):
         # Without a prev the first gap is NaN, which is within no limit.
+        times = times.astype(float)
         before = np.concatenate(
             ([prev[0] if prev is not None else np.nan], times[:-1])
         )

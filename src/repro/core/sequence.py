@@ -15,9 +15,9 @@ because they are computed by the same statements, not because a
 property test holds two copies together.
 
 A *sequence* is one signal type's instances (normally of one channel)
-held as columns, a :class:`Sequence`: the timestamps as a float64
-array, the values as the decoder produced them and each element's
-channel as object arrays. ``K_s`` reaches the stages as columns, and
+held as columns, a :class:`Sequence`: the timestamps, the values and
+each element's channel as object arrays of the objects the decoder
+produced. ``K_s`` reaches the stages as columns, and
 rows exist only as what the stages return: the R rows of a branch and
 the W rows of an extension rule. The stages, in order:
 
@@ -71,9 +71,11 @@ def objects(values):
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
-    """One sequence as columns: timestamps ``t`` (float64), values ``v``
-    and channels ``b`` (object arrays); every element is an instance of
-    signal type ``s_id``."""
+    """One sequence as columns: timestamps ``t``, values ``v`` and
+    channels ``b``, each an object array holding the very objects the
+    decoder produced; every element is an instance of signal type
+    ``s_id``. A stage that computes on the timestamps takes a float64
+    copy; rows carry the objects themselves."""
 
     s_id: object
     t: np.ndarray
@@ -88,7 +90,7 @@ class Sequence:
         return Sequence(self.s_id, self.t[index], self.v[index], self.b[index])
 
     def rows(self):
-        """The elements as ``K_s``-layout rows of Python scalars."""
+        """The elements as ``K_s``-layout rows."""
         return list(zip(
             self.t.tolist(), self.v.tolist(), repeat(self.s_id),
             self.b.tolist(),
@@ -96,10 +98,9 @@ class Sequence:
 
 
 def table_columns(table):
-    """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table, no row landed.
-
-    ``seq`` codes each element's ``(s_id, b_id)``, ranked. The rule
-    kernels emit it as a fifth column; for a table without one (the
+    """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table as arrays, no row
+    landed. ``seq`` codes each element's ``(s_id, b_id)`` by rank. The
+    rule kernels emit it as a fifth column; for a table without one (the
     reference executor's, an engine wrapper's) it is computed here.
     """
     width = len(table.schema)
@@ -109,10 +110,9 @@ def table_columns(table):
         for p in table.context.executor.execute(table.plan, as_rows=False)
     ]
     n = sum(len(p[0]) for p in parts)
-    t = np.fromiter(chain.from_iterable(p[0] for p in parts), float, n)
-    v, s_ids, b_ids = (
+    t, v, s_ids, b_ids = (
         np.fromiter(chain.from_iterable(p[i] for p in parts), object, n)
-        for i in (1, 2, 3)
+        for i in range(len(K_S_COLUMNS))
     )
     if width == len(K_S_COLUMNS):
         return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
@@ -120,6 +120,20 @@ def table_columns(table):
         [np.empty(0, np.intp)] + [np.asarray(p[4], np.intp) for p in parts]
     )
     return t, v, s_ids, b_ids, seq
+
+
+def row_columns(rows):
+    """``K_s``-layout *rows* as :func:`table_columns` returns a table."""
+    t, v, s_ids, b_ids = map(objects, zip(*rows))
+    return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
+
+
+def row_sequence(rows):
+    """``K_s``-layout *rows* of one sequence, taken in the order given."""
+    if not rows:
+        return empty_sequence(None)
+    t, v, s_ids, b_ids = map(objects, zip(*rows))
+    return Sequence(s_ids[0], t, v, b_ids)
 
 
 def _codes(values):
@@ -131,12 +145,6 @@ def _codes(values):
 def pair_codes(s_ids, b_ids):
     """Sequence codes of elements: ``(s_id, b_id)`` ranked."""
     return _codes(s_ids) * len(set(b_ids)) + _codes(b_ids)
-
-
-def row_columns(rows):
-    """``K_s``-layout *rows* as :func:`split_sequences`' columns."""
-    t, v, s_ids, b_ids = map(objects, zip(*rows))
-    return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
 
 
 def _order(t, v, b, tied, drop_exact_duplicates):
@@ -179,8 +187,8 @@ def split_sequences(columns, by_channel, drop_exact_duplicates):
     *by_channel* is false, ``(s_id, None)`` to the elements of every
     channel carrying the signal type -- ordered by ``(t,
     value_order_key(v))``, keys sorted. One stable ``lexsort`` groups
-    the elements by code and orders each group by ``t``, so elements
-    that share neither keep their arrival order. With
+    the elements by code and orders each group by ``t`` (as float64), so
+    elements that share neither keep their arrival order. With
     *drop_exact_duplicates*, an element equal to an earlier one (a
     gateway replaying a frame without jitter) is dropped and counted in
     *dropped*. Equal elements share their signal type, channel and
@@ -190,24 +198,24 @@ def split_sequences(columns, by_channel, drop_exact_duplicates):
     t, v, s_ids, b_ids, codes = columns
     if not len(t):
         return {}, 0
-    t = np.asarray(t, dtype=float)
+    times = t.astype(float)
     if not by_channel:
         # One code per signal type: the rank of each code's signal.
         _distinct, first, codes = np.unique(
             codes, return_index=True, return_inverse=True
         )
         codes = _codes(s_ids[first])[codes]
-    order = np.lexsort((t, codes))
-    codes, t = codes[order], t[order]
-    tied = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])
+    order = np.lexsort((times, codes))
+    codes, times = codes[order], times[order]
+    tied = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
     dropped = 0
     if tied.any():
         index, dropped = _order(
-            t, v[order], b_ids[order], tied.view(np.int8),
+            t[order], v[order], b_ids[order], tied.view(np.int8),
             drop_exact_duplicates,
         )
-        order, codes, t = order[index], codes[index], t[index]
-    v, s_ids, b_ids = v[order], s_ids[order], b_ids[order]
+        order, codes = order[index], codes[index]
+    t, v, s_ids, b_ids = (column[order] for column in columns[:4])
     bounds = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
     sequences = {}
     for start, stop in zip([0] + bounds, bounds + [len(t)]):
@@ -220,7 +228,7 @@ def split_sequences(columns, by_channel, drop_exact_duplicates):
 
 def empty_sequence(s_id):
     """The sequence of a signal type without instances."""
-    return Sequence(s_id, np.empty(0), objects(()), objects(()))
+    return Sequence(s_id, objects(()), objects(()), objects(()))
 
 
 def sequences_table(context, sequences):

@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.model import K_S_COLUMNS
-from repro.core.sequence import (
-    equality_groups,
-    split_sequences,
-    table_columns,
-)
+from repro.core.sequence import equality_groups, split_sequences, table_columns
 
 
 @dataclass

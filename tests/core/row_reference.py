@@ -44,18 +44,12 @@ from repro.core.classification import (
     is_numeric_type,
     numeric_mask,
 )
-from repro.core.sequence import Sequence, objects
+from repro.core.sequence import row_sequence
 from repro.engine.columnar import compress_column
 
 
-def sequence_of(rows):
-    """*rows* as a typed sequence, in the order given."""
-    return Sequence(
-        rows[0][2] if rows else None,
-        np.array([row[0] for row in rows], dtype=float),
-        objects([row[1] for row in rows]),
-        objects([row[3] for row in rows]),
-    )
+#: *rows* as a typed sequence, in the order given.
+sequence_of = row_sequence
 
 
 def value_order_key(value):

@@ -73,6 +73,47 @@ class TestPreselection:
         assert preselection_ratio(empty, empty) == 0.0
 
 
+    @pytest.mark.parametrize(
+        "dataset, codec", [("SYN", "colbin"), ("LIG", "binlog")],
+        ids=["ctrc", "btrc"],
+    )
+    def test_batch_membership_equals_the_row_form(
+        self, tmp_path, dataset, codec
+    ):
+        """On the packed ``m_id``/``b_id`` columns a trace file loads
+        into, the whole-column form keeps exactly the rows the per-row
+        predicate keeps, and so does the filter either way."""
+        from repro.core.preselection import _KeyMember
+        from repro.datasets import SPECS, build_dataset
+        from repro.engine import EngineContext
+        from repro.engine.executor import SerialExecutor
+        from repro.tracefile import binlog, colbin
+
+        codec = {"colbin": colbin, "binlog": binlog}[codec]
+        bundle = build_dataset(SPECS[dataset])
+        path = tmp_path / "trace"
+        codec.dump_records(bundle.byte_records(3.0), path)
+        # Every other message type, so the trace has rows of both kinds.
+        kept = sorted(bundle.catalog().preselection_keys())[::2]
+        catalog = RuleCatalog(tuple(
+            u for u in bundle.catalog()
+            if (u.message_id, u.channel_id) in kept
+        ))
+        member = _KeyMember(catalog.preselection_keys())
+        k_b = codec.load_table(EngineContext.serial(), path).cache()
+        masks = []
+        for partition in k_b.plan.partitions:
+            b_ids, m_ids = partition.column(2), partition.column(3)
+            assert not isinstance(m_ids, list)  # a packed column
+            mask = member.batch_call(m_ids, b_ids)
+            assert mask == [member(m, b) for m, b in zip(m_ids, b_ids)]
+            masks += mask
+        assert any(masks) and not all(masks)
+        reference = EngineContext(SerialExecutor(columnar=False))
+        assert preselect(k_b, catalog).collect() == preselect(
+            codec.load_table(reference, path), catalog
+        ).collect()
+
 class TestJoin:
     def test_join_replicates_per_rule(self, fig2_trace, wiper_catalog, ctx):
         k_pre = preselect(fig2_trace, wiper_catalog)

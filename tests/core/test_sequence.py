@@ -174,7 +174,7 @@ def _typed(sequences):
 #: replayed rows and rows that are equal across types and signs.
 k_s_rows = st.lists(
     st.tuples(
-        st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.5)),
+        st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, 2.5)),
         st.sampled_from((0, 0.0, -0.0, 1, 1.0, True, 1.5, "on", TRUNCATED)),
         st.sampled_from(("s1", "s2")),
         st.sampled_from(("FC", "BC", "DC")),

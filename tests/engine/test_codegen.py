@@ -320,6 +320,69 @@ class TestKernelCache:
         assert frozenset(["secret"]) in constants
 
 
+
+class _KeyIn:
+    """Two-column apply callable publishing the whole-column form."""
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.batches = []
+
+    def __call__(self, a, b):
+        return (a, b) in self.keys
+
+    def batch_call(self, a, b):
+        self.batches.append(len(a))
+        return [(x, y) in self.keys for x, y in zip(a, b)]
+
+
+class TestFilterMasks:
+    """A filter's mask is one whole column when its predicate is a bare
+    column or an apply with ``batch_call``; both keep what the row
+    interpreter keeps."""
+
+    SCHEMA = Schema.of("a", "b", "c")
+    ROWS = [
+        (i % 4, "xy"[i % 2], value)
+        for i, value in enumerate(
+            [0, 1, "", "x", None, True, False, 2.5, 0.0, [], [1], -1]
+        )
+    ]
+
+    @staticmethod
+    def _mask_line(source):
+        [line] = [l for l in source.splitlines() if "_mask = " in l]
+        return line.strip()
+
+    def _filtered(self, columnar, predicate):
+        with SerialExecutor(columnar=columnar) as executor:
+            table = EngineContext(executor).table_from_rows(
+                ["a", "b", "c"], self.ROWS, num_partitions=2
+            )
+            return table.filter(predicate).collect()
+
+    def test_a_bare_column_is_its_own_mask(self):
+        source, _constants = lower_columnar_segment(
+            (FilterStep(col("c").bind(self.SCHEMA)),), 3
+        )
+        assert self._mask_line(source) == "_mask = _cols[2]"
+        expected = [row for row in self.ROWS if row[2]]
+        assert self._filtered(True, col("c")) == expected
+        assert self._filtered(False, col("c")) == expected
+
+    def test_a_batch_apply_is_one_whole_column_call(self):
+        member = _KeyIn(frozenset({(0, "x"), (2, "x"), (3, "y")}))
+        source, constants = lower_columnar_segment(
+            (FilterStep(apply(member, "a", "b").bind(self.SCHEMA)),), 3
+        )
+        assert " for " not in self._mask_line(source)
+        assert member.batch_call in constants
+        got = self._filtered(True, apply(member, "a", "b"))
+        assert member.batches == [6, 6]  # once per partition, no row call
+        expected = [row for row in self.ROWS if member(row[0], row[1])]
+        assert got == expected and expected
+        assert self._filtered(False, apply(member, "a", "b")) == expected
+
 class TestPickleContract:
     def test_round_trip_recompiles_lazily(self):
         schema = Schema.of("a")
