@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.core.model import K_S_COLUMNS
 from repro.core.rules import ABSENT, TRUNCATED
-from repro.engine.columnar import BytesColumn, ColumnarPartition
+from repro.engine.columnar import (
+    BytesColumn,
+    ColumnarPartition,
+    DictColumn,
+    code_array,
+)
 from repro.engine.expressions import apply, col
 from repro.protocols.signalcodec import ShortPayloadError, payload_words
 
@@ -214,7 +219,13 @@ class _RuleKernels:
         # vector kernel), or (rule, None, scalar closures).
         self._plans = []
         widest = max(map(len, by_key.values()), default=0)
-        self._signal_ids = np.empty((len(by_key), widest), dtype=object)
+        # s_id and b_id leave as DictColumns over the sorted distinct ids.
+        self._signal_values = tuple(sorted({u.signal_id for u in catalog}))
+        self._channel_values = tuple(sorted({u.channel_id for u in catalog}))
+        self._signal_codes = np.zeros((len(by_key), widest), dtype=np.intp)
+        self._channel_codes = np.array([
+            self._channel_values.index(b_id) for b_id, _m_id in by_key
+        ], dtype=np.intp)
         rank = {pair: i for i, pair in enumerate(sorted(
             {(u.signal_id, u.channel_id) for u in catalog}
         ))}
@@ -222,7 +233,8 @@ class _RuleKernels:
         for code, (key, tuples) in enumerate(by_key.items()):
             plan = []
             for ordinal, u in enumerate(tuples):
-                self._signal_ids[code, ordinal] = u.signal_id
+                self._signal_codes[code, ordinal] = \
+                    self._signal_values.index(u.signal_id)
                 self._sequences[code, ordinal] = rank[
                     u.signal_id, u.channel_id
                 ]
@@ -326,19 +338,27 @@ class _RuleKernels:
             rule.extract_relevant(payload(row))
         row_of = np.repeat(np.arange(n), per_row)
         ordinal_of = np.arange(total) - first_slot[row_of]
+        key_of = codes[row_of]
         columns = [
             _cells(t)[row_of],
             values,
-            self._signal_ids[codes[row_of], ordinal_of],
-            _cells(b_ids)[row_of],
-            self._sequences[codes[row_of], ordinal_of],
+            self._signal_codes[key_of, ordinal_of],
+            self._channel_codes[key_of],
+            self._sequences[key_of, ordinal_of],
         ]
         if not keep.all():
             columns = [column[keep] for column in columns]
-        return ColumnarPartition(
-            [column.tolist() for column in columns[:4]] + columns[4:],
-            len(columns[0]),
-        )
+        times, values, signals, channels, sequences = columns
+        return ColumnarPartition([
+            array("d", times.tobytes()) if times.dtype == np.float64
+            else times.tolist(),
+            values.tolist(),
+            DictColumn(code_array(signals, len(self._signal_values)),
+                       self._signal_values),
+            DictColumn(code_array(channels, len(self._channel_values)),
+                       self._channel_values),
+            sequences,
+        ], len(times))
 
     def _scalar_rule(self, rule, closures, rows, payload, partition):
         """One scalar rule over its key's rows: ``(values, short row)``.

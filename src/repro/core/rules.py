@@ -24,6 +24,10 @@ from dataclasses import dataclass, field, replace
 from repro.protocols.signalcodec import ShortPayloadError, SignalEncoding
 from repro.protocols.someip import ConditionalLayout
 
+# TRUNCATED is defined below the engine, whose table store holds it;
+# _get_truncated stays importable here for pickles that name it.
+from repro.sentinels import TRUNCATED, _get_truncated  # noqa: F401
+
 #: Sentinel value for "signal not present in this instance" (e.g. a
 #: SOME/IP optional section whose presence bit is clear).
 ABSENT = None
@@ -31,29 +35,6 @@ ABSENT = None
 
 class RuleError(ValueError):
     """Raised for inconsistent rules or catalogs."""
-
-
-class _TruncatedType:
-    """Singleton marker type behind :data:`TRUNCATED`."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "TRUNCATED"
-
-    def __reduce__(self):
-        return (_get_truncated, ())
-
-
-def _get_truncated():
-    return TRUNCATED
-
-
-#: Sentinel value for "payload too short to extract this signal": the
-#: skip-mode interpretation marks truncated rows with it (so they can
-#: be counted) before dropping them from ``K_s``. Picklable as the one
-#: singleton, so identity checks survive worker-process round trips.
-TRUNCATED = _TruncatedType()
 
 
 @dataclass(frozen=True)

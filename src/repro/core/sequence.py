@@ -38,6 +38,7 @@ the W rows of an extension rule. The stages, in order:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -47,7 +48,7 @@ from repro.core.branches import R_COLUMNS, process_branch
 from repro.core.classification import classify
 from repro.core.model import K_S_COLUMNS, W_COLUMNS
 from repro.core.representation import merge_results
-from repro.engine.columnar import ColumnarPartition
+from repro.engine.columnar import ColumnarPartition, DictColumn
 from repro.engine.schema import Schema
 
 #: Layout of the rows extension rules take.
@@ -67,6 +68,15 @@ def value_order_key(value):
 def objects(values):
     """*values* as an object array holding the very objects given."""
     return np.fromiter(values, dtype=object, count=len(values))
+
+
+def column_objects(column):
+    """An engine column as an object array of the cells it yields."""
+    if isinstance(column, DictColumn):
+        return objects(column.values)[np.asarray(column.codes, np.intp)]
+    if isinstance(column, (array, memoryview)):
+        return np.asarray(column).astype(object)
+    return objects(column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +119,10 @@ def table_columns(table):
          else ColumnarPartition.from_rows(p, width)).columns
         for p in table.context.executor.execute(table.plan, as_rows=False)
     ]
-    n = sum(len(p[0]) for p in parts)
     t, v, s_ids, b_ids = (
-        np.fromiter(chain.from_iterable(p[i] for p in parts), object, n)
+        np.concatenate(
+            [np.empty(0, object)] + [column_objects(p[i]) for p in parts]
+        )
         for i in range(len(K_S_COLUMNS))
     )
     if width == len(K_S_COLUMNS):

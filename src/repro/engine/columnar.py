@@ -12,7 +12,9 @@ Python object per cell and a tuple per row. A
 * a :class:`BytesColumn` plane -- one contiguous blob plus an offsets
   array -- for all-``bytes`` columns (frame payloads) and, with a
   per-cell ``decode`` hook, for packed structured cells (``m_info``);
-* a plain object list for everything else (str, bool, None, mixed).
+* a :class:`DictColumn` -- small integer codes into a tuple of the
+  distinct values -- for all-``str`` columns (signal and channel ids);
+* a plain object list for everything else (bool, None, mixed).
 
 Layout selection is *exact-type* driven, so ``rows -> columns -> rows``
 is an identity: ``True`` never comes back as ``1``, ``1`` never as
@@ -24,10 +26,11 @@ nodes (built by :meth:`EngineContext.table_from_columnar` or the
 columnar tracefile reader), inside the generated columnar batch kernels
 of :mod:`repro.engine.codegen`, and crossing the broadcast-join
 boundary, where :meth:`ColumnarPartition.gather` assembles join outputs
-by index without materializing intermediate row tuples. Rows are
-materialized at storage/collect edges, in front of every other wide
-stage (split, repartition, group-by, sort) and per task wherever a
-chain cannot run columnar, via :func:`as_row_partition`.
+by index without materializing intermediate row tuples, and in
+:meth:`~repro.engine.table.Table.split_by_key` and the table store. Rows
+are materialized at collect edges, in front of the other wide stages
+and per task wherever a chain cannot run columnar, via
+:func:`as_row_partition`.
 
 *Moving* a cell and *reading* it are different operations on a packed
 plane: :meth:`BytesColumn.gather` -- which :func:`gather_column` (joins,
@@ -46,9 +49,12 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, compress
 
+import numpy as np
+
 __all__ = [
     "BytesColumn",
     "ColumnarPartition",
+    "DictColumn",
     "as_row_partition",
     "columns_to_rows",
     "compress_column",
@@ -91,6 +97,11 @@ class BytesColumn:
 
     def __getitem__(self, index):
         offsets = self.offsets
+        if isinstance(index, slice):
+            start, stop, _step = index.indices(len(self))
+            return BytesColumn(
+                offsets[start : max(start, stop) + 1], self.blob, self.decode
+            )
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -114,6 +125,8 @@ class BytesColumn:
         """
         offsets = self.offsets
         blob = self.blob
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         chunks = [blob[offsets[i] : offsets[i + 1]] for i in indices]
         out_offsets = array("Q", accumulate(map(len, chunks), initial=0))
         # join() flattens memoryview chunks of mmap-backed blobs.
@@ -134,8 +147,57 @@ class BytesColumn:
         return offsets[-1] - offsets[0] + len(offsets) * offsets.itemsize
 
 
+def code_array(codes, size):
+    """*codes* (ints below *size*, an iterable or a numpy array) in the
+    narrowest unsigned ``array``."""
+    typecode = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+    if isinstance(codes, np.ndarray):
+        return array(typecode, codes.astype(typecode).tobytes())
+    return array(typecode, codes)
+
+
+class DictColumn:
+    """A dictionary-coded column: cell *i* is ``values[codes[i]]``, with
+    ``codes`` an unsigned ``array`` or ``memoryview`` and ``values`` a
+    tuple of distinct cells. Moving cells moves codes only."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes, values):
+        self.codes = codes
+        self.values = values
+
+    @classmethod
+    def from_values(cls, values):
+        distinct = tuple(dict.fromkeys(values))
+        index = {value: code for code, value in enumerate(distinct)}
+        return cls(
+            code_array(map(index.__getitem__, values), len(distinct)),
+            distinct,
+        )
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DictColumn(self.codes[index], self.values)
+        return self.values[self.codes[index]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes)
+
+    def gather(self, indices):
+        return DictColumn(gather_column(self.codes, indices), self.values)
+
+    def __reduce__(self):
+        return DictColumn, (array(_typecode(self.codes), self.codes),
+                            self.values)
+
+
 def _build_column(values):
-    """Pick the densest exact-type-preserving layout for one column."""
+    """Pick the densest exact-type-preserving layout for one column
+    (the one place a layout is chosen; the table store writes these)."""
     kinds = set(map(type, values))
     if kinds == {int}:
         try:
@@ -146,10 +208,16 @@ def _build_column(values):
         return array("d", values)
     if kinds == {bytes}:
         return BytesColumn.from_values(values)
-    # bool/str/None/mixed columns stay object lists: bools must come
-    # back as bools (array('b') would launder them into ints), and a
-    # mixed column has no single buffer type.
+    if kinds == {str}:
+        return DictColumn.from_values(values)
+    # bool/None/mixed columns stay object lists: bools must come back
+    # as bools (array('b') would launder them into ints), and a mixed
+    # column has no single buffer type.
     return list(values)
+
+
+def _typecode(buffer):
+    return buffer.typecode if isinstance(buffer, array) else buffer.format
 
 
 def gather_column(column, indices):
@@ -157,19 +225,22 @@ def gather_column(column, indices):
 
     Typed buffers stay typed (``array('q')`` gathers into ``array('q')``,
     mmap'ed ``memoryview`` columns into an equivalent ``array``,
-    :class:`BytesColumn` into a fresh blob+offsets plane, undecoded);
+    :class:`BytesColumn` into a fresh blob+offsets plane, undecoded,
+    :class:`DictColumn` into gathered codes over the same values);
     everything else -- object lists, tuple columns from row transposes
     -- gathers into a plain object list. Cell values are
     exactly what indexing the source column yields, so a gather composes
     with :func:`columns_to_rows` into the same row tuples a row-level
     selection would build.
     """
-    if isinstance(column, array):
-        return array(column.typecode, map(column.__getitem__, indices))
-    if isinstance(column, memoryview):
-        return array(column.format, map(column.__getitem__, indices))
-    if isinstance(column, BytesColumn):
+    if isinstance(column, (array, memoryview)):
+        typecode = _typecode(column)
+        picked = np.frombuffer(column, typecode)[np.asarray(indices, np.intp)]
+        return array(typecode, picked.tobytes())
+    if isinstance(column, (BytesColumn, DictColumn)):
         return column.gather(indices)
+    if isinstance(indices, np.ndarray):
+        indices = indices.tolist()
     return [column[i] for i in indices]
 
 
@@ -255,7 +326,8 @@ class ColumnarPartition:
         *indices* may be any re-iterable of in-range row positions
         (list, array, range).
         """
-        indices = indices if isinstance(indices, (list, range)) else list(indices)
+        if not isinstance(indices, (list, range, np.ndarray)):
+            indices = list(indices)
         return ColumnarPartition(
             [gather_column(c, indices) for c in self.columns],
             len(indices),
@@ -276,6 +348,8 @@ class ColumnarPartition:
                 total += column.nbytes
             elif isinstance(column, BytesColumn):
                 total += column.nbytes()
+            elif isinstance(column, DictColumn):
+                total += len(column.codes) * column.codes.itemsize
             else:
                 total += len(column) * 8
         return total

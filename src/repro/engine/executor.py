@@ -24,6 +24,8 @@ import time
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.engine import codegen
 from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition, as_row_partition
@@ -48,9 +50,9 @@ from repro.obs import MetricsRegistry, RuleFireCounter, stopwatch
 
 #: Counter names every executor pre-creates (so run reports always show
 #: them, zero-valued, even for runs that never retried or shuffled).
-#: ``columnar_fallbacks`` and ``columnar_exchange_bytes`` always read 0,
-#: since every wide stage runs on rows; they stay because the benchmark
-#: reads them off ``executor.metrics``.
+#: ``columnar_fallbacks`` and ``columnar_exchange_bytes`` always read 0
+#: (no stage counts them); they stay because the benchmark reads them
+#: off ``executor.metrics``.
 _EXECUTOR_COUNTERS = (
     "tasks_run",
     "shuffles",
@@ -237,10 +239,10 @@ class Executor:
         narrow chains run as generated columnar kernels
         (:mod:`repro.engine.codegen`) and may hand a
         :class:`~repro.engine.columnar.ColumnarPartition` to the next
-        stage; every wide stage (join, split, repartition, sort) runs on
-        rows. False (the differential oracle's reference): the
-        interpreted :class:`~repro.engine.operations.PartitionTask` and
-        rows throughout.
+        stage; the join, repartition and sort run on rows. False (the
+        differential oracle's reference): the interpreted
+        :class:`~repro.engine.operations.PartitionTask` and rows. On
+        both paths :meth:`execute_split` routes typed columns.
     """
 
     def __init__(self, default_parallelism=4, optimize_plans=True,
@@ -522,26 +524,35 @@ class Executor:
         mapped to empty partition lists; otherwise keys are discovered
         from the data, in first-seen order.
 
-        The routing is one task per input partition (stage kind
-        ``split``, subject to fault injection and the normal retry
-        budget) followed by a driver-side regroup: one shuffle stage for
-        every group.
+        The routing is one :class:`SplitRouteTask` per input partition
+        (stage kind ``split``, subject to fault injection and the normal
+        retry budget) ordering its columns by group; the driver cuts
+        each group's :class:`ColumnarPartition` as a slice. One shuffle
+        stage for every group, and no row tuple.
         """
-        child_parts = self.execute(node)
+        child_parts = self.execute(node, as_rows=False)
         key_index = node.schema.index_of(key)
         num_partitions = len(child_parts)
         groups = {}
         total_rows = 0
-        routed = self._run(SplitRouteTask(key_index), child_parts, "split")
-        for part_index, pairs in enumerate(routed):
-            total_rows += len(pairs)
-            for group, row in pairs:
-                parts = groups.get(group)
+        task = SplitRouteTask(key_index, len(node.schema))
+        routed = self._run(task, child_parts, "split")
+        for part_index, part in enumerate(routed):
+            total_rows += len(part)
+            *columns, route = part.columns
+            codes = np.asarray(route.codes)
+            cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+            for start, stop in zip([0] + cuts, cuts + [len(part)]):
+                if start == stop:
+                    continue  # an empty partition has no run
+                value = route.values[codes[start]]
+                group = [column[start:stop] for column in columns]
+                parts = groups.get(value)
                 if parts is None:
-                    parts = groups[group] = [
+                    parts = groups[value] = [
                         [] for _unused in range(num_partitions)
                     ]
-                parts[part_index].append(row)
+                parts[part_index] = ColumnarPartition(group, stop - start)
         self.obs.inc("executor.shuffles")
         self.obs.inc("executor.rows_shuffled", total_rows)
         self.obs.inc("executor.splits")

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from repro.engine.columnar import as_row_partition
+import numpy as np
+
+from repro.engine.columnar import (
+    ColumnarPartition,
+    DictColumn,
+    as_row_partition,
+)
 
 
 @dataclass(frozen=True)
@@ -114,21 +120,36 @@ class SortPartitionTask:
 
 @dataclass(frozen=True)
 class SplitRouteTask:
-    """Route one partition's rows into named split groups.
+    """Order one partition's rows by split group.
 
-    Emits a list of ``(group, row)`` pairs where the group is the row's
-    value in the key column; the driver regroups the pairs into
-    per-group partitions, preserving partition index and row order. The
-    output is a flat list (not a per-group dict) so fault-injection
-    poisoning -- silently dropping the last element -- corrupts the
-    routing in a way the differential oracle detects.
+    Rows are transposed once (:meth:`ColumnarPartition.from_rows`); a
+    columnar partition is taken as it is. The group codes are those of
+    a dictionary-coded key column, else of a :class:`DictColumn` built
+    over the key cells, and a stable argsort on them orders the rows.
+    Returns the ordered partition plus a trailing routing column (the
+    codes, ascending, over the group keys), so that fault-injection
+    poisoning drops one row, which the differential oracle detects.
     """
 
     key_index: int
+    width: int
 
-    def __call__(self, rows):
-        i = self.key_index
-        return [(row[i], row) for row in rows]
+    def __call__(self, partition):
+        if isinstance(partition, ColumnarPartition):
+            keys = partition.columns[self.key_index]
+        else:
+            # The keys as the rows hold them: NaN keys group by identity.
+            rows = list(partition)
+            keys = list(map(itemgetter(self.key_index), rows))
+            partition = ColumnarPartition.from_rows(rows, self.width)
+        route = partition.columns[self.key_index]
+        if not isinstance(route, DictColumn):
+            route = DictColumn.from_values(keys)
+        order = np.argsort(np.asarray(route.codes), kind="stable")
+        ordered = partition.gather(order)
+        return ColumnarPartition(
+            ordered.columns + [route.gather(order)], len(ordered)
+        )
 
 
 def split_evenly(rows, num_partitions):

@@ -188,7 +188,7 @@ class Table:
         else:
             ordered = list(groups)
         return {
-            value: self._context.table_from_partitions(
+            value: self._context.table_from_columnar(
                 self.schema.names, groups[value]
             )
             for value in ordered

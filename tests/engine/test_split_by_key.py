@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineContext, col
 from repro.engine.executor import FaultPolicy, SerialExecutor
@@ -214,3 +216,62 @@ class TestSplitAcrossCombos:
                 assert Counter(group_table.collect()) == expected
         finally:
             executor.close()
+
+
+def _row_split(partitions, key_index, keys=None):
+    """The split as it was defined on rows: each row routed by its key
+    cell into the group of the first equal key seen, group partition
+    ``i`` holding input partition ``i``'s rows in order."""
+    groups = {}
+    for index, rows in enumerate(partitions):
+        for row in rows:
+            groups.setdefault(
+                row[key_index], [[] for _unused in partitions]
+            )[index].append(row)
+    if keys is None:
+        keys = sorted(groups, key=lambda value: (type(value).__name__, value))
+    return {
+        key: groups.get(key, [[] for _unused in partitions]) for key in keys
+    }
+
+
+#: Key cells that collide across types (1 == True, 0.0 == -0.0). NaN is
+#: left out: NaN keys never equal one another, so two splits' groups
+#: cannot be matched by key.
+_KEYS = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.none(),
+    st.sampled_from(["FC", "BC", ""]), st.sampled_from([0.0, -0.0, 1.0]),
+)
+_CELLS = st.one_of(st.floats(), st.integers(), st.text(max_size=2))
+
+
+class TestColumnarSplitEqualsRowSplit:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_KEYS, _CELLS, st.floats()), max_size=30),
+        parts=st.integers(1, 4),
+        layout=st.sampled_from(["rows", "columnar", "mixed"]),
+        pick=st.one_of(st.none(), st.lists(_KEYS, max_size=3)),
+    )
+    def test_same_groups_rows_order_and_partitions(
+        self, rows, parts, layout, pick
+    ):
+        ctx = EngineContext.serial()
+        columns = ["k", "v", "t"]
+        head, tail = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+        if layout == "rows":
+            table = ctx.table_from_rows(columns, rows, num_partitions=parts)
+        elif layout == "columnar":
+            blocks = [rows[i::parts] for i in range(parts)]
+            table = ctx.table_from_columnar(columns, blocks)
+        else:
+            table = ctx.table_from_rows(columns, head, num_partitions=parts)
+            table = table.union(ctx.table_from_columnar(columns, [tail]))
+        keys = None if pick is None else list(dict.fromkeys(pick))
+        expected = _row_split(table.collect_partitions(), 0, keys)
+        actual = {
+            key: group.collect_partitions()
+            for key, group in table.split_by_key("k", keys=keys).items()
+        }
+        assert repr(list(actual)) == repr(list(expected))
+        assert repr(list(actual.values())) == repr(list(expected.values()))

@@ -49,38 +49,31 @@ class TestWriteRead:
         store.write("raw", t)
         assert store.read(ctx, "raw").collect() == [(b"\x00\xff\x10",)]
 
-    def test_row_partitions_pickle_without_a_copy(self, store, ctx,
-                                                  monkeypatch):
-        # Regression: write() used to wrap every partition in list(),
-        # duplicating row partitions that as_row_partition had already
-        # returned as lists. The exact list object must reach pickle.
-        import repro.engine.storage as storage_mod
+    def test_writing_a_columnar_table_lands_no_rows(self, store, ctx,
+                                                    monkeypatch):
+        # write() used to transpose every columnar partition into rows
+        # and pickle them; it now encodes the columns themselves.
+        import repro.engine.codegen as codegen_mod
+        import repro.engine.columnar as columnar_mod
 
-        produced = []
-        real_as_rows = storage_mod.as_row_partition
+        calls = []
+        real = columnar_mod.columns_to_rows
 
-        def spy_as_rows(part):
-            rows = real_as_rows(part)
-            if isinstance(rows, list):
-                produced.append(rows)
-            return rows
+        def counting(columns, length):
+            calls.append(length)
+            return real(columns, length)
 
-        dumped = []
-        real_dump = storage_mod.pickle.dump
-
-        def spy_dump(obj, fh, protocol=None):
-            dumped.append(obj)
-            real_dump(obj, fh, protocol=protocol)
-
-        monkeypatch.setattr(storage_mod, "as_row_partition", spy_as_rows)
-        monkeypatch.setattr(storage_mod.pickle, "dump", spy_dump)
-        table = ctx.table_from_rows(
-            ["a"], [(i,) for i in range(6)], num_partitions=2
+        monkeypatch.setattr(columnar_mod, "columns_to_rows", counting)
+        monkeypatch.setattr(codegen_mod, "columns_to_rows", counting)
+        table = ctx.table_from_columnar(
+            ["t", "s"],
+            [[(float(i), "ab"[i % 2]) for i in range(6)], [(9.0, "c")]],
         )
         store.write("nocopy", table)
-        assert len(produced) == len(dumped) == 2
-        for rows, obj in zip(produced, dumped):
-            assert obj is rows
+        loaded = store.read(ctx, "nocopy")
+        assert loaded.count() == 7
+        assert calls == []
+        assert loaded.collect()[-1] == (9.0, "c")
 
 
 class TestAtomicWrite:
@@ -110,7 +103,8 @@ class TestAtomicWrite:
         store.write("ok", table)
         (store.root / ".staging-ok-junk").mkdir()
         assert store.list_tables() == ["ok"]
-        assert not store.exists(".staging-ok-junk")
+        with pytest.raises(ExecutionError, match="invalid table name"):
+            store.exists(".staging-ok-junk")
 
     def test_missing_part_file_raises_execution_error(
         self, store, table, ctx
@@ -118,8 +112,8 @@ class TestAtomicWrite:
         # Regression: a manifest pointing at a deleted part file used to
         # escape as a raw FileNotFoundError.
         store.write("data", table)
-        (store.table_dir("data") / "part-00002.pkl").unlink()
-        with pytest.raises(ExecutionError, match="part-00002.pkl"):
+        (store.table_dir("data") / "part-00002.tbl").unlink()
+        with pytest.raises(ExecutionError, match="part-00002.tbl"):
             store.read(ctx, "data")
 
 

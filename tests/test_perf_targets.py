@@ -24,9 +24,11 @@ keep the engine at what the program issues: every public ``Table``
 method, ``EngineContext`` constructor and ``repro.engine`` export has a
 caller outside the engine, and every defaulted parameter of those
 methods is set to something other than its default by one. The last
-guard keeps Table 3's "is this value a number" (``int``/``float``, not
-``bool``) in one function of ``repro.core``, which its callers ask once
-per value type: no other scope of it tests against ``(int, float)``.
+guard but one keeps Table 3's "is this value a number" (``int``/``float``,
+not ``bool``) in one function of ``repro.core``, which its callers ask
+once per value type: no other scope of it tests against
+``(int, float)``. The last keeps unpickling to the checkpoint reader:
+no stored table or other file is read through ``pickle.load``.
 """
 
 import ast
@@ -628,3 +630,40 @@ def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
     assert _scopes([CORE], tests_int_and_float) == {
         ("classification.py", "is_numeric_type")
     }
+
+
+#: Every scope of ``src/repro`` that unpickles, with the ROADMAP item
+#: that takes it away. ``pickle.load`` runs whatever the bytes name, so
+#: nothing read from disk goes through it except what is listed here.
+#: The multiprocessing task boundary unpickles inside the standard
+#: library's pool and has no call of its own in ``src/repro``.
+_UNPICKLING_SCOPES = {
+    # ROADMAP 5(b)/(c): the stream session and fleet job checkpoints.
+    ("fleet/checkpoint.py", "CheckpointStore.load"),
+}
+
+
+def test_nothing_but_the_checkpoint_reader_unpickles():
+    def unpickles(node):  # pickle.load(s) / pickle.Unpickler / from pickle
+        if isinstance(node, ast.Attribute):
+            return _name(node.value) == "pickle" and node.attr in (
+                "load", "loads", "Unpickler"
+            )
+        return isinstance(node, ast.ImportFrom) and node.module == "pickle"
+
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            scope = scope + (node.name,)
+        if unpickles(node):
+            found.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(_parsed(path), path.relative_to(SRC).as_posix(), ())
+    assert found == _UNPICKLING_SCOPES
+    assert not any(module.startswith("engine/") for module, _ in found)
