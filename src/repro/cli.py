@@ -77,8 +77,12 @@ def _load_trace(ctx, path):
     return _read_trace(path, lambda codec: codec.load_table(ctx, path))
 
 
-def _load_records(path):
-    return _read_trace(path, lambda codec: codec.load_records(path))
+def _load_records(path, packed=False):
+    """A trace's byte records: with *packed* as the codec's loader hands
+    them out (a ``.btrc``/``.ctrc`` cell is decoded where it is read),
+    else every cell decoded here."""
+    return _read_trace(path, lambda codec: codec.load_records(path)
+                       if packed else list(codec.load_records(path)))
 
 
 def _read_trace(path, load):
@@ -523,7 +527,7 @@ def cmd_stream_serve(args, out=sys.stdout):
     try:
         for trace in args.traces:
             vehicle_id = Path(trace).stem
-            records = _load_records(trace)
+            records = _load_records(trace, packed=True)
             service.add_vehicle(
                 vehicle_id, ReplaySource(records), config, ctx
             )
@@ -613,6 +617,10 @@ def cmd_stream_status(args, out=sys.stdout):
             payload = checkpointer.session_payload(vehicle_id)
         except StreamError as exc:
             raise CliError("stream", str(exc))
+        if payload is None:
+            print("session {}: no record committed".format(vehicle_id),
+                  file=out)
+            continue
         mtime = checkpointer.checkpoint_mtime(vehicle_id)
         age = " checkpoint age {:.1f} s".format(now - mtime) \
             if mtime is not None else ""

@@ -21,8 +21,11 @@ each marker function's explicit carry -- and its checkpoint payload.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
+
+import numpy as np
 
 from repro.core.interpretation import (
     compile_under_policy,
@@ -30,12 +33,12 @@ from repro.core.interpretation import (
 )
 from repro.core.preselection import preselect
 from repro.core.sequence import (
+    Sequence,
     derive_extensions,
     marker_functions,
     merge_sequences,
     process_sequence,
     reduce_sequence,
-    row_sequence,
     split_sequences,
     table_columns,
 )
@@ -49,12 +52,45 @@ class IncrementalError(ValueError):
 STATE_FORMAT = "repro.incremental-state/1"
 
 
+class ReducedRows(_Sequence):
+    """One (signal, channel)'s reduced elements so far, kept as the
+    :class:`~repro.core.sequence.Sequence` each chunk was reduced to.
+    ``len`` counts elements; ``K_s`` rows are built where they are
+    read."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks=()):
+        self.chunks = list(chunks)
+
+    def __len__(self):
+        return sum(map(len, self.chunks))
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def rows(self):
+        return [row for chunk in self.chunks for row in chunk.rows()]
+
+    def sequence(self):
+        """The elements as one sequence: each chunk was reduced in
+        canonical order and windows come in time order."""
+        chunks = self.chunks
+        return Sequence(chunks[0].s_id, *(
+            np.concatenate([getattr(chunk, name) for chunk in chunks])
+            for name in ("t", "v", "b")
+        ))
+
+
 @dataclass
 class _SignalState:
     """Accumulated per-(signal, channel) reduction state; the only
     cross-window reduction state is :attr:`carries`."""
 
-    reduced_rows: list = field(default_factory=list)
+    reduced_rows: ReducedRows = field(default_factory=ReducedRows)
     #: Per-marker-function carry, keyed by position in the signal's
     #: function tuple -- each marker defines its own carry semantics
     #: (see :meth:`MarkerFunction.carry_after`).
@@ -139,8 +175,8 @@ class IncrementalRunner:
             functions = marker_functions(
                 config.constraints.for_signal(key[0])
             )
-            state.reduced_rows.extend(
-                reduce_sequence(chunk, functions, state.carries).rows()
+            state.reduced_rows.chunks.append(
+                reduce_sequence(chunk, functions, state.carries)
             )
         return sum(map(len, sequences.values()))
 
@@ -156,9 +192,7 @@ class IncrementalRunner:
         for (s_id, b_id), state in sorted(self._states.items()):
             if not state.reduced_rows:
                 continue
-            # Each chunk was reduced in canonical order and windows come
-            # in time order, so the rows already are the whole sequence.
-            k_red = row_sequence(state.reduced_rows)
+            k_red = state.reduced_rows.sequence()
             w_rows.extend(
                 derive_extensions(k_red, config.extensions.for_signal(s_id))
             )
@@ -174,11 +208,11 @@ class IncrementalRunner:
     def reduced_rows(self, signal_id, channel_id):
         """Accumulated reduced rows of one (signal, channel)."""
         state = self._states.get((signal_id, channel_id))
-        return list(state.reduced_rows) if state else []
+        return state.reduced_rows.rows() if state else []
 
     # -- checkpoint/restore hooks (streaming ingest) ---------------------
     def export_state(self):
-        """Picklable snapshot of all cross-window progress.
+        """Snapshot of all cross-window progress.
 
         The payload captures everything :meth:`process_window` mutates
         -- accumulated reduced rows, per-marker carries, the in-order
@@ -197,7 +231,7 @@ class IncrementalRunner:
             "exact_duplicates_dropped": self.exact_duplicates_dropped,
             "states": {
                 key: {
-                    "reduced_rows": list(state.reduced_rows),
+                    "reduced_rows": ReducedRows(state.reduced_rows.chunks),
                     "carries": dict(state.carries),
                 }
                 for key, state in self._states.items()
@@ -245,7 +279,9 @@ class IncrementalRunner:
                 )
             entry = _state_field(states, key, dict)
             runner._states[key] = _SignalState(
-                reduced_rows=list(_state_field(entry, "reduced_rows", list)),
+                reduced_rows=ReducedRows(_state_field(
+                    entry, "reduced_rows", ReducedRows
+                ).chunks),
                 carries=dict(_state_field(entry, "carries", dict)),
             )
         return runner

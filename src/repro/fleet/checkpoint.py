@@ -8,12 +8,6 @@ each checkpoint either fully present or fully absent -- the property
 land. Failures are recorded as structured JSON rows next to the
 checkpoints so ``status`` can print a failure table without re-running
 anything, and so ``resume`` knows to retry them.
-
-The streaming ingest service (:mod:`repro.stream`) reuses the same
-store for *runner-state* payloads: each vehicle session repeatedly
-commits its ``IncrementalRunner``/assembler snapshot under a stable job
-id, relying on the atomic replace so a kill mid-commit always leaves
-the previous complete snapshot in place.
 """
 
 from __future__ import annotations
@@ -63,18 +57,6 @@ class CheckpointStore:
     def load(self, job_id):
         with open(self._path(job_id), "rb") as handle:
             return pickle.load(handle)
-
-    def mtime(self, job_id):
-        """Commit time (epoch seconds) of a checkpoint, or None.
-
-        Repeatedly-saved runner-state checkpoints are distinguished by
-        recency, not content; ``stream status`` reports this without
-        unpickling anything.
-        """
-        try:
-            return self._path(job_id).stat().st_mtime
-        except FileNotFoundError:
-            return None
 
     def completed_ids(self):
         """Sorted ids of all committed checkpoints (staging excluded)."""

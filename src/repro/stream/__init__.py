@@ -15,16 +15,17 @@ service:
 * :mod:`repro.stream.session` -- one :class:`VehicleSession` per
   vehicle wrapping an :class:`~repro.core.incremental.IncrementalRunner`
   behind a :class:`WindowAssembler`, with per-channel delivery cursors
-  and a picklable state snapshot;
+  and a state snapshot;
 * :mod:`repro.stream.receivers` -- :class:`FrameSource` and
   :func:`deliver`, the per-vehicle delivery loop: the event-time merge
-  of a vehicle's channels, handed to the owning session's bounded
-  queue in chunks (backpressure stalls only the slow vehicle, never
-  another);
-* :mod:`repro.stream.checkpoint` -- the session-state codec over
-  :class:`repro.fleet.CheckpointStore`, so a killed service resumes
-  mid-stream and replay of undelivered frames yields byte-identical
-  ``finalize()`` output to an uninterrupted run;
+  of a vehicle's channels as packed columns, handed to the owning
+  session's bounded queue in chunks (backpressure stalls only the slow
+  vehicle, never another);
+* :mod:`repro.stream.checkpoint` -- one append-only log of CRC'd
+  records per session, each holding what changed since the one before,
+  so a killed service resumes mid-stream and replay of undelivered
+  frames yields byte-identical ``finalize()`` output to an
+  uninterrupted run;
 * :mod:`repro.stream.service` -- :class:`StreamIngestService` wiring
   delivery loops, sessions, periodic checkpoints and the ``stream.*``
   metrics together, plus the drain/finalize path the CLI and tests

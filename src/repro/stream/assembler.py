@@ -11,6 +11,12 @@ in-order-windows contract of
 :meth:`~repro.core.incremental.IncrementalRunner.process_window`.
 Frames that arrive for an already-sealed window are *late*: they are
 counted and dropped, never silently reordered into the past.
+
+Frames arrive and are buffered as packed columns: a chunk is a range of
+rows of a :class:`~repro.engine.columnar.ColumnarPartition` in the K_b
+layout, a window holds the positions of its frames in the blocks that
+brought them, and a sealed window is handed over as one partition -- a
+slice of one block where its frames are contiguous there.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 
 from repro.core.incremental import _state_field, window_index
+from repro.engine.columnar import ColumnarPartition
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream.errors import StreamError
 
@@ -54,7 +61,9 @@ class WindowAssembler:
         self.grace_seconds = float(grace_seconds)
         self._origin = None
         self._watermark = None
-        self._pending = {}  # window index -> [frames in arrival order]
+        #: window index -> [(block, positions of its frames in it)], in
+        #: arrival order
+        self._pending = {}
         self._floor = None  # lowest assignable index; None = nothing sealed
         #: Seal time of the lowest pending window (derived, never saved).
         self._seal_at = math.inf
@@ -68,34 +77,36 @@ class WindowAssembler:
         return window_index(t, self._origin, self.window_seconds)
 
     def add(self, frame):
-        """Buffer one frame; :meth:`add_chunk` of a chunk of one."""
-        return self.add_chunk((frame,))
+        """Buffer one frame tuple; :meth:`add_chunk` of a block of one."""
+        return self.add_chunk(
+            ColumnarPartition.from_rows([frame], len(BYTE_RECORD_COLUMNS))
+        )
 
-    def add_chunk(self, frames):
-        """Buffer *frames* in arrival order; returns the windows sealed.
+    def add_chunk(self, frames, start=0, stop=None):
+        """Buffer rows ``start:stop`` of the block *frames* in arrival
+        order; returns the windows sealed.
 
         Every frame is adjudicated exactly as if it had arrived alone --
         a window sealed by an earlier frame of the chunk is closed to a
         later one -- but sealable windows are looked for only once the
         watermark has reached the lowest pending window's seal time.
 
-        The return value is a list of ``(window_index, frames)`` pairs
-        in strictly increasing index order, each holding the window's
+        The return value is a list of ``(window_index, block)`` pairs in
+        strictly increasing index order, each block holding the window's
         frames in arrival order (the consumer sorts by timestamp; see
         ``IncrementalRunner.process_window``). A timestamp no window can
         hold (``nan``, ``inf``) raises :class:`FrameRejected` carrying
-        the frame's position in *frames*; the frames before it stay
+        the frame's position in the chunk; the frames before it stay
         buffered.
         """
         sealed = []
         pending = self._pending
-        for position, frame in enumerate(frames):
-            t = frame[0]
+        for position, t in enumerate(frames.columns[0][start:stop], start):
             origin = t if self._origin is None else self._origin
             try:
                 index = window_index(t, origin, self.window_seconds)
             except (ValueError, OverflowError):
-                raise FrameRejected(position, (
+                raise FrameRejected(position - start, (
                     "timestamp {!r} is not a finite offset from the "
                     "stream origin".format(t)
                 )) from None
@@ -103,10 +114,14 @@ class WindowAssembler:
             if self._floor is not None and index < self._floor:
                 self.late_dropped += 1
                 continue
-            if index not in pending:
-                pending[index] = []
+            parts = pending.get(index)
+            if parts is None:
+                parts = pending[index] = []
                 self._seal_at = min(self._seal_at, self._seal_time(index))
-            pending[index].append(frame)
+            if parts and parts[-1][0] is frames:
+                parts[-1][1].append(position)
+            else:
+                parts.append((frames, [position]))
             if self._watermark is None or t > self._watermark:
                 self._watermark = t
             if self._watermark >= self._seal_at:
@@ -127,7 +142,7 @@ class WindowAssembler:
             if self._watermark < seal_at:
                 self._seal_at = seal_at
                 break
-            sealed.append((index, self._pending.pop(index)))
+            sealed.append((index, _window(self._pending.pop(index))))
             self._floor = index + 1
         else:
             self._seal_at = math.inf
@@ -136,7 +151,7 @@ class WindowAssembler:
     def flush(self):
         """Seal every pending window in index order (drain / shutdown)."""
         sealed = [
-            (index, self._pending.pop(index))
+            (index, _window(self._pending.pop(index)))
             for index in sorted(self._pending)
         ]
         if sealed:
@@ -151,15 +166,13 @@ class WindowAssembler:
 
     @property
     def pending_frames(self):
-        return sum(len(rows) for rows in self._pending.values())
-
-    @property
-    def watermark(self):
-        return self._watermark
+        return sum(len(positions) for parts in self._pending.values()
+                   for _block, positions in parts)
 
     # -- checkpoint ------------------------------------------------------
     def export_state(self):
-        """Picklable snapshot of buffered frames and sealing progress."""
+        """Snapshot of buffered frames (per window in index order, its
+        blocks in arrival order) and sealing progress."""
         return {
             "format": ASSEMBLER_STATE_FORMAT,
             "window_seconds": self.window_seconds,
@@ -169,7 +182,8 @@ class WindowAssembler:
             "floor": self._floor,
             "late_dropped": self.late_dropped,
             "pending": {
-                index: list(rows) for index, rows in self._pending.items()
+                index: [_take(*part) for part in parts]
+                for index, parts in sorted(self._pending.items())
             },
         }
 
@@ -201,14 +215,16 @@ class WindowAssembler:
                         index
                     )
                 )
-            for frame in _state_field(pending, index, list):
-                if not _is_byte_record(frame):
-                    raise StreamError(
-                        "pending window {} holds {!r}, which is not a byte "
-                        "record with a finite timestamp and a bytes "
-                        "payload".format(index, frame)
-                    )
-            assembler._pending[index] = list(pending[index])
+            blocks = _state_field(pending, index, list)
+            if not blocks or not all(map(_holds_byte_records, blocks)):
+                raise StreamError(
+                    "pending window {} holds frames that are not byte "
+                    "records with a finite timestamp and a bytes "
+                    "payload".format(index)
+                )
+            assembler._pending[index] = [
+                (block, list(range(len(block)))) for block in blocks
+            ]
         if pending:
             if assembler._origin is None or assembler._watermark is None:
                 raise StreamError(
@@ -218,12 +234,27 @@ class WindowAssembler:
         return assembler
 
 
-def _is_byte_record(frame):
-    """``(t, l, b_id, m_id, m_info)``, ``t`` a finite number, ``l`` bytes."""
+def _take(block, positions):
+    """Rows *positions* (increasing) of *block*: a slice where they are
+    contiguous, else a gather."""
+    first = positions[0]
+    if positions[-1] - first + 1 == len(positions):
+        return block.slice(first, first + len(positions))
+    return block.gather(positions)
+
+
+def _window(parts):
+    """One partition of a window's ``(block, positions)`` parts."""
+    return ColumnarPartition.concat([_take(*part) for part in parts])
+
+
+def _holds_byte_records(block):
+    """A block of K_b columns, every ``t`` a finite number, every
+    payload bytes."""
     return (
-        isinstance(frame, tuple)
-        and len(frame) == len(BYTE_RECORD_COLUMNS)
-        and type(frame[0]) in (int, float)
-        and math.isfinite(frame[0])
-        and isinstance(frame[1], bytes)
+        isinstance(block, ColumnarPartition)
+        and block.width == len(BYTE_RECORD_COLUMNS)
+        and all(type(t) in (int, float) and math.isfinite(t)
+                for t in block.columns[0])
+        and all(type(payload) is bytes for payload in block.columns[1])
     )

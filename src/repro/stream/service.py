@@ -4,22 +4,22 @@
 long-running shape the paper's fleet capture implies: per vehicle one
 delivery loop (the event-time merge of its channels), one bounded
 asyncio queue and one ingest loop draining it into the session;
-periodic state checkpoints through
-:class:`repro.fleet.CheckpointStore`; and ``stream.*`` metrics for all
-of it.
+periodic state checkpoints appended to one log per session
+(:mod:`repro.stream.checkpoint`); and ``stream.*`` metrics for all of
+it.
 
 Durability contract
 -------------------
-A checkpoint is a consistent snapshot *between* frame ingests: it names
-the per-channel replay cursors and carries every byte of runner and
-assembler state those cursors imply. Killing the service at an
-arbitrary committed checkpoint, restarting, and replaying each
-channel's undelivered frames therefore yields ``finalize()`` output
-byte-identical to a run that was never interrupted. Frames ingested
-after the last commit are simply re-delivered on resume -- the source's
-per-channel ordering and the merge make the replay exact, and
-``stream.resume.frames_skipped`` / ``stream.frames_received`` make the
-re-delivery count observable.
+A checkpoint is a consistent record *between* frame ingests: with the
+records before it, it names the per-channel replay cursors and carries
+every byte of runner and assembler state those cursors imply. Killing
+the service at an arbitrary committed checkpoint, restarting, and
+replaying each channel's undelivered frames therefore yields
+``finalize()`` output byte-identical to a run that was never
+interrupted. Frames ingested after the last commit are simply
+re-delivered on resume -- the source's per-channel ordering and the
+merge make the replay exact, and ``stream.resume.frames_skipped`` /
+``stream.frames_received`` make the re-delivery count observable.
 
 Backpressure
 ------------
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from repro.obs import MetricsRegistry
 from repro.stream.checkpoint import StreamCheckpointer
 from repro.stream.errors import StreamError
-from repro.stream.receivers import FrameBudget, deliver
+from repro.stream.receivers import FrameBudget, deliver, merge
 from repro.stream.session import VehicleSession
 
 
@@ -46,8 +46,8 @@ class StreamConfig:
     """Operating knobs of one service instance.
 
     ``checkpoint_every`` is the per-session checkpoint cadence in
-    ingested frames (0 disables periodic snapshots; the drain snapshot
-    is always taken). ``queue_capacity`` bounds the frames queued per
+    ingested frames (0 disables periodic commits; the drain commit is
+    always made). ``queue_capacity`` bounds the frames queued per
     session -- the backpressure boundary -- and is the most frames a
     delivery loop hands over at once; 1 is a frame-by-frame service.
     """
@@ -92,8 +92,8 @@ class StreamIngestService:
     def add_vehicle(self, vehicle_id, source, pipeline_config, context):
         """Register one vehicle's source + pipeline parameterization.
 
-        When the run directory holds a committed snapshot for this
-        vehicle the session resumes from it: delivery will start at
+        When the run directory holds a session log for this vehicle the
+        session resumes from its last whole record: delivery will start at
         the checkpointed per-channel cursors and the skipped-frame
         count is recorded in ``stream.resume.frames_skipped``.
         """
@@ -134,7 +134,7 @@ class StreamIngestService:
         are delivered in total; how they split between vehicles is
         scheduling, not contract. No drain or final checkpoint
         happens for killed sessions; their last *committed* periodic
-        snapshot is the resume point, exactly as after a real crash.
+        record is the resume point, exactly as after a real crash.
         """
         if not self.sessions:
             raise StreamError("no vehicles registered")
@@ -162,9 +162,12 @@ class StreamIngestService:
         # One chunk of up to queue_capacity frames may wait in the queue:
         # that many frames queued per vehicle, never more.
         queue = asyncio.Queue(maxsize=1)
+        try:
+            frames = merge(self._sources[vehicle_id], session.cursor)
+        except StreamError as exc:
+            raise StreamError("vehicle {!r}, {}".format(vehicle_id, exc))
         delivery = asyncio.ensure_future(deliver(
-            self._sources[vehicle_id], session.cursor, budget, queue,
-            self.config.queue_capacity,
+            frames, budget, queue, self.config.queue_capacity
         ))
         depth_gauge = "stream.queue.depth.{}".format(vehicle_id)
         high_water = self.metrics.gauge(
@@ -180,13 +183,13 @@ class StreamIngestService:
                 )
                 while chunk:
                     # Cut at the next multiple of the cadence, so
-                    # snapshots are taken at the frame counts a
+                    # commits are made at the frame counts a
                     # frame-by-frame service takes them at.
                     room = len(chunk)
                     if cadence:
                         room = cadence - session.frames_ingested % cadence
                     session.ingest(chunk[:room])
-                    chunk = chunk[room:]
+                    chunk = chunk[room:] if room < len(chunk) else ()
                     self.metrics.set_gauge(depth_gauge, len(chunk))
                     if cadence and session.frames_ingested % cadence == 0:
                         self.checkpointer.save_session(session, self.metrics)
@@ -195,9 +198,10 @@ class StreamIngestService:
             # A session that refused a frame leaves its loop blocked on
             # the queue; a finished one ignores the cancel.
             delivery.cancel()
-        if exhausted:
+        if exhausted and not session.drained:
             # Clean end of stream: seal whatever the grace period was
-            # still holding back, then commit the drained snapshot.
+            # still holding back, then commit the drained state. A
+            # session resumed drained has committed it already.
             session.drain()
             self.checkpointer.save_session(session, self.metrics)
         return exhausted

@@ -2,9 +2,10 @@
 assembler.
 
 A :class:`VehicleSession` is the synchronous state machine at the heart
-of the streaming service: chunks of frames go in (each frame tagged
-with the channel that received it), sealed windows come out and are
-fed, one partition each, to the session's
+of the streaming service: chunks of frames go in as packed columns
+(:class:`~repro.stream.receivers.Frames`, each frame tagged with the
+channel that received it), sealed windows come out and are fed, one
+columnar partition each, to the session's
 :class:`~repro.core.incremental.IncrementalRunner` exactly as a batch
 caller would feed :func:`~repro.core.incremental.split_into_windows`
 output. Keeping the state machine free of the event loop makes
@@ -21,7 +22,7 @@ guarantee.
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 from repro.core.incremental import IncrementalRunner, _state_field
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
@@ -50,9 +51,10 @@ class VehicleSession:
         self._drained = False
 
     # -- ingestion -------------------------------------------------------
-    def ingest(self, chunk):
-        """Ingest a chunk of ``(channel, frame)`` pairs in arrival order;
-        process the windows it sealed. Returns how many those were.
+    def ingest(self, frames):
+        """Ingest :class:`~repro.stream.receivers.Frames` in arrival
+        order; process the windows they sealed. Returns how many those
+        were.
 
         A frame whose timestamp no window can hold is a
         :class:`StreamError` naming the vehicle, the channel and the
@@ -63,15 +65,16 @@ class VehicleSession:
                 "session {!r} already drained".format(self.vehicle_id)
             )
         before = self.assembler.late_dropped
-        channels = [channel for channel, _frame in chunk]
+        codes = frames.codes
         try:
             sealed = self.assembler.add_chunk(
-                [frame for _channel, frame in chunk]
+                frames.block, frames.start, frames.start + len(frames)
             )
         except FrameRejected as exc:
-            channel = channels[exc.position]
+            code = codes[exc.position]
+            channel = frames.channels[code]
             ordinal = self.cursor(channel) + \
-                channels[:exc.position].count(channel)
+                int(np.count_nonzero(codes[:exc.position] == code))
             raise StreamError(
                 "vehicle {!r}, channel {!r}, frame {}: {}".format(
                     self.vehicle_id, channel, ordinal, exc
@@ -81,15 +84,17 @@ class VehicleSession:
         # cursor tracks transport delivery, not window acceptance, so a
         # resumed delivery never repeats a frame the assembler has
         # already adjudicated.
-        for channel, count in Counter(channels).items():
-            self.channel_cursors[channel] = self.cursor(channel) + count
+        counts = np.bincount(codes, minlength=len(frames.channels)).tolist()
+        for code in dict.fromkeys(codes.tolist()):
+            channel = frames.channels[code]
+            self.channel_cursors[channel] = self.cursor(channel) + counts[code]
             if self.metrics is not None:
                 self.metrics.inc(
-                    "stream.frames_received.{}".format(channel), count
+                    "stream.frames_received.{}".format(channel), counts[code]
                 )
-        self.frames_ingested += len(chunk)
+        self.frames_ingested += len(frames)
         if self.metrics is not None:
-            self.metrics.inc("stream.frames_received", len(chunk))
+            self.metrics.inc("stream.frames_received", len(frames))
             late = self.assembler.late_dropped - before
             if late:
                 self.metrics.inc("stream.late_dropped", late)
@@ -97,13 +102,13 @@ class VehicleSession:
         return len(sealed)
 
     def _process_sealed(self, sealed):
-        for _index, frames in sealed:
+        for _index, block in sealed:
             # Frames go in in arrival order: the runner puts every
             # sequence into the canonical order itself, with the function
             # the whole-trace pipeline uses, so intra-window disorder is
             # invisible. A window is one partition: one lines 2-6 task.
-            table = self.context.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), frames, num_partitions=1
+            table = self.context.table_from_columnar(
+                list(BYTE_RECORD_COLUMNS), [block]
             )
             self.runner.process_window(table)
             self.windows_sealed += 1
@@ -140,7 +145,7 @@ class VehicleSession:
 
     # -- checkpoint ------------------------------------------------------
     def export_state(self):
-        """Picklable snapshot: runner state + assembler state + cursors."""
+        """Snapshot: runner state + assembler state + cursors."""
         return {
             "format": SESSION_STATE_FORMAT,
             "vehicle_id": self.vehicle_id,

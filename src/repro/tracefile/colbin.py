@@ -53,6 +53,7 @@ from repro.engine.errors import PlanError
 from repro.tracefile.binlog import (
     TRUNCATED,
     BinaryTraceError,
+    PackedRecords,
     check_m_id,
     encode_text,
     pack_info as _pack_info,
@@ -309,16 +310,6 @@ class ColumnarTraceReader:
             self._info_offsets, self._info_blob, _unpack_info
         )
 
-    # -- records ----------------------------------------------------------
-    def select(self, indices):
-        """The records at *indices* (in ``range(len(self))``), in order:
-        a scan decides survival from the ``(m_id, b_id)`` views alone,
-        then pays payload/info decode for the survivors only."""
-        return self.partitions(1)[0].gather(indices).to_rows()
-
-    def records(self):
-        return self.partitions(1)[0].to_rows()
-
     # -- engine integration ------------------------------------------------
     def partitions(self, num_partitions):
         """Contiguous :class:`ColumnarPartition` blocks of sub-views: no
@@ -332,9 +323,10 @@ class ColumnarTraceReader:
 
 
 def load_records(path):
-    """Read byte-record tuples back from *path* (full materialization)."""
-    reader = ColumnarTraceReader(path)
-    return reader.records()
+    """The byte records of *path*, packed: a
+    :class:`~repro.tracefile.binlog.PackedRecords` over the reader's
+    mmap'ed planes; an ``m_info`` cell is decoded where it is read."""
+    return PackedRecords(ColumnarTraceReader(path).partitions(1)[0])
 
 
 def dump_table(table, path):

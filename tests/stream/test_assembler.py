@@ -1,4 +1,7 @@
-"""WindowAssembler: online window membership, sealing, late drops."""
+"""WindowAssembler: online window membership, sealing, late drops.
+
+Chunks go in and sealed windows come out as column blocks; the helpers
+below turn frame tuples into blocks and blocks back into tuples."""
 
 from __future__ import annotations
 
@@ -7,12 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental import split_into_windows
+from repro.engine.columnar import ColumnarPartition
 from repro.stream import StreamError, WindowAssembler
 from repro.stream.assembler import ASSEMBLER_STATE_FORMAT
 
 
 def frame(t):
     return (t, b"\x00", "FC", 1, ())
+
+
+def block(frames):
+    """Frame tuples as the K_b column block ``add_chunk`` takes."""
+    return ColumnarPartition.from_rows(list(frames), 5)
+
+
+def windows(sealed):
+    """Sealed ``(index, block)`` pairs as ``(index, frame tuples)``."""
+    return [(index, window.to_rows()) for index, window in sealed]
+
+
+def state(asm):
+    """``export_state()`` with each pending window as frame tuples."""
+    payload = asm.export_state()
+    payload["pending"] = {
+        index: [f for part in blocks for f in part.to_rows()]
+        for index, blocks in payload["pending"].items()
+    }
+    return payload
 
 
 class TestWindowIndex:
@@ -47,7 +71,7 @@ def assembled_windows(frames, window_seconds):
     asm = WindowAssembler(window_seconds, grace_seconds=float("inf"))
     for f in frames:
         assert asm.add(f) == []
-    return [window for _index, window in asm.flush()]
+    return [window for _index, window in windows(asm.flush())]
 
 
 class TestBatchWindowsAreAssemblerWindows:
@@ -91,7 +115,7 @@ class TestSealing:
         assert asm.add(frame(0.0)) == []
         assert asm.add(frame(0.9)) == []
         sealed = asm.add(frame(1.0))
-        assert [(i, [f[0] for f in fs]) for i, fs in sealed] == \
+        assert [(i, [f[0] for f in fs]) for i, fs in windows(sealed)] == \
             [(0, [0.0, 0.9])]
 
     def test_grace_period_delays_sealing(self):
@@ -115,7 +139,7 @@ class TestSealing:
         asm.add(frame(1.4))
         assert asm.add(frame(0.5)) == []  # window 0 not sealed yet
         sealed = asm.flush()
-        assert [f[0] for f in dict(sealed)[0]] == [0.0, 0.5]
+        assert [f[0] for f in dict(windows(sealed))[0]] == [0.0, 0.5]
 
 
 class TestLateDrops:
@@ -175,27 +199,30 @@ class TestChunks:
         frames = [(t, bytes([i]), "FC", i, ()) for i, t in enumerate(times)]
         single, chunked = WindowAssembler(1.0, grace), \
             WindowAssembler(1.0, grace)
-        expected = [w for f in frames for w in single.add(f)]
+        expected = [w for f in frames for w in windows(single.add(f))]
         sealed, start = [], 0
         while start < len(frames):
             size = cuts[len(sealed) % len(cuts)]
-            sealed.append(chunked.add_chunk(frames[start:start + size]))
+            sealed.append(windows(
+                chunked.add_chunk(block(frames[start:start + size]))
+            ))
             start += size
-        assert [w for windows in sealed for w in windows] == expected
-        assert chunked.export_state() == single.export_state()
-        assert chunked.flush() == single.flush()
+        assert [w for ws in sealed for w in ws] == expected
+        assert state(chunked) == state(single)
+        assert windows(chunked.flush()) == windows(single.flush())
 
     def test_a_window_sealed_mid_chunk_is_closed_to_the_rest_of_it(self):
         asm = WindowAssembler(1.0)
-        sealed = asm.add_chunk([frame(0.0), frame(1.0), frame(0.5)])
-        assert sealed == [(0, [frame(0.0)])]
+        sealed = asm.add_chunk(block([frame(0.0), frame(1.0), frame(0.5)]))
+        assert windows(sealed) == [(0, [frame(0.0)])]
         assert asm.late_dropped == 1
 
     def test_an_older_window_that_is_already_due_seals_on_arrival(self):
         asm = WindowAssembler(1.0)
-        assert asm.add_chunk([frame(10.0), frame(10.5)]) == []
+        assert asm.add_chunk(block([frame(10.0), frame(10.5)])) == []
         # Nothing sealed yet, so window -3 is assignable -- and overdue.
-        assert asm.add_chunk([frame(7.5)]) == [(-3, [frame(7.5)])]
+        assert windows(asm.add_chunk(block([frame(7.5)]))) == \
+            [(-3, [frame(7.5)])]
 
 
 class TestNonFiniteTimestamps:
@@ -206,7 +233,7 @@ class TestNonFiniteTimestamps:
         asm = WindowAssembler(1.0)
         chunk = [frame(t)] if first else [frame(0.0), frame(0.5), frame(t)]
         with pytest.raises(StreamError, match="not a finite offset") as info:
-            asm.add_chunk(chunk)
+            asm.add_chunk(block(chunk))
         assert info.value.position == len(chunk) - 1
         assert repr(t) in str(info.value)
         assert asm.pending_frames == len(chunk) - 1
@@ -227,9 +254,10 @@ class TestState:
         restored = WindowAssembler.from_state(asm.export_state())
         # Both must now adjudicate the same frames identically.
         for probe in (2.0, 0.1, 3.0):
-            assert asm.add(frame(probe)) == restored.add(frame(probe))
+            assert windows(asm.add(frame(probe))) == \
+                windows(restored.add(frame(probe)))
         assert asm.late_dropped == restored.late_dropped
-        assert asm.flush() == restored.flush()
+        assert windows(asm.flush()) == windows(restored.flush())
 
     def test_state_format_is_tagged(self):
         asm = WindowAssembler(1.0)
@@ -245,20 +273,22 @@ class TestState:
         """``_seal_at`` is derived, not saved: a restored assembler
         seals the window it resumed inside at the same frame."""
         asm = WindowAssembler(1.0, grace_seconds=0.5)
-        asm.add_chunk([frame(0.0), frame(1.2)])
+        asm.add_chunk(block([frame(0.0), frame(1.2)]))
         restored = WindowAssembler.from_state(asm.export_state())
         assert restored.add(frame(1.4)) == []
         assert [i for i, _ in restored.add(frame(1.5))] == [0]
 
     @pytest.mark.parametrize("pending, complaint", [
-        ({"k": [frame(0.0)]}, "index 'k' is not an integer"),
-        ({True: [frame(0.0)]}, "index True is not an integer"),
-        ({0: (frame(0.0),)}, "field 0 has type tuple"),
-        ({0: [("x",)]}, "not a byte record"),
-        ({0: [list(frame(0.0))]}, "not a byte record"),
-        ({0: [("0.0", b"", "FC", 1, ())]}, "not a byte record"),
-        ({0: [(float("nan"), b"", "FC", 1, ())]}, "finite timestamp"),
-        ({0: [(0.0, "payload", "FC", 1, ())]}, "bytes payload"),
+        ({"k": [block([frame(0.0)])]}, "index 'k' is not an integer"),
+        ({True: [block([frame(0.0)])]}, "index True is not an integer"),
+        ({0: (block([frame(0.0)]),)}, "field 0 has type tuple"),
+        ({0: []}, "not byte records"),
+        ({0: [frame(0.0)]}, "not byte records"),
+        ({0: [ColumnarPartition.from_rows([("x",)], 1)]}, "not byte records"),
+        ({0: [block([("0.0", b"", "FC", 1, ())])]}, "finite timestamp"),
+        ({0: [block([(float("nan"), b"", "FC", 1, ())])]},
+         "finite timestamp"),
+        ({0: [block([(0.0, "payload", "FC", 1, ())])]}, "bytes payload"),
     ])
     def test_pending_is_shape_checked_on_load(self, pending, complaint):
         """A snapshot comes from disk: what ``add`` would later choke on
@@ -273,6 +303,6 @@ class TestState:
 
     def test_pending_needs_an_origin(self):
         payload = WindowAssembler(1.0).export_state()
-        payload["pending"] = {0: [frame(0.0)]}
+        payload["pending"] = {0: [block([frame(0.0)])]}
         with pytest.raises(StreamError, match="origin"):
             WindowAssembler.from_state(payload)

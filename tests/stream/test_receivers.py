@@ -1,5 +1,6 @@
 """Sources, budget kills, and the per-vehicle delivery loop: what it
-delivers, in which order, where it resumes and whom it stalls."""
+delivers, in which order, where it resumes and whom it stalls. Frames
+travel as column blocks; :func:`pairs` turns them back into tuples."""
 
 from __future__ import annotations
 
@@ -10,10 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream import FrameBudget, ReplaySource, StreamError, deliver
+from repro.stream.receivers import merge
 
 
 def rec(t, channel="FC"):
     return (t, b"\x00", channel, 1, ())
+
+
+def pairs(frames):
+    """Delivered :class:`Frames` as ``(channel, frame tuple)`` pairs."""
+    channels = [frames.channels[code] for code in frames.codes]
+    rows = frames.block.slice(frames.start, frames.start + len(frames))
+    return list(zip(channels, rows.to_rows()))
+
+
+def served(src, start=0):
+    """The frame tuples of *src* past *start* per channel, in delivery
+    order."""
+    return [frame for _channel, frame in pairs(merge(src, lambda c: start))]
 
 
 def run_delivery(src, cursors=None, limit=None, chunk_frames=1):
@@ -23,13 +38,14 @@ def run_delivery(src, cursors=None, limit=None, chunk_frames=1):
     budget = FrameBudget(limit)
     queue = asyncio.Queue()
     exhausted = asyncio.run(deliver(
-        src, lambda channel: cursors.get(channel, 0), budget, queue,
+        merge(src, lambda channel: cursors.get(channel, 0)), budget, queue,
         chunk_frames,
     ))
     chunks = [queue.get_nowait() for _ in range(queue.qsize())]
     assert chunks.pop() is None  # the end-of-delivery marker, always last
     assert all(0 < len(chunk) <= chunk_frames for chunk in chunks)
-    return exhausted, budget, [item for chunk in chunks for item in chunk]
+    items = [item for chunk in chunks for item in pairs(chunk)]
+    return exhausted, budget, items
 
 
 class TestReplaySource:
@@ -39,18 +55,44 @@ class TestReplaySource:
 
     def test_frames_are_time_ordered_per_channel(self):
         src = ReplaySource([rec(0.2), rec(0.0), rec(0.1)])
-        assert [f[0] for f in src.frames("FC")] == [0.0, 0.1, 0.2]
+        assert [f[0] for f in served(src)] == [0.0, 0.1, 0.2]
 
     def test_cursor_slices_the_stream(self):
         src = ReplaySource([rec(0.0), rec(0.1), rec(0.2)])
-        assert [f[0] for f in src.frames("FC", start=2)] == [0.2]
+        assert [f[0] for f in served(src, start=2)] == [0.2]
 
-    def test_unknown_channel_and_bad_cursor(self):
+    def test_bad_cursor(self):
         src = ReplaySource([rec(0.0)])
         with pytest.raises(StreamError):
-            src.frames("nope")
-        with pytest.raises(StreamError):
-            src.frames("FC", start=-1)
+            served(src, start=-1)
+
+    def test_a_packed_recording_is_served_as_its_columns(self, tmp_path):
+        """A ``.btrc`` view reaches delivery as the file's planes: the
+        ``m_info`` plane is moved, never decoded."""
+        from repro.tracefile import binlog
+
+        records = [rec(0.1, "B"), rec(0.0, "A"), rec(0.2, "A")]
+        path = tmp_path / "v.btrc"
+        binlog.dump_records(
+            [r[:4] + ((("protocol", "CAN"),),) for r in records], path
+        )
+        view = binlog.load_records(path)
+        src = ReplaySource(view)
+        frames = merge(src, lambda channel: 0)
+        assert frames.block.columns[4].decode is binlog._unpack_cell
+        assert frames.block.columns[4].blob == view.partition.columns[4].blob
+        assert pairs(frames) == [(r[2], r) for r in sorted(view)]
+
+    @pytest.mark.parametrize("info", [
+        (("crc", 2 ** 70),), (("note", None),), ((7, "x"),), ("ab",), None,
+    ])
+    def test_an_m_info_the_codec_cannot_hold_is_refused(self, info):
+        records = [rec(0.0), rec(0.1, "B"), rec(0.2), rec(0.3)]
+        records[2] = records[2][:4] + (info,)
+        src = ReplaySource(records)
+        with pytest.raises(StreamError, match=r"^channel 'FC', frame 1: "
+                           r"m_info .* cannot be packed"):
+            merge(src, lambda channel: 0)
 
 
 class TestFrameBudget:
@@ -133,7 +175,8 @@ class TestDeliver:
         async def drive():
             queue = asyncio.Queue()
             exhausted = await asyncio.wait_for(
-                deliver(src, lambda channel: 0, budget, queue), timeout=5
+                deliver(merge(src, lambda channel: 0), budget, queue),
+                timeout=5,
             )
             return exhausted, queue.qsize()
 
@@ -191,10 +234,13 @@ class TestDeliver:
         ]
         src = ReplaySource(records)
         cursors = dict(zip(["A", "B", 7, "7"], starts))
+        in_time = sorted(records, key=lambda r: r[0])
         remaining = [
             (channel, frame)
             for channel in src.channels()
-            for frame in src.frames(channel, cursors[channel])
+            for frame in [r for r in in_time if r[2] == channel][
+                cursors[channel]:
+            ]
         ]
         exhausted, budget, items = run_delivery(src, cursors=cursors)
         assert exhausted
@@ -226,14 +272,14 @@ class TestBackpressureScope:
 
             async def consume_b():
                 while (chunk := await queue_b.get()) is not None:
-                    received_b.extend(chunk)
+                    received_b.extend(pairs(chunk))
 
             task_a = asyncio.ensure_future(
-                deliver(src_a, start, budget, queue_a, capacity)
+                deliver(merge(src_a, start), budget, queue_a, capacity)
             )
             exhausted_b, _ = await asyncio.wait_for(
                 asyncio.gather(
-                    deliver(src_b, start, budget, queue_b, capacity),
+                    deliver(merge(src_b, start), budget, queue_b, capacity),
                     consume_b(),
                 ),
                 timeout=5,

@@ -4,10 +4,11 @@ checkpoint plumbing and the stream.* counter contract."""
 from __future__ import annotations
 
 import asyncio
-import pickle
 import random
 import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,9 @@ from repro.stream import (
     StreamIngestService,
     VehicleSession,
 )
+from repro.stream.receivers import pack_records
 from repro.testing.generator import generate_journey_case
+from tests.stream.logs import frame, head_body, record_spans, rewrite_heads
 
 
 def journey(seed=5, lossy=False):
@@ -102,20 +105,30 @@ class TestServe:
             StreamConfig(checkpoint_every=-1)
 
 
+def logs(run_dir):
+    """{file name: bytes} of the session logs of a run directory."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(Path(run_dir, "checkpoints").glob("*.log"))
+    }
+
+
 class ArrivalOrderSource(FrameSource):
     """Serves each channel's frames as recorded, not time-sorted: the
     way out-of-order and late frames reach a session."""
 
     def __init__(self, records):
-        self._by_channel = {}
-        for record in records:
-            self._by_channel.setdefault(record[2], []).append(record)
+        self._channels = sorted({record[2] for record in records})
+        self._codes = np.array(
+            [self._channels.index(record[2]) for record in records], np.intp
+        )
+        self._block = pack_records(records)
 
     def channels(self):
-        return sorted(self._by_channel)
+        return list(self._channels)
 
-    def frames(self, channel, start=0):
-        return iter(self._by_channel[channel][start:])
+    def recording(self):
+        return self._block, self._codes
 
 
 class TestChunkedServiceEqualsFrameByFrame:
@@ -124,24 +137,14 @@ class TestChunkedServiceEqualsFrameByFrame:
     def observe(self, run_dir, recordings, stream_config):
         """One clean service run; everything a chunk size could move."""
         sealed = {vehicle_id: [] for vehicle_id in recordings}
-        commits = {vehicle_id: [] for vehicle_id in recordings}
         service = StreamIngestService(run_dir, stream_config)
-        save_session = service.checkpointer.save_session
-
-        def recording_save(session, metrics=None):
-            commits[session.vehicle_id].append(
-                pickle.dumps(session.export_state())
-            )
-            return save_session(session, metrics)
-
-        service.checkpointer.save_session = recording_save
 
         def recording(session):
             process_sealed = session._process_sealed
 
             def process(windows):
                 sealed[session.vehicle_id].extend(
-                    (index, list(frames)) for index, frames in windows
+                    (index, block.to_rows()) for index, block in windows
                 )
                 return process_sealed(windows)
 
@@ -162,7 +165,7 @@ class TestChunkedServiceEqualsFrameByFrame:
         return {
             # Per vehicle: how vehicles interleave is the loop's business.
             "sealed": sealed,
-            "commits": commits,
+            "logs": logs(run_dir),
             "late": {v: s.late_dropped for v, s in sessions},
             "cursors": {v: dict(s.channel_cursors) for v, s in sessions},
             "final": {
@@ -198,7 +201,7 @@ class TestChunkedServiceEqualsFrameByFrame:
         backwards and late frames, any chunk size and any cadence: the
         sealed windows (index, frames, order), late drops, cursors, the
         snapshot at every commit and the finalized rows are those of
-        the frame-by-frame service."""
+        the frame-by-frame service, and the session logs are its bytes."""
         records = [
             (t, self.CASE.records[i][1], channel) + self.CASE.records[i][3:]
             for i, t, channel in arrivals
@@ -309,6 +312,7 @@ class TestKillAndResume:
 
         baseline = final_rows(serve(tmp_path / "whole")[0])
         assert all(baseline.values())
+        whole = logs(tmp_path / "whole")
         total = len(case_a.records) + len(records_b)
         for kill_at in range(total + 1):
             run_dir = tmp_path / "run-{}".format(kill_at)
@@ -319,6 +323,8 @@ class TestKillAndResume:
             assert not result.killed
             assert final_rows(resumed) == baseline, \
                 "diverged at kill point {}".format(kill_at)
+            assert logs(run_dir) == whole, \
+                "log differs at kill point {}".format(kill_at)
 
     def test_finalize_of_killed_service_is_refused(self, tmp_path):
         case, ctx, config = journey()
@@ -364,10 +370,160 @@ class TestCheckpointer:
         assert payload["frames_ingested"] == len(case.records)
 
     def test_foreign_checkpoint_payload_is_rejected(self, tmp_path):
-        from repro.stream import session_job_id
-
         checkpointer = StreamCheckpointer(tmp_path)
-        checkpointer.store.save(session_job_id("v"), {"format": "other"})
+        body = head_body({"format": "other"}, b"\0" * 8)
+        checkpointer.log_path("v").write_bytes(frame(body) * 2)
         _case, ctx, config = journey()
-        with pytest.raises(StreamError):
+        with pytest.raises(StreamError, match="not a repro.stream-log/1"):
             checkpointer.load_session("v", config, ctx)
+
+
+class TestLogAsOutsideInput:
+    """A session log read back is outside input: a record the kill cut
+    short is dropped and rewritten, and any other damage is one
+    :class:`StreamError`, never another exception."""
+
+    CASE, CTX, CONFIG = journey(seed=9, lossy=True)
+    RECORDS = CASE.records[:40]
+    STREAM = StreamConfig(window_seconds=1.0, grace_seconds=0.0,
+                          checkpoint_every=13)
+
+    def serve(self, run_dir):
+        service = StreamIngestService(run_dir, self.STREAM)
+        service.add_vehicle("v", ReplaySource(self.RECORDS), self.CONFIG,
+                            self.CTX)
+        assert not asyncio.run(service.serve()).killed
+        return service
+
+    @pytest.fixture(scope="class")
+    def whole(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("whole")
+        rows = self.serve(run_dir).finalize_all()["v"].r_out.collect()
+        (log,) = logs(run_dir).values()
+        return rows, log
+
+    def load(self, run_dir):
+        return StreamCheckpointer(run_dir).load_session(
+            "v", self.CONFIG, self.CTX
+        )
+
+    def test_every_cut_of_the_last_record_resumes_from_the_one_before(
+        self, tmp_path, whole
+    ):
+        from repro.stream.checkpoint import session_record
+
+        rows, log = whole
+        start, end = record_spans(log)[-1]
+        path = tmp_path / "checkpoints" / "stream-session-v.log"
+        path.parent.mkdir()
+        path.write_bytes(log[:start])
+        before = session_record(self.load(tmp_path).export_state(), {})
+        for cut in range(start, end):
+            path.write_bytes(log[:cut])
+            session = self.load(tmp_path)
+            assert session_record(session.export_state(), {}) == before, cut
+        # What a resume then does depends on the state loaded and on
+        # where the log is cut off, both checked above for every cut.
+        for cut in sorted({start, start + 1, start + 12, (start + end) // 2,
+                           end - 1}):
+            run_dir = tmp_path / "cut-{}".format(cut)
+            (run_dir / "checkpoints").mkdir(parents=True)
+            (run_dir / "checkpoints" / path.name).write_bytes(log[:cut])
+            service = self.serve(run_dir)
+            assert service.finalize_all()["v"].r_out.collect() == rows, cut
+            assert logs(run_dir) == {path.name: log}, cut
+
+    def test_damage_to_an_earlier_record_is_one_stream_error(
+        self, tmp_path, whole
+    ):
+        _rows, log = whole
+        spans = record_spans(log)
+        path = tmp_path / "checkpoints" / "stream-session-v.log"
+        path.parent.mkdir()
+        checkpointer = StreamCheckpointer(tmp_path)
+        # A resume and ``stream status`` take turns: both read the log
+        # through the same check.
+        reads = (self.load, lambda _dir: checkpointer.session_payload("v"))
+        for offset in range(spans[-1][0]):
+            for turn, damaged in enumerate((
+                log[:offset] + log[offset + 1:],
+                log[:offset] + bytes([log[offset] ^ 0x5A]) + log[offset + 1:],
+            )):
+                path.write_bytes(damaged)
+                with pytest.raises(StreamError, match="cannot be read"):
+                    reads[(offset + turn) % 2](tmp_path)
+
+    def test_a_resumed_session_is_the_vehicle_its_log_names(self, tmp_path):
+        """A log whose records name another vehicle is refused naming
+        both ids; it never becomes that vehicle's session."""
+        service = StreamIngestService(tmp_path, self.STREAM)
+        service.add_vehicle("v0", ReplaySource(self.RECORDS), self.CONFIG,
+                            self.CTX)
+        assert asyncio.run(service.serve(max_frames=30)).killed
+        path = StreamCheckpointer(tmp_path).log_path("v0")
+        rewrite_heads(path, lambda head: head.update(vehicle_id="v9"))
+        service = StreamIngestService(tmp_path, self.STREAM)
+        with pytest.raises(StreamError) as info:
+            service.add_vehicle("v0", ReplaySource(self.RECORDS),
+                                self.CONFIG, self.CTX)
+        assert "'v9'" in str(info.value) and "'v0'" in str(info.value)
+        assert StreamCheckpointer(tmp_path).session_ids() == ["v0"]
+
+
+def syn_service(run_dir, duration, vehicle_id="v"):
+    """A SYN ``.btrc`` recording of *duration* seconds, served through a
+    service with ``perf``'s stream parameters."""
+    from repro.core import PipelineConfig
+    from repro.datasets import SPECS, build_dataset
+    from repro.tracefile import binlog
+
+    bundle = build_dataset(SPECS["SYN"])
+    path = Path(run_dir) / "{}.btrc".format(vehicle_id)
+    binlog.dump_records(bundle.byte_records(duration), path)
+    service = StreamIngestService(run_dir, StreamConfig(
+        window_seconds=1.0, grace_seconds=0.5, checkpoint_every=500
+    ))
+    config = PipelineConfig(catalog=bundle.catalog(),
+                            constraints=bundle.default_constraints())
+    service.add_vehicle(vehicle_id, ReplaySource(binlog.load_records(path)),
+                        config, EngineContext.serial())
+    return service
+
+
+class TestCostDoesNotGrowWithTheStream:
+    def test_the_last_commit_writes_what_changed_not_the_stream(
+        self, tmp_path
+    ):
+        """The drain commit of a 24 s vehicle and of a 6 s one hold one
+        tail of elements each: their sizes do not scale with duration."""
+        sizes = []
+        for duration in (6.0, 24.0):
+            run_dir = tmp_path / str(duration)
+            run_dir.mkdir()
+            service = syn_service(run_dir, duration)
+            assert not asyncio.run(service.serve()).killed
+            (log,) = logs(run_dir).values()
+            start, end = record_spans(log)[-1]
+            sizes.append(end - start)
+        assert sizes[1] <= 1.5 * sizes[0], sizes
+
+    def test_no_m_info_cell_is_decoded(self, tmp_path, monkeypatch):
+        """SYN's catalog has no ``required_info`` rule: from the
+        ``.btrc`` file to ``R_out`` and the log, no ``m_info`` cell is
+        decoded."""
+        from repro.tracefile import binlog
+
+        calls = []
+
+        def counting(function):
+            def count(*args):
+                calls.append(function.__name__)
+                return function(*args)
+            return count
+
+        for name in ("_unpack_cell", "unpack_info"):
+            monkeypatch.setattr(binlog, name, counting(getattr(binlog, name)))
+        service = syn_service(tmp_path, 6.0)
+        assert not asyncio.run(service.serve()).killed
+        assert service.finalize_all()["v"].r_out.collect()
+        assert calls == []

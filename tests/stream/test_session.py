@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalRunner, split_into_windows
@@ -13,6 +14,8 @@ from repro.engine import EngineContext
 from repro.obs import MetricsRegistry
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream import StreamError, VehicleSession
+from repro.stream.checkpoint import session_record
+from repro.stream.receivers import Frames, pack_records
 from repro.testing.generator import generate_journey_case
 
 
@@ -36,9 +39,23 @@ def batch_rows(ctx, config, records, window_seconds):
     return sorted_rows(runner.finalize(ctx).r_out)
 
 
+def frames_of(pairs):
+    """``(channel, frame tuple)`` pairs as the :class:`Frames` a session
+    ingests."""
+    channels = tuple(dict.fromkeys(channel for channel, _frame in pairs))
+    codes = [channels.index(channel) for channel, _frame in pairs]
+    return Frames(channels, np.array(codes, np.intp),
+                  pack_records([frame for _channel, frame in pairs]))
+
+
+def one(t, channel):
+    """One frame of *channel* at *t*, as :class:`Frames`."""
+    return frames_of([(channel, (t, b"\x00", channel, 999, ()))])
+
+
 def ingest_all(session, records):
     for record in records:
-        session.ingest([(record[2], record)])
+        session.ingest(frames_of([(record[2], record)]))
 
 
 class TestStreamingEqualsBatch:
@@ -80,9 +97,9 @@ class TestCursors:
         a resumed receiver must never re-deliver an adjudicated frame."""
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
-        session.ingest([("FC", (2.5, b"\x00", "FC", 999, ()))])  # seals w0
-        session.ingest([("FC", (0.1, b"\x00", "FC", 999, ()))])  # late drop
+        session.ingest(one(0.0, "FC"))
+        session.ingest(one(2.5, "FC"))  # seals w0
+        session.ingest(one(0.1, "FC"))  # late drop
         assert session.late_dropped == 1
         assert session.cursor("FC") == 3
 
@@ -92,12 +109,12 @@ class TestChunks:
         _case, ctx, config = journey()
         metrics = MetricsRegistry()
         session = VehicleSession("v", config, ctx, 1.0, metrics=metrics)
-        sealed = session.ingest([
+        sealed = session.ingest(frames_of([
             ("FC", (0.0, b"\x00", "FC", 999, ())),
             ("FB", (0.2, b"\x00", "FB", 999, ())),
             ("FC", (2.5, b"\x00", "FC", 999, ())),  # seals w0
             ("FC", (0.1, b"\x00", "FC", 999, ())),  # late drop
-        ])
+        ]))
         assert sealed == 1
         assert session.channel_cursors == {"FC": 3, "FB": 1}
         assert (session.frames_ingested, session.late_dropped) == (4, 1)
@@ -114,11 +131,12 @@ class TestChunks:
         ingest_all(single, case.records)
         chunked = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
         for start in range(0, len(case.records), size):
-            chunked.ingest([
+            chunked.ingest(frames_of([
                 (record[2], record)
                 for record in case.records[start:start + size]
-            ])
-        assert chunked.export_state() == single.export_state()
+            ]))
+        assert session_record(chunked.export_state(), {}) == \
+            session_record(single.export_state(), {})
         assert sorted_rows(chunked.finalize().r_out) == \
             sorted_rows(single.finalize().r_out)
 
@@ -128,13 +146,13 @@ class TestChunks:
     ):
         _case, ctx, config = journey()
         session = VehicleSession("veh7", config, ctx, 1.0)
-        session.ingest([("FB", (0.0, b"\x00", "FB", 999, ()))])
+        session.ingest(one(0.0, "FB"))
         with pytest.raises(StreamError) as info:
-            session.ingest([
+            session.ingest(frames_of([
                 ("FB", (0.1, b"\x00", "FB", 999, ())),
                 ("FC", (0.2, b"\x00", "FC", 999, ())),
                 ("FB", (t, b"\x00", "FB", 999, ())),
-            ])
+            ]))
         # The third frame of channel FB: ordinal 2, counted from 0 as
         # the cursors count.
         assert str(info.value) == (
@@ -147,15 +165,15 @@ class TestDrain:
     def test_ingest_after_drain_is_an_error(self):
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
+        session.ingest(one(0.0, "FC"))
         session.drain()
         with pytest.raises(StreamError):
-            session.ingest([("FC", (5.0, b"\x00", "FC", 999, ()))])
+            session.ingest(one(5.0, "FC"))
 
     def test_drain_is_idempotent(self):
         _case, ctx, config = journey()
         session = VehicleSession("v", config, ctx, 1.0)
-        session.ingest([("FC", (0.0, b"\x00", "FC", 999, ()))])
+        session.ingest(one(0.0, "FC"))
         assert session.drain() == 1
         assert session.drain() == 0
 

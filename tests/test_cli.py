@@ -435,6 +435,8 @@ def test_missing_trace_is_reported_as_missing_by_every_codec(
 def test_non_utf8_m_info_key_is_one_trace_error_line(
     suffix, tmp_path, capsys
 ):
+    """``stats`` reads every cell; ``stream serve`` moves the cell packed
+    and never reads it, as a pipeline run without ``required_info``."""
     from repro.tracefile import codec_for
 
     path = tmp_path / ("bad" + suffix)
@@ -442,10 +444,12 @@ def test_non_utf8_m_info_key_is_one_trace_error_line(
         [(0.0, b"\x00", "FC", 1, (("protocol", "CAN"),))], path
     )
     path.write_bytes(path.read_bytes().replace(b"protocol", b"\xffrotocol"))
-    code, out = run_cli(
+    code, _out = run_cli(
         "stream", "serve", "--dataset", "SYN",
         "--run-dir", str(tmp_path / "run"), "--traces", str(path),
     )
+    assert code == 0
+    code, out = run_cli("stats", "--trace", str(path))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "error: trace: trace file {!r} is corrupt: text field is not UTF-8 "
@@ -537,15 +541,13 @@ class TestStream:
             "--max-frames", "120", "--checkpoint-every", "50",
         )
         assert code == 1
-        [checkpoint] = (run_dir / "checkpoints").glob("*.pkl")
+        [checkpoint] = (run_dir / "checkpoints").glob("*.log")
         return run_dir, checkpoint
 
     def _rewrite(self, checkpoint, edit):
-        import pickle
+        from tests.stream.logs import rewrite_heads
 
-        payload = pickle.loads(checkpoint.read_bytes())
-        edit(payload)
-        checkpoint.write_bytes(pickle.dumps(payload))
+        rewrite_heads(checkpoint, edit)
 
     def _serve_error(self, run_dir, short_trace, capsys):
         code, out = run_cli(
@@ -557,51 +559,42 @@ class TestStream:
         assert err.startswith("error: stream: ") and err.count("\n") == 1
         return err
 
-    @pytest.mark.parametrize("path", [
-        ("vehicle_id",), ("channel_cursors",), ("drained",),
-        ("assembler", "origin"), ("assembler", "pending"),
-        ("runner", "states"),
+    @pytest.mark.parametrize("field", [
+        "vehicle_id", "cursors", "drained", "origin", "keys",
+        "last_window_end",
     ])
     def test_serve_on_checkpoint_lacking_a_field_is_one_error_line(
-        self, killed_run, short_trace, capsys, path
+        self, killed_run, short_trace, capsys, field
     ):
         run_dir, checkpoint = killed_run
-
-        def drop(payload):
-            for name in path[:-1]:
-                payload = payload[name]
-            del payload[path[-1]]
-
-        self._rewrite(checkpoint, drop)
+        self._rewrite(checkpoint, lambda head: head.pop(field))
         err = self._serve_error(run_dir, short_trace, capsys)
-        assert "'stream-session-v0'" in err and repr(path[-1]) in err
+        assert "'stream-session-v0'" in err and repr(field) in err
 
     def test_serve_on_checkpoint_with_negative_cursor_is_one_error_line(
         self, killed_run, short_trace, capsys
     ):
         run_dir, checkpoint = killed_run
 
-        def rewind(payload):
-            for channel in payload["channel_cursors"]:
-                payload["channel_cursors"][channel] = -1
+        def rewind(head):
+            for pair in head["cursors"]:
+                pair[1] = -1
 
         self._rewrite(checkpoint, rewind)
         err = self._serve_error(run_dir, short_trace, capsys)
         assert "'stream-session-v0'" in err and "negative" in err
 
-    @pytest.mark.parametrize("pending, complaint", [
-        ({"k": [1]}, "pending window index 'k' is not an integer"),
-        ({0: [("x",)]}, "not a byte record"),
+    @pytest.mark.parametrize("field, value, complaint", [
+        ("cursors", [["FC"]], "record 0 is malformed: ValueError"),
+        ("keys", [["s", "FC", "1", 0]], "record 0 is malformed"),
+        ("keys", [["s", "FC", 9, 0]], "record 0 is malformed"),
+        ("origin", "0.5", "field 'origin' has type str"),
     ])
-    def test_serve_on_checkpoint_with_misshapen_pending_is_one_error_line(
-        self, killed_run, short_trace, capsys, pending, complaint
+    def test_serve_on_checkpoint_with_misshapen_head_is_one_error_line(
+        self, killed_run, short_trace, capsys, field, value, complaint
     ):
         run_dir, checkpoint = killed_run
-
-        def misshape(payload):
-            payload["assembler"]["pending"] = pending
-
-        self._rewrite(checkpoint, misshape)
+        self._rewrite(checkpoint, lambda head: head.update({field: value}))
         err = self._serve_error(run_dir, short_trace, capsys)
         assert "checkpoint 'stream-session-v0' is not a usable session " \
             "snapshot: " in err and complaint in err
@@ -621,14 +614,38 @@ class TestStream:
         assert "vehicle 'v0', channel 'FC', frame " in err
         assert "timestamp {!r}".format(t) in err
 
-    def test_truncated_checkpoint_is_one_error_line(
+    def test_a_half_written_last_record_is_a_torn_tail(
+        self, killed_run, short_trace
+    ):
+        """The kill cut the last commit short: it is dropped, the run
+        resumes from the record before it and drains."""
+        from tests.stream.logs import record_spans
+
+        run_dir, checkpoint = killed_run
+        data = checkpoint.read_bytes()
+        (_first, first_end), (start, end) = record_spans(data)
+        checkpoint.write_bytes(data[: (start + end) // 2])
+        code, out = run_cli("stream", "status", "--run-dir", str(run_dir))
+        assert code == 0 and "session v0: 50 frames" in out
+        code, out = run_cli(
+            "stream", "serve", "--dataset", "SYN", "--run-dir",
+            str(run_dir), "--traces", str(short_trace),
+            "--checkpoint-every", "50", "--finalize",
+        )
+        assert code == 0
+        assert "resumed: 1 sessions from checkpoints, 50 frames" in out
+        assert checkpoint.read_bytes()[:start] == data[:start]
+
+    def test_a_corrupt_earlier_record_is_one_error_line(
         self, killed_run, short_trace, capsys
     ):
         run_dir, checkpoint = killed_run
-        data = checkpoint.read_bytes()
-        checkpoint.write_bytes(data[: len(data) // 2])
+        data = bytearray(checkpoint.read_bytes())
+        data[40] ^= 0xFF  # inside the first of two records
+        checkpoint.write_bytes(bytes(data))
         err = self._serve_error(run_dir, short_trace, capsys)
-        assert "'stream-session-v0' cannot be read" in err
+        assert "'stream-session-v0' cannot be read: record 0 at byte 0 " \
+            "fails its checksum" in err
         code, _out = run_cli("stream", "status", "--run-dir", str(run_dir))
         assert code == 2
         assert "cannot be read" in capsys.readouterr().err

@@ -15,7 +15,7 @@ indexed by ``_RuleKernels._scalar_rule`` alone (the per-rule kernels
 never see the column), ``value_order_key`` is called for tied
 timestamps only, and ``Table.cache`` goes through
 ``Executor.execute``, the name the tracer wraps. The last two keep
-replay a merge (one ``heapq.merge``, no ``Condition`` to negotiate an
+replay a merge (one stable ``lexsort``, no ``Condition`` to negotiate an
 order through) and the ``m_info`` TLV codec single-copy in ``binlog``;
 the ones after them keep the stream path at one ``queue.put`` per chunk,
 one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
@@ -27,8 +27,9 @@ methods is set to something other than its default by one. The last
 guard but one keeps Table 3's "is this value a number" (``int``/``float``,
 not ``bool``) in one function of ``repro.core``, which its callers ask
 once per value type: no other scope of it tests against
-``(int, float)``. The last keeps unpickling to the checkpoint reader:
-no stored table or other file is read through ``pickle.load``.
+``(int, float)``. The last two keep unpickling to the fleet checkpoint
+reader: no stored table, stream log or other file is read through
+``pickle.load``, and the stream path does not import ``pickle``.
 """
 
 import ast
@@ -268,15 +269,22 @@ def test_table_cache_reaches_the_executor_through_execute_only():
     assert on_executor == ["execute"]
 
 
-def test_stream_delivery_order_is_one_merge_and_no_negotiation():
+def test_stream_delivery_order_is_one_lexsort_and_no_negotiation():
     def negotiates(node):  # asyncio.Condition(...), x.wait_for(...)
         return _name(node) in ("Condition", "wait_for")
 
-    def merges(node):
-        return isinstance(node, ast.Call) and _name(node.func) == "merge"
+    def orders(node):  # np.lexsort(...), heapq.merge(...), sorted(...)
+        return isinstance(node, ast.Call) and _name(node.func) in (
+            "lexsort", "argsort", "merge", "sort"
+        )
 
     assert _scopes([STREAM], negotiates) == set()
-    assert _scopes([STREAM], merges) == {("receivers.py", "deliver")}
+    assert _scopes([STREAM], orders) == {
+        # A list source is put in time order once; delivery is one sort.
+        ("receivers.py", "ReplaySource.__init__"),
+        ("receivers.py", "merge"),
+        ("service.py", "StreamIngestService._run_vehicle"),
+    }
 
 
 def test_the_m_info_codec_is_defined_in_binlog_only():
@@ -638,7 +646,7 @@ def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
 #: The multiprocessing task boundary unpickles inside the standard
 #: library's pool and has no call of its own in ``src/repro``.
 _UNPICKLING_SCOPES = {
-    # ROADMAP 5(b)/(c): the stream session and fleet job checkpoints.
+    # ROADMAP 5(c): the fleet job checkpoints.
     ("fleet/checkpoint.py", "CheckpointStore.load"),
 }
 
@@ -667,3 +675,18 @@ def test_nothing_but_the_checkpoint_reader_unpickles():
         visit(_parsed(path), path.relative_to(SRC).as_posix(), ())
     assert found == _UNPICKLING_SCOPES
     assert not any(module.startswith("engine/") for module, _ in found)
+
+
+def test_the_stream_path_does_not_import_pickle():
+    """Session checkpoints are CRC'd logs of column sections: neither
+    the stream package nor the runner it drives imports ``pickle``."""
+    def imports_pickle(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "pickle" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "pickle"
+
+    paths = sorted(STREAM.glob("*.py")) + [CORE / "incremental.py"]
+    assert [
+        path.name for path in paths
+        if any(map(imports_pickle, ast.walk(_parsed(path))))
+    ] == []

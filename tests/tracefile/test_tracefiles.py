@@ -177,7 +177,7 @@ class TestBinaryFormat:
         data = path.read_bytes()
         path.write_bytes(data.replace(text, b"\xff" + text[1:]))
         with pytest.raises(BinaryTraceError, match="not UTF-8"):
-            binlog.load_records(path)
+            list(binlog.load_records(path))
 
     def test_float_timestamps_bit_exact(self, tmp_path):
         t = 0.1 + 0.2  # classic non-representable sum
