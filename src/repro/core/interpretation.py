@@ -14,14 +14,14 @@ per row. The result is the signal-instance sequence ``K_s`` with columns
 
 That is the *definition*, and :func:`join_rules`,
 :func:`extract_relevant_bytes` and :func:`evaluate_signals` run it as
-written: for a catalog that is already an engine table, and on the
-reference executor the differential tests compare against. On the
-production (columnar) executor lines 4-6 are one task per partition,
+written for a catalog that is already an engine table: the named
+reference the tests compare against. A
+:class:`~repro.core.rules.RuleCatalog` runs as one task per partition,
 :class:`_RuleKernels`, that produces the same ``K_s`` rows in the same
 order per *rule* instead of per row: ``K_pre`` is grouped by
 ``(b_id, m_id)``, and each rule of a key decodes all of the key's
 payloads at once, straight out of the packed payload plane. These two
-are the only spellings of lines 4-6.
+are the only spellings of lines 4-6, and the argument picks one.
 
 Truncated payloads (shorter than a rule's relevant bytes) surface as
 :class:`~repro.protocols.signalcodec.ShortPayloadError` by default.
@@ -29,7 +29,7 @@ Truncated payloads (shorter than a rule's relevant bytes) surface as
 affected rows, ``"keep"`` retains them with ``v`` set to the
 :data:`~repro.core.rules.TRUNCATED` sentinel so callers can count them
 before dropping. All three modes behave identically in both spellings
-and across the interpreted, compiled and columnar execution paths.
+and on every executor.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class _RuleKernels:
     columns of the output (:attr:`COLUMNS`) equal
     :func:`evaluate_signals`' row for row.
 
-    ``batch_call`` is the columnar form the engine's kernels call;
+    ``batch_call`` is the columnar form the engine's narrow task calls;
     calling the object runs it over a row list.
     """
 
@@ -384,38 +384,30 @@ class _RuleKernels:
         return out, None
 
 
-def _interpret(k_pre, catalog, context, on_short, kernels=None):
+def _interpret(k_pre, catalog, on_short, kernels=None):
     """:func:`interpret`, also returning the task it ran (or None):
     *kernels* when given, else the one it built."""
     _check_on_short(on_short)
-    if not hasattr(catalog, "to_table"):
-        catalog_table = catalog
-    elif k_pre.context.executor.columnar:
+    if hasattr(catalog, "to_table"):
         if kernels is None:
             kernels = _RuleKernels(catalog, on_short)
         return k_pre.map_partitions(kernels, list(kernels.COLUMNS)), kernels
-    else:
-        context = context if context is not None else k_pre.context
-        catalog_table = catalog.to_table(context)
-    k_join = join_rules(k_pre, catalog_table)
+    k_join = join_rules(k_pre, catalog)
     k_join2 = extract_relevant_bytes(k_join, on_short=on_short)
     return evaluate_signals(k_join2, on_short=on_short), None
 
 
-def interpret(k_pre, catalog, context=None, on_short="raise"):
+def interpret(k_pre, catalog, on_short="raise"):
     """Lines 4-6 composed: preselected trace + catalog -> ``K_s``.
 
-    *catalog* may be a :class:`~repro.core.rules.RuleCatalog` (loaded into
-    the trace's context) or an already-loaded engine table. A
-    RuleCatalog on the production executor runs as :class:`_RuleKernels`;
-    a table, or any catalog on the reference executor, runs the join
-    plan. *on_short* selects truncated-payload handling: ``"raise"``
-    (default), ``"skip"`` (drop affected rows) or ``"keep"`` (retain them
-    with ``v = TRUNCATED``).
+    A :class:`~repro.core.rules.RuleCatalog` runs as
+    :class:`_RuleKernels`; a catalog already loaded as an engine table
+    (:meth:`~repro.core.rules.RuleCatalog.to_table`) runs the join plan,
+    the paper's definition. *on_short* selects truncated-payload
+    handling: ``"raise"`` (default), ``"skip"`` (drop affected rows) or
+    ``"keep"`` (retain them with ``v = TRUNCATED``).
     """
-    return _interpret(k_pre, catalog, context, on_short)[0].select(
-        *K_S_COLUMNS
-    )
+    return _interpret(k_pre, catalog, on_short)[0].select(*K_S_COLUMNS)
 
 
 def _tolerance(config):
@@ -429,8 +421,8 @@ def _tolerance(config):
 
 def compile_under_policy(config):
     """The lines 4-6 task :func:`interpret_under_policy` runs for
-    *config* on the production executor, built once for many calls (a
-    stream session's windows)."""
+    *config*, built once for many calls (a stream session's
+    windows)."""
     return _RuleKernels(config.catalog, _tolerance(config))
 
 
@@ -441,7 +433,7 @@ def interpret_under_policy(k_pre, config, kernels=None):
     windowed runs alike; *kernels* is :func:`compile_under_policy`'s
     task for the same config, when the caller keeps one. Returns
     ``(k_s, counts)``: the cached ``K_s`` -- with
-    :attr:`_RuleKernels.COLUMNS` on the production executor -- and the
+    :attr:`_RuleKernels.COLUMNS` for a RuleCatalog -- and the
     stage's counter increments by counter name --
     ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
     under ``"keep"``, neither under ``"raise"`` (where a truncated
@@ -450,7 +442,7 @@ def interpret_under_policy(k_pre, config, kernels=None):
     rows) that :class:`_RuleKernels` ran without a vector kernel.
     """
     k_s, kernels = _interpret(
-        k_pre, config.catalog, None, _tolerance(config), kernels
+        k_pre, config.catalog, _tolerance(config), kernels
     )
     mode = config.short_payload
     k_s = k_s.cache()

@@ -152,8 +152,8 @@ class InterpretationRule:
         """Build a closure equivalent to :meth:`extract_relevant`.
 
         The byte span, mux-selector raw extractor and section layout
-        are resolved once; the engine's columnar batch kernels run the
-        returned closure over whole payload columns.
+        are resolved once; :class:`~repro.core.interpretation._RuleKernels`
+        runs the returned closure over the payloads of one key.
         """
         first, last = self.encoding.byte_span()
         end = last + 1

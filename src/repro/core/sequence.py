@@ -111,7 +111,7 @@ def table_columns(table):
     """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table as arrays, no row
     landed. ``seq`` codes each element's ``(s_id, b_id)`` by rank. The
     rule kernels emit it as a fifth column; for a table without one (the
-    reference executor's, an engine wrapper's) it is computed here.
+    join plan's, an engine wrapper's) it is computed here.
     """
     width = len(table.schema)
     parts = [

@@ -23,23 +23,22 @@ tests in ``tests/engine/test_columnar.py`` pin this.
 
 Columnar partitions appear inside :class:`~repro.engine.plan.Source`
 nodes (built by :meth:`EngineContext.table_from_columnar` or the
-columnar tracefile reader), inside the generated columnar batch kernels
-of :mod:`repro.engine.codegen`, and crossing the broadcast-join
-boundary, where :meth:`ColumnarPartition.gather` assembles join outputs
-by index without materializing intermediate row tuples, and in
-:meth:`~repro.engine.table.Table.split_by_key` and the table store. Rows
-are materialized at collect edges, in front of the other wide stages
-and per task wherever a chain cannot run columnar, via
-:func:`as_row_partition`.
+columnar tracefile reader), inside the narrow-chain task
+(:class:`~repro.engine.operations.PartitionTask`, which filters and
+projects whole columns), in
+:meth:`~repro.engine.table.Table.split_by_key` and in the table store. Rows
+are materialized at collect edges, in front of the wide stages and in
+front of a row barrier (a flat-map or a plain partition function), via
+:func:`as_row_partition` and :func:`columns_to_rows`.
 
 *Moving* a cell and *reading* it are different operations on a packed
-plane: :meth:`BytesColumn.gather` -- which :func:`gather_column` (joins,
-limits) and :func:`compress_column` (kernel filters) route to -- copies
+plane: :meth:`BytesColumn.gather` -- which :func:`gather_column` (splits)
+and :func:`compress_column` (filters) route to -- copies
 byte ranges and never calls ``decode``; a cell is decoded only where
 something indexes or iterates the plane (a rule that reads it,
 :func:`columns_to_rows` at a row-landing edge).
 
-Instances are treated as read-only once built; kernels always allocate
+Instances are treated as read-only once built; tasks always allocate
 fresh column lists instead of mutating buffers, so a partition can be
 shared between a plan node and several tasks.
 """
@@ -98,7 +97,9 @@ class BytesColumn:
     def __getitem__(self, index):
         offsets = self.offsets
         if isinstance(index, slice):
-            start, stop, _step = index.indices(len(self))
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return self.gather(range(start, stop, step))
             return BytesColumn(
                 offsets[start : max(start, stop) + 1], self.blob, self.decode
             )
@@ -269,7 +270,7 @@ def gather_column(column, indices):
 
 
 def compress_column(column, mask):
-    """The cells of *column* whose *mask* entry is true (kernel filters).
+    """The cells of *column* whose *mask* entry is true (filters).
 
     A packed plane stays packed (:meth:`BytesColumn.gather` of the
     selected positions); every other column compresses to a list.

@@ -31,7 +31,7 @@ class EngineContext:
 
     @classmethod
     def serial(cls, default_parallelism=4):
-        """Context running everything in-process (reference executor)."""
+        """Context running everything in-process (the serial executor)."""
         return cls(SerialExecutor(default_parallelism=default_parallelism))
 
     @classmethod

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import codegen
 from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition, as_row_partition
 from repro.engine.errors import (
@@ -44,15 +43,16 @@ from repro.engine.operations import (
     ProjectStep,
     SortPartitionTask,
     SplitRouteTask,
+    is_column_step,
     split_evenly,
 )
-from repro.obs import MetricsRegistry, RuleFireCounter, stopwatch
+from repro.obs import MetricsRegistry, stopwatch
 
 #: Counter names every executor pre-creates (so run reports always show
 #: them, zero-valued, even for runs that never retried or shuffled).
-#: ``columnar_fallbacks`` and ``columnar_exchange_bytes`` always read 0
-#: (no stage counts them); they stay because the benchmark reads them
-#: off ``executor.metrics``.
+#: ``kernel_fallbacks``, ``columnar_fallbacks`` and
+#: ``columnar_exchange_bytes`` always read 0 (no stage counts them); they
+#: stay because the benchmark reads them off ``executor.metrics``.
 _EXECUTOR_COUNTERS = (
     "tasks_run",
     "shuffles",
@@ -63,8 +63,6 @@ _EXECUTOR_COUNTERS = (
     "splits",
     "split_groups",
     "split_rows",
-    "kernels_compiled",
-    "kernel_cache_hits",
     "kernel_fallbacks",
     "columnar_tasks",
     "columnar_fallbacks",
@@ -160,7 +158,7 @@ class FaultPolicy:
             # Silent row loss must corrupt either layout: list outputs
             # drop their last element, columnar outputs their last row
             # -- so the differential oracle's poison-mutant detection
-            # holds on the columnar kernel outputs too.
+            # holds on columnar task outputs too.
             if isinstance(out, list) and out:
                 out = out[:-1]
             elif isinstance(out, ColumnarPartition) and len(out):
@@ -220,10 +218,6 @@ class Executor:
     ----------
     default_parallelism:
         Partition count used for shuffles and splits.
-    optimize_plans:
-        When False the logical optimizer is skipped entirely; the
-        differential harness uses this to compare optimized against
-        unoptimized execution of the same plan.
     fault_policy:
         Optional :class:`FaultPolicy` injecting crashes/delays/poison
         into per-partition tasks.
@@ -234,30 +228,24 @@ class Executor:
         retried, on any executor.
     retry_backoff:
         Base sleep (seconds) between retries; doubles per attempt.
-    columnar:
-        Selects the execution path. True (production, the default):
-        narrow chains run as generated columnar kernels
-        (:mod:`repro.engine.codegen`) and may hand a
-        :class:`~repro.engine.columnar.ColumnarPartition` to the next
-        stage; the join, repartition and sort run on rows. False (the
-        differential oracle's reference): the interpreted
-        :class:`~repro.engine.operations.PartitionTask` and rows. On
-        both paths :meth:`execute_split` routes typed columns.
+
+    A plan runs as it is built. Each narrow chain is one
+    :class:`~repro.engine.operations.PartitionTask`, which may hand a
+    :class:`~repro.engine.columnar.ColumnarPartition` to the next stage;
+    the join, repartition and sort run on rows, and
+    :meth:`execute_split` routes typed columns.
     """
 
-    def __init__(self, default_parallelism=4, optimize_plans=True,
-                 fault_policy=None, max_task_retries=2, retry_backoff=0.01,
-                 columnar=True):
+    def __init__(self, default_parallelism=4, fault_policy=None,
+                 max_task_retries=2, retry_backoff=0.01):
         if default_parallelism < 1:
             raise ValueError("default_parallelism must be >= 1")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
         self.default_parallelism = default_parallelism
-        self.optimize_plans = optimize_plans
         self.fault_policy = fault_policy
         self.max_task_retries = max_task_retries
         self.retry_backoff = retry_backoff
-        self.columnar = bool(columnar)
         self.obs = MetricsRegistry()
         self.metrics = ExecutorMetrics(self.obs)
         self._stage_seq = 0
@@ -278,7 +266,7 @@ class Executor:
             self.max_task_retries, self.retry_backoff,
         )
         value = self._settle(stage, index, outcome)
-        self._observe_task(stage, outcome[3], task=task)
+        self._observe_task(stage, outcome[3])
         return value, outcome[3]
 
     def _settle(self, stage, index, outcome):
@@ -304,16 +292,10 @@ class Executor:
             )
         raise error
 
-    def _observe_task(self, stage, seconds, task=None):
+    def _observe_task(self, stage, seconds):
         kind = stage.split("[", 1)[0]
         self.obs.observe("executor.task_seconds", seconds)
         self.obs.observe("executor.task_seconds.{}".format(kind), seconds)
-        kernel_id = getattr(task, "kernel_id", "")
-        if kernel_id:
-            self.obs.observe("executor.kernel_run_seconds", seconds)
-            self.obs.observe(
-                "executor.kernel_run_seconds.{}".format(kernel_id), seconds
-            )
 
     def reset_stage_clock(self):
         """Restart stage numbering at zero.
@@ -377,13 +359,9 @@ class Executor:
         whichever layout each stage produced. With ``to_rows`` the
         trailing narrow chain emits row lists directly (saving the
         final transpose for the caller-facing :meth:`execute` edge);
-        without it, columnar-lowered chains emit columnar partitions so
-        downstream wide stages consume buffers.
+        without it, a chain that ends on columns emits a columnar
+        partition so downstream wide stages consume buffers.
         """
-        from repro.engine.optimizer import optimize
-
-        if self.optimize_plans:
-            node = optimize(node, trace=RuleFireCounter(self.obs))
         base, steps = self._linearize(node)
         partitions = self._execute_wide(base)
         columnar_bytes = sum(
@@ -393,39 +371,14 @@ class Executor:
         if columnar_bytes:
             self.obs.set_gauge("executor.partition_bytes", columnar_bytes)
         if steps:
-            emit = "rows" if to_rows else "partition"
-            task = self._narrow_task(steps, len(base.schema), emit=emit)
+            if any(map(is_column_step, steps)):
+                self.obs.inc("executor.columnar_tasks")
+            task = PartitionTask(
+                tuple(steps), len(base.schema),
+                "rows" if to_rows else "partition",
+            )
             partitions = self._run(task, partitions, "narrow")
         return partitions
-
-    def _narrow_task(self, steps, input_width, emit="rows"):
-        """Build the fused per-partition task for a narrow chain.
-
-        The production path compiles the chain to a
-        :class:`~repro.engine.codegen.ColumnarPartitionTask`; the
-        interpreted :class:`PartitionTask` serves the reference path
-        (``columnar=False``), chains with nothing to compile, and --
-        counted as ``executor.kernel_fallbacks`` plus
-        ``executor.kernel_fallbacks.<reason>`` -- chains whose lowering
-        raised :class:`~repro.engine.codegen.CodegenError`. *emit*
-        selects the columnar task's output boundary (row lists or a
-        columnar partition for a downstream wide stage); the
-        interpreted task always emits rows.
-        """
-        steps = tuple(steps)
-        if self.columnar:
-            try:
-                task = codegen.compile_columnar_task(
-                    steps, input_width, registry=self.obs, emit=emit
-                )
-            except codegen.CodegenError as exc:
-                self.obs.inc("executor.kernel_fallbacks")
-                self.obs.inc("executor.kernel_fallbacks." + exc.reason)
-                task = None
-            if task is not None:
-                self.obs.inc("executor.columnar_tasks")
-                return task
-        return PartitionTask(steps)
 
     def _run(self, task, inputs, stage="stage"):
         label = "{}[{}]".format(stage, self._stage_seq)
@@ -731,7 +684,7 @@ class MultiprocessingExecutor(Executor):
                 if failure is None:
                     failure = exc
             else:
-                self._observe_task(stage, outcome[3], task=task)
+                self._observe_task(stage, outcome[3])
         if failure is not None:
             raise failure
         return results

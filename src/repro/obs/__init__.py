@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    RuleFireCounter,
     median,
     nearest_rank_index,
     percentile,
@@ -44,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "REPORT_FORMAT",
     "ReportSchemaError",
-    "RuleFireCounter",
     "RunReport",
     "Span",
     "SpanRecorder",

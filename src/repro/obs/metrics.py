@@ -226,20 +226,3 @@ class MetricsRegistry:
         """
         other.merge_into(self, prefix=prefix)
         return self
-
-
-class RuleFireCounter:
-    """List-like trace sink turning optimizer rule fires into counters.
-
-    :func:`repro.engine.optimizer.optimize` appends the name of every
-    rule that fires to its ``trace`` argument; handing it one of these
-    instead of a list records ``optimizer.rule.<name>`` counters in the
-    owning registry.
-    """
-
-    def __init__(self, registry, prefix="optimizer.rule."):
-        self._registry = registry
-        self._prefix = prefix
-
-    def append(self, rule_name):
-        self._registry.inc(self._prefix + rule_name)

@@ -10,9 +10,8 @@ hand-written cases:
   from the engine's operator grammar, encoded as pure-data *specs* so
   they serialize and shrink;
 * :mod:`repro.testing.oracle` -- executes every generated plan under
-  SerialExecutor and MultiprocessingExecutor, on the production and
-  reference paths, with and without the optimizer, and asserts
-  row-multiset equality against an unoptimized serial reference;
+  SimulatedClusterExecutor and MultiprocessingExecutor and asserts
+  row-multiset equality against a SerialExecutor reference;
 * :mod:`repro.testing.shrinker` -- minimizes a diverging (plan, input)
   pair to a small reproducer and writes it to disk as JSON;
 * :mod:`repro.testing.fuzz` -- the CLI: ``python -m repro.testing.fuzz

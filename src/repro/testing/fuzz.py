@@ -1,9 +1,9 @@
 """Fuzz-harness CLI for the differential oracle.
 
-The reference combo runs the engine's interpreted row path while the
-default matrix runs the columnar production path, so every fuzz case
-doubles as a reference-vs-production equivalence check (see
-:mod:`repro.testing.oracle` and :mod:`repro.engine.codegen`).
+Every generated plan runs on the serial reference and on each
+plan/executor combination of :mod:`repro.testing.oracle`: the
+simulated cluster and the process pool, whose tasks cross a pickle
+boundary.
 
 Fast, deterministic budget (tier-1 CI runs a fixed one through
 ``tests/engine/test_differential.py``)::
@@ -49,14 +49,9 @@ def run_fuzz(num_seeds, start=0, out_dir="fuzz-failures", max_ops=8,
     ``(seed, report, reproducer_path)`` tuples.
     """
     log = log or (lambda message: None)
-    combos = DEFAULT_COMBOS
-    if not use_multiprocessing:
-        combos = tuple(
-            c for c in combos if c.kind != "multiprocessing"
-        )
     failures = []
     combos_run = 0
-    with DifferentialOracle(combos=combos) as oracle:
+    with DifferentialOracle(combos=_combos(use_multiprocessing)) as oracle:
         for seed in range(start, start + num_seeds):
             case, spec = generate_case(seed, max_ops=max_ops, lossy=lossy)
             report = oracle.check_case(case, spec, seed=seed)
@@ -106,13 +101,17 @@ def run_fuzz(num_seeds, start=0, out_dir="fuzz-failures", max_ops=8,
     return failures, combos_run
 
 
+def _combos(use_multiprocessing):
+    return tuple(
+        c for c in DEFAULT_COMBOS
+        if use_multiprocessing or c.kind != "multiprocessing"
+    )
+
+
 def reproduce(path, use_multiprocessing=True, log=print):
     """Re-run a reproducer file; returns the fresh CaseReport."""
     case, spec, payload = load_reproducer(path)
-    combos = DEFAULT_COMBOS
-    if not use_multiprocessing:
-        combos = tuple(c for c in combos if c.kind != "multiprocessing")
-    with DifferentialOracle(combos=combos) as oracle:
+    with DifferentialOracle(combos=_combos(use_multiprocessing)) as oracle:
         report = oracle.check_case(case, spec, seed=payload.get("seed"))
     log("spec ({} ops): {}".format(len(spec), list(spec)))
     log("trace rows: {}  catalog rows: {}".format(
@@ -182,7 +181,7 @@ def main(argv=None):
         lossy=args.lossy,
         log=print,
     )
-    print("{} seeds, {} plan/executor/optimizer combinations, {} divergent".format(
+    print("{} seeds, {} plan/executor combinations, {} divergent".format(
         args.seeds, combos_run, len(failures)
     ))
     return 1 if failures else 0

@@ -1,20 +1,16 @@
 """The differential oracle: one plan, many executors, equal rows.
 
 Every generated (dataset, spec) pair is executed under a matrix of
-executor/optimizer/path combinations and compared -- as row
-*multisets*, because only partition boundaries and intra-partition
-order are execution details -- against an unoptimized serial reference.
-Any mismatch, or any combo erroring where the reference succeeds, is a
-:class:`Divergence`.
-
-The reference runs the engine's *reference path* (``columnar=False``:
-interpreted narrow chains, rows throughout) while the default combos
-run the production path (columnar kernels that hand columnar partitions
-to the next stage), so reference-vs-production equivalence -- including
-what joins, splits and repartitions receive -- is an axis of every fuzz
-case. Two serial combos isolate one axis each: the pure path axis
-(unoptimized + columnar) and the pure optimizer axis (optimized +
-reference path).
+plan/executor combinations and compared -- as row *multisets*, because
+only partition boundaries and intra-partition order are execution
+details -- against a :class:`SerialExecutor` reference. Any mismatch,
+or any combo erroring where the reference succeeds, is a
+:class:`Divergence`. The combos are the simulated-cluster executor
+(the serial path under a cost model) and the multiprocessing executor,
+whose tasks and partitions cross a pickle boundary to worker
+processes. Every executor runs a narrow chain through the one
+:class:`~repro.engine.operations.PartitionTask`, whose semantics the
+engine's own property tests pin against a per-row reference.
 
 Executors are cached per combo so one process pool serves the whole
 fuzz run; call :meth:`DifferentialOracle.close` (or use it as a context
@@ -28,62 +24,49 @@ from dataclasses import dataclass, field
 
 from repro.engine import EngineContext
 from repro.engine.errors import EngineError
-from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
+from repro.engine.executor import (
+    MultiprocessingExecutor,
+    SerialExecutor,
+    SimulatedClusterExecutor,
+)
 from repro.testing.generator import apply_spec, generate_case
 
 
 @dataclass(frozen=True)
 class ComboSpec:
-    """One executor/optimizer combination of the differential matrix.
+    """One executor of the differential matrix.
 
     ``factory``, when given, overrides ``kind`` and must be a callable
     ``factory(parallelism) -> Executor``; tests use it to inject mutant
-    or fault-injecting executors. ``columnar`` selects the execution
-    path: production (True) or the interpreted row reference (False).
+    or fault-injecting executors.
     """
 
     name: str
-    kind: str = "serial"  # "serial" | "multiprocessing"
-    optimize: bool = True
-    columnar: bool = True
+    kind: str = "serial"  # "serial" | "simulated" | "multiprocessing"
     factory: object = None
 
     def build(self, parallelism):
         if self.factory is not None:
             return self.factory(parallelism)
-        kwargs = dict(
-            default_parallelism=parallelism,
-            optimize_plans=self.optimize,
-            columnar=self.columnar,
-        )
         if self.kind == "serial":
-            return SerialExecutor(**kwargs)
+            return SerialExecutor(default_parallelism=parallelism)
+        if self.kind == "simulated":
+            return SimulatedClusterExecutor(
+                num_workers=2, default_parallelism=parallelism
+            )
         if self.kind == "multiprocessing":
             return MultiprocessingExecutor(
-                num_workers=2, retry_backoff=0.0, **kwargs
+                num_workers=2, default_parallelism=parallelism,
+                retry_backoff=0.0,
             )
         raise ValueError("unknown executor kind {!r}".format(self.kind))
 
 
-#: The reference is the purest path: serial, unoptimized, interpreted.
-#: Every production-path combo therefore checks columnar-vs-interpreted
-#: equivalence on every case.
-REFERENCE_COMBO = ComboSpec(
-    "serial-unoptimized-interpreted", "serial", optimize=False,
-    columnar=False,
-)
+REFERENCE_COMBO = ComboSpec("serial", "serial")
 
 DEFAULT_COMBOS = (
-    ComboSpec("serial-optimized", "serial", optimize=True),
-    # Pure path axis: identical to the reference except that narrow
-    # chains run as columnar kernels.
-    ComboSpec("serial-unoptimized-columnar", "serial", optimize=False),
-    # Pure optimizer axis: identical to the reference except for rules.
-    ComboSpec("serial-optimized-interpreted", "serial", optimize=True,
-              columnar=False),
-    ComboSpec("multiprocessing-optimized", "multiprocessing", optimize=True),
-    ComboSpec("multiprocessing-unoptimized", "multiprocessing",
-              optimize=False),
+    ComboSpec("simulated-cluster", "simulated"),
+    ComboSpec("multiprocessing", "multiprocessing"),
 )
 
 

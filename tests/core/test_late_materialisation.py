@@ -5,20 +5,25 @@
 front half therefore moves the packed info plane (preselection filter,
 ``cache()``) without one TLV decode, and -- every SYN rule having a
 vector kernel -- decodes each rule's payloads column-wise, never
-calling the scalar ``u_1``. Both are counted here, against the row
-reference executor's ``R_out``.
+calling the scalar ``u_1``. Both are counted here, against the join
+plan's ``K_s`` (the catalog passed as a table).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core import PipelineConfig, PreprocessingPipeline
+from repro.core import (
+    PipelineConfig,
+    PreprocessingPipeline,
+    interpret,
+    preselect,
+)
 from repro.core.rules import InterpretationRule, RuleCatalog
 from repro.datasets import SPECS, build_dataset
 from repro.datasets.showcase import build_showcase
 from repro.engine import EngineContext
-from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
+from repro.engine.executor import MultiprocessingExecutor
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.tracefile import binlog, colbin
 
@@ -94,8 +99,8 @@ def test_syn_ctrc_decodes_no_info_cell_and_calls_no_scalar_extractor(
     assert extractions == []
 
     # The row-wise definition still extracts once per K_join row.
-    reference = EngineContext(SerialExecutor(columnar=False))
-    expected = pipeline.extract_signals(colbin.load_table(reference, path))
+    k_pre = preselect(colbin.load_table(context, path), catalog)
+    expected = interpret(k_pre, catalog.to_table(context))
     assert k_s.collect() == expected.collect()
     assert len(extractions) == k_join
 
@@ -151,9 +156,11 @@ def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
     r_out = sorted(result.r_out.collect(), key=repr)
     assert showcase.notification_signal in {row[1] for row in r_out}
 
-    reference = EngineContext(SerialExecutor(columnar=False))
-    expected = pipeline.run(codec.load_table(reference, path))
-    assert r_out == sorted(expected.r_out.collect(), key=repr)
+    context = EngineContext.serial()
+    k_s = pipeline.extract_signals(codec.load_table(context, path))
+    k_pre = preselect(codec.load_table(context, path), catalog)
+    expected = interpret(k_pre, catalog.to_table(context))
+    assert k_s.collect() == expected.collect()
 
 
 def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
@@ -243,7 +250,7 @@ def test_k_s_reaches_r_out_without_landing_a_row(
     and the merge. ``result.k_s`` still lands the rows the stage used
     to hand on when it is collected."""
     from repro.core import interpretation
-    from repro.engine import codegen, columnar
+    from repro.engine import columnar, operations
     from tests.core import row_reference
 
     bundle = build_dataset(SPECS[dataset])
@@ -260,7 +267,7 @@ def test_k_s_reaches_r_out_without_landing_a_row(
         return out
 
     monkeypatch.setattr(interpretation._RuleKernels, "batch_call", producing)
-    for module in (columnar, codegen):
+    for module in (columnar, operations):
         def landing(columns, length, land=module.columns_to_rows):
             landed.extend(columns)
             return land(columns, length)

@@ -283,24 +283,50 @@ class TestExtractSignals:
 
 
 class TestInterpretationSpellings:
-    def test_kernel_pipeline_matches_join_plan_pipeline(
+    def test_kernels_give_the_join_plans_k_s(
         self, wiper_simulation, wiper_trace
     ):
-        """Production (``_RuleKernels``) and the reference executor (the
-        join plan of lines 4-6) give the same ``R_out``."""
-        from repro.engine import EngineContext
-        from repro.engine.executor import SerialExecutor
+        """``_RuleKernels`` and the join plan of lines 4-6 (the catalog
+        passed as a table) give the same ``K_s``, row for row; past
+        ``K_s`` the pipeline has one code path."""
+        from repro.core import interpret, preselect
 
         db = wiper_simulation.database
-        config = PipelineConfig(catalog=db.translation_catalog(["wpos", "heat"]))
-        kernels = PreprocessingPipeline(config).run(wiper_trace)
-        reference = EngineContext(SerialExecutor(columnar=False))
-        join_plan = PreprocessingPipeline(config).run(
-            reference.table_from_rows(
-                wiper_trace.columns, wiper_trace.collect()
-            )
+        catalog = db.translation_catalog(["wpos", "heat"])
+        kernels = PreprocessingPipeline(
+            PipelineConfig(catalog=catalog)
+        ).extract_signals(wiper_trace)
+        join_plan = interpret(
+            preselect(wiper_trace, catalog),
+            catalog.to_table(wiper_trace.context),
         )
-        assert kernels.r_out.collect() == join_plan.r_out.collect()
+        assert kernels.collect() == join_plan.collect()
+
+    def _broadcast_joins(self, wiper_simulation, wiper_trace, as_table):
+        from repro.core import interpret, preselect
+
+        catalog = wiper_simulation.database.translation_catalog(["wpos"])
+        metrics = wiper_trace.context.executor.metrics
+        k_pre = preselect(wiper_trace, catalog)
+        if as_table:
+            catalog = catalog.to_table(wiper_trace.context)
+        before = metrics.broadcast_joins
+        assert interpret(k_pre, catalog).count() > 0
+        return metrics.broadcast_joins - before
+
+    def test_a_rule_catalog_runs_the_kernels_without_a_join(
+        self, wiper_simulation, wiper_trace
+    ):
+        assert self._broadcast_joins(
+            wiper_simulation, wiper_trace, as_table=False
+        ) == 0
+
+    def test_a_catalog_table_runs_the_join_plan(
+        self, wiper_simulation, wiper_trace
+    ):
+        assert self._broadcast_joins(
+            wiper_simulation, wiper_trace, as_table=True
+        ) == 1
 
 
 class TestValidation:

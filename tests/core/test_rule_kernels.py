@@ -1,9 +1,9 @@
 """Lines 4-6 per rule equal lines 4-6 per row.
 
-On the production executor ``interpret`` of a RuleCatalog is the
-``_RuleKernels`` task; on the reference executor, and for a catalog
-passed as a table, it is the join plan of ``join_rules`` /
-``extract_relevant_bytes`` / ``evaluate_signals``. The two must agree row for row -- order, values and value *types* -- on
+``interpret`` of a RuleCatalog is the ``_RuleKernels`` task; for a
+catalog passed as a table it is the join plan of ``join_rules`` /
+``extract_relevant_bytes`` / ``evaluate_signals``, the named reference.
+The two must agree row for row -- order, values and value *types* -- on
 healthy traces, on payload groups of mixed lengths under all three
 ``on_short`` modes (the reference of ``test_short_payload_parity``, here
 with the order pinned and the inputs generated), and on rules the
@@ -12,6 +12,7 @@ run the scalar closures inside the same task.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,13 @@ from repro.core import (
     RuleCatalog,
     TranslationTuple,
     interpret,
+    preselect,
 )
-from repro.core.interpretation import _RuleKernels
+from repro.core.interpretation import _RuleKernels, interpret_under_policy
+from repro.core.model import K_S_COLUMNS
 from repro.datasets.showcase import build_showcase
 from repro.engine import EngineContext
 from repro.engine import plan as logical
-from repro.engine.executor import SerialExecutor
 from repro.engine.errors import EngineError
 from repro.protocols import ShortPayloadError, SignalEncoding
 from repro.protocols.signalcodec import MOTOROLA
@@ -90,12 +92,15 @@ ROWS = st.lists(
 )
 
 
-def _interpret(executor, rows, partitions, on_short, catalog=CATALOG):
-    """``K_s`` rows, or the text of the ``ShortPayloadError`` raised."""
-    context = EngineContext(executor)
+def _interpret(rows, partitions, on_short, catalog=CATALOG, join=False):
+    """``K_s`` rows, or the text of the ``ShortPayloadError`` raised;
+    with *join*, of the join plan (the catalog passed as a table)."""
+    context = EngineContext.serial()
     k_pre = context.table_from_rows(
         K_PRE_COLUMNS, list(rows), num_partitions=partitions
     )
+    if join:
+        catalog = catalog.to_table(context)
     try:
         return interpret(k_pre, catalog, on_short=on_short).collect()
     except (ShortPayloadError, EngineError) as exc:
@@ -117,10 +122,8 @@ def _typed(rows):
 @given(rows=ROWS, partitions=st.integers(1, 3))
 def test_task_equals_the_join_plan_row_for_row(rows, partitions):
     for on_short in ("raise", "skip", "keep"):
-        expected = _interpret(
-            SerialExecutor(columnar=False), rows, partitions, on_short
-        )
-        got = _interpret(SerialExecutor(), rows, partitions, on_short)
+        expected = _interpret(rows, partitions, on_short, join=True)
+        got = _interpret(rows, partitions, on_short)
         assert _typed(got) == _typed(expected), on_short
 
 
@@ -133,7 +136,7 @@ def test_mixed_length_group_in_every_mode():
         (1.5, bytes([1, 2, 3, 0x54, 7]), "FC", 3, ()),
         (2.0, b"", "FC", 3, ()),
     ]
-    kept = _interpret(SerialExecutor(), rows, 1, "keep")
+    kept = _interpret(rows, 1, "keep")
     assert [row[2] for row in kept] == ["pos", "vel", "moto", "mode"] * 5
     assert [row[1] is TRUNCATED for row in kept] == [
         False, False, False, False,
@@ -142,18 +145,16 @@ def test_mixed_length_group_in_every_mode():
         False, False, False, False,
         True, True, True, True,
     ]
-    skipped = _interpret(SerialExecutor(), rows, 1, "skip")
+    skipped = _interpret(rows, 1, "skip")
     assert skipped == [row for row in kept if row[1] is not TRUNCATED]
     assert [row[1] for row in skipped if row[2] == "mode"] == ["on", "err"]
     # The first short K_join row is (t=0.5, vel): rows before rules.
-    assert _interpret(SerialExecutor(), rows, 1, "raise") == (
+    assert _interpret(rows, 1, "raise") == (
         "payload of 3 bytes too short for relevant bytes 2..3"
     )
     for on_short in ("raise", "skip", "keep"):
-        assert _typed(_interpret(SerialExecutor(), rows, 1, on_short)) == \
-            _typed(_interpret(
-                SerialExecutor(columnar=False), rows, 1, on_short
-            ))
+        assert _typed(_interpret(rows, 1, on_short)) == \
+            _typed(_interpret(rows, 1, on_short, join=True))
 
 
 def test_scalar_rules_are_classified_per_reason():
@@ -176,7 +177,7 @@ def test_task_runs_on_row_lists_and_survives_pickling():
     task = _RuleKernels(CATALOG, "keep")
     clone = pickle.loads(pickle.dumps(task))
     assert clone.on_short == "keep" and clone.catalog == CATALOG
-    expected = _interpret(SerialExecutor(columnar=False), rows, 1, "keep")
+    expected = _interpret(rows, 1, "keep", join=True)
     k_s = [row[:4] for row in task(rows)]
     assert _typed(k_s) == _typed([row[:4] for row in clone(rows)])
     assert _typed(k_s) == _typed(expected)
@@ -201,17 +202,29 @@ def test_showcase_rules_through_the_scalar_fallback(tmp_path):
     ]
     for on_short in ("raise", "skip", "keep"):
         assert _typed(
-            _interpret(SerialExecutor(), records, 3, on_short, catalog)
-        ) == _typed(_interpret(
-            SerialExecutor(columnar=False), records, 3, on_short, catalog
-        ))
+            _interpret(records, 3, on_short, catalog)
+        ) == _typed(_interpret(records, 3, on_short, catalog, join=True))
 
     config = PipelineConfig(catalog=catalog, short_payload="skip")
     context = EngineContext.serial()
-    result = PreprocessingPipeline(config).run(
-        context.table_from_rows(K_PRE_COLUMNS, records)
-    )
+    k_b = context.table_from_rows(K_PRE_COLUMNS, records, num_partitions=3)
+    result = PreprocessingPipeline(config).run(k_b)
     counters = result.report.metrics.snapshot()["counters"]
+    # The "skip" policy path (interpret with "keep", then drop the
+    # markers) equals the join plan under "skip", and so does the policy
+    # path over the join plan, which runs no rule scalar.
+    join_config = SimpleNamespace(
+        catalog=catalog.to_table(context), short_payload="skip"
+    )
+    reference, reference_counts = interpret_under_policy(
+        preselect(k_b, catalog), join_config
+    )
+    expected_k_s = _typed(_interpret(records, 3, "skip", catalog, join=True))
+    assert _typed(result.k_s.collect()) == expected_k_s
+    assert _typed(reference.select(*K_S_COLUMNS).collect()) == expected_k_s
+    skipped = counters["pipeline.interpret.short_payload_skipped"]
+    assert skipped > 0
+    assert reference_counts == {"short_payload_skipped": skipped}
     scalar = {
         name[len("pipeline.interpret."):]: value
         for name, value in counters.items()
@@ -232,19 +245,6 @@ def test_showcase_rules_through_the_scalar_fallback(tmp_path):
     assert {name.split(".")[1] for name in scalar} == {
         "mux", "section", "required_info"
     }
-    assert context.executor.metrics.kernel_fallbacks == 0
-    assert context.executor.metrics.columnar_fallbacks == 0
-
-    reference = PreprocessingPipeline(config).run(
-        EngineContext(SerialExecutor(columnar=False)).table_from_rows(
-            K_PRE_COLUMNS, records
-        )
-    )
-    assert result.r_out.collect() == reference.r_out.collect()
-    assert not any(
-        name.startswith("pipeline.interpret.scalar_")
-        for name in reference.report.metrics.snapshot()["counters"]
-    )
 
 
 @pytest.mark.parametrize("spelling", ["kernels", "join"])
@@ -262,5 +262,5 @@ def test_lines_4_to_6_keep_two_spellings(spelling):
     else:
         assert isinstance(node, logical.Join)
     assert _typed(k_s.collect()) == _typed(
-        _interpret(SerialExecutor(columnar=False), rows, 1, "raise")
+        _interpret(rows, 1, "raise", join=True)
     )

@@ -1,10 +1,10 @@
 """Satellite: truncated payloads fail identically across the matrix.
 
-Every executor/optimizer/layout combo of the differential oracle must
-surface a truncated frame as the same :class:`ShortPayloadError` (raise
-mode) and produce the same interpreted rows (skip/keep modes), for both
-spellings of lines 4-6: a RuleCatalog (``_RuleKernels`` on the
-production path) and a catalog table (the join plan). Pre-fix, the interpreted row path raised
+Every executor of the differential oracle must surface a truncated
+frame as the same :class:`ShortPayloadError` (raise mode) and produce
+the same interpreted rows (skip/keep modes), for both spellings of
+lines 4-6: a RuleCatalog (``_RuleKernels``) and a catalog table (the
+join plan). Pre-fix, the interpreted row path raised
 ``CodecError``, the compiled path ``ValueError`` and the SOME/IP path
 ``SomeIpError`` -- three spellings of one transport defect.
 """
@@ -53,8 +53,8 @@ def _catalog():
 
 
 def _catalog_for(spelling, ctx):
-    """A RuleCatalog runs as ``_RuleKernels`` on the production path; a
-    catalog already loaded as a table always runs the join plan."""
+    """A RuleCatalog runs as ``_RuleKernels``; a catalog already loaded
+    as a table runs the join plan."""
     catalog = _catalog()
     return catalog if spelling == "kernels" else catalog.to_table(ctx)
 
@@ -80,7 +80,7 @@ def _run_all_modes(combo):
             catalog = _catalog_for(spelling, ctx)
             k_pre = ctx.table_from_rows(K_PRE_COLUMNS, list(ROWS))
             with pytest.raises((ShortPayloadError, EngineError)) as info:
-                interpret(k_pre, catalog, context=ctx).collect()
+                interpret(k_pre, catalog).collect()
             cause = (
                 info.value
                 if isinstance(info.value, ShortPayloadError)
@@ -88,9 +88,7 @@ def _run_all_modes(combo):
             )
             out["raise", spelling] = cause
             for mode in ("skip", "keep"):
-                rows = interpret(
-                    k_pre, catalog, context=ctx, on_short=mode
-                ).collect()
+                rows = interpret(k_pre, catalog, on_short=mode).collect()
                 out[mode, spelling] = sorted(rows, key=repr)
     finally:
         executor.close()

@@ -3,15 +3,19 @@
 Lines 3-6 hand ``K_s`` over as columnar partitions; the split by signal
 type, the table store's write and read, and ``count()`` then move those
 columns without building one row tuple. The rows read back are the
-row reference executor's ``K_s``, value for value and type for type.
+join plan's ``K_s``, value for value and type for type.
 """
 
-from repro.core import PipelineConfig, PreprocessingPipeline
+from repro.core import (
+    PipelineConfig,
+    PreprocessingPipeline,
+    interpret,
+    preselect,
+)
 from repro.core.splitting import split_signal_types
 from repro.datasets import SPECS, build_dataset
 from repro.engine import EngineContext, TableStore
-from repro.engine import codegen, columnar
-from repro.engine.executor import SerialExecutor
+from repro.engine import columnar, operations
 from repro.tracefile import colbin
 
 
@@ -31,7 +35,7 @@ def test_split_write_read_count_land_no_row(tmp_path, monkeypatch):
         return transpose(columns, length)
 
     monkeypatch.setattr(columnar, "columns_to_rows", counting)
-    monkeypatch.setattr(codegen, "columns_to_rows", counting)
+    monkeypatch.setattr(operations, "columns_to_rows", counting)
     context = EngineContext.serial()
     k_s = pipeline.extract_signals(colbin.load_table(context, path))
     groups = split_signal_types(k_s, sorted(set(catalog.signal_ids())))
@@ -41,10 +45,8 @@ def test_split_write_read_count_land_no_row(tmp_path, monkeypatch):
     assert landed == []
     monkeypatch.undo()
 
-    reference = EngineContext(SerialExecutor(columnar=False))
-    expected = pipeline.extract_signals(
-        colbin.load_table(reference, path)
-    ).collect()
+    k_pre = preselect(colbin.load_table(context, path), catalog)
+    expected = interpret(k_pre, catalog.to_table(context)).collect()
     stored = [
         row for s_id in groups for row in store.read(context, s_id).collect()
     ]

@@ -5,7 +5,7 @@ never what comes back: ``rows -> columns -> rows`` must be an identity
 down to exact cell types (``True`` is not ``1``, ``1`` is not ``1.0``,
 NaN stays bit-identical). Hypothesis drives the identity across mixed
 cell types; the engine tests pin that a columnar Source collects the
-same rows as a row Source through kernels, fallbacks and pickling.
+same rows as a row Source through narrow tasks, barriers and pickling.
 """
 
 import ast
@@ -15,12 +15,13 @@ import pickle
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BytesColumn, ColumnarPartition, EngineContext, col
 from repro.engine.columnar import as_row_partition
 from repro.engine.columnar import (
+    DictColumn,
     columns_to_rows,
     compress_column,
     gather_column,
@@ -202,7 +203,7 @@ _INFO_CELLS = st.lists(
 
 
 class TestPackedPlaneMovesWithoutDecoding:
-    """gather / kernel compress, then decode == decode, then select."""
+    """gather / filter compress, then decode == decode, then select."""
 
     @given(cells=st.lists(_INFO_CELLS, max_size=10), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -244,6 +245,28 @@ class TestPackedPlaneMovesWithoutDecoding:
         covered = sum(len(repr(cell).encode("utf-8")) for cell in cells)
         assert len(moved[3].blob) == covered
         assert plane.nbytes() == covered + (n + 1) * 8
+
+
+    @given(
+        cells=st.lists(st.binary(max_size=4), max_size=10),
+        index=st.slices(12),
+    )
+    @example(cells=[bytes([i]) for i in range(8)], index=slice(None, None, -1))
+    @example(cells=[bytes([i]) for i in range(8)], index=slice(6, 1, -2))
+    @settings(max_examples=100, deadline=None)
+    def test_slices_follow_list_slices(self, cells, index):
+        # Any step: a step other than 1 used to be ignored. A slice is a
+        # column of the same class, and moves cells without reading them.
+        for column in (
+            BytesColumn.from_values(cells),
+            _mmap_plane(cells),
+            DictColumn.from_values(cells),
+        ):
+            del _DECODES[:]
+            sliced = column[index]
+            assert type(sliced) is type(column)
+            assert _DECODES == []
+            assert list(sliced) == cells[index]
 
 
 class TestEngineEquivalence:
@@ -366,6 +389,16 @@ class TestBatchPartitionFunctions:
 
     ROWS = [(i, "t{}".format(i % 3)) for i in range(30)]
 
+    def _expected(self, filtered):
+        """The row form over each of the three source partitions."""
+        out = []
+        for start in range(0, 30, 10):
+            part = self.ROWS[start : start + 10]
+            out += _BatchPrefixSum()(
+                [r for r in part if r[0] >= 4] if filtered else part
+            )
+        return out
+
     def _run(self, executor, func, filtered):
         ctx = EngineContext(executor)
         table = ctx.table_from_rows(["a", "b"], self.ROWS, num_partitions=3)
@@ -384,19 +417,14 @@ class TestBatchPartitionFunctions:
             # cache(): the layout the last stage produced is kept.
             cached = self._run(executor, func, filtered).cache()
             assert executor.metrics.columnar_tasks == 1
-            assert executor.metrics.kernel_fallbacks == 0
         assert func.row_calls == 0 and len(func.batches) == 3
         assert all(isinstance(p, ColumnarPartition) for p in func.batches)
         assert all(
             isinstance(p, ColumnarPartition) for p in cached.plan.partitions
         )
-        reference = _BatchPrefixSum()
-        with SerialExecutor(columnar=False) as executor:
-            expected = self._run(executor, reference, filtered).collect()
-        assert reference.row_calls == 3 and reference.batches == []
-        assert cached.collect() == expected
+        assert cached.collect() == self._expected(filtered)
 
-    def test_a_kernel_runs_on_what_the_partition_function_returned(self):
+    def test_a_filter_runs_on_what_the_partition_function_returned(self):
         from repro.engine.executor import SerialExecutor
 
         func = _BatchPrefixSum()
@@ -406,11 +434,7 @@ class TestBatchPartitionFunctions:
                 .filter(col("sum") > 20).select("sum").collect()
             )
         assert func.row_calls == 0
-        with SerialExecutor(columnar=False) as executor:
-            expected = (
-                self._run(executor, _BatchPrefixSum(), True)
-                .filter(col("sum") > 20).select("sum").collect()
-            )
+        expected = [(s,) for _tag, s in self._expected(True) if s > 20]
         assert got == expected and got
 
     def test_plain_partition_functions_stay_a_row_barrier(self):
@@ -423,7 +447,7 @@ class TestBatchPartitionFunctions:
         assert ctx.executor.metrics.columnar_tasks == 0
 
 
-class TestBatchApplyLowering:
+class TestBatchApply:
     def test_batch_call_runs_once_per_partition(self):
         from repro.engine.expressions import apply
 
@@ -437,20 +461,16 @@ class TestBatchApplyLowering:
         assert len(func.batch_columns) == 2
         assert sorted(sum(func.batch_columns, [])) == list(range(40))
 
-    def test_batch_and_rowwise_paths_agree(self):
-        from repro.engine.executor import SerialExecutor
+    def test_batch_call_agrees_with_the_row_form(self):
         from repro.engine.expressions import apply
 
         rows = [(i,) for i in range(25)]
-
-        def run(columnar):
-            with SerialExecutor(columnar=columnar) as executor:
-                ctx = EngineContext(executor)
-                table = ctx.table_from_rows(["a"], rows)
-                return (
-                    table.with_column("b", apply(_BatchDouble(), "a"))
-                    .filter(col("b") > 10)
-                    .collect()
-                )
-
-        assert sorted(run(True)) == sorted(run(False))
+        table = EngineContext.serial().table_from_rows(["a"], rows)
+        got = (
+            table.with_column("b", apply(_BatchDouble(), "a"))
+            .filter(col("b") > 10)
+            .collect()
+        )
+        double = _BatchDouble()
+        expected = [(a, double(a)) for (a,) in rows if double(a) > 10]
+        assert got == expected

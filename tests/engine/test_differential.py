@@ -1,20 +1,21 @@
 """Tier-1 differential fuzz harness run.
 
-Executes a fixed, deterministic seed budget of generated plans across
-the full executor/optimizer/path matrix (>= 400 combinations) and
-asserts zero divergences; separately proves the oracle is not vacuous
-by injecting a divergent mutant executor and shrinking the failure to a
-tiny reproducer. The matrix includes the path axis: the reference runs
-interpreted over rows, every other combo but one the columnar
-production path, so the generated chains/joins/splits/repartitions
-exercise columnar kernels and the columnar wide-stage exchange against
-the row reference on every seed.
+Executes a fixed, deterministic seed budget of generated plans on the
+serial reference and every plan/executor combination (simulated
+cluster, process pool) and asserts zero divergences; separately proves
+the oracle is not vacuous by injecting a divergent mutant executor and
+shrinking the failure to a tiny reproducer.
 """
 
 import pytest
 
 from repro.engine import EngineContext
-from repro.engine.executor import FaultPolicy, SerialExecutor
+from repro.engine.executor import (
+    FaultPolicy,
+    MultiprocessingExecutor,
+    SerialExecutor,
+    SimulatedClusterExecutor,
+)
 from repro.testing import (
     ComboSpec,
     DifferentialOracle,
@@ -29,7 +30,7 @@ from repro.testing.fuzz import main as fuzz_main
 from repro.testing.fuzz import run_fuzz
 from repro.testing.oracle import DEFAULT_COMBOS, REFERENCE_COMBO
 
-#: Fixed tier-1 budget: 70 seeds x 6 combos (reference + 5) = 420.
+#: Fixed tier-1 budget: 70 seeds x 3 combos (reference + 2).
 TIER1_SEEDS = 70
 
 
@@ -37,50 +38,31 @@ class TestFuzzHarness:
     def test_fixed_seed_budget_has_zero_divergences(self):
         with DifferentialOracle() as oracle:
             reports, combos_run = run_seeds(range(TIER1_SEEDS), oracle)
-            fired = {
-                name: executor.obs.counter(
-                    "optimizer.rule.project_pruning"
-                ).value
-                for name, executor in oracle.executors().items()
-            }
-        assert combos_run >= 400
+        assert combos_run == TIER1_SEEDS * (1 + len(DEFAULT_COMBOS))
         assert all(not r.invalid for r in reports)
         diverged = [r for r in reports if not r.ok]
         assert diverged == []
-        # The generated plans prune projections on every optimizing
-        # combo, serial and pooled, interpreted and columnar.
-        assert all(
-            (fired[combo.name] > 0) == combo.optimize
-            for combo in DEFAULT_COMBOS + (REFERENCE_COMBO,)
-        )
 
-    def test_matrix_isolates_the_path_and_optimizer_axes(self):
-        assert len(DEFAULT_COMBOS) <= 5
-        assert (REFERENCE_COMBO.optimize, REFERENCE_COMBO.columnar) == (
-            False, False
-        )
-        by_name = {combo.name: combo for combo in DEFAULT_COMBOS}
-        # Each differs from the reference in exactly one axis.
-        path_only = by_name["serial-unoptimized-columnar"]
-        assert (path_only.optimize, path_only.columnar) == (False, True)
-        rules_only = by_name["serial-optimized-interpreted"]
-        assert (rules_only.optimize, rules_only.columnar) == (True, False)
-
-    def test_columnar_combo_actually_runs_kernels(self):
-        combo = {c.name: c for c in DEFAULT_COMBOS}[
-            "serial-unoptimized-columnar"
+    def test_the_matrix_is_the_three_executors(self):
+        executors = [
+            combo.build(4) for combo in (REFERENCE_COMBO,) + DEFAULT_COMBOS
         ]
-        executor = combo.build(4)
-        with executor:
+        try:
+            assert [type(e) for e in executors] == [
+                SerialExecutor, SimulatedClusterExecutor,
+                MultiprocessingExecutor,
+            ]
+        finally:
+            for executor in executors:
+                executor.close()
+
+    def test_generated_plans_run_column_steps(self):
+        with SerialExecutor() as executor:
             ctx = EngineContext(executor)
             for seed in range(10):
                 case, spec = generate_case(seed)
                 apply_spec(ctx, case, spec).collect()
-            # Layout counters prove the axis is not vacuously equal: the
-            # combo ran columnar kernels on the generated plans and never
-            # had to drop a chain to the interpreter.
             assert executor.metrics.columnar_tasks > 0
-            assert executor.metrics.kernel_fallbacks == 0
 
     def test_generated_cases_are_deterministic(self):
         for seed in range(10):
@@ -104,7 +86,7 @@ class TestLossyFuzzing:
 
     def test_lossy_budget_has_zero_divergences(self):
         reports, combos_run = run_seeds(range(25), lossy=True)
-        assert combos_run >= 150
+        assert combos_run == 25 * (1 + len(DEFAULT_COMBOS))
         assert all(not r.invalid for r in reports)
         assert [r for r in reports if not r.ok] == []
 

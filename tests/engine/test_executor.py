@@ -76,6 +76,12 @@ class TestExecutorValidation:
         with pytest.raises(ValueError):
             SerialExecutor(default_parallelism=0)
 
+    def test_there_is_no_columnar_flag(self):
+        # Narrow chains run one way; a path flag is an error, not a
+        # silently ignored keyword.
+        with pytest.raises(TypeError):
+            SerialExecutor(columnar=False)
+
     def test_metrics_count_tasks(self):
         ctx = EngineContext.serial()
         before = ctx.executor.metrics.tasks_run

@@ -1,5 +1,5 @@
-"""Executor observability: task-duration histograms, rule-fire counters,
-retry/fault counters and pickle-size gauges on the obs registry."""
+"""Executor observability: task-duration histograms, retry/fault
+counters and pickle-size gauges on the obs registry."""
 
 import pytest
 
@@ -64,7 +64,6 @@ class TestPooledTaskDurations:
             assert tasks_run > 4
             assert histograms["executor.task_seconds"]["count"] == tasks_run
             assert histograms["executor.task_seconds.narrow"]["count"] == 4
-            assert histograms["executor.kernel_run_seconds"]["count"] == 4
 
 
 class TestMetricsView:
@@ -73,23 +72,6 @@ class TestMetricsView:
         assert metrics.tasks_run == 0
         with pytest.raises(AttributeError):
             metrics.no_such_counter
-
-
-class TestOptimizerRuleCounters:
-    def test_filter_fusion_fires_counter(self):
-        ctx = EngineContext.serial(default_parallelism=2)
-        _table(ctx).filter(col("x") > 1).filter(col("x") < 50).collect()
-        counters = ctx.executor.obs.counters()
-        assert counters.get("optimizer.rule.filter_fusion", 0) >= 1
-
-    def test_unoptimized_executor_fires_nothing(self):
-        executor = SerialExecutor(default_parallelism=2, optimize_plans=False)
-        ctx = EngineContext(executor)
-        _table(ctx).filter(col("x") > 1).filter(col("x") < 50).collect()
-        assert not any(
-            name.startswith("optimizer.rule.")
-            for name in executor.obs.counters()
-        )
 
 
 class TestRetryAndFaultCounters:
@@ -175,16 +157,27 @@ class TestColumnarCounters:
         assert counters["executor.columnar_fallbacks"] == 0
         assert counters["executor.kernel_fallbacks"] == 0
 
-    def test_reference_path_runs_no_kernels(self):
-        executor = SerialExecutor(default_parallelism=2, columnar=False)
-        ctx = EngineContext(executor)
-        table = self._columnar_table(ctx)
-        table.filter(col("x") > 3).select("y").collect()
-        # A columnar source straight into a wide stage stays on rows too.
-        table.repartition(3).collect()
-        assert executor.metrics.columnar_tasks == 0
-        assert executor.metrics.columnar_fallbacks == 0
-        assert executor.metrics.kernels_compiled == 0
+    def test_a_chain_of_row_barriers_is_not_a_columnar_task(self):
+        ctx = EngineContext.serial(default_parallelism=2)
+        out = _table(ctx, rows=10, partitions=2).flat_map(_echo_row, ["x"])
+        assert out.map_partitions(_double, ["x"]).collect() == [
+            (2 * i,) for i in range(10)
+        ]
+        assert ctx.executor.metrics.columnar_tasks == 0
+
+    def test_a_projection_alone_is_a_columnar_task(self):
+        ctx = EngineContext.serial(default_parallelism=2)
+        out = self._columnar_table(ctx).select("y", "x")
+        assert out.collect() == [(i * 0.5, i) for i in range(80)]
+        assert ctx.executor.metrics.columnar_tasks == 1
+
+    def test_a_batch_partition_function_is_a_columnar_task(self):
+        ctx = EngineContext.serial(default_parallelism=2)
+        out = self._columnar_table(ctx).map_partitions(
+            _FirstRow(), ["x", "y"]
+        )
+        assert out.collect() == [(0, 0.0), (40, 20.0)]
+        assert ctx.executor.metrics.columnar_tasks == 1
 
     def test_counters_exist_at_zero_before_any_run(self):
         executor = SerialExecutor()
@@ -216,3 +209,13 @@ class TestColumnarCounters:
 
 def _echo_row(row):
     return [row]
+
+
+class _FirstRow:
+    """A partition function publishing the whole-partition form."""
+
+    def __call__(self, rows):
+        return rows[:1]
+
+    def batch_call(self, partition):
+        return partition.gather(range(min(len(partition), 1)))

@@ -53,8 +53,8 @@ class TestWriteRead:
                                                     monkeypatch):
         # write() used to transpose every columnar partition into rows
         # and pickle them; it now encodes the columns themselves.
-        import repro.engine.codegen as codegen_mod
         import repro.engine.columnar as columnar_mod
+        import repro.engine.operations as operations_mod
 
         calls = []
         real = columnar_mod.columns_to_rows
@@ -64,7 +64,7 @@ class TestWriteRead:
             return real(columns, length)
 
         monkeypatch.setattr(columnar_mod, "columns_to_rows", counting)
-        monkeypatch.setattr(codegen_mod, "columns_to_rows", counting)
+        monkeypatch.setattr(operations_mod, "columns_to_rows", counting)
         table = ctx.table_from_columnar(
             ["t", "s"],
             [[(float(i), "ab"[i % 2]) for i in range(6)], [(9.0, "c")]],

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    RuleFireCounter,
     median,
     nearest_rank_index,
     percentile,
@@ -143,17 +142,6 @@ class TestRegistry:
         registry.inc("c")
         registry.reset()
         assert registry.counters() == {}
-
-
-class TestRuleFireCounter:
-    def test_append_counts_rule_fires(self):
-        registry = MetricsRegistry()
-        trace = RuleFireCounter(registry)
-        trace.append("filter_fusion")
-        trace.append("filter_fusion")
-        trace.append("project_fusion")
-        assert registry.counter("optimizer.rule.filter_fusion").value == 2
-        assert registry.counter("optimizer.rule.project_fusion").value == 1
 
 
 class TestPerfCounterContainment:

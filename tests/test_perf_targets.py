@@ -23,7 +23,8 @@ and no scan of the pending windows per frame. The engine-surface guards
 keep the engine at what the program issues: every public ``Table``
 method, ``EngineContext`` constructor and ``repro.engine`` export has a
 caller outside the engine, and every defaulted parameter of those
-methods is set to something other than its default by one. The last
+methods and of the executor constructors is set to something other
+than its default by one, or is listed with its reason. The last
 guard but one keeps Table 3's "is this value a number" (``int``/``float``,
 not ``bool``) in one function of ``repro.core``, which its callers ask
 once per value type: no other scope of it tests against
@@ -216,18 +217,18 @@ def test_whole_columns_are_compressed_and_transposed_in_one_place_each():
     assert _scopes([ENGINE, CORE], transposes) == {
         ("columnar.py", "columns_to_rows")
     }
-    # ... and the generated kernels compress through that function.
-    from repro.engine import codegen
+    # ... and the narrow task's filter compresses through that function.
+    from repro.engine import operations
     from repro.engine.columnar import compress_column
-    from repro.engine.expressions import BoundColumn
-    from repro.engine.operations import FilterStep
 
-    source, _constants = codegen.lower_columnar_segment(
-        [FilterStep(BoundColumn(0))], 2
-    )
-    assert "[_compress(_c, _mask) for _c in _cols]" in source
-    kernel = codegen._bind_kernel(compile(source, "<guard>", "exec"), [])
-    assert kernel.__globals__["_compress"] is compress_column
+    def calls_compress_column(node):
+        return isinstance(node, ast.Call) and \
+            _name(node.func) == "compress_column"
+
+    assert _scopes([ENGINE, CORE], calls_compress_column) == {
+        ("operations.py", "PartitionTask.__call__")
+    }
+    assert operations.compress_column is compress_column
 
 
 def test_m_info_cells_are_indexed_by_the_scalar_fallback_only():
@@ -525,18 +526,48 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
         )
 
 
+#: Executor classes a caller builds by name (``SerialExecutor(...)``);
+#: the knob guard covers their constructors too.
+_EXECUTORS = (
+    "SerialExecutor", "SimulatedClusterExecutor", "MultiprocessingExecutor",
+)
+
+_FAULT_KNOBS = {
+    "fault_policy": "fault injection: set by engine tests and the "
+                    "differential oracle's poisoned-mutant combo",
+    "max_task_retries": "the retry budget under fault injection: set by "
+                        "engine tests",
+    "retry_backoff": "engine tests and the oracle's pool combo set 0.0 so "
+                     "fault runs do not sleep",
+}
+
 #: Defaulted parameters of the public engine surface that no caller sets
 #: to anything but their default, and why they stay. An entry that gains
 #: a caller must leave the list.
-_UNSET_ENGINE_KNOBS = {}
+_UNSET_ENGINE_KNOBS = {
+    "SerialExecutor.default_parallelism": "callers set it through "
+        "EngineContext.serial(default_parallelism=), whose knob is guarded",
+    "SimulatedClusterExecutor.default_parallelism": "defaults to "
+        "num_workers; the differential oracle's combo sets it",
+    "MultiprocessingExecutor.num_workers": "the process pool has callers "
+        "in tests and repro.testing only until ROADMAP item 7 (real cores)",
+    "MultiprocessingExecutor.default_parallelism": "as num_workers",
+    **{
+        "{}.{}".format(executor, knob): reason
+        for executor in _EXECUTORS for knob, reason in _FAULT_KNOBS.items()
+    },
+}
 
 
 def _engine_knob_parameters():
-    """``{method name: (qualified method, parameter names in call
-    order)}`` for every public ``Table`` method and ``EngineContext``
-    constructor that has a defaulted parameter."""
+    """``{called name: (qualified name, parameters in call order)}`` for
+    every public ``Table`` method, ``EngineContext`` constructor and
+    executor constructor (:data:`_EXECUTORS`) that has a defaulted
+    parameter. An executor's ``**kwargs`` stand for the keyword
+    parameters of ``Executor.__init__`` they are forwarded to."""
     import inspect
 
+    from repro.engine import executor
     from repro.engine.context import EngineContext
     from repro.engine.table import Table
 
@@ -554,6 +585,18 @@ def _engine_knob_parameters():
         ]
         if any(p.default is not p.empty for p in params):
             methods[name] = (qualified, params)
+    base = inspect.signature(executor.Executor).parameters.values()
+    for name in _EXECUTORS:
+        params = list(
+            inspect.signature(getattr(executor, name)).parameters.values()
+        )
+        if params and params[-1].kind is params[-1].VAR_KEYWORD:
+            own = {p.name for p in params}
+            params = params[:-1] + [
+                p.replace(kind=p.KEYWORD_ONLY) for p in base
+                if p.name not in own
+            ]
+        methods[name] = (name, params)
     return methods
 
 
@@ -576,22 +619,28 @@ def _sets(value, default):
 
 @functools.lru_cache(maxsize=None)
 def _knobs_set_outside_the_engine():
-    """Every ``Owner.method.parameter`` some call ``x.method(...)`` in
-    the caller files passes a value other than the default, by keyword
-    or by position (a ``*args``/``**kwargs`` spread counts as setting
-    what it could reach). A method named like a namesake's
-    (:data:`_UNCHECKABLE_ENGINE_SURFACE`) counts keywords only:
-    ``os.path.join(a, b, c)`` is not a join that sets its third
+    """Every ``Owner.method.parameter`` some call ``x.method(...)`` (or
+    ``Executor(...)``) in the caller files passes a value other than the
+    default, by keyword or by position (a ``*args``/``**kwargs`` spread
+    counts as setting what it could reach). A method named like a
+    namesake's (:data:`_UNCHECKABLE_ENGINE_SURFACE`) counts keywords
+    only: ``os.path.join(a, b, c)`` is not a join that sets its third
     parameter."""
     methods = _engine_knob_parameters()
     found = set()
     for path in _caller_files():
         for node in ast.walk(_parsed(path)):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in methods):
+            if not isinstance(node, ast.Call):
                 continue
-            qualified, params = methods[node.func.attr]
+            func = node.func
+            called = (
+                func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name)
+                and func.id in _EXECUTORS else None
+            )
+            if called not in methods:
+                continue
+            qualified, params = methods[called]
             args = node.args
             if qualified in _UNCHECKABLE_ENGINE_SURFACE:
                 args = []

@@ -426,36 +426,66 @@ class TestCountDecodesNothing:
     execution: a ``.ctrc`` table is counted without one ``m_info`` cell
     being TLV-decoded (it used to transpose every column to rows)."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_count_of_loaded_table(
-        self, records, tmp_path, info_decodes, columnar
-    ):
+    def test_count_of_loaded_table(self, records, tmp_path, info_decodes):
         from repro.engine import EngineContext
-        from repro.engine.executor import SerialExecutor
 
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
-        context = EngineContext(
-            SerialExecutor(default_parallelism=3, columnar=columnar)
-        )
+        context = EngineContext.serial(default_parallelism=3)
         table = colbin.load_table(context, path)
         assert table.count() == len(records)
         assert info_decodes == []
         assert table.count() == len(table.collect())
         assert len(info_decodes) == len(records)  # the collect does decode
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_count_agrees_with_collect_after_narrow_and_wide_ops(
-        self, records, tmp_path, columnar
+    @pytest.mark.parametrize("codec", [colbin, binlog], ids=["ctrc", "btrc"])
+    @pytest.mark.parametrize("shape", ["compare", "equal", "null-or-in-set"])
+    def test_a_generic_filter_decodes_no_info_cell(
+        self, records, tmp_path, info_decodes, codec, shape
+    ):
+        """A filter evaluated row by row sees only the columns it reads:
+        counting its survivors decodes no ``m_info`` cell."""
+        from repro.engine import EngineContext
+
+        cut = sorted(r[0] for r in records)[len(records) // 2]
+        m_id, b_id = records[0][3], records[0][2]
+        predicate, keep = {
+            "compare": (col("t") < cut, lambda r: r[0] < cut),
+            "equal": (col("m_id") == m_id, lambda r: r[3] == m_id),
+            "null-or-in-set": (
+                col("t").is_null() | col("b_id").is_in([b_id]),
+                lambda r: r[2] == b_id,
+            ),
+        }[shape]
+        path = tmp_path / ("t.ctrc" if codec is colbin else "t.btrc")
+        codec.dump_records(records, path)
+        context = EngineContext.serial(default_parallelism=3)
+        table = codec.load_table(context, path)
+        expected = sum(1 for r in records if keep(r))
+        assert 0 < expected < len(records)
+        assert table.filter(predicate).count() == expected
+        assert info_decodes == []
+
+    def test_a_filter_on_m_info_decodes_the_cells_it_reads(
+        self, records, tmp_path, info_decodes
     ):
         from repro.engine import EngineContext
-        from repro.engine.executor import SerialExecutor
 
         path = tmp_path / "t.ctrc"
         colbin.dump_records(records, path)
-        context = EngineContext(
-            SerialExecutor(default_parallelism=3, columnar=columnar)
-        )
+        table = colbin.load_table(EngineContext.serial(), path)
+        has_info = table.filter(col("m_info").is_not_null())
+        assert has_info.count() == len(records)
+        assert len(info_decodes) == len(records)
+
+    def test_count_agrees_with_collect_after_narrow_and_wide_ops(
+        self, records, tmp_path
+    ):
+        from repro.engine import EngineContext
+
+        path = tmp_path / "t.ctrc"
+        colbin.dump_records(records, path)
+        context = EngineContext.serial(default_parallelism=3)
         table = colbin.load_table(context, path)
         some_id = records[0][3]
         for derived in (
