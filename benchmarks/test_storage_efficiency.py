@@ -11,13 +11,13 @@ is smaller and that the blow-up grows with the signals-per-message
 density (LIG, at ~5 signals/message, blows up more than SYN at ~1.5).
 Sizes are of the tables' row tuples pickled, one row encoding for both
 forms. The report adds, without asserting on it, the bytes
-:class:`~repro.engine.storage.TableStore` writes for ``K_s`` as typed
-column files (``K_b``'s ``m_info`` tuples are not a stored-table type).
+:class:`~repro.engine.storage.TableStore` writes for ``K_s`` as one file
+of typed column sections (``K_b``'s ``m_info`` tuples are not a
+stored-table type).
 """
 
 import pickle
 import tempfile
-from pathlib import Path
 
 import pytest
 
@@ -35,14 +35,11 @@ def serialized_size(table):
 
 
 def stored_size(table):
-    """Bytes of the files :class:`TableStore` writes for *table*."""
+    """Bytes of the file :class:`TableStore` writes for *table*."""
     with tempfile.TemporaryDirectory() as directory:
         store = TableStore(directory)
         store.write("t", table)
-        return sum(
-            path.stat().st_size
-            for path in Path(store.table_dir("t")).iterdir()
-        )
+        return store.path("t").stat().st_size
 
 
 def measure(bundle, duration):

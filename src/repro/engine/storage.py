@@ -1,21 +1,20 @@
 """On-disk table storage: the sink of Table 6's "interpretation followed
 by writing the results to the database".
 
-A table is a directory of one file per partition and a JSON manifest
-tagged ``"format": "repro.table/2"``; reading one runs no stored code.
-A partition file is a header (row count, column names and layouts,
-plane lengths), 8-byte aligned planes and a CRC32 of all before it.
-Each column is stored in its :func:`~repro.engine.columnar._build_column`
-layout: float64 or int64 values, a bytes plane (offsets and blob), a str
+A table is one file, ``<name>.tbl`` (:func:`pack_file`): a fixed head,
+a CRC'd JSON manifest tagged ``"format": "repro.table/3"`` and one
+8-byte aligned section per partition. A section (:func:`encode_partition`)
+is a header (row count, column names and layouts, plane lengths),
+8-byte aligned planes and a CRC32 of all before it. Each column is
+stored in its :func:`~repro.engine.columnar._build_column` layout:
+float64 or int64 values, a bytes plane (offsets and blob), a str
 dictionary (the values present, sorted, and a code per row) or, for
 bool, None, ``TRUNCATED``, ints beyond 64 bits and mixed columns, a
-bytes plane of tagged cells decoded per cell when read, as ``m_info`` is
-in a ``.ctrc`` file. A read checks the CRC, every plane and the headers
-against the manifest and hands the engine views of the file's planes.
-
-:func:`encode_partition` and :func:`decode_partition` are the one
-column codec of the repository: the stream checkpoint log
-(:mod:`repro.stream.checkpoint`) writes its sections with them too.
+bytes plane of tagged cells decoded per cell when read. A read runs no
+stored code, checks every CRC, plane and header and hands the engine
+views of one ``read()`` of the file. The stream checkpoint log and the
+fleet job checkpoints write with this codec and
+:func:`atomic_write_bytes` too.
 """
 
 from __future__ import annotations
@@ -41,8 +40,10 @@ from repro.engine.columnar import (
 from repro.engine.errors import ExecutionError
 from repro.sentinels import TRUNCATED
 
-_MANIFEST = "manifest.json"
-_FORMAT = "repro.table/2"
+_FORMAT = "repro.table/3"
+_SUFFIX = ".tbl"
+_FILE = struct.Struct("<8sII")  # magic, manifest length, manifest CRC32
+_FILE_MAGIC = b"REPROFIL"
 _HEAD = struct.Struct("<8sHQH")  # magic, version, rows, columns
 _MAGIC, _VERSION = b"REPROTBL", 1
 _CRC = struct.Struct("<I")
@@ -61,7 +62,7 @@ class _Unholdable(Exception):
 
 
 class _Corrupt(ExecutionError):
-    """A defect of a stored partition file."""
+    """A defect of a stored file or of one of its sections."""
 
 
 def _check_name(name):
@@ -74,8 +75,11 @@ def _check_name(name):
     return name
 
 
-def _part_name(index):
-    return "part-{:05d}.tbl".format(index)
+def _counts(values):
+    """Whether *values* is a list of non-negative ints."""
+    return isinstance(values, list) and all(
+        type(value) is int and value >= 0 for value in values
+    )
 
 
 def _utf8(text):
@@ -90,6 +94,15 @@ def _text(raw):
 
 
 # -- writer --------------------------------------------------------------
+
+def _aligned(head, blobs):
+    """*head*, then each of *blobs* 8-byte aligned after zero padding."""
+    pieces, end = [head], len(head)
+    for blob in blobs:
+        pieces += (bytes(-end % 8), blob)
+        end += -end % 8 + len(blob)
+    return b"".join(pieces)
+
 
 def _varying(cells):
     """The offsets and blob planes of byte strings."""
@@ -198,20 +211,28 @@ def encode_partition(where, names, block, partition):
             )
         layouts.append(layout)
         planes += column_planes
-    pieces = [
-        _HEAD.pack(_MAGIC, _VERSION, len(partition), len(names)),
-        block, bytes(layouts), array("Q", map(len, planes)).tobytes(),
-    ]
-    position = sum(map(len, pieces))
-    for plane in planes:
-        pad = -position % 8
-        pieces += (bytes(pad), plane)
-        position += pad + len(plane)
-    data = b"".join(pieces)
+    data = _aligned(
+        _HEAD.pack(_MAGIC, _VERSION, len(partition), len(names)) + block
+        + bytes(layouts) + array("Q", map(len, planes)).tobytes(), planes
+    )
     return data + _CRC.pack(zlib.crc32(data))
 
 
 # -- reader --------------------------------------------------------------
+
+def _cut(view, position, lengths, what):
+    """The views :func:`_aligned` laid out from *position* in *view*."""
+    pieces = []
+    for length in lengths:
+        start = position + -position % 8
+        if any(view[position:start]):
+            raise _Corrupt("nonzero padding before its {}".format(what))
+        pieces.append(view[start : start + length])
+        position = start + length
+    if position != len(view):
+        raise _Corrupt("its {} do not end where the file does".format(what))
+    return pieces
+
 
 def _fixed(raw, count, typecode):
     if len(raw) != count * struct.calcsize(typecode):
@@ -266,14 +287,7 @@ def decode_partition(data, names, width):
         raise _Corrupt("bad column layouts")
     count = sum(map(_PLANES.__getitem__, layouts))
     lengths = _fixed(view[position : position + 8 * count], count, "Q")
-    position += 8 * count
-    planes = []
-    for length in lengths:
-        position += -position % 8
-        planes.append(view[position : position + length])
-        position += length
-    if position != len(view):
-        raise _Corrupt("its planes do not end where the file does")
+    planes = _cut(view, position + 8 * count, lengths, "planes")
     columns = []
     for layout in layouts:
         columns.append(_decode_column(layout, planes[: _PLANES[layout]], rows))
@@ -282,191 +296,175 @@ def decode_partition(data, names, width):
 
 
 def _manifest_defect(manifest):
-    """What is wrong with a manifest, or None."""
-    if not isinstance(manifest, dict):
-        return "the manifest is not a JSON object"
-    if "format" not in manifest:
-        return "it has no 'format': it was written by an older version " \
-            "and must be rewritten"
-    if manifest["format"] != _FORMAT:
-        return "unsupported format {!r}".format(manifest["format"])
-
-    def counts(values):
-        return all(type(v) is int and v >= 0 for v in values)
-
-    sizes = manifest.get("partition_rows")
-    checks = (
-        ("columns", isinstance(manifest.get("columns"), list) and all(
-            isinstance(name, str) for name in manifest["columns"]
-        )),
-        ("num_partitions", counts([manifest.get("num_partitions")])),
-        ("num_rows", counts([manifest.get("num_rows")])),
-        ("partition_rows", isinstance(sizes, list) and counts(sizes)
-         and len(sizes) == manifest.get("num_partitions")
-         and sum(sizes) == manifest.get("num_rows")),
-    )
-    for field, valid in checks:
+    """What is wrong with a table file's manifest, or None."""
+    names, sizes = manifest.get("columns"), manifest.get("partition_rows")
+    count, rows = manifest.get("num_partitions"), manifest.get("num_rows")
+    for field, valid in (
+        ("columns", isinstance(names, list)
+         and all(isinstance(name, str) for name in names)),
+        ("num_partitions", _counts([count])),
+        ("num_rows", _counts([rows])),
+        ("partition_rows", _counts(sizes) and sum(sizes) == rows
+         and len(sizes) == count == len(manifest["section_bytes"])),
+    ):
         if not valid:
             return "field {!r} is missing or inconsistent".format(field)
     return None
 
 
+# -- one file ------------------------------------------------------------
+
+def atomic_write_bytes(path, data):
+    """Write *data* to *path* through a hidden ``.staging-*`` sibling and
+    one ``os.replace``: a crash leaves the old file or the new one."""
+    path = Path(path)
+    staging = path.parent / ".staging-{}-{}".format(path.name, os.getpid())
+    with open(staging, "wb") as fh:
+        fh.write(data)
+    os.replace(staging, path)
+    return path
+
+
+def pack_file(head, sections):
+    """One file: the fixed head, *head* as JSON with ``section_bytes``
+    added, then the *sections*, each 8-byte aligned."""
+    text = json.dumps(dict(head, section_bytes=[*map(len, sections)]))
+    text = text.encode("ascii")
+    return _aligned(
+        _FILE.pack(_FILE_MAGIC, len(text), zlib.crc32(text)) + text, sections
+    )
+
+
+def unpack_file(data, form):
+    """``(head, sections)`` of :func:`pack_file`'s bytes, whose head is
+    tagged ``"format": form``, the sections as views of *data*; a
+    defect raises :class:`ExecutionError`."""
+    view = memoryview(data)
+    if len(view) < _FILE.size:
+        raise _Corrupt("truncated")
+    magic, length, crc = _FILE.unpack_from(view)
+    text = view[_FILE.size : _FILE.size + length]
+    if magic != _FILE_MAGIC or len(text) != length or \
+            zlib.crc32(text) != crc:
+        raise _Corrupt("not a file of this format, or its manifest is cut "
+                       "or fails its checksum")
+    try:
+        head = json.loads(bytes(text))
+    except ValueError as exc:  # JSON or UTF-8
+        raise _Corrupt("its manifest is not valid JSON: {}".format(exc))
+    if not isinstance(head, dict) or head.get("format") != form or \
+            not _counts(head.get("section_bytes")):
+        raise _Corrupt("its manifest is not a JSON object of format {!r} "
+                       "with valid 'section_bytes'".format(form))
+    return head, _cut(view, _FILE.size + length, head["section_bytes"],
+                      "sections")
+
+
 class TableStore:
-    """A directory of named, partitioned tables.
+    """A directory of named tables, one ``<name>.tbl`` file each.
 
     A table name is a plain file name: one that is empty, starts with
     ``.`` or holds a path separator raises :class:`ExecutionError` in
-    every method, so no table reaches outside the root.
+    every method. A ``repro.table/2`` table (a directory) is not listed
+    and must be rewritten.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def table_dir(self, name):
-        return self.root / _check_name(name)
+    def path(self, name):
+        """The file of table *name*."""
+        return self.root / (_check_name(name) + _SUFFIX)
+
+    def _no_file(self, name):
+        """False, or an error if *name* is a ``repro.table/2`` directory."""
+        if (self.root / name).is_dir():
+            raise ExecutionError("stored table {!r} is a repro.table/2 "
+                                 "directory: rewrite the table".format(name))
+        return False
 
     def exists(self, name):
-        return (self.table_dir(name) / _MANIFEST).is_file()
+        return self.path(name).is_file() or self._no_file(name)
 
     def list_tables(self):
-        """Names of all stored tables, sorted (staging dirs excluded)."""
-        return sorted(
-            p.name for p in self.root.iterdir()
-            if not p.name.startswith(".") and (p / _MANIFEST).is_file()
-        )
+        """Names of all stored tables, sorted (staged files excluded)."""
+        return sorted(p.stem for p in self.root.glob("*" + _SUFFIX)
+                      if p.is_file() and not p.name.startswith("."))
 
     def write(self, name, table):
         """Materialize *table* and persist it under *name* (overwrites).
 
         Partitions are encoded in the layout the plan produced them in,
         never as rows, and all of them before anything is staged: a
-        value of a type the format cannot hold fails the write with one
+        value the format cannot hold fails the write with one
         :class:`ExecutionError` naming table, column, partition, row and
-        type. Crash-safe: partitions and manifest are staged in a hidden
-        sibling directory that is renamed over the old table only once
-        complete, so a crash mid-write leaves either the previous table
-        or the new one fully readable.
+        type. A crash leaves the previous table or the new one.
         """
-        directory = self.table_dir(name)
+        path = self.path(name)
         names = list(table.schema.names)
         block = names_block(names)
         partitions = table.context.executor.execute(table.plan, as_rows=False)
-        files = [
-            encode_partition(
-                "table {!r} partition {}".format(name, index), names, block,
-                partition,
-            )
-            for index, partition in enumerate(partitions)
-        ]
-        manifest = {
-            "format": _FORMAT,
-            "columns": names,
-            "num_partitions": len(partitions),
-            "num_rows": sum(len(p) for p in partitions),
-            "partition_rows": [len(p) for p in partitions],
-        }
-        staging = self.root / ".staging-{}-{}".format(name, os.getpid())
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        for index, data in enumerate(files):
-            with open(staging / _part_name(index), "xb") as fh:
-                fh.write(data)
-        with open(staging / _MANIFEST, "w") as fh:
-            json.dump(manifest, fh)
-        if directory.exists():
-            retired = self.root / ".retired-{}-{}".format(name, os.getpid())
-            if retired.exists():
-                shutil.rmtree(retired)
-            os.rename(directory, retired)
-            os.rename(staging, directory)
-            shutil.rmtree(retired)
-        else:
-            os.rename(staging, directory)
+        sections = [encode_partition(
+            "table {!r} partition {}".format(name, index), names, block, part
+        ) for index, part in enumerate(partitions)]
+        rows = [len(part) for part in partitions]
+        manifest = dict(format=_FORMAT, columns=names,
+                        num_partitions=len(rows), num_rows=sum(rows),
+                        partition_rows=rows)
+        atomic_write_bytes(path, pack_file(manifest, sections))
+        if (self.root / name).is_dir():  # the table's repro.table/2 form
+            shutil.rmtree(self.root / name)
         return manifest
+
+    def _load(self, name):
+        """The checked manifest and sections of one read of a table."""
+        try:
+            with open(self.path(name), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            self._no_file(name)
+            raise ExecutionError("no stored table named {!r}".format(name))
+        try:
+            manifest, sections = unpack_file(data, _FORMAT)
+            defect = _manifest_defect(manifest)
+        except _Corrupt as exc:
+            defect = "it is corrupt: {}".format(exc)
+        if defect is not None:
+            raise ExecutionError("stored table {!r}: {}".format(name, defect))
+        return manifest, sections
 
     def read(self, context, name):
         """Load a stored table into *context*, preserving partitions."""
-        manifest = self.manifest(name)
+        manifest, sections = self._load(name)
         columns = manifest["columns"]
-        block = names_block(columns)
-        directory = str(self.table_dir(name))
-        partitions = []
-        for index, rows in enumerate(manifest["partition_rows"]):
-            part_name = _part_name(index)
+        block, partitions = names_block(columns), []
+        for index, section in enumerate(sections):
             try:
-                with open(os.path.join(directory, part_name), "rb") as fh:
-                    partition = decode_partition(fh.read(), block,
-                                                 len(columns))
-                if len(partition) != rows:
-                    raise _Corrupt("it holds {} rows, the manifest {}".format(
-                        len(partition), rows
-                    ))
-            except FileNotFoundError as exc:
-                raise ExecutionError(
-                    "stored table {!r} is missing partition file {!r} "
-                    "(manifest expects {} partitions)".format(
-                        name, part_name, manifest["num_partitions"]
-                    ),
-                    exc,
-                )
+                partition = decode_partition(section, block, len(columns))
+                if len(partition) != manifest["partition_rows"][index]:
+                    raise _Corrupt("its rows are not the manifest's")
             except _Corrupt as exc:
-                raise ExecutionError(
-                    "stored table {!r} partition file {!r} is corrupt: "
-                    "{}".format(name, part_name, exc)
-                )
+                raise ExecutionError("stored table {!r} partition {} is "
+                                     "corrupt: {}".format(name, index, exc))
             partitions.append(partition)
         return context.table_from_columnar(columns, partitions)
 
     def manifest(self, name):
         """Return the checked manifest dict of a stored table."""
-        try:
-            with open(self.table_dir(name) / _MANIFEST, "rb") as fh:
-                manifest = json.loads(fh.read())
-        except FileNotFoundError:
-            raise ExecutionError("no stored table named {!r}".format(name))
-        except ValueError as exc:  # JSON or UTF-8
-            raise ExecutionError(
-                "stored table {!r}: manifest is not valid JSON: {}".format(
-                    name, exc
-                )
-            )
-        defect = _manifest_defect(manifest)
-        if defect is not None:
-            raise ExecutionError("stored table {!r}: {}".format(name, defect))
-        return manifest
+        return self._load(name)[0]
 
     def gc(self):
-        """Remove orphaned staging/retired directories; returns their names.
-
-        :meth:`write` stages new partitions in a hidden ``.staging-*``
-        sibling and briefly parks the old table as ``.retired-*`` during
-        the swap. A crash between stage and rename leaves that debris
-        behind -- invisible to readers (:meth:`list_tables` skips hidden
-        directories) but consuming disk forever. Safe to call any time
-        no write is concurrently in flight on this store.
-        """
+        """Remove crash debris, the ``.staging-*`` files and the
+        ``repro.table/2`` writer's ``.staging-*``/``.retired-*``
+        directories, while no write is in flight; returns their names."""
         removed = []
         for path in sorted(self.root.iterdir()):
-            if not path.is_dir():
-                continue
             if path.name.startswith((".staging-", ".retired-")):
-                shutil.rmtree(path)
+                (shutil.rmtree if path.is_dir() else os.unlink)(path)
                 removed.append(path.name)
         return removed
 
     def delete(self, name):
         """Remove a stored table if present."""
-        directory = self.table_dir(name)
-        if not directory.is_dir():
-            return
-        for path in directory.glob("part-*"):
-            path.unlink()
-        manifest = directory / _MANIFEST
-        if manifest.is_file():
-            manifest.unlink()
-        try:
-            directory.rmdir()
-        except OSError:
-            pass
+        self.path(name).unlink(missing_ok=True)

@@ -16,7 +16,6 @@ from repro.fleet.catalog import (
     CATALOG_FORMAT,
     JobCatalog,
     JobSpec,
-    atomic_write_text,
     build_catalog,
     file_digest,
     job_id_for,
@@ -60,7 +59,6 @@ __all__ = [
     "OUTPUT_TABLE",
     "REPORT_FILE",
     "SUMMARY_FILE",
-    "atomic_write_text",
     "build_catalog",
     "default_params",
     "execute_trace_job",

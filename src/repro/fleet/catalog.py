@@ -9,19 +9,20 @@ which is what makes checkpoints from a killed sweep safely reusable by
 and the stale checkpoint is simply never looked up).
 
 The catalog is persisted the way :class:`~repro.engine.storage.TableStore`
-persists tables: staged into a hidden sibling file and renamed over the
-target, so a crash mid-write leaves either the old catalog or the new
-one -- never a half-written JSON document.
+persists tables (:func:`~repro.engine.storage.atomic_write_bytes`):
+staged into a hidden sibling file and renamed over the target, so a
+crash mid-write leaves either the old catalog or the new one -- never a
+half-written JSON document.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from repro.engine.storage import atomic_write_bytes
 from repro.fleet.errors import CatalogError
 
 #: Version tag of the serialized catalog shape.
@@ -29,16 +30,6 @@ CATALOG_FORMAT = "repro.fleet.catalog/1"
 
 #: File name of the catalog inside a run directory.
 CATALOG_FILE = "catalog.json"
-
-
-def atomic_write_text(path, text):
-    """Write *text* to *path* via a hidden staged sibling + rename."""
-    path = Path(path)
-    staging = path.parent / ".staging-{}-{}".format(path.name, os.getpid())
-    with open(staging, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(staging, path)
-    return path
 
 
 def _canonical_json(payload):
@@ -152,7 +143,8 @@ class JobCatalog:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        return atomic_write_text(run_dir / CATALOG_FILE, text)
+        return atomic_write_bytes(run_dir / CATALOG_FILE,
+                                  text.encode("utf-8"))
 
     @classmethod
     def load(cls, run_dir):

@@ -1,27 +1,46 @@
 """Stage-level checkpointing of per-trace job results.
 
 Every completed per-trace pipeline job is committed here the moment its
-outcome lands in the driver: one pickle file per job id, staged in
-a hidden sibling and renamed into place so a kill at any instant leaves
-each checkpoint either fully present or fully absent -- the property
-``resume()`` relies on to re-run exactly the jobs whose commits did not
-land. Failures are recorded as structured JSON rows next to the
-checkpoints so ``status`` can print a failure table without re-running
-anything, and so ``resume`` knows to retry them.
+outcome lands in the driver: one ``<job_id>.ckpt`` file per job, staged
+in a hidden sibling and renamed into place so a kill at any instant
+leaves each checkpoint either fully present or fully absent -- the
+property ``resume()`` relies on to re-run exactly the jobs whose commits
+did not land. The file is :func:`~repro.engine.storage.pack_file`'s: a
+CRC'd JSON head with the payload's fields and its ``r_rows`` as one
+column section, so loading one runs no stored code, and a damaged one
+is one :class:`FleetRunError` naming the job. A checkpoint of the
+pickle era (``.pkl``) is never read: ``resume`` re-runs its job.
+Failures are recorded as structured JSON rows next to the checkpoints
+so ``status`` can print a failure table without re-running anything,
+and so ``resume`` knows to retry them.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
 from pathlib import Path
 
-from repro.fleet.catalog import atomic_write_text
+from repro.engine.errors import ExecutionError
+from repro.engine.storage import (
+    atomic_write_bytes,
+    decode_partition,
+    encode_partition,
+    names_block,
+    pack_file,
+    unpack_file,
+)
+from repro.fleet.errors import FleetRunError
 
 _CHECKPOINT_DIR = "checkpoints"
 _FAILURE_DIR = "failures"
-_SUFFIX = ".pkl"
+_SUFFIX = ".ckpt"
+_FORMAT = "repro.fleet.checkpoint/1"
+
+
+def _names(width):
+    """Column names and their names block for ``r_rows`` of *width*."""
+    names = ["c{}".format(index) for index in range(width)]
+    return names, names_block(names)
 
 
 class CheckpointStore:
@@ -42,21 +61,40 @@ class CheckpointStore:
         return self._path(job_id).is_file()
 
     def save(self, job_id, payload):
-        """Atomically commit one job's result payload."""
-        path = self._path(job_id)
-        staging = self._checkpoints / ".staging-{}-{}".format(
-            job_id, os.getpid()
-        )
-        with open(staging, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(staging, path)
+        """Atomically commit one job's result payload: JSON data but for
+        ``r_rows``, a list of equally wide row tuples."""
+        fields, sections, width = dict(payload), [], None
+        if "r_rows" in fields:
+            rows, fields["r_rows"] = fields["r_rows"], None
+            width = len(rows[0]) if rows else 0
+            sections.append(encode_partition(
+                "fleet job {!r} rows".format(job_id), *_names(width), rows
+            ))
+        head = {"format": _FORMAT, "payload": fields, "r_width": width}
+        path = atomic_write_bytes(self._path(job_id),
+                                  pack_file(head, sections))
         # A retried job that now succeeded is no longer failed.
         self.clear_failure(job_id)
         return path
 
     def load(self, job_id):
-        with open(self._path(job_id), "rb") as handle:
-            return pickle.load(handle)
+        """The payload :meth:`save` committed for *job_id*."""
+        path = self._path(job_id)
+        try:
+            with open(path, "rb") as handle:
+                head, sections = unpack_file(handle.read(), _FORMAT)
+            payload, width = head["payload"], head["r_width"]
+            if len(sections) != (width is not None) or sections and \
+                    width not in range(1 << 16):  # a section's column count
+                raise ExecutionError("its sections are not its head's")
+            if sections:
+                payload["r_rows"] = decode_partition(
+                    sections[0], _names(width)[1], width
+                ).to_rows()
+        except (ExecutionError, KeyError, TypeError) as exc:
+            raise FleetRunError("fleet job {!r}: checkpoint {} is corrupt: "
+                                "{}".format(job_id, path.name, exc))
+        return payload
 
     def completed_ids(self):
         """Sorted ids of all committed checkpoints (staging excluded)."""
@@ -73,7 +111,8 @@ class CheckpointStore:
     def record_failure(self, job_id, failure_row):
         """Persist a structured failure row (a :meth:`JobError.to_dict`)."""
         text = json.dumps(failure_row, indent=2, sort_keys=True) + "\n"
-        return atomic_write_text(self._failure_path(job_id), text)
+        return atomic_write_bytes(self._failure_path(job_id),
+                                  text.encode("utf-8"))
 
     def clear_failure(self, job_id):
         path = self._failure_path(job_id)

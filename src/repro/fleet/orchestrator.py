@@ -30,7 +30,8 @@ from pathlib import Path
 
 from repro.engine import EngineContext, TableStore
 from repro.engine.errors import InjectedFaultError
-from repro.fleet.catalog import JobCatalog, atomic_write_text, build_catalog
+from repro.engine.storage import atomic_write_bytes
+from repro.fleet.catalog import JobCatalog, build_catalog
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.errors import CatalogError, JobError
 from repro.fleet.report import FLEET_REPORT_FORMAT, FleetReport
@@ -342,7 +343,7 @@ def _aggregate(run_dir, catalog, store):
         ],
     }
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    atomic_write_text(Path(run_dir) / SUMMARY_FILE, text)
+    atomic_write_bytes(Path(run_dir) / SUMMARY_FILE, text.encode("utf-8"))
     return summary
 
 

@@ -46,11 +46,11 @@ from repro.core.sequence import Sequence, objects
 from repro.engine.columnar import BytesColumn, ColumnarPartition
 from repro.engine.errors import ExecutionError
 from repro.engine.storage import (
+    atomic_write_bytes,
     decode_partition,
     encode_partition,
     names_block,
 )
-from repro.fleet.catalog import atomic_write_text
 from repro.obs import stopwatch
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream.assembler import ASSEMBLER_STATE_FORMAT
@@ -276,7 +276,8 @@ class StreamCheckpointer:
         payload = dict(manifest)
         payload["format"] = STREAM_STATE_FORMAT
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        return atomic_write_text(self.root / STREAM_MANIFEST_FILE, text)
+        return atomic_write_bytes(self.root / STREAM_MANIFEST_FILE,
+                                  text.encode("utf-8"))
 
     def read_manifest(self):
         path = self.root / STREAM_MANIFEST_FILE

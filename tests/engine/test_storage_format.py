@@ -1,15 +1,16 @@
 """The typed table format: manifest and name checks, corruption sweeps,
 round-trip properties and the writer contract.
 
-A stored partition is one file of CRC-checked column sections; its
-manifest is JSON tagged ``repro.table/2``. Everything read back from
-disk is checked before the engine sees it, so a damaged store fails
-with one :class:`ExecutionError` -- never another exception type, and
-never different rows.
+A stored table is one file: a fixed head, a CRC'd JSON manifest tagged
+``repro.table/3`` and one CRC-checked section of column planes per
+partition. Everything read back from disk is checked before the engine
+sees it, so a damaged store fails with one :class:`ExecutionError` --
+never another exception type, and never different rows.
 """
 
 import json
 import math
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +38,7 @@ _COLUMNS = ["t", "n", "l", "b_id", "v"]
 
 def _stored(store, ctx, name="x", rows=_ROWS, columns=_COLUMNS):
     store.write(name, ctx.table_from_rows(columns, rows, num_partitions=2))
-    return store.table_dir(name)
+    return store.path(name)
 
 
 def _same(left, right):
@@ -59,22 +60,52 @@ def _same_rows(left, right):
     )
 
 
-def _rewrite_manifest(directory, edit):
-    path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
-    path.write_text(json.dumps(edit(manifest)))
+_HEAD = storage_mod._FILE
+
+
+def _manifest_text(path):
+    data = path.read_bytes()
+    _magic, length, _crc = _HEAD.unpack_from(data)
+    return data[_HEAD.size : _HEAD.size + length]
+
+
+def _with_manifest(path, text):
+    """Replace the manifest in a table's file by *text*, under a valid
+    checksum, and keep its sections."""
+    data = path.read_bytes()
+    start = _HEAD.size + len(_manifest_text(path))
+    sections = data[start + -start % 8 :]
+    head = _HEAD.pack(storage_mod._FILE_MAGIC, len(text), zlib.crc32(text))
+    head += text
+    path.write_bytes(head + bytes(-len(head) % 8 if sections else 0)
+                     + sections)
+
+
+def _rewrite_manifest(path, edit):
+    manifest = json.loads(_manifest_text(path))
+    _with_manifest(path, json.dumps(edit(manifest)).encode())
 
 
 class TestManifestIsChecked:
     def test_truncated_manifest(self, store, ctx):
-        path = _stored(store, ctx) / "manifest.json"
-        path.write_bytes(path.read_bytes()[:20])
+        path = _stored(store, ctx)
+        _with_manifest(path, _manifest_text(path)[:20])
         with pytest.raises(ExecutionError, match="not valid JSON"):
             store.read(ctx, "x")
 
     def test_manifest_that_is_not_an_object(self, store, ctx):
-        (_stored(store, ctx) / "manifest.json").write_text("[]")
+        _with_manifest(_stored(store, ctx), b"[]")
         with pytest.raises(ExecutionError, match="not a JSON object"):
+            store.read(ctx, "x")
+
+    def test_manifest_under_a_stale_checksum(self, store, ctx):
+        path = _stored(store, ctx)
+        data = path.read_bytes()
+        text = _manifest_text(path)
+        at = data.index(b'"num_rows": 4')
+        path.write_bytes(data[:at] + b'"num_rows": 5' + data[at + 13 :])
+        assert len(_manifest_text(path)) == len(text)
+        with pytest.raises(ExecutionError, match="checksum"):
             store.read(ctx, "x")
 
     def test_string_partition_count(self, store, ctx):
@@ -111,19 +142,25 @@ class TestManifestIsChecked:
                        ["a", "b"])
         narrow = _stored(store, ctx, "narrow", [(i,) for i in range(6)],
                          ["a"])
-        (wide / "part-00001.tbl").write_bytes(
-            (narrow / "part-00001.tbl").read_bytes()
-        )
-        with pytest.raises(ExecutionError, match="part-00001.tbl"):
+        form = "repro.table/3"
+        manifest, sections = storage_mod.unpack_file(wide.read_bytes(), form)
+        _, narrow_sections = storage_mod.unpack_file(narrow.read_bytes(),
+                                                     form)
+        del manifest["section_bytes"]
+        wide.write_bytes(storage_mod.pack_file(
+            manifest, [sections[0], narrow_sections[1]]
+        ))
+        with pytest.raises(ExecutionError, match="partition 1"):
             store.read(ctx, "wide")
 
     def test_pickle_era_manifest_must_be_rewritten(self, store, ctx):
-        def edit(manifest):
-            del manifest["format"]
-            return manifest
-
-        _rewrite_manifest(_stored(store, ctx), edit)
-        with pytest.raises(ExecutionError, match="must be rewritten"):
+        directory = store.root / "x"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(json.dumps({
+            "columns": ["a"], "num_partitions": 1, "num_rows": 1,
+        }))
+        (directory / "part-00000.pkl").write_bytes(b"\x80\x05N.")
+        with pytest.raises(ExecutionError, match="rewrite"):
             store.read(ctx, "x")
 
     @settings(max_examples=100, deadline=None,
@@ -160,10 +197,11 @@ class TestManifestIsChecked:
     def test_manifest_keeps_the_keys_its_readers_use(self, store, ctx):
         _stored(store, ctx)
         manifest = store.manifest("x")
-        assert manifest["format"] == "repro.table/2"
+        assert manifest["format"] == "repro.table/3"
         assert manifest["columns"] == _COLUMNS
         assert manifest["num_partitions"] == 2
         assert manifest["num_rows"] == len(_ROWS)
+        assert len(manifest["section_bytes"]) == 2
 
 
 class TestTableNames:
@@ -189,34 +227,33 @@ class TestTableNames:
 
 
 class TestCorruptionSweeps:
-    def _files(self, store, ctx):
-        directory = _stored(store, ctx)
-        return [directory / "part-00000.tbl", directory / "manifest.json"]
+    """Every offset of the whole file: the head, the manifest and both
+    partition sections."""
+
+    def _file(self, store, ctx):
+        path = _stored(store, ctx)
+        assert len(store.manifest("x")["section_bytes"]) == 2
+        return path, path.read_bytes()
 
     def test_every_truncation_is_one_execution_error(self, store, ctx):
-        for path in self._files(store, ctx):
-            data = path.read_bytes()
-            for cut in range(len(data)):
-                path.write_bytes(data[:cut])
-                with pytest.raises(ExecutionError):
-                    store.read(ctx, "x").collect()
-            path.write_bytes(data)
+        path, data = self._file(store, ctx)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ExecutionError):
+                store.read(ctx, "x").collect()
 
     def test_every_byte_flip_fails_or_reads_the_same_rows(self, store, ctx):
-        paths = self._files(store, ctx)
+        path, data = self._file(store, ctx)
         expected = store.read(ctx, "x").collect()
-        for path in paths:
-            data = path.read_bytes()
-            for index in range(len(data)):
-                flipped = bytearray(data)
-                flipped[index] ^= 0xFF
-                path.write_bytes(bytes(flipped))
-                try:
-                    rows = store.read(ctx, "x").collect()
-                except ExecutionError:
-                    continue
-                assert _same_rows(rows, expected), (path.name, index)
-            path.write_bytes(data)
+        for index in range(len(data)):
+            flipped = bytearray(data)
+            flipped[index] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            try:
+                rows = store.read(ctx, "x").collect()
+            except ExecutionError:
+                continue
+            assert _same_rows(rows, expected), index
 
 
 _VALUES = st.one_of(
@@ -295,9 +332,8 @@ class TestRoundTrip:
         ).split_by_key("s_id")["sig"]
         store.write("direct", direct)
         store.write("split", via_split)
-        for file_name in ("part-00000.tbl", "manifest.json"):
-            assert (store.table_dir("direct") / file_name).read_bytes() == \
-                (store.table_dir("split") / file_name).read_bytes()
+        assert store.path("direct").read_bytes() == \
+            store.path("split").read_bytes()
 
 
 class TestLazyRead:

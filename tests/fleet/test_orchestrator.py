@@ -66,7 +66,7 @@ class TestRun:
         assert set(result.statuses.values()) == {"done"}
         assert result.summary["completed"] == NUM_TRACES
         assert result.summary["rows_out"] > 0
-        assert (run_dir / "output" / fleet.OUTPUT_TABLE).is_dir()
+        assert (run_dir / "output" / (fleet.OUTPUT_TABLE + ".tbl")).is_file()
 
     def test_report_written_and_schema_valid(self, run_dir):
         fleet.run(run_dir, workers=1)

@@ -689,18 +689,14 @@ def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
     }
 
 
-#: Every scope of ``src/repro`` that unpickles, with the ROADMAP item
-#: that takes it away. ``pickle.load`` runs whatever the bytes name, so
-#: nothing read from disk goes through it except what is listed here.
-#: The multiprocessing task boundary unpickles inside the standard
+#: Every scope of ``src/repro`` that unpickles: none. ``pickle.load``
+#: runs whatever the bytes name, so nothing read from disk goes through
+#: it. The multiprocessing task boundary unpickles inside the standard
 #: library's pool and has no call of its own in ``src/repro``.
-_UNPICKLING_SCOPES = {
-    # ROADMAP 5(c): the fleet job checkpoints.
-    ("fleet/checkpoint.py", "CheckpointStore.load"),
-}
+_UNPICKLING_SCOPES = set()
 
 
-def test_nothing_but_the_checkpoint_reader_unpickles():
+def test_nothing_in_src_unpickles():
     def unpickles(node):  # pickle.load(s) / pickle.Unpickler / from pickle
         if isinstance(node, ast.Attribute):
             return _name(node.value) == "pickle" and node.attr in (
@@ -739,3 +735,16 @@ def test_the_stream_path_does_not_import_pickle():
         path.name for path in paths
         if any(map(imports_pickle, ast.walk(_parsed(path))))
     ] == []
+
+
+def test_the_stream_checkpoint_does_not_import_the_fleet():
+    """Both write through ``engine.storage.atomic_write_bytes``."""
+    modules = []
+    for node in ast.walk(_parsed(STREAM / "checkpoint.py")):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert "repro.engine.storage" in modules
+    assert [m for m in modules if m.split(".")[:2] == ["repro", "fleet"]] \
+        == []
