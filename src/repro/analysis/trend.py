@@ -35,21 +35,34 @@ class TrendClassifier:
             return DECREASING
         return STEADY
 
-    def classify_gradient(self, values):
+    def classify_gradient(self, values, owner=None):
         """Trend label per value from the discrete gradient.
 
-        The first element has no predecessor and is labelled from the
-        forward difference, matching ``numpy.gradient`` edge handling.
+        The gradient is ``numpy.gradient``'s with unit spacing: central
+        differences inside, forward and backward ones at the first and
+        last element. With *owner* (per value, its segment; segments are
+        contiguous) it is taken per segment, for all segments at once.
         Labels are :meth:`classify_slope`'s, taken for the whole gradient
-        at once: a NaN gradient is steady.
+        at once: a NaN gradient and a segment of one value are steady.
         """
         x = np.asarray(values, dtype=float)
-        if x.size < 2:
-            return [STEADY] * x.size
-        grad = np.gradient(x)
-        labels = np.full(grad.size, STEADY, dtype=object)
+        if owner is None:
+            owner = np.zeros(x.size, np.intp)
+        after = np.zeros(x.size, dtype=bool)  # has a successor
+        after[:-1] = owner[1:] == owner[:-1]
+        before = np.zeros(x.size, dtype=bool)  # has a predecessor
+        before[1:] = after[:-1]
+        grad = np.zeros(x.size)
+        both = np.flatnonzero(before & after)
+        grad[both] = (x[both + 1] - x[both - 1]) / 2.0
+        first = np.flatnonzero(after & ~before)
+        grad[first] = x[first + 1] - x[first]
+        last = np.flatnonzero(before & ~after)
+        grad[last] = x[last] - x[last - 1]
+        labels = np.full(x.size, STEADY, dtype=object)
         labels[grad < -self.steady_threshold] = DECREASING
         labels[grad > self.steady_threshold] = INCREASING
+        labels[~(before | after)] = STEADY
         return labels.tolist()
 
 

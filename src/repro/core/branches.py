@@ -1,9 +1,9 @@
 """Type-dependent processing branches α, β, γ (Sec. 4.2, lines 13-28).
 
-All three branches homogenize a reduced signal sequence -- a
-:class:`~repro.core.sequence.Sequence`, whose columns they split with
-masks -- into the common output layout ``R_COLUMNS = (t, s_id, b_id,
-kind, value, trend)``, and build those rows once, as their result:
+All three branches homogenize the reduced sequences -- the segments of
+a :class:`~repro.core.sequence.Sequences` set, split with masks -- into
+the common output layout ``R_COLUMNS = (t, s_id, b_id, kind, value,
+trend)``, and build those rows once, as their result:
 
 * α (fast numerics): outlier removal -> smoothing -> SWAB segmentation
   -> trend per segment + SAX symbol per segment, outliers merged back as
@@ -21,6 +21,7 @@ increasing/decreasing/steady or None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -36,11 +37,13 @@ from repro.core.classification import (
     BETA,
     BINARY,
     GAMMA,
+    ORDINAL,
+    Classification,
     ClassifierConfig,
     all_numeric,
     numeric_mask,
-    validity_mask,
 )
+from repro.core.model import NUMBER, OBJECT
 
 #: Homogeneous output layout of every branch.
 R_COLUMNS = ("t", "s_id", "b_id", "kind", "value", "trend")
@@ -103,44 +106,49 @@ def _rows(sequence, kind, value, trend=None):
 
 
 def process_alpha(sequence, config=None):
-    """Branch α: lines 14-19 of Algorithm 1."""
+    """Branch α: lines 14-19 of Algorithm 1, for one sequence whose
+    values are objects, or float64 when every one is a number."""
     config = config or BranchConfig()
-    # typeSplit: peel off non-numeric elements (e.g. embedded validity
-    # strings) as nominal side output.
-    numeric = numeric_mask(sequence.v)
-    labels = [str(v) for v in sequence.v[~numeric]]
-    validity = config.classifier.validity_values
-    out = _rows(sequence.take(~numeric), [
-        KIND_VALIDITY if label in validity else KIND_NOMINAL
-        for label in labels
-    ], labels)
-    numbers = sequence.take(numeric)
+    out, numbers, values = [], sequence, sequence.v
+    if values.dtype == object:
+        # typeSplit: peel off non-numeric elements (e.g. embedded
+        # validity strings) as nominal side output.
+        numeric = numeric_mask(values)
+        labels = [str(v) for v in values[~numeric]]
+        validity = config.classifier.validity_values
+        out = _rows(sequence.take(~numeric), [
+            KIND_VALIDITY if label in validity else KIND_NOMINAL
+            for label in labels
+        ], labels)
+        numbers = sequence.take(numeric)
+        values = numbers.v.astype(float)
     if not len(numbers):
         return sorted(out, key=_row_key)
-    values = numbers.v.astype(float)
     mask = np.asarray(config.outlier_detector.mask(values), dtype=bool)
     out += _rows(numbers.take(mask), KIND_OUTLIER, values[mask].tolist())
     clean = numbers.take(~mask)
     if not len(clean):
         return sorted(out, key=_row_key)
     smoothed = config.smoother.smooth(values[~mask])
-    mean, std = float(smoothed.mean()), float(smoothed.std())
-    variance = float(smoothed.var())
+    # np.std is the square root of np.var, bit for bit.
+    mean, variance = float(smoothed.mean()), float(smoothed.var())
+    std = math.sqrt(variance)
     max_error = config.swab_error_fraction * max(variance, 1e-12) * config.swab_buffer
     segments = swab(smoothed, max_error, buffer_size=config.swab_buffer)
     trend = TrendClassifier(
         steady_threshold=config.trend_fraction * max(std, 1e-12)
     )
-    for seg in segments:
-        level = float(smoothed[seg.start : seg.end + 1].mean())
+    starts = [seg.start for seg in segments]
+    for seg, t, b in zip(
+        segments, clean.t[starts].tolist(), clean.b[starts].tolist()
+    ):
+        # As ndarray.mean: the pairwise sum over the count.
+        level = float(np.add.reduce(smoothed[seg.start : seg.end + 1])
+                      / (seg.end + 1 - seg.start))
         symbol = config.sax.symbol_for_level(level, mean, std)
         label = config.level_label("abcdefghijklmnopqrstuvwxyz".index(symbol))
         out.append((
-            clean.t[seg.start],
-            clean.s_id,
-            clean.b[seg.start],
-            KIND_SYMBOL,
-            label,
+            t, clean.s_id, b, KIND_SYMBOL, label,
             trend.classify_slope(seg.slope),
         ))
     out.sort(key=_row_key)
@@ -148,76 +156,138 @@ def process_alpha(sequence, config=None):
 
 
 def process_beta(sequence, config=None):
-    """Branch β: lines 20-25 of Algorithm 1."""
-    config = config or BranchConfig()
-    # functionSplit on z_aff.
-    invalid = validity_mask(sequence.v, config.classifier)
-    out = _rows(
-        sequence.take(invalid), KIND_VALIDITY,
-        [str(v) for v in sequence.v[invalid]],
-    )
-    functional = sequence.take(~invalid)
-    if not len(functional):
-        return sorted(out, key=_row_key)
-    ranks, labels = _numeric_translation(functional.v, config)
-    mask = np.asarray(config.outlier_detector.mask(ranks), dtype=bool)
-    out += _rows(
-        functional.take(mask), KIND_OUTLIER, functional.v[mask].tolist()
-    )
-    clean = ~mask
-    if clean.any():
-        trend = TrendClassifier(steady_threshold=config.trend_fraction)
-        out += _rows(
-            functional.take(clean), KIND_SYMBOL, labels[clean].tolist(),
-            trend.classify_gradient(ranks[clean]),
-        )
-    out.sort(key=_row_key)
-    return out
+    """Branch β: lines 20-25 of Algorithm 1, for one sequence."""
+    return branch_segments(
+        sequence.as_set(), [Classification(None, ORDINAL, BETA)], config
+    )[0]
 
 
 def process_gamma(sequence, data_type, config=None):
     """Branch γ: lines 26-28 -- no transformation, F/V split only."""
-    config = config or BranchConfig()
-    kind = KIND_BINARY if data_type == BINARY else KIND_NOMINAL
-    out = _rows(sequence, [
-        KIND_VALIDITY if invalid else kind
-        for invalid in validity_mask(sequence.v, config.classifier).tolist()
-    ], [str(v) for v in sequence.v])
-    out.sort(key=_row_key)
-    return out
+    return branch_segments(
+        sequence.as_set(), [Classification(None, data_type, GAMMA)], config
+    )[0]
 
 
 def process_branch(sequence, classification, config=None):
     """Dispatch one classified sequence to its branch (line 13)."""
-    if classification.branch == ALPHA:
-        return process_alpha(sequence, config)
-    if classification.branch == BETA:
-        return process_beta(sequence, config)
-    if classification.branch == GAMMA:
-        return process_gamma(sequence, classification.data_type, config)
-    raise BranchError("unknown branch {!r}".format(classification.branch))
+    return branch_segments(sequence.as_set(), [classification], config)[0]
 
 
-def _numeric_translation(values, config):
-    """Translate ordinal values to ranks; return (ranks, display labels)
-    as a float64 and an object array.
+def branch_segments(sequences, classifications, config=None):
+    """Lines 13-28 for every segment of a
+    :class:`~repro.core.sequence.Sequences` set, segment ``i`` on the
+    branch of ``classifications[i]``: the R rows of each, one list per
+    segment. α runs per segment, SWAB in Keogh's order; β and γ run
+    over masks and gathers of all their segments at once
+    (:func:`_beta_gamma`)."""
+    config = config or BranchConfig()
+    out = [None] * len(classifications)
+    vector = []
+    for i, classification in enumerate(classifications):
+        if classification.branch == ALPHA:
+            out[i] = process_alpha(sequences.sequence(i, numbers=True), config)
+        elif classification.branch in (BETA, GAMMA):
+            vector.append(i)
+        else:
+            raise BranchError(
+                "unknown branch {!r}".format(classification.branch)
+            )
+    if vector:
+        rows = _beta_gamma(sequences, vector, classifications, config)
+        for i, segment_rows in zip(vector, rows):
+            out[i] = segment_rows
+    return out
 
-    String labels are ranked by a matching configured vocabulary (so
-    low < medium < high) or, failing that, by sorted order; numeric
-    values rank as themselves.
+
+#: The R kinds β and γ emit, in ``str`` order (:func:`_row_key`).
+_KINDS = (KIND_BINARY, KIND_NOMINAL, KIND_OUTLIER, KIND_SYMBOL, KIND_VALIDITY)
+
+
+def _beta_gamma(sequences, segments, classifications, config):
+    """Branches β and γ for *segments* (ascending) of *sequences*, one
+    R row per element, one list per segment.
+
+    γ keeps every element, labelled validity or its data type. β splits
+    off the validity elements, translates the functional ones to ranks
+    (:func:`_ranks`), flags outliers per segment and labels the rest
+    with the trend of the rank gradient, as ``numpy.gradient`` with unit
+    spacing computes it, per segment. Each segment's rows are ordered as
+    :func:`_row_key` sorts them: by ``t``, then kind, stable.
     """
-    labels = np.fromiter(map(str, values), object, len(values))
-    if all_numeric(values):
-        return values.astype(float), labels
-    distinct = set(labels)
-    order = None
-    for vocabulary in config.classifier.ordinal_vocabularies:
-        if distinct <= set(vocabulary):
-            order = {label: i for i, label in enumerate(vocabulary)}
-            break
-    if order is None:
-        order = {label: i for i, label in enumerate(sorted(distinct))}
-    return np.fromiter(map(order.__getitem__, labels), float, len(labels)), labels
+    index = sequences.positions(np.asarray(segments, np.intp))
+    owner = sequences.segment[index]
+    invalid = sequences.isin(config.classifier.validity_values)[index]
+    value = sequences.text(index)
+    trend = np.full(len(index), None, dtype=object)
+    code = np.full(len(sequences.keys), -1, np.int8)
+    for i in segments:
+        c = classifications[i]
+        code[i] = -1 if c.branch == BETA else _KINDS.index(
+            KIND_BINARY if c.data_type == BINARY else KIND_NOMINAL
+        )
+    kind = code[owner]
+    kind[invalid] = _KINDS.index(KIND_VALIDITY)
+    functional = np.flatnonzero(kind < 0)
+    if len(functional):
+        ranks = _ranks(sequences, index[functional], owner[functional], config)
+        heads = np.flatnonzero(np.diff(owner[functional], prepend=-1))
+        outlier = np.concatenate([
+            np.asarray(config.outlier_detector.mask(part), dtype=bool)
+            for part in np.split(ranks, heads[1:])
+        ])
+        kind[functional] = _KINDS.index(KIND_SYMBOL)
+        kind[functional[outlier]] = _KINDS.index(KIND_OUTLIER)
+        value[functional[outlier]] = sequences.v[index[functional[outlier]]]
+        clean = functional[~outlier]
+        trend[clean] = TrendClassifier(
+            steady_threshold=config.trend_fraction
+        ).classify_gradient(ranks[~outlier], owner[clean])
+    order = np.lexsort((
+        np.arange(len(index)), kind, sequences.times()[index], owner
+    ))
+    index, owner = index[order], owner[order]
+    s_ids = np.fromiter((key[0] for key in sequences.keys), object,
+                        len(sequences.keys))
+    rows = list(zip(
+        sequences.t[index].tolist(), s_ids[owner].tolist(),
+        sequences.channels[sequences.b[index]].tolist(),
+        np.array(_KINDS, dtype=object)[kind[order]].tolist(),
+        value[order].tolist(), trend[order].tolist(),
+    ))
+    ends = np.cumsum(sequences.sizes[segments]).tolist()
+    return [rows[end - size : end] for end, size in
+            zip(ends, sequences.sizes[segments].tolist())]
+
+
+def _ranks(sequences, index, owner, config):
+    """β's numeric translation of the elements at *index* (segment by
+    segment, *owner* each one's), as float64 ranks.
+
+    A segment of numbers ranks as its values; one of labels by a
+    configured vocabulary holding all of its labels (so low < medium <
+    high) or, failing that, by sorted order.
+    """
+    ranks = sequences.x[index]
+    kinds = sequences.kind[index]
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    for lo, hi in zip(heads.tolist(), np.append(heads[1:], len(index)).tolist()):
+        if kinds[lo] == NUMBER:
+            continue
+        values = sequences.v[index[lo:hi]]
+        if kinds[lo] == OBJECT and all_numeric(values):
+            ranks[lo:hi] = values.astype(float)
+            continue
+        labels = list(map(str, values.tolist()))
+        distinct = set(labels)
+        vocabulary = next((
+            words for words in config.classifier.ordinal_vocabularies
+            if distinct <= set(words)
+        ), sorted(distinct))
+        order = {label: i for i, label in enumerate(vocabulary)}
+        ranks[lo:hi] = np.fromiter(map(order.__getitem__, labels), float,
+                                   hi - lo)
+    return ranks
 
 
 def _row_key(row):

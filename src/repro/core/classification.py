@@ -17,10 +17,12 @@ the γ branch (no transformation), which is safe because γ only relabels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from repro.core.model import LABEL, NUMBER, OBJECT
 from repro.obs.metrics import nearest_rank_index
 
 #: z_type values.
@@ -130,16 +132,20 @@ def validity_mask(values, config):
 def compute_criteria(times, values, config=None):
     """Compute ``Z`` for a time-ordered sequence of (t, v)."""
     config = config or ClassifierConfig()
-    functional = [v for v in values if v not in config.validity_values]
-    basis = functional if functional else list(values)
-    z_type = NUMERIC_TYPE if all_numeric(basis) else STRING_TYPE
-    z_num = len(set(basis))
-    z_rate = _change_rate(times, config)
-    if z_type == NUMERIC_TYPE:
-        z_val = True
-    else:
-        z_val = _orderable(set(map(str, basis)), config)
-    return Criteria(z_type, z_rate, z_num, z_val)
+    z_type, z_num, z_val = _value_criteria(values, config)
+    return Criteria(z_type, _change_rate(times, config), z_num, z_val)
+
+
+def _value_criteria(values, config):
+    """``(z_type, z_num, z_val)`` of one sequence's values (objects)."""
+    values = list(values)
+    basis = [v for v, invalid in zip(
+        values, validity_mask(values, config).tolist()
+    ) if not invalid] or values
+    if all_numeric(basis):
+        return NUMERIC_TYPE, len(set(basis)), True
+    return STRING_TYPE, len(set(basis)), \
+        _orderable(frozenset(map(str, basis)), config)
 
 
 def time_gaps(times):
@@ -158,22 +164,56 @@ def time_gaps(times):
 
 
 def _change_rate(times, config):
-    """Eq. 2: H if n/Δt over active segments exceeds the threshold T."""
-    if len(times) < 2:
-        return LOW_RATE
-    gaps, positive = time_gaps(times)
-    if not len(positive):
-        return HIGH_RATE  # all simultaneous: infinitely fast
-    # Nearest-rank median, as repro.obs.median, so classification and
-    # profiling agree on median_gap for identical input.
-    median_gap = float(positive[nearest_rank_index(len(positive), 50)])
-    active = gaps[gaps <= config.activity_gap_factor * median_gap]
-    n = len(active) + 1
-    # Summed left to right: np.sum adds pairwise and rounds differently.
-    active_duration = np.add.accumulate(active)[-1] if n > 1 else 0.0
-    if active_duration <= 0:
-        return HIGH_RATE
-    return HIGH_RATE if n / active_duration > config.rate_threshold else LOW_RATE
+    """Eq. 2 for one sequence's *times* (see :func:`_change_rates`)."""
+    return _change_rates(np.asarray(times, float), [0, len(times)], config)[0]
+
+
+def _change_rates(times, offsets, config):
+    """Eq. 2 for the segments ``offsets[i]:offsets[i+1]`` of the float64
+    *times*: H if n/Δt over active segments exceeds the threshold T.
+
+    The median gap is the nearest-rank one of a segment's positive gaps
+    (``nearest_rank_index``, as ``repro.obs.median``), so classification
+    and profiling agree on it; a gap up to ``activity_gap_factor`` times
+    it is active. Counts, sorts and comparisons run over all segments at
+    once; each active duration is summed left to right on its own
+    (``np.add.accumulate``: a segmented or pairwise sum rounds
+    differently).
+    """
+    offsets = np.asarray(offsets, np.intp)
+    sizes = np.diff(offsets)
+    count = len(sizes)
+    inner = np.ones(max(len(times) - 1, 0), dtype=bool)
+    starts = offsets[1:-1][sizes[1:] > 0]
+    inner[starts[starts > 0] - 1] = False
+    segment = np.repeat(np.arange(count), sizes)[:-1][inner]
+    gaps = (times[1:] - times[:-1])[inner]
+    positive = gaps > 0
+    order = np.lexsort((gaps[positive], segment[positive]))
+    ranked = gaps[positive][order]
+    npos = np.bincount(segment[positive], minlength=count)
+    median = np.zeros(count)
+    some = npos > 0
+    first = np.cumsum(npos) - npos
+    median[some] = ranked[first[some] + np.array(
+        [nearest_rank_index(k, 50) for k in npos[some].tolist()], np.intp
+    )]
+    with np.errstate(over="ignore"):  # an infinite bound admits all
+        active = gaps <= config.activity_gap_factor * median[segment]
+    n = np.bincount(segment[active], minlength=count) + 1
+    summed = gaps[active]
+    ends = np.cumsum(n - 1)
+    duration = np.zeros(count)
+    some_active = np.flatnonzero(n > 1)
+    duration[some_active] = [
+        np.add.accumulate(summed[lo:hi])[-1] for lo, hi in zip(
+            (ends - n + 1)[some_active].tolist(), ends[some_active].tolist()
+        )
+    ]
+    with np.errstate(all="ignore"):  # a zero or tiny duration is H
+        high = (~some) | (duration <= 0) | \
+            (n / duration > config.rate_threshold)
+    return np.where((sizes >= 2) & high, HIGH_RATE, LOW_RATE).tolist()
 
 
 def _orderable(labels, config):
@@ -212,7 +252,10 @@ class Classification:
 
 def classify(times, values, config=None):
     """Assign a sequence to a processing branch per Table 3."""
-    criteria = compute_criteria(times, values, config)
+    return _table3(compute_criteria(times, values, config))
+
+
+def _table3(criteria):
     for z_type, z_rate, num_kind, z_val, data_type, branch in _TABLE3:
         if criteria.z_type != z_type:
             continue
@@ -230,13 +273,57 @@ def classify(times, values, config=None):
     return Classification(criteria, NOMINAL, GAMMA)
 
 
-@dataclass(frozen=True)
-class SequenceClassifier:
-    """Reusable classifier bound to one configuration."""
+def classify_segments(sequences, config=None):
+    """:func:`classify` for every segment of a
+    :class:`~repro.core.sequence.Sequences` set, one list.
 
-    config: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def affiliation_mask(self, values):
-        """Per-element affiliation: True where functional (F), False (V)."""
-        validity = self.config.validity_values
-        return [v not in validity for v in values]
+    A segment of numbers or labels is classified by masks and
+    distinct-value counts over the whole set: its basis is
+    its functional values, or all of them if none is functional; z_num
+    counts the basis' distinct values, as a set does. A segment of
+    objects takes :func:`compute_criteria`'s value path on its own.
+    """
+    config = config or ClassifierConfig()
+    segment, kind = sequences.segment, sequences.kind
+    count = len(sequences.keys)
+    functional = ~sequences.isin(config.validity_values)
+    some = np.bincount(segment[functional], minlength=count) > 0
+    basis = (functional | ~some[segment]) & (kind != OBJECT)
+    z_num = np.zeros(count, np.intp)
+    for k, plane in ((NUMBER, sequences.x), (LABEL, sequences.c)):
+        chosen = basis & (kind == k)
+        cells, owner = plane[chosen], segment[chosen]
+        order = np.lexsort((cells, owner))
+        cells, owner = cells[order], owner[order]
+        new = np.ones(len(cells), dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (cells[1:] != cells[:-1])
+        z_num += np.bincount(owner[new], minlength=count)
+        if k == LABEL:  # each label segment's distinct basis labels
+            distinct = owner[new], sequences.labels[cells[new]]
+    criteria = list(zip(
+        np.where((sequences.kinds == LABEL) & (sequences.sizes > 0),
+                 STRING_TYPE, NUMERIC_TYPE).tolist(),
+        _change_rates(sequences.times(), sequences.offsets, config),
+        z_num.tolist(), repeat(True),
+    ))
+    owner, labels = distinct
+    if len(owner):
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        for i, group in zip(owner[np.append(0, cuts)].tolist(),
+                            np.split(labels, cuts)):
+            criteria[i] = criteria[i][:3] + (frozenset(group.tolist()),)
+    for i in np.flatnonzero(sequences.kinds == OBJECT).tolist():
+        z_type, z_num_i, z_val = _value_criteria(
+            sequences.v[sequences.offsets[i] : sequences.offsets[i + 1]], config
+        )
+        criteria[i] = (z_type, criteria[i][1], z_num_i, z_val)
+    found = {}
+    out = []
+    for key in criteria:
+        if key not in found:
+            z_type, z_rate, z_num_i, z_val = key
+            if isinstance(z_val, frozenset):
+                z_val = _orderable(z_val, config)
+            found[key] = _table3(Criteria(z_type, z_rate, z_num_i, z_val))
+        out.append(found[key])
+    return out

@@ -12,7 +12,9 @@ signal type the meta-data is associated with, and the channel.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.model import K_S_COLUMNS, W_COLUMNS
 from repro.core.classification import numeric_mask
@@ -204,8 +206,16 @@ class ExtensionSet:
     def __len__(self):
         return len(self.rules)
 
+    @cached_property
+    def _by_signal(self):
+        index = defaultdict(list)
+        for rule in self.rules:
+            index[rule.signal_id].append(rule)
+        return index
+
     def for_signal(self, signal_id):
-        return [r for r in self.rules if r.signal_id == signal_id]
+        """The rules of *signal_id*, in set order."""
+        return list(self._by_signal.get(signal_id, ()))
 
 
 @dataclass(frozen=True)

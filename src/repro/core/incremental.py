@@ -33,12 +33,12 @@ from repro.core.interpretation import (
 )
 from repro.core.preselection import preselect
 from repro.core.sequence import (
-    Sequence,
+    Sequences,
     derive_extensions,
     marker_functions,
     merge_sequences,
-    process_sequence,
-    reduce_sequence,
+    process_segments,
+    reduce_segments,
     split_sequences,
     table_columns,
 )
@@ -74,15 +74,6 @@ class ReducedRows(_Sequence):
 
     def rows(self):
         return [row for chunk in self.chunks for row in chunk.rows()]
-
-    def sequence(self):
-        """The elements as one sequence: each chunk was reduced in
-        canonical order and windows come in time order."""
-        chunks = self.chunks
-        return Sequence(chunks[0].s_id, *(
-            np.concatenate([getattr(chunk, name) for chunk in chunks])
-            for name in ("t", "v", "b")
-        ))
 
 
 @dataclass
@@ -153,10 +144,10 @@ class IncrementalRunner:
             by_channel=True,
             drop_exact_duplicates=config.drop_exact_duplicates,
         )
-        if sequences:
+        if len(sequences):
             # Every sequence is in time order: the window's first and
             # last instants are among their ends.
-            window_start = min(seq.t[0] for seq in sequences.values())
+            window_start = min(sequences.t[sequences.offsets[:-1]].tolist())
             if (
                 self._last_window_end is not None
                 and window_start < self._last_window_end
@@ -167,42 +158,53 @@ class IncrementalRunner:
                     )
                 )
             self._last_window_end = max(
-                seq.t[-1] for seq in sequences.values()
+                sequences.t[sequences.offsets[1:] - 1].tolist()
             )
         self.exact_duplicates_dropped += dropped
-        for key, chunk in sequences.items():
-            state = self._states.setdefault(key, _SignalState())
-            functions = marker_functions(
-                config.constraints.for_signal(key[0])
-            )
-            state.reduced_rows.chunks.append(
-                reduce_sequence(chunk, functions, state.carries)
-            )
-        return sum(map(len, sequences.values()))
+        states = [self._states.setdefault(key, _SignalState())
+                  for key in sequences.keys]
+        reduced = reduce_segments(sequences, [
+            marker_functions(config.constraints.for_signal(s_id))
+            for s_id, _b_id in sequences.keys
+        ], [state.carries for state in states])
+        for state, chunk in zip(states, reduced.values()):
+            state.reduced_rows.chunks.append(chunk)
+        return len(sequences.t)
 
     def finalize(self, context):
-        """Run extensions, classification, branches and the merge."""
+        """Run extensions, classification, branches and the merge over
+        one set of every (signal, channel)'s reduced elements."""
         if self._finalized:
             raise IncrementalError("runner already finalized")
         self._finalized = True
         config = self.config
-        result_rows = []
+        # Each chunk was reduced in canonical order and windows come in
+        # time order, so a key's chunks concatenate to its sequence.
+        keys = [key for key, state in sorted(self._states.items())
+                if state.reduced_rows]
+        chunks = [self._states[key].reduced_rows.chunks for key in keys]
+        sizes = [sum(map(len, parts)) for parts in chunks]
+        sequences = Sequences.build(
+            keys, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))), *(
+                np.concatenate([np.empty(0, object)] + [
+                    getattr(chunk, name) for parts in chunks for chunk in parts
+                ]) for name in ("t", "v")
+            )
+        )
         w_rows = []
-        classifications = {}
-        for (s_id, b_id), state in sorted(self._states.items()):
-            if not state.reduced_rows:
-                continue
-            k_red = state.reduced_rows.sequence()
-            w_rows.extend(
-                derive_extensions(k_red, config.extensions.for_signal(s_id))
-            )
-            classifications[(s_id, b_id)], branch_rows = process_sequence(
-                k_red, config.branch_config
-            )
-            result_rows.extend(branch_rows)
-        r_out = merge_sequences(context, result_rows, w_rows)
+        for i, (s_id, _b_id) in enumerate(keys):
+            w_rows.extend(derive_extensions(
+                sequences.sequence(i), config.extensions.for_signal(s_id)
+            ))
+        classifications, branch_rows = process_segments(
+            sequences, config.branch_config
+        )
+        r_out = merge_sequences(
+            context, [row for rows in branch_rows for row in rows], w_rows
+        )
         return IncrementalResult(
-            r_out=r_out.cache(), classifications=classifications
+            r_out=r_out.cache(),
+            classifications=dict(zip(keys, classifications)),
         )
 
     def reduced_rows(self, signal_id, channel_id):

@@ -30,6 +30,11 @@ K_B_COLUMNS = ("t", "l", "b_id", "m_id", "m_info")
 K_S_COLUMNS = ("t", "v", "s_id", "b_id")
 #: Column layout of an extension (W) table.
 W_COLUMNS = ("t", "v", "w_id", "s_id", "b_id")
+#: Kinds of a signal type's values in a segmented sequence set
+#: (:class:`repro.core.sequence.Sequences`): numbers (``float`` and
+#: ``int``, held as float64), labels (``str``, held as codes) and
+#: objects for anything else (NaN, ``bool``, TRUNCATED, mixed kinds).
+NUMBER, LABEL, OBJECT = range(3)
 
 
 @dataclass(frozen=True)
@@ -156,3 +161,4 @@ def message_instances_from_k_s(rows):
     ):
         out.append(MessageInstance(t, tuple(signals), m_id, b_id))
     return out
+

@@ -38,12 +38,11 @@ from repro.core.representation import build_state_representation
 from repro.core.rules import RuleCatalog
 from repro.core.sequence import (
     derive_extensions,
-    empty_sequence,
     equality_groups,
     marker_functions,
     merge_sequences,
-    process_sequence,
-    reduce_sequence,
+    process_segments,
+    reduce_segments,
     sequences_table,
     split_sequences,
     table_columns,
@@ -117,7 +116,13 @@ class SignalOutcome:
     rows_before_reduction: int
     rows_after_reduction: int
     result_rows: list  # homogeneous R rows
-    extension_table: object  # W engine table
+    w_rows: list  # extension rows
+    context: object = field(repr=False, compare=False)
+
+    @property
+    def extension_table(self):
+        """The W rows as an engine table, built when asked for."""
+        return self.context.table_from_rows(list(W_COLUMNS), self.w_rows)
 
 
 @dataclass
@@ -184,10 +189,11 @@ class PreprocessingPipeline:
         """Execute Algorithm 1 on a raw trace table ``K_b``.
 
         Lines 2-6 run on the engine; the cached ``K_s`` is then read as
-        columns, never as rows, and lines 7-29 are the sequence stages
-        of :mod:`repro.core.sequence` -- the same functions a windowed
-        run feeds chunk by chunk, here with an empty carry. Every engine
-        action happens inside the span of the stage that causes it.
+        columns, never as rows, and lines 7-29 are the stages of
+        :mod:`repro.core.sequence`, each run once over one segmented set
+        of every sequence -- the functions a windowed run feeds window
+        by window -- in one span per stage. Every engine action happens
+        inside the span of the stage that causes it.
 
         *report*, when given, is the :class:`~repro.obs.RunReport` to
         record into (callers batching many traces aggregate this way);
@@ -227,86 +233,85 @@ class PreprocessingPipeline:
                 by_channel=config.dedup_channels,
                 drop_exact_duplicates=config.drop_exact_duplicates,
             )
-            counts["k_s"] = sum(map(len, sequences.values()))
+            counts["k_s"] = len(sequences.t)
             if duplicates:
-                k_s = sequences_table(context, sequences.values())
+                k_s = sequences_table(context, sequences)
             by_signal = {}
-            for (s_id, b_id), seq in sequences.items():
-                by_signal.setdefault(s_id, {})[b_id] = seq
-            work = {}  # s_id -> (ChannelGroups, sequences to process)
+            for i, (s_id, b_id) in enumerate(sequences.keys):
+                by_signal.setdefault(s_id, {})[b_id] = i
+            groups, todo, keys = {}, [], []
             for s_id in sorted(set(config.catalog.signal_ids())):
                 channels = by_signal.get(s_id, {})
                 if config.dedup_channels:
-                    groups = equality_groups(s_id, channels)
-                    todo = [channels[g.representative] for g in groups]
+                    groups[s_id] = equality_groups(s_id, {
+                        b_id: sequences.sequence(i) if len(channels) > 1
+                        else None for b_id, i in channels.items()
+                    })
+                    chosen = [(g.representative, channels[g.representative])
+                              for g in groups[s_id]]
                 else:
-                    groups = []
-                    todo = list(channels.values())
+                    groups[s_id] = []
+                    chosen = list(channels.items())
                 # A signal type without instances still gets its
                 # (empty) sequence classified.
-                work[s_id] = (groups, todo or [empty_sequence(s_id)])
+                for b_id, i in chosen or [(None, None)]:
+                    todo.append(i)
+                    keys.append((s_id, b_id))
+            work = sequences.select(todo, keys)
         if config.drop_exact_duplicates:
             registry.counter(
                 "pipeline.interpret.exact_duplicates_dropped"
             ).inc(duplicates)
         interpret_span.set(rows_in=counts["k_pre"], rows_out=counts["k_s"])
-
-        outcomes = {}
-        result_rows = []
-        w_rows = []
-        total_before = 0
-        total_after = 0
-        for s_id, (groups, todo) in work.items():
-            functions = marker_functions(config.constraints.for_signal(s_id))
-            ext_rules = config.extensions.for_signal(s_id)
-            classifications = []
-            signal_rows = []
-            signal_w = []
-            before = 0
-            after = 0
-            for sequence in todo:
-                with recorder.span("reduce") as reduce_span:
-                    k_red = reduce_sequence(sequence, functions, {})
-                before += len(sequence)
-                after += len(k_red)
-                with recorder.span("extend") as extend_span:
-                    signal_w.extend(derive_extensions(k_red, ext_rules))
-                with recorder.span("branch") as branch_span:
-                    classification, branch_rows = process_sequence(
-                        k_red, config.branch_config
-                    )
-                classifications.append(classification)
-                signal_rows.extend(branch_rows)
-            total_before += before
-            total_after += after
-            result_rows.extend(signal_rows)
-            w_rows.extend(signal_w)
-            outcomes[s_id] = SignalOutcome(
-                signal_id=s_id,
-                # The head representative's sequence leads.
-                classification=classifications[0],
-                groups=groups,
-                rows_before_reduction=before,
-                rows_after_reduction=after,
-                result_rows=signal_rows,
-                extension_table=context.table_from_rows(
-                    list(W_COLUMNS), signal_w
-                ),
-            )
+        total_before = len(work.t)
         split_span.set(rows_in=counts["k_s"], rows_out=total_before)
         if counts["k_s"]:
             registry.set_gauge(
                 "pipeline.split.dedup_ratio", total_before / counts["k_s"]
             )
-        # A catalog is never empty and every signal type has at least its
-        # head sequence, so the loop above ran and bound the three spans.
-        reduce_span.set(rows_in=total_before, rows_out=total_after)
+
+        with recorder.span("reduce") as span:
+            reduced = reduce_segments(work, [
+                marker_functions(config.constraints.for_signal(s_id))
+                for s_id, _b_id in keys
+            ])
+            total_after = len(reduced.t)
+            span.set(rows_in=total_before, rows_out=total_after)
         if total_before:
             registry.set_gauge(
                 "pipeline.reduce.reduction_ratio", total_after / total_before
             )
-        extend_span.set(rows_in=total_after, rows_out=len(w_rows))
-        branch_span.set(rows_in=total_after, rows_out=len(result_rows))
+
+        w_rows = [[] for _key in keys]
+        with recorder.span("extend") as span:
+            for i, (s_id, _b_id) in enumerate(keys):
+                rules = config.extensions.for_signal(s_id)
+                if rules:
+                    w_rows[i] = derive_extensions(reduced.sequence(i), rules)
+            span.set(rows_in=total_after, rows_out=sum(map(len, w_rows)))
+
+        with recorder.span("branch") as span:
+            classifications, branch_rows = process_segments(
+                reduced, config.branch_config
+            )
+            span.set(rows_in=total_after,
+                     rows_out=sum(map(len, branch_rows)))
+
+        outcomes = {}
+        for i, (s_id, _b_id) in enumerate(keys):
+            outcome = outcomes.get(s_id)
+            if outcome is None:
+                # The head representative's sequence leads.
+                outcome = outcomes[s_id] = SignalOutcome(
+                    s_id, classifications[i], groups[s_id], 0, 0, [], [],
+                    context,
+                )
+            outcome.rows_before_reduction += int(work.sizes[i])
+            outcome.rows_after_reduction += int(reduced.sizes[i])
+            outcome.result_rows.extend(branch_rows[i])
+            outcome.w_rows.extend(w_rows[i])
+        result_rows = [row for o in outcomes.values() for row in o.result_rows]
+        w_rows = [row for o in outcomes.values() for row in o.w_rows]
 
         with recorder.span("merge") as span:
             r_out = merge_sequences(context, result_rows, w_rows).cache()

@@ -13,15 +13,20 @@ they can express the paper's examples:
 repeated data points, temporal-gap conditions, sending-condition checks.
 Aggregation-based markers (inherently distributable operations in Big
 Data systems) compute their statistics over the rows they are handed.
+A marker that decides from each element's predecessor alone also
+offers :meth:`MarkerFunction.from_predecessor`, which flags the
+elements of every sequence it applies to in one call.
 
 Eq. 1 itself is evaluated in one place,
-:func:`repro.core.sequence.reduce_sequence`; :func:`reduce_signal` is
+:func:`repro.core.sequence.reduce_segments`; :func:`reduce_signal` is
 its engine wrapper.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +48,31 @@ class MarkerFunction:
     redundant (to be removed). ``prev`` is the (t, v) of the element
     preceding the sequence -- element -1 -- or None. Implementations
     must be picklable.
+
+    ``from_predecessor(gaps, repeats)``, where a marker defines it,
+    flags the elements of many sequences at once from their
+    predecessors: ``gaps[i]`` is ``t_i - t_(i-1)`` (NaN without a
+    predecessor) and ``repeats[i]`` whether ``v_i == v_(i-1)``; element
+    -1 of each sequence is its carry, the last raw element before it
+    (the default :meth:`carry_after`). It returns the same flags as
+    ``flags``. Markers without it (None) run ``flags`` per sequence.
     """
 
+    from_predecessor = None
+
     def flags(self, times, values, prev):
-        raise NotImplementedError
+        """By default :meth:`from_predecessor` over this one sequence."""
+        if self.from_predecessor is None:
+            raise NotImplementedError
+        times = np.asarray(times, dtype=float)
+        # Without a prev the first gap is NaN and nothing repeats.
+        before = np.concatenate(([np.nan], times[:-1]))
+        repeats = np.zeros(len(values), dtype=bool)
+        repeats[1:] = values[1:] == values[:-1]
+        if prev is not None and len(values):
+            before[0] = prev[0]
+            repeats[0] = bool(values[0] == prev[1])
+        return self.from_predecessor(times - before, repeats)
 
     def carry_after(self, times, values, prev):
         """The ``prev`` a windowed run must pass to the *next* chunk.
@@ -61,17 +87,7 @@ class MarkerFunction:
         """
         if not len(times):
             return prev
-        return (times[-1], values[-1])
-
-
-def _previous(values, prev):
-    """Each element's predecessor value: ``prev``'s for element 0, or a
-    sentinel nothing equals."""
-    before = np.empty(len(values), dtype=object)
-    if len(values):
-        before[0] = prev[1] if prev is not None else _SENTINEL
-        before[1:] = values[:-1]
-    return before
+        return (times[-1:].tolist()[0], values[-1:].tolist()[0])
 
 
 @dataclass(frozen=True)
@@ -83,8 +99,8 @@ class UnchangedValue(MarkerFunction):
     identical subsequent signal instances are removed".
     """
 
-    def flags(self, times, values, prev):
-        return values == _previous(values, prev)
+    def from_predecessor(self, gaps, repeats):
+        return repeats
 
 
 @dataclass(frozen=True)
@@ -104,14 +120,8 @@ class UnchangedWithinCycle(MarkerFunction):
         if self.cycle_time <= 0 or self.tolerance <= 0:
             raise ReductionError("cycle_time and tolerance must be positive")
 
-    def flags(self, times, values, prev):
-        # Without a prev the first gap is NaN, which is within no limit.
-        times = times.astype(float)
-        before = np.concatenate(
-            ([prev[0] if prev is not None else np.nan], times[:-1])
-        )
-        within = times - before <= self.cycle_time * self.tolerance
-        return within & (values == _previous(values, prev))
+    def from_predecessor(self, gaps, repeats):
+        return repeats & (gaps <= self.cycle_time * self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -205,8 +215,6 @@ class OutsideQuantileRange(MarkerFunction):
         return out
 
 
-_SENTINEL = object()
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -236,13 +244,18 @@ class ConstraintSet:
     def __len__(self):
         return len(self.constraints)
 
+    @cached_property
+    def _by_signal(self):
+        index = defaultdict(list)
+        for c in self.constraints:
+            if c.enabled:
+                index[c.signal_id].append(c)
+        return index
+
     def for_signal(self, signal_id):
-        """All enabled constraints joined to *signal_id* (line 10)."""
-        return [
-            c
-            for c in self.constraints
-            if c.signal_id == signal_id and c.enabled
-        ]
+        """All enabled constraints joined to *signal_id* (line 10), in
+        set order."""
+        return list(self._by_signal.get(signal_id, ()))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
-"""Algorithm 1 lines 7-29 on typed sequences -- the only copy.
+"""Algorithm 1 lines 7-29 on one segmented column set -- the only copy.
 
 Every entry point that runs Algorithm 1 past interpretation composes
 the functions of this module: :meth:`PreprocessingPipeline.run
 <repro.core.pipeline.PreprocessingPipeline.run>` splits the cached
-``K_s`` and feeds each representative sequence with an empty carry,
-:class:`IncrementalRunner <repro.core.incremental.IncrementalRunner>`
-splits each window's ``K_s`` and feeds each chunk with the carry of the
-chunks before it, and the public engine wrappers
+``K_s`` into one :class:`Sequences` set and runs each later stage once
+over all of its segments, :class:`IncrementalRunner
+<repro.core.incremental.IncrementalRunner>` splits each window's ``K_s``
+and reduces all of its chunks in one call with the carry of the chunks
+before them, and the public engine wrappers
 :func:`~repro.core.splitting.equality_split`,
 :func:`~repro.core.reduction.reduce_signal` and
 :func:`~repro.core.extension.apply_extensions` run them on one signal
@@ -14,24 +15,24 @@ type's table. Whole-trace and windowed results are therefore equal
 because they are computed by the same statements, not because a
 property test holds two copies together.
 
-A *sequence* is one signal type's instances (normally of one channel)
-held as columns, a :class:`Sequence`: the timestamps, the values and
-each element's channel as object arrays of the objects the decoder
-produced. ``K_s`` reaches the stages as columns, and
-rows exist only as what the stages return: the R rows of a branch and
-the W rows of an extension rule. The stages, in order:
+A *sequence* is one signal type's instances (normally of one channel).
+A run holds all of them as the segments of one :class:`Sequences` set
+of typed planes; a :class:`Sequence` is one segment as object columns,
+the form single-sequence callers, SWAB's α branch and the row-reference
+oracles take. Rows exist only as what the stages return: the R rows of
+a branch and the W rows of an extension rule. The stages, in order:
 
-1. :func:`split_sequences` -- ``K_s`` columns to per-signal
-   (per-channel) sequences in the canonical order ``(t,
+1. :func:`split_sequences` -- ``K_s`` columns to the per-signal
+   (per-channel) segments in the canonical order ``(t,
    value_order_key(v))``, without exact duplicates (lines 7-8);
 2. :func:`equality_groups` -- the gateway equality check ``e`` over one
    signal type's channels (line 9);
-3. :func:`reduce_sequence` -- Eq. 1 with an explicit per-marker carry
-   (lines 10-11);
-4. :func:`derive_extensions` -- the W rows of the reduced sequence
+3. :func:`reduce_segments` -- Eq. 1 with an explicit per-marker carry,
+   one pass per distinct marker (lines 10-11);
+4. :func:`derive_extensions` -- the W rows of one reduced sequence
    (line 12);
-5. :func:`process_sequence` -- ``classify`` then ``process_branch``
-   (lines 13-28);
+5. :func:`process_segments` -- Table 3 and the branches over every
+   segment (lines 13-28);
 6. :func:`merge_sequences` -- ``merge_results`` over all sequences'
    output rows (line 29).
 """
@@ -39,20 +40,28 @@ the W rows of an extension rule. The stages, in order:
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from repro.core.branches import R_COLUMNS, process_branch
-from repro.core.classification import classify
-from repro.core.model import K_S_COLUMNS, W_COLUMNS
+from repro.core.branches import R_COLUMNS, branch_segments, process_branch
+from repro.core.classification import classify, classify_segments
+from repro.core.model import K_S_COLUMNS, LABEL, NUMBER, OBJECT, W_COLUMNS
 from repro.core.representation import merge_results
 from repro.engine.columnar import ColumnarPartition, DictColumn
 from repro.engine.schema import Schema
 
 #: Layout of the rows extension rules take.
 K_S_SCHEMA = Schema.of(*K_S_COLUMNS)
+
+
+def _kind_of(types):
+    """The kind of values of the *types* given (all of them)."""
+    if types <= {float, int}:
+        return NUMBER
+    return LABEL if types == {str} else OBJECT
 
 
 def value_order_key(value):
@@ -71,21 +80,23 @@ def objects(values):
 
 
 def column_objects(column):
-    """An engine column as an object array of the cells it yields."""
+    """An engine column as an array of the cells it yields: float64 for
+    a packed ``d`` column, objects otherwise."""
     if isinstance(column, DictColumn):
         return objects(column.values)[np.asarray(column.codes, np.intp)]
     if isinstance(column, (array, memoryview)):
-        return np.asarray(column).astype(object)
+        cells = np.asarray(column)
+        return cells if cells.dtype == np.float64 else cells.astype(object)
     return objects(column)
 
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """One sequence as columns: timestamps ``t``, values ``v`` and
-    channels ``b``, each an object array holding the very objects the
-    decoder produced; every element is an instance of signal type
-    ``s_id``. A stage that computes on the timestamps takes a float64
-    copy; rows carry the objects themselves."""
+    channels ``b``; every element is an instance of signal type
+    ``s_id``. ``v`` and ``b`` hold the objects the decoder produced;
+    ``t`` is float64 when every timestamp is a float, else their
+    objects too."""
 
     s_id: object
     t: np.ndarray
@@ -106,6 +117,203 @@ class Sequence:
             self.b.tolist(),
         ))
 
+    def as_set(self):
+        """This sequence as the one segment of a :class:`Sequences`."""
+        return Sequences.build(
+            [(self.s_id, None)], [0, len(self)], self.t, self.v, self.b
+        )
+
+
+class Sequences:
+    """One segmented, typed column set: every sequence of a run.
+
+    Segment ``i`` is the sequence of ``keys[i]`` (an ``(s_id, b_id)``
+    pair), the elements ``offsets[i]:offsets[i + 1]`` of the planes:
+
+    * ``t`` -- the timestamps, float64 (objects if one is no float);
+    * ``v`` -- the values as the decoder's objects, which rows are
+      built from;
+    * ``x`` -- the values of :data:`NUMBER` segments as float64;
+    * ``c`` -- the values of :data:`LABEL` segments as codes into
+      :attr:`labels`;
+    * ``b`` -- each element's code into :attr:`channels`.
+
+    ``kinds[i]`` is the kind of segment ``i``'s values, one per signal
+    type: the stages compute on ``x`` and ``c``, and on ``v`` only for
+    :data:`OBJECT` segments (mixed types, NaN, ``bool``, TRUNCATED). It
+    iterates over its keys; :meth:`items` pairs each with its segment.
+    """
+
+    def __init__(self, keys, offsets, t, v, b, channels, kinds, x, c,
+                 labels):
+        self.keys, self.offsets = list(keys), np.asarray(offsets, np.intp)
+        self.t, self.v, self.b, self.channels = t, v, b, channels
+        self.kinds = np.asarray(kinds, np.int8)
+        self.x, self.c, self.labels = x, c, labels
+        self.sizes = self.offsets[1:] - self.offsets[:-1]
+        #: Per element, its segment and its kind.
+        self.segment = np.repeat(np.arange(len(self.keys)), self.sizes)
+        self.kind = self.kinds[self.segment]
+
+    @classmethod
+    def build(cls, keys, offsets, t, v, b=None):
+        """The set whose segment ``i`` is ``keys[i]``'s elements
+        ``offsets[i]:offsets[i + 1]`` of the columns *t*, *v* and *b*
+        (the values and channels as objects; without *b* each element's
+        channel is its key's). Each signal type's values -- its
+        segments are adjacent -- get the narrowest kind that holds them
+        exactly."""
+        offsets = np.asarray(offsets, np.intp)
+        n = len(v)
+        x, c = np.full(n, np.nan), np.full(n, -1, np.intp)
+        kinds = np.full(len(keys), OBJECT, np.int8)
+        labels = objects(())
+        if n:
+            # One kind per signal type, over its (adjacent) segments.
+            firsts = [i for i, key in enumerate(keys)
+                      if not i or key[0] != keys[i - 1][0]]
+            lo = np.append(offsets[firsts], n)
+            types = list(map(type, v.tolist()))
+            kind = np.array([
+                _kind_of(set(types[a:z]))
+                for a, z in zip(lo[:-1].tolist(), lo[1:].tolist())
+            ], np.int8)
+            signal = np.repeat(np.arange(len(firsts)), lo[1:] - lo[:-1])
+            numbers = np.flatnonzero(kind[signal] == NUMBER)
+            try:
+                x[numbers] = v[numbers].astype(float)
+            except OverflowError:
+                x[numbers] = np.inf
+            # NaN and ints beyond 2**53 are no float64 numbers: objects.
+            kind[signal[numbers[~(np.abs(x[numbers]) < 2.0 ** 53)]]] = OBJECT
+            kinds = np.repeat(kind, np.diff(firsts + [len(keys)]))
+            element = kind[signal]
+            x[element != NUMBER] = np.nan
+            strs = element == LABEL
+            labels = objects(sorted(set(v[strs])))
+            rank = {label: i for i, label in enumerate(labels)}
+            c[strs] = np.fromiter(map(rank.__getitem__, v[strs]), np.intp,
+                                  np.count_nonzero(strs))
+        if t.dtype == object and set(map(type, t)) <= {float}:
+            t = t.astype(float)
+        if b is None:
+            channels = list({key[1]: None for key in keys})
+            code_of = {channel: i for i, channel in enumerate(channels)}
+            b = np.repeat(np.array(
+                [code_of[key[1]] for key in keys], np.intp
+            ), offsets[1:] - offsets[:-1])
+        else:
+            channels = list({channel: None for channel in b})
+            code_of = {channel: i for i, channel in enumerate(channels)}
+            b = np.fromiter(map(code_of.__getitem__, b), np.intp, n)
+        return cls(keys, offsets, t, v, b, objects(channels), kinds, x, c,
+                   labels)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(self.keys)
+
+    def sequence(self, i, numbers=False):
+        """Segment *i* as a :class:`Sequence` of views; with *numbers*,
+        of its float64 values if its kind is :data:`NUMBER` (α)."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        numbers = numbers and self.kinds[i] == NUMBER
+        return Sequence(
+            self.keys[i][0], self.t[lo:hi], (self.x if numbers else self.v)[
+                lo:hi], self.channels[self.b[lo:hi]],
+        )
+
+    def values(self):
+        """Every segment as a :class:`Sequence`, in order."""
+        b = self.channels[self.b]
+        return [
+            Sequence(key[0], self.t[lo:hi], self.v[lo:hi], b[lo:hi])
+            for key, lo, hi in zip(self.keys, self.offsets[:-1].tolist(),
+                                   self.offsets[1:].tolist())
+        ]
+
+    def items(self):
+        """``(key, segment as a Sequence)`` pairs, in order."""
+        return list(zip(self.keys, self.values()))
+
+    # -- planes ----------------------------------------------------------------
+    def times(self):
+        """The timestamps as float64."""
+        return self.t if self.t.dtype != object else self.t.astype(float)
+
+    def text(self, index):
+        """``str`` of the values at the positions *index*, as objects."""
+        if len(index) and (self.kind[index] == LABEL).all():
+            return self.labels[self.c[index]]
+        return objects(list(map(str, self.v[index].tolist())))
+
+    def positions(self, segments):
+        """The element positions of *segments*, one after another."""
+        sizes = self.sizes[segments]
+        ends = np.cumsum(sizes)
+        return np.repeat(self.offsets[segments] - ends + sizes, sizes) \
+            + np.arange(ends[-1] if len(ends) else 0)
+
+    def isin(self, vocabulary):
+        """Per element, whether its value is in *vocabulary* (a set)."""
+        member = np.fromiter(
+            map(vocabulary.__contains__, self.labels), bool, len(self.labels)
+        )
+        out = self.kind == LABEL
+        out[out] = member[self.c[out]]
+        # A number is in a vocabulary of labels only by a non-label word.
+        asked = np.flatnonzero((self.kind == OBJECT) | (
+            self.kind == NUMBER
+        ) & any(not isinstance(word, str) for word in vocabulary))
+        out[asked] = np.fromiter(map(
+            vocabulary.__contains__, self.v[asked].tolist()
+        ), bool, len(asked))
+        return out
+
+    def repeats(self):
+        """Per element, whether it equals its predecessor in its segment
+        (False for a segment's first element)."""
+        same = np.zeros(len(self.t), dtype=bool)
+        for kind, plane in ((NUMBER, self.x), (LABEL, self.c),
+                            (OBJECT, self.v)):
+            if (self.kinds == kind).all():
+                same[1:] = plane[1:] == plane[:-1]
+                break
+            at = np.flatnonzero(self.kind[1:] == kind) + 1
+            same[at] = plane[at] == plane[at - 1]
+        same[self.offsets[:-1][self.sizes > 0]] = False
+        return same
+
+    # -- new sets ----------------------------------------------------------------
+    def gather(self, keys, sizes, index, kinds):
+        """The set of *keys* whose segments, *sizes* long, are the
+        elements at the positions *index*; *kinds* per segment."""
+        return Sequences(
+            keys, np.concatenate(([0], np.cumsum(sizes))), self.t[index],
+            self.v[index], self.b[index], self.channels, kinds,
+            self.x[index], self.c[index], self.labels,
+        )
+
+    def take(self, keep):
+        """The elements a boolean mask *keeps*, segments unchanged."""
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.offsets]
+        return self.gather(
+            self.keys, np.diff(kept), np.flatnonzero(keep), self.kinds
+        )
+
+    def select(self, segments, keys):
+        """Segments in the order given: ``segments[j]`` under
+        ``keys[j]``, or an empty one where it is None."""
+        chosen = np.array([-1 if s is None else s for s in segments], np.intp)
+        real = chosen >= 0
+        sizes = np.zeros(len(chosen), np.intp)
+        sizes[real] = self.sizes[chosen[real]]
+        kinds = np.full(len(chosen), NUMBER, np.int8)
+        kinds[real] = self.kinds[chosen[real]]
+        return self.gather(keys, sizes, self.positions(chosen[real]), kinds)
+
 
 def table_columns(table):
     """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table as arrays, no row
@@ -121,7 +329,8 @@ def table_columns(table):
     ]
     t, v, s_ids, b_ids = (
         np.concatenate(
-            [np.empty(0, object)] + [column_objects(p[i]) for p in parts]
+            [np.empty(0, object)] * (not parts)
+            + [column_objects(p[i]) for p in parts]
         )
         for i in range(len(K_S_COLUMNS))
     )
@@ -190,27 +399,25 @@ def _order(t, v, b, tied, drop_exact_duplicates):
 
 
 def split_sequences(columns, by_channel, drop_exact_duplicates):
-    """Lines 7-8: ``K_s`` columns to canonically ordered sequences.
+    """Lines 7-8: ``K_s`` columns to one :class:`Sequences` set.
 
     *columns* are ``(t, v, s_id, b_id, seq)`` as :func:`table_columns`
-    returns them. Returns ``(sequences, dropped)``. *sequences* maps
-    ``(s_id, b_id)`` to that channel's :class:`Sequence` -- or, when
-    *by_channel* is false, ``(s_id, None)`` to the elements of every
-    channel carrying the signal type -- ordered by ``(t,
-    value_order_key(v))``, keys sorted. One stable ``lexsort`` groups
-    the elements by code and orders each group by ``t`` (as float64), so
-    elements that share neither keep their arrival order. With
-    *drop_exact_duplicates*, an element equal to an earlier one (a
-    gateway replaying a frame without jitter) is dropped and counted in
-    *dropped*. Equal elements share their signal type, channel and
-    timestamp, so each is found among the elements tied with it, and a
-    windowed run that cuts ``K_s`` by time drops the same ones.
+    returns them. Returns ``(sequences, dropped)``. *sequences* has one
+    segment per ``(s_id, b_id)`` -- or, when *by_channel* is false, per
+    ``(s_id, None)``, holding the elements of every channel carrying the
+    signal type -- ordered by ``(t, value_order_key(v))``, keys sorted.
+    One stable ``lexsort`` groups the elements by code and orders each
+    group by ``t`` (as float64), so elements that share neither keep
+    their arrival order. With *drop_exact_duplicates*, an element equal
+    to an earlier one (a gateway replaying a frame without jitter) is
+    dropped and counted in *dropped*. Equal elements share their signal
+    type, channel and timestamp, so each is found among the elements
+    tied with it, and a windowed run that cuts ``K_s`` by time drops the
+    same ones.
     """
     t, v, s_ids, b_ids, codes = columns
-    if not len(t):
-        return {}, 0
     times = t.astype(float)
-    if not by_channel:
+    if not by_channel and len(t):
         # One code per signal type: the rank of each code's signal.
         _distinct, first, codes = np.unique(
             codes, return_index=True, return_inverse=True
@@ -226,15 +433,14 @@ def split_sequences(columns, by_channel, drop_exact_duplicates):
             drop_exact_duplicates,
         )
         order, codes = order[index], codes[index]
-    t, v, s_ids, b_ids = (column[order] for column in columns[:4])
-    bounds = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
-    sequences = {}
-    for start, stop in zip([0] + bounds, bounds + [len(t)]):
-        key = (s_ids[start], b_ids[start] if by_channel else None)
-        sequences[key] = Sequence(
-            key[0], t[start:stop], v[start:stop], b_ids[start:stop]
-        )
-    return sequences, dropped
+    heads = np.flatnonzero(np.diff(codes, prepend=-1)) if len(t) else []
+    keys = list(zip(s_ids[order[heads]].tolist(), (
+        b_ids[order[heads]].tolist() if by_channel else [None] * len(heads)
+    )))
+    return Sequences.build(
+        keys, np.append(heads, len(order)), t[order], v[order],
+        None if by_channel else b_ids[order],
+    ), dropped
 
 
 def empty_sequence(s_id):
@@ -243,14 +449,14 @@ def empty_sequence(s_id):
 
 
 def sequences_table(context, sequences):
-    """*sequences*, one after another, as a ``K_s`` table whose rows land
-    only when it is collected."""
+    """The segments of *sequences*, one after another, as a ``K_s``
+    table whose rows land only when it is collected."""
     return context.table_from_columnar(list(K_S_COLUMNS), [
         ColumnarPartition([
             seq.t.tolist(), seq.v.tolist(), [seq.s_id] * len(seq),
             seq.b.tolist(),
         ], len(seq))
-        for seq in sequences
+        for seq in sequences.values()
     ])
 
 
@@ -281,14 +487,16 @@ def equality_groups(signal_id, sequences):
     """Line 9: the equality check ``e`` over one signal type's channels.
 
     *sequences* maps each ``b_id`` to its sequence as
-    :func:`split_sequences` returns it. Channels whose value sequences
-    are equal (as lists are: ``1 == 1.0 == True``) form one
-    :class:`ChannelGroup`; its representative is the channel with the
-    most instances (ties by name), so the groups come out longest
-    representative first. Because the sequences are in canonical
-    order, two channels recording the same values are found
+    :func:`split_sequences` returns it; a lone channel's is not read.
+    Channels whose value sequences are equal (as lists are: ``1 == 1.0
+    == True``) form one :class:`ChannelGroup`; its representative is the
+    channel with the most instances (ties by name), so the groups come
+    out longest representative first. Because the sequences are in
+    canonical order, two channels recording the same values are found
     corresponding however each recorder ordered a tied timestamp.
     """
+    if len(sequences) == 1:
+        return [ChannelGroup(signal_id, next(iter(sequences)), ())]
     values = {b_id: seq.v.tolist() for b_id, seq in sequences.items()}
     channels = sorted(values, key=lambda b: (-len(values[b]), str(b)))
     groups = []
@@ -318,28 +526,107 @@ def marker_functions(constraints):
     return tuple(f for c in constraints for f in c.functions)
 
 
-def reduce_sequence(sequence, functions, carries):
-    """Lines 10-11: evaluate Eq. 1 and keep the elements whose flag is
-    false.
+def reduce_segments(sequences, functions, carries=None):
+    """Lines 10-11 over every segment: evaluate Eq. 1 and keep the
+    elements whose flag is false.
 
-    *sequence* is canonically ordered; *functions* come from
-    :func:`marker_functions`. *carries* maps a marker's position in
-    *functions* to the ``prev`` it continues from (see
+    *functions[i]* is segment ``i``'s marker tuple
+    (:func:`marker_functions`). Each distinct marker runs once over all
+    the segments it applies to: through
+    :meth:`~repro.core.reduction.MarkerFunction.from_predecessor` when
+    it decides from each element's predecessor -- element -1 of a
+    segment is its carry -- else through ``flags`` per segment.
+    *carries*, when given, holds per segment the dict mapping a marker's
+    position in its tuple to the ``prev`` it continues from (see
     :meth:`MarkerFunction.carry_after
-    <repro.core.reduction.MarkerFunction.carry_after>`): pass an empty
-    dict for a whole sequence, and the dict of the preceding chunk for a
-    continuation. It is updated in place, so reducing a sequence chunk
-    by chunk is element-for-element identical to reducing it at once.
+    <repro.core.reduction.MarkerFunction.carry_after>`): empty for a
+    whole sequence, that of the preceding chunk for a continuation. It
+    is updated in place, so reducing a sequence chunk by chunk is
+    element-for-element identical to reducing it at once. Without it
+    every segment is whole and no carry is kept.
     """
+    jobs = defaultdict(list)  # (hash, marker), or its id -> its uses
+    for segment, markers in enumerate(functions):
+        for index, func in enumerate(markers):
+            try:
+                key = (hash(func), func)
+            except TypeError:  # unhashable (a field is): by identity
+                key = id(func)
+            jobs[key].append((func, segment, index))
+    if not jobs:
+        return sequences
+    redundant = np.zeros(len(sequences.t), dtype=bool)
+    offsets, sizes = sequences.offsets, sequences.sizes
+    bounds = offsets.tolist()
+    gaps = None
+    for uses in jobs.values():
+        func = uses[0][0]
+        members = [(s, index) for _func, s, index in uses]
+        prevs = [None if carries is None else carries[s].get(index)
+                 for s, index in members]
+        if func.from_predecessor is None:
+            for (s, i), prev in zip(members, prevs):
+                seq = sequences.sequence(s)
+                redundant[bounds[s] : bounds[s + 1]] |= np.asarray(
+                    func.flags(seq.t, seq.v, prev), dtype=bool
+                )
+                if carries is not None:
+                    carries[s][i] = func.carry_after(seq.t, seq.v, prev)
+            continue
+        if gaps is None:
+            # Each element's predecessor in its segment, for all at once.
+            times = sequences.times()
+            full = np.flatnonzero(sizes)
+            gaps = np.full(len(times), np.nan)
+            gaps[1:] = times[1:] - times[:-1]
+            gaps[offsets[full]] = np.nan
+            repeats = sequences.repeats()
+            if carries is not None:
+                firsts = dict(zip(full.tolist(),
+                                  sequences.v[offsets[full]].tolist()))
+                last = offsets[full + 1] - 1
+                ends = dict(zip(full.tolist(), zip(
+                    sequences.t[last].tolist(),
+                    sequences.v[last].tolist(),
+                )))
+        one = len(members) == 1
+        if one:
+            s = members[0][0]
+            index, starts = slice(bounds[s], bounds[s + 1]), [0]
+        else:
+            segments = np.array([s for s, _index in members], np.intp)
+            index = sequences.positions(segments)
+            starts = (np.cumsum(sizes[segments]) - sizes[segments]).tolist()
+        gap, same = gaps[index], repeats[index]
+        if carries is not None:
+            gap, same = gap.copy(), same.copy()
+            # Element -1 of each segment is its carry.
+            for (s, i), prev, start in zip(members, prevs, starts):
+                if prev is not None and s in firsts:
+                    gap[start] = times[bounds[s]] - prev[0]
+                    same[start] = bool(firsts[s] == prev[1])
+                carries[s][i] = ends.get(s, prev)
+        flags = func.from_predecessor(gap, same)
+        if one:
+            redundant[index] |= flags
+        else:
+            redundant[index[flags]] = True
+    for carry in carries or ():
+        if len(carry) > 1:  # in marker order, as one marker at a time
+            ordered = sorted(carry.items())
+            carry.clear()
+            carry.update(ordered)
+    return sequences.take(~redundant)
+
+
+def reduce_sequence(sequence, functions, carries):
+    """Lines 10-11 for one sequence: :func:`reduce_segments` over it as
+    a one-segment set, with the carry dict *carries*."""
     if not functions:
         return sequence
-    times, values = sequence.t, sequence.v
-    redundant = np.zeros(len(times), dtype=bool)
-    for index, func in enumerate(functions):
-        prev = carries.get(index)
-        redundant |= np.asarray(func.flags(times, values, prev), dtype=bool)
-        carries[index] = func.carry_after(times, values, prev)
-    return sequence.take(~redundant)
+    return reduce_segments(
+        sequence.as_set(), [functions], [carries]
+    ).sequence(0)
 
 
 def derive_extensions(sequence, rules):
@@ -364,13 +651,20 @@ def classify_sequence(sequence, classifier_config=None):
 
 
 def process_sequence(sequence, branch_config):
-    """Lines 13-28: classify a reduced sequence and run its branch.
-
-    Returns ``(classification, R rows)``.
-    """
+    """Lines 13-28 for one reduced sequence: ``(classification, R
+    rows)``."""
     classification = classify_sequence(sequence, branch_config.classifier)
     return classification, process_branch(
         sequence, classification, branch_config
+    )
+
+
+def process_segments(sequences, branch_config):
+    """Lines 13-28 for every reduced segment: Table 3's classification
+    of each and its branch's R rows, one list per segment."""
+    classifications = classify_segments(sequences, branch_config.classifier)
+    return classifications, branch_segments(
+        sequences, classifications, branch_config
     )
 
 

@@ -48,6 +48,8 @@ import struct
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
+
 from repro.engine.columnar import BytesColumn
 from repro.engine.errors import PlanError
 from repro.tracefile.binlog import (
@@ -224,12 +226,15 @@ class ColumnarTraceReader:
                                  "payload")
         self._check_offset_plane(self._info_offsets, self._info_blob,
                                  "m_info")
-        for index in self._channel_indices:
-            if index >= len(self.channels):
-                raise ColumnarTraceError(
-                    "channel index {} out of range (dictionary has {} "
-                    "entries)".format(index, len(self.channels))
-                )
+        beyond = np.flatnonzero(
+            np.asarray(self._channel_indices) >= len(self.channels)
+        )
+        if len(beyond):
+            raise ColumnarTraceError(
+                "channel index {} out of range (dictionary has {} "
+                "entries)".format(self._channel_indices[beyond[0]],
+                                  len(self.channels))
+            )
 
     def _section(self, number):
         return self._view[self._offsets[number] : self._offsets[number + 1]]
@@ -265,13 +270,11 @@ class ColumnarTraceReader:
         return tuple(channels)
 
     def _check_offset_plane(self, offsets, blob, label):
-        previous = 0
-        for offset in offsets:
-            if offset < previous:
-                raise ColumnarTraceError(
-                    "{} offsets out of order".format(label)
-                )
-            previous = offset
+        plane = np.asarray(offsets)
+        if (plane[1:] < plane[:-1]).any():
+            raise ColumnarTraceError(
+                "{} offsets out of order".format(label)
+            )
         if offsets[0] != 0 or offsets[-1] > len(blob):
             raise ColumnarTraceError(
                 "{} offsets exceed their blob ({} > {})".format(

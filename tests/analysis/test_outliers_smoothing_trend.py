@@ -178,6 +178,14 @@ class TestTrendClassifier:
     def test_empty(self):
         assert TrendClassifier().classify_gradient([]) == []
 
+    def test_each_segment_takes_its_own_gradient(self):
+        tc = TrendClassifier(steady_threshold=0.1)
+        parts = [[0.0, 1.0, 2.0], [5.0], [], [3.0, 1.0], [2.0, 2.0, 0.0, 4.0]]
+        owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        assert tc.classify_gradient(np.concatenate(parts), owner) == [
+            label for part in parts for label in tc.classify_gradient(part)
+        ]
+
 
 class TestGradient:
     def test_linear_series_constant_gradient(self):

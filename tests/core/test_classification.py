@@ -10,7 +10,6 @@ from repro.core import (
     BETA,
     GAMMA,
     ClassifierConfig,
-    SequenceClassifier,
     classify,
     compute_criteria,
 )
@@ -169,13 +168,6 @@ class TestConfig:
         z = compute_criteria(times(4), [1, 2, "broken", 3], config)
         assert z.z_type == NUMERIC_TYPE
         assert z.z_num == 3
-
-
-class TestSequenceClassifier:
-    def test_affiliation_mask(self):
-        clf = SequenceClassifier()
-        mask = clf.affiliation_mask(["low", "invalid", "high"])
-        assert mask == [True, False, True]
 
 
 # -- the per-value reference ------------------------------------------------

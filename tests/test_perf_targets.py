@@ -28,7 +28,10 @@ than its default by one, or is listed with its reason. The last
 guard but one keeps Table 3's "is this value a number" (``int``/``float``,
 not ``bool``) in one function of ``repro.core``, which its callers ask
 once per value type: no other scope of it tests against
-``(int, float)``. The last two keep unpickling to the fleet checkpoint
+``(int, float)``. Two more keep lines 7-28 one pass per run: a run
+opens one reduce, extend and branch span whatever its signal count, and
+a numeric signal type's values never leave their float64 plane for an
+object ``astype``. The last two keep unpickling to the fleet checkpoint
 reader: no stored table, stream log or other file is read through
 ``pickle.load``, and the stream path does not import ``pickle``.
 """
@@ -687,6 +690,79 @@ def test_the_numeric_value_test_is_spelled_in_one_function_of_core():
     assert _scopes([CORE], tests_int_and_float) == {
         ("classification.py", "is_numeric_type")
     }
+
+
+def _lig_run(monkeypatch=None, spans=None):
+    """Algorithm 1 over four seconds of LIG (180 signal types)."""
+    from repro.core import PipelineConfig, PreprocessingPipeline
+    from repro.datasets import SPECS, build_dataset
+    from repro.engine import EngineContext
+    from repro.obs import RunReport
+
+    bundle = build_dataset(SPECS["LIG"])
+    report = RunReport("pipeline.run")
+    if spans is not None:
+        opened = report.spans.span
+
+        def counting(name, *args, **kwargs):
+            spans[name] = spans.get(name, 0) + 1
+            return opened(name, *args, **kwargs)
+
+        report.spans.span = counting
+    return PreprocessingPipeline(PipelineConfig(
+        catalog=bundle.catalog(), constraints=bundle.default_constraints(),
+    )).run(bundle.record_table(EngineContext.serial(), 4.0), report)
+
+
+def test_a_run_opens_one_span_per_stage_whatever_the_signal_count():
+    """Lines 7-28 run once over one segmented set: the reduce, extend
+    and branch spans are opened once per run, not once per sequence."""
+    spans = {}
+    result = _lig_run(spans=spans)
+    assert len(result.outcomes) == 180
+    assert {name: spans[name] for name in ("reduce", "extend", "branch")} \
+        == {"reduce": 1, "extend": 1, "branch": 1}
+
+
+def test_numeric_signal_types_take_no_object_astype(monkeypatch):
+    """Between split and ``R_out`` the values of a numeric signal type
+    stay in their float64 or int64 plane. ``astype`` on a value array of
+    objects happens in the plane builder and in the object-kind paths
+    of α's type split and β's translation only; a run whose signal types
+    are all typed (LIG: floats, ints and labels) never enters those
+    paths, nor Table 3's per-value path."""
+    import repro.core.branches as branches
+    import repro.core.classification as classification
+    from repro.core.model import OBJECT
+
+    def casts(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "astype"
+
+    assert {
+        (module, scope) for module, scope in _scopes([CORE], casts)
+        if module in ("branches.py", "classification.py")
+    } == {("branches.py", "process_alpha"), ("branches.py", "_ranks")}
+
+    def untyped(*args, **kwargs):
+        raise AssertionError("an object plane reached a typed stage")
+
+    for name in ("numeric_mask", "all_numeric"):
+        monkeypatch.setattr(branches, name, untyped)
+    monkeypatch.setattr(classification, "_value_criteria", untyped)
+    from repro.core import sequence
+
+    built = []
+    build = sequence.Sequences.build.__func__
+
+    def spy(cls, *args, **kwargs):
+        built.append(build(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sequence.Sequences, "build", classmethod(spy))
+    result = _lig_run()
+    assert OBJECT not in built[0].kinds.tolist()
+    assert {o.classification.branch for o in result.outcomes.values()} \
+        == {"alpha", "beta", "gamma"}
 
 
 #: Every scope of ``src/repro`` that unpickles: none. ``pickle.load``
