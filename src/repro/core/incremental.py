@@ -320,8 +320,17 @@ class IncrementalResult:
 def window_index(t, origin, window_seconds):
     """The window timestamp *t* belongs to: window ``k`` covers
     ``[origin + k*W, origin + (k+1)*W)``. The one membership rule of
-    :func:`split_into_windows` and the stream ``WindowAssembler``."""
-    return math.floor((t - origin) / window_seconds)
+    :func:`split_into_windows` and the stream ``WindowAssembler``.
+
+    The bounds are the sums as written, which the assembler seals at;
+    where the division rounds *t* across one of them (``(4.1 - 4.0) /
+    0.1`` is just under 1), one step moves it back."""
+    index = math.floor((t - origin) / window_seconds)
+    if t >= origin + (index + 1) * window_seconds:
+        return index + 1
+    if t < origin + index * window_seconds:
+        return index - 1
+    return index
 
 
 def split_into_windows(records, window_seconds):
@@ -334,7 +343,7 @@ def split_into_windows(records, window_seconds):
     :meth:`IncrementalRunner.process_window`'s in-order-windows check
     holds for the produced sequence. Empty windows are not produced.
     """
-    if window_seconds <= 0:
+    if not window_seconds > 0:
         raise IncrementalError("window_seconds must be positive")
     ordered = sorted(records, key=lambda r: (r[0],))
     if not ordered:

@@ -297,19 +297,6 @@ class Executor:
         self.obs.observe("executor.task_seconds", seconds)
         self.obs.observe("executor.task_seconds.{}".format(kind), seconds)
 
-    def reset_stage_clock(self):
-        """Restart stage numbering at zero.
-
-        Stage labels embed a monotonic sequence number, and
-        :class:`FaultPolicy` decisions key on the full label -- so on a
-        long-lived executor the fault pattern of a plan depends on how
-        many stages ran before it. Harnesses that replay cases on cached
-        executors (the differential oracle, the shrinker) reset the
-        clock per case to make fault injection a pure function of the
-        case.
-        """
-        self._stage_seq = 0
-
     def close(self):
         """Release worker resources (no-op for serial execution)."""
 

@@ -53,9 +53,9 @@ class WindowAssembler:
     """
 
     def __init__(self, window_seconds, grace_seconds=0.0):
-        if window_seconds <= 0:
+        if not window_seconds > 0:
             raise StreamError("window_seconds must be positive")
-        if grace_seconds < 0:
+        if not grace_seconds >= 0:
             raise StreamError("grace_seconds must not be negative")
         self.window_seconds = float(window_seconds)
         self.grace_seconds = float(grace_seconds)

@@ -58,9 +58,9 @@ class StreamConfig:
     checkpoint_every: int = 200
 
     def __post_init__(self):
-        if self.window_seconds <= 0:
+        if not self.window_seconds > 0:
             raise StreamError("window_seconds must be positive")
-        if self.grace_seconds < 0:
+        if not self.grace_seconds >= 0:
             raise StreamError("grace_seconds must not be negative")
         if self.queue_capacity < 1:
             raise StreamError("queue_capacity must be at least 1")

@@ -1,43 +1,17 @@
-"""Differential testing harness for the dataflow engine.
+"""Harnesses that hold ``R_out`` to the paper's promises.
 
-The paper's framework is only trustworthy if Algorithm 1 executes
-identically whether it runs serially or distributed; this package
-enforces that promise mechanically instead of by a handful of
-hand-written cases:
-
-* :mod:`repro.testing.generator` -- seeded random trace-shaped tables
-  (skewed keys, NULLs, empty partitions) and random logical plans drawn
-  from the engine's operator grammar, encoded as pure-data *specs* so
-  they serialize and shrink;
-* :mod:`repro.testing.oracle` -- executes every generated plan under
-  SimulatedClusterExecutor and MultiprocessingExecutor and asserts
-  row-multiset equality against a SerialExecutor reference;
-* :mod:`repro.testing.shrinker` -- minimizes a diverging (plan, input)
-  pair to a small reproducer and writes it to disk as JSON;
+* :mod:`repro.testing.generator` -- seeded random journeys (a network
+  database, a parameter document and a ``K_b`` trace), clean or lossy;
+* :mod:`repro.testing.differential` -- runs a journey across executor,
+  partition count, trace layout, window size and kill point and holds
+  every ``R_out`` digest to the serial whole-trace run's; shrinks a
+  divergence to a JSON reproducer;
 * :mod:`repro.testing.fuzz` -- the CLI: ``python -m repro.testing.fuzz
-  --seeds N`` for long offline runs, ``--reproduce file.json`` to
-  re-execute a shrunk failure.
+  --seeds N [--lossy]``, ``--reproduce file.json``;
+* :mod:`repro.testing.degradation` -- perfect-vs-corrupted runs of one
+  scenario, swept over corruption severities.
 """
 
-from repro.testing.generator import (
-    DatasetCase,
-    apply_spec,
-    build_table,
-    corrupt_dataset,
-    generate_case,
-    generate_dataset,
-    generate_journey_case,
-    generate_spec,
-)
-from repro.testing.oracle import (
-    DEFAULT_COMBOS,
-    REFERENCE_COMBO,
-    CaseReport,
-    ComboSpec,
-    DifferentialOracle,
-    Divergence,
-    run_seeds,
-)
 from repro.testing.degradation import (
     DEFAULT_SEVERITIES,
     DEGRADE_REPORT_FORMAT,
@@ -49,31 +23,9 @@ from repro.testing.degradation import (
     run_degradation,
     validate_degrade_report,
 )
-from repro.testing.shrinker import (
-    load_reproducer,
-    shrink_case,
-    write_reproducer,
-)
+from repro.testing.generator import JourneyCase, generate_journey_case
 
 __all__ = [
-    "DatasetCase",
-    "apply_spec",
-    "build_table",
-    "corrupt_dataset",
-    "generate_case",
-    "generate_dataset",
-    "generate_journey_case",
-    "generate_spec",
-    "DEFAULT_COMBOS",
-    "REFERENCE_COMBO",
-    "CaseReport",
-    "ComboSpec",
-    "DifferentialOracle",
-    "Divergence",
-    "run_seeds",
-    "load_reproducer",
-    "shrink_case",
-    "write_reproducer",
     "DEFAULT_SEVERITIES",
     "DEGRADE_REPORT_FORMAT",
     "KNOBS",
@@ -83,4 +35,6 @@ __all__ = [
     "lossy_config",
     "run_degradation",
     "validate_degrade_report",
+    "JourneyCase",
+    "generate_journey_case",
 ]

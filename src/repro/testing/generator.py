@@ -1,383 +1,14 @@
-"""Seeded random generation of trace-shaped tables and logical plans.
+"""Seeded random journeys: a vehicle's network database, parameter
+document and ``K_b`` trace.
 
-Everything here is deterministic given a seed: the same seed always
-produces the same dataset and the same plan spec, on any host (no use of
+Everything here is deterministic given the ``random.Random`` passed in:
+the same state always draws the same journey, on any host (no use of
 ``hash`` on strings, no wall-clock input).
-
-A *plan spec* is a tuple of pure-data op tuples -- ``("filter_cmp", "v",
-"gt", 40)``, ``("join",)`` -- that :func:`apply_spec` replays against a
-:class:`~repro.engine.table.Table`. The grammar is the engine's operator
-set: filters, projections, the inner broadcast join, union,
-repartition, flat-map, partition map, ascending sort and split by key.
-Keeping specs as plain data (JSON-serializable) is what makes shrinking
-and on-disk reproducers possible; callables needed by flat-map and
-partition-map ops are reconstructed from their encoded parameters.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-
-from repro.engine import col
-
-#: Value domains for the trace-shaped table. Mirrors a decoded CAN/LIN
-#: signal table: timestamp, skewed message id, bus name, numeric signal
-#: value with NULLs, sparse string annotation.
-TRACE_COLUMNS = ("t", "m_id", "bus", "v", "flag")
-CATALOG_COLUMNS = ("m_id", "scale", "label")
-_BUSES = ("FC", "BC", "K-LIN")
-_FLAGS = (None, None, None, "rise", "fall", "hold")
-_MESSAGE_IDS = tuple(range(8))
-
-
-@dataclass(frozen=True)
-class DatasetCase:
-    """One generated input: a trace table plus a small catalog table.
-
-    ``trace_partitions`` preserves an explicit partition layout (possibly
-    with empty partitions) because partition boundaries are exactly what
-    distributed execution can get wrong.
-    """
-
-    trace_partitions: tuple  # tuple of tuples of row tuples
-    catalog_rows: tuple
-
-    def total_rows(self):
-        return sum(len(p) for p in self.trace_partitions)
-
-
-@dataclass(frozen=True)
-class _ColumnInfo:
-    """What the generator may safely do with a column."""
-
-    orderable: bool  # usable as a sort key
-    numeric: bool  # usable in arithmetic
-    nullable: bool
-
-
-_BASE_INFO = {
-    "t": _ColumnInfo(True, True, False),
-    "m_id": _ColumnInfo(True, True, False),
-    "bus": _ColumnInfo(True, False, False),
-    "v": _ColumnInfo(False, True, True),
-    "flag": _ColumnInfo(False, False, True),
-}
-
-
-def generate_dataset(rng):
-    """Draw a trace table and catalog from *rng* (a ``random.Random``)."""
-    num_rows = rng.choice((0, rng.randint(1, 30), rng.randint(20, 120)))
-    num_partitions = rng.randint(1, 6)
-    t = 0.0
-    rows = []
-    for _unused in range(num_rows):
-        t += rng.choice((0.0, 0.01, 0.1, 0.5))
-        # Skewed message ids: low ids dominate, as real bus traffic does.
-        m_id = _MESSAGE_IDS[min(int(rng.random() ** 2 * len(_MESSAGE_IDS)),
-                                len(_MESSAGE_IDS) - 1)]
-        v = None if rng.random() < 0.15 else rng.randint(0, 100)
-        rows.append((t, m_id, rng.choice(_BUSES), v, rng.choice(_FLAGS)))
-    partitions = [[] for _unused in range(num_partitions)]
-    for row in rows:
-        partitions[rng.randrange(num_partitions)].append(row)
-    catalog = tuple(
-        (m, rng.randint(1, 5), "msg-{}".format(m))
-        for m in _MESSAGE_IDS
-        if rng.random() < 0.8  # leave some ids unmatched by the join
-    )
-    return DatasetCase(
-        tuple(tuple(p) for p in partitions), catalog
-    )
-
-
-def corrupt_dataset(case, rng):
-    """Return a lossy transport variant of *case*.
-
-    Models what gateways and flaky loggers do to real traces: exact
-    duplicate frames (replays, possibly landing in another partition),
-    backwards clock steps (non-monotonic ``t``), and frames whose value
-    was lost in transit (``v`` nulled, as a truncated payload decodes to
-    nothing). The plan grammar has no ordering assumptions the engine
-    does not enforce itself, so every combo must agree on lossy input
-    exactly as it does on clean input.
-    """
-    partitions = [list(p) for p in case.trace_partitions]
-    index = [
-        (i, j) for i, p in enumerate(partitions) for j in range(len(p))
-    ]
-    if not index:
-        return case
-    for _unused in range(rng.randint(1, 3)):  # gateway replays
-        i, j = index[rng.randrange(len(index))]
-        partitions[rng.randrange(len(partitions))].append(partitions[i][j])
-    if rng.random() < 0.7:  # backwards clock step
-        i, j = index[rng.randrange(len(index))]
-        row = partitions[i][j]
-        back = rng.choice((0.01, 0.1, 1.0))
-        partitions[i][j] = (max(0.0, row[0] - back),) + row[1:]
-    if rng.random() < 0.5:  # payload truncated in transport
-        i, j = index[rng.randrange(len(index))]
-        row = partitions[i][j]
-        partitions[i][j] = row[:3] + (None,) + row[4:]
-    return DatasetCase(
-        tuple(tuple(p) for p in partitions), case.catalog_rows
-    )
-
-
-# ---------------------------------------------------------------------------
-# Plan specs
-# ---------------------------------------------------------------------------
-
-_COMPARISONS = ("lt", "le", "gt", "ge")
-
-
-def generate_spec(rng, case, max_ops=8):
-    """Draw a random plan spec valid for *case*'s schema.
-
-    Tracks per-column orderability/nullability so every generated spec
-    builds without schema errors; shrinking may still produce invalid
-    specs, which the shrinker filters by attempting to build them.
-    """
-    info = dict(_BASE_INFO)
-    joined = False
-    unions = 0
-    ops = []
-    for _unused in range(rng.randint(1, max_ops)):
-        choices = ["filter_cmp", "filter_null", "filter_in", "select",
-                   "repartition", "flat_map_repeat", "keep_every", "sort"]
-        if unions < 2:  # each union doubles the executed subtree
-            choices.append("union_self")
-        if any(i.numeric and not i.nullable for i in info.values()):
-            choices += ["with_column_scale", "scale_filter_select"]
-        if "m_id" in info and not joined:
-            choices.append("join")
-        if any(n in info for n in ("m_id", "bus", "flag")):
-            choices.append("split_pick")
-        op = _draw_op(rng, rng.choice(choices), info, joined)
-        if op is None:
-            continue
-        ops.append(op)
-        if op[0] == "union_self":
-            unions += 1
-        info, joined = _advance_schema(op, info, joined)
-        if not info:  # defensive; should not happen
-            break
-    return tuple(ops)
-
-
-def _draw_op(rng, kind, info, joined):
-    names = list(info)
-    orderable = [n for n, i in info.items() if i.orderable]
-    numeric = [n for n, i in info.items() if i.numeric and not i.nullable]
-    if kind == "filter_cmp":
-        candidates = [n for n in orderable if info[n].numeric]
-        if not candidates:
-            return None
-        return ("filter_cmp", rng.choice(candidates),
-                rng.choice(_COMPARISONS), rng.randint(0, 60))
-    if kind == "filter_null":
-        name = rng.choice(names)
-        return ("filter_null", name, rng.random() < 0.3)
-    if kind == "split_pick":
-        # Shuffle every row by a key column, keep one group's table.
-        # Keys sometimes miss the data entirely (empty result table).
-        candidates = [n for n in ("m_id", "bus", "flag") if n in info]
-        if not candidates:
-            return None
-        name = rng.choice(candidates)
-        if name == "m_id":
-            value = rng.randint(0, len(_MESSAGE_IDS) - 1)
-        elif name == "bus":
-            value = rng.choice(_BUSES + ("GHOST",))
-        else:
-            value = rng.choice(("rise", "fall", "hold", "none"))
-        return ("split_pick", name, value)
-    if kind == "filter_in":
-        name = rng.choice(names)
-        if info[name].numeric:
-            values = sorted(rng.sample(range(0, 101), rng.randint(1, 6)))
-        else:
-            values = sorted(
-                rng.sample(_BUSES + ("rise", "fall", "none"),
-                           rng.randint(1, 3))
-            )
-        return ("filter_in", name, tuple(values))
-    if kind == "select":
-        keep = rng.sample(names, rng.randint(1, len(names)))
-        # Preserve original relative order half the time, shuffle otherwise.
-        if rng.random() < 0.5:
-            keep = [n for n in names if n in set(keep)]
-        return ("select", tuple(keep))
-    if kind == "with_column_scale":
-        if not numeric:
-            return None
-        return ("with_column_scale", "d{}".format(rng.randint(0, 99)),
-                rng.choice(numeric), rng.randint(2, 9))
-    if kind == "scale_filter_select":
-        # The shape of Algorithm 1 lines 5-6: compute a column, filter
-        # on it, keep fewer columns than were computed (project pruning).
-        if not numeric:
-            return None
-        name = "d{}".format(rng.randint(0, 99))
-        pool = [n for n in names if n != name] + [name]
-        keep = rng.sample(pool, rng.randint(1, len(pool) - 1))
-        return ("scale_filter_select", name, rng.choice(numeric),
-                rng.randint(2, 9), rng.choice(_COMPARISONS),
-                rng.randint(0, 200), tuple(keep))
-    if kind == "join":
-        return ("join",)
-    if kind == "union_self":
-        return ("union_self",)
-    if kind == "repartition":
-        return ("repartition", rng.randint(1, 6))
-    if kind == "flat_map_repeat":
-        return ("flat_map_repeat", rng.randint(1, 3))
-    if kind == "keep_every":
-        return ("keep_every", rng.randint(1, 4))
-    if kind == "sort":
-        keys = rng.sample(orderable, min(len(orderable), rng.randint(1, 2)))
-        return ("sort", tuple(keys))
-    raise ValueError("unknown op kind {!r}".format(kind))
-
-
-def _advance_schema(op, info, joined):
-    """Track column metadata across one op, mirroring apply_spec."""
-    kind = op[0]
-    info = dict(info)
-    if kind == "select":
-        info = {n: info[n] for n in op[1]}
-    elif kind == "with_column_scale":
-        info[op[1]] = _ColumnInfo(True, True, False)
-    elif kind == "scale_filter_select":
-        info[op[1]] = _ColumnInfo(True, True, False)
-        info = {n: info[n] for n in op[6]}
-    elif kind == "join":
-        info["scale"] = _ColumnInfo(True, True, False)
-        info["label"] = _ColumnInfo(True, False, False)
-        joined = True
-    return info, joined
-
-
-# ---------------------------------------------------------------------------
-# Spec replay
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RepeatRow:
-    """Picklable flat-map body: emit each row ``n`` times."""
-
-    n: int
-
-    def __call__(self, row):
-        return [row] * self.n
-
-
-@dataclass(frozen=True)
-class KeepEvery:
-    """Picklable partition map: keep rows at indices 0, k, 2k, ..."""
-
-    k: int
-
-    def __call__(self, rows):
-        return rows[:: self.k]
-
-
-def build_table(ctx, case):
-    """Materialize the case's trace table, preserving its partitions."""
-    return ctx.table_from_partitions(TRACE_COLUMNS, case.trace_partitions)
-
-
-def _catalog_table(ctx, case):
-    return ctx.table_from_rows(
-        CATALOG_COLUMNS, case.catalog_rows, num_partitions=1
-    )
-
-
-def apply_spec(ctx, case, spec):
-    """Replay *spec* over the case's tables; returns the final Table.
-
-    Raises :class:`~repro.engine.errors.EngineError` subclasses when the
-    spec is invalid for the current schema -- the shrinker relies on this
-    to discard invalid shrink candidates.
-    """
-    table = build_table(ctx, case)
-    for op in spec:
-        table = _apply_op(ctx, case, table, op)
-    return table
-
-
-def _apply_op(ctx, case, table, op):
-    kind = op[0]
-    if kind == "filter_cmp":
-        _unused, name, cmp_op, value = op
-        column = col(name)
-        predicate = {
-            "lt": column < value,
-            "le": column <= value,
-            "gt": column > value,
-            "ge": column >= value,
-            "eq": column == value,
-            "ne": column != value,
-        }[cmp_op]
-        return table.filter(predicate)
-    if kind == "filter_null":
-        _unused, name, want_null = op
-        column = col(name)
-        return table.filter(
-            column.is_null() if want_null else column.is_not_null()
-        )
-    if kind == "filter_in":
-        return table.filter(col(op[1]).is_in(op[2]))
-    if kind == "split_pick":
-        return table.split_by_key(op[1], keys=[op[2]])[op[2]]
-    if kind == "select":
-        return table.select(*op[1])
-    if kind == "with_column_scale":
-        _unused, name, src, factor = op
-        return table.with_column(name, col(src) * factor)
-    if kind == "scale_filter_select":
-        _unused, name, src, factor, cmp_op, value, keep = op
-        scaled = table.with_column(name, col(src) * factor)
-        return _apply_op(
-            ctx, case, scaled, ("filter_cmp", name, cmp_op, value)
-        ).select(*keep)
-    if kind == "join":
-        return table.join(_catalog_table(ctx, case), on="m_id")
-    if kind == "union_self":
-        return table.union(table)
-    if kind == "repartition":
-        return table.repartition(op[1])
-    if kind == "flat_map_repeat":
-        return table.flat_map(RepeatRow(op[1]), list(table.columns))
-    if kind == "keep_every":
-        return table.map_partitions(KeepEvery(op[1]))
-    if kind == "sort":
-        return table.sort(list(op[1]))
-    raise ValueError("unknown op kind {!r}".format(kind))
-
-
-def generate_case(seed, max_ops=8, lossy=False):
-    """Generate the (dataset, spec) pair for one seed.
-
-    With ``lossy=True`` the dataset is additionally passed through
-    :func:`corrupt_dataset`. The corruption draws happen *after* every
-    clean draw, so ``generate_case(seed)`` and the clean prefix of
-    ``generate_case(seed, lossy=True)`` are identical for any seed —
-    lossy fuzzing extends the corpus instead of reshuffling it.
-    """
-    rng = random.Random(seed)
-    case = generate_dataset(rng)
-    spec = generate_spec(rng, case, max_ops=max_ops)
-    if lossy:
-        case = corrupt_dataset(case, rng)
-    return case, spec
-
-
-# ---------------------------------------------------------------------------
-# Journey cases: random vehicles with real payload encodings
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -395,9 +26,6 @@ class JourneyCase:
     database: object  # NetworkDatabase
     params: dict  # declarative parameter document (core.params schema)
     records: tuple  # k_b byte-record tuples, time-ordered
-
-    def duration(self):
-        return self.records[-1][0] - self.records[0][0] if self.records else 0.0
 
 
 _JOURNEY_CYCLES = (0.05, 0.1, 0.2, 0.25)

@@ -62,6 +62,23 @@ class TestSplitIntoWindows:
         with pytest.raises(IncrementalError):
             split_into_windows([], 0.0)
 
+    @pytest.mark.parametrize("window", [float("nan"), -1.0])
+    def test_nan_or_negative_window_rejected(self, setup, window):
+        _config, records = setup
+        with pytest.raises(IncrementalError, match="must be positive"):
+            split_into_windows(records, window)
+
+    def test_a_frame_on_a_bound_opens_the_next_window(self):
+        # (4.1 - 4.0) / 0.1 rounds to just under 1.
+        records = [(t, b"\x00", "FC", 1, ()) for t in (4.0, 4.1, 4.1)]
+        assert [len(w) for w in split_into_windows(records, 0.1)] == [1, 2]
+
+    def test_infinite_window_is_one_window(self, setup):
+        _config, records = setup
+        assert split_into_windows(records, float("inf")) == [
+            sorted(records, key=lambda r: r[0])
+        ]
+
 
 class TestIncrementalEquivalence:
     def test_reduction_matches_whole_trace(self, ctx, setup):

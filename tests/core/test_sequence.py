@@ -6,6 +6,8 @@ reducing a sequence chunk by chunk, with the explicit carry, equals
 reducing it at once.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,13 @@ from repro.core import (
 )
 from repro.core import sequence as stages
 from repro.core.classification import ALPHA
+from repro.core.params import config_from_dict
+from repro.core.pipeline import PreprocessingPipeline
 from repro.core.sequence import ChannelGroup, equality_groups
-from repro.engine import EngineContext
+from repro.engine import EngineContext, col
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
+from repro.testing.differential import EXECUTORS
+from repro.testing.generator import generate_journey_case
 
 
 # Row views of the typed stages: rows in, rows out, so the properties
@@ -351,6 +358,32 @@ class TestEngineWrappers:
             expected = expected or got
             assert got == expected
         assert [r[1] for r in expected] == [0.3, 0.2, 0.4, 0.1]
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_every_executor_of_the_differential_agrees(self, seed):
+        """The wrappers' Project, Repartition and MapPartitions nodes on
+        every executor of the ``R_out`` differential's axis, over a
+        generated journey's ``K_s``, give the serial executor's rows."""
+        case = generate_journey_case(random.Random(seed))
+        config = config_from_dict(case.params, case.database)
+        results = {}
+        for name, factory in sorted(EXECUTORS.items()):
+            with EngineContext(factory(3)) as ctx:
+                k_s = PreprocessingPipeline(config).extract_signals(
+                    ctx.table_from_rows(list(BYTE_RECORD_COLUMNS),
+                                        list(case.records))
+                )
+                results[name] = [
+                    (reduce_signal(k_sep, config.constraints.for_signal(
+                        s_id)).collect(),
+                     apply_extensions(k_sep, config.extensions.for_signal(
+                         s_id)).collect())
+                    for s_id in config.catalog.signal_ids()
+                    for k_sep in [k_s.filter(col("s_id") == s_id)]
+                ]
+        assert any(w for _red, w in results["serial"])
+        assert results["simulated"] == results["serial"]
+        assert results["pool"] == results["serial"]
 
     def test_columns_are_taken_by_name(self, ctx):
         """The stages read K_s-layout rows by position; the wrappers

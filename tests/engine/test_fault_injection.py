@@ -6,8 +6,12 @@ identical to SerialExecutor; exhausted retries surface a structured
 TaskError naming the stage and partition.
 """
 
+import random
+
 import pytest
 
+from repro.core.params import config_from_dict
+from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext, col
 from repro.engine.errors import (
     EngineError,
@@ -21,7 +25,8 @@ from repro.engine.executor import (
     SerialExecutor,
     SimulatedClusterExecutor,
 )
-from repro.testing import apply_spec, generate_case
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
+from repro.testing.generator import generate_journey_case
 
 
 def _workload(ctx):
@@ -38,6 +43,15 @@ def _workload(ctx):
         .select("m_id", "t", "scaled")
         .sort(["m_id", "t"])
     )
+
+
+def _journey_rows(ctx, case):
+    """A generated journey's ``K_s`` and ``R_out`` rows."""
+    k_b = ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), list(case.records))
+    result = PreprocessingPipeline(
+        config_from_dict(case.params, case.database)
+    ).run(k_b)
+    return result.k_s.collect() + result.r_out.collect()
 
 
 class TestFaultPolicy:
@@ -105,14 +119,11 @@ class TestMultiprocessingFaultEquivalence:
         with EngineContext(executor) as faulty:
             reference = EngineContext.serial(default_parallelism=4)
             for seed in range(6):
-                case, spec = generate_case(seed)
-                expected = sorted(
-                    map(repr, apply_spec(reference, case, spec).collect())
-                )
-                actual = sorted(
-                    map(repr, apply_spec(faulty, case, spec).collect())
-                )
+                case = generate_journey_case(random.Random(seed))
+                expected = sorted(map(repr, _journey_rows(reference, case)))
+                actual = sorted(map(repr, _journey_rows(faulty, case)))
                 assert actual == expected, "seed {}".format(seed)
+            assert executor.metrics.retries > 0
 
 
 class TestRetryExhaustion:

@@ -1,16 +1,20 @@
 """split_by_key: one routed shuffle stage splits a table by a key column."""
 
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import config_from_dict
+from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext, col
 from repro.engine.executor import FaultPolicy, SerialExecutor
 from repro.engine.errors import SchemaError
-from repro.testing.generator import build_table, generate_case
-from repro.testing.oracle import DEFAULT_COMBOS, REFERENCE_COMBO
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
+from repro.testing.differential import EXECUTORS
+from repro.testing.generator import generate_journey_case
 
 
 @pytest.fixture
@@ -192,30 +196,35 @@ class TestSplitFaultInjection:
         assert total == 12 - 4
 
 
-class TestSplitAcrossCombos:
-    @pytest.mark.parametrize(
-        "combo",
-        DEFAULT_COMBOS + (REFERENCE_COMBO,),
-        ids=lambda c: c.name,
+def _journey_table(ctx, seed, kind):
+    """A generated journey's ``K_b`` (four partitions) or its ``K_s``."""
+    case = generate_journey_case(random.Random(seed))
+    k_b = ctx.table_from_rows(
+        list(BYTE_RECORD_COLUMNS), list(case.records), num_partitions=4
     )
+    if kind == "k_b":
+        return k_b
+    config = config_from_dict(case.params, case.database)
+    return PreprocessingPipeline(config).extract_signals(k_b)
+
+
+class TestSplitAcrossCombos:
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("kind, key", [("k_b", "m_id"), ("k_s", "s_id")])
     @pytest.mark.parametrize("seed", [11, 23, 47])
-    def test_split_matches_filter_reference(self, combo, seed):
-        case, _spec = generate_case(seed)
-        executor = combo.build(4)
-        try:
-            ctx = EngineContext(executor)
-            table = build_table(ctx, case)
-            groups = table.split_by_key("m_id")
-            all_rows = [r for p in case.trace_partitions for r in p]
-            expected_keys = sorted({row[1] for row in all_rows})
+    def test_split_matches_filter_reference(self, executor, kind, key, seed):
+        with EngineContext(EXECUTORS[executor](4)) as ctx:
+            table = _journey_table(ctx, seed, kind)
+            all_rows = table.collect()
+            index = table.columns.index(key)
+            groups = table.split_by_key(key)
+            expected_keys = sorted({row[index] for row in all_rows})
             assert sorted(groups) == expected_keys
             for value, group_table in groups.items():
                 expected = Counter(
-                    row for row in all_rows if row[1] == value
+                    row for row in all_rows if row[index] == value
                 )
                 assert Counter(group_table.collect()) == expected
-        finally:
-            executor.close()
 
 
 def _row_split(partitions, key_index, keys=None):

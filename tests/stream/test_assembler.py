@@ -48,6 +48,26 @@ class TestWindowIndex:
         assert asm.window_index(11.0) == 1
         assert asm.window_index(25.5) == 15
 
+    @pytest.mark.parametrize("origin, window", [
+        (4.0, 0.1), (0.3, 0.1), (1.0, 0.7), (2.2, 0.3),
+    ])
+    def test_membership_agrees_with_the_bounds_sealed_at(self, origin, window):
+        # (4.1 - 4.0) / 0.1 rounds to just under 1: a frame at the
+        # bound used to join window 0 and seal it, so a second frame at
+        # the same instant was dropped as late at zero grace.
+        asm = WindowAssembler(window, grace_seconds=0.0)
+        asm.add(frame(origin))
+        for k in range(1, 40):
+            bound = origin + k * window
+            assert asm.window_index(bound) == k
+            assert asm.window_index(bound - 1e-9) == k - 1
+        tied = WindowAssembler(window, grace_seconds=0.0)
+        sealed = tied.add(frame(origin)) + tied.add(frame(origin + window))
+        assert tied.add(frame(origin + window)) == []
+        assert tied.late_dropped == 0
+        assert [index for index, _block in sealed] == [0]
+        assert [len(b) for _i, b in tied.flush()] == [2]
+
     def test_negative_indices_for_pre_origin_frames(self):
         asm = WindowAssembler(1.0)
         asm.add(frame(10.0))
@@ -64,6 +84,19 @@ class TestWindowIndex:
             WindowAssembler(0.0)
         with pytest.raises(StreamError):
             WindowAssembler(1.0, grace_seconds=-0.1)
+
+    @pytest.mark.parametrize("window, grace, message", [
+        (float("nan"), 0.0, "window_seconds must be positive"),
+        (1.0, float("nan"), "grace_seconds must not be negative"),
+    ])
+    def test_nan_parameters_are_rejected(self, window, grace, message):
+        with pytest.raises(StreamError, match=message):
+            WindowAssembler(window, grace_seconds=grace)
+
+    def test_infinite_grace_seals_only_at_flush(self):
+        asm = WindowAssembler(1.0, grace_seconds=float("inf"))
+        assert asm.add(frame(0.0)) == [] and asm.add(frame(50.0)) == []
+        assert [index for index, _block in asm.flush()] == [0, 50]
 
 
 def assembled_windows(frames, window_seconds):

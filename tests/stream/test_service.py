@@ -105,6 +105,24 @@ class TestServe:
             StreamConfig(checkpoint_every=-1)
 
 
+@pytest.mark.parametrize("field, value, valid", [
+    ("window_seconds", float("nan"), False),
+    ("window_seconds", float("inf"), True),
+    ("grace_seconds", float("nan"), False),
+    ("grace_seconds", float("inf"), True),
+])
+def test_config_rejects_nan_and_keeps_inf(field, value, valid):
+    """NaN fails every comparison, so it gets the message of a
+    non-positive window or a negative grace; ``inf`` is one window, or
+    sealing only at drain."""
+    if valid:
+        assert getattr(StreamConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(StreamError, match="window_seconds must be "
+                           "positive|grace_seconds must not be negative"):
+            StreamConfig(**{field: value})
+
+
 def logs(run_dir):
     """{file name: bytes} of the session logs of a run directory."""
     return {

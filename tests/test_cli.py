@@ -531,6 +531,23 @@ class TestStream:
         assert code == 2
         assert "error: stream:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--window", "window_seconds must be positive"),
+        ("--grace", "grace_seconds must not be negative"),
+    ])
+    def test_serve_rejects_a_nan_window_or_grace(
+        self, short_trace, tmp_path, capsys, flag, message
+    ):
+        code, out = run_cli(
+            "stream", "serve", "--dataset", "SYN",
+            "--run-dir", str(tmp_path / "run"),
+            "--traces", str(short_trace), flag, "nan",
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: stream: {}\n".format(
+            message
+        )
+
     @pytest.fixture
     def killed_run(self, short_trace, tmp_path):
         """A run directory holding one committed session checkpoint."""

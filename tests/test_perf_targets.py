@@ -33,7 +33,9 @@ opens one reduce, extend and branch span whatever its signal count, and
 a numeric signal type's values never leave their float64 plane for an
 object ``astype``. The last two keep unpickling to the fleet checkpoint
 reader: no stored table, stream log or other file is read through
-``pickle.load``, and the stream path does not import ``pickle``.
+``pickle.load``, and the stream path does not import ``pickle``. One
+more keeps every concrete executor on the executor axis of the
+``R_out`` differential (``repro.testing.differential``).
 """
 
 import ast
@@ -405,6 +407,31 @@ def test_pending_windows_are_scanned_when_one_seals_not_per_frame(
     }
 
 
+def test_every_executor_is_on_the_differential_executor_axis():
+    """A new executor cannot skip the ``R_out`` differential: each
+    concrete ``Executor`` subclass is what one factory of the axis
+    builds."""
+    import inspect
+
+    from repro.engine import executor
+    from repro.testing.differential import EXECUTORS
+
+    concrete = {
+        cls for _name, cls in inspect.getmembers(executor, inspect.isclass)
+        if issubclass(cls, executor.Executor)
+        and cls is not executor.Executor
+        and cls.__module__ == executor.__name__
+    }
+    built = [factory(1) for factory in EXECUTORS.values()]
+    try:
+        assert sorted(type(e).__name__ for e in built) == sorted(
+            cls.__name__ for cls in concrete
+        )
+    finally:
+        for instance in built:
+            instance.close()
+
+
 def test_every_task_and_job_retries_in_one_attempt_loop():
     def catches_injected_faults(node):
         return isinstance(node, ast.ExceptHandler) and node.type is not None \
@@ -423,7 +450,7 @@ def test_every_task_and_job_retries_in_one_attempt_loop():
 #: Public engine surface nobody outside the engine calls yet, and why it
 #: stays. An entry that gains a caller must leave the list.
 _UNCALLED_ENGINE_SURFACE = {
-    "Table.explain": "ROADMAP 5(e)",
+    "Table.explain": "ROADMAP 6(b)",
 }
 
 #: Public methods the guard cannot check: they share their name with a
@@ -537,11 +564,11 @@ _EXECUTORS = (
 
 _FAULT_KNOBS = {
     "fault_policy": "fault injection: set by engine tests and the "
-                    "differential oracle's poisoned-mutant combo",
+                    "differential's poisoned-executor mutant test",
     "max_task_retries": "the retry budget under fault injection: set by "
                         "engine tests",
-    "retry_backoff": "engine tests and the oracle's pool combo set 0.0 so "
-                     "fault runs do not sleep",
+    "retry_backoff": "engine tests and the differential's pool set 0.0 "
+                     "so fault runs do not sleep",
 }
 
 #: Defaulted parameters of the public engine surface that no caller sets
@@ -551,7 +578,7 @@ _UNSET_ENGINE_KNOBS = {
     "SerialExecutor.default_parallelism": "callers set it through "
         "EngineContext.serial(default_parallelism=), whose knob is guarded",
     "SimulatedClusterExecutor.default_parallelism": "defaults to "
-        "num_workers; the differential oracle's combo sets it",
+        "num_workers; the differential's executor axis sets it",
     "MultiprocessingExecutor.num_workers": "the process pool has callers "
         "in tests and repro.testing only until ROADMAP item 7 (real cores)",
     "MultiprocessingExecutor.default_parallelism": "as num_workers",
