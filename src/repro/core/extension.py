@@ -29,9 +29,7 @@ class ExtensionRule:
     """Base class: derives meta-data rows from one reduced sequence.
 
     ``derive(rows, schema)`` receives the time-ordered K_red rows and the
-    table schema and returns W rows. Implementations must be picklable;
-    they run on the driver orchestration level but may be shipped with
-    partition functions.
+    table schema and returns W rows.
     """
 
     w_id = None
@@ -110,7 +108,7 @@ class CycleViolationExtension(ExtensionRule):
 
 @dataclass(frozen=True)
 class DerivedValueExtension(ExtensionRule):
-    """Meta-data computed per element by a picklable ``func(t, v)``.
+    """Meta-data computed per element by ``func(t, v)``.
 
     ``func`` returns the meta value, or None to emit nothing for that
     element.

@@ -207,7 +207,6 @@ class _RuleKernels:
     """
 
     def __init__(self, catalog, on_short="raise"):
-        self.catalog = catalog
         self.on_short = on_short
         by_key = {}
         for u in catalog:
@@ -252,9 +251,6 @@ class _RuleKernels:
         self._rule_counts = np.array(
             [len(plan) for plan in self._plans] + [0], dtype=np.intp
         )
-
-    def __reduce__(self):
-        return (_RuleKernels, (self.catalog, self.on_short))
 
     def __call__(self, rows):
         partition = ColumnarPartition.from_rows(rows, 5)

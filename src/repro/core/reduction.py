@@ -46,8 +46,7 @@ class MarkerFunction:
     values as object arrays of the decoder's objects, and returns one
     boolean per element (an array or a list); True marks the element
     redundant (to be removed). ``prev`` is the (t, v) of the element
-    preceding the sequence -- element -1 -- or None. Implementations
-    must be picklable.
+    preceding the sequence -- element -1 -- or None.
 
     ``from_predecessor(gaps, repeats)``, where a marker defines it,
     flags the elements of many sequences at once from their
@@ -173,7 +172,7 @@ class ValueInSet(MarkerFunction):
 
 @dataclass(frozen=True)
 class Predicate(MarkerFunction):
-    """Row-wise marker from a picklable callable ``func(t, v) -> bool``."""
+    """Row-wise marker from a callable ``func(t, v) -> bool``."""
 
     func: object
 

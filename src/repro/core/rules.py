@@ -13,8 +13,7 @@ Interpretation is split exactly as in the paper:
 * ``u_2 : (l_rel, m_info, u_info) -> (v, s_id)`` evaluates them to the
   signal value.
 
-Both are methods of :class:`InterpretationRule`, which is a picklable
-dataclass so rule evaluation can run row-wise on worker processes.
+Both are methods of :class:`InterpretationRule`, a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from dataclasses import dataclass, field, replace
 from repro.protocols.signalcodec import ShortPayloadError, SignalEncoding
 from repro.protocols.someip import ConditionalLayout
 
-# TRUNCATED is defined below the engine, whose table store holds it;
-# _get_truncated stays importable here for pickles that name it.
-from repro.sentinels import TRUNCATED, _get_truncated  # noqa: F401
+# TRUNCATED is defined below the engine, whose table store holds it.
+from repro.sentinels import TRUNCATED  # noqa: F401
 
 #: Sentinel value for "signal not present in this instance" (e.g. a
 #: SOME/IP optional section whose presence bit is clear).

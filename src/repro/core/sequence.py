@@ -46,7 +46,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from repro.core.branches import R_COLUMNS, branch_segments, process_branch
+from repro.core.branches import R_COLUMNS, branch_segments
 from repro.core.classification import classify, classify_segments
 from repro.core.model import K_S_COLUMNS, LABEL, NUMBER, OBJECT, W_COLUMNS
 from repro.core.representation import merge_results
@@ -648,15 +648,6 @@ def derive_extensions(sequence, rules):
 def classify_sequence(sequence, classifier_config=None):
     """Table 3 for one ordered sequence."""
     return classify(sequence.t, sequence.v, classifier_config)
-
-
-def process_sequence(sequence, branch_config):
-    """Lines 13-28 for one reduced sequence: ``(classification, R
-    rows)``."""
-    classification = classify_sequence(sequence, branch_config.classifier)
-    return classification, process_branch(
-        sequence, classification, branch_config
-    )
 
 
 def process_segments(sequences, branch_config):

@@ -67,7 +67,7 @@ class BytesColumn:
     ``offsets`` has ``len(column) + 1`` entries; cell *i* is
     ``decode(blob[offsets[i]:offsets[i + 1]])``. With the default
     ``decode=bytes`` this is the payload plane of the columnar trace
-    format; a codec passes its own (module-level, hence picklable)
+    format; a codec passes its own
     decoder to keep structured cells packed the same way. Either way a
     cell is materialized only when indexed or iterated --
     :meth:`gather` moves cells without decoding them.
@@ -157,15 +157,6 @@ class BytesColumn:
         offsets = np.asarray(self.offsets, np.uint64) - np.uint64(base)
         return offsets.tobytes(), self.blob[base : self.offsets[-1]]
 
-    def __reduce__(self):
-        # Only the byte range the cells cover travels, rebased to zero:
-        # a slice of an mmap'ed plane does not drag the file's blob.
-        base, end = self.offsets[0], self.offsets[-1]
-        offsets = array("Q", [offset - base for offset in self.offsets])
-        return (
-            BytesColumn, (offsets, bytes(self.blob[base:end]), self.decode)
-        )
-
     def nbytes(self):
         """Bytes of the cells this plane covers plus its offsets."""
         offsets = self.offsets
@@ -214,10 +205,6 @@ class DictColumn:
 
     def gather(self, indices):
         return DictColumn(gather_column(self.codes, indices), self.values)
-
-    def __reduce__(self):
-        return DictColumn, (array(_typecode(self.codes), self.codes),
-                            self.values)
 
 
 def _build_column(values):
@@ -414,19 +401,6 @@ class ColumnarPartition:
             else:
                 total += len(column) * 8
         return total
-
-    def __reduce__(self):
-        # array.array and BytesColumn pickle natively; memoryview-backed
-        # columns (mmap'ed trace sections) must be materialized first.
-        columns = [
-            array(c.format, c) if isinstance(c, memoryview) else c
-            for c in self.columns
-        ]
-        return (_rebuild_partition, (columns, self._length))
-
-
-def _rebuild_partition(columns, length):
-    return ColumnarPartition(columns, length)
 
 
 def as_row_partition(partition):

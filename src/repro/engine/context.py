@@ -52,16 +52,6 @@ class EngineContext:
     def default_parallelism(self):
         return self.executor.default_parallelism
 
-    def close(self):
-        self.executor.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     # -- table constructors -------------------------------------------------
     def table_from_rows(self, columns, rows, num_partitions=None):
         """Create a table from row tuples, splitting into partitions."""

@@ -45,7 +45,7 @@ class TaskError(ExecutionError):
 class InjectedFaultError(EngineError):
     """A failure deliberately injected by a :class:`FaultPolicy`.
 
-    Raised inside worker tasks to simulate a worker dying mid-stage.
-    Kept deliberately simple (single message argument) so it pickles
-    cleanly across the process boundary of the multiprocessing executor.
+    Raised inside tasks to simulate a worker dying mid-stage. Kept
+    deliberately simple (single message argument) so it pickles cleanly
+    across the process boundary of :mod:`repro.fleet`'s job pool.
     """

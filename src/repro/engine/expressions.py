@@ -6,11 +6,6 @@ built (it references columns by name) and is *bound* against a
 :class:`~repro.engine.schema.Schema` before evaluation, which resolves
 names to tuple indices.
 
-Every expression object is a plain picklable dataclass so that bound
-predicates and projections can be shipped to worker processes by the
-multiprocessing executor, the same way Spark serializes closures to its
-executors.
-
 Examples
 --------
 >>> from repro.engine.schema import Schema
@@ -172,11 +167,9 @@ class InSet(Expression):
 
 @dataclass(frozen=True, eq=False)
 class Apply(Expression):
-    """Apply a picklable callable to the values of named columns.
+    """Apply a callable to the values of named columns.
 
     The callable receives one positional argument per column in *columns*.
-    It must be picklable (a module-level function or a dataclass with
-    ``__call__``) to run on the multiprocessing executor.
     """
 
     func: object

@@ -1,10 +1,9 @@
 """Physical per-partition operations.
 
 Executors fuse the chain of narrow plan nodes above a wide stage into
-one :class:`PartitionTask` per input partition; the task is a picklable
-object so the multiprocessing executor can ship it to a worker process.
-Wide operations (the broadcast join, sort, split) are driver-side
-exchanges plus the per-partition tasks defined here.
+one :class:`PartitionTask` per input partition. Wide operations (the
+broadcast join, sort, split) are driver-side exchanges plus the
+per-partition tasks defined here.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ class FlatMap(PlanNode):
     """Expand each row into zero or more rows of a new schema.
 
     ``func`` receives the input row as a tuple and must return an iterable
-    of output row tuples. It must be picklable.
+    of output row tuples.
     """
 
     child: PlanNode
@@ -108,7 +108,7 @@ class FlatMap(PlanNode):
 
 @dataclass(frozen=True)
 class MapPartitions(PlanNode):
-    """Apply a picklable callable to each whole partition.
+    """Apply a callable to each whole partition.
 
     ``func`` receives a list of row tuples and returns a list of row
     tuples of ``out_schema``. Used for partition-local algorithms such as

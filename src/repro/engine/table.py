@@ -90,7 +90,7 @@ class Table:
     def flat_map(self, func, output_columns):
         """Expand each row tuple into zero or more output row tuples.
 
-        *func* must be picklable and accept the input row as a tuple.
+        *func* accepts the input row as a tuple.
         """
         out_schema = Schema.of(*output_columns)
         return self._derive(logical.FlatMap(self._plan, out_schema, func))

@@ -6,7 +6,7 @@ checks that on journeys from
 :func:`~repro.testing.generator.generate_journey_case` by running each
 one at a set of :class:`Point` s -- one value per axis --
 
-* executor: serial, simulated cluster, process pool;
+* executor: serial or simulated cluster;
 * partitions: 1-8, the source partitions and the executor's default;
 * layout: rows in memory, a ``.btrc`` or a ``.ctrc`` file;
 * window: none (:meth:`PreprocessingPipeline.run`) or a size in seconds
@@ -19,12 +19,11 @@ where the run keeps it) with the serial, one-partition, in-memory,
 whole-trace run's. A point that errors where the reference does not is
 a divergence too.
 
-The serial and simulated executors are built per run, so a run is a
-pure function of (records, point) even under a :class:`FaultPolicy`;
-the pool is one for the whole differential and runs without one.
-A divergence shrinks to fewer frames of the same journey (tail cut,
-then frames dropped) and is written as a JSON reproducer naming the
-seed, the lossy flag, the kept frame indices and the failing point.
+Executors are built per run, so a run is a pure function of (records,
+point) even under a :class:`FaultPolicy`. A divergence shrinks to fewer
+frames of the same journey (tail cut, then frames dropped) and is
+written as a JSON reproducer naming the seed, the lossy flag, the kept
+frame indices and the failing point.
 """
 
 from __future__ import annotations
@@ -42,26 +41,19 @@ from repro.core.incremental import IncrementalRunner, split_into_windows
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext
-from repro.engine.executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 from repro.obs import RunReport
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream import ReplaySource, StreamConfig, StreamIngestService
 from repro.testing.generator import generate_journey_case
 from repro.tracefile import codec_for
 
-#: The executor axis: name -> factory(partitions). ``"pool"`` is built
-#: once per :class:`Differential` and reused.
+#: The executor axis: name -> factory(partitions).
 EXECUTORS = {
     "serial": lambda partitions: SerialExecutor(
         default_parallelism=partitions),
     "simulated": lambda partitions: SimulatedClusterExecutor(
         num_workers=2, default_parallelism=partitions),
-    "pool": lambda partitions: MultiprocessingExecutor(
-        num_workers=2, default_parallelism=partitions, retry_backoff=0.0),
 }
 LAYOUTS = ("rows", ".btrc", ".ctrc")
 MAX_PARTITIONS = 8
@@ -108,20 +100,20 @@ def journey(seed, lossy=False):
     return generate_journey_case(random.Random(seed), lossy=lossy)
 
 
-def draw_points(seed, frames, executors=tuple(EXECUTORS)):
+def draw_points(seed, frames):
     """The points of one case: every executor x layout at one partition
     and at a drawn count, then one windowed and one killed run at drawn
     values. The reference comes first."""
     rng = random.Random("points-{}".format(seed))
     partitions = rng.randint(2, MAX_PARTITIONS)
     points = [Point(executor, count, layout)
-              for executor in executors for layout in LAYOUTS
+              for executor in EXECUTORS for layout in LAYOUTS
               for count in (1, partitions)]
     # Log-uniform, so many windows are short enough to seal between two
     # commits of the killed run: what a resumed log must carry.
     window = round(math.exp(rng.uniform(math.log(0.1), math.log(3.0))), 2)
     for kill in (None, rng.randint(1, max(1, frames - 1))):
-        points.append(Point(rng.choice(executors),
+        points.append(Point(rng.choice(tuple(EXECUTORS)),
                             rng.randint(1, MAX_PARTITIONS),
                             rng.choice(LAYOUTS), window, kill))
     return points
@@ -133,121 +125,94 @@ def digest(rows):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class Differential:
-    """Runs journeys at points; owns the one process pool."""
+def run(case, records, point):
+    """``(R_out digest, K_s digest or None)`` of *records* at *point*."""
+    config = config_from_dict(case.params, case.database)
+    context = EngineContext(EXECUTORS[point.executor](point.partitions))
+    with tempfile.TemporaryDirectory(prefix="repro-diff-") as tmp:
+        source = records
+        if point.layout != "rows":
+            source = Path(tmp, "trace" + point.layout)
+            codec_for(source).dump_records(records, source)
+        if point.kill is not None:
+            return _stream(context, config, source, point, tmp), None
+        if point.window is not None:
+            runner = IncrementalRunner(config)
+            for window in split_into_windows(_records(source), point.window):
+                runner.process_window(_table(context, window, point))
+            return digest(runner.finalize(context).r_out.collect()), None
+        if point.layout == "rows":
+            k_b = _table(context, records, point)
+        else:
+            k_b = codec_for(source).load_table(
+                context, source, num_partitions=point.partitions
+            )
+        result = PreprocessingPipeline(config).run(k_b)
+        return digest(result.r_out.collect()), digest(result.k_s.collect())
 
-    def __init__(self):
-        self._pool = None
 
-    def close(self):
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _executor(self, name, partitions):
-        if name != "pool":
-            return EXECUTORS[name](partitions)
-        if self._pool is None:
-            self._pool = EXECUTORS["pool"](partitions)
-        self._pool.default_parallelism = partitions
-        return self._pool
-
-    def run(self, case, records, point):
-        """``(R_out digest, K_s digest or None)`` of *records* at
-        *point*."""
-        config = config_from_dict(case.params, case.database)
-        context = EngineContext(self._executor(point.executor,
-                                               point.partitions))
-        with tempfile.TemporaryDirectory(prefix="repro-diff-") as tmp:
-            source = records
-            if point.layout != "rows":
-                source = Path(tmp, "trace" + point.layout)
-                codec_for(source).dump_records(records, source)
-            if point.kill is not None:
-                return _stream(context, config, source, point, tmp), None
-            if point.window is not None:
-                runner = IncrementalRunner(config)
-                for window in split_into_windows(_records(source),
-                                                 point.window):
-                    runner.process_window(_table(context, window, point))
-                return digest(runner.finalize(context).r_out.collect()), None
-            if point.layout == "rows":
-                k_b = _table(context, records, point)
-            else:
-                k_b = codec_for(source).load_table(
-                    context, source, num_partitions=point.partitions
-                )
-            result = PreprocessingPipeline(config).run(k_b)
-            return (digest(result.r_out.collect()),
-                    digest(result.k_s.collect()))
-
-    def check(self, case, records, points):
-        """Run *points* (the reference first) on *records*; report each
-        point that disagrees with the reference."""
-        report = CaseReport()
-        try:
-            expected = self.run(case, records, points[0])
-        except Exception as exc:  # any failure is an outcome to compare
-            report.invalid = _failure(exc)
-            return report
-        for point in points[1:]:
-            report.runs += 1
-            try:
-                r_out, k_s = self.run(case, records, point)
-            except Exception as exc:
-                report.divergences.append(
-                    Divergence(point, "error", _failure(exc)))
-                continue
-            for kind, got, want in (("R_out", r_out, expected[0]),
-                                    ("K_s", k_s, expected[1])):
-                if got not in (None, want):
-                    report.divergences.append(Divergence(
-                        point, kind, "{} digest {} != {}".format(
-                            kind, got[:12], want[:12])))
-                    break
+def check(case, records, points):
+    """Run *points* (the reference first) on *records*; report each
+    point that disagrees with the reference."""
+    report = CaseReport()
+    try:
+        expected = run(case, records, points[0])
+    except Exception as exc:  # any failure is an outcome to compare
+        report.invalid = _failure(exc)
         return report
+    for point in points[1:]:
+        report.runs += 1
+        try:
+            r_out, k_s = run(case, records, point)
+        except Exception as exc:
+            report.divergences.append(
+                Divergence(point, "error", _failure(exc)))
+            continue
+        for kind, got, want in (("R_out", r_out, expected[0]),
+                                ("K_s", k_s, expected[1])):
+            if got not in (None, want):
+                report.divergences.append(Divergence(
+                    point, kind, "{} digest {} != {}".format(
+                        kind, got[:12], want[:12])))
+                break
+    return report
 
-    def diverges(self, case, records, point):
-        return bool(self.check(case, records, [REFERENCE, point]).divergences)
 
-    def shrink(self, case, point):
-        """Indices of fewer frames of *case* that still diverge at
-        *point*: the tail is cut, then frames are dropped, halving the
-        step each time nothing more can go."""
-        kept = list(range(len(case.records)))
-        checks = 0
+def diverges(case, records, point):
+    return bool(check(case, records, [REFERENCE, point]).divergences)
 
-        def diverges(indices):
-            nonlocal checks
-            if not indices or checks >= SHRINK_CHECKS:
-                return False
-            checks += 1
-            return self.diverges(case, [case.records[i] for i in indices],
-                                 point)
 
-        step = len(kept) // 2
-        while step:
-            if diverges(kept[:-step]):
-                kept = kept[:-step]
-            else:
-                step //= 2
-        step = len(kept) // 2
-        while step:
-            start = 0
-            while start < len(kept):
-                candidate = kept[:start] + kept[start + step:]
-                if diverges(candidate):
-                    kept = candidate
-                else:
-                    start += step
+def shrink(case, point):
+    """Indices of fewer frames of *case* that still diverge at *point*:
+    the tail is cut, then frames are dropped, halving the step each time
+    nothing more can go."""
+    kept = list(range(len(case.records)))
+    checks = 0
+
+    def still_diverges(indices):
+        nonlocal checks
+        if not indices or checks >= SHRINK_CHECKS:
+            return False
+        checks += 1
+        return diverges(case, [case.records[i] for i in indices], point)
+
+    step = len(kept) // 2
+    while step:
+        if still_diverges(kept[:-step]):
+            kept = kept[:-step]
+        else:
             step //= 2
-        return kept
+    step = len(kept) // 2
+    while step:
+        start = 0
+        while start < len(kept):
+            candidate = kept[:start] + kept[start + step:]
+            if still_diverges(candidate):
+                kept = candidate
+            else:
+                start += step
+        step //= 2
+    return kept
 
 
 def _records(source):
@@ -281,14 +246,14 @@ def _failure(exc):
     return "{}: {}".format(type(exc).__name__, exc)
 
 
-def shrink_and_write(differential, seed, lossy, case, divergence, path):
+def shrink_and_write(seed, lossy, case, divergence, path):
     """Shrink *divergence*, recheck it and write its reproducer JSON to
     *path*; returns the kept frame indices."""
     report = RunReport("fuzz.divergence")
     with report.span("shrink"):
-        frames = differential.shrink(case, divergence.point)
+        frames = shrink(case, divergence.point)
     with report.span("recheck"):
-        final = differential.check(
+        final = check(
             case, [case.records[i] for i in frames],
             [REFERENCE, divergence.point],
         )

@@ -5,7 +5,7 @@ Each seed's journey runs at the points of
 ``K_s``) digest must equal the serial whole-trace run's::
 
     python -m repro.testing.fuzz --seeds 200 [--lossy]
-    python -m repro.testing.fuzz --seeds 5000 --start 200 --no-multiprocessing
+    python -m repro.testing.fuzz --seeds 5000 --start 200
     python -m repro.testing.fuzz --reproduce fuzz-failures/seed-17.json
 
 Exit status is 0 when every point agreed, 1 on a divergence or a
@@ -19,9 +19,8 @@ import os
 import sys
 
 from repro.testing.differential import (
-    EXECUTORS,
     REFERENCE,
-    Differential,
+    check,
     draw_points,
     journey,
     load_reproducer,
@@ -29,14 +28,8 @@ from repro.testing.differential import (
 )
 
 
-def _executors(use_multiprocessing):
-    return tuple(name for name in EXECUTORS
-                 if use_multiprocessing or name != "pool")
-
-
-def run_fuzz(num_seeds, start=0, out_dir="fuzz-failures",
-             use_multiprocessing=True, fail_fast=False, shrink=True,
-             lossy=False, log=None):
+def run_fuzz(num_seeds, start=0, out_dir="fuzz-failures", fail_fast=False,
+             shrink=True, lossy=False, log=None):
     """Check *num_seeds* journeys; shrink and write each divergence.
 
     Returns ``(failures, runs)``: ``(seed, CaseReport, reproducer path
@@ -45,50 +38,41 @@ def run_fuzz(num_seeds, start=0, out_dir="fuzz-failures",
     """
     log = log or (lambda message: None)
     failures, runs = [], 0
-    executors = _executors(use_multiprocessing)
-    with Differential() as differential:
-        for seed in range(start, start + num_seeds):
-            case = journey(seed, lossy)
-            report = differential.check(
-                case, case.records,
-                draw_points(seed, len(case.records), executors),
-            )
-            runs += report.runs
-            path = None
-            if report.invalid:
-                # Journeys are valid by construction: a failing
-                # reference is a bug, reported without shrinking.
-                log("seed {}: the reference fails ({})".format(
-                    seed, report.invalid))
-            elif not report.divergences:
-                continue
-            else:
-                log("seed {}: DIVERGENCE at {}".format(seed, ", ".join(
-                    str(d.point) for d in report.divergences)))
-            if report.divergences and shrink:
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, "seed-{}.json".format(seed))
-                frames = shrink_and_write(differential, seed, lossy, case,
-                                          report.divergences[0], path)
-                log("seed {}: shrunk to {} of {} frames -> {}".format(
-                    seed, len(frames), len(case.records), path))
-            failures.append((seed, report, path))
-            if fail_fast:
-                break
+    for seed in range(start, start + num_seeds):
+        case = journey(seed, lossy)
+        report = check(case, case.records,
+                       draw_points(seed, len(case.records)))
+        runs += report.runs
+        path = None
+        if report.invalid:
+            # Journeys are valid by construction: a failing reference is
+            # a bug, reported without shrinking.
+            log("seed {}: the reference fails ({})".format(
+                seed, report.invalid))
+        elif not report.divergences:
+            continue
+        else:
+            log("seed {}: DIVERGENCE at {}".format(seed, ", ".join(
+                str(d.point) for d in report.divergences)))
+        if report.divergences and shrink:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "seed-{}.json".format(seed))
+            frames = shrink_and_write(seed, lossy, case,
+                                      report.divergences[0], path)
+            log("seed {}: shrunk to {} of {} frames -> {}".format(
+                seed, len(frames), len(case.records), path))
+        failures.append((seed, report, path))
+        if fail_fast:
+            break
     return failures, runs
 
 
-def reproduce(path, use_multiprocessing=True, log=print):
+def reproduce(path, log=print):
     """Re-run a reproducer file; returns the fresh CaseReport."""
     seed, lossy, frames, point = load_reproducer(path)
-    if point.executor not in _executors(use_multiprocessing):
-        raise ValueError("its point {} runs on the process pool, which "
-                         "--no-multiprocessing leaves off".format(point))
     case = journey(seed, lossy)
-    with Differential() as differential:
-        report = differential.check(
-            case, [case.records[i] for i in frames], [REFERENCE, point]
-        )
+    report = check(case, [case.records[i] for i in frames],
+                   [REFERENCE, point])
     log("seed {}{}: {} of {} frames at {}".format(
         seed, " (lossy)" if lossy else "", len(frames), len(case.records),
         point))
@@ -112,8 +96,6 @@ def main(argv=None):
                         help="first seed (default 0)")
     parser.add_argument("--out", default="fuzz-failures",
                         help="directory for shrunk reproducers")
-    parser.add_argument("--no-multiprocessing", action="store_true",
-                        help="leave the process pool off the executor axis")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first divergence")
     parser.add_argument("--no-shrink", action="store_true",
@@ -127,8 +109,7 @@ def main(argv=None):
 
     if args.reproduce:
         try:
-            report = reproduce(args.reproduce,
-                               not args.no_multiprocessing)
+            report = reproduce(args.reproduce)
         except (OSError, ValueError) as exc:
             print("error: cannot load reproducer {}: {}".format(
                 args.reproduce, exc), file=sys.stderr)
@@ -139,7 +120,6 @@ def main(argv=None):
         args.seeds,
         start=args.start,
         out_dir=args.out,
-        use_multiprocessing=not args.no_multiprocessing,
         fail_fast=args.fail_fast,
         shrink=not args.no_shrink,
         lossy=args.lossy,

@@ -23,7 +23,6 @@ from repro.core.rules import InterpretationRule, RuleCatalog
 from repro.datasets import SPECS, build_dataset
 from repro.datasets.showcase import build_showcase
 from repro.engine import EngineContext
-from repro.engine.executor import MultiprocessingExecutor
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.tracefile import binlog, colbin
 
@@ -163,7 +162,7 @@ def test_required_info_decodes_exactly_the_rows_whose_rule_asks(
     assert k_s.collect() == expected.collect()
 
 
-def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
+def test_cached_ctrc_table_keeps_packed_planes_and_yields_the_serial_r_out(
     tmp_path,
 ):
     bundle = build_dataset(SPECS["SYN"])
@@ -174,12 +173,12 @@ def test_cached_ctrc_table_pickles_to_workers_and_yields_the_serial_r_out(
     serial = pipeline.run(
         colbin.load_table(EngineContext.serial(), path)
     ).r_out.collect()
-    with EngineContext(MultiprocessingExecutor(num_workers=2)) as context:
-        k_b = colbin.load_table(context, path).cache()
-        # The cache kept the packed planes; workers receive them pickled.
-        info = k_b.plan.partitions[0].column(4)
-        assert info.decode is colbin._unpack_info
-        parallel = pipeline.run(k_b).r_out.collect()
+    context = EngineContext.simulated_cluster(num_workers=2)
+    k_b = colbin.load_table(context, path).cache()
+    # The cache kept the packed planes.
+    info = k_b.plan.partitions[0].column(4)
+    assert info.decode is colbin._unpack_info
+    parallel = pipeline.run(k_b).r_out.collect()
     assert serial
     assert sorted(parallel, key=repr) == sorted(serial, key=repr)
 

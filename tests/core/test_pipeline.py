@@ -246,19 +246,17 @@ class TestDeterminism:
 
     def test_serial_and_parallel_agree(self, config, wiper_simulation):
         from repro.engine import EngineContext
-        from repro.engine.executor import MultiprocessingExecutor
 
         serial_ctx = EngineContext.serial()
         k_b = wiper_simulation.record_table(serial_ctx, 10.0)
         expected = sorted(
             PreprocessingPipeline(config).run(k_b).r_out.collect()
         )
-        pool = MultiprocessingExecutor(num_workers=2)
-        with EngineContext(pool) as par_ctx:
-            k_b_par = wiper_simulation.record_table(par_ctx, 10.0)
-            actual = sorted(
-                PreprocessingPipeline(config).run(k_b_par).r_out.collect()
-            )
+        par_ctx = EngineContext.simulated_cluster(num_workers=2)
+        k_b_par = wiper_simulation.record_table(par_ctx, 10.0)
+        actual = sorted(
+            PreprocessingPipeline(config).run(k_b_par).r_out.collect()
+        )
         assert actual == expected
 
 

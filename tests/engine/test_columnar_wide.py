@@ -5,10 +5,8 @@ stage takes it as rows. Pins that the result is exactly the rows a
 per-row reference builds from the inputs, row order included.
 """
 
-import pytest
-
 from repro.engine import EngineContext, col
-from repro.engine.executor import SerialExecutor
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 
 
 def _wide_ctx():
@@ -48,38 +46,38 @@ def _wide_pipeline(ctx):
 
 class TestWidePipeline:
     def test_wide_pipeline_matches_the_row_reference(self):
-        with _wide_ctx() as ctx:
-            joined, groups = _wide_pipeline(ctx)
-            # Not just multiset equality: the join scans left rows in
-            # order and appends matches, so even unsorted collects agree
-            # row-for-row.
-            assert _canon(joined.collect()) == _canon(_JOINED)
-            assert {g: _canon(t.collect()) for g, t in groups.items()} == {
-                g: _canon([row for row in _JOINED if row[1] == g])
-                for g in (0, 1, 2)
-            }
+        ctx = _wide_ctx()
+        joined, groups = _wide_pipeline(ctx)
+        # Not just multiset equality: the join scans left rows in
+        # order and appends matches, so even unsorted collects agree
+        # row-for-row.
+        assert _canon(joined.collect()) == _canon(_JOINED)
+        assert {g: _canon(t.collect()) for g, t in groups.items()} == {
+            g: _canon([row for row in _JOINED if row[1] == g])
+            for g in (0, 1, 2)
+        }
 
     def test_join_with_unmatched_rows(self):
         left_rows = [(i % 9, i) for i in range(30)]
-        with _wide_ctx() as ctx:
-            left = ctx.table_from_rows(["k", "v"], left_rows, num_partitions=3)
-            right = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
-            got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
+        ctx = _wide_ctx()
+        left = ctx.table_from_rows(["k", "v"], left_rows, num_partitions=3)
+        right = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
+        got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
         assert len(got) == 18
         assert _canon(got) == _canon(_join(left_rows, _RULES))
 
     def test_nan_join_keys_match_nothing(self):
         # A NaN probe key equals no catalog key; the filter in front of
         # the join hands over the other cells as they are.
-        with _wide_ctx() as ctx:
-            left = ctx.table_from_rows(
-                ["k", "v"], [(float("nan"), 1), (2.0, 2), (3.0, 3)],
-                num_partitions=1,
-            )
-            right = ctx.table_from_rows(
-                ["k", "r"], [(2.0, "a"), (3.0, "b")], num_partitions=1
-            )
-            got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
+        ctx = _wide_ctx()
+        left = ctx.table_from_rows(
+            ["k", "v"], [(float("nan"), 1), (2.0, 2), (3.0, 3)],
+            num_partitions=1,
+        )
+        right = ctx.table_from_rows(
+            ["k", "r"], [(2.0, "a"), (3.0, "b")], num_partitions=1
+        )
+        got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
         assert _canon(got) == _canon([(2.0, 2, "a"), (3.0, 3, "b")])
 
     def test_tuple_join_keys(self):
@@ -87,12 +85,12 @@ class TestWidePipeline:
         # hashed by the row join as they are.
         left_rows = [((i % 3, "x"), i) for i in range(20)]
         right_rows = [((i, "x"), "r{}".format(i)) for i in range(3)]
-        with _wide_ctx() as ctx:
-            left = ctx.table_from_rows(["k", "v"], left_rows, num_partitions=2)
-            right = ctx.table_from_rows(
-                ["k", "r"], right_rows, num_partitions=1
-            )
-            got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
+        ctx = _wide_ctx()
+        left = ctx.table_from_rows(["k", "v"], left_rows, num_partitions=2)
+        right = ctx.table_from_rows(
+            ["k", "r"], right_rows, num_partitions=1
+        )
+        got = left.filter(col("v") >= 0).join(right, on=["k"]).collect()
         assert len(got) == 20
         assert _canon(got) == _canon(_join(left_rows, right_rows))
 
@@ -101,29 +99,26 @@ class TestWidePipeline:
         # the join mixed-layout partitions; both sides become rows.
         a_rows = [(i % 4, i) for i in range(12)]
         b_rows = [(i % 4, -i) for i in range(1, 9)]
-        with _wide_ctx() as ctx:
-            a = ctx.table_from_rows(
-                ["k", "v"], a_rows, num_partitions=2
-            ).filter(col("v") >= 0)
-            b = ctx.table_from_rows(["k", "v"], b_rows, num_partitions=2)
-            rules = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
-            got = a.union(b).join(rules, on=["k"]).collect()
+        ctx = _wide_ctx()
+        a = ctx.table_from_rows(
+            ["k", "v"], a_rows, num_partitions=2
+        ).filter(col("v") >= 0)
+        b = ctx.table_from_rows(["k", "v"], b_rows, num_partitions=2)
+        rules = ctx.table_from_rows(["k", "r"], _RULES, num_partitions=1)
+        got = a.union(b).join(rules, on=["k"]).collect()
         assert len(got) == 20
         assert _canon(got) == _canon(_join(a_rows + b_rows, _RULES))
 
 
-# -- the process-pool boundary ------------------------------------------------
+# -- the simulated cluster ---------------------------------------------------
 
 class TestColumnarFlow:
-    def test_multiprocessing_executor_matches_the_row_reference(self):
-        pytest.importorskip("multiprocessing")
-        from repro.engine.executor import MultiprocessingExecutor
-
-        with EngineContext(
-            MultiprocessingExecutor(
+    def test_simulated_cluster_matches_the_row_reference(self):
+        ctx = EngineContext(
+            SimulatedClusterExecutor(
                 num_workers=2, default_parallelism=4, retry_backoff=0.0
             )
-        ) as ctx:
-            joined, _groups = _wide_pipeline(ctx)
-            rows = joined.collect()
+        )
+        joined, _groups = _wide_pipeline(ctx)
+        rows = joined.collect()
         assert sorted(_canon(rows)) == sorted(_canon(_JOINED))

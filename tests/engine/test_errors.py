@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import EngineContext, ExecutionError, PlanError
 from repro.engine.errors import EngineError, SchemaError
-from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 from repro.engine.plan import PlanNode
 
 
@@ -46,9 +46,9 @@ class TestExecutionErrors:
 
 class TestParallelErrorPropagation:
     def test_worker_exception_reaches_driver(self):
-        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
-            t = ctx.table_from_rows(
-                ["x"], [(i,) for i in range(10)], num_partitions=4
-            ).flat_map(_boom, ["y"])
-            with pytest.raises(ExecutionError):
-                t.collect()
+        ctx = EngineContext(SimulatedClusterExecutor(num_workers=2))
+        t = ctx.table_from_rows(
+            ["x"], [(i,) for i in range(10)], num_partitions=4
+        ).flat_map(_boom, ["y"])
+        with pytest.raises(ExecutionError):
+            t.collect()

@@ -1,13 +1,9 @@
-"""Executor equivalence and the multiprocessing path."""
+"""Executor equivalence, validation and the simulated cluster."""
 
 import pytest
 
 from repro.engine import EngineContext, col
-from repro.engine.executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 
 
 def _build_workload(ctx):
@@ -28,47 +24,10 @@ def _build_workload(ctx):
     )
 
 
-class TestSerialParallelEquivalence:
-    def test_same_results(self):
-        serial_ctx = EngineContext.serial(default_parallelism=4)
-        expected = _build_workload(serial_ctx).collect()
-        pool = MultiprocessingExecutor(num_workers=2)
-        with EngineContext(pool) as parallel_ctx:
-            actual = _build_workload(parallel_ctx).collect()
-        assert actual == expected
-
+class TestDeterminism:
     def test_repeated_runs_are_deterministic(self):
         ctx = EngineContext.serial()
         assert _build_workload(ctx).collect() == _build_workload(ctx).collect()
-
-
-class TestMultiprocessingExecutor:
-    def test_runs_filter_on_workers(self):
-        with EngineContext(MultiprocessingExecutor(num_workers=2)) as ctx:
-            t = ctx.table_from_rows(
-                ["x"], [(i,) for i in range(1000)], num_partitions=8
-            )
-            assert t.filter(col("x") < 100).count() == 100
-
-    def test_single_partition_short_circuits(self):
-        executor = MultiprocessingExecutor(num_workers=2)
-        try:
-            result = executor.run_tasks(_add_one_to_all, [[1, 2, 3]])
-            assert result == [[2, 3, 4]]
-            # The pool is created lazily; one input never needs it.
-            assert executor._pool is None
-        finally:
-            executor.close()
-
-    def test_close_is_idempotent(self):
-        executor = MultiprocessingExecutor(num_workers=2)
-        executor.close()
-        executor.close()
-
-    def test_default_worker_count_positive(self):
-        executor = MultiprocessingExecutor()
-        assert executor.num_workers >= 2
-        executor.close()
 
 
 class TestExecutorValidation:

@@ -1,15 +1,11 @@
-"""Executor observability: task-duration histograms, retry/fault
-counters and pickle-size gauges on the obs registry."""
+"""Executor observability: task-duration histograms and retry/fault
+counters on the obs registry."""
 
 import pytest
 
 from repro.engine import EngineContext, col
 from repro.engine.executor import FaultPolicy
-from repro.engine.executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    SimulatedClusterExecutor,
-)
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 
 
 def _table(ctx, rows=60, partitions=4):
@@ -49,23 +45,6 @@ class TestTaskDurationHistograms:
         )
 
 
-class TestPooledTaskDurations:
-    def test_pooled_tasks_are_observed_on_the_driver(self):
-        # Pooled tasks are timed in the worker; before that, only
-        # single-partition stages (run in the driver) reached the
-        # histograms while tasks_run counted every task.
-        with MultiprocessingExecutor(
-            num_workers=2, default_parallelism=4, retry_backoff=0.0
-        ) as executor:
-            ctx = EngineContext(executor)
-            _table(ctx).filter(col("x") >= 0).sort("x").collect()
-            histograms = executor.obs.histograms()
-            tasks_run = executor.metrics.tasks_run
-            assert tasks_run > 4
-            assert histograms["executor.task_seconds"]["count"] == tasks_run
-            assert histograms["executor.task_seconds.narrow"]["count"] == 4
-
-
 class TestMetricsView:
     def test_unknown_counter_name_is_an_attribute_error(self):
         metrics = SerialExecutor().metrics
@@ -99,31 +78,6 @@ class TestRetryAndFaultCounters:
         assert counters["executor.retries"] == 0
         assert counters["executor.faults_injected"] == 0
         assert counters["executor.tasks_run"] == 0
-
-
-class TestPickleSizeGauges:
-    def test_pool_path_records_task_pickle_size(self):
-        executor = MultiprocessingExecutor(num_workers=2, retry_backoff=0.0)
-        try:
-            executor.run_tasks(_double, [[(1,)], [(2,)], [(3,)]], stage="m[0]")
-            gauges = executor.obs.gauges()
-            assert gauges["executor.pickle_task_bytes"] > 0
-            assert (
-                gauges["executor.pickle_task_bytes_max"]
-                >= gauges["executor.pickle_task_bytes"]
-            )
-            histogram = executor.obs.histogram("executor.pickle_task_bytes_hist")
-            assert histogram.count == 1
-        finally:
-            executor.close()
-
-    def test_single_partition_path_skips_pool_and_gauge(self):
-        executor = MultiprocessingExecutor(num_workers=2, retry_backoff=0.0)
-        try:
-            executor.run_tasks(_double, [[(1,)]], stage="m[0]")
-            assert "executor.pickle_task_bytes" not in executor.obs.gauges()
-        finally:
-            executor.close()
 
 
 class TestColumnarCounters:

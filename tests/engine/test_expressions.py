@@ -1,6 +1,5 @@
 """Expression building, binding and evaluation."""
 
-import pickle
 
 import pytest
 
@@ -96,17 +95,3 @@ class TestApply:
             return a - b
 
         assert evaluate(apply(diff, "t", "m_id")) == -0.5
-
-
-class TestPicklability:
-    """Bound expressions must ship to worker processes."""
-
-    def test_bound_comparison_pickles(self):
-        bound = ((col("m_id") == 3) & (col("b_id") == "FC")).bind(SCHEMA)
-        clone = pickle.loads(pickle.dumps(bound))
-        assert clone(ROW) is True
-
-    def test_bound_apply_pickles(self):
-        bound = apply(_double, "m_id").bind(SCHEMA)
-        clone = pickle.loads(pickle.dumps(bound))
-        assert clone(ROW) == 6

@@ -1,9 +1,8 @@
 """Fault injection and retry: executors must survive worker failures.
 
-The acceptance bar from the harness issue: with a 20% injected
-task-failure rate, MultiprocessingExecutor retries and produces output
-identical to SerialExecutor; exhausted retries surface a structured
-TaskError naming the stage and partition.
+With a 20% injected task-failure rate, the simulated cluster retries
+and produces output identical to SerialExecutor; exhausted retries
+surface a structured TaskError naming the stage and partition.
 """
 
 import random
@@ -21,7 +20,6 @@ from repro.engine.errors import (
 )
 from repro.engine.executor import (
     FaultPolicy,
-    MultiprocessingExecutor,
     SerialExecutor,
     SimulatedClusterExecutor,
 )
@@ -96,46 +94,46 @@ class TestFaultPolicy:
         assert policy.run("s", 0, 0, list, (1, 2, 3)) == [1, 2]
 
 
-class TestMultiprocessingFaultEquivalence:
+class TestFaultEquivalence:
     def test_twenty_percent_failures_identical_output(self):
         expected = _workload(EngineContext.serial(default_parallelism=4)).collect()
         policy = FaultPolicy(crash_rate=0.2, seed=11)
-        executor = MultiprocessingExecutor(
+        executor = SimulatedClusterExecutor(
             num_workers=2, default_parallelism=4,
             fault_policy=policy, retry_backoff=0.0,
         )
-        with EngineContext(executor) as ctx:
-            actual = _workload(ctx).collect()
-            assert actual == expected
-            # The 20% rate must actually have fired somewhere.
-            assert executor.metrics.retries > 0
+        ctx = EngineContext(executor)
+        actual = _workload(ctx).collect()
+        assert actual == expected
+        # The 20% rate must actually have fired somewhere.
+        assert executor.metrics.retries > 0
 
     def test_fuzz_cases_identical_under_faults(self):
         policy = FaultPolicy(crash_rate=0.2, seed=5)
-        executor = MultiprocessingExecutor(
+        executor = SimulatedClusterExecutor(
             num_workers=2, default_parallelism=4,
             fault_policy=policy, retry_backoff=0.0,
         )
-        with EngineContext(executor) as faulty:
-            reference = EngineContext.serial(default_parallelism=4)
-            for seed in range(6):
-                case = generate_journey_case(random.Random(seed))
-                expected = sorted(map(repr, _journey_rows(reference, case)))
-                actual = sorted(map(repr, _journey_rows(faulty, case)))
-                assert actual == expected, "seed {}".format(seed)
-            assert executor.metrics.retries > 0
+        faulty = EngineContext(executor)
+        reference = EngineContext.serial(default_parallelism=4)
+        for seed in range(6):
+            case = generate_journey_case(random.Random(seed))
+            expected = sorted(map(repr, _journey_rows(reference, case)))
+            actual = sorted(map(repr, _journey_rows(faulty, case)))
+            assert actual == expected, "seed {}".format(seed)
+        assert executor.metrics.retries > 0
 
 
 class TestRetryExhaustion:
     def test_structured_task_error_names_stage_and_partition(self):
         policy = FaultPolicy(crash_rate=1.0, seed=1, crashes_per_task=10)
-        executor = MultiprocessingExecutor(
+        executor = SimulatedClusterExecutor(
             num_workers=2, default_parallelism=4,
             fault_policy=policy, max_task_retries=1, retry_backoff=0.0,
         )
-        with EngineContext(executor) as ctx:
-            with pytest.raises(TaskError) as excinfo:
-                _workload(ctx).collect()
+        ctx = EngineContext(executor)
+        with pytest.raises(TaskError) as excinfo:
+            _workload(ctx).collect()
         error = excinfo.value
         assert isinstance(error, EngineError)
         assert error.stage is not None
@@ -151,11 +149,11 @@ class TestRetryExhaustion:
         executor = SerialExecutor(
             fault_policy=policy, max_task_retries=2, retry_backoff=0.0
         )
-        with EngineContext(executor) as ctx:
-            with pytest.raises(TaskError) as excinfo:
-                ctx.table_from_rows(["x"], [(1,), (2,)]).filter(
-                    col("x") > 0
-                ).collect()
+        ctx = EngineContext(executor)
+        with pytest.raises(TaskError) as excinfo:
+            ctx.table_from_rows(["x"], [(1,), (2,)]).filter(
+                col("x") > 0
+            ).collect()
         assert excinfo.value.attempts == 3
         assert executor.metrics.retries == 2
 
@@ -164,9 +162,9 @@ class TestRetryExhaustion:
         executor = SerialExecutor(
             fault_policy=policy, max_task_retries=2, retry_backoff=0.0
         )
-        with EngineContext(executor) as ctx:
-            t = ctx.table_from_rows(["x"], [(i,) for i in range(10)])
-            assert t.filter(col("x") >= 0).count() == 10
+        ctx = EngineContext(executor)
+        t = ctx.table_from_rows(["x"], [(i,) for i in range(10)])
+        assert t.filter(col("x") >= 0).count() == 10
         assert executor.metrics.retries > 0
 
     def test_simulated_cluster_supports_faults(self):
@@ -174,11 +172,11 @@ class TestRetryExhaustion:
         executor = SimulatedClusterExecutor(
             num_workers=4, fault_policy=policy, retry_backoff=0.0
         )
-        with EngineContext(executor) as ctx:
-            expected = _workload(
-                EngineContext.serial(default_parallelism=4)
-            ).collect()
-            assert _workload(ctx).collect() == expected
+        ctx = EngineContext(executor)
+        expected = _workload(
+            EngineContext.serial(default_parallelism=4)
+        ).collect()
+        assert _workload(ctx).collect() == expected
 
     def test_genuine_errors_not_retried_serially(self):
         executor = SerialExecutor(max_task_retries=5, retry_backoff=0.0)
@@ -188,24 +186,24 @@ class TestRetryExhaustion:
             calls.append(1)
             raise RuntimeError("deterministic bug")
 
-        with EngineContext(executor) as ctx:
-            with pytest.raises(ExecutionError):
-                ctx.table_from_rows(["x"], [(1,)]).map_partitions(
-                    boom
-                ).collect()
+        ctx = EngineContext(executor)
+        with pytest.raises(ExecutionError):
+            ctx.table_from_rows(["x"], [(1,)]).map_partitions(
+                boom
+            ).collect()
         # A deterministic bug must fail fast, not burn the retry budget.
         assert len(calls) == 1
 
-    def test_genuine_errors_not_retried_on_the_pool(self):
-        executor = MultiprocessingExecutor(
+    def test_genuine_errors_not_retried_on_the_simulated_cluster(self):
+        executor = SimulatedClusterExecutor(
             num_workers=2, default_parallelism=4,
             max_task_retries=3, retry_backoff=0.0,
         )
-        with EngineContext(executor) as ctx:
-            with pytest.raises(ExecutionError) as excinfo:
-                ctx.table_from_rows(
-                    ["x"], [(i,) for i in range(8)], num_partitions=4
-                ).map_partitions(_deterministic_bug).collect()
+        ctx = EngineContext(executor)
+        with pytest.raises(ExecutionError) as excinfo:
+            ctx.table_from_rows(
+                ["x"], [(i,) for i in range(8)], num_partitions=4
+            ).map_partitions(_deterministic_bug).collect()
         # Same failure as the serial executor's, with no retry spent.
         assert type(excinfo.value) is ExecutionError
         assert isinstance(excinfo.value.cause, RuntimeError)
@@ -219,9 +217,6 @@ def _deterministic_bug(rows):
 _EXECUTORS = {
     "serial": lambda **kw: SerialExecutor(default_parallelism=4, **kw),
     "simulated": lambda **kw: SimulatedClusterExecutor(num_workers=4, **kw),
-    "pool": lambda **kw: MultiprocessingExecutor(
-        num_workers=2, default_parallelism=4, **kw
-    ),
 }
 
 
@@ -229,11 +224,11 @@ class TestFailFastOnEveryExecutor:
     """The shared attempt loop gives every executor one failure mode."""
 
     def _collect_bug(self, executor):
-        with EngineContext(executor) as ctx:
-            with pytest.raises(ExecutionError) as excinfo:
-                ctx.table_from_rows(
-                    ["x"], [(i,) for i in range(8)], num_partitions=4
-                ).map_partitions(_deterministic_bug).collect()
+        ctx = EngineContext(executor)
+        with pytest.raises(ExecutionError) as excinfo:
+            ctx.table_from_rows(
+                ["x"], [(i,) for i in range(8)], num_partitions=4
+            ).map_partitions(_deterministic_bug).collect()
         return excinfo.value
 
     @pytest.mark.parametrize("kind", sorted(_EXECUTORS))
@@ -263,10 +258,10 @@ class TestDelayInjection:
     def test_delays_do_not_change_results(self):
         policy = FaultPolicy(delay_rate=0.5, delay_seconds=0.001, seed=6)
         executor = SerialExecutor(fault_policy=policy, retry_backoff=0.0)
-        with EngineContext(executor) as ctx:
-            t = ctx.table_from_rows(
-                ["x"], [(i,) for i in range(20)], num_partitions=4
-            )
-            assert sorted(t.filter(col("x") < 10).collect()) == [
-                (i,) for i in range(10)
-            ]
+        ctx = EngineContext(executor)
+        t = ctx.table_from_rows(
+            ["x"], [(i,) for i in range(20)], num_partitions=4
+        )
+        assert sorted(t.filter(col("x") < 10).collect()) == [
+            (i,) for i in range(10)
+        ]

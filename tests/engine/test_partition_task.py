@@ -9,11 +9,10 @@ or partition function gets the row list. Hypothesis draws expression
 trees and chains over every column layout; the edge cases the draws
 rarely hit (NaN, short-circuits, unhashable probes), the cases of
 :func:`~repro.engine.operations.evaluate`, the layouts a chain leaves,
-and the packed-plane, ``emit`` and pickle contracts are pinned by hand.
+and the packed-plane and ``emit`` contracts are pinned by hand.
 """
 
 import math
-import pickle
 import re
 from array import array
 from pathlib import Path
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro.engine import EngineContext, ExecutionError, apply, col
 from repro.engine.columnar import BytesColumn, ColumnarPartition, DictColumn
-from repro.engine.executor import MultiprocessingExecutor, SerialExecutor
+from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 from repro.engine.expressions import (
     BoundAnd,
     BoundApply,
@@ -425,15 +424,15 @@ class TestRowBarriers:
 
     def test_engine_flat_map_chain_is_one_columnar_task(self):
         rows = [(i, i * 0.5) for i in range(40)]
-        with SerialExecutor() as executor:
-            got = (
-                EngineContext(executor).table_from_rows(["a", "b"], rows)
-                .filter(col("a") > 30)
-                .flat_map(_dup_row, ["a", "b"])
-                .filter(col("b") < 19.0)
-                .collect()
-            )
-            assert executor.metrics.columnar_tasks == 1
+        executor = SerialExecutor()
+        got = (
+            EngineContext(executor).table_from_rows(["a", "b"], rows)
+            .filter(col("a") > 30)
+            .flat_map(_dup_row, ["a", "b"])
+            .filter(col("b") < 19.0)
+            .collect()
+        )
+        assert executor.metrics.columnar_tasks == 1
         assert got == [
             row for row in rows if row[0] > 30 and row[1] < 19.0
             for _copy in (0, 1)
@@ -655,24 +654,12 @@ def _pipeline_rows():
     ]
 
 
-class TestPickleContract:
-    def test_a_task_pickles_as_its_steps(self):
-        steps = (
-            FilterStep(_bind(col("a") > lit(2), "a")),
-            FlatMapStep(_dup_row, 1),
-            ProjectStep((_bind(apply(_BatchSum(), "a"), "a"),)),
-        )
-        task = PartitionTask(steps, 1, "partition")
-        loaded = pickle.loads(pickle.dumps(task))
-        assert loaded == task
-        rows = [(i,) for i in range(8)]
-        assert loaded(list(rows)).to_rows() == reference(steps, rows)
-
-    def test_multiprocessing_matches_the_row_reference(self):
-        with MultiprocessingExecutor(
+class TestExecutors:
+    def test_simulated_cluster_matches_the_row_reference(self):
+        executor = SimulatedClusterExecutor(
             num_workers=2, default_parallelism=4, retry_backoff=0.0
-        ) as executor:
-            got = _pipeline(EngineContext(executor)).repartition(4).collect()
+        )
+        got = _pipeline(EngineContext(executor)).repartition(4).collect()
         assert got == _pipeline_rows()
 
     def test_serial_matches_the_row_reference(self):

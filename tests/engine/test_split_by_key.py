@@ -213,18 +213,18 @@ class TestSplitAcrossCombos:
     @pytest.mark.parametrize("kind, key", [("k_b", "m_id"), ("k_s", "s_id")])
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_split_matches_filter_reference(self, executor, kind, key, seed):
-        with EngineContext(EXECUTORS[executor](4)) as ctx:
-            table = _journey_table(ctx, seed, kind)
-            all_rows = table.collect()
-            index = table.columns.index(key)
-            groups = table.split_by_key(key)
-            expected_keys = sorted({row[index] for row in all_rows})
-            assert sorted(groups) == expected_keys
-            for value, group_table in groups.items():
-                expected = Counter(
-                    row for row in all_rows if row[index] == value
-                )
-                assert Counter(group_table.collect()) == expected
+        ctx = EngineContext(EXECUTORS[executor](4))
+        table = _journey_table(ctx, seed, kind)
+        all_rows = table.collect()
+        index = table.columns.index(key)
+        groups = table.split_by_key(key)
+        expected_keys = sorted({row[index] for row in all_rows})
+        assert sorted(groups) == expected_keys
+        for value, group_table in groups.items():
+            expected = Counter(
+                row for row in all_rows if row[index] == value
+            )
+            assert Counter(group_table.collect()) == expected
 
 
 def _row_split(partitions, key_index, keys=None):

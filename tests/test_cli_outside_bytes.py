@@ -7,7 +7,9 @@ of byte ``i``) of a parameter document goes through ``repro pipeline
 process, through :func:`repro.cli.main`. A damaged file either still
 loads -- a flipped digit can leave a valid document -- or is one
 ``error: params:`` / ``error: dbc:`` line with exit status 2 and no
-output file; never a traceback.
+output file; never a traceback. Three hand-written geometry flaws (a
+signal wider than its message, overlapping bits, two messages of one
+id) are always that line.
 """
 
 import contextlib
@@ -130,3 +132,56 @@ def test_every_damaged_dbc_is_one_dbc_line_or_loads(syn_files, tmp_path):
             assert err.count("\n") == 1, name
         assert not out_dir.exists() and not report.exists(), name
     assert failed > 0
+
+
+def _dbc(*messages):
+    """A DBC file of *messages*, each ``(BO_ line, SG_ lines)``."""
+    lines = ['VERSION ""', "", "BU_: ECU", ""]
+    for head, *signals in messages:
+        lines += [head] + [" " + signal for signal in signals] + [""]
+    return "\n".join(lines).encode("utf-8")
+
+
+def _sg(name, start, length):
+    return 'SG_ {} : {}|{}@1+ (1,0) [0|255] "" Vector__XXX'.format(
+        name, start, length)
+
+
+#: The geometry flaws of a DBC parser that trusts its input: each names
+#: what is wrong on its one error line.
+FLAWED_DBCS = {
+    "wider-than-dlc": (
+        _dbc(("BO_ 100 Msg: 1 ECU", _sg("C", 0, 16))),
+        "signal 'C' does not fit in 1-byte payload",
+    ),
+    "overlapping-bits": (
+        _dbc(("BO_ 100 Msg: 2 ECU", _sg("A", 0, 8), _sg("B", 4, 8))),
+        "signals 'A' and 'B' overlap in message 'Msg'",
+    ),
+    # One id is one message, so two BO_ blocks of one id would fill one
+    # signal container.
+    "shared-signal-container": (
+        _dbc(("BO_ 100 Msg: 1 ECU", _sg("A", 0, 8)),
+             ("BO_ 100 Other: 1 ECU", _sg("B", 0, 8))),
+        "BO_ 100 on line 8 repeats the message id of line 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(FLAWED_DBCS))
+def test_a_flawed_dbc_is_one_dbc_line(syn_files, tmp_path, flaw):
+    trace, dbc = syn_files
+    data, reason = FLAWED_DBCS[flaw]
+    flawed, out_dir, report = (tmp_path / name for name in (
+        "flawed.dbc", "recovered", "disc.json"))
+    flawed.write_bytes(data)
+    for code, out, err in [
+        run("dbc", "diff", "--actual", str(flawed), "--recovered", str(dbc)),
+        run("discover", "--trace", str(trace), "--out-dir", str(out_dir),
+            "--partial-dbc", str(flawed), "--report", str(report)),
+    ]:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dbc: ") and reason in err
+        assert err.count("\n") == 1
+    assert not out_dir.exists() and not report.exists()
+

@@ -121,7 +121,8 @@ def _callers(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["ChannelGroup", "process_branch", "classify", "flags", "carry_after"],
+    ["ChannelGroup", "classify_segments", "classify", "flags",
+     "carry_after"],
 )
 def test_algorithm_1_past_interpretation_has_one_call_site(name):
     assert {module for module, _scope in _callers(name)} == {"sequence.py"}
@@ -423,13 +424,9 @@ def test_every_executor_is_on_the_differential_executor_axis():
         and cls.__module__ == executor.__name__
     }
     built = [factory(1) for factory in EXECUTORS.values()]
-    try:
-        assert sorted(type(e).__name__ for e in built) == sorted(
-            cls.__name__ for cls in concrete
-        )
-    finally:
-        for instance in built:
-            instance.close()
+    assert sorted(type(e).__name__ for e in built) == sorted(
+        cls.__name__ for cls in concrete
+    )
 
 
 def test_every_task_and_job_retries_in_one_attempt_loop():
@@ -463,7 +460,6 @@ _UNCHECKABLE_ENGINE_SURFACE = {
     "Table.union": "set.union",
     "Table.sort": "list.sort",
     "Table.count": "list.count, Histogram.count",
-    "EngineContext.close": "file close",
 }
 
 
@@ -558,17 +554,14 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
 
 #: Executor classes a caller builds by name (``SerialExecutor(...)``);
 #: the knob guard covers their constructors too.
-_EXECUTORS = (
-    "SerialExecutor", "SimulatedClusterExecutor", "MultiprocessingExecutor",
-)
+_EXECUTORS = ("SerialExecutor", "SimulatedClusterExecutor")
 
 _FAULT_KNOBS = {
     "fault_policy": "fault injection: set by engine tests and the "
                     "differential's poisoned-executor mutant test",
     "max_task_retries": "the retry budget under fault injection: set by "
                         "engine tests",
-    "retry_backoff": "engine tests and the differential's pool set 0.0 "
-                     "so fault runs do not sleep",
+    "retry_backoff": "engine tests set 0.0 so fault runs do not sleep",
 }
 
 #: Defaulted parameters of the public engine surface that no caller sets
@@ -579,9 +572,6 @@ _UNSET_ENGINE_KNOBS = {
         "EngineContext.serial(default_parallelism=), whose knob is guarded",
     "SimulatedClusterExecutor.default_parallelism": "defaults to "
         "num_workers; the differential's executor axis sets it",
-    "MultiprocessingExecutor.num_workers": "the process pool has callers "
-        "in tests and repro.testing only until ROADMAP item 7 (real cores)",
-    "MultiprocessingExecutor.default_parallelism": "as num_workers",
     **{
         "{}.{}".format(executor, knob): reason
         for executor in _EXECUTORS for knob, reason in _FAULT_KNOBS.items()
@@ -794,8 +784,8 @@ def test_numeric_signal_types_take_no_object_astype(monkeypatch):
 
 #: Every scope of ``src/repro`` that unpickles: none. ``pickle.load``
 #: runs whatever the bytes name, so nothing read from disk goes through
-#: it. The multiprocessing task boundary unpickles inside the standard
-#: library's pool and has no call of its own in ``src/repro``.
+#: it. The fleet's job pool unpickles inside the standard library's pool
+#: and has no call of its own in ``src/repro``.
 _UNPICKLING_SCOPES = set()
 
 
@@ -823,6 +813,39 @@ def test_nothing_in_src_unpickles():
         visit(_parsed(path), path.relative_to(SRC).as_posix(), ())
     assert found == _UNPICKLING_SCOPES
     assert not any(module.startswith("engine/") for module, _ in found)
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules *tree* imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_engine_has_no_process_boundary():
+    """Engine work never leaves the driver: no module of the engine
+    imports ``multiprocessing`` or ``pickle``, and :mod:`repro.fleet`'s
+    job runner is the one module that starts a process pool."""
+    assert [
+        path.name for path in sorted((SRC / "engine").glob("*.py"))
+        if {"multiprocessing", "pickle"} & _imported_modules(_parsed(path))
+    ] == []
+
+    def starts_a_pool(tree):
+        return "concurrent" in _imported_modules(tree) or any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("Pool", "Process", "ProcessPoolExecutor")
+            for node in ast.walk(tree)
+        )
+
+    assert [
+        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+        if starts_a_pool(_parsed(path))
+    ] == ["fleet/workers.py"]
 
 
 def test_the_stream_path_does_not_import_pickle():

@@ -27,7 +27,8 @@ from repro.testing.differential import (
     LAYOUTS,
     MAX_PARTITIONS,
     REFERENCE,
-    Differential,
+    check,
+    diverges,
     draw_points,
     journey,
     load_reproducer,
@@ -63,18 +64,14 @@ class TestPoints:
         drawn = {tuple(draw_points(seed, 50)[-2:]) for seed in range(20)}
         assert len(drawn) == 20
 
-    def test_no_multiprocessing_leaves_the_pool_off_the_axis(self):
-        points = draw_points(3, 100, executors=("serial", "simulated"))
-        assert "pool" not in {p.executor for p in points}
-
     def test_a_journey_runs_column_steps(self):
         case = journey(0)
-        with SerialExecutor() as executor:
-            config = config_from_dict(case.params, case.database)
-            k_b = EngineContext(executor).table_from_rows(
-                list(BYTE_RECORD_COLUMNS), list(case.records))
-            PreprocessingPipeline(config).run(k_b)
-            assert executor.metrics.columnar_tasks > 0
+        executor = SerialExecutor()
+        config = config_from_dict(case.params, case.database)
+        k_b = EngineContext(executor).table_from_rows(
+            list(BYTE_RECORD_COLUMNS), list(case.records))
+        PreprocessingPipeline(config).run(k_b)
+        assert executor.metrics.columnar_tasks > 0
 
     def test_a_failing_reference_is_invalid_not_divergent(self):
         # A truncated payload raises in a clean journey's parameter set
@@ -83,11 +80,10 @@ class TestPoints:
         case = journey(0)
         t, payload, *rest = case.records[0]
         records = [(t, payload[:1], *rest)] + list(case.records[1:])
-        with Differential() as diff:
-            report = diff.check(case, records, draw_points(0, 10)[:3])
-            assert "too short" in report.invalid
-            assert report.divergences == []
-            assert not diff.diverges(case, records, REFERENCE)
+        report = check(case, records, draw_points(0, 10)[:3])
+        assert "too short" in report.invalid
+        assert report.divergences == []
+        assert not diverges(case, records, REFERENCE)
 
 
 def test_a_failing_reference_on_a_generated_journey_fails_the_run(
@@ -99,13 +95,13 @@ def test_a_failing_reference_on_a_generated_journey_fails_the_run(
         raise RuntimeError("broken pipeline")
 
     monkeypatch.setattr(PreprocessingPipeline, "run", broken)
-    failures, runs = run_fuzz(2, use_multiprocessing=False)
+    failures, runs = run_fuzz(2)
     assert [(seed, path) for seed, _report, path in failures] == [
         (0, None), (1, None)]
     assert all("broken pipeline" in r.invalid for _s, r, _p in failures)
     assert runs == 0
     capsys.readouterr()
-    assert fuzz_main(["--seeds", "2", "--no-multiprocessing",
+    assert fuzz_main(["--seeds", "2",
                       "--out", str(tmp_path / "failures")]) == 1
     assert capsys.readouterr().out.endswith(
         "2 journeys, 0 runs against the reference, 0 divergent, "
@@ -162,8 +158,7 @@ def _plant(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_each_mutant_is_caught_within_the_tier1_budget(monkeypatch, name):
     _plant(monkeypatch, name)
-    failures, _runs = run_fuzz(TIER1_SEEDS, fail_fast=True, shrink=False,
-                               use_multiprocessing=False)
+    failures, _runs = run_fuzz(TIER1_SEEDS, fail_fast=True, shrink=False)
     assert failures, "{} survived {} journeys".format(name, TIER1_SEEDS)
 
 
@@ -172,8 +167,7 @@ class TestReproducer:
     def poisoned_reproducer(self, monkeypatch, tmp_path):
         _plant(monkeypatch, "poisoned-task")
         failures, _runs = run_fuzz(
-            TIER1_SEEDS, out_dir=str(tmp_path / "failures"),
-            fail_fast=True, use_multiprocessing=False,
+            TIER1_SEEDS, out_dir=str(tmp_path / "failures"), fail_fast=True,
         )
         [(seed, report, path)] = failures
         assert report.divergences[0].point.executor == "simulated"
@@ -208,9 +202,11 @@ class TestReproducer:
         lambda text: re.sub(r'"partitions": \d+',
                             '"partitions": {}'.format(MAX_PARTITIONS + 1),
                             text),
+        lambda text: text.replace('"executor": "simulated"',
+                                  '"executor": "pool"'),
     ], ids=["truncated", "no-seed", "off-axis", "frame-range",
             "lossy-type", "not-an-object", "executor-type",
-            "too-many-partitions"])
+            "too-many-partitions", "pool-executor"])
     def test_a_damaged_reproducer_is_one_error_line(
         self, poisoned_reproducer, tmp_path, capsys, damage
     ):
@@ -225,23 +221,6 @@ class TestReproducer:
         assert captured.err.startswith("error: cannot load reproducer ")
         assert captured.err.count("\n") == 1
 
-    def test_no_multiprocessing_refuses_a_pool_point(
-        self, poisoned_reproducer, tmp_path, capsys
-    ):
-        _seed, path = poisoned_reproducer
-        pooled = tmp_path / "pooled.json"
-        pooled.write_text(open(path, encoding="utf-8").read().replace(
-            '"executor": "simulated"', '"executor": "pool"'),
-            encoding="utf-8")
-        capsys.readouterr()
-        assert fuzz_main(["--reproduce", str(pooled),
-                          "--no-multiprocessing"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot load reproducer ")
-        assert "--no-multiprocessing" in captured.err
-        assert captured.err.count("\n") == 1
-
     def test_a_missing_reproducer_is_one_error_line(self, tmp_path, capsys):
         assert fuzz_main(["--reproduce", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().err.count("\n") == 1
@@ -249,10 +228,10 @@ class TestReproducer:
 
 @pytest.mark.parametrize("extra", [[], ["--lossy"]], ids=["clean", "lossy"])
 def test_cli_clean_run_exits_zero(tmp_path, capsys, extra):
-    code = fuzz_main(["--seeds", "2", "--no-multiprocessing",
+    code = fuzz_main(["--seeds", "2",
                       "--out", str(tmp_path / "failures"), *extra])
     assert code == 0
     assert not (tmp_path / "failures").exists()
     assert capsys.readouterr().out.endswith(
         "2 journeys, {} runs against the reference, 0 divergent\n".format(
-            2 * (len(draw_points(0, 10, ("serial", "simulated"))) - 1)))
+            2 * (len(draw_points(0, 10)) - 1)))

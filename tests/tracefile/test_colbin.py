@@ -8,7 +8,6 @@ record-major binlog reader.
 """
 
 import io
-import pickle
 import struct
 
 import pytest
@@ -402,14 +401,12 @@ class TestReaderColumns:
         picked = [0, len(records) - 1]
         assert [packed[i] for i in picked] == [records[i] for i in picked]
 
-    def test_partitions_are_columnar_and_pickle(self, records, reader):
+    def test_partitions_are_columnar(self, records, reader):
         parts = reader.partitions(3)
         assert all(isinstance(p, ColumnarPartition) for p in parts)
         assert sum(len(p) for p in parts) == len(records)
         rows = [row for p in parts for row in p.to_rows()]
         assert rows == records
-        clone = pickle.loads(pickle.dumps(parts[0]))
-        assert clone.to_rows() == parts[0].to_rows()
         # Both packed planes are sized by the bytes their cells cover
         # (plus offsets), next to 8 bytes per t / b_id / m_id cell.
         n = len(records)
