@@ -21,11 +21,12 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.core import PipelineConfig
+from repro.obs import validate_report
 from repro.testing.degradation import (
     KNOBS,
     degradation_summary,
+    points,
     run_degradation,
-    validate_degrade_report,
 )
 
 pytestmark = pytest.mark.slow
@@ -62,7 +63,7 @@ def test_degradation_curves(report):
             "%.3f" % point["dedup_correctness"],
             point["corruption_events"],
         ]
-        for point in report.curves
+        for point in points(report)
     ]
     print_table(
         "Degradation sweep (SYN, {}s, severities {})".format(
@@ -79,20 +80,20 @@ def test_degradation_curves(report):
         "duration_seconds": DURATION,
         "seed": SEED,
         "severities": list(SEVERITIES),
-        "baseline": dict(report.baseline),
-        "curves": [dict(point) for point in report.curves],
+        "baseline": dict(report.sections["baseline"]),
+        "curves": [dict(point) for point in points(report)],
     }
     with open(_BENCH_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     # The report itself must satisfy the repro.degrade/1 schema.
-    validate_degrade_report(report.to_dict())
+    validate_report(report.to_dict())
 
     # Severity-0 identity gate, per knob.
     for knob in KNOBS:
         (zero,) = [
-            p for p in report.points(knob) if p["severity"] == 0.0
+            p for p in points(report, knob) if p["severity"] == 0.0
         ]
         assert zero["byte_identical"] is True, (
             "knob %s perturbed a clean trace at severity 0" % knob
@@ -104,7 +105,7 @@ def test_degradation_curves(report):
     # Sanity: full severity must actually corrupt something somewhere.
     assert any(
         p["corruption_events"] > 0
-        for p in report.curves
+        for p in points(report)
         if p["severity"] == 1.0
     )
 
@@ -114,7 +115,7 @@ def test_duplicates_and_truncation_are_absorbed(report):
     replays change nothing, truncated payloads are skipped not fatal."""
     (dup,) = [
         p
-        for p in report.points("exact_duplicate")
+        for p in points(report, "exact_duplicate")
         if p["severity"] == 1.0
     ]
     assert dup["exact_duplicates_dropped"] > 0
@@ -123,7 +124,7 @@ def test_duplicates_and_truncation_are_absorbed(report):
 
     (trunc,) = [
         p
-        for p in report.points("payload_truncation")
+        for p in points(report, "payload_truncation")
         if p["severity"] == 1.0
     ]
     assert trunc["short_payload_skipped"] > 0

@@ -42,7 +42,7 @@ def journey_runs(journeys_syn, syn_bundle):
             "frames": len(records),
             "seconds": seconds,
             "tuples": len(result.catalog),
-            "totals": dict(report.totals),
+            "totals": dict(report.sections["totals"]),
         })
     return runs
 

@@ -329,7 +329,7 @@ def cmd_degrade(args, out=sys.stdout):
     print(
         "baseline: {records} records -> {k_s_rows} K_s rows -> "
         "{r_out_rows} R_out rows (reduction {reduction_ratio:.3f})".format(
-            **report.baseline
+            **report.sections["baseline"]
         ),
         file=out,
     )
@@ -737,7 +737,7 @@ def cmd_discover(args, out=sys.stdout):
     if args.dataset:
         bundle = _bundle(args)
         report = score_discovery(bundle.database, result)
-        totals = report.totals
+        totals = report.sections["totals"]
         print(
             "vs {} ground truth: precision {:.3f}, recall {:.3f}, "
             "F1 {:.3f}, encoding accuracy {:.3f}".format(

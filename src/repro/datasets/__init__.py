@@ -1,6 +1,6 @@
 """Synthetic data sets mirroring the paper's SYN / LIG / STA (Table 5)."""
 
-from repro.datasets.fleet import BatchExtractor, Fleet, FleetReport, JourneyRef
+from repro.datasets.fleet import Fleet, JourneyRef
 from repro.datasets.showcase import ShowcaseBundle, build_showcase
 from repro.datasets.synthetic import (
     LIG_SPEC,
@@ -18,8 +18,6 @@ from repro.datasets.synthetic import (
 
 __all__ = [
     "Fleet",
-    "BatchExtractor",
-    "FleetReport",
     "JourneyRef",
     "build_showcase",
     "ShowcaseBundle",

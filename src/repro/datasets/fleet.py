@@ -1,22 +1,18 @@
-"""Fleet-scale trace processing.
+"""Fleet journey generation.
 
 Fig. 1 of the paper: hundreds of vehicles record journeys on-board
 ("e.g. at BMW Group 500 cars produce 1.5 TB per day"); the traces are
-analyzed off-board per domain. This module models that outer loop: a
-:class:`Fleet` of simulated vehicles producing journeys, and a
-:class:`BatchExtractor` that runs the one-time-parameterized pipeline
-over every journey, writing per-journey results into a table store and
-aggregating a fleet report.
+analyzed off-board per domain. This module generates that input: a
+:class:`Fleet` of simulated vehicles sharing one database, each
+:class:`JourneyRef` naming one reproducible journey. The sweep over the
+recorded traces is :mod:`repro.fleet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.pipeline import PreprocessingPipeline
 from repro.datasets.synthetic import build_dataset
-from repro.obs import MetricsRegistry, stopwatch
-from repro.protocols.frames import BYTE_RECORD_COLUMNS
 
 
 class FleetError(ValueError):
@@ -79,103 +75,3 @@ class Fleet:
         """Simulate and record one journey's byte records."""
         bundle = build_dataset(self.spec, seed_offset=ref.seed_offset())
         return bundle.byte_records(duration)
-
-
-@dataclass
-class JourneyResult:
-    """Outcome of processing one journey."""
-
-    ref: JourneyRef
-    trace_rows: int
-    extracted_rows: int
-    seconds: float
-    table_name: str
-
-
-@dataclass
-class FleetReport:
-    """Aggregate over a batch run."""
-
-    results: list = field(default_factory=list)
-    #: Per-journey extraction metrics (``fleet.journey_seconds``
-    #: histogram, row counters) recorded by :class:`BatchExtractor`.
-    metrics: object = field(default_factory=MetricsRegistry)
-
-    def __len__(self):
-        return len(self.results)
-
-    @property
-    def total_trace_rows(self):
-        return sum(r.trace_rows for r in self.results)
-
-    @property
-    def total_extracted_rows(self):
-        return sum(r.extracted_rows for r in self.results)
-
-    @property
-    def total_seconds(self):
-        return sum(r.seconds for r in self.results)
-
-    def summary(self):
-        return {
-            "journeys": len(self.results),
-            "trace_rows": self.total_trace_rows,
-            "extracted_rows": self.total_extracted_rows,
-            "seconds": round(self.total_seconds, 3),
-        }
-
-
-@dataclass
-class BatchExtractor:
-    """Runs the parameterized extraction over every journey of a fleet.
-
-    Per journey: record (or accept pre-recorded records), run lines 3-6
-    of Algorithm 1 and persist the signal table under the journey's name.
-    The same :class:`~repro.core.pipeline.PipelineConfig` -- the domain's
-    one-time parameterization -- applies to all journeys.
-    """
-
-    fleet: Fleet
-    config: object  # PipelineConfig
-    store: object  # TableStore
-    duration: float = 30.0
-
-    def run(self, context, refs=None, journeys=None):
-        """Process journeys; returns a :class:`FleetReport`.
-
-        *journeys* may supply pre-recorded byte-record lists parallel to
-        *refs* (so callers can re-use recorded traces); otherwise each
-        journey is simulated on demand.
-        """
-        if refs is None:
-            refs = self.fleet.journey_refs()
-        pipeline = PreprocessingPipeline(self.config)
-        report = FleetReport()
-        for index, ref in enumerate(refs):
-            if journeys is not None:
-                records = journeys[index]
-            else:
-                records = self.fleet.record_journey(ref, self.duration)
-            k_b = context.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), records
-            )
-            with stopwatch() as watch:
-                k_s = pipeline.extract_signals(k_b, cache=False)
-                manifest = self.store.write(ref.name, k_s)
-            report.metrics.observe("fleet.journey_seconds", watch.seconds)
-            report.metrics.inc("fleet.trace_rows", len(records))
-            report.metrics.inc("fleet.extracted_rows", manifest["num_rows"])
-            report.results.append(
-                JourneyResult(
-                    ref=ref,
-                    trace_rows=len(records),
-                    extracted_rows=manifest["num_rows"],
-                    seconds=watch.seconds,
-                    table_name=ref.name,
-                )
-            )
-        return report
-
-    def read_journey(self, context, ref):
-        """Load one journey's extracted signal table back."""
-        return self.store.read(context, ref.name)

@@ -45,7 +45,6 @@ from repro.discovery.tokenizer import Token, tokenize
 from repro.discovery.validation import (
     DISCOVERY_KNOBS,
     DISCOVERY_REPORT_FORMAT,
-    DiscoveryReport,
     discoverable_signals,
     discovery_degradation,
     matched_signal_names,
@@ -53,7 +52,6 @@ from repro.discovery.validation import (
     pipeline_coverage,
     score_discovery,
     unscored_report,
-    validate_discovery_report,
 )
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "DiscoveredSignal",
     "DiscoveryConfig",
     "DiscoveryError",
-    "DiscoveryReport",
     "DiscoveryResult",
     "MessageDiscovery",
     "MessageObservations",
@@ -90,5 +87,4 @@ __all__ = [
     "synthesize_database",
     "tokenize",
     "unscored_report",
-    "validate_discovery_report",
 ]

@@ -17,12 +17,12 @@ non-empty. A recovered token **matches** when its bit set equals the
 observed boundary exactly; its **encoding** is additionally correct
 when the significance order of those bits and the signedness agree.
 
-The harness emits a schema-validated ``repro.discovery/1`` report --
-the ``repro.obs/1`` metric payload plus per-message score rows and
-trace-wide totals -- and two end-to-end checks: feeding the synthesized
-catalog through the unchanged preprocessing pipeline
-(:func:`pipeline_coverage`) and sweeping corruption severities
-(:func:`discovery_degradation`).
+The harness emits a ``repro.discovery/1`` :class:`~repro.obs.RunReport`
+-- the ``repro.obs/1`` metric payload plus the per-message score rows
+(section ``messages``) and trace-wide ``totals`` -- and two end-to-end
+checks: feeding the synthesized catalog through the unchanged
+preprocessing pipeline (:func:`pipeline_coverage`) and sweeping
+corruption severities (:func:`discovery_degradation`).
 """
 
 from __future__ import annotations
@@ -30,115 +30,11 @@ from __future__ import annotations
 from repro.discovery.inference import CHECKSUM, CONSTANT
 from repro.discovery.observations import collect_observations
 from repro.discovery.synthesis import discover, signal_name
-from repro.obs.report import REPORT_FORMAT, ReportSchemaError, RunReport
-from repro.obs.report import validate_report
-
-DISCOVERY_REPORT_FORMAT = "repro.discovery/1"
-
-_MESSAGE_FIELDS = (
-    "channel", "message_id", "frames", "discoverable", "recovered",
-    "matched", "precision", "recall", "f1",
+from repro.obs.report import (
+    DISCOVERY_REPORT_FORMAT,
+    SECTION_RULES,
+    RunReport,
 )
-_TOTAL_FIELDS = (
-    "messages", "discoverable", "recovered", "matched", "precision",
-    "recall", "f1", "encoding_matched", "encoding_accuracy",
-    "spurious_messages", "constant_tokens", "checksum_tokens",
-)
-
-
-class DiscoveryReport:
-    """A ``repro.discovery/1`` report: obs payload + scores."""
-
-    def __init__(self, report, messages, totals):
-        self._report = report
-        self.messages = messages
-        self.totals = totals
-
-    @property
-    def metrics(self):
-        return self._report.metrics
-
-    @property
-    def spans(self):
-        return self._report.spans
-
-    @property
-    def meta(self):
-        return self._report.meta
-
-    def set_meta(self, **kwargs):
-        self._report.set_meta(**kwargs)
-
-    def to_dict(self):
-        payload = self._report.to_dict()
-        payload["format"] = DISCOVERY_REPORT_FORMAT
-        payload["messages"] = [dict(row) for row in self.messages]
-        payload["totals"] = dict(self.totals)
-        return payload
-
-    def to_json(self, indent=2):
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def write(self, path):
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-
-def validate_discovery_report(payload):
-    """Schema-check a ``repro.discovery/1`` payload (dict or JSON str)."""
-    if isinstance(payload, str):
-        import json
-
-        payload = json.loads(payload)
-    if not isinstance(payload, dict):
-        raise ReportSchemaError("report payload must be a dict")
-    if payload.get("format") != DISCOVERY_REPORT_FORMAT:
-        raise ReportSchemaError(
-            "format must be {!r}, got {!r}".format(
-                DISCOVERY_REPORT_FORMAT, payload.get("format")
-            )
-        )
-    messages = payload.get("messages")
-    if not isinstance(messages, list):
-        raise ReportSchemaError("messages must be a list")
-    for row in messages:
-        if not isinstance(row, dict):
-            raise ReportSchemaError("message rows must be dicts")
-        for fieldname in _MESSAGE_FIELDS:
-            if fieldname not in row:
-                raise ReportSchemaError(
-                    "message row missing {!r}".format(fieldname)
-                )
-        for fieldname in ("precision", "recall", "f1"):
-            value = row[fieldname]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ReportSchemaError(
-                    "message {!r} must be a number".format(fieldname)
-                )
-    totals = payload.get("totals")
-    if not isinstance(totals, dict):
-        raise ReportSchemaError("totals must be a dict")
-    for fieldname in _TOTAL_FIELDS:
-        if fieldname not in totals:
-            raise ReportSchemaError(
-                "totals missing {!r}".format(fieldname)
-            )
-        value = totals[fieldname]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ReportSchemaError(
-                "totals {!r} must be a number".format(fieldname)
-            )
-    obs_payload = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("messages", "totals")
-    }
-    obs_payload["format"] = REPORT_FORMAT
-    validate_report(obs_payload)
-    return payload
 
 
 def observed_boundary(encoding, stats):
@@ -174,8 +70,8 @@ def score_discovery(truth, result, truth_observations=None,
     """
     if truth_observations is None:
         truth_observations = result.observations
-    metrics = result.metrics if result.metrics is not None else None
-    report = RunReport(report_name, metrics=metrics)
+    report = RunReport(report_name, metrics=result.metrics,
+                       format=DISCOVERY_REPORT_FORMAT)
     rows = []
     total = {
         "messages": 0, "discoverable": 0, "recovered": 0, "matched": 0,
@@ -260,7 +156,8 @@ def score_discovery(truth, result, truth_observations=None,
     registry.set_gauge(
         "discovery.encoding_accuracy", total["encoding_accuracy"]
     )
-    return DiscoveryReport(report, rows, total)
+    report.sections.update(messages=rows, totals=total)
+    return report
 
 
 def unscored_report(result, report_name="discovery.run"):
@@ -270,21 +167,21 @@ def unscored_report(result, report_name="discovery.run"):
     metric payload still carries the full ``discovery.*`` counters, so
     truth-less production runs export the same schema.
     """
-    report = RunReport(report_name, metrics=result.metrics)
+    report = RunReport(report_name, metrics=result.metrics,
+                       format=DISCOVERY_REPORT_FORMAT)
     recovered = sum(
         1
         for discovery in result.messages.values()
         for signal in discovery.signals
         if signal.data_class != CONSTANT
     )
-    totals = {name: 0 for name in _TOTAL_FIELDS}
-    totals["messages"] = len(result.messages)
-    totals["recovered"] = recovered
-    totals["precision"] = 0.0
-    totals["recall"] = 0.0
-    totals["f1"] = 0.0
-    totals["encoding_accuracy"] = 0.0
-    return DiscoveryReport(report, [], totals)
+    _, fields = SECTION_RULES[DISCOVERY_REPORT_FORMAT]["totals"]
+    report.sections["totals"] = dict(
+        dict.fromkeys(fields, 0), messages=len(result.messages),
+        recovered=recovered, precision=0.0, recall=0.0, f1=0.0,
+        encoding_accuracy=0.0,
+    )
+    return report
 
 
 def matched_signal_names(truth, result, truth_observations=None):
@@ -404,6 +301,6 @@ def discovery_degradation(records, truth, knobs=None,
             report = score_discovery(
                 truth, result, truth_observations=clean_observations
             )
-            points.append((severity, report.totals))
+            points.append((severity, report.sections["totals"]))
         out[knob] = points
     return out

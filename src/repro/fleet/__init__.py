@@ -35,12 +35,8 @@ from repro.fleet.orchestrator import (
     run,
     status,
 )
-from repro.fleet.report import (
-    FLEET_REPORT_FORMAT,
-    FleetReport,
-    validate_fleet_report,
-)
 from repro.fleet.workers import JOB_STAGE, execute_trace_job, run_jobs
+from repro.obs.report import FLEET_REPORT_FORMAT
 
 __all__ = [
     "CATALOG_FILE",
@@ -49,7 +45,6 @@ __all__ = [
     "CatalogError",
     "CheckpointStore",
     "FLEET_REPORT_FORMAT",
-    "FleetReport",
     "FleetRunError",
     "FleetRunResult",
     "JOB_STAGE",
@@ -70,5 +65,4 @@ __all__ = [
     "run",
     "run_jobs",
     "status",
-    "validate_fleet_report",
 ]

@@ -34,9 +34,9 @@ from repro.engine.storage import atomic_write_bytes
 from repro.fleet.catalog import JobCatalog, build_catalog
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.errors import CatalogError, JobError
-from repro.fleet.report import FLEET_REPORT_FORMAT, FleetReport
 from repro.fleet.workers import run_jobs
-from repro.obs import MetricsRegistry, stopwatch
+from repro.obs import MetricsRegistry, RunReport, stopwatch
+from repro.obs.report import FLEET_REPORT_FORMAT, JOB_STATUSES
 
 #: Stage name the commit-crash fault policy rolls against; the partition
 #: coordinate is the number of commits already landed this process.
@@ -63,7 +63,7 @@ class FleetRunResult:
     cached: list = field(default_factory=list)
     failed: dict = field(default_factory=dict)  # job_id -> failure row
     summary: dict = field(default_factory=dict)
-    report: object = None  # FleetReport
+    report: object = None  # RunReport of format repro.fleet/1
     registry: object = None  # MetricsRegistry
 
 
@@ -360,30 +360,58 @@ def _live_failures(store, catalog):
     }
 
 
+def add_job_row(report, job_id, index, trace, status, **extra):
+    """Append one catalog entry's row to a fleet report's job table."""
+    if status not in JOB_STATUSES:
+        raise ValueError("unknown job status {!r}".format(status))
+    row = {"job_id": job_id, "index": index, "trace": trace,
+           "status": status}
+    row.update(extra)
+    report.sections["jobs"].append(row)
+    return row
+
+
+def merge_job_payload(metrics, payload):
+    """Fold one checkpointed per-trace result into the fleet *metrics*.
+
+    Stage wall times become observations in the per-stage histograms
+    (``fleet.stage_seconds.<stage>``, plus ``fleet.rows_out`` and
+    ``fleet.trace_rows``); the per-trace report's counters (exact
+    integers, so summation is lossless) accumulate fleet-wide.
+    """
+    for stage, seconds in sorted(payload.get("stage_seconds", {}).items()):
+        metrics.observe("fleet.stage_seconds.{}".format(stage), seconds)
+    metrics.observe("fleet.rows_out", payload.get("rows_out", 0))
+    metrics.observe("fleet.trace_rows", payload.get("trace_rows", 0))
+    for name, value in payload.get("report", {}).get("counters", {}).items():
+        metrics.inc(name, value)
+
+
 def _build_report(run_dir, catalog, store, statuses, failed, registry,
                   workers):
-    """Assemble the ``repro.fleet/1`` report for this sweep."""
-    report = FleetReport()
+    """Assemble the ``repro.fleet/1`` report for this sweep: the
+    orchestrator's metrics and every checkpoint's, one job row per
+    catalog entry and one failure row per failed job."""
+    report = RunReport("fleet.run", format=FLEET_REPORT_FORMAT)
     report.set_meta(
         run_dir=str(run_dir),
         dataset=catalog.dataset,
         jobs=len(catalog),
         workers=workers,
     )
-    report.run.merge_registry(registry)
+    report.merge_registry(registry)
     for job in catalog:
         status = statuses.get(job.job_id, "pending")
         extra = {}
         if store.has(job.job_id):
             payload = store.load(job.job_id)
-            report.merge_job_payload(payload)
+            merge_job_payload(report.metrics, payload)
             extra = {
                 "trace_rows": payload["trace_rows"],
                 "rows_out": payload["rows_out"],
             }
-        report.add_job_row(
-            job.job_id, job.index, job.trace, status, **extra
-        )
-    for job_id, row in sorted(failed.items()):
-        report.add_failure_row(dict(row, job_id=job_id))
+        add_job_row(report, job.job_id, job.index, job.trace, status, **extra)
+    report.sections["failures"] = [
+        dict(row, job_id=job_id) for job_id, row in sorted(failed.items())
+    ]
     return report

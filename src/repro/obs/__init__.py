@@ -11,8 +11,10 @@ rows go. This package is that substrate:
 * :mod:`repro.obs.spans` -- :func:`SpanRecorder.span` nested wall-time
   spans and the :func:`stopwatch` primitive (the only sanctioned home
   of ``time.perf_counter``);
-* :mod:`repro.obs.report` -- :class:`RunReport`, a JSON/text-serializable
-  bundle of spans + metrics + metadata with a validating schema check.
+* :mod:`repro.obs.report` -- :class:`RunReport`, the one report class:
+  a JSON/text-serializable bundle of spans + metrics + metadata plus the
+  sections of its format (the fleet, degradation and discovery tables),
+  checked by :func:`validate_report` against one rule table.
 
 Everything here is dependency-free and import-light so any layer
 (engine, core pipeline, CLI, baselines, test harnesses) can use it

@@ -17,11 +17,10 @@ from repro.testing.degradation import (
     DEGRADE_REPORT_FORMAT,
     KNOBS,
     DegradationError,
-    DegradationReport,
     degradation_summary,
     lossy_config,
+    points,
     run_degradation,
-    validate_degrade_report,
 )
 from repro.testing.generator import JourneyCase, generate_journey_case
 
@@ -30,11 +29,10 @@ __all__ = [
     "DEGRADE_REPORT_FORMAT",
     "KNOBS",
     "DegradationError",
-    "DegradationReport",
     "degradation_summary",
     "lossy_config",
+    "points",
     "run_degradation",
-    "validate_degrade_report",
     "JourneyCase",
     "generate_journey_case",
 ]

@@ -18,23 +18,23 @@ corruption log as ground truth:
 * the pipeline's lossy-trace counters (``short_payload_skipped``,
   ``exact_duplicates_dropped``) and the corruption log's event counts.
 
-A sweep over severities yields one :class:`DegradationReport` (format
-``repro.degrade/1``): a :class:`~repro.obs.RunReport` extended with the
-``baseline`` summary and the per-(knob, severity) ``curves`` table, each
-point also mirrored into ``degrade.*`` gauges. Severity 0 is the
-harness's self-check: every model is then a strict identity, so the
-corrupted run must be *byte-identical* to the perfect one.
+A sweep over severities yields one :class:`~repro.obs.RunReport` of
+format ``repro.degrade/1``, whose sections are the ``baseline`` summary
+and the per-(knob, severity) ``curves`` table, each point also mirrored
+into ``degrade.*`` gauges. Severity 0 is the harness's self-check:
+every model is then a strict identity, so the corrupted run must be
+*byte-identical* to the perfect one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import Counter
 
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext
-from repro.obs import REPORT_FORMAT, ReportSchemaError, RunReport, validate_report
+from repro.obs import RunReport
+from repro.obs.report import DEGRADE_REPORT_FORMAT
 from repro.protocols import BYTE_RECORD_COLUMNS
 from repro.vehicle.corruption import (
     BitFlip,
@@ -44,9 +44,6 @@ from repro.vehicle.corruption import (
     PayloadTruncation,
     corrupt,
 )
-
-#: Version tag of the serialized degradation report shape.
-DEGRADE_REPORT_FORMAT = "repro.degrade/1"
 
 #: The named corruption knobs a sweep exercises. Each model's configured
 #: values act as severity 1.0 (:meth:`CorruptionModel.at_severity`).
@@ -62,164 +59,17 @@ KNOBS = {
 
 DEFAULT_SEVERITIES = (0.0, 0.5, 1.0)
 
-#: Numeric fields every curve point carries (all validated).
-_POINT_RATES = (
-    "signal_recovery", "spurious_rate", "r_out_recovery",
-    "dedup_correctness",
-)
-_POINT_NUMBERS = _POINT_RATES + (
-    "severity", "reduction_ratio", "reduction_ratio_delta",
-)
-_POINT_COUNTS = (
-    "records_in", "records_out", "corruption_events",
-    "short_payload_skipped", "exact_duplicates_dropped",
-)
-
 
 class DegradationError(ValueError):
     """Raised for invalid harness configuration."""
 
 
-class DegradationReport:
-    """A :class:`RunReport` plus the baseline summary and curve table."""
-
-    def __init__(self, name="degrade.run"):
-        self.run = RunReport(name)
-        self.baseline = {}
-        self.curves = []
-
-    @property
-    def metrics(self):
-        return self.run.metrics
-
-    @property
-    def spans(self):
-        return self.run.spans
-
-    @property
-    def meta(self):
-        return self.run.meta
-
-    def set_meta(self, **entries):
-        self.run.set_meta(**entries)
-        return self
-
-    def points(self, knob=None):
-        """Curve points, optionally restricted to one knob."""
-        return [
-            p for p in self.curves if knob is None or p["knob"] == knob
-        ]
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self):
-        payload = self.run.to_dict()
-        payload["format"] = DEGRADE_REPORT_FORMAT
-        payload["baseline"] = dict(self.baseline)
-        payload["curves"] = [dict(p) for p in self.curves]
-        return payload
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False,
-                          default=str)
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-        return path
-
-
-def validate_degrade_report(payload):
-    """Check a payload against the ``repro.degrade/1`` shape.
-
-    Returns the payload when valid, raises
-    :class:`~repro.obs.ReportSchemaError` listing every problem
-    otherwise. Accepts a dict or a JSON string; the shared
-    spans/counters/gauges/histograms sections delegate to
-    :func:`repro.obs.validate_report`.
-    """
-    if isinstance(payload, (str, bytes)):
-        try:
-            payload = json.loads(payload)
-        except ValueError as exc:
-            raise ReportSchemaError(
-                "degradation report is not valid JSON: {}".format(exc)
-            )
-    if not isinstance(payload, dict):
-        raise ReportSchemaError("degradation report must be a JSON object")
-    errors = []
-    if payload.get("format") != DEGRADE_REPORT_FORMAT:
-        errors.append("format must be {!r}, got {!r}".format(
-            DEGRADE_REPORT_FORMAT, payload.get("format")))
-    baseline = payload.get("baseline")
-    if not isinstance(baseline, dict):
-        errors.append("baseline must be an object")
-    else:
-        for key in ("records", "k_s_rows", "r_out_rows"):
-            value = baseline.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                errors.append(
-                    "baseline.{} must be an int >= 0".format(key)
-                )
-        ratio = baseline.get("reduction_ratio")
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
-            errors.append("baseline.reduction_ratio must be a number")
-    curves = payload.get("curves")
-    if not isinstance(curves, list):
-        errors.append("curves must be a list")
-    else:
-        for i, point in enumerate(curves):
-            prefix = "curves[{}]".format(i)
-            if not isinstance(point, dict):
-                errors.append("{} must be an object".format(prefix))
-                continue
-            if not isinstance(point.get("knob"), str) or not point["knob"]:
-                errors.append(
-                    "{}.knob must be a non-empty string".format(prefix)
-                )
-            if not isinstance(point.get("byte_identical"), bool):
-                errors.append(
-                    "{}.byte_identical must be a bool".format(prefix)
-                )
-            for key in _POINT_NUMBERS:
-                value = point.get(key)
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    errors.append(
-                        "{}.{} must be a number".format(prefix, key)
-                    )
-                elif key in _POINT_RATES and not 0.0 <= value <= 1.0:
-                    errors.append(
-                        "{}.{} must be in [0, 1]".format(prefix, key)
-                    )
-                elif key == "severity" and value < 0:
-                    errors.append(
-                        "{}.severity must be >= 0".format(prefix)
-                    )
-            for key in _POINT_COUNTS:
-                value = point.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    errors.append(
-                        "{}.{} must be an int >= 0".format(prefix, key)
-                    )
-            counts = point.get("corruption_counts", {})
-            if not isinstance(counts, dict):
-                errors.append(
-                    "{}.corruption_counts must be an object".format(prefix)
-                )
-    if errors:
-        raise ReportSchemaError(
-            "invalid degradation report: {}".format("; ".join(errors))
-        )
-    obs_payload = {
-        key: value for key, value in payload.items()
-        if key not in ("baseline", "curves")
-    }
-    obs_payload["format"] = REPORT_FORMAT
-    validate_report(obs_payload)
-    return payload
+def points(report, knob=None):
+    """A degradation report's curve points, optionally of one knob."""
+    return [
+        p for p in report.sections["curves"]
+        if knob is None or p["knob"] == knob
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +166,7 @@ def lossy_config(config):
 
 def run_degradation(records, config, knobs=None, severities=None, seed=0,
                     report_name="degrade.run"):
-    """Severity sweep: one :class:`DegradationReport` for *records*.
+    """Severity sweep: one ``repro.degrade/1`` report for *records*.
 
     *records* are the scenario's perfect ``k_b`` byte records; *config*
     the domain's :class:`~repro.core.pipeline.PipelineConfig` (hardened
@@ -341,15 +191,15 @@ def run_degradation(records, config, knobs=None, severities=None, seed=0,
         raise DegradationError("severities must be >= 0")
     config = lossy_config(config)
 
-    report = DegradationReport(report_name)
+    report = RunReport(report_name, format=DEGRADE_REPORT_FORMAT)
     report.set_meta(
         seed=seed,
         severities=list(severities),
         knobs=sorted(knobs),
     )
-    with report.run.span("baseline"):
+    with report.span("baseline"):
         baseline = _Run(config, records)
-    report.baseline = {
+    report.sections["baseline"] = {
         "records": len(records),
         "k_s_rows": sum(baseline.k_s.values()),
         "r_out_rows": sum(baseline.r_out.values()),
@@ -358,7 +208,7 @@ def run_degradation(records, config, knobs=None, severities=None, seed=0,
 
     for name in sorted(knobs):
         model = knobs[name]
-        with report.run.span("knob.{}".format(name)):
+        with report.span("knob.{}".format(name)):
             for severity in severities:
                 corrupted, log = corrupt(
                     records, [model.at_severity(severity)], seed=seed
@@ -393,7 +243,7 @@ def run_degradation(records, config, knobs=None, severities=None, seed=0,
                         run.exact_duplicates_dropped
                     ),
                 }
-                report.curves.append(point)
+                report.sections["curves"].append(point)
                 prefix = "degrade.{}.{:g}".format(name, severity)
                 metrics = report.metrics
                 for key in (
@@ -418,7 +268,7 @@ def degradation_summary(report):
             "dedup", "ident",
         )
     ]
-    for p in report.curves:
+    for p in report.sections["curves"]:
         lines.append(
             "{:20s} {:8g} {:7d} {:9.3f} {:9.3f} {:7.3f} {:>6s}".format(
                 p["knob"], p["severity"], p["corruption_events"],

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import PipelineConfig
+from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.datasets import SYN_SPEC
-from repro.datasets.fleet import BatchExtractor, Fleet, FleetError, JourneyRef
+from repro.datasets.fleet import Fleet, FleetError, JourneyRef
 from repro.engine import EngineContext, TableStore
+from repro.protocols.frames import BYTE_RECORD_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -43,49 +44,42 @@ class TestFleet:
             Fleet(SYN_SPEC, num_vehicles=0, journeys_per_vehicle=1)
 
 
-class TestBatchExtractor:
-    @pytest.fixture
-    def extractor(self, fleet, tmp_path):
+class TestJourneysThroughTheStore:
+    """The loop ``examples/fleet_report.py`` runs: lines 3-6 of
+    Algorithm 1 per journey, one stored signal table per journey name."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, fleet, tmp_path_factory):
         bundle = fleet.reference_bundle
-        config = PipelineConfig(catalog=bundle.catalog(bundle.alpha_ids[:2]))
-        return BatchExtractor(
-            fleet=fleet,
-            config=config,
-            store=TableStore(tmp_path / "fleet_store"),
-            duration=5.0,
+        pipeline = PreprocessingPipeline(
+            PipelineConfig(catalog=bundle.catalog(bundle.alpha_ids[:2]))
+        )
+        store = TableStore(tmp_path_factory.mktemp("fleet_store"))
+        ctx = EngineContext.serial()
+        rows = {}
+        for ref in fleet.journey_refs():
+            k_b = ctx.table_from_rows(
+                list(BYTE_RECORD_COLUMNS), fleet.record_journey(ref, 5.0)
+            )
+            k_s = pipeline.extract_signals(k_b, cache=False)
+            rows[ref.name] = store.write(ref.name, k_s)["num_rows"]
+        return ctx, store, rows
+
+    def test_one_stored_table_per_journey(self, stored, fleet):
+        _, store, _ = stored
+        assert sorted(store.list_tables()) == sorted(
+            r.name for r in fleet.journey_refs()
         )
 
-    def test_processes_every_journey(self, extractor):
-        ctx = EngineContext.serial()
-        report = extractor.run(ctx)
-        assert len(report) == 4
-        assert report.total_trace_rows > 0
-        assert report.total_extracted_rows > 0
+    def test_every_journey_extracts_rows(self, stored):
+        _, _, rows = stored
+        assert len(rows) == 4 and all(n > 0 for n in rows.values())
 
-    def test_one_stored_table_per_journey(self, extractor, fleet):
-        ctx = EngineContext.serial()
-        extractor.run(ctx)
-        stored = extractor.store.list_tables()
-        assert sorted(stored) == sorted(r.name for r in fleet.journey_refs())
-
-    def test_read_back_journey(self, extractor, fleet):
-        ctx = EngineContext.serial()
-        extractor.run(ctx)
-        table = extractor.read_journey(ctx, JourneyRef(0, 1))
-        signals = {r[2] for r in table.collect()}
-        assert signals == set(fleet.reference_bundle.alpha_ids[:2])
-
-    def test_summary_totals(self, extractor):
-        ctx = EngineContext.serial()
-        report = extractor.run(ctx)
-        summary = report.summary()
-        assert summary["journeys"] == 4
-        assert summary["extracted_rows"] == report.total_extracted_rows
-
-    def test_pre_recorded_journeys_used(self, extractor, fleet):
-        ctx = EngineContext.serial()
-        refs = [JourneyRef(0, 0)]
-        records = [fleet.record_journey(refs[0], 3.0)]
-        report = extractor.run(ctx, refs=refs, journeys=records)
-        assert len(report) == 1
-        assert report.results[0].trace_rows == len(records[0])
+    def test_read_back_journey(self, stored, fleet):
+        ctx, store, rows = stored
+        table = store.read(ctx, JourneyRef(0, 1).name)
+        collected = table.collect()
+        assert len(collected) == rows[JourneyRef(0, 1).name]
+        assert {r[2] for r in collected} == set(
+            fleet.reference_bundle.alpha_ids[:2]
+        )

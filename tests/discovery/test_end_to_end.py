@@ -7,25 +7,25 @@ from repro.discovery import (
     discovery_degradation,
     pipeline_coverage,
     score_discovery,
-    validate_discovery_report,
 )
 from repro.network.dbcio import dumps_database, loads_database
+from repro.obs import validate_report
 
 
 class TestCleanSyn:
     def test_boundaries_and_encodings_recover(self, syn_truth, syn_result):
         report = score_discovery(syn_truth, syn_result)
-        assert report.totals["precision"] >= 0.95
-        assert report.totals["recall"] >= 0.95
-        assert report.totals["f1"] >= 0.95
-        assert report.totals["encoding_accuracy"] >= 0.95
-        assert report.totals["spurious_messages"] == 0
-        assert report.totals["messages"] == len(report.messages)
+        assert report.sections["totals"]["precision"] >= 0.95
+        assert report.sections["totals"]["recall"] >= 0.95
+        assert report.sections["totals"]["f1"] >= 0.95
+        assert report.sections["totals"]["encoding_accuracy"] >= 0.95
+        assert report.sections["totals"]["spurious_messages"] == 0
+        assert report.sections["totals"]["messages"] == len(report.sections["messages"])
 
     def test_report_validates(self, syn_truth, syn_result):
         report = score_discovery(syn_truth, syn_result)
         report.set_meta(dataset="SYN")
-        payload = validate_discovery_report(report.to_dict())
+        payload = validate_report(report.to_dict())
         assert payload["counters"]["discovery.messages"] >= 10
         assert "discovery.token_width_bits" in payload["histograms"]
 

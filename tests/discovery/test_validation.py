@@ -12,11 +12,10 @@ from repro.discovery import (
     observed_boundary,
     score_discovery,
     unscored_report,
-    validate_discovery_report,
 )
 from repro.discovery.observations import bit_statistics, collect_observations
 from repro.network.database import MessageDefinition, NetworkDatabase, SignalDefinition
-from repro.obs.report import ReportSchemaError
+from repro.obs.report import ReportSchemaError, validate_report
 from repro.protocols.signalcodec import SignalEncoding
 
 
@@ -62,12 +61,12 @@ class TestScoreDiscovery:
         records = ramp_records()
         result = discover(records=records)
         report = score_discovery(truth_database(), result)
-        assert report.totals["precision"] == 1.0
-        assert report.totals["recall"] == 1.0
-        assert report.totals["f1"] == 1.0
-        assert report.totals["encoding_accuracy"] == 1.0
-        assert report.totals["spurious_messages"] == 0
-        (row,) = report.messages
+        assert report.sections["totals"]["precision"] == 1.0
+        assert report.sections["totals"]["recall"] == 1.0
+        assert report.sections["totals"]["f1"] == 1.0
+        assert report.sections["totals"]["encoding_accuracy"] == 1.0
+        assert report.sections["totals"]["spurious_messages"] == 0
+        (row,) = report.sections["messages"]
         assert row["channel"] == "FC"
         assert row["discoverable"] == row["matched"] == 1
 
@@ -80,13 +79,13 @@ class TestScoreDiscovery:
         report = score_discovery(
             truth_database(bit_length=16), result
         )
-        assert report.totals["recall"] == 1.0
+        assert report.sections["totals"]["recall"] == 1.0
 
     def test_spurious_message_is_counted(self):
         records = ramp_records() + ramp_records(message_id=0x77)
         result = discover(records=records)
         report = score_discovery(truth_database(), result)
-        assert report.totals["spurious_messages"] == 1
+        assert report.sections["totals"]["spurious_messages"] == 1
 
     def test_gauges_are_exported(self):
         result = discover(records=ramp_records())
@@ -107,7 +106,7 @@ class TestScoreDiscovery:
         report = score_discovery(
             truth_database(), result, truth_observations=clean
         )
-        assert report.totals["recall"] < 1.0
+        assert report.sections["totals"]["recall"] < 1.0
 
 
 class TestHelpers:
@@ -126,14 +125,14 @@ class TestReportSchema:
     def test_scored_report_validates(self):
         result = discover(records=ramp_records())
         report = score_discovery(truth_database(), result)
-        payload = validate_discovery_report(report.to_dict())
+        payload = validate_report(report.to_dict())
         assert payload["format"] == DISCOVERY_REPORT_FORMAT
-        assert validate_discovery_report(report.to_json())
+        assert validate_report(report.to_json())
 
     def test_unscored_report_validates_with_zero_scores(self):
         result = discover(records=ramp_records())
         report = unscored_report(result)
-        payload = validate_discovery_report(report.to_dict())
+        payload = validate_report(report.to_dict())
         assert payload["messages"] == []
         assert payload["totals"]["recovered"] == 1
         assert payload["totals"]["f1"] == 0.0
@@ -150,26 +149,51 @@ class TestReportSchema:
         result = discover(records=ramp_records())
         payload = score_discovery(truth_database(), result).to_dict()
         payload["format"] = "repro.obs/1"
-        with pytest.raises(ReportSchemaError):
-            validate_discovery_report(payload)
+        with pytest.raises(ReportSchemaError, match="format"):
+            validate_report(payload)
 
     def test_missing_total_field_is_rejected(self):
         result = discover(records=ramp_records())
         payload = score_discovery(truth_database(), result).to_dict()
         del payload["totals"]["f1"]
-        with pytest.raises(ReportSchemaError):
-            validate_discovery_report(payload)
+        with pytest.raises(ReportSchemaError, match="totals.f1"):
+            validate_report(payload)
 
     def test_missing_message_field_is_rejected(self):
         result = discover(records=ramp_records())
         payload = score_discovery(truth_database(), result).to_dict()
         del payload["messages"][0]["precision"]
-        with pytest.raises(ReportSchemaError):
-            validate_discovery_report(payload)
+        with pytest.raises(ReportSchemaError,
+                           match="messages\\[0\\].precision"):
+            validate_report(payload)
 
     def test_non_numeric_score_is_rejected(self):
         result = discover(records=ramp_records())
         payload = score_discovery(truth_database(), result).to_dict()
         payload["totals"]["f1"] = "perfect"
-        with pytest.raises(ReportSchemaError):
-            validate_discovery_report(payload)
+        with pytest.raises(ReportSchemaError,
+                           match="totals.f1 must be a number"):
+            validate_report(payload)
+
+    def test_every_problem_is_listed(self):
+        result = discover(records=ramp_records())
+        payload = score_discovery(truth_database(), result).to_dict()
+        del payload["messages"][0]["channel"]
+        payload["messages"].append("row")
+        payload["totals"]["recall"] = None
+        with pytest.raises(ReportSchemaError) as excinfo:
+            validate_report(payload)
+        message = str(excinfo.value)
+        assert "messages[0].channel must be present" in message
+        assert "messages[1] must be an object" in message
+        assert "totals.recall must be a number" in message
+
+    def test_missing_sections_are_rejected(self):
+        result = discover(records=ramp_records())
+        payload = score_discovery(truth_database(), result).to_dict()
+        payload["messages"] = {}
+        payload["totals"] = []
+        with pytest.raises(ReportSchemaError) as excinfo:
+            validate_report(payload)
+        assert "messages must be a list" in str(excinfo.value)
+        assert "totals must be an object" in str(excinfo.value)

@@ -13,7 +13,7 @@ import pytest
 from repro import fleet
 from repro.engine.errors import InjectedFaultError
 from repro.engine.executor import FaultPolicy
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, validate_report
 
 from tests.fleet.conftest import NUM_TRACES
 
@@ -73,7 +73,7 @@ class TestRun:
         payload = json.loads(
             (run_dir / fleet.REPORT_FILE).read_text(encoding="utf-8")
         )
-        fleet.validate_fleet_report(payload)
+        validate_report(payload)
         assert payload["meta"]["dataset"] == "SYN"
         assert len(payload["jobs"]) == NUM_TRACES
         assert payload["counters"]["fleet.jobs_run"] == NUM_TRACES
@@ -131,7 +131,7 @@ class TestFailureIsolation:
         assert result.summary["completed"] == NUM_TRACES - 1
         assert result.summary["failed"] == 1
         report = json.loads((run_dir / fleet.REPORT_FILE).read_text())
-        fleet.validate_fleet_report(report)
+        validate_report(report)
         assert report["failures"][0]["job_id"] == victim.job_id
 
     def test_resume_retries_failed_job(self, run_dir, fleet_template):

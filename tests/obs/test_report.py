@@ -1,4 +1,5 @@
-"""RunReport serialization and the repro.obs/1 schema validation."""
+"""RunReport serialization, its sections and the schema validation of
+every report format."""
 
 import json
 
@@ -11,10 +12,38 @@ from repro.obs import (
     RunReport,
     validate_report,
 )
+from repro.obs.report import (
+    DEGRADE_REPORT_FORMAT,
+    DISCOVERY_REPORT_FORMAT,
+    FLEET_REPORT_FORMAT,
+    SECTION_RULES,
+)
+
+#: One valid set of sections per format.
+SAMPLE_SECTIONS = {
+    REPORT_FORMAT: {},
+    FLEET_REPORT_FORMAT: {
+        "jobs": [{"job_id": "a" * 16, "index": 0, "trace": "traces/j0.trc",
+                  "status": "done"}],
+        "failures": [],
+    },
+    DEGRADE_REPORT_FORMAT: {
+        "baseline": {"records": 10, "k_s_rows": 6, "r_out_rows": 2,
+                     "reduction_ratio": 0.5},
+        "curves": [],
+    },
+    DISCOVERY_REPORT_FORMAT: {
+        "messages": [],
+        "totals": dict.fromkeys(
+            SECTION_RULES[DISCOVERY_REPORT_FORMAT]["totals"][1], 0
+        ),
+    },
+}
 
 
-def make_report():
-    report = RunReport("test.run")
+def make_report(form=REPORT_FORMAT):
+    report = RunReport("test.run", format=form)
+    report.sections.update(SAMPLE_SECTIONS[form])
     report.set_meta(dataset="SYN")
     with report.span("stage", rows_in=10) as span:
         span.set(rows_out=5)
@@ -136,3 +165,96 @@ class TestReportMerge:
         a = make_report()
         a.merge(make_report())
         assert validate_report(a.to_dict())
+
+
+class TestSections:
+    def test_every_format_has_a_sample(self):
+        assert set(SAMPLE_SECTIONS) == set(SECTION_RULES)
+
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    def test_a_new_report_starts_with_every_section_empty(self, form):
+        report = RunReport("r", format=form)
+        assert report.format == form
+        assert {name: type(value) for name, value in report.sections.items()} \
+            == {name: kind for name, (kind, _) in SECTION_RULES[form].items()}
+        assert not any(report.sections.values())
+
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    def test_sections_serialize_as_top_level_fields(self, form):
+        report = make_report(form)
+        payload = validate_report(report.to_dict())
+        assert payload["format"] == form
+        for name, value in SAMPLE_SECTIONS[form].items():
+            assert payload[name] == value
+            assert payload[name] is not report.sections[name]
+
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="unknown report format"):
+            RunReport("r", format="repro.nothing/1")
+
+    @pytest.mark.parametrize("form", ["repro.nothing/1", None, ["x"], {}])
+    def test_unknown_format_is_rejected(self, form):
+        payload = make_report().to_dict()
+        payload["format"] = form
+        with pytest.raises(ReportSchemaError, match="format must be one of"):
+            validate_report(payload)
+
+    def test_a_section_of_another_format_is_rejected(self):
+        payload = make_report(DEGRADE_REPORT_FORMAT).to_dict()
+        payload["jobs"] = []
+        with pytest.raises(ReportSchemaError) as excinfo:
+            validate_report(payload)
+        assert "has no section 'jobs'" in str(excinfo.value)
+
+
+def _malformed_str(text):
+    return text[: len(text) // 2]
+
+
+def _malformed_bytes(text):
+    return b"\xff" + text.encode("utf-8")
+
+
+class TestMalformedInput:
+    """Every format turns undecodable JSON into one ReportSchemaError."""
+
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    @pytest.mark.parametrize("spoil", [_malformed_str, _malformed_bytes])
+    def test_malformed_text_is_one_schema_error(self, form, spoil):
+        text = make_report(form).to_json()
+        with pytest.raises(ReportSchemaError, match="not valid JSON"):
+            validate_report(spoil(text))
+
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    def test_good_bytes_validate(self, form):
+        payload = validate_report(make_report(form).to_json().encode())
+        assert payload["format"] == form
+
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    def test_valid_json_that_is_not_an_object_is_one_schema_error(
+        self, form
+    ):
+        text = json.dumps([make_report(form).to_dict()])
+        with pytest.raises(ReportSchemaError, match="must be a JSON object"):
+            validate_report(text.encode())
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("form", sorted(SECTION_RULES))
+    def test_unencodable_report_leaves_the_previous_file(self, form,
+                                                          tmp_path):
+        path = tmp_path / "report.json"
+        make_report(form).write(path)
+        before = path.read_bytes()
+        loop = []
+        loop.append(loop)
+        report = make_report(form).set_meta(loop=loop)
+        with pytest.raises(ValueError, match="Circular"):
+            report.write(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_write_returns_the_path_and_ends_with_a_newline(self, tmp_path):
+        path = make_report().write(str(tmp_path / "report.json"))
+        assert path == tmp_path / "report.json"
+        assert path.read_text().endswith("}\n")

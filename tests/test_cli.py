@@ -255,9 +255,9 @@ class TestDiscover:
         assert dbc_files
         db = load_database(dbc_files[0])
         assert len(db) > 0
-        from repro.discovery import validate_discovery_report
+        from repro.obs import validate_report
 
-        payload = validate_discovery_report(report_path.read_text())
+        payload = validate_report(report_path.read_text())
         assert payload["meta"]["trace"] == str(trace_file)
         assert payload["counters"]["discovery.messages"] > 0
 
@@ -280,9 +280,9 @@ class TestDiscover:
             "--report", str(report_path),
         )
         assert code == 0
-        from repro.discovery import validate_discovery_report
+        from repro.obs import validate_report
 
-        payload = validate_discovery_report(report_path.read_text())
+        payload = validate_report(report_path.read_text())
         assert payload["messages"] == []
         assert payload["totals"]["f1"] == 0.0
 

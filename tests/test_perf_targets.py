@@ -35,7 +35,9 @@ object ``astype``. The last two keep unpickling to the fleet checkpoint
 reader: no stored table, stream log or other file is read through
 ``pickle.load``, and the stream path does not import ``pickle``. One
 more keeps every concrete executor on the executor axis of the
-``R_out`` differential (``repro.testing.differential``).
+``R_out`` differential (``repro.testing.differential``). The last keeps
+one report class: every report format is an entry of the rule table in
+``repro.obs.report``, not another wrapper around ``RunReport``.
 """
 
 import ast
@@ -874,3 +876,40 @@ def test_the_stream_checkpoint_does_not_import_the_fleet():
     assert "repro.engine.storage" in modules
     assert [m for m in modules if m.split(".")[:2] == ["repro", "fleet"]] \
         == []
+
+
+def test_every_report_format_is_one_entry_of_the_rule_table():
+    """A report format is one entry of ``repro.obs.report.SECTION_RULES``
+    and every report is a ``RunReport``: each ``*REPORT_FORMAT`` constant
+    under ``src/repro`` names a key of the table, and no other class
+    defines ``to_dict`` and ``write``, or is a ``*Report`` that
+    serializes itself."""
+    from repro.obs.report import SECTION_RULES
+
+    formats = {}
+    serializers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(_parsed(path)):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if _name(target) and _name(target).endswith(
+                        "REPORT_FORMAT"
+                    ):
+                        formats[module, _name(target)] = getattr(
+                            node.value, "value", None
+                        )
+            elif isinstance(node, ast.ClassDef):
+                methods = {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                }
+                if {"to_dict", "write"} <= methods or (
+                    node.name.endswith("Report")
+                    and methods & {"to_dict", "to_json", "write"}
+                ):
+                    serializers.add((module, node.name))
+    assert formats and all(
+        value in SECTION_RULES for value in formats.values()
+    ), formats
+    assert serializers == {("obs/report.py", "RunReport")}

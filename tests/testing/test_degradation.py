@@ -6,16 +6,15 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import SPECS, build_dataset
-from repro.obs import ReportSchemaError
+from repro.obs import ReportSchemaError, RunReport, validate_report
 from repro.testing.degradation import (
     DEGRADE_REPORT_FORMAT,
     KNOBS,
     DegradationError,
-    DegradationReport,
     degradation_summary,
     lossy_config,
+    points,
     run_degradation,
-    validate_degrade_report,
 )
 SWEEP_KNOBS = (
     "frame_drop", "exact_duplicate", "payload_truncation", "clock_skew",
@@ -57,7 +56,7 @@ class TestSeverityZeroGate:
     @pytest.mark.parametrize("knob", SWEEP_KNOBS)
     def test_byte_identical(self, report, knob):
         (point,) = [
-            p for p in report.points(knob) if p["severity"] == 0.0
+            p for p in points(report, knob) if p["severity"] == 0.0
         ]
         assert point["byte_identical"] is True
         assert point["records_out"] == point["records_in"]
@@ -71,15 +70,15 @@ class TestSeverityZeroGate:
 
 class TestSweepMetrics:
     def test_every_knob_and_severity_present(self, report):
-        assert len(report.curves) == len(SWEEP_KNOBS) * 2
+        assert len(points(report)) == len(SWEEP_KNOBS) * 2
         for knob in SWEEP_KNOBS:
             assert sorted(
-                p["severity"] for p in report.points(knob)
+                p["severity"] for p in points(report, knob)
             ) == [0.0, 1.0]
 
     def test_frame_drop_loses_signal_rows(self, report):
         (point,) = [
-            p for p in report.points("frame_drop") if p["severity"] == 1.0
+            p for p in points(report, "frame_drop") if p["severity"] == 1.0
         ]
         assert point["corruption_events"] > 0
         assert point["records_out"] < point["records_in"]
@@ -91,7 +90,7 @@ class TestSweepMetrics:
         the pipeline output at all."""
         (point,) = [
             p
-            for p in report.points("exact_duplicate")
+            for p in points(report, "exact_duplicate")
             if p["severity"] == 1.0
         ]
         assert point["corruption_events"] > 0
@@ -107,7 +106,7 @@ class TestSweepMetrics:
         as an aborted run or garbage values."""
         (point,) = [
             p
-            for p in report.points("payload_truncation")
+            for p in points(report, "payload_truncation")
             if p["severity"] == 1.0
         ]
         assert point["corruption_events"] > 0
@@ -116,16 +115,16 @@ class TestSweepMetrics:
 
     def test_gauges_mirror_curves(self, report):
         gauges = report.metrics.gauges()
-        for point in report.curves:
+        for point in points(report):
             name = "degrade.{}.{:g}.signal_recovery".format(
                 point["knob"], point["severity"]
             )
             assert gauges[name] == point["signal_recovery"]
 
     def test_baseline_summary(self, report, records):
-        assert report.baseline["records"] == len(records)
-        assert report.baseline["k_s_rows"] > 0
-        assert report.baseline["r_out_rows"] > 0
+        assert report.sections["baseline"]["records"] == len(records)
+        assert report.sections["baseline"]["k_s_rows"] > 0
+        assert report.sections["baseline"]["r_out_rows"] > 0
 
     def test_summary_text(self, report):
         text = degradation_summary(report)
@@ -136,52 +135,80 @@ class TestSweepMetrics:
 
 class TestReportSchema:
     def test_round_trip_validates(self, report):
-        payload = validate_degrade_report(report.to_dict())
+        payload = validate_report(report.to_dict())
         assert payload["format"] == DEGRADE_REPORT_FORMAT
-        validate_degrade_report(report.to_json())
+        validate_report(report.to_json())
 
     def test_write_and_reload(self, report, tmp_path):
         path = report.write(tmp_path / "degrade.json")
-        payload = validate_degrade_report(
+        payload = validate_report(
             json.loads(path.read_text())
         )
-        assert len(payload["curves"]) == len(report.curves)
+        assert len(payload["curves"]) == len(points(report))
 
     def test_rejects_wrong_format(self, report):
         payload = report.to_dict()
         payload["format"] = "repro.obs/1"
         with pytest.raises(ReportSchemaError, match="format"):
-            validate_degrade_report(payload)
+            validate_report(payload)
 
     def test_rejects_missing_baseline(self, report):
         payload = report.to_dict()
         del payload["baseline"]
         with pytest.raises(ReportSchemaError, match="baseline"):
-            validate_degrade_report(payload)
+            validate_report(payload)
 
     def test_rejects_bad_curve_point(self, report):
         payload = report.to_dict()
         payload["curves"][0]["signal_recovery"] = 1.5
         with pytest.raises(ReportSchemaError, match="signal_recovery"):
-            validate_degrade_report(payload)
+            validate_report(payload)
         payload = report.to_dict()
         payload["curves"][0]["byte_identical"] = "yes"
         with pytest.raises(ReportSchemaError, match="byte_identical"):
-            validate_degrade_report(payload)
+            validate_report(payload)
+
+    def test_lists_every_bad_field(self, report):
+        payload = report.to_dict()
+        payload["baseline"]["records"] = -1
+        payload["baseline"]["reduction_ratio"] = "high"
+        point = payload["curves"][0]
+        point.update(knob="", severity=-1.0, records_out=1.5,
+                     corruption_counts=[])
+        del point["spurious_rate"]
+        with pytest.raises(ReportSchemaError) as excinfo:
+            validate_report(payload)
+        message = str(excinfo.value)
+        for expected in (
+            "baseline.records must be an int >= 0",
+            "baseline.reduction_ratio must be a number",
+            "curves[0].knob must be a non-empty string",
+            "curves[0].severity must be a number >= 0",
+            "curves[0].records_out must be an int >= 0",
+            "curves[0].corruption_counts must be an object",
+            "curves[0].spurious_rate must be a number in [0, 1]",
+        ):
+            assert expected in message
+
+    def test_rejects_curves_that_are_not_a_list(self, report):
+        payload = report.to_dict()
+        payload["curves"] = {}
+        with pytest.raises(ReportSchemaError, match="curves must be a list"):
+            validate_report(payload)
 
     def test_rejects_non_object(self):
         with pytest.raises(ReportSchemaError):
-            validate_degrade_report([])
+            validate_report([])
         with pytest.raises(ReportSchemaError):
-            validate_degrade_report("not json {")
+            validate_report("not json {")
 
     def test_empty_report_shape(self):
-        report = DegradationReport()
+        report = RunReport("degrade.run", format=DEGRADE_REPORT_FORMAT)
         payload = report.to_dict()
         # An empty report lacks baseline counts, so it must NOT validate:
         # the schema demands at least the baseline summary.
         with pytest.raises(ReportSchemaError):
-            validate_degrade_report(payload)
+            validate_report(payload)
 
 
 class TestHarnessValidation:
@@ -230,7 +257,7 @@ class TestDegradeCli:
             out=out,
         )
         assert code == 0
-        payload = validate_degrade_report(
+        payload = validate_report(
             json.loads(out_report.read_text())
         )
         assert {p["knob"] for p in payload["curves"]} == {
