@@ -42,8 +42,9 @@ def main():
 
     # --- Proposed: distributed extraction + write to the store --------
     # The cluster is modelled by the measured-makespan executor (see
-    # DESIGN.md): tasks run serially, and the executor accumulates the
-    # wall time NUM_WORKERS real workers would need.
+    # DESIGN.md): tasks run serially, and the executor estimates the
+    # wall time 10 workers would need. Only the single-process wall time
+    # is measured, so only it enters the speedup below.
     ctx = EngineContext.simulated_cluster(num_workers=10)
     with tempfile.TemporaryDirectory() as tmp:
         store = TableStore(tmp)
@@ -68,9 +69,8 @@ def main():
     print("  extracted rows          : {}".format(extracted_rows))
     print("  stored tables           : {}".format(stored))
     print("  single-core wall time   : {:.2f} s".format(proposed_wall))
-    print("  10-worker cluster time  : {:.2f} s (measured makespan)".format(
-        proposed_seconds
-    ))
+    print("  10-worker cluster time  : {:.2f} s (modelled makespan, not "
+          "measured)".format(proposed_seconds))
 
     # --- Baseline: sequential ingest-then-extract ----------------------
     tool = InHouseTool(database)
@@ -88,9 +88,8 @@ def main():
     ))
     print("  extraction time     : {:.2f} s".format(inhouse_seconds))
 
-    print("\nspeedup of the proposed approach: {:.2f}x".format(
-        inhouse_seconds / proposed_seconds
-    ))
+    print("\nspeedup of the proposed approach: {:.2f}x (measured, both in "
+          "one process)".format(inhouse_seconds / proposed_wall))
     print("(the paper reports 5.7x for 9 signals / 12 journeys on its "
           "cluster; shape, not absolute numbers, is what transfers)")
 

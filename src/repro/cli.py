@@ -403,9 +403,8 @@ def _print_fleet_result(result, out):
     )
     for job_id, row in sorted(result.failed.items()):
         print(
-            "failed : {} trace={} stage={} attempts={}: {}".format(
-                job_id, row.get("trace"), row.get("stage"),
-                row.get("attempts"), row.get("error"),
+            "failed : {} trace={} stage={}: {}".format(
+                job_id, row.get("trace"), row.get("stage"), row.get("error"),
             ),
             file=out,
         )
@@ -445,8 +444,7 @@ def cmd_fleet_run(args, out=sys.stdout):
     from repro import fleet
 
     result = _fleet_guard(
-        fleet.run, args.run_dir, workers=args.workers,
-        max_retries=args.retries,
+        fleet.run, args.run_dir, workers=args.workers
     )
     _print_fleet_result(result, out)
     print("report : {}".format(Path(args.run_dir) / fleet.REPORT_FILE),
@@ -458,8 +456,7 @@ def cmd_fleet_resume(args, out=sys.stdout):
     from repro import fleet
 
     result = _fleet_guard(
-        fleet.resume, args.run_dir, workers=args.workers,
-        max_retries=args.retries,
+        fleet.resume, args.run_dir, workers=args.workers
     )
     print("resumed: {} re-executed, {} reused from checkpoints".format(
         len(result.executed), len(result.cached)), file=out)
@@ -894,7 +891,6 @@ def build_parser():
         fp.add_argument("--run-dir", required=True,
                         help="sweep directory (catalog + checkpoints)")
         fp.add_argument("--workers", type=int, default=1)
-        fp.add_argument("--retries", type=int, default=2)
 
     fp = fleet_sub.add_parser(
         "prepare", help="simulate journeys and write the job catalog")

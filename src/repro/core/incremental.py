@@ -264,11 +264,9 @@ class IncrementalRunner:
         runner.short_payload_skipped = _state_field(
             payload, "short_payload_skipped", int
         )
-        # Absent from payloads written before the "keep" policy existed.
-        if "short_payload_kept" in payload:
-            runner.short_payload_kept = _state_field(
-                payload, "short_payload_kept", int
-            )
+        runner.short_payload_kept = _state_field(
+            payload, "short_payload_kept", int
+        )
         runner.exact_duplicates_dropped = _state_field(
             payload, "exact_duplicates_dropped", int
         )

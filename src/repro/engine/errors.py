@@ -24,28 +24,3 @@ class ExecutionError(EngineError):
     def __init__(self, message, cause=None):
         super().__init__(message)
         self.cause = cause
-
-
-class TaskError(ExecutionError):
-    """A per-partition task failed permanently (retries exhausted).
-
-    Carries the structured coordinates of the failure so callers -- and
-    the differential fuzz harness -- can name the exact stage and
-    partition instead of parsing a message string.
-    """
-
-    def __init__(self, message, stage=None, partition=None, attempts=None,
-                 cause=None):
-        super().__init__(message, cause)
-        self.stage = stage
-        self.partition = partition
-        self.attempts = attempts
-
-
-class InjectedFaultError(EngineError):
-    """A failure deliberately injected by a :class:`FaultPolicy`.
-
-    Raised inside tasks to simulate a worker dying mid-stage. Kept
-    deliberately simple (single message argument) so it pickles cleanly
-    across the process boundary of :mod:`repro.fleet`'s job pool.
-    """

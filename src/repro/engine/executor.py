@@ -12,27 +12,17 @@ the driver process:
 Both produce identical results for identical plans; determinism is part of
 the framework's contract (Sec. 1 of the paper, "Preserving determinism").
 Real parallelism is per journey: :mod:`repro.fleet` runs whole traces in
-its own process pool (DESIGN.md). Under a :class:`FaultPolicy` every task
--- and every fleet job -- runs through the one attempt loop,
-:func:`run_attempts`.
+worker processes of its own (DESIGN.md). Every task runs once; an
+exception it raises fails its stage as an :class:`ExecutionError`.
 """
 
 from __future__ import annotations
-
-import time
-import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition, as_row_partition
-from repro.engine.errors import (
-    ExecutionError,
-    InjectedFaultError,
-    PlanError,
-    TaskError,
-)
+from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.operations import (
     BroadcastJoinTask,
     FilterStep,
@@ -48,7 +38,7 @@ from repro.engine.operations import (
 from repro.obs import MetricsRegistry, stopwatch
 
 #: Counter names every executor pre-creates (so run reports always show
-#: them, zero-valued, even for runs that never retried or shuffled).
+#: them, zero-valued, even for runs that never shuffled or split).
 #: ``kernel_fallbacks``, ``columnar_fallbacks`` and
 #: ``columnar_exchange_bytes`` always read 0 (no stage counts them); they
 #: stay because the benchmark reads them off ``executor.metrics``.
@@ -57,8 +47,6 @@ _EXECUTOR_COUNTERS = (
     "shuffles",
     "broadcast_joins",
     "rows_shuffled",
-    "retries",
-    "faults_injected",
     "splits",
     "split_groups",
     "split_rows",
@@ -74,7 +62,7 @@ class ExecutorMetrics:
 
     A read-only view over the executor's :class:`MetricsRegistry`
     (``executor.obs``), kept for its established attribute API
-    (``metrics.retries`` etc.); new counters/gauges/histograms live on
+    (``metrics.tasks_run`` etc.); new counters/gauges/histograms live on
     the registry directly and flow into run reports from there.
     """
 
@@ -94,123 +82,6 @@ class ExecutorMetrics:
             self.registry.counter("executor." + name).value = 0
 
 
-@dataclass(frozen=True)
-class FaultPolicy:
-    """Deterministic fault injection for per-partition tasks.
-
-    A policy decides, per ``(stage, partition)`` coordinate, whether a
-    task crashes (raises :class:`InjectedFaultError` on its first
-    ``crashes_per_task`` attempts), is delayed, or is *poisoned* (its
-    output is silently corrupted -- used by the differential harness to
-    prove the oracle catches divergence; never enable in production).
-
-    Decisions are derived from a CRC32 of the seeded coordinate string,
-    not from :func:`hash`, so they are stable across worker processes
-    and interpreter runs. A crashed task with ``crashes_per_task`` less
-    than or equal to the executor's retry budget always succeeds on a
-    later attempt, which makes fault-equivalence tests deterministic.
-    """
-
-    crash_rate: float = 0.0
-    delay_rate: float = 0.0
-    poison_rate: float = 0.0
-    seed: int = 0
-    crashes_per_task: int = 1
-    delay_seconds: float = 0.001
-
-    def __post_init__(self):
-        for name in ("crash_rate", "delay_rate", "poison_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("{} must be in [0, 1]".format(name))
-        if self.crashes_per_task < 1:
-            raise ValueError("crashes_per_task must be >= 1")
-
-    def _roll(self, kind, stage, partition):
-        key = "{}|{}|{}|{}".format(self.seed, kind, stage, partition)
-        return (zlib.crc32(key.encode("utf-8")) % 100_000) / 100_000.0
-
-    def crashes_for(self, stage, partition):
-        """Number of leading attempts of this task that must crash."""
-        if self._roll("crash", stage, partition) < self.crash_rate:
-            return self.crashes_per_task
-        return 0
-
-    def should_delay(self, stage, partition):
-        return self._roll("delay", stage, partition) < self.delay_rate
-
-    def should_poison(self, stage, partition):
-        return self._roll("poison", stage, partition) < self.poison_rate
-
-    def run(self, stage, partition, attempt, task, x):
-        """Run one attempt of *task* on *x* under this policy."""
-        if attempt < self.crashes_for(stage, partition):
-            raise InjectedFaultError(
-                "injected crash in stage {!r} partition {} attempt {}".format(
-                    stage, partition, attempt
-                )
-            )
-        if self.should_delay(stage, partition):
-            time.sleep(self.delay_seconds)
-        out = task(x)
-        if self.should_poison(stage, partition):
-            # Silent row loss must corrupt either layout: list outputs
-            # drop their last element, columnar outputs their last row
-            # -- so the differential oracle's poison-mutant detection
-            # holds on columnar task outputs too.
-            if isinstance(out, list) and out:
-                out = out[:-1]
-            elif isinstance(out, ColumnarPartition) and len(out):
-                out = out.gather(range(len(out) - 1))
-        return out
-
-
-def run_attempts(task, x, policy, stage, index, max_retries, retry_backoff):
-    """The one attempt loop of every engine task and fleet job.
-
-    Runs *task* on *x* under *policy* (a :class:`FaultPolicy` rolled at
-    ``(stage, index)``). An :class:`InjectedFaultError` models transient
-    worker loss and is retried up to *max_retries* times, sleeping
-    ``retry_backoff * 2**attempt`` in between; any other exception ends
-    the loop at once -- a deterministic bug does not become less buggy
-    by retrying. Module-level, so the fleet's pool can run it inside a
-    worker.
-
-    Returns ``(value, error, attempts, seconds)``. *error* is None on
-    success, the last :class:`InjectedFaultError` once the budget is
-    spent, or the task's own exception. Failures are returned rather
-    than raised so that the attempt count and the duration reach the
-    driver from a worker process too.
-    """
-    value = error = None
-    with stopwatch() as watch:
-        for attempt in range(max_retries + 1):
-            try:
-                if policy is None:
-                    value = task(x)
-                else:
-                    value = policy.run(stage, index, attempt, task, x)
-                error = None
-                break
-            except InjectedFaultError as exc:
-                error = exc
-                if attempt < max_retries and retry_backoff:
-                    time.sleep(retry_backoff * (2 ** attempt))
-            except Exception as exc:
-                error = exc
-                break
-    return value, error, attempt + 1, watch.seconds
-
-
-def count_attempts(obs, outcome, retries, faults):
-    """Add one :func:`run_attempts` outcome to the *retries* and *faults*
-    counters of *obs*: every attempt but the last was a retry, and every
-    retry followed an injected fault."""
-    _value, error, attempts, _seconds = outcome
-    obs.inc(retries, attempts - 1)
-    obs.inc(faults, attempts - 1 + isinstance(error, InjectedFaultError))
-
-
 class Executor:
     """Base executor: physical planning plus a task-running strategy.
 
@@ -218,16 +89,6 @@ class Executor:
     ----------
     default_parallelism:
         Partition count used for shuffles and splits.
-    fault_policy:
-        Optional :class:`FaultPolicy` injecting crashes/delays/poison
-        into per-partition tasks.
-    max_task_retries:
-        How many times a per-partition task hit by an injected fault is
-        retried (:func:`run_attempts`) before the stage fails with a
-        structured :class:`TaskError`. Genuine task exceptions are never
-        retried, on any executor.
-    retry_backoff:
-        Base sleep (seconds) between retries; doubles per attempt.
 
     A plan runs as it is built. Each narrow chain is one
     :class:`~repro.engine.operations.PartitionTask`, which may hand a
@@ -236,16 +97,10 @@ class Executor:
     :meth:`execute_split` routes typed columns.
     """
 
-    def __init__(self, default_parallelism=4, fault_policy=None,
-                 max_task_retries=2, retry_backoff=0.01):
+    def __init__(self, default_parallelism=4):
         if default_parallelism < 1:
             raise ValueError("default_parallelism must be >= 1")
-        if max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
         self.default_parallelism = default_parallelism
-        self.fault_policy = fault_policy
-        self.max_task_retries = max_task_retries
-        self.retry_backoff = retry_backoff
         self.obs = MetricsRegistry()
         self.metrics = ExecutorMetrics(self.obs)
         self._stage_seq = 0
@@ -254,36 +109,18 @@ class Executor:
     def run_tasks(self, task, inputs, stage="task"):
         raise NotImplementedError
 
-    def _timed_partition(self, task, x, stage, index):
-        """Run one partition; returns ``(value, seconds)``.
+    def _timed_partition(self, task, x, stage):
+        """Run one partition once; returns ``(value, seconds)``.
 
-        The attempts land in the retry counters and the duration in the
-        ``executor.task_seconds`` histograms (global and per stage
-        kind), which is where run reports read task timings from. A
-        spent retry budget raises a structured :class:`TaskError`; a
-        genuine exception is raised as it is.
+        The duration lands in the ``executor.task_seconds`` histograms
+        (global and per stage kind), which is where run reports read
+        task timings from. An exception propagates to :meth:`_run`,
+        which raises it as an :class:`ExecutionError`.
         """
-        outcome = run_attempts(
-            task, x, self.fault_policy, stage, index,
-            self.max_task_retries, self.retry_backoff,
-        )
-        value, error, attempts, seconds = outcome
-        count_attempts(
-            self.obs, outcome, "executor.retries", "executor.faults_injected"
-        )
-        if isinstance(error, InjectedFaultError):
-            raise TaskError(
-                "task failed after {} attempts in stage {!r} partition {}: "
-                "{}".format(attempts, stage, index, error),
-                stage=stage,
-                partition=index,
-                attempts=attempts,
-                cause=error,
-            )
-        if error is not None:
-            raise error
-        self._observe_task(stage, seconds)
-        return value, seconds
+        with stopwatch() as watch:
+            value = task(x)
+        self._observe_task(stage, watch.seconds)
+        return value, watch.seconds
 
     def _observe_task(self, stage, seconds):
         kind = stage.split("[", 1)[0]
@@ -448,8 +285,7 @@ class Executor:
         from the data, in first-seen order.
 
         The routing is one :class:`SplitRouteTask` per input partition
-        (stage kind ``split``, subject to fault injection and the normal
-        retry budget) ordering its columns by group; the driver cuts
+        (stage kind ``split``) ordering its columns by group; the driver cuts
         each group's :class:`ColumnarPartition` as a slice. One shuffle
         stage for every group, and no row tuple.
         """
@@ -522,10 +358,7 @@ class SerialExecutor(Executor):
     """Run every task in the driver process, one partition at a time."""
 
     def run_tasks(self, task, inputs, stage="task"):
-        return [
-            self._timed_partition(task, x, stage, i)[0]
-            for i, x in enumerate(inputs)
-        ]
+        return [self._timed_partition(task, x, stage)[0] for x in inputs]
 
 
 class SimulatedClusterExecutor(SerialExecutor):
@@ -547,10 +380,10 @@ class SimulatedClusterExecutor(SerialExecutor):
     """
 
     def __init__(self, num_workers=10, stage_latency=0.001,
-                 default_parallelism=None, **kwargs):
+                 default_parallelism=None):
         if default_parallelism is None:
             default_parallelism = num_workers
-        super().__init__(default_parallelism=default_parallelism, **kwargs)
+        super().__init__(default_parallelism=default_parallelism)
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -572,8 +405,8 @@ class SimulatedClusterExecutor(SerialExecutor):
             return []
         outputs = []
         durations = []
-        for i, x in enumerate(inputs):
-            output, seconds = self._timed_partition(task, x, stage, i)
+        for x in inputs:
+            output, seconds = self._timed_partition(task, x, stage)
             outputs.append(output)
             durations.append(seconds)
         self.simulated_seconds += self._makespan(durations) + self.stage_latency
@@ -581,8 +414,13 @@ class SimulatedClusterExecutor(SerialExecutor):
         return outputs
 
     def _makespan(self, durations):
-        """LPT greedy assignment of task durations to workers."""
-        loads = [0.0] * self.num_workers
+        """LPT greedy assignment of task durations to workers.
+
+        Workers beyond the task count would stay idle, so at most one
+        load per task is kept: the cost is the stage's, whatever
+        ``num_workers`` is.
+        """
+        loads = [0.0] * min(self.num_workers, len(durations))
         for duration in sorted(durations, reverse=True):
             index = loads.index(min(loads))
             loads[index] += duration

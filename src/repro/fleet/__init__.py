@@ -3,8 +3,8 @@
 The paper's outer loop at operational scale: a durable catalog of
 traces, then a sweep that is a map over journeys followed by one
 aggregate. :func:`run` loops over the uncheckpointed jobs
-(:func:`run_jobs`: in the driver for ``workers=1``, else on a forked
-pool with at most ``workers`` jobs in flight), commits each outcome
+(:func:`run_jobs`: in the driver for ``workers=1``, else one forked
+worker per job with at most ``workers`` alive), commits each outcome
 atomically as it lands, then merges the checkpoints into the final
 output and a ``repro.fleet/1`` report. Kill the driver at any instant;
 :func:`resume` re-runs exactly the jobs whose checkpoints had not
@@ -23,10 +23,10 @@ from repro.fleet.catalog import (
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.errors import CatalogError, FleetRunError, JobError
 from repro.fleet.orchestrator import (
-    COMMIT_STAGE,
     OUTPUT_TABLE,
     REPORT_FILE,
     SUMMARY_FILE,
+    SUMMARY_FORMAT,
     FleetRunResult,
     default_params,
     make_catalog,
@@ -41,7 +41,6 @@ from repro.obs.report import FLEET_REPORT_FORMAT
 __all__ = [
     "CATALOG_FILE",
     "CATALOG_FORMAT",
-    "COMMIT_STAGE",
     "CatalogError",
     "CheckpointStore",
     "FLEET_REPORT_FORMAT",
@@ -54,6 +53,7 @@ __all__ = [
     "OUTPUT_TABLE",
     "REPORT_FILE",
     "SUMMARY_FILE",
+    "SUMMARY_FORMAT",
     "build_catalog",
     "default_params",
     "execute_trace_job",

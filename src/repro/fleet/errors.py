@@ -20,20 +20,20 @@ class CatalogError(FleetRunError):
 
 
 class JobError(FleetRunError):
-    """One job failed permanently (retries exhausted or genuine bug).
+    """One job failed: its exception, its worker's death, or a result
+    the driver could not read.
 
     Carries the structured coordinates of the failure -- which trace,
-    which pipeline stage, how many attempts -- so failure tables and
-    CLIs can name the problem without parsing message strings.
+    which pipeline stage -- so failure tables and CLIs can name the
+    problem without parsing message strings.
     """
 
     def __init__(self, message, job_id=None, trace=None, stage=None,
-                 attempts=None, cause=None):
+                 cause=None):
         super().__init__(message)
         self.job_id = job_id
         self.trace = trace
         self.stage = stage
-        self.attempts = attempts
         self.cause = cause
 
     def to_dict(self):
@@ -42,7 +42,6 @@ class JobError(FleetRunError):
             "job_id": self.job_id,
             "trace": self.trace,
             "stage": self.stage,
-            "attempts": self.attempts,
             "error": str(self),
             "cause": type(self.cause).__name__ if self.cause else None,
         }

@@ -13,12 +13,7 @@ atomically *as it lands*, so killing the driver at any instant and
 calling :func:`resume` re-runs exactly the jobs whose commits had not
 landed and produces final artifacts byte-identical to an uninterrupted
 sweep (``output/`` and ``fleet-summary.json``; the report carries wall
-times and is exempt). Orchestrator death is modelled the same way task
-death is everywhere else in this repo -- a
-:class:`~repro.engine.executor.FaultPolicy` rolled at coordinates
-``(COMMIT_STAGE, commit_index)`` raises
-:class:`~repro.engine.errors.InjectedFaultError` *before* the commit
-would land, so tests can kill a sweep after exactly ``k`` checkpoints.
+times and is exempt).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine import EngineContext, TableStore
-from repro.engine.errors import InjectedFaultError
 from repro.engine.storage import atomic_write_bytes
 from repro.fleet.catalog import JobCatalog, build_catalog
 from repro.fleet.checkpoint import CheckpointStore
@@ -38,10 +32,6 @@ from repro.fleet.workers import run_jobs
 from repro.obs import MetricsRegistry, RunReport, stopwatch
 from repro.obs.report import FLEET_REPORT_FORMAT, JOB_STATUSES
 
-#: Stage name the commit-crash fault policy rolls against; the partition
-#: coordinate is the number of commits already landed this process.
-COMMIT_STAGE = "fleet.commit"
-
 #: Subdirectory holding simulated/imported trace files.
 TRACE_DIR = "traces"
 
@@ -49,6 +39,9 @@ TRACE_DIR = "traces"
 OUTPUT_TABLE = "fleet_r_out"
 
 SUMMARY_FILE = "fleet-summary.json"
+#: Format tag of ``fleet-summary.json``: a summary of its own shape, not
+#: a run report (those are ``repro.fleet/1``).
+SUMMARY_FORMAT = "repro.fleet-summary/1"
 REPORT_FILE = "fleet-report.json"
 
 
@@ -141,8 +134,7 @@ def make_catalog(run_dir, trace_paths, dataset, params=None):
     return catalog
 
 
-def run(run_dir, workers=1, fault_policy=None, commit_policy=None,
-        max_retries=2, retry_backoff=0.01, registry=None):
+def run(run_dir, workers=1, registry=None):
     """Execute (or continue) the sweep described by ``run_dir``'s catalog.
 
     One loop over the jobs without a checkpoint (:func:`run_jobs`, at
@@ -150,13 +142,8 @@ def run(run_dir, workers=1, fault_policy=None, commit_policy=None,
     one aggregate over the checkpoints. Jobs whose checkpoints already
     exist are *cached* (never re-run), so ``run`` after a kill is already
     a resume -- :func:`resume` is the intention-revealing alias.
-    Previously-failed jobs get a fresh attempt; their recorded failures
-    are cleared on success.
-
-    *fault_policy* injects faults into worker jobs at ``("fleet.job",
-    index)``; *commit_policy* injects orchestrator death at
-    ``(COMMIT_STAGE, commit_index)`` -- the crash fires *before* that
-    commit lands.
+    Previously-failed jobs run again; their recorded failures are
+    cleared on success.
     """
     run_dir = Path(run_dir)
     catalog = JobCatalog.load(run_dir)
@@ -186,21 +173,10 @@ def run(run_dir, workers=1, fault_policy=None, commit_policy=None,
         })
     obs.set_gauge("fleet.jobs_total", len(catalog))
 
-    outcomes = run_jobs(
-        jobs, workers=workers, fault_policy=fault_policy,
-        max_retries=max_retries, retry_backoff=retry_backoff, registry=obs,
-    )
+    outcomes = run_jobs(jobs, workers=workers, registry=obs)
     with stopwatch() as watch:
         with closing(outcomes):
-            for commits, (job, outcome) in enumerate(outcomes):
-                # The crash point: orchestrator death before this commit.
-                if commit_policy is not None and commit_policy.crashes_for(
-                    COMMIT_STAGE, commits
-                ):
-                    raise InjectedFaultError(
-                        "injected orchestrator crash before commit "
-                        "{}".format(commits)
-                    )
+            for job, outcome in outcomes:
                 if isinstance(outcome, JobError):
                     store.record_failure(job["job_id"], outcome.to_dict())
                     statuses[job["job_id"]] = "failed"
@@ -209,7 +185,12 @@ def run(run_dir, workers=1, fault_policy=None, commit_policy=None,
                     obs.inc("fleet.jobs_checkpointed")
                     obs.inc("fleet.jobs_executed")
                     statuses[job["job_id"]] = "done"
-        summary = _aggregate(run_dir, catalog, store)
+        # Each checkpoint is read once, for the summary and the report.
+        payloads = [
+            (job, store.load(job.job_id))
+            for job in catalog if store.has(job.job_id)
+        ]
+        summary = _aggregate(run_dir, catalog, store, payloads)
 
     executed = [j for j, s in statuses.items() if s == "done"]
     failed = _live_failures(store, catalog)
@@ -223,7 +204,7 @@ def run(run_dir, workers=1, fault_policy=None, commit_policy=None,
             summary.get("trace_rows", 0) / watch.seconds,
         )
     fleet_report = _build_report(
-        run_dir, catalog, store, statuses, failed, obs, workers
+        run_dir, catalog, payloads, statuses, failed, obs, workers
     )
     fleet_report.write(run_dir / REPORT_FILE)
     return FleetRunResult(
@@ -286,20 +267,17 @@ def status(run_dir):
 # ---------------------------------------------------------------------------
 
 
-def _aggregate(run_dir, catalog, store):
-    """Fan-in: merge all checkpointed results into the final artifacts.
+def _aggregate(run_dir, catalog, store, payloads):
+    """Fan-in: merge the checkpointed *payloads* (``[(job, payload)]`` in
+    catalog order) into the final artifacts.
 
-    Reads *only* durable checkpoints (never in-memory outcome values),
-    so an uninterrupted sweep and a kill-plus-resume sweep aggregate
-    from bit-identical inputs -- the root of the byte-identical-output
-    guarantee. Everything written here is deterministic: rows are merged
-    in catalog order into a fixed partitioning, and the summary carries
-    no timings.
+    The payloads are read from durable checkpoints (never in-memory
+    outcome values), so an uninterrupted sweep and a kill-plus-resume
+    sweep aggregate from bit-identical inputs -- the root of the
+    byte-identical-output guarantee. Everything written here is
+    deterministic: rows are merged in catalog order into a fixed
+    partitioning, and the summary carries no timings.
     """
-    payloads = []
-    for job in catalog:
-        if store.has(job.job_id):
-            payloads.append((job, store.load(job.job_id)))
     rows = []
     columns = None
     for job, payload in payloads:
@@ -315,7 +293,7 @@ def _aggregate(run_dir, catalog, store):
         TableStore(run_dir / "output").write(OUTPUT_TABLE, table)
     failures = _live_failures(store, catalog)
     summary = {
-        "format": FLEET_REPORT_FORMAT,
+        "format": SUMMARY_FORMAT,
         "dataset": catalog.dataset,
         "jobs": len(catalog),
         "completed": len(payloads),
@@ -387,11 +365,11 @@ def merge_job_payload(metrics, payload):
         metrics.inc(name, value)
 
 
-def _build_report(run_dir, catalog, store, statuses, failed, registry,
+def _build_report(run_dir, catalog, payloads, statuses, failed, registry,
                   workers):
     """Assemble the ``repro.fleet/1`` report for this sweep: the
-    orchestrator's metrics and every checkpoint's, one job row per
-    catalog entry and one failure row per failed job."""
+    orchestrator's metrics and every checkpoint's (*payloads*), one job
+    row per catalog entry and one failure row per failed job."""
     report = RunReport("fleet.run", format=FLEET_REPORT_FORMAT)
     report.set_meta(
         run_dir=str(run_dir),
@@ -400,11 +378,12 @@ def _build_report(run_dir, catalog, store, statuses, failed, registry,
         workers=workers,
     )
     report.merge_registry(registry)
+    loaded = {job.job_id: payload for job, payload in payloads}
     for job in catalog:
         status = statuses.get(job.job_id, "pending")
         extra = {}
-        if store.has(job.job_id):
-            payload = store.load(job.job_id)
+        payload = loaded.get(job.job_id)
+        if payload is not None:
             merge_job_payload(report.metrics, payload)
             extra = {
                 "trace_rows": payload["trace_rows"],

@@ -1,55 +1,47 @@
 """Where per-trace pipeline jobs execute: :func:`run_jobs`.
 
-``workers <= 1`` runs each job in the driver; ``workers > 1`` ships jobs
-to a pool of forked worker processes, with at most ``workers`` jobs in
-flight. This is the repository's one process pool: parallelism is per
+``workers <= 1`` runs each job in the driver; ``workers > 1`` forks one
+worker process per job, with at most ``workers`` of them alive at once.
+This is the repository's one process boundary: parallelism is per
 journey, and the engine runs each journey in its worker (DESIGN.md).
 
 Failure isolation is the point of this layer: one trace's crash or
-poisoned input is *contained to its job*. Every job runs through the
-engine's one attempt loop, :func:`~repro.engine.executor.run_attempts`:
-injected faults (a :class:`~repro.engine.executor.FaultPolicy` at fleet
-coordinates ``("fleet.job", index)``) model transient worker loss and
-are retried with exponential backoff; genuine exceptions fail the job
-immediately. Either way the job yields a structured
-:class:`~repro.fleet.errors.JobError` naming the trace and stage, and
-the sweep continues. An error the driver could not unpickle comes back
-from a worker as an :class:`~repro.engine.errors.ExecutionError` naming
-it.
+poisoned input is *contained to its job*. Every job runs once. Its
+exception, a worker that dies before sending a result, or a result the
+driver cannot unpickle each yield a structured
+:class:`~repro.fleet.errors.JobError` naming the trace and stage, and the
+sweep continues.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue
+from multiprocessing.connection import wait
 
+# Imported here, not in the job, so a forked worker starts with them.
+from repro.core.params import config_from_dict
+from repro.core.pipeline import PreprocessingPipeline
+from repro.datasets import SPECS, build_dataset
+from repro.engine import EngineContext
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import count_attempts, run_attempts
 from repro.fleet.errors import JobError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, stopwatch
+from repro.tracefile import codec_for
 
-#: Stage name fault policies roll against for fleet jobs; the partition
-#: coordinate is the job's catalog index, so tests can target one trace.
+#: The stage a job's failure names when its exception carries none.
 JOB_STAGE = "fleet.job"
 
 
 def execute_trace_job(payload):
     """Run Algorithm 1 over one trace file; returns a checkpoint payload.
 
-    Module-level (picklable) so the process-pool runner can ship it to
-    workers. The payload dict carries everything needed to run
-    self-contained in a fresh process: the absolute trace path, the
-    dataset name and the declarative parameter document. The returned
-    dict is plain data (rows, counts, the report's dict form) -- exactly
-    what gets checkpointed and what the aggregation job consumes.
+    The payload dict carries everything needed to run self-contained in
+    a worker process: the absolute trace path, the dataset name and the
+    declarative parameter document. The returned dict is plain data
+    (rows, counts, the report's dict form) -- exactly what gets
+    checkpointed and what the aggregation job consumes.
     """
-    from repro.core.params import config_from_dict
-    from repro.core.pipeline import PreprocessingPipeline
-    from repro.datasets import SPECS, build_dataset
-    from repro.engine import EngineContext
-    from repro.tracefile import codec_for
-
     bundle = build_dataset(SPECS[payload["dataset"]])
     config = config_from_dict(payload["params"], bundle.database)
     context = EngineContext.serial()
@@ -75,53 +67,43 @@ def execute_trace_job(payload):
     }
 
 
-def run_jobs(jobs, fn=execute_trace_job, workers=1, fault_policy=None,
-             max_retries=2, retry_backoff=0.01, registry=None):
-    """Run ``fn(job)`` for every job; yield ``(job, value | JobError)``.
+def run_jobs(jobs, fn=execute_trace_job, workers=1, registry=None):
+    """Run ``fn(job)`` once for every job; yield ``(job, value | JobError)``.
 
     A job is a payload dict carrying at least ``job_id``, ``index`` and
     ``trace``. Outcomes are yielded in completion order: catalog order
     for ``workers <= 1`` (run in the driver), whichever job lands first
-    otherwise. A pool
-    holds at most ``workers`` jobs at once and gets the next one as
-    soon as one lands, before the caller sees the outcome. Closing the
-    generator early (the caller crashed) terminates the pool.
+    otherwise. At most ``workers`` worker processes are alive, one per
+    job; the next job's worker starts as soon as one lands, before the
+    caller sees the outcome. Closing the generator early (the caller
+    crashed) kills the workers still running.
     """
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
     obs = registry if registry is not None else MetricsRegistry()
-    for name in ("fleet.jobs_run", "fleet.jobs_failed",
-                 "fleet.job_retries", "fleet.faults_injected"):
+    for name in ("fleet.jobs_run", "fleet.jobs_failed"):
         obs.counter(name)
 
     def settle(job, outcome):
-        value, error, attempts, seconds = outcome
-        count_attempts(obs, outcome, "fleet.job_retries",
-                       "fleet.faults_injected")
+        value, error, seconds = outcome
         obs.observe("fleet.job_seconds", seconds)
         if error is None:
             obs.inc("fleet.jobs_run")
             return value
         obs.inc("fleet.jobs_failed")
-        return _job_error(job, error, attempts)
+        return _job_error(job, error)
 
-    args = (fault_policy, JOB_STAGE)
-    budget = (max_retries, retry_backoff)
     if workers <= 1:
         for job in jobs:
-            yield job, settle(
-                job, run_attempts(fn, job, *args, job["index"], *budget)
-            )
+            yield job, settle(job, _attempt(fn, job))
         return
 
-    landed = queue.SimpleQueue()
+    fork = multiprocessing.get_context("fork")
     pending = iter(jobs)
-    pool = multiprocessing.get_context("fork").Pool(processes=workers)
+    running = {}  # the driver's end of each worker's pipe -> (job, process)
 
-    def submit():
+    def start():
         job = next(pending, None)
         if job is None:
-            return 0
+            return
         try:
             pickle.dumps(job)
         except Exception as exc:
@@ -131,64 +113,97 @@ def run_jobs(jobs, fn=execute_trace_job, workers=1, fault_policy=None,
                 ),
                 exc,
             )
-        pool.apply_async(
-            _run_in_worker, (fn, job, *args, job["index"], *budget),
-            callback=lambda outcome: landed.put((job, outcome)),
-            # The pool itself failed the job (e.g. an unpicklable result).
-            error_callback=lambda exc: landed.put((job, (None, exc, 1, 0.0))),
-        )
-        return 1
+        reader, writer = fork.Pipe(duplex=False)
+        process = fork.Process(target=_work, args=(fn, job, writer),
+                               daemon=True)
+        process.start()
+        writer.close()  # the worker holds the only writer: EOF is its exit
+        running[reader] = (job, process)
 
     try:
-        inflight = sum(submit() for _ in range(workers))
-        while inflight:
-            job, outcome = landed.get()
-            inflight += submit() - 1
-            yield job, settle(job, outcome)
+        for _ in range(workers):
+            start()
+        while running:
+            for reader in wait(list(running)):
+                job, process = running.pop(reader)
+                outcome = _receive(reader, process)
+                start()
+                yield job, settle(job, outcome)
     finally:
-        pool.terminate()
-        pool.join()
+        for reader, (_job, process) in running.items():
+            process.kill()
+            process.join()
+            reader.close()
 
 
-def _run_in_worker(*args):
-    """:func:`run_attempts` in a pool worker, with an error the driver
-    can rebuild."""
-    value, error, attempts, seconds = run_attempts(*args)
-    if error is not None and not _rebuildable(error, set()):
-        error = ExecutionError(
-            "{}: {}".format(type(error).__name__, error)
-        )
-    return value, error, attempts, seconds
+def _attempt(fn, job):
+    """``(value, error, seconds)`` of one ``fn(job)`` call: its
+    exception is returned, not raised, so it reaches the driver from a
+    worker process as data."""
+    value = error = None
+    with stopwatch() as watch:
+        try:
+            value = fn(job)
+        except Exception as exc:
+            error = exc
+    return value, error, watch.seconds
 
 
-def _rebuildable(exc, seen):
-    """Whether the driver can unpickle *exc*: an exception comes back as
-    ``type(exc)(*exc.args)`` plus its attributes, and one whose class
-    rejects its own args (or holds such a cause) would stop the pool's
-    result thread, leaving the sweep waiting forever."""
-    if id(exc) in seen:
-        return True
-    seen.add(id(exc))
+def _work(fn, job, writer):
+    """A worker's body: run the job, then send the driver a label and
+    the outcome. The label names the outcome in plain text the driver
+    can always read -- ``"<Class>: <message>"`` of the error, or the
+    value's class -- so an outcome it cannot unpickle is still named."""
+    value, error, seconds = outcome = _attempt(fn, job)
+    if error is None:
+        writer.send("{} result the driver cannot unpickle".format(
+            type(value).__name__))
+    else:
+        writer.send("{}: {}".format(type(error).__name__, error))
     try:
-        type(exc)(*exc.args)
+        writer.send(outcome)
+    except Exception as exc:  # the outcome does not pickle
+        writer.send((None, ExecutionError(
+            "{}: {}".format(type(exc).__name__, exc)), seconds))
+    writer.close()
+
+
+def _receive(reader, process):
+    """The outcome a worker sent through *reader*, after it exited.
+
+    A worker that exits without sending it fails its job with an
+    :class:`~repro.engine.errors.ExecutionError` naming its exit code;
+    an outcome the driver cannot unpickle fails it with one naming the
+    outcome's class (the label the worker sent first).
+    """
+    label = None
+    try:
+        label = reader.recv()
+        outcome = reader.recv()
     except Exception:
-        return False
-    return all(
-        _rebuildable(value, seen)
-        for value in getattr(exc, "__dict__", {}).values()
-        if isinstance(value, BaseException)
-    )
+        outcome = None
+    finally:
+        reader.close()
+        process.join()
+    if outcome is not None:
+        return outcome
+    if label is None or process.exitcode != 0:
+        return None, ExecutionError(
+            "worker process exited with code {} before sending its "
+            "result".format(process.exitcode)
+        ), 0.0
+    return None, ExecutionError(label), 0.0
 
 
-def _job_error(job, exc, attempts):
+def _job_error(job, exc):
     stage = getattr(exc, "stage", None) or JOB_STAGE
     return JobError(
-        "job {!r} (trace {!r}) failed after {} attempt(s) in stage "
-        "{!r}: {}".format(job["job_id"], job["trace"], attempts, stage, exc),
+        "job {!r} (trace {!r}) failed in stage {!r}: {}".format(
+            job["job_id"], job["trace"], stage, exc
+        ),
         job_id=job["job_id"],
         trace=job["trace"],
         stage=stage,
-        attempts=attempts,
         cause=exc,
     )
 

@@ -20,10 +20,10 @@ whole-trace run's. A point that errors where the reference does not is
 a divergence too.
 
 Executors are built per run, so a run is a pure function of (records,
-point) even under a :class:`FaultPolicy`. A divergence shrinks to fewer
-frames of the same journey (tail cut, then frames dropped) and is
-written as a JSON reproducer naming the seed, the lossy flag, the kept
-frame indices and the failing point.
+point) even when an executor keeps state across its tasks. A divergence
+shrinks to fewer frames of the same journey (tail cut, then frames
+dropped) and is written as a JSON reproducer naming the seed, the lossy
+flag, the kept frame indices and the failing point.
 """
 
 from __future__ import annotations

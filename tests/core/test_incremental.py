@@ -214,25 +214,19 @@ class TestStatePayload:
 
     @pytest.mark.parametrize("field", [
         "last_window_end", "finalized", "short_payload_skipped",
-        "exact_duplicates_dropped", "states",
+        "short_payload_kept", "exact_duplicates_dropped", "states",
     ])
     def test_missing_field_is_named(self, setup, payload, field):
         del payload[field]
         with pytest.raises(IncrementalError, match=repr(field)):
             IncrementalRunner.from_state(setup[0], payload)
 
-    def test_payload_from_before_the_keep_policy_restores(
-        self, setup, payload
-    ):
-        del payload["short_payload_kept"]
-        runner = IncrementalRunner.from_state(setup[0], payload)
-        assert runner.short_payload_kept == 0
-
     @pytest.mark.parametrize("field, value", [
         ("states", []),
         ("finalized", "no"),
         ("last_window_end", "12.0"),
         ("exact_duplicates_dropped", None),
+        ("short_payload_kept", "3"),
     ])
     def test_ill_typed_field_is_named(self, setup, payload, field, value):
         payload[field] = value

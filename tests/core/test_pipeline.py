@@ -138,8 +138,8 @@ class TestRunReport:
     def test_executor_counters_merged_in(self, result):
         counters = result.report.metrics.counters()
         assert counters["executor.tasks_run"] > 0
-        assert "executor.retries" in counters
-        assert "executor.faults_injected" in counters
+        # Pre-created at zero: a run that never splits still shows it.
+        assert "executor.split_rows" in counters
 
     def test_timings_are_span_seconds(self, result):
         for stage in STAGES:

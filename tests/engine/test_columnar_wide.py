@@ -115,9 +115,7 @@ class TestWidePipeline:
 class TestColumnarFlow:
     def test_simulated_cluster_matches_the_row_reference(self):
         ctx = EngineContext(
-            SimulatedClusterExecutor(
-                num_workers=2, default_parallelism=4, retry_backoff=0.0
-            )
+            SimulatedClusterExecutor(num_workers=2, default_parallelism=4)
         )
         joined, _groups = _wide_pipeline(ctx)
         rows = joined.collect()

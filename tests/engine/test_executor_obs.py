@@ -1,10 +1,9 @@
-"""Executor observability: task-duration histograms and retry/fault
-counters on the obs registry."""
+"""Executor observability: task-duration histograms and work counters
+on the obs registry."""
 
 import pytest
 
 from repro.engine import EngineContext, col
-from repro.engine.executor import FaultPolicy
 from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 
 
@@ -53,31 +52,13 @@ class TestMetricsView:
             metrics.no_such_counter
 
 
-class TestRetryAndFaultCounters:
-    def test_injected_faults_and_retries_counted(self):
-        policy = FaultPolicy(crash_rate=1.0, seed=3, crashes_per_task=1)
-        executor = SerialExecutor(
-            default_parallelism=2, fault_policy=policy,
-            max_task_retries=2, retry_backoff=0.0,
-        )
-        ctx = EngineContext(executor)
-        _table(ctx, rows=20, partitions=2).filter(col("x") >= 0).collect()
-        counters = executor.obs.counters()
-        assert counters["executor.faults_injected"] > 0
-        assert counters["executor.retries"] > 0
-        # The back-compat metrics view reads the same counters.
-        assert executor.metrics.retries == counters["executor.retries"]
-        assert (
-            executor.metrics.faults_injected
-            == counters["executor.faults_injected"]
-        )
-
+class TestCounters:
     def test_counters_exist_at_zero_before_any_run(self):
         executor = SerialExecutor()
         counters = executor.obs.counters()
-        assert counters["executor.retries"] == 0
-        assert counters["executor.faults_injected"] == 0
         assert counters["executor.tasks_run"] == 0
+        assert counters["executor.shuffles"] == 0
+        assert counters["executor.splits"] == 0
 
 
 class TestColumnarCounters:

@@ -657,7 +657,7 @@ def _pipeline_rows():
 class TestExecutors:
     def test_simulated_cluster_matches_the_row_reference(self):
         executor = SimulatedClusterExecutor(
-            num_workers=2, default_parallelism=4, retry_backoff=0.0
+            num_workers=2, default_parallelism=4
         )
         got = _pipeline(EngineContext(executor)).repartition(4).collect()
         assert got == _pipeline_rows()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext, col
-from repro.engine.executor import FaultPolicy, SerialExecutor
+from repro.engine.executor import SerialExecutor
 from repro.engine.errors import SchemaError
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.testing.differential import EXECUTORS
@@ -153,47 +153,6 @@ class TestSplitCounters:
         for value in ("wpos", "wvel", "heat"):
             cached.filter(col("s_id") == value).collect()
         assert metrics.splits == 0
-
-
-class TestSplitFaultInjection:
-    def _table(self, executor):
-        ctx = EngineContext(executor)
-        return ctx.table_from_rows(
-            ["k", "v"],
-            [("a", i) if i % 2 else ("b", i) for i in range(12)],
-            num_partitions=4,
-        )
-
-    def test_split_recovers_from_crashes(self):
-        clean = self._table(SerialExecutor(default_parallelism=4))
-        faulty_exec = SerialExecutor(
-            default_parallelism=4,
-            fault_policy=FaultPolicy(crash_rate=1.0, crashes_per_task=1),
-            retry_backoff=0.0,
-        )
-        faulty = self._table(faulty_exec)
-        expected = {
-            k: t.collect_partitions()
-            for k, t in clean.split_by_key("k").items()
-        }
-        actual = {
-            k: t.collect_partitions()
-            for k, t in faulty.split_by_key("k").items()
-        }
-        assert actual == expected
-        assert faulty_exec.metrics.retries >= 4  # one per routed partition
-
-    def test_poisoned_split_loses_rows(self):
-        poisoned_exec = SerialExecutor(
-            default_parallelism=4,
-            fault_policy=FaultPolicy(poison_rate=1.0),
-        )
-        poisoned = self._table(poisoned_exec)
-        groups = poisoned.split_by_key("k")
-        total = sum(t.count() for t in groups.values())
-        # Poison drops the last routed pair of each non-empty partition:
-        # the corruption is visible in the output, not silently healed.
-        assert total == 12 - 4
 
 
 def _journey_table(ctx, seed, kind):

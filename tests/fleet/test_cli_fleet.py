@@ -49,7 +49,10 @@ class TestFleetCommands:
         code, text = _run(["fleet", "run", "--run-dir", str(run_dir)])
         assert code == 1
         assert "1 failed" in text
-        assert victim.trace in text
+        [line] = [x for x in text.splitlines() if x.startswith("failed :")]
+        assert line.startswith("failed : {} trace={} stage=fleet.job: "
+                               "job ".format(victim.job_id, victim.trace))
+        assert "attempts" not in line
 
 
 class TestStructuredErrors:
@@ -105,6 +108,16 @@ class TestStructuredErrors:
                   "--max-inflight", "2"])
         assert excinfo.value.code == 2
         assert "--max-inflight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_retries_flag_is_gone(self, run_dir, capsys, command):
+        # Every job runs once; there is no retry budget to set.
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["fleet", command, "--run-dir", str(run_dir),
+                  "--retries", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --retries 2" in \
+            capsys.readouterr().err
 
     def test_run_on_corrupt_catalog(self, tmp_path, capsys):
         (tmp_path / fleet.CATALOG_FILE).write_text("{broken")

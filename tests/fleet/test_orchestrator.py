@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import fleet
-from repro.engine.errors import InjectedFaultError
-from repro.engine.executor import FaultPolicy
+from repro.fleet.checkpoint import CheckpointStore
 from repro.obs import MetricsRegistry, validate_report
 
 from tests.fleet.conftest import NUM_TRACES
@@ -39,23 +38,23 @@ def _final_artifacts_digest(run_dir):
     return digest.hexdigest()
 
 
-def _commit_crash_policy(total_jobs):
-    """A FaultPolicy whose first ``fleet.commit`` crash lands mid-sweep.
+class OrchestratorKilled(Exception):
+    """The driver's death, raised where a commit would have landed."""
 
-    Returns ``(policy, k)`` where ``k`` is the number of commits that
-    land before the injected orchestrator death -- derived from the
-    policy itself, so the test and the orchestrator agree by
-    construction.
-    """
-    for seed in range(500):
-        policy = FaultPolicy(crash_rate=0.5, seed=seed)
-        crashing = [
-            i for i in range(total_jobs)
-            if policy.crashes_for(fleet.COMMIT_STAGE, i)
-        ]
-        if crashing and 1 <= crashing[0] <= total_jobs - 1:
-            return policy, crashing[0]
-    raise AssertionError("no usable seed found")
+
+def _kill_before_commit(monkeypatch, k):
+    """Make the sweep die as it tries to land its commit number ``k``
+    (counting from 0): exactly ``k`` checkpoints land first."""
+    save = CheckpointStore.save
+    landed = []
+
+    def save_or_die(store, job_id, payload):
+        if len(landed) == k:
+            raise OrchestratorKilled("killed before commit {}".format(k))
+        landed.append(job_id)
+        return save(store, job_id, payload)
+
+    monkeypatch.setattr(CheckpointStore, "save", save_or_die)
 
 
 class TestRun:
@@ -79,6 +78,36 @@ class TestRun:
         assert payload["counters"]["fleet.jobs_run"] == NUM_TRACES
         assert payload["histograms"]["fleet.job_seconds"]["count"] \
             == NUM_TRACES
+
+    def test_summary_and_report_carry_their_own_format_tags(self, run_dir):
+        fleet.run(run_dir, workers=1)
+        summary = json.loads((run_dir / fleet.SUMMARY_FILE).read_text())
+        report = (run_dir / fleet.REPORT_FILE).read_bytes()
+        assert summary["format"] == fleet.SUMMARY_FORMAT
+        assert fleet.SUMMARY_FORMAT != fleet.FLEET_REPORT_FORMAT
+        assert validate_report(report)["format"] == \
+            fleet.FLEET_REPORT_FORMAT
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["fresh", "cached"])
+    def test_each_checkpoint_is_read_once(self, run_dir, monkeypatch,
+                                          cached):
+        if cached:
+            fleet.run(run_dir, workers=1)
+        load = CheckpointStore.load
+        loaded = []
+
+        def counting_load(store, job_id):
+            loaded.append(job_id)
+            return load(store, job_id)
+
+        monkeypatch.setattr(CheckpointStore, "load", counting_load)
+        result = fleet.run(run_dir, workers=1)
+        assert sorted(loaded) == sorted(result.catalog.job_ids())
+        report = json.loads((run_dir / fleet.REPORT_FILE).read_text())
+        assert [row["rows_out"] for row in report["jobs"]] == [
+            row["rows_out"] for row in result.summary["per_trace"]
+        ]
 
     def test_second_run_is_fully_cached_and_byte_identical(self, run_dir):
         fleet.run(run_dir, workers=1)
@@ -126,7 +155,7 @@ class TestFailureIsolation:
         row = result.failed[victim.job_id]
         assert row["trace"] == victim.trace
         assert row["stage"] == "fleet.job"
-        assert row["attempts"] == 1  # genuine bug: no retries
+        assert row["cause"] == "TraceFormatError"
         # The survivors still aggregated.
         assert result.summary["completed"] == NUM_TRACES - 1
         assert result.summary["failed"] == 1
@@ -147,41 +176,36 @@ class TestFailureIsolation:
         assert not result.failed
         assert fleet.status(run_dir)["failed"] == 0
 
-    def test_injected_job_faults_retried_transparently(self, run_dir):
-        policy = FaultPolicy(crash_rate=1.0, seed=3, crashes_per_task=1)
-        registry = MetricsRegistry()
-        result = fleet.run(
-            run_dir, workers=1, fault_policy=policy, retry_backoff=0.0,
-            registry=registry,
-        )
-        assert len(result.executed) == NUM_TRACES
-        snap = registry.snapshot()
-        assert snap["counters"]["fleet.faults_injected"] == NUM_TRACES
-        assert snap["counters"]["fleet.job_retries"] == NUM_TRACES
-
 
 class TestCrashResumeEquivalence:
-    """ISSUE acceptance: kill after k of n commits, resume, byte-identical."""
+    """Kill after k of n commits, resume: byte-identical final artifacts."""
 
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, fleet_template, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("uninterrupted") / "run"
+        shutil.copytree(fleet_template, run_dir)
+        fleet.run(run_dir, workers=1)
+        return run_dir
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", range(1, NUM_TRACES))
     def test_killed_and_resumed_sweep_matches_uninterrupted(
-        self, fleet_template, tmp_path
+        self, fleet_template, uninterrupted, tmp_path, monkeypatch, k,
+        workers
     ):
-        uninterrupted = tmp_path / "a"
         killed = tmp_path / "b"
-        shutil.copytree(fleet_template, uninterrupted)
         shutil.copytree(fleet_template, killed)
 
-        fleet.run(uninterrupted, workers=1)
-
-        policy, k = _commit_crash_policy(NUM_TRACES)
-        with pytest.raises(InjectedFaultError, match="orchestrator crash"):
-            fleet.run(killed, workers=1, commit_policy=policy)
-        # Exactly k commits landed before the injected death.
+        with monkeypatch.context() as patch:
+            _kill_before_commit(patch, k)
+            with pytest.raises(OrchestratorKilled):
+                fleet.run(killed, workers=workers)
+        # Exactly k commits landed before the driver's death.
         assert len(fleet.CheckpointStore(killed).completed_ids()) == k
         assert not (killed / fleet.SUMMARY_FILE).exists()
 
         registry = MetricsRegistry()
-        result = fleet.resume(killed, workers=1, registry=registry)
+        result = fleet.resume(killed, workers=workers, registry=registry)
 
         # Exactly n - k jobs re-executed, k reused from checkpoints --
         # asserted on the run result AND the fleet.* obs counters.

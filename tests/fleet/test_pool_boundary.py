@@ -1,10 +1,17 @@
-"""What crosses the fleet pool's process boundary: job causes, result
-rows and whole journeys come back from a worker as the driver made them."""
+"""What crosses the fleet's process boundary: job causes, result rows
+and whole journeys come back from a worker as the driver made them, and
+a worker that dies, or sends what the driver cannot read, fails its own
+job only."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import signal
+import sys
 import threading
+import time
 
 import pytest
 
@@ -16,13 +23,7 @@ from repro.core.pipeline import PipelineError
 from repro.core.reduction import ReductionError
 from repro.core.representation import RepresentationError
 from repro.core.rules import TRUNCATED, RuleError
-from repro.engine.errors import (
-    ExecutionError,
-    InjectedFaultError,
-    PlanError,
-    SchemaError,
-    TaskError,
-)
+from repro.engine.errors import ExecutionError, PlanError, SchemaError
 from repro.fleet import JobError, run_jobs
 from repro.fleet.catalog import JobCatalog
 from repro.network.database import DatabaseError
@@ -33,17 +34,21 @@ from repro.tracefile import (
     TraceFormatError,
 )
 
+class StagedError(RuntimeError):
+    """An error naming the stage it failed in, as a job's cause may."""
+
+    def __init__(self, message, stage=None):
+        super().__init__(message)
+        self.stage = stage
+
+
 #: One error of every kind a journey's job can raise: engine, trace
 #: loaders, parameters, Algorithm 1's stages and the signal codec.
 CAUSES = [
     SchemaError("unknown column 'm_id'"),
     PlanError("join of tables without the key 'm_id'"),
     ExecutionError("task failed", cause=KeyError("s_id")),
-    TaskError(
-        "stage narrow[2] failed", stage="narrow[2]", partition=3,
-        attempts=3, cause=InjectedFaultError("injected crash"),
-    ),
-    InjectedFaultError("injected crash at attempt 0"),
+    StagedError("bad window", stage="lines-10-29"),
     TraceFormatError("line 3: bad timestamp"),
     BinaryTraceError("bad magic b'this is '"),
     ColumnarTraceError("truncated file: 20 bytes"),
@@ -122,7 +127,7 @@ def _sweep_within(seconds, jobs, **kwargs):
 def pooled_causes():
     return _sweep_within(
         60, [_job(i) for i in range(len(CAUSES))], fn=raise_cause,
-        workers=2, max_retries=0,
+        workers=2,
     )
 
 
@@ -134,16 +139,16 @@ class TestJobCauses:
     def test_a_job_cause_comes_back_intact(self, index, pooled_causes):
         error = pooled_causes[index]
         assert isinstance(error, JobError)
-        assert error.attempts == 1
+        assert error.job_id == _job(index)["job_id"]
         assert _same(error.cause, CAUSES[index])
 
-    def test_a_task_error_names_its_stage_across_the_pool(
+    def test_a_staged_error_names_its_stage_across_the_pool(
         self, pooled_causes
     ):
         index = next(
-            i for i, cause in enumerate(CAUSES) if type(cause) is TaskError
+            i for i, cause in enumerate(CAUSES) if type(cause) is StagedError
         )
-        assert pooled_causes[index].stage == "narrow[2]"
+        assert pooled_causes[index].stage == "lines-10-29"
 
     def test_a_cause_the_driver_cannot_rebuild_fails_its_job_only(self):
         landed = _sweep_within(
@@ -235,3 +240,109 @@ class TestJourneys:
         assert isinstance(error, JobError)
         assert type(error.cause) is loader_error
         assert error.trace == payload["trace"]
+
+
+class Unreadable:
+    """Pickles fine in the worker; rebuilding it in the driver fails."""
+
+    def __reduce__(self):
+        return (Unreadable, ("an argument it rejects",))
+
+
+def die_or_double(payload):
+    """Job 0 exits with code 3, job 1 is SIGKILLed, job 2 exits cleanly
+    without a result and job 3 returns what the driver cannot unpickle;
+    every other job doubles its index."""
+    index = payload["index"]
+    if index == 0:
+        os._exit(3)
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if index == 2:
+        sys.exit(0)
+    if index == 3:
+        return Unreadable()
+    if payload.get("sleep"):
+        time.sleep(payload["sleep"])
+    return index * 2
+
+
+class TestWorkerDeath:
+    @pytest.mark.parametrize("index, code", [(0, 3), (1, -signal.SIGKILL),
+                                             (2, 0)],
+                             ids=["exit-3", "sigkill", "exit-0"])
+    def test_a_dead_worker_fails_only_its_job(self, index, code):
+        landed = _sweep_within(
+            60, [_job(index), _job(4), _job(5)], fn=die_or_double,
+            workers=2,
+        )
+        assert (landed[4], landed[5]) == (8, 10)
+        error = landed[index]
+        assert isinstance(error, JobError)
+        assert error.job_id == _job(index)["job_id"]
+        assert type(error.cause) is ExecutionError
+        assert "exited with code {} before sending its result".format(
+            code) in str(error)
+        assert repr(_job(index)["job_id"]) in str(error)
+
+    def test_deaths_and_results_in_one_sweep(self):
+        landed = _sweep_within(
+            60, [_job(i) for i in range(6)], fn=die_or_double, workers=2,
+        )
+        assert sorted(landed) == list(range(6))
+        assert all(isinstance(landed[i], JobError) for i in range(4))
+        assert (landed[4], landed[5]) == (8, 10)
+
+    def test_a_result_the_driver_cannot_unpickle_is_named(self):
+        landed = _sweep_within(
+            60, [_job(3), _job(4)], fn=die_or_double, workers=2,
+        )
+        assert landed[4] == 8
+        assert type(landed[3].cause) is ExecutionError
+        assert str(landed[3].cause) == \
+            "Unreadable result the driver cannot unpickle"
+
+
+class TestWorkerProcesses:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every worker process started, and the most alive at once."""
+        fork = multiprocessing.context.ForkProcess
+        record = {"processes": [], "peak": 0}
+        start = fork.start
+
+        def counting_start(process):
+            alive = sum(p.is_alive() for p in record["processes"])
+            record["processes"].append(process)
+            record["peak"] = max(record["peak"], alive + 1)
+            start(process)
+
+        monkeypatch.setattr(fork, "start", counting_start)
+        return record
+
+    def test_no_more_workers_than_jobs(self, started):
+        landed = _sweep_within(
+            60, [_job(4), _job(5)], fn=die_or_double, workers=8,
+        )
+        assert landed == {4: 8, 5: 10}
+        assert len(started["processes"]) == 2
+        assert started["peak"] <= 2
+
+    def test_at_most_workers_alive(self, started):
+        jobs = [dict(_job(i), sleep=0.05) for i in range(4, 10)]
+        landed = _sweep_within(60, jobs, fn=die_or_double, workers=2)
+        assert sorted(landed) == list(range(4, 10))
+        assert len(started["processes"]) == 6
+        assert started["peak"] == 2
+
+    def test_closing_early_kills_the_running_workers(self, started):
+        jobs = [_job(4)] + [dict(_job(i), sleep=60) for i in range(5, 8)]
+        outcomes = run_jobs(jobs, fn=die_or_double, workers=2)
+        assert next(outcomes) == (jobs[0], 8)
+        outcomes.close()
+        # Job 4's worker finished; jobs 5 and 6 were running, job 7 was
+        # never started.
+        assert len(started["processes"]) == 3
+        assert not any(p.is_alive() for p in started["processes"])
+        assert [p.exitcode for p in started["processes"][1:]] == \
+            [-signal.SIGKILL] * 2

@@ -1,11 +1,10 @@
-"""run_jobs: retries, failure isolation, pool execution, metrics."""
+"""run_jobs: one run per job, failure isolation, worker processes, metrics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.errors import ExecutionError, InjectedFaultError
-from repro.engine.executor import FaultPolicy
+from repro.engine.errors import ExecutionError
 from repro.fleet import JobError, run_jobs
 from repro.fleet.workers import JOB_STAGE
 from repro.obs import MetricsRegistry
@@ -29,11 +28,6 @@ def _job(index=0, **extra):
     )
 
 
-def _always_crashing_policy():
-    """A policy injecting ``crashes_per_task`` crashes into every job."""
-    return FaultPolicy(crash_rate=1.0, seed=7, crashes_per_task=1)
-
-
 def _one(job, **kwargs):
     [(landed, outcome)] = run_jobs([job], **kwargs)
     assert landed is job
@@ -49,37 +43,24 @@ class TestInDriver:
         landed = [job for job, _ in run_jobs(jobs, fn=double_index)]
         assert landed == jobs
 
-    def test_injected_fault_retried_to_success(self):
-        registry = MetricsRegistry()
-        outcome = _one(
-            _job(1), fn=double_index, fault_policy=_always_crashing_policy(),
-            max_retries=2, retry_backoff=0.0, registry=registry,
-        )
-        assert outcome == 2
-        snap = registry.snapshot()
-        assert snap["counters"]["fleet.faults_injected"] == 1
-        assert snap["counters"]["fleet.job_retries"] == 1
+    def test_genuine_exception_fails_the_job_once(self):
+        calls = []
 
-    def test_retry_budget_exhaustion_fails_with_structured_error(self):
-        policy = FaultPolicy(crash_rate=1.0, seed=7, crashes_per_task=5)
-        error = _one(
-            _job(2), fn=double_index, fault_policy=policy,
-            max_retries=1, retry_backoff=0.0,
-        )
-        assert isinstance(error, JobError)
-        assert error.job_id == "job02"
-        assert error.trace == "traces/j2.trc"
-        assert error.attempts == 2
-        assert isinstance(error.cause, InjectedFaultError)
+        def explode_counted(payload):
+            calls.append(payload["index"])
+            explode(payload)
 
-    def test_genuine_exception_fails_without_retry(self):
         registry = MetricsRegistry()
-        error = _one(_job(0), fn=explode, max_retries=3, registry=registry)
+        error = _one(_job(0), fn=explode_counted, registry=registry)
         assert isinstance(error, JobError)
-        assert error.attempts == 1
-        assert "poisoned trace traces/j0.trc" in str(error)
-        snap = registry.snapshot()
-        assert snap["counters"]["fleet.job_retries"] == 0
+        assert (error.job_id, error.trace) == ("job00", "traces/j0.trc")
+        assert isinstance(error.cause, ValueError)
+        assert calls == [0]
+        assert str(error) == (
+            "job 'job00' (trace 'traces/j0.trc') failed in stage "
+            "'fleet.job': poisoned trace traces/j0.trc"
+        )
+        assert registry.snapshot()["counters"]["fleet.jobs_failed"] == 1
 
     def test_one_failure_never_poisons_the_next_job(self):
         outcomes = [
@@ -98,10 +79,6 @@ class TestInDriver:
         snap = registry.snapshot()
         assert snap["counters"]["fleet.jobs_run"] == 1
         assert snap["histograms"]["fleet.job_seconds"]["count"] == 1
-
-    def test_negative_retry_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            list(run_jobs([_job(0)], max_retries=-1))
 
     def test_no_workers_means_the_driver(self):
         jobs = [_job(i) for i in range(3)]
@@ -134,17 +111,15 @@ class TestPool:
         assert outcomes[0].trace == "traces/j0.trc"
         assert outcomes[1] == 2
 
-    def test_injected_fault_retried_on_pool(self):
+    def test_counters_and_durations_recorded_on_workers(self):
         registry = MetricsRegistry()
         outcomes = run_jobs(
             [_job(1), _job(2)], fn=double_index, workers=2,
-            fault_policy=_always_crashing_policy(), retry_backoff=0.0,
             registry=registry,
         )
         assert sorted(value for _, value in outcomes) == [2, 4]
         snap = registry.snapshot()
-        assert snap["counters"]["fleet.faults_injected"] == 2
-        assert snap["counters"]["fleet.job_retries"] == 2
+        assert snap["counters"]["fleet.jobs_run"] == 2
         assert snap["histograms"]["fleet.job_seconds"]["count"] == 2
 
     def test_unpicklable_payload_rejected(self):
@@ -208,46 +183,17 @@ class TestJobErrors:
         assert error.stage == "lines-10-29"
         assert "in stage 'lines-10-29'" in str(error)
 
-    def test_fault_policy_targets_one_job_by_index(self):
-        policy = FaultPolicy(crash_rate=0.5, seed=3, crashes_per_task=9)
-        crashing = {
-            i for i in range(6) if policy.crashes_for(JOB_STAGE, i)
-        }
-        assert crashing and len(crashing) < 6
-        outcomes = dict(
-            (job["index"], outcome) for job, outcome in run_jobs(
-                [_job(i) for i in range(6)], fn=double_index,
-                fault_policy=policy, max_retries=1, retry_backoff=0.0,
-            )
-        )
-        failed = {i for i, o in outcomes.items() if isinstance(o, JobError)}
-        assert failed == crashing
-
 
 class TestPoolFailures:
-    def test_genuine_exception_fails_without_retry_on_pool(self):
+    def test_genuine_exception_fails_the_job_on_a_worker(self):
         registry = MetricsRegistry()
         outcomes = list(run_jobs(
-            [_job(0), _job(1)], fn=explode, workers=2, max_retries=3,
-            registry=registry,
+            [_job(0), _job(1)], fn=explode, workers=2, registry=registry,
         ))
-        assert all(o.attempts == 1 for _, o in outcomes)
         assert all(isinstance(o.cause, ValueError) for _, o in outcomes)
         counters = registry.snapshot()["counters"]
-        assert counters["fleet.job_retries"] == 0
         assert counters["fleet.jobs_failed"] == 2
-
-    def test_retry_budget_exhaustion_on_pool(self):
-        policy = FaultPolicy(crash_rate=1.0, seed=7, crashes_per_task=5)
-        registry = MetricsRegistry()
-        [(_, error)] = run_jobs(
-            [_job(2)], fn=double_index, workers=2, fault_policy=policy,
-            max_retries=1, retry_backoff=0.0, registry=registry,
-        )
-        assert isinstance(error, JobError)
-        assert error.attempts == 2
-        assert isinstance(error.cause, InjectedFaultError)
-        assert registry.snapshot()["counters"]["fleet.faults_injected"] == 2
+        assert counters["fleet.jobs_run"] == 0
 
     def test_unpicklable_result_fails_its_job_only(self):
         outcomes = list(run_jobs(
@@ -255,7 +201,7 @@ class TestPoolFailures:
         ))
         assert len(outcomes) == 2
         assert all(isinstance(o, JobError) for _, o in outcomes)
-        assert all(o.attempts == 1 for _, o in outcomes)
+        assert all(type(o.cause) is ExecutionError for _, o in outcomes)
 
     def test_closing_early_stops_the_sweep(self):
         pulled = []

@@ -47,7 +47,7 @@ def make_report(form=REPORT_FORMAT):
     report.set_meta(dataset="SYN")
     with report.span("stage", rows_in=10) as span:
         span.set(rows_out=5)
-    report.metrics.inc("executor.retries", 2)
+    report.metrics.inc("executor.shuffles", 2)
     report.metrics.set_gauge("selectivity", 0.5)
     report.metrics.observe("task_seconds", 0.01)
     return report
@@ -59,7 +59,7 @@ class TestRunReport:
         assert validate_report(payload) is payload
         assert payload["format"] == REPORT_FORMAT
         assert payload["meta"] == {"dataset": "SYN"}
-        assert payload["counters"]["executor.retries"] == 2
+        assert payload["counters"]["executor.shuffles"] == 2
 
     def test_json_roundtrip_validates(self):
         text = make_report().to_json()
@@ -76,7 +76,7 @@ class TestRunReport:
         text = make_report().to_text()
         assert "test.run" in text
         assert "stage" in text
-        assert "executor.retries" in text
+        assert "executor.shuffles" in text
         assert "task_seconds" in text
 
     def test_merge_registry(self):
@@ -102,7 +102,7 @@ class TestValidateReport:
 
     def test_rejects_non_integer_counter(self):
         payload = make_report().to_dict()
-        payload["counters"]["executor.retries"] = "two"
+        payload["counters"]["executor.shuffles"] = "two"
         with pytest.raises(ReportSchemaError):
             validate_report(payload)
 
@@ -143,7 +143,7 @@ class TestReportMerge:
         b = make_report()
         before_seconds = a.spans.seconds("stage")
         assert a.merge(b) is a
-        assert a.metrics.counter("executor.retries").value == 4
+        assert a.metrics.counter("executor.shuffles").value == 4
         assert a.metrics.histogram("task_seconds").count == 2
         assert a.spans.seconds("stage") >= before_seconds
         assert len(a.spans.spans) == 1

@@ -123,7 +123,7 @@ class TestPipeline:
             "branch", "merge",
         }
         assert payload["counters"]["pipeline.merge.rows_out"] > 0
-        assert "executor.retries" in payload["counters"]
+        assert "executor.tasks_run" in payload["counters"]
 
     def test_with_params_file(self, trace_file, tmp_path):
         params = {

@@ -37,7 +37,10 @@ reader: no stored table, stream log or other file is read through
 more keeps every concrete executor on the executor axis of the
 ``R_out`` differential (``repro.testing.differential``). The last keeps
 one report class: every report format is an entry of the rule table in
-``repro.obs.report``, not another wrapper around ``RunReport``.
+``repro.obs.report``, not another wrapper around ``RunReport``. Two
+more keep every engine task and fleet job at one run: no module defines
+or imports a fault-injection or attempt-loop name, and no signature
+takes a fault or retry parameter.
 """
 
 import ast
@@ -431,19 +434,49 @@ def test_every_executor_is_on_the_differential_executor_axis():
     )
 
 
-def test_every_task_and_job_retries_in_one_attempt_loop():
-    def catches_injected_faults(node):
-        return isinstance(node, ast.ExceptHandler) and node.type is not None \
-            and "InjectedFaultError" in map(_name, ast.walk(node.type))
+#: What simulated task and job failures were made of: a fault policy,
+#: an attempt loop with its counter helper and their two errors. Every
+#: task and job runs once, so none of them may come back.
+_DELETED_FAULT_NAMES = (
+    "FaultPolicy", "run_attempts", "count_attempts", "TaskError",
+    "InjectedFaultError",
+)
 
-    def sleeps_a_backoff(node):
-        return isinstance(node, ast.Call) and _name(node.func) == "sleep" \
-            and "backoff" in ast.unparse(node)
+#: Parameters that set fault injection or a retry budget.
+_FAULT_AND_RETRY_PARAMETERS = (
+    "fault_policy", "commit_policy", "max_retries", "max_task_retries",
+    "retry_backoff",
+)
+
+
+@pytest.mark.parametrize("name", _DELETED_FAULT_NAMES)
+def test_no_module_defines_or_imports_a_deleted_fault_name(name):
+    def defines_or_imports(node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            return node.name == name
+        if isinstance(node, ast.alias):
+            return node.name.rpartition(".")[2] == name
+        if isinstance(node, ast.Assign):
+            return name in map(_name, node.targets)
+        return False
 
     packages = sorted({path.parent for path in SRC.rglob("*.py")})
-    loop = {("executor.py", "run_attempts")}
-    assert _scopes(packages, catches_injected_faults) == loop
-    assert _scopes(packages, sleeps_a_backoff) == loop
+    assert _scopes(packages, defines_or_imports) == set()
+
+
+@pytest.mark.parametrize("parameter", _FAULT_AND_RETRY_PARAMETERS)
+def test_no_signature_takes_a_fault_or_retry_parameter(parameter):
+    def takes_it(node):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        args = node.args
+        return parameter in {
+            arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+        }
+
+    packages = sorted({path.parent for path in SRC.rglob("*.py")})
+    assert _scopes(packages, takes_it) == set()
 
 
 #: Public engine surface nobody outside the engine calls yet, and why it
@@ -558,14 +591,6 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
 #: the knob guard covers their constructors too.
 _EXECUTORS = ("SerialExecutor", "SimulatedClusterExecutor")
 
-_FAULT_KNOBS = {
-    "fault_policy": "fault injection: set by engine tests and the "
-                    "differential's poisoned-executor mutant test",
-    "max_task_retries": "the retry budget under fault injection: set by "
-                        "engine tests",
-    "retry_backoff": "engine tests set 0.0 so fault runs do not sleep",
-}
-
 #: Defaulted parameters of the public engine surface that no caller sets
 #: to anything but their default, and why they stay. An entry that gains
 #: a caller must leave the list.
@@ -574,10 +599,6 @@ _UNSET_ENGINE_KNOBS = {
         "EngineContext.serial(default_parallelism=), whose knob is guarded",
     "SimulatedClusterExecutor.default_parallelism": "defaults to "
         "num_workers; the differential's executor axis sets it",
-    **{
-        "{}.{}".format(executor, knob): reason
-        for executor in _EXECUTORS for knob, reason in _FAULT_KNOBS.items()
-    },
 }
 
 
@@ -585,8 +606,7 @@ def _engine_knob_parameters():
     """``{called name: (qualified name, parameters in call order)}`` for
     every public ``Table`` method, ``EngineContext`` constructor and
     executor constructor (:data:`_EXECUTORS`) that has a defaulted
-    parameter. An executor's ``**kwargs`` stand for the keyword
-    parameters of ``Executor.__init__`` they are forwarded to."""
+    parameter."""
     import inspect
 
     from repro.engine import executor
@@ -607,18 +627,10 @@ def _engine_knob_parameters():
         ]
         if any(p.default is not p.empty for p in params):
             methods[name] = (qualified, params)
-    base = inspect.signature(executor.Executor).parameters.values()
     for name in _EXECUTORS:
-        params = list(
+        methods[name] = (name, list(
             inspect.signature(getattr(executor, name)).parameters.values()
-        )
-        if params and params[-1].kind is params[-1].VAR_KEYWORD:
-            own = {p.name for p in params}
-            params = params[:-1] + [
-                p.replace(kind=p.KEYWORD_ONLY) for p in base
-                if p.name not in own
-            ]
-        methods[name] = (name, params)
+        ))
     return methods
 
 
@@ -786,8 +798,9 @@ def test_numeric_signal_types_take_no_object_astype(monkeypatch):
 
 #: Every scope of ``src/repro`` that unpickles: none. ``pickle.load``
 #: runs whatever the bytes name, so nothing read from disk goes through
-#: it. The fleet's job pool unpickles inside the standard library's pool
-#: and has no call of its own in ``src/repro``.
+#: it. The fleet driver unpickles its workers' outcomes inside the
+#: standard library's ``Connection.recv`` and has no call of its own in
+#: ``src/repro``.
 _UNPICKLING_SCOPES = set()
 
 
@@ -831,23 +844,33 @@ def _imported_modules(tree):
 def test_the_engine_has_no_process_boundary():
     """Engine work never leaves the driver: no module of the engine
     imports ``multiprocessing`` or ``pickle``, and :mod:`repro.fleet`'s
-    job runner is the one module that starts a process pool."""
+    job runner is the one module that starts a process -- one
+    ``Process`` per job, and no pool anywhere."""
     assert [
         path.name for path in sorted((SRC / "engine").glob("*.py"))
         if {"multiprocessing", "pickle"} & _imported_modules(_parsed(path))
     ] == []
 
-    def starts_a_pool(tree):
-        return "concurrent" in _imported_modules(tree) or any(
-            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("Pool", "Process", "ProcessPoolExecutor")
-            for node in ast.walk(tree)
-        )
+    def calls(tree, names):
+        return {
+            node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+        }
 
-    assert [
-        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
-        if starts_a_pool(_parsed(path))
-    ] == ["fleet/workers.py"]
+    starters = {
+        path.relative_to(SRC).as_posix(): calls(
+            _parsed(path), ("Pool", "Process", "ProcessPoolExecutor")
+        )
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert {module: found for module, found in starters.items() if found} \
+        == {"fleet/workers.py": {"Process"}}
+    assert not any(
+        "concurrent" in _imported_modules(_parsed(path))
+        for path in sorted(SRC.rglob("*.py"))
+    )
 
 
 def test_the_stream_path_does_not_import_pickle():

@@ -10,6 +10,7 @@ that budget; the poisoned one also shrinks to a small reproducer that
 
 import json
 import re
+import zlib
 
 import pytest
 
@@ -19,7 +20,8 @@ import repro.tracefile.colbin as colbin
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext
-from repro.engine.executor import FaultPolicy, SerialExecutor
+from repro.engine import ColumnarPartition
+from repro.engine.executor import SerialExecutor
 from repro.obs import validate_report
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.testing.differential import (
@@ -109,12 +111,34 @@ def test_a_failing_reference_on_a_generated_journey_fails_the_run(
     assert not (tmp_path / "failures").exists()
 
 
+class _PoisonedExecutor(SerialExecutor):
+    """Drops the last output row of about half the tasks: those whose
+    CRC32 roll of ``(stage, partition)`` falls below one half. A row
+    list loses its last element, a columnar output its last row."""
+
+    def run_tasks(self, task, inputs, stage="task"):
+        outputs = super().run_tasks(task, inputs, stage)
+        return [
+            _drop_last(out) if _poison_roll(stage, index) < 0.5 else out
+            for index, out in enumerate(outputs)
+        ]
+
+
+def _poison_roll(stage, partition):
+    key = "3|poison|{}|{}".format(stage, partition)
+    return (zlib.crc32(key.encode("utf-8")) % 100_000) / 100_000.0
+
+
+def _drop_last(out):
+    if isinstance(out, list) and out:
+        return out[:-1]
+    if isinstance(out, ColumnarPartition) and len(out):
+        return out.gather(range(len(out) - 1))
+    return out
+
+
 def _poisoned(partitions):
-    """Drops the last output row of about half the tasks."""
-    return SerialExecutor(
-        default_parallelism=partitions, retry_backoff=0.0,
-        fault_policy=FaultPolicy(poison_rate=0.5, seed=3),
-    )
+    return _PoisonedExecutor(default_parallelism=partitions)
 
 
 def _fresh_carries(reduce_segments):
