@@ -51,13 +51,19 @@ from repro.datasets import SPECS, build_dataset
 from repro.engine import EngineContext, TableStore
 from repro.network.dbcio import dump_database
 from repro.obs import stopwatch
-from repro.engine.errors import EngineError
+from repro.engine.errors import EngineError, ExecutionError
+from repro.protocols import ShortPayloadError
 from repro.tracefile import (
     BinaryTraceError,
     ColumnarTraceError,
     TraceFormatError,
     codec_for,
 )
+
+
+#: Faults of a trace's content that surface mid-run: a corrupt ``m_info``
+#: cell, a payload too short for a rule under ``short_payload="raise"``.
+_TRACE_FAULTS = (ColumnarTraceError, BinaryTraceError, ShortPayloadError)
 
 
 class CliError(Exception):
@@ -539,6 +545,11 @@ def cmd_stream_serve(args, out=sys.stdout):
         result = asyncio.run(service.serve(max_frames=args.max_frames))
     except StreamError as exc:
         raise CliError("stream", str(exc))
+    except ExecutionError as exc:
+        # The session's message names the vehicle whose frames failed.
+        if not isinstance(exc.cause, _TRACE_FAULTS):
+            raise
+        raise CliError("trace", str(exc))
     counters = metrics.counters()
     resumed = counters.get("stream.resume.sessions", 0)
     if resumed:
@@ -1000,11 +1011,12 @@ def main(argv=None, out=sys.stdout):
         print("error: {}: {}".format(exc.kind, exc), file=sys.stderr)
         return 2
     except (EngineError, BinaryTraceError) as exc:
-        # What sits inside an m_info cell of a .ctrc or .btrc table is
-        # checked when a rule reads the cell, mid-run; a task's failure
-        # may arrive wrapped.
+        # What sits inside an m_info cell of a .ctrc or .btrc table, and
+        # whether a payload holds the bytes a rule reads, is checked when
+        # a rule reads the frame, mid-run; a task's failure may arrive
+        # wrapped.
         cause = getattr(exc, "cause", None) or exc
-        if not isinstance(cause, (ColumnarTraceError, BinaryTraceError)):
+        if not isinstance(cause, _TRACE_FAULTS):
             raise
         print("error: trace: {}".format(cause), file=sys.stderr)
         return 2

@@ -115,8 +115,17 @@ class IncrementalRunner:
     _kernels: object = field(default=None, repr=False, compare=False)
 
     def process_window(self, k_b_window):
-        """Run lines 3-11 on one window's K_b table; returns row count.
+        """Run lines 3-11 on a window's K_b table; returns row count.
 
+        A "window" is any time-ordered set of frames: one window of
+        :func:`split_into_windows`, or several consecutive ones in one
+        table (a stream session hands over every window sealed in a
+        commit interval at once). Reducing consecutive windows together
+        or one by one gives the same state -- the windowed-equals-whole
+        property of every marker that sees the past through its carry,
+        all but an aggregation marker such as
+        :class:`~repro.core.reduction.OutsideQuantileRange` -- so the
+        caller may pick the batch that is cheapest.
         Windows must arrive in time order (their minimum timestamp must
         not precede the previous window's maximum). Timestamps *inside*
         a window may be unordered (clock-skewed recorders step

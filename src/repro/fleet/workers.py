@@ -16,7 +16,6 @@ sweep continues.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 from multiprocessing.connection import wait
 
 # Imported here, not in the job, so a forked worker starts with them.
@@ -104,15 +103,7 @@ def run_jobs(jobs, fn=execute_trace_job, workers=1, registry=None):
         job = next(pending, None)
         if job is None:
             return
-        try:
-            pickle.dumps(job)
-        except Exception as exc:
-            raise ExecutionError(
-                "fleet job {!r} payload is not picklable: {}".format(
-                    job.get("job_id"), exc
-                ),
-                exc,
-            )
+        # The forked worker inherits *job*: nothing pickles it.
         reader, writer = fork.Pipe(duplex=False)
         process = fork.Process(target=_work, args=(fn, job, writer),
                                daemon=True)

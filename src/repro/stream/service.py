@@ -12,7 +12,8 @@ Durability contract
 -------------------
 A checkpoint is a consistent record *between* frame ingests: with the
 records before it, it names the per-channel replay cursors and carries
-every byte of runner and assembler state those cursors imply. Killing
+every byte of runner and assembler state those cursors imply -- every
+window sealed so far is processed before the record is made. Killing
 the service at an arbitrary committed checkpoint, restarting, and
 replaying each channel's undelivered frames therefore yields
 ``finalize()`` output byte-identical to a run that was never
@@ -78,7 +79,14 @@ class ServeResult:
 
 
 class StreamIngestService:
-    """Per-vehicle delivery loops feeding checkpointed sessions."""
+    """Per-vehicle delivery loops feeding checkpointed sessions.
+
+    A session keeps the windows its chunks seal; the service settles
+    them -- one lines 3-11 call for all of them -- right before each
+    commit, outside the commit's stopwatch, and at drain. With
+    ``checkpoint_every=0`` there is no periodic commit, and it settles
+    after every chunk instead, so sealed windows never pile up.
+    """
 
     def __init__(self, run_dir, stream_config=None, metrics=None):
         self.config = stream_config or StreamConfig()
@@ -191,8 +199,14 @@ class StreamIngestService:
                     session.ingest(chunk[:room])
                     chunk = chunk[room:] if room < len(chunk) else ()
                     self.metrics.set_gauge(depth_gauge, len(chunk))
-                    if cadence and session.frames_ingested % cadence == 0:
-                        self.checkpointer.save_session(session, self.metrics)
+                    # The windows sealed since the last commit are
+                    # processed at once; outside the commit's stopwatch.
+                    if not cadence or session.frames_ingested % cadence == 0:
+                        session.settle()
+                        if cadence:
+                            self.checkpointer.save_session(
+                                session, self.metrics
+                            )
             exhausted = await delivery
         finally:
             # A session that refused a frame leaves its loop blocked on

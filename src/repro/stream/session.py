@@ -4,11 +4,17 @@ assembler.
 A :class:`VehicleSession` is the synchronous state machine at the heart
 of the streaming service: chunks of frames go in as packed columns
 (:class:`~repro.stream.receivers.Frames`, each frame tagged with the
-channel that received it), sealed windows come out and are fed, one
-columnar partition each, to the session's
-:class:`~repro.core.incremental.IncrementalRunner` exactly as a batch
-caller would feed :func:`~repro.core.incremental.split_into_windows`
-output. Keeping the state machine free of the event loop makes
+channel that received it) and sealed windows come out. The session keeps
+them until :meth:`~VehicleSession.settle`, which feeds all of them, in
+index order, to the session's
+:class:`~repro.core.incremental.IncrementalRunner` as one columnar
+partition: one lines 3-11 call per batch of windows, not per window.
+Windows partition time and seal in index order, so the batch is the
+time-ordered union that
+:meth:`~repro.core.incremental.IncrementalRunner.process_window` reduces
+exactly as it reduces each window in turn (the windowed-equals-whole
+guarantee); only a config with an aggregation marker keeps one call per
+window. Keeping the state machine free of the event loop makes
 kill-and-resume deterministic and testable without asyncio.
 
 Delivery accounting is per channel: the session records how many frames
@@ -25,12 +31,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.incremental import IncrementalRunner, _state_field
+from repro.core.reduction import OutsideQuantileRange
+from repro.engine.columnar import ColumnarPartition
+from repro.engine.errors import ExecutionError
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream.assembler import FrameRejected, WindowAssembler
 from repro.stream.errors import StreamError
 
 #: Schema tag of :meth:`VehicleSession.export_state` payloads.
 SESSION_STATE_FORMAT = "repro.stream-session/1"
+
+
+def _aggregates(config):
+    """Whether a marker of *config* decides over all the rows one call
+    hands it (:class:`~repro.core.reduction.OutsideQuantileRange`): no
+    carry makes it window-invariant, so its windows go to the runner one
+    per call, as a batch caller's :func:`split_into_windows
+    <repro.core.incremental.split_into_windows>` windows do."""
+    return any(isinstance(function, OutsideQuantileRange)
+               for constraint in config.constraints if constraint.enabled
+               for function in constraint.functions)
 
 
 class VehicleSession:
@@ -49,15 +69,19 @@ class VehicleSession:
         self.windows_sealed = 0
         self.frames_ingested = 0
         self._drained = False
+        #: The blocks of the windows sealed since the last settle.
+        self._sealed = []
 
     # -- ingestion -------------------------------------------------------
     def ingest(self, frames):
         """Ingest :class:`~repro.stream.receivers.Frames` in arrival
-        order; process the windows they sealed. Returns how many those
-        were.
+        order; returns how many windows they sealed.
 
-        A frame whose timestamp no window can hold is a
-        :class:`StreamError` naming the vehicle, the channel and the
+        The sealed windows are counted here and processed at the next
+        :meth:`settle` (or :meth:`export_state`, :meth:`drain`): a
+        caller that settles once per commit interval pays lines 3-11
+        once per interval. A frame whose timestamp no window can hold is
+        a :class:`StreamError` naming the vehicle, the channel and the
         frame's ordinal in that channel; the session is not usable
         afterwards."""
         if self._drained:
@@ -98,29 +122,49 @@ class VehicleSession:
             late = self.assembler.late_dropped - before
             if late:
                 self.metrics.inc("stream.late_dropped", late)
-        self._process_sealed(sealed)
+        self._keep(sealed)
         return len(sealed)
 
-    def _process_sealed(self, sealed):
-        for _index, block in sealed:
+    def _keep(self, sealed):
+        self._sealed.extend(block for _index, block in sealed)
+        self.windows_sealed += len(sealed)
+        if self.metrics is not None and sealed:
+            self.metrics.inc("stream.windows_sealed", len(sealed))
+
+    def settle(self):
+        """Process every window sealed since the last settle, as one
+        :meth:`~repro.core.incremental.IncrementalRunner.process_window`
+        call (one per window for a config with an aggregation marker);
+        returns how many windows that was."""
+        sealed, self._sealed = self._sealed, []
+        if _aggregates(self.config):
+            batches = [[block] for block in sealed]
+        else:
+            batches = [sealed] if sealed else []
+        for batch in batches:
             # Frames go in in arrival order: the runner puts every
             # sequence into the canonical order itself, with the function
             # the whole-trace pipeline uses, so intra-window disorder is
-            # invisible. A window is one partition: one lines 2-6 task.
+            # invisible. A batch is one partition: one lines 2-6 task.
             table = self.context.table_from_columnar(
-                list(BYTE_RECORD_COLUMNS), [block]
+                list(BYTE_RECORD_COLUMNS), [ColumnarPartition.concat(batch)]
             )
-            self.runner.process_window(table)
-            self.windows_sealed += 1
-            if self.metrics is not None:
-                self.metrics.inc("stream.windows_sealed")
+            try:
+                self.runner.process_window(table)
+            except ExecutionError as exc:
+                # The vehicle's frames failed lines 3-11 (a payload too
+                # short under short_payload="raise"): say whose.
+                raise ExecutionError("vehicle {!r}: {}".format(
+                    self.vehicle_id, exc.cause or exc), exc.cause) from exc
+        return len(sealed)
 
     def drain(self):
         """Seal and process every buffered window (source exhausted)."""
         if self._drained:
             return 0
         sealed = self.assembler.flush()
-        self._process_sealed(sealed)
+        self._keep(sealed)
+        self.settle()
         self._drained = True
         return len(sealed)
 
@@ -145,7 +189,9 @@ class VehicleSession:
 
     # -- checkpoint ------------------------------------------------------
     def export_state(self):
-        """Snapshot: runner state + assembler state + cursors."""
+        """Snapshot: runner state + assembler state + cursors. Settles
+        first, so no sealed window is left out of it."""
+        self.settle()
         return {
             "format": SESSION_STATE_FORMAT,
             "vehicle_id": self.vehicle_id,
@@ -191,4 +237,5 @@ class VehicleSession:
             payload, "frames_ingested", int
         )
         session._drained = _state_field(payload, "drained", bool)
+        session._sealed = []
         return session

@@ -122,12 +122,15 @@ class TestPool:
         assert snap["counters"]["fleet.jobs_run"] == 2
         assert snap["histograms"]["fleet.job_seconds"]["count"] == 2
 
-    def test_unpicklable_payload_rejected(self):
+    def test_unpicklable_payload_runs_on_a_worker(self):
+        """A forked worker inherits its payload: one that does not
+        pickle (an open file) runs like any other."""
         with open(__file__) as handle:
-            with pytest.raises(ExecutionError, match="not picklable"):
-                list(run_jobs(
-                    [_job(0, fh=handle)], fn=double_index, workers=2
-                ))
+            outcomes = list(run_jobs(
+                [_job(i, fh=handle) for i in range(3)], fn=double_index,
+                workers=2,
+            ))
+        assert sorted(value for _job, value in outcomes) == [0, 2, 4]
 
     def test_never_more_than_workers_jobs_in_flight(self):
         pulled = []

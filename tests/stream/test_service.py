@@ -157,23 +157,26 @@ class TestChunkedServiceEqualsFrameByFrame:
         sealed = {vehicle_id: [] for vehicle_id in recordings}
         service = StreamIngestService(run_dir, stream_config)
 
-        def recording(session):
-            process_sealed = session._process_sealed
+        def recording(vehicle_id, seal):
+            """*seal* (the assembler's ``add_chunk`` or ``flush``),
+            recording the windows it returns: where windows seal."""
 
-            def process(windows):
-                sealed[session.vehicle_id].extend(
+            def sealing(*args):
+                windows = seal(*args)
+                sealed[vehicle_id].extend(
                     (index, block.to_rows()) for index, block in windows
                 )
-                return process_sealed(windows)
+                return windows
 
-            return process
+            return sealing
 
         for vehicle_id, records in recordings.items():
-            session = service.add_vehicle(
+            assembler = service.add_vehicle(
                 vehicle_id, ArrivalOrderSource(records), self.CONFIG,
                 self.CTX,
-            )
-            session._process_sealed = recording(session)
+            ).assembler
+            assembler.add_chunk = recording(vehicle_id, assembler.add_chunk)
+            assembler.flush = recording(vehicle_id, assembler.flush)
         assert not asyncio.run(service.serve()).killed
         for vehicle_id in recordings:
             assert service.metrics.gauge(
@@ -488,7 +491,7 @@ class TestLogAsOutsideInput:
         assert StreamCheckpointer(tmp_path).session_ids() == ["v0"]
 
 
-def syn_service(run_dir, duration, vehicle_id="v"):
+def syn_service(run_dir, duration, vehicle_id="v", checkpoint_every=500):
     """A SYN ``.btrc`` recording of *duration* seconds, served through a
     service with ``perf``'s stream parameters."""
     from repro.core import PipelineConfig
@@ -499,7 +502,8 @@ def syn_service(run_dir, duration, vehicle_id="v"):
     path = Path(run_dir) / "{}.btrc".format(vehicle_id)
     binlog.dump_records(bundle.byte_records(duration), path)
     service = StreamIngestService(run_dir, StreamConfig(
-        window_seconds=1.0, grace_seconds=0.5, checkpoint_every=500
+        window_seconds=1.0, grace_seconds=0.5,
+        checkpoint_every=checkpoint_every,
     ))
     config = PipelineConfig(catalog=bundle.catalog(),
                             constraints=bundle.default_constraints())
@@ -545,3 +549,57 @@ class TestCostDoesNotGrowWithTheStream:
         assert not asyncio.run(service.serve()).killed
         assert service.finalize_all()["v"].r_out.collect()
         assert calls == []
+
+
+class TestOneCallPerCommitInterval:
+    """Sealed windows wait for the next commit and go to the runner
+    together: lines 3-11 run once per commit interval, not per window."""
+
+    def test_one_process_window_call_per_commit(self, tmp_path, monkeypatch):
+        events = []
+
+        def recording(event, function):
+            def record(*args, **kwargs):
+                events.append(event)
+                return function(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(IncrementalRunner, "process_window", recording(
+            "w", IncrementalRunner.process_window))
+        monkeypatch.setattr(StreamCheckpointer, "save_session", recording(
+            "c", StreamCheckpointer.save_session))
+        service = syn_service(tmp_path, 12.0)
+        result = asyncio.run(service.serve())
+        assert not result.killed
+        # 2,311 frames: commits at 500, 1,000, 1,500 and 2,000 frames,
+        # each after the call that processed its interval's windows, and
+        # the drain commit after at most one more.
+        *periodic, drain, after = "".join(events).split("c")
+        assert (periodic, after) == (["w"] * 4, "")
+        assert drain in ("", "w")
+        assert result.sessions["v"]["windows_sealed"] == 12
+        assert service.metrics.counters()["stream.windows_sealed"] == 12
+
+    def test_without_periodic_commits_every_chunk_is_settled(self, tmp_path):
+        """``checkpoint_every=0``: the windows a chunk seals are processed
+        before the next chunk goes in, so none pile up; the output is the
+        committing service's."""
+        for name in ("every", "committing"):
+            (tmp_path / name).mkdir()
+        service = syn_service(tmp_path / "every", 6.0, checkpoint_every=0)
+        session = service.sessions["v"]
+        ingest, sealing = session.ingest, []
+
+        def settled_ingest(frames):
+            assert session.settle() == 0  # nothing left from the last chunk
+            sealing.append(ingest(frames))
+            return sealing[-1]
+
+        session.ingest = settled_ingest
+        assert not asyncio.run(service.serve()).killed
+        assert sum(map(bool, sealing)) > 1
+        assert session.settle() == 0
+        committing = syn_service(tmp_path / "committing", 6.0)
+        assert not asyncio.run(committing.serve()).killed
+        assert service.finalize_all()["v"].r_out.collect() == \
+            committing.finalize_all()["v"].r_out.collect()

@@ -83,6 +83,46 @@ class TestStreamingEqualsBatch:
         assert counters["stream.windows_sealed"] == session.windows_sealed
 
 
+class TestWindowsPerCall:
+    def test_an_aggregating_marker_keeps_one_call_per_window(
+        self, monkeypatch
+    ):
+        """``OutsideQuantileRange`` decides over the rows one call hands
+        it: a session with it processes its windows one per call, as the
+        batch windowing does, however long it goes without settling."""
+        from dataclasses import replace
+
+        from repro.core.reduction import (
+            Constraint,
+            ConstraintSet,
+            OutsideQuantileRange,
+        )
+
+        case, ctx, config = journey(seed=11)
+        config = replace(config, constraints=ConstraintSet(tuple(
+            Constraint(c.signal_id, c.enabled,
+                       c.functions + (OutsideQuantileRange(0.1, 0.9),))
+            for c in config.constraints
+        )))
+        calls = []
+        process_window = IncrementalRunner.process_window
+
+        def counting(runner, table):
+            calls.append(table.count())
+            return process_window(runner, table)
+
+        monkeypatch.setattr(IncrementalRunner, "process_window", counting)
+        session = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
+        for start in range(0, len(case.records), 7):
+            session.ingest(frames_of([
+                (record[2], record)
+                for record in case.records[start:start + 7]
+            ]))
+        streamed = sorted_rows(session.finalize().r_out)
+        assert len(calls) == session.windows_sealed > 1
+        assert streamed == batch_rows(ctx, config, case.records, 1.0)
+
+
 class TestCursors:
     def test_cursor_counts_delivered_frames_per_channel(self):
         case, ctx, config = journey()
@@ -192,6 +232,37 @@ class TestState:
         ingest_all(restored, case.records[half:])
         assert sorted_rows(session.finalize().r_out) == \
             sorted_rows(restored.finalize().r_out)
+
+    def test_checkpoint_right_after_sealing_restores_exactly(self, tmp_path):
+        """A commit made right after an ingest that sealed windows -- none
+        of them processed yet -- holds them: the restored session
+        finalizes to the uninterrupted session's rows and state bytes."""
+        from repro.stream import StreamCheckpointer
+
+        case, ctx, config = journey(seed=11, lossy=True)
+        chunks = [case.records[i:i + 7]
+                  for i in range(0, len(case.records), 7)]
+        whole = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
+        sealed = cut = 0
+        while sealed < 2:  # two windows, the second sealed by this chunk
+            sealed += whole.ingest(frames_of(
+                [(record[2], record) for record in chunks[cut]]
+            ))
+            cut += 1
+        checkpointer = StreamCheckpointer(tmp_path)
+        checkpointer.save_session(whole)
+        restored = StreamCheckpointer(tmp_path).load_session("v", config, ctx)
+        assert session_record(restored.export_state(), {}) == \
+            session_record(whole.export_state(), {})
+        for chunk in chunks[cut:]:
+            for session in (whole, restored):
+                session.ingest(frames_of(
+                    [(record[2], record) for record in chunk]
+                ))
+        assert session_record(restored.export_state(), {}) == \
+            session_record(whole.export_state(), {})
+        assert restored.finalize().r_out.collect() == \
+            whole.finalize().r_out.collect()
 
     def test_rejects_foreign_payloads(self):
         _case, ctx, config = journey()

@@ -457,6 +457,57 @@ def test_non_utf8_m_info_key_is_one_trace_error_line(
     )
 
 
+@pytest.fixture(scope="module")
+def short_payload_trace(tmp_path_factory):
+    """4 s of SYN as ``T.btrc``, record 386's payload cut to 0 bytes."""
+    from repro.tracefile import binlog
+
+    path = tmp_path_factory.mktemp("short") / "T.btrc"
+    code, _out = run_cli("simulate", "--dataset", "SYN", "--duration", "4",
+                         "--out", str(path))
+    assert code == 0
+    records = list(binlog.load_records(path))
+    records[386] = (records[386][0], b"") + tuple(records[386][2:])
+    binlog.dump_records(records, path)
+    return path
+
+
+SHORT = "payload of 0 bytes too short for relevant bytes 0..1"
+
+
+def test_short_payload_is_one_trace_error_line(short_payload_trace, capsys):
+    code, out = run_cli("pipeline", "--dataset", "SYN",
+                        "--trace", str(short_payload_trace))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: trace: {}\n".format(SHORT)
+
+
+def test_short_payload_stops_stream_serve_naming_the_vehicle(
+    short_payload_trace, tmp_path, capsys
+):
+    """The commits before the failing window stay whole records: the run
+    directory still reads, and a resume fails the same way without
+    touching the log."""
+    from tests.stream.logs import record_spans
+
+    serve = ("stream", "serve", "--dataset", "SYN", "--run-dir",
+             str(tmp_path), "--traces", str(short_payload_trace),
+             "--checkpoint-every", "100")
+    log = tmp_path / "checkpoints" / "stream-session-T.log"
+    datas = []
+    for _run in range(2):
+        code, out = run_cli(*serve)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: trace: vehicle 'T': {}\n".format(SHORT)
+        datas.append(log.read_bytes())
+    spans = record_spans(datas[0])
+    assert spans and spans[-1][1] == len(datas[0]) and datas[1] == datas[0]
+    code, out = run_cli("stream", "status", "--run-dir", str(tmp_path))
+    assert code == 0
+    assert "session T: {} frames".format(100 * len(spans)) in out
+
+
 class TestStream:
     @pytest.fixture(scope="class")
     def short_trace(self, tmp_path_factory):
