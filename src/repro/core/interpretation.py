@@ -18,18 +18,15 @@ written for a catalog that is already an engine table: the named
 reference the tests compare against. A
 :class:`~repro.core.rules.RuleCatalog` runs as one task per partition,
 :class:`_RuleKernels`, that produces the same ``K_s`` rows in the same
-order per *rule* instead of per row: ``K_pre`` is grouped by
-``(b_id, m_id)``, and each rule of a key decodes all of the key's
-payloads at once, straight out of the packed payload plane. These two
-are the only spellings of lines 4-6, and the argument picks one.
+order in one decode pass over the partition's ``K_join`` slots, from a
+rule table compiled once per catalog. These two are the only spellings
+of lines 4-6, and the argument picks one.
 
-Truncated payloads (shorter than a rule's relevant bytes) surface as
-:class:`~repro.protocols.signalcodec.ShortPayloadError` by default.
-``on_short`` selects the lossy-trace alternative: ``"skip"`` drops the
-affected rows, ``"keep"`` retains them with ``v`` set to the
-:data:`~repro.core.rules.TRUNCATED` sentinel so callers can count them
-before dropping. All three modes behave identically in both spellings
-and on every executor.
+A payload shorter than a rule's relevant bytes raises a
+:class:`~repro.protocols.signalcodec.ShortPayloadError` naming its
+frame; ``on_short="skip"`` drops its rows instead, ``"keep"`` keeps them
+with ``v`` the :data:`~repro.core.rules.TRUNCATED` sentinel, the same in
+both spellings and on every executor.
 """
 
 from __future__ import annotations
@@ -37,12 +34,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from repro.core.model import K_S_COLUMNS
-from repro.core.rules import ABSENT, TRUNCATED
+from repro.core.preselection import key_index
+from repro.core.rules import ABSENT, TRUNCATED, per_catalog
 from repro.engine.columnar import (
     BytesColumn,
     ColumnarPartition,
@@ -50,7 +47,7 @@ from repro.engine.columnar import (
     code_array,
 )
 from repro.engine.expressions import apply, col
-from repro.protocols.signalcodec import ShortPayloadError, payload_words
+from repro.protocols.signalcodec import ShortPayloadError, VectorTable
 
 _ON_SHORT_MODES = ("raise", "skip", "keep")
 
@@ -64,23 +61,30 @@ def _check_on_short(on_short):
         )
 
 
+def _in_frame(exc, t, b_id, m_id):
+    """*exc*, a :class:`ShortPayloadError`, reworded to name the frame
+    whose payload it is about."""
+    return ShortPayloadError(
+        "frame t={!r} b_id {!r} m_id {}: {}".format(t, b_id, m_id, exc)
+    )
+
+
 @dataclass(frozen=True)
 class _U1:
-    """``u_1``: extract the relevant payload bytes of one row.
-
-    With ``on_short`` other than ``"raise"``, truncated payloads map to
-    the :data:`TRUNCATED` sentinel instead of raising; downstream
-    filters decide whether the marker rows are counted or dropped.
-    """
+    """``u_1``: extract the relevant payload bytes of one row. A
+    truncated payload raises a :class:`ShortPayloadError` naming the
+    row's frame, or maps to the :data:`TRUNCATED` sentinel where
+    ``on_short`` is not ``"raise"``: downstream filters count or drop
+    the marker rows."""
 
     on_short: str = "raise"
 
-    def __call__(self, payload, rule):
-        if self.on_short == "raise":
-            return rule.extract_relevant(payload)
+    def __call__(self, payload, rule, t, b_id, m_id):
         try:
             return rule.extract_relevant(payload)
-        except ShortPayloadError:
+        except ShortPayloadError as exc:
+            if self.on_short == "raise":
+                raise _in_frame(exc, t, b_id, m_id) from None
             return TRUNCATED
 
 
@@ -120,30 +124,23 @@ def join_rules(k_pre, catalog_table):
 def extract_relevant_bytes(k_join, on_short="raise"):
     """Line 5: ``K_join2 = F_u1(K_join)`` -- add the ``l_rel`` column."""
     return k_join.with_column(
-        "l_rel", apply(_U1(on_short=on_short), "l", "u_info")
+        "l_rel",
+        apply(_U1(on_short=on_short), "l", "u_info", "t", "b_id", "m_id"),
     )
 
 
 @dataclass(frozen=True)
-class _NotTruncated:
-    """Picklable filter body: keep rows whose value is not TRUNCATED."""
+class _Truncated:
+    """Picklable filter body: keep the TRUNCATED marker rows, or with
+    ``marked=False`` all other rows."""
+
+    marked: bool = True
 
     def __call__(self, v):
-        return v is not TRUNCATED
+        return (v is TRUNCATED) is self.marked
 
     def batch_call(self, values):
-        return [v is not TRUNCATED for v in values]
-
-
-@dataclass(frozen=True)
-class _IsTruncated:
-    """Picklable filter body: keep only TRUNCATED marker rows."""
-
-    def __call__(self, v):
-        return v is TRUNCATED
-
-    def batch_call(self, values):
-        return [v is TRUNCATED for v in values]
+        return [(v is TRUNCATED) is self.marked for v in values]
 
 
 def evaluate_signals(k_join2, on_short="raise"):
@@ -154,17 +151,14 @@ def evaluate_signals(k_join2, on_short="raise"):
     present = with_value.filter(col("v").is_not_null() if ABSENT is None
                                 else col("v") != ABSENT)
     if on_short == "skip":
-        present = present.filter(apply(_NotTruncated(), "v"))
+        present = present.filter(apply(_Truncated(marked=False), "v"))
     return present.select(*K_S_COLUMNS)
 
 
 def _payload_plane(column):
-    """``(bytes, starts, lengths)`` of a payload column.
-
-    The bytes are the column's payloads back to back plus the eight pad
-    bytes :func:`payload_words` needs. A packed plane contributes the
-    byte range its offsets cover as it lies -- no cell is sliced out.
-    """
+    """``(bytes, starts, lengths)`` of a payload column: its payloads
+    back to back -- a packed plane's byte range as it lies -- plus the
+    eight pad bytes :meth:`VectorTable.decode` needs."""
     if isinstance(column, BytesColumn) and column.decode is bytes:
         offsets = np.asarray(column.offsets).astype(np.intp)
         data = column.blob[offsets[0] : offsets[-1]]
@@ -186,71 +180,85 @@ def _cells(column):
     return cells
 
 
+class _RuleTable:
+    """A catalog's lines 4-6, compiled once per catalog object: its
+    rules numbered key by key, and per rule its output codes, last
+    relevant byte and row in :attr:`decoder` -- or -1 and closures in
+    :attr:`scalar` for a rule without a vector decode
+    (:attr:`scalar_rules` says which, and why)."""
+
+    def __init__(self, catalog):
+        self.keys = key_index(catalog)
+        by_key = {key: [] for key in self.keys.codes}
+        for u in catalog:
+            by_key[u.channel_id, u.message_id].append(u)
+        tuples = [u for rules in by_key.values() for u in rules]
+        # Rules per key; a row of no key (code -1) reads the trailing 0.
+        self.rule_counts = np.array(
+            [len(rules) for rules in by_key.values()] + [0], dtype=np.intp
+        )
+        self.first_rule = np.cumsum(self.rule_counts) - self.rule_counts
+        self.rules = [u.rule for u in tuples]
+        # s_id and b_id leave as DictColumns over the sorted distinct ids;
+        # a sequence code is the rank of its (s_id, b_id).
+        ids = [(u.signal_id, u.channel_id) for u in tuples]
+        self.signal_values, self.signals = _ranked([s for s, _b in ids])
+        self.channel_values, self.channels = _ranked([b for _s, b in ids])
+        self.sequences = _ranked(ids)[1]
+        #: reason -> the (b_id, m_id) of each rule that runs scalar.
+        self.scalar_rules, self.scalar = {}, {}
+        self.decoder_rows = np.full(len(tuples), -1, dtype=np.intp)
+        self.last = np.full(len(tuples), -1, dtype=np.intp)
+        decodes = []
+        for number, u in enumerate(tuples):
+            decode, reason = u.rule.vector_decode()
+            if decode is not None:
+                self.decoder_rows[number] = len(decodes)
+                self.last[number] = u.rule.encoding.byte_span()[1]
+                decodes.append(decode)
+                continue
+            self.scalar_rules.setdefault(reason, []).append(
+                (u.channel_id, u.message_id)
+            )
+            self.scalar[number] = (
+                u.rule.compile_extractor(), u.rule.compile_evaluator()
+            )
+        self.decoder = VectorTable(decodes)
+
+
+def _ranked(values):
+    """The sorted distinct *values*, and each value's rank among them."""
+    distinct = tuple(sorted(set(values)))
+    rank = {value: code for code, value in enumerate(distinct)}
+    return distinct, np.array([rank[v] for v in values], dtype=np.intp)
+
+
+_rule_table = per_catalog(_RuleTable)
+
+
 class _RuleKernels:
-    """Lines 4-6 as one task per partition, evaluated per rule.
+    """Lines 4-6 as one task per partition: one decode pass over every
+    ``K_join`` slot.
 
-    The partition's ``K_pre`` rows are grouped by ``(b_id, m_id)``; each
-    rule of a key then decodes all of the key's payloads in one
-    :meth:`~repro.core.rules.InterpretationRule.compile_vector_decoder`
-    call over words read directly from the payload plane. A payload too
-    short for a rule is found by a length mask and handled per
-    ``on_short`` exactly as :class:`_U1` does; a rule without a vector
-    kernel (:attr:`scalar_rules` says which, and why) runs its compiled
-    scalar closures over the rows of its key only, and is the one place
-    an ``m_info`` cell is read. Every value lands in the slot its
-    ``K_join`` row has in :func:`join_rules` order, so the ``K_s``
-    columns of the output (:attr:`COLUMNS`) equal
-    :func:`evaluate_signals`' row for row.
-
-    ``batch_call`` is the columnar form the engine's narrow task calls;
-    calling the object runs it over a row list.
+    The catalog's :class:`~repro.core.preselection.KeyIndex` gives each
+    ``K_pre`` row its key; ``np.repeat`` expands the rows into their
+    ``K_join`` slots in :func:`join_rules` order, each a row and a rule
+    of the :class:`_RuleTable`. The slots of vector rules decode in one
+    :meth:`~repro.protocols.signalcodec.VectorTable.decode` over the
+    packed payload plane; a payload too short for a rule is found by a
+    length mask and handled per ``on_short`` as :class:`_U1` does. A
+    rule without a vector decode runs its scalar closures over its
+    slots -- the one loop left, and the one place an ``m_info`` cell is
+    read. The ``K_s`` columns of the output (:attr:`COLUMNS`) equal
+    :func:`evaluate_signals`' row for row. ``batch_call`` is the
+    columnar form the engine's narrow task calls; calling the object
+    runs it over a row list.
     """
 
     def __init__(self, catalog, on_short="raise"):
         self.on_short = on_short
-        by_key = {}
-        for u in catalog:
-            by_key.setdefault((u.channel_id, u.message_id), []).append(u)
-        self._codes = {key: code for code, key in enumerate(by_key)}
-        #: reason -> the (b_id, m_id) of each rule that runs scalar.
-        self.scalar_rules = {}
-        # Per key, per rule in catalog order: (rule, last relevant byte,
-        # vector kernel), or (rule, None, scalar closures).
-        self._plans = []
-        widest = max(map(len, by_key.values()), default=0)
-        # s_id and b_id leave as DictColumns over the sorted distinct ids.
-        self._signal_values = tuple(sorted({u.signal_id for u in catalog}))
-        self._channel_values = tuple(sorted({u.channel_id for u in catalog}))
-        self._signal_codes = np.zeros((len(by_key), widest), dtype=np.intp)
-        self._channel_codes = np.array([
-            self._channel_values.index(b_id) for b_id, _m_id in by_key
-        ], dtype=np.intp)
-        rank = {pair: i for i, pair in enumerate(sorted(
-            {(u.signal_id, u.channel_id) for u in catalog}
-        ))}
-        self._sequences = np.zeros((len(by_key), widest), dtype=np.intp)
-        for code, (key, tuples) in enumerate(by_key.items()):
-            plan = []
-            for ordinal, u in enumerate(tuples):
-                self._signal_codes[code, ordinal] = \
-                    self._signal_values.index(u.signal_id)
-                self._sequences[code, ordinal] = rank[
-                    u.signal_id, u.channel_id
-                ]
-                rule = u.rule
-                kernel, reason = rule.compile_vector_decoder()
-                if kernel is not None:
-                    plan.append((rule, rule.encoding.byte_span()[1], kernel))
-                    continue
-                self.scalar_rules.setdefault(reason, []).append(key)
-                plan.append((rule, None, (
-                    rule.compile_extractor(), rule.compile_evaluator()
-                )))
-            self._plans.append(plan)
-        # Rules per key; a row of no key (code -1) reads the trailing 0.
-        self._rule_counts = np.array(
-            [len(plan) for plan in self._plans] + [0], dtype=np.intp
-        )
+        self._table = _rule_table(catalog)
+        self.scalar_rules = self._table.scalar_rules
 
     def __call__(self, rows):
         partition = ColumnarPartition.from_rows(rows, 5)
@@ -262,110 +270,83 @@ class _RuleKernels:
     COLUMNS = K_S_COLUMNS + ("seq",)
 
     def batch_call(self, partition):
+        table, on_short = self._table, self.on_short
         t, payloads, b_ids, m_ids, _m_info = partition.columns
-        n = len(partition)
-        codes = np.fromiter(
-            map(self._codes.get, zip(b_ids, m_ids), repeat(-1)), np.intp, n
-        )
-        # K_join order: row-major, a row's rules in catalog order. Slot
-        # first_slot[row] + ordinal is where that K_join row's value goes.
-        per_row = self._rule_counts[codes]
-        first_slot = np.cumsum(per_row) - per_row
+        codes = table.keys.lookup(b_ids, m_ids)
+        per_row = table.rule_counts[codes]
         total = int(per_row.sum())
-        values = np.empty(total, dtype=object)
-        keep = np.ones(total, dtype=bool)
+        row_of = np.repeat(np.arange(len(partition)), per_row)
+        # Slot s holds rule first_rule[key] + (s - the row's first slot).
+        rule_of = np.arange(total) + np.repeat(
+            table.first_rule[codes] - (np.cumsum(per_row) - per_row), per_row
+        )
         data, starts, lengths = _payload_plane(payloads)
-        blob = np.frombuffer(data, dtype=np.uint8)
+        decoder_rows = table.decoder_rows[rule_of]
+        short = lengths[row_of] <= table.last[rule_of]
+        fits = np.flatnonzero(~short & (decoder_rows >= 0))
+        values = np.empty(total, dtype=object)
+        values[fits] = table.decoder.decode(
+            np.frombuffer(data, dtype=np.uint8), starts[row_of[fits]],
+            decoder_rows[fits],
+        )
+        dropped = np.zeros(total, dtype=bool)
+        short = np.flatnonzero(short)
+        failure = int(short[0]) if len(short) and on_short == "raise" \
+            else None  # the first short K_join slot
+        if on_short == "keep":
+            values[short] = TRUNCATED
+        elif on_short == "skip":
+            dropped[short] = True
 
         def payload(row):
             return data[starts[row] : starts[row] + lengths[row]]
 
-        on_short = self.on_short
-        failure = None  # (row, ordinal, rule) of the first short K_join row
-        order = np.argsort(codes, kind="stable")
-        bounds = np.searchsorted(
-            codes[order], np.arange(len(self._plans) + 1)
-        )
-        for code in np.flatnonzero(np.diff(bounds)).tolist():
-            rows = order[bounds[code] : bounds[code + 1]]
-            key_starts, key_lengths = starts[rows], lengths[rows]
-            shortest = int(key_lengths.min())
-            slots = first_slot[rows]
-            words = {}  # (byte order, base) -> this key's payload words
-            for ordinal, (rule, last, kernel) in enumerate(self._plans[code]):
-                at = slots + ordinal
-                short = None
-                if last is None:
-                    out, short = self._scalar_rule(
-                        rule, kernel, rows, payload, partition
-                    )
-                    values[at[: len(out)]] = out
-                    keep[at[[
-                        k for k, v in enumerate(out)
-                        if v is ABSENT
-                        or (v is TRUNCATED and on_short == "skip")
-                    ]]] = False
-                elif shortest > last:
-                    word_dtype, base, decode = kernel
-                    if (word_dtype, base) not in words:
-                        words[word_dtype, base] = payload_words(
-                            blob, key_starts, base, word_dtype
-                        )
-                    values[at] = decode(words[word_dtype, base])
-                elif on_short == "raise":
-                    short = int(rows[key_lengths <= last][0])
-                else:
-                    word_dtype, base, decode = kernel
-                    fits = key_lengths > last
-                    values[at[fits]] = decode(payload_words(
-                        blob, key_starts[fits], base, word_dtype
-                    ))
-                    if on_short == "keep":
-                        values[at[~fits]] = TRUNCATED
-                    else:
-                        keep[at[~fits]] = False
-                if short is not None and (
-                    failure is None or (short, ordinal) < failure[:2]
+        if table.scalar:
+            slots = np.flatnonzero(decoder_rows < 0)
+            slots = slots[np.argsort(rule_of[slots], kind="stable")]
+            bounds = np.flatnonzero(np.diff(rule_of[slots])) + 1
+            for mine in np.split(slots, bounds) if len(slots) else ():
+                out = self._scalar_rule(
+                    int(rule_of[mine[0]]), row_of[mine], payload, partition
+                )
+                values[mine[: len(out)]] = out
+                dropped[mine[: len(out)]] = [
+                    v is ABSENT or (v is TRUNCATED and on_short == "skip")
+                    for v in out
+                ]
+                if len(out) < len(mine) and (
+                    failure is None or mine[len(out)] < failure
                 ):
-                    failure = (short, ordinal, rule)
+                    failure = int(mine[len(out)])
         if failure is not None:
-            row, _ordinal, rule = failure
-            # Raises: the row form words the error for every rule kind.
-            rule.extract_relevant(payload(row))
-        row_of = np.repeat(np.arange(n), per_row)
-        ordinal_of = np.arange(total) - first_slot[row_of]
-        key_of = codes[row_of]
-        columns = [
-            _cells(t)[row_of],
-            values,
-            self._signal_codes[key_of, ordinal_of],
-            self._channel_codes[key_of],
-            self._sequences[key_of, ordinal_of],
-        ]
-        if not keep.all():
-            columns = [column[keep] for column in columns]
-        times, values, signals, channels, sequences = columns
+            row = int(row_of[failure])
+            try:
+                table.rules[rule_of[failure]].extract_relevant(payload(row))
+            except ShortPayloadError as exc:
+                raise _in_frame(exc, t[row], b_ids[row], m_ids[row]) from None
+        if dropped.any():
+            kept = np.flatnonzero(~dropped)
+            row_of, rule_of, values = row_of[kept], rule_of[kept], values[kept]
+        times = _cells(t)[row_of]
         return ColumnarPartition([
             array("d", times.tobytes()) if times.dtype == np.float64
             else times.tolist(),
             values.tolist(),
-            DictColumn(code_array(signals, len(self._signal_values)),
-                       self._signal_values),
-            DictColumn(code_array(channels, len(self._channel_values)),
-                       self._channel_values),
-            sequences,
-        ], len(times))
+            DictColumn(code_array(table.signals[rule_of],
+                                  len(table.signal_values)),
+                       table.signal_values),
+            DictColumn(code_array(table.channels[rule_of],
+                                  len(table.channel_values)),
+                       table.channel_values),
+            table.sequences[rule_of],
+        ], len(values))
 
-    def _scalar_rule(self, rule, closures, rows, payload, partition):
-        """One scalar rule over its key's rows: ``(values, short row)``.
-
-        Under ``on_short="raise"`` evaluation stops at the first
-        truncated payload and reports its row. The ``m_info`` column is
-        indexed -- a packed cell decoded -- for a rule with
-        ``required_info`` only, at the rows of its key.
-        """
-        extract, evaluate = closures
-        reads_info = bool(rule.required_info)
+    def _scalar_rule(self, number, rows, payload, partition):
+        """Scalar rule *number* over *rows*: their values, up to the
+        first truncated payload under ``on_short="raise"``. ``m_info``
+        is indexed -- a cell decoded -- for ``required_info`` only."""
+        extract, evaluate = self._table.scalar[number]
+        reads_info = bool(self._table.rules[number].required_info)
         m_infos = partition.columns[4]
         out = []
         for i in rows.tolist():
@@ -373,11 +354,11 @@ class _RuleKernels:
                 l_rel = extract(payload(i))
             except ShortPayloadError:
                 if self.on_short == "raise":
-                    return out, i
+                    break
                 out.append(TRUNCATED)
                 continue
             out.append(evaluate(l_rel, m_infos[i] if reads_info else None))
-        return out, None
+        return out
 
 
 def _interpret(k_pre, catalog, on_short, kernels=None):
@@ -427,15 +408,13 @@ def interpret_under_policy(k_pre, config, kernels=None):
 
     The one place the policy is spelled out, for whole-trace and
     windowed runs alike; *kernels* is :func:`compile_under_policy`'s
-    task for the same config, when the caller keeps one. Returns
-    ``(k_s, counts)``: the cached ``K_s`` -- with
-    :attr:`_RuleKernels.COLUMNS` for a RuleCatalog -- and the
-    stage's counter increments by counter name --
-    ``short_payload_skipped`` under ``"skip"``, ``short_payload_kept``
-    under ``"keep"``, neither under ``"raise"`` (where a truncated
-    payload aborts with :class:`ShortPayloadError`), and per reason the
+    task for the same config, when the caller keeps one. Returns the
+    cached ``K_s`` (:attr:`_RuleKernels.COLUMNS` for a RuleCatalog)
+    and the stage's counter increments by name: ``short_payload_skipped``
+    under ``"skip"``, ``short_payload_kept`` under ``"keep"`` (under
+    ``"raise"`` a truncated payload aborts), and per reason the
     ``scalar_rules.<reason>`` / ``scalar_rows.<reason>`` (``K_join``
-    rows) that :class:`_RuleKernels` ran without a vector kernel.
+    rows) that :class:`_RuleKernels` ran without a vector decode.
     """
     k_s, kernels = _interpret(
         k_pre, config.catalog, _tolerance(config), kernels
@@ -452,11 +431,11 @@ def interpret_under_policy(k_pre, config, kernels=None):
             )
     if mode == "raise":
         return k_s, counts
-    truncated = k_s.filter(apply(_IsTruncated(), "v")).count()
+    truncated = k_s.filter(apply(_Truncated(), "v")).count()
     if mode == "keep":
         counts["short_payload_kept"] = truncated
         return k_s, counts
     if truncated:
-        k_s = k_s.filter(apply(_NotTruncated(), "v")).cache()
+        k_s = k_s.filter(apply(_Truncated(marked=False), "v")).cache()
     counts["short_payload_skipped"] = truncated
     return k_s, counts

@@ -18,6 +18,8 @@ Both are methods of :class:`InterpretationRule`, a frozen dataclass.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field, replace
 
 from repro.protocols.signalcodec import ShortPayloadError, SignalEncoding
@@ -209,15 +211,16 @@ class InterpretationRule:
 
         return evaluate
 
-    def compile_vector_decoder(self):
-        """``(kernel, None)`` or ``(None, reason)``: ``u_2 ∘ u_1`` per column.
+    def vector_decode(self):
+        """``(decode, None)`` or ``(None, reason)``: ``u_2 ∘ u_1`` per column.
 
-        *kernel* is the encoding's
-        :meth:`~SignalEncoding.compile_vector_decoder` over whole
-        payloads. A rule whose presence depends on the instance
-        (``required_info``, ``mux``, ``section``) or whose arithmetic
-        the kernel cannot reproduce exactly (``width``) has none, and
-        *reason* names why: its rows run the scalar closures.
+        *decode* is the encoding's
+        :meth:`~SignalEncoding.vector_decode` over whole payloads. A
+        rule whose presence depends on the instance (``required_info``,
+        ``mux``, ``section``) or whose arithmetic a
+        :class:`~repro.protocols.signalcodec.VectorTable` cannot
+        reproduce exactly (``width``) has none, and *reason* names why:
+        its rows run the scalar closures.
         """
         if self.required_info:
             return None, "required_info"
@@ -225,8 +228,8 @@ class InterpretationRule:
             return None, "mux"
         if self.section_bit is not None:
             return None, "section"
-        kernel = self.encoding.compile_vector_decoder()
-        return kernel, (None if kernel is not None else "width")
+        decode = self.encoding.vector_decode()
+        return decode, (None if decode is not None else "width")
 
     def describe(self):
         """Human-readable summary in the style of Table 1."""
@@ -258,6 +261,29 @@ class TranslationTuple:
 
 #: Column layout of a U_rel / U_comb table in the engine.
 U_REL_COLUMNS = ("s_id", "b_id", "m_id", "u_info")
+
+
+def per_catalog(build):
+    """*build* memoized per catalog object: the returned function calls
+    ``build(catalog)`` once for each :class:`RuleCatalog` it is given,
+    however often it is called with it. A catalog is frozen, so what is
+    compiled from it never goes stale; it is keyed by identity, as
+    hashing a catalog walks every rule.
+    """
+    built = {}  # id(catalog) -> (a weak reference to it, build(catalog))
+
+    @functools.wraps(build)
+    def compiled(catalog):
+        key = id(catalog)
+        entry = built.get(key)
+        if entry is None or entry[0]() is not catalog:
+            entry = built[key] = (
+                weakref.ref(catalog, lambda _ref: built.pop(key, None)),
+                build(catalog),
+            )
+        return entry[1]
+
+    return compiled
 
 
 @dataclass(frozen=True)

@@ -260,10 +260,15 @@ def compress_column(column, mask):
     """The cells of *column* whose *mask* entry is true (filters).
 
     A packed plane stays packed (:meth:`BytesColumn.gather` of the
-    selected positions); every other column compresses to a list.
+    selected positions), a dictionary-coded column compresses its codes
+    over the same values; every other column compresses to a list.
     """
     if isinstance(column, BytesColumn):
         return column.gather(compress(range(len(column)), mask))
+    if isinstance(column, DictColumn):
+        codes = column.codes
+        return DictColumn(array(_typecode(codes), compress(codes, mask)),
+                          column.values)
     return list(compress(column, mask))
 
 

@@ -194,12 +194,6 @@ class Table:
             for value in ordered
         }
 
-    def explain(self):
-        """Human-readable rendering of the logical plan."""
-        lines = []
-        _explain_node(self._plan, 0, lines)
-        return "\n".join(lines)
-
     # -- actions -----------------------------------------------------------
     def collect(self):
         """Execute the plan and return all rows as a list of tuples."""
@@ -243,22 +237,3 @@ class Table:
 def _split_group_order(value):
     """Deterministic ordering for heterogeneous split-group keys."""
     return (type(value).__name__, value)
-
-
-def _explain_node(node, depth, lines):
-    indent = "  " * depth
-    name = type(node).__name__
-    details = ""
-    if isinstance(node, logical.Source):
-        details = " partitions={} rows={}".format(
-            len(node.partitions), sum(len(p) for p in node.partitions)
-        )
-    elif isinstance(node, (logical.Join, logical.Sort)):
-        details = " keys={}".format(list(node.keys))
-    elif isinstance(node, logical.Repartition):
-        details = " n={}".format(node.num_partitions)
-    elif isinstance(node, logical.Project):
-        details = " columns={}".format(list(node.out_schema.names))
-    lines.append("{}{}{}".format(indent, name, details))
-    for child in node.children():
-        _explain_node(child, depth + 1, lines)

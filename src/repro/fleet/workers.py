@@ -16,6 +16,7 @@ sweep continues.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
 from multiprocessing.connection import wait
 
 # Imported here, not in the job, so a forked worker starts with them.
@@ -28,8 +29,30 @@ from repro.fleet.errors import JobError
 from repro.obs import MetricsRegistry, stopwatch
 from repro.tracefile import codec_for
 
-#: The stage a job's failure names when its exception carries none.
+#: The stage a job's failure names when no step of it reported one: a
+#: worker that died, a result the driver could not read, an error
+#: before the trace is opened.
 JOB_STAGE = "fleet.job"
+
+
+class StepError(Exception):
+    """A step of a job raised *cause*; *step* names the step. It crosses
+    the worker boundary as its two arguments, and :func:`run_jobs`
+    unwraps it into the failure's stage and cause."""
+
+    def __init__(self, step, cause):
+        super().__init__(step, cause)
+        self.step, self.cause = step, cause
+
+
+@contextmanager
+def step(name):
+    """Run the body as the job step *name*: what it raises fails the
+    job in stage *name*."""
+    try:
+        yield
+    except Exception as exc:
+        raise StepError(name, exc) from None
 
 
 def execute_trace_job(payload):
@@ -39,15 +62,20 @@ def execute_trace_job(payload):
     a worker process: the absolute trace path, the dataset name and the
     declarative parameter document. The returned dict is plain data
     (rows, counts, the report's dict form) -- exactly what gets
-    checkpointed and what the aggregation job consumes.
+    checkpointed and what the aggregation job consumes. A failure names
+    the step that raised: ``load`` (the trace codec) or ``pipeline``
+    (Algorithm 1).
     """
     bundle = build_dataset(SPECS[payload["dataset"]])
     config = config_from_dict(payload["params"], bundle.database)
     context = EngineContext.serial()
-    k_b = codec_for(payload["trace_path"]).load_table(
-        context, payload["trace_path"]
-    )
-    result = PreprocessingPipeline(config).run(k_b)
+    with step("load"):
+        k_b = codec_for(payload["trace_path"]).load_table(
+            context, payload["trace_path"]
+        )
+    with step("pipeline"):
+        result = PreprocessingPipeline(config).run(k_b)
+        r_rows = result.r_out.collect()
     return {
         "job_id": payload["job_id"],
         "index": payload["index"],
@@ -55,7 +83,7 @@ def execute_trace_job(payload):
         "trace_rows": k_b.count(),
         "rows_out": result.counts["r_out"],
         "r_columns": list(result.r_out.columns),
-        "r_rows": result.r_out.collect(),
+        "r_rows": r_rows,
         "counts": dict(result.counts),
         "classification": {
             s_id: list(pair)
@@ -187,7 +215,9 @@ def _receive(reader, process):
 
 
 def _job_error(job, exc):
-    stage = getattr(exc, "stage", None) or JOB_STAGE
+    stage = JOB_STAGE
+    if isinstance(exc, StepError):
+        stage, exc = exc.step, exc.cause
     return JobError(
         "job {!r} (trace {!r}) failed in stage {!r}: {}".format(
             job["job_id"], job["trace"], stage, exc
@@ -199,4 +229,5 @@ def _job_error(job, exc):
     )
 
 
-__all__ = ["JOB_STAGE", "execute_trace_job", "run_jobs"]
+__all__ = ["JOB_STAGE", "StepError", "execute_trace_job", "run_jobs",
+           "step"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +68,100 @@ def _motorola_bit_positions(start_bit, length):
     return positions_msb_first[::-1]
 
 
-class _Labels(dict):
-    """A value table that names unmapped raws the way ``decode`` does."""
+class VectorDecode(NamedTuple):
+    """How :class:`VectorTable` decodes one signal, as plain data: the
+    8-byte word at payload byte ``base`` in its byte order, shifted
+    right and masked, two's complement where ``sign_bit`` (the raw's top
+    bit) is set, then ``value_table``'s label or ``scale * raw +
+    offset`` -- an ``int`` where ``integral`` holds, else a ``float``."""
 
-    def __missing__(self, raw):
-        return "raw_{}".format(raw)
+    big_endian: bool
+    base: int
+    shift: int
+    mask: int
+    sign_bit: int
+    scale: float
+    offset: float
+    integral: bool
+    value_table: tuple
 
 
-def payload_words(blob, starts, base, word_dtype):
-    """One ``uint64`` per row: payload bytes ``base .. base + 7``.
+#: A :class:`VectorTable` row. ``sign_bit`` is 0 for a 64-bit signed raw
+#: (its int64 word is it); ``wide`` marks an unsigned 64-bit raw.
+_ROW = np.dtype([
+    ("big_endian", bool), ("base", np.intp), ("shift", np.uint64),
+    ("mask", np.uint64), ("sign_bit", np.int64), ("wide", bool),
+    ("scale", np.float64), ("offset", np.float64), ("integral", bool),
+    ("tabled", bool),
+])
 
-    *blob* is the ``uint8`` array all payloads lie in, *starts* each
-    row's payload offset in it. The blob must extend eight bytes past
-    the last payload: a word may read beyond its payload's end, and
-    :meth:`SignalEncoding.compile_vector_decoder` masks those bits off.
-    """
-    window = (starts + base)[:, None] + np.arange(8)
-    return blob[window].view(word_dtype)[:, 0]
+
+class VectorTable:
+    """The :class:`VectorDecode` parameters of many signals, one row
+    each, so that one :meth:`decode` pass reads slots of all of them."""
+
+    def __init__(self, decodes):
+        table = np.array([
+            (d.big_endian, d.base, d.shift, d.mask,
+             d.sign_bit if d.sign_bit < 1 << 63 else 0,
+             not d.sign_bit and d.mask == (1 << 64) - 1, d.scale, d.offset,
+             d.integral, bool(d.value_table)) for d in decodes
+        ], dtype=_ROW)
+        # field name -> its column, one entry per signal
+        self._columns = {name: table[name].copy() for name in _ROW.names}
+        self._tables = [dict(d.value_table) for d in decodes]
+
+    def decode(self, blob, positions, rows):
+        """An object array: slot *i* decodes signal ``rows[i]`` from the
+        payload at byte ``positions[i]`` of *blob* as
+        :meth:`SignalEncoding.decode` would. *blob* is ``uint8`` with
+        eight pad bytes at its end: a word may read past its payload,
+        and the mask removes those bits."""
+        column = self._columns
+        # Element i of this view is the little-endian word at byte i.
+        words = np.ndarray((len(blob) - 7,), "<u8", blob, strides=(1,))[
+            positions + column["base"][rows]
+        ]
+        big = column["big_endian"][rows]
+        if big.any():
+            words = np.where(big, words.byteswap(), words)
+        raw = (words >> column["shift"][rows]) & column["mask"][rows]
+        sign = column["sign_bit"][rows]
+        raws = (raw.view(np.int64) ^ sign) - sign
+        physical = raws.astype(np.float64)
+        wide = column["wide"][rows]
+        physical[wide] = raw[wide].astype(np.float64)
+        physical *= column["scale"][rows]
+        physical += column["offset"][rows]
+        values = np.empty(len(rows), dtype=object)
+        ints, tabled = column["integral"][rows], column["tabled"][rows]
+        floats = np.flatnonzero(~(ints | tabled))
+        values[floats] = physical[floats]
+        ints = np.flatnonzero(ints)
+        values[ints] = physical[ints].astype(np.int64)
+        if tabled.any():
+            values[tabled] = self._label(rows[tabled], raws[tabled],
+                                         wide[tabled])
+        return values
+
+    def _label(self, rows, raws, wide):
+        """The labels of ``(rows[i], raws[i])``, each distinct pair
+        looked up once; a *wide* raw comes as its int64 bits."""
+        order = np.lexsort((raws, rows))
+        rows, raws, wide = rows[order], raws[order], wide[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (raws[1:] != raws[:-1])
+        firsts = np.flatnonzero(new)
+        labels = np.empty(len(firsts), dtype=object)
+        for i, (row, raw, unsigned) in enumerate(zip(
+            rows[firsts].tolist(), raws[firsts].tolist(),
+            wide[firsts].tolist(),
+        )):
+            raw = raw % (1 << 64) if unsigned else raw
+            labels[i] = self._tables[row].get(raw, "raw_{}".format(raw))
+        out = np.empty(len(order), dtype=object)
+        out[order] = labels[np.cumsum(new) - 1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -231,47 +309,28 @@ class SignalEncoding:
     def compile_raw_extractor(self):
         """Build a closure equivalent to :meth:`extract_raw`.
 
-        All spec-derived geometry (bit positions, spans, masks) is
-        hoisted out of the per-payload path: both byte orders read
-        their bits as one contiguous run of an ``int.from_bytes``
-        integer -- little-endian for Intel, big-endian for Motorola
-        (the sawtooth walk is exactly descending big-endian
-        significance). The engine's columnar batch kernels use this to
-        decode whole partitions without re-deriving the layout per row.
+        All spec-derived geometry is hoisted out of the per-payload
+        path: both byte orders read their bits as one run of an
+        ``int.from_bytes`` integer -- big-endian for Motorola, whose
+        sawtooth is descending big-endian significance, so its shift
+        counts from the payload's end.
         """
-        length = self.bit_length
-        mask = (1 << length) - 1
+        length, signed = self.bit_length, self.signed
+        mask, half, full = (1 << length) - 1, 1 << (length - 1), 1 << length
         required = self.required_payload_length()
-        span_last = self.byte_span()[1]
-        signed = self.signed
-        half = 1 << (length - 1)
-        full = 1 << length
-        short = (
-            "payload of {} bytes too short for signal spanning byte {}"
-        )
+        short = "payload of {{}} bytes too short for signal spanning " \
+            "byte {}".format(required - 1)
         if self.byte_order == INTEL:
-            shift = self.start_bit
-
-            def extract(payload):
-                if len(payload) < required:
-                    raise ShortPayloadError(
-                        short.format(len(payload), span_last)
-                    )
-                raw = (int.from_bytes(payload, "little") >> shift) & mask
-                if signed and raw >= half:
-                    raw -= full
-                return raw
-
-            return extract
-
-        byte_index = self.start_bit // 8
-        in_byte = self.start_bit % 8
+            order, stride, shift = "little", 0, self.start_bit
+        else:
+            order, stride = "big", 8
+            shift = self.start_bit % 8 - 8 * (self.start_bit // 8) - length - 7
 
         def extract(payload):
             if len(payload) < required:
-                raise ShortPayloadError(short.format(len(payload), span_last))
-            shift = 8 * (len(payload) - 1 - byte_index) + in_byte - length + 1
-            raw = (int.from_bytes(payload, "big") >> shift) & mask
+                raise ShortPayloadError(short.format(len(payload)))
+            raw = (int.from_bytes(payload, order) >> (stride * len(payload)
+                                                      + shift)) & mask
             if signed and raw >= half:
                 raw -= full
             return raw
@@ -285,100 +344,62 @@ class SignalEncoding:
         decision are resolved once instead of per payload.
         """
         extract = self.compile_raw_extractor()
-        if self.value_table:
-            table = dict(self.value_table)
-
-            def decode(payload):
-                raw = extract(payload)
-                return table.get(raw, "raw_{}".format(raw))
-
-            return decode
+        table = dict(self.value_table)
         scale, offset = self.scale, self.offset
-        if scale == int(scale) and offset == int(offset):
-
-            def decode(payload):
-                physical = extract(payload) * scale + offset
-                if float(physical).is_integer():
-                    return int(physical)
-                return physical
-
-            return decode
+        integral = scale == int(scale) and offset == int(offset)
 
         def decode(payload):
-            return extract(payload) * scale + offset
+            raw = extract(payload)
+            if table:
+                return table.get(raw, "raw_{}".format(raw))
+            physical = raw * scale + offset
+            if integral and float(physical).is_integer():
+                return int(physical)
+            return physical
 
         return decode
 
-    def compile_vector_decoder(self):
-        """Build the whole-column twin of :meth:`compile_decoder`.
-
-        Returns ``(word_dtype, base, decode)`` -- ``decode`` maps the
-        ``uint64`` words :func:`payload_words` reads at payload byte
-        *base* in *word_dtype*'s byte order to the list of Python values
-        :meth:`decode` yields for the same payloads, equal in value and
-        type -- or None where that cannot be promised: a signal spanning
-        nine bytes, or a linear mapping whose result Python computes
-        with arbitrary-precision ints beyond what ``float64`` /
-        ``int64`` hold exactly.
-        """
+    def vector_decode(self):
+        """The :class:`VectorDecode` under which :class:`VectorTable`
+        yields what :meth:`decode` yields, in value and type -- or None
+        where that cannot be promised: a nine-byte span, or a mapping
+        Python computes with ints beyond what ``float64`` / ``int64``
+        hold exactly."""
         first, last = self.byte_span()
         base = 0 if last < 8 else first
         if last - base >= 8:
             return None
         length = self.bit_length
-        if self.byte_order == INTEL:
-            word_dtype, shift = "<u8", self.start_bit - 8 * base
-        else:
+        big_endian = self.byte_order == MOTOROLA
+        if big_endian:
             # Descending big-endian significance, as the scalar form.
-            word_dtype = ">u8"
             shift = 8 * (7 - first + base) + self.start_bit % 8 - length + 1
-        shift, mask = np.uint64(shift), np.uint64((1 << length) - 1)
-        sign_bit = np.int64(1 << (length - 1)) if length < 64 else None
-        signed = self.signed
-
-        def raw_of(words):
-            raw = (words >> shift) & mask
-            if not signed:
-                return raw
-            raw = raw.view(np.int64)
-            return raw if sign_bit is None else (raw ^ sign_bit) - sign_bit
-
-        if self.value_table:
-            label = _Labels(self.value_table).__getitem__
-
-            def decode(words):
-                return list(map(label, raw_of(words).tolist()))
-
-            return word_dtype, base, decode
-        scale, offset = self.scale, self.offset
-        lo, hi = self._raw_bounds()
-        if not (type(scale) is float and type(offset) is float):
-            # Python multiplies and adds ints exactly; float64 agrees
-            # only while every intermediate stays below 2**53.
-            if not all(isinstance(x, (int, float)) for x in (scale, offset)):
+        else:
+            shift = self.start_bit - 8 * base
+        scale, offset, integral = 1.0, 0.0, False
+        if not self.value_table:
+            scale, offset = self.scale, self.offset
+            lo, hi = self._raw_bounds()
+            if not (type(scale) is float and type(offset) is float):
+                # Python multiplies and adds ints exactly; float64 agrees
+                # only while every intermediate stays below 2**53.
+                if not all(isinstance(x, (int, float))
+                           for x in (scale, offset)):
+                    return None
+                if any(abs(r * scale) > 2 ** 53
+                       or abs(r * scale + offset) > 2 ** 53 for r in (lo, hi)):
+                    return None
+                scale, offset = float(scale), float(offset)
+            integral = scale == int(scale) and offset == int(offset)
+            # The mapping is monotone, so the raw bounds bound every
+            # value: all finite, and int64 where decode returns ints.
+            limit = 2 ** 63 if integral else math.inf
+            if any(not abs(float(r) * scale + offset) < limit
+                   for r in (lo, hi)):
                 return None
-            if any(
-                abs(r * scale) > 2 ** 53 or abs(r * scale + offset) > 2 ** 53
-                for r in (lo, hi)
-            ):
-                return None
-            scale, offset = float(scale), float(offset)
-        integral = scale == int(scale) and offset == int(offset)
-        # The mapping is monotone, so the raw bounds bound every value:
-        # all must be finite, and int64 where decode returns ints.
-        limit = 2 ** 63 if integral else math.inf
-        if any(not abs(float(r) * scale + offset) < limit for r in (lo, hi)):
-            return None
-
-        def decode(words):
-            physical = raw_of(words).astype(np.float64)
-            physical *= scale
-            physical += offset
-            if integral:
-                return physical.astype(np.int64).tolist()
-            return physical.tolist()
-
-        return word_dtype, base, decode
+        return VectorDecode(big_endian, base, shift, (1 << length) - 1,
+                            1 << (length - 1) if self.signed else 0, scale,
+                            offset, integral, self.value_table)
 
     # -- physical <-> raw ------------------------------------------------------
     def decode(self, payload):

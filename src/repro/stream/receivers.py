@@ -141,10 +141,25 @@ class ReplaySource(FrameSource):
                            kind="stable")
         if (order != np.arange(len(order))).any():
             block = block.gather(order)
-        self._channels = sorted(dict.fromkeys(block.columns[2]), key=str)
+        channels, coded = block.columns[2], None
+        if isinstance(channels, DictColumn):
+            # A trace file's coded column: rank its values, not its frames.
+            coded = np.asarray(channels.codes, dtype=np.intp)
+            present = np.bincount(coded, minlength=len(channels.values))
+            names = dict.fromkeys(
+                value for value, count in zip(channels.values, present)
+                if count
+            )
+        else:
+            names = dict.fromkeys(channels)
+        self._channels = sorted(names, key=str)
         rank = {channel: code for code, channel in enumerate(self._channels)}
-        self._codes = np.fromiter(map(rank.__getitem__, block.columns[2]),
-                                  np.intp, len(block))
+        if coded is None:
+            self._codes = np.fromiter(map(rank.__getitem__, channels),
+                                      np.intp, len(block))
+        else:
+            self._codes = np.array([rank.get(value, -1) for value in
+                                    channels.values], dtype=np.intp)[coded]
         # A frame's channel is its b_id, so the codes code that column.
         columns = list(block.columns)
         columns[2] = DictColumn(code_array(self._codes, len(rank)),

@@ -25,7 +25,8 @@ the layout's is a *hit*, framed by the layout's offsets; any other is
 walked (:func:`_walk`). A hit is exact: the framing checks a walk makes
 -- which bounds, which tags -- depend only on the header key, the
 structural bytes and the file length, all three as in the record the
-layout was compiled from. The channel is decoded once per layout.
+layout was compiled from. The channel is decoded and coded once per
+layout.
 
 Compiles follow the input: a key compiles when two of its walked
 records in a row have the same length, once more at most after its
@@ -52,7 +53,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.columnar import BytesColumn, ColumnarPartition
+from repro.engine.columnar import (
+    BytesColumn,
+    ColumnarPartition,
+    DictColumn,
+    code_array,
+)
 from repro.engine.operations import split_evenly
 
 MAGIC = b"IVNTRACE"
@@ -221,8 +227,8 @@ class _Layout:
     """A record's layout as :func:`_walk` found it (offsets relative to
     the record); :meth:`compile` makes its mask usable."""
 
-    __slots__ = ("size", "payload_at", "info_at", "b_id", "m_id", "mask",
-                 "want")
+    __slots__ = ("size", "payload_at", "info_at", "b_id", "channel", "m_id",
+                 "mask", "want")
 
     def compile(self, data, pos):
         self.mask = int.from_bytes(b"".join(self.mask), "little")
@@ -280,8 +286,10 @@ def _walk(data, pos, size):
 
 def _scan(data):
     """Check the framing of *data*; return its records as ``.ctrc``'s
-    columns: ``t`` as ``array('d')``, a payload plane, shared channel
-    strings, ``m_id`` as ``array('Q')`` and a packed ``m_info`` plane."""
+    columns: ``t`` as ``array('d')``, a payload plane, the channels as a
+    :class:`DictColumn` (each layout's code, appended as a hit or walk
+    finds it), ``m_id`` as ``array('Q')`` and a packed ``m_info``
+    plane."""
     size = len(data)
     if size < _HEADER.size:
         raise BinaryTraceError(TRUNCATED)
@@ -290,10 +298,10 @@ def _scan(data):
         raise BinaryTraceError("bad magic {!r}".format(magic))
     if version != VERSION:
         raise BinaryTraceError("unsupported version {}".format(version))
-    starts, m_ids = array("q"), array("Q")
-    channels, payloads, infos = [], [], []
-    add_start, add_channel, add_m_id, add_payload, add_info = (
-        starts.append, channels.append, m_ids.append, payloads.append,
+    starts, m_ids, codes = array("q"), array("Q"), array("I")
+    channels, payloads, infos = {}, [], []  # channel -> its code
+    add_start, add_code, add_m_id, add_payload, add_info = (
+        starts.append, codes.append, m_ids.append, payloads.append,
         infos.append,
     )
     layouts = {}  # key -> (its compiled layout, info_at, size, mask, want)
@@ -322,6 +330,7 @@ def _scan(data):
                     layout = None
         if layout is None:
             layout, end = _walk(data, pos, size)
+            layout.channel = channels.setdefault(layout.b_id, len(channels))
             cell = data[pos + layout.info_at : end]
             streak += 1
             if key is not None:
@@ -336,7 +345,7 @@ def _scan(data):
                                     layout.mask, layout.want)
                     compiles += 1
         add_start(pos)
-        add_channel(layout.b_id)
+        add_code(layout.channel)
         add_m_id(layout.m_id)
         add_payload(data[pos + layout.payload_at : pos + layout.info_at])
         add_info(cell)
@@ -350,8 +359,10 @@ def _scan(data):
         np.frombuffer(starts, np.int64)[:, None] + np.arange(8)
     ]
     return [array("d", times.view("<f8").astype(np.float64).tobytes()),
-            BytesColumn.from_values(payloads), channels, m_ids,
-            BytesColumn.from_values(infos, _unpack_cell)]
+            BytesColumn.from_values(payloads),
+            DictColumn(code_array(np.frombuffer(codes, np.uint32),
+                                  len(channels)), tuple(channels)),
+            m_ids, BytesColumn.from_values(infos, _unpack_cell)]
 
 
 class PackedRecords(Sequence):

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.columnar import BytesColumn
+from repro.engine.columnar import BytesColumn, DictColumn
 from repro.engine.errors import PlanError
 from repro.tracefile.binlog import (
     TRUNCATED,
@@ -299,9 +299,9 @@ class ColumnarTraceReader:
         return self._channel_indices
 
     def channel_column(self):
-        """The ``b_id`` column as shared ``str`` objects."""
-        channels = self.channels
-        return [channels[i] for i in self._channel_indices]
+        """The ``b_id`` column as it is stored: a :class:`DictColumn` of
+        the dictionary indices over the channel names -- no decode."""
+        return DictColumn(self._channel_indices, self.channels)
 
     def payload_column(self):
         """The payload column as a lazily-materializing :class:`BytesColumn`."""
@@ -341,8 +341,10 @@ def load_table(context, path, num_partitions=None):
     """Load a columnar trace as a K_b table over mmap-backed partitions.
 
     The Source node holds :class:`ColumnarPartition` objects whose
-    ``(t, m_id)`` columns are raw file views; nothing is decoded until
-    a task reads (not merely moves) a payload or info cell.
+    ``(t, b_id, m_id)`` columns are raw file views -- ``b_id`` a
+    :class:`DictColumn` of the stored channel indices -- and nothing is
+    decoded until a task reads (not merely moves) a payload or info
+    cell.
     """
     from repro.protocols.frames import BYTE_RECORD_COLUMNS
 

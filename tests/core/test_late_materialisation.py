@@ -228,14 +228,17 @@ def test_gated_rule_reads_info_through_every_u2_form(wiper_database):
     out = task.batch_call(partition).column(1)
     assert infos.read == [0, 1]
     expected = [
-        _U2()(_U1()(payload, u.rule), m, u.rule)
-        for m, u in zip(infos.cells, tuples)
+        _U2()(_U1()(payload, u.rule, t, u.channel_id, u.message_id), m,
+              u.rule)
+        for t, m, u in zip(partition.column(0), infos.cells, tuples)
     ]
     assert expected[1] is None and expected[0] == expected[2] == expected[3]
     assert out == [v for v in expected if v is not None]
     evaluate = gated.rule.compile_evaluator()
-    assert [evaluate(_U1()(payload, gated.rule), m) for m in infos.cells[:2]] \
-        == expected[:2]
+    assert [
+        evaluate(_U1()(payload, gated.rule, t, "FC", 1), m)
+        for t, m in zip(partition.column(0), infos.cells[:2])
+    ] == expected[:2]
 
 
 @pytest.mark.parametrize(

@@ -83,7 +83,7 @@ class TestPreselection:
         """On the packed ``m_id``/``b_id`` columns a trace file loads
         into, the whole-column form keeps exactly the rows the per-row
         predicate keeps, and so does the filter either way."""
-        from repro.core.preselection import _KeyMember
+        from repro.core.preselection import _KeyMember, key_index
         from repro.datasets import SPECS, build_dataset
         from repro.engine import EngineContext
         from repro.tracefile import binlog, colbin
@@ -98,7 +98,7 @@ class TestPreselection:
             u for u in bundle.catalog()
             if (u.message_id, u.channel_id) in kept
         ))
-        member = _KeyMember(catalog.preselection_keys())
+        member = _KeyMember(key_index(catalog))
         k_b = codec.load_table(EngineContext.serial(), path).cache()
         masks = []
         for partition in k_b.plan.partitions:
@@ -301,8 +301,9 @@ class TestBatchInterpretation:
         ]
         u1, u2 = _U1(), _U2()
         expected = [
-            (t, u2(u1(l, u.rule), m_info, u.rule), u.signal_id, b_id)
-            for t, l, b_id, _m_id, m_info in rows
+            (t, u2(u1(l, u.rule, t, b_id, m_id), m_info, u.rule),
+             u.signal_id, b_id)
+            for t, l, b_id, m_id, m_info in rows
             for u in wiper_catalog
         ]
         task = _RuleKernels(wiper_catalog)

@@ -149,7 +149,8 @@ def test_mixed_length_group_in_every_mode():
     assert [row[1] for row in skipped if row[2] == "mode"] == ["on", "err"]
     # The first short K_join row is (t=0.5, vel): rows before rules.
     assert _interpret(rows, 1, "raise") == (
-        "payload of 3 bytes too short for relevant bytes 2..3"
+        "frame t=0.5 b_id 'FC' m_id 3: payload of 3 bytes too short for "
+        "relevant bytes 2..3"
     )
     for on_short in ("raise", "skip", "keep"):
         assert _typed(_interpret(rows, 1, on_short)) == \
@@ -231,7 +232,7 @@ def test_showcase_rules_through_the_scalar_fallback(tmp_path):
         per_key[m_id, b_id] = per_key.get((m_id, b_id), 0) + 1
     expected = {}
     for u in catalog:
-        reason = u.rule.compile_vector_decoder()[1]
+        reason = u.rule.vector_decode()[1]
         if reason is not None:
             rules = "scalar_rules." + reason
             rows = "scalar_rows." + reason

@@ -50,7 +50,7 @@ class TestFleetCommands:
         assert code == 1
         assert "1 failed" in text
         [line] = [x for x in text.splitlines() if x.startswith("failed :")]
-        assert line.startswith("failed : {} trace={} stage=fleet.job: "
+        assert line.startswith("failed : {} trace={} stage=load: "
                                "job ".format(victim.job_id, victim.trace))
         assert "attempts" not in line
 

@@ -154,7 +154,7 @@ class TestFailureIsolation:
         assert set(result.failed) == {victim.job_id}
         row = result.failed[victim.job_id]
         assert row["trace"] == victim.trace
-        assert row["stage"] == "fleet.job"
+        assert row["stage"] == "load"
         assert row["cause"] == "TraceFormatError"
         # The survivors still aggregated.
         assert result.summary["completed"] == NUM_TRACES - 1
@@ -162,6 +162,9 @@ class TestFailureIsolation:
         report = json.loads((run_dir / fleet.REPORT_FILE).read_text())
         validate_report(report)
         assert report["failures"][0]["job_id"] == victim.job_id
+        assert report["failures"][0]["stage"] == "load"
+        summary = json.loads((run_dir / fleet.SUMMARY_FILE).read_text())
+        assert [f["stage"] for f in summary["failures"]] == ["load"]
 
     def test_resume_retries_failed_job(self, run_dir, fleet_template):
         victim = self._poison_one_trace(run_dir)

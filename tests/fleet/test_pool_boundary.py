@@ -26,6 +26,7 @@ from repro.core.rules import TRUNCATED, RuleError
 from repro.engine.errors import ExecutionError, PlanError, SchemaError
 from repro.fleet import JobError, run_jobs
 from repro.fleet.catalog import JobCatalog
+from repro.fleet.workers import step
 from repro.network.database import DatabaseError
 from repro.protocols.signalcodec import CodecError, ShortPayloadError
 from repro.tracefile import (
@@ -35,7 +36,7 @@ from repro.tracefile import (
 )
 
 class StagedError(RuntimeError):
-    """An error naming the stage it failed in, as a job's cause may."""
+    """An error with an attribute of its own, which must come back."""
 
     def __init__(self, message, stage=None):
         super().__init__(message)
@@ -67,6 +68,11 @@ CAUSES = [
 
 def raise_cause(payload):
     raise CAUSES[payload["index"]]
+
+
+def raise_cause_in_a_step(payload):
+    with step("pipeline"):
+        raise_cause(payload)
 
 
 class TwoPartError(Exception):
@@ -142,13 +148,18 @@ class TestJobCauses:
         assert error.job_id == _job(index)["job_id"]
         assert _same(error.cause, CAUSES[index])
 
-    def test_a_staged_error_names_its_stage_across_the_pool(
-        self, pooled_causes
-    ):
+    def test_a_staged_error_names_its_stage_across_the_pool(self):
+        """The step a job failed in comes back with its cause: the
+        failure names the step, not an attribute of the cause."""
         index = next(
             i for i, cause in enumerate(CAUSES) if type(cause) is StagedError
         )
-        assert pooled_causes[index].stage == "lines-10-29"
+        landed = _sweep_within(
+            60, [_job(index), _job(0)], fn=raise_cause_in_a_step, workers=2,
+        )
+        for i in (index, 0):
+            assert landed[i].stage == "pipeline"
+            assert _same(landed[i].cause, CAUSES[i])
 
     def test_a_cause_the_driver_cannot_rebuild_fails_its_job_only(self):
         landed = _sweep_within(
@@ -240,6 +251,37 @@ class TestJourneys:
         assert isinstance(error, JobError)
         assert type(error.cause) is loader_error
         assert error.trace == payload["trace"]
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failure_names_the_step_that_raised(
+        self, workers, journeys, tmp_path
+    ):
+        """A corrupt ``.ctrc`` fails in ``load``; a payload too short
+        for its rules, under ``short_payload: "raise"``, in
+        ``pipeline``; both in the driver and across the pool."""
+        from repro.tracefile import binlog
+
+        corrupt = dict(journeys["ctrc"], index=0,
+                       trace_path=str(tmp_path / "corrupt.ctrc"))
+        with open(corrupt["trace_path"], "wb") as handle:
+            handle.write(b"this is not a trace\n")
+        records = list(binlog.load_records(journeys["btrc"]["trace_path"]))
+        cut = len(records) // 2
+        records[cut] = (records[cut][0], b"") + tuple(records[cut][2:])
+        truncated = dict(
+            journeys["btrc"], index=1,
+            trace_path=str(tmp_path / "truncated.btrc"),
+            params=dict(journeys["btrc"]["params"], short_payload="raise"),
+        )
+        binlog.dump_records(records, truncated["trace_path"])
+        landed = _sweep_within(60, [corrupt, truncated], workers=workers)
+        assert landed[0].stage == "load"
+        assert type(landed[0].cause) is ColumnarTraceError
+        assert "failed in stage 'load'" in str(landed[0])
+        assert landed[1].stage == "pipeline"
+        assert "frame t={!r}".format(records[cut][0]) in str(landed[1])
+        assert landed[1].to_dict()["stage"] == "pipeline"
 
 
 class Unreadable:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.errors import ExecutionError
 from repro.fleet import JobError, run_jobs
-from repro.fleet.workers import JOB_STAGE
+from repro.fleet.workers import JOB_STAGE, StepError, step
 from repro.obs import MetricsRegistry
 
 
@@ -153,11 +153,19 @@ class TestPool:
 
 
 class StagedError(RuntimeError):
+    """An exception with a ``stage`` attribute: not a step, so the
+    failure keeps the job stage."""
+
     stage = "lines-10-29"
 
 
 def explode_in_a_stage(payload):
     raise StagedError("bad window in {}".format(payload["trace"]))
+
+
+def explode_in_a_step(payload):
+    with step("pipeline"):
+        raise ValueError("bad window in {}".format(payload["trace"]))
 
 
 def unpicklable_result(payload):
@@ -181,10 +189,21 @@ class TestJobErrors:
         assert error.stage == JOB_STAGE
         assert error.to_dict()["cause"] == "ValueError"
 
-    def test_stage_taken_from_the_cause(self):
+    def test_stage_taken_from_the_step(self):
+        error = _one(_job(0), fn=explode_in_a_step)
+        assert error.stage == "pipeline"
+        assert "in stage 'pipeline': bad window in traces/j0.trc" in str(error)
+        assert type(error.cause) is ValueError
+        assert error.to_dict()["cause"] == "ValueError"
+
+    def test_a_stage_attribute_of_the_cause_is_not_a_step(self):
         error = _one(_job(0), fn=explode_in_a_stage)
-        assert error.stage == "lines-10-29"
-        assert "in stage 'lines-10-29'" in str(error)
+        assert error.stage == JOB_STAGE
+        assert type(error.cause) is StagedError
+
+    def test_a_step_error_is_its_step_and_cause(self):
+        error = StepError("load", KeyError("x"))
+        assert (error.step, type(error.cause)) == ("load", KeyError)
 
 
 class TestPoolFailures:

@@ -1,9 +1,10 @@
 """The whole-column decoder is the scalar decoder, value for value.
 
-``compile_vector_decoder`` either returns the values ``decode`` returns
--- equal and of the same Python type, for every width, byte order,
-signedness, mapping and raw the encoding can hold -- or returns None
-and leaves the rule to the scalar path; it never differs. Also here:
+A ``VectorTable`` row built from ``vector_decode`` yields the values
+``decode`` returns -- equal and of the same Python type, for every
+width, byte order, signedness, mapping and raw the encoding can hold --
+or ``vector_decode`` returns None and leaves the rule to the scalar
+path; it never differs. Also here:
 the closed-form geometry the kernels' length check reads, and the
 rejection of non-finite scalings no decoder could evaluate.
 """
@@ -18,7 +19,7 @@ from repro.protocols.signalcodec import (
     MOTOROLA,
     CodecError,
     SignalEncoding,
-    payload_words,
+    VectorTable,
 )
 
 BYTE_ORDERS = st.sampled_from([INTEL, MOTOROLA])
@@ -69,15 +70,21 @@ def payloads_for(draw, encoding):
 
 
 def _vector_decode(encoding, payloads):
-    """``decode`` per payload through the vector kernel, or None."""
-    kernel = encoding.compile_vector_decoder()
-    if kernel is None:
+    """``decode`` per payload through a table of the encoding and two
+    other signals, one pass over all three's slots, or None."""
+    decode = encoding.vector_decode()
+    if decode is None:
         return None
-    word_dtype, base, decode = kernel
+    others = [SignalEncoding(3, 5, MOTOROLA, signed=True).vector_decode(),
+              SignalEncoding(0, 2, value_table=((1, "x"),)).vector_decode()]
+    table = VectorTable(others[:1] + [decode] + others[1:])
     lengths = np.array([len(p) for p in payloads])
     blob = np.frombuffer(b"".join(payloads) + bytes(8), dtype=np.uint8)
     starts = np.cumsum(lengths) - lengths
-    return decode(payload_words(blob, starts, base, word_dtype))
+    # Each payload once per signal, slots of the three interleaved.
+    rows = np.tile([0, 1, 2], len(payloads))
+    values = table.decode(blob, np.repeat(starts, 3), rows).tolist()
+    return values[1::3]
 
 
 def _typed(values):
@@ -128,7 +135,7 @@ def test_64_bit_unsigned_edge_falls_back_rather_than_differ():
     declines and the scalar decoder keeps producing today's value."""
     encoding = SignalEncoding(0, 64, scale=1.0)
     assert encoding.decode(b"\xff" * 8) == 18446744073709551616
-    assert encoding.compile_vector_decoder() is None
+    assert encoding.vector_decode() is None
     # Two bits narrower, float(raw) stays below 2**63 and is exact.
     narrower = SignalEncoding(0, 62, scale=1.0)
     assert _typed(_vector_decode(narrower, [b"\xff" * 8])) == _typed(
@@ -142,11 +149,11 @@ def test_64_bit_unsigned_edge_falls_back_rather_than_differ():
 
 
 def test_nine_byte_spans_and_inexact_int_arithmetic_fall_back():
-    assert SignalEncoding(4, 64).compile_vector_decoder() is None
-    assert SignalEncoding(3, 62, MOTOROLA).compile_vector_decoder() is None
+    assert SignalEncoding(4, 64).vector_decode() is None
+    assert SignalEncoding(3, 62, MOTOROLA).vector_decode() is None
     # Python computes raw * 3 exactly; float64 cannot beyond 2**53.
-    assert SignalEncoding(0, 60, scale=3).compile_vector_decoder() is None
-    assert SignalEncoding(0, 16, scale=3).compile_vector_decoder() is not None
+    assert SignalEncoding(0, 60, scale=3).vector_decode() is None
+    assert SignalEncoding(0, 16, scale=3).vector_decode() is not None
 
 
 def test_unmapped_raws_are_named_like_decode():

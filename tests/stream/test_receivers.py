@@ -5,6 +5,7 @@ travel as column blocks; :func:`pairs` turns them back into tuples."""
 from __future__ import annotations
 
 import asyncio
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,37 @@ class TestReplaySource:
         assert frames.block.columns[4].decode is binlog._unpack_cell
         assert frames.block.columns[4].blob == view.partition.columns[4].blob
         assert pairs(frames) == [(r[2], r) for r in sorted(view)]
+
+    @pytest.mark.parametrize("suffix", [".btrc", ".ctrc"])
+    def test_a_coded_channel_column_is_ranked_like_the_rows(
+        self, tmp_path, suffix
+    ):
+        """A trace file's dictionary-coded channels give the channels and
+        per-frame codes the row form gives, also where the dictionary
+        holds a value no frame has or one value twice."""
+        from repro.engine.columnar import ColumnarPartition, DictColumn
+        from repro.tracefile import codec_for
+        from repro.tracefile.binlog import PackedRecords
+
+        records = [rec(0.3, "K-LIN"), rec(0.0, "FC"), rec(0.1, "BC"),
+                   rec(0.2, "FC"), rec(0.4, "BC")]
+        path = tmp_path / ("v" + suffix)
+        codec_for(path).dump_records(records, path)
+        view = codec_for(path).load_records(path)
+        assert isinstance(view.partition.columns[2], DictColumn)
+        expected = ReplaySource(records).recording()[1].tolist()
+        assert ReplaySource(view).channels() == ["BC", "FC", "K-LIN"]
+        assert ReplaySource(view).recording()[1].tolist() == expected
+        columns = list(view.partition.columns)
+        codes = [list(columns[2].values).index(r[2]) for r in view]
+        # "FC" twice and "ETH" unused: the dictionary is wider than the
+        # channels, and the frames of both "FC" entries are one channel.
+        values = tuple(columns[2].values) + ("FC", "ETH")
+        codes[3] = len(values) - 2
+        columns[2] = DictColumn(array("B", codes), values)
+        src = ReplaySource(PackedRecords(ColumnarPartition(columns, 5)))
+        assert src.channels() == ["BC", "FC", "K-LIN"]
+        assert src.recording()[1].tolist() == expected
 
     @pytest.mark.parametrize("info", [
         (("crc", 2 ** 70),), (("note", None),), ((7, "x"),), ("ab",), None,

@@ -472,7 +472,8 @@ def short_payload_trace(tmp_path_factory):
     return path
 
 
-SHORT = "payload of 0 bytes too short for relevant bytes 0..1"
+SHORT = ("frame t=2.001775 b_id 'BC' m_id 1792: payload of 0 bytes too "
+         "short for relevant bytes 0..1")
 
 
 def test_short_payload_is_one_trace_error_line(short_payload_trace, capsys):
@@ -480,6 +481,27 @@ def test_short_payload_is_one_trace_error_line(short_payload_trace, capsys):
                         "--trace", str(short_payload_trace))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: trace: {}\n".format(SHORT)
+
+
+def test_short_payload_error_names_the_truncated_record(
+    short_payload_trace, capsys
+):
+    """The line says where in the trace the fault is: the truncated
+    record's timestamp, channel and message id."""
+    from repro.tracefile import binlog
+
+    records = binlog.load_records(short_payload_trace)
+    assert len(records) == 771
+    t, payload, b_id, m_id, _info = records[386]
+    assert payload == b""
+    code, _out = run_cli("pipeline", "--dataset", "SYN",
+                         "--trace", str(short_payload_trace))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace: frame t={!r} b_id {!r} m_id {}: "
+                          "payload of 0 bytes".format(t, b_id, m_id))
+    # No other record of the trace has that timestamp.
+    assert [r[0] for r in records].count(t) == 1
 
 
 def test_short_payload_stops_stream_serve_naming_the_vehicle(

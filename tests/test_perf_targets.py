@@ -481,9 +481,7 @@ def test_no_signature_takes_a_fault_or_retry_parameter(parameter):
 
 #: Public engine surface nobody outside the engine calls yet, and why it
 #: stays. An entry that gains a caller must leave the list.
-_UNCALLED_ENGINE_SURFACE = {
-    "Table.explain": "ROADMAP 6(b)",
-}
+_UNCALLED_ENGINE_SURFACE = {}
 
 #: Public methods the guard cannot check: they share their name with a
 #: builtin type's method or with a method of a class in the caller files,
@@ -936,3 +934,77 @@ def test_every_report_format_is_one_entry_of_the_rule_table():
         value in SECTION_RULES for value in formats.values()
     ), formats
     assert serializers == {("obs/report.py", "RunReport")}
+
+
+def _lig_trace(tmp_path, suffix, seconds=2.0):
+    """Two seconds of LIG in the trace format *suffix*; its bundle."""
+    from repro.datasets import SPECS, build_dataset
+    from repro.tracefile import codec_for
+
+    bundle = build_dataset(SPECS["LIG"])
+    path = tmp_path / ("lig" + suffix)
+    codec_for(path).dump_records(bundle.byte_records(seconds), path)
+    return path, bundle
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_lines_4_to_6_gather_payload_words_once_per_partition(
+    tmp_path, monkeypatch, partitions
+):
+    """A ``_RuleKernels.batch_call`` decodes every vector slot of its
+    partition in one ``VectorTable.decode`` -- one gather of payload
+    words -- whatever the rule count (LIG: 185 rules on 36 keys)."""
+    from repro.core import interpretation
+    from repro.core.interpretation import interpret
+    from repro.core.preselection import preselect
+    from repro.engine import EngineContext
+    from repro.protocols.signalcodec import VectorTable
+    from repro.tracefile import codec_for
+
+    path, bundle = _lig_trace(tmp_path, ".btrc")
+    catalog = bundle.catalog()
+    assert len(catalog) == 185
+    calls = {"decode": 0, "batch_call": 0}
+
+    def counted(function, name):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(VectorTable, "decode",
+                        counted(VectorTable.decode, "decode"))
+    monkeypatch.setattr(
+        interpretation._RuleKernels, "batch_call",
+        counted(interpretation._RuleKernels.batch_call, "batch_call"),
+    )
+    context = EngineContext.serial(default_parallelism=partitions)
+    k_pre = preselect(codec_for(path).load_table(context, path), catalog)
+    assert interpret(k_pre, catalog).count() > 10 * len(catalog)
+    assert calls == {"decode": partitions, "batch_call": partitions}
+
+
+@pytest.mark.parametrize("suffix", [".ctrc", ".btrc"])
+def test_trace_readers_hand_b_id_over_coded(tmp_path, suffix):
+    """``load_table`` of both binary formats gives each partition a
+    dictionary-coded ``b_id`` column, and preselection keeps it coded."""
+    from repro.core.preselection import preselect
+    from repro.engine import EngineContext
+    from repro.engine.columnar import DictColumn
+    from repro.tracefile import codec_for
+
+    path, bundle = _lig_trace(tmp_path, suffix)
+    context = EngineContext.serial(default_parallelism=3)
+    k_b = codec_for(path).load_table(context, path)
+    # Every other key, so preselection drops rows.
+    catalog = bundle.catalog()
+    kept = sorted(catalog.preselection_keys())[::2]
+    catalog = catalog.restrict_channels({b_id for _m_id, b_id in kept})
+    k_pre = preselect(k_b, catalog).cache()
+    assert k_pre.count() < k_b.count()
+    for table in (k_b, k_pre):
+        parts = table.plan.partitions
+        assert len(parts) == 3
+        for part in parts:
+            assert isinstance(part.columns[2], DictColumn)

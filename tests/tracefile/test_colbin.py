@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.preselection import preselect
 from repro.engine import BytesColumn, ColumnarPartition, col
+from repro.engine.columnar import DictColumn
 from repro.engine.errors import PlanError
 from repro.tracefile import binlog, codec_for, colbin
 from repro.tracefile.binlog import PackedRecords
@@ -386,7 +387,10 @@ class TestReaderColumns:
     def test_scan_columns_match_records(self, records, reader):
         assert list(reader.times()) == [r[0] for r in records]
         assert list(reader.message_ids()) == [r[3] for r in records]
-        assert reader.channel_column() == [r[2] for r in records]
+        channels = reader.channel_column()
+        assert isinstance(channels, DictColumn)
+        assert channels.codes is reader.channel_indices()
+        assert list(channels) == [r[2] for r in records]
 
     def test_payload_and_info_materialize_lazily(self, records, reader):
         payloads = reader.payload_column()
@@ -408,13 +412,14 @@ class TestReaderColumns:
         rows = [row for p in parts for row in p.to_rows()]
         assert rows == records
         # Both packed planes are sized by the bytes their cells cover
-        # (plus offsets), next to 8 bytes per t / b_id / m_id cell.
+        # (plus offsets), next to 8 bytes per t / m_id cell and the
+        # 2-byte channel index of b_id.
         n = len(records)
         packed = sum(
             len(r[1]) + len(colbin._pack_info(r[4])) for r in records
         )
         assert sum(p.nbytes() for p in parts) == (
-            24 * n + packed + 2 * 8 * (n + len(parts))
+            18 * n + packed + 2 * 8 * (n + len(parts))
         )
 
 
