@@ -53,8 +53,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, count
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -83,6 +84,12 @@ class Segment:
         return self.intercept + self.slope * (index - self.start)
 
 
+def sequential_sum(values):
+    """``sum(values)`` as Python 3.11's builtin adds it, left to right
+    from the int 0: 3.12 compensates float sums, so fits would vary."""
+    return reduce(add, values, 0)
+
+
 class _SpanFitter:
     """Least-squares line over any span of one buffer in O(1).
 
@@ -97,7 +104,7 @@ class _SpanFitter:
         self.size = len(values)
         if not values:
             raise ValueError("empty segment")
-        self._mean = mean = sum(values) / len(values)
+        self._mean = mean = sequential_sum(values) / len(values)
         centred = [v - mean for v in values]
         self._s0 = list(accumulate(centred, initial=0.0))
         self._s1 = list(accumulate(map(mul, count(), centred), initial=0.0))

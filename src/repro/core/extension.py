@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.analysis.segmentation import sequential_sum
 from repro.core.model import K_S_COLUMNS, W_COLUMNS
 from repro.core.classification import numeric_mask
 from repro.core.sequence import derive_extensions, order_rows
@@ -183,7 +184,7 @@ class RollingAggregateExtension(ExtensionRule):
             elif not numeric:
                 continue
             elif self.statistic == "mean":
-                value = sum(numeric) / len(numeric)
+                value = sequential_sum(numeric) / len(numeric)
             elif self.statistic == "min":
                 value = min(numeric)
             else:

@@ -41,9 +41,11 @@ from repro.core.model import K_S_COLUMNS
 from repro.core.preselection import key_index
 from repro.core.rules import ABSENT, TRUNCATED, per_catalog
 from repro.engine.columnar import (
+    OBJECT,
     BytesColumn,
     ColumnarPartition,
     DictColumn,
+    ValueColumn,
     code_array,
 )
 from repro.engine.expressions import apply, col
@@ -140,7 +142,13 @@ class _Truncated:
         return (v is TRUNCATED) is self.marked
 
     def batch_call(self, values):
-        return [(v is TRUNCATED) is self.marked for v in values]
+        if not isinstance(values, ValueColumn):
+            return [(v is TRUNCATED) is self.marked for v in values]
+        # A marker is an object slot: the kind plane finds the few.
+        slots = np.flatnonzero(values.kinds == OBJECT)
+        marked = np.zeros(len(values), dtype=bool)
+        marked[slots] = [v is TRUNCATED for v in values.gather(slots)]
+        return (marked == self.marked).tolist()
 
 
 def evaluate_signals(k_join2, on_short="raise"):
@@ -284,18 +292,19 @@ class _RuleKernels:
         decoder_rows = table.decoder_rows[rule_of]
         short = lengths[row_of] <= table.last[rule_of]
         fits = np.flatnonzero(~short & (decoder_rows >= 0))
-        values = np.empty(total, dtype=object)
-        values[fits] = table.decoder.decode(
+        decoded = table.decoder.decode(
             np.frombuffer(data, dtype=np.uint8), starts[row_of[fits]],
             decoder_rows[fits],
         )
+        # Every other slot is an object; a short one reads objects[0].
+        x, kinds = np.zeros(total), np.full(total, OBJECT, dtype=np.uint8)
+        x[fits], kinds[fits] = decoded.x, decoded.kinds
+        objects = [TRUNCATED]
         dropped = np.zeros(total, dtype=bool)
         short = np.flatnonzero(short)
         failure = int(short[0]) if len(short) and on_short == "raise" \
             else None  # the first short K_join slot
-        if on_short == "keep":
-            values[short] = TRUNCATED
-        elif on_short == "skip":
+        if on_short == "skip":
             dropped[short] = True
 
         def payload(row):
@@ -309,7 +318,8 @@ class _RuleKernels:
                 out = self._scalar_rule(
                     int(rule_of[mine[0]]), row_of[mine], payload, partition
                 )
-                values[mine[: len(out)]] = out
+                x[mine[: len(out)]] = np.arange(len(out)) + len(objects)
+                objects += out
                 dropped[mine[: len(out)]] = [
                     v is ABSENT or (v is TRUNCATED and on_short == "skip")
                     for v in out
@@ -324,14 +334,16 @@ class _RuleKernels:
                 table.rules[rule_of[failure]].extract_relevant(payload(row))
             except ShortPayloadError as exc:
                 raise _in_frame(exc, t[row], b_ids[row], m_ids[row]) from None
+        values = ValueColumn(x, kinds, decoded.labels, tuple(objects))
         if dropped.any():
             kept = np.flatnonzero(~dropped)
-            row_of, rule_of, values = row_of[kept], rule_of[kept], values[kept]
+            row_of, rule_of = row_of[kept], rule_of[kept]
+            values = values.gather(kept)
         times = _cells(t)[row_of]
         return ColumnarPartition([
             array("d", times.tobytes()) if times.dtype == np.float64
             else times.tolist(),
-            values.tolist(),
+            values,
             DictColumn(code_array(table.signals[rule_of],
                                   len(table.signal_values)),
                        table.signal_values),

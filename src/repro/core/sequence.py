@@ -50,18 +50,12 @@ from repro.core.branches import R_COLUMNS, branch_segments
 from repro.core.classification import classify, classify_segments
 from repro.core.model import K_S_COLUMNS, LABEL, NUMBER, OBJECT, W_COLUMNS
 from repro.core.representation import merge_results
-from repro.engine.columnar import ColumnarPartition, DictColumn
+from repro.engine import columnar
+from repro.engine.columnar import ColumnarPartition, DictColumn, ValueColumn
 from repro.engine.schema import Schema
 
 #: Layout of the rows extension rules take.
 K_S_SCHEMA = Schema.of(*K_S_COLUMNS)
-
-
-def _kind_of(types):
-    """The kind of values of the *types* given (all of them)."""
-    if types <= {float, int}:
-        return NUMBER
-    return LABEL if types == {str} else OBJECT
 
 
 def value_order_key(value):
@@ -82,6 +76,8 @@ def objects(values):
 def column_objects(column):
     """An engine column as an array of the cells it yields: float64 for
     a packed ``d`` column, objects otherwise."""
+    if isinstance(column, ValueColumn):
+        return column.cells()
     if isinstance(column, DictColumn):
         return objects(column.values)[np.asarray(column.codes, np.intp)]
     if isinstance(column, (array, memoryview)):
@@ -158,12 +154,14 @@ class Sequences:
     @classmethod
     def build(cls, keys, offsets, t, v, b=None):
         """The set whose segment ``i`` is ``keys[i]``'s elements
-        ``offsets[i]:offsets[i + 1]`` of the columns *t*, *v* and *b*
-        (the values and channels as objects; without *b* each element's
-        channel is its key's). Each signal type's values -- its
-        segments are adjacent -- get the narrowest kind that holds them
-        exactly."""
+        ``offsets[i]:offsets[i + 1]`` of the columns *t*, *v* (a
+        :class:`~repro.engine.columnar.ValueColumn` or objects) and *b*
+        (objects; without it each element's channel is its key's). Each
+        signal type's values -- its segments are adjacent -- get the
+        narrowest kind that holds them exactly, read off *v*'s kinds."""
         offsets = np.asarray(offsets, np.intp)
+        values = column_objects(v) if isinstance(v, ValueColumn) else v
+        v = ValueColumn.from_values(v).typed()
         n = len(v)
         x, c = np.full(n, np.nan), np.full(n, -1, np.intp)
         kinds = np.full(len(keys), OBJECT, np.int8)
@@ -173,27 +171,24 @@ class Sequences:
             firsts = [i for i, key in enumerate(keys)
                       if not i or key[0] != keys[i - 1][0]]
             lo = np.append(offsets[firsts], n)
-            types = list(map(type, v.tolist()))
-            kind = np.array([
-                _kind_of(set(types[a:z]))
-                for a, z in zip(lo[:-1].tolist(), lo[1:].tolist())
-            ], np.int8)
-            signal = np.repeat(np.arange(len(firsts)), lo[1:] - lo[:-1])
+            sizes = np.diff(lo)
+            signal = np.repeat(np.arange(len(firsts)), sizes)
+            kind = np.full(len(firsts), OBJECT, np.int8)
+            kind[np.bincount(signal, v.kinds == columnar.LABEL, len(firsts))
+                 == sizes] = LABEL
+            kind[np.bincount(signal, v.kinds <= columnar.INT, len(firsts))
+                 == sizes] = NUMBER
             numbers = np.flatnonzero(kind[signal] == NUMBER)
-            try:
-                x[numbers] = v[numbers].astype(float)
-            except OverflowError:
-                x[numbers] = np.inf
+            x[numbers] = v.x[numbers]
             # NaN and ints beyond 2**53 are no float64 numbers: objects.
             kind[signal[numbers[~(np.abs(x[numbers]) < 2.0 ** 53)]]] = OBJECT
             kinds = np.repeat(kind, np.diff(firsts + [len(keys)]))
             element = kind[signal]
             x[element != NUMBER] = np.nan
             strs = element == LABEL
-            labels = objects(sorted(set(v[strs])))
-            rank = {label: i for i, label in enumerate(labels)}
-            c[strs] = np.fromiter(map(rank.__getitem__, v[strs]), np.intp,
-                                  np.count_nonzero(strs))
+            order = np.argsort(objects(v.labels))
+            labels = objects(v.labels)[order]
+            c[strs] = np.argsort(order)[v.x[strs].astype(np.intp)]
         if t.dtype == object and set(map(type, t)) <= {float}:
             t = t.astype(float)
         if b is None:
@@ -206,8 +201,8 @@ class Sequences:
             channels = list({channel: None for channel in b})
             code_of = {channel: i for i, channel in enumerate(channels)}
             b = np.fromiter(map(code_of.__getitem__, b), np.intp, n)
-        return cls(keys, offsets, t, v, b, objects(channels), kinds, x, c,
-                   labels)
+        return cls(keys, offsets, t, values, b, objects(channels), kinds, x,
+                   c, labels)
 
     def __len__(self):
         return len(self.keys)
@@ -316,24 +311,29 @@ class Sequences:
 
 
 def table_columns(table):
-    """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table as arrays, no row
-    landed. ``seq`` codes each element's ``(s_id, b_id)`` by rank. The
-    rule kernels emit it as a fifth column; for a table without one (the
-    join plan's, an engine wrapper's) it is computed here.
-    """
+    """``(t, v, s_id, b_id, seq)`` of a ``K_s`` table as arrays (``v``
+    the rule kernels' value planes), no row landed. ``seq`` codes each
+    element's ``(s_id, b_id)`` by rank. The rule kernels emit it as a
+    fifth column; for a table without one (the join plan's, an engine
+    wrapper's) it is computed here."""
     width = len(table.schema)
     parts = [
         (p if isinstance(p, ColumnarPartition)
          else ColumnarPartition.from_rows(p, width)).columns
         for p in table.context.executor.execute(table.plan, as_rows=False)
     ]
-    t, v, s_ids, b_ids = (
-        np.concatenate(
+
+    def joined(i):
+        return np.concatenate(
             [np.empty(0, object)] * (not parts)
             + [column_objects(p[i]) for p in parts]
         )
-        for i in range(len(K_S_COLUMNS))
-    )
+
+    t, s_ids, b_ids = map(joined, (0, 2, 3))
+    # Any other table's values stay the objects it holds.
+    typed = [p[1] for p in parts if isinstance(p[1], ValueColumn)]
+    v = ValueColumn.concat(typed) if typed and \
+        sum(map(len, typed)) == len(t) else joined(1)
     if width == len(K_S_COLUMNS):
         return t, v, s_ids, b_ids, pair_codes(s_ids, b_ids)
     seq = np.concatenate(

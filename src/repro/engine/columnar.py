@@ -14,6 +14,8 @@ Python object per cell and a tuple per row. A
   per-cell ``decode`` hook, for packed structured cells (``m_info``);
 * a :class:`DictColumn` -- small integer codes into a tuple of the
   distinct values -- for all-``str`` columns (signal and channel ids);
+* a :class:`ValueColumn` -- one float64 plane and a kind byte per cell
+  -- for decoded signal values, which mix floats, ints and labels;
 * a plain object list for everything else (bool, None, mixed).
 
 Layout selection is *exact-type* driven, so ``rows -> columns -> rows``
@@ -46,7 +48,7 @@ shared between a plan node and several tasks.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
@@ -54,6 +56,7 @@ __all__ = [
     "BytesColumn",
     "ColumnarPartition",
     "DictColumn",
+    "ValueColumn",
     "as_row_partition",
     "columns_to_rows",
     "compress_column",
@@ -207,9 +210,128 @@ class DictColumn:
         return DictColumn(gather_column(self.codes, indices), self.values)
 
 
+#: The kinds of :class:`ValueColumn` cells.
+FLOAT, INT, LABEL, OBJECT = range(4)
+_KINDS = {float: FLOAT, int: INT, str: LABEL}
+
+
+class ValueColumn:
+    """Decoded values as planes: cell *i* is, by ``kinds[i]`` (uint8),
+    the float ``x[i]`` (:data:`FLOAT`; ``x`` is float64), the int
+    ``int(x[i])`` (:data:`INT`, ``|x[i]| < 2**63``), the label
+    ``labels[x[i]]`` (:data:`LABEL`, ``labels`` distinct ``str``) or the
+    object ``objects[x[i]]`` (:data:`OBJECT`: a scalar rule's value, a
+    marker). Moving cells moves the two planes; :meth:`cells` builds
+    cells, where rows land."""
+
+    __slots__ = ("x", "kinds", "labels", "objects")
+
+    def __init__(self, x, kinds, labels=(), objects=()):
+        self.x, self.kinds = x, kinds
+        self.labels, self.objects = labels, objects
+
+    @classmethod
+    def from_values(cls, values):
+        """The column of the cells *values* (a ValueColumn is its own),
+        each kinded by its exact type as :meth:`typed` does."""
+        if isinstance(values, ValueColumn):
+            return values
+        cells = tuple(values.tolist() if isinstance(values, np.ndarray)
+                      else values)
+        return cls(np.arange(len(cells), dtype=float),
+                   np.full(len(cells), OBJECT, np.uint8), (), cells).typed()
+
+    def typed(self):
+        """This column with each object that is a float, an int of at
+        most 2**53 or a str moved to that kind."""
+        slots = np.flatnonzero(self.kinds == OBJECT)
+        if not len(slots):
+            return self
+        at = self.x[slots].astype(np.intp)
+        cells = np.fromiter(self.objects, object, len(self.objects))[at]
+        kinds = np.fromiter(map(_KINDS.get, map(type, cells), repeat(OBJECT)),
+                            np.uint8, len(cells))
+        ints = np.flatnonzero(kinds == INT)
+        kinds[ints[(np.abs(cells[ints]) > 1 << 53).astype(bool)]] = OBJECT
+        numbers, strs = kinds <= INT, kinds == LABEL
+        labels = tuple(dict.fromkeys(chain(self.labels, cells[strs])))
+        code = {label: i for i, label in enumerate(labels)}.__getitem__
+        x = at.astype(float)
+        x[numbers] = cells[numbers].astype(float)
+        x[strs] = np.fromiter(map(code, cells[strs]), float, strs.sum())
+        column = ValueColumn(self.x.copy(), self.kinds.copy(), labels,
+                             self.objects)
+        column.x[slots], column.kinds[slots] = x, kinds
+        return column
+
+    def cells(self):
+        """The cells, as an object array."""
+        out = self.x.astype(object)
+        ints = self.kinds == INT
+        out[ints] = self.x[ints].astype(np.int64)
+        for kind, table in ((LABEL, self.labels), (OBJECT, self.objects)):
+            at = self.kinds == kind
+            table = np.fromiter(table, dtype=object, count=len(table))
+            out[at] = table[self.x[at].astype(np.intp)]
+        return out
+
+    def tolist(self):
+        return self.cells().tolist()
+
+    def __len__(self):
+        return len(self.x)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self.gather([index]).tolist()[0]
+        if isinstance(index, slice):
+            index = np.arange(len(self))[index]
+        return self.gather(index)
+
+    def gather(self, indices):
+        indices = np.asarray(indices, np.intp)
+        return ValueColumn(self.x[indices], self.kinds[indices], self.labels,
+                           self.objects)
+
+    @classmethod
+    def concat(cls, columns):
+        """The cells of *columns* in order, over one label dictionary."""
+        labels, objects, xs = {}, (), []
+        for column in columns:
+            x = column.x.copy()
+            at = np.flatnonzero(column.kinds == LABEL)
+            if len(at):
+                codes = np.array([labels.setdefault(label, len(labels))
+                                  for label in column.labels], float)
+                x[at] = codes[x[at].astype(np.intp)]
+            x[column.kinds == OBJECT] += len(objects)
+            objects += tuple(column.objects)
+            xs.append(x)
+        kinds = np.concatenate([column.kinds for column in columns])
+        return cls(np.concatenate(xs), kinds, tuple(labels), objects)
+
+    def plane(self):
+        """The layout :func:`_build_column` gives these cells -- a
+        float64 or int64 ``array`` or a :class:`DictColumn` where all of
+        them share a kind, else a list of them -- from the planes."""
+        column = self.typed()
+        kinds = np.flatnonzero(np.bincount(column.kinds, minlength=4))
+        if kinds.tolist() in ([FLOAT], [INT]):
+            typecode = "dq"[kinds[0]]  # FLOAT: "d", INT: "q"
+            return array(typecode, column.x.astype(typecode).tobytes())
+        if kinds.tolist() == [LABEL]:
+            return DictColumn(code_array(column.x.astype(np.intp),
+                                         len(column.labels)), column.labels)
+        return column.tolist()
+
+
 def _build_column(values):
-    """Pick the densest exact-type-preserving layout for one column
-    (the one place a layout is chosen; the table store writes these)."""
+    """Pick the densest exact-type-preserving layout for one column's
+    cells (:meth:`ValueColumn.plane` picks it from planes; the table
+    store writes these)."""
     kinds = set(map(type, values))
     if kinds == {int}:
         try:
@@ -249,7 +371,7 @@ def gather_column(column, indices):
         typecode = _typecode(column)
         picked = np.frombuffer(column, typecode)[np.asarray(indices, np.intp)]
         return array(typecode, picked.tobytes())
-    if isinstance(column, (BytesColumn, DictColumn)):
+    if isinstance(column, (BytesColumn, DictColumn, ValueColumn)):
         return column.gather(indices)
     if isinstance(indices, np.ndarray):
         indices = indices.tolist()
@@ -259,16 +381,14 @@ def gather_column(column, indices):
 def compress_column(column, mask):
     """The cells of *column* whose *mask* entry is true (filters).
 
-    A packed plane stays packed (:meth:`BytesColumn.gather` of the
-    selected positions), a dictionary-coded column compresses its codes
-    over the same values; every other column compresses to a list.
+    A typed buffer, a packed plane, a dictionary-coded column and a
+    value column keep their layout (:func:`gather_column` of the
+    selected positions); every other column compresses to a list.
     """
-    if isinstance(column, BytesColumn):
-        return column.gather(compress(range(len(column)), mask))
-    if isinstance(column, DictColumn):
-        codes = column.codes
-        return DictColumn(array(_typecode(codes), compress(codes, mask)),
-                          column.values)
+    if isinstance(column, (array, memoryview, BytesColumn, DictColumn,
+                           ValueColumn)):
+        kept = np.flatnonzero(np.fromiter(mask, bool, len(column)))
+        return gather_column(column, kept)
     return list(compress(column, mask))
 
 
@@ -377,6 +497,8 @@ class ColumnarPartition:
                 for c in cells:
                     codes.frombytes(c.codes.tobytes())
                 columns.append(DictColumn(codes, cells[0].values))
+            elif kinds == {ValueColumn}:
+                columns.append(ValueColumn.concat(cells))
             elif len(kinds) == 1 and isinstance(cells[0], (array, memoryview)):
                 column = array(_typecode(cells[0]))
                 for c in cells:
@@ -403,6 +525,8 @@ class ColumnarPartition:
                 total += column.nbytes()
             elif isinstance(column, DictColumn):
                 total += len(column.codes) * column.codes.itemsize
+            elif isinstance(column, ValueColumn):
+                total += column.x.nbytes + column.kinds.nbytes
             else:
                 total += len(column) * 8
         return total

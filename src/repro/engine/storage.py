@@ -6,7 +6,8 @@ a CRC'd JSON manifest tagged ``"format": "repro.table/3"`` and one
 8-byte aligned section per partition. A section (:func:`encode_partition`)
 is a header (row count, column names and layouts, plane lengths),
 8-byte aligned planes and a CRC32 of all before it. Each column is
-stored in its :func:`~repro.engine.columnar._build_column` layout:
+stored in its :func:`~repro.engine.columnar._build_column` layout (a
+:class:`~repro.engine.columnar.ValueColumn` names it from its planes):
 float64 or int64 values, a bytes plane (offsets and blob), a str
 dictionary (the values present, sorted, and a code per row) or, for
 bool, None, ``TRUNCATED``, ints beyond 64 bits and mixed columns, a
@@ -33,6 +34,7 @@ from repro.engine.columnar import (
     BytesColumn,
     ColumnarPartition,
     DictColumn,
+    ValueColumn,
     _build_column,
     _typecode,
     code_array,
@@ -178,6 +180,8 @@ def _encode_column(column):
         return _STR, _encode_str(column)
     if isinstance(column, BytesColumn) and (planes := column.rebased()):
         return _BYTES, list(planes)
+    if isinstance(column, ValueColumn):
+        return _encode_column(column.plane())
     built = _build_column(column if isinstance(column, list) else list(column))
     if isinstance(built, list):
         return _TAGGED, _varying(list(map(_cell, range(len(built)), built)))

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.engine.columnar import FLOAT, INT, LABEL, ValueColumn
+
 INTEL = "intel"
 MOTOROLA = "motorola"
 
@@ -112,11 +114,11 @@ class VectorTable:
         self._tables = [dict(d.value_table) for d in decodes]
 
     def decode(self, blob, positions, rows):
-        """An object array: slot *i* decodes signal ``rows[i]`` from the
-        payload at byte ``positions[i]`` of *blob* as
-        :meth:`SignalEncoding.decode` would. *blob* is ``uint8`` with
-        eight pad bytes at its end: a word may read past its payload,
-        and the mask removes those bits."""
+        """A :class:`~repro.engine.columnar.ValueColumn`: slot *i* decodes
+        signal ``rows[i]`` from the payload at byte ``positions[i]`` of
+        *blob* as :meth:`SignalEncoding.decode` would. *blob* is
+        ``uint8`` with eight pad bytes at its end: a word may read past
+        its payload, and the mask removes those bits."""
         column = self._columns
         # Element i of this view is the little-endian word at byte i.
         words = np.ndarray((len(blob) - 7,), "<u8", blob, strides=(1,))[
@@ -133,35 +135,33 @@ class VectorTable:
         physical[wide] = raw[wide].astype(np.float64)
         physical *= column["scale"][rows]
         physical += column["offset"][rows]
-        values = np.empty(len(rows), dtype=object)
-        ints, tabled = column["integral"][rows], column["tabled"][rows]
-        floats = np.flatnonzero(~(ints | tabled))
-        values[floats] = physical[floats]
-        ints = np.flatnonzero(ints)
-        values[ints] = physical[ints].astype(np.int64)
-        if tabled.any():
-            values[tabled] = self._label(rows[tabled], raws[tabled],
-                                         wide[tabled])
-        return values
+        kinds = np.where(column["integral"][rows], INT, FLOAT).astype(np.uint8)
+        tabled = column["tabled"][rows]
+        kinds[tabled] = LABEL
+        physical[tabled], labels = self._label(rows[tabled], raws[tabled],
+                                               wide[tabled])
+        return ValueColumn(physical, kinds, labels)
 
     def _label(self, rows, raws, wide):
-        """The labels of ``(rows[i], raws[i])``, each distinct pair
-        looked up once; a *wide* raw comes as its int64 bits."""
+        """The codes of the labels of ``(rows[i], raws[i])`` and the
+        labels, each distinct pair looked up once; a *wide* raw comes as
+        its int64 bits."""
         order = np.lexsort((raws, rows))
         rows, raws, wide = rows[order], raws[order], wide[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]) | (raws[1:] != raws[:-1])
         firsts = np.flatnonzero(new)
-        labels = np.empty(len(firsts), dtype=object)
-        for i, (row, raw, unsigned) in enumerate(zip(
+        labels, codes = {}, []
+        for row, raw, unsigned in zip(
             rows[firsts].tolist(), raws[firsts].tolist(),
             wide[firsts].tolist(),
-        )):
+        ):
             raw = raw % (1 << 64) if unsigned else raw
-            labels[i] = self._tables[row].get(raw, "raw_{}".format(raw))
-        out = np.empty(len(order), dtype=object)
-        out[order] = labels[np.cumsum(new) - 1]
-        return out
+            label = self._tables[row].get(raw, "raw_{}".format(raw))
+            codes.append(labels.setdefault(label, len(labels)))
+        out = np.empty(len(order))
+        out[order] = np.array(codes, float)[np.cumsum(new) - 1]
+        return out, tuple(labels)
 
 
 @dataclass(frozen=True)

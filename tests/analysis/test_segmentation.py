@@ -7,6 +7,7 @@ per candidate. The one-fit acceptance of a whole buffer is pinned, bit
 for bit, against the greedy loop it short-cuts (``greedy_*``).
 """
 
+import sys
 from itertools import accumulate, count
 from operator import mul
 
@@ -604,3 +605,26 @@ class TestFitCounts:
         ]
         # Buffer-local spans: one whole-buffer fit per segment.
         assert fits == [(0, s.length - 1) for s in segments]
+
+
+def test_the_mean_sum_is_the_uncompensated_left_to_right_sum():
+    """Python 3.12 compensates the builtin float ``sum``; the fitter's
+    and the rolling mean's sum adds left to right on every interpreter,
+    as the builtin did up to 3.11."""
+    assert segmentation.sequential_sum([0.1] * 10) == 0.9999999999999999
+    assert segmentation.sequential_sum([]) == 0
+    assert repr(segmentation.sequential_sum([-0.0])) == "0.0"
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="the builtin float sum is compensated from Python 3.12",
+)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(), st.sampled_from([-0.0, float("inf"), float("-inf")]),
+    st.integers(-(2 ** 70), 2 ** 70),
+)))
+def test_sequential_sum_is_the_builtin_of_this_interpreter(values):
+    got, expected = segmentation.sequential_sum(values), sum(values)
+    assert (type(got), repr(got)) == (type(expected), repr(expected))

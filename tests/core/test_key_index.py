@@ -68,3 +68,42 @@ def test_keys_of_no_array_lookup_fall_back_to_the_dict():
     index = KeyIndex([("FC", -1), ("FC", 2)])
     b_ids = DictColumn(array("B", [0, 0, 0]), ("FC",))
     assert index.lookup(b_ids, array("q", [-1, 2, 3])).tolist() == [0, 1, -1]
+
+
+class _NoDictLookup(dict):
+    """Key codes whose per-row ``dict.get`` fallback must not run."""
+
+    def get(self, *args):
+        raise AssertionError("KeyIndex.lookup fell back to dict.get")
+
+
+def test_a_dropping_preselection_keeps_the_lookup_on_arrays(tmp_path):
+    """Preselection that drops frames keeps ``K_pre``'s ``t`` and
+    ``m_id`` typed, so lines 4-6 look its keys up by array ops: two
+    seconds of SYN, three signals whose keys carry 12 of 385 frames."""
+    from repro.core import RuleCatalog, interpret, preselect
+    from repro.core.preselection import key_index
+    from repro.datasets import SPECS, build_dataset
+    from repro.engine import EngineContext
+    from repro.tracefile import colbin
+
+    bundle = build_dataset(SPECS["SYN"])
+    path = tmp_path / "syn.ctrc"
+    colbin.dump_records(bundle.byte_records(2.0), path)
+    catalog = RuleCatalog(tuple(
+        u for u in bundle.catalog() if u.signal_id.startswith("syn_cat")
+    ))
+    assert len(catalog) == 3
+    index = key_index(catalog)
+    index.codes = _NoDictLookup(index.codes)
+    context = EngineContext.serial(default_parallelism=2)
+    k_b = colbin.load_table(context, path)
+    k_pre = preselect(k_b, catalog).cache()
+    assert (k_b.count(), k_pre.count()) == (385, 12)
+    for part in k_pre.plan.partitions:
+        t, _l, b_ids, m_ids, _m_info = part.columns
+        assert (t.typecode, type(b_ids), m_ids.typecode) == \
+            ("d", DictColumn, "Q")
+    rows = interpret(k_pre, catalog).collect()
+    assert len(rows) == 20
+    assert rows == interpret(k_pre, catalog.to_table(context)).collect()

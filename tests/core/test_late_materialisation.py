@@ -233,7 +233,7 @@ def test_gated_rule_reads_info_through_every_u2_form(wiper_database):
         for t, m, u in zip(partition.column(0), infos.cells, tuples)
     ]
     assert expected[1] is None and expected[0] == expected[2] == expected[3]
-    assert out == [v for v in expected if v is not None]
+    assert list(out) == [v for v in expected if v is not None]
     evaluate = gated.rule.compile_evaluator()
     assert [
         evaluate(_U1()(payload, gated.rule, t, "FC", 1), m)

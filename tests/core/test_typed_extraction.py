@@ -2,8 +2,9 @@
 
 Lines 3-6 hand ``K_s`` over as columnar partitions; the split by signal
 type, the table store's write and read, and ``count()`` then move those
-columns without building one row tuple. The rows read back are the
-join plan's ``K_s``, value for value and type for type.
+columns without building one row tuple, nor one value cell of the
+decoded values' planes. The rows read back are the join plan's ``K_s``,
+value for value and type for type.
 """
 
 from repro.core import (
@@ -36,13 +37,21 @@ def test_split_write_read_count_land_no_row(tmp_path, monkeypatch):
 
     monkeypatch.setattr(columnar, "columns_to_rows", counting)
     monkeypatch.setattr(operations, "columns_to_rows", counting)
+    cells = []
+    built = columnar.ValueColumn.cells
+
+    def counting_cells(column):
+        cells.append(len(column))
+        return built(column)
+
+    monkeypatch.setattr(columnar.ValueColumn, "cells", counting_cells)
     context = EngineContext.serial()
     k_s = pipeline.extract_signals(colbin.load_table(context, path))
     groups = split_signal_types(k_s, sorted(set(catalog.signal_ids())))
     for s_id, table in groups.items():
         store.write(s_id, table)
     counts = {s_id: store.read(context, s_id).count() for s_id in groups}
-    assert landed == []
+    assert landed == [] and cells == []
     monkeypatch.undo()
 
     k_pre = preselect(colbin.load_table(context, path), catalog)

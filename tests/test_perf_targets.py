@@ -1008,3 +1008,48 @@ def test_trace_readers_hand_b_id_over_coded(tmp_path, suffix):
         assert len(parts) == 3
         for part in parts:
             assert isinstance(part.columns[2], DictColumn)
+
+
+def test_table_6_values_reach_the_store_as_planes(tmp_path, monkeypatch):
+    """Extraction, the split by signal type and the table store's write
+    move ``K_s`` as typed planes on a SYN ``.ctrc``: the decoded values
+    leave the kernels as a ``ValueColumn``, so the split gathers no
+    column cell by cell (``gather_column``'s list path) and the store
+    picks no layout from cells (``_build_column``): it is called only
+    on the empty row lists of groups absent from an input partition."""
+    from repro.core import PipelineConfig, PreprocessingPipeline
+    from repro.core.splitting import split_signal_types
+    from repro.datasets import SPECS, build_dataset
+    from repro.engine import EngineContext, TableStore, columnar, storage
+    from repro.tracefile import colbin
+
+    bundle = build_dataset(SPECS["SYN"])
+    path = tmp_path / "syn.ctrc"
+    colbin.dump_records(bundle.byte_records(4.0), path)
+    built, gathered = [], []
+
+    def build(values):
+        built.append(len(values))
+        return layout(values)
+
+    def gather(column, indices):
+        moved = move(column, indices)
+        gathered.append(type(moved).__name__)
+        return moved
+
+    layout, move = columnar._build_column, columnar.gather_column
+    for module in (columnar, storage):
+        monkeypatch.setattr(module, "_build_column", build)
+    monkeypatch.setattr(columnar, "gather_column", gather)
+    catalog = bundle.catalog()
+    k_s = PreprocessingPipeline(PipelineConfig(catalog=catalog)) \
+        .extract_signals(colbin.load_table(EngineContext.serial(), path))
+    store = TableStore(tmp_path / "store")
+    for s_id, table in split_signal_types(
+        k_s, sorted(set(catalog.signal_ids()))
+    ).items():
+        store.write(s_id, table)
+    assert set(built) == {0}
+    assert "ValueColumn" in gathered
+    assert set(gathered) <= {"array", "BytesColumn", "DictColumn",
+                             "ValueColumn"}, gathered
