@@ -6,13 +6,17 @@
    interpret-everything-then-filter vs preselect-then-interpret.
 2. **Gateway deduplication** (Sec. 4.1, line 9): processing all routed
    copies vs one representative channel per signal type.
-3. **Cluster parallelism** (Sec. 5.1): the same extraction under 1, 5,
-   10 and 20 simulated workers.
+3. **Parallelism over journeys** (Sec. 5.1): the same extraction of
+   every SYN journey on 1 to ``os.cpu_count()`` worker processes.
+
+Every time is measured wall time of this machine.
 """
+
+import os
 
 import pytest
 
-from benchmarks.conftest import CLUSTER_WORKERS, print_table
+from benchmarks.conftest import best_of, extract_journeys, print_table
 from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.engine import EngineContext
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
@@ -23,12 +27,10 @@ def syn_trace_records(syn_bundle):
     return syn_bundle.byte_records(60.0)
 
 
-def cluster_ctx(records, stage_latency=0.0):
-    ctx = EngineContext.simulated_cluster(
-        num_workers=CLUSTER_WORKERS, stage_latency=stage_latency
-    )
-    table = ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), records).cache()
-    return ctx, table
+def cached_trace(records):
+    """``K_b`` of *records* on a serial context, cached."""
+    return EngineContext.serial().table_from_rows(
+        list(BYTE_RECORD_COLUMNS), records).cache()
 
 
 class TestAblationPreselection:
@@ -40,23 +42,20 @@ class TestAblationPreselection:
         full_catalog = syn_bundle.database.translation_catalog()
 
         def with_preselection():
-            ctx, k_b = cluster_ctx(syn_trace_records)
+            k_b = cached_trace(syn_trace_records)
             pipe = PreprocessingPipeline(PipelineConfig(catalog=few_catalog))
-            ctx.executor.reset_clock()
-            rows = pipe.extract_signals(k_b, cache=False).count()
-            return ctx.executor.simulated_seconds, rows
+            return best_of(
+                lambda: pipe.extract_signals(k_b, cache=False).count())
 
         def without_preselection():
             """Interpret every documented signal, filter afterwards."""
             from repro.core.interpretation import interpret
             from repro.engine.expressions import col
 
-            ctx, k_b = cluster_ctx(syn_trace_records)
-            ctx.executor.reset_clock()
-            k_s = interpret(k_b, full_catalog)
+            k_b = cached_trace(syn_trace_records)
             wanted = frozenset(few)
-            rows = k_s.filter(col("s_id").is_in(wanted)).count()
-            return ctx.executor.simulated_seconds, rows
+            return best_of(lambda: interpret(k_b, full_catalog).filter(
+                col("s_id").is_in(wanted)).count())
 
         (pre_s, pre_rows), (post_s, post_rows) = benchmark.pedantic(
             lambda: (with_preselection(), without_preselection()),
@@ -67,7 +66,7 @@ class TestAblationPreselection:
             "Ablation: early preselection (extracting {} slow signals)".format(
                 len(few)
             ),
-            ["variant", "cluster seconds", "rows out"],
+            ["variant", "seconds", "rows out"],
             [
                 ("preselect, then interpret", round(pre_s, 4), pre_rows),
                 ("interpret all, then filter", round(post_s, 4), post_rows),
@@ -83,7 +82,7 @@ class TestAblationGatewayDedup:
         constraints = syn_bundle.default_constraints()
 
         def run(dedup):
-            ctx, k_b = cluster_ctx(syn_trace_records)
+            k_b = cached_trace(syn_trace_records)
             config = PipelineConfig(
                 catalog=catalog, constraints=constraints, dedup_channels=dedup
             )
@@ -158,27 +157,14 @@ class TestAblationInterpretationStrategy:
         bench reports both costs."""
         from repro.core.interpretation import interpret
         from repro.core.preselection import preselect
-        from repro.engine.executor import SimulatedClusterExecutor
 
         catalog = syn_bundle.catalog()
 
         def measure(join):
-            ctx = EngineContext(SimulatedClusterExecutor(
-                num_workers=CLUSTER_WORKERS, stage_latency=0.0,
-            ))
-            k_b = ctx.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), syn_trace_records
-            ).cache()
+            k_b = cached_trace(syn_trace_records)
             k_pre = preselect(k_b, catalog).cache()
-            spelling = catalog.to_table(ctx) if join else catalog
-            best = None
-            rows = None
-            for _attempt in range(3):
-                ctx.executor.reset_clock()
-                rows = interpret(k_pre, spelling).collect()
-                elapsed = ctx.executor.simulated_seconds
-                best = elapsed if best is None else min(best, elapsed)
-            return best, rows
+            spelling = catalog.to_table(k_b.context) if join else catalog
+            return best_of(lambda: interpret(k_pre, spelling).collect())
 
         (join_s, join_rows), (kernel_s, kernel_rows) = benchmark.pedantic(
             lambda: (measure(True), measure(False)),
@@ -187,7 +173,7 @@ class TestAblationInterpretationStrategy:
         )
         print_table(
             "Ablation: lines 4-6 spelling (SYN, all signals)",
-            ["spelling", "cluster seconds", "rows out"],
+            ["spelling", "seconds", "rows out"],
             [
                 ("relational join plan (paper)", round(join_s, 4),
                  len(join_rows)),
@@ -245,41 +231,33 @@ class TestAblationRateThreshold:
 
 
 class TestAblationParallelism:
-    def test_scaling_with_worker_count(self, benchmark, syn_bundle, syn_trace_records):
-        catalog = syn_bundle.catalog()
-
-        def measure(workers):
-            ctx = EngineContext.simulated_cluster(
-                num_workers=workers, stage_latency=0.0
-            )
-            k_b = ctx.table_from_rows(
-                list(BYTE_RECORD_COLUMNS), syn_trace_records,
-                num_partitions=max(workers * 2, 8),
-            ).cache()
-            pipe = PreprocessingPipeline(PipelineConfig(catalog=catalog))
-            best = None
-            for _attempt in range(3):
-                ctx.executor.reset_clock()
-                pipe.extract_signals(k_b, cache=False).count()
-                elapsed = ctx.executor.simulated_seconds
-                best = elapsed if best is None else min(best, elapsed)
-            return best
-
+    def test_scaling_with_worker_count(self, benchmark, syn_bundle,
+                                       journeys_syn):
+        """The extraction of every journey, one job per journey, on 1 to
+        ``os.cpu_count()`` worker processes: the same stored tables at
+        every count, and all the cores never slower than one."""
+        database = syn_bundle.database
+        signal_ids = list(syn_bundle.signal_ids)
+        counts = range(1, os.cpu_count() + 1)
         series = benchmark.pedantic(
-            lambda: [(w, measure(w)) for w in (1, 5, 10, 20)],
+            lambda: [
+                (workers, *extract_journeys(journeys_syn, database,
+                                            signal_ids, workers))
+                for workers in counts
+            ],
             rounds=1,
             iterations=1,
         )
         print_table(
-            "Ablation: simulated cluster size (SYN extraction)",
-            ["workers", "cluster seconds", "speedup vs 1"],
+            "Ablation: worker processes ({} SYN journeys, extraction and "
+            "store write)".format(len(journeys_syn)),
+            ["workers", "seconds", "speedup vs 1"],
             [
                 (w, round(t, 4), round(series[0][1] / t, 2))
-                for w, t in series
+                for w, t, _outputs in series
             ],
         )
-        lookup = dict(series)
-        # More workers help substantially up to the partition count ...
-        assert lookup[10] < 0.5 * lookup[1]
-        # ... and never hurt.
-        assert lookup[20] <= lookup[1]
+        outputs = [out for _w, _t, out in series]
+        assert all(out == outputs[0] for out in outputs)
+        # The most workers never slower than one.
+        assert series[-1][1] <= series[0][1]

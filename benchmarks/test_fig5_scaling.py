@@ -8,30 +8,30 @@ number of examples. Complexity is O(n): the curve is linear with
 fluctuations from cluster communication.
 
 This bench regenerates the series: per data set, prefixes of the
-recorded trace are processed on the measured-makespan cluster executor
-and the (examples, seconds) pairs are printed. Asserted shape: time
-grows with examples and the growth is closer to linear than to
-quadratic.
+recorded trace are processed serially in one process, timed with
+``perf_counter``, and the (examples, seconds) pairs are printed. Only
+the curve's shape is asserted, and one core shows it: time grows with
+examples and the growth is closer to linear than to quadratic.
 """
 
 import time
 
 import pytest
 
-from benchmarks.conftest import CLUSTER_WORKERS, DURATIONS, print_table
+from benchmarks.conftest import DURATIONS, best_of, print_table
 from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.core.reduction import reduce_signal
 from repro.core.splitting import equality_split, split_signal_types
 from repro.engine import EngineContext, col
-from repro.engine.executor import SimulatedClusterExecutor
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
-def run_lines_3_to_11(ctx, records, bundle):
+def run_lines_3_to_11(records, bundle):
     """Lines 3-11 for one trace prefix; returns #examples interpreted."""
-    k_b = ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), records)
+    k_b = EngineContext.serial().table_from_rows(
+        list(BYTE_RECORD_COLUMNS), records)
     config = PipelineConfig(
         catalog=bundle.catalog(), constraints=bundle.default_constraints()
     )
@@ -52,22 +52,9 @@ def measure_series(bundle, duration):
     series = []
     for fraction in FRACTIONS:
         prefix = records[: int(len(records) * fraction)]
-        best = None
-        examples = 0
-        # Best-of-3 runs smooth out scheduler jitter on sub-100 ms tasks.
-        for _attempt in range(3):
-            # Coordination latency is zeroed: at this reproduction's
-            # scale (10^4-10^5 examples instead of the paper's
-            # 10^6-10^7) a fixed per-stage term would hide the O(n)
-            # interpretation cost the figure demonstrates.
-            ctx = EngineContext.simulated_cluster(
-                num_workers=CLUSTER_WORKERS, stage_latency=0.0
-            )
-            ctx.executor.reset_clock()
-            examples = run_lines_3_to_11(ctx, prefix, bundle)
-            elapsed = ctx.executor.simulated_seconds
-            best = elapsed if best is None else min(best, elapsed)
-        series.append((examples, best))
+        seconds, examples = best_of(
+            lambda: run_lines_3_to_11(prefix, bundle))
+        series.append((examples, seconds))
     return series
 
 
@@ -83,8 +70,8 @@ def test_fig5_execution_time_vs_examples(benchmark, bundles, name):
 
     print_table(
         "Figure 5 ({}) -- interpretation+reduction time vs #examples "
-        "({} simulated workers)".format(name, CLUSTER_WORKERS),
-        ["examples", "cluster seconds", "us per example"],
+        "(serial, wall time)".format(name),
+        ["examples", "seconds", "us per example"],
         [
             (n, round(t, 4), round(1e6 * t / n, 2) if n else "-")
             for n, t in series
@@ -112,7 +99,7 @@ def test_fig5_execution_time_vs_examples(benchmark, bundles, name):
 
 def _interpreted_k_s(bundle, duration):
     """Columns + partitions of the bundle's interpreted ``K_s``."""
-    ctx = EngineContext.serial(default_parallelism=CLUSTER_WORKERS)
+    ctx = EngineContext.serial()
     k_b = ctx.table_from_rows(
         list(BYTE_RECORD_COLUMNS), bundle.byte_records(duration)
     )
@@ -129,16 +116,16 @@ def measure_split_strategies(bundle, duration):
     signal_ids = sorted(bundle.signal_ids)
 
     # Old pattern: one full filter scan per signal type.
-    fanout_exec = SimulatedClusterExecutor(num_workers=CLUSTER_WORKERS)
-    k_s = EngineContext(fanout_exec).table_from_partitions(columns, partitions)
+    fanout = EngineContext.serial()
+    k_s = fanout.table_from_partitions(columns, partitions)
     start = time.perf_counter()
     for s_id in signal_ids:
         k_s.filter(col("s_id") == s_id).collect()
     fanout_seconds = time.perf_counter() - start
 
     # New pattern: one routed pass producing every group at once.
-    split_exec = SimulatedClusterExecutor(num_workers=CLUSTER_WORKERS)
-    k_s = EngineContext(split_exec).table_from_partitions(columns, partitions)
+    split = EngineContext.serial()
+    k_s = split.table_from_partitions(columns, partitions)
     start = time.perf_counter()
     groups = k_s.split_by_key("s_id", keys=signal_ids)
     for table in groups.values():
@@ -150,11 +137,11 @@ def measure_split_strategies(bundle, duration):
         "rows": sum(len(p) for p in partitions),
         "partitions": len(partitions),
         "fanout_seconds": fanout_seconds,
-        "fanout_tasks": fanout_exec.metrics.tasks_run,
+        "fanout_tasks": fanout.executor.metrics.tasks_run,
         "split_seconds": split_seconds,
-        "split_tasks": split_exec.metrics.tasks_run,
-        "split_shuffles": split_exec.metrics.shuffles,
-        "split_stages": split_exec.metrics.splits,
+        "split_tasks": split.executor.metrics.tasks_run,
+        "split_shuffles": split.executor.metrics.shuffles,
+        "split_stages": split.executor.metrics.splits,
     }
 
 

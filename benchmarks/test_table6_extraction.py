@@ -13,11 +13,13 @@ The paper extracts a fixed signal set from growing numbers of journeys:
       12        5.901e9   833.07e6      89     269.65 m   504.27 m
     ========  ==========  =========  ========  ========  ========
 
-Measured protocol, scaled to this reproduction (3 journeys of the SYN
-vehicle; "few" = 3 of 13 signals, "all" = 13 signals):
+Measured protocol, scaled to this reproduction (1, 3 and 7 journeys of
+the SYN vehicle; "few" = 3 of 13 signals, "all" = 13 signals):
 
 * proposed = preselection + interpretation + writing the result tables
-  to the store, on the measured-makespan cluster executor;
+  to the store, one :func:`repro.fleet.workers.run_jobs` job per journey
+  on ``min(journeys, os.cpu_count())`` worker processes -- the paper's
+  cluster parallelism over journeys, measured on this machine's cores;
 * in-house  = sequential ingest (interpretation of every known signal on
   ingest) of the same journeys.
 
@@ -31,69 +33,39 @@ Asserted shape (the paper's findings):
    extracted -- the Table 6 crossover.
 """
 
-import tempfile
-import time
+import os
 
 import pytest
 
-from benchmarks.conftest import CLUSTER_WORKERS, print_table
+from benchmarks.conftest import (
+    JOURNEYS,
+    best_of,
+    extract_journeys,
+    print_table,
+)
 from repro.baseline import InHouseTool
-from repro.core import PipelineConfig, PreprocessingPipeline
 from repro.datasets import SYN_SPEC
-from repro.engine import EngineContext, TableStore
-from repro.protocols.frames import BYTE_RECORD_COLUMNS
+
+JOURNEY_COUNTS = (1, 3, JOURNEYS)
 
 
-def proposed_extraction(journeys, database, signal_ids, attempts=3):
-    """Proposed pipeline: returns (cluster seconds, extracted rows).
-
-    Best of *attempts* runs -- the sub-100 ms measurements at this scale
-    jitter with scheduler noise.
-    """
-    ctx = EngineContext.simulated_cluster(num_workers=CLUSTER_WORKERS)
-    catalog = database.translation_catalog(signal_ids)
-    pipeline = PreprocessingPipeline(PipelineConfig(catalog=catalog))
-    tables = [
-        ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), j).cache()
-        for j in journeys
-    ]
-    best = None
-    extracted = 0
-    for _attempt in range(attempts):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = TableStore(tmp)
-            ctx.executor.reset_clock()
-            start = time.perf_counter()
-            extracted = 0
-            for index, k_b in enumerate(tables):
-                k_s = pipeline.extract_signals(k_b, cache=False)
-                manifest = store.write("j{:02d}".format(index), k_s)
-                extracted += manifest["num_rows"]
-            wall = time.perf_counter() - start
-            # Cluster tasks are modelled by the makespan clock;
-            # everything else (dominated by writing the result tables)
-            # is driver-side and charged at full wall time, as the paper
-            # does ("interpretation followed by writing the results to
-            # the database").
-            driver_share = max(wall - ctx.executor.serial_task_seconds, 0.0)
-            seconds = ctx.executor.simulated_seconds + driver_share
-            best = seconds if best is None else min(best, seconds)
-    return best, extracted
+def proposed_extraction(journeys, database, signal_ids):
+    """Proposed pipeline: returns (wall seconds, extracted rows)."""
+    seconds, outputs = extract_journeys(
+        journeys, database, signal_ids,
+        workers=min(len(journeys), os.cpu_count()),
+    )
+    return seconds, sum(rows for rows, _digest in outputs)
 
 
-def inhouse_extraction(journeys, database, signal_ids, attempts=3):
+def inhouse_extraction(journeys, database, signal_ids):
     """Baseline: returns (seconds, extracted rows). Ingest dominates."""
-    best = None
-    count = 0
-    for _attempt in range(attempts):
+    def run():
         tool = InHouseTool(database)
-        start = time.perf_counter()
         tool.ingest_journeys(journeys)
-        extracted = tool.extract(signal_ids)
-        seconds = time.perf_counter() - start
-        count = sum(len(v) for v in extracted.values())
-        best = seconds if best is None else min(best, seconds)
-    return best, count
+        return sum(len(v) for v in tool.extract(signal_ids).values())
+
+    return best_of(run)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +77,7 @@ def measured(journeys_syn):
     few = list(bundle.alpha_ids[:3])
     all_signals = list(bundle.signal_ids)
     rows = []
-    for journey_count in (1, 3):
+    for journey_count in JOURNEY_COUNTS:
         journeys = journeys_syn[:journey_count]
         trace_rows = sum(len(j) for j in journeys)
         for label, signal_ids in (("few", few), ("all", all_signals)):
@@ -130,8 +102,9 @@ def measured(journeys_syn):
 def test_table6_report(benchmark, measured):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_table(
-        "Table 6 -- extraction time, proposed ({} simulated workers) vs "
-        "in-house (sequential)".format(CLUSTER_WORKERS),
+        "Table 6 -- extraction time, proposed (one job per journey on "
+        "up to {} worker processes) vs in-house (sequential)".format(
+            os.cpu_count()),
         [
             "journeys", "trace rows", "extracted rows", "# signals",
             "proposed [s]", "in-house [s]", "speedup",
@@ -149,7 +122,7 @@ def test_table6_report(benchmark, measured):
             for r in measured
         ],
     )
-    assert len(measured) == 4
+    assert len(measured) == 2 * len(JOURNEY_COUNTS)
 
 
 def _cell(measured, journeys, signals):
@@ -167,7 +140,7 @@ class TestTable6Shape:
     def test_inhouse_independent_of_signal_count(self, benchmark, measured):
         """Finding 1: ingest interprets everything regardless."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for journeys in (1, 3):
+        for journeys in JOURNEY_COUNTS:
             few = _cell(measured, journeys, "few")["inhouse"]
             all_s = _cell(measured, journeys, "all")["inhouse"]
             assert all_s == pytest.approx(few, rel=0.35)
@@ -182,7 +155,7 @@ class TestTable6Shape:
     def test_proposed_grows_with_signal_count(self, benchmark, measured):
         """Finding 3: more extracted rows, more interpretation work."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for journeys in (1, 3):
+        for journeys in JOURNEY_COUNTS:
             few = _cell(measured, journeys, "few")
             all_s = _cell(measured, journeys, "all")
             assert all_s["extracted"] > few["extracted"]

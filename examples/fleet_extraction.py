@@ -3,7 +3,7 @@
 A small-scale rendition of the paper's Table 6: several journeys of the
 SYN vehicle are recorded; a handful of signals ("per domain usually
 between 9 and 100 signals are extracted") are pulled out of every
-journey, once with the distributed pipeline (preselect + interpret +
+journey, once with the proposed pipeline (preselect + interpret +
 write to the table store, measured like the paper measures it) and once
 with the sequential in-house tool (which must ingest-and-interpret every
 known signal of every row).
@@ -40,12 +40,10 @@ def main():
     few = list(bundles[0].alpha_ids[:FEW_SIGNALS])
     print("total trace rows: {}".format(total_rows))
 
-    # --- Proposed: distributed extraction + write to the store --------
-    # The cluster is modelled by the measured-makespan executor (see
-    # DESIGN.md): tasks run serially, and the executor estimates the
-    # wall time 10 workers would need. Only the single-process wall time
-    # is measured, so only it enters the speedup below.
-    ctx = EngineContext.simulated_cluster(num_workers=10)
+    # --- Proposed: extraction + write to the store ---------------------
+    # Serial, in this process; `repro fleet run --workers N` runs whole
+    # journeys on N worker processes.
+    ctx = EngineContext.serial()
     with tempfile.TemporaryDirectory() as tmp:
         store = TableStore(tmp)
         catalog = database.translation_catalog(few)
@@ -54,7 +52,6 @@ def main():
             ctx.table_from_rows(list(BYTE_RECORD_COLUMNS), journey).cache()
             for journey in journeys
         ]
-        ctx.executor.reset_clock()
         start = time.perf_counter()
         extracted_rows = 0
         for index, k_b in enumerate(tables):
@@ -62,15 +59,12 @@ def main():
             manifest = store.write("journey_{:02d}".format(index), k_s)
             extracted_rows += manifest["num_rows"]
         proposed_wall = time.perf_counter() - start
-        proposed_seconds = ctx.executor.simulated_seconds
         stored = store.list_tables()
 
     print("\nproposed pipeline ({} signals):".format(len(few)))
     print("  extracted rows          : {}".format(extracted_rows))
     print("  stored tables           : {}".format(stored))
     print("  single-core wall time   : {:.2f} s".format(proposed_wall))
-    print("  10-worker cluster time  : {:.2f} s (modelled makespan, not "
-          "measured)".format(proposed_seconds))
 
     # --- Baseline: sequential ingest-then-extract ----------------------
     tool = InHouseTool(database)

@@ -112,13 +112,6 @@ def _bundle(args):
     return build_dataset(spec, seed_offset=getattr(args, "journey", 0))
 
 
-def _context(args):
-    workers = getattr(args, "workers", None) or 1
-    if workers <= 1:
-        return EngineContext.serial()
-    return EngineContext.simulated_cluster(num_workers=workers)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -178,7 +171,7 @@ def cmd_export_dbc(args, out=sys.stdout):
 
 def cmd_extract(args, out=sys.stdout):
     bundle = _bundle(args)
-    ctx = _context(args)
+    ctx = EngineContext.serial()
     k_b = _load_trace(ctx, args.trace)
     signals = [s for s in args.signals.split(",") if s]
     catalog = bundle.database.translation_catalog(signals)
@@ -227,7 +220,7 @@ def _pipeline_config(args, bundle):
 
 def cmd_pipeline(args, out=sys.stdout):
     bundle = _bundle(args)
-    ctx = _context(args)
+    ctx = EngineContext.serial()
     k_b = _load_trace(ctx, args.trace)
     config = _pipeline_config(args, bundle)
     result = PreprocessingPipeline(config).run(k_b)
@@ -249,10 +242,7 @@ def cmd_pipeline(args, out=sys.stdout):
         Path(args.output).write_text(representation.to_markdown())
         print("state representation written to {}".format(args.output), file=out)
     if args.report:
-        result.report.set_meta(
-            dataset=args.dataset, trace=str(args.trace),
-            workers=getattr(args, "workers", 1),
-        )
+        result.report.set_meta(dataset=args.dataset, trace=str(args.trace))
         result.report.write(args.report)
         print("run report written to {}".format(args.report), file=out)
     return 0
@@ -265,7 +255,7 @@ def cmd_profile(args, out=sys.stdout):
     from repro.core.profiling import profile_report, profile_trace
 
     bundle = _bundle(args)
-    ctx = _context(args)
+    ctx = EngineContext.serial()
     k_b = _load_trace(ctx, args.trace)
     catalog = bundle.database.translation_catalog()
     k_s = interpret(preselect(k_b, catalog), catalog)
@@ -279,7 +269,7 @@ def cmd_report(args, out=sys.stdout):
     from repro.mining.report import ReportOptions, generate_report
 
     bundle = _bundle(args)
-    ctx = _context(args)
+    ctx = EngineContext.serial()
     k_b = _load_trace(ctx, args.trace)
     config = _pipeline_config(args, bundle)
     result = PreprocessingPipeline(config).run(k_b)
@@ -511,7 +501,7 @@ def cmd_stream_serve(args, out=sys.stdout):
     )
 
     bundle = _bundle(args)
-    ctx = _context(args)
+    ctx = EngineContext.serial()
     config = _pipeline_config(args, bundle)
     try:
         stream_config = StreamConfig(
@@ -844,7 +834,6 @@ def build_parser():
                    help="comma-separated signal ids")
     p.add_argument("--store", required=True)
     p.add_argument("--table", default="extraction")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("pipeline", help="run the full Algorithm 1")
@@ -855,7 +844,6 @@ def build_parser():
     p.add_argument("--output", help="write the full state table here")
     p.add_argument("--report",
                    help="write the run's observability report (JSON) here")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("profile", help="per-signal trace profile")
@@ -871,7 +859,6 @@ def build_parser():
     p.add_argument("--params", help="JSON parameter file")
     p.add_argument("--out", help="write the report here (default: stdout)")
     p.add_argument("--state-rows", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(

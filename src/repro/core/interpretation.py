@@ -26,7 +26,7 @@ A payload shorter than a rule's relevant bytes raises a
 :class:`~repro.protocols.signalcodec.ShortPayloadError` naming its
 frame; ``on_short="skip"`` drops its rows instead, ``"keep"`` keeps them
 with ``v`` the :data:`~repro.core.rules.TRUNCATED` sentinel, the same in
-both spellings and on every executor.
+both spellings and at every partition count.
 """
 
 from __future__ import annotations

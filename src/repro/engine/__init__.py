@@ -6,11 +6,11 @@ partitioned row or columnar tables, run as they are built. Each chain
 of filters, projections and maps is one per-partition task that
 evaluates bound expressions over whole columns; the wide stages are an
 inner broadcast join, a single-pass split by key, ascending global
-sorts, unions and repartitions. Plans execute serially or under a
-simulated-cluster cost model.
+sorts, unions and repartitions. Plans execute serially in the driver
+process.
 
 The names below are the ones the rest of ``repro`` imports from here;
-executors and the plan, expression and schema internals are imported
+the executor and the plan, expression and schema internals are imported
 from their submodules.
 """
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from repro.engine import plan as logical
 from repro.engine.columnar import ColumnarPartition
 from repro.engine.errors import PlanError
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
+from repro.engine.executor import Executor
 from repro.engine.operations import split_evenly
 from repro.engine.schema import Schema
 from repro.engine.table import Table
@@ -31,22 +31,8 @@ class EngineContext:
 
     @classmethod
     def serial(cls, default_parallelism=4):
-        """Context running everything in-process (the serial executor)."""
-        return cls(SerialExecutor(default_parallelism=default_parallelism))
-
-    @classmethod
-    def simulated_cluster(cls, num_workers=10, stage_latency=0.001):
-        """Context with the measured cluster-makespan cost model.
-
-        Results are identical to :meth:`serial`; the executor's
-        ``simulated_seconds`` additionally estimates the wall time a
-        ``num_workers`` cluster would need (see DESIGN.md).
-        """
-        return cls(
-            SimulatedClusterExecutor(
-                num_workers=num_workers, stage_latency=stage_latency
-            )
-        )
+        """Context running everything in-process, one task at a time."""
+        return cls(Executor(default_parallelism=default_parallelism))
 
     @property
     def default_parallelism(self):

@@ -1,19 +1,12 @@
-"""Plan executors.
+"""The plan executor.
 
-Two executors share one physical planning strategy and run every task in
-the driver process:
-
-* :class:`SerialExecutor` is the reference implementation and stands in
-  for single-machine tools.
-* :class:`SimulatedClusterExecutor` runs the same tasks and charges their
-  measured durations to a cluster-makespan model, standing in for the
-  Spark cluster of the paper.
-
-Both produce identical results for identical plans; determinism is part of
-the framework's contract (Sec. 1 of the paper, "Preserving determinism").
-Real parallelism is per journey: :mod:`repro.fleet` runs whole traces in
-worker processes of its own (DESIGN.md). Every task runs once; an
-exception it raises fails its stage as an :class:`ExecutionError`.
+:class:`Executor` plans a logical plan into per-partition tasks and runs
+them in the driver process, one partition at a time. Identical plans
+give identical results; determinism is part of the framework's contract
+(Sec. 1 of the paper, "Preserving determinism"). Real parallelism is per
+journey: :mod:`repro.fleet` runs whole traces in worker processes of its
+own (DESIGN.md). Every task runs once; an exception it raises fails its
+stage as an :class:`ExecutionError`.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from repro.engine.operations import (
 )
 from repro.obs import MetricsRegistry, stopwatch
 
-#: Counter names every executor pre-creates (so run reports always show
+#: Counter names the executor pre-creates (so run reports always show
 #: them, zero-valued, even for runs that never shuffled or split).
 #: ``kernel_fallbacks``, ``columnar_fallbacks`` and
 #: ``columnar_exchange_bytes`` always read 0 (no stage counts them); they
@@ -83,7 +76,7 @@ class ExecutorMetrics:
 
 
 class Executor:
-    """Base executor: physical planning plus a task-running strategy.
+    """Physical planning plus a serial task runner.
 
     Parameters
     ----------
@@ -105,12 +98,13 @@ class Executor:
         self.metrics = ExecutorMetrics(self.obs)
         self._stage_seq = 0
 
-    # -- task running (strategy implemented by subclasses) ---------------
+    # -- task running ----------------------------------------------------
     def run_tasks(self, task, inputs, stage="task"):
-        raise NotImplementedError
+        """Run *task* over every input partition, in order."""
+        return [self._timed_partition(task, x, stage) for x in inputs]
 
     def _timed_partition(self, task, x, stage):
-        """Run one partition once; returns ``(value, seconds)``.
+        """Run one partition once and return its value.
 
         The duration lands in the ``executor.task_seconds`` histograms
         (global and per stage kind), which is where run reports read
@@ -119,13 +113,11 @@ class Executor:
         """
         with stopwatch() as watch:
             value = task(x)
-        self._observe_task(stage, watch.seconds)
-        return value, watch.seconds
-
-    def _observe_task(self, stage, seconds):
         kind = stage.split("[", 1)[0]
-        self.obs.observe("executor.task_seconds", seconds)
-        self.obs.observe("executor.task_seconds.{}".format(kind), seconds)
+        self.obs.observe("executor.task_seconds", watch.seconds)
+        self.obs.observe("executor.task_seconds.{}".format(kind),
+                         watch.seconds)
+        return value
 
     # -- physical planning -----------------------------------------------
     def execute(self, node, as_rows=True):
@@ -259,11 +251,7 @@ class Executor:
         rows = [r for p in child_parts for r in p]
         self.obs.inc("executor.shuffles")
         self.obs.inc("executor.rows_shuffled", len(rows))
-        task = SortPartitionTask(key_indices)
-        # Routed through the task runner so cost models charge the sort
-        # as one (serial) task; executors with a single input run it in
-        # the driver anyway.
-        [ordered] = self._run(task, [rows], "sort")
+        [ordered] = self._run(SortPartitionTask(key_indices), [rows], "sort")
         return split_evenly(ordered, self.default_parallelism)
 
     def _execute_repartition(self, node):
@@ -352,76 +340,3 @@ def _narrow_step(node):
             type(node).__name__
         )
     )
-
-
-class SerialExecutor(Executor):
-    """Run every task in the driver process, one partition at a time."""
-
-    def run_tasks(self, task, inputs, stage="task"):
-        return [self._timed_partition(task, x, stage)[0] for x in inputs]
-
-
-class SimulatedClusterExecutor(SerialExecutor):
-    """Serial execution with a measured cluster-makespan cost model.
-
-    The reproduction's stand-in for the paper's 70-node Spark cluster:
-    every per-partition task runs serially (results are bit-identical to
-    :class:`SerialExecutor`), but each task's wall time is measured and
-    the executor accumulates the *makespan* that ``num_workers``
-    parallel workers would need -- longest-processing-time-first
-    assignment of the measured task durations, plus a fixed per-stage
-    coordination latency.
-
-    ``simulated_seconds`` is therefore an estimate of the distributed
-    wall time, derived from real single-core execution; it charges no
-    transfer, and on two real cores a process pool measured far below
-    it (EXPERIMENTS.md, Fig. 5). The benchmarks report it alongside the
-    raw wall time.
-    """
-
-    def __init__(self, num_workers=10, stage_latency=0.001,
-                 default_parallelism=None):
-        if default_parallelism is None:
-            default_parallelism = num_workers
-        super().__init__(default_parallelism=default_parallelism)
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.stage_latency = stage_latency
-        self.simulated_seconds = 0.0
-        #: Sum of raw task durations (no makespan division); wall time
-        #: minus this is driver-side work not covered by the model.
-        self.serial_task_seconds = 0.0
-
-    def reset_clock(self):
-        self.simulated_seconds = 0.0
-        self.serial_task_seconds = 0.0
-
-    def run_tasks(self, task, inputs, stage="task"):
-        if not inputs:
-            # A zero-partition stage schedules no tasks; charging the
-            # per-stage coordination latency for it would make empty
-            # stages cost a full stage_latency each.
-            return []
-        outputs = []
-        durations = []
-        for x in inputs:
-            output, seconds = self._timed_partition(task, x, stage)
-            outputs.append(output)
-            durations.append(seconds)
-        self.simulated_seconds += self._makespan(durations) + self.stage_latency
-        self.serial_task_seconds += sum(durations)
-        return outputs
-
-    def _makespan(self, durations):
-        """LPT greedy assignment of task durations to workers.
-
-        Workers beyond the task count would stay idle, so at most one
-        load per task is kept: the cost is the stage's, whatever
-        ``num_workers`` is.
-        """
-        loads = [0.0] * min(self.num_workers, len(durations))
-        for duration in sorted(durations, reverse=True):
-            index = loads.index(min(loads))
-            loads[index] += duration
-        return max(loads) if loads else 0.0

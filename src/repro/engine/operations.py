@@ -1,6 +1,6 @@
 """Physical per-partition operations.
 
-Executors fuse the chain of narrow plan nodes above a wide stage into
+The executor fuses the chain of narrow plan nodes above a wide stage into
 one :class:`PartitionTask` per input partition. Wide operations (the
 broadcast join, sort, split) are driver-side exchanges plus the
 per-partition tasks defined here.

@@ -130,7 +130,7 @@ def run_jobs(jobs, fn=execute_trace_job, workers=1, registry=None):
     def start():
         job = next(pending, None)
         if job is None:
-            return
+            return False
         # The forked worker inherits *job*: nothing pickles it.
         reader, writer = fork.Pipe(duplex=False)
         process = fork.Process(target=_work, args=(fn, job, writer),
@@ -138,10 +138,12 @@ def run_jobs(jobs, fn=execute_trace_job, workers=1, registry=None):
         process.start()
         writer.close()  # the worker holds the only writer: EOF is its exit
         running[reader] = (job, process)
+        return True
 
     try:
-        for _ in range(workers):
-            start()
+        # The job count, not *workers*, bounds the first round of forks.
+        while len(running) < workers and start():
+            pass
         while running:
             for reader in wait(list(running)):
                 job, process = running.pop(reader)

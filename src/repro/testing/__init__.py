@@ -2,8 +2,8 @@
 
 * :mod:`repro.testing.generator` -- seeded random journeys (a network
   database, a parameter document and a ``K_b`` trace), clean or lossy;
-* :mod:`repro.testing.differential` -- runs a journey across executor,
-  partition count, trace layout, window size and kill point and holds
+* :mod:`repro.testing.differential` -- runs a journey across partition
+  count, trace layout, window size and kill point and holds
   every ``R_out`` digest to the serial whole-trace run's; shrinks a
   divergence to a JSON reproducer;
 * :mod:`repro.testing.fuzz` -- the CLI: ``python -m repro.testing.fuzz

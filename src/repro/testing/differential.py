@@ -6,7 +6,6 @@ checks that on journeys from
 :func:`~repro.testing.generator.generate_journey_case` by running each
 one at a set of :class:`Point` s -- one value per axis --
 
-* executor: serial or simulated cluster;
 * partitions: 1-8, the source partitions and the executor's default;
 * layout: rows in memory, a ``.btrc`` or a ``.ctrc`` file;
 * window: none (:meth:`PreprocessingPipeline.run`) or a size in seconds
@@ -19,8 +18,8 @@ where the run keeps it) with the serial, one-partition, in-memory,
 whole-trace run's. A point that errors where the reference does not is
 a divergence too.
 
-Executors are built per run, so a run is a pure function of (records,
-point) even when an executor keeps state across its tasks. A divergence
+Each run builds its own serial executor at the point's partition
+count, so a run is a pure function of (records, point). A divergence
 shrinks to fewer frames of the same journey (tail cut, then frames
 dropped) and is written as a JSON reproducer naming the seed, the lossy
 flag, the kept frame indices and the failing point.
@@ -41,24 +40,16 @@ from repro.core.incremental import IncrementalRunner, split_into_windows
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
 from repro.obs import RunReport
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.stream import ReplaySource, StreamConfig, StreamIngestService
 from repro.testing.generator import generate_journey_case
 from repro.tracefile import codec_for
 
-#: The executor axis: name -> factory(partitions).
-EXECUTORS = {
-    "serial": lambda partitions: SerialExecutor(
-        default_parallelism=partitions),
-    "simulated": lambda partitions: SimulatedClusterExecutor(
-        num_workers=2, default_parallelism=partitions),
-}
 LAYOUTS = ("rows", ".btrc", ".ctrc")
 MAX_PARTITIONS = 8
 SHRINK_CHECKS = 400  # the most reruns one shrink may make
-REPRODUCER_FORMAT = "repro.testing/2"
+REPRODUCER_FORMAT = "repro.testing/3"
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class Point:
     and ``kill=None`` a run that is never killed. A killed run streams
     with ``window`` seconds and commits every ``kill // 3`` frames."""
 
-    executor: str
     partitions: int
     layout: str
     window: float = None
@@ -78,7 +68,7 @@ class Point:
                         if v is not None)
 
 
-REFERENCE = Point("serial", 1, "rows")
+REFERENCE = Point(1, "rows")
 
 
 @dataclass(frozen=True)
@@ -101,20 +91,18 @@ def journey(seed, lossy=False):
 
 
 def draw_points(seed, frames):
-    """The points of one case: every executor x layout at one partition
-    and at a drawn count, then one windowed and one killed run at drawn
-    values. The reference comes first."""
+    """The points of one case: every layout at one partition and at a
+    drawn count, then one windowed and one killed run at drawn values.
+    The reference comes first."""
     rng = random.Random("points-{}".format(seed))
     partitions = rng.randint(2, MAX_PARTITIONS)
-    points = [Point(executor, count, layout)
-              for executor in EXECUTORS for layout in LAYOUTS
-              for count in (1, partitions)]
+    points = [Point(count, layout)
+              for layout in LAYOUTS for count in (1, partitions)]
     # Log-uniform, so many windows are short enough to seal between two
     # commits of the killed run: what a resumed log must carry.
     window = round(math.exp(rng.uniform(math.log(0.1), math.log(3.0))), 2)
     for kill in (None, rng.randint(1, max(1, frames - 1))):
-        points.append(Point(rng.choice(tuple(EXECUTORS)),
-                            rng.randint(1, MAX_PARTITIONS),
+        points.append(Point(rng.randint(1, MAX_PARTITIONS),
                             rng.choice(LAYOUTS), window, kill))
     return points
 
@@ -128,7 +116,7 @@ def digest(rows):
 def run(case, records, point):
     """``(R_out digest, K_s digest or None)`` of *records* at *point*."""
     config = config_from_dict(case.params, case.database)
-    context = EngineContext(EXECUTORS[point.executor](point.partitions))
+    context = EngineContext.serial(default_parallelism=point.partitions)
     with tempfile.TemporaryDirectory(prefix="repro-diff-") as tmp:
         source = records
         if point.layout != "rows":
@@ -287,8 +275,7 @@ def load_reproducer(path):
     if not isinstance(point, dict) or set(point) != set(fields):
         raise ValueError("'point' must name {}".format(", ".join(fields)))
     point = Point(**point)
-    if not (type(point.executor) is str and point.executor in EXECUTORS
-            and type(point.layout) is str and point.layout in LAYOUTS
+    if not (type(point.layout) is str and point.layout in LAYOUTS
             and _counts([point.partitions])
             and point.partitions <= MAX_PARTITIONS
             and (point.window is None or type(point.window) in (int, float)

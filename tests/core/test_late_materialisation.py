@@ -173,7 +173,7 @@ def test_cached_ctrc_table_keeps_packed_planes_and_yields_the_serial_r_out(
     serial = pipeline.run(
         colbin.load_table(EngineContext.serial(), path)
     ).r_out.collect()
-    context = EngineContext.simulated_cluster(num_workers=2)
+    context = EngineContext.serial(default_parallelism=2)
     k_b = colbin.load_table(context, path).cache()
     # The cache kept the packed planes.
     info = k_b.plan.partitions[0].column(4)

@@ -244,15 +244,16 @@ class TestDeterminism:
         assert sorted(a.r_out.collect()) == sorted(b.r_out.collect())
         assert a.classification_summary() == b.classification_summary()
 
-    def test_serial_and_parallel_agree(self, config, wiper_simulation):
+    def test_partition_count_does_not_change_r_out(self, config,
+                                                   wiper_simulation):
         from repro.engine import EngineContext
 
-        serial_ctx = EngineContext.serial()
-        k_b = wiper_simulation.record_table(serial_ctx, 10.0)
+        one = EngineContext.serial(default_parallelism=1)
+        k_b = wiper_simulation.record_table(one, 10.0)
         expected = sorted(
             PreprocessingPipeline(config).run(k_b).r_out.collect()
         )
-        par_ctx = EngineContext.simulated_cluster(num_workers=2)
+        par_ctx = EngineContext.serial(default_parallelism=4)
         k_b_par = wiper_simulation.record_table(par_ctx, 10.0)
         actual = sorted(
             PreprocessingPipeline(config).run(k_b_par).r_out.collect()

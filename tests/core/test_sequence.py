@@ -32,7 +32,6 @@ from repro.core.pipeline import PreprocessingPipeline
 from repro.core.sequence import ChannelGroup, equality_groups
 from repro.engine import EngineContext, col
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
-from repro.testing.differential import EXECUTORS
 from repro.testing.generator import generate_journey_case
 
 
@@ -360,20 +359,20 @@ class TestEngineWrappers:
         assert [r[1] for r in expected] == [0.3, 0.2, 0.4, 0.1]
 
     @pytest.mark.parametrize("seed", [1, 4])
-    def test_every_executor_of_the_differential_agrees(self, seed):
-        """The wrappers' Project, Repartition and MapPartitions nodes on
-        every executor of the ``R_out`` differential's axis, over a
-        generated journey's ``K_s``, give the serial executor's rows."""
+    def test_partition_counts_agree_on_a_journey(self, seed):
+        """The wrappers' Project, Repartition and MapPartitions nodes,
+        over a generated journey's ``K_s`` at the differential's
+        partition counts, give the one-partition rows."""
         case = generate_journey_case(random.Random(seed))
         config = config_from_dict(case.params, case.database)
         results = {}
-        for name, factory in sorted(EXECUTORS.items()):
-            ctx = EngineContext(factory(3))
+        for parts in (1, 3, 8):
+            ctx = EngineContext.serial(default_parallelism=parts)
             k_s = PreprocessingPipeline(config).extract_signals(
                 ctx.table_from_rows(list(BYTE_RECORD_COLUMNS),
                                     list(case.records))
             )
-            results[name] = [
+            results[parts] = [
                 (reduce_signal(k_sep, config.constraints.for_signal(
                     s_id)).collect(),
                  apply_extensions(k_sep, config.extensions.for_signal(
@@ -381,8 +380,9 @@ class TestEngineWrappers:
                 for s_id in config.catalog.signal_ids()
                 for k_sep in [k_s.filter(col("s_id") == s_id)]
             ]
-        assert any(w for _red, w in results["serial"])
-        assert results["simulated"] == results["serial"]
+        assert any(w for _red, w in results[1])
+        assert results[3] == results[1]
+        assert results[8] == results[1]
 
     def test_columns_are_taken_by_name(self, ctx):
         """The stages read K_s-layout rows by position; the wrappers

@@ -1,10 +1,9 @@
-"""Satellite: truncated payloads fail identically across the matrix.
+"""Truncated payloads fail identically on both spellings of lines 4-6.
 
-Every executor of the ``R_out`` differential must surface a truncated
-frame as the same :class:`ShortPayloadError` (raise mode) and produce
-the same interpreted rows (skip/keep modes), for both spellings of
-lines 4-6: a RuleCatalog (``_RuleKernels``) and a catalog table (the
-join plan). Pre-fix, the interpreted row path raised
+A RuleCatalog (``_RuleKernels``) and a catalog table (the join plan),
+at any partition count, must surface a truncated frame as the same
+:class:`ShortPayloadError` (raise mode) and produce the same
+interpreted rows (skip/keep modes). Pre-fix, the interpreted row path raised
 ``CodecError``, the compiled path ``ValueError`` and the SOME/IP path
 ``SomeIpError`` -- three spellings of one transport defect.
 """
@@ -23,7 +22,6 @@ from repro.core import (
 from repro.engine import EngineContext
 from repro.engine.errors import EngineError
 from repro.protocols import ShortPayloadError, SignalEncoding
-from repro.testing.differential import EXECUTORS, REFERENCE
 
 SPELLINGS = ("kernels", "join")
 K_PRE_COLUMNS = ["t", "l", "b_id", "m_id", "m_info"]
@@ -69,11 +67,11 @@ def _short_payload_cause(exc):
     return None
 
 
-def _run_all_modes(executor_name):
-    """Interpret ROWS on one executor of the differential's axis;
-    returns per-mode observations."""
+def _run_all_modes(partitions):
+    """Interpret ROWS over *partitions* partitions; returns per-mode
+    observations."""
     out = {}
-    ctx = EngineContext(EXECUTORS[executor_name](3))
+    ctx = EngineContext.serial(default_parallelism=partitions)
     for spelling in SPELLINGS:
         catalog = _catalog_for(spelling, ctx)
         k_pre = ctx.table_from_rows(K_PRE_COLUMNS, list(ROWS))
@@ -93,22 +91,19 @@ def _run_all_modes(executor_name):
 
 @pytest.fixture(scope="module")
 def reference():
-    return _run_all_modes(REFERENCE.executor)
+    return _run_all_modes(1)
 
 
-@pytest.mark.parametrize(
-    "combo", [name for name in EXECUTORS if name != REFERENCE.executor]
-)
-def test_combo_matches_reference(combo, reference):
-    observed = _run_all_modes(combo)
+@pytest.mark.parametrize("partitions", [2, 3])
+def test_partition_count_matches_reference(partitions, reference):
+    observed = _run_all_modes(partitions)
     for spelling in SPELLINGS:
         ref_error = reference["raise", spelling]
         got_error = observed["raise", spelling]
         assert isinstance(ref_error, ShortPayloadError)
         assert isinstance(got_error, ShortPayloadError), (
-            "{}: the {} spelling surfaced no ShortPayloadError".format(
-                combo, spelling
-            )
+            "{} partitions: the {} spelling surfaced no "
+            "ShortPayloadError".format(partitions, spelling)
         )
         assert str(got_error) == str(ref_error)
         for mode in ("skip", "keep"):

@@ -383,10 +383,10 @@ class TestBatchPartitionFunctions:
     def test_columnar_task_hands_over_and_takes_back_partitions(
         self, filtered
     ):
-        from repro.engine.executor import SerialExecutor
+        from repro.engine.executor import Executor
 
         func = _BatchPrefixSum()
-        executor = SerialExecutor()
+        executor = Executor()
         # cache(): the layout the last stage produced is kept.
         cached = self._run(executor, func, filtered).cache()
         assert executor.metrics.columnar_tasks == 1
@@ -398,10 +398,10 @@ class TestBatchPartitionFunctions:
         assert cached.collect() == self._expected(filtered)
 
     def test_a_filter_runs_on_what_the_partition_function_returned(self):
-        from repro.engine.executor import SerialExecutor
+        from repro.engine.executor import Executor
 
         func = _BatchPrefixSum()
-        executor = SerialExecutor()
+        executor = Executor()
         got = (
             self._run(executor, func, True)
             .filter(col("sum") > 20).select("sum").collect()

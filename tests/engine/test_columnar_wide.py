@@ -6,11 +6,11 @@ per-row reference builds from the inputs, row order included.
 """
 
 from repro.engine import EngineContext, col
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
+from repro.engine.executor import Executor
 
 
 def _wide_ctx():
-    return EngineContext(SerialExecutor(default_parallelism=4))
+    return EngineContext(Executor(default_parallelism=4))
 
 
 def _canon(rows):
@@ -108,15 +108,3 @@ class TestWidePipeline:
         got = a.union(b).join(rules, on=["k"]).collect()
         assert len(got) == 20
         assert _canon(got) == _canon(_join(a_rows + b_rows, _RULES))
-
-
-# -- the simulated cluster ---------------------------------------------------
-
-class TestColumnarFlow:
-    def test_simulated_cluster_matches_the_row_reference(self):
-        ctx = EngineContext(
-            SimulatedClusterExecutor(num_workers=2, default_parallelism=4)
-        )
-        joined, _groups = _wide_pipeline(ctx)
-        rows = joined.collect()
-        assert sorted(_canon(rows)) == sorted(_canon(_JOINED))

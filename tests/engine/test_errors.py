@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import EngineContext, ExecutionError, PlanError
 from repro.engine.errors import EngineError, SchemaError
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
+from repro.engine.executor import Executor
 from repro.engine.plan import PlanNode
 
 
@@ -34,7 +34,7 @@ class TestExecutionErrors:
                 return Schema.of("x")
 
         with pytest.raises(PlanError):
-            SerialExecutor().execute(Alien())
+            Executor().execute(Alien())
 
     def test_partial_failure_does_not_corrupt_later_queries(self, ctx):
         t = ctx.table_from_rows(["x"], [(1,), (2,)])
@@ -44,11 +44,13 @@ class TestExecutionErrors:
         assert t.count() == 2
 
 
-class TestParallelErrorPropagation:
-    def test_worker_exception_reaches_driver(self):
-        ctx = EngineContext(SimulatedClusterExecutor(num_workers=2))
+class TestPartitionedErrorPropagation:
+    @pytest.mark.parametrize("partitions", [1, 4, 16])
+    def test_task_exception_reaches_the_caller(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
         t = ctx.table_from_rows(
-            ["x"], [(i,) for i in range(10)], num_partitions=4
+            ["x"], [(i,) for i in range(10)], num_partitions=partitions
         ).flat_map(_boom, ["y"])
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError) as excinfo:
             t.collect()
+        assert isinstance(excinfo.value.cause, RuntimeError)

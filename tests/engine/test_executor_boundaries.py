@@ -1,19 +1,24 @@
-"""Simulated-cluster boundary conditions.
+"""Executor boundary conditions.
 
-Covers the shapes a fleet-scale run hits in practice: a single worker,
-more partitions than workers, zero-row inputs and empty stages.
+Covers the shapes a fleet-scale run hits in practice, at 1, 4 and 16
+partitions: a single partition, more partitions than the default,
+zero-row inputs and empty partitions among full ones.
 """
 
+import pytest
+
 from repro.engine import EngineContext, col
-from repro.engine.executor import SimulatedClusterExecutor
+
+PARTITIONS = (1, 4, 16)
+
+
+def _rows(count):
+    return [(float(i), i % 3, i * 5 % 13) for i in range(count)]
 
 
 def _workload(ctx, rows=200, partitions=4):
-    t = ctx.table_from_rows(
-        ["t", "m", "v"],
-        [(float(i), i % 3, i * 5 % 13) for i in range(rows)],
-        num_partitions=partitions,
-    )
+    t = ctx.table_from_rows(["t", "m", "v"], _rows(rows),
+                            num_partitions=partitions)
     return (
         t.filter(col("v") > 2)
         .select("m", "v", "t")
@@ -21,68 +26,47 @@ def _workload(ctx, rows=200, partitions=4):
     )
 
 
-class TestWorkerAndPartitionShapes:
-    def test_single_worker(self):
-        expected = _workload(EngineContext.serial(default_parallelism=4)).collect()
-        executor = SimulatedClusterExecutor(
-            num_workers=1, default_parallelism=4
-        )
-        ctx = EngineContext(executor)
-        assert _workload(ctx).collect() == expected
+def _expected(rows=200):
+    kept = sorted((m, t, v) for t, m, v in _rows(rows) if v > 2)
+    return [(m, v, t) for m, t, v in kept]
 
-    def test_more_partitions_than_workers(self):
-        expected = _workload(
-            EngineContext.serial(default_parallelism=16), partitions=16
-        ).collect()
-        executor = SimulatedClusterExecutor(
-            num_workers=2, default_parallelism=16
-        )
-        ctx = EngineContext(executor)
-        assert _workload(ctx, partitions=16).collect() == expected
 
-    def test_zero_row_input(self):
-        ctx = EngineContext(SimulatedClusterExecutor(num_workers=2))
+@pytest.mark.parametrize("partitions", PARTITIONS)
+class TestPartitionShapes:
+    def test_partitions_at_the_default(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        assert _workload(ctx, partitions=partitions).collect() == _expected()
+
+    def test_more_partitions_than_the_default(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        out = _workload(ctx, partitions=partitions * 4)
+        assert out.collect() == _expected()
+        assert len(ctx.executor.execute(out.plan)) == partitions
+
+    def test_zero_row_input(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
         t = ctx.empty_table(["t", "m", "v"])
         assert t.filter(col("v") > 0).collect() == []
         assert t.count() == 0
 
-    def test_zero_row_filter_and_sort(self):
-        ctx = EngineContext(SimulatedClusterExecutor(num_workers=2))
-        out = _workload(ctx, rows=0)
-        assert out.collect() == []
+    def test_zero_row_filter_and_sort(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        assert _workload(ctx, rows=0, partitions=partitions).collect() == []
 
-    def test_empty_partitions_among_full_ones(self):
+    def test_empty_partitions_among_full_ones(self, partitions):
         layout = [[], [(1.0, 0, 5)], [], [(2.0, 1, 6), (3.0, 2, 7)], []]
-        ctx = EngineContext(SimulatedClusterExecutor(num_workers=2))
+        ctx = EngineContext.serial(default_parallelism=partitions)
         t = ctx.table_from_partitions(["t", "m", "v"], layout)
         assert t.filter(col("v") > 5).count() == 2
+        assert t.filter(col("v") > 5).sort(["t"]).collect() == [
+            (2.0, 1, 6), (3.0, 2, 7)]
+
+    def test_an_empty_stage_runs_no_task(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        assert ctx.executor.run_tasks(_identity, [], stage="empty[0]") == []
+        assert ctx.executor.run_tasks(
+            _identity, [[1], [2]], stage="full[0]") == [[1], [2]]
 
 
 def _identity(x):
     return x
-
-
-class TestSimulatedClusterEmptyStages:
-    def test_empty_stage_charges_no_latency(self):
-        # Invariant: a stage with zero partitions schedules zero tasks,
-        # so it must not be billed the per-stage coordination latency.
-        # The old code charged stage_latency unconditionally, making a
-        # zero-partition stage cost a full stage each.
-        executor = SimulatedClusterExecutor(num_workers=4, stage_latency=0.5)
-        assert executor.run_tasks(_identity, [], stage="empty[0]") == []
-        assert executor.simulated_seconds == 0.0
-        assert executor.serial_task_seconds == 0.0
-
-    def test_nonempty_stage_still_charges_latency(self):
-        executor = SimulatedClusterExecutor(num_workers=4, stage_latency=0.5)
-        outputs = executor.run_tasks(_identity, [[1], [2]], stage="full[0]")
-        assert outputs == [[1], [2]]
-        assert executor.simulated_seconds >= 0.5
-
-    def test_mixed_empty_and_full_stages(self):
-        executor = SimulatedClusterExecutor(num_workers=2, stage_latency=0.25)
-        executor.run_tasks(_identity, [[1]], stage="a[0]")
-        executor.run_tasks(_identity, [], stage="b[1]")
-        executor.run_tasks(_identity, [[2]], stage="c[2]")
-        # Exactly two stages ran tasks -> exactly two latency charges.
-        assert 0.5 <= executor.simulated_seconds < 0.75

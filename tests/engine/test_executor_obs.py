@@ -4,7 +4,7 @@ on the obs registry."""
 import pytest
 
 from repro.engine import EngineContext, col
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
+from repro.engine.executor import Executor
 
 
 def _table(ctx, rows=60, partitions=4):
@@ -34,19 +34,10 @@ class TestTaskDurationHistograms:
         assert "executor.task_seconds.sort" in names
         assert any(n.startswith("executor.stage_seconds.") for n in names)
 
-    def test_simulated_cluster_histograms_feed_makespan(self):
-        executor = SimulatedClusterExecutor(num_workers=2, stage_latency=0.0)
-        executor.run_tasks(_double, [[(1,)], [(2,)], [(3,)]], stage="map[0]")
-        histogram = executor.obs.histogram("executor.task_seconds")
-        assert histogram.count == 3
-        assert executor.serial_task_seconds == pytest.approx(
-            histogram.total, rel=1e-6
-        )
-
 
 class TestMetricsView:
     def test_unknown_counter_name_is_an_attribute_error(self):
-        metrics = SerialExecutor().metrics
+        metrics = Executor().metrics
         assert metrics.tasks_run == 0
         with pytest.raises(AttributeError):
             metrics.no_such_counter
@@ -54,7 +45,7 @@ class TestMetricsView:
 
 class TestCounters:
     def test_counters_exist_at_zero_before_any_run(self):
-        executor = SerialExecutor()
+        executor = Executor()
         counters = executor.obs.counters()
         assert counters["executor.tasks_run"] == 0
         assert counters["executor.shuffles"] == 0
@@ -115,7 +106,7 @@ class TestColumnarCounters:
         assert ctx.executor.metrics.columnar_tasks == 1
 
     def test_counters_exist_at_zero_before_any_run(self):
-        executor = SerialExecutor()
+        executor = Executor()
         counters = executor.obs.counters()
         assert counters["executor.columnar_tasks"] == 0
         assert counters["executor.columnar_fallbacks"] == 0

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro.engine import EngineContext, ExecutionError, apply, col
 from repro.engine.columnar import BytesColumn, ColumnarPartition, DictColumn
-from repro.engine.executor import SerialExecutor, SimulatedClusterExecutor
+from repro.engine.executor import Executor
 from repro.engine.expressions import (
     BoundAnd,
     BoundApply,
@@ -424,7 +424,7 @@ class TestRowBarriers:
 
     def test_engine_flat_map_chain_is_one_columnar_task(self):
         rows = [(i, i * 0.5) for i in range(40)]
-        executor = SerialExecutor()
+        executor = Executor()
         got = (
             EngineContext(executor).table_from_rows(["a", "b"], rows)
             .filter(col("a") > 30)
@@ -655,15 +655,14 @@ def _pipeline_rows():
 
 
 class TestExecutors:
-    def test_simulated_cluster_matches_the_row_reference(self):
-        executor = SimulatedClusterExecutor(
-            num_workers=2, default_parallelism=4
-        )
-        got = _pipeline(EngineContext(executor)).repartition(4).collect()
-        assert got == _pipeline_rows()
-
     def test_serial_matches_the_row_reference(self):
         assert _pipeline(EngineContext.serial()).collect() == _pipeline_rows()
+
+    @pytest.mark.parametrize("partitions", [1, 4, 16])
+    def test_partition_count_matches_the_row_reference(self, partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        got = _pipeline(ctx).repartition(partitions).collect()
+        assert got == _pipeline_rows()
 
     def test_a_task_error_is_an_execution_error(self):
         t = EngineContext.serial().table_from_rows(["a", "b"], [(1.0, 0.0)])

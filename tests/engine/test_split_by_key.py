@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext, col
-from repro.engine.executor import SerialExecutor
 from repro.engine.errors import SchemaError
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
-from repro.testing.differential import EXECUTORS
 from repro.testing.generator import generate_journey_case
 
 
@@ -155,11 +153,13 @@ class TestSplitCounters:
         assert metrics.splits == 0
 
 
-def _journey_table(ctx, seed, kind):
-    """A generated journey's ``K_b`` (four partitions) or its ``K_s``."""
+def _journey_table(ctx, seed, kind, partitions):
+    """A generated journey's ``K_b`` over *partitions* partitions, or
+    its ``K_s``."""
     case = generate_journey_case(random.Random(seed))
     k_b = ctx.table_from_rows(
-        list(BYTE_RECORD_COLUMNS), list(case.records), num_partitions=4
+        list(BYTE_RECORD_COLUMNS), list(case.records),
+        num_partitions=partitions,
     )
     if kind == "k_b":
         return k_b
@@ -168,12 +168,13 @@ def _journey_table(ctx, seed, kind):
 
 
 class TestSplitAcrossCombos:
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("partitions", [1, 4, 16])
     @pytest.mark.parametrize("kind, key", [("k_b", "m_id"), ("k_s", "s_id")])
     @pytest.mark.parametrize("seed", [11, 23, 47])
-    def test_split_matches_filter_reference(self, executor, kind, key, seed):
-        ctx = EngineContext(EXECUTORS[executor](4))
-        table = _journey_table(ctx, seed, kind)
+    def test_split_matches_filter_reference(self, kind, key, seed,
+                                            partitions):
+        ctx = EngineContext.serial(default_parallelism=partitions)
+        table = _journey_table(ctx, seed, kind, partitions)
         all_rows = table.collect()
         index = table.columns.index(key)
         groups = table.split_by_key(key)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.engine.errors import ExecutionError
 from repro.fleet import JobError, run_jobs
 from repro.fleet.workers import JOB_STAGE, StepError, step
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, stopwatch
 
 
 def double_index(payload):
@@ -150,6 +152,24 @@ class TestPool:
             peak = max(peak, len(pulled) - landed)
         assert landed == 6
         assert peak == 2
+
+    def test_a_huge_worker_count_forks_one_process_per_job(self,
+                                                          monkeypatch):
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def counted(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            counted)
+        with stopwatch() as watch:
+            outcomes = list(run_jobs([_job(0), _job(1)], fn=double_index,
+                                     workers=10**9))
+        assert sorted(value for _job, value in outcomes) == [0, 2]
+        assert len(started) == 2
+        assert watch.seconds < 1.0
 
 
 class StagedError(RuntimeError):

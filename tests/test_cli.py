@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from tests.core.test_params import malformed_documents
 
 
@@ -117,6 +117,7 @@ class TestPipeline:
 
         payload = validate_report(report_path.read_text())
         assert payload["meta"]["dataset"] == "SYN"
+        assert "workers" not in payload["meta"]
         span_names = {s["name"] for s in payload["spans"]}
         assert span_names >= {
             "preselect", "interpret", "split", "reduce", "extend",
@@ -179,6 +180,32 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: params:") and named in err
+
+
+class TestWorkersFlag:
+    """Single-trace commands run serially; only ``fleet run|resume``
+    take ``--workers`` (worker processes, one journey each)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--signals", "syn_num_000", "--store", "st"],
+        ["pipeline"],
+        ["report"],
+    ], ids=["extract", "pipeline", "report"])
+    def test_single_trace_commands_reject_workers(self, trace_file, capsys,
+                                                  argv):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--dataset", "SYN", "--trace", str(trace_file),
+                    *rest, "--workers", "2")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_fleet_commands_keep_workers(self, command):
+        args = build_parser().parse_args(
+            ["fleet", command, "--run-dir", "sweep", "--workers", "2"])
+        assert args.workers == 2
 
 
 class TestProfile:

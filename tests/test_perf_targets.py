@@ -33,11 +33,10 @@ opens one reduce, extend and branch span whatever its signal count, and
 a numeric signal type's values never leave their float64 plane for an
 object ``astype``. The last two keep unpickling to the fleet checkpoint
 reader: no stored table, stream log or other file is read through
-``pickle.load``, and the stream path does not import ``pickle``. One
-more keeps every concrete executor on the executor axis of the
-``R_out`` differential (``repro.testing.differential``). The last keeps
-one report class: every report format is an entry of the rule table in
-``repro.obs.report``, not another wrapper around ``RunReport``. Two
+``pickle.load``, and the stream path does not import ``pickle``.
+Another keeps one report class: every report format is an entry of the
+rule table in ``repro.obs.report``, not another wrapper around
+``RunReport``. Two
 more keep every engine task and fleet job at one run: no module defines
 or imports a fault-injection or attempt-loop name, and no signature
 takes a fault or retry parameter.
@@ -413,27 +412,6 @@ def test_pending_windows_are_scanned_when_one_seals_not_per_frame(
     }
 
 
-def test_every_executor_is_on_the_differential_executor_axis():
-    """A new executor cannot skip the ``R_out`` differential: each
-    concrete ``Executor`` subclass is what one factory of the axis
-    builds."""
-    import inspect
-
-    from repro.engine import executor
-    from repro.testing.differential import EXECUTORS
-
-    concrete = {
-        cls for _name, cls in inspect.getmembers(executor, inspect.isclass)
-        if issubclass(cls, executor.Executor)
-        and cls is not executor.Executor
-        and cls.__module__ == executor.__name__
-    }
-    built = [factory(1) for factory in EXECUTORS.values()]
-    assert sorted(type(e).__name__ for e in built) == sorted(
-        cls.__name__ for cls in concrete
-    )
-
-
 #: What simulated task and job failures were made of: a fault policy,
 #: an attempt loop with its counter helper and their two errors. Every
 #: task and job runs once, so none of them may come back.
@@ -585,18 +563,17 @@ def test_the_engine_surface_has_callers_outside_the_engine(qualified):
         )
 
 
-#: Executor classes a caller builds by name (``SerialExecutor(...)``);
-#: the knob guard covers their constructors too.
-_EXECUTORS = ("SerialExecutor", "SimulatedClusterExecutor")
+#: Executor classes a caller builds by name (``Executor(...)``); the
+#: knob guard covers their constructors too. There is one executor, so
+#: one name.
+_EXECUTORS = ("Executor",)
 
 #: Defaulted parameters of the public engine surface that no caller sets
 #: to anything but their default, and why they stay. An entry that gains
 #: a caller must leave the list.
 _UNSET_ENGINE_KNOBS = {
-    "SerialExecutor.default_parallelism": "callers set it through "
+    "Executor.default_parallelism": "callers set it through "
         "EngineContext.serial(default_parallelism=), whose knob is guarded",
-    "SimulatedClusterExecutor.default_parallelism": "defaults to "
-        "num_workers; the differential's executor axis sets it",
 }
 
 

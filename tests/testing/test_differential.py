@@ -1,8 +1,8 @@
 """Tier-1 run of the ``R_out`` differential over generated journeys.
 
 A fixed seed budget of clean and lossy journeys runs at every point of
-``draw_points`` -- executor, partition count, layout, window and kill
-point -- and must agree with the serial whole-trace run. Four planted
+``draw_points`` -- partition count, layout, window and kill point --
+and must agree with the serial whole-trace run. Four planted
 mutants, each a monkeypatch of one layer, must each be caught within
 that budget; the poisoned one also shrinks to a small reproducer that
 ``--reproduce`` replays.
@@ -21,11 +21,10 @@ from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
 from repro.engine import EngineContext
 from repro.engine import ColumnarPartition
-from repro.engine.executor import SerialExecutor
+from repro.engine.executor import Executor
 from repro.obs import validate_report
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.testing.differential import (
-    EXECUTORS,
     LAYOUTS,
     MAX_PARTITIONS,
     REFERENCE,
@@ -53,7 +52,6 @@ class TestPoints:
     def test_every_axis_value_is_drawn_and_the_reference_is_first(self):
         points = draw_points(3, 100)
         assert points[0] == REFERENCE
-        assert {p.executor for p in points} == set(EXECUTORS)
         assert {p.layout for p in points} == set(LAYOUTS)
         assert {p.partitions > 1 for p in points} == {False, True}
         windowed = [p for p in points if p.window is not None]
@@ -68,7 +66,7 @@ class TestPoints:
 
     def test_a_journey_runs_column_steps(self):
         case = journey(0)
-        executor = SerialExecutor()
+        executor = Executor()
         config = config_from_dict(case.params, case.database)
         k_b = EngineContext(executor).table_from_rows(
             list(BYTE_RECORD_COLUMNS), list(case.records))
@@ -111,17 +109,22 @@ def test_a_failing_reference_on_a_generated_journey_fails_the_run(
     assert not (tmp_path / "failures").exists()
 
 
-class _PoisonedExecutor(SerialExecutor):
-    """Drops the last output row of about half the tasks: those whose
-    CRC32 roll of ``(stage, partition)`` falls below one half. A row
-    list loses its last element, a columnar output its last row."""
+def _poisoned(run_tasks):
+    """Drops the last output row of about half the tasks of a run at
+    more than one partition: those whose CRC32 roll of ``(stage,
+    partition)`` falls below one half. A row list loses its last
+    element, a columnar output its last row. The one-partition
+    reference stays clean."""
 
-    def run_tasks(self, task, inputs, stage="task"):
-        outputs = super().run_tasks(task, inputs, stage)
+    def mutant(self, task, inputs, stage="task"):
+        outputs = run_tasks(self, task, inputs, stage)
+        if self.default_parallelism == 1:
+            return outputs
         return [
             _drop_last(out) if _poison_roll(stage, index) < 0.5 else out
             for index, out in enumerate(outputs)
         ]
+    return mutant
 
 
 def _poison_roll(stage, partition):
@@ -135,10 +138,6 @@ def _drop_last(out):
     if isinstance(out, ColumnarPartition) and len(out):
         return out.gather(range(len(out) - 1))
     return out
-
-
-def _poisoned(partitions):
-    return _PoisonedExecutor(default_parallelism=partitions)
 
 
 def _fresh_carries(reduce_segments):
@@ -161,7 +160,7 @@ def _drop_each_partition_end(packed_partitions):
 
 
 MUTANTS = {
-    "poisoned-task": (EXECUTORS, "simulated", lambda _original: _poisoned),
+    "poisoned-task": (Executor, "run_tasks", _poisoned),
     "windowed-reduce-without-carry": (
         incremental, "reduce_segments", _fresh_carries),
     "log-fold-skips-a-record": (checkpoint, "_fold", _skip_second_to_last),
@@ -172,11 +171,7 @@ MUTANTS = {
 
 def _plant(monkeypatch, name):
     owner, attribute, mutate = MUTANTS[name]
-    if isinstance(owner, dict):
-        monkeypatch.setitem(owner, attribute, mutate(owner[attribute]))
-    else:
-        monkeypatch.setattr(owner, attribute,
-                            mutate(getattr(owner, attribute)))
+    monkeypatch.setattr(owner, attribute, mutate(getattr(owner, attribute)))
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
@@ -194,7 +189,7 @@ class TestReproducer:
             TIER1_SEEDS, out_dir=str(tmp_path / "failures"), fail_fast=True,
         )
         [(seed, report, path)] = failures
-        assert report.divergences[0].point.executor == "simulated"
+        assert report.divergences[0].point.partitions > 1
         return seed, path
 
     def test_poisoned_task_shrinks_to_twenty_frames_and_reproduces(
@@ -202,8 +197,8 @@ class TestReproducer:
     ):
         seed, path = poisoned_reproducer
         loaded_seed, lossy, frames, point = load_reproducer(path)
-        assert (loaded_seed, lossy, point.executor) == (
-            seed, False, "simulated")
+        assert (loaded_seed, lossy) == (seed, False)
+        assert point.partitions > 1
         assert 1 <= len(frames) <= 20
         payload = json.loads(open(path, encoding="utf-8").read())
         report = validate_report(payload["report"])
@@ -221,16 +216,15 @@ class TestReproducer:
         lambda text: text.replace('"frames": [', '"frames": [100000, '),
         lambda text: text.replace('"lossy": false', '"lossy": 0'),
         lambda text: "[]",
-        lambda text: text.replace('"executor": "simulated"',
-                                  '"executor": []'),
         lambda text: re.sub(r'"partitions": \d+',
                             '"partitions": {}'.format(MAX_PARTITIONS + 1),
                             text),
-        lambda text: text.replace('"executor": "simulated"',
-                                  '"executor": "pool"'),
+        lambda text: text.replace('"partitions":',
+                                  '"executor": "serial", "partitions":'),
+        lambda text: text.replace('"repro.testing/3"', '"repro.testing/2"'),
     ], ids=["truncated", "no-seed", "off-axis", "frame-range",
-            "lossy-type", "not-an-object", "executor-type",
-            "too-many-partitions", "pool-executor"])
+            "lossy-type", "not-an-object", "too-many-partitions",
+            "names-an-executor", "format-2"])
     def test_a_damaged_reproducer_is_one_error_line(
         self, poisoned_reproducer, tmp_path, capsys, damage
     ):
