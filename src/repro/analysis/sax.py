@@ -141,6 +141,12 @@ class SaxEncoder:
             normalized = (value - mean) / std
         return _ALPHABET[symbolize_value(normalized, self.breakpoints)]
 
+    def level_indices(self, levels, means, stds, epsilon=1e-8):
+        """:meth:`symbol_for_level`'s index per element of the arrays."""
+        with np.errstate(all="ignore"):
+            normalized = np.where(stds < epsilon, 0.0, (levels - means) / stds)
+        return np.searchsorted(self.breakpoints, normalized, side="right")
+
     def mindist(self, word_a, word_b, series_length):
         """MINDIST lower bound between two SAX words (Lin et al. 2004)."""
         if len(word_a) != len(word_b):

@@ -47,6 +47,18 @@ the guard adds the smallest normal double, below which rounding is
 absolute rather than relative. A buffer that fails the test -- or whose
 fit is ``nan`` -- runs the greedy loop unchanged, so the merge order and
 its ties are Keogh's either way.
+
+SWAB's full buffers from its current start lie at a stride of the
+buffer size, and :func:`_accepted` tests a run of them in one pass: an
+``np.add.accumulate`` per row gives each buffer's sum and centred
+``S0[n]``, ``S1[n]``, ``S2[n]``, from which each whole fit and guard are
+the scalar ones, operation for operation, up to the first buffer that
+fails. An accumulate adds left to right, as ``accumulate`` and
+:func:`sequential_sum` do, and adding ``0.0`` to its last sum is starting
+from ``0.0`` (``0.0 + -0.0`` is ``0.0``), so the fits are bit-identical.
+The failing buffer and the partial tail go to :func:`_bottom_up`. A pass
+that stops at its first buffer costs more than the buffer, so one starts
+at the series' start and after two buffers in a row kept whole.
 """
 
 from __future__ import annotations
@@ -213,13 +225,41 @@ def _bottom_up(values, max_error, offset):
     ]
 
 
+def _accepted(values, start, size, max_error):
+    """One segment per full buffer of the array *values* from *start*
+    on, up to the first whose whole fit fails :func:`_bottom_up`'s
+    one-fit test (module docstring)."""
+    rows = values[start : len(values) - (len(values) - start) % size]
+    rows = rows.reshape(-1, size)
+    planes = np.empty((3,) + rows.shape)  # centred y, i·y, y²
+    with np.errstate(all="ignore"):
+        means = (np.add.accumulate(rows, axis=1)[:, -1] + 0.0) / size
+        centred = np.subtract(rows, means[:, None], out=planes[0])
+        np.multiply(np.arange(size), centred, out=planes[1])
+        np.multiply(centred, centred, out=planes[2])
+        sums = np.add.accumulate(planes, axis=2)[:, :, -1] + 0.0
+    sum_x, s_xx, out = 0.5 * size * (size - 1), size * (size**2 - 1) / 12.0, []
+    cube, tiny = 1e-14 * size**3, sys.float_info.min
+    for mean, sum_y, sum_xy, sum_yy in zip(means.tolist(), *sums.tolist()):
+        # _SpanFitter.fit(0, size - 1) and guard(); 0 is fit's start.
+        s_xy = sum_xy - 0 * sum_y - sum_x * sum_y / size
+        slope = s_xy / s_xx
+        sse = max(sum_yy - sum_y * sum_y / size - slope * s_xy, 0.0)
+        if not sse <= max_error - (cube * sum_yy + tiny):
+            break
+        out.append(Segment(start, start + size - 1, slope,
+                           (sum_y - slope * sum_x) / size + mean, sse))
+        start += size
+    return out
+
+
 def swab(values, max_error, buffer_size=None):
     """SWAB: bottom-up inside a sliding buffer, emitting leftmost segments.
 
     ``buffer_size`` defaults to enough samples for roughly five to six
     segments, as recommended in the original paper.
     """
-    values = _floats(values)
+    values = np.asarray(values, dtype=float)
     n = len(values)
     if buffer_size is None:
         buffer_size = max(min(n, 40), 8)
@@ -229,13 +269,21 @@ def swab(values, max_error, buffer_size=None):
         raise ValueError("max_error must be non-negative")
     out = []
     start = 0
+    kept_whole = 2  # buffers in a row kept whole (module docstring)
     while start < n:
+        if kept_whole > 1 and n - start >= 2 * buffer_size:
+            run = _accepted(values, start, buffer_size, max_error)
+            out += run
+            start += len(run) * buffer_size
+            kept_whole = 0
+            continue
         stop = min(start + buffer_size, n)
-        segments = _bottom_up(values[start:stop], max_error, start)
+        segments = _bottom_up(values[start:stop].tolist(), max_error, start)
         if stop < n:
             # More data to come: only the leftmost segment is final.
             del segments[1:]
         out.extend(segments)
+        kept_whole = (kept_whole + 1) * (segments[0].length == buffer_size)
         start = out[-1].end + 1
     return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -31,14 +31,17 @@ from repro.analysis.outliers import ZScoreDetector
 from repro.analysis.sax import SaxEncoder
 from repro.analysis.segmentation import swab
 from repro.analysis.smoothing import MovingAverage
-from repro.analysis.trend import TrendClassifier
+from repro.analysis.trend import (
+    DECREASING,
+    INCREASING,
+    STEADY,
+    TrendClassifier,
+)
 from repro.core.classification import (
     ALPHA,
     BETA,
     BINARY,
     GAMMA,
-    ORDINAL,
-    Classification,
     ClassifierConfig,
     all_numeric,
     numeric_mask,
@@ -94,81 +97,6 @@ class BranchConfig:
         return labels[symbol_index]
 
 
-def _rows(sequence, kind, value, trend=None):
-    """R rows of *sequence*'s elements, as Python scalars. *kind*,
-    *value* and *trend* are one per element (a list) or one for all."""
-    n = len(sequence)
-    return list(zip(
-        sequence.t.tolist(), repeat(sequence.s_id, n), sequence.b.tolist(),
-        *(c if isinstance(c, list) else repeat(c, n)
-          for c in (kind, value, trend))
-    ))
-
-
-def process_alpha(sequence, config=None):
-    """Branch α: lines 14-19 of Algorithm 1, for one sequence whose
-    values are objects, or float64 when every one is a number."""
-    config = config or BranchConfig()
-    out, numbers, values = [], sequence, sequence.v
-    if values.dtype == object:
-        # typeSplit: peel off non-numeric elements (e.g. embedded
-        # validity strings) as nominal side output.
-        numeric = numeric_mask(values)
-        labels = [str(v) for v in values[~numeric]]
-        validity = config.classifier.validity_values
-        out = _rows(sequence.take(~numeric), [
-            KIND_VALIDITY if label in validity else KIND_NOMINAL
-            for label in labels
-        ], labels)
-        numbers = sequence.take(numeric)
-        values = numbers.v.astype(float)
-    if not len(numbers):
-        return sorted(out, key=_row_key)
-    mask = np.asarray(config.outlier_detector.mask(values), dtype=bool)
-    out += _rows(numbers.take(mask), KIND_OUTLIER, values[mask].tolist())
-    clean = numbers.take(~mask)
-    if not len(clean):
-        return sorted(out, key=_row_key)
-    smoothed = config.smoother.smooth(values[~mask])
-    # np.std is the square root of np.var, bit for bit.
-    mean, variance = float(smoothed.mean()), float(smoothed.var())
-    std = math.sqrt(variance)
-    max_error = config.swab_error_fraction * max(variance, 1e-12) * config.swab_buffer
-    segments = swab(smoothed, max_error, buffer_size=config.swab_buffer)
-    trend = TrendClassifier(
-        steady_threshold=config.trend_fraction * max(std, 1e-12)
-    )
-    starts = [seg.start for seg in segments]
-    for seg, t, b in zip(
-        segments, clean.t[starts].tolist(), clean.b[starts].tolist()
-    ):
-        # As ndarray.mean: the pairwise sum over the count.
-        level = float(np.add.reduce(smoothed[seg.start : seg.end + 1])
-                      / (seg.end + 1 - seg.start))
-        symbol = config.sax.symbol_for_level(level, mean, std)
-        label = config.level_label("abcdefghijklmnopqrstuvwxyz".index(symbol))
-        out.append((
-            t, clean.s_id, b, KIND_SYMBOL, label,
-            trend.classify_slope(seg.slope),
-        ))
-    out.sort(key=_row_key)
-    return out
-
-
-def process_beta(sequence, config=None):
-    """Branch β: lines 20-25 of Algorithm 1, for one sequence."""
-    return branch_segments(
-        sequence.as_set(), [Classification(None, ORDINAL, BETA)], config
-    )[0]
-
-
-def process_gamma(sequence, data_type, config=None):
-    """Branch γ: lines 26-28 -- no transformation, F/V split only."""
-    return branch_segments(
-        sequence.as_set(), [Classification(None, data_type, GAMMA)], config
-    )[0]
-
-
 def process_branch(sequence, classification, config=None):
     """Dispatch one classified sequence to its branch (line 13)."""
     return branch_segments(sequence.as_set(), [classification], config)[0]
@@ -178,30 +106,107 @@ def branch_segments(sequences, classifications, config=None):
     """Lines 13-28 for every segment of a
     :class:`~repro.core.sequence.Sequences` set, segment ``i`` on the
     branch of ``classifications[i]``: the R rows of each, one list per
-    segment. α runs per segment, SWAB in Keogh's order; β and γ run
-    over masks and gathers of all their segments at once
-    (:func:`_beta_gamma`)."""
+    segment. Each branch runs over masks and gathers of all its
+    segments at once: α in :func:`_alpha`, β and γ in
+    :func:`_beta_gamma`."""
     config = config or BranchConfig()
     out = [None] * len(classifications)
-    vector = []
+    alpha, vector = [], []
     for i, classification in enumerate(classifications):
         if classification.branch == ALPHA:
-            out[i] = process_alpha(sequences.sequence(i, numbers=True), config)
+            alpha.append(i)
         elif classification.branch in (BETA, GAMMA):
             vector.append(i)
         else:
             raise BranchError(
                 "unknown branch {!r}".format(classification.branch)
             )
-    if vector:
-        rows = _beta_gamma(sequences, vector, classifications, config)
-        for i, segment_rows in zip(vector, rows):
-            out[i] = segment_rows
+    for i, rows in zip(alpha + vector, _alpha(sequences, alpha, config) +
+                       _beta_gamma(sequences, vector, classifications, config)):
+        out[i] = rows
     return out
 
 
-#: The R kinds β and γ emit, in ``str`` order (:func:`_row_key`).
+#: The R kinds, in ``str`` order.
 _KINDS = (KIND_BINARY, KIND_NOMINAL, KIND_OUTLIER, KIND_SYMBOL, KIND_VALIDITY)
+_SYMBOL = _KINDS.index(KIND_SYMBOL)
+
+
+def _alpha(sequences, segments, config):
+    """Branch α for *segments* (ascending) of *sequences*, one list of
+    R rows per segment.
+
+    Non-numeric elements are validity or nominal rows; the detector, the
+    smoother and SWAB run on each segment's numbers as on the segment
+    alone. A SWAB segment's level is the pairwise sum of its smoothed
+    values over their count, as ``ndarray.mean``, reduced for all SWAB
+    segments of one length at once; SAX symbols and the trends of the
+    slopes are taken for all SWAB segments at once.
+    """
+    index = sequences.positions(np.asarray(segments, np.intp))
+    x, value = sequences.x[index], np.empty(len(index), dtype=object)
+    kind = np.full(len(index), _SYMBOL, np.int8)
+    sizes = sequences.sizes[segments]  # numbers per segment
+    if (sequences.kinds[segments] != NUMBER).any():
+        loose = np.flatnonzero(sequences.kind[index] != NUMBER)
+        # typeSplit: peel off non-numeric elements (e.g. embedded
+        # validity strings) as nominal side output.
+        numeric = numeric_mask(sequences.v[index[loose]])
+        x[loose[numeric]] = sequences.v[index[loose[numeric]]].astype(float)
+        labels = loose[~numeric]
+        value[labels] = sequences.text(index[labels])
+        kind[labels] = np.where(np.fromiter(map(
+            config.classifier.validity_values.__contains__, value[labels]
+        ), bool, len(labels)), _KINDS.index(KIND_VALIDITY),
+            _KINDS.index(KIND_NOMINAL))
+        sizes = sizes - np.bincount(sequences.segment[index[labels]],
+                                    minlength=len(sequences.keys))[segments]
+    numbers = np.flatnonzero(kind == _SYMBOL)
+    x, outlier = x[numbers], np.zeros(len(numbers), dtype=bool)
+    smoothed, fits, stats, sizes = [], [], [], sizes.tolist()
+    for lo, hi in zip(accumulate([0] + sizes), accumulate(sizes)):
+        if lo < hi:  # each segment's numbers, a slice of x
+            outlier[lo:hi] = config.outlier_detector.mask(x[lo:hi])
+        if lo < hi and not outlier[lo:hi].all():
+            part = config.smoother.smooth(x[lo:hi][~outlier[lo:hi]])
+            # np.std is the square root of np.var, bit for bit.
+            mean, variance = float(part.mean()), float(part.var())
+            std, offset = math.sqrt(variance), sum(map(len, smoothed))
+            smoothed.append(part)
+            segs = swab(part, config.swab_error_fraction * max(
+                variance, 1e-12) * config.swab_buffer,
+                buffer_size=config.swab_buffer)
+            fits += [(seg.start + offset, seg.end + offset, seg.slope)
+                     for seg in segs]
+            stats += [(mean, std, config.trend_fraction * max(std, 1e-12))
+                      ] * len(segs)
+    kind[numbers[outlier]], value[numbers[outlier]] = \
+        _KINDS.index(KIND_OUTLIER), x[outlier]
+    first, last, slope = np.fromiter(chain.from_iterable(fits), float,
+                                     3 * len(fits)).reshape(-1, 3).T
+    first, length = first.astype(np.intp), (last - first + 1).astype(np.intp)
+    mean, std, steady = np.fromiter(chain.from_iterable(stats), float,
+                                    3 * len(stats)).reshape(-1, 3).T
+    series, level = np.concatenate(smoothed + [x[:0]]), np.empty(len(first))
+    for size in set(length.tolist()):
+        of = np.flatnonzero(length == size)
+        level[of] = np.add.reduce(
+            series[first[of, None] + np.arange(size)], axis=1
+        ) / size
+    labels = np.array([config.level_label(i) for i in range(
+        config.sax.alphabet_size)], dtype=object)
+    rows = np.flatnonzero(kind != _SYMBOL)
+    return _ordered(
+        sequences, segments,
+        np.append(index[rows], index[numbers[~outlier][first]]),
+        np.append(kind[rows], np.full(len(first), _SYMBOL, np.int8)),
+        np.append(value[rows], labels[
+            config.sax.level_indices(level, mean, std)]),
+        np.append(np.full(len(rows), None), np.where(
+            slope > steady, INCREASING,
+            np.where(slope < -steady, DECREASING, STEADY),
+        ).astype(object)),
+    )
 
 
 def _beta_gamma(sequences, segments, classifications, config):
@@ -212,8 +217,7 @@ def _beta_gamma(sequences, segments, classifications, config):
     off the validity elements, translates the functional ones to ranks
     (:func:`_ranks`), flags outliers per segment and labels the rest
     with the trend of the rank gradient, as ``numpy.gradient`` with unit
-    spacing computes it, per segment. Each segment's rows are ordered as
-    :func:`_row_key` sorts them: by ``t``, then kind, stable.
+    spacing computes it, per segment.
     """
     index = sequences.positions(np.asarray(segments, np.intp))
     owner = sequences.segment[index]
@@ -243,21 +247,28 @@ def _beta_gamma(sequences, segments, classifications, config):
         trend[clean] = TrendClassifier(
             steady_threshold=config.trend_fraction
         ).classify_gradient(ranks[~outlier], owner[clean])
-    order = np.lexsort((
-        np.arange(len(index)), kind, sequences.times()[index], owner
-    ))
-    index, owner = index[order], owner[order]
+    return _ordered(sequences, segments, index, kind, value, trend)
+
+
+def _ordered(sequences, segments, at, kind, value, trend):
+    """The R rows of the elements at positions *at*, with codes *kind*
+    into :data:`_KINDS`, objects *value* and *trend*: one list per
+    segment of *segments* (ascending), each sorted by ``t``, then kind,
+    stably."""
+    owner = sequences.segment[at]
+    order = np.lexsort((at, kind, sequences.times()[at], owner))
+    at, owner = at[order], owner[order]
     s_ids = np.fromiter((key[0] for key in sequences.keys), object,
                         len(sequences.keys))
     rows = list(zip(
-        sequences.t[index].tolist(), s_ids[owner].tolist(),
-        sequences.channels[sequences.b[index]].tolist(),
+        sequences.t[at].tolist(), s_ids[owner].tolist(),
+        sequences.channels[sequences.b[at]].tolist(),
         np.array(_KINDS, dtype=object)[kind[order]].tolist(),
         value[order].tolist(), trend[order].tolist(),
     ))
-    ends = np.cumsum(sequences.sizes[segments]).tolist()
+    sizes = np.bincount(owner, minlength=len(sequences.keys))[segments]
     return [rows[end - size : end] for end, size in
-            zip(ends, sequences.sizes[segments].tolist())]
+            zip(accumulate(sizes.tolist()), sizes.tolist())]
 
 
 def _ranks(sequences, index, owner, config):
@@ -288,8 +299,3 @@ def _ranks(sequences, index, owner, config):
         ranks[lo:hi] = np.fromiter(map(order.__getitem__, labels), float,
                                    hi - lo)
     return ranks
-
-
-def _row_key(row):
-    return (row[0], str(row[1]), str(row[3]))
-

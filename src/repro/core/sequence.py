@@ -18,9 +18,9 @@ property test holds two copies together.
 A *sequence* is one signal type's instances (normally of one channel).
 A run holds all of them as the segments of one :class:`Sequences` set
 of typed planes; a :class:`Sequence` is one segment as object columns,
-the form single-sequence callers, SWAB's α branch and the row-reference
-oracles take. Rows exist only as what the stages return: the R rows of
-a branch and the W rows of an extension rule. The stages, in order:
+the form single-sequence callers and the row-reference oracles take.
+Rows exist only as what the stages return: the R rows of a branch and
+the W rows of an extension rule. The stages, in order:
 
 1. :func:`split_sequences` -- ``K_s`` columns to the per-signal
    (per-channel) segments in the canonical order ``(t,
@@ -210,15 +210,11 @@ class Sequences:
     def __iter__(self):
         return iter(self.keys)
 
-    def sequence(self, i, numbers=False):
-        """Segment *i* as a :class:`Sequence` of views; with *numbers*,
-        of its float64 values if its kind is :data:`NUMBER` (α)."""
+    def sequence(self, i):
+        """Segment *i* as a :class:`Sequence` of views."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        numbers = numbers and self.kinds[i] == NUMBER
-        return Sequence(
-            self.keys[i][0], self.t[lo:hi], (self.x if numbers else self.v)[
-                lo:hi], self.channels[self.b[lo:hi]],
-        )
+        return Sequence(self.keys[i][0], self.t[lo:hi], self.v[lo:hi],
+                        self.channels[self.b[lo:hi]])
 
     def values(self):
         """Every segment as a :class:`Sequence`, in order."""

@@ -152,7 +152,9 @@ def _encode_str(column):
     values = column.values
     codes = np.asarray(column.codes)
     order = [0]
-    if len(values) != 1:
+    if len(values) != 1 and len(codes) and (codes == codes[0]).all():
+        order = [int(codes[0])]  # one value: no bincount, sort or renumber
+    elif len(values) != 1:
         present = np.flatnonzero(np.bincount(codes, minlength=len(values)))
         order = sorted(present.tolist(), key=values.__getitem__)
     if len(order) == 1:

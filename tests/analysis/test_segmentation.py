@@ -554,6 +554,78 @@ def test_property_swab_is_exactly_the_greedy_loop(values, delta, buffer_size):
     )
 
 
+def one_fit_swab(values, max_error, buffer_size):
+    """``swab`` before the stride pass: every buffer goes through
+    ``_bottom_up``, which accepts a buffer whole after one fit."""
+    values = np.asarray(values, dtype=float).tolist()
+    n = len(values)
+    out = []
+    start = 0
+    while start < n:
+        stop = min(start + buffer_size, n)
+        segments = segmentation._bottom_up(values[start:stop], max_error, start)
+        if stop < n:
+            del segments[1:]
+        out.extend(segments)
+        start = out[-1].end + 1
+    return out
+
+
+@st.composite
+def strided_series(draw):
+    """``(values, buffer_size, max_error)``: pieces of whole buffers or
+    not -- noisy lines a line fits within budget, noise that runs the
+    greedy loop, runs of -0.0 -- with ±inf or NaN dropped into them,
+    on a 1e9 offset or none; or fewer samples than one buffer."""
+    size = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = [rng.normal(size=draw(st.integers(0, size - 1)))]
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 3)) * size + draw(
+            st.sampled_from([0, 0, 1, size // 2, size - 1])
+        )
+        kind = draw(st.sampled_from(["line", "line", "noise", "-0.0"]))
+        if kind == "line":
+            piece = draw(st.floats(-10, 10)) * np.arange(n) + rng.normal(
+                scale=1e-3, size=n
+            )
+        elif kind == "noise":
+            piece = rng.normal(scale=10.0, size=min(n, size + 3))
+        else:
+            piece = np.full(n, -0.0)
+        pieces.append(piece)
+    draw(st.randoms()).shuffle(pieces)
+    values = np.concatenate(pieces)
+    if draw(st.booleans()):
+        values = values + 1e9
+    for bad in draw(st.lists(st.sampled_from(
+        [float("inf"), -float("inf"), float("nan")]
+    ), max_size=2)):
+        if len(values):
+            values[draw(st.integers(0, len(values) - 1))] = bad
+    max_error = draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0])) * size
+    return values.tolist(), size, max_error
+
+
+@given(drawn=strided_series())
+@settings(max_examples=200, deadline=None)
+def test_property_the_stride_pass_is_exactly_the_one_fit_loop(drawn):
+    values, buffer_size, max_error = drawn
+    got = exact(swab(values, max_error, buffer_size=buffer_size))
+    assert got == exact(one_fit_swab(values, max_error, buffer_size))
+    assert got == exact(greedy_swab(values, max_error, buffer_size))
+
+
+def test_minus_zero_buffers_fit_as_the_scalar_sums_do():
+    # 0.0 + -0.0 is 0.0: the sums start from 0.0, so an all -0.0
+    # buffer's mean, slope and intercept come out as the loop's.
+    values = [-0.0] * 24 + [1.0, -0.0, 2.0]
+    for max_error in (0.0, 1.0):
+        assert exact(swab(values, max_error, buffer_size=8)) == exact(
+            one_fit_swab(values, max_error, 8)
+        )
+
+
 def test_a_rounded_line_whose_whole_sse_is_zero_keeps_the_greedy_loop():
     # The whole buffer's SSE computes to 0.0 while shorter spans compute
     # to a few ulps, so at max_error 0.0 the greedy loop stops short of
@@ -597,14 +669,15 @@ class TestFitCounts:
             (0, 3), (4, 5), (6, 7),  # the segments
         ]
 
-    def test_swab_costs_one_fit_per_accepted_buffer(self, fits):
+    def test_swab_fits_accepted_full_buffers_in_one_pass(self, fits):
         values = np.linspace(0.0, 10.0, 100)
         segments = swab(values, max_error=1.0, buffer_size=8)
         assert spans(segments) == [
             (i, min(i + 7, 99)) for i in range(0, 100, 8)
         ]
-        # Buffer-local spans: one whole-buffer fit per segment.
-        assert fits == [(0, s.length - 1) for s in segments]
+        # The twelve full buffers take the stride pass: no scalar fit.
+        # The four-sample tail takes one whole-buffer fit.
+        assert fits == [(0, 3)]
 
 
 def test_the_mean_sum_is_the_uncompensated_left_to_right_sum():

@@ -12,14 +12,28 @@ from repro.core import (
     KIND_VALIDITY,
     classify,
 )
-from repro.core.branches import (
-    BranchError,
-    process_alpha,
-    process_beta,
-    process_branch,
-    process_gamma,
+from repro.core.branches import BranchError, process_branch
+from repro.core.classification import (
+    ALPHA,
+    BETA,
+    GAMMA,
+    NUMERIC,
+    ORDINAL,
+    Classification,
 )
 from tests.core.row_reference import sequence_of
+
+
+def process_alpha(sequence):
+    return process_branch(sequence, Classification(None, NUMERIC, ALPHA))
+
+
+def process_beta(sequence):
+    return process_branch(sequence, Classification(None, ORDINAL, BETA))
+
+
+def process_gamma(sequence, data_type):
+    return process_branch(sequence, Classification(None, data_type, GAMMA))
 
 
 def rows_from_values(values, dt=0.05, s_id="s", b_id="FC"):

@@ -16,7 +16,8 @@ from repro.core import (
     compute_criteria,
     reduce_signal,
 )
-from repro.core.branches import process_beta, process_branch, process_gamma
+from repro.core.branches import process_branch
+from repro.core.classification import BETA, GAMMA, ORDINAL, Classification
 from repro.engine import EngineContext, Schema
 from tests.core.row_reference import sequence_of
 
@@ -80,7 +81,8 @@ def test_gamma_preserves_every_element(times, data):
             max_size=len(times),
         )
     )
-    out = process_gamma(sequence_of(make_rows(times, values)), "nominal")
+    out = process_branch(sequence_of(make_rows(times, values)),
+                         Classification(None, "nominal", GAMMA))
     assert len(out) == len(times)
     validity = [r for r in out if r[3] == KIND_VALIDITY]
     assert len(validity) == values.count("invalid")
@@ -96,7 +98,8 @@ def test_beta_partitions_elements(times, data):
             max_size=len(times),
         )
     )
-    out = process_beta(sequence_of(make_rows(times, values)))
+    out = process_branch(sequence_of(make_rows(times, values)),
+                         Classification(None, ORDINAL, BETA))
     kinds = [r[3] for r in out]
     # Every input element lands in exactly one of the three outcomes.
     assert len(out) == len(times)

@@ -7,18 +7,27 @@ element, two and more, values of one type or mixed -- and holds every
 segment's result to the row code in ``tests/core/row_reference.py``,
 cell by cell by ``repr``. Timestamps take gaps from 10^-3 to 10^3, so a
 segmented or pairwise sum of Eq. 2's active duration would round
-differently from the sequential one and be caught.
+differently from the sequential one and be caught. Those segments are
+too short to fill a SWAB buffer, so a second property runs α alone on
+segments of 40-300 elements.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import ZScoreDetector
 from repro.core import ClassifierConfig, UnchangedValue, ValueInSet
 from repro.core.branches import BranchConfig, branch_segments
-from repro.core.classification import classify_segments
+from repro.core.classification import (
+    ALPHA,
+    NUMERIC,
+    Classification,
+    classify_segments,
+)
 from repro.core.model import LABEL, NUMBER, OBJECT
 from repro.core.reduction import MarkerFunction
 from repro.core.sequence import Sequences, objects, reduce_segments
@@ -174,3 +183,70 @@ def test_a_trace_without_signal_rows_classifies_every_empty_sequence(ctx):
         {("nominal", "gamma")}
     assert len(result.outcomes) == len(set(bundle.catalog().signal_ids()))
     assert result.r_out.collect() == []
+
+
+#: α segments long enough to fill SWAB buffers (40 samples by default).
+ALPHA_SHAPES = ("line", "steps", "spikes", "constant", "validity")
+
+
+@st.composite
+def alpha_segment(draw):
+    """40-300 values: a line, steps with noise, noise with spikes, a
+    constant (std 0), or noise carrying validity strings (an object-kind
+    segment)."""
+    n = draw(st.integers(40, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(ALPHA_SHAPES))
+    i = np.arange(n)
+    if shape == "line":
+        values = draw(st.floats(-5, 5)) * i + draw(st.floats(-1e3, 1e3))
+    elif shape == "steps":
+        values = draw(st.floats(1, 100)) * (i // draw(st.integers(5, 80))) \
+            + rng.normal(scale=0.01, size=n)
+    elif shape == "constant":
+        values = np.full(n, draw(st.floats(-1e3, 1e3)))
+    else:
+        values = rng.normal(size=n)
+        values[rng.integers(0, n, 3)] = draw(st.sampled_from([1e3, -1e4]))
+    values = values.tolist()
+    if shape == "validity":
+        for at in rng.integers(0, n, draw(st.integers(1, 5))).tolist():
+            values[at] = draw(st.sampled_from(("invalid", "init", "on")))
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(
+    drawn=st.lists(alpha_segment(), min_size=1, max_size=4),
+    all_outliers=st.booleans(),
+    buffer=st.sampled_from([8, 40]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_alpha_over_full_swab_buffers_equals_the_row_reference(
+    drawn, all_outliers, buffer, data
+):
+    """α over segments of 40-300 elements: SWAB fills whole buffers,
+    and the set-level levels, symbols and trends meet the row code. A
+    threshold near zero makes every value off the mean an outlier."""
+    keys = [("s{}".format(i // 2), ("BC", "FC")[i % 2])
+            for i in range(len(drawn))]
+    segments = []
+    for (s_id, b_id), values in zip(keys, drawn):
+        t = data.draw(st.floats(0, 10))
+        rows = []
+        for value in values:
+            t += data.draw(gaps)
+            rows.append((t, value, s_id, b_id))
+        segments.append(rows)
+    config = BranchConfig(
+        outlier_detector=ZScoreDetector(1e-9 if all_outliers else 3.5),
+        swab_buffer=buffer,
+    )
+    alpha = Classification(None, NUMERIC, ALPHA)
+    out = branch_segments(_build(keys, segments), [alpha] * len(keys),
+                          config)
+    assert [_cells(rows) for rows in out] == [
+        _cells(ref.process_branch(rows, SCHEMA, alpha, config))
+        for rows in segments
+    ]

@@ -12,6 +12,7 @@ import json
 import math
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.rules import TRUNCATED
 from repro.engine import EngineContext, ExecutionError, TableStore
 from repro.engine import storage as storage_mod
+from repro.engine.columnar import DictColumn, code_array
 
 
 @pytest.fixture
@@ -352,3 +354,43 @@ class TestLazyRead:
         assert decoded == []
         assert _same_rows(loaded.collect(), _ROWS)
         assert len(decoded) == len(_ROWS)
+
+
+def _encode_str_reference(column):
+    """``_encode_str`` before its one-value fast path: every column with
+    more than one dictionary entry takes bincount, sort and renumber."""
+    values = column.values
+    codes = np.asarray(column.codes)
+    order = [0]
+    if len(values) != 1:
+        present = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+        order = sorted(present.tolist(), key=values.__getitem__)
+    if len(order) == 1:
+        plane = bytes(len(codes))
+    else:
+        renumber = np.empty(len(values), np.intp)
+        renumber[order] = np.arange(len(order))
+        typecode = code_array((), len(order)).typecode
+        plane = renumber[codes].astype(typecode).tobytes()
+    return storage_mod._varying(
+        [storage_mod._utf8(values[code]) for code in order]
+    ) + [plane]
+
+
+@st.composite
+def dict_columns(draw):
+    """A ``DictColumn`` of str: one value, unused dictionary entries, no
+    cell at all, or a dictionary of more than 255 entries."""
+    size = draw(st.sampled_from([1, 2, 3, 256, 300]))
+    values = tuple("v{:03d}".format(i) for i in draw(st.permutations(
+        range(size)
+    )))
+    used = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+    codes = draw(st.lists(st.sampled_from(used), max_size=40))
+    return DictColumn(code_array(codes, size), values)
+
+
+@given(column=dict_columns())
+@settings(max_examples=200, deadline=None)
+def test_str_planes_equal_the_encoder_without_the_one_value_path(column):
+    assert storage_mod._encode_str(column) == _encode_str_reference(column)

@@ -31,7 +31,9 @@ once per value type: no other scope of it tests against
 ``(int, float)``. Two more keep lines 7-28 one pass per run: a run
 opens one reduce, extend and branch span whatever its signal count, and
 a numeric signal type's values never leave their float64 plane for an
-object ``astype``. The last two keep unpickling to the fleet checkpoint
+object ``astype``. One keeps α set-level: on SYN the stride pass fits
+every accepted SWAB buffer (a span fitter per α sequence at most, for
+its tail) and no SAX or trend method runs once per SWAB segment. The last two keep unpickling to the fleet checkpoint
 reader: no stored table, stream log or other file is read through
 ``pickle.load``, and the stream path does not import ``pickle``.
 Another keeps one report class: every report format is an entry of the
@@ -747,7 +749,7 @@ def test_numeric_signal_types_take_no_object_astype(monkeypatch):
     assert {
         (module, scope) for module, scope in _scopes([CORE], casts)
         if module in ("branches.py", "classification.py")
-    } == {("branches.py", "process_alpha"), ("branches.py", "_ranks")}
+    } == {("branches.py", "_alpha"), ("branches.py", "_ranks")}
 
     def untyped(*args, **kwargs):
         raise AssertionError("an object plane reached a typed stage")
@@ -769,6 +771,49 @@ def test_numeric_signal_types_take_no_object_astype(monkeypatch):
     assert OBJECT not in built[0].kinds.tolist()
     assert {o.classification.branch for o in result.outcomes.values()} \
         == {"alpha", "beta", "gamma"}
+
+
+def test_alpha_fits_accepted_swab_buffers_in_one_pass_per_run(monkeypatch):
+    """On 30 s of SYN every full SWAB buffer is accepted whole, so the
+    stride pass fits all of them: a ``_SpanFitter`` is built at most
+    once per α sequence, for its partial tail. SAX symbols and slope
+    trends are taken for all SWAB segments at once, never one call per
+    segment."""
+    import repro.core.branches as branches
+    from repro.analysis import segmentation
+    from repro.analysis.sax import SaxEncoder
+    from repro.analysis.trend import TrendClassifier
+    from repro.core import PipelineConfig, PreprocessingPipeline
+    from repro.datasets import SPECS, build_dataset
+    from repro.engine import EngineContext
+
+    fitted, swabbed = [], []
+    init, swab = segmentation._SpanFitter.__init__, branches.swab
+
+    def counted_init(self, values):
+        fitted.append(len(values))
+        init(self, values)
+
+    def counted_swab(values, *args, **kwargs):
+        swabbed.append(len(values))
+        return swab(values, *args, **kwargs)
+
+    def per_segment(*args, **kwargs):
+        raise AssertionError("α called a per-segment SAX or trend method")
+
+    monkeypatch.setattr(segmentation._SpanFitter, "__init__", counted_init)
+    monkeypatch.setattr(branches, "swab", counted_swab)
+    monkeypatch.setattr(SaxEncoder, "symbol_for_level", per_segment)
+    monkeypatch.setattr(TrendClassifier, "classify_slope", per_segment)
+    bundle = build_dataset(SPECS["SYN"])
+    result = PreprocessingPipeline(PipelineConfig(
+        catalog=bundle.catalog(), constraints=bundle.default_constraints(),
+    )).run(bundle.record_table(EngineContext.serial(), 30.0))
+    assert result.r_out.collect()
+    buffer = branches.BranchConfig().swab_buffer
+    assert min(swabbed) > 2 * buffer
+    assert len(fitted) <= len(swabbed)
+    assert all(size < buffer for size in fitted)
 
 
 #: Every scope of ``src/repro`` that unpickles: none. ``pickle.load``
