@@ -168,10 +168,10 @@ def test_split_by_key_single_pass_vs_filter_fan_out(benchmark, syn_bundle):
     )
 
     # Scan count O(S) -> O(1): the fan-out runs one stage of P tasks per
-    # signal; the split runs a single routed stage of P tasks.
+    # signal; the split routes the concatenated partitions in one task.
     assert stats["split_stages"] == 1
     assert stats["split_shuffles"] == 1
-    assert stats["split_tasks"] == stats["partitions"]
+    assert stats["split_tasks"] == 1
     assert stats["fanout_tasks"] == stats["signals"] * stats["partitions"]
     # And the single pass is measurably faster end to end.
     assert stats["split_seconds"] < stats["fanout_seconds"]

@@ -18,6 +18,18 @@ class OutlierError(ValueError):
     """Raised for invalid detector parameters."""
 
 
+def mean_var(x):
+    """``(x.mean(), x.var(), x - x.mean())`` of a non-empty float64
+    array from one sum of *x* and one of its squared deviations, bit for
+    bit as numpy's ``_methods._var`` computes them: the mean is the
+    pairwise sum over the count, the variance the pairwise sum of the
+    squared deviations over the count (``x.std()`` is its square root).
+    """
+    mean = np.add.reduce(x) / x.size
+    deviations = x - mean
+    return mean, np.add.reduce(np.square(deviations)) / x.size, deviations
+
+
 @dataclass(frozen=True)
 class ZScoreDetector:
     """|value - mean| > threshold * std."""
@@ -32,10 +44,11 @@ class ZScoreDetector:
         x = np.asarray(values, dtype=float)
         if x.size == 0:
             return np.zeros(0, dtype=bool)
-        std = x.std()
+        _mean, var, deviations = mean_var(x)
+        std = np.sqrt(var)
         if std == 0:
             return np.zeros(x.size, dtype=bool)
-        return np.abs(x - x.mean()) > self.threshold * std
+        return np.abs(deviations) > self.threshold * std
 
 
 @dataclass(frozen=True)

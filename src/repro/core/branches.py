@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from repro.analysis.outliers import ZScoreDetector
+from repro.analysis.outliers import ZScoreDetector, mean_var
 from repro.analysis.sax import SaxEncoder
 from repro.analysis.segmentation import swab
 from repro.analysis.smoothing import MovingAverage
@@ -170,7 +170,7 @@ def _alpha(sequences, segments, config):
         if lo < hi and not outlier[lo:hi].all():
             part = config.smoother.smooth(x[lo:hi][~outlier[lo:hi]])
             # np.std is the square root of np.var, bit for bit.
-            mean, variance = float(part.mean()), float(part.var())
+            mean, variance = map(float, mean_var(part)[:2])
             std, offset = math.sqrt(variance), sum(map(len, smoothed))
             smoothed.append(part)
             segs = swab(part, config.swab_error_fraction * max(

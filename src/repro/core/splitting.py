@@ -56,7 +56,9 @@ def split_signal_types(k_s, signal_ids=None):
     :meth:`~repro.engine.table.Table.split_by_key`) produces *every*
     per-signal table at once, replacing the previous
     one-filter-scan-per-signal fan-out -- a trace with S signal types
-    was scanned S+1 times, now once.
+    was scanned S+1 times, now once. Each table is one partition of its
+    signal type's rows in ``K_s`` order, whatever ``K_s``'s partition
+    count, so a stored type is one section.
 
     Returns a dict s_id -> table. When *signal_ids* is None the ids are
     discovered from the data during the same pass.

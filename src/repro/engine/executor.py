@@ -264,54 +264,49 @@ class Executor:
     def execute_split(self, node, key, keys=None):
         """Split *node*'s rows by the *key* column in one routed pass.
 
-        Returns ``(groups, num_partitions)`` where *groups* maps each
-        key value to its list of partitions, co-partitioned with the
-        input (group partition ``i`` holds the rows of input partition
-        ``i`` with that key value, in order). When *keys* is given the
-        result holds exactly those keys in that order, with absent keys
-        mapped to empty partition lists; otherwise keys are discovered
-        from the data, in first-seen order.
+        Returns a dict mapping each key value to a list of one
+        :class:`ColumnarPartition`: that group's rows in input order,
+        the rows and order of ``filter(col(key) == value)`` concatenated
+        across its partitions. Rows join the group of the first equal
+        key seen. When *keys* is given the result holds exactly those
+        keys in that order, an absent key mapped to one empty partition;
+        otherwise keys are discovered from the data.
 
-        The routing is one :class:`SplitRouteTask` per input partition
-        (stage kind ``split``) ordering its columns by group; the driver cuts
-        each group's :class:`ColumnarPartition` as a slice. One shuffle
-        stage for every group, and no row tuple.
+        The input partitions are concatenated once (row partitions
+        transposed first), one :class:`SplitRouteTask` (stage kind
+        ``split``) orders the columns by group and the driver cuts each
+        group as one slice: one shuffle stage for every group, and no
+        row tuple.
         """
-        child_parts = self.execute(node, as_rows=False)
-        key_index = node.schema.index_of(key)
-        num_partitions = len(child_parts)
-        groups = {}
-        total_rows = 0
-        task = SplitRouteTask(key_index, len(node.schema))
-        routed = self._run(task, child_parts, "split")
-        for part_index, part in enumerate(routed):
-            total_rows += len(part)
-            *columns, route = part.columns
-            codes = np.asarray(route.codes)
-            cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
-            for start, stop in zip([0] + cuts, cuts + [len(part)]):
-                if start == stop:
-                    continue  # an empty partition has no run
-                value = route.values[codes[start]]
-                group = [column[start:stop] for column in columns]
-                parts = groups.get(value)
-                if parts is None:
-                    parts = groups[value] = [
-                        [] for _unused in range(num_partitions)
-                    ]
-                parts[part_index] = ColumnarPartition(group, stop - start)
+        width = len(node.schema)
+        parts = [
+            p if isinstance(p, ColumnarPartition)
+            else ColumnarPartition.from_rows(p, width)
+            for p in self.execute(node, as_rows=False) if len(p)
+        ]
+        empty = ColumnarPartition.from_rows([], width)
+        task = SplitRouteTask(node.schema.index_of(key))
+        [routed] = self._run(
+            task, [ColumnarPartition.concat(parts or [empty])], "split"
+        )
+        *columns, route = routed.columns
+        codes = np.asarray(route.codes)
+        cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+        groups = {
+            route.values[codes[start]]: [ColumnarPartition(
+                [column[start:stop] for column in columns], stop - start
+            )]
+            for start, stop in zip([0] + cuts, cuts + [len(routed)])
+            if start < stop
+        }
         self.obs.inc("executor.shuffles")
-        self.obs.inc("executor.rows_shuffled", total_rows)
+        self.obs.inc("executor.rows_shuffled", len(routed))
         self.obs.inc("executor.splits")
         self.obs.inc("executor.split_groups", len(groups))
-        self.obs.inc("executor.split_rows", total_rows)
+        self.obs.inc("executor.split_rows", len(routed))
         if keys is None:
-            return groups, num_partitions
-        return {
-            value: groups[value] if value in groups
-            else [[] for _unused in range(num_partitions)]
-            for value in keys
-        }, num_partitions
+            return groups
+        return {value: groups.get(value, [empty]) for value in keys}
 
 
 def _broadcast_index(right_parts, right_keys):

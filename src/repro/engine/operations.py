@@ -238,31 +238,20 @@ class SortPartitionTask:
 
 @dataclass(frozen=True)
 class SplitRouteTask:
-    """Order one partition's rows by split group.
+    """Order a :class:`ColumnarPartition`'s rows by split group.
 
-    Rows are transposed once (:meth:`ColumnarPartition.from_rows`); a
-    columnar partition is taken as it is. The group codes are those of
-    a dictionary-coded key column, else of a :class:`DictColumn` built
-    over the key cells, and a stable argsort on them orders the rows.
-    Returns the ordered partition plus a trailing routing column (the
-    codes, ascending, over the group keys), so that fault-injection
-    poisoning drops one row, which the differential oracle detects.
+    The group codes are those of a dictionary-coded key column, else of
+    a :class:`DictColumn` built over the key cells, and a stable argsort
+    on them orders the rows. Returns the ordered partition plus a
+    trailing routing column (the codes, ascending, over the group keys).
     """
 
     key_index: int
-    width: int
 
     def __call__(self, partition):
-        if isinstance(partition, ColumnarPartition):
-            keys = partition.columns[self.key_index]
-        else:
-            # The keys as the rows hold them: NaN keys group by identity.
-            rows = list(partition)
-            keys = list(map(itemgetter(self.key_index), rows))
-            partition = ColumnarPartition.from_rows(rows, self.width)
         route = partition.columns[self.key_index]
         if not isinstance(route, DictColumn):
-            route = DictColumn.from_values(keys)
+            route = DictColumn.from_values(route)
         order = np.argsort(np.asarray(route.codes), kind="stable")
         ordered = partition.gather(order)
         return ColumnarPartition(

@@ -163,14 +163,10 @@ class Table:
 
         A single routed pass over the data (one shuffle stage) replaces
         the one-filter-scan-per-key fan-out: every row is routed by its
-        *key* value into a named group and each group is returned as a
-        materialized :class:`Table` backed by co-partitioned sources.
-        Group partitions mirror the input partitioning -- group
-        partition ``i`` holds input partition ``i``'s rows with that
-        key value, in order -- so each group equals the corresponding
-        ``filter(col(key) == value)`` exactly (same rows, same order,
-        same partition count), and sibling groups are co-partitioned
-        with each other.
+        *key* value into a named group, and each group is returned as a
+        materialized :class:`Table` of one columnar partition holding
+        that group's rows in input order -- exactly the rows and order
+        of ``filter(col(key) == value)``, its partitions concatenated.
 
         When *keys* is given the result maps exactly those keys in that
         order (absent keys map to empty tables of the same schema);
@@ -180,7 +176,7 @@ class Table:
         Returns a ``{key value: Table}`` dict.
         """
         self.schema.index_of(key)  # validate eagerly
-        groups, _num_partitions = self._context.executor.execute_split(
+        groups = self._context.executor.execute_split(
             self._plan, key, keys=keys
         )
         if keys is None:

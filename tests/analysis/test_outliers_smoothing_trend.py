@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     DECREASING,
@@ -17,7 +19,7 @@ from repro.analysis import (
     gradient,
     split_outliers,
 )
-from repro.analysis.outliers import OutlierError
+from repro.analysis.outliers import OutlierError, mean_var
 from repro.analysis.smoothing import SmoothingError
 
 
@@ -44,6 +46,61 @@ class TestZScore:
     def test_invalid_threshold(self):
         with pytest.raises(OutlierError):
             ZScoreDetector(threshold=0)
+
+
+#: Lengths at and around numpy's pairwise-summation edges (an unrolled
+#: block of 8, a pairwise block of 128 elements).
+_EDGES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257,
+          1023, 1024, 1025, 2047, 2048, 2049, 3000]
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0]
+
+
+@st.composite
+def _samples(draw):
+    """Float64 samples: noise, constant runs or a constant, shifted by
+    a 1e9 offset or not, with NaN, +-inf or -0.0 planted."""
+    size = draw(st.one_of(st.integers(1, 3000), st.sampled_from(_EDGES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["noise", "runs", "constant"]))
+    if shape == "noise":
+        x = rng.normal(0.0, draw(st.sampled_from([1e-9, 1.0, 1e6])), size)
+    elif shape == "runs":
+        levels = rng.normal(0.0, 10.0, size)
+        x = np.repeat(levels, rng.integers(1, 50, size))[:size]
+    else:
+        x = np.full(size, draw(st.sampled_from([0.0, -0.0, 1.5, -3e-300])))
+    offset = draw(st.sampled_from([0.0, 1e9, -1e9]))
+    if offset:
+        x = x + offset
+    for at, value in draw(st.lists(st.tuples(
+        st.integers(0, size - 1), st.sampled_from(_SPECIALS)
+    ), max_size=3)):
+        x[at] = value
+    return x
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestMeanVar:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_samples())
+    def test_is_numpy_mean_var_and_std_bit_for_bit(self, x):
+        mean, var, deviations = mean_var(x)
+        assert _bits(mean) == _bits(x.mean())
+        assert _bits(var) == _bits(x.var())
+        assert _bits(np.sqrt(var)) == _bits(x.std())
+        assert _bits(deviations) == _bits(x - x.mean())
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=_samples(), threshold=st.sampled_from([1e-12, 0.5, 3.5]))
+    def test_z_score_mask_is_the_two_sum_mask(self, x, threshold):
+        std = x.std()
+        expected = np.zeros(x.size, dtype=bool) if std == 0 else \
+            np.abs(x - x.mean()) > threshold * std
+        actual = ZScoreDetector(threshold=threshold).mask(x)
+        assert actual.tolist() == expected.tolist()
 
 
 class TestIqr:

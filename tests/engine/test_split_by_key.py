@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core.params import config_from_dict
 from repro.core.pipeline import PreprocessingPipeline
-from repro.engine import EngineContext, col
+from repro.engine import EngineContext, TableStore, col
 from repro.engine.errors import SchemaError
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
 from repro.testing.generator import generate_journey_case
+from repro.tracefile import colbin
 
 
 @pytest.fixture
@@ -41,21 +42,21 @@ class TestSplitByKeyBasics:
         groups = trace.split_by_key("s_id")
         assert sorted(groups) == ["heat", "wpos", "wvel"]
 
-    def test_group_order_and_partitioning_match_filter(self, trace):
-        # Exact equivalence, not just multiset: same rows, same order,
-        # same partition boundaries as the corresponding filter.
+    def test_group_is_the_filter_rows_in_one_partition(self, trace):
+        # Exact equivalence, not just multiset: a group's one partition
+        # holds the filter's partitions concatenated, in order.
         groups = trace.split_by_key("s_id")
         for value, table in groups.items():
             expected = trace.filter(col("s_id") == value)
-            assert (
-                table.collect_partitions()
-                == expected.collect_partitions()
-            )
+            assert table.collect_partitions() == [
+                [row for part in expected.collect_partitions()
+                 for row in part]
+            ]
 
-    def test_sibling_groups_co_partitioned(self, trace):
+    def test_every_group_is_one_partition(self, trace):
         groups = trace.split_by_key("s_id")
         counts = {len(t.collect_partitions()) for t in groups.values()}
-        assert counts == {3}
+        assert counts == {1}
 
     def test_requested_keys_kept_in_order(self, trace):
         groups = trace.split_by_key("s_id", keys=["wvel", "wpos"])
@@ -187,21 +188,52 @@ class TestSplitAcrossCombos:
             assert Counter(group_table.collect()) == expected
 
 
+class TestStoredBytesIgnorePartitionCount:
+    @pytest.mark.parametrize("layout", ["rows", ".ctrc"])
+    @pytest.mark.parametrize("seed", [5, 29, 61])
+    def test_every_stored_group_is_byte_identical(self, tmp_path, seed,
+                                                  layout):
+        # K_s split by signal type and stored, at 1, 4 and 16 partitions:
+        # each group is one partition, so its file is one section whose
+        # bytes are a function of the group's rows alone.
+        case = generate_journey_case(random.Random(seed))
+        config = config_from_dict(case.params, case.database)
+        trace = tmp_path / "trace.ctrc"
+        colbin.dump_records(list(case.records), trace)
+        stored = {}
+        for partitions in (1, 4, 16):
+            ctx = EngineContext.serial(default_parallelism=partitions)
+            if layout == "rows":
+                k_b = ctx.table_from_rows(
+                    list(BYTE_RECORD_COLUMNS), list(case.records)
+                )
+            else:
+                k_b = colbin.load_table(ctx, trace)
+            k_s = PreprocessingPipeline(config).extract_signals(k_b)
+            store = TableStore(tmp_path / str(partitions))
+            groups = k_s.split_by_key("s_id")
+            for index, table in enumerate(groups.values()):
+                store.write("group-{}".format(index), table)
+            stored[partitions] = (list(groups), {
+                path.name: path.read_bytes()
+                for path in sorted(store.root.glob("*.tbl"))
+            })
+        assert stored[1][1]
+        assert stored[4] == stored[1]
+        assert stored[16] == stored[1]
+
+
 def _row_split(partitions, key_index, keys=None):
-    """The split as it was defined on rows: each row routed by its key
-    cell into the group of the first equal key seen, group partition
-    ``i`` holding input partition ``i``'s rows in order."""
+    """The split as it is defined on rows: each row routed by its key
+    cell into the group of the first equal key seen, each group one
+    partition of its rows in input order."""
     groups = {}
-    for index, rows in enumerate(partitions):
+    for rows in partitions:
         for row in rows:
-            groups.setdefault(
-                row[key_index], [[] for _unused in partitions]
-            )[index].append(row)
+            groups.setdefault(row[key_index], [[]])[0].append(row)
     if keys is None:
         keys = sorted(groups, key=lambda value: (type(value).__name__, value))
-    return {
-        key: groups.get(key, [[] for _unused in partitions]) for key in keys
-    }
+    return {key: groups.get(key, [[]]) for key in keys}
 
 
 #: Key cells that collide across types (1 == True, 0.0 == -0.0). NaN is
@@ -222,7 +254,7 @@ class TestColumnarSplitEqualsRowSplit:
         layout=st.sampled_from(["rows", "columnar", "mixed"]),
         pick=st.one_of(st.none(), st.lists(_KEYS, max_size=3)),
     )
-    def test_same_groups_rows_order_and_partitions(
+    def test_same_groups_rows_order_and_one_partition(
         self, rows, parts, layout, pick
     ):
         ctx = EngineContext.serial()

@@ -1034,11 +1034,11 @@ def test_trace_readers_hand_b_id_over_coded(tmp_path, suffix):
 
 def test_table_6_values_reach_the_store_as_planes(tmp_path, monkeypatch):
     """Extraction, the split by signal type and the table store's write
-    move ``K_s`` as typed planes on a SYN ``.ctrc``: the decoded values
-    leave the kernels as a ``ValueColumn``, so the split gathers no
-    column cell by cell (``gather_column``'s list path) and the store
-    picks no layout from cells (``_build_column``): it is called only
-    on the empty row lists of groups absent from an input partition."""
+    and read move ``K_s`` as typed planes on a SYN ``.ctrc``: the decoded
+    values leave the kernels as a ``ValueColumn``, so the split gathers
+    no column cell by cell (``gather_column``'s list path) and neither
+    the split nor the store picks a layout from cells
+    (``_build_column``)."""
     from repro.core import PipelineConfig, PreprocessingPipeline
     from repro.core.splitting import split_signal_types
     from repro.datasets import SPECS, build_dataset
@@ -1064,14 +1064,53 @@ def test_table_6_values_reach_the_store_as_planes(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_build_column", build)
     monkeypatch.setattr(columnar, "gather_column", gather)
     catalog = bundle.catalog()
+    ctx = EngineContext.serial()
     k_s = PreprocessingPipeline(PipelineConfig(catalog=catalog)) \
-        .extract_signals(colbin.load_table(EngineContext.serial(), path))
+        .extract_signals(colbin.load_table(ctx, path))
     store = TableStore(tmp_path / "store")
     for s_id, table in split_signal_types(
         k_s, sorted(set(catalog.signal_ids()))
     ).items():
         store.write(s_id, table)
-    assert set(built) == {0}
+        assert store.read(ctx, s_id).count() == table.count()
+    assert built == []
     assert "ValueColumn" in gathered
     assert set(gathered) <= {"array", "BytesColumn", "DictColumn",
                              "ValueColumn"}, gathered
+
+
+def test_table_6_routes_k_s_once_into_one_partition_per_type(
+    tmp_path, monkeypatch
+):
+    """On a SYN ``.ctrc`` over 4 partitions, one split by signal type
+    runs one ``SplitRouteTask`` over the whole of ``K_s``, and every
+    signal type is stored as one section."""
+    from repro.core import PipelineConfig, PreprocessingPipeline
+    from repro.core.splitting import split_signal_types
+    from repro.datasets import SPECS, build_dataset
+    from repro.engine import EngineContext, TableStore, operations
+    from repro.tracefile import colbin
+
+    bundle = build_dataset(SPECS["SYN"])
+    path = tmp_path / "syn.ctrc"
+    colbin.dump_records(bundle.byte_records(4.0), path)
+    routed = []
+    route = operations.SplitRouteTask.__call__
+
+    def counting(task, partition):
+        routed.append(len(partition))
+        return route(task, partition)
+
+    monkeypatch.setattr(operations.SplitRouteTask, "__call__", counting)
+    catalog = bundle.catalog()
+    trace = colbin.load_table(EngineContext.serial(default_parallelism=4),
+                              path)
+    assert len(trace.plan.partitions) == 4
+    k_s = PreprocessingPipeline(PipelineConfig(catalog=catalog)) \
+        .extract_signals(trace)
+    groups = split_signal_types(k_s, sorted(set(catalog.signal_ids())))
+    assert routed == [k_s.count()]
+    store = TableStore(tmp_path / "store")
+    for s_id, table in groups.items():
+        store.write(s_id, table)
+        assert store.manifest(s_id)["num_partitions"] == 1
