@@ -2,7 +2,7 @@
 
 Replays several SYN journeys through :class:`StreamIngestService` and
 measures sustained ingest rate (frames/s) and window sealing rate
-(sealed windows/s) as the number of concurrent vehicle sessions grows,
+(sealed windows/s) as the number of vehicle sessions grows,
 plus the checkpoint commit latency distribution.
 
 The hard gate is the durability contract the whole subsystem exists
@@ -150,7 +150,6 @@ def test_stream_throughput(vehicles, tmp_path):
         "stream_config": {
             "window_seconds": STREAM.window_seconds,
             "grace_seconds": STREAM.grace_seconds,
-            "queue_capacity": STREAM.queue_capacity,
             "checkpoint_every": STREAM.checkpoint_every,
         },
         "kill_resume_byte_identical": True,

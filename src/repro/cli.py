@@ -507,7 +507,6 @@ def cmd_stream_serve(args, out=sys.stdout):
         stream_config = StreamConfig(
             window_seconds=args.window,
             grace_seconds=args.grace,
-            queue_capacity=args.queue_capacity,
             checkpoint_every=args.checkpoint_every,
         )
     except StreamError as exc:
@@ -932,8 +931,6 @@ def build_parser():
                     help="window length in seconds")
     sp.add_argument("--grace", type=float, default=0.5,
                     help="late-arrival grace before a window seals")
-    sp.add_argument("--queue-capacity", type=int, default=64,
-                    help="per-session queue bound (backpressure)")
     sp.add_argument("--checkpoint-every", type=int, default=200,
                     help="checkpoint cadence in frames per session")
     sp.add_argument("--max-frames", type=int,

@@ -209,6 +209,27 @@ class DictColumn:
     def gather(self, indices):
         return DictColumn(gather_column(self.codes, indices), self.values)
 
+    @classmethod
+    def concat(cls, columns):
+        """The cells of *columns* in order, over one dictionary: the
+        values of the first column, then those a later one adds. Codes
+        are remapped into it, at one :func:`code_array` width; a value
+        is one entry per exact type, so cells keep their type."""
+        index, values, codes = {}, [], []
+        for column in columns:
+            remap = []
+            for value in column.values:
+                code = index.setdefault((type(value), value), len(values))
+                if code == len(values):
+                    values.append(value)
+                remap.append(code)
+            part = np.asarray(column.codes)
+            if remap != list(range(len(remap))):  # else they stand as is
+                part = np.array(remap, np.intp)[part]
+            codes.append(part)
+        return cls(code_array(np.concatenate(codes), len(values)),
+                   tuple(values))
+
 
 #: The kinds of :class:`ValueColumn` cells.
 FLOAT, INT, LABEL, OBJECT = range(4)
@@ -492,11 +513,8 @@ class ColumnarPartition:
             }
             if kinds == {BytesColumn}:
                 columns.append(BytesColumn.concat(cells))
-            elif kinds == {DictColumn} and len({c.values for c in cells}) == 1:
-                codes = array(_typecode(cells[0].codes))
-                for c in cells:
-                    codes.frombytes(c.codes.tobytes())
-                columns.append(DictColumn(codes, cells[0].values))
+            elif kinds == {DictColumn}:
+                columns.append(DictColumn.concat(cells))
             elif kinds == {ValueColumn}:
                 columns.append(ValueColumn.concat(cells))
             elif len(kinds) == 1 and isinstance(cells[0], (array, memoryview)):

@@ -1,12 +1,10 @@
-"""Frame sources and the per-vehicle delivery loop.
+"""Frame sources, their event-time merge and the shared kill budget.
 
 A :class:`FrameSource` holds one vehicle's frames as packed columns;
 :func:`merge` puts the frames past the per-channel cursors into one
-event-time delivery order, and :func:`deliver` hands slices of it to the
-owning session's bounded queue. Backpressure is therefore scoped
-exactly as the service requires -- a slow vehicle session fills its own
-queue and stalls only its own delivery loop; other vehicles never wait
-on it.
+event-time delivery order, which the service slices straight into the
+vehicle's session, each vehicle's grant taken from one
+:class:`FrameBudget`.
 
 :class:`ReplaySource` is the bundled transport: pre-recorded (or
 simulated) byte records served per channel in timestamp order, with
@@ -207,37 +205,12 @@ def merge(source, cursor):
     return Frames(channels, codes[order], block)
 
 
-async def deliver(frames, budget, queue, chunk_frames=1):
-    """One vehicle's delivery loop: feed *frames* (a :func:`merge`) to
-    the queue.
-
-    The frames are handed over in chunks: slices of up to *chunk_frames*
-    frames, one ``await queue.put`` each -- the bounded queue is the
-    backpressure boundary and stalls this vehicle only. A chunk takes
-    its length from the shared *budget* and is cut where the budget
-    ends, so a kill still lands on the exact frame. The loop ends by
-    putting ``None``; it returns True when the frames were exhausted,
-    False when the budget ran out first.
-    """
-    exhausted = True
-    for start in range(0, len(frames), chunk_frames):
-        chunk = frames[start : start + chunk_frames]
-        granted = budget.take(len(chunk))
-        if granted:
-            await queue.put(chunk[:granted])
-        if granted < len(chunk):
-            exhausted = False
-            break
-    await queue.put(None)
-    return exhausted
-
-
 class FrameBudget:
     """A shared, decrementing frame allowance (the mid-stream kill).
 
     ``take(n)`` grants up to *n* frames -- all of them until the budget
-    is spent, then what is left, then none; every delivery loop stops
-    before delivering a frame it was not granted, emulating a service
+    is spent, then what is left, then none; the service stops each
+    vehicle before a frame it was not granted, emulating a service
     killed part-way through the day's traffic.
     """
 
@@ -253,7 +226,3 @@ class FrameBudget:
             frames = min(frames, self.limit - self.spent)
         self.spent += frames
         return frames
-
-    @property
-    def exhausted(self):
-        return self.limit is not None and self.spent >= self.limit

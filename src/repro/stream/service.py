@@ -1,12 +1,12 @@
-"""The always-on asyncio ingest service.
+"""The stream ingest service.
 
 :class:`StreamIngestService` wires the pieces of this package into the
-long-running shape the paper's fleet capture implies: per vehicle one
-delivery loop (the event-time merge of its channels), one bounded
-asyncio queue and one ingest loop draining it into the session;
-periodic state checkpoints appended to one log per session
-(:mod:`repro.stream.checkpoint`); and ``stream.*`` metrics for all of
-it.
+shape the paper's fleet capture implies: per vehicle one session fed
+the event-time merge of its channels; periodic state checkpoints
+appended to one log per session (:mod:`repro.stream.checkpoint`); and
+``stream.*`` metrics for all of it. Every source is a recording, so
+serving is one loop: each vehicle's frames are replayed straight into
+its session.
 
 Durability contract
 -------------------
@@ -21,24 +21,16 @@ interrupted. Frames ingested after the last commit are simply
 re-delivered on resume -- the source's per-channel ordering and the
 merge make the replay exact, and ``stream.resume.frames_skipped`` /
 ``stream.frames_received`` make the re-delivery count observable.
-
-Backpressure
-------------
-A delivery loop awaits ``queue.put`` on its own session's bounded
-queue, once per chunk of up to ``queue_capacity`` frames. A slow
-session stalls exactly the loop feeding it; every other vehicle keeps
-draining its source.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry
 from repro.stream.checkpoint import StreamCheckpointer
 from repro.stream.errors import StreamError
-from repro.stream.receivers import FrameBudget, deliver, merge
+from repro.stream.receivers import FrameBudget, merge
 from repro.stream.session import VehicleSession
 
 
@@ -48,14 +40,11 @@ class StreamConfig:
 
     ``checkpoint_every`` is the per-session checkpoint cadence in
     ingested frames (0 disables periodic commits; the drain commit is
-    always made). ``queue_capacity`` bounds the frames queued per
-    session -- the backpressure boundary -- and is the most frames a
-    delivery loop hands over at once; 1 is a frame-by-frame service.
+    always made).
     """
 
     window_seconds: float = 1.0
     grace_seconds: float = 0.5
-    queue_capacity: int = 64
     checkpoint_every: int = 200
 
     def __post_init__(self):
@@ -63,8 +52,6 @@ class StreamConfig:
             raise StreamError("window_seconds must be positive")
         if not self.grace_seconds >= 0:
             raise StreamError("grace_seconds must not be negative")
-        if self.queue_capacity < 1:
-            raise StreamError("queue_capacity must be at least 1")
         if self.checkpoint_every < 0:
             raise StreamError("checkpoint_every must not be negative")
 
@@ -79,13 +66,13 @@ class ServeResult:
 
 
 class StreamIngestService:
-    """Per-vehicle delivery loops feeding checkpointed sessions.
+    """Recorded per-vehicle sources replayed into checkpointed sessions.
 
-    A session keeps the windows its chunks seal; the service settles
+    A session keeps the windows its slices seal; the service settles
     them -- one lines 3-11 call for all of them -- right before each
     commit, outside the commit's stopwatch, and at drain. With
-    ``checkpoint_every=0`` there is no periodic commit, and it settles
-    after every chunk instead, so sealed windows never pile up.
+    ``checkpoint_every=0`` there is no periodic commit: a vehicle's
+    granted frames are one slice, settled once.
     """
 
     def __init__(self, run_dir, stream_config=None, metrics=None):
@@ -103,7 +90,10 @@ class StreamIngestService:
         When the run directory holds a session log for this vehicle the
         session resumes from its last whole record: delivery will start at
         the checkpointed per-channel cursors and the skipped-frame
-        count is recorded in ``stream.resume.frames_skipped``.
+        count is recorded in ``stream.resume.frames_skipped``. A log
+        made under another ``window_seconds`` or ``grace_seconds`` than
+        this service's is a :class:`StreamError`: its windows are not
+        the ones this service would seal.
         """
         if vehicle_id in self.sessions:
             raise StreamError(
@@ -122,6 +112,17 @@ class StreamIngestService:
                 metrics=self.metrics,
             )
         else:
+            logged = (session.assembler.window_seconds,
+                      session.assembler.grace_seconds)
+            wanted = (self.config.window_seconds, self.config.grace_seconds)
+            if logged != wanted:
+                raise StreamError(
+                    "vehicle {!r}: its log was made with window_seconds={}, "
+                    "grace_seconds={}, not the window_seconds={}, "
+                    "grace_seconds={} of this service".format(
+                        vehicle_id, *logged, *wanted
+                    )
+                )
             skipped = sum(session.channel_cursors.values())
             self.resumed[vehicle_id] = skipped
             self.metrics.inc("stream.resume.sessions")
@@ -131,94 +132,74 @@ class StreamIngestService:
         self.metrics.set_gauge("stream.sessions.active", len(self.sessions))
         return session
 
-    # -- the delivery/ingest loops ---------------------------------------
+    # -- the replay loop --------------------------------------------------
     async def serve(self, max_frames=None):
-        """Run until every source drains (or *max_frames* kills it).
+        """Replay every vehicle's frames into its session, vehicle after
+        vehicle in ``str(vehicle_id)`` order, until each source is
+        exhausted (or *max_frames* kills the service).
 
-        *max_frames*, when given, is a shared delivery budget across
-        all vehicles: once spent, every delivery loop stops before
-        delivering another frame -- the controlled stand-in for a
-        service process killed mid-stream. Exactly *max_frames* frames
-        are delivered in total; how they split between vehicles is
-        scheduling, not contract. No drain or final checkpoint
-        happens for killed sessions; their last *committed* periodic
-        record is the resume point, exactly as after a real crash.
+        A vehicle's frames past its session's cursors (:func:`merge`)
+        are ingested in slices that end at each multiple of
+        ``checkpoint_every``, where the session settles and commits; an
+        exhausted source is drained and committed.
+
+        *max_frames*, when given, is a delivery budget shared by all
+        vehicles -- the controlled stand-in for a service process killed
+        mid-stream. Exactly *max_frames* frames are delivered in total,
+        granted to the vehicles in id order. No drain or final
+        checkpoint happens for killed sessions; their last *committed*
+        periodic record is the resume point, exactly as after a real
+        crash.
+
+        The body awaits nothing: a replay has nothing to wait for. It
+        is a coroutine so that callers run it under ``asyncio.run``, as
+        they would a service whose live source brings its own loop.
         """
         if not self.sessions:
             raise StreamError("no vehicles registered")
         budget = FrameBudget(max_frames)
+        cadence = self.config.checkpoint_every
         vehicles = sorted(self.sessions.items(), key=lambda kv: str(kv[0]))
-        # Vehicles share the budget and nothing else: each has its own
-        # delivery loop and queue and never paces another.
-        exhausted = await asyncio.gather(
-            *(self._run_vehicle(*vehicle, budget) for vehicle in vehicles)
-        )
+        killed = False
+        for vehicle_id, session in vehicles:
+            try:
+                frames = merge(self._sources[vehicle_id], session.cursor)
+            except StreamError as exc:
+                raise StreamError("vehicle {!r}, {}".format(vehicle_id, exc))
+            granted = budget.take(len(frames))
+            start = 0
+            while start < granted:
+                # Cut at the next multiple of the cadence, so commits are
+                # made at the frame counts a frame-by-frame service
+                # takes them at.
+                stop = granted
+                if cadence:
+                    stop = min(stop, start + cadence
+                               - session.frames_ingested % cadence)
+                session.ingest(frames[start:stop])
+                start = stop
+                if not cadence or session.frames_ingested % cadence == 0:
+                    # The windows sealed since the last commit are
+                    # processed at once; outside the commit's stopwatch.
+                    session.settle()
+                    if cadence:
+                        self.checkpointer.save_session(session, self.metrics)
+            if granted < len(frames):
+                killed = True
+            elif not session.drained:
+                # Clean end of stream: seal whatever the grace period was
+                # still holding back, then commit the drained state. A
+                # session resumed drained has committed it already.
+                session.drain()
+                self.checkpointer.save_session(session, self.metrics)
         return ServeResult(
-            killed=not all(exhausted),
+            killed=killed,
             frames_delivered=budget.spent,
             sessions={
                 vehicle_id: self._session_summary(session)
                 for vehicle_id, session in vehicles
             },
         )
-
-    async def _run_vehicle(self, vehicle_id, session, budget):
-        """One vehicle: the delivery loop + the queue-draining ingest loop.
-
-        Returns whether the vehicle's source was exhausted (not killed).
-        """
-        # One chunk of up to queue_capacity frames may wait in the queue:
-        # that many frames queued per vehicle, never more.
-        queue = asyncio.Queue(maxsize=1)
-        try:
-            frames = merge(self._sources[vehicle_id], session.cursor)
-        except StreamError as exc:
-            raise StreamError("vehicle {!r}, {}".format(vehicle_id, exc))
-        delivery = asyncio.ensure_future(deliver(
-            frames, budget, queue, self.config.queue_capacity
-        ))
-        depth_gauge = "stream.queue.depth.{}".format(vehicle_id)
-        high_water = self.metrics.gauge(
-            "stream.queue.high_water.{}".format(vehicle_id)
-        )
-        cadence = self.config.checkpoint_every
-        self.metrics.set_gauge(depth_gauge, 0)
-        try:
-            while (chunk := await queue.get()) is not None:
-                high_water.set_max(len(chunk))
-                self.metrics.observe(
-                    "stream.ingest.chunk_frames", len(chunk)
-                )
-                while chunk:
-                    # Cut at the next multiple of the cadence, so
-                    # commits are made at the frame counts a
-                    # frame-by-frame service takes them at.
-                    room = len(chunk)
-                    if cadence:
-                        room = cadence - session.frames_ingested % cadence
-                    session.ingest(chunk[:room])
-                    chunk = chunk[room:] if room < len(chunk) else ()
-                    self.metrics.set_gauge(depth_gauge, len(chunk))
-                    # The windows sealed since the last commit are
-                    # processed at once; outside the commit's stopwatch.
-                    if not cadence or session.frames_ingested % cadence == 0:
-                        session.settle()
-                        if cadence:
-                            self.checkpointer.save_session(
-                                session, self.metrics
-                            )
-            exhausted = await delivery
-        finally:
-            # A session that refused a frame leaves its loop blocked on
-            # the queue; a finished one ignores the cancel.
-            delivery.cancel()
-        if exhausted and not session.drained:
-            # Clean end of stream: seal whatever the grace period was
-            # still holding back, then commit the drained state. A
-            # session resumed drained has committed it already.
-            session.drain()
-            self.checkpointer.save_session(session, self.metrics)
-        return exhausted
 
     # -- terminal --------------------------------------------------------
     def finalize_all(self):

@@ -1,8 +1,8 @@
 """Per-vehicle ingest sessions: an IncrementalRunner behind a window
 assembler.
 
-A :class:`VehicleSession` is the synchronous state machine at the heart
-of the streaming service: chunks of frames go in as packed columns
+A :class:`VehicleSession` is the state machine at the heart of the
+streaming service: slices of frames go in as packed columns
 (:class:`~repro.stream.receivers.Frames`, each frame tagged with the
 channel that received it) and sealed windows come out. The session keeps
 them until :meth:`~VehicleSession.settle`, which feeds all of them, in
@@ -14,8 +14,7 @@ time-ordered union that
 :meth:`~repro.core.incremental.IncrementalRunner.process_window` reduces
 exactly as it reduces each window in turn (the windowed-equals-whole
 guarantee); only a config with an aggregation marker keeps one call per
-window. Keeping the state machine free of the event loop makes
-kill-and-resume deterministic and testable without asyncio.
+window.
 
 Delivery accounting is per channel: the session records how many frames
 of each channel's (deterministically ordered) stream it has fully

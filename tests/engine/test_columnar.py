@@ -447,3 +447,112 @@ class TestBatchApply:
         double = _BatchDouble()
         expected = [(a, double(a)) for (a,) in rows if double(a) > 10]
         assert got == expected
+
+
+def _coded(codes, values, typecode, view):
+    """A :class:`DictColumn` over *codes* held as ``array(typecode)``,
+    or as a ``memoryview`` of one when *view*."""
+    buffer = array(typecode, codes)
+    return DictColumn(memoryview(buffer) if view else buffer, values)
+
+
+_WIDE = tuple("w{:03d}".format(i) for i in range(300))
+
+
+class TestDictColumnConcat:
+    """Concatenated dictionary-coded columns stay dictionary-coded: one
+    merged dictionary, codes remapped into it at one width, every cell
+    back equal and of its type, whatever the parts' code widths,
+    buffer kinds and dictionaries."""
+
+    @pytest.mark.parametrize("typecodes", [
+        ("B", "B"), ("B", "H"), ("H", "B"), ("H", "I"), ("I", "B"),
+    ])
+    @pytest.mark.parametrize("views", [(False, False), (True, False),
+                                       (False, True), (True, True)])
+    @pytest.mark.parametrize("values", [
+        # the same dictionary
+        (("FC", "BC", "ETH"), ("FC", "BC", "ETH")),
+        # another order, a value more, a value fewer
+        (("FC", "BC", "ETH"), ("ETH", "K-LIN", "FC")),
+        # values that are equal across types keep their types
+        ((1, True, 1.0), (True, 0, "1")),
+        # more than 256 values once merged: the codes widen
+        (_WIDE[:200], _WIDE[150:]),
+    ])
+    def test_cells_come_back_over_one_dictionary(
+        self, typecodes, views, values
+    ):
+        parts = [
+            _coded([i % len(vals) for i in range(7 * k, 7 * k + 11)],
+                   vals, typecode, view)
+            for k, (vals, typecode, view) in enumerate(
+                zip(values, typecodes, views)
+            )
+        ]
+        expected = [cell for part in parts for cell in part]
+        merged = ColumnarPartition.concat([
+            ColumnarPartition([part], len(part)) for part in parts
+        ]).columns[0]
+        assert isinstance(merged, DictColumn)
+        assert len(merged.values) == len(
+            {(type(v), v) for vals in values for v in vals}
+        )
+        assert _eq_rows([(cell,) for cell in merged],
+                        [(cell,) for cell in expected])
+        assert merged.codes.typecode == ("H" if len(merged.values) > 256
+                                         else "B")
+
+    def test_empty_parts_and_unused_values(self):
+        parts = [_coded([], ("A",), "H", True), _coded([1, 1], ("A", "B"),
+                                                       "B", False),
+                 _coded([], (), "I", False)]
+        merged = DictColumn.concat(parts)
+        assert list(merged) == ["B", "B"]
+        assert merged.values == ("A", "B")
+
+    def test_a_ctrc_and_a_btrc_of_one_journey_split_by_channel(
+        self, tmp_path
+    ):
+        """The ``.ctrc`` reader codes channels as ``memoryview('H')``,
+        the ``.btrc`` one as ``array('B')``, over the same dictionary:
+        their union splits by ``b_id`` into coded groups."""
+        import random
+
+        from repro.testing.generator import generate_journey_case
+        from repro.tracefile import binlog, colbin
+
+        records = list(generate_journey_case(random.Random(5)).records)
+        colbin.dump_records(records, tmp_path / "x.ctrc")
+        binlog.dump_records(records, tmp_path / "x.btrc")
+        ctx = EngineContext.serial()
+        ctrc = colbin.load_table(ctx, tmp_path / "x.ctrc")
+        btrc = binlog.load_table(ctx, tmp_path / "x.btrc")
+        coded = [table.plan.partitions[0].columns[2]
+                 for table in (ctrc, btrc)]
+        assert [type(column.codes) for column in coded] == \
+            [memoryview, array]
+        assert [column.codes.itemsize for column in coded] == [2, 1]
+        groups = ctrc.union(btrc).split_by_key("b_id")
+        assert sorted(groups) == sorted({record[2] for record in records})
+        for channel, group in groups.items():
+            [part] = group.plan.partitions
+            assert isinstance(part.columns[2], DictColumn)
+            assert group.collect() == 2 * [
+                record for record in records if record[2] == channel
+            ]
+
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
+    def test_a_row_table_split_keeps_its_key_column_coded(self, partitions):
+        """Each row partition gets its own first-seen dictionary; the
+        split's groups still hold the key column coded."""
+        ctx = EngineContext.serial()
+        rows = [("k{}".format(i * 7 % 5), i, i * 0.5) for i in range(40)]
+        table = ctx.table_from_rows(["k", "i", "x"], rows,
+                                    num_partitions=partitions)
+        groups = table.split_by_key("k")
+        assert sorted(groups) == ["k{}".format(j) for j in range(5)]
+        for key, group in groups.items():
+            [part] = group.plan.partitions
+            assert isinstance(part.columns[0], DictColumn), partitions
+            assert group.collect() == [row for row in rows if row[0] == key]

@@ -1,17 +1,17 @@
-"""Sources, budget kills, and the per-vehicle delivery loop: what it
-delivers, in which order, where it resumes and whom it stalls. Frames
-travel as column blocks; :func:`pairs` turns them back into tuples."""
+"""Sources, their event-time merge and the budget kills: what a
+vehicle's session is handed, in which order and where it resumes.
+Frames travel as column blocks; :func:`pairs` turns them back into
+tuples."""
 
 from __future__ import annotations
 
-import asyncio
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stream import FrameBudget, ReplaySource, StreamError, deliver
+from repro.stream import FrameBudget, ReplaySource, StreamError
 from repro.stream.receivers import merge
 
 
@@ -32,21 +32,11 @@ def served(src, start=0):
     return [frame for _channel, frame in pairs(merge(src, lambda c: start))]
 
 
-def run_delivery(src, cursors=None, limit=None, chunk_frames=1):
-    """Run one delivery loop to its end; (exhausted, budget, the
-    ``(channel, frame)`` items put, chunk by chunk, flattened)."""
+def merged(src, cursors=None):
+    """The ``(channel, frame)`` items :func:`merge` hands a session
+    whose per-channel cursors are *cursors*."""
     cursors = cursors or {}
-    budget = FrameBudget(limit)
-    queue = asyncio.Queue()
-    exhausted = asyncio.run(deliver(
-        merge(src, lambda channel: cursors.get(channel, 0)), budget, queue,
-        chunk_frames,
-    ))
-    chunks = [queue.get_nowait() for _ in range(queue.qsize())]
-    assert chunks.pop() is None  # the end-of-delivery marker, always last
-    assert all(0 < len(chunk) <= chunk_frames for chunk in chunks)
-    items = [item for chunk in chunks for item in pairs(chunk)]
-    return exhausted, budget, items
+    return pairs(merge(src, lambda channel: cursors.get(channel, 0)))
 
 
 class TestReplaySource:
@@ -131,13 +121,12 @@ class TestFrameBudget:
     def test_unlimited_budget_always_grants(self):
         budget = FrameBudget(None)
         assert all(budget.take() for _ in range(10))
-        assert not budget.exhausted
+        assert budget.spent == 10
 
     def test_budget_denies_after_limit(self):
         budget = FrameBudget(2)
         assert budget.take() and budget.take()
         assert not budget.take()
-        assert budget.exhausted
         assert budget.spent == 2
 
     def test_negative_budget_rejected(self):
@@ -148,7 +137,7 @@ class TestFrameBudget:
         budget = FrameBudget(10)
         assert budget.take(4) == 4
         assert budget.take(64) == 6  # fewer than asked for are left
-        assert budget.exhausted and budget.spent == 10
+        assert budget.spent == 10
         assert budget.take(3) == 0  # nothing left: spends nothing
         assert budget.spent == 10
 
@@ -156,89 +145,44 @@ class TestFrameBudget:
         assert FrameBudget(0).take(5) == 0
         unlimited = FrameBudget(None)
         assert unlimited.take(64) == 64 and unlimited.take(1) == 1
-        assert unlimited.spent == 65 and not unlimited.exhausted
+        assert unlimited.spent == 65
 
 
-class TestDeliver:
-    def test_delivers_all_frames_and_reports_exhaustion(self):
+class TestMerge:
+    def test_merges_all_frames(self):
         src = ReplaySource([rec(0.0), rec(0.1)])
-        exhausted, budget, items = run_delivery(src)
-        assert exhausted
-        assert budget.spent == 2
-        assert items == [("FC", rec(0.0)), ("FC", rec(0.1))]
-
-    def test_budget_stops_delivery_mid_stream(self):
-        src = ReplaySource([rec(t / 10.0) for t in range(5)])
-        exhausted, budget, items = run_delivery(src, limit=3)
-        assert not exhausted
-        assert budget.spent == len(items) == 3
-
-    def test_budget_equal_to_the_stream_is_not_a_kill(self):
-        src = ReplaySource([rec(t / 10.0) for t in range(5)])
-        exhausted, budget, items = run_delivery(src, limit=5)
-        assert exhausted and budget.exhausted
-        assert len(items) == 5
+        assert merged(src) == [("FC", rec(0.0)), ("FC", rec(0.1))]
 
     def test_cursor_resumes_mid_channel(self):
         src = ReplaySource([rec(t / 10.0) for t in range(4)])
-        exhausted, _budget, items = run_delivery(src, cursors={"FC": 3})
-        assert exhausted
+        items = merged(src, cursors={"FC": 3})
         assert [(channel, frame[0]) for channel, frame in items] == \
             [("FC", 0.3)]
 
     def test_delivery_is_global_event_time_order(self):
         """Unequal channel rates must not let one channel race ahead:
-        the per-channel replays reach the queue as one deterministic
+        the per-channel replays reach the session as one deterministic
         time-ordered stream."""
         fast = [rec(t / 100.0, "fast") for t in range(50)]
         slow = [rec(t / 10.0, "slow") for t in range(5)]
-        _exhausted, _budget, items = run_delivery(ReplaySource(fast + slow))
+        items = merged(ReplaySource(fast + slow))
         delivered = [(frame[0], str(channel)) for channel, frame in items]
         assert delivered == sorted(delivered)
         assert len(delivered) == 55
 
-    def test_budget_kill_ends_a_multi_channel_vehicle_without_hanging(self):
-        src = ReplaySource(
-            [rec(t / 10.0, "a") for t in range(10)]
-            + [rec(t / 10.0 + 0.01, "b") for t in range(10)]
-        )
-        budget = FrameBudget(7)
-
-        async def drive():
-            queue = asyncio.Queue()
-            exhausted = await asyncio.wait_for(
-                deliver(merge(src, lambda channel: 0), budget, queue),
-                timeout=5,
-            )
-            return exhausted, queue.qsize()
-
-        exhausted, put = asyncio.run(drive())
-        assert not exhausted
-        assert (budget.spent, put) == (7, 8)  # 7 frames + the marker
-
-    @pytest.mark.parametrize("chunk_frames", [1, 2, 3, 5, 64])
-    def test_chunks_are_slices_of_the_one_merged_stream(self, chunk_frames):
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 64])
+    def test_slices_are_slices_of_the_one_merged_stream(self, width):
         src = ReplaySource(
             [rec(t / 10.0, "a") for t in range(10)]
             + [rec(t / 10.0 + 0.01, "b") for t in range(7)]
         )
-        _exhausted, _budget, frame_by_frame = run_delivery(src)
-        exhausted, budget, items = run_delivery(
-            src, chunk_frames=chunk_frames
-        )
-        assert exhausted and budget.spent == 17
-        assert items == frame_by_frame
-
-    @pytest.mark.parametrize("limit", range(0, 9))
-    def test_a_kill_lands_on_the_exact_frame_inside_a_chunk(self, limit):
-        src = ReplaySource([rec(t / 10.0) for t in range(8)])
-        exhausted, budget, items = run_delivery(
-            src, limit=limit, chunk_frames=3
-        )
-        assert exhausted == (limit >= 8)
-        assert budget.spent == len(items) == min(limit, 8)
-        assert [frame[0] for _channel, frame in items] == \
-            [t / 10.0 for t in range(min(limit, 8))]
+        frames = merge(src, lambda channel: 0)
+        items = [
+            item for start in range(0, len(frames), width)
+            for item in pairs(frames[start : start + width])
+        ]
+        assert len(items) == 17
+        assert items == merged(src)
 
     @given(
         frames=st.lists(
@@ -274,58 +218,6 @@ class TestDeliver:
                 cursors[channel]:
             ]
         ]
-        exhausted, budget, items = run_delivery(src, cursors=cursors)
-        assert exhausted
-        assert items == sorted(
+        assert merged(src, cursors=cursors) == sorted(
             remaining, key=lambda item: (item[1][0], str(item[0]))
         )
-        assert budget.spent == len(remaining)
-
-
-class TestBackpressureScope:
-    def test_slow_vehicle_does_not_stall_other_vehicles(self):
-        """The load-bearing isolation property, in frames: vehicle A's
-        session never takes a chunk, so A's loop stalls holding at most
-        ``queue_capacity`` queued frames -- wired as the service wires
-        it, one chunk of that many frames in the queue -- while vehicle
-        B's loop finishes its whole stream meanwhile."""
-        capacity = 6
-        frames = [rec(t / 10.0) for t in range(20)]
-        src_a, src_b = ReplaySource(frames), ReplaySource(frames)
-        budget = FrameBudget(None)
-
-        def start(channel):
-            return 0
-
-        async def drive():
-            queue_a = asyncio.Queue(maxsize=1)  # nobody consumes this one
-            queue_b = asyncio.Queue(maxsize=1)
-            received_b = []
-
-            async def consume_b():
-                while (chunk := await queue_b.get()) is not None:
-                    received_b.extend(pairs(chunk))
-
-            task_a = asyncio.ensure_future(
-                deliver(merge(src_a, start), budget, queue_a, capacity)
-            )
-            exhausted_b, _ = await asyncio.wait_for(
-                asyncio.gather(
-                    deliver(merge(src_b, start), budget, queue_b, capacity),
-                    consume_b(),
-                ),
-                timeout=5,
-            )
-            assert exhausted_b and len(received_b) == 20
-            assert not task_a.done()  # still blocked on its own queue
-            queued = [queue_a.get_nowait() for _ in range(queue_a.qsize())]
-            assert sum(map(len, queued)) == capacity  # then stalled
-            task_a.cancel()
-            try:
-                await task_a
-            except asyncio.CancelledError:
-                pass
-
-        asyncio.run(drive())
-        # B's stream; A's queued chunk + the one its loop holds.
-        assert budget.spent == 20 + 2 * capacity

@@ -27,7 +27,7 @@ from repro.stream import (
     StreamIngestService,
     VehicleSession,
 )
-from repro.stream.receivers import pack_records
+from repro.stream.receivers import merge, pack_records
 from repro.testing.generator import generate_journey_case
 from tests.stream.logs import frame, head_body, record_spans, rewrite_heads
 
@@ -82,6 +82,48 @@ class TestServe:
         assert sorted_rows(finals["b"].r_out) == \
             batch_rows(ctx, config_b, case_b.records, 1.0)
 
+    def test_the_budget_is_granted_to_vehicles_in_id_order(self, tmp_path):
+        """A kill's budget goes to the vehicles one after another in
+        ``str(vehicle_id)`` order, whatever order they were added in:
+        "a" takes all it can before "b" gets a frame."""
+        case_a, ctx, config_a = journey(seed=5)
+        case_b, _, config_b = journey(seed=6)
+        total_a = len(case_a.records)
+        for kill_at in (0, total_a // 2, total_a, total_a + 3):
+            service = StreamIngestService(
+                tmp_path / "run-{}".format(kill_at), STREAM
+            )
+            service.add_vehicle("b", ReplaySource(case_b.records),
+                                config_b, ctx)
+            service.add_vehicle("a", ReplaySource(case_a.records),
+                                config_a, ctx)
+            result = asyncio.run(service.serve(max_frames=kill_at))
+            assert result.killed and result.frames_delivered == kill_at
+            assert {v: s["frames_ingested"]
+                    for v, s in result.sessions.items()} == {
+                "a": min(kill_at, total_a), "b": max(kill_at - total_a, 0),
+            }
+            assert result.sessions["a"]["drained"] == (kill_at >= total_a)
+
+    @pytest.mark.parametrize("limit", range(0, 9))
+    def test_a_kill_lands_on_the_exact_frame_inside_a_slice(
+        self, tmp_path, limit
+    ):
+        """Slices end at every third frame; a kill between two of those
+        still stops the session on the frame the budget ends at."""
+        case, ctx, config = journey()
+        records = case.records[:8]
+        service = StreamIngestService(tmp_path, StreamConfig(
+            window_seconds=1.0, grace_seconds=5.0, checkpoint_every=3,
+        ))
+        session = service.add_vehicle("v", ReplaySource(records), config,
+                                      ctx)
+        result = asyncio.run(service.serve(max_frames=limit))
+        assert result.killed == (limit < 8)
+        assert result.frames_delivered == session.frames_ingested == \
+            min(limit, 8)
+        assert sum(session.channel_cursors.values()) == min(limit, 8)
+
     def test_serve_without_vehicles_is_an_error(self, tmp_path):
         service = StreamIngestService(tmp_path, STREAM)
         with pytest.raises(StreamError):
@@ -99,8 +141,6 @@ class TestServe:
             StreamConfig(window_seconds=0)
         with pytest.raises(StreamError):
             StreamConfig(grace_seconds=-1)
-        with pytest.raises(StreamError):
-            StreamConfig(queue_capacity=0)
         with pytest.raises(StreamError):
             StreamConfig(checkpoint_every=-1)
 
@@ -149,11 +189,31 @@ class ArrivalOrderSource(FrameSource):
         return self._block, self._codes
 
 
+def frame_by_frame(service, sources, checkpoint_every):
+    """The oracle of the sliced service: every vehicle's merged frames
+    go to its session one ``ingest`` call per frame, each commit is
+    made at a multiple of *checkpoint_every* (every frame is settled
+    when it is 0), and an exhausted vehicle is drained and committed."""
+    for vehicle_id, session in sorted(service.sessions.items()):
+        frames = merge(sources[vehicle_id], session.cursor)
+        for position in range(len(frames)):
+            session.ingest(frames[position : position + 1])
+            if checkpoint_every and \
+                    session.frames_ingested % checkpoint_every:
+                continue
+            session.settle()
+            if checkpoint_every:
+                service.checkpointer.save_session(session, service.metrics)
+        session.drain()
+        service.checkpointer.save_session(session, service.metrics)
+
+
 class TestChunkedServiceEqualsFrameByFrame:
     CASE, CTX, CONFIG = journey(seed=5)
 
-    def observe(self, run_dir, recordings, stream_config):
-        """One clean service run; everything a chunk size could move."""
+    def observe(self, run_dir, recordings, stream_config, sliced):
+        """One clean run, by the service when *sliced*, else by
+        :func:`frame_by_frame`; everything a slice could move."""
         sealed = {vehicle_id: [] for vehicle_id in recordings}
         service = StreamIngestService(run_dir, stream_config)
 
@@ -170,18 +230,18 @@ class TestChunkedServiceEqualsFrameByFrame:
 
             return sealing
 
+        sources = {}
         for vehicle_id, records in recordings.items():
+            sources[vehicle_id] = ArrivalOrderSource(records)
             assembler = service.add_vehicle(
-                vehicle_id, ArrivalOrderSource(records), self.CONFIG,
-                self.CTX,
+                vehicle_id, sources[vehicle_id], self.CONFIG, self.CTX,
             ).assembler
             assembler.add_chunk = recording(vehicle_id, assembler.add_chunk)
             assembler.flush = recording(vehicle_id, assembler.flush)
-        assert not asyncio.run(service.serve()).killed
-        for vehicle_id in recordings:
-            assert service.metrics.gauge(
-                "stream.queue.high_water.{}".format(vehicle_id)
-            ).value <= stream_config.queue_capacity
+        if sliced:
+            assert not asyncio.run(service.serve()).killed
+        else:
+            frame_by_frame(service, sources, stream_config.checkpoint_every)
         sessions = service.sessions.items()
         return {
             # Per vehicle: how vehicles interleave is the loop's business.
@@ -205,39 +265,37 @@ class TestChunkedServiceEqualsFrameByFrame:
             ),
             min_size=1, max_size=50,
         ),
-        queue_capacity=st.integers(1, 70),
         checkpoint_every=st.sampled_from([0, 1, 3, 7, 10, 64]),
         grace=st.sampled_from([0.0, 0.5, 1.5]),
     )
-    @example(  # a window sealed mid-chunk, then a late frame for it
+    @example(  # a window sealed mid-slice, then a late frame for it
         arrivals=[(0, 0.0, "FC"), (1, 0.25, "FB"), (2, 3.0, "FC"),
                   (3, 0.5, "FC"), (4, 3.0, "FB"), (5, 5.0, "FC")],
-        queue_capacity=4, checkpoint_every=3, grace=0.0,
+        checkpoint_every=3, grace=0.0,
     )
     @settings(max_examples=30, deadline=None)
-    def test_any_queue_capacity_is_the_queue_capacity_1_run(
-        self, arrivals, queue_capacity, checkpoint_every, grace
+    def test_the_sliced_service_is_the_frame_by_frame_run(
+        self, arrivals, checkpoint_every, grace
     ):
         """Multi-channel recordings with tied timestamps, steps
-        backwards and late frames, any chunk size and any cadence: the
-        sealed windows (index, frames, order), late drops, cursors, the
-        snapshot at every commit and the finalized rows are those of
-        the frame-by-frame service, and the session logs are its bytes."""
+        backwards and late frames, any cadence: the sealed windows
+        (index, frames, order), late drops, cursors, the snapshot at
+        every commit and the finalized rows are those of the
+        frame-by-frame run, and the session logs are its bytes."""
         records = [
             (t, self.CASE.records[i][1], channel) + self.CASE.records[i][3:]
             for i, t, channel in arrivals
         ]
         recordings = {"a": records, "b": records[::-1]}
         runs = []
-        for capacity in (1, queue_capacity):
+        for sliced in (False, True):
             with tempfile.TemporaryDirectory() as run_dir:
                 runs.append(self.observe(run_dir, recordings, StreamConfig(
                     window_seconds=1.0, grace_seconds=grace,
-                    queue_capacity=capacity,
                     checkpoint_every=checkpoint_every,
-                )))
-        oracle, chunked = runs
-        assert chunked == oracle
+                ), sliced))
+        oracle, sliced = runs
+        assert sliced == oracle
 
 
 class TestNonFiniteTimestamp:
@@ -491,6 +549,35 @@ class TestLogAsOutsideInput:
         assert StreamCheckpointer(tmp_path).session_ids() == ["v0"]
 
 
+class TestResumeUnderAnotherWindow:
+    @pytest.mark.parametrize("window, grace", [(2.0, 0.0), (1.0, 0.0),
+                                               (2.0, 5.0)])
+    def test_a_log_made_under_another_window_is_refused(
+        self, tmp_path, window, grace
+    ):
+        """Resuming replays windows the log's state was cut for: a log
+        made at 1.0 s / 5.0 s is not resumed under another window or
+        grace, and the refusal names the vehicle and both settings."""
+        case, ctx, config = journey()
+        service = StreamIngestService(tmp_path, STREAM)
+        service.add_vehicle("v", ReplaySource(case.records), config, ctx)
+        assert asyncio.run(service.serve(max_frames=40)).killed
+        other = StreamIngestService(tmp_path, StreamConfig(
+            window_seconds=window, grace_seconds=grace, checkpoint_every=13,
+        ))
+        with pytest.raises(StreamError) as info:
+            other.add_vehicle("v", ReplaySource(case.records), config, ctx)
+        assert str(info.value) == (
+            "vehicle 'v': its log was made with window_seconds=1.0, "
+            "grace_seconds=5.0, not the window_seconds={}, "
+            "grace_seconds={} of this service".format(window, grace)
+        )
+        assert other.sessions == {}
+        resumed = StreamIngestService(tmp_path, STREAM)
+        resumed.add_vehicle("v", ReplaySource(case.records), config, ctx)
+        assert resumed.resumed["v"] == 39
+
+
 def syn_service(run_dir, duration, vehicle_id="v", checkpoint_every=500):
     """A SYN ``.btrc`` recording of *duration* seconds, served through a
     service with ``perf``'s stream parameters."""
@@ -580,24 +667,34 @@ class TestOneCallPerCommitInterval:
         assert result.sessions["v"]["windows_sealed"] == 12
         assert service.metrics.counters()["stream.windows_sealed"] == 12
 
-    def test_without_periodic_commits_every_chunk_is_settled(self, tmp_path):
-        """``checkpoint_every=0``: the windows a chunk seals are processed
-        before the next chunk goes in, so none pile up; the output is the
-        committing service's."""
+    def test_without_periodic_commits_a_vehicle_is_one_settled_slice(
+        self, tmp_path
+    ):
+        """``checkpoint_every=0``: a vehicle's frames go in as one
+        slice, whose sealed windows are processed right after it and
+        before the drain; the output is the committing service's."""
         for name in ("every", "committing"):
             (tmp_path / name).mkdir()
         service = syn_service(tmp_path / "every", 6.0, checkpoint_every=0)
         session = service.sessions["v"]
-        ingest, sealing = session.ingest, []
+        events = []
 
-        def settled_ingest(frames):
-            assert session.settle() == 0  # nothing left from the last chunk
-            sealing.append(ingest(frames))
-            return sealing[-1]
+        def recording(event, function):
+            def record(*args):
+                events.append((event, function(*args)))
+                return events[-1][1]
+            return record
 
-        session.ingest = settled_ingest
+        session.ingest = recording("ingest", session.ingest)
+        session.settle = recording("settle", session.settle)
         assert not asyncio.run(service.serve()).killed
-        assert sum(map(bool, sealing)) > 1
+        # Then the drain's settle and the drain commit's, which finds
+        # nothing left.
+        [(ingest, sealed), (settle, settled), *drain] = events
+        assert (ingest, settle) == ("ingest", "settle")
+        assert sealed == settled > 1
+        assert [event for event, _count in drain] == ["settle"] * 2
+        assert drain[-1][1] == 0
         assert session.settle() == 0
         committing = syn_service(tmp_path / "committing", 6.0)
         assert not asyncio.run(committing.serve()).killed

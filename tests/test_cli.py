@@ -608,6 +608,29 @@ class TestStream:
         assert code == 0
         assert "drained=yes" in out
 
+    def test_resume_under_another_window_is_one_error_line(
+        self, killed_run, short_trace, capsys
+    ):
+        """The log was made at the default 1.0 s window and 0.5 s grace:
+        a resume at 2.0 s / 0.0 s is refused before ``stream.json`` is
+        rewritten."""
+        from repro.stream import STREAM_MANIFEST_FILE
+
+        run_dir, _checkpoint = killed_run
+        manifest = (run_dir / STREAM_MANIFEST_FILE).read_bytes()
+        code, out = run_cli(
+            "stream", "serve", "--dataset", "SYN",
+            "--run-dir", str(run_dir), "--traces", str(short_trace),
+            "--window", "2.0", "--grace", "0.0",
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: stream: vehicle 'v0': its log was made with "
+            "window_seconds=1.0, grace_seconds=0.5, not the "
+            "window_seconds=2.0, grace_seconds=0.0 of this service\n"
+        )
+        assert (run_dir / STREAM_MANIFEST_FILE).read_bytes() == manifest
+
     def test_status_on_non_stream_directory_errors(self, tmp_path, capsys):
         code, _out = run_cli("stream", "status", "--run-dir", str(tmp_path))
         assert code == 2

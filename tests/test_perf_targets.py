@@ -17,9 +17,10 @@ timestamps only, and ``Table.cache`` goes through
 ``Executor.execute``, the name the tracer wraps. The last two keep
 replay a merge (one stable ``lexsort``, no ``Condition`` to negotiate an
 order through) and the ``m_info`` TLV codec single-copy in ``binlog``;
-the ones after them keep the stream path at one ``queue.put`` per chunk,
-one ``_RuleKernels`` per session, one lines 2-6 task per sealed window
-and no scan of the pending windows per frame. The engine-surface guards
+the ones after them keep the stream path a loop without ``asyncio``
+that hands a session one slice per commit interval, one
+``_RuleKernels`` per session, one lines 2-6 task per sealed window and
+no scan of the pending windows per frame. The engine-surface guards
 keep the engine at what the program issues: every public ``Table``
 method, ``EngineContext`` constructor and ``repro.engine`` export has a
 caller outside the engine, and every defaulted parameter of those
@@ -296,7 +297,7 @@ def test_stream_delivery_order_is_one_lexsort_and_no_negotiation():
         # A list source is put in time order once; delivery is one sort.
         ("receivers.py", "ReplaySource.__init__"),
         ("receivers.py", "merge"),
-        ("service.py", "StreamIngestService._run_vehicle"),
+        ("service.py", "StreamIngestService.serve"),
     }
 
 
@@ -321,27 +322,15 @@ def test_the_m_info_codec_is_defined_in_binlog_only():
     assert colbin.unpack_info is binlog.unpack_info
 
 
-def test_stream_delivery_puts_chunks_through_one_queue_put():
-    def puts(node):
-        return isinstance(node, ast.Call) and _name(node.func) in (
-            "put", "put_nowait"
-        )
-
-    assert _scopes([STREAM], puts) == {("receivers.py", "deliver")}
-    [deliver] = [
-        node for node in _parsed(STREAM / "receivers.py").body
-        if isinstance(node, ast.AsyncFunctionDef) and node.name == "deliver"
-    ]
-    # Two calls: the chunk (a list, inside the loop) and the end marker.
-    assert sorted(
-        ast.unparse(node.args[0]) for node in ast.walk(deliver) if puts(node)
-    ) == ["None", "chunk[:granted]"]
+def test_no_stream_module_imports_asyncio():
+    for path in sorted(STREAM.glob("*.py")):
+        assert "asyncio" not in _imported_modules(_parsed(path)), path.name
 
 
-def _stream_shaped_run(tmp_path, monkeypatch):
+def _stream_shaped_run(tmp_path, monkeypatch, checkpoint_every=20):
     """Two journeys through the service; (context, service, how many
     ``_RuleKernels`` were built, how often the pending windows were
-    scanned for sealable ones)."""
+    scanned for sealable ones and how many slices were ingested)."""
     import asyncio
     import random
 
@@ -349,11 +338,12 @@ def _stream_shaped_run(tmp_path, monkeypatch):
     from repro.core.params import config_from_dict
     from repro.engine import EngineContext
     from repro.stream import (
-        ReplaySource, StreamConfig, StreamIngestService, WindowAssembler,
+        ReplaySource, StreamConfig, StreamIngestService, VehicleSession,
+        WindowAssembler,
     )
     from repro.testing.generator import generate_journey_case
 
-    calls = {"kernels": 0, "scans": 0}
+    calls = {"kernels": 0, "scans": 0, "ingests": 0}
 
     def counted(function, name):
         @functools.wraps(function)
@@ -370,9 +360,13 @@ def _stream_shaped_run(tmp_path, monkeypatch):
         WindowAssembler, "_seal_ready",
         counted(WindowAssembler._seal_ready, "scans"),
     )
+    monkeypatch.setattr(
+        VehicleSession, "ingest", counted(VehicleSession.ingest, "ingests"),
+    )
     context = EngineContext.serial()
     service = StreamIngestService(tmp_path, StreamConfig(
-        window_seconds=0.5, grace_seconds=0.25, checkpoint_every=20
+        window_seconds=0.5, grace_seconds=0.25,
+        checkpoint_every=checkpoint_every,
     ))
     for seed in (5, 6):
         case = generate_journey_case(random.Random(seed))
@@ -394,6 +388,20 @@ def test_a_session_compiles_lines_4_to_6_once_and_runs_one_task_per_window(
     assert context.executor.metrics.tasks_run <= sealed
     for session in service.sessions.values():
         assert "_kernels" not in repr(session.export_state())
+
+
+@pytest.mark.parametrize("cadence", [20, 100])
+def test_a_session_is_handed_one_slice_per_commit_interval(
+    tmp_path, monkeypatch, cadence
+):
+    # 83 and 108 frames: at 100, one vehicle is one slice and the other
+    # two, so slices of any fixed width below 100 are seen.
+    _context, service, calls = _stream_shaped_run(
+        tmp_path, monkeypatch, checkpoint_every=cadence
+    )
+    frames = [s.frames_ingested for s in service.sessions.values()]
+    assert sorted(frames) == [83, 108]
+    assert calls["ingests"] == sum(-(-n // cadence) for n in frames)
 
 
 def test_pending_windows_are_scanned_when_one_seals_not_per_frame(
