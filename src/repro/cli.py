@@ -604,7 +604,12 @@ def cmd_stream_status(args, out=sys.stdout):
         ),
         file=out,
     )
-    session_ids = checkpointer.session_ids()
+    # Every vehicle the run serves, committed or not, and any logged one.
+    vehicles = manifest.get("vehicles")
+    session_ids = sorted(
+        {*(vehicles if isinstance(vehicles, dict) else ()),
+         *checkpointer.session_ids()}, key=str,
+    )
     if not session_ids:
         print("no session checkpoints committed yet", file=out)
         return 0

@@ -33,6 +33,8 @@ import numpy as np
 from repro.engine.columnar import (
     BytesColumn,
     ColumnarPartition,
+    FLOAT,
+    INT,
     DictColumn,
     ValueColumn,
     _build_column,
@@ -183,6 +185,12 @@ def _encode_column(column):
     if isinstance(column, BytesColumn) and (planes := column.rebased()):
         return _BYTES, list(planes)
     if isinstance(column, ValueColumn):
+        # A float or int column is one copy of x, as float64 or int64.
+        if column.kind() == FLOAT:
+            x = np.ascontiguousarray(column.x)
+            return _FLOAT, [memoryview(x).cast("B")]
+        if column.kind() == INT:
+            return _INT, [memoryview(column.x.astype(np.int64)).cast("B")]
         return _encode_column(column.plane())
     built = _build_column(column if isinstance(column, list) else list(column))
     if isinstance(built, list):

@@ -8,11 +8,17 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.incremental import IncrementalRunner, split_into_windows
+from repro.core.incremental import (
+    IncrementalRunner,
+    _SignalState,
+    split_into_windows,
+)
 from repro.core.params import config_from_dict
 from repro.engine import EngineContext
+from repro.engine.columnar import ValueColumn
 from repro.obs import MetricsRegistry
 from repro.protocols.frames import BYTE_RECORD_COLUMNS
+from repro.sentinels import TRUNCATED
 from repro.stream import StreamError, VehicleSession
 from repro.stream.checkpoint import session_record
 from repro.stream.receivers import Frames, pack_records
@@ -268,3 +274,88 @@ class TestState:
         _case, ctx, config = journey()
         with pytest.raises(StreamError):
             VehicleSession.from_state({"format": "nope"}, config, ctx)
+
+
+def planes(session):
+    """Per key, the chunks of a session's reduced state as comparable
+    cells: each chunk's ``t`` dtype and bits and each value's type and
+    ``repr``."""
+    return {
+        key: [(t.dtype.str, t.tobytes() if t.dtype != object else t.tolist(),
+               [(type(cell), repr(cell)) for cell in v.tolist()])
+              for t, v in state.reduced_rows.chunks]
+        for key, state in session.runner._states.items()
+    }
+
+
+class TestTypedState:
+    """The reduced state is typed planes (``t`` float64, ``v`` a
+    ValueColumn) in a live session and in one resumed from its log."""
+
+    VALUES = {
+        "float": [1.5, -0.0, float("nan"), 2.0],
+        "int": [3, -(2 ** 53), 7, 0],
+        "big": [2 ** 53 + 1, 5, -(2 ** 62), 2 ** 63 - 1],
+        "bool": [True, False, True, True],
+        "str": ["low", "high", "low", "mid"],
+        "truncated": [TRUNCATED, TRUNCATED, TRUNCATED, TRUNCATED],
+        "mixed": [1.0, "on", TRUNCATED, 4],
+    }
+
+    def test_a_resumed_session_holds_the_chunks_it_committed(self, tmp_path):
+        from repro.stream import StreamCheckpointer
+
+        _case, ctx, config = journey()
+        session = VehicleSession("v", config, ctx, 1.0)
+        checkpointer = StreamCheckpointer(tmp_path)
+        for half in (slice(0, 2), slice(2, 4)):
+            for s_id, values in self.VALUES.items():
+                state = session.runner._states.setdefault(
+                    (s_id, "FC"), _SignalState()
+                )
+                state.reduced_rows.chunks.append((
+                    np.arange(4.0)[half] + 10.0 * half.start,
+                    ValueColumn.from_values(values[half]),
+                ))
+            checkpointer.save_session(session)
+        resumed = StreamCheckpointer(tmp_path).load_session("v", config, ctx)
+        assert planes(resumed) == planes(session)
+        assert all(isinstance(v, ValueColumn) and t.dtype == np.float64
+                   for state in resumed.runner._states.values()
+                   for t, v in state.reduced_rows.chunks)
+
+    def test_a_killed_and_resumed_journey_holds_the_uninterrupted_state(
+        self, tmp_path
+    ):
+        from repro.stream import StreamCheckpointer
+
+        case, ctx, config = journey(seed=11, lossy=True)
+        frames = frames_of([(record[2], record) for record in case.records])
+        sessions = {}
+        for name, cut in (("whole", len(frames)),
+                          ("killed", len(frames) // 2)):
+            checkpointer = StreamCheckpointer(tmp_path / name)
+            session = VehicleSession("v", config, ctx, 1.0, grace_seconds=0.5)
+            for start in range(0, cut, 40):
+                session.ingest(frames[start:min(cut, start + 40)])
+                checkpointer.save_session(session)
+            if name == "killed":
+                session = StreamCheckpointer(tmp_path / name).load_session(
+                    "v", config, ctx
+                )
+                for start in range(session.frames_ingested, len(frames), 40):
+                    session.ingest(frames[start:start + 40])
+                    checkpointer.save_session(session)
+            session.drain()
+            sessions[name] = session
+        # Chunks follow the commits, which differ after the resume: the
+        # joined planes of each key are what must be equal.
+        joined = {
+            name: {key: (b"".join(chunk[1] for chunk in chunks),
+                         [cell for chunk in chunks for cell in chunk[2]])
+                   for key, chunks in planes(session).items()}
+            for name, session in sessions.items()
+        }
+        assert joined["killed"] == joined["whole"]
+        assert sorted_rows(sessions["killed"].finalize().r_out) == \
+            sorted_rows(sessions["whole"].finalize().r_out)

@@ -608,6 +608,29 @@ class TestStream:
         assert code == 0
         assert "drained=yes" in out
 
+    def test_status_lists_a_vehicle_that_has_not_committed(self, tmp_path):
+        """The budget is spent on v0 before v1 gets a frame: v1 has no
+        log, and status names it all the same."""
+        traces = []
+        for journey in (0, 1):
+            traces.append(str(tmp_path / "v{}.btrc".format(journey)))
+            assert run_cli(
+                "simulate", "--dataset", "SYN", "--duration", "6",
+                "--journey", str(journey), "--out", traces[-1],
+            )[0] == 0
+        run_dir = str(tmp_path / "run")
+        code, _out = run_cli(
+            "stream", "serve", "--dataset", "SYN", "--run-dir", run_dir,
+            "--traces", *traces, "--max-frames", "900",
+            "--checkpoint-every", "100",
+        )
+        assert code == 1
+        code, out = run_cli("stream", "status", "--run-dir", run_dir)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert lines[0].startswith("session v0: 900 frames,")
+        assert lines[1:] == ["session v1: no record committed"]
+
     def test_resume_under_another_window_is_one_error_line(
         self, killed_run, short_trace, capsys
     ):
