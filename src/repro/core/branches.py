@@ -151,8 +151,9 @@ def _alpha(sequences, segments, config):
         loose = np.flatnonzero(sequences.kind[index] != NUMBER)
         # typeSplit: peel off non-numeric elements (e.g. embedded
         # validity strings) as nominal side output.
-        numeric = numeric_mask(sequences.v[index[loose]])
-        x[loose[numeric]] = sequences.v[index[loose[numeric]]].astype(float)
+        numeric = numeric_mask(sequences.values_at(index[loose]))
+        x[loose[numeric]] = sequences.values_at(
+            index[loose[numeric]]).astype(float)
         labels = loose[~numeric]
         value[labels] = sequences.text(index[labels])
         kind[labels] = np.where(np.fromiter(map(
@@ -242,7 +243,8 @@ def _beta_gamma(sequences, segments, classifications, config):
         ])
         kind[functional] = _KINDS.index(KIND_SYMBOL)
         kind[functional[outlier]] = _KINDS.index(KIND_OUTLIER)
-        value[functional[outlier]] = sequences.v[index[functional[outlier]]]
+        value[functional[outlier]] = sequences.values_at(
+            index[functional[outlier]])
         clean = functional[~outlier]
         trend[clean] = TrendClassifier(
             steady_threshold=config.trend_fraction
@@ -285,7 +287,7 @@ def _ranks(sequences, index, owner, config):
     for lo, hi in zip(heads.tolist(), np.append(heads[1:], len(index)).tolist()):
         if kinds[lo] == NUMBER:
             continue
-        values = sequences.v[index[lo:hi]]
+        values = sequences.values_at(index[lo:hi])
         if kinds[lo] == OBJECT and all_numeric(values):
             ranks[lo:hi] = values.astype(float)
             continue
